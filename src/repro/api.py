@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import random
 import socket
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
@@ -130,9 +129,8 @@ class ConnectResult:
         answer: the protocol's output for party R.
         stats: the :class:`~repro.net.session.SessionStats` of a
             resumable run; ``None`` for a plain one-shot run.
-        busy_retries: how many busy refusals were waited out (under
-            ``retry_busy`` or a ``retry`` policy) before the server
-            admitted this session.
+        busy_retries: how many busy refusals a ``retry`` policy waited
+            out before the server admitted this session.
         retries: total redials a ``retry`` policy performed across all
             retryable failure classes (busy, worker-lost).
     """
@@ -182,8 +180,6 @@ class SessionOptions:
     session layer of :mod:`repro.net.session`: checksummed,
     acknowledged frames, reconnect-and-resume after drops, and - with a
     ``journal_dir`` - crash recovery from the on-disk round journal.
-    It replaces the deprecated ``resumable=`` / ``journal_dir=``
-    keyword sprawl on the one-shot verbs.
 
     Attributes:
         journal_dir: directory (or
@@ -197,39 +193,6 @@ class SessionOptions:
     journal_dir: Any = None
     config: Any = None
     journal_fsync: bool = True
-
-
-#: Deprecated-kwarg names already warned about (warn once per process).
-_SESSION_KWARG_WARNED: set[str] = set()
-
-
-def _coerce_session(
-    entry: str, resumable: bool, journal_dir: Any, session: SessionOptions | None
-) -> SessionOptions | None:
-    """Fold the legacy ``resumable=``/``journal_dir=`` kwargs into a
-    :class:`SessionOptions`, warning once per deprecated kwarg."""
-    if session is not None:
-        if resumable or journal_dir is not None:
-            raise ValueError(
-                "pass session=SessionOptions(...) or the legacy "
-                "resumable=/journal_dir= kwargs, not both"
-            )
-        return session
-    if not resumable and journal_dir is None:
-        return None
-    for kwarg, used in (
-        ("resumable", resumable),
-        ("journal_dir", journal_dir is not None),
-    ):
-        if used and kwarg not in _SESSION_KWARG_WARNED:
-            _SESSION_KWARG_WARNED.add(kwarg)
-            warnings.warn(
-                f"repro.{entry}({kwarg}=...) is deprecated; pass "
-                f"session=repro.SessionOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-    return SessionOptions(journal_dir=journal_dir)
 
 
 def _party_rngs(
@@ -1193,8 +1156,6 @@ def serve(
     engine: Any = None,
     recorder: Any = None,
     chunk_size: int | None = None,
-    resumable: bool = False,
-    journal_dir: Any = None,
     config: Any = None,
     async_: bool = False,
     session: SessionOptions | None = None,
@@ -1214,9 +1175,7 @@ def serve(
     session layer: checksummed frames, resume after disconnects,
     chunk-granular cursors when ``chunk_size`` is set, and - with a
     ``journal_dir`` - crash recovery from the on-disk round journal.
-    The older ``resumable=`` / ``journal_dir=`` kwargs still work but
-    are deprecated (warn-once); ``config`` overrides the session
-    config either way.
+    ``config`` overrides the session config.
 
     ``async_=True`` hosts the same one-session run on the event-loop
     server (:class:`~repro.net.server.ProtocolServer`): identical wire
@@ -1232,7 +1191,6 @@ def serve(
         params = PublicParams.for_bits(bits)
     if rng is None:
         rng = random.Random(seed)
-    opts = _coerce_session("serve", resumable, journal_dir, session)
     bound: dict[str, int] = {}
 
     def _capture(actual_port: int) -> None:
@@ -1244,18 +1202,18 @@ def serve(
         return _serve_async(
             spec, data, params, rng, host=host, port=port,
             ready_callback=_capture,
-            config=config if config is not None else (opts.config if opts else None),
+            config=config if config is not None else (session.config if session else None),
             engine=engine, recorder=recorder,
-            journal_dir=opts.journal_dir if opts else None,
+            journal_dir=session.journal_dir if session else None,
             chunk_size=chunk_size,
         )
-    if opts is not None:
+    if session is not None:
         size_v_r, stats = tcp.serve_resumable_sender(
             spec.name, data, params, rng, host=host, port=port,
             ready_callback=_capture,
-            config=config if config is not None else opts.config,
-            engine=engine, recorder=recorder, journal_dir=opts.journal_dir,
-            journal_fsync=opts.journal_fsync, chunk_size=chunk_size,
+            config=config if config is not None else session.config,
+            engine=engine, recorder=recorder, journal_dir=session.journal_dir,
+            journal_fsync=session.journal_fsync, chunk_size=chunk_size,
         )
         return ServeResult(size_v_r=size_v_r, port=bound["port"], stats=stats)
     catalog = Catalog(
@@ -1335,10 +1293,7 @@ def connect(
     engine: Any = None,
     recorder: Any = None,
     chunk_size: int | None = None,
-    resumable: bool = False,
-    journal_dir: Any = None,
     config: Any = None,
-    retry_busy: int = 0,
     retry: Any = None,
     session: SessionOptions | None = None,
 ) -> ConnectResult:
@@ -1352,49 +1307,30 @@ def connect(
     byte-identical to earlier releases.
 
     ``session=SessionOptions(...)`` connects under the fault-tolerant
-    session layer - it must match a resumable server. The older
-    ``resumable=`` / ``journal_dir=`` kwargs still work but are
-    deprecated (warn-once). ``chunk_size`` streams R's chunkable
-    outgoing rounds; inbound chunking is auto-detected either way.
+    session layer - it must match a resumable server. ``chunk_size``
+    streams R's chunkable outgoing rounds; inbound chunking is
+    auto-detected either way.
 
-    ``retry_busy`` waits out up to that many typed busy refusals from
-    a saturated or draining server, sleeping the server's own retry
-    hint stretched by jitter
-    (:func:`~repro.net.session.busy_backoff_s`) between redials; the
-    refusals actually waited out are reported as
-    ``ConnectResult.busy_retries``. The default 0 keeps busy an
-    immediate :class:`~repro.net.session.ServerBusyError`, exactly as
-    before.
-
-    ``retry`` is the unified alternative: a
-    :class:`~repro.net.session.ClientRetryPolicy` (or a
+    Without ``retry`` a typed refusal (a busy server is an immediate
+    :class:`~repro.net.session.ServerBusyError`) propagates. ``retry``
+    is a :class:`~repro.net.session.ClientRetryPolicy` (or a
     ``"key=value,..."`` spec string for
     :meth:`~repro.net.session.ClientRetryPolicy.parse`) governing max
     dial attempts, per-attempt timeout, a total deadline budget,
     jittered exponential backoff that honors server retry hints, and
     *which* typed failures are redialed - busy refusals and
     :class:`~repro.net.session.WorkerLost` (a supervised shard whose
-    worker is mid-respawn) by default. When no explicit ``config`` is
-    passed the policy also shapes the session config
-    (per-attempt timeout, in-session reconnect budget). Mutually
-    exclusive with ``retry_busy``.
+    worker is mid-respawn) by default. The failures waited out are
+    reported as ``ConnectResult.retries`` / ``busy_retries``. When no
+    explicit ``config`` is passed the policy also shapes the session
+    config (per-attempt timeout, in-session reconnect budget).
     """
-    import time
-
     from .net import tcp
-    from .net.session import (
-        ClientRetryPolicy,
-        ServerBusyError,
-        SessionError,
-        busy_backoff_s,
-    )
+    from .net.session import ClientRetryPolicy
 
     spec = get_spec(protocol)
     if rng is None:
         rng = random.Random(seed)
-    opts = _coerce_session("connect", resumable, journal_dir, session)
-    if retry is not None and retry_busy:
-        raise ValueError("pass either retry= or retry_busy=, not both")
     if isinstance(retry, str):
         retry = ClientRetryPolicy.parse(retry)
     if retry is not None and config is None:
@@ -1402,18 +1338,18 @@ def connect(
 
     catalog = (
         Catalog(data, params=None, rng=rng, engine=engine, recorder=recorder)
-        if opts is None
+        if session is None
         else None
     )
 
     def _attempt() -> ConnectResult:
-        if opts is not None:
+        if session is not None:
             answer, stats = tcp.connect_resumable_receiver(
                 spec.name, data, rng, host, port,
-                config=config if config is not None else opts.config,
+                config=config if config is not None else session.config,
                 engine=engine, recorder=recorder,
-                journal_dir=opts.journal_dir,
-                journal_fsync=opts.journal_fsync, chunk_size=chunk_size,
+                journal_dir=session.journal_dir,
+                journal_fsync=session.journal_fsync, chunk_size=chunk_size,
             )
             return ConnectResult(answer=answer, stats=stats)
         peer = catalog.connect(
@@ -1422,60 +1358,14 @@ def connect(
         result = peer.query(spec, mode="full", chunk_size=chunk_size)
         return ConnectResult(answer=result.answer, stats=None)
 
-    if retry is not None:
-        deadline = (
-            time.monotonic() + retry.total_deadline_s
-            if retry.total_deadline_s is not None
-            else None
-        )
-        attempt = 0
-        busy_waited = 0
-        backoff_rng = random.Random(rng.getrandbits(64))
-        while True:
-            attempt += 1
-            try:
-                result = _attempt()
-            except SessionError as exc:
-                if not retry.retryable(exc):
-                    raise
-                if attempt >= retry.max_attempts:
-                    raise
-                delay = retry.backoff_s(
-                    attempt - 1,
-                    backoff_rng,
-                    hint_s=getattr(exc, "retry_after_s", None),
-                )
-                if (
-                    deadline is not None
-                    and time.monotonic() + delay > deadline
-                ):
-                    raise
-                if isinstance(exc, ServerBusyError):
-                    busy_waited += 1
-                time.sleep(delay)
-                continue
-            return ConnectResult(
-                answer=result.answer,
-                stats=result.stats,
-                busy_retries=busy_waited,
-                retries=attempt - 1,
-            )
-
-    waited = 0
-    backoff_rng: random.Random | None = None
-    while True:
-        try:
-            result = _attempt()
-        except ServerBusyError as exc:
-            if waited >= max(retry_busy, 0):
-                raise
-            waited += 1
-            if backoff_rng is None:
-                # Derived lazily so retry_busy=0 runs draw exactly the
-                # same rng stream they always did.
-                backoff_rng = random.Random(rng.getrandbits(64))
-            time.sleep(busy_backoff_s(exc.retry_after_s, backoff_rng))
-            continue
-        return ConnectResult(
-            answer=result.answer, stats=result.stats, busy_retries=waited
-        )
+    if retry is None:
+        return _attempt()
+    result, retries, busy_retries = retry.redial(
+        _attempt, random.Random(rng.getrandbits(64))
+    )
+    return ConnectResult(
+        answer=result.answer,
+        stats=result.stats,
+        busy_retries=busy_retries,
+        retries=retries,
+    )

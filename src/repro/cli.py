@@ -273,17 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
              "an interrupted run from it on restart (requires --resumable)",
     )
     p.add_argument(
-        "--retry-busy", type=int, default=0, metavar="N",
-        help="when the server answers busy, wait out its retry hint "
-             "and redial up to N times before exiting busy (default 0)",
-    )
-    p.add_argument(
         "--retry-policy", default=None, metavar="SPEC",
         help="unified retry policy as 'key=value,...' "
              "(keys: attempts, timeout, deadline, base, multiplier, "
              "max-delay, jitter, busy, worker-lost); redials typed "
              "busy and worker-lost refusals with jittered exponential "
-             "backoff under a total deadline; replaces --retry-busy",
+             "backoff under a total deadline (default: no redial)",
     )
     _add_engine_options(p)
 
@@ -626,15 +621,9 @@ def _serve_supervised(
 
 def _cmd_connect(args: argparse.Namespace) -> int:
     import random as _random
-    import time as _time
 
     from .net import tcp
-    from .net.session import (
-        ClientRetryPolicy,
-        ServerBusyError,
-        SessionError,
-        busy_backoff_s,
-    )
+    from .net.session import ClientRetryPolicy
 
     v_r = _read_values(args.receiver)
 
@@ -643,12 +632,6 @@ def _cmd_connect(args: argparse.Namespace) -> int:
         return 2
     policy = None
     if args.retry_policy is not None:
-        if args.retry_busy:
-            print(
-                "--retry-policy replaces --retry-busy; pass only one",
-                file=sys.stderr,
-            )
-            return 2
         try:
             policy = ClientRetryPolicy.parse(args.retry_policy)
         except ValueError as exc:
@@ -686,58 +669,19 @@ def _cmd_connect(args: argparse.Namespace) -> int:
         _emit_metrics(args, recorder)
         return 0
 
-    # Jittered independently of the protocol seed so identically-seeded
-    # clients refused in one burst do not redial in lockstep.
-    backoff_rng = _random.Random()
+    def announce(exc: Exception, delay: float, attempt_no: int) -> None:
+        print(
+            f"repro: {type(exc).__name__}; retrying in {delay:.3f}s "
+            f"(attempt {attempt_no}/{policy.max_attempts})",
+            file=sys.stderr,
+        )
+
     try:
-        if policy is not None:
-            deadline = (
-                _time.monotonic() + policy.total_deadline_s
-                if policy.total_deadline_s is not None
-                else None
-            )
-            attempt_no = 0
-            while True:
-                attempt_no += 1
-                try:
-                    return attempt()
-                except SessionError as exc:
-                    if not policy.retryable(exc):
-                        raise
-                    if attempt_no >= policy.max_attempts:
-                        raise
-                    delay = policy.backoff_s(
-                        attempt_no - 1,
-                        backoff_rng,
-                        hint_s=getattr(exc, "retry_after_s", None),
-                    )
-                    if (
-                        deadline is not None
-                        and _time.monotonic() + delay > deadline
-                    ):
-                        raise
-                    print(
-                        f"repro: {type(exc).__name__}; retrying in "
-                        f"{delay:.3f}s (attempt {attempt_no}/"
-                        f"{policy.max_attempts})",
-                        file=sys.stderr,
-                    )
-                    _time.sleep(delay)
-        retries_left = max(args.retry_busy, 0)
-        while True:
-            try:
-                return attempt()
-            except ServerBusyError as exc:
-                if retries_left <= 0:
-                    raise
-                retries_left -= 1
-                delay = busy_backoff_s(exc.retry_after_s, backoff_rng)
-                print(
-                    f"repro: server busy; retrying in {delay:.3f}s "
-                    f"({retries_left} retries left)",
-                    file=sys.stderr,
-                )
-                _time.sleep(delay)
+        if policy is None:
+            return attempt()
+        # Jittered independently of the protocol seed so identically
+        # seeded clients refused in one burst do not redial in lockstep.
+        return policy.redial(attempt, _random.Random(), on_retry=announce)[0]
     finally:
         engine.close()
 

@@ -1,34 +1,34 @@
 """Asyncio transport core: the event loop owns sockets and framing.
 
-The session layer (:mod:`repro.net.session`) is deliberately
-synchronous - it is the byte-exact engine of record behind the golden
-transcripts, the chaos schedules and the journal replay invariant.
-What does not scale is giving every session its *own* blocking socket
-reader: thread-per-session I/O hits the thread ceiling long before the
-protocol does. This module splits the two concerns:
+The session rules live once, I/O-free, in
+:mod:`repro.net.session_core`; what does not scale is giving every
+session its *own* blocking socket reader - thread-per-session I/O hits
+the thread ceiling long before the protocol does. This module puts the
+sockets on an event loop:
 
 * **one event loop owns every socket** - :class:`AsyncFrameEndpoint`
   does the length-prefixed framing of :mod:`repro.net.tcp`
   (``u32 big-endian length || serialization payload``, same
   ``max_frame_bytes`` bound, same :class:`~repro.net.tcp.FrameTooLarge`
   teardown semantics) as coroutines on that loop;
-* **sessions stay synchronous** - :class:`LoopTransport` bridges a
-  loop-owned connection to the blocking ``send``/``recv``/
-  ``settimeout``/``close`` transport protocol the session layer
-  expects. A per-connection pump task moves raw frame payloads from
-  the loop into a thread-safe queue; encoding and decoding run on the
-  *calling* thread, so the loop never burns CPU on wire codec work and
-  a frame that fails to decode stays a per-frame ``ValueError`` (the
-  session naks it and continues) instead of killing the connection;
-* **crypto runs in executors** - :class:`AsyncReceiverSession` is an
-  async-native client for party R that offloads every machine step
-  (hashing, modexp batches - optionally via a
+* **the asyncio shell** - :func:`run_async` executes a session core's
+  requests on the loop: frames through an :class:`AsyncFrameEndpoint`,
+  every machine step (hashing, modexp batches - optionally via a
   :class:`~repro.crypto.engine.CryptoEngine` pool) through
-  ``run_in_executor``, so thousands of client sessions can share one
-  loop and a small thread pool. Its wire behaviour mirrors
-  :class:`~repro.net.session.ReceiverSession` frame for frame:
-  CRC-sealed hello/welcome, stop-and-wait data frames with implicit
-  acks, naks for garbled frames, chunked rounds, and a fin exchange.
+  ``run_in_executor`` and streamed chunks through
+  :func:`~repro.net.streaming.aprefetch`, so thousands of client
+  sessions can share one loop and a small thread pool.
+  :func:`connect_receiver_async` is party R's core under that shell;
+* **the blocking shell on a loop-owned socket** -
+  :class:`LoopTransport` bridges a loop-owned connection to the
+  blocking ``send``/``recv``/``settimeout``/``close`` transport
+  protocol, which is how :class:`~repro.net.server.ProtocolServer`
+  still runs its sessions (the blocking shell on a pool thread). A
+  per-connection pump task moves raw frame payloads from the loop into
+  a thread-safe queue; encoding and decoding run on the *calling*
+  thread, so the loop never burns CPU on wire codec work and a frame
+  that fails to decode stays a per-frame ``ValueError`` (the session
+  naks it and continues) instead of killing the connection.
 
 :class:`LoopThread` hosts one loop on a dedicated daemon thread with a
 thread-safe ``run``/``submit`` surface; the supervised server
@@ -44,30 +44,26 @@ import queue
 import random
 import threading
 import time
-from collections import deque
 from typing import Any, Awaitable, Callable
 
 from . import serialization
-from .session import (
-    SESSION_VERSION,
-    HandshakeError,
-    ServerBusyError,
-    SessionAborted,
-    SessionConfig,
-    SessionError,
-    SessionStats,
-    WorkerLost,
-    busy_backoff_s,
-    refusal_retry_hint_s,
-    seal,
-    unseal,
+from .session import SessionConfig, SessionStats
+from .session_core import (
+    DONE,
+    Compute,
+    NextChunk,
+    Now,
+    Open,
+    ReceiverCore,
+    Recv,
+    Send,
+    Sleep,
 )
+from .streaming import aprefetch
 from .tcp import _LEN, DEFAULT_MAX_FRAME_BYTES, FrameTooLarge
 
 __all__ = [
     "AsyncFrameEndpoint",
-    "AsyncReceiverSession",
-    "AsyncSessionEndpoint",
     "LoopThread",
     "LoopTransport",
     "connect_receiver_async",
@@ -77,10 +73,6 @@ __all__ = [
 #: ``asyncio.wait_for`` raises ``asyncio.TimeoutError``, which is the
 #: builtin ``TimeoutError`` only from 3.11 on; catch both for 3.10.
 _TIMEOUTS = (TimeoutError, asyncio.TimeoutError)
-
-#: Transport-level events an async reconnect can recover from
-#: (the session layer's ``_TRANSIENT`` plus asyncio's EOF signal).
-_ATRANSIENT = (ConnectionError, OSError, EOFError, *_TIMEOUTS)
 
 
 class AsyncFrameEndpoint:
@@ -370,509 +362,74 @@ class LoopTransport:
         await self._endpoint.close()
 
 
-class AsyncSessionEndpoint:
-    """Stop-and-wait session messaging as coroutines on one connection.
+async def run_async(
+    steps: Any,
+    dial: Callable[[], Awaitable[AsyncFrameEndpoint]],
+    executor: Any = None,
+) -> Any:
+    """The asyncio shell: execute a session core's requests on the loop.
 
-    The async twin of :class:`~repro.net.session.SessionEndpoint`: the
-    same sealed frames, the same ack/nak/implicit-ack rules, the same
-    cursors - so a peer cannot tell which implementation it talks to.
+    ``steps`` is a generator from :mod:`repro.net.session_core`;
+    ``dial`` opens the :class:`AsyncFrameEndpoint` an ``OPEN`` request
+    asks for. The generator itself runs on the loop (it only decides);
+    machine steps go through ``run_in_executor`` on ``executor`` and
+    streamed chunks through :func:`~repro.net.streaming.aprefetch`, so
+    crypto never blocks the loop. Whatever a request raises is thrown
+    into ``steps`` - a timeout always as the builtin ``TimeoutError``
+    the core's ``except`` clauses name - and what ``steps`` does not
+    handle (cancellation included) propagates. The link and the chunk
+    stream are closed when ``steps`` ends.
     """
-
-    def __init__(
-        self,
-        endpoint: AsyncFrameEndpoint,
-        config: SessionConfig,
-        stats: SessionStats,
-        rng: random.Random,
-        send_seq: int = 0,
-        recv_seq: int = 0,
-    ):
-        self.endpoint = endpoint
-        self.config = config
-        self.stats = stats
-        self.rng = rng
-        self.send_seq = send_seq
-        self.recv_seq = recv_seq
-        self.fin_seen = False
-        self._inbox: deque[tuple] = deque()
-
-    async def _read_frame(self, timeout: float) -> tuple:
-        """One unsealed frame within ``timeout`` seconds."""
-        return unseal(await self.endpoint.recv_within(timeout))
-
-    async def _send_control(self, *fields: Any) -> None:
-        await self.endpoint.send(seal(*fields))
-
-    def _raise_worker_lost(self, frame: tuple) -> None:
-        """A routed front end lost our worker: fail typed, retryable."""
-        self.stats.worker_lost += 1
-        raise WorkerLost(
-            f"server lost the session's worker: {frame[2]!r}",
-            retry_after_s=refusal_retry_hint_s(frame),
-        )
-
-    async def send(self, payload: Any) -> None:
-        """Ship one data frame reliably; advances the send cursor."""
-        seq = self.send_seq
-        await self._transmit_until_acked(seq, payload)
-        self.send_seq = seq + 1
-
-    async def _transmit_until_acked(self, seq: int, payload: Any) -> None:
-        wire = serialization.encode(payload)
-        retry = self.config.retry
-        for attempt in range(retry.max_attempts):
-            if attempt:
-                self.stats.retransmits += 1
-                await asyncio.sleep(retry.delay_s(attempt - 1, self.rng))
-            await self.endpoint.send(seal("msg", seq, wire))
-            self.stats.frames_sent += 1
-            if await self._wait_ack(seq):
-                return
-        raise SessionError(
-            f"frame {seq} unacknowledged after {retry.max_attempts} attempts"
-        )
-
-    async def _wait_ack(self, seq: int) -> bool:
-        deadline = time.monotonic() + self.config.timeout_s
+    loop = asyncio.get_running_loop()
+    endpoint = stream = stream_source = None
+    reply = failure = None
+    try:
         while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
             try:
-                frame = await self._read_frame(remaining)
-            except _TIMEOUTS:
-                return False
-            except ValueError:
-                self.stats.checksum_failures += 1
-                continue
-            tag = frame[0]
-            if tag == "ack" and len(frame) == 2:
-                if frame[1] == seq:
-                    return True
-                continue  # stale ack from a replayed frame
-            if tag == "nak" and len(frame) == 2:
-                if frame[1] in (seq, -1):
-                    return False  # peer asked for a retransmit
-                continue
-            if tag == "msg":
-                # The peer only sends data after receiving everything
-                # we sent: buffer the frame and treat it as an ack.
-                self._inbox.append(frame)
-                self.stats.implicit_acks += 1
-                return True
-            if tag == "fin":
-                self.fin_seen = True
-                return True  # a finished peer has everything
-            if tag == "worker-lost" and len(frame) in (3, 4):
-                self._raise_worker_lost(frame)
-            continue  # hello/welcome replays, unknown tags: ignore
-
-    async def recv(self) -> Any:
-        """One in-order data payload; acks, de-dups and naks en route."""
-        config = self.config
-        deadline = (
-            time.monotonic() + config.timeout_s * config.retry.max_attempts
-        )
-        while True:
-            if self._inbox:
-                frame = self._inbox.popleft()
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise SessionError(
-                        f"timed out waiting for frame {self.recv_seq}"
-                    )
-                try:
-                    frame = await self._read_frame(
-                        min(remaining, config.timeout_s)
-                    )
-                except _TIMEOUTS:
-                    continue
-                except ValueError:
-                    self.stats.checksum_failures += 1
-                    self.stats.naks_sent += 1
-                    await self._send_control("nak", -1)
-                    continue
-            tag = frame[0]
-            if tag == "fin":
-                self.fin_seen = True
-                continue
-            if tag == "worker-lost" and len(frame) in (3, 4):
-                self._raise_worker_lost(frame)
-            if tag != "msg" or len(frame) != 3:
-                continue  # stray ack/nak/welcome
-            _, seq, wire = frame
-            if not isinstance(seq, int) or not isinstance(wire, bytes):
-                self.stats.malformed_frames += 1
-                continue
-            if seq == self.recv_seq:
-                await self._send_control("ack", seq)
-                self.recv_seq += 1
-                self.stats.frames_received += 1
-                try:
-                    return serialization.decode(wire)
-                except ValueError as exc:
-                    raise SessionError(
-                        f"frame {seq} passed its checksum but failed to "
-                        f"decode: {exc}"
-                    ) from exc
-            if seq < self.recv_seq:
-                self.stats.duplicates_discarded += 1
-                await self._send_control("ack", seq)
-                continue
-            raise SessionError(
-                f"out-of-order frame {seq} (expected {self.recv_seq})"
-            )
-
-    async def fin_wait(self, session_id: int) -> bool:
-        """Send a fin and linger for the peer's echo (see the sync
-        twin for why the linger matters); returns whether it arrived."""
-        retry = self.config.retry
-        for attempt in range(retry.max_attempts):
-            if attempt:
-                await asyncio.sleep(retry.delay_s(attempt - 1, self.rng))
+                if failure is None:
+                    request = steps.send(reply)
+                else:
+                    request = steps.throw(failure)
+            except StopIteration as stop:
+                return stop.value
+            reply = failure = None
+            kind = type(request)
             try:
-                await self._send_control("fin", session_id)
-            except _ATRANSIENT:
-                return False
-            deadline = time.monotonic() + self.config.timeout_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break  # resend the fin
-                try:
-                    frame = await self._read_frame(remaining)
-                except _TIMEOUTS:
-                    break
-                except _ATRANSIENT:
-                    return False  # peer already hung up: it is done
-                except ValueError:
-                    continue
-                if frame[0] == "fin":
-                    self.fin_seen = True
-                    return True
-                if frame[0] == "msg" and len(frame) == 3:
-                    seq = frame[1]
-                    if isinstance(seq, int) and seq < self.recv_seq:
-                        self.stats.duplicates_discarded += 1
-                        try:
-                            await self._send_control("ack", seq)
-                        except _ATRANSIENT:
-                            return False
-        return False
-
-
-class AsyncReceiverSession:
-    """Party R's resumable run as a coroutine: dial, drive, reconnect.
-
-    Wire-compatible with any session-layer sender - the supervised
-    server, the shard router, or a plain
-    :func:`~repro.net.tcp.serve_resumable_sender`. All machine work
-    (state construction, round crypto, chunk production) runs through
-    ``run_in_executor`` on ``executor``, so one event loop can drive
-    thousands of these concurrently while a small thread pool does the
-    math. Round payloads are cached exactly like the sync session's
-    round log, so a reconnect replays only the frames the server lacks.
-    """
-
-    def __init__(
-        self,
-        protocol: str,
-        make_receiver: Callable[[Any], Any],
-        config: SessionConfig | None = None,
-        rng: random.Random | None = None,
-        session_id: int | None = None,
-        chunk_size: int | None = None,
-        executor: Any = None,
-    ):
-        from ..protocols.spec import get_spec
-
-        self.protocol = protocol
-        self.spec = get_spec(protocol)
-        self.config = config or SessionConfig()
-        self.rng = rng or random.Random()
-        self.stats = SessionStats(protocol=protocol)
-        self.chunk_size = chunk_size
-        self.session_id = (
-            session_id if session_id is not None else self.rng.getrandbits(63)
-        )
-        self._executor = executor
-        self._make_receiver = make_receiver
-        self._machine: Any = None
-        self._params_wire: tuple | None = None
-        self._inbound: list[Any] = []
-        self._outbound: list[Any] = []
-        self._in_rounds: list[int] = []
-        self._out_rounds: list[int] = []
-
-    async def _call(self, fn: Callable, *args: Any) -> Any:
-        """Run blocking machine work off the loop."""
-        loop = asyncio.get_running_loop()
-        if args:
-            return await loop.run_in_executor(
-                self._executor, lambda: fn(*args)
-            )
-        return await loop.run_in_executor(self._executor, fn)
-
-    async def run(self, host: str, port: int) -> Any:
-        """Drive the run to completion; returns the protocol answer."""
-        failures = 0
-        while True:
-            endpoint = None
-            try:
-                endpoint = await open_endpoint(
-                    host, port, timeout=self.config.timeout_s
-                )
-                session = await self._handshake(endpoint)
-                answer = await self._script(session)
-                await session.fin_wait(self.session_id)
-                self.stats.finish()
-                return answer
-            except (HandshakeError, SessionAborted):
-                raise
-            except (SessionError, ValueError, *_ATRANSIENT) as exc:
-                failures += 1
-                self.stats.reconnects += 1
-                if failures > self.config.max_reconnects:
-                    raise SessionError(
-                        f"receiver session gave up after {failures} failed "
-                        f"connections: {exc}"
-                    ) from exc
-                delay = self.config.retry.delay_s(failures - 1, self.rng)
-                hint = getattr(exc, "retry_after_s", None)
-                if hint is not None:
-                    # A worker-lost notice names its respawn window;
-                    # redialing earlier just burns a reconnect.
-                    delay = max(delay, busy_backoff_s(hint, self.rng))
-                await asyncio.sleep(delay)
-            finally:
-                if endpoint is not None:
-                    await endpoint.close()
-
-    async def _await_welcome(
-        self, endpoint: AsyncFrameEndpoint, hello: tuple
-    ) -> tuple:
-        """Send the hello; retransmit it until a welcome (or refusal)."""
-        config = self.config
-        for attempt in range(config.retry.max_attempts):
-            if attempt:
-                self.stats.retransmits += 1
-            await endpoint.send(hello)
-            deadline = time.monotonic() + config.timeout_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break  # resend the hello
-                try:
-                    fields = unseal(await endpoint.recv_within(remaining))
-                except _TIMEOUTS:
-                    break
-                except ValueError:
-                    self.stats.checksum_failures += 1
-                    continue
-                if fields[0] == "busy" and len(fields) in (3, 4):
-                    # Optional 4th field: retry hint in integer ms.
-                    raise ServerBusyError(
-                        f"server refused the session: {fields[2]!r}",
-                        retry_after_s=refusal_retry_hint_s(fields),
-                    )
-                if fields[0] == "worker-lost" and len(fields) in (3, 4):
-                    # The shard front end answered for a dead worker:
-                    # retryable - the supervisor is respawning it.
-                    self.stats.worker_lost += 1
-                    raise WorkerLost(
-                        f"server lost the session's worker: {fields[2]!r}",
-                        retry_after_s=refusal_retry_hint_s(fields),
-                    )
-                if fields[0] == "reject" and len(fields) == 3:
-                    raise HandshakeError(
-                        f"server rejected session: {fields[2]!r}"
-                    )
-                if fields[0] == "welcome" and len(fields) == 6:
-                    return fields
-                # Stray ack/data from the previous connection: ignore.
-        raise SessionError(
-            f"no welcome after {config.retry.max_attempts} hellos"
-        )
-
-    async def _handshake(
-        self, endpoint: AsyncFrameEndpoint
-    ) -> AsyncSessionEndpoint:
-        next_recv = len(self._inbound)
-        hello = seal(
-            "hello",
-            SESSION_VERSION,
-            self.protocol,
-            self.session_id,
-            len(self._outbound),
-            next_recv,
-        )
-        fields = await self._await_welcome(endpoint, hello)
-        _, version, protocol, session_id, params_wire, server_next_recv = (
-            fields
-        )
-        if version != SESSION_VERSION:
-            raise HandshakeError(
-                f"server speaks session version {version}, "
-                f"this client speaks {SESSION_VERSION}"
-            )
-        if protocol != self.protocol:
-            raise HandshakeError(
-                f"server runs {protocol!r}, wanted {self.protocol!r}"
-            )
-        if session_id != self.session_id:
-            raise SessionError(f"server answered for session {session_id}")
-        if self._params_wire is None:
-            self._params_wire = tuple(params_wire)
-        elif tuple(params_wire) != self._params_wire:
-            raise HandshakeError(
-                "server changed public parameters across a resume"
-            )
-        if not isinstance(server_next_recv, int) or not (
-            0 <= server_next_recv <= len(self._outbound)
-        ):
-            raise SessionError(
-                f"implausible server cursor {server_next_recv!r}"
-            )
-        return AsyncSessionEndpoint(
-            endpoint,
-            self.config,
-            self.stats,
-            self.rng,
-            send_seq=server_next_recv,
-            recv_seq=next_recv,
-        )
-
-    async def _ensure_machine(self) -> Any:
-        if self._machine is None:
-            from ..protocols.parties import ReceiverMachine
-
-            machine = ReceiverMachine.from_factory(
-                self.spec, lambda: self._make_receiver(self._params_wire),
-                None,
-            )
-            await self._call(machine.ensure_state)
-            self._machine = machine
-        return self._machine
-
-    async def _script(self, session: AsyncSessionEndpoint) -> Any:
-        machine = await self._ensure_machine()
-        if session.send_seq < len(self._outbound):
-            self.stats.rounds_resumed += 1
-        sent = received = 0
-        for rnd in self.spec.rounds:
-            if rnd.source == "R":
-                await self._produce_round(session, machine, rnd, sent)
-                sent += 1
-            else:
-                await self._recv_round(session, machine, rnd, received)
-                received += 1
-        answer = await self._call(machine.finish)
-        return answer
-
-    async def _ship(self, session: AsyncSessionEndpoint, bound: int) -> None:
-        """Ship every cached frame below ``bound`` the server lacks."""
-        while session.send_seq < bound:
-            frame = self._outbound[session.send_seq]
-            if serialization.is_chunk_frame(frame):
-                self.stats.chunks_sent += 1
-            await session.send(frame)
-
-    async def _produce_round(
-        self,
-        session: AsyncSessionEndpoint,
-        machine: Any,
-        rnd: Any,
-        index: int,
-    ) -> None:
-        """Compute (if new) and ship outbound round ``index``."""
-        if index >= len(self._out_rounds):
-            if (
-                self.chunk_size is not None
-                and rnd.chunkable
-                and rnd.chunk_step is not None
-            ):
-                await self._produce_streaming(session, machine, rnd)
-            else:
-                await self._produce_whole(machine, rnd)
-            self._out_rounds.append(len(self._outbound))
-            self.stats.rounds_computed += 1
-        await self._ship(session, self._out_rounds[index])
-
-    async def _produce_whole(self, machine: Any, rnd: Any) -> None:
-        """Compute a full round's frames in one executor call."""
-
-        def compute() -> list:
-            if self.chunk_size is not None and rnd.chunkable:
-                payloads = list(
-                    machine.produce_chunks(rnd, self.chunk_size)
-                )
-                frames: list = [
-                    serialization.chunk_frame(i, p)
-                    for i, p in enumerate(payloads)
-                ]
-                frames.append(serialization.chunk_end_frame(len(payloads)))
-                return frames
-            return [machine.produce(rnd).to_wire()]
-
-        self._outbound.extend(await self._call(compute))
-
-    async def _produce_streaming(
-        self, session: AsyncSessionEndpoint, machine: Any, rnd: Any
-    ) -> None:
-        """Stream a round: the async producer-task double buffer.
-
-        :func:`~repro.net.streaming.aprefetch` drives the (rng-free,
-        deterministic) chunk producer one step ahead in the executor,
-        so chunk ``k+1``'s crypto overlaps chunk ``k``'s acknowledged
-        send. A reconnect mid-round recomputes the stream and skips the
-        frames already cached - the same idempotence contract the sync
-        session's streaming path relies on.
-        """
-        from .streaming import aprefetch
-
-        base = self._out_rounds[-1] if self._out_rounds else 0
-        already = len(self._outbound) - base
-        count = 0
-        async for payload in aprefetch(
-            machine.produce_chunks(rnd, self.chunk_size),
-            executor=self._executor,
-        ):
-            if count >= already:
-                self._outbound.append(
-                    serialization.chunk_frame(count, payload)
-                )
-                await self._ship(session, len(self._outbound))
-            count += 1
-        if already <= count:
-            self._outbound.append(serialization.chunk_end_frame(count))
-
-    async def _recv_round(
-        self,
-        session: AsyncSessionEndpoint,
-        machine: Any,
-        rnd: Any,
-        index: int,
-    ) -> None:
-        """Receive (if incomplete) and consume inbound round ``index``."""
-        if index < len(self._in_rounds):
-            return
-        start = self._in_rounds[-1] if self._in_rounds else 0
-        while True:
-            status, payload, _used = serialization.fold_chunk_frames(
-                self._inbound[start:]
-            )
-            if status != "partial":
-                break
-            frame = await session.recv()
-            self._inbound.append(frame)
-            if serialization.is_chunk_frame(frame):
-                self.stats.chunks_received += 1
-        if status == "single":
-            await self._call(machine.consume, rnd, payload)
-        else:
-            await self._call(machine.consume_chunks, rnd, payload)
-        self._in_rounds.append(len(self._inbound))
+                if kind is Recv:
+                    reply = await endpoint.recv_within(request.timeout)
+                elif kind is Send:
+                    await endpoint.send(request.frame)
+                elif kind is Now:
+                    reply = time.monotonic()
+                elif kind is Sleep:
+                    await asyncio.sleep(request.seconds)
+                elif kind is Compute:
+                    reply = await loop.run_in_executor(executor, request.fn)
+                elif kind is NextChunk:
+                    if stream_source is not request.source:
+                        if stream is not None:
+                            await stream.aclose()
+                        stream_source = request.source
+                        stream = aprefetch(stream_source, executor=executor)
+                    reply = await anext(stream, DONE)
+                elif kind is Open:
+                    if stream is not None:
+                        await stream.aclose()
+                    if endpoint is not None:
+                        await endpoint.close()
+                    endpoint = stream = stream_source = None
+                    endpoint = await dial()
+                else:
+                    raise TypeError(f"unknown session request {request!r}")
+            except asyncio.TimeoutError as exc:
+                failure = TimeoutError(str(exc))  # not the builtin on 3.10
+            except BaseException as exc:
+                failure = exc
+    finally:
+        if stream is not None:
+            await stream.aclose()
+        if endpoint is not None:
+            await endpoint.close()
 
 
 async def connect_receiver_async(
@@ -889,9 +446,12 @@ async def connect_receiver_async(
     """Run party R under the session layer as a coroutine.
 
     The async counterpart of
-    :func:`~repro.net.tcp.connect_resumable_receiver` (sans journal):
-    returns ``(answer, session stats)``. The rng draw order matches the
-    sync driver - the session seed is consumed first - so a given seed
+    :func:`~repro.net.tcp.connect_resumable_receiver` (sans journal
+    and recorder): the same :class:`~repro.net.session_core.ReceiverCore`
+    under :func:`run_async`, so it is wire-compatible with any
+    session-layer sender and counts its stats the same way. Returns
+    ``(answer, session stats)``. The rng draw order matches the sync
+    driver - the session seed is consumed first - so a given seed
     produces the same session id and party randomness either way.
     """
     from ..protocols.parties import PublicParams
@@ -903,13 +463,17 @@ async def connect_receiver_async(
     make_receiver = lambda wire: spec.make_receiver(  # noqa: E731
         data, PublicParams.from_wire(tuple(wire)), rng, engine=engine
     )
-    session = AsyncReceiverSession(
+    core = ReceiverCore(
         protocol,
         make_receiver,
-        config=config,
-        rng=session_rng,
+        config,
+        session_rng,
+        SessionStats(protocol=protocol),
         chunk_size=chunk_size,
-        executor=executor,
     )
-    answer = await session.run(host, port)
-    return answer, session.stats
+    answer = await run_async(
+        core.steps(),
+        lambda: open_endpoint(host, port, timeout=config.timeout_s),
+        executor,
+    )
+    return answer, core.stats

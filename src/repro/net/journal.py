@@ -58,6 +58,7 @@ from typing import Any, Callable, Iterable
 from . import serialization
 from .chaos import crash_point
 from .diskfaults import JournalIO
+from .session_core import RoundLog, round_frames
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -609,23 +610,6 @@ def _fold_state(records: list[tuple], path: Path) -> JournalState:
     return state
 
 
-def _round_frames(machine: Any, rnd: Any, chunk_size: int | None) -> list:
-    """The full frame sequence one outbound round puts on the wire.
-
-    Mirrors the session layer's frame construction exactly: one
-    whole-round payload frame, or - when ``chunk_size`` chunks this
-    round - its chunk frames closed by a chunk-end frame.
-    """
-    if chunk_size is not None and rnd.chunkable:
-        payloads = list(machine.produce_chunks(rnd, chunk_size))
-        frames = [
-            serialization.chunk_frame(i, p) for i, p in enumerate(payloads)
-        ]
-        frames.append(serialization.chunk_end_frame(len(payloads)))
-        return frames
-    return [machine.produce(rnd).to_wire()]
-
-
 def _replay_machine(
     machine: Any,
     spec: Any,
@@ -666,7 +650,7 @@ def _replay_machine(
             if rnd.source == emits:
                 if out_pos >= len(out_bytes):
                     break
-                frames = _round_frames(machine, rnd, chunk_size)
+                frames = round_frames(machine, rnd, chunk_size)
                 for offset, frame in enumerate(frames):
                     encoded = serialization.encode(frame)
                     pos = out_pos + offset
@@ -756,6 +740,47 @@ def _decode_all(payloads: Iterable[bytes], path: Path) -> list[Any]:
     return out
 
 
+def _recover(
+    journal: SessionJournal | str | Path,
+    role: str,
+    chunk_size: int | None,
+    fsync: bool,
+    io: JournalIO | None,
+) -> tuple[SessionJournal, JournalState]:
+    """Open a journal for recovery; check it is ``role``'s and was
+    written under the same ``chunk_size``."""
+    journal = _open(journal, fsync, io)
+    state = replay_state(journal)
+    if state.role != role:
+        raise JournalError(f"{journal.path}: not a {role} journal")
+    if state.chunk_size != chunk_size:
+        raise JournalError(
+            f"{journal.path}: journaled with chunk_size="
+            f"{state.chunk_size}, recovering with chunk_size={chunk_size}"
+        )
+    return journal, state
+
+
+def _restore_log(session: Any, state: JournalState) -> None:
+    """Replay ``state`` through the session's machine into its log."""
+    journal = session.journal
+    journaled_sends = len(state.outbound)
+    inbound = _decode_all(state.inbound, journal.path)
+    in_bounds, out_bounds = _replay_machine(
+        session._ensure_machine(), session.spec, session.emits,
+        inbound, state.outbound, journal.path,
+        chunk_size=session.chunk_size, journal=journal,
+    )
+    # state.outbound now covers whole rounds (the replay re-journaled
+    # any tail frames the crash cut off); every frame journaled before
+    # the crash may have reached the wire.
+    session.log = RoundLog(
+        inbound, _decode_all(state.outbound, journal.path),
+        in_bounds, out_bounds, set(range(journaled_sends)),
+    )
+    session.stats.rounds_recovered = len(in_bounds) + len(out_bounds)
+
+
 def recover_sender_session(
     journal: SessionJournal | str | Path,
     params: Any,
@@ -779,15 +804,7 @@ def recover_sender_session(
     """
     from .session import SenderSession
 
-    journal = _open(journal, fsync, io)
-    state = replay_state(journal)
-    if state.role != "sender":
-        raise JournalError(f"{journal.path}: not a sender journal")
-    if state.chunk_size != chunk_size:
-        raise JournalError(
-            f"{journal.path}: journaled with chunk_size="
-            f"{state.chunk_size}, recovering with chunk_size={chunk_size}"
-        )
+    journal, state = _recover(journal, "sender", chunk_size, fsync, io)
     session = SenderSession(
         state.protocol,
         params,
@@ -798,23 +815,9 @@ def recover_sender_session(
         journal=journal,
         chunk_size=chunk_size,
     )
-    journaled_sends = len(state.outbound)
     session._session_id = state.session_id
-    session._inbound = _decode_all(state.inbound, journal.path)
     session._complete = state.complete
-    machine = session._ensure_machine()
-    in_bounds, out_bounds = _replay_machine(
-        machine, session.spec, "S",
-        session._inbound, state.outbound, journal.path,
-        chunk_size=chunk_size, journal=journal,
-    )
-    # state.outbound now covers whole rounds (the replay re-journaled
-    # any tail frames the crash cut off).
-    session._outbound = _decode_all(state.outbound, journal.path)
-    session._attempted_sends = set(range(journaled_sends))
-    session._in_rounds = in_bounds
-    session._out_rounds = out_bounds
-    session.stats.rounds_recovered = len(in_bounds) + len(out_bounds)
+    _restore_log(session, state)
     return session
 
 
@@ -838,17 +841,9 @@ def recover_receiver_session(
     """
     from .session import ReceiverSession
 
-    journal = _open(journal, fsync, io)
-    state = replay_state(journal)
-    if state.role != "receiver":
-        raise JournalError(f"{journal.path}: not a receiver journal")
+    journal, state = _recover(journal, "receiver", chunk_size, fsync, io)
     if state.session_id is None:
         raise JournalError(f"{journal.path}: no session id journaled")
-    if state.chunk_size != chunk_size:
-        raise JournalError(
-            f"{journal.path}: journaled with chunk_size="
-            f"{state.chunk_size}, recovering with chunk_size={chunk_size}"
-        )
     session = ReceiverSession(
         state.protocol,
         make_receiver,
@@ -859,26 +854,12 @@ def recover_receiver_session(
         journal=journal,
         chunk_size=chunk_size,
     )
-    journaled_sends = len(state.outbound)
     session._params_wire = state.params_wire
-    session._inbound = _decode_all(state.inbound, journal.path)
-    if state.params_wire is None:
-        if state.inbound or state.outbound:
-            raise JournalError(
-                f"{journal.path}: round payloads journaled before the "
-                "public parameters - not a journal this code wrote"
-            )
-        session._outbound = []
-    else:
-        machine = session._ensure_machine()
-        in_bounds, out_bounds = _replay_machine(
-            machine, session.spec, "R",
-            session._inbound, state.outbound, journal.path,
-            chunk_size=chunk_size, journal=journal,
+    if state.params_wire is not None:
+        _restore_log(session, state)
+    elif state.inbound or state.outbound:
+        raise JournalError(
+            f"{journal.path}: round payloads journaled before the "
+            "public parameters - not a journal this code wrote"
         )
-        session._outbound = _decode_all(state.outbound, journal.path)
-        session._in_rounds = in_bounds
-        session._out_rounds = out_bounds
-        session.stats.rounds_recovered = len(in_bounds) + len(out_bounds)
-    session._attempted_sends = set(range(journaled_sends))
     return session

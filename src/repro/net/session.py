@@ -2,77 +2,56 @@
 
 The paper's Figure 1 delegates transport to "standard libraries or
 packages for secure communication" and its Section 6 cost model
-assumes a clean T1 link. This module supplies what a deployment needs
-on top of that idealized channel:
+assumes a clean T1 link. The session layer supplies what a deployment
+needs on top of that idealized channel: CRC-sealed frames, sequence
+numbers with stop-and-wait retransmission, a versioned handshake
+carrying both parties' cursors, and runs that resume - after a dropped
+connection, from the round log; after a killed process, from the
+journal (:mod:`repro.net.journal`) - at the first frame the peer
+lacks, chunk-granular when ``chunk_size`` streams a round.
 
-* **checksummed frames** - every session frame carries a CRC32 seal
-  over its encoded fields, so corruption is detected rather than
-  decrypted into garbage;
-* **sequence numbers + stop-and-wait retransmission** - each data
-  frame is acknowledged; a lost or garbled frame is retransmitted
-  after a configurable deadline with exponential backoff and jitter
-  (:class:`RetryPolicy`);
-* **a versioned handshake** extending the ``PublicParams`` exchange of
-  :mod:`repro.net.tcp` with a protocol name, session id and both
-  parties' sequence cursors;
-* **resumable runs** - because every protocol is declared as a round
-  schedule (:mod:`repro.protocols.spec`) interpreted by the generic
-  party machines of :mod:`repro.protocols.parties`, a dropped
-  connection resumes by replaying cached round outputs from the last
-  acknowledged round instead of restarting the run. Rounds are
-  computed once and their outputs logged, so a replay re-ships
-  identical bytes (idempotence).
-
-The protocols are strictly alternating, so stop-and-wait loses no
-throughput; a data frame arriving while a sender waits for its ack is
-an *implicit* ack (the peer can only have progressed past our frame).
-
-Wire frames (every frame sealed with a trailing CRC32 of the encoded
-preceding fields):
-
-    ("hello",   version, protocol, session_id, next_send, next_recv, crc)
-    ("welcome", version, protocol, session_id, params_wire, next_recv, crc)
-    ("reject",  version, reason, crc)
-    ("busy",    version, reason, crc)   # server at capacity or draining
-    ("msg",     seq, payload_bytes, crc)
-    ("ack",     seq, crc)
-    ("nak",     seq, crc)           # seq -1: "last frame was garbled"
-    ("fin",     session_id, crc)
-
-Sessions optionally journal their round logs to disk
-(:mod:`repro.net.journal`): pass ``journal=`` a
-:class:`~repro.net.journal.SessionJournal` (or a
-:class:`~repro.net.journal.JournalDir`, adopted lazily once the
-session id is known) and every handshake fact and round payload is
-made durable before the session acts on it, so a killed *process* can
-be rebuilt to its exact resume cursor by
-:func:`repro.net.journal.recover_sender_session` /
-:func:`~repro.net.journal.recover_receiver_session`.
-
-With ``chunk_size`` set, chunkable rounds travel as a sequence of
-``("chunk", ...)`` data frames closed by a ``("chunk-end", n)`` frame
-(:mod:`repro.net.serialization`), each individually sequenced,
-acknowledged and journaled - so the resume cursor becomes
-``(round, chunk)``-granular: a reconnect or a recovered process
-restarts mid-round at the first chunk the peer lacks, and a round is
-durable only once its closing frame is journaled. Chunk production is
-double-buffered (:func:`repro.net.streaming.prefetch`): the crypto for
-chunk ``k+1`` overlaps the acknowledged send of chunk ``k``.
+Those rules and the wire frames are written once, I/O-free, in
+:mod:`repro.net.session_core`. This module holds what is not a rule:
+the policy types (:class:`RetryPolicy`, :class:`SessionConfig`,
+:class:`ClientRetryPolicy`), :class:`SessionStats`, and the **blocking
+shell** (:func:`run_blocking`) that executes the core's requests over
+any ``send``/``recv``/``settimeout``/``close`` transport on the
+caller's own thread. :class:`SenderSession`, :class:`ReceiverSession`
+and :class:`SessionEndpoint` are the core's classes under that shell.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
-import zlib
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
-from . import serialization
-from .channel import ChannelClosed
-from .chaos import crash_point
-from .streaming import TimedIterator, prefetch
+from .session_core import (
+    DONE,
+    SESSION_VERSION,
+    Compute,
+    HandshakeError,
+    Link,
+    NextChunk,
+    Now,
+    Open,
+    ReceiverCore,
+    Recv,
+    Send,
+    SenderCore,
+    ServerBusyError,
+    SessionAborted,
+    SessionError,
+    Sleep,
+    WorkerLost,
+    busy_backoff_s,
+    refusal_retry_hint_s,
+    seal,
+    unseal,
+)
+from .streaming import prefetch
 
 __all__ = [
     "SESSION_VERSION",
@@ -93,83 +72,6 @@ __all__ = [
     "seal",
     "unseal",
 ]
-
-SESSION_VERSION = 1
-
-#: Transport-level events a reconnect can recover from.
-_TRANSIENT = (ConnectionError, TimeoutError, OSError, ChannelClosed)
-
-
-class SessionError(Exception):
-    """A session-layer failure (retries exhausted, protocol violation)."""
-
-
-class HandshakeError(SessionError):
-    """A non-retryable handshake failure (version/protocol mismatch)."""
-
-
-class ServerBusyError(HandshakeError):
-    """The server refused a new session: at capacity or draining.
-
-    Raised client-side on receipt of a typed ``busy`` frame, so a
-    rejected client fails fast instead of hanging in reconnect loops.
-    ``retry_after_s`` carries the server's optional retry hint (the
-    busy frame's fourth field), ``None`` when the server sent none.
-    """
-
-    def __init__(self, message: str, retry_after_s: float | None = None):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
-
-
-class WorkerLost(SessionError):
-    """The server lost the worker that owned this session mid-run.
-
-    Raised client-side on receipt of a typed ``worker-lost`` frame -
-    the sharded front end's translation of a worker crash (the busy
-    wire shape under a different tag). Unlike :class:`HandshakeError`
-    it is *retryable*: the supervisor respawns the worker against the
-    same journal directory, so a reconnect resumes the session where
-    it stopped. ``retry_after_s`` carries the front end's respawn
-    hint, ``None`` when the frame had none.
-    """
-
-    def __init__(self, message: str, retry_after_s: float | None = None):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
-
-
-class SessionAborted(SessionError):
-    """The session was administratively aborted (deadline, idle reaper,
-    or a drain timeout) and must not be retried on this server."""
-
-
-def seal(*fields: Any) -> tuple:
-    """A session frame: the fields plus a CRC32 over their encoding."""
-    return (*fields, zlib.crc32(serialization.encode(list(fields))))
-
-
-def unseal(frame: Any) -> tuple:
-    """Validate a sealed frame; return its fields.
-
-    Raises:
-        ValueError: when the frame is not a sealed tuple or its
-            checksum does not match (i.e. it was corrupted in flight).
-    """
-    if not isinstance(frame, tuple) or len(frame) < 2:
-        raise ValueError(f"malformed session frame: {type(frame).__name__}")
-    *fields, crc = frame
-    if not isinstance(crc, int):
-        raise ValueError("malformed session frame: non-integer seal")
-    try:
-        expected = zlib.crc32(serialization.encode(list(fields)))
-    except TypeError as exc:
-        raise ValueError(f"malformed session frame: {exc}") from exc
-    if crc != expected:
-        raise ValueError("session frame failed its checksum")
-    if not fields or not isinstance(fields[0], str):
-        raise ValueError("malformed session frame: missing tag")
-    return tuple(fields)
 
 
 @dataclass(frozen=True)
@@ -192,44 +94,6 @@ class RetryPolicy:
         return raw
 
 
-def busy_backoff_s(
-    retry_after_s: float | None,
-    rng: random.Random,
-    *,
-    fallback_s: float = 0.5,
-    jitter: float = 0.5,
-) -> float:
-    """How long a busy-refused client should sleep before redialing.
-
-    The server's ``retry_after_s`` hint (or ``fallback_s`` when the
-    busy frame carried none) is stretched by up to ``jitter`` of
-    itself: ``base * (1 + jitter * rng.random())``. Jitter is *added*,
-    never subtracted - retrying before the server's own hint elapses
-    would land inside the very window it said it was busy for - and it
-    de-synchronizes the herd of clients a draining or saturated server
-    just refused in one burst, so they do not all redial in lockstep.
-    """
-    base = max(retry_after_s if retry_after_s is not None else fallback_s, 0.0)
-    return base * (1.0 + jitter * rng.random())
-
-
-def refusal_retry_hint_s(fields: tuple) -> float | None:
-    """The retry hint of a busy-shaped refusal frame, in seconds.
-
-    Busy and worker-lost frames optionally carry the server's hint as
-    a fourth field in integer milliseconds (the wire format has no
-    floats). Returns ``None`` for a three-field frame or a malformed
-    hint, mirroring how old clients simply ignore the extra field.
-    """
-    hint_ms = fields[3] if len(fields) == 4 else None
-    if (
-        isinstance(hint_ms, int)
-        and not isinstance(hint_ms, bool)
-        and hint_ms >= 0
-    ):
-        return hint_ms / 1000.0
-    return None
-
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -241,6 +105,7 @@ class SessionConfig:
     fin_grace_s: float = 0.25
 
 
+
 @dataclass(frozen=True)
 class ClientRetryPolicy:
     """One client-side answer to every typed refusal a server can send.
@@ -249,10 +114,9 @@ class ClientRetryPolicy:
     connection, this policy governs the whole client run: how many
     times to redial, how long each attempt may block, the total wall
     budget across attempts, and which typed failures are worth
-    retrying at all. It subsumes the older ad-hoc ``retry_busy``
-    counter: a busy refusal and a ``worker-lost`` notice both become
-    "sleep (honoring the server's hint), then redial", bounded by the
-    same attempt and deadline budgets.
+    retrying at all. A busy refusal and a ``worker-lost`` notice both
+    become "sleep (honoring the server's hint), then redial"
+    (:meth:`redial`), bounded by the same attempt and deadline budgets.
 
     Attributes:
         max_attempts: total dial attempts (also the derived session
@@ -382,6 +246,47 @@ class ClientRetryPolicy:
         kwargs.update(overrides)
         return SessionConfig(**kwargs)
 
+    def redial(
+        self,
+        attempt: Callable[[], Any],
+        rng: random.Random,
+        on_retry: Callable[[SessionError, float, int], None] | None = None,
+    ) -> tuple[Any, int, int]:
+        """Call ``attempt`` until it succeeds or this policy gives up.
+
+        A :meth:`retryable` failure is slept out (:meth:`backoff_s`,
+        honoring the server's hint) and redialed, within
+        ``max_attempts`` and ``total_deadline_s``; anything else, and
+        the failure that exhausts a budget, propagates. ``on_retry``
+        is told ``(failure, delay_s, attempt_number)`` before each
+        sleep. Returns ``(result, retries, busy_retries)`` - how many
+        failures were waited out, and how many of those were busy
+        refusals.
+        """
+        deadline = (
+            time.monotonic() + self.total_deadline_s
+            if self.total_deadline_s is not None
+            else None
+        )
+        busy_retries = 0
+        for attempt_no in itertools.count(1):
+            try:
+                return attempt(), attempt_no - 1, busy_retries
+            except SessionError as exc:
+                if not self.retryable(exc) or attempt_no >= self.max_attempts:
+                    raise
+                delay = self.backoff_s(
+                    attempt_no - 1,
+                    rng,
+                    hint_s=getattr(exc, "retry_after_s", None),
+                )
+                if deadline is not None and time.monotonic() + delay > deadline:
+                    raise
+                busy_retries += isinstance(exc, ServerBusyError)
+                if on_retry is not None:
+                    on_retry(exc, delay, attempt_no)
+                time.sleep(delay)
+
 
 @dataclass
 class SessionStats:
@@ -421,33 +326,100 @@ class SessionStats:
         return end - self.started_at
 
     def as_dict(self) -> dict[str, Any]:
-        """Flat mapping for JSON benchmark records."""
-        return {
-            "protocol": self.protocol,
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "retransmits": self.retransmits,
-            "implicit_acks": self.implicit_acks,
-            "duplicates_discarded": self.duplicates_discarded,
-            "checksum_failures": self.checksum_failures,
-            "malformed_frames": self.malformed_frames,
-            "naks_sent": self.naks_sent,
-            "reconnects": self.reconnects,
-            "worker_lost": self.worker_lost,
-            "replayed_frames": self.replayed_frames,
-            "chunks_sent": self.chunks_sent,
-            "chunks_received": self.chunks_received,
-            "rounds_computed": self.rounds_computed,
-            "rounds_resumed": self.rounds_resumed,
-            "rounds_recovered": self.rounds_recovered,
-            "elapsed_s": self.elapsed_s,
+        """Flat mapping for JSON benchmark records.
+
+        Every counter in declaration order, then ``elapsed_s`` in
+        place of the two clock readings.
+        """
+        flat = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("started_at", "finished_at")
         }
+        flat["elapsed_s"] = self.elapsed_s
+        return flat
 
 
-class SessionEndpoint:
+def _close_quietly(closeable: Any) -> None:
+    close = getattr(closeable, "close", None)
+    if close is not None:
+        try:
+            close()
+        except OSError:
+            pass
+
+
+def run_blocking(
+    steps: Any,
+    transport: Any = None,
+    open_link: Callable[[], Any] | None = None,
+) -> Any:
+    """The blocking shell: execute a session core's requests in place.
+
+    ``steps`` is a generator from :mod:`repro.net.session_core`;
+    ``transport`` is any framed transport (``send``/``recv``/optional
+    ``settimeout``/``close``) and ``open_link`` what an ``OPEN``
+    request calls for the next one. Everything runs on the calling
+    thread; the one thread a streamed round uses is
+    :func:`~repro.net.streaming.prefetch`'s producer. Whatever a
+    request raises (a timeout, a garbled frame, a dead link, a
+    simulated crash) is thrown into ``steps``, which alone decides
+    what is transient. Links this shell opened and the chunk stream
+    are closed when ``steps`` ends; a ``transport`` passed in stays
+    the caller's.
+    """
+    opened = stream = stream_source = None
+    reply = failure = None
+    try:
+        while True:
+            try:
+                if failure is None:
+                    request = steps.send(reply)
+                else:
+                    request = steps.throw(failure)
+            except StopIteration as stop:
+                return stop.value
+            reply = failure = None
+            kind = type(request)
+            try:
+                if kind is Recv:
+                    settimeout = getattr(transport, "settimeout", None)
+                    if settimeout is not None:
+                        settimeout(max(request.timeout, 1e-3))
+                    reply = transport.recv()
+                elif kind is Send:
+                    transport.send(request.frame)
+                elif kind is Now:
+                    reply = time.monotonic()
+                elif kind is Sleep:
+                    time.sleep(request.seconds)
+                elif kind is Compute:
+                    reply = request.fn()
+                elif kind is NextChunk:
+                    if stream_source is not request.source:
+                        _close_quietly(stream)
+                        stream_source = request.source
+                        stream = prefetch(stream_source)
+                    reply = next(stream, DONE)
+                elif kind is Open:
+                    _close_quietly(stream)
+                    _close_quietly(opened)
+                    opened = stream = stream_source = None
+                    transport = opened = open_link()
+                else:
+                    raise TypeError(f"unknown session request {request!r}")
+            except BaseException as exc:
+                failure = exc
+    finally:
+        _close_quietly(stream)
+        _close_quietly(opened)
+
+
+class SessionEndpoint(Link):
     """Reliable, checksummed stop-and-wait messaging on one connection.
 
-    Wraps any framed transport (``send``/``recv``/optional
+    A core :class:`~repro.net.session_core.Link` driven by the blocking
+    shell over any framed transport (``send``/``recv``/optional
     ``settimeout``). Sequence cursors can be seeded from a session log
     so a reconnected endpoint continues where the last one died.
     """
@@ -461,468 +433,31 @@ class SessionEndpoint:
         send_seq: int = 0,
         recv_seq: int = 0,
     ):
+        super().__init__(config, stats, rng, send_seq, recv_seq)
         self.transport = transport
-        self.config = config
-        self.stats = stats
-        self.rng = rng
-        self.send_seq = send_seq
-        self.recv_seq = recv_seq
-        self.fin_seen = False
-        #: Server hook: re-send the welcome when a retransmitted hello
-        #: arrives (the client missed our first welcome).
-        self.on_hello: Callable[[], None] | None = None
-        self._inbox: deque[tuple] = deque()
 
-    # ------------------------------------------------------------------
-    # Frame plumbing
-    # ------------------------------------------------------------------
-    def _read_frame(self, timeout: float) -> tuple:
-        """One unsealed frame, or raise the transport's failure."""
-        settimeout = getattr(self.transport, "settimeout", None)
-        if settimeout is not None:
-            settimeout(max(timeout, 1e-3))
-        return unseal(self.transport.recv())
-
-    def _send_control(self, *fields: Any) -> None:
-        self.transport.send(seal(*fields))
-
-    def _raise_worker_lost(self, frame: tuple) -> None:
-        """A routed front end lost our worker: fail typed, retryable."""
-        self.stats.worker_lost += 1
-        raise WorkerLost(
-            f"server lost the session's worker: {frame[2]!r}",
-            retry_after_s=refusal_retry_hint_s(frame),
-        )
-
-    # ------------------------------------------------------------------
-    # Sending
-    # ------------------------------------------------------------------
+    # The link's verbs (and their docs), run to completion on ``transport``.
     def send(self, payload: Any) -> None:
-        """Ship one data frame reliably; advances the send cursor."""
-        seq = self.send_seq
-        self._transmit_until_acked(seq, payload)
-        self.send_seq = seq + 1
+        run_blocking(super().send(payload), self.transport)
 
-    def _transmit_until_acked(self, seq: int, payload: Any) -> None:
-        wire = serialization.encode(payload)
-        retry = self.config.retry
-        for attempt in range(retry.max_attempts):
-            if attempt:
-                self.stats.retransmits += 1
-                time.sleep(retry.delay_s(attempt - 1, self.rng))
-            self.transport.send(seal("msg", seq, wire))
-            self.stats.frames_sent += 1
-            if self._wait_ack(seq):
-                return
-        raise SessionError(
-            f"frame {seq} unacknowledged after {retry.max_attempts} attempts"
-        )
-
-    def _wait_ack(self, seq: int) -> bool:
-        deadline = time.monotonic() + self.config.timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
-            try:
-                frame = self._read_frame(remaining)
-            except (TimeoutError, ChannelClosed):
-                return False
-            except ValueError:
-                self.stats.checksum_failures += 1
-                continue
-            tag = frame[0]
-            if tag == "ack" and len(frame) == 2:
-                if frame[1] == seq:
-                    return True
-                continue  # stale ack from a replayed frame
-            if tag == "nak" and len(frame) == 2:
-                if frame[1] in (seq, -1):
-                    return False  # peer asked for a retransmit
-                continue
-            if tag == "msg":
-                # The peer only sends data after receiving everything
-                # we sent: buffer the frame and treat it as an ack.
-                self._inbox.append(frame)
-                self.stats.implicit_acks += 1
-                return True
-            if tag == "fin":
-                self.fin_seen = True
-                return True  # a finished peer has everything
-            if tag == "worker-lost" and len(frame) in (3, 4):
-                self._raise_worker_lost(frame)
-            if tag == "hello" and self.on_hello is not None:
-                self.on_hello()
-            continue  # unknown tag: ignore
-
-    # ------------------------------------------------------------------
-    # Receiving
-    # ------------------------------------------------------------------
     def recv(self) -> Any:
-        """One in-order data payload; acks, de-dups and naks en route."""
-        config = self.config
-        deadline = (
-            time.monotonic() + config.timeout_s * config.retry.max_attempts
-        )
-        while True:
-            if self._inbox:
-                frame = self._inbox.popleft()
-            else:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise SessionError(
-                        f"timed out waiting for frame {self.recv_seq}"
-                    )
-                try:
-                    frame = self._read_frame(
-                        min(remaining, config.timeout_s)
-                    )
-                except (TimeoutError, ChannelClosed):
-                    continue
-                except ValueError:
-                    # Can't attribute a sequence number to a garbled
-                    # frame; nak "whatever you last sent".
-                    self.stats.checksum_failures += 1
-                    self.stats.naks_sent += 1
-                    self._send_control("nak", -1)
-                    continue
-            tag = frame[0]
-            if tag == "fin":
-                self.fin_seen = True
-                continue
-            if tag == "worker-lost" and len(frame) in (3, 4):
-                self._raise_worker_lost(frame)
-            if tag == "hello" and self.on_hello is not None:
-                self.on_hello()
-                continue
-            if tag != "msg" or len(frame) != 3:
-                continue  # stray ack/nak
-            _, seq, wire = frame
-            if not isinstance(seq, int) or not isinstance(wire, bytes):
-                self.stats.malformed_frames += 1
-                continue
-            if seq == self.recv_seq:
-                self._send_control("ack", seq)
-                self.recv_seq += 1
-                self.stats.frames_received += 1
-                try:
-                    return serialization.decode(wire)
-                except ValueError as exc:
-                    raise SessionError(
-                        f"frame {seq} passed its checksum but failed to "
-                        f"decode: {exc}"
-                    ) from exc
-            if seq < self.recv_seq:
-                self.stats.duplicates_discarded += 1
-                self._send_control("ack", seq)  # our earlier ack was lost
-                continue
-            raise SessionError(
-                f"out-of-order frame {seq} (expected {self.recv_seq})"
-            )
+        return run_blocking(super().recv(), self.transport)
 
-    # ------------------------------------------------------------------
-    # Teardown
-    # ------------------------------------------------------------------
     def fin(self, session_id: int) -> None:
-        """Best-effort goodbye so the peer can stop waiting for acks."""
-        try:
-            self._send_control("fin", session_id)
-        except _TRANSIENT:
-            pass
+        run_blocking(super().fin(session_id), self.transport)
 
     def fin_wait(self, session_id: int) -> bool:
-        """Send a fin and wait for the peer's fin echo.
-
-        The final data ack and the fin itself can both be lost; a peer
-        that never hears either keeps retransmitting into a vanished
-        client and must eventually give up. So the finishing side
-        lingers here: it re-sends the fin with backoff, re-acks any
-        retransmitted data frame it sees meanwhile, and leaves once the
-        peer echoes the fin (or closes, or the retry budget is spent).
-        Returns whether the echo arrived.
-        """
-        retry = self.config.retry
-        for attempt in range(retry.max_attempts):
-            if attempt:
-                time.sleep(retry.delay_s(attempt - 1, self.rng))
-            try:
-                self._send_control("fin", session_id)
-            except _TRANSIENT:
-                return False
-            deadline = time.monotonic() + self.config.timeout_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break  # resend the fin
-                try:
-                    frame = self._read_frame(remaining)
-                except TimeoutError:
-                    break
-                except _TRANSIENT:
-                    return False  # peer already hung up: it is done
-                except ValueError:
-                    continue
-                if frame[0] == "fin":
-                    self.fin_seen = True
-                    return True
-                if frame[0] == "msg" and len(frame) == 3:
-                    seq = frame[1]
-                    if isinstance(seq, int) and seq < self.recv_seq:
-                        self.stats.duplicates_discarded += 1
-                        try:
-                            self._send_control("ack", seq)
-                        except _TRANSIENT:
-                            return False
-        return False
+        return run_blocking(super().fin_wait(session_id), self.transport)
 
     def await_fin(self, grace_s: float) -> bool:
-        """Absorb frames until a fin arrives or the grace period ends.
-
-        Re-acks duplicates meanwhile so a peer whose final ack was lost
-        can still complete. Returns whether a fin was seen.
-        """
-        deadline = time.monotonic() + grace_s
-        while not self.fin_seen:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                frame = self._read_frame(remaining)
-            except _TRANSIENT:
-                break
-            except ValueError:
-                continue
-            if frame[0] == "fin":
-                self.fin_seen = True
-            elif frame[0] == "msg" and len(frame) == 3:
-                seq = frame[1]
-                if isinstance(seq, int) and seq < self.recv_seq:
-                    self.stats.duplicates_discarded += 1
-                    try:
-                        self._send_control("ack", seq)
-                    except _TRANSIENT:
-                        break
-        return self.fin_seen
+        return run_blocking(super().await_fin(grace_s), self.transport)
 
 
-def _close_quietly(transport: Any) -> None:
-    close = getattr(transport, "close", None)
-    if close is not None:
-        try:
-            close()
-        except OSError:
-            pass
-
-
-def _split_journal(journal: Any) -> tuple[Any, Any]:
-    """Normalize a ``journal=`` argument to ``(open journal, lazy dir)``.
-
-    Accepts ``None``, an open :class:`~repro.net.journal.SessionJournal`
-    (recovery and the supervised server pass one), or a
-    :class:`~repro.net.journal.JournalDir` to open a per-session file
-    from once the session id is known.
-    """
-    if journal is None:
-        return None, None
-    from .journal import JournalDir, SessionJournal
-
-    if isinstance(journal, JournalDir):
-        return None, journal
-    if isinstance(journal, SessionJournal):
-        return journal, None
-    raise TypeError(
-        f"journal= takes a SessionJournal or JournalDir, "
-        f"not {type(journal).__name__}"
-    )
-
-
-class _RoundLog:
-    """Frame-granular round log shared by both session roles.
-
-    Frames (whole-round payloads, or chunk/chunk-end frames when
-    ``chunk_size`` streams a round) live in the flat ``_inbound`` /
-    ``_outbound`` lists; ``_in_rounds`` / ``_out_rounds`` hold the
-    cumulative frame count at each completed round boundary. That is
-    what makes the resume cursor chunk-granular: a reconnect or a
-    recovered process restarts mid-round at the first frame the peer
-    lacks, and a round is only *complete* once its closing frame is
-    logged. With ``chunk_size=None`` every round is exactly one frame
-    and the log degenerates to the original round-granular one.
-    """
-
-    #: Legacy receiver semantics: count a resumed round per replayed
-    #: frame. The sender instead counts one resume per reconnect.
-    _resumed_per_replay = False
-
-    def _append_outbound(self, frame: Any) -> None:
-        """Cache and journal one outgoing frame before it can be sent."""
-        self._outbound.append(frame)
-        if self.journal is not None:
-            self.journal.record_outbound(
-                len(self._outbound) - 1, serialization.encode(frame)
-            )
-
-    def _rotate_quietly(self) -> None:
-        """Rotate the completed journal; tolerate a failed rename.
-
-        The completion record is already durable, so a rotation failure
-        loses nothing: the ``*.wal`` still classifies as complete and
-        the next directory scan (or server hello) rotates it. The
-        failure stays visible in the journal's ``rotate_failures``.
-        """
-        from .journal import JournalError
-
-        try:
-            self.journal.rotate()
-        except JournalError:
-            pass
-
-    def _ship(self, endpoint: SessionEndpoint, bound: int) -> None:
-        """Send, in order, every cached frame below ``bound`` the peer
-        has not acknowledged."""
-        while endpoint.send_seq < bound:
-            seq = endpoint.send_seq
-            if seq in self._attempted_sends:
-                self.stats.replayed_frames += 1
-                if self._resumed_per_replay:
-                    self.stats.rounds_resumed += 1
-            self._attempted_sends.add(seq)
-            frame = self._outbound[seq]
-            if serialization.is_chunk_frame(frame):
-                self.stats.chunks_sent += 1
-            crash_point("session.ship.frame")
-            endpoint.send(frame)
-
-    def _produce_round(
-        self, endpoint: SessionEndpoint, machine: Any, rnd: Any, index: int
-    ) -> None:
-        """Compute (if new), journal and ship outbound round ``index``."""
-        if index >= len(self._out_rounds):
-            if (
-                self.chunk_size is not None
-                and rnd.chunkable
-                and rnd.chunk_step is not None
-            ):
-                self._produce_streaming(endpoint, machine, rnd)
-            else:
-                self._produce_whole(machine, rnd)
-            self._out_rounds.append(len(self._outbound))
-            self._pending_frames = None
-            self.stats.rounds_computed += 1
-        self._ship(endpoint, self._out_rounds[index])
-
-    def _produce_whole(self, machine: Any, rnd: Any) -> None:
-        """Compute a full round, then journal all its frames.
-
-        Used for unchunked rounds and for chunked rounds without an
-        incremental ``chunk_step`` - whose ``step`` may consume rng, so
-        it must run exactly once per process. ``_pending_frames`` keeps
-        the computed frames across an in-process retry of the journal
-        appends (a failed append must not recompute the round).
-        """
-        if self._pending_frames is None:
-            if self.chunk_size is not None and rnd.chunkable:
-                payloads = list(machine.produce_chunks(rnd, self.chunk_size))
-                frames: list = [
-                    serialization.chunk_frame(i, p)
-                    for i, p in enumerate(payloads)
-                ]
-                frames.append(serialization.chunk_end_frame(len(payloads)))
-            else:
-                frames = [machine.produce(rnd).to_wire()]
-            self._pending_frames = frames
-        base = self._out_rounds[-1] if self._out_rounds else 0
-        for frame in self._pending_frames[len(self._outbound) - base :]:
-            self._append_outbound(frame)
-
-    def _produce_streaming(
-        self, endpoint: SessionEndpoint, machine: Any, rnd: Any
-    ) -> None:
-        """Stream a round: journal and ship it chunk by chunk.
-
-        The chunk producer is rng-free and deterministic, so an
-        in-process retry recomputes the stream and skips the frames
-        already journaled. Production runs ahead on the prefetch
-        thread, overlapping chunk ``k+1``'s crypto with chunk ``k``'s
-        acknowledged send; the recorder (if any) gets the round's
-        produce/send/wall split for the pipeline-overlap report.
-        """
-        base = self._out_rounds[-1] if self._out_rounds else 0
-        already = len(self._outbound) - base
-        wall_start = time.perf_counter()
-        send_s = 0.0
-        timed = TimedIterator(machine.produce_chunks(rnd, self.chunk_size))
-        source = prefetch(timed)
-        count = 0
-        try:
-            for payload in source:
-                if count >= already:
-                    self._append_outbound(
-                        serialization.chunk_frame(count, payload)
-                    )
-                    begin = time.perf_counter()
-                    self._ship(endpoint, len(self._outbound))
-                    send_s += time.perf_counter() - begin
-                count += 1
-        finally:
-            source.close()
-        if already <= count:
-            self._append_outbound(serialization.chunk_end_frame(count))
-        if self.recorder is not None:
-            self.recorder.add_pipeline(
-                f"{machine.role}.{rnd.name}",
-                produce_s=timed.elapsed_s,
-                send_s=send_s,
-                wall_s=time.perf_counter() - wall_start,
-                chunks=count,
-            )
-
-    def _recv_round(
-        self, endpoint: SessionEndpoint, machine: Any, rnd: Any, index: int
-    ) -> None:
-        """Receive (if incomplete) and consume inbound round ``index``.
-
-        Frames a recovered process already journaled are folded first,
-        so receiving continues mid-round at the first missing chunk;
-        every new frame is journaled before the round can complete.
-        """
-        if index < len(self._in_rounds):
-            return
-        start = self._in_rounds[-1] if self._in_rounds else 0
-        while True:
-            status, payload, _used = serialization.fold_chunk_frames(
-                self._inbound[start:]
-            )
-            if status != "partial":
-                break
-            with machine.wait(rnd):
-                frame = endpoint.recv()
-            self._inbound.append(frame)
-            if serialization.is_chunk_frame(frame):
-                self.stats.chunks_received += 1
-            if self.journal is not None:
-                self.journal.record_inbound(
-                    len(self._inbound) - 1, serialization.encode(frame)
-                )
-            crash_point("session.recv.frame")
-        if status == "single":
-            machine.consume(rnd, payload)
-        else:
-            machine.consume_chunks(rnd, payload)
-        self._in_rounds.append(len(self._inbound))
-
-
-class SenderSession(_RoundLog):
+class SenderSession(SenderCore):
     """Party S's resumable run: accept, hand-shake, serve, survive.
 
-    The round log (inbound payloads received, outbound payloads
-    computed) lives here, *outside* any single connection, which is
-    what makes a mid-run disconnect recoverable: a reconnecting client
-    announces its receive cursor and the session replays exactly the
-    cached frames it is missing. The rounds themselves come from the
-    protocol's registered spec (:mod:`repro.protocols.spec`), walked by
-    a :class:`~repro.protocols.parties.SenderMachine` that persists
-    across reconnects.
+    :class:`~repro.net.session_core.SenderCore` (the round log, the
+    handshake, the reconnect loop) under the blocking shell.
     """
 
     def __init__(
@@ -936,60 +471,12 @@ class SenderSession(_RoundLog):
         journal: Any = None,
         chunk_size: int | None = None,
     ):
-        from ..protocols.spec import get_spec
-
-        self.protocol = protocol
-        self.spec = get_spec(protocol)
-        self.params = params
-        self.config = config or SessionConfig()
-        self.rng = rng or random.Random(0)
-        self.stats = SessionStats(protocol=protocol)
-        self.recorder = recorder
-        self.chunk_size = chunk_size
-        self._make_sender = make_sender
-        self._machine: Any = None
-        self._session_id: int | None = None
-        self._inbound: list[Any] = []
-        self._outbound: list[Any] = []
-        self._in_rounds: list[int] = []
-        self._out_rounds: list[int] = []
-        self._pending_frames: list[Any] | None = None
-        self._attempted_sends: set[int] = set()
-        self._complete = False
-        self.journal, self._journal_dir = _split_journal(journal)
-
-    def _attach_journal(self) -> None:
-        """Adopt a per-session journal once the session id is known.
-
-        Only relevant when constructed with a
-        :class:`~repro.net.journal.JournalDir`: the sender learns its
-        session id from the first hello, so the journal file (named by
-        that id) cannot exist before the handshake.
-        """
-        if self.journal is not None or self._journal_dir is None:
-            return
-        from .journal import JournalError
-
-        journal = self._journal_dir.open_session(
-            "sender", self.protocol, self._session_id
+        super().__init__(
+            protocol, params, make_sender,
+            config or SessionConfig(), rng or random.Random(0),
+            SessionStats(protocol=protocol),
+            recorder=recorder, journal=journal, chunk_size=chunk_size,
         )
-        if any(r[0] in ("in", "out", "done") for r in journal.records):
-            raise JournalError(
-                f"{journal.path}: a previous run already journaled rounds "
-                "for this session - recover it instead of restarting it"
-            )
-        if self.chunk_size is not None:
-            journal.record_meta("chunk_size", self.chunk_size)
-        self.journal = journal
-
-    def _ensure_machine(self) -> Any:
-        if self._machine is None:
-            from ..protocols.parties import SenderMachine
-
-            self._machine = SenderMachine.from_factory(
-                self.spec, self._make_sender, self.recorder
-            )
-        return self._machine
 
     def run(self, accept: Callable[[], Any]) -> Any:
         """Serve the run to completion; returns the sender party state.
@@ -998,140 +485,18 @@ class SenderSession(_RoundLog):
         return a framed transport for it (raising ``TimeoutError`` when
         none arrives within its own deadline).
         """
-        failures = 0
-        while True:
-            transport = None
-            try:
-                transport = accept()
-                endpoint, client_next_recv = self._handshake(transport)
-                result = self._script(endpoint, client_next_recv)
-                self.stats.finish()
-                return result
-            except (HandshakeError, SessionAborted):
-                raise
-            except (SessionError, ValueError, *_TRANSIENT) as exc:
-                if self._complete:
-                    self.stats.finish()
-                    return self._machine.state
-                failures += 1
-                self.stats.reconnects += 1
-                if failures > self.config.max_reconnects:
-                    raise SessionError(
-                        f"sender session gave up after {failures} failed "
-                        f"connections: {exc}"
-                    ) from exc
-            finally:
-                if transport is not None:
-                    _close_quietly(transport)
+        return run_blocking(self.steps(), open_link=accept)
 
-    def _read_hello(self, transport: Any) -> tuple:
-        """Wait for a valid hello, absorbing garbled or stray frames."""
-        config = self.config
-        deadline = (
-            time.monotonic() + config.timeout_s * config.retry.max_attempts
-        )
-        settimeout = getattr(transport, "settimeout", None)
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise SessionError("no valid hello before the deadline")
-            if settimeout is not None:
-                settimeout(max(min(remaining, config.timeout_s), 1e-3))
-            try:
-                fields = unseal(transport.recv())
-            except TimeoutError:
-                continue
-            except ValueError:
-                self.stats.checksum_failures += 1
-                continue
-            if fields[0] == "hello" and len(fields) == 6:
-                return fields
-            # Stray frame from the previous connection's tail: ignore.
-
-    def _handshake(self, transport: Any) -> tuple[SessionEndpoint, int]:
-        fields = self._read_hello(transport)
-        _, version, protocol, session_id, _next_send, next_recv = fields
-        if version != SESSION_VERSION:
-            self._reject(transport, f"unsupported session version {version}")
-            raise HandshakeError(
-                f"client speaks session version {version}, "
-                f"this server speaks {SESSION_VERSION}"
-            )
-        if protocol != self.protocol:
-            self._reject(transport, f"protocol mismatch: serving {self.protocol}")
-            raise HandshakeError(
-                f"client asked for {protocol!r}, serving {self.protocol!r}"
-            )
-        if self._session_id is None:
-            self._session_id = session_id
-            self._attach_journal()
-        elif session_id != self._session_id:
-            self._reject(transport, "unknown session id")
-            raise SessionError(f"unknown session id {session_id}")
-        if not isinstance(next_recv, int) or not 0 <= next_recv <= len(
-            self._outbound
-        ):
-            raise SessionError(f"implausible client cursor {next_recv!r}")
-        welcome = seal(
-            "welcome",
-            SESSION_VERSION,
-            self.protocol,
-            self._session_id,
-            tuple(self.params.to_wire()),
-            len(self._inbound),
-        )
-        transport.send(welcome)
-        endpoint = SessionEndpoint(
-            transport,
-            self.config,
-            self.stats,
-            self.rng,
-            send_seq=next_recv,
-            recv_seq=len(self._inbound),
-        )
-        # A lost welcome comes back as a retransmitted hello: answer
-        # with the same welcome instead of tearing the connection down.
-        endpoint.on_hello = lambda: transport.send(welcome)
-        return endpoint, next_recv
-
-    def _reject(self, transport: Any, reason: str) -> None:
-        try:
-            transport.send(seal("reject", SESSION_VERSION, reason))
-        except _TRANSIENT:
-            pass
-
-    def _script(self, endpoint: SessionEndpoint, client_next_recv: int) -> Any:
-        machine = self._ensure_machine()
-        if client_next_recv < len(self._outbound):
-            # A reconnected client served from the cached frame log.
-            self.stats.rounds_resumed += 1
-        received = produced = 0
-        for rnd in self.spec.rounds:
-            if rnd.source == "R":
-                self._recv_round(endpoint, machine, rnd, received)
-                received += 1
-            else:
-                self._produce_round(endpoint, machine, rnd, produced)
-                produced += 1
-        self._complete = True
-        if self.journal is not None:
-            if not self.journal.complete:
-                self.journal.record_complete()
-            self._rotate_quietly()
-        if endpoint.await_fin(self.config.fin_grace_s):
-            # Echo the fin so the lingering client can leave promptly.
-            endpoint.fin(self._session_id)
-        return machine.state
+    def _handshake(self, transport: Any) -> tuple[Link, int]:
+        """One handshake on an already-open transport (a test seam)."""
+        return run_blocking(self.handshake(), transport)
 
 
-class ReceiverSession(_RoundLog):
+class ReceiverSession(ReceiverCore):
     """Party R's resumable run: connect, hand-shake, drive, reconnect.
 
-    Like :class:`SenderSession`, R walks the protocol's registered
-    round schedule with a persistent
-    :class:`~repro.protocols.parties.ReceiverMachine` and caches every
-    round payload, so a reconnect resumes mid-schedule instead of
-    restarting the run.
+    :class:`~repro.net.session_core.ReceiverCore` under the blocking
+    shell.
     """
 
     def __init__(
@@ -1145,55 +510,12 @@ class ReceiverSession(_RoundLog):
         journal: Any = None,
         chunk_size: int | None = None,
     ):
-        from ..protocols.spec import get_spec
-
-        self.protocol = protocol
-        self.spec = get_spec(protocol)
-        self.config = config or SessionConfig()
-        self.rng = rng or random.Random()
-        self.stats = SessionStats(protocol=protocol)
-        self.recorder = recorder
-        self.chunk_size = chunk_size
-        self.session_id = (
-            session_id if session_id is not None else self.rng.getrandbits(63)
+        super().__init__(
+            protocol, make_receiver,
+            config or SessionConfig(), rng or random.Random(),
+            SessionStats(protocol=protocol), session_id=session_id,
+            recorder=recorder, journal=journal, chunk_size=chunk_size,
         )
-        self._make_receiver = make_receiver
-        self._machine: Any = None
-        self._params_wire: tuple | None = None
-        self._inbound: list[Any] = []
-        self._outbound: list[Any] = []
-        self._in_rounds: list[int] = []
-        self._out_rounds: list[int] = []
-        self._pending_frames: list[Any] | None = None
-        self._attempted_sends: set[int] = set()
-        self.journal, journal_dir = _split_journal(journal)
-        if journal_dir is not None:
-            # R picks its session id up front, so the per-session file
-            # can be adopted immediately (unlike the sender's lazy path).
-            from .journal import JournalError
-
-            opened = journal_dir.open_session(
-                "receiver", self.protocol, self.session_id
-            )
-            if any(r[0] in ("in", "out", "done") for r in opened.records):
-                raise JournalError(
-                    f"{opened.path}: a previous run already journaled "
-                    "rounds for this session - recover it instead"
-                )
-            if self.chunk_size is not None:
-                opened.record_meta("chunk_size", self.chunk_size)
-            self.journal = opened
-
-    def _ensure_machine(self) -> Any:
-        if self._machine is None:
-            from ..protocols.parties import ReceiverMachine
-
-            self._machine = ReceiverMachine.from_factory(
-                self.spec,
-                lambda: self._make_receiver(self._params_wire),
-                self.recorder,
-            )
-        return self._machine
 
     def run(self, connect: Callable[[], Any]) -> Any:
         """Drive the run to completion; returns the protocol answer.
@@ -1202,147 +524,4 @@ class ReceiverSession(_RoundLog):
         transport; it is re-invoked after every transient failure, up
         to ``config.max_reconnects`` times.
         """
-        failures = 0
-        while True:
-            transport = None
-            try:
-                transport = connect()
-                endpoint = self._handshake(transport)
-                answer = self._script(endpoint)
-                endpoint.fin_wait(self.session_id)
-                self.stats.finish()
-                return answer
-            except (HandshakeError, SessionAborted):
-                raise
-            except (SessionError, ValueError, *_TRANSIENT) as exc:
-                failures += 1
-                self.stats.reconnects += 1
-                if failures > self.config.max_reconnects:
-                    raise SessionError(
-                        f"receiver session gave up after {failures} failed "
-                        f"connections: {exc}"
-                    ) from exc
-                delay = self.config.retry.delay_s(failures - 1, self.rng)
-                hint = getattr(exc, "retry_after_s", None)
-                if hint is not None:
-                    # A worker-lost notice names its respawn window;
-                    # redialing earlier just burns a reconnect.
-                    delay = max(delay, busy_backoff_s(hint, self.rng))
-                time.sleep(delay)
-            finally:
-                if transport is not None:
-                    _close_quietly(transport)
-
-    def _await_welcome(self, transport: Any, hello: tuple) -> tuple:
-        """Send the hello; retransmit it until a welcome (or reject)."""
-        config = self.config
-        settimeout = getattr(transport, "settimeout", None)
-        for attempt in range(config.retry.max_attempts):
-            if attempt:
-                self.stats.retransmits += 1
-            transport.send(hello)
-            deadline = time.monotonic() + config.timeout_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break  # resend the hello
-                if settimeout is not None:
-                    settimeout(max(remaining, 1e-3))
-                try:
-                    fields = unseal(transport.recv())
-                except TimeoutError:
-                    break
-                except ValueError:
-                    self.stats.checksum_failures += 1
-                    continue
-                if fields[0] == "busy" and len(fields) in (3, 4):
-                    # Optional 4th field: retry hint in integer ms.
-                    raise ServerBusyError(
-                        f"server refused the session: {fields[2]!r}",
-                        retry_after_s=refusal_retry_hint_s(fields),
-                    )
-                if fields[0] == "worker-lost" and len(fields) in (3, 4):
-                    # The shard front end answered for a dead worker:
-                    # retryable - the supervisor is respawning it.
-                    self.stats.worker_lost += 1
-                    raise WorkerLost(
-                        f"server lost the session's worker: {fields[2]!r}",
-                        retry_after_s=refusal_retry_hint_s(fields),
-                    )
-                if fields[0] == "reject" and len(fields) == 3:
-                    raise HandshakeError(
-                        f"server rejected session: {fields[2]!r}"
-                    )
-                if fields[0] == "welcome" and len(fields) == 6:
-                    return fields
-                # Stray ack/data from the previous connection: ignore.
-        raise SessionError(
-            f"no welcome after {config.retry.max_attempts} hellos"
-        )
-
-    def _handshake(self, transport: Any) -> SessionEndpoint:
-        next_recv = len(self._inbound)
-        hello = seal(
-            "hello",
-            SESSION_VERSION,
-            self.protocol,
-            self.session_id,
-            len(self._attempted_sends),
-            next_recv,
-        )
-        fields = self._await_welcome(transport, hello)
-        _, version, protocol, session_id, params_wire, server_next_recv = fields
-        if version != SESSION_VERSION:
-            raise HandshakeError(
-                f"server speaks session version {version}, "
-                f"this client speaks {SESSION_VERSION}"
-            )
-        if protocol != self.protocol:
-            raise HandshakeError(
-                f"server runs {protocol!r}, wanted {self.protocol!r}"
-            )
-        if session_id != self.session_id:
-            raise SessionError(f"server answered for session {session_id}")
-        if self._params_wire is None:
-            self._params_wire = tuple(params_wire)
-            if self.journal is not None:
-                self.journal.record_meta("params", self._params_wire)
-        elif tuple(params_wire) != self._params_wire:
-            raise HandshakeError(
-                "server changed public parameters across a resume"
-            )
-        if not isinstance(server_next_recv, int) or not (
-            0 <= server_next_recv <= len(self._outbound)
-        ):
-            raise SessionError(
-                f"implausible server cursor {server_next_recv!r}"
-            )
-        return SessionEndpoint(
-            transport,
-            self.config,
-            self.stats,
-            self.rng,
-            send_seq=server_next_recv,
-            recv_seq=next_recv,
-        )
-
-    #: Legacy stat semantics: R counts a resumed round per replayed frame.
-    _resumed_per_replay = True
-
-    def _script(self, endpoint: SessionEndpoint) -> Any:
-        machine = self._ensure_machine()
-        machine.ensure_state()
-        sent = received = 0
-        for rnd in self.spec.rounds:
-            if rnd.source == "R":
-                self._produce_round(endpoint, machine, rnd, sent)
-                sent += 1
-            else:
-                self._recv_round(endpoint, machine, rnd, received)
-                received += 1
-        answer = machine.finish()
-        if self.journal is not None:
-            if not self.journal.complete:
-                self.journal.record_complete()
-            self._rotate_quietly()
-        return answer
+        return run_blocking(self.steps(), open_link=connect)

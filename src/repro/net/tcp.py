@@ -48,6 +48,11 @@ from typing import Any, Callable
 from ..protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from ..protocols.spec import PROTOCOLS, ProtocolSpec, get_spec
 from . import serialization
+from .journal import (
+    JournalDir,
+    recover_receiver_session,
+    recover_sender_session,
+)
 from .session import (
     ReceiverSession,
     SenderSession,
@@ -433,6 +438,19 @@ SESSION_PROTOCOLS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+def _stale_journal(
+    journal_dir: Any, fsync: bool, role: str, protocol: str
+) -> tuple[Any, Any]:
+    """``(JournalDir or None, oldest incomplete journal path or None)``:
+    what a restart against ``journal_dir`` must recover first."""
+    if journal_dir is None:
+        return None, None
+    if not isinstance(journal_dir, JournalDir):
+        journal_dir = JournalDir(journal_dir, fsync=fsync)
+    stale = journal_dir.incomplete(role, protocol)
+    return journal_dir, (stale[0] if stale else None)
+
+
 def serve_resumable_sender(
     protocol: str,
     data: Any,
@@ -485,32 +503,19 @@ def serve_resumable_sender(
     session_rng = random.Random(rng.getrandbits(64))
     if make_sender is None:
         make_sender = lambda: spec.make_sender(data, params, rng, engine=engine)  # noqa: E731
-    session = None
-    if journal_dir is not None:
-        from .journal import JournalDir, recover_sender_session
-
-        journal_dir = (
-            journal_dir
-            if isinstance(journal_dir, JournalDir)
-            else JournalDir(journal_dir, fsync=journal_fsync)
+    journal_dir, stale = _stale_journal(
+        journal_dir, journal_fsync, "sender", protocol
+    )
+    common = dict(
+        config=config, rng=session_rng, recorder=recorder, chunk_size=chunk_size
+    )
+    if stale is not None:
+        session = recover_sender_session(
+            stale, params, make_sender, fsync=journal_dir.fsync, **common
         )
-        stale = journal_dir.incomplete("sender", protocol)
-        if stale:
-            session = recover_sender_session(
-                stale[0], params, make_sender,
-                config=config, rng=session_rng, recorder=recorder,
-                fsync=journal_dir.fsync, chunk_size=chunk_size,
-            )
-    if session is None:
+    else:
         session = SenderSession(
-            protocol,
-            params,
-            make_sender,
-            config=config,
-            rng=session_rng,
-            recorder=recorder,
-            journal=journal_dir,
-            chunk_size=chunk_size,
+            protocol, params, make_sender, journal=journal_dir, **common
         )
     listener = _listen(
         host, port, config.timeout_s * config.retry.max_attempts
@@ -583,31 +588,19 @@ def connect_resumable_receiver(
         make_receiver = lambda wire: spec.make_receiver(  # noqa: E731
             data, PublicParams.from_wire(tuple(wire)), rng, engine=engine
         )
-    session = None
-    if journal_dir is not None:
-        from .journal import JournalDir, recover_receiver_session
-
-        journal_dir = (
-            journal_dir
-            if isinstance(journal_dir, JournalDir)
-            else JournalDir(journal_dir, fsync=journal_fsync)
+    journal_dir, stale = _stale_journal(
+        journal_dir, journal_fsync, "receiver", protocol
+    )
+    common = dict(
+        config=config, rng=session_rng, recorder=recorder, chunk_size=chunk_size
+    )
+    if stale is not None:
+        session = recover_receiver_session(
+            stale, make_receiver, fsync=journal_dir.fsync, **common
         )
-        stale = journal_dir.incomplete("receiver", protocol)
-        if stale:
-            session = recover_receiver_session(
-                stale[0], make_receiver,
-                config=config, rng=session_rng, recorder=recorder,
-                fsync=journal_dir.fsync, chunk_size=chunk_size,
-            )
-    if session is None:
+    else:
         session = ReceiverSession(
-            protocol,
-            make_receiver,
-            config=config,
-            rng=session_rng,
-            recorder=recorder,
-            journal=journal_dir,
-            chunk_size=chunk_size,
+            protocol, make_receiver, journal=journal_dir, **common
         )
 
     def dial() -> Any:

@@ -289,3 +289,96 @@ class TestAsyncClient:
         assert stats.frames_sent > 0 and stats.frames_received > 0
         if chunk_size is not None:
             assert stats.chunks_sent > 0
+
+
+# ----------------------------------------------------------------------
+# One core, two shells: the sync and async clients are the same client
+# ----------------------------------------------------------------------
+class _TapAndCutOnce:
+    """Server-side endpoint wrapper: logs the bytes of every client
+    frame and hangs up once, right after reading the client's second
+    data frame - mid-round, with its ack never sent."""
+
+    def __init__(self, endpoint, log, state):
+        self.endpoint, self.log, self.state = endpoint, log, state
+
+    def recv(self):
+        frame = self.endpoint.recv()
+        self.log.append(encode(frame))
+        if not self.state and frame[:2] == ("msg", 1):
+            self.state.append("cut")
+            self.endpoint.close()
+            raise ConnectionResetError("forced mid-round disconnect")
+        return frame
+
+    def send(self, message):
+        self.endpoint.send(message)
+
+    def settimeout(self, timeout):
+        self.endpoint.settimeout(timeout)
+
+    def close(self):
+        self.endpoint.close()
+
+
+class TestShellParity:
+    def test_sync_and_async_clients_send_the_same_bytes(self, params):
+        """Same seed, same server, one forced mid-round disconnect:
+        the blocking shell and the asyncio shell put identical bytes
+        on the wire and count identical stats - the resume hello
+        carries the frames *attempted* (2 of the 4 computed), and the
+        one replayed chunk counts as replayed and as a resumed round
+        in both."""
+        v_r = ["a", "b", "c", "d", "e"]
+        v_s = ["b", "c", "x"]
+        config = SessionConfig(
+            timeout_s=2.0,
+            retry=RetryPolicy(max_attempts=3, base_delay_s=0.01,
+                              max_delay_s=0.05),
+            max_reconnects=2,
+            fin_grace_s=1.0,
+        )
+
+        def run_against_fresh_server(client):
+            received, cut = [], []
+            port_ready = threading.Event()
+            bound = {}
+            server = threading.Thread(
+                target=tcp.serve_resumable_sender,
+                args=("intersection", v_s, params, random.Random(1)),
+                kwargs=dict(
+                    ready_callback=lambda p: (bound.update(port=p),
+                                              port_ready.set()),
+                    config=config, chunk_size=2,
+                    endpoint_wrapper=lambda ep: _TapAndCutOnce(
+                        ep, received, cut
+                    ),
+                ),
+                daemon=True,
+            )
+            server.start()
+            assert port_ready.wait(5)
+            answer, stats = client(bound["port"])
+            server.join(timeout=10)
+            assert not server.is_alive() and cut == ["cut"]
+            flat = stats.as_dict()
+            del flat["elapsed_s"]
+            return sorted(answer), received, flat
+
+        sync = run_against_fresh_server(
+            lambda port: tcp.connect_resumable_receiver(
+                "intersection", v_r, random.Random(2), "127.0.0.1", port,
+                config=config, chunk_size=2,
+            )
+        )
+        via_loop = run_against_fresh_server(
+            lambda port: _run(connect_receiver_async(
+                "intersection", v_r, random.Random(2), "127.0.0.1", port,
+                config=config, chunk_size=2,
+            ))
+        )
+        assert sync[0] == via_loop[0] == ["b", "c"]
+        assert sync[1] == via_loop[1]
+        assert sync[2] == via_loop[2]
+        assert (sync[2]["reconnects"], sync[2]["replayed_frames"],
+                sync[2]["rounds_resumed"]) == (1, 1, 1)

@@ -1,10 +1,10 @@
 """The facade's async serving and busy-retry surface (``repro.api``).
 
 ``repro.serve(async_=True)`` hosts the one-session run on the
-event-loop server; ``repro.connect(retry_busy=N)`` waits out typed
-busy refusals with the server's own retry hint (jittered upward,
-never earlier). Both must compose with the plain facade paths and
-return the same typed results.
+event-loop server; ``repro.connect(retry=...)`` waits out typed busy
+refusals with the server's own retry hint (jittered upward, never
+earlier). Both must compose with the plain facade paths and return
+the same typed results.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class TestServeAsync:
         assert port_ready.wait(10)
         connected = repro.connect(
             "intersection", v_r, seed=2, port=bound["port"],
-            resumable=True, config=_config(),
+            session=repro.SessionOptions(), config=_config(),
         )
         thread.join(timeout=15)
         assert not thread.is_alive()
@@ -81,7 +81,7 @@ class TestServeAsync:
         def serve():
             repro.serve(
                 "intersection", v_s, bits=BITS, seed=3, async_=True,
-                journal_dir=tmp_path,
+                session=repro.SessionOptions(journal_dir=tmp_path),
                 ready_callback=lambda p: (bound.update(port=p),
                                           port_ready.set()),
                 config=_config(),
@@ -92,7 +92,7 @@ class TestServeAsync:
         assert port_ready.wait(10)
         connected = repro.connect(
             "intersection", v_r, seed=4, port=bound["port"],
-            resumable=True, config=_config(),
+            session=repro.SessionOptions(), config=_config(),
         )
         thread.join(timeout=15)
         assert sorted(connected.answer) == ["b"]
@@ -102,8 +102,9 @@ class TestServeAsync:
 
 class TestConnectRetryBusy:
     def test_waits_out_busy_and_lands_when_the_slot_frees(self, params):
-        """A full 1-slot server refuses with a hint; ``retry_busy``
-        keeps redialing and succeeds once the reaper frees the slot."""
+        """A full 1-slot server refuses with a hint; a ``retry`` spec
+        string keeps redialing (never sooner than the hint) and
+        succeeds once the reaper frees the slot."""
         server = ProtocolServer(
             {"intersection": (["b", "c", "x"], params)},
             config=_config(),
@@ -122,7 +123,8 @@ class TestConnectRetryBusy:
             )
             connected = repro.connect(
                 "intersection", ["a", "b", "c"], seed=5, port=server.port,
-                resumable=True, config=_config(), retry_busy=40,
+                session=repro.SessionOptions(), config=_config(),
+                retry="attempts=41,base=0.001,max-delay=0.001",
             )
             holder.close()
         assert sorted(connected.answer) == ["b", "c"]
@@ -132,13 +134,6 @@ class TestConnectRetryBusy:
 class TestConnectUnifiedRetry:
     """``repro.connect(retry=...)``: the unified policy surface."""
 
-    def test_retry_and_retry_busy_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            repro.connect(
-                "intersection", ["a"], port=1,
-                retry="attempts=2", retry_busy=3,
-            )
-
     def test_policy_spec_string_connects_and_counts_attempts(self, params):
         server = ProtocolServer(
             {"intersection": (["b", "c", "x"], params)},
@@ -147,16 +142,17 @@ class TestConnectUnifiedRetry:
         with server:
             connected = repro.connect(
                 "intersection", ["a", "b", "c"], seed=5, port=server.port,
-                resumable=True, retry="attempts=4,timeout=5,base=0.02",
+                session=repro.SessionOptions(),
+                retry="attempts=4,timeout=5,base=0.02",
             )
         assert sorted(connected.answer) == ["b", "c"]
         assert connected.retries == 0  # first attempt landed
         assert connected.busy_retries == 0
 
     def test_policy_waits_out_busy_and_lands(self, params):
-        """Same shape as the legacy retry_busy test, driven by the
-        unified policy: the full 1-slot server refuses with a hint and
-        the policy redials until the reaper frees the slot."""
+        """A policy *object*: the full 1-slot server refuses with a
+        hint and the policy redials until the reaper frees the slot,
+        counting every redial and the busy ones among them."""
         from repro.net.session import ClientRetryPolicy
 
         server = ProtocolServer(
@@ -176,7 +172,7 @@ class TestConnectUnifiedRetry:
             )
             connected = repro.connect(
                 "intersection", ["a", "b", "c"], seed=5, port=server.port,
-                resumable=True, config=_config(),
+                session=repro.SessionOptions(), config=_config(),
                 retry=ClientRetryPolicy(
                     max_attempts=40, base_delay_s=0.02, max_delay_s=0.2
                 ),
@@ -198,5 +194,6 @@ class TestConnectUnifiedRetry:
             with pytest.raises(ServerBusyError):
                 repro.connect(
                     "intersection", ["a", "b"], seed=5, port=server.port,
-                    resumable=True, retry="busy=no,timeout=2",
+                    session=repro.SessionOptions(),
+                    retry="busy=no,timeout=2",
                 )

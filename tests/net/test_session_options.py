@@ -1,9 +1,5 @@
-"""SessionOptions and the deprecated resumable=/journal_dir= shim.
-
-The one-shot facades grew a ``session=SessionOptions(...)`` kwarg; the
-old boolean/path kwargs must keep working (warn-once) and mixing the
-two styles must be an error, not a silent preference.
-"""
+"""SessionOptions: the one way the one-shot facades select the
+fault-tolerant session layer (``session=SessionOptions(...)``)."""
 
 from __future__ import annotations
 
@@ -11,10 +7,7 @@ import random
 import threading
 import warnings
 
-import pytest
-
 import repro
-from repro import api
 from repro.net.session import RetryPolicy, SessionConfig
 
 V_R = [f"v{i}" for i in range(10)]
@@ -29,15 +22,6 @@ def _config(timeout_s=5.0):
         max_reconnects=4,
         fin_grace_s=0.05,
     )
-
-
-@pytest.fixture(autouse=True)
-def _reset_warn_once():
-    """The deprecation warning fires once per process; reset so every
-    test observes it fresh."""
-    api._SESSION_KWARG_WARNED.clear()
-    yield
-    api._SESSION_KWARG_WARNED.clear()
 
 
 def _serve_connect(serve_kwargs, connect_kwargs):
@@ -88,40 +72,6 @@ class TestSessionOptions:
                 {"session": repro.SessionOptions(config=_config())},
             )
         assert box["connect"].answer == EXPECTED
-
-
-class TestDeprecatedKwargs:
-    def test_resumable_warns_once_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="resumable"):
-            box = _serve_connect({"resumable": True, "config": _config()}, {"resumable": True, "config": _config()})
-        assert box["connect"].answer == EXPECTED
-        # Second use in the same process: no second warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            box = _serve_connect({"resumable": True, "config": _config()}, {"resumable": True, "config": _config()})
-        assert box["connect"].answer == EXPECTED
-
-    def test_journal_dir_warns_and_journals(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="journal_dir"):
-            box = _serve_connect(
-                {"journal_dir": tmp_path / "s", "config": _config()},
-                {"journal_dir": tmp_path / "r", "config": _config()},
-            )
-        assert box["connect"].answer == EXPECTED
-        assert any(tmp_path.joinpath("r").iterdir())
-
-    def test_mixing_styles_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            repro.serve(
-                "intersection", V_S, bits=128, seed=1, port=0,
-                resumable=True, session=repro.SessionOptions(),
-            )
-        with pytest.raises(ValueError, match="not both"):
-            repro.connect(
-                "intersection", V_R, host="127.0.0.1", port=1,
-                journal_dir=tmp_path,
-                session=repro.SessionOptions(journal_dir=tmp_path),
-            )
 
 
 class TestServeResultPort:

@@ -393,12 +393,14 @@ class TestFailureExitCodes:
         start = time.monotonic()
         code = main(["--bits", "128", "connect", "--resumable",
                      "--receiver", r, "--port", str(busy_server.port),
-                     "--timeout", "2", "--retry-busy", "2"])
+                     "--timeout", "2", "--retry-policy",
+                     "attempts=3,base=0.001,max-delay=0.001"])
         elapsed = time.monotonic() - start
         assert code == EXIT_BUSY
         err = capsys.readouterr().err
-        # Two retries, each waiting the server's 0.05s hint stretched
-        # by additive jitter of at most 50% (never shortened below it).
+        # attempts=3 is two retries, each waiting the server's 0.05s
+        # hint (it floors the 1 ms policy delay) stretched by additive
+        # jitter of at most 50% (never shortened below it).
         delays = [
             float(text) for text in re.findall(r"retrying in ([\d.]+)s", err)
         ]
@@ -446,15 +448,6 @@ class TestRetryPolicyFlag:
                      "--retry-policy", "attempts=lots"])
         assert code == 2
         assert "bad --retry-policy" in capsys.readouterr().err
-
-    def test_retry_policy_and_retry_busy_are_exclusive(
-        self, value_files, capsys
-    ):
-        r, _ = value_files
-        code = main(["connect", "--receiver", r, "--port", "9",
-                     "--retry-policy", "attempts=2", "--retry-busy", "3"])
-        assert code == 2
-        assert "pass only one" in capsys.readouterr().err
 
     def test_retry_policy_waits_out_busy(
         self, busy_server, value_files, capsys
