@@ -8,6 +8,11 @@ the answer. ``tests/protocols/test_golden_transcripts.py`` asserts
 that spec-driven runs - in-memory, plain TCP and resumable, serial and
 pooled - reproduce these bytes exactly.
 
+The ``"deltas"`` section pins the five ``"<name>+delta"`` schedules the
+same way: after a full run on the shared inputs, each replays
+:func:`fixture_churn` and then an empty delta, and every part, round
+and answer of both exchanges is digested.
+
 The fixture was first captured against the pre-refactor per-protocol
 drivers, so it pins byte-identity across the refactor, not merely
 self-consistency. Regenerate (only when a protocol's wire format is
@@ -270,12 +275,136 @@ def _as_wire(message) -> object:
     return to_wire() if callable(to_wire) else message
 
 
+def fixture_churn(protocol: str) -> tuple[tuple, tuple, tuple, tuple]:
+    """``(R inserts, R deletes, S inserts, S deletes)`` of the pinned
+    delta, in :class:`~repro.protocols.delta.DeltaExchange` form.
+
+    Both sides insert a private value and one the peer already holds,
+    and delete a private and a common value. The set protocols add a
+    re-insert of a present value and a delete of an absent one (both
+    normalised away); the payload protocols instead replace ``c4``'s
+    payload; equijoin-size churns occurrences and drains ``c1``,
+    ``c2`` and ``s1``.
+    """
+    if protocol == "equijoin-size":
+        return (
+            (("r0", None), ("c0", None), ("r-new", None), ("r-new", None)),
+            ("r1", "c1"),
+            (("c0", None), ("c0", None), ("s-new", None)),
+            ("s0", "s1", "s1", "c2"),
+        )
+    if protocol == "equijoin":
+        s_inserts = tuple(
+            (v, f"churned:{v}".encode()) for v in ("s-new", "r5", "c4")
+        )
+    elif protocol == "equijoin-sum":
+        s_inserts = (("s-new", 5), ("r5", 11), ("c4", 99))
+    else:
+        s_inserts = (("s-new", None), ("r5", None), ("c3", None))
+    return (
+        (("r-new", None), ("s3", None), ("c3", None)),
+        ("r0", "c1", "absent"),
+        s_inserts,
+        ("s0", "c2", "absent"),
+    )
+
+
+def drive(spec, receiver, sender) -> dict[str, object]:
+    """Exchange ``spec``'s rounds between two in-process machines and
+    digest every part, every assembled round and the answer."""
+    record: dict[str, object] = {"parts": {}, "wires": {}}
+    for i, rnd in enumerate(spec.rounds, start=1):
+        producer, consumer = (
+            (receiver, sender) if rnd.source == "R" else (sender, receiver)
+        )
+        message = producer.produce(rnd)
+        for label, part in zip(rnd.parts, message.to_parts()):
+            record["parts"][label] = digest(part)
+        record["wires"][f"m{i}"] = digest(message.to_wire())
+        consumer.consume(rnd, message.to_wire())
+    answer = receiver.finish()
+    record["answer"] = digest(delta_answer(spec, answer, receiver.state))
+    record["size_v_r"] = sender.state.size_v_r
+    record["size_v_s"] = receiver.state.size_v_s
+    return record
+
+
+def delta_answer(spec, answer, receiver_state) -> object:
+    """R's answer of a (delta) run as a deterministic, encodable object."""
+    if spec.answer_kind == "set":
+        return sorted(answer, key=repr)
+    if spec.answer_kind == "ext-map":
+        return [(v, answer[v]) for v in sorted(answer, key=repr)]
+    if (spec.delta_of or spec.name) == "equijoin-sum":
+        return [answer, receiver_state.match_count]
+    return answer
+
+
+def delta_exchanges(protocol: str, r_state, s_state) -> dict[str, tuple]:
+    """The two pinned exchanges, ``label -> (R exchange, S exchange)``:
+    the fixed churn, then (once that is committed) an empty delta."""
+    from repro.protocols.delta import DeltaExchange
+
+    r_ins, r_del, s_ins, s_del = fixture_churn(protocol)
+    return {
+        "churn": (
+            DeltaExchange(state=r_state, inserts=r_ins, deletes=r_del),
+            DeltaExchange(state=s_state, inserts=s_ins, deletes=s_del),
+        ),
+        "empty": (DeltaExchange(state=r_state), DeltaExchange(state=s_state)),
+    }
+
+
+def full_run_states(protocol: str, params, rng_r, rng_s, engines=(None, None)):
+    """Complete one full run on the fixture inputs; both party states."""
+    from repro.protocols.parties import ReceiverMachine, SenderMachine
+    from repro.protocols.spec import PROTOCOLS
+
+    spec = PROTOCOLS[protocol]
+    r_data, s_data = _chunk_inputs(protocol)
+    receiver = ReceiverMachine(spec, r_data, params, rng_r, engine=engines[0])
+    sender = SenderMachine(spec, s_data, params, rng_s, engine=engines[1])
+    drive(spec, receiver, sender)
+    return receiver.state, sender.state
+
+
+def capture_delta(protocol: str) -> dict[str, object]:
+    """One ``"<protocol>+delta"`` golden record: the churn exchange and
+    the empty one, each committed before the next runs."""
+    from repro.protocols.parties import (
+        PublicParams,
+        ReceiverMachine,
+        SenderMachine,
+    )
+    from repro.protocols.spec import PROTOCOLS
+
+    dspec = PROTOCOLS[protocol + "+delta"]
+    params = PublicParams.for_bits(BITS)
+    # The delta parties draw from the same rngs as the full run did,
+    # which is what the Catalog layer does (one rng per catalog).
+    rng_r, rng_s = random.Random("R"), random.Random("S")
+    r_state, s_state = full_run_states(protocol, params, rng_r, rng_s)
+    record = {}
+    for label, (r_exchange, s_exchange) in delta_exchanges(
+        protocol, r_state, s_state
+    ).items():
+        receiver = ReceiverMachine(dspec, r_exchange, params, rng_r)
+        sender = SenderMachine(dspec, s_exchange, params, rng_s)
+        record[label] = drive(dspec, receiver, sender)
+        receiver.state.commit()
+        sender.state.commit()
+    return record
+
+
 def main() -> None:
     fixture = {
         "bits": BITS,
         "n": N,
         "chunk_size": CHUNK_SIZE,
         "protocols": {name: capture(name) for name in ROUND_PARTS},
+        "deltas": {
+            f"{name}+delta": capture_delta(name) for name in ROUND_PARTS
+        },
     }
     for name, record in fixture["protocols"].items():
         record["chunked_wires"] = capture_chunked(name)

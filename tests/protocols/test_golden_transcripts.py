@@ -42,6 +42,8 @@ from repro.protocols.parties import (
 )
 from repro.protocols.spec import PROTOCOLS
 
+from . import make_golden_fixture as golden
+
 FIXTURE = json.loads(
     Path(__file__).with_name("golden_transcripts.json").read_text()
 )
@@ -543,3 +545,105 @@ def test_resumable_chunked_matches_golden(name, params, engines):
     if chunkable_sent:
         assert receiver_session.stats.chunks_sent > 0
     assert sender_session.stats.chunks_sent > 0
+
+
+# ----------------------------------------------------------------------
+# Delta schedules: the "<name>+delta" wire is pinned like the base one -
+# a fixed churn and then an empty delta over a committed full run,
+# replayed in memory and over the resumable TCP path.
+# ----------------------------------------------------------------------
+DELTA_NAMES = sorted(FIXTURE["deltas"])
+
+
+def _assert_delta_record(dname, label, record):
+    assert record == FIXTURE["deltas"][dname][label], (
+        f"{dname} {label} exchange diverges from the golden record"
+    )
+
+
+@pytest.mark.parametrize("dname", DELTA_NAMES)
+def test_delta_in_memory_matches_golden(dname, params, engines):
+    dspec = PROTOCOLS[dname]
+    rng_r, rng_s = random.Random("R"), random.Random("S")
+    r_state, s_state = golden.full_run_states(
+        dspec.delta_of, params, rng_r, rng_s, engines
+    )
+    for label, (r_exchange, s_exchange) in golden.delta_exchanges(
+        dspec.delta_of, r_state, s_state
+    ).items():
+        receiver = ReceiverMachine(dspec, r_exchange, params, rng_r)
+        sender = SenderMachine(dspec, s_exchange, params, rng_s)
+        _assert_delta_record(dname, label, golden.drive(dspec, receiver, sender))
+        receiver.state.commit()
+        sender.state.commit()
+
+
+@pytest.mark.parametrize("dname", DELTA_NAMES)
+def test_delta_resumable_tcp_matches_golden(dname, params):
+    """Each delta exchange as one resumable TCP session: the ``msg``
+    frames carry the pinned round bytes and R gets the pinned answer."""
+    from repro.net.tcp import connect_resumable_receiver, serve_resumable_sender
+
+    dspec = PROTOCOLS[dname]
+    rng_r, rng_s = random.Random("R"), random.Random("S")
+    r_state, s_state = golden.full_run_states(
+        dspec.delta_of, params, rng_r, rng_s
+    )
+    for label, (r_exchange, s_exchange) in golden.delta_exchanges(
+        dspec.delta_of, r_state, s_state
+    ).items():
+        built: dict = {}
+
+        def make_sender():
+            built["s"] = dspec.make_sender(s_exchange, params, rng_s)
+            return built["s"]
+
+        def make_receiver(wire):
+            built["r"] = dspec.make_receiver(
+                r_exchange, PublicParams.from_wire(tuple(wire)), rng_r
+            )
+            return built["r"]
+
+        port_box: list[int] = []
+        ready = threading.Event()
+        server_box: dict = {}
+
+        def serve_thread():
+            server_box["size_v_r"], _stats = serve_resumable_sender(
+                dname, None, params, random.Random("session-S"),
+                ready_callback=lambda port: (port_box.append(port), ready.set()),
+                config=_session_config(), make_sender=make_sender,
+            )
+
+        thread = threading.Thread(target=serve_thread)
+        thread.start()
+        assert ready.wait(timeout=10)
+        frames: dict = {}
+        answer, stats = connect_resumable_receiver(
+            dname, None, random.Random("session-R"), "127.0.0.1", port_box[0],
+            config=_session_config(), make_receiver=make_receiver,
+            endpoint_wrapper=lambda e: _SessionRecordingTransport(e, frames),
+        )
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert stats.reconnects == 0
+
+        expected = FIXTURE["deltas"][dname][label]
+        sent = received = 0
+        digests = {}
+        for i, rnd in enumerate(dspec.rounds, start=1):
+            if rnd.source == "R":
+                wire_bytes = frames[("sent", sent)]
+                sent += 1
+            else:
+                wire_bytes = frames[("received", received)]
+                received += 1
+            digests[f"m{i}"] = hashlib.sha256(wire_bytes).hexdigest()
+        assert digests == expected["wires"], f"{dname} {label} wire diverges"
+        assert _digest(
+            golden.delta_answer(dspec, answer, built["r"])
+        ) == expected["answer"]
+        assert server_box["size_v_r"] == expected["size_v_r"]
+        assert built["r"].size_v_s == expected["size_v_s"]
+        built["r"].commit()
+        built["s"].commit()
