@@ -70,7 +70,7 @@ from typing import Any, Callable, Hashable, Mapping
 
 from .protocols.delta import DeltaExchange
 from .protocols.parties import PublicParams, ReceiverMachine, SenderMachine
-from .protocols.spec import ProtocolSpec, get_spec
+from .protocols.spec import PROTOCOLS, ProtocolSpec, get_spec
 
 __all__ = [
     "RunResult",
@@ -235,10 +235,7 @@ def _exchange_local(
 
 def _delta_spec(spec: ProtocolSpec) -> ProtocolSpec | None:
     """The registered ``<name>+delta`` schedule, or ``None``."""
-    try:
-        return get_spec(spec.name + "+delta")
-    except Exception:
-        return None
+    return PROTOCOLS.get(spec.name + "+delta")
 
 
 class Catalog:
@@ -444,94 +441,109 @@ class Catalog:
     def _has_link(self, spec: ProtocolSpec, role: str) -> bool:
         return (spec.name, role) in self._links
 
-    def _factory(self, spec: ProtocolSpec, role: str) -> Callable[..., Any]:
-        return spec.make_receiver if role == "receiver" else spec.make_sender
+    def _plan(
+        self, spec: ProtocolSpec, role: str, kind: str
+    ) -> tuple[ProtocolSpec, Callable[[PublicParams], Any], Callable[[Any], bool]]:
+        """How this catalog runs one ``kind`` query of ``spec`` as
+        ``role``: ``(wire spec, make_state, commit)``.
 
-    def _cacheable(self, spec: ProtocolSpec, role: str) -> bool:
+        ``wire_spec`` is the schedule the link exchanges,
+        ``make_state(params)`` builds the party state its machine
+        interprets (idempotent - journal replay may call it again), and
+        ``commit(state)`` records the completed query in the
+        per-protocol link and the on-disk cache, returning whether the
+        setup was a cache hit. A link only ever handles these three, so
+        no link kind knows which flavour it is running.
+
+        The table is snapshotted here, at query entry: the state is
+        built from the snapshot and the commit records the same
+        snapshot, so mutations staged while a query is in flight stay
+        staged for the *next* delta instead of being silently absorbed.
+        """
+        wire_spec = spec if kind == "full" else _delta_spec(spec)
+        factory = (
+            wire_spec.make_receiver if role == "receiver" else wire_spec.make_sender
+        )
+        plan = self._plan_full if wire_spec is spec else self._plan_delta
+        return (wire_spec, *plan((spec.name, role), factory, self._snapshot()))
+
+    def _plan_full(
+        self, key: tuple[str, str], factory: Callable[..., Any], snapshot: Any
+    ) -> tuple[Callable[[PublicParams], Any], Callable[[Any], bool]]:
+        """A full query: warm-start from the cache, store on a miss."""
+        from .net.catalog import CatalogCacheError, table_digest
+
         # The equijoin-sum sender holds a Paillier keypair that is not
         # persisted, so it is the one party without cache support.
-        return self.cache is not None and hasattr(
-            self._factory(spec, role), "cache_keys"
-        )
-
-    def _cache_name(self, spec: ProtocolSpec, role: str) -> str:
+        cacheable = self.cache is not None and getattr(factory, "cacheable", False)
         # Receiver and sender entries can differ in shape (equijoin's
         # sender caches (codeword, kappa) pairs under two keys), so the
         # role is part of the cache key.
-        return f"{spec.name}.{role[0]}"
+        cache_name = f"{key[0]}.{key[1][0]}"
+        digest = table_digest(snapshot) if cacheable else None
+        found: dict[str, Any] = {}
 
-    def _cached_for(
-        self, spec: ProtocolSpec, role: str, params: PublicParams,
-        snapshot: Any,
-    ) -> tuple[Any, Any, str]:
-        """(PartyCache | None, CacheEntry | None, table digest)."""
-        from .net.catalog import CatalogCacheError, table_digest
-
-        digest = table_digest(snapshot)
-        if not self._cacheable(spec, role):
-            return None, None, digest
-        try:
-            entry = self.cache.lookup(digest, self._cache_name(spec, role))
-        except CatalogCacheError:
-            entry = None  # corrupt or foreign-keyed entry: treat as a miss
-        if entry is not None and entry.params != params:
+        def make_state(params: PublicParams) -> Any:
             entry = None
-        if entry is None:
-            return None, None, digest
-        return entry.party_cache(), entry, digest
+            if cacheable:
+                try:
+                    entry = self.cache.lookup(digest, cache_name)
+                except CatalogCacheError:
+                    pass  # corrupt or foreign-keyed entry: treat as a miss
+                if entry is not None and entry.params != params:
+                    entry = None
+            found.update(entry=entry, params=params)
+            extra = {} if entry is None else {"cached": entry.party_cache()}
+            return factory(snapshot, params, self.rng, engine=self.engine, **extra)
 
-    def _full_machine(
-        self, spec: ProtocolSpec, role: str, params: PublicParams
-    ) -> tuple[Any, dict[str, Any]]:
-        # Snapshot once at query entry: the machine is built from the
-        # snapshot and the commit records the same snapshot, so table
-        # mutations staged while a query is in flight stay staged for
-        # the *next* delta instead of being silently absorbed.
-        snapshot = self._snapshot()
-        cached, entry, digest = self._cached_for(spec, role, params, snapshot)
-        cls = ReceiverMachine if role == "receiver" else SenderMachine
-        kwargs: dict[str, Any] = {
-            "engine": self.engine, "recorder": self.recorder,
-        }
-        if cached is not None:
-            kwargs["cached"] = cached
-        machine = cls(spec, snapshot, params, self.rng, **kwargs)
-        return machine, {
-            "digest": digest, "entry": entry, "hit": cached is not None,
-            "snapshot": snapshot,
-        }
+        def commit(party: Any) -> bool:
+            entry = found["entry"]
+            if entry is None and cacheable:
+                entry = self.cache.store(
+                    digest, cache_name, found["params"],
+                    party.cache_keys(), party.cache_entries(),
+                )
+            self._links[key] = {
+                "party": party, "snapshot": snapshot, "entry": entry,
+            }
+            return found["entry"] is not None
 
-    def _commit_full(
-        self,
-        spec: ProtocolSpec,
-        role: str,
-        party: Any,
-        ctx: dict[str, Any],
-        params: PublicParams,
-    ) -> None:
-        entry = ctx["entry"]
-        if entry is None and self._cacheable(spec, role):
-            entry = self.cache.store(
-                ctx["digest"],
-                self._cache_name(spec, role),
-                params,
-                party.cache_keys(),
-                party.cache_entries(),
-            )
-        self._links[(spec.name, role)] = {
-            "party": party,
-            "snapshot": ctx["snapshot"],
-            "digest": ctx["digest"],
-            "entry": entry,
-            "params": params,
-        }
+        return make_state, commit
 
-    def _delta_exchange(
-        self, spec: ProtocolSpec, role: str, snapshot: Any
-    ) -> DeltaExchange:
-        """The staged table delta relative to this protocol's committed
+    def _plan_delta(
+        self, key: tuple[str, str], factory: Callable[..., Any], snapshot: Any
+    ) -> tuple[Callable[[PublicParams], Any], Callable[[Any], bool]]:
+        """A delta query: the churn since the link's committed
+        snapshot, staged on its committed party."""
+        from .net.catalog import table_digest
+
+        link = self._links[key]
+        exchange = self._delta_exchange(link, snapshot)
+
+        def make_state(params: PublicParams) -> Any:
+            return factory(exchange, params, self.rng, engine=self.engine)
+
+        def commit(staged: Any) -> bool:
+            staged.commit()
+            entry = link["entry"]
+            if entry is not None:
+                new = link["party"].cache_entries()
+                old = entry.entries
+                link["entry"] = self.cache.append_delta(
+                    entry,
+                    table_digest(snapshot),
+                    {v: e for v, e in new.items() if old.get(v) != e},
+                    [v for v in old if v not in new],
+                )
+            link["snapshot"] = snapshot
+            return False
+
+        return make_state, commit
+
+    @staticmethod
+    def _delta_exchange(link: dict[str, Any], snapshot: Any) -> DeltaExchange:
+        """The staged table delta relative to a link's committed
         snapshot, as a :class:`~repro.protocols.delta.DeltaExchange`."""
-        link = self._links[(spec.name, role)]
         base, cur = link["snapshot"], snapshot
         if isinstance(cur, dict):
             inserts = tuple(
@@ -549,45 +561,6 @@ class Catalog:
         return DeltaExchange(
             state=link["party"], inserts=inserts, deletes=deletes
         )
-
-    def _delta_machine(
-        self, dspec: ProtocolSpec, spec: ProtocolSpec, role: str,
-        params: PublicParams,
-    ) -> tuple[Any, dict[str, Any]]:
-        snapshot = self._snapshot()
-        cls = ReceiverMachine if role == "receiver" else SenderMachine
-        machine = cls(
-            dspec,
-            self._delta_exchange(spec, role, snapshot),
-            params,
-            self.rng,
-            engine=self.engine,
-            recorder=self.recorder,
-        )
-        return machine, {"snapshot": snapshot}
-
-    def _commit_delta(
-        self, spec: ProtocolSpec, role: str, wrapper: Any,
-        ctx: dict[str, Any],
-    ) -> None:
-        from .net.catalog import table_digest
-
-        wrapper.commit()
-        link = self._links[(spec.name, role)]
-        new_digest = table_digest(ctx["snapshot"])
-        entry = link.get("entry")
-        if entry is not None:
-            new_entries = link["party"].cache_entries()
-            old = entry.entries
-            adds = {
-                v: e for v, e in new_entries.items() if old.get(v) != e
-            }
-            dels = [v for v in old if v not in new_entries]
-            link["entry"] = self.cache.append_delta(
-                entry, new_digest, adds, dels
-            )
-        link["snapshot"] = ctx["snapshot"]
-        link["digest"] = new_digest
 
 
 def open_catalog(
@@ -766,31 +739,21 @@ class Peer:
         recv_cat, send_cat = self._catalog, self._remote
         params = recv_cat._ensure_params()
         kind = self._resolve_kind(spec, mode, "receiver")
-        if kind == "full":
-            receiver, r_ctx = recv_cat._full_machine(spec, "receiver", params)
-            sender, s_ctx = send_cat._full_machine(spec, "sender", params)
-            _exchange_local(spec, receiver, sender, chunk_size)
-            answer = receiver.finish()
-            recv_cat._commit_full(spec, "receiver", receiver.state, r_ctx, params)
-            send_cat._commit_full(spec, "sender", sender.state, s_ctx, params)
-            hit = r_ctx["hit"] or s_ctx["hit"]
-        else:
-            dspec = _delta_spec(spec)
-            receiver, r_ctx = recv_cat._delta_machine(
-                dspec, spec, "receiver", params
-            )
-            sender, s_ctx = send_cat._delta_machine(
-                dspec, spec, "sender", params
-            )
-            _exchange_local(dspec, receiver, sender, chunk_size)
-            answer = receiver.finish()
-            recv_cat._commit_delta(spec, "receiver", receiver.state, r_ctx)
-            send_cat._commit_delta(spec, "sender", sender.state, s_ctx)
-            hit = False
+        wire_spec, make_r, commit_r = recv_cat._plan(spec, "receiver", kind)
+        _, make_s, commit_s = send_cat._plan(spec, "sender", kind)
+        receiver = ReceiverMachine.from_factory(
+            wire_spec, lambda: make_r(params), recv_cat.recorder
+        )
+        sender = SenderMachine.from_factory(
+            wire_spec, lambda: make_s(params), send_cat.recorder
+        )
+        _exchange_local(wire_spec, receiver, sender, chunk_size)
+        answer = receiver.finish()
+        hit_r, hit_s = commit_r(receiver.state), commit_s(sender.state)
         return QueryResult(
             answer=answer,
             mode=kind,
-            cache_hit=hit,
+            cache_hit=hit_r or hit_s,
             size_v_r=getattr(sender.state, "size_v_r", None),
             size_v_s=getattr(receiver.state, "size_v_s", None),
         )
@@ -817,14 +780,10 @@ class Peer:
             params = cat._adopt_params(
                 PublicParams.from_wire(tuple(payload))
             )
-            if kind == "full":
-                machine, ctx = cat._full_machine(spec, "receiver", params)
-                wire_spec = spec
-            else:
-                wire_spec = _delta_spec(spec)
-                machine, ctx = cat._delta_machine(
-                    wire_spec, spec, "receiver", params
-                )
+            wire_spec, make_state, commit = cat._plan(spec, "receiver", kind)
+            machine = ReceiverMachine.from_factory(
+                wire_spec, lambda: make_state(params), cat.recorder
+            )
             machine.ensure_state()
             tcp.run_rounds(
                 endpoint, machine, wire_spec, sends="R",
@@ -833,14 +792,11 @@ class Peer:
             answer = machine.finish()
         finally:
             endpoint.close()
-        if kind == "full":
-            cat._commit_full(spec, "receiver", machine.state, ctx, params)
-        else:
-            cat._commit_delta(spec, "receiver", machine.state, ctx)
+        hit = commit(machine.state)
         return QueryResult(
             answer=answer,
             mode=kind,
-            cache_hit=bool(ctx.get("hit")),
+            cache_hit=hit,
             size_v_s=getattr(machine.state, "size_v_s", None),
         )
 
@@ -852,61 +808,26 @@ class Peer:
         cat = self._catalog
         opts = self._session
         kind = self._resolve_kind(spec, mode, "receiver")
+        wire_spec, make_state, commit = cat._plan(spec, "receiver", kind)
         built: dict[str, Any] = {}
-        snapshot = cat._snapshot()
-        if kind == "full":
-            wire_name = spec.name
 
-            def make_receiver(wire: Any) -> Any:
-                params = cat._adopt_params(
-                    PublicParams.from_wire(tuple(wire))
-                )
-                cached, entry, digest = cat._cached_for(
-                    spec, "receiver", params, snapshot
-                )
-                extra = {"cached": cached} if cached is not None else {}
-                state = spec.make_receiver(
-                    snapshot, params, cat.rng, engine=cat.engine, **extra
-                )
-                built.update(
-                    state=state, params=params,
-                    ctx={"digest": digest, "entry": entry,
-                         "hit": cached is not None, "snapshot": snapshot},
-                )
-                return state
-        else:
-            dspec = _delta_spec(spec)
-            wire_name = dspec.name
-            exchange = cat._delta_exchange(spec, "receiver", snapshot)
-            params = cat._ensure_params()
-
-            def make_receiver(wire: Any) -> Any:
+        def make_receiver(wire: Any) -> Any:
+            built["state"] = make_state(
                 cat._adopt_params(PublicParams.from_wire(tuple(wire)))
-                state = dspec.make_receiver(
-                    exchange, params, cat.rng, engine=cat.engine
-                )
-                built.update(
-                    state=state, params=params,
-                    ctx={"snapshot": snapshot},
-                )
-                return state
+            )
+            return built["state"]
 
         answer, stats = tcp.connect_resumable_receiver(
-            wire_name, None, cat.rng, self._host, self._port,
+            wire_spec.name, None, cat.rng, self._host, self._port,
             config=opts.config, engine=cat.engine, recorder=cat.recorder,
             journal_dir=opts.journal_dir, journal_fsync=opts.journal_fsync,
             chunk_size=chunk_size, make_receiver=make_receiver,
         )
-        if kind == "full":
-            cat._commit_full(
-                spec, "receiver", built["state"], built["ctx"], built["params"]
-            )
-        else:
-            cat._commit_delta(spec, "receiver", built["state"], built["ctx"])
+        hit = commit(built["state"])
         return QueryResult(
             answer=answer,
             mode=kind,
-            cache_hit=bool(built["ctx"].get("hit")),
+            cache_hit=hit,
             size_v_s=getattr(built["state"], "size_v_s", None),
             stats=stats,
         )
@@ -972,14 +893,10 @@ class Peer:
             else:
                 kind = "full" if mode == "auto" else mode
             endpoint.send(("params", params.to_wire()))
-            if kind == "full":
-                machine, ctx = cat._full_machine(spec, "sender", params)
-                wire_spec = spec
-            else:
-                wire_spec = _delta_spec(spec)
-                machine, ctx = cat._delta_machine(
-                    wire_spec, spec, "sender", params
-                )
+            wire_spec, make_state, commit = cat._plan(spec, "sender", kind)
+            machine = SenderMachine.from_factory(
+                wire_spec, lambda: make_state(params), cat.recorder
+            )
             machine.ensure_state()
             tcp.run_rounds(
                 endpoint, machine, wire_spec, sends="S",
@@ -987,14 +904,11 @@ class Peer:
             )
         finally:
             endpoint.close()
-        if kind == "full":
-            cat._commit_full(spec, "sender", machine.state, ctx, params)
-        else:
-            cat._commit_delta(spec, "sender", machine.state, ctx)
+        hit = commit(machine.state)
         return QueryResult(
             answer=None,
             mode=kind,
-            cache_hit=bool(ctx.get("hit")),
+            cache_hit=hit,
             size_v_r=getattr(machine.state, "size_v_r", None),
         )
 
@@ -1007,37 +921,12 @@ class Peer:
         opts = self._session
         params = cat._ensure_params()
         kind = self._resolve_kind(spec, mode, "sender")
+        wire_spec, make_state, commit = cat._plan(spec, "sender", kind)
         built: dict[str, Any] = {}
-        snapshot = cat._snapshot()
-        if kind == "full":
-            wire_name = spec.name
-            cached, entry, digest = cat._cached_for(
-                spec, "sender", params, snapshot
-            )
-            ctx = {
-                "digest": digest, "entry": entry,
-                "hit": cached is not None, "snapshot": snapshot,
-            }
-            extra = {"cached": cached} if cached is not None else {}
 
-            def make_sender() -> Any:
-                state = spec.make_sender(
-                    snapshot, params, cat.rng, engine=cat.engine, **extra
-                )
-                built["state"] = state
-                return state
-        else:
-            dspec = _delta_spec(spec)
-            wire_name = dspec.name
-            ctx = {"snapshot": snapshot}
-            exchange = cat._delta_exchange(spec, "sender", snapshot)
-
-            def make_sender() -> Any:
-                state = dspec.make_sender(
-                    exchange, params, cat.rng, engine=cat.engine
-                )
-                built["state"] = state
-                return state
+        def make_sender() -> Any:
+            built["state"] = make_state(params)
+            return built["state"]
 
         def _capture(actual_port: int) -> None:
             self._port = actual_port
@@ -1045,20 +934,17 @@ class Peer:
                 self._ready_callback(actual_port)
 
         size_v_r, stats = tcp.serve_resumable_sender(
-            wire_name, None, params, cat.rng,
+            wire_spec.name, None, params, cat.rng,
             host=self._host, port=self._port, ready_callback=_capture,
             config=opts.config, engine=cat.engine, recorder=cat.recorder,
             journal_dir=opts.journal_dir, journal_fsync=opts.journal_fsync,
             chunk_size=chunk_size, make_sender=make_sender,
         )
-        if kind == "full":
-            cat._commit_full(spec, "sender", built["state"], ctx, params)
-        else:
-            cat._commit_delta(spec, "sender", built["state"], ctx)
+        hit = commit(built["state"])
         return QueryResult(
             answer=None,
             mode=kind,
-            cache_hit=bool(ctx.get("hit")),
+            cache_hit=hit,
             size_v_r=size_v_r,
             stats=stats,
         )

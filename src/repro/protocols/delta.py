@@ -1,76 +1,46 @@
-"""Incremental (delta) protocol schedules over committed full runs.
+"""Incremental (delta) sessions over committed full runs.
 
-A full protocol run is linear in |V| per query: both parties re-hash
-and re-encrypt their entire catalogs.  This module closes that gap for
-*series* of queries over slowly-changing tables: after one full run,
-each party keeps the per-value crypto state the run produced (the
-stashes on the :mod:`repro.protocols.parties` classes), and subsequent
-queries exchange only the *delta* — newly inserted values encrypted,
-removed values tombstoned by their old ciphertexts — spliced into the
-cached transcript.  All modexp work per delta query is O(|delta|);
-only cheap set/counter bookkeeping touches the full catalogs.
+A full protocol run is linear in |V| per query: both parties hash and
+encrypt their entire catalogs.  For *series* of queries over
+slowly-changing tables each party instead keeps the per-value crypto
+state a run produced - the declared fields of the
+:mod:`repro.protocols.parties` classes - and subsequent queries
+exchange only the *delta*: newly inserted values encrypted, removed
+values tombstoned by their old ciphertexts.  All modexp work per delta
+query is O(|delta|); only cheap set/counter bookkeeping touches the
+full catalogs.
 
-The deltas are ordinary registered :class:`~repro.protocols.spec.ProtocolSpec`
-entries (``"<name>+delta"``, marked with ``delta_of``), interpreted by
-the same generic machines — so every transport (in-memory, plain TCP,
-resumable sessions with journal recovery, the chaos harness) runs them
-with zero transport changes.
+There is no delta arithmetic here.  The party steps are written once
+over ``(added, removed)`` - a full run is the delta that adds the whole
+table to an empty state - so this module only *drives* them: a
+:class:`DeltaExchange` names the committed party and the staged churn,
+a :class:`DeltaParty` normalises the churn and runs the steps on a fork
+of the party, and three round steps map the
+``"<name>+delta"`` schedules (registered in
+:mod:`repro.protocols.spec`, marked with ``delta_of``) onto them.  The
+schedules are ordinary :class:`~repro.protocols.spec.ProtocolSpec`
+entries interpreted by the same generic machines, so every transport
+(in-memory, plain TCP, resumable sessions with journal recovery, the
+chaos harness) runs them with zero transport changes.
 
-Wrapper states are built from a :class:`DeltaExchange` (the ``data``
-argument of the spec factories) naming the committed base state and
-the staged inserts/deletes.  A wrapper never mutates the base state
-while the session runs; only an explicit :meth:`commit` — issued by
-the catalog layer after the session completed — folds the overlay into
-the base.  That keeps the factories idempotent, which the journal
-replay and chaos-recovery paths rely on: rebuilding a machine from the
-same exchange reproduces byte-identical rounds (for the deterministic
-protocols; ``equijoin-sum`` draws Paillier/mask randomness per query
-and is therefore not journal-replay-safe — see ``docs/PROTOCOLS.md``).
+The committed party is never touched while the session runs; only an
+explicit :meth:`DeltaParty.commit` - issued by the catalog layer after
+the session completed - folds the fork back.  That keeps the factories
+idempotent, which the journal replay and chaos-recovery paths rely on:
+rebuilding a machine from the same exchange reproduces byte-identical
+rounds (for the deterministic protocols; ``equijoin-sum`` draws
+Paillier/mask randomness per query and is therefore not
+journal-replay-safe - see ``docs/PROTOCOLS.md``).
 """
 
 from __future__ import annotations
 
-import random
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Mapping
 
-from ..crypto.hashing import find_collisions
-from .base import HashCollisionError, sorted_ciphertexts
-from .messages import (
-    BlindedSum,
-    DeltaAnnounce,
-    EquijoinDeltaPatch,
-    IntersectionDeltaPatch,
-    RevealedSum,
-    SizeDeltaPatch,
-    SumDeltaPatch,
-)
-from .spec import (
-    ProtocolSpec,
-    RoundSpec,
-    _finish_m2,
-    _finish_m4,
-    _receiver_round1,
-    _receiver_round2,
-    _sender_round1,
-    _sender_round2,
-    register,
-)
+from .messages import Message
 
-__all__ = [
-    "DeltaExchange",
-    "IntersectionDeltaReceiver",
-    "IntersectionDeltaSender",
-    "IntersectionSizeDeltaReceiver",
-    "IntersectionSizeDeltaSender",
-    "EquijoinDeltaReceiver",
-    "EquijoinDeltaSender",
-    "EquijoinSizeDeltaReceiver",
-    "EquijoinSizeDeltaSender",
-    "EquijoinSumDeltaReceiver",
-    "EquijoinSumDeltaSender",
-]
+__all__ = ["DeltaExchange", "DeltaParty"]
 
 
 @dataclass
@@ -105,795 +75,64 @@ class DeltaExchange:
         return self.state
 
 
-def _require_full_run(base: Any, *attrs: str) -> None:
-    """Fail fast when the base state never completed a full query."""
-    for attr in attrs:
-        if not hasattr(base, attr):
+class DeltaParty:
+    """Either party of a delta session: the exchange's churn,
+    normalised against the committed party's table (``added`` /
+    ``removed``), staged on a fork of that party (``party``).
+
+    This is the ``make_receiver`` / ``make_sender`` of every delta
+    schedule.  The committed party brings its own rng and cipher, so
+    of the factory arguments only ``params`` matters - it must be what
+    the party was built with.  Anything else asked of this object
+    (``size_v_r``, ``round2``, ``finish``...) is the fork's.
+    """
+
+    def __init__(
+        self,
+        exchange: DeltaExchange,
+        params: Any,
+        rng: Any = None,
+        engine: Any = None,
+        crypto: Any = None,
+    ):
+        self.exchange = exchange
+        self.base = base = exchange.resolve()
+        if base.size_v_r is None and base.size_v_s is None:
             raise ValueError(
                 "delta query requires a committed full run first "
-                f"(base state is missing {attr!r})"
+                "(the base party has not completed a query)"
             )
-
-
-def _delta_hashes(base: Any, values: list, removed: Any = ()) -> list[int]:
-    """Hash newly inserted values, collision-checked against the
-    committed set (the paper's sorted-hash check over the union).
-    Values tombstoned in the same delta are excluded from the
-    committed side, so a replace doesn't collide with itself."""
-    new_hashes = base.hash.hash_set(values)
-    kept = [
-        h for v, h in base._hash_by_value.items() if v not in removed
-    ]
-    if find_collisions(kept + new_hashes):
-        raise HashCollisionError(
-            "hash collision between inserted and committed values"
-        )
-    return new_hashes
-
-
-class _DeltaParty:
-    """Shared wrapper plumbing for the set-based protocols.
-
-    Splits the staged deltas against the committed value set: deleting
-    an absent value and re-inserting a present one (with no payload)
-    are dropped as no-ops; inserting a present value *with* a payload
-    is a replace (tombstone + insert).  The normalized ``added`` /
-    ``removed`` lists are sorted by ``repr`` like party value lists.
-    """
-
-    def __init__(
-        self,
-        exchange: DeltaExchange,
-        params: Any,
-        rng: random.Random,
-        engine: Any = None,
-        crypto: Any = None,
-    ):
-        self.exchange = exchange
-        self.base = exchange.resolve()
-        self.rng = rng
-        base_values = set(self.base.values)
-        removed = {v for v in exchange.deletes if v in base_values}
-        payloads: dict[Hashable, Any] = {}
-        for v, payload in exchange.inserts:
-            if v in base_values and v not in removed:
-                if payload is None:
-                    continue  # membership unchanged: no-op
-                removed.add(v)  # replace: tombstone the old entry first
-            payloads[v] = payload
-        self.added = sorted(payloads, key=repr)
-        self.removed = sorted(removed, key=repr)
-        self.payloads = payloads
-
-    def _announce(self) -> DeltaAnnounce:
-        """Encrypt the inserted values, tombstone the removed ones."""
-        base = self.base
-        self._new_hashes = _delta_hashes(base, self.added, set(self.removed))
-        new_ys = base.cipher.encrypt_many(base._key, self._new_hashes)
-        self._new_y_by_value = dict(zip(self.added, new_ys))
-        removed_ys = [base._y_by_value[v] for v in self.removed]
-        return DeltaAnnounce(
-            added=sorted_ciphertexts(new_ys),
-            removed=sorted_ciphertexts(removed_ys),
-        )
-
-    def _commit_values(self) -> None:
-        """Fold the value/ciphertext overlay into the base state."""
-        base = self.base
-        for v in self.removed:
-            base._y_by_value.pop(v, None)
-            base._hash_by_value.pop(v, None)
-        base._y_by_value.update(self._new_y_by_value)
-        base._hash_by_value.update(zip(self.added, self._new_hashes))
-        base.values = sorted(base._y_by_value, key=repr)
-        base._hashes = [base._hash_by_value[v] for v in base.values]
-        if getattr(base, "_cached_y", None) is not None:
-            base._cached_y = [base._y_by_value[v] for v in base.values]
-
-
-# ----------------------------------------------------------------------
-# Intersection (Section 3.3)
-# ----------------------------------------------------------------------
-class IntersectionDeltaReceiver(_DeltaParty):
-    """Party R of the incremental intersection."""
-
-    def __init__(self, exchange, params, rng, engine=None, crypto=None):
-        super().__init__(exchange, params, rng, engine, crypto)
-        _require_full_run(self.base, "_y_by_value", "_z_s", "_double_by_value")
-
-    def round1(self) -> DeltaAnnounce:
-        """Delta step 1: announce inserted/tombstoned ciphertexts."""
-        return self._announce()
-
-    def finish(self, patch: IntersectionDeltaPatch) -> set[Hashable]:
-        """Delta steps 3-4: patch ``Z_S`` and the double-encryption map,
-        then recompute the intersection (set ops only, no modexp)."""
-        patch = IntersectionDeltaPatch.coerce(patch)
-        base = self.base
-        z_add = base.cipher.encrypt_many(base._key, list(patch.y_s_added))
-        z_del = base.cipher.encrypt_many(base._key, list(patch.y_s_removed))
-        self._z_s = (base._z_s | set(z_add)) - set(z_del)
-        y_to_value = {y: v for v, y in self._new_y_by_value.items()}
-        doubles = dict(base._double_by_value)
-        for v in self.removed:
-            doubles.pop(v, None)
-        for y, double in patch.pairs_added:
-            v = y_to_value.get(y)
-            if v is not None:
-                doubles[v] = double
-        self._double_by_value = doubles
-        self.size_v_s = (
-            base.size_v_s + len(patch.y_s_added) - len(patch.y_s_removed)
-        )
-        return {v for v, double in doubles.items() if double in self._z_s}
-
-    def commit(self) -> None:
-        """Fold the completed delta into the base state."""
-        self._commit_values()
-        base = self.base
-        base._z_s = self._z_s
-        base._double_by_value = self._double_by_value
-        base.size_v_s = self.size_v_s
-
-
-class IntersectionDeltaSender(_DeltaParty):
-    """Party S of the incremental intersection."""
-
-    def __init__(self, exchange, params, rng, engine=None, crypto=None):
-        super().__init__(exchange, params, rng, engine, crypto)
-        _require_full_run(self.base, "_y_by_value", "size_v_r")
-
-    def round1(self, announce: DeltaAnnounce) -> IntersectionDeltaPatch:
-        """Delta step 2: own churn plus pairs for R's announced inserts."""
-        announce = DeltaAnnounce.coerce(announce)
-        base = self.base
-        self._new_hashes = _delta_hashes(base, self.added, set(self.removed))
-        new_ys = base.cipher.encrypt_many(base._key, self._new_hashes)
-        self._new_y_by_value = dict(zip(self.added, new_ys))
-        removed_ys = [base._y_by_value[v] for v in self.removed]
-        announced = list(announce.added)
-        pairs_added = list(
-            zip(announced, base.cipher.encrypt_many(base._key, announced))
-        )
-        self.size_v_r = (
-            base.size_v_r + len(announce.added) - len(announce.removed)
-        )
-        return IntersectionDeltaPatch(
-            y_s_added=sorted_ciphertexts(new_ys),
-            y_s_removed=sorted_ciphertexts(removed_ys),
-            pairs_added=pairs_added,
-        )
-
-    def commit(self) -> None:
-        """Fold the completed delta into the base state."""
-        self._commit_values()
-        self.base.size_v_r = self.size_v_r
-
-
-# ----------------------------------------------------------------------
-# Intersection size (Section 5.1)
-# ----------------------------------------------------------------------
-class IntersectionSizeDeltaReceiver(_DeltaParty):
-    """Party R of the incremental intersection-size."""
-
-    def __init__(self, exchange, params, rng, engine=None, crypto=None):
-        super().__init__(exchange, params, rng, engine, crypto)
-        _require_full_run(self.base, "_y_by_value", "_z_s", "_z_r")
-
-    def round1(self) -> DeltaAnnounce:
-        """Delta step 1: announce inserted/tombstoned ciphertexts."""
-        return self._announce()
-
-    def finish(self, patch: SizeDeltaPatch) -> int:
-        """Delta steps 3-4: patch both double-encrypted sets, count."""
-        patch = SizeDeltaPatch.coerce(patch)
-        base = self.base
-        z_add = base.cipher.encrypt_many(base._key, list(patch.y_s_added))
-        z_del = base.cipher.encrypt_many(base._key, list(patch.y_s_removed))
-        self._z_s = (base._z_s | set(z_add)) - set(z_del)
-        self._z_r = (base._z_r | set(patch.z_added)) - set(patch.z_removed)
-        self.size_v_s = (
-            base.size_v_s + len(patch.y_s_added) - len(patch.y_s_removed)
-        )
-        return len(self._z_s & self._z_r)
-
-    def commit(self) -> None:
-        """Fold the completed delta into the base state."""
-        self._commit_values()
-        base = self.base
-        base._z_s = self._z_s
-        base._z_r = self._z_r
-        base.size_v_s = self.size_v_s
-
-
-class IntersectionSizeDeltaSender(_DeltaParty):
-    """Party S of the incremental intersection-size."""
-
-    def __init__(self, exchange, params, rng, engine=None, crypto=None):
-        super().__init__(exchange, params, rng, engine, crypto)
-        _require_full_run(self.base, "_y_by_value", "size_v_r")
-
-    def round1(self, announce: DeltaAnnounce) -> SizeDeltaPatch:
-        """Delta step 2: own churn plus doubles of R's announced churn."""
-        announce = DeltaAnnounce.coerce(announce)
-        base = self.base
-        self._new_hashes = _delta_hashes(base, self.added, set(self.removed))
-        new_ys = base.cipher.encrypt_many(base._key, self._new_hashes)
-        self._new_y_by_value = dict(zip(self.added, new_ys))
-        removed_ys = [base._y_by_value[v] for v in self.removed]
-        z_added = base.cipher.encrypt_many(base._key, list(announce.added))
-        z_removed = base.cipher.encrypt_many(base._key, list(announce.removed))
-        self.size_v_r = (
-            base.size_v_r + len(announce.added) - len(announce.removed)
-        )
-        return SizeDeltaPatch(
-            y_s_added=sorted_ciphertexts(new_ys),
-            y_s_removed=sorted_ciphertexts(removed_ys),
-            z_added=sorted_ciphertexts(z_added),
-            z_removed=sorted_ciphertexts(z_removed),
-        )
-
-    def commit(self) -> None:
-        """Fold the completed delta into the base state."""
-        self._commit_values()
-        self.base.size_v_r = self.size_v_r
-
-
-# ----------------------------------------------------------------------
-# Equijoin (Section 4.3)
-# ----------------------------------------------------------------------
-class EquijoinDeltaReceiver(_DeltaParty):
-    """Party R of the incremental equijoin."""
-
-    def __init__(self, exchange, params, rng, engine=None, crypto=None):
-        super().__init__(exchange, params, rng, engine, crypto)
-        _require_full_run(
-            self.base, "_y_by_value", "_by_codeword", "_pairs_by_codeword"
-        )
-
-    def round1(self) -> DeltaAnnounce:
-        """Delta step 1: announce inserted/tombstoned ciphertexts."""
-        return self._announce()
-
-    def finish(self, patch: EquijoinDeltaPatch) -> dict[Hashable, bytes]:
-        """Delta steps 3-4: strip own layer off the new triples, patch
-        both codeword maps, re-match and decrypt (O(delta) modexp)."""
-        patch = EquijoinDeltaPatch.coerce(patch)
-        base = self.base
-        ext_cipher = base.crypto.ext()
-        inverse = base.cipher.invert_key(base._key)
-        y_to_value = {y: v for v, y in self._new_y_by_value.items()}
-        mine = [
-            (y_to_value[y], second, third)
-            for y, second, third in patch.triples_added
-            if y in y_to_value
-        ]
-        codewords = base.cipher.encrypt_many(inverse, [t[1] for t in mine])
-        kappas = base.cipher.encrypt_many(inverse, [t[2] for t in mine])
-        by_codeword = dict(base._by_codeword)
-        codeword_by_value = dict(base._codeword_by_value)
-        for v in self.removed:
-            codeword = codeword_by_value.pop(v, None)
-            if codeword is not None:
-                by_codeword.pop(codeword, None)
-        for (v, _, _), codeword, kappa in zip(mine, codewords, kappas):
-            by_codeword[codeword] = (v, kappa)
-            codeword_by_value[v] = codeword
-        pairs = dict(base._pairs_by_codeword)
-        for codeword in patch.pairs_removed:
-            pairs.pop(codeword, None)
-        for codeword, ciphertext in patch.pairs_added:
-            pairs[codeword] = list(ciphertext)
-        matches = {}
-        for codeword, ciphertext in pairs.items():
-            hit = by_codeword.get(codeword)
-            if hit is None:
-                continue
-            v, kappa = hit
-            matches[v] = ext_cipher.decrypt(kappa, list(ciphertext))
-        self._by_codeword = by_codeword
-        self._codeword_by_value = codeword_by_value
-        self._pairs_by_codeword = pairs
-        self.size_v_s = len(pairs)
-        return matches
-
-    def commit(self) -> None:
-        """Fold the completed delta into the base state."""
-        self._commit_values()
-        base = self.base
-        base._by_codeword = self._by_codeword
-        base._codeword_by_value = self._codeword_by_value
-        base._pairs_by_codeword = self._pairs_by_codeword
-        base.size_v_s = self.size_v_s
-
-
-class EquijoinDeltaSender(_DeltaParty):
-    """Party S of the incremental equijoin (two keys + ext payloads)."""
-
-    def __init__(self, exchange, params, rng, engine=None, crypto=None):
-        super().__init__(exchange, params, rng, engine, crypto)
-        _require_full_run(
-            self.base, "_codeword_by_value", "_kappa_by_value", "size_v_r"
-        )
-        missing = [v for v in self.added if self.payloads[v] is None]
-        if missing:
+        if params != base.params:
             raise ValueError(
-                f"equijoin inserts need an ext payload ({len(missing)} missing)"
+                "delta query under other public params than the committed run"
             )
+        self.added, self.removed = base.churn(exchange.inserts, exchange.deletes)
+        self.party = base.fork()
 
-    def round1(self, announce: DeltaAnnounce) -> EquijoinDeltaPatch:
-        """Delta step 2: triples for R's inserts, pair churn for own."""
-        announce = DeltaAnnounce.coerce(announce)
-        base = self.base
-        announced = list(announce.added)
-        triples_added = list(
-            zip(
-                announced,
-                base.cipher.encrypt_many(base._key, announced),
-                base.cipher.encrypt_many(base._key_prime, announced),
-            )
-        )
-        self._new_hashes = _delta_hashes(base, self.added, set(self.removed))
-        codewords = base.cipher.encrypt_many(base._key, self._new_hashes)
-        kappas = base.cipher.encrypt_many(base._key_prime, self._new_hashes)
-        self._new_codewords = dict(zip(self.added, codewords))
-        self._new_kappas = dict(zip(self.added, kappas))
-        pairs_added = sorted(
-            (
-                codeword,
-                base._ext_cipher.encrypt(kappa, bytes(self.payloads[v])),
-            )
-            for v, codeword, kappa in zip(self.added, codewords, kappas)
-        )
-        pairs_removed = sorted_ciphertexts(
-            [base._codeword_by_value[v] for v in self.removed]
-        )
-        self.size_v_r = (
-            base.size_v_r + len(announce.added) - len(announce.removed)
-        )
-        return EquijoinDeltaPatch(
-            triples_added=triples_added,
-            pairs_added=pairs_added,
-            pairs_removed=pairs_removed,
-        )
+    def __getattr__(self, name: str) -> Any:
+        if name == "party":  # not staged yet: nothing to delegate to
+            raise AttributeError(name)
+        return getattr(self.party, name)
 
     def commit(self) -> None:
-        """Fold the completed delta into the base state."""
-        base = self.base
-        for v in self.removed:
-            base.ext.pop(v, None)
-            base._codeword_by_value.pop(v, None)
-            base._kappa_by_value.pop(v, None)
-            base._hash_by_value.pop(v, None)
-        for v in self.added:
-            base.ext[v] = bytes(self.payloads[v])
-        base._codeword_by_value.update(self._new_codewords)
-        base._kappa_by_value.update(self._new_kappas)
-        base._hash_by_value.update(zip(self.added, self._new_hashes))
-        base.values = sorted(base.ext, key=repr)
-        base._hashes = [base._hash_by_value[v] for v in base.values]
-        if getattr(base, "_cached_cw", None) is not None:
-            base._cached_cw = [base._codeword_by_value[v] for v in base.values]
-            base._cached_kp = [base._kappa_by_value[v] for v in base.values]
-        base.size_v_r = self.size_v_r
+        """Fold the completed delta into the committed party."""
+        self.base.adopt(self.party)
 
 
-# ----------------------------------------------------------------------
-# Equijoin size over multisets (Section 5.2)
-# ----------------------------------------------------------------------
-class _MultisetDelta:
-    """Shared wrapper plumbing for the occurrence-counted protocols."""
-
-    def __init__(
-        self,
-        exchange: DeltaExchange,
-        params: Any,
-        rng: random.Random,
-        engine: Any = None,
-        crypto: Any = None,
-    ):
-        self.exchange = exchange
-        self.base = exchange.resolve()
-        self.rng = rng
-        _require_full_run(self.base, "multiset", "_y_by_value")
-        base = self.base
-        self.ins_counts = Counter(v for v, _ in exchange.inserts)
-        self.del_counts = Counter(exchange.deletes)
-        for v, n in self.del_counts.items():
-            have = base.multiset.multiplicity(v) + self.ins_counts.get(v, 0)
-            if n > have:
-                raise ValueError(
-                    f"cannot delete {n} occurrences of {v!r} "
-                    f"(only {have} present)"
-                )
-        self.new_values = sorted(
-            (v for v in self.ins_counts if v not in base._y_by_value),
-            key=repr,
-        )
-
-    def _expand(self, counts: Counter, y_map: dict) -> list:
-        """One ciphertext per occurrence, in sorted-value order."""
-        return [
-            y_map[v]
-            for v in sorted(counts, key=repr)
-            for _ in range(counts[v])
-        ]
-
-    def _announce(self) -> DeltaAnnounce:
-        base = self.base
-        self._new_hashes = _delta_hashes(base, self.new_values)
-        new_ys = base.cipher.encrypt_many(base._key, self._new_hashes)
-        self._new_y_by_value = dict(zip(self.new_values, new_ys))
-        y_map = {**base._y_by_value, **self._new_y_by_value}
-        return DeltaAnnounce(
-            added=sorted_ciphertexts(self._expand(self.ins_counts, y_map)),
-            removed=sorted_ciphertexts(self._expand(self.del_counts, y_map)),
-        )
-
-    def _commit_multiset(self) -> None:
-        """Fold the occurrence churn into the base multiset state."""
-        from ..db.multiset import ValueMultiset
-
-        base = self.base
-        counts = Counter(base.multiset.counts)
-        counts.update(self.ins_counts)
-        counts.subtract(self.del_counts)
-        counts = Counter({v: n for v, n in counts.items() if n > 0})
-        base.multiset = ValueMultiset(counts)
-        base._y_by_value.update(self._new_y_by_value)
-        base._hash_by_value.update(zip(self.new_values, self._new_hashes))
-        for v in list(base._y_by_value):
-            if v not in counts:
-                base._y_by_value.pop(v)
-                base._hash_by_value.pop(v, None)
-        base.values = sorted(counts, key=repr)
-        base._hashes = [base._hash_by_value[v] for v in base.values]
-        base._y_multiset = [
-            base._y_by_value[v] for v in base.values for _ in range(counts[v])
-        ]
+def announce(state: DeltaParty, inbox: Mapping[str, Message]) -> tuple:
+    """Delta ``m1``: R's inserted and tombstoned ciphertexts."""
+    return state.party.own(state.added, state.removed)
 
 
-class EquijoinSizeDeltaReceiver(_MultisetDelta):
-    """Party R of the incremental equijoin-size."""
-
-    def __init__(self, exchange, params, rng, engine=None, crypto=None):
-        super().__init__(exchange, params, rng, engine, crypto)
-        _require_full_run(self.base, "_z_s_counts", "_z_r_counts")
-
-    def round1(self) -> DeltaAnnounce:
-        """Delta step 1: announce inserted/removed occurrences."""
-        return self._announce()
-
-    def finish(self, patch: SizeDeltaPatch) -> int:
-        """Delta steps 3-4: patch both occurrence counters, then the
-        answer is the usual sum of multiplicity products."""
-        patch = SizeDeltaPatch.coerce(patch)
-        base = self.base
-        z_s_counts = Counter(base._z_s_counts)
-        for z in base.cipher.encrypt_many(base._key, list(patch.y_s_added)):
-            z_s_counts[z] += 1
-        for z in base.cipher.encrypt_many(base._key, list(patch.y_s_removed)):
-            z_s_counts[z] -= 1
-        z_s_counts = +z_s_counts
-        z_r_counts = Counter(base._z_r_counts)
-        z_r_counts.update(patch.z_added)
-        z_r_counts.subtract(patch.z_removed)
-        z_r_counts = +z_r_counts
-        self._z_s_counts = z_s_counts
-        self._z_r_counts = z_r_counts
-        self.size_v_s = sum(z_s_counts.values())
-        return sum(
-            count * z_r_counts[codeword]
-            for codeword, count in z_s_counts.items()
-            if codeword in z_r_counts
-        )
-
-    def commit(self) -> None:
-        """Fold the completed delta into the base state."""
-        self._commit_multiset()
-        base = self.base
-        base._z_s_counts = self._z_s_counts
-        base._z_r_counts = self._z_r_counts
-        base.size_v_s = self.size_v_s
-
-
-class EquijoinSizeDeltaSender(_MultisetDelta):
-    """Party S of the incremental equijoin-size."""
-
-    def __init__(self, exchange, params, rng, engine=None, crypto=None):
-        super().__init__(exchange, params, rng, engine, crypto)
-        _require_full_run(self.base, "size_v_r")
-
-    def round1(self, announce: DeltaAnnounce) -> SizeDeltaPatch:
-        """Delta step 2: own occurrence churn plus doubles of R's."""
-        announce = DeltaAnnounce.coerce(announce)
-        base = self.base
-        own = self._announce()  # reuse: own added/removed, expanded
-        z_added = base.cipher.encrypt_many(base._key, list(announce.added))
-        z_removed = base.cipher.encrypt_many(base._key, list(announce.removed))
-        self.size_v_r = (
-            base.size_v_r + len(announce.added) - len(announce.removed)
-        )
-        return SizeDeltaPatch(
-            y_s_added=own.added,
-            y_s_removed=own.removed,
-            z_added=sorted_ciphertexts(z_added),
-            z_removed=sorted_ciphertexts(z_removed),
-        )
-
-    def commit(self) -> None:
-        """Fold the completed delta into the base state."""
-        self._commit_multiset()
-        self.base.size_v_r = self.size_v_r
-
-
-# ----------------------------------------------------------------------
-# Equijoin sum (aggregate)
-# ----------------------------------------------------------------------
-class EquijoinSumDeltaReceiver(_DeltaParty):
-    """Party R of the incremental equijoin-sum.
-
-    The blinded-sum round trip runs on every query (R never learns the
-    plaintext amounts, so the answer cannot be maintained locally), but
-    the double-encryption cache keeps the matching O(delta) modexp.
-    Draws mask/rerandomization randomness per query, so this delta is
-    *not* journal-replay-safe.
-    """
-
-    def __init__(self, exchange, params, rng, engine=None, crypto=None):
-        super().__init__(exchange, params, rng, engine, crypto)
-        _require_full_run(
-            self.base, "_y_by_value", "_z_r_set", "_z_by_codeword", "_pk"
-        )
-
-    def round1(self) -> DeltaAnnounce:
-        """Delta step 1: announce inserted/tombstoned ciphertexts."""
-        return self._announce()
-
-    def round2(self, patch: SumDeltaPatch) -> BlindedSum:
-        """Delta step 3: patch ``Z_R`` and the pair map, re-match
-        against the cached doubles, sum and blind."""
-        patch = SumDeltaPatch.coerce(patch)
-        base = self.base
-        pk = base._pk
-        z_r = (base._z_r_set | set(patch.z_added)) - set(patch.z_removed)
-        pairs = dict(base._pairs_by_codeword)
-        for codeword in patch.pairs_removed:
-            pairs.pop(codeword, None)
-        z_by_codeword = dict(base._z_by_codeword)
-        for codeword, ciphertext in patch.pairs_added:
-            pairs[codeword] = ciphertext
-            if codeword not in z_by_codeword:
-                z_by_codeword[codeword] = base.cipher.encrypt(
-                    base._key, codeword
-                )
-        matched = [
-            ciphertext
-            for codeword, ciphertext in pairs.items()
-            if z_by_codeword[codeword] in z_r
-        ]
-        accumulator = pk.encrypt_zero(self.rng)
-        for ciphertext in matched:
-            accumulator = pk.add(accumulator, ciphertext)
-        self._mask = self.rng.randrange(pk.n)
-        self._z_r_set = z_r
-        self._pairs_by_codeword = pairs
-        self._z_by_codeword = z_by_codeword
-        self.match_count = len(matched)
-        self.size_v_s = len(pairs)
-        return BlindedSum(pk.add_plain(accumulator, self._mask, self.rng))
-
-    def finish(self, reply: RevealedSum) -> int:
-        """Delta step 5: remove the mask from the decrypted sum."""
-        reply = RevealedSum.coerce(reply)
-        return (reply.value - self._mask) % self.base._pk.n
-
-    def commit(self) -> None:
-        """Fold the completed delta into the base state."""
-        self._commit_values()
-        base = self.base
-        base._z_r_set = self._z_r_set
-        base._pairs_by_codeword = self._pairs_by_codeword
-        base._z_by_codeword = self._z_by_codeword
-        base.size_v_s = self.size_v_s
-
-
-class EquijoinSumDeltaSender(_DeltaParty):
-    """Party S of the incremental equijoin-sum (Paillier keyholder)."""
-
-    def __init__(self, exchange, params, rng, engine=None, crypto=None):
-        super().__init__(exchange, params, rng, engine, crypto)
-        _require_full_run(self.base, "_codeword_by_value", "size_v_r")
-        bad = [
-            v
-            for v in self.added
-            if self.payloads[v] is None or int(self.payloads[v]) < 0
-        ]
-        if bad:
-            raise ValueError(
-                "equijoin-sum inserts need a non-negative amount "
-                f"({len(bad)} invalid)"
-            )
-
-    def round1(self, announce: DeltaAnnounce) -> SumDeltaPatch:
-        """Delta step 2: doubles of R's churn plus own Paillier churn."""
-        announce = DeltaAnnounce.coerce(announce)
-        base = self.base
-        z_added = base.cipher.encrypt_many(base._key, list(announce.added))
-        z_removed = base.cipher.encrypt_many(base._key, list(announce.removed))
-        self._new_hashes = _delta_hashes(base, self.added, set(self.removed))
-        codewords = base.cipher.encrypt_many(base._key, self._new_hashes)
-        self._new_codewords = dict(zip(self.added, codewords))
-        pairs_added = sorted(
-            (
-                codeword,
-                base._public.encrypt(int(self.payloads[v]), base.rng),
-            )
-            for v, codeword in zip(self.added, codewords)
-        )
-        pairs_removed = sorted_ciphertexts(
-            [base._codeword_by_value[v] for v in self.removed]
-        )
-        self.size_v_r = (
-            base.size_v_r + len(announce.added) - len(announce.removed)
-        )
-        return SumDeltaPatch(
-            z_added=sorted_ciphertexts(z_added),
-            z_removed=sorted_ciphertexts(z_removed),
-            pairs_added=pairs_added,
-            pairs_removed=pairs_removed,
-        )
-
-    def round2(self, blinded: BlindedSum) -> RevealedSum:
-        """Delta step 4: decrypt the blinded accumulator."""
-        blinded = BlindedSum.coerce(blinded)
-        return RevealedSum(self.base._private.decrypt(blinded.ciphertext))
-
-    def commit(self) -> None:
-        """Fold the completed delta into the base state."""
-        base = self.base
-        for v in self.removed:
-            base.amounts.pop(v, None)
-            base._codeword_by_value.pop(v, None)
-            base._hash_by_value.pop(v, None)
-        for v in self.added:
-            base.amounts[v] = int(self.payloads[v])
-        base._codeword_by_value.update(self._new_codewords)
-        base._hash_by_value.update(zip(self.added, self._new_hashes))
-        base.values = sorted(base.amounts, key=repr)
-        base._hashes = [base._hash_by_value[v] for v in base.values]
-        base.size_v_r = self.size_v_r
-
-
-# ----------------------------------------------------------------------
-# Registered delta schedules
-#
-# Round names reuse the base protocols' "m1".."m4" so the generic step
-# helpers, the recorder phase names and the session/journal machinery
-# apply unchanged; the part labels carry a "d" prefix so transcripts
-# are unambiguous. Delta payloads are O(|delta|), so no round opts
-# into chunking.
-# ----------------------------------------------------------------------
-INTERSECTION_DELTA = register(
-    ProtocolSpec(
-        name="intersection+delta",
-        run_label="intersection_delta",
-        rounds=(
-            RoundSpec(
-                "m1", "R", DeltaAnnounce, _receiver_round1,
-                ("d1a:added", "d1b:removed"),
-            ),
-            RoundSpec(
-                "m2", "S", IntersectionDeltaPatch, _sender_round1,
-                ("d2a:Y_S+", "d2b:Y_S-", "d2c:pairs+"),
-            ),
-        ),
-        make_receiver=IntersectionDeltaReceiver,
-        make_sender=IntersectionDeltaSender,
-        finish=_finish_m2,
-        sender_input="values",
-        answer_kind="set",
-        doc="incremental intersection over staged inserts/deletes",
-        delta_of="intersection",
+def patch(state: DeltaParty, inbox: Mapping[str, Message]) -> tuple:
+    """Delta ``m2``: S's own churn plus its answer to R's."""
+    theirs = inbox["m1"]
+    return state.party.reply(
+        theirs.added, theirs.removed, state.added, state.removed
     )
-)
 
-INTERSECTION_SIZE_DELTA = register(
-    ProtocolSpec(
-        name="intersection-size+delta",
-        run_label="intersection_size_delta",
-        rounds=(
-            RoundSpec(
-                "m1", "R", DeltaAnnounce, _receiver_round1,
-                ("d1a:added", "d1b:removed"),
-            ),
-            RoundSpec(
-                "m2", "S", SizeDeltaPatch, _sender_round1,
-                ("d2a:Y_S+", "d2b:Y_S-", "d2c:Z_R+", "d2d:Z_R-"),
-            ),
-        ),
-        make_receiver=IntersectionSizeDeltaReceiver,
-        make_sender=IntersectionSizeDeltaSender,
-        finish=_finish_m2,
-        sender_input="values",
-        answer_kind="number",
-        doc="incremental intersection size over staged inserts/deletes",
-        delta_of="intersection-size",
-    )
-)
 
-EQUIJOIN_DELTA = register(
-    ProtocolSpec(
-        name="equijoin+delta",
-        run_label="equijoin_delta",
-        rounds=(
-            RoundSpec(
-                "m1", "R", DeltaAnnounce, _receiver_round1,
-                ("d1a:added", "d1b:removed"),
-            ),
-            RoundSpec(
-                "m2", "S", EquijoinDeltaPatch, _sender_round1,
-                ("d2a:triples+", "d2b:pairs+", "d2c:pairs-"),
-            ),
-        ),
-        make_receiver=EquijoinDeltaReceiver,
-        make_sender=EquijoinDeltaSender,
-        finish=_finish_m2,
-        sender_input="ext",
-        answer_kind="ext-map",
-        doc="incremental equijoin over staged inserts/deletes",
-        delta_of="equijoin",
-    )
-)
-
-EQUIJOIN_SIZE_DELTA = register(
-    ProtocolSpec(
-        name="equijoin-size+delta",
-        run_label="equijoin_size_delta",
-        rounds=(
-            RoundSpec(
-                "m1", "R", DeltaAnnounce, _receiver_round1,
-                ("d1a:added", "d1b:removed"),
-            ),
-            RoundSpec(
-                "m2", "S", SizeDeltaPatch, _sender_round1,
-                ("d2a:Y_S+", "d2b:Y_S-", "d2c:Z_R+", "d2d:Z_R-"),
-            ),
-        ),
-        make_receiver=EquijoinSizeDeltaReceiver,
-        make_sender=EquijoinSizeDeltaSender,
-        finish=_finish_m2,
-        sender_input="values",
-        answer_kind="number",
-        doc="incremental equijoin size over staged occurrence churn",
-        delta_of="equijoin-size",
-    )
-)
-
-EQUIJOIN_SUM_DELTA = register(
-    ProtocolSpec(
-        name="equijoin-sum+delta",
-        run_label="equijoin_sum_delta",
-        rounds=(
-            RoundSpec(
-                "m1", "R", DeltaAnnounce, _receiver_round1,
-                ("d1a:added", "d1b:removed"),
-            ),
-            RoundSpec(
-                "m2", "S", SumDeltaPatch, _sender_round1,
-                ("d2a:Z_R+", "d2b:Z_R-", "d2c:pairs+", "d2d:pairs-"),
-            ),
-            RoundSpec("m3", "R", BlindedSum, _receiver_round2, ("d3:blinded",)),
-            RoundSpec(
-                "m4", "S", RevealedSum, _sender_round2, ("d4:blinded_sum",),
-            ),
-        ),
-        make_receiver=EquijoinSumDeltaReceiver,
-        make_sender=EquijoinSumDeltaSender,
-        finish=_finish_m4,
-        sender_input="amounts",
-        answer_kind="number",
-        doc="incremental sum over the intersection (fresh blind per query)",
-        delta_of="equijoin-sum",
-    )
-)
+def absorb(state: DeltaParty, inbox: Mapping[str, Message]) -> Any:
+    """R splices S's patch into what it holds: the answer of the
+    two-round protocols, equijoin-sum's blinded ``m3``."""
+    return state.party.absorb(*inbox["m2"].to_parts())

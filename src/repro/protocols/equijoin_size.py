@@ -65,9 +65,7 @@ def run_equijoin_size(
     # group matched codewords by their (d_R, d_S) duplicate classes.
     # R knows d_R for each of its values and sees d_S per matched
     # codeword, so it learns |V_R(d) ∩ V_S(d')| for all d, d'.
-    z_s_counts = r_state._z_s_counts
-    z_r_counts = Counter(r_state._z_r_received)
-    ms_r = r_state.multiset
+    z_s_counts, z_r_counts = r_state._z_s, r_state._z_r
     partition_overlap: dict[tuple[int, int], int] = {}
     doubly_r = {
         suite.cipher.encrypt(s_state._key, y): v
@@ -79,7 +77,7 @@ def run_equijoin_size(
     for codeword, s_count in z_s_counts.items():
         if codeword in z_r_counts:
             v = doubly_r.get(codeword)
-            d_r = ms_r.multiplicity(v)
+            d_r = r_state._counts[v]
             key = (d_r, s_count)
             partition_overlap[key] = partition_overlap.get(key, 0) + 1
 
@@ -88,7 +86,9 @@ def run_equijoin_size(
         size_v_s=r_state.size_v_s,
         size_v_r=s_state.size_v_r,
         r_learns_s_duplicates=_distribution(z_s_counts),
-        s_learns_r_duplicates=_distribution(Counter(s_state._y_r_received)),
+        s_learns_r_duplicates=_distribution(
+            Counter(next(run.s_view.payloads("3:Y_R")))
+        ),
         partition_overlap=partition_overlap,
         run=run,
     )

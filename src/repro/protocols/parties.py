@@ -21,6 +21,14 @@ Every round payload is a typed dataclass from
 :mod:`repro.protocols.messages`; raw wire payloads are also accepted
 and coerced, so pre-spec callers keep working.
 
+Those ``round1`` / ``finish`` calls are the whole-message driver of
+steps each party implements once, over ``(added, removed)``
+(:class:`_Party`): ``own``, S's ``answer`` / ``reply`` and R's
+``absorb``.  The streamed chunk producers in
+:mod:`repro.protocols.spec` and the delta sessions of
+:mod:`repro.protocols.delta` drive the same steps, so every cipher and
+hash call of a party lives in this module.
+
 Parameters travel as :class:`PublicParams` - everything public both
 sides must agree on (the modulus and the hash construction).  Private
 per-party machinery (group, hash, cipher and optional ext cipher
@@ -38,10 +46,12 @@ these two machines.
 
 from __future__ import annotations
 
+import copy
 import random
 from contextlib import nullcontext
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from ..crypto.commutative import PowerCipher
@@ -203,31 +213,6 @@ class PartyCache:
         return [self.entries[v][1][key_index] for v in values]
 
 
-def _cached_or_encrypt(
-    cipher: PowerCipher, key: int, hashes: list[int], cached: list[int] | None
-) -> list[int]:
-    """The cached ciphertext list if present, else one encryption batch.
-
-    The cipher is deterministic, so under the same key the two paths
-    produce identical ciphertexts — a cache hit changes only the cost.
-    """
-    if cached is not None:
-        return list(cached)
-    return cipher.encrypt_many(key, hashes)
-
-
-def _checked_hashes(hash_: DomainHash, values: Sequence[Hashable]) -> list[int]:
-    """Hash a value list, running the paper's sorted-hash collision check."""
-    hashes = hash_.hash_set(values)
-    collisions = find_collisions(hashes)
-    if collisions:
-        raise HashCollisionError(
-            "hash collision within the party's set "
-            f"({len(collisions)} colliding values)"
-        )
-    return hashes
-
-
 def _resolve_crypto(
     params: PublicParams,
     engine: CryptoEngine | None,
@@ -239,19 +224,50 @@ def _resolve_crypto(
     return CryptoContext.from_params(params, engine=engine)
 
 
-class _Party:
-    """Common setup: hash own values (collision-checked), draw a key.
+def _patch(counts: Counter, added: Iterable, removed: Iterable) -> None:
+    """Apply one ``(added, removed)`` churn to an occurrence counter in
+    place, dropping the entries it drains."""
+    counts.update(added)
+    counts.subtract(removed)
+    for key in removed:
+        if counts[key] <= 0:
+            del counts[key]
 
-    With an injected :class:`PartyCache` the key and hashes come from
-    the cache instead (no rng draw, no hashing), and the party's own
-    round-1 encryption batch is skipped in favour of the cached
-    ciphertexts.  The collision check still runs — it is cheap and the
+
+class _Party:
+    """One party's cross-query state and the steps that move it.
+
+    The paper's protocols are one per-value map, so every step here is
+    written once over ``(added, removed)``: a full query adds the whole
+    table to an empty state, a streamed query calls the same steps per
+    segment, a delta query passes the staged churn.  The steps patch
+    the party in place, so each driver hands them the state to patch:
+    the full drivers (``round1`` / ``round2`` / ``finish``) first empty
+    what their step patches (:meth:`reset`, :meth:`_declare`) - which
+    also makes them safe to call again - while a streamed round and a
+    delta run on a :meth:`fork` that :meth:`adopt` folds back once the
+    stream is exhausted / the exchange has committed.
+
+    * :meth:`own` - encrypt/tombstone my own values (both roles);
+    * ``answer`` - S's reply to a batch of the peer's ciphertexts
+      (pairs, ``Z_R`` or triples), ``reply`` composing it with ``own``
+      into the parts of one round;
+    * ``absorb`` - R patches what it holds of S and recomputes.
+
+    With an injected :class:`PartyCache` the keys, hashes and own
+    ciphertexts come from the cache (no rng draw, no hashing, no own
+    modexp).  The collision check still runs - it is cheap and the
     cache may have been produced by an older code path.
     """
 
+    #: Commutative-cipher keys the party draws.
+    n_keys = 1
+    #: Whether the catalog layer may persist this party's own-set state.
+    cacheable = True
+
     def __init__(
         self,
-        values: Sequence[Hashable],
+        values: Any,
         params: PublicParams,
         rng: random.Random,
         engine: CryptoEngine | None = None,
@@ -265,362 +281,503 @@ class _Party:
             self.crypto.hash,
             self.crypto.cipher,
         )
-        self.values = sorted(set(values), key=repr)
         self.rng = rng
-        if cached is not None:
-            (self._key,) = cached.keys
-            self._hashes = cached.hashes_for(self.values)
-            if find_collisions(self._hashes):
-                raise HashCollisionError(
-                    "hash collision within the party's cached set"
-                )
-            self._cached_y = cached.ciphertexts_for(self.values)
+        #: The table as a full query's ``added`` (value -> payload, or
+        #: value -> occurrences for the multiset parties); read-only, so
+        #: forks share it.
+        self.opening = MappingProxyType(self._table(values))
+        #: The party's distinct values, sorted by ``repr``.
+        self.values: list = []
+        self._hash_by_value: dict = {}
+        #: Own values under the own (first) key: ``f_e(h(v))``.
+        self._y_by_value: dict = {}
+        #: The values the latest :meth:`own` step added.
+        self._announced: list = []
+        self._declare()
+        if cached is None:
+            self._keys = tuple(
+                self.cipher.sample_key(rng) for _ in range(self.n_keys)
+            )
         else:
-            self._key = self.cipher.sample_key(rng)
-            self._hashes = _checked_hashes(self.hash, self.values)
-            self._cached_y = None
-        self._hash_by_value = dict(zip(self.values, self._hashes))
+            self._keys = tuple(cached.keys)
+            if len(self._keys) != self.n_keys:
+                raise ValueError(
+                    f"party cache holds {len(self._keys)} keys, "
+                    f"this party draws {self.n_keys}"
+                )
+            opening = list(self.opening)
+            self._hash_by_value.update(zip(opening, cached.hashes_for(opening)))
+            for index, ys in enumerate(self._own_maps()):
+                ys.update(zip(opening, cached.ciphertexts_for(opening, index)))
+            self._check_collisions()
+        self._key = self._keys[0]
+        self._learn(self.opening)
+        self.values = sorted(self._hash_by_value, key=repr)
+
+    @staticmethod
+    def _table(values: Iterable[Hashable]) -> Mapping:
+        """The constructor's input as the first query's ``added``."""
+        return dict.fromkeys(sorted(set(values), key=repr))
+
+    def _declare(self) -> None:
+        """Declare, empty, what the party holds of its peer across
+        queries."""
+        #: ``|V_S|`` as R / ``|V_R|`` as S knows it; ``None`` until a
+        #: query has completed.
+        self.size_v_s: int | None = None
+        self.size_v_r: int | None = None
+
+    def reset(self) -> None:
+        """Back to the empty state a full query starts from.  Own
+        hashes and ciphertexts are functions of the table and the keys
+        alone, and stay."""
+        self._declare()
+
+    def _own_maps(self) -> tuple[dict, ...]:
+        """The own-ciphertext maps, one per key, in key order."""
+        return (self._y_by_value,)
+
+    # ------------------------------------------------------------------
+    # The own-set step
+    # ------------------------------------------------------------------
+    def _encrypt(self, key: int, xs: Sequence[int]) -> list[int]:
+        """One engine batch - none at all for an empty list."""
+        return self.cipher.encrypt_many(key, xs) if xs else []
+
+    def _check_collisions(self) -> None:
+        """The paper's sorted-hash check over the party's whole set."""
+        collisions = find_collisions(list(self._hash_by_value.values()))
+        if collisions:
+            raise HashCollisionError(
+                "hash collision within the party's set "
+                f"({len(collisions)} colliding values)"
+            )
+
+    def _learn(self, values: Iterable[Hashable]) -> bool:
+        """Hash the not-yet-hashed among ``values`` (collision-checked
+        against the whole set); whether there were any."""
+        fresh = [v for v in values if v not in self._hash_by_value]
+        if fresh:
+            self._hash_by_value.update(zip(fresh, self.hash.hash_set(fresh)))
+            self._check_collisions()
+        return bool(fresh)
+
+    def _retire(self, v: Hashable) -> int:
+        """Forget one own value; its ciphertext is the tombstone."""
+        del self._hash_by_value[v]
+        return [ys.pop(v) for ys in self._own_maps()][0]
+
+    def _own(self, added: Mapping, removed: Iterable) -> tuple[list, list]:
+        """Tombstone ``removed``, then hash and encrypt what ``added``
+        brings that the party holds no ciphertext for (a cache hit
+        brings none).  Returns the two ciphertext lists, aligned to the
+        inputs."""
+        tombstones = [self._retire(v) for v in removed]
+        if self._learn(added) or tombstones:
+            self.values = sorted(self._hash_by_value, key=repr)
+        fresh = [v for v in added if v not in self._y_by_value]
+        hashes = [self._hash_by_value[v] for v in fresh]
+        for key, ys in zip(self._keys, self._own_maps()):
+            ys.update(zip(fresh, self._encrypt(key, hashes)))
+        return [self._y_by_value[v] for v in added], tombstones
+
+    def own(self, added: Mapping, removed: Iterable) -> tuple[list, list]:
+        """Encrypt/tombstone my own values: the ``(added, removed)``
+        ciphertexts, each reordered lexicographically."""
+        ys, tombstones = self._own(added, removed)
+        self._announced = list(added)
+        return sorted_ciphertexts(ys), sorted_ciphertexts(tombstones)
+
+    def churn(self, inserts: Iterable, deletes: Iterable) -> tuple[dict, list]:
+        """Normalise staged ``(value, payload)`` inserts and deletes
+        against the table into ``(added, removed)``, both in ``repr``
+        order: deleting an absent value and re-inserting a present one
+        without a payload are no-ops; inserting a present value *with*
+        a payload is a replace (tombstone + insert)."""
+        removed = {v for v in deletes if v in self._hash_by_value}
+        payloads = {}
+        for v, payload in inserts:
+            if v in self._hash_by_value and v not in removed:
+                if payload is None:
+                    continue
+                removed.add(v)
+            payloads[v] = payload
+        return (
+            {v: payloads[v] for v in sorted(payloads, key=repr)},
+            sorted(removed, key=repr),
+        )
+
+    # ------------------------------------------------------------------
+    # Role plumbing shared by the concrete parties
+    # ------------------------------------------------------------------
+    def round1(self) -> CipherList:
+        """R's opening round: the whole table added, reordered."""
+        self.reset()
+        return CipherList(self.own(self.opening, ())[0])
+
+    def _serve(self, y_r: CipherList) -> tuple:
+        """S's full reply: the whole of ``Y_R`` heard and the whole
+        table added, against the empty state."""
+        self.reset()
+        return self.reply(list(CipherList.coerce(y_r)), (), self.opening, ())
+
+    def hear(self, added: Sequence, removed: Sequence = ()) -> None:
+        """S notes the size of what R announced - all it learns."""
+        self.size_v_r = (self.size_v_r or 0) + len(added) - len(removed)
+
+    def _absorb_y_s(self, added: Sequence, removed: Sequence) -> None:
+        """R re-encrypts S's churn under its own key into ``Z_S``."""
+        _patch(
+            self._z_s,
+            self._encrypt(self._key, added),
+            self._encrypt(self._key, removed),
+        )
+        self.size_v_s = (self.size_v_s or 0) + len(added) - len(removed)
+
+    # ------------------------------------------------------------------
+    # Staging and persistence
+    # ------------------------------------------------------------------
+    def fork(self) -> "_Party":
+        """A copy owning every container the steps patch in place
+        (the lists are only ever rebound): steps run on it leave this
+        party untouched until :meth:`adopt`."""
+        twin = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, (dict, set)):
+                setattr(twin, name, value.copy())
+        return twin
+
+    def adopt(self, fork: "_Party") -> None:
+        """Fold a fork's state in (a delta's commit)."""
+        vars(self).update(vars(fork))
 
     def cache_keys(self) -> tuple:
         """The party's cipher keys in draw order (for catalog caching)."""
-        return (self._key,)
+        return self._keys
 
-    def cache_entries(self) -> dict | None:
-        """Per-value ``(hash, ciphertexts)`` for catalog caching, or
-        ``None`` before the party has encrypted its own set."""
-        y_by_value = getattr(self, "_y_by_value", None)
-        if y_by_value is None:
-            return None
-        return {
-            v: (self._hash_by_value[v], (y_by_value[v],)) for v in self.values
-        }
+    def cache_entries(self) -> dict:
+        """Per-value ``(hash, ciphertexts)`` for catalog caching, one
+        ciphertext per key.  Raises :class:`KeyError` while the party
+        has not yet encrypted its own set."""
+        values = self.values
+        hashes = [self._hash_by_value[v] for v in values]
+        ciphertexts = zip(*([ys[v] for v in values] for ys in self._own_maps()))
+        return dict(zip(values, zip(hashes, ciphertexts)))
+
+
+class _MultisetParty(_Party):
+    """The Section 5.2 own-set form: one ciphertext per *occurrence*,
+    duplicates preserved under the deterministic cipher.  ``added`` and
+    ``removed`` are occurrence counters."""
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        #: The table: occurrences per distinct value.
+        self._counts: Counter = Counter()
+        super().__init__(*args, **kwargs)
+
+    def reset(self) -> None:
+        """Additionally empty the table's occurrence counts, which
+        :meth:`own` accumulates."""
+        super().reset()
+        self._counts.clear()
+
+    @staticmethod
+    def _table(values: Iterable[Hashable]) -> Counter:
+        """Occurrences per value (a
+        :class:`~repro.db.multiset.ValueMultiset` iterates its own)."""
+        return Counter(values)
+
+    def _own(self, added: Counter, removed: Counter) -> tuple[list, list]:
+        """Hash and encrypt each newly seen distinct value once, expand
+        both sides by multiplicity, then settle the counts (a value
+        whose last occurrence goes is forgotten)."""
+        super()._own(added, ())
+        ys = tuple(
+            [self._y_by_value[v] for v in Counter(counts).elements()]
+            for counts in (added, removed)
+        )
+        _patch(self._counts, added, removed)
+        drained = [v for v in removed if v not in self._counts]
+        for v in drained:
+            self._retire(v)
+        if drained:
+            self.values = sorted(self._hash_by_value, key=repr)
+        return ys
+
+    def churn(self, inserts: Iterable, deletes: Iterable) -> tuple[Counter, Counter]:
+        """Staged occurrences as counters; deleting more occurrences
+        than the table and the inserts hold is an error."""
+        added = Counter(v for v, _ in inserts)
+        removed = Counter(deletes)
+        for v, n in removed.items():
+            have = self._counts[v] + added[v]
+            if n > have:
+                raise ValueError(
+                    f"cannot delete {n} occurrences of {v!r} "
+                    f"(only {have} present)"
+                )
+        return added, removed
 
 
 class IntersectionReceiver(_Party):
     """Party R of the Section 3.3 protocol."""
 
-    def round1(self) -> CipherList:
-        """Step 3: ``Y_R``, reordered lexicographically."""
-        self._y_by_value = dict(
-            zip(
-                self.values,
-                _cached_or_encrypt(
-                    self.cipher, self._key, self._hashes, self._cached_y
-                ),
-            )
+    def _declare(self) -> None:
+        #: ``Z_S`` (occurrence counts; 1 each for the set protocols)
+        #: and each own value's double encryption ``f_eS(f_eR(h(v)))``.
+        self._z_s: Counter = Counter()
+        self._double_by_value: dict = {}
+        super()._declare()
+
+    def _retire(self, v: Hashable) -> int:
+        self._double_by_value.pop(v, None)
+        return super()._retire(v)
+
+    def absorb(
+        self, y_s_added: list, y_s_removed: list, pairs_added: list
+    ) -> set[Hashable]:
+        """Steps 5-6: patch ``Z_S`` and the doubles of what this query
+        announced, then intersect (set operations only)."""
+        self._absorb_y_s(y_s_added, y_s_removed)
+        mine = {self._y_by_value[v]: v for v in self._announced}
+        self._double_by_value.update(
+            (mine[y], double) for y, double in pairs_added if y in mine
         )
-        return CipherList(sorted_ciphertexts(list(self._y_by_value.values())))
+        return {
+            v
+            for v, double in self._double_by_value.items()
+            if double in self._z_s
+        }
 
     def finish(self, reply: IntersectionReply) -> set[Hashable]:
         """Steps 5-6: recover the intersection from S's reply."""
         reply = IntersectionReply.coerce(reply)
-        z_s = set(self.cipher.encrypt_many(self._key, reply.y_s))
-        self.size_v_s = len(reply.y_s)
-        y_to_value = {y: v for v, y in self._y_by_value.items()}
-        # Stashed for delta queries: S-side membership (Z_S) and each
-        # own value's double encryption survive across sessions.
-        self._z_s = z_s
-        self._double_by_value = {
-            y_to_value[y]: double
-            for y, double in reply.pairs
-            if y in y_to_value
-        }
-        return {
-            v for v, double in self._double_by_value.items() if double in z_s
-        }
+        self._declare()
+        return self.absorb(reply.y_s, (), reply.pairs)
 
 
 class IntersectionSender(_Party):
     """Party S of the Section 3.3 protocol."""
 
+    def answer(self, ys: list) -> list:
+        """Step 4(b): the ``⟨y, f_eS(y)⟩`` pairs, in the order given."""
+        return list(zip(ys, self._encrypt(self._key, ys)))
+
+    def reply(
+        self, r_added: list, r_removed: list, added: Mapping, removed: Iterable
+    ) -> tuple[list, list, list]:
+        """Own churn plus pairs for what R added (tombstones on R's
+        side need no answer)."""
+        self.hear(r_added, r_removed)
+        return (*self.own(added, removed), self.answer(r_added))
+
     def round1(self, y_r: CipherList) -> IntersectionReply:
-        """Steps 4(a)+(b): ``Y_S`` reordered plus the ``⟨y, f_eS(y)⟩`` pairs."""
-        y_r = list(CipherList.coerce(y_r))
-        self.size_v_r = len(y_r)
-        encrypted = _cached_or_encrypt(
-            self.cipher, self._key, self._hashes, self._cached_y
-        )
-        self._y_by_value = dict(zip(self.values, encrypted))
-        y_s = sorted_ciphertexts(encrypted)
-        pairs = list(zip(y_r, self.cipher.encrypt_many(self._key, y_r)))
+        """Steps 4(a)+(b): ``Y_S`` reordered plus the pairs."""
+        y_s, _, pairs = self._serve(y_r)
         return IntersectionReply(y_s=y_s, pairs=pairs)
 
 
-class IntersectionSizeReceiver(_Party):
-    """Party R of the Section 5.1 protocol."""
+class _SizeReceiver:
+    """Party R of Sections 5.1 and 5.2: the set protocol is the
+    multiset one with every multiplicity 1."""
 
-    def round1(self) -> CipherList:
-        """Step 3: ``Y_R``, reordered lexicographically."""
-        self._y_r = _cached_or_encrypt(
-            self.cipher, self._key, self._hashes, self._cached_y
+    def _declare(self) -> None:
+        #: Occurrence counts of ``Z_S`` and of the unpaired ``Z_R``.
+        self._z_s: Counter = Counter()
+        self._z_r: Counter = Counter()
+        super()._declare()
+
+    def absorb(
+        self, y_s_added: list, y_s_removed: list, z_added: list, z_removed: list
+    ) -> int:
+        """Steps 5-6: patch both double-encrypted collections; matched
+        codewords contribute the product of their multiplicities."""
+        self._absorb_y_s(y_s_added, y_s_removed)
+        _patch(self._z_r, z_added, z_removed)
+        return sum(
+            count * self._z_r[codeword]
+            for codeword, count in self._z_s.items()
+            if codeword in self._z_r
         )
-        self._y_by_value = dict(zip(self.values, self._y_r))
-        return CipherList(sorted_ciphertexts(self._y_r))
 
     def finish(self, reply: SizeReply) -> int:
-        """Steps 5-6: count ``|Z_S ∩ Z_R|`` from S's reply."""
+        """Steps 5-6: count the overlap from S's reply."""
         reply = SizeReply.coerce(reply)
-        self.size_v_s = len(reply.y_s)
-        z_s = set(self.cipher.encrypt_many(self._key, reply.y_s))
-        z_r = set(reply.z_r)
-        # Stashed for delta queries.
-        self._z_s = z_s
-        self._z_r = z_r
-        return len(z_s & z_r)
+        self._declare()
+        return self.absorb(reply.y_s, (), reply.z_r, ())
 
 
-class IntersectionSizeSender(_Party):
-    """Party S of the Section 5.1 protocol."""
+class _SizeSender:
+    """Party S of Sections 5.1 and 5.2."""
+
+    def answer(self, ys: list) -> list:
+        """Step 4(b): ``f_eS(y)`` per ciphertext - to be reordered
+        before it ships, which is what unpairs it."""
+        return self._encrypt(self._key, ys)
+
+    def reply(
+        self, r_added: list, r_removed: list, added: Mapping, removed: Iterable
+    ) -> tuple[list, list, list, list]:
+        """Own churn plus the reordered doubles of R's churn."""
+        self.hear(r_added, r_removed)
+        return (
+            *self.own(added, removed),
+            sorted_ciphertexts(self.answer(r_added)),
+            sorted_ciphertexts(self.answer(r_removed)),
+        )
 
     def round1(self, y_r: CipherList) -> SizeReply:
         """Steps 4(a)+(b): ``Y_S`` plus the unpaired, reordered ``Z_R``."""
-        y_r = list(CipherList.coerce(y_r))
-        self.size_v_r = len(y_r)
-        encrypted = _cached_or_encrypt(
-            self.cipher, self._key, self._hashes, self._cached_y
-        )
-        self._y_by_value = dict(zip(self.values, encrypted))
-        y_s = sorted_ciphertexts(encrypted)
-        z_r = sorted_ciphertexts(self.cipher.encrypt_many(self._key, y_r))
+        y_s, _, z_r, _ = self._serve(y_r)
         return SizeReply(y_s=y_s, z_r=z_r)
+
+
+class IntersectionSizeReceiver(_SizeReceiver, _Party):
+    """Party R of the Section 5.1 protocol."""
+
+
+class IntersectionSizeSender(_SizeSender, _Party):
+    """Party S of the Section 5.1 protocol."""
+
+
+class EquijoinSizeReceiver(_SizeReceiver, _MultisetParty):
+    """Party R of the Section 5.2 protocol; learns ``|T_S ⋈ T_R|``."""
+
+
+class EquijoinSizeSender(_SizeSender, _MultisetParty):
+    """Party S of the Section 5.2 protocol."""
 
 
 class EquijoinReceiver(_Party):
     """Party R of the Section 4.3 protocol."""
 
-    def round1(self) -> CipherList:
-        """Step 3: ``Y_R``, reordered lexicographically."""
-        self._y_by_value = dict(
-            zip(
-                self.values,
-                _cached_or_encrypt(
-                    self.cipher, self._key, self._hashes, self._cached_y
-                ),
-            )
-        )
-        return CipherList(sorted_ciphertexts(list(self._y_by_value.values())))
+    def _declare(self) -> None:
+        #: Own side: ``codeword -> (value, kappa)`` and its inverse;
+        #: S's side: ``codeword -> K(kappa, ext)``.
+        self._by_codeword: dict = {}
+        self._codeword_by_value: dict = {}
+        self._pairs_by_codeword: dict = {}
+        super()._declare()
 
-    def finish(self, reply: EquijoinReply) -> dict[Hashable, bytes]:
-        """Steps 6-7: strip own layer, match pairs, decrypt ext."""
-        reply = EquijoinReply.coerce(reply)
-        ext_cipher = self.crypto.ext()
+    def _retire(self, v: Hashable) -> int:
+        self._by_codeword.pop(self._codeword_by_value.pop(v, None), None)
+        return super()._retire(v)
+
+    def absorb(
+        self, triples_added: list, pairs_added: list, pairs_removed: list
+    ) -> dict[Hashable, bytes]:
+        """Steps 6-7: strip own layer off the triples this query
+        announced, patch both codeword maps, match and decrypt ext."""
         inverse = self.cipher.invert_key(self._key)
-        y_to_value = {y: v for v, y in self._y_by_value.items()}
+        by_y = {self._y_by_value[v]: v for v in self._announced}
         mine = [
-            (y_to_value[y], second, third)
-            for y, second, third in reply.triples
-            if y in y_to_value
+            (by_y[y], second, third)
+            for y, second, third in triples_added
+            if y in by_y
         ]
-        codewords = self.cipher.encrypt_many(inverse, [t[1] for t in mine])
-        kappas = self.cipher.encrypt_many(inverse, [t[2] for t in mine])
-        by_codeword = {
-            codeword: (v, kappa)
-            for (v, _, _), codeword, kappa in zip(mine, codewords, kappas)
-        }
-        # Stashed for delta queries: codeword maps for both sides.
-        self._by_codeword = by_codeword
-        self._codeword_by_value = {
-            v: codeword for codeword, (v, _) in by_codeword.items()
-        }
-        self._pairs_by_codeword = {
-            codeword: list(ciphertext) for codeword, ciphertext in reply.pairs
-        }
+        codewords = self._encrypt(inverse, [t[1] for t in mine])
+        kappas = self._encrypt(inverse, [t[2] for t in mine])
+        for (v, _, _), codeword, kappa in zip(mine, codewords, kappas):
+            self._by_codeword[codeword] = (v, kappa)
+            self._codeword_by_value[v] = codeword
+        for codeword in pairs_removed:
+            self._pairs_by_codeword.pop(codeword, None)
+        self._pairs_by_codeword.update(
+            (codeword, list(ciphertext)) for codeword, ciphertext in pairs_added
+        )
+        self.size_v_s = len(self._pairs_by_codeword)
+        ext_cipher = self.crypto.ext()
         matches = {}
-        for codeword, ciphertext in reply.pairs:
-            hit = by_codeword.get(codeword)
-            if hit is None:
-                continue
-            v, kappa = hit
-            matches[v] = ext_cipher.decrypt(kappa, list(ciphertext))
-        self.size_v_s = len(reply.pairs)
+        for codeword, ciphertext in self._pairs_by_codeword.items():
+            hit = self._by_codeword.get(codeword)
+            if hit is not None:
+                v, kappa = hit
+                matches[v] = ext_cipher.decrypt(kappa, list(ciphertext))
         return matches
 
+    def finish(self, reply: EquijoinReply) -> dict[Hashable, bytes]:
+        """Steps 6-7: recover the matches from S's reply."""
+        reply = EquijoinReply.coerce(reply)
+        self._declare()
+        return self.absorb(reply.triples, reply.pairs, ())
 
-class EquijoinSender:
+
+class _PayloadSender(_Party):
+    """Party S over a ``value -> payload`` table (ext bytes, amounts);
+    its ``_y_by_value`` holds the codewords ``f_eS(h(v))``."""
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        #: The table.
+        self.payloads: dict = {}
+        super().__init__(*args, **kwargs)
+
+    @staticmethod
+    def _table(payloads: Mapping[Hashable, Any]) -> dict:
+        return {v: payloads[v] for v in sorted(payloads, key=repr)}
+
+    def _retire(self, v: Hashable) -> int:
+        del self.payloads[v]
+        return super()._retire(v)
+
+
+class EquijoinSender(_PayloadSender):
     """Party S of the Section 4.3 protocol (two keys + ext payloads)."""
 
-    def __init__(
-        self,
-        ext: Mapping[Hashable, bytes],
-        params: PublicParams,
-        rng: random.Random,
-        engine: CryptoEngine | None = None,
-        crypto: CryptoContext | None = None,
-        cached: PartyCache | None = None,
-    ):
-        self.params = params
-        self.crypto = _resolve_crypto(params, engine, crypto)
-        self.group, self.hash, self.cipher = (
-            self.crypto.group,
-            self.crypto.hash,
-            self.crypto.cipher,
-        )
-        self.ext = {v: bytes(payload) for v, payload in ext.items()}
-        self.values = sorted(self.ext, key=repr)
-        if cached is not None:
-            self._hashes = cached.hashes_for(self.values)
-            if find_collisions(self._hashes):
-                raise HashCollisionError(
-                    "hash collision within the party's cached set"
-                )
-            self._key, self._key_prime = cached.keys
-            self._cached_cw = cached.ciphertexts_for(self.values, 0)
-            self._cached_kp = cached.ciphertexts_for(self.values, 1)
-        else:
-            self._hashes = _checked_hashes(self.hash, self.values)
-            self._key = self.cipher.sample_key(rng)
-            self._key_prime = self.cipher.sample_key(rng)
-            self._cached_cw = None
-            self._cached_kp = None
-        self._hash_by_value = dict(zip(self.values, self._hashes))
+    n_keys = 2
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        #: Own values under the second key (``kappa``).
+        self._kappa_by_value: dict = {}
+        super().__init__(*args, **kwargs)
         self._ext_cipher = self.crypto.ext()
 
-    def cache_keys(self) -> tuple:
-        """Both cipher keys in draw order (for catalog caching)."""
-        return (self._key, self._key_prime)
+    def _own_maps(self) -> tuple[dict, ...]:
+        return (self._y_by_value, self._kappa_by_value)
 
-    def cache_entries(self) -> dict | None:
-        """Per-value ``(hash, (codeword, kappa))`` after round 1."""
-        codeword_by_value = getattr(self, "_codeword_by_value", None)
-        if codeword_by_value is None:
-            return None
-        return {
-            v: (
-                self._hash_by_value[v],
-                (codeword_by_value[v], self._kappa_by_value[v]),
+    def answer(self, ys: list) -> list:
+        """Step 4: ``⟨y, f_eS(y), f_e'S(y)⟩`` in the order given."""
+        return list(
+            zip(
+                ys,
+                self._encrypt(self._keys[0], ys),
+                self._encrypt(self._keys[1], ys),
             )
-            for v in self.values
-        }
+        )
+
+    def pairs(self, added: Mapping, removed: Iterable) -> tuple[list, list]:
+        """Step 5 over own churn: the reordered ``⟨codeword, K(kappa,
+        ext)⟩`` pairs of ``added`` and the tombstoned codewords."""
+        missing = [v for v, payload in added.items() if payload is None]
+        if missing:
+            raise ValueError(
+                f"equijoin inserts need an ext payload ({len(missing)} missing)"
+            )
+        _, tombstones = self.own(added, removed)
+        self.payloads.update((v, bytes(ext)) for v, ext in added.items())
+        return (
+            sorted(
+                (
+                    self._y_by_value[v],
+                    self._ext_cipher.encrypt(
+                        self._kappa_by_value[v], self.payloads[v]
+                    ),
+                )
+                for v in added
+            ),
+            tombstones,
+        )
+
+    def reply(
+        self, r_added: list, r_removed: list, added: Mapping, removed: Iterable
+    ) -> tuple[list, list, list]:
+        """Triples for what R added, pair churn for own."""
+        self.hear(r_added, r_removed)
+        return (self.answer(r_added), *self.pairs(added, removed))
 
     def round1(self, y_r: CipherList) -> EquijoinReply:
-        """Steps 4-5: triples over Y_R plus the ⟨codeword, K(...)⟩ pairs."""
-        y_r = list(CipherList.coerce(y_r))
-        self.size_v_r = len(y_r)
-        triples = list(
-            zip(
-                y_r,
-                self.cipher.encrypt_many(self._key, y_r),
-                self.cipher.encrypt_many(self._key_prime, y_r),
-            )
-        )
-        codewords = _cached_or_encrypt(
-            self.cipher, self._key, self._hashes, self._cached_cw
-        )
-        kappas = _cached_or_encrypt(
-            self.cipher, self._key_prime, self._hashes, self._cached_kp
-        )
-        self._codeword_by_value = dict(zip(self.values, codewords))
-        self._kappa_by_value = dict(zip(self.values, kappas))
-        pairs = [
-            (codeword, self._ext_cipher.encrypt(kappa, self.ext[v]))
-            for v, codeword, kappa in zip(self.values, codewords, kappas)
-        ]
-        return EquijoinReply(triples=triples, pairs=sorted(pairs))
-
-
-class _MultisetParty:
-    """Common setup for the Section 5.2 parties: one codeword per
-    *occurrence*, duplicates preserved under the deterministic cipher."""
-
-    def __init__(
-        self,
-        values: Iterable[Hashable],
-        params: PublicParams,
-        rng: random.Random,
-        engine: CryptoEngine | None = None,
-        crypto: CryptoContext | None = None,
-        cached: PartyCache | None = None,
-    ):
-        from ..db.multiset import ValueMultiset
-
-        self.params = params
-        self.crypto = _resolve_crypto(params, engine, crypto)
-        self.group, self.hash, self.cipher = (
-            self.crypto.group,
-            self.crypto.hash,
-            self.crypto.cipher,
-        )
-        ms = (
-            values
-            if isinstance(values, ValueMultiset)
-            else ValueMultiset.from_values(values)
-        )
-        self.multiset = ms
-        distinct = sorted(ms.distinct(), key=repr)
-        self.values = distinct
-        if cached is not None:
-            hashes = cached.hashes_for(distinct)
-            if find_collisions(hashes):
-                raise HashCollisionError(
-                    "hash collision within the party's cached set"
-                )
-            (self._key,) = cached.keys
-            encrypted = cached.ciphertexts_for(distinct)
-        else:
-            hashes = _checked_hashes(self.hash, distinct)
-            self._key = self.cipher.sample_key(rng)
-            # Hash and encrypt each distinct value once (one batch),
-            # then expand by multiplicity.
-            encrypted = self.cipher.encrypt_many(self._key, hashes)
-        self._hashes = hashes
-        self._hash_by_value = dict(zip(distinct, hashes))
-        self._y_by_value = dict(zip(distinct, encrypted))
-        self._y_multiset = [
-            y
-            for v, y in zip(distinct, encrypted)
-            for _ in range(ms.multiplicity(v))
-        ]
-
-    def cache_keys(self) -> tuple:
-        """The party's cipher key (for catalog caching)."""
-        return (self._key,)
-
-    def cache_entries(self) -> dict:
-        """Per-distinct-value ``(hash, ciphertexts)`` for catalog caching."""
-        return {
-            v: (self._hash_by_value[v], (self._y_by_value[v],))
-            for v in self.values
-        }
-
-
-class EquijoinSizeReceiver(_MultisetParty):
-    """Party R of the Section 5.2 protocol; learns ``|T_S ⋈ T_R|``."""
-
-    def round1(self) -> CipherList:
-        """Step 3: the encrypted multiset ``Y_R``, reordered."""
-        return CipherList(sorted_ciphertexts(list(self._y_multiset)))
-
-    def finish(self, reply: SizeReply) -> int:
-        """Steps 5-6: matched codewords contribute the product of
-        their multiplicities on the two sides."""
-        reply = SizeReply.coerce(reply)
-        self.size_v_s = len(reply.y_s)
-        z_s_counts = Counter(self.cipher.encrypt_many(self._key, reply.y_s))
-        z_r_counts = Counter(reply.z_r)
-        # Stashed for the leakage diagnostics in the driver wrapper
-        # (duplicate distributions, partition overlap) and for delta
-        # queries (occurrence counters on both sides).
-        self._z_s_counts = z_s_counts
-        self._z_r_counts = z_r_counts
-        self._z_r_received = list(reply.z_r)
-        return sum(
-            count * z_r_counts[codeword]
-            for codeword, count in z_s_counts.items()
-            if codeword in z_r_counts
-        )
-
-
-class EquijoinSizeSender(_MultisetParty):
-    """Party S of the Section 5.2 protocol."""
-
-    def round1(self, y_r: CipherList) -> SizeReply:
-        """Steps 4(a)+(b): ``Y_S`` plus the unpaired, reordered ``Z_R``."""
-        y_r = list(CipherList.coerce(y_r))
-        self.size_v_r = len(y_r)
-        self._y_r_received = y_r
-        y_s = sorted_ciphertexts(list(self._y_multiset))
-        z_r = sorted_ciphertexts(self.cipher.encrypt_many(self._key, y_r))
-        return SizeReply(y_s=y_s, z_r=z_r)
+        """Steps 4-5: triples over ``Y_R`` plus the pairs."""
+        triples, pairs, _ = self._serve(y_r)
+        return EquijoinReply(triples=triples, pairs=pairs)
 
 
 class EquijoinSumReceiver(_Party):
@@ -628,42 +785,63 @@ class EquijoinSumReceiver(_Party):
 
     Runs the intersection-size flow, then homomorphically sums the
     Paillier ciphertexts S attached to matched codewords, blinded with
-    a uniform mask so S decrypts without learning the true sum.
+    a uniform mask so S decrypts without learning the true sum.  The
+    blinded round trip runs on every query (R never learns the
+    plaintext amounts, so the answer cannot be maintained locally) and
+    draws fresh mask randomness, so a delta of this protocol is *not*
+    journal-replay-safe; the double-encryption cache keeps its
+    matching at O(delta) modexp.
     """
 
-    def round1(self) -> CipherList:
-        """Step 2: ``Y_R``, reordered (as in Section 5.1)."""
-        self._y_r = _cached_or_encrypt(
-            self.cipher, self._key, self._hashes, self._cached_y
-        )
-        self._y_by_value = dict(zip(self.values, self._y_r))
-        return CipherList(sorted_ciphertexts(self._y_r))
+    def _declare(self) -> None:
+        #: ``Z_R`` (occurrence counts), S's ``codeword -> Enc(amount)``
+        #: pairs and the double encryption of each codeword seen.
+        self._z_r: Counter = Counter()
+        self._pairs_by_codeword: dict = {}
+        self._z_by_codeword: dict = {}
+        self._pk: PaillierPublicKey | None = None
+        self._mask: int | None = None
+        self.match_count: int | None = None
+        super()._declare()
 
-    def round2(self, reply: SumReply) -> BlindedSum:
-        """Step 5: match against the unlinkable ``Z_R``, sum and blind."""
-        reply = SumReply.coerce(reply)
-        pk = PaillierPublicKey(reply.n)
-        z_r_set = set(reply.z_r)
-        z_by_codeword = {}
-        matched = []
-        for codeword, ciphertext in reply.pairs:
-            z = self.cipher.encrypt(self._key, codeword)
-            z_by_codeword[codeword] = z
-            if z in z_r_set:
-                matched.append(ciphertext)
-        # Stashed for delta queries: the double-encryption cache keeps
-        # repeat matching O(delta) instead of O(|V_S|) modexp.
-        self._z_r_set = z_r_set
-        self._z_by_codeword = z_by_codeword
-        self._pairs_by_codeword = dict(reply.pairs)
+    def absorb(
+        self, z_added: list, z_removed: list, pairs_added: list,
+        pairs_removed: list,
+    ) -> BlindedSum:
+        """Step 5: patch ``Z_R`` and the pair map, match against the
+        unlinkable ``Z_R``, sum and blind."""
+        _patch(self._z_r, z_added, z_removed)
+        for codeword in pairs_removed:
+            self._pairs_by_codeword.pop(codeword, None)
+        self._pairs_by_codeword.update(pairs_added)
+        for codeword in pairs_removed:
+            if codeword not in self._pairs_by_codeword:  # not a replace
+                self._z_by_codeword.pop(codeword, None)
+        for codeword, _ in pairs_added:
+            if codeword not in self._z_by_codeword:
+                self._z_by_codeword[codeword] = self.cipher.encrypt(
+                    self._key, codeword
+                )
+        matched = [
+            ciphertext
+            for codeword, ciphertext in self._pairs_by_codeword.items()
+            if self._z_by_codeword[codeword] in self._z_r
+        ]
+        pk = self._pk
         accumulator = pk.encrypt_zero(self.rng)
         for ciphertext in matched:
             accumulator = pk.add(accumulator, ciphertext)
         self._mask = self.rng.randrange(pk.n)
-        self._pk = pk
         self.match_count = len(matched)
-        self.size_v_s = len(reply.pairs)
+        self.size_v_s = len(self._pairs_by_codeword)
         return BlindedSum(pk.add_plain(accumulator, self._mask, self.rng))
+
+    def round2(self, reply: SumReply) -> BlindedSum:
+        """Step 5 of a full run: adopt S's Paillier modulus, absorb."""
+        reply = SumReply.coerce(reply)
+        self._declare()
+        self._pk = PaillierPublicKey(reply.n)
+        return self.absorb(reply.z_r, (), reply.pairs, ())
 
     def finish(self, reply: RevealedSum) -> int:
         """Step 7: remove the mask from S's decrypted blinded sum."""
@@ -671,8 +849,11 @@ class EquijoinSumReceiver(_Party):
         return (reply.value - self._mask) % self._pk.n
 
 
-class EquijoinSumSender:
+class EquijoinSumSender(_PayloadSender):
     """Party S of the equijoin-sum aggregate (Paillier keypair holder)."""
+
+    #: The Paillier keypair is not persisted.
+    cacheable = False
 
     def __init__(
         self,
@@ -683,37 +864,43 @@ class EquijoinSumSender:
         crypto: CryptoContext | None = None,
         paillier_bits: int = 256,
     ):
-        self.params = params
-        self.crypto = _resolve_crypto(params, engine, crypto)
-        self.group, self.hash, self.cipher = (
-            self.crypto.group,
-            self.crypto.hash,
-            self.crypto.cipher,
-        )
-        self.amounts = dict(values_s)
-        self.values = sorted(self.amounts, key=repr)
-        self._hashes = _checked_hashes(self.hash, self.values)
-        self._hash_by_value = dict(zip(self.values, self._hashes))
-        self._key = self.cipher.sample_key(rng)
+        super().__init__(values_s, params, rng, engine, crypto)
         self._public, self._private = generate_keypair(paillier_bits, rng)
-        self.rng = rng
+
+    def answer(self, ys: list) -> list:
+        """Step 3: ``f_eS(y)`` per ciphertext, reordered before it ships."""
+        return self._encrypt(self._key, ys)
+
+    def reply(
+        self, r_added: list, r_removed: list, added: Mapping, removed: Iterable
+    ) -> tuple[list, list, list, list]:
+        """Steps 3-4: the reordered doubles of R's churn, then own
+        ``⟨f_eS(h(v)), Enc_pkS(val(v))⟩`` churn (Paillier randomness is
+        drawn in value order)."""
+        invalid = [
+            v for v, amount in added.items() if amount is None or int(amount) < 0
+        ]
+        if invalid:
+            raise ValueError(
+                "aggregated values must be non-negative amounts "
+                f"({len(invalid)} invalid)"
+            )
+        self.hear(r_added, r_removed)
+        z_added = sorted_ciphertexts(self.answer(r_added))
+        z_removed = sorted_ciphertexts(self.answer(r_removed))
+        _, tombstones = self.own(added, removed)
+        self.payloads.update((v, int(amount)) for v, amount in added.items())
+        pairs = sorted(
+            (self._y_by_value[v], self._public.encrypt(self.payloads[v], self.rng))
+            for v in added
+        )
+        return z_added, z_removed, pairs, tombstones
 
     def round1(self, y_r: CipherList) -> SumReply:
         """Steps 3-4: unlinkable ``Z_R`` + Paillier modulus, then the
-        ``⟨f_eS(h(v)), Enc_pkS(val(v))⟩`` pairs, reordered."""
-        y_r = list(CipherList.coerce(y_r))
-        self.size_v_r = len(y_r)
-        z_r = sorted_ciphertexts(self.cipher.encrypt_many(self._key, y_r))
-        pairs = []
-        self._codeword_by_value = {}
-        for v, x in zip(self.values, self._hashes):
-            codeword = self.cipher.encrypt(self._key, x)
-            self._codeword_by_value[v] = codeword
-            amount = int(self.amounts[v])
-            if amount < 0:
-                raise ValueError("aggregated values must be non-negative")
-            pairs.append((codeword, self._public.encrypt(amount, self.rng)))
-        return SumReply(z_r_pk=(z_r, self._public.n), pairs=sorted(pairs))
+        pairs, reordered."""
+        z_r, _, pairs, _ = self._serve(y_r)
+        return SumReply(z_r_pk=(z_r, self._public.n), pairs=pairs)
 
     def round2(self, blinded: BlindedSum) -> RevealedSum:
         """Step 6: decrypt the rerandomized blinded ciphertext."""
@@ -875,9 +1062,15 @@ class ReceiverMachine(_Machine):
 
     role = "r"
     _factory_attr = "make_receiver"
+    _PENDING = object()
+    _answer: Any = _PENDING
 
     def finish(self) -> Any:
-        """Compute the protocol answer from the completed inbox."""
-        state = self.ensure_state()
-        with self._phase("finish"):
-            return self.spec.finish(state, self.inbox)
+        """Compute the protocol answer from the completed inbox - once:
+        a session that loses its link after the last round asks again,
+        and a delta's absorbing its patch is not repeatable."""
+        if self._answer is self._PENDING:
+            state = self.ensure_state()
+            with self._phase("finish"):
+                self._answer = self.spec.finish(state, self.inbox)
+        return self._answer

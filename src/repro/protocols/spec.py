@@ -29,15 +29,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
+from . import delta
 from .base import sorted_ciphertexts
 from .messages import (
     BlindedSum,
     CipherList,
+    DeltaAnnounce,
+    EquijoinDeltaPatch,
     EquijoinReply,
+    IntersectionDeltaPatch,
     IntersectionReply,
     Message,
     RevealedSum,
+    SizeDeltaPatch,
     SizeReply,
+    SumDeltaPatch,
     SumReply,
 )
 from .parties import (
@@ -88,8 +94,12 @@ class RoundSpec:
             runs, so crypto for chunk *k+1* can overlap the transmission
             of chunk *k*. It must reproduce ``step``'s message and state
             side effects exactly (the golden-transcript suite pins
-            this); rounds without one fall back to computing the full
-            message and splitting it.
+            this) and, because a session restarts the stream after a
+            lost link - possibly after a producer running ahead of the
+            wire was already exhausted - start from the empty state and
+            leave the party untouched until it is exhausted; rounds
+            without one fall back to computing the full message and
+            splitting it.
     """
 
     name: str
@@ -214,14 +224,16 @@ def _finish_m4(state: Any, inbox: Mapping[str, Message]) -> Any:
 # ----------------------------------------------------------------------
 # Streaming chunk producers
 #
-# Each reproduces its round's ``step`` byte-for-byte (same crypto calls
-# on the same inputs - the ciphers are deterministic) while yielding
-# the payload as chunk streams, so the transport can ship chunk k while
-# the CryptoEngine is still exponentiating chunk k+1. Sorted parts
-# (``sorted_ciphertexts``) cannot *emit* before all their crypto is
-# done - a privacy requirement, the reorder is what unlinks ciphertexts
-# from the inbound order - so their modexp is instead interleaved with
-# the emission of earlier parts.
+# Each is its round's ``step`` run per segment: the same party steps
+# (``own`` for S's whole table, ``answer`` per slice of ``Y_R``) on the
+# same inputs - the ciphers are deterministic, so the chunks reassemble
+# to the step's message byte-for-byte - yielded as chunk payloads so
+# the transport can ship chunk k while the CryptoEngine is still
+# exponentiating chunk k+1. Sorted parts (``sorted_ciphertexts``)
+# cannot *emit* before all their crypto is done - a privacy
+# requirement, the reorder is what unlinks ciphertexts from the inbound
+# order - so their modexp is instead interleaved with the emission of
+# earlier parts.
 # ----------------------------------------------------------------------
 def _segments(items: list, chunk_size: int) -> Iterator[list]:
     """Slices of at most ``chunk_size``; an empty list yields one empty
@@ -233,82 +245,82 @@ def _segments(items: list, chunk_size: int) -> Iterator[list]:
         yield items[start : start + chunk_size]
 
 
-def _size_reply_chunks(
-    state: Any, y_s: list, y_r: list, chunk_size: int
-) -> Iterator[tuple]:
-    """Stream a :class:`SizeReply`: ``y_s`` segments first, with one
-    chunk of ``Z_R``'s encryption cranked between each emission so the
-    expensive modexp overlaps the wire instead of following it."""
-    pending = [y_r[i : i + chunk_size] for i in range(0, len(y_r), chunk_size)]
-    z_parts: list = []
+def _restartable(producer: Callable[..., Iterator[tuple]]) -> Callable[..., Iterator[tuple]]:
+    """Run a chunk producer on a fork of the party, emptied like any
+    full query's state and folded back once the stream is exhausted.
 
-    def crank() -> None:
-        if pending:
-            z_parts.extend(state.cipher.encrypt_many(state._key, pending.pop(0)))
+    A session that loses its link mid-round restarts the stream, and
+    the party steps are not repeatable on a state that has already
+    taken them.  The fork keeps an abandoned attempt (its producer
+    thread may still be exponentiating) off the party; the reset covers
+    the attempt that was already folded back - the shells produce ahead
+    of the wire, so the stream is exhausted while its last chunks are
+    still unshipped."""
 
-    for segment in _segments(y_s, chunk_size):
-        yield (0, "seg", segment)
-        crank()
-    while pending:
-        crank()
-    for segment in _segments(sorted_ciphertexts(z_parts), chunk_size):
-        yield (1, "seg", segment)
+    def chunk_step(
+        state: Any, inbox: Mapping[str, Message], chunk_size: int
+    ) -> Iterator[tuple]:
+        staged = state.fork()
+        staged.reset()
+        yield from producer(staged, inbox, chunk_size)
+        state.adopt(staged)
+
+    return chunk_step
 
 
+def _heard(state: Any, inbox: Mapping[str, Message]) -> list:
+    """``Y_R`` as S received it in ``m1`` (its size noted by S)."""
+    y_r = list(CipherList.coerce(inbox["m1"]))
+    state.hear(y_r)
+    return y_r
+
+
+@_restartable
 def _intersection_m2_chunks(
     state: Any, inbox: Mapping[str, Message], chunk_size: int
 ) -> Iterator[tuple]:
     """Stream S's :class:`IntersectionReply`: the sorted ``Y_S`` part,
-    then the ``⟨y, f_eS(y)⟩`` pairs encrypted chunk-by-chunk in ``Y_R``
+    then the ``⟨y, f_eS(y)⟩`` pairs answered chunk-by-chunk in ``Y_R``
     order - each pairs chunk's modexp overlaps its predecessor's
     transmission."""
-    y_r = list(CipherList.coerce(inbox["m1"]))
-    state.size_v_r = len(y_r)
-    y_s = sorted_ciphertexts(state.cipher.encrypt_many(state._key, state._hashes))
+    y_r = _heard(state, inbox)
+    y_s, _ = state.own(state.opening, ())
     for segment in _segments(y_s, chunk_size):
         yield (0, "seg", segment)
     for segment in _segments(y_r, chunk_size):
-        encrypted = state.cipher.encrypt_many(state._key, segment)
-        yield (1, "seg", list(zip(segment, encrypted)))
+        yield (1, "seg", state.answer(segment))
 
 
-def _intersection_size_m2_chunks(
+@_restartable
+def _size_m2_chunks(
     state: Any, inbox: Mapping[str, Message], chunk_size: int
 ) -> Iterator[tuple]:
-    y_r = list(CipherList.coerce(inbox["m1"]))
-    state.size_v_r = len(y_r)
-    y_s = sorted_ciphertexts(state.cipher.encrypt_many(state._key, state._hashes))
-    yield from _size_reply_chunks(state, y_s, y_r, chunk_size)
+    """Stream S's :class:`SizeReply`: ``Y_S`` segments first, with one
+    segment of ``Z_R`` answered between each emission so the expensive
+    modexp overlaps the wire instead of following it."""
+    pending = list(_segments(_heard(state, inbox), chunk_size))
+    z_r: list = []
+    y_s, _ = state.own(state.opening, ())
+    for segment in _segments(y_s, chunk_size):
+        yield (0, "seg", segment)
+        if pending:
+            z_r.extend(state.answer(pending.pop(0)))
+    for segment in pending:
+        z_r.extend(state.answer(segment))
+    for segment in _segments(sorted_ciphertexts(z_r), chunk_size):
+        yield (1, "seg", segment)
 
 
-def _equijoin_size_m2_chunks(
-    state: Any, inbox: Mapping[str, Message], chunk_size: int
-) -> Iterator[tuple]:
-    y_r = list(CipherList.coerce(inbox["m1"]))
-    state.size_v_r = len(y_r)
-    state._y_r_received = y_r
-    y_s = sorted_ciphertexts(list(state._y_multiset))
-    yield from _size_reply_chunks(state, y_s, y_r, chunk_size)
-
-
+@_restartable
 def _equijoin_m2_chunks(
     state: Any, inbox: Mapping[str, Message], chunk_size: int
 ) -> Iterator[tuple]:
-    """Stream S's :class:`EquijoinReply`: triples chunk-by-chunk over
-    ``Y_R`` (three modexp batches per chunk, overlapping the wire),
-    then the sorted codeword pairs."""
-    y_r = list(CipherList.coerce(inbox["m1"]))
-    state.size_v_r = len(y_r)
-    for segment in _segments(y_r, chunk_size):
-        second = state.cipher.encrypt_many(state._key, segment)
-        third = state.cipher.encrypt_many(state._key_prime, segment)
-        yield (0, "seg", list(zip(segment, second, third)))
-    codewords = state.cipher.encrypt_many(state._key, state._hashes)
-    kappas = state.cipher.encrypt_many(state._key_prime, state._hashes)
-    pairs = sorted(
-        (codeword, state._ext_cipher.encrypt(kappa, state.ext[v]))
-        for v, codeword, kappa in zip(state.values, codewords, kappas)
-    )
+    """Stream S's :class:`EquijoinReply`: triples answered
+    chunk-by-chunk over ``Y_R`` (two modexp batches per chunk,
+    overlapping the wire), then the sorted codeword pairs."""
+    for segment in _segments(_heard(state, inbox), chunk_size):
+        yield (0, "seg", state.answer(segment))
+    pairs, _ = state.pairs(state.opening, ())
     for segment in _segments(pairs, chunk_size):
         yield (1, "seg", segment)
 
@@ -348,7 +360,7 @@ INTERSECTION_SIZE = register(
             ),
             RoundSpec(
                 "m2", "S", SizeReply, _sender_round1, ("4a:Y_S", "4b:Z_R"),
-                chunkable=True, chunk_step=_intersection_size_m2_chunks,
+                chunkable=True, chunk_step=_size_m2_chunks,
             ),
         ),
         make_receiver=IntersectionSizeReceiver,
@@ -395,7 +407,7 @@ EQUIJOIN_SIZE = register(
             ),
             RoundSpec(
                 "m2", "S", SizeReply, _sender_round1, ("4a:Y_S", "4b:Z_R"),
-                chunkable=True, chunk_step=_equijoin_size_m2_chunks,
+                chunkable=True, chunk_step=_size_m2_chunks,
             ),
         ),
         make_receiver=EquijoinSizeReceiver,
@@ -438,9 +450,76 @@ EQUIJOIN_SUM = register(
 )
 
 
-# The incremental (delta) schedules in delta.py register themselves on
-# import; importing here ensures every get_spec() caller can resolve
-# "<name>+delta" names.  The import sits at module bottom because
-# delta.py needs this module's classes and step helpers (a benign
-# cycle: whichever module is imported first finishes the other).
-from . import delta as _delta  # noqa: E402,F401
+# ----------------------------------------------------------------------
+# Incremental (delta) schedules
+#
+# One per protocol above, derived from it: ``m1`` announces R's churn,
+# ``m2`` carries S's patch, and both are the base rounds' party steps
+# run over the staged ``(added, removed)`` by :mod:`.delta`.  Round
+# names reuse "m1".."m4" so the recorder phase names and the
+# session/journal machinery apply unchanged; the part labels carry a
+# "d" prefix so transcripts are unambiguous. Delta payloads are
+# O(|delta|), so no round opts into chunking.
+# ----------------------------------------------------------------------
+def _register_delta(
+    base: ProtocolSpec,
+    patch: type[Message],
+    labels: tuple[str, ...],
+    doc: str,
+    tail: tuple[RoundSpec, ...] = (),
+) -> ProtocolSpec:
+    """Register ``base``'s ``"<name>+delta"`` schedule: ``patch`` (with
+    its part ``labels``) is S's ``m2``; ``tail`` the rounds after it."""
+    return register(
+        ProtocolSpec(
+            name=base.name + "+delta",
+            run_label=base.run_label + "_delta",
+            rounds=(
+                RoundSpec(
+                    "m1", "R", DeltaAnnounce, delta.announce,
+                    ("d1a:added", "d1b:removed"),
+                ),
+                RoundSpec("m2", "S", patch, delta.patch, labels),
+                *tail,
+            ),
+            make_receiver=delta.DeltaParty,
+            make_sender=delta.DeltaParty,
+            # With no later round, R's absorbing the patch is the answer.
+            finish=base.finish if tail else delta.absorb,
+            sender_input=base.sender_input,
+            answer_kind=base.answer_kind,
+            doc=doc,
+            delta_of=base.name,
+        )
+    )
+
+
+_register_delta(
+    INTERSECTION, IntersectionDeltaPatch,
+    ("d2a:Y_S+", "d2b:Y_S-", "d2c:pairs+"),
+    "incremental intersection over staged inserts/deletes",
+)
+_register_delta(
+    INTERSECTION_SIZE, SizeDeltaPatch,
+    ("d2a:Y_S+", "d2b:Y_S-", "d2c:Z_R+", "d2d:Z_R-"),
+    "incremental intersection size over staged inserts/deletes",
+)
+_register_delta(
+    EQUIJOIN, EquijoinDeltaPatch,
+    ("d2a:triples+", "d2b:pairs+", "d2c:pairs-"),
+    "incremental equijoin over staged inserts/deletes",
+)
+_register_delta(
+    EQUIJOIN_SIZE, SizeDeltaPatch,
+    ("d2a:Y_S+", "d2b:Y_S-", "d2c:Z_R+", "d2d:Z_R-"),
+    "incremental equijoin size over staged occurrence churn",
+)
+_register_delta(
+    EQUIJOIN_SUM, SumDeltaPatch,
+    ("d2a:Z_R+", "d2b:Z_R-", "d2c:pairs+", "d2d:pairs-"),
+    "incremental sum over the intersection (fresh blind per query)",
+    tail=(
+        RoundSpec("m3", "R", BlindedSum, delta.absorb, ("d3:blinded",)),
+        RoundSpec("m4", "S", RevealedSum, _sender_round2, ("d4:blinded_sum",)),
+    ),
+)

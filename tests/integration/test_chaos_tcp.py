@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import threading
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.net.tcp import (
     serve_resumable_sender,
 )
 from repro.protocols.parties import PublicParams
+from repro.protocols.spec import get_spec
 
 #: protocol -> (R's data, S's data, expected answer for R)
 CASES = {
@@ -65,8 +67,8 @@ def _config() -> SessionConfig:
 
 
 def _run(protocol, client_injector=None, server_injector=None, seed=0,
-         chunk_size=None):
-    v_r, v_s, expected = CASES[protocol]
+         chunk_size=None, case=None, make_sender=None):
+    v_r, v_s, expected = case or CASES[protocol]
     config = _config()
     params = PublicParams.for_bits(128)
     ready = threading.Event()
@@ -82,6 +84,7 @@ def _run(protocol, client_injector=None, server_injector=None, seed=0,
                 config=config,
                 endpoint_wrapper=server_injector,
                 chunk_size=chunk_size,
+                make_sender=make_sender,
             )
         except Exception as exc:  # surfaced in the main thread below
             box["error"] = exc
@@ -260,6 +263,61 @@ class TestScriptedChunkBoundaryResume:
         assert client_stats.rounds_computed == 1
         assert server_stats.rounds_computed == 1
         assert client_stats.replayed_frames >= 1
+
+
+#: protocol -> (R's data, S's data, expected answer, m2 chunk count at
+#: chunk size 2) for the tail-of-round cut: ten ciphertexts in ``Y_R``.
+_TAIL_R = [f"r{i}" for i in range(10)]
+TAIL_CASES = {
+    "intersection": (
+        _TAIL_R, ["r0", "r1", "r2", "x", "y"], {"r0", "r1", "r2"}, 3 + 5,
+    ),
+    "intersection-size": (_TAIL_R, ["r0", "r1", "r2", "x", "y"], 3, 3 + 5),
+    "equijoin": (
+        _TAIL_R, {"r0": b"rec-0", "r1": b"rec-1", "x": b"rec-x"},
+        {"r0": b"rec-0", "r1": b"rec-1"}, 5 + 2,
+    ),
+    "equijoin-size": (
+        _TAIL_R[:8] + ["r0", "r0"], ["r0", "r1", "r1", "x", "x", "y"],
+        3 * 1 + 1 * 2, 3 + 5,
+    ),
+}
+
+
+class TestScriptedTailResume:
+    """Cut S's link in the last chunks of a streamed ``m2``.
+
+    The shell produces ahead of the wire, so by then the chunk producer
+    is exhausted and the round already folded into S's party; the
+    restarted stream must not fold it in a second time."""
+
+    @pytest.mark.parametrize("back", [0, 1, 2])
+    @pytest.mark.parametrize("protocol", sorted(TAIL_CASES))
+    def test_server_tail_disconnect_keeps_committed_state(self, protocol, back):
+        v_r, v_s, expected, m2_chunks = TAIL_CASES[protocol]
+        party = get_spec(protocol).make_sender(
+            v_s, PublicParams.for_bits(128), random.Random(1)
+        )
+        # The server sends the welcome, six m1 acks (5 chunks +
+        # chunk-end), then the m2 chunks: kill the last one (or one of
+        # the two before it) mid-frame.
+        injector = FaultInjector(
+            FaultPlan(seed=4, disconnect_rate=1.0, max_faults=1,
+                      skip=7 + m2_chunks - 1 - back)
+        )
+        _client_stats, server_stats = _run(
+            protocol, server_injector=injector, chunk_size=2,
+            case=(v_r, v_s, expected), make_sender=lambda: party,
+        )
+        assert injector.stats.disconnects == 1
+        assert server_stats.reconnects == 1
+        assert server_stats.rounds_computed == 1
+        # What S committed is what an undisturbed run commits.
+        assert party.size_v_r == len(v_r)
+        assert party.values == sorted(set(v_s), key=repr)
+        if protocol == "equijoin-size":
+            assert party._counts == Counter(v_s)
+        assert sorted(party.cache_entries(), key=repr) == party.values
 
 
 class TestScriptedResumeStats:

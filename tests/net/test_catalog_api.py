@@ -8,7 +8,9 @@ Three properties anchor the repeated-query redesign:
   precisely one framing message (the query announcement) and nothing
   else.
 * **Delta correctness** - a delta query's answer equals a fresh full
-  run over the mutated tables, for every protocol.
+  run over the mutated tables, and so does the party state it commits
+  (delta ∘ full ≡ full), for every protocol, whole or streamed, with
+  or without the on-disk cache.
 * **Persistence** - a cache-backed catalog warm-starts from disk with
   the same answers, and delta commits re-key the cache.
 """
@@ -16,11 +18,16 @@ Three properties anchor the repeated-query redesign:
 from __future__ import annotations
 
 import random
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro.crypto.engine import create_engine
 from repro.net import tcp
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS, get_spec
@@ -40,20 +47,6 @@ def _tables(protocol):
     if shape == "amounts":
         return v_r, {v: i * 10 for i, v in enumerate(v_s)}
     return v_r, v_s
-
-
-def _mutate(cat_r, cat_s, protocol):
-    """Stage one insert + one delete on each side."""
-    shape = get_spec(protocol).sender_input
-    cat_r.insert("v20")
-    cat_r.delete("v0")
-    if shape == "ext":
-        cat_s.insert("v20", b"ext(v20)")
-    elif shape == "amounts":
-        cat_s.insert("v20", 777)
-    else:
-        cat_s.insert("v20")
-    cat_s.delete("v17")
 
 
 class _RecordingTransport:
@@ -272,30 +265,114 @@ class _RecordingSocket:
 # ----------------------------------------------------------------------
 # Delta correctness: every protocol, local pair
 # ----------------------------------------------------------------------
+#: One staged mutation: (side, operation, index into the v0..v23 universe).
+_OPS = st.tuples(
+    st.sampled_from("rs"),
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.integers(min_value=0, max_value=23),
+)
+#: One insert + one delete on each side, then an empty staged delta.
+_FIXED_CHURN = [
+    [("r", "insert", 20), ("r", "delete", 0),
+     ("s", "insert", 20), ("s", "delete", 17)],
+    [],
+]
+
+
+def _stage(catalog, protocol, operation, value, stamp):
+    """Stage one mutation where the table allows it (insert an absent
+    value - or one more occurrence for equijoin-size -, delete a present
+    one, replace a present key's payload); otherwise a no-op."""
+    table = catalog.data
+    present = value in table
+    if operation == "delete":
+        if present:
+            catalog.delete(value)
+    elif isinstance(table, dict):
+        if present == (operation == "replace"):
+            shape = get_spec(protocol).sender_input
+            catalog.insert(
+                value,
+                f"ext({value})#{stamp}".encode() if shape == "ext" else stamp,
+            )
+    elif operation == "insert" and (not present or protocol == "equijoin-size"):
+        catalog.insert(value)
+
+
+def _committed_state(catalog, protocol, role):
+    """The cross-query fields of a catalog's committed party: every
+    container and counter it declares, minus per-query scratch."""
+    party = catalog._links[(protocol, role)]["party"]
+    skip = {"opening", "_announced", "_mask"}
+    if protocol == "equijoin-sum":
+        skip.add("_pairs_by_codeword")  # Paillier draws fresh randomness
+    return {
+        name: value
+        for name, value in vars(party).items()
+        if name not in skip
+        and isinstance(value, (dict, set, list, int, type(None)))
+    }
+
+
 @pytest.mark.parametrize("protocol", BASE_PROTOCOLS)
-def test_delta_query_matches_full_rerun(protocol):
+@settings(max_examples=12, deadline=None)
+@given(
+    chunk_size=st.sampled_from([None, 1, 7, 64]),
+    cached=st.booleans(),
+    deltas=st.lists(st.lists(_OPS, max_size=6), min_size=1, max_size=3),
+)
+@example(chunk_size=None, cached=False, deltas=_FIXED_CHURN)
+@example(chunk_size=7, cached=False, deltas=_FIXED_CHURN)
+@example(chunk_size=7, cached=True, deltas=_FIXED_CHURN)
+def test_delta_query_matches_full_rerun(protocol, chunk_size, cached, deltas):
+    """Full (whole or streamed) then 1-3 deltas of random churn: every
+    delta answers like a full re-run on the mutated tables and commits
+    the party state that re-run would have built."""
     v_r, v_s = _tables(protocol)
     legacy = repro.run(protocol, v_r, v_s, bits=BITS, seed=42)
 
-    cat_r = repro.open_catalog(v_r, bits=BITS, seed=11)
-    cat_s = repro.open_catalog(v_s, bits=BITS, seed=12)
-    peer = cat_r.pair(cat_s)
-    first = peer.query(protocol)
-    assert first.mode == "full"
-    assert first.answer == legacy.answer
-    assert first.size_v_r == legacy.size_v_r
-    assert first.size_v_s == legacy.size_v_s
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = (
+            {"r": Path(tmp, "r"), "s": Path(tmp, "s")}
+            if cached else {"r": None, "s": None}
+        )
+        cat_r = repro.open_catalog(v_r, bits=BITS, seed=11, cache_dir=dirs["r"])
+        cat_s = repro.open_catalog(v_s, bits=BITS, seed=12, cache_dir=dirs["s"])
+        peer = cat_r.pair(cat_s)
+        first = peer.query(protocol, chunk_size=chunk_size)
+        assert first.mode == "full"
+        assert first.answer == legacy.answer
+        assert first.size_v_r == legacy.size_v_r
+        assert first.size_v_s == legacy.size_v_s
 
-    _mutate(cat_r, cat_s, protocol)
-    second = peer.query(protocol)
-    assert second.mode == "delta"
-    reference = repro.run(protocol, cat_r.data, cat_s.data, bits=BITS, seed=7)
-    assert second.answer == reference.answer
+        stamp = 0
+        for staged in deltas:
+            for side, operation, index in staged:
+                stamp += 1
+                _stage(
+                    cat_r if side == "r" else cat_s,
+                    protocol, operation, f"v{index}", stamp,
+                )
+            result = peer.query(protocol, chunk_size=chunk_size)
+            assert result.mode == "delta"
+            reference = repro.run(
+                protocol, cat_r.data, cat_s.data, bits=BITS, seed=7
+            )
+            assert result.answer == reference.answer
+            assert result.size_v_r == reference.size_v_r
+            assert result.size_v_s == reference.size_v_s
 
-    # An empty staged delta still answers (and still in delta mode).
-    third = peer.query(protocol)
-    assert third.mode == "delta"
-    assert third.answer == reference.answer
+            # Same seeds => same keys: a fresh full run on the mutated
+            # tables must land in exactly the committed state.
+            fresh_r = repro.open_catalog(cat_r.data, bits=BITS, seed=11)
+            fresh_s = repro.open_catalog(cat_s.data, bits=BITS, seed=12)
+            fresh_r.pair(fresh_s).query(protocol)
+            for catalog, fresh, role in (
+                (cat_r, fresh_r, "receiver"), (cat_s, fresh_s, "sender"),
+            ):
+                assert _committed_state(catalog, protocol, role) == (
+                    _committed_state(fresh, protocol, role)
+                )
 
 
 def test_replace_payload_is_a_delta(rng_seed=9):
@@ -314,42 +391,45 @@ def test_replace_payload_is_a_delta(rng_seed=9):
 # ----------------------------------------------------------------------
 # Cache persistence through the API
 # ----------------------------------------------------------------------
-def test_cache_warm_start_and_rekey(tmp_path):
-    v_r, v_s = _tables("intersection")
+@pytest.mark.parametrize("chunk_size", [None, 7])
+@pytest.mark.parametrize("protocol", ["intersection", "equijoin"])
+def test_cache_warm_start_and_rekey(tmp_path, protocol, chunk_size):
+    v_r, v_s = _tables(protocol)
+    s_modexps: list[int] = []
 
-    def open_pair():
+    def open_pair(v_r=v_r, v_s=v_s):
         cat_r = repro.open_catalog(
             v_r, bits=BITS, seed=1, cache_dir=tmp_path / "r"
         )
         cat_s = repro.open_catalog(
-            v_s, bits=BITS, seed=2, cache_dir=tmp_path / "s"
+            v_s, bits=BITS, seed=2, cache_dir=tmp_path / "s",
+            engine=create_engine(1, on_modexp=s_modexps.append),
         )
         return cat_r, cat_s
 
     cat_r, cat_s = open_pair()
-    cold = cat_r.pair(cat_s).query("intersection")
+    cold = cat_r.pair(cat_s).query(protocol, chunk_size=chunk_size)
     assert not cold.cache_hit
 
     # "Restart": fresh catalogs, same tables + seeds, warm cache.
     cat_r, cat_s = open_pair()
     peer = cat_r.pair(cat_s)
-    warm = peer.query("intersection")
+    del s_modexps[:]
+    warm = peer.query(protocol, chunk_size=chunk_size)
     assert warm.cache_hit
     assert warm.answer == cold.answer
+    # Whole or streamed, a warm S only answers Y_R (under both of
+    # equijoin's keys); its own set comes from the cache.
+    assert sum(s_modexps) == len(v_r) * (2 if protocol == "equijoin" else 1)
 
     # A delta commit re-keys the entries to the mutated tables.
     cat_r.insert("zz")
-    cat_s.insert("zz")
-    delta = peer.query("intersection")
+    _stage(cat_s, protocol, "insert", "zz", 1)
+    delta = peer.query(protocol, chunk_size=chunk_size)
     assert delta.mode == "delta" and "zz" in delta.answer
 
-    cat_r2 = repro.open_catalog(
-        list(cat_r.data), bits=BITS, seed=1, cache_dir=tmp_path / "r"
-    )
-    cat_s2 = repro.open_catalog(
-        list(cat_s.data), bits=BITS, seed=2, cache_dir=tmp_path / "s"
-    )
-    rewarmed = cat_r2.pair(cat_s2).query("intersection")
+    cat_r2, cat_s2 = open_pair(cat_r.data, cat_s.data)
+    rewarmed = cat_r2.pair(cat_s2).query(protocol, chunk_size=chunk_size)
     assert rewarmed.cache_hit
     assert rewarmed.answer == delta.answer
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,8 @@ from repro.protocols.base import ProtocolSuite
 from repro.protocols.equijoin_size import run_equijoin_size
 from repro.protocols.intersection import run_intersection
 from repro.protocols.intersection_size import run_intersection_size
+from repro.protocols.parties import PublicParams
+from repro.protocols.spec import PROTOCOLS
 
 value_sets = st.sets(st.integers(min_value=0, max_value=30), max_size=10)
 
@@ -134,3 +137,58 @@ class TestCrossProtocolAgreement:
             list(v_r), list(v_s), ProtocolSuite.default(bits=64, seed=17)
         )
         assert join.join_size == len(v_r & v_s)
+
+
+def _held(party):
+    """Everything a party holds across queries (containers, counters)."""
+    return {
+        name: value.copy() if hasattr(value, "copy") else value
+        for name, value in vars(party).items()
+        if isinstance(value, (dict, set, list, int, type(None)))
+    }
+
+
+class TestRepeatedDrivers:
+    """A full query is the whole table added to an *empty* state, so a
+    full driver called again answers the same and leaves the party in
+    the same state - nothing accumulates."""
+
+    CASES = {
+        "intersection": (["a", "b", "c"], ["b", "c", "d"]),
+        "intersection-size": (["a", "b", "c", "d"], ["c", "d", "e"]),
+        "equijoin": (["a", "b", "c"], {"b": b"rec-b", "c": b"rec-c", "z": b"-"}),
+        "equijoin-size": (["a", "a", "b", "c"], ["a", "b", "b", "e"]),
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(CASES))
+    def test_two_round_drivers_are_repeatable(self, protocol):
+        spec, (v_r, v_s) = PROTOCOLS[protocol], self.CASES[protocol]
+        params = PublicParams.for_bits(64)
+        receiver = spec.make_receiver(v_r, params, random.Random(1))
+        sender = spec.make_sender(v_s, params, random.Random(2))
+
+        m1, after_m1 = receiver.round1(), _held(receiver)
+        assert receiver.round1() == m1 and _held(receiver) == after_m1
+        m2, after_m2 = sender.round1(m1), _held(sender)
+        assert sender.round1(m1) == m2 and _held(sender) == after_m2
+        answer, after_finish = receiver.finish(m2), _held(receiver)
+        assert receiver.finish(m2) == answer
+        assert _held(receiver) == after_finish
+        assert sender.size_v_r == len(v_r)
+        assert receiver.size_v_s == len(v_s)
+
+    def test_equijoin_sum_drivers_are_repeatable(self):
+        spec, params = PROTOCOLS["equijoin-sum"], PublicParams.for_bits(64)
+        receiver = spec.make_receiver(["a", "b", "c"], params, random.Random(1))
+        sender = spec.make_sender(
+            {"b": 5, "c": 7, "z": 1}, params, random.Random(2)
+        )
+        m1 = receiver.round1()
+        sender.round1(m1)
+        m2 = sender.round1(m1)  # fresh Paillier randomness, same state
+        assert sender.size_v_r == 3 and sender.payloads == {"b": 5, "c": 7, "z": 1}
+        receiver.round2(m2)
+        m3 = receiver.round2(m2)
+        assert (receiver.match_count, receiver.size_v_s) == (2, 3)
+        assert sum(receiver._z_r.values()) == 3
+        assert receiver.finish(sender.round2(m3)) == 12

@@ -117,7 +117,9 @@ class TestIsolation:
         assert receiver._key != sender._key
         # The sender never holds R's values or vice versa.
         assert receiver.values == ["a"] and sender.values == ["a"]
-        assert not hasattr(sender, "_y_by_value")
+        # Before round 1, S holds nothing derived from R - and has
+        # encrypted nothing of its own.
+        assert sender.size_v_r is None and sender._y_by_value == {}
 
 
 class TestEquijoinParties:
