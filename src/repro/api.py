@@ -238,6 +238,10 @@ def _delta_spec(spec: ProtocolSpec) -> ProtocolSpec | None:
     return PROTOCOLS.get(spec.name + "+delta")
 
 
+#: "No such key" in a mapping-shaped table's staged-op log.
+_ABSENT = object()
+
+
 class Catalog:
     """One party's stateful handle over its table across many queries.
 
@@ -288,6 +292,16 @@ class Catalog:
                 cache_dir, io=cache_io, fsync=cache_fsync
             )
         self._links: dict[tuple[str, str], dict[str, Any]] = {}
+        #: The staged mutations no link has committed past yet, oldest
+        #: first: ``(value, occurrences added)`` for a sequence table,
+        #: ``(key, payload before, payload after)`` for a mapping.
+        #: ``_log[0]`` is op number ``_log_start``; a link's ``cursor``
+        #: is the op number its committed party is current to.
+        self._log: list[tuple] = []
+        self._log_start = 0
+        #: The running :class:`~repro.net.catalog.TableDigest` of
+        #: ``data``, kept from the first cacheable query on.
+        self._digest: Any = None
 
     # ------------------------------------------------------------------
     # Table mutation (staged deltas)
@@ -302,7 +316,7 @@ class Catalog:
         value (multiset protocols count occurrences).
         """
         if isinstance(self.data, dict):
-            self.data[value] = payload
+            self._put(value, payload)
         else:
             if payload is not None:
                 raise ValueError(
@@ -310,19 +324,40 @@ class Catalog:
                     "(ext/amount tables)"
                 )
             self.data.append(value)
+            self._log.append((value, 1))
+            if self._digest is not None:
+                self._digest.add(value)
         return self
 
     def delete(self, value: Hashable) -> "Catalog":
         """Stage a delete (one occurrence, for multiset tables) for the
         next query's delta rounds. Raises if the value is absent."""
         if isinstance(self.data, dict):
-            del self.data[value]
+            self._put(value, _ABSENT)
         else:
             try:
                 self.data.remove(value)
             except ValueError:
                 raise ValueError(f"{value!r} is not in the catalog") from None
+            self._log.append((value, -1))
+            if self._digest is not None:
+                self._digest.remove(value)
         return self
+
+    def _put(self, key: Hashable, after: Any) -> None:
+        """Set (or, with ``_ABSENT``, drop) a mapping-shaped table's
+        ``key``, logging the change and moving the running digest."""
+        before = self.data.get(key, _ABSENT)
+        if after is _ABSENT:
+            del self.data[key]
+        else:
+            self.data[key] = after
+        self._log.append((key, before, after))
+        if self._digest is not None:
+            if before is not _ABSENT:
+                self._digest.remove((key, before))
+            if after is not _ABSENT:
+                self._digest.add((key, after))
 
     # ------------------------------------------------------------------
     # Peers
@@ -411,6 +446,8 @@ class Catalog:
         symmetry (``with open_catalog(...)``) and releasing memory.
         """
         self._links.clear()
+        self._log_start = self._mark()
+        self._log.clear()
 
     def __enter__(self) -> "Catalog":
         return self
@@ -435,9 +472,6 @@ class Catalog:
             )
         return self.params
 
-    def _snapshot(self) -> Any:
-        return dict(self.data) if isinstance(self.data, dict) else list(self.data)
-
     def _has_link(self, spec: ProtocolSpec, role: str) -> bool:
         return (spec.name, role) in self._links
 
@@ -455,23 +489,41 @@ class Catalog:
         setup was a cache hit. A link only ever handles these three, so
         no link kind knows which flavour it is running.
 
-        The table is snapshotted here, at query entry: the state is
-        built from the snapshot and the commit records the same
-        snapshot, so mutations staged while a query is in flight stay
-        staged for the *next* delta instead of being silently absorbed.
+        The table is pinned here, at query entry, as a position in the
+        staged-op log: the state is built from the table as of that
+        position and the commit moves the link's cursor to it, so
+        mutations staged while a query is in flight stay staged for the
+        *next* delta instead of being silently absorbed.
         """
         wire_spec = spec if kind == "full" else _delta_spec(spec)
         factory = (
             wire_spec.make_receiver if role == "receiver" else wire_spec.make_sender
         )
         plan = self._plan_full if wire_spec is spec else self._plan_delta
-        return (wire_spec, *plan((spec.name, role), factory, self._snapshot()))
+        return (wire_spec, *plan((spec.name, role), factory))
+
+    def _mark(self) -> int:
+        """The op number the next staged mutation will get."""
+        return self._log_start + len(self._log)
+
+    def _commit_link(self, key: tuple[str, str], link: dict[str, Any]) -> None:
+        """Record ``link`` (committed up to its ``cursor``) and drop the
+        staged ops every link has now committed past."""
+        if link["cursor"] < self._log_start:
+            # An overlapping query trimmed ops this one has not seen:
+            # no delta can follow it, the next query runs full.
+            self._links.pop(key, None)
+            return
+        self._links[key] = link
+        keep = min(each["cursor"] for each in self._links.values())
+        del self._log[: keep - self._log_start]
+        self._log_start = keep
 
     def _plan_full(
-        self, key: tuple[str, str], factory: Callable[..., Any], snapshot: Any
+        self, key: tuple[str, str], factory: Callable[..., Any]
     ) -> tuple[Callable[[PublicParams], Any], Callable[[Any], bool]]:
         """A full query: warm-start from the cache, store on a miss."""
-        from .net.catalog import CatalogCacheError, table_digest
+        from .net.catalog import CatalogCacheError, TableDigest
 
         # The equijoin-sum sender holds a Paillier keypair that is not
         # persisted, so it is the one party without cache support.
@@ -480,7 +532,11 @@ class Catalog:
         # sender caches (codeword, kappa) pairs under two keys), so the
         # role is part of the cache key.
         cache_name = f"{key[0]}.{key[1][0]}"
-        digest = table_digest(snapshot) if cacheable else None
+        if cacheable and self._digest is None:
+            self._digest = TableDigest(self.data)
+        digest = self._digest.hexdigest() if cacheable else None
+        cursor = self._mark()
+        snapshot = dict(self.data) if isinstance(self.data, dict) else list(self.data)
         found: dict[str, Any] = {}
 
         def make_state(params: PublicParams) -> Any:
@@ -490,8 +546,11 @@ class Catalog:
                     entry = self.cache.lookup(digest, cache_name)
                 except CatalogCacheError:
                     pass  # corrupt or foreign-keyed entry: treat as a miss
-                if entry is not None and entry.params != params:
-                    entry = None
+                if entry is not None and (
+                    entry.params != params
+                    or not set(snapshot) <= entry.entries.keys()
+                ):
+                    entry = None  # other params, or not this table's values
             found.update(entry=entry, params=params)
             extra = {} if entry is None else {"cached": entry.party_cache()}
             return factory(snapshot, params, self.rng, engine=self.engine, **extra)
@@ -503,63 +562,76 @@ class Catalog:
                     digest, cache_name, found["params"],
                     party.cache_keys(), party.cache_entries(),
                 )
-            self._links[key] = {
-                "party": party, "snapshot": snapshot, "entry": entry,
-            }
+            self._commit_link(
+                key, {"party": party, "cursor": cursor, "entry": entry}
+            )
             return found["entry"] is not None
 
         return make_state, commit
 
     def _plan_delta(
-        self, key: tuple[str, str], factory: Callable[..., Any], snapshot: Any
+        self, key: tuple[str, str], factory: Callable[..., Any]
     ) -> tuple[Callable[[PublicParams], Any], Callable[[Any], bool]]:
-        """A delta query: the churn since the link's committed
-        snapshot, staged on its committed party."""
-        from .net.catalog import table_digest
-
+        """A delta query: the churn staged since the link's cursor, on
+        its committed party."""
         link = self._links[key]
-        exchange = self._delta_exchange(link, snapshot)
+        cursor = self._mark()
+        inserts, deletes = self._staged(link["cursor"])
+        exchange = DeltaExchange(
+            state=link["party"], inserts=inserts, deletes=deletes
+        )
+        # The file is re-keyed to the table as of this query's entry.
+        digest = None if link["entry"] is None else self._digest.hexdigest()
 
         def make_state(params: PublicParams) -> Any:
             return factory(exchange, params, self.rng, engine=self.engine)
 
         def commit(staged: Any) -> bool:
             staged.commit()
-            entry = link["entry"]
+            # A failed append leaves the file in doubt: the link goes on
+            # without its entry rather than append to it again.
+            entry, link["entry"] = link["entry"], None
+            link["cursor"] = cursor
+            self._commit_link(key, link)
             if entry is not None:
-                new = link["party"].cache_entries()
-                old = entry.entries
+                # What the churn touched and the party still holds; an
+                # unchanged entry (one more occurrence of a held value)
+                # is not written again.
+                held = link["party"].cache_entries(
+                    dict.fromkeys((*staged.added, *staged.removed))
+                )
                 link["entry"] = self.cache.append_delta(
                     entry,
-                    table_digest(snapshot),
-                    {v: e for v, e in new.items() if old.get(v) != e},
-                    [v for v in old if v not in new],
+                    digest,
+                    {v: e for v, e in held.items() if entry.entries.get(v) != e},
+                    [v for v in staged.removed if v not in held],
                 )
-            link["snapshot"] = snapshot
             return False
 
         return make_state, commit
 
-    @staticmethod
-    def _delta_exchange(link: dict[str, Any], snapshot: Any) -> DeltaExchange:
-        """The staged table delta relative to a link's committed
-        snapshot, as a :class:`~repro.protocols.delta.DeltaExchange`."""
-        base, cur = link["snapshot"], snapshot
-        if isinstance(cur, dict):
-            inserts = tuple(
-                (k, cur[k])
-                for k in sorted(cur, key=repr)
-                if k not in base or base[k] != cur[k]
+    def _staged(self, cursor: int) -> tuple[tuple, tuple]:
+        """The net ``(inserts, deletes)`` of the ops staged from
+        ``cursor`` on, in ``repr`` order (a
+        :class:`~repro.protocols.delta.DeltaExchange`'s)."""
+        ops = self._log[cursor - self._log_start :]
+        if isinstance(self.data, dict):
+            first: dict = {}
+            last: dict = {}
+            for k, before, after in ops:
+                first.setdefault(k, before)
+                last[k] = after
+            changed = sorted((k for k in last if first[k] != last[k]), key=repr)
+            return (
+                tuple((k, last[k]) for k in changed if last[k] is not _ABSENT),
+                tuple(k for k in changed if last[k] is _ABSENT),
             )
-            deletes = tuple(k for k in sorted(base, key=repr) if k not in cur)
-        else:
-            base_c, cur_c = Counter(base), Counter(cur)
-            inserts = tuple(
-                (v, None) for v in sorted((cur_c - base_c).elements(), key=repr)
-            )
-            deletes = tuple(sorted((base_c - cur_c).elements(), key=repr))
-        return DeltaExchange(
-            state=link["party"], inserts=inserts, deletes=deletes
+        net: Counter = Counter()
+        for value, occurrences in ops:
+            net[value] += occurrences
+        return (
+            tuple((v, None) for v in sorted((+net).elements(), key=repr)),
+            tuple(sorted((-net).elements(), key=repr)),
         )
 
 

@@ -13,11 +13,25 @@ The file format mirrors the session journal's discipline
 length-prefixed records, every byte written through the
 :class:`~repro.net.diskfaults.JournalIO` seam so seeded disk faults
 are injectable, fsync'd before an entry is advertised as durable, and
-torn tails truncated on open.  Mutations append ``add``/``del`` delta
-records and then atomically re-key the file (``os.replace`` +
-directory fsync) to the digest of the new table, so lookups always key
-on the *current* table contents and a crash between append and rename
-leaves the old entry intact.
+torn tails truncated on open.  After the ``header`` record (protocol,
+params, keys, key fingerprint) the file is a sequence of *batches*:
+``add``/``del`` records closed by one ``("rekey", digest)`` record
+naming the table the file describes from there on.  Records take
+effect at their ``rekey``, so a batch is all-or-nothing: whatever
+follows the last ``rekey`` (a torn or interrupted append) is cut away
+on load.
+
+A table mutation (:meth:`CatalogCache.append_delta`) appends one batch
+— O(|delta|) bytes — fsyncs it, and atomically renames the file to the
+new table's digest (``os.replace`` + directory fsync), so lookups
+always key on the *current* table contents.  A crash before the rename
+leaves the file under its old name saying, by its last ``rekey``,
+which table it describes; a name that disagrees with it is a
+:class:`CatalogCacheError` (a miss), never a wrong entry.
+:meth:`CatalogCache.store` is the one full rewrite, and doubles as the
+compactor: ``append_delta`` runs it once the file holds more dead
+records than live ones, which keeps the file within ~2x its compact
+size at amortised O(1) rewritten records per appended one.
 
 Security note (cache-key hygiene, detailed in ``docs/PROTOCOLS.md``):
 entries contain the party's **raw secret keys** — that is what makes
@@ -28,12 +42,12 @@ equivalent to publishing the keys.
 
 from __future__ import annotations
 
-import os
+import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Hashable, Mapping
+from typing import Any, Hashable, Iterable, Mapping
 
 from ..crypto.commutative import key_fingerprint
 from ..protocols.parties import PartyCache, PublicParams
@@ -46,10 +60,13 @@ __all__ = [
     "CatalogCacheError",
     "CacheEntry",
     "CatalogCache",
+    "TableDigest",
     "table_digest",
 ]
 
-CATALOG_VERSION = 1
+#: v2: batches closed by ``rekey`` records, the digest out of the
+#: header.  Files of another version fail the magic check: a miss.
+CATALOG_VERSION = 2
 CATALOG_MAGIC = b"RPCC" + struct.pack(">H", CATALOG_VERSION)
 
 _LEN = struct.Struct(">I")
@@ -58,26 +75,61 @@ _CRC = struct.Struct(">I")
 
 class CatalogCacheError(Exception):
     """A cache entry is unreadable or inconsistent (corruption, key
-    mismatch, params mismatch).  Callers treat this as a miss."""
+    mismatch, params mismatch, a file describing another table than
+    its name says).  Callers treat this as a miss."""
+
+
+class TableDigest:
+    """A running digest of a party's table, O(1) per mutation.
+
+    The table is a multiset of *items* - the values of a sequence-
+    shaped table, one per occurrence, or the ``(value, payload)`` pairs
+    of a mapping.  Each item's wire encoding is hashed and the hashes
+    are summed (the additive multiset hash), so the digest ignores
+    order, counts multiplicities, and :meth:`add` / :meth:`remove`
+    cost one hash each; equal tables digest equally across processes.
+    """
+
+    __slots__ = ("shape", "count", "total")
+
+    def __init__(self, data: Any = ()):
+        mapping = isinstance(data, Mapping)
+        self.shape = "map" if mapping else "seq"
+        self.count = 0
+        self.total = 0
+        for item in data.items() if mapping else data:
+            self.add(item)
+
+    @staticmethod
+    def _hash(item: Any) -> int:
+        return int.from_bytes(hashlib.sha256(encode(item)).digest(), "big")
+
+    def add(self, item: Any) -> None:
+        """One more occurrence of ``item``."""
+        self.total += self._hash(item)
+        self.count += 1
+
+    def remove(self, item: Any) -> None:
+        """One occurrence of ``item`` less (it must be in the table)."""
+        self.total -= self._hash(item)
+        self.count -= 1
+
+    def hexdigest(self) -> str:
+        """The table's canonical hex digest."""
+        summary = (self.shape, self.count, self.total % (1 << 256))
+        return hashlib.sha256(encode(summary)).hexdigest()
 
 
 def table_digest(data: Any) -> str:
     """A canonical hex digest of a party's table contents.
 
     Accepts the same shapes the party factories do: a mapping (ext
-    payloads / amounts) digests as sorted ``(value, payload)`` pairs, a
-    plain iterable as its sorted occurrence list (multiplicities kept,
-    so multiset tables digest distinctly).  Uses the wire encoding for
-    canonicalization, so equal tables digest equally across processes.
+    payloads / amounts) digests its ``(value, payload)`` pairs, a plain
+    iterable its occurrences (multiplicities kept, so multiset tables
+    digest distinctly).  This is :class:`TableDigest` from scratch; a
+    catalog keeps one running instead.
     """
-    import hashlib
-
-    if isinstance(data, Mapping):
-        items = sorted(data.items(), key=lambda kv: repr(kv[0]))
-        payload = ("map", [list(kv) for kv in items])
-    else:
-        payload = ("seq", sorted(data, key=repr))
-    return hashlib.sha256(encode(payload)).hexdigest()
+    return TableDigest(data).hexdigest()
 
 
 @dataclass
@@ -90,6 +142,9 @@ class CacheEntry:
     keys: tuple
     entries: dict[Hashable, tuple]
     path: Path
+    #: ``add``/``del``/``rekey`` records in the file; those beyond
+    #: ``len(entries)`` are dead weight the next compaction drops.
+    records: int = 0
 
     @property
     def fingerprint(self) -> str:
@@ -107,17 +162,28 @@ def _record(payload: Any) -> bytes:
     return _LEN.pack(len(raw)) + raw + _CRC.pack(zlib.crc32(raw))
 
 
-def _scan_records(data: bytes) -> tuple[list[Any], int]:
-    """Decode records after the magic; returns (records, good_end).
+def _batch(adds: Mapping[Hashable, tuple], dels: Iterable, digest: str) -> list[bytes]:
+    """The sealed records of one batch: ``adds`` in ``repr`` order,
+    ``dels``, and the ``rekey`` that commits them."""
+    records = [
+        ("add", value, int(adds[value][0]), tuple(int(y) for y in adds[value][1]))
+        for value in sorted(adds, key=repr)
+    ]
+    records += [("del", value) for value in dels]
+    records.append(("rekey", digest))
+    return [_record(record) for record in records]
+
+
+def _scan_records(data: bytes) -> tuple[list[Any], list[int]]:
+    """Decode records after the magic; returns (records, their ends).
 
     Stops at the first torn or corrupt tail — everything before it is
     intact (CRC-verified), mirroring the journal's recovery scan.
     """
     records: list[Any] = []
-    offset = good_end = len(CATALOG_MAGIC)
-    while offset < len(data):
-        if offset + _LEN.size > len(data):
-            break
+    ends: list[int] = []
+    offset = len(CATALOG_MAGIC)
+    while offset + _LEN.size <= len(data):
         (length,) = _LEN.unpack_from(data, offset)
         end = offset + _LEN.size + length + _CRC.size
         if end > len(data):
@@ -127,8 +193,9 @@ def _scan_records(data: bytes) -> tuple[list[Any], int]:
         if zlib.crc32(raw) != crc:
             break
         records.append(decode(raw))
-        offset = good_end = end
-    return records, good_end
+        ends.append(end)
+        offset = end
+    return records, ends
 
 
 class CatalogCache:
@@ -165,9 +232,12 @@ class CatalogCache:
     def lookup(self, digest: str, protocol: str) -> CacheEntry | None:
         """Load the entry for ``(digest, protocol)``; ``None`` on miss.
 
-        Corrupt headers raise :class:`CatalogCacheError`; a torn tail
-        (crash mid-append) is truncated away and the intact prefix
-        served, matching the journal's recovery semantics.
+        An unreadable entry, or one whose records describe another
+        table or protocol than its name (a delta commit that crashed
+        before its rename), raises :class:`CatalogCacheError`; a torn
+        or uncommitted tail (crash mid-append) is truncated away and
+        the committed prefix served, matching the journal's recovery
+        semantics.
         """
         path = self.path_for(digest, protocol)
         if not path.exists():
@@ -175,7 +245,7 @@ class CatalogCache:
         entry = self._load(path)
         if entry.digest != digest or entry.protocol != protocol:
             raise CatalogCacheError(
-                f"cache entry {path.name} header names "
+                f"cache entry {path.name} describes "
                 f"({entry.digest[:12]}…, {entry.protocol}), expected "
                 f"({digest[:12]}…, {protocol})"
             )
@@ -185,34 +255,48 @@ class CatalogCache:
         data = path.read_bytes()
         if data[: len(CATALOG_MAGIC)] != CATALOG_MAGIC:
             raise CatalogCacheError(f"{path.name}: bad catalog-cache magic")
-        records, good_end = _scan_records(data)
-        if good_end < len(data):
-            # Torn tail from a crash mid-append: repair like the
-            # journal does, keeping the verified prefix.
-            self.io.truncate(path, good_end)
-        if not records:
-            raise CatalogCacheError(f"{path.name}: no intact header record")
-        header = records[0]
-        if not (isinstance(header, tuple) and header[0] == "header"):
-            raise CatalogCacheError(f"{path.name}: first record not a header")
-        _, digest, protocol, params_wire, keys, fingerprint = header
-        params = PublicParams.from_wire(params_wire)
-        if key_fingerprint(keys, params.p) != fingerprint:
-            raise CatalogCacheError(
-                f"{path.name}: key fingerprint mismatch (corrupt or foreign keys)"
-            )
-        entries: dict[Hashable, tuple] = {}
-        for record in records[1:]:
-            kind = record[0]
-            if kind == "add":
-                _, value, hash_, ys = record
-                entries[value] = (hash_, tuple(ys))
-            elif kind == "del":
-                entries.pop(record[1], None)
-            else:
+        try:
+            records, ends = _scan_records(data)
+            # Records count from their batch's rekey on; the last one
+            # ends the committed prefix.
+            committed = len(records) - 1
+            while committed > 0 and records[committed][0] != "rekey":
+                committed -= 1
+            if committed <= 0:
+                raise CatalogCacheError(f"{path.name}: no committed batch")
+            if ends[committed] < len(data):
+                # A torn or interrupted append: repair like the journal
+                # does, keeping the committed prefix.
+                self.io.truncate(path, ends[committed])
+            kind, protocol, params_wire, keys, fingerprint = records[0]
+            if kind != "header":
+                raise CatalogCacheError(f"{path.name}: first record not a header")
+            params = PublicParams.from_wire(params_wire)
+            if key_fingerprint(keys, params.p) != fingerprint:
                 raise CatalogCacheError(
-                    f"{path.name}: unknown record kind {kind!r}"
+                    f"{path.name}: key fingerprint mismatch (corrupt or foreign keys)"
                 )
+            entries: dict[Hashable, tuple] = {}
+            for record in records[1 : committed + 1]:
+                kind = record[0]
+                if kind == "add":
+                    _, value, hash_, ys = record
+                    entries[value] = (hash_, tuple(ys))
+                elif kind == "del":
+                    _, value = record
+                    entries.pop(value, None)
+                elif kind == "rekey":
+                    _, digest = record
+                else:
+                    raise CatalogCacheError(
+                        f"{path.name}: unknown record kind {kind!r}"
+                    )
+            if not isinstance(digest, str):
+                raise CatalogCacheError(f"{path.name}: rekey names no digest")
+        except (ValueError, TypeError, IndexError) as exc:
+            # CRC-valid but malformed (wrong arity, non-tuple payload,
+            # undecodable bytes): corrupt all the same.
+            raise CatalogCacheError(f"{path.name}: malformed record ({exc})") from exc
         return CacheEntry(
             digest=digest,
             protocol=protocol,
@@ -220,11 +304,30 @@ class CatalogCache:
             keys=tuple(keys),
             entries=entries,
             path=path,
+            records=committed,
         )
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
+    def _append(self, path: Path, blocks: Iterable[bytes]) -> None:
+        """Append ``blocks`` to ``path`` and make them durable."""
+        fh = self.io.open_append(path)
+        try:
+            for block in blocks:
+                self.io.write(fh, block)
+            self.io.flush(fh)
+            if self.fsync:
+                self.io.fsync(fh)
+        finally:
+            fh.close()
+
+    def _publish(self, src: Path, dst: Path) -> None:
+        """Atomically rename ``src`` to ``dst``, durably."""
+        self.io.replace(src, dst)
+        if self.fsync:
+            self.io.fsync_dir(self.root)
+
     def store(
         self,
         digest: str,
@@ -233,46 +336,22 @@ class CatalogCache:
         keys: tuple,
         entries: Mapping[Hashable, tuple],
     ) -> CacheEntry:
-        """Durably write a fresh entry (atomic: tmp + rename + dir fsync)."""
+        """Durably write a fresh, compact entry (atomic: tmp + rename +
+        dir fsync)."""
         path = self.path_for(digest, protocol)
-        fingerprint = key_fingerprint(keys, params.p)
         tmp = path.with_suffix(path.suffix + ".tmp")
-        fh = self.io.open_append(tmp)
-        try:
-            if fh.tell() > 0:  # leftover tmp from an earlier crash
-                fh.close()
-                tmp.unlink()
-                fh = self.io.open_append(tmp)
-            self.io.write(fh, CATALOG_MAGIC)
-            self.io.write(
-                fh,
-                _record(
-                    (
-                        "header",
-                        digest,
-                        protocol,
-                        params.to_wire(),
-                        tuple(int(k) for k in keys),
-                        fingerprint,
-                    )
-                ),
-            )
-            for value in sorted(entries, key=repr):
-                hash_, ys = entries[value]
-                self.io.write(
-                    fh,
-                    _record(
-                        ("add", value, int(hash_), tuple(int(y) for y in ys))
-                    ),
-                )
-            self.io.flush(fh)
-            if self.fsync:
-                self.io.fsync(fh)
-        finally:
-            fh.close()
-        self.io.replace(tmp, path)
-        if self.fsync:
-            self.io.fsync_dir(self.root)
+        if tmp.exists():  # leftover from an earlier crash
+            self.io.truncate(tmp, 0)
+        header = (
+            "header",
+            protocol,
+            params.to_wire(),
+            tuple(int(k) for k in keys),
+            key_fingerprint(keys, params.p),
+        )
+        batch = _batch(entries, (), digest)
+        self._append(tmp, [CATALOG_MAGIC, _record(header), *batch])
+        self._publish(tmp, path)
         return CacheEntry(
             digest=digest,
             protocol=protocol,
@@ -280,6 +359,7 @@ class CatalogCache:
             keys=tuple(keys),
             entries={v: (h, tuple(ys)) for v, (h, ys) in entries.items()},
             path=path,
+            records=len(batch),
         )
 
     def append_delta(
@@ -289,49 +369,30 @@ class CatalogCache:
         adds: Mapping[Hashable, tuple],
         dels: Any = (),
     ) -> CacheEntry:
-        """Append delta records to an entry and re-key it to the table's
-        new digest.
+        """Append one batch to an entry's file and re-key it to the
+        table's new digest; ``entry`` is folded forward and returned.
 
-        The appends are fsync'd before the rename, so a crash leaves
-        either the fully-updated entry under the new name or the old
-        entry (possibly with a torn tail, repaired on next load) under
-        the old one — never a renamed-but-unwritten entry.
+        The batch (closed by its ``rekey``) is fsync'd before the
+        rename, so a crash leaves the old entry under the old name
+        (an interrupted append is cut away on the next load), or the
+        updated entry under the old name - a miss either way it is
+        looked up, since the file says which table it describes - or
+        the updated entry under the new name.  Once dead records
+        outnumber live ones the file is compacted through
+        :meth:`store`.
         """
-        fh = self.io.open_append(entry.path)
-        try:
-            for value in sorted(adds, key=repr):
-                hash_, ys = adds[value]
-                self.io.write(
-                    fh,
-                    _record(
-                        ("add", value, int(hash_), tuple(int(y) for y in ys))
-                    ),
-                )
-            for value in dels:
-                self.io.write(fh, _record(("del", value)))
-            self.io.flush(fh)
-            if self.fsync:
-                self.io.fsync(fh)
-        finally:
-            fh.close()
+        dels = list(dels)
+        batch = _batch(adds, dels, new_digest)
+        self._append(entry.path, batch)
         new_path = self.path_for(new_digest, entry.protocol)
-        # The header still names the original digest; rewrite the file
-        # under the new key so lookups stay consistent.  Rewriting via
-        # store() also compacts away superseded add/del churn.
+        self._publish(entry.path, new_path)
         for value in dels:
             entry.entries.pop(value, None)
-        entry.entries.update(
-            {v: (h, tuple(ys)) for v, (h, ys) in adds.items()}
-        )
-        updated = self.store(
-            new_digest,
-            entry.protocol,
-            entry.params,
-            entry.keys,
-            entry.entries,
-        )
-        if new_path != entry.path and entry.path.exists():
-            os.unlink(entry.path)
-            if self.fsync:
-                self.io.fsync_dir(self.root)
-        return updated
+        entry.entries.update((v, (h, tuple(ys))) for v, (h, ys) in adds.items())
+        entry.digest, entry.path = new_digest, new_path
+        entry.records += len(batch)
+        if entry.records > 2 * len(entry.entries):
+            return self.store(
+                new_digest, entry.protocol, entry.params, entry.keys, entry.entries
+            )
+        return entry

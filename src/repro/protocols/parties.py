@@ -286,8 +286,6 @@ class _Party:
         #: value -> occurrences for the multiset parties); read-only, so
         #: forks share it.
         self.opening = MappingProxyType(self._table(values))
-        #: The party's distinct values, sorted by ``repr``.
-        self.values: list = []
         self._hash_by_value: dict = {}
         #: Own values under the own (first) key: ``f_e(h(v))``.
         self._y_by_value: dict = {}
@@ -312,7 +310,11 @@ class _Party:
             self._check_collisions()
         self._key = self._keys[0]
         self._learn(self.opening)
-        self.values = sorted(self._hash_by_value, key=repr)
+
+    @property
+    def values(self) -> list:
+        """The party's distinct values, sorted by ``repr``."""
+        return sorted(self._hash_by_value, key=repr)
 
     @staticmethod
     def _table(values: Iterable[Hashable]) -> Mapping:
@@ -353,14 +355,13 @@ class _Party:
                 f"({len(collisions)} colliding values)"
             )
 
-    def _learn(self, values: Iterable[Hashable]) -> bool:
+    def _learn(self, values: Iterable[Hashable]) -> None:
         """Hash the not-yet-hashed among ``values`` (collision-checked
-        against the whole set); whether there were any."""
+        against the whole set)."""
         fresh = [v for v in values if v not in self._hash_by_value]
         if fresh:
             self._hash_by_value.update(zip(fresh, self.hash.hash_set(fresh)))
             self._check_collisions()
-        return bool(fresh)
 
     def _retire(self, v: Hashable) -> int:
         """Forget one own value; its ciphertext is the tombstone."""
@@ -373,8 +374,7 @@ class _Party:
         brings none).  Returns the two ciphertext lists, aligned to the
         inputs."""
         tombstones = [self._retire(v) for v in removed]
-        if self._learn(added) or tombstones:
-            self.values = sorted(self._hash_by_value, key=repr)
+        self._learn(added)
         fresh = [v for v in added if v not in self._y_by_value]
         hashes = [self._hash_by_value[v] for v in fresh]
         for key, ys in zip(self._keys, self._own_maps()):
@@ -455,11 +455,14 @@ class _Party:
         """The party's cipher keys in draw order (for catalog caching)."""
         return self._keys
 
-    def cache_entries(self) -> dict:
+    def cache_entries(self, values: Iterable[Hashable] | None = None) -> dict:
         """Per-value ``(hash, ciphertexts)`` for catalog caching, one
-        ciphertext per key.  Raises :class:`KeyError` while the party
-        has not yet encrypted its own set."""
-        values = self.values
+        ciphertext per key: of the whole table, or of those among
+        ``values`` the party (still) holds - what a delta's commit
+        needs.  Raises :class:`KeyError` while the party has not yet
+        encrypted its own set."""
+        held = self._hash_by_value
+        values = [v for v in (held if values is None else values) if v in held]
         hashes = [self._hash_by_value[v] for v in values]
         ciphertexts = zip(*([ys[v] for v in values] for ys in self._own_maps()))
         return dict(zip(values, zip(hashes, ciphertexts)))
@@ -497,11 +500,9 @@ class _MultisetParty(_Party):
             for counts in (added, removed)
         )
         _patch(self._counts, added, removed)
-        drained = [v for v in removed if v not in self._counts]
-        for v in drained:
-            self._retire(v)
-        if drained:
-            self.values = sorted(self._hash_by_value, key=repr)
+        for v in removed:
+            if v not in self._counts:
+                self._retire(v)
         return ys
 
     def churn(self, inserts: Iterable, deletes: Iterable) -> tuple[Counter, Counter]:

@@ -518,6 +518,35 @@ class TestStagingAndModes:
             "equijoin-size", cat_r.data, cat_s.data, bits=BITS, seed=4
         ).answer
 
+    def test_mutation_in_flight_stays_staged(self):
+        """A query answers the table as of its entry; what is staged
+        while it runs reaches the next delta."""
+        cat_r = repro.open_catalog(["a", "b"], bits=BITS, seed=1)
+        cat_s = repro.open_catalog(["b", "c"], bits=BITS, seed=2)
+        peer = cat_r.pair(cat_s)
+        peer.query("intersection")
+        spec = get_spec("intersection")
+        _, make_r, commit_r = cat_r._plan(spec, "receiver", "delta")
+        cat_r.insert("c")  # staged after the plan pinned the table
+        assert not make_r(cat_r.params).added
+        commit_r(make_r(cat_r.params))
+        assert peer.query("intersection").answer == {"b", "c"}
+
+    def test_full_query_overtaken_by_a_trim_leaves_no_link(self):
+        """A first full query whose ops were trimmed under it (another
+        protocol's commit overlapped it) cannot be followed by a
+        delta, so it records no link."""
+        cat_r = repro.open_catalog(["a", "b"], bits=BITS, seed=1)
+        peer = cat_r.pair(repro.open_catalog(["b", "c"], bits=BITS, seed=2))
+        peer.query("intersection")
+        size = get_spec("intersection-size")
+        _, make_r, commit_r = cat_r._plan(size, "receiver", "full")
+        cat_r.insert("c")
+        peer.query("intersection")  # commits past the op, trims it
+        commit_r(make_r(cat_r.params))
+        assert not cat_r._has_link(size, "receiver")
+        assert peer.query("intersection-size").mode == "full"
+
     def test_paired_params_must_match(self):
         other = PublicParams.for_bits(256)
         cat_r = repro.open_catalog(["a"], params=PARAMS, seed=1)

@@ -8,15 +8,23 @@ disk faults hit it too.
 
 from __future__ import annotations
 
-import pytest
+import zlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.crypto.commutative import key_fingerprint
 from repro.net.catalog import (
     CATALOG_MAGIC,
+    CacheEntry,
     CatalogCache,
     CatalogCacheError,
+    TableDigest,
+    _record,
     table_digest,
 )
-from repro.net.diskfaults import DiskFaultPlan, FaultyJournalIO
+from repro.net.diskfaults import DiskFaultPlan, FaultyJournalIO, JournalIO
 from repro.protocols.parties import PublicParams
 
 PARAMS = PublicParams.for_bits(128)
@@ -48,6 +56,16 @@ class TestTableDigest:
 
     def test_mapping_and_sequence_differ(self):
         assert table_digest({"a": None}) != table_digest(["a"])
+
+    def test_running_digest_equals_from_scratch(self):
+        running = TableDigest(["a", "b", "b"])
+        running.add("c")
+        running.remove("b")
+        assert running.hexdigest() == table_digest(["c", "b", "a"])
+        pairs = TableDigest({"a": 1, "b": b"x"})
+        pairs.remove(("a", 1))
+        pairs.add(("a", 2))
+        assert pairs.hexdigest() == table_digest({"b": b"x", "a": 2})
 
 
 class TestRoundTrip:
@@ -108,6 +126,87 @@ class TestAppendDelta:
         )
         assert updated.entries["alice"] == (99, (9999,))
 
+    def test_append_is_a_batch_not_a_rewrite(self, tmp_path):
+        """The commit appends its records and renames the same file."""
+        cache = CatalogCache(tmp_path)
+        entry = _store(cache, entries=_entries(40))
+        before = entry.path.read_bytes()
+        inode = entry.path.stat().st_ino
+        updated = cache.append_delta(
+            entry, table_digest(["next"]), {"dave": (44, (4444,))}, ["v0"]
+        )
+        after = updated.path.read_bytes()
+        assert after.startswith(before)
+        assert len(after) - len(before) < 200
+        assert updated.path.stat().st_ino == inode
+
+    def test_uncommitted_tail_is_cut_not_served(self, tmp_path):
+        """Intact records after the last rekey never took effect: a
+        load drops them, durably, so a later batch cannot commit them."""
+        cache = CatalogCache(tmp_path)
+        path = _store(cache).path
+        intact = path.read_bytes()
+        path.write_bytes(intact + _record(("del", "alice")))
+        loaded = cache.lookup(DIGEST, "intersection.r")
+        assert loaded.entries == ENTRIES
+        assert path.read_bytes() == intact
+
+    def test_crash_before_rename_is_a_miss_under_either_name(self, tmp_path):
+        """Appended and fsync'd but never renamed: the file says it
+        describes the new table, its name says the old one."""
+
+        class NoRename(JournalIO):
+            def replace(self, src, dst):
+                raise OSError("crash before the rename")
+
+        entry = _store(CatalogCache(tmp_path))
+        new_digest = table_digest(["alice", "carol", "dave"])
+        with pytest.raises(OSError):
+            CatalogCache(tmp_path, io=NoRename()).append_delta(
+                entry, new_digest, {"dave": (44, (4444,))}, ["bob"]
+            )
+        fresh = CatalogCache(tmp_path)
+        with pytest.raises(CatalogCacheError, match="describes"):
+            fresh.lookup(DIGEST, "intersection.r")
+        assert fresh.lookup(new_digest, "intersection.r") is None
+
+
+def _entries(n):
+    return {f"v{i}": (1000 + i, (5000 + i,)) for i in range(n)}
+
+
+class TestCompaction:
+    def test_churn_compacts_and_bounds_the_file(self, tmp_path):
+        """Churning more records than the table holds triggers the one
+        compactor; the file never exceeds ~2x its compact size, a
+        fresh lookup always equals the folded entry, and the directory
+        holds exactly one entry file throughout."""
+        live = _entries(30)
+        cache = CatalogCache(tmp_path / "live")
+        entry = _store(cache, table_digest(sorted(live)), live)
+        compactions = 0
+        for step in range(80):
+            gone, new = f"v{step}", f"v{step + 30}"
+            del live[gone]
+            live[new] = (1000 + step + 30, (5000 + step + 30,))
+            digest = table_digest(sorted(live))
+            size_before = entry.path.stat().st_size
+            entry = cache.append_delta(entry, digest, {new: live[new]}, [gone])
+            compactions += entry.path.stat().st_size < size_before
+
+            assert entry.entries == live
+            assert [p.name for p in cache.root.iterdir()] == [entry.path.name]
+            fresh = CatalogCache(cache.root).lookup(digest, "intersection.r")
+            assert fresh.entries == live and fresh.records == entry.records
+            compact = _store(
+                CatalogCache(tmp_path / "compact"), digest, live
+            ).path.stat().st_size
+            batch = len(_record(("add", new, *live[new]))) + 100
+            assert entry.path.stat().st_size <= 2 * compact + batch
+        # 80 steps x 3 records against 30 live ones: it fired, and more
+        # than once, but nowhere near once per delta.
+        assert 2 <= compactions <= 12
+
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path):
@@ -139,9 +238,6 @@ class TestCorruption:
     def test_foreign_keys_rejected(self, tmp_path):
         """An entry whose keys do not match its fingerprint is refused
         (cached ciphertexts must never replay under the wrong key)."""
-        from repro.crypto.commutative import key_fingerprint
-        from repro.net.catalog import _record
-
         cache = CatalogCache(tmp_path)
         path = _store(cache).path
         # A validly CRC-sealed header whose fingerprint names *other*
@@ -150,12 +246,119 @@ class TestCorruption:
         path.write_bytes(
             CATALOG_MAGIC
             + _record((
-                "header", DIGEST, "intersection.r", PARAMS.to_wire(),
+                "header", "intersection.r", PARAMS.to_wire(),
                 KEYS, key_fingerprint((987654321,), PARAMS.p),
             ))
+            + _record(("rekey", DIGEST))
         )
-        with pytest.raises(CatalogCacheError):
+        with pytest.raises(CatalogCacheError, match="fingerprint"):
             cache.lookup(DIGEST, "intersection.r")
+
+    def test_v1_file_is_a_miss(self, tmp_path):
+        """A file of the previous format fails the magic check."""
+        cache = CatalogCache(tmp_path)
+        path = _store(cache).path
+        path.write_bytes(b"RPCC\x00\x01" + path.read_bytes()[6:])
+        with pytest.raises(CatalogCacheError, match="magic"):
+            cache.lookup(DIGEST, "intersection.r")
+
+
+# ----------------------------------------------------------------------
+# CRC-valid but malformed records: always a typed error
+# ----------------------------------------------------------------------
+_HEADER = (
+    "header", "intersection.r", PARAMS.to_wire(), KEYS,
+    key_fingerprint(KEYS, PARAMS.p),
+)
+_VALID = [
+    _HEADER,
+    *(("add", v, h, ys) for v, (h, ys) in ENTRIES.items()),
+    ("rekey", DIGEST),
+    ("del", "bob"),
+    ("add", "dave", 44, (4444,)),
+    ("rekey", DIGEST),
+]
+_ENCODABLE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.binary(max_size=8)
+    | st.text(max_size=8)
+    | st.sampled_from(["header", "add", "del", "rekey", DIGEST]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=6).map(tuple),
+    max_leaves=12,
+)
+
+
+def _sealed(raw: bytes) -> bytes:
+    return len(raw).to_bytes(4, "big") + raw + zlib.crc32(raw).to_bytes(4, "big")
+
+
+def _lookup_is_typed(tmp_path, blob: bytes):
+    cache = CatalogCache(tmp_path)
+    cache.path_for(DIGEST, "intersection.r").write_bytes(CATALOG_MAGIC + blob)
+    try:
+        entry = cache.lookup(DIGEST, "intersection.r")
+    except CatalogCacheError:
+        return None
+    assert entry is None or isinstance(entry, CacheEntry)
+    return entry
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("records", [
+        [("header", "intersection.r"), ("rekey", DIGEST)],
+        [(*_HEADER, "extra"), ("rekey", DIGEST)],
+        ["header", ("rekey", DIGEST)],
+        [7, ("rekey", DIGEST)],
+        [_HEADER, ("add", "x", 1), ("rekey", DIGEST)],
+        [_HEADER, ("add", "x", 1, 2), ("rekey", DIGEST)],
+        [_HEADER, ("add", ["unhashable"], 1, (2,)), ("rekey", DIGEST)],
+        [_HEADER, ("del",), ("rekey", DIGEST)],
+        [_HEADER, ("del", "x", "y"), ("rekey", DIGEST)],
+        [_HEADER, ("rekey",)],
+        [_HEADER, ("rekey", DIGEST, "extra")],
+        [_HEADER, ("rekey", 12345)],
+        [_HEADER, (), ("rekey", DIGEST)],
+        [_HEADER, None, ("rekey", DIGEST)],
+        [_HEADER, ("bogus", 1), ("rekey", DIGEST)],
+        [_HEADER],
+        [("rekey", DIGEST)],
+        [("header", "intersection.r", ("p",), KEYS, "fp"), ("rekey", DIGEST)],
+    ])
+    def test_wrong_shape_is_a_typed_miss(self, tmp_path, records):
+        blob = b"".join(_record(r) for r in records)
+        assert _lookup_is_typed(tmp_path, blob) is None
+
+    def test_undecodable_payload_is_a_typed_miss(self, tmp_path):
+        blob = _record(_HEADER) + _sealed(b"\xff\x00garbage")
+        assert _lookup_is_typed(tmp_path, blob + _record(("rekey", DIGEST))) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["replace", "insert", "drop"]),
+                st.integers(min_value=0, max_value=len(_VALID) - 1),
+                _ENCODABLE,
+            ),
+            min_size=1, max_size=3,
+        )
+    )
+    def test_fuzzed_records_never_escape_untyped(self, tmp_path_factory, edits):
+        records = list(_VALID)
+        for operation, index, payload in edits:
+            index = min(index, len(records) - 1)
+            if operation == "replace":
+                records[index] = payload
+            elif operation == "insert":
+                records.insert(index, payload)
+            elif len(records) > 1:
+                del records[index]
+        blob = b"".join(_record(r) for r in records)
+        entry = _lookup_is_typed(tmp_path_factory.mktemp("fuzz"), blob)
+        if entry is not None:
+            for value, (hash_, ys) in entry.entries.items():
+                hash(value)
+                assert isinstance(ys, tuple)
 
 
 class TestDiskFaults:

@@ -1,0 +1,149 @@
+"""A random life of two cache-backed catalogs against a plaintext oracle.
+
+Hypothesis drives insert / delete / replace-payload / query / reopen on
+a paired receiver and sender - list-shaped tables, and the mapping the
+equijoin sender holds - over the four protocols whose both parties
+cache.  After every committed query:
+
+* the answer is the plaintext oracle's;
+* each catalog's running digest is ``table_digest`` of its table from
+  scratch;
+* ``lookup(table_digest(table))`` finds exactly the committed party's
+  ``cache_entries()``;
+* each cache directory holds exactly one ``.cat`` file.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+)
+
+import repro
+from repro.net.catalog import CatalogCache, table_digest
+
+BITS = 128
+PROTOCOLS = ["intersection", "intersection-size", "equijoin", "equijoin-size"]
+_VALUES = st.integers(min_value=0, max_value=15).map("v{}".format)
+_SIDES = st.sampled_from("rs")
+
+
+def _oracle(protocol, v_r, v_s):
+    if protocol == "intersection":
+        return set(v_r) & set(v_s)
+    if protocol == "intersection-size":
+        return len(set(v_r) & set(v_s))
+    if protocol == "equijoin":
+        return {v: v_s[v] for v in v_r if v in v_s}
+    count_r, count_s = Counter(v_r), Counter(v_s)
+    return sum(n * count_s[v] for v, n in count_r.items())
+
+
+class CatalogLife(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.tmp = Path(tempfile.mkdtemp(prefix="catalog-life-"))
+        self.stamp = 0
+
+    def teardown(self):
+        shutil.rmtree(self.tmp, ignore_errors=True)
+
+    @initialize(protocol=st.sampled_from(PROTOCOLS))
+    def open(self, protocol):
+        self.protocol = protocol
+        v_r = [f"v{i}" for i in range(8)]
+        v_s = [f"v{i}" for i in range(4, 12)]
+        if protocol == "equijoin":
+            v_s = {v: f"ext({v})".encode() for v in v_s}
+        self.tables = {"r": v_r, "s": v_s}
+        self._open()
+        self.query()
+
+    def _open(self):
+        self.catalogs = {
+            side: repro.open_catalog(
+                table, bits=BITS, seed=side, cache_dir=self.tmp / side
+            )
+            for side, table in self.tables.items()
+        }
+        self.peer = self.catalogs["r"].pair(self.catalogs["s"])
+        self.staged = False
+
+    # -- mutations, mirrored on the plaintext tables -------------------
+    @rule(side=_SIDES, value=_VALUES)
+    def insert(self, side, value):
+        table = self.tables[side]
+        if isinstance(table, dict):
+            self.stamp += 1
+            payload = f"ext({value})#{self.stamp}".encode()  # maybe a replace
+            table[value] = payload
+            self.catalogs[side].insert(value, payload)
+        elif value not in table or self.protocol == "equijoin-size":
+            table.append(value)
+            self.catalogs[side].insert(value)
+        else:
+            return
+        self.staged = True
+
+    @rule(side=_SIDES, value=_VALUES)
+    def delete(self, side, value):
+        table = self.tables[side]
+        if value not in table:
+            return
+        if isinstance(table, dict):
+            del table[value]
+        else:
+            table.remove(value)
+        self.catalogs[side].delete(value)
+        self.staged = True
+
+    @rule(value=_VALUES)
+    def insert_then_delete(self, value):
+        """Churn that nets to nothing must not reach the wire state."""
+        if value in self.tables["r"]:
+            return
+        self.catalogs["r"].insert(value).delete(value)
+
+    # -- queries and restarts ------------------------------------------
+    @rule()
+    def query(self):
+        result = self.peer.query(self.protocol)
+        assert result.answer == _oracle(self.protocol, *self.tables.values())
+        self.staged = False
+        for side, role in (("r", "receiver"), ("s", "sender")):
+            catalog, table = self.catalogs[side], self.tables[side]
+            assert catalog._digest.hexdigest() == table_digest(table)
+            party = catalog._links[(self.protocol, role)]["party"]
+            (path,) = (self.tmp / side).iterdir()
+            assert path.suffix == ".cat"
+            entry = CatalogCache(self.tmp / side).lookup(
+                table_digest(table), f"{self.protocol}.{side}"
+            )
+            assert entry is not None and entry.path == path
+            assert entry.entries == party.cache_entries()
+            assert not catalog._log  # one link: every commit trims it
+
+    @precondition(lambda self: not self.staged)
+    @rule()
+    def reopen(self):
+        """A restart on the committed tables: both sides warm-start."""
+        self._open()
+        result = self.peer.query(self.protocol)
+        assert result.mode == "full" and result.cache_hit
+        self.query()
+
+
+CatalogLife.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=20, deadline=None
+)
+TestCatalogLife = CatalogLife.TestCase
