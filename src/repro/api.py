@@ -1115,7 +1115,6 @@ def serve(
     recorder: Any = None,
     chunk_size: int | None = None,
     config: Any = None,
-    async_: bool = False,
     session: SessionOptions | None = None,
 ) -> ServeResult:
     """Run party S of any registered protocol as a TCP server.
@@ -1133,14 +1132,10 @@ def serve(
     session layer: checksummed frames, resume after disconnects,
     chunk-granular cursors when ``chunk_size`` is set, and - with a
     ``journal_dir`` - crash recovery from the on-disk round journal.
-    ``config`` overrides the session config.
-
-    ``async_=True`` hosts the same one-session run on the event-loop
-    server (:class:`~repro.net.server.ProtocolServer`): identical wire
-    bytes and journals, but sockets are owned by an event loop rather
-    than a blocked accept thread. Implies the resumable session layer.
-    For serving many sessions concurrently, use ``ProtocolServer`` (or
-    :class:`~repro.net.shard.ShardedProtocolServer`) directly.
+    ``config`` overrides the session config. This serves one run and
+    returns; to serve many sessions concurrently, host them on a
+    :class:`~repro.net.server.ProtocolServer` (or
+    :class:`~repro.net.shard.ShardedProtocolServer`).
     """
     from .net import tcp
 
@@ -1156,15 +1151,6 @@ def serve(
         if ready_callback is not None:
             ready_callback(actual_port)
 
-    if async_:
-        return _serve_async(
-            spec, data, params, rng, host=host, port=port,
-            ready_callback=_capture,
-            config=config if config is not None else (session.config if session else None),
-            engine=engine, recorder=recorder,
-            journal_dir=session.journal_dir if session else None,
-            chunk_size=chunk_size,
-        )
     if session is not None:
         size_v_r, stats = tcp.serve_resumable_sender(
             spec.name, data, params, rng, host=host, port=port,
@@ -1187,55 +1173,6 @@ def serve(
         peer.close()
     return ServeResult(
         size_v_r=result.size_v_r, port=bound["port"], stats=None
-    )
-
-
-def _serve_async(
-    spec: ProtocolSpec,
-    data: Any,
-    params: PublicParams,
-    rng: random.Random,
-    *,
-    host: str,
-    port: int,
-    ready_callback: Callable[[int], None],
-    config: Any,
-    engine: Any,
-    recorder: Any,
-    journal_dir: Any,
-    chunk_size: int | None,
-) -> ServeResult:
-    """One-session serve on the event-loop server (``async_=True``)."""
-    from .net.server import ProtocolOffer, ProtocolServer
-
-    offer = ProtocolOffer(
-        protocol=spec.name,
-        params=params,
-        make_sender=lambda: spec.make_sender(data, params, rng, engine=engine),
-    )
-    server = ProtocolServer(
-        [offer], host=host, port=port, max_sessions=1, config=config,
-        journal_dir=journal_dir, recorder=recorder, chunk_size=chunk_size,
-    ).start()
-    try:
-        ready_callback(server.port)
-        cfg = server.config
-        deadline_s = cfg.timeout_s * cfg.retry.max_attempts
-        if not server.wait_for_sessions(count=1, timeout=deadline_s):
-            raise TimeoutError(f"no client connected within {deadline_s}s")
-        records = list(server.sessions.values())
-        if not records:  # the only session failed at start (journal)
-            raise RuntimeError("session failed during startup/recovery")
-        record = records[0]
-    finally:
-        bound_port = server._bound_port
-        server.shutdown(drain_timeout_s=server.config.timeout_s)
-    if record.error is not None:
-        raise record.error
-    return ServeResult(
-        size_v_r=record.result.size_v_r,
-        port=bound_port,
-        stats=record.session.stats,
     )
 
 

@@ -447,6 +447,15 @@ def _session_config(timeout: float | None):
     return SessionConfig(timeout_s=timeout) if timeout else SessionConfig()
 
 
+def _session_options(args: argparse.Namespace, config):
+    """``--resumable`` as the facade's ``session=`` (``None`` = plain)."""
+    from .api import SessionOptions
+
+    if not args.resumable:
+        return None
+    return SessionOptions(journal_dir=args.journal_dir, config=config)
+
+
 def _build_engine_and_recorder(args: argparse.Namespace):
     """The ``--workers`` engine plus a recorder wired to count its work."""
     from .analysis.instrumentation import MetricsRecorder
@@ -481,14 +490,11 @@ def _print_answer(protocol: str, answer) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import random as _random
-
-    from .net import tcp
+    from . import api
     from .protocols.parties import PublicParams
 
     data = _SENDER_READERS[get_spec(args.protocol).sender_input](args.sender)
     params = PublicParams.for_bits(args.bits)
-    rng = _random.Random(args.seed)
     engine, recorder = _build_engine_and_recorder(args)
 
     def announce(port: int) -> None:
@@ -508,26 +514,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return _serve_supervised(
                 args, data, params, engine, recorder, announce
             )
-        if args.resumable:
-            size_v_r, stats = tcp.serve_resumable_sender(
-                args.protocol, data, params, rng, host=args.host,
-                port=args.port, ready_callback=announce,
-                config=_session_config(args.timeout),
-                engine=engine, recorder=recorder,
-                journal_dir=args.journal_dir,
-                chunk_size=args.chunk_size,
-            )
-            print(f"run complete; S learned |V_R| = {size_v_r}")
-            print(f"# session stats: {stats.as_dict()}", file=sys.stderr)
-            _emit_metrics(args, recorder)
-            return 0
-
-        size_v_r = tcp.serve(
-            args.protocol, data, params, rng, host=args.host, port=args.port,
-            ready_callback=announce, timeout=args.timeout,
-            engine=engine, recorder=recorder, chunk_size=args.chunk_size,
+        served = api.serve(
+            args.protocol, data, host=args.host, port=args.port,
+            params=params, seed=args.seed, ready_callback=announce,
+            timeout=args.timeout, engine=engine, recorder=recorder,
+            chunk_size=args.chunk_size,
+            session=_session_options(args, _session_config(args.timeout)),
         )
-        print(f"run complete; S learned |V_R| = {size_v_r}")
+        print(f"run complete; S learned |V_R| = {served.size_v_r}")
+        if served.stats is not None:
+            print(f"# session stats: {served.stats.as_dict()}",
+                  file=sys.stderr)
         _emit_metrics(args, recorder)
         return 0
     finally:
@@ -622,7 +619,7 @@ def _serve_supervised(
 def _cmd_connect(args: argparse.Namespace) -> int:
     import random as _random
 
-    from .net import tcp
+    from . import api
     from .net.session import ClientRetryPolicy
 
     v_r = _read_values(args.receiver)
@@ -646,26 +643,16 @@ def _cmd_connect(args: argparse.Namespace) -> int:
         return _session_config(args.timeout)
 
     def attempt() -> int:
-        rng = _random.Random(args.seed)
-        if args.resumable:
-            answer, stats = tcp.connect_resumable_receiver(
-                args.protocol, v_r, rng, args.host, args.port,
-                config=_config(),
-                engine=engine, recorder=recorder,
-                journal_dir=args.journal_dir,
-                chunk_size=args.chunk_size,
-            )
-            _print_answer(args.protocol, answer)
-            print(f"# session stats: {stats.as_dict()}", file=sys.stderr)
-            _emit_metrics(args, recorder)
-            return 0
-
-        answer = tcp.connect(
-            args.protocol, v_r, rng, args.host, args.port,
-            timeout=args.timeout, engine=engine, recorder=recorder,
-            chunk_size=args.chunk_size,
+        connected = api.connect(
+            args.protocol, v_r, host=args.host, port=args.port,
+            seed=args.seed, timeout=args.timeout, engine=engine,
+            recorder=recorder, chunk_size=args.chunk_size,
+            session=_session_options(args, _config()),
         )
-        _print_answer(args.protocol, answer)
+        _print_answer(args.protocol, connected.answer)
+        if connected.stats is not None:
+            print(f"# session stats: {connected.stats.as_dict()}",
+                  file=sys.stderr)
         _emit_metrics(args, recorder)
         return 0
 

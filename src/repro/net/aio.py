@@ -16,19 +16,12 @@ sockets on an event loop:
   every machine step (hashing, modexp batches - optionally via a
   :class:`~repro.crypto.engine.CryptoEngine` pool) through
   ``run_in_executor`` and streamed chunks through
-  :func:`~repro.net.streaming.aprefetch`, so thousands of client
-  sessions can share one loop and a small thread pool.
-  :func:`connect_receiver_async` is party R's core under that shell;
-* **the blocking shell on a loop-owned socket** -
-  :class:`LoopTransport` bridges a loop-owned connection to the
-  blocking ``send``/``recv``/``settimeout``/``close`` transport
-  protocol, which is how :class:`~repro.net.server.ProtocolServer`
-  still runs its sessions (the blocking shell on a pool thread). A
-  per-connection pump task moves raw frame payloads from the loop into
-  a thread-safe queue; encoding and decoding run on the *calling*
-  thread, so the loop never burns CPU on wire codec work and a frame
-  that fails to decode stays a per-frame ``ValueError`` (the session
-  naks it and continues) instead of killing the connection.
+  :func:`~repro.net.streaming.aprefetch`, so thousands of sessions can
+  share one loop and a small thread pool. Both ends run under it:
+  :func:`connect_receiver_async` is party R's core as a coroutine, and
+  every session a :class:`~repro.net.server.ProtocolServer` hosts is
+  party S's core as a task on the server's own loop - no thread is
+  parked per session and no frame changes threads.
 
 :class:`LoopThread` hosts one loop on a dedicated daemon thread with a
 thread-safe ``run``/``submit`` surface; the supervised server
@@ -40,7 +33,6 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import queue
 import random
 import threading
 import time
@@ -65,7 +57,6 @@ from .tcp import _LEN, DEFAULT_MAX_FRAME_BYTES, FrameTooLarge
 __all__ = [
     "AsyncFrameEndpoint",
     "LoopThread",
-    "LoopTransport",
     "connect_receiver_async",
     "open_endpoint",
 ]
@@ -81,7 +72,9 @@ class AsyncFrameEndpoint:
     The exact wire format of :class:`~repro.net.tcp.SocketEndpoint` -
     the two are interchangeable peers on the same connection - with the
     same byte counters and the same :class:`~repro.net.tcp.FrameTooLarge`
-    bound on hostile length prefixes.
+    bound on hostile length prefixes. ``on_frame``, when set, is called
+    after every frame moved in either direction (the supervised
+    server's idle clock).
     """
 
     def __init__(
@@ -96,7 +89,8 @@ class AsyncFrameEndpoint:
         self.bytes_sent = 0
         self.bytes_received = 0
         self.messages_sent = 0
-        self._recv_task: asyncio.Task | None = None
+        self.on_frame: Callable[[], None] | None = None
+        self._recv_task: asyncio.Future | None = None
 
     async def send_bytes(self, payload: bytes) -> None:
         """Frame and ship one already-encoded payload."""
@@ -105,6 +99,8 @@ class AsyncFrameEndpoint:
         await self.writer.drain()
         self.bytes_sent += len(frame)
         self.messages_sent += 1
+        if self.on_frame is not None:
+            self.on_frame()
 
     async def send(self, message: Any) -> None:
         """Serialize and ship one framed message."""
@@ -132,6 +128,8 @@ class AsyncFrameEndpoint:
                 "peer closed the connection mid-frame"
             ) from exc
         self.bytes_received += _LEN.size + length
+        if self.on_frame is not None:
+            self.on_frame()
         return payload
 
     async def recv(self) -> Any:
@@ -160,6 +158,13 @@ class AsyncFrameEndpoint:
     async def recv_within(self, timeout: float) -> Any:
         """One decoded frame within ``timeout`` seconds."""
         return serialization.decode(await self.recv_bytes_within(timeout))
+
+    def _unread(self, payload: bytes) -> None:
+        """Push a payload just read back: the next ``*_within`` read
+        returns it. Only valid with no read pending (the server hands a
+        routed connection, hello included, to its session this way)."""
+        self._recv_task = asyncio.get_running_loop().create_future()
+        self._recv_task.set_result(payload)
 
     async def close(self) -> None:
         """Close the underlying stream, tolerating a dead peer."""
@@ -264,109 +269,11 @@ class LoopThread:
         self._loop = None
 
 
-class LoopTransport:
-    """Blocking transport facade over a loop-owned connection.
-
-    The piece that lets the synchronous session layer run unchanged on
-    the asyncio core: a pump task on the loop reads raw frame payloads
-    into a thread-safe queue, and the worker thread's ``recv`` decodes
-    them at its own pace. The split keeps the failure taxonomy intact:
-
-    * connection-level failures (EOF mid-frame, a
-      :class:`~repro.net.tcp.FrameTooLarge` prefix) arrive through the
-      queue as *sticky* fatal errors - every subsequent ``recv`` raises
-      them, exactly like a dead socket;
-    * a payload that fails to decode raises ``ValueError`` from
-      ``recv`` only - the session naks it and keeps the connection.
-
-    ``replay`` seeds the queue with raw payloads already read off the
-    stream (the routed hello), replacing the old replay-shim transport.
-    """
-
-    def __init__(
-        self,
-        endpoint: AsyncFrameEndpoint,
-        loop: asyncio.AbstractEventLoop,
-        replay: list[bytes] = (),
-        timeout: float | None = None,
-    ):
-        self._endpoint = endpoint
-        self._loop = loop
-        self._timeout = timeout
-        self._queue: queue.Queue[tuple[str, Any]] = queue.Queue()
-        for raw in replay:
-            self._queue.put(("frame", raw))
-        self._pump_task: asyncio.Task | None = None
-        self._closed = threading.Event()
-
-    def start_pump(self) -> None:
-        """Begin reading frames onto the queue (loop thread only)."""
-        self._pump_task = self._loop.create_task(self._pump())
-
-    async def _pump(self) -> None:
-        try:
-            while True:
-                raw = await self._endpoint.recv_bytes()
-                self._queue.put(("frame", raw))
-        except asyncio.CancelledError:
-            self._queue.put(
-                ("fatal", ConnectionError("connection closed by the server"))
-            )
-            raise
-        except BaseException as exc:
-            self._queue.put(("fatal", exc))
-
-    # -- the blocking transport protocol the session layer speaks -----
-    def recv(self) -> Any:
-        """One decoded frame, or the connection's (sticky) failure."""
-        try:
-            kind, value = self._queue.get(timeout=self._timeout)
-        except queue.Empty:
-            raise TimeoutError(
-                f"no frame within {self._timeout}s"
-            ) from None
-        if kind == "fatal":
-            self._queue.put(("fatal", value))  # keep the failure sticky
-            raise value
-        return serialization.decode(value)
-
-    def send(self, message: Any) -> None:
-        """Encode on this thread; ship through the loop."""
-        payload = serialization.encode(message)
-        future = asyncio.run_coroutine_threadsafe(
-            self._endpoint.send_bytes(payload), self._loop
-        )
-        try:
-            future.result(self._timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            raise TimeoutError(
-                f"send did not complete within {self._timeout}s"
-            ) from None
-
-    def settimeout(self, timeout: float | None) -> None:
-        """Deadline for subsequent operations (None = block)."""
-        self._timeout = timeout
-
-    def close(self) -> None:
-        """Tear the connection down; unstick any blocked reader."""
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        self._queue.put(("fatal", ConnectionError("connection closed")))
-        asyncio.run_coroutine_threadsafe(self._aclose(), self._loop)
-
-    async def _aclose(self) -> None:
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-        await self._endpoint.close()
-
-
 async def run_async(
     steps: Any,
     dial: Callable[[], Awaitable[AsyncFrameEndpoint]],
     executor: Any = None,
-) -> Any:
+) -> tuple[Any, AsyncFrameEndpoint | None]:
     """The asyncio shell: execute a session core's requests on the loop.
 
     ``steps`` is a generator from :mod:`repro.net.session_core`;
@@ -377,8 +284,11 @@ async def run_async(
     crypto never blocks the loop. Whatever a request raises is thrown
     into ``steps`` - a timeout always as the builtin ``TimeoutError``
     the core's ``except`` clauses name - and what ``steps`` does not
-    handle (cancellation included) propagates. The link and the chunk
-    stream are closed when ``steps`` ends.
+    handle (cancellation included) propagates, with the link and the
+    chunk stream closed. A run that completes returns ``(value,
+    link)``: what ``steps`` returned and its last link, still open -
+    how to hang up on a finished peer is the caller's to say (a client
+    just closes; the server lingers for the client's EOF).
     """
     loop = asyncio.get_running_loop()
     endpoint = stream = stream_source = None
@@ -391,7 +301,10 @@ async def run_async(
                 else:
                     request = steps.throw(failure)
             except StopIteration as stop:
-                return stop.value
+                # Completed: the link leaves with the result, not
+                # through the ``finally`` below.
+                link, endpoint = endpoint, None
+                return stop.value, link
             reply = failure = None
             kind = type(request)
             try:
@@ -471,9 +384,10 @@ async def connect_receiver_async(
         SessionStats(protocol=protocol),
         chunk_size=chunk_size,
     )
-    answer = await run_async(
+    answer, link = await run_async(
         core.steps(),
         lambda: open_endpoint(host, port, timeout=config.timeout_s),
         executor,
     )
+    await link.close()
     return answer, core.stats

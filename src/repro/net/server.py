@@ -11,10 +11,13 @@ provides:
   socket: connection handling, hello routing, and all frame I/O are
   coroutines, so ten thousand idle connections cost file descriptors,
   not blocked threads. Admitted sessions - up to ``max_sessions`` at a
-  time - run the synchronous, byte-exact session layer on a worker
-  pool sized so every admitted session executes immediately; the
-  ``(max_sessions + 1)``-th new client is turned away with a typed
-  ``busy`` frame (raised client-side as
+  time - are tasks on that same loop, each running the session core
+  (:mod:`repro.net.session_core`) under the asyncio shell
+  (:func:`~repro.net.aio.run_async`): frames never change threads and
+  no thread is parked per session; only machine steps, chunk
+  production and journal recovery go to an executor of
+  ``max_sessions`` workers. The ``(max_sessions + 1)``-th new client
+  is turned away with a typed ``busy`` frame (raised client-side as
   :class:`~repro.net.session.ServerBusyError`) carrying a retry hint
   instead of queueing or hanging;
 * **reconnect routing** - the session id in every hello routes a
@@ -37,7 +40,18 @@ provides:
   and :meth:`ProtocolServer.shutdown` / SIGTERM drains gracefully:
   new sessions are refused, in-flight rounds finish (journaled as they
   go) up to ``drain_timeout_s``, stragglers are aborted, and only then
-  do the workers join and the loop stop.
+  does the loop stop. Aborting - by the reaper or the drain - is
+  cancelling the session's task: it ends ``expired`` with a
+  :class:`~repro.net.session.SessionAborted` error at whatever it was
+  awaiting, its connection closed.
+
+Journal appends and rotation run where the session core says they do:
+as direct calls on the thread driving the session, which here is the
+loop thread. An append is a few hundred bytes into the page cache -
+plus, with fsync on, a wait for the disk that the other sessions'
+frames share - and it costs the loop less than the two thread
+hand-offs per frame it replaced, fsync'd journal included
+(docs/PERFORMANCE.md, "Hosted sessions as tasks").
 
 Every protocol in the :data:`~repro.protocols.spec.PROTOCOLS` registry
 is servable concurrently from one ``ProtocolServer`` with zero
@@ -52,7 +66,6 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import os
-import queue
 import random
 import signal
 import threading
@@ -63,8 +76,8 @@ from typing import Any, Callable, Iterable, Mapping
 
 from ..protocols.spec import get_spec
 from . import serialization
-from .aio import AsyncFrameEndpoint, LoopThread, LoopTransport, _TIMEOUTS
-from .chaos import crash_point
+from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS, run_async
+from .chaos import SimulatedCrash, crash_point
 from .journal import (
     CORRUPT_SUFFIX,
     JournalDir,
@@ -125,6 +138,21 @@ class ProtocolOffer:
         )
 
 
+def _refusal_frame(
+    tag: str, reason: str, retry_after_s: float | None = None
+) -> tuple:
+    """A typed reject / busy / worker-lost frame.
+
+    A retry hint rides as a fourth field, in integer milliseconds (the
+    wire format has no floats); old clients (which check for exactly 3
+    fields) ignore the whole frame and simply retry their hello.
+    """
+    fields: list[Any] = [tag, SESSION_VERSION, reason]
+    if retry_after_s is not None:
+        fields.append(max(int(round(retry_after_s * 1000)), 0))
+    return seal(*fields)
+
+
 #: Statuses under which a record holds a session slot and accepts routing.
 _ACTIVE_STATUSES = ("starting", "running")
 
@@ -135,22 +163,29 @@ class SessionRecord:
 
     A record is born ``starting`` - the id is reserved and reconnects
     queue on its inbox - while the (possibly slow) journal lookup and
-    replay run on the worker pool outside the supervisor lock; it
-    becomes ``running`` once a pool worker owns a live session.
+    replay run on the executor outside the supervisor lock; it becomes
+    ``running`` once its task owns a live session. ``inbox`` holds the
+    routed connections (each with its hello pushed back) the session
+    has not adopted yet; ``last_activity`` moves with every routed
+    hello and every frame the session's connection moves.
     """
 
     session_id: int
     protocol: str
     session: Any = None
-    inbox: "queue.Queue[Any]" = field(default_factory=queue.Queue)
-    future: Any = None
+    inbox: "asyncio.Queue[AsyncFrameEndpoint]" = field(
+        default_factory=asyncio.Queue
+    )
+    task: "asyncio.Task | None" = None
     status: str = "starting"  # starting | running | done | failed | expired
     result: Any = None
     error: BaseException | None = None
     started_at: float = field(default_factory=time.monotonic)
     last_activity: float = field(default_factory=time.monotonic)
-    aborted: bool = False
-    current_transport: Any = None
+
+    def _touch(self) -> None:
+        """Stamp the idle clock (a frame or a routed hello just moved)."""
+        self.last_activity = time.monotonic()
 
     def as_dict(self) -> dict[str, Any]:
         """Flat summary for logs and the metrics report."""
@@ -166,50 +201,16 @@ class SessionRecord:
         }
 
 
-class _ActivityTransport:
-    """Delegating transport that timestamps every frame for the reaper.
-
-    ``SessionRecord.last_activity`` would otherwise only move on
-    *connection* events (hello routing, adoption), so a healthy session
-    exchanging many rounds over one long-lived connection would look
-    idle and get reaped mid-run. Routing each successful ``send`` /
-    ``recv`` through here keeps the idle timeout measuring what it
-    claims to: time since the session last moved bytes.
-    """
-
-    def __init__(self, transport: Any, record: SessionRecord):
-        self._transport = transport
-        self._record = record
-
-    def recv(self) -> Any:
-        """Receive, then stamp the owning record's activity clock."""
-        frame = self._transport.recv()
-        self._record.last_activity = time.monotonic()
-        return frame
-
-    def send(self, message: Any) -> None:
-        """Send, then stamp the owning record's activity clock."""
-        self._transport.send(message)
-        self._record.last_activity = time.monotonic()
-
-    def settimeout(self, timeout: float | None) -> None:
-        """Delegate to the wrapped transport."""
-        self._transport.settimeout(timeout)
-
-    def close(self) -> None:
-        """Delegate to the wrapped transport."""
-        self._transport.close()
-
-
 class ProtocolServer:
     """Accepts many concurrent protocol clients behind one port.
 
-    The event loop (on its own thread) owns the listener and every
-    connection; admitted sessions run the synchronous session layer on
-    a worker pool of exactly ``max_sessions`` threads, reading frames
-    through :class:`~repro.net.aio.LoopTransport` bridges. Wire bytes,
-    journal bytes, and the refusal/recovery semantics are identical to
-    the earlier thread-per-session implementation.
+    The event loop (on its own thread) owns the listener, every
+    connection and every admitted session: each is a task running the
+    session core under :func:`~repro.net.aio.run_async`, with an
+    executor of ``max_sessions`` workers for machine steps, chunk
+    production and journal recovery. Wire bytes, journal bytes, and
+    the refusal/recovery semantics are identical to
+    :func:`~repro.net.tcp.serve_resumable_sender`'s blocking shell.
 
     Args:
         offers: the protocols this server runs - an iterable of
@@ -237,6 +238,9 @@ class ProtocolServer:
     """
 
     _REAP_POLL_S = 0.05
+    #: How long a stopping server keeps its loop alive so clients that
+    #: raced the drain hear a typed busy/reject instead of a reset.
+    _REFUSAL_GRACE_S = 0.2
 
     def __init__(
         self,
@@ -251,7 +255,6 @@ class ProtocolServer:
         recorder: Any = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         backlog: int = 16,
-        accept_poll_s: float = 0.1,
         chunk_size: int | None = None,
         busy_retry_hint_s: float = 0.5,
     ):
@@ -279,7 +282,6 @@ class ProtocolServer:
         self.recorder = recorder
         self.max_frame_bytes = max_frame_bytes
         self.backlog = backlog
-        self.accept_poll_s = accept_poll_s
         self.chunk_size = chunk_size
         self.busy_retry_hint_s = busy_retry_hint_s
         self.sessions: dict[int, SessionRecord] = {}
@@ -366,52 +368,30 @@ class ProtocolServer:
 
         Running sessions get up to ``drain_timeout_s`` seconds to
         finish their rounds (journaling as they go); whatever is still
-        running after that is aborted. The worker pool joins *before*
-        the loop stops, so no session is ever left blocked on a dead
-        loop. Idempotent.
+        running after that is aborted - its task cancelled, which
+        settles at once whatever it was waiting on. Every session has
+        reached a terminal status *before* the loop stops. Idempotent.
         """
         self._draining.set()
         with self._shutdown_lock:
             if self._shutdown_done:
                 return
-            deadline = (
-                time.monotonic() + drain_timeout_s
-                if drain_timeout_s is not None
-                else None
-            )
-            while True:
-                with self._lock:
-                    running = [
-                        r for r in self.sessions.values()
-                        if r.status in _ACTIVE_STATUSES
-                    ]
-                if not running:
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    for record in running:
-                        self._abort(record, "drain timeout")
-                    break
-                time.sleep(self._REAP_POLL_S)
+            with self._finished:
+
+                def idle() -> bool:
+                    return not self._active()
+
+                if not self._finished.wait_for(idle, drain_timeout_s):
+                    for record in self._active():
+                        self._loop_thread.loop.call_soon_threadsafe(
+                            self._abort, record, "drain timeout"
+                        )
+                    self._finished.wait_for(idle, self.config.timeout_s * 2)
             self._closed.set()
-            with self._lock:
-                futures = [
-                    r.future for r in self.sessions.values()
-                    if r.future is not None
-                ]
-            for future in futures:
-                try:
-                    future.result(timeout=self.config.timeout_s * 2)
-                except (concurrent.futures.TimeoutError, Exception):
-                    pass  # outcomes live on the records, not the futures
             if self._executor is not None:
                 self._executor.shutdown(wait=False)
             if self._loop_thread is not None:
-                # Refusal grace: clients that raced the drain are mid
-                # busy/reject exchange on the loop right now; give those
-                # handlers a beat so they hear a typed refusal instead
-                # of a reset (the thread-per-session server had the same
-                # window, one accept poll wide).
-                time.sleep(self.accept_poll_s * 2)
+                time.sleep(self._REFUSAL_GRACE_S)
                 try:
                     self._loop_thread.run(self._stop_async(), timeout=10)
                 except (concurrent.futures.TimeoutError, RuntimeError):
@@ -440,23 +420,11 @@ class ProtocolServer:
         lets a caller host "one run, then stop" on the supervised
         server without polling :meth:`results`.
         """
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
         with self._finished:
-            while True:
-                finished = sum(
-                    1 for r in self.sessions.values()
-                    if r.status not in _ACTIVE_STATUSES
-                )
-                if finished >= count:
-                    return True
-                if deadline is None:
-                    self._finished.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._finished.wait(remaining):
-                        return False
+            return self._finished.wait_for(
+                lambda: len(self.sessions) - len(self._active()) >= count,
+                timeout,
+            )
 
     @property
     def draining(self) -> bool:
@@ -479,10 +447,13 @@ class ProtocolServer:
         :meth:`results` does for its full report.
         """
         with self._lock:
-            return sum(
-                1 for r in self.sessions.values()
-                if r.status in _ACTIVE_STATUSES
-            )
+            return len(self._active())
+
+    def _active(self) -> list[SessionRecord]:
+        """The records holding a slot (call with the lock held)."""
+        return [
+            r for r in self.sessions.values() if r.status in _ACTIVE_STATUSES
+        ]
 
     # ------------------------------------------------------------------
     # Accepting and routing (event-loop side)
@@ -530,8 +501,9 @@ class ProtocolServer:
     ) -> tuple[bytes, tuple] | None:
         """One valid hello from a fresh connection, or ``None``.
 
-        Returns the hello's raw payload bytes (for replay into the
-        routed session's transport) alongside its unsealed fields.
+        Returns the hello's raw payload bytes (pushed back onto the
+        endpoint once routed, for the session's own handshake to read)
+        alongside its unsealed fields.
         """
         deadline = time.monotonic() + self.config.timeout_s
         while True:
@@ -561,63 +533,42 @@ class ProtocolServer:
         session_id: int,
     ) -> None:
         """Deliver a validated hello to its session, new or existing."""
-        loop = asyncio.get_running_loop()
+        refusal = None
         with self._lock:
             record = self.sessions.get(session_id)
-            if record is not None and record.status in _ACTIVE_STATUSES:
-                record.last_activity = time.monotonic()
-                transport = LoopTransport(
-                    endpoint, loop, replay=[raw_hello],
-                    timeout=self.config.timeout_s,
-                )
-                transport.start_pump()
-                record.inbox.put(transport)
-                return
             if record is not None:
-                refusal = (
-                    "reject",
-                    f"session {session_id} already {record.status}",
-                    None,
-                )
-            elif self._draining.is_set():
-                self.rejected_busy += 1
-                refusal = ("busy", "server draining", self.busy_retry_hint_s)
-            else:
-                active = sum(
-                    1 for r in self.sessions.values()
-                    if r.status in _ACTIVE_STATUSES
-                )
-                if active >= self.max_sessions:
-                    self.rejected_busy += 1
+                if record.status not in _ACTIVE_STATUSES:
                     refusal = (
-                        "busy",
-                        f"server at capacity ({self.max_sessions} sessions)",
-                        self.busy_retry_hint_s,
+                        "reject",
+                        f"session {session_id} already {record.status}",
                     )
-                else:
-                    refusal = None
-                    record = SessionRecord(
-                        session_id=session_id,
-                        protocol=protocol,
-                        status="starting",
-                    )
-                    self.sessions[session_id] = record
-                    transport = LoopTransport(
-                        endpoint, loop, replay=[raw_hello],
-                        timeout=self.config.timeout_s,
-                    )
-                    transport.start_pump()
-                    record.inbox.put(transport)
+            elif self._draining.is_set():
+                refusal = ("busy", "server draining", self.busy_retry_hint_s)
+            elif len(self._active()) >= self.max_sessions:
+                refusal = (
+                    "busy",
+                    f"server at capacity ({self.max_sessions} sessions)",
+                    self.busy_retry_hint_s,
+                )
+            else:
+                # Reserve the slot now; reconnects queue on the inbox
+                # while the task builds (or recovers) the session.
+                record = self.sessions[session_id] = SessionRecord(
+                    session_id=session_id, protocol=protocol
+                )
+                record.task = asyncio.get_running_loop().create_task(
+                    self._host(record)
+                )
         if refusal is not None:
-            tag, reason, hint = refusal
-            await self._refuse_async(
-                endpoint, tag, reason, retry_after_s=hint
-            )
+            if refusal[0] == "busy":
+                self.rejected_busy += 1
+            await self._refuse_async(endpoint, *refusal)
             return
-        # The slot is reserved and reconnects queue on the record's
-        # inbox; the journal lookup and (on recovery) full cryptographic
-        # replay run on the worker pool so hello routing stays live.
-        record.future = self._executor.submit(self._start_and_run, record)
+        # The session's own handshake reads the hello: push it back.
+        endpoint._unread(raw_hello)
+        endpoint.on_frame = record._touch
+        record._touch()
+        record.inbox.put_nowait(endpoint)
 
     async def _refuse_async(
         self,
@@ -628,58 +579,90 @@ class ProtocolServer:
     ) -> None:
         """Send a typed reject/busy frame and close (loop side)."""
         try:
-            await endpoint.send(self._refusal_frame(tag, reason, retry_after_s))
+            await endpoint.send(_refusal_frame(tag, reason, retry_after_s))
         except (OSError, ValueError):
             pass
         finally:
             await endpoint.close()
 
-    def _refusal_frame(
-        self, tag: str, reason: str, retry_after_s: float | None
-    ) -> tuple:
-        fields = [tag, SESSION_VERSION, reason]
-        if retry_after_s is not None:
-            # Busy frames carry the server's retry hint as a fourth
-            # field, in integer milliseconds (the wire format has no
-            # floats); old clients (which check for exactly 3 fields)
-            # ignore the whole frame and simply retry their hello.
-            fields.append(max(int(round(retry_after_s * 1000)), 0))
-        return seal(*fields)
+    # ------------------------------------------------------------------
+    # Session tasks (event-loop side; the executor for what computes)
+    # ------------------------------------------------------------------
+    async def _host(self, record: SessionRecord) -> None:
+        """One admitted session, start to finish, as a task on the loop.
 
-    def _refuse(
-        self,
-        transport: Any,
-        tag: str,
-        reason: str,
-        retry_after_s: float | None = None,
-    ) -> None:
-        """Send a typed reject/busy on a routed transport (worker side)."""
+        The session is built - or recovered, a full cryptographic
+        replay - on the executor so hello routing stays live, then its
+        core runs under the asyncio shell, every ``OPEN`` adopting the
+        next connection routed to this record. Cancelling this task is
+        how the reaper and the drain abort a session.
+        """
+        link = None
         try:
-            transport.send(self._refusal_frame(tag, reason, retry_after_s))
-        except (OSError, ValueError):
+            record.session = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._make_session,
+                record.protocol, record.session_id,
+            )
+            record.status = "running"
+            crash_point("server.session.run")
+            record.result, link = await run_async(
+                record.session.steps(),
+                lambda: self._adopt(record),
+                self._executor,
+            )
+            record.status = "done"
+        except asyncio.CancelledError:
+            record.status = "expired"
+            if record.error is None:
+                record.error = SessionAborted("server stopped")
+        except (Exception, SimulatedCrash) as exc:
+            # Whatever went wrong ends this session, never the server.
+            if record.session is None:
+                await self._fail_start(record, exc)
+                return
+            record.status = "failed"
+            record.error = exc
+        if record.session is not None:
+            record.session.stats.finish()
+            if record.session.journal is not None:
+                record.session.journal.close()
+        if self.recorder is not None:
+            self.recorder.add_session(record.as_dict())
+        with self._finished:
+            self._finished.notify_all()
+        if link is not None:
+            # Only now, with the slot already free: hanging up on a
+            # finished client is nobody's critical path.
+            await self._linger(link)
+
+    async def _adopt(self, record: SessionRecord) -> AsyncFrameEndpoint:
+        """A session's ``OPEN``: the next connection routed to it."""
+        wait_s = self.config.timeout_s
+        try:
+            return await asyncio.wait_for(record.inbox.get(), wait_s)
+        except _TIMEOUTS:
+            raise TimeoutError(
+                f"no client (re)connected to session "
+                f"{record.session_id} in {wait_s}s"
+            ) from None
+
+    async def _linger(self, endpoint: AsyncFrameEndpoint) -> None:
+        """Lingering close after a completed run: let the client hang up.
+
+        The client closes as soon as it reads the fin echo; reading to
+        its EOF (for at most ``fin_grace_s``) before closing means a
+        relay in between - the shard router's splice - sees the client
+        leg end first and never mistakes a finished session for a lost
+        worker.
+        """
+        deadline = time.monotonic() + self.config.fin_grace_s
+        try:
+            while (remaining := deadline - time.monotonic()) > 0:
+                await endpoint.recv_bytes_within(remaining)
+        except (ConnectionError, OSError, *_TIMEOUTS):
             pass
         finally:
-            transport.close()
-
-    # ------------------------------------------------------------------
-    # Session workers (pool side)
-    # ------------------------------------------------------------------
-    def _start_and_run(self, record: SessionRecord) -> None:
-        """Pool entry point: build (or recover) the session, then run it."""
-        try:
-            record.session = self._make_session(
-                record.protocol, record.session_id
-            )
-        except JournalError as exc:
-            self._fail_start(record, exc, quarantine=True)
-            return
-        except Exception as exc:
-            # Whatever went wrong, the pool worker must survive and the
-            # queued clients must hear a reject, not a silent hang.
-            self._fail_start(record, exc, quarantine=False)
-            return
-        record.status = "running"
-        self._run_session(record)
+            await endpoint.close()
 
     def _make_session(self, protocol: str, session_id: int) -> SenderSession:
         """A fresh or journal-recovered session for a reserved id.
@@ -745,25 +728,25 @@ class ProtocolServer:
             chunk_size=self.chunk_size,
         )
 
-    def _fail_start(
-        self, record: SessionRecord, exc: BaseException, quarantine: bool
+    async def _fail_start(
+        self, record: SessionRecord, exc: BaseException
     ) -> None:
         """Session setup failed: free the id and reject queued clients.
 
         Every client queued on the reserved slot (the one that
         triggered recovery plus any reconnects that raced in) gets a
         typed reject instead of a silent hang, and the session id
-        becomes retryable. With ``quarantine`` (an unrecoverable
-        journal) the ``*.wal`` is set aside as ``*.corrupt``, so the
-        retry starts over on a fresh journal while the bad file stays
-        for forensics.
+        becomes retryable. An unrecoverable journal (a
+        :class:`~repro.net.journal.JournalError`) is set aside as
+        ``*.corrupt``, so the retry starts over on a fresh journal
+        while the bad file stays for forensics.
         """
         quarantined = (
             self._quarantine(record.protocol, record.session_id)
-            if quarantine
+            if isinstance(exc, JournalError)
             else None
         )
-        with self._lock:
+        with self._finished:
             self.sessions.pop(record.session_id, None)
             self._finished.notify_all()
         reason = (
@@ -771,12 +754,11 @@ class ProtocolServer:
         )
         if quarantined is not None:
             reason += f" (journal quarantined as {quarantined.name})"
-        while True:
-            try:
-                queued = record.inbox.get_nowait()
-            except queue.Empty:
-                return
-            self._refuse(queued, "reject", reason)
+        # The id is free, so nothing more can queue behind these.
+        while not record.inbox.empty():
+            await self._refuse_async(
+                record.inbox.get_nowait(), "reject", reason
+            )
 
     def _quarantine(self, protocol: str, session_id: int) -> Path | None:
         """Rename an unrecoverable ``*.wal`` to ``*.corrupt``."""
@@ -791,62 +773,17 @@ class ProtocolServer:
         self.quarantined.append(target)
         return target
 
-    def _accept_for(self, record: SessionRecord) -> Any:
-        """The blocking ``accept()`` callable one session runs under."""
-        wait_s = self.config.timeout_s
-        while True:
-            if record.aborted:
-                raise SessionAborted(
-                    f"session {record.session_id} aborted by the supervisor"
-                )
-            try:
-                transport = record.inbox.get(timeout=wait_s)
-            except queue.Empty:
-                raise TimeoutError(
-                    f"no client (re)connected to session "
-                    f"{record.session_id} in {wait_s}s"
-                ) from None
-            wrapped = _ActivityTransport(transport, record)
-            record.current_transport = wrapped
-            record.last_activity = time.monotonic()
-            return wrapped
-
-    def _run_session(self, record: SessionRecord) -> None:
-        try:
-            crash_point("server.session.run")
-            state = record.session.run(lambda: self._accept_for(record))
-        except SessionAborted as exc:
-            record.status = "expired"
-            record.error = exc
-        except BaseException as exc:  # pool worker: never propagate
-            record.status = "failed"
-            record.error = exc
-        else:
-            record.status = "done"
-            record.result = state
-        finally:
-            record.session.stats.finish()
-            if self.recorder is not None:
-                self.recorder.add_session(record.as_dict())
-            journal = getattr(record.session, "journal", None)
-            if journal is not None:
-                journal.close()
-            with self._finished:
-                self._finished.notify_all()
-
     # ------------------------------------------------------------------
     # The reaper (event-loop side)
     # ------------------------------------------------------------------
     def _abort(self, record: SessionRecord, reason: str) -> None:
-        """Mark a session aborted and unstick its blocked reads."""
-        record.aborted = True
-        transport = record.current_transport
-        if transport is not None:
-            try:
-                transport.close()
-            except OSError:
-                pass
-        # A worker blocked in inbox.get sees `aborted` on its next poll.
+        """Cancel a live session's task, once (loop thread only)."""
+        if record.status in _ACTIVE_STATUSES and record.error is None:
+            record.error = SessionAborted(
+                f"session {record.session_id} aborted by the supervisor: "
+                f"{reason}"
+            )
+            record.task.cancel()
 
     async def _reap_loop(self) -> None:
         while not self._closed.is_set():

@@ -22,6 +22,7 @@ and :class:`SessionEndpoint` are the core's classes under that shell.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -84,15 +85,18 @@ class RetryPolicy:
     max_delay_s: float = 2.0
     jitter: float = 0.5
 
-    def delay_s(self, attempt: int, rng: random.Random) -> float:
-        """Backoff before retry number ``attempt`` (0-based)."""
-        raw = min(
+    def _ceiling_s(self, attempt: int) -> float:
+        """The capped exponential, before jitter."""
+        return min(
             self.base_delay_s * self.multiplier ** attempt, self.max_delay_s
         )
+
+    def delay_s(self, attempt: int, rng: random.Random) -> float:
+        """Backoff before retry number ``attempt`` (0-based)."""
+        raw = self._ceiling_s(attempt)
         if self.jitter:
             raw *= 1.0 - self.jitter * rng.random()
         return raw
-
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,6 @@ class SessionConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     max_reconnects: int = 8
     fin_grace_s: float = 0.25
-
 
 
 @dataclass(frozen=True)
@@ -195,6 +198,17 @@ class ClientRetryPolicy:
                     ) from None
         return cls(**kwargs)
 
+    @functools.cached_property
+    def _retry(self) -> RetryPolicy:
+        """This policy's backoff shape as the :class:`RetryPolicy` both
+        the redial loop and the derived session config pace by."""
+        return RetryPolicy(
+            base_delay_s=self.base_delay_s,
+            multiplier=self.multiplier,
+            max_delay_s=self.max_delay_s,
+            jitter=self.jitter,
+        )
+
     def retryable(self, exc: BaseException) -> bool:
         """Whether this typed failure is worth another attempt."""
         if isinstance(exc, ServerBusyError):
@@ -217,13 +231,10 @@ class ClientRetryPolicy:
         de-synchronize a refused herd. Without one it is the ordinary
         jittered exponential.
         """
-        raw = min(self.base_delay_s * self.multiplier ** attempt,
-                  self.max_delay_s)
-        if hint_s is not None:
-            return max(raw, hint_s) * (1.0 + self.jitter * rng.random())
-        if self.jitter:
-            raw *= 1.0 - self.jitter * rng.random()
-        return raw
+        if hint_s is None:
+            return self._retry.delay_s(attempt, rng)
+        floor = max(self._retry._ceiling_s(attempt), hint_s)
+        return floor * (1.0 + self.jitter * rng.random())
 
     def session_config(self, **overrides: Any) -> SessionConfig:
         """The :class:`SessionConfig` this policy implies.
@@ -235,12 +246,7 @@ class ClientRetryPolicy:
         """
         kwargs: dict[str, Any] = dict(
             timeout_s=self.attempt_timeout_s,
-            retry=RetryPolicy(
-                base_delay_s=self.base_delay_s,
-                multiplier=self.multiplier,
-                max_delay_s=self.max_delay_s,
-                jitter=self.jitter,
-            ),
+            retry=self._retry,
             max_reconnects=self.max_attempts,
         )
         kwargs.update(overrides)

@@ -73,8 +73,8 @@ from typing import Any, Iterable, Mapping
 
 from . import serialization
 from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS
-from .server import ProtocolOffer, ProtocolServer
-from .session import SESSION_VERSION, SessionConfig, seal, unseal
+from .server import ProtocolOffer, ProtocolServer, _refusal_frame
+from .session import SessionConfig, unseal
 from .tcp import DEFAULT_MAX_FRAME_BYTES
 
 __all__ = ["ShardedProtocolServer"]
@@ -92,15 +92,6 @@ _RESPAWN_BACKOFF_CAP_S = 2.0
 
 #: How long a freshly forked worker gets to report its port.
 _SPAWN_TIMEOUT_S = 30.0
-
-def _refusal_frame(
-    tag: str, reason: str, retry_after_s: float | None = None
-) -> tuple:
-    """A typed refusal in the busy wire shape (hint in integer ms)."""
-    fields: list[Any] = [tag, SESSION_VERSION, reason]
-    if retry_after_s is not None:
-        fields.append(max(int(round(retry_after_s * 1000)), 0))
-    return seal(*fields)
 
 
 def _worker_main(

@@ -2,9 +2,8 @@
 
 The properties that make the event-loop stack safe to put under the
 byte-exact session layer: framing round-trips, a receive timeout never
-desynchronizes the stream (the pending-read pattern), the loop-thread
-bridge delivers frames and failures to synchronous callers exactly
-once, the async prefetcher preserves order and propagates producer
+desynchronizes the stream (the pending-read pattern), the loop thread
+runs coroutines for synchronous callers, the async prefetcher preserves order and propagates producer
 failures, and the async client speaks the same wire protocol as the
 sync resumable server.
 """
@@ -22,7 +21,6 @@ from repro.net import tcp
 from repro.net.aio import (
     AsyncFrameEndpoint,
     LoopThread,
-    LoopTransport,
     connect_receiver_async,
     open_endpoint,
 )
@@ -155,7 +153,7 @@ class TestAsyncFrameEndpoint:
 
 
 # ----------------------------------------------------------------------
-# LoopThread + LoopTransport (the sync-session bridge)
+# LoopThread (one loop on a daemon thread, driven from other threads)
 # ----------------------------------------------------------------------
 class TestLoopBridge:
     def test_loop_thread_runs_coroutines_and_stops(self):
@@ -168,43 +166,6 @@ class TestLoopBridge:
         finally:
             loop_thread.stop()
         loop_thread.stop()  # idempotent
-
-    def test_transport_replays_then_pumps_then_raises_fatal(self):
-        """Replay frames come first, live frames next, then the closed
-        connection surfaces as a sticky ConnectionError."""
-        loop_thread = LoopThread().start()
-        try:
-            async def handle(reader, writer):
-                ep = AsyncFrameEndpoint(reader, writer)
-                await ep.send(("live", 1))
-                await ep.close()
-
-            async def setup():
-                server, port = await _echo_server(handle)
-                ep = await open_endpoint("127.0.0.1", port, timeout=5)
-                transport = LoopTransport(
-                    ep, asyncio.get_running_loop(),
-                    replay=[encode(("replayed", 0))], timeout=5.0,
-                )
-                transport.start_pump()
-                return server, transport
-
-            server, transport = loop_thread.run(setup(), timeout=5)
-            assert transport.recv() == ("replayed", 0)
-            assert transport.recv() == ("live", 1)
-            with pytest.raises((ConnectionError, OSError)):
-                transport.recv()
-            with pytest.raises((ConnectionError, OSError)):
-                transport.recv()  # sticky, not one-shot
-            transport.close()
-            loop_thread.run(_close_server(server), timeout=5)
-        finally:
-            loop_thread.stop()
-
-
-async def _close_server(server):
-    server.close()
-    await server.wait_closed()
 
 
 # ----------------------------------------------------------------------

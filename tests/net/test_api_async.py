@@ -1,17 +1,15 @@
-"""The facade's async serving and busy-retry surface (``repro.api``).
+"""The facade's client against the event-loop server (``repro.api``).
 
-``repro.serve(async_=True)`` hosts the one-session run on the
-event-loop server; ``repro.connect(retry=...)`` waits out typed busy
-refusals with the server's own retry hint (jittered upward, never
-earlier). Both must compose with the plain facade paths and return
-the same typed results.
+``repro.connect(session=...)`` completes against a
+:class:`~repro.net.server.ProtocolServer` (which journals and rotates
+like the one-shot sender), and ``repro.connect(retry=...)`` waits out
+typed busy refusals with the server's own retry hint (jittered upward,
+never earlier), returning the same typed results as the plain paths.
 """
 
 from __future__ import annotations
 
-import random
 import socket
-import threading
 
 import pytest
 
@@ -43,59 +41,23 @@ def _config(timeout_s=5.0):
     )
 
 
-class TestServeAsync:
-    def test_one_session_round_trip(self):
-        v_r, v_s = ["a", "b", "c", "d"], ["b", "c", "x"]
-        port_ready = threading.Event()
-        bound, result = {}, {}
-
-        def serve():
-            result["serve"] = repro.serve(
-                "intersection", v_s, bits=BITS, seed=1, async_=True,
-                ready_callback=lambda p: (bound.update(port=p),
-                                          port_ready.set()),
-                config=_config(),
-            )
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert port_ready.wait(10)
-        connected = repro.connect(
-            "intersection", v_r, seed=2, port=bound["port"],
-            session=repro.SessionOptions(), config=_config(),
+class TestHostedJournal:
+    def test_hosted_session_rotates_its_journal(self, params, tmp_path):
+        """A journaled session hosted on the server's loop completes
+        its journal the way the one-shot sender does: ``*.wal`` is
+        rotated to ``*.done`` by the time the session is ``done``."""
+        server = ProtocolServer(
+            {"intersection": (["b", "z"], params)},
+            config=_config(), journal_dir=tmp_path,
         )
-        thread.join(timeout=15)
-        assert not thread.is_alive()
-        assert sorted(connected.answer) == ["b", "c"]
-        assert connected.busy_retries == 0
-        serve_result = result["serve"]
-        assert serve_result.port == bound["port"] != 0
-        assert serve_result.size_v_r == len(set(v_r))
-        assert serve_result.stats.frames_sent > 0
-
-    def test_journaled_async_serve_rotates_the_journal(self, tmp_path):
-        v_r, v_s = ["a", "b"], ["b", "z"]
-        port_ready = threading.Event()
-        bound = {}
-
-        def serve():
-            repro.serve(
-                "intersection", v_s, bits=BITS, seed=3, async_=True,
-                session=repro.SessionOptions(journal_dir=tmp_path),
-                ready_callback=lambda p: (bound.update(port=p),
-                                          port_ready.set()),
-                config=_config(),
+        with server:
+            connected = repro.connect(
+                "intersection", ["a", "b"], seed=4, port=server.port,
+                session=repro.SessionOptions(), config=_config(),
             )
-
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        assert port_ready.wait(10)
-        connected = repro.connect(
-            "intersection", v_r, seed=4, port=bound["port"],
-            session=repro.SessionOptions(), config=_config(),
-        )
-        thread.join(timeout=15)
+            assert server.wait_for_sessions(1, timeout=10)
         assert sorted(connected.answer) == ["b"]
+        assert [r["status"] for r in server.results()] == ["done"]
         assert list(tmp_path.glob("*.wal")) == []
         assert len(list(tmp_path.glob("sender-intersection-*.done"))) == 1
 

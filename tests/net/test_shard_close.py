@@ -1,0 +1,74 @@
+"""A finished session is not a lost worker (the shard splice's close order).
+
+The router's splice is a dumb byte relay: whichever leg reaches EOF
+first is "the side that dropped", and a worker leg that drops gets a
+typed ``worker-lost`` frame thrown at the client. That is the contract
+for a worker that *died* (``test_shard.TestSupervision`` pins it with a
+real SIGKILL) - but a worker that merely hung up first after a
+completed run looked the same. The worker now lingers for the client's
+EOF after the fin echo, so a healthy herd must raise no notice at all.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import random
+import time
+
+import pytest
+
+from repro.net.aio import connect_receiver_async
+from repro.net.session import RetryPolicy, SessionConfig
+from repro.net.shard import ShardedProtocolServer
+from repro.protocols.parties import PublicParams
+
+BITS = 96
+SESSIONS = 48
+
+
+@pytest.fixture(scope="module")
+def params():
+    return PublicParams.for_bits(BITS)
+
+
+def _config():
+    return SessionConfig(
+        timeout_s=15.0,
+        retry=RetryPolicy(max_attempts=4, base_delay_s=0.02, max_delay_s=0.2),
+        max_reconnects=8,
+        fin_grace_s=0.25,
+    )
+
+
+@pytest.mark.parametrize("chunk_size", [None, 2])
+def test_healthy_herd_over_forked_shards_sends_no_worker_lost_notice(
+    params, chunk_size
+):
+    async def herd(port):
+        return await asyncio.gather(*(
+            connect_receiver_async(
+                "intersection", ["a", "b", "c"], random.Random(seed),
+                "127.0.0.1", port, config=_config(), chunk_size=chunk_size,
+            )
+            for seed in range(SESSIONS)
+        ))
+
+    with ShardedProtocolServer(
+        {"intersection": (["b", "c", "x"], params)}, shards=2,
+        worker_processes=True, config=_config(), max_sessions=SESSIONS,
+        chunk_size=chunk_size, heartbeat_timeout_s=30.0,
+    ) as server:
+        done = asyncio.run(herd(server.port))
+        # Let every relay see both legs end before counting.
+        deadline = time.monotonic() + 5.0
+        while server.routed < SESSIONS and time.monotonic() < deadline:
+            time.sleep(0.02)
+        time.sleep(_config().fin_grace_s + 0.1)
+        notices, deaths = server.worker_lost_notices, server.worker_deaths
+    assert [sorted(answer) for answer, _stats in done] == [["b", "c"]] * SESSIONS
+    assert all(stats.worker_lost == 0 for _answer, stats in done)
+    assert server.routed == SESSIONS
+    assert (notices, deaths) == (0, 0)
+    rows = server.results()
+    assert len(rows) == SESSIONS
+    assert all(row["status"] == "done" for row in rows)
