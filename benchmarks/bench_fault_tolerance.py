@@ -149,9 +149,7 @@ def test_report_chaos_schedule_survival():
     records = []
     for seed in CHAOS_BENCH_SEEDS:
         started = time.perf_counter()
-        result = run_schedule(
-            ChaosSchedule.generate(seed), wall_timeout_s=30.0
-        )
+        result = run_schedule(ChaosSchedule.generate(seed))
         assert result.ok, result.describe()
         records.append({
             "benchmark": "chaos-schedule",

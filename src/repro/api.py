@@ -68,6 +68,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
+from .crypto.engine import MeteredEngine, SerialEngine
 from .protocols.delta import DeltaExchange
 from .protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from .protocols.spec import PROTOCOLS, ProtocolSpec, get_spec
@@ -195,6 +196,30 @@ class SessionOptions:
     journal_fsync: bool = True
 
 
+def _metered(engine: Any, recorder: Any) -> Any:
+    """``engine`` as ``recorder`` can see it.
+
+    A recorder counts only the exponentiations a
+    :class:`~repro.crypto.engine.MeteredEngine` reports to it, so every
+    entry point that takes ``engine=``/``recorder=`` passes the pair
+    through here: the engine (the serial one when none was given) is
+    wrapped to report into ``recorder`` and named in its report.
+    Idempotent - an engine already metered into ``recorder`` is kept.
+    """
+    if recorder is None:
+        return engine
+    if not (
+        isinstance(engine, MeteredEngine)
+        and engine.on_modexp == recorder.count_modexp
+    ):
+        engine = MeteredEngine(
+            engine if engine is not None else SerialEngine(),
+            recorder.count_modexp,
+        )
+    recorder.attach_engine(engine)
+    return engine
+
+
 def _party_rngs(
     seed: Any, rng: random.Random | None
 ) -> tuple[random.Random, random.Random]:
@@ -209,28 +234,6 @@ def _party_rngs(
     rng_r = random.Random(master.getrandbits(64))
     rng_s = random.Random(master.getrandbits(64))
     return rng_r, rng_s
-
-
-def _exchange_local(
-    spec: ProtocolSpec,
-    receiver: ReceiverMachine,
-    sender: SenderMachine,
-    chunk_size: int | None,
-) -> None:
-    """Exchange a spec's rounds between two in-process machines.
-
-    The wire payloads are exactly what the TCP drivers would put on a
-    socket, so the logical transcript is identical to a networked run.
-    """
-    for rnd in spec.rounds:
-        producer, consumer = (
-            (receiver, sender) if rnd.source == "R" else (sender, receiver)
-        )
-        if chunk_size is not None and rnd.chunkable:
-            payloads = list(producer.produce_chunks(rnd, chunk_size))
-            consumer.consume_chunks(rnd, payloads)
-        else:
-            consumer.consume(rnd, producer.produce(rnd).to_wire())
 
 
 def _delta_spec(spec: ProtocolSpec) -> ProtocolSpec | None:
@@ -282,7 +285,7 @@ class Catalog:
         self._bits = bits
         self.params = params
         self.rng = rng if rng is not None else random.Random(seed)
-        self.engine = engine
+        self.engine = _metered(engine, recorder)
         self.recorder = recorder
         self.cache = None
         if cache_dir is not None:
@@ -819,7 +822,7 @@ class Peer:
         sender = SenderMachine.from_factory(
             wire_spec, lambda: make_s(params), send_cat.recorder
         )
-        _exchange_local(wire_spec, receiver, sender, chunk_size)
+        wire_spec.exchange(receiver, sender, chunk_size)
         answer = receiver.finish()
         hit_r, hit_s = commit_r(receiver.state), commit_s(sender.state)
         return QueryResult(
@@ -1067,6 +1070,7 @@ def run(
     if params is None:
         params = PublicParams.for_bits(bits)
     rng_r, rng_s = _party_rngs(seed, rng)
+    engine = _metered(engine, recorder)
     if spec.delta_of is not None:
         receiver = ReceiverMachine(
             spec, receiver_data, params, rng_r, engine=engine,
@@ -1076,7 +1080,7 @@ def run(
             spec, sender_data, params, rng_s, engine=engine,
             recorder=recorder,
         )
-        _exchange_local(spec, receiver, sender, chunk_size)
+        spec.exchange(receiver, sender, chunk_size)
         answer = receiver.finish()
         return RunResult(
             answer=answer,
@@ -1156,7 +1160,8 @@ def serve(
             spec.name, data, params, rng, host=host, port=port,
             ready_callback=_capture,
             config=config if config is not None else session.config,
-            engine=engine, recorder=recorder, journal_dir=session.journal_dir,
+            engine=_metered(engine, recorder), recorder=recorder,
+            journal_dir=session.journal_dir,
             journal_fsync=session.journal_fsync, chunk_size=chunk_size,
         )
         return ServeResult(size_v_r=size_v_r, port=bound["port"], stats=stats)
@@ -1242,7 +1247,7 @@ def connect(
             answer, stats = tcp.connect_resumable_receiver(
                 spec.name, data, rng, host, port,
                 config=config if config is not None else session.config,
-                engine=engine, recorder=recorder,
+                engine=_metered(engine, recorder), recorder=recorder,
                 journal_dir=session.journal_dir,
                 journal_fsync=session.journal_fsync, chunk_size=chunk_size,
             )

@@ -459,12 +459,11 @@ def _session_options(args: argparse.Namespace, config):
 def _build_engine_and_recorder(args: argparse.Namespace):
     """The ``--workers`` engine plus a recorder wired to count its work."""
     from .analysis.instrumentation import MetricsRecorder
+    from .api import _metered
     from .crypto.engine import create_engine
 
     recorder = MetricsRecorder()
-    engine = create_engine(args.workers, on_modexp=recorder.count_modexp)
-    recorder.attach_engine(engine)
-    return engine, recorder
+    return _metered(create_engine(args.workers), recorder), recorder
 
 
 def _emit_metrics(args: argparse.Namespace, recorder) -> None:

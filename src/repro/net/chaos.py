@@ -1,31 +1,28 @@
-"""Deterministic chaos simulation: crash points, schedules, a driver.
+"""Deterministic chaos simulation: schedules and the drivers that run them.
 
 PR 1 gave the repo seeded *network* faults (:mod:`repro.net.faults`),
-:mod:`repro.net.diskfaults` adds seeded *disk* faults; this module
-composes both with a third failure axis - process crashes at named
-code points - and drives whole protocol runs under the composition,
-FoundationDB-style:
+:mod:`repro.net.diskfaults` adds seeded *disk* faults,
+:mod:`repro.net.crashpoints` a third failure axis - process crashes at
+named code points. This module composes the three and drives whole
+protocol runs under the composition, FoundationDB-style:
 
-* **crash points** - the journal, session, streaming and server layers
-  call :func:`crash_point` at every boundary that matters for
-  durability (pre/post-append, pre/post-rotate, per frame shipped or
-  received, per streamed chunk). The call is a thread-local lookup and
-  costs nothing when no hook is installed; under :func:`hooked` a
-  :class:`CrashHook` raises :class:`SimulatedCrash` (a
-  ``BaseException``, so no retry loop can swallow it) at the Nth hit
-  of its named point - the in-process equivalent of ``SIGKILL`` at an
-  exact instruction.
 * **schedules** - a :class:`ChaosSchedule` bundles one seed's worth of
   chaos: a network fault plan per direction, a disk fault plan per
   party, a crash point per party, and a restart budget.
   :meth:`ChaosSchedule.generate` derives all of it from a single
   integer, so a failing schedule is reproduced from its printed seed.
 * **the driver** - :func:`run_schedule` executes any registered
-  protocol under a schedule, entirely in-process: both parties run
-  journaled sessions over ``socketpair`` transports, each under a
-  supervisor loop that restarts it (recover-from-journal, exactly like
-  the resumable TCP helpers) after every simulated crash or journal
-  failure, up to the restart budget.
+  protocol under a schedule on the virtual-time shell
+  (:class:`repro.net.virtual.LockStep`): both parties run journaled
+  sessions on one thread over in-memory links, each restarted through
+  the product's own restart rule
+  (:func:`repro.net.journal.restart_session`) after every simulated
+  crash or journal failure, up to the restart budget. No socket, no
+  thread, no sleep: a schedule costs milliseconds and the same seed
+  gives the same run, counters included.
+* **the worker-crash axis** - :func:`run_worker_crash_schedule` kills
+  *real* forked shard workers under a live server; that one stays on
+  real processes, sockets and time on purpose.
 
 The invariant the driver checks is the repo's durability contract:
 **every run ends in the correct answer or a typed, clean failure** -
@@ -40,14 +37,45 @@ from __future__ import annotations
 
 import random
 import tempfile
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any
 
+from ..protocols.parties import PublicParams, ReceiverMachine, SenderMachine
+from ..protocols.spec import get_spec
+from . import serialization
+from .aio import connect_receiver_async
+from .crashpoints import (
+    CRASH_POINTS,
+    CrashHook,
+    RecordingHook,
+    SimulatedCrash,
+    crash_point,
+    hooked,
+)
 from .diskfaults import DiskFaultPlan, FaultyJournalIO
-from .faults import FaultPlan
+from .faults import FaultInjector, FaultPlan
+from .journal import (
+    DONE_SUFFIX,
+    WAL_SUFFIX,
+    JournalDir,
+    JournalError,
+    peek_state,
+    restart_session,
+)
+from .server import ProtocolOffer
+from .session import (
+    ReceiverSession,
+    RetryPolicy,
+    SenderSession,
+    ServerBusyError,
+    SessionConfig,
+    SessionError,
+    WorkerLost,
+    busy_backoff_s,
+)
+from .shard import ShardedProtocolServer
+from .virtual import LockStep, Party
 
 __all__ = [
     "SimulatedCrash",
@@ -67,126 +95,12 @@ __all__ = [
     "run_worker_crash_schedule",
 ]
 
-
-class SimulatedCrash(BaseException):
-    """A simulated process death at a crash point.
-
-    Deliberately a ``BaseException``: the session layer retries broad
-    ``Exception`` classes (that is its job), and a simulated crash must
-    behave like ``SIGKILL`` - nothing between the crash point and the
-    supervisor may catch it and carry on.
-    """
-
-
-#: The crash-point matrix: every named hook wired through the net
-#: layer, mapped to the boundary it models.
-CRASH_POINTS: dict[str, str] = {
-    "journal.append.pre": "record encoded, nothing written yet",
-    "journal.append.post": "record durable, caller has not acted on it",
-    "journal.rotate.pre": "completion journaled, .wal -> .done rename pending",
-    "journal.rotate.post": "journal rotated, caller has not returned",
-    "session.ship.frame": "before each data/chunk frame is sent",
-    "session.recv.frame": "after each received frame is journaled",
-    "streaming.chunk.yield": "between chunks of a streamed round",
-    "server.session.run": "supervisor worker about to run a session",
-}
-
 #: Crash points :meth:`ChaosSchedule.generate` schedules. The server
 #: supervisor point is exercised by the server's own tests, not by the
 #: in-process two-party driver.
 SCHEDULABLE_POINTS: tuple[str, ...] = tuple(
     name for name in CRASH_POINTS if not name.startswith("server.")
 )
-
-_tls = threading.local()
-
-
-def crash_point(name: str) -> None:
-    """Fire the calling thread's crash hook, if one is installed.
-
-    Instrumented code calls this at durability boundaries; with no
-    hook installed (the default, and always in production use) it is a
-    thread-local attribute read and an ``is None`` test. Hooks are
-    per-thread so a chaos run crashes exactly the party under test.
-    """
-    hook = getattr(_tls, "hook", None)
-    if hook is not None:
-        hook(name)
-
-
-@contextmanager
-def hooked(hook: Callable[[str], None] | None) -> Iterator[None]:
-    """Install a crash hook on this thread for the ``with`` body.
-
-    ``hooked(None)`` is a no-op, so drivers can pass an optional hook
-    straight through. The previous hook (usually none) is restored on
-    exit, even when the body dies at a crash point.
-    """
-    if hook is None:
-        yield
-        return
-    previous = getattr(_tls, "hook", None)
-    _tls.hook = hook
-    try:
-        yield
-    finally:
-        _tls.hook = previous
-
-
-class CrashHook:
-    """Raise :class:`SimulatedCrash` at the Nth hit of one named point.
-
-    Counts every crash point it observes (``counts``), and fires once:
-    when ``point`` reaches its ``hit``-th observation the hook raises
-    and disarms, so a restarted party replays past the crash site
-    instead of dying there forever. Counts persist across restarts -
-    the hook models one scheduled death of one process, deterministic
-    in the schedule.
-    """
-
-    def __init__(self, point: str, hit: int = 1):
-        if point not in CRASH_POINTS:
-            raise ValueError(f"unknown crash point {point!r}")
-        self.point = point
-        self.hit = hit
-        self.fired = False
-        self.counts: dict[str, int] = {}
-
-    def __call__(self, name: str) -> None:
-        self.counts[name] = self.counts.get(name, 0) + 1
-        if (
-            not self.fired
-            and name == self.point
-            and self.counts[name] >= self.hit
-        ):
-            self.fired = True
-            raise SimulatedCrash(
-                f"crash point {self.point!r} (hit {self.counts[name]})"
-            )
-
-    def as_dict(self) -> dict[str, Any]:
-        """Flat summary (target, whether it fired, observed counts)."""
-        return {
-            "point": self.point,
-            "hit": self.hit,
-            "fired": self.fired,
-            "counts": dict(self.counts),
-        }
-
-
-class RecordingHook:
-    """A hook that only counts crash-point hits (never raises).
-
-    Useful for discovering a run's crash-point space: record a clean
-    run, then schedule a :class:`CrashHook` at any ``(point, hit)``
-    the recording observed.
-    """
-
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-
-    def __call__(self, name: str) -> None:
-        self.counts[name] = self.counts.get(name, 0) + 1
 
 
 #: Default inputs per registered protocol for :func:`run_schedule`.
@@ -310,9 +224,9 @@ class PartyOutcome:
     ``kind`` is ``"answer"`` (ran to completion; ``value`` holds the
     receiver's protocol answer, or the sender's party state),
     ``"error"`` (a typed, clean failure - the invariant's acceptable
-    negative outcome), ``"violation"`` (an untyped exception escaped -
-    an invariant breach), or ``"hang"`` (the party never finished
-    inside the driver's wall-clock budget - also a breach).
+    negative outcome), or ``"violation"`` (an invariant breach: an
+    untyped exception escaped, or the run could not end -
+    :class:`~repro.net.virtual.Stuck`, the exact form of a hang).
     """
 
     kind: str
@@ -386,7 +300,12 @@ class ChaosResult:
         return " ".join(parts)
 
     def as_dict(self) -> dict[str, Any]:
-        """Flat mapping for JSON benchmark records."""
+        """Flat mapping for JSON benchmark records.
+
+        Errors appear as their type (:meth:`describe` has the message,
+        which embeds the run's journal directory), so the same schedule
+        gives the same mapping on every run.
+        """
         return {
             "seed": self.schedule.seed,
             "protocol": self.protocol,
@@ -396,8 +315,10 @@ class ChaosResult:
             "sender": self.sender.kind,
             "receiver_restarts": self.receiver.restarts,
             "sender_restarts": self.sender.restarts,
-            "receiver_error": repr(self.receiver.error) if self.receiver.error else None,
-            "sender_error": repr(self.sender.error) if self.sender.error else None,
+            "receiver_error": self.receiver.error
+            and type(self.receiver.error).__name__,
+            "sender_error": self.sender.error
+            and type(self.sender.error).__name__,
             "journals_ok": self.journals_ok,
             "net": self.net_stats,
             "disk": self.disk_stats,
@@ -405,38 +326,20 @@ class ChaosResult:
         }
 
 
-class _PairBroker:
-    """An in-process rendezvous replacing the TCP listener.
+#: A death the party's supervisor answers with a restart.
+_RESTARTABLE = (SimulatedCrash, JournalError)
 
-    Each ``connect()`` builds a fresh ``socketpair``, queues the server
-    half for the sender's ``accept()`` and returns the client half -
-    the same connect/accept contract the resumable TCP helpers give
-    the session layer, minus the port.
-    """
 
-    def __init__(self, timeout_s: float, endpoint_cls: Any):
-        import queue
-
-        self._queue: Any = queue.Queue()
-        self.timeout_s = timeout_s
-        self._endpoint_cls = endpoint_cls
-
-    def connect(self) -> Any:
-        import socket
-
-        client, server = socket.socketpair()
-        client.settimeout(self.timeout_s)
-        server.settimeout(self.timeout_s)
-        self._queue.put(self._endpoint_cls(sock=server))
-        return self._endpoint_cls(sock=client)
-
-    def accept(self) -> Any:
-        import queue
-
-        try:
-            return self._queue.get(timeout=self.timeout_s)
-        except queue.Empty:
-            raise TimeoutError("no chaos client connected") from None
+def _finished_journal(jdir: JournalDir, role: str, protocol: str) -> Any:
+    """The state of ``role``'s completed journal (rotated, or complete
+    with its rotation lost), or ``None`` - what a finished party's
+    bytes are compared against the reference through."""
+    for path in sorted(jdir.path.glob(f"{role}-{protocol}-*")):
+        if path.suffix in (WAL_SUFFIX, DONE_SUFFIX):
+            state = peek_state(path)
+            if state is not None and state.complete:
+                return state
+    return None
 
 
 def run_schedule(
@@ -445,20 +348,21 @@ def run_schedule(
     params: Any = None,
     data: tuple[Any, Any] | None = None,
     journal_root: str | Path | None = None,
-    wall_timeout_s: float = 45.0,
 ) -> ChaosResult:
-    """Execute one protocol run under a chaos schedule, in-process.
+    """Execute one protocol run under a chaos schedule, in virtual time.
 
-    Both parties run journaled resumable sessions over ``socketpair``
-    transports, each on its own thread under a supervisor loop that -
-    exactly like the resumable TCP helpers - scans its journal
-    directory and recovers (or salvages a completed journal) after
+    Both parties run journaled resumable sessions as the two parties
+    of a :class:`~repro.net.virtual.LockStep` shell. Each is restarted
+    - through :func:`~repro.net.journal.restart_session`, the rule the
+    resumable TCP helpers and the supervised server restart by - after
     every :class:`SimulatedCrash` or
     :class:`~repro.net.journal.JournalError`, up to
-    ``schedule.max_restarts`` resurrections. Network faults, disk
-    faults and crash hooks all come from the schedule; all randomness
-    derives from ``schedule.seed``, so a failing run replays
-    deterministically.
+    ``schedule.max_restarts`` resurrections. Network faults (their
+    delays bound to the virtual clock), disk faults and crash hooks all
+    come from the schedule and all randomness derives from
+    ``schedule.seed``, so a run replays exactly: same outcome, same
+    counters. Sessions run under the default :class:`SessionConfig` -
+    virtual seconds are free.
 
     The expected answer *and* the byte-exact reference wires come from
     a clean in-memory run of the same machine seeds; when a party
@@ -475,34 +379,11 @@ def run_schedule(
         data: optional ``(receiver values, sender values)`` override.
         journal_root: directory for the two parties' journal dirs; a
             temporary directory (cleaned up afterwards) when omitted.
-        wall_timeout_s: budget after which a party is declared hung.
 
     Returns:
         A :class:`ChaosResult`; assert on ``result.ok`` and print
         ``result.describe()`` on failure.
     """
-    from ..protocols.parties import PublicParams, ReceiverMachine, SenderMachine
-    from ..protocols.spec import get_spec
-    from . import serialization
-    from .faults import FaultInjector
-    from .journal import (
-        WAL_SUFFIX,
-        JournalDir,
-        JournalError,
-        SessionJournal,
-        peek_state,
-        recover_receiver_session,
-        recover_sender_session,
-    )
-    from .session import (
-        ReceiverSession,
-        RetryPolicy,
-        SenderSession,
-        SessionConfig,
-        SessionError,
-    )
-    from .tcp import SocketEndpoint
-
     protocol = protocol if protocol is not None else schedule.protocol
     if protocol is None:
         raise ValueError(
@@ -533,28 +414,14 @@ def run_schedule(
 
     # Clean reference run: the expected answer plus the byte-exact
     # wires every completed journal must reproduce.
-    ref_sender = SenderMachine(spec, v_s, params, random.Random(s_seed))
     ref_receiver = ReceiverMachine(spec, v_r, params, random.Random(r_seed))
-    wires: list[tuple[str, Any]] = []
-    for rnd in spec.rounds:
-        producer, consumer = (
-            (ref_receiver, ref_sender)
-            if rnd.source == "R"
-            else (ref_sender, ref_receiver)
-        )
-        wire = producer.produce(rnd).to_wire()
-        wires.append((rnd.source, wire))
-        consumer.consume(rnd, wire)
+    wires = spec.exchange(
+        ref_receiver, SenderMachine(spec, v_s, params, random.Random(s_seed))
+    )
     expected = ref_receiver.finish()
 
-    config = SessionConfig(
-        timeout_s=0.25,
-        retry=RetryPolicy(
-            max_attempts=4, base_delay_s=0.005, max_delay_s=0.04
-        ),
-        max_reconnects=12,
-        fin_grace_s=0.02,
-    )
+    config = SessionConfig()
+    shell = LockStep(config.timeout_s * config.retry.max_attempts)
 
     cleanup = None
     if journal_root is None:
@@ -564,219 +431,102 @@ def run_schedule(
         journal_root = cleanup.name
     root = Path(journal_root)
 
-    sender_io = (
-        FaultyJournalIO(schedule.sender_disk) if schedule.sender_disk else None
-    )
-    receiver_io = (
-        FaultyJournalIO(schedule.receiver_disk)
-        if schedule.receiver_disk
-        else None
-    )
-    sender_dir = JournalDir(root / "sender", io=sender_io)
-    receiver_dir = JournalDir(root / "receiver", io=receiver_io)
-    client_net = (
-        FaultInjector(schedule.client_net) if schedule.client_net else None
-    )
-    server_net = (
-        FaultInjector(schedule.server_net) if schedule.server_net else None
-    )
-    sender_hook = (
-        CrashHook(*schedule.sender_crash) if schedule.sender_crash else None
-    )
-    receiver_hook = (
-        CrashHook(*schedule.receiver_crash)
-        if schedule.receiver_crash
-        else None
-    )
+    net, disk, hooks, dirs, parties = {}, {}, {}, {}, {}
 
-    broker = _PairBroker(config.timeout_s, SocketEndpoint)
-
-    def sender_accept() -> Any:
-        transport = broker.accept()
-        return server_net.wrap(transport) if server_net else transport
-
-    def receiver_connect() -> Any:
-        transport = broker.connect()
-        return client_net.wrap(transport) if client_net else transport
-
-    def complete_path(jdir: Any, role: str) -> Path | None:
-        """A completed (rotated or done-but-unrotated) journal, if any."""
-        for path in sorted(jdir.path.glob(f"{role}-{protocol}-*")):
-            if path.suffix == WAL_SUFFIX:
-                try:
-                    state = peek_state(path)
-                except JournalError:
-                    continue
-                if state is None or not state.complete:
-                    continue
-            elif path.suffix != ".done":
-                continue
-            return path
-        return None
-
-    def close_journal(session: Any) -> None:
-        if session is not None and session.journal is not None:
-            session.journal.close()
-
-    def sender_attempt() -> Any:
-        done = complete_path(sender_dir, "sender")
-        if done is not None:
-            # A previous life finished the run; only the rotation (and
-            # the in-memory state, which dies with a process) was lost.
-            if done.suffix == WAL_SUFFIX:
-                SessionJournal(done, io=sender_io).rotate()
-            return None
-        pending = sender_dir.incomplete("sender", protocol)
-        if pending:
-            session = recover_sender_session(
-                pending[0], params, make_sender, config=config,
-                chunk_size=schedule.chunk_size, io=sender_io,
-            )
-        else:
+    def life(role: str) -> Any:
+        """One process life of ``role``: restart rule, then the run."""
+        # The same session seed every life, as a restarted process
+        # has: a session restarted from a stub draws its old id again.
+        common = dict(
+            config=config, chunk_size=schedule.chunk_size,
+            rng=random.Random(f"chaos-{role}-{schedule.seed}"),
+        )
+        make_state = make_sender if role == "sender" else make_receiver
+        session, answer = restart_session(
+            dirs[role], role, protocol, make_state, params=params, **common
+        )
+        if answer is not None:
+            return answer
+        if session is None and role == "sender":
             session = SenderSession(
-                protocol, params, make_sender, config=config,
-                rng=random.Random(f"chaos-sx-{schedule.seed}"),
-                journal=sender_dir, chunk_size=schedule.chunk_size,
+                protocol, params, make_sender, journal=dirs[role], **common
             )
-        try:
-            return session.run(sender_accept)
-        finally:
-            close_journal(session)
-
-    def receiver_attempt() -> Any:
-        done = complete_path(receiver_dir, "receiver")
-        if done is not None:
-            # Salvage: replay the completed journal to its answer
-            # offline - the peer may be long gone.
-            session = recover_receiver_session(
-                done, make_receiver, config=config,
-                chunk_size=schedule.chunk_size, io=receiver_io,
-            )
-            try:
-                if session._machine is None:
-                    raise JournalError(
-                        f"{done}: complete journal without parameters"
-                    )
-                answer = session._machine.finish()
-                session.journal.rotate()
-                return answer
-            finally:
-                close_journal(session)
-        pending = receiver_dir.incomplete("receiver", protocol)
-        if pending:
-            session = recover_receiver_session(
-                pending[0], make_receiver, config=config,
-                chunk_size=schedule.chunk_size, io=receiver_io,
-            )
-        else:
+        elif session is None:
             session = ReceiverSession(
-                protocol, make_receiver, config=config,
-                rng=random.Random(f"chaos-rx-{schedule.seed}"),
-                journal=receiver_dir, chunk_size=schedule.chunk_size,
+                protocol, make_receiver, journal=dirs[role], **common
             )
         try:
-            return session.run(receiver_connect)
+            return (yield from session.steps())
         finally:
-            close_journal(session)
+            if session.journal is not None:
+                session.journal.close()
 
-    def supervise(
-        hook: CrashHook | None, attempt: Callable[[], Any]
-    ) -> PartyOutcome:
-        """The per-party supervisor: run, die, recover, repeat."""
-        restarts = 0
-        while True:
-            try:
-                with hooked(hook):
-                    return PartyOutcome("answer", attempt(), None, restarts)
-            except (SimulatedCrash, JournalError) as exc:
-                restarts += 1
-                if restarts > schedule.max_restarts:
-                    return PartyOutcome("error", None, exc, restarts)
-            except SessionError as exc:
-                return PartyOutcome("error", None, exc, restarts)
-            except BaseException as exc:
-                return PartyOutcome("violation", None, exc, restarts)
+    for role, side, net_plan, disk_plan, crash in (
+        ("sender", "server", schedule.server_net, schedule.sender_disk,
+         schedule.sender_crash),
+        ("receiver", "client", schedule.client_net, schedule.receiver_disk,
+         schedule.receiver_crash),
+    ):
+        net[side] = net_plan and FaultInjector(net_plan, sleep=shell.sleep)
+        disk[role] = disk_plan and FaultyJournalIO(disk_plan)
+        hooks[role] = crash and CrashHook(*crash)
+        dirs[role] = JournalDir(root / role, io=disk[role])
+        parties[role] = Party(
+            role, lambda role=role: life(role), dials=role == "receiver",
+            wrap=net[side] and net[side].wrap, hook=hooks[role],
+            restart_on=_RESTARTABLE, max_restarts=schedule.max_restarts,
+        )
+    shell.run(*parties.values())
 
-    outcomes: dict[str, PartyOutcome] = {}
-    threads = [
-        threading.Thread(
-            target=lambda: outcomes.__setitem__(
-                "sender", supervise(sender_hook, sender_attempt)
-            ),
-            name="chaos-sender",
-            daemon=True,
-        ),
-        threading.Thread(
-            target=lambda: outcomes.__setitem__(
-                "receiver", supervise(receiver_hook, receiver_attempt)
-            ),
-            name="chaos-receiver",
-            daemon=True,
-        ),
-    ]
-    import time as _time
+    outcomes = {}
+    for role, party in parties.items():
+        if party.error is None:
+            kind = "answer"
+        elif isinstance(party.error, (SessionError, *_RESTARTABLE)):
+            kind = "error"
+        else:
+            kind = "violation"
+        outcomes[role] = PartyOutcome(
+            kind, party.result, party.error, party.restarts
+        )
 
-    for thread in threads:
-        thread.start()
-    deadline = _time.monotonic() + wall_timeout_s
-    for thread in threads:
-        thread.join(timeout=max(deadline - _time.monotonic(), 0.0))
-    sender_out = outcomes.get("sender", PartyOutcome("hang"))
-    receiver_out = outcomes.get("receiver", PartyOutcome("hang"))
-
-    journals_ok = True
     notes: list[str] = []
     if schedule.chunk_size is None:
-        for role, jdir, letter, outcome in (
-            ("sender", sender_dir, "S", sender_out),
-            ("receiver", receiver_dir, "R", receiver_out),
-        ):
-            if outcome.kind != "answer":
+        for role, letter in (("sender", "S"), ("receiver", "R")):
+            if outcomes[role].kind != "answer":
                 continue
-            path = complete_path(jdir, role)
-            if path is None:
-                journals_ok = False
+            state = _finished_journal(dirs[role], role, protocol)
+            if state is None:
                 notes.append(f"{role} finished without a complete journal")
-                continue
-            state = peek_state(path)
-            expect_out = [
+            elif state.outbound != [
                 serialization.encode(w) for src, w in wires if src == letter
-            ]
-            expect_in = [
+            ] or state.inbound != [
                 serialization.encode(w) for src, w in wires if src != letter
-            ]
-            if state is None or not state.complete:
-                journals_ok = False
-                notes.append(f"{role} journal {path.name} not complete")
-            elif state.outbound != expect_out or state.inbound != expect_in:
-                journals_ok = False
+            ]:
                 notes.append(
-                    f"{role} journal {path.name} diverges from the "
-                    "reference wires"
+                    f"{role} journal diverges from the reference wires"
                 )
     if cleanup is not None:
         cleanup.cleanup()
+
+    def flat(things: dict) -> dict:
+        """Injector counters / hook summaries; None on a clean axis."""
+        return {
+            name: getattr(thing, "stats", thing).as_dict() if thing else None
+            for name, thing in things.items()
+        }
 
     return ChaosResult(
         schedule=schedule,
         protocol=protocol,
         expected=expected,
-        receiver=receiver_out,
-        sender=sender_out,
-        journals_ok=journals_ok,
+        receiver=outcomes["receiver"],
+        sender=outcomes["sender"],
+        journals_ok=not notes,
         notes=notes,
-        net_stats={
-            "client": client_net.stats.as_dict() if client_net else None,
-            "server": server_net.stats.as_dict() if server_net else None,
-        },
-        disk_stats={
-            "sender": sender_io.stats.as_dict() if sender_io else None,
-            "receiver": receiver_io.stats.as_dict() if receiver_io else None,
-        },
-        crash_stats={
-            "sender": sender_hook.as_dict() if sender_hook else None,
-            "receiver": receiver_hook.as_dict() if receiver_hook else None,
-        },
+        net_stats=flat(net),
+        disk_stats=flat(disk),
+        crash_stats=flat(hooks),
     )
 
 
@@ -1003,25 +753,6 @@ def run_worker_crash_schedule(
     import asyncio
     import time
 
-    from ..protocols.parties import (
-        PublicParams,
-        ReceiverMachine,
-        SenderMachine,
-    )
-    from ..protocols.spec import get_spec
-    from . import serialization
-    from .aio import connect_receiver_async
-    from .server import ProtocolOffer
-    from .session import (
-        RetryPolicy,
-        ServerBusyError,
-        SessionConfig,
-        SessionError,
-        WorkerLost,
-        busy_backoff_s,
-    )
-    from .shard import ShardedProtocolServer
-
     protocol = "intersection"
     spec = get_spec(protocol)
     params = PublicParams.for_bits(bits)
@@ -1030,18 +761,15 @@ def run_worker_crash_schedule(
     # The answer bytes every herd session must reproduce exactly.
     reference: list[bytes] = []
     for i in range(schedule.sessions):
-        ref_s = SenderMachine(
-            spec, _HERD_SENDER, params, random.Random(f"ref-s-{i}")
-        )
         ref_r = ReceiverMachine(
             spec, _herd_data(i), params, random.Random(f"ref-r-{i}")
         )
-        for rnd in spec.rounds:
-            producer, consumer = (
-                (ref_r, ref_s) if rnd.source == "R" else (ref_s, ref_r)
-            )
-            wire = producer.produce(rnd).to_wire()
-            consumer.consume(rnd, wire)
+        spec.exchange(
+            ref_r,
+            SenderMachine(
+                spec, _HERD_SENDER, params, random.Random(f"ref-s-{i}")
+            ),
+        )
         reference.append(
             serialization.encode(sorted(ref_r.finish(), key=repr))
         )

@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from . import serialization
-from .chaos import crash_point
+from .crashpoints import crash_point
 from .diskfaults import JournalIO
 from .session_core import RoundLog, round_frames
 
@@ -465,41 +465,48 @@ class JournalDir:
             journal.record_meta("session_id", session_id)
         return journal
 
-    def incomplete(
+    def _live(
         self, role: str | None = None, protocol: str | None = None
-    ) -> list[Path]:
-        """Live (un-rotated) journal paths, oldest first.
+    ) -> list[tuple[Path, "JournalState"]]:
+        """Readable un-rotated journals and their states, oldest first.
 
-        Filters by role and/or protocol when given. A ``*.wal`` whose
-        journaled run already completed (crash between the completion
-        record and the rotation) is excluded - recovering it would be
-        a no-op.
-
-        The scan is **strictly read-only** (:func:`peek_state`): it
-        never repairs a torn tail, so it is safe to run while other
-        threads or processes are appending to journals in the same
-        directory - a half-flushed append just makes that journal look
-        one record shorter.
+        Filters by role and/or protocol when given. The scan is a
+        ``*.wal`` glob (rotated ``.done`` files are never opened) and
+        **strictly read-only** (:func:`peek_state`): it never repairs a
+        torn tail, so it is safe to run while other threads or
+        processes are appending to journals in the same directory - a
+        half-flushed append just makes that journal look one record
+        shorter. Unreadable files are left for forensics.
         """
-        prefix = f"{role}-" if role else ""
-        if role and protocol:
-            prefix = f"{role}-{protocol}-"
         out = []
         for path in sorted(
-            self.path.glob(f"*{WAL_SUFFIX}"), key=lambda p: p.stat().st_mtime
+            self.path.glob(f"{role or '*'}-{protocol or '*'}-*{WAL_SUFFIX}"),
+            key=lambda p: p.stat().st_mtime,
         ):
-            if prefix and not path.name.startswith(prefix):
-                continue
             try:
                 state = peek_state(path)
             except JournalError:
-                continue  # unreadable: leave it for forensics
-            if state is None or state.complete:
                 continue
-            if protocol and state.protocol != protocol:
+            if state is None or (protocol and state.protocol != protocol):
                 continue
-            out.append(path)
+            out.append((path, state))
         return out
+
+    def incomplete(
+        self, role: str | None = None, protocol: str | None = None
+    ) -> list[Path]:
+        """Un-rotated journal paths whose run never completed, oldest
+        first, filtered by role and/or protocol when given.
+
+        The same read-only scan as :meth:`_live`. A ``*.wal`` whose run
+        completed (crash between the completion record and the
+        rotation) is not listed here; :func:`restart_session` is what
+        salvages or rotates one.
+        """
+        return [
+            path for path, state in self._live(role, protocol)
+            if not state.complete
+        ]
 
 
 @dataclass
@@ -863,3 +870,80 @@ def recover_receiver_session(
             "public parameters - not a journal this code wrote"
         )
     return session
+
+
+
+def restart_session(
+    journal_dir: JournalDir | None,
+    role: str,
+    protocol: str,
+    make_state: Callable[..., Any],
+    *,
+    params: Any = None,
+    session_id: int | None = None,
+    **session: Any,
+) -> tuple[Any, Any]:
+    """What a restarting party owes the journals a previous life left.
+
+    The one fresh-or-recover rule, for ``role`` ``"sender"`` (pass
+    ``params``) or ``"receiver"``; ``session`` are the keyword
+    arguments a recovered session is rebuilt with (``config``, ``rng``,
+    ``recorder``, ``chunk_size``). With a ``session_id`` only that
+    session's own path is consulted - the supervised server's case,
+    where other journals in the directory belong to live sessions;
+    without one the directory's ``*.wal`` files for ``protocol`` are
+    taken oldest first. Per journal:
+
+    * rounds journaled, run incomplete: **recover** it
+      (:func:`recover_sender_session` / :func:`recover_receiver_session`)
+      and return ``(session, None)`` - run the session;
+    * completed but never rotated (the crash fell between the
+      completion record and the rename): a receiver journal replays
+      offline to its answer, is rotated, and ``(session, answer)`` is
+      returned - no dial, the answer is already on disk; a sender
+      journal is rotated and the scan goes on;
+    * metadata only (death inside the handshake - possibly before the
+      ``chunk_size`` record recovery would check): deleted, nothing
+      durable is lost by starting that id over.
+
+    Returns ``(None, None)`` when nothing is left to resume (or there
+    is no ``journal_dir``): start a fresh session.
+
+    Raises:
+        JournalError: a journal does not replay (wrong seed, data or
+            ``chunk_size``), or - with ``session_id`` - is unreadable.
+    """
+    if journal_dir is None:
+        return None, None
+    if session_id is None:
+        found = journal_dir._live(role, protocol)
+    else:
+        path = journal_dir.path_for(role, protocol, session_id)
+        state = peek_state(path) if path.exists() else None
+        found = [(path, state)] if state is not None else []
+
+    def recover(path: Path) -> Any:
+        common = dict(session, fsync=journal_dir.fsync, io=journal_dir.io)
+        if role == "sender":
+            return recover_sender_session(path, params, make_state, **common)
+        return recover_receiver_session(path, make_state, **common)
+
+    for path, state in found:
+        if not state.complete:
+            if state.inbound or state.outbound:
+                return recover(path), None
+            path.unlink()
+        elif role == "sender":
+            SessionJournal(
+                path, fsync=journal_dir.fsync, io=journal_dir.io
+            ).rotate()
+        else:
+            session = recover(path)
+            if session._machine is None:
+                raise JournalError(
+                    f"{path}: complete journal without parameters"
+                )
+            answer = session._machine.finish()
+            session._journal_complete()
+            return session, answer
+    return None, None

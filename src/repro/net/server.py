@@ -77,14 +77,12 @@ from typing import Any, Callable, Iterable, Mapping
 from ..protocols.spec import get_spec
 from . import serialization
 from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS, run_async
-from .chaos import SimulatedCrash, crash_point
+from .crashpoints import SimulatedCrash, crash_point
 from .journal import (
     CORRUPT_SUFFIX,
     JournalDir,
     JournalError,
-    SessionJournal,
-    peek_state,
-    recover_sender_session,
+    restart_session,
 )
 from .session import (
     SESSION_VERSION,
@@ -667,11 +665,11 @@ class ProtocolServer:
     def _make_session(self, protocol: str, session_id: int) -> SenderSession:
         """A fresh or journal-recovered session for a reserved id.
 
-        Only this session's own journal path is consulted - never a
-        directory-wide scan, which would touch journals that other,
-        currently-running sessions are appending to. The lookup itself
-        is read-only (:func:`~repro.net.journal.peek_state`); the
-        repairing open happens only on the path this id now owns.
+        :func:`~repro.net.journal.restart_session` on this id's own
+        journal path - never a directory-wide scan, which would touch
+        journals that other, currently-running sessions are appending
+        to. The lookup itself is read-only; the repairing open happens
+        only on the path this id now owns.
 
         Raises:
             JournalError: the journal is unreadable or replay diverges.
@@ -679,37 +677,14 @@ class ProtocolServer:
         offer = self.offers[protocol]
         journal = None
         if self.journal_dir is not None:
-            path = self.journal_dir.path_for("sender", protocol, session_id)
-            state = peek_state(path) if path.exists() else None
-            if (
-                state is not None
-                and not state.complete
-                and (state.inbound or state.outbound)
-            ):
-                return recover_sender_session(
-                    path, offer.params, offer.make_sender,
-                    config=self.config, recorder=self.recorder,
-                    fsync=self.journal_dir.fsync,
-                    chunk_size=self.chunk_size,
-                    io=self.journal_dir.io,
-                )
-            if state is not None and not state.complete:
-                # Metadata-only stub: the previous process died inside
-                # the handshake, before any round frame hit disk (it
-                # may even have died between the ``open`` records and
-                # the ``chunk_size`` meta, leaving a journal recovery
-                # would wrongly quarantine). Nothing durable is lost by
-                # starting this id over on a fresh journal.
-                path.unlink()
-                state = None
-            if state is not None and state.complete:
-                # Crash landed between the completion record and the
-                # rotation: finish the rotation so this id restarts on
-                # a fresh journal instead of appending after "done".
-                SessionJournal(
-                    path, fsync=self.journal_dir.fsync,
-                    io=self.journal_dir.io,
-                ).rotate()
+            session, _ = restart_session(
+                self.journal_dir, "sender", protocol, offer.make_sender,
+                params=offer.params, session_id=session_id,
+                config=self.config, recorder=self.recorder,
+                chunk_size=self.chunk_size,
+            )
+            if session is not None:
+                return session
             journal = self.journal_dir.open_session(
                 "sender", protocol, session_id
             )

@@ -49,7 +49,7 @@ from typing import Any, Callable, Generator, NamedTuple
 
 from . import serialization
 from .channel import ChannelClosed
-from .chaos import crash_point
+from .crashpoints import crash_point
 from .streaming import TimedIterator
 
 __all__ = [

@@ -24,7 +24,7 @@ import threading
 import time
 from typing import Any, AsyncIterator, Iterable, Iterator
 
-from .chaos import crash_point
+from .crashpoints import crash_point
 
 __all__ = ["DEFAULT_PREFETCH_DEPTH", "aprefetch", "prefetch", "TimedIterator"]
 

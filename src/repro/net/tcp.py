@@ -48,11 +48,7 @@ from typing import Any, Callable
 from ..protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from ..protocols.spec import PROTOCOLS, ProtocolSpec, get_spec
 from . import serialization
-from .journal import (
-    JournalDir,
-    recover_receiver_session,
-    recover_sender_session,
-)
+from .journal import JournalDir, restart_session
 from .session import (
     ReceiverSession,
     SenderSession,
@@ -438,17 +434,11 @@ SESSION_PROTOCOLS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-def _stale_journal(
-    journal_dir: Any, fsync: bool, role: str, protocol: str
-) -> tuple[Any, Any]:
-    """``(JournalDir or None, oldest incomplete journal path or None)``:
-    what a restart against ``journal_dir`` must recover first."""
-    if journal_dir is None:
-        return None, None
-    if not isinstance(journal_dir, JournalDir):
-        journal_dir = JournalDir(journal_dir, fsync=fsync)
-    stale = journal_dir.incomplete(role, protocol)
-    return journal_dir, (stale[0] if stale else None)
+def _journal_dir(journal_dir: Any, fsync: bool) -> JournalDir | None:
+    """``journal_dir=`` as given to the resumable helpers, opened."""
+    if journal_dir is None or isinstance(journal_dir, JournalDir):
+        return journal_dir
+    return JournalDir(journal_dir, fsync=fsync)
 
 
 def serve_resumable_sender(
@@ -487,7 +477,9 @@ def serve_resumable_sender(
     against the same directory *recovers* the oldest incomplete run for
     this protocol instead of starting a fresh one - provided ``data``,
     ``rng`` *and* ``chunk_size`` match the crashed process (replay
-    verifies the bytes exactly).
+    verifies the bytes exactly). A run that completed but died before
+    its journal was rotated is rotated first
+    (:func:`~repro.net.journal.restart_session` is the whole rule).
 
     ``make_sender`` overrides the default state factory (which builds
     ``spec.make_sender(data, params, rng)``); the stateful Catalog
@@ -503,17 +495,14 @@ def serve_resumable_sender(
     session_rng = random.Random(rng.getrandbits(64))
     if make_sender is None:
         make_sender = lambda: spec.make_sender(data, params, rng, engine=engine)  # noqa: E731
-    journal_dir, stale = _stale_journal(
-        journal_dir, journal_fsync, "sender", protocol
-    )
+    journal_dir = _journal_dir(journal_dir, journal_fsync)
     common = dict(
         config=config, rng=session_rng, recorder=recorder, chunk_size=chunk_size
     )
-    if stale is not None:
-        session = recover_sender_session(
-            stale, params, make_sender, fsync=journal_dir.fsync, **common
-        )
-    else:
+    session, _ = restart_session(
+        journal_dir, "sender", protocol, make_sender, params=params, **common
+    )
+    if session is None:
         session = SenderSession(
             protocol, params, make_sender, journal=journal_dir, **common
         )
@@ -572,7 +561,9 @@ def connect_resumable_receiver(
     the same directory recovers the oldest incomplete receiver run for
     this protocol (same ``data``/``rng`` seeding required - replay
     verifies it), reconnecting under the journaled session id so the
-    server resumes the same run.
+    server resumes the same run. A run whose answer was fully journaled
+    before the crash (only the rotation was lost) is answered from the
+    journal without dialing (:func:`~repro.net.journal.restart_session`).
 
     ``make_receiver`` overrides the default state factory (a
     ``wire_params -> state`` closure over ``spec.make_receiver``); the
@@ -588,17 +579,16 @@ def connect_resumable_receiver(
         make_receiver = lambda wire: spec.make_receiver(  # noqa: E731
             data, PublicParams.from_wire(tuple(wire)), rng, engine=engine
         )
-    journal_dir, stale = _stale_journal(
-        journal_dir, journal_fsync, "receiver", protocol
-    )
+    journal_dir = _journal_dir(journal_dir, journal_fsync)
     common = dict(
         config=config, rng=session_rng, recorder=recorder, chunk_size=chunk_size
     )
-    if stale is not None:
-        session = recover_receiver_session(
-            stale, make_receiver, fsync=journal_dir.fsync, **common
-        )
-    else:
+    session, answer = restart_session(
+        journal_dir, "receiver", protocol, make_receiver, **common
+    )
+    if answer is not None:
+        return answer, session.stats
+    if session is None:
         session = ReceiverSession(
             protocol, make_receiver, journal=journal_dir, **common
         )

@@ -162,6 +162,31 @@ class ProtocolSpec:
         """All transcript part labels across the schedule, in order."""
         return tuple(label for rnd in self.rounds for label in rnd.parts)
 
+    def exchange(
+        self, receiver: Any, sender: Any, chunk_size: int | None = None
+    ) -> list[tuple[str, Any]]:
+        """Run the schedule between two in-process party machines.
+
+        The payloads are exactly what a transport would put on a
+        socket, so the logical transcript equals a networked run's.
+        Returns one ``(source, wire)`` per round - the round's wire
+        form, or its list of chunk payloads where ``chunk_size``
+        streams it.
+        """
+        wires = []
+        for rnd in self.rounds:
+            producer, consumer = (
+                (receiver, sender) if rnd.source == "R" else (sender, receiver)
+            )
+            if chunk_size is not None and rnd.chunkable:
+                wire = list(producer.produce_chunks(rnd, chunk_size))
+                consumer.consume_chunks(rnd, wire)
+            else:
+                wire = producer.produce(rnd).to_wire()
+                consumer.consume(rnd, wire)
+            wires.append((rnd.source, wire))
+        return wires
+
 
 #: Registered protocol specs, keyed by CLI/registry name.
 PROTOCOLS: dict[str, ProtocolSpec] = {}

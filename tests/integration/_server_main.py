@@ -1,10 +1,10 @@
 """Subprocess entrypoint for the crash-recovery chaos tests.
 
-Runs party S of one protocol under the session layer with an on-disk
-journal, announcing its bound port through ``--port-file``. On startup
-it first looks for an incomplete journal in ``--journal-dir`` and
-recovers it (the restart-after-SIGKILL path); otherwise it starts a
-fresh journaled session.
+Runs party S of one protocol through the public journaled driver
+(:func:`repro.net.tcp.serve_resumable_sender`), announcing its bound
+port through ``--port-file``. Started against a ``--journal-dir`` a
+killed predecessor left behind, the driver recovers that run (the
+restart-after-SIGKILL path); otherwise it starts a fresh session.
 
 ``--stall-marker`` arms the crash window: after journaling outbound
 round ``--stall-round`` (i.e. durable on disk but *not yet shipped*),
@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import argparse
 import random
-import socket
 import sys
 import time
 from pathlib import Path
 
 from repro.net import tcp
-from repro.net.journal import JournalDir, SessionJournal, recover_sender_session
-from repro.net.session import RetryPolicy, SenderSession, SessionConfig
+from repro.net.journal import SessionJournal
+from repro.net.session import RetryPolicy, SessionConfig
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import get_spec
 
@@ -82,43 +81,17 @@ def main() -> int:
         max_reconnects=20,
         fin_grace_s=0.1,
     )
-    make_sender = lambda: spec.make_sender(  # noqa: E731
-        data, params, random.Random("S")
+    size_v_r, stats = tcp.serve_resumable_sender(
+        args.protocol, data, params, random.Random(1),
+        ready_callback=lambda port: Path(args.port_file).write_text(str(port)),
+        config=config, journal_dir=args.journal_dir,
+        chunk_size=args.chunk_size,
+        make_sender=lambda: spec.make_sender(data, params, random.Random("S")),
     )
-    journal_dir = JournalDir(args.journal_dir)
-    stale = journal_dir.incomplete("sender", args.protocol)
-    if stale:
-        session = recover_sender_session(
-            stale[0], params, make_sender, config=config,
-            chunk_size=args.chunk_size,
-        )
-        print(f"recovered rounds={session.stats.rounds_recovered}", flush=True)
-    else:
-        session = SenderSession(
-            args.protocol, params, make_sender,
-            config=config, rng=random.Random(1), journal=journal_dir,
-            chunk_size=args.chunk_size,
-        )
-
-    listener = tcp._listen("127.0.0.1", 0, 30.0)
-    try:
-        port = listener.getsockname()[1]
-        Path(args.port_file).write_text(str(port))
-        print(f"port={port}", flush=True)
-
-        def accept():
-            try:
-                conn, _addr = listener.accept()
-            except socket.timeout as exc:
-                raise TimeoutError("no client (re)connected") from exc
-            conn.settimeout(config.timeout_s)
-            return tcp.SocketEndpoint(sock=conn)
-
-        state = session.run(accept)
-        print(f"DONE size_v_r={state.size_v_r}", flush=True)
-        return 0
-    finally:
-        listener.close()
+    if stats.rounds_recovered:
+        print(f"recovered rounds={stats.rounds_recovered}", flush=True)
+    print(f"DONE size_v_r={size_v_r}", flush=True)
+    return 0
 
 
 if __name__ == "__main__":

@@ -31,11 +31,7 @@ def _base_states():
     spec = get_spec("intersection")
     receiver = ReceiverMachine(spec, V_R, PARAMS, random.Random("base-r"))
     sender = SenderMachine(spec, V_S, PARAMS, random.Random("base-s"))
-    for rnd in spec.rounds:
-        producer, consumer = (
-            (receiver, sender) if rnd.source == "R" else (sender, receiver)
-        )
-        consumer.consume(rnd, producer.produce(rnd).to_wire())
+    spec.exchange(receiver, sender)
     assert receiver.finish() == set(V_R) & set(V_S)
     return receiver.state, sender.state
 
@@ -55,6 +51,20 @@ EXPECTED_DELTA = (set(V_R) | {"v20"}) - {"v0"}
 EXPECTED_DELTA &= (set(V_S) | {"v20"}) - {"v14"}
 
 
+def _run_delta(schedule, tmp_path):
+    """The delta schedule under ``schedule``: must end in the answer."""
+    result = run_schedule(
+        schedule,
+        protocol="intersection+delta",
+        params=PARAMS,
+        data=_delta_data(),
+        journal_root=tmp_path,
+    )
+    assert result.ok, result.describe()
+    assert result.answer == EXPECTED_DELTA
+    return result
+
+
 @pytest.mark.parametrize(
     "crash_side,point",
     [
@@ -67,16 +77,7 @@ def test_delta_round_survives_crash(tmp_path, crash_side, point):
     """Kill one party mid-delta-round; the respawned session must
     finish with the mutated-table answer and byte-identical journals."""
     schedule = ChaosSchedule(seed=71, chunk_size=None, **{crash_side: point})
-    result = run_schedule(
-        schedule,
-        protocol="intersection+delta",
-        params=PARAMS,
-        data=_delta_data(),
-        journal_root=tmp_path,
-        wall_timeout_s=30.0,
-    )
-    assert result.ok, result.describe()
-    assert result.answer == EXPECTED_DELTA
+    result = _run_delta(schedule, tmp_path)
     assert result.journals_ok, result.describe()
     crashed = result.sender if crash_side == "sender_crash" else result.receiver
     assert crashed.restarts >= 1
@@ -95,32 +96,14 @@ def test_delta_round_with_disk_and_net_faults(tmp_path):
         sender_crash=("session.ship.frame", 2),
         max_restarts=6,
     )
-    result = run_schedule(
-        schedule,
-        protocol="intersection+delta",
-        params=PARAMS,
-        data=_delta_data(),
-        journal_root=tmp_path,
-        wall_timeout_s=30.0,
-    )
-    assert result.ok, result.describe()
-    assert result.answer == EXPECTED_DELTA
+    result = _run_delta(schedule, tmp_path)
 
 
 def test_clean_delta_schedule_runs_every_protocol(tmp_path):
     """Without faults, the chaos harness runs the delta schedule end
     to end - the same machines the Catalog layer drives."""
     schedule = ChaosSchedule(seed=5, chunk_size=None)
-    result = run_schedule(
-        schedule,
-        protocol="intersection+delta",
-        params=PARAMS,
-        data=_delta_data(),
-        journal_root=tmp_path,
-        wall_timeout_s=30.0,
-    )
-    assert result.ok, result.describe()
-    assert result.answer == EXPECTED_DELTA
+    result = _run_delta(schedule, tmp_path)
     assert result.journals_ok
     assert result.receiver.restarts == 0
     assert result.sender.restarts == 0

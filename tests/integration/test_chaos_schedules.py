@@ -6,12 +6,13 @@ answer (with journals byte-identical to a fault-free reference run) or
 a typed, clean failure. Never a wrong answer, an untyped escape, a
 hang, or an undetected-corrupt journal.
 
-The sweep size is controlled by ``REPRO_CHAOS_SCHEDULES`` (default 32
-so the tier-1 suite stays fast; CI runs a fixed larger subset, and a
-full local sweep is ``REPRO_CHAOS_SCHEDULES=500 pytest
+Schedules run on the virtual-time shell (``repro.net.virtual``), so
+one costs milliseconds and replays exactly. The sweep size is
+controlled by ``REPRO_CHAOS_SCHEDULES`` (default 32; CI's chaos-smoke
+job and a full local sweep run ``REPRO_CHAOS_SCHEDULES=500 pytest
 tests/integration/test_chaos_schedules.py``). A failing seed is its own
 reproduction: ``run_schedule(ChaosSchedule.generate(seed))`` replays
-the identical schedule.
+the identical run.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ import pytest
 from repro.net.chaos import (
     SCHEDULABLE_POINTS,
     ChaosSchedule,
+    WorkerCrashSchedule,
     run_schedule,
 )
 from repro.net.diskfaults import DiskFaultPlan
 from repro.net.faults import FaultPlan
 
 SWEEP = int(os.environ.get("REPRO_CHAOS_SCHEDULES", "32"))
-WALL = 30.0
 
 
 # ----------------------------------------------------------------------
@@ -38,7 +39,7 @@ WALL = 30.0
 @pytest.mark.parametrize("seed", range(SWEEP))
 def test_generated_schedule_holds_invariant(seed):
     """Composed chaos drawn from ``seed``: correct answer or typed error."""
-    result = run_schedule(ChaosSchedule.generate(seed), wall_timeout_s=WALL)
+    result = run_schedule(ChaosSchedule.generate(seed))
     assert result.ok, result.describe()
 
 
@@ -52,7 +53,7 @@ def test_generated_schedule_holds_invariant(seed):
 )
 def test_clean_schedule_every_protocol(protocol):
     result = run_schedule(
-        ChaosSchedule(seed=0, protocol=protocol), wall_timeout_s=WALL
+        ChaosSchedule(seed=0, protocol=protocol)
     )
     assert result.ok, result.describe()
     assert result.receiver.kind == "answer"
@@ -71,30 +72,25 @@ def test_clean_schedule_every_protocol(protocol):
 def test_single_crash_point_recovers(point, party):
     """A single scripted crash at each point: the supervisor restarts
     the party and the run still ends with the correct answer."""
-    chunk = 1 if point.startswith("streaming.") else None
-    crash = (point, 1)
     schedule = ChaosSchedule(
         seed=101,
         protocol="intersection",
-        chunk_size=chunk,
-        sender_crash=crash if party == "sender" else None,
-        receiver_crash=crash if party == "receiver" else None,
+        chunk_size=1 if point.startswith("streaming.") else None,
+        **{f"{party}_crash": (point, 1)},
     )
-    result = run_schedule(schedule, wall_timeout_s=WALL)
+    result = run_schedule(schedule)
     assert result.ok, result.describe()
-    # A completed receiver must have the exact answer; a typed error is
-    # the other legal outcome (e.g. the crash landed after the peer
-    # finished and left, so the restarted party had nobody to resume
-    # with - the driver's peer does not serve resumes after finishing).
-    if result.receiver.kind == "answer":
-        assert result.answer == result.expected, result.describe()
+    # ``ok``: the exact answer, or a typed error - the other legal
+    # outcome (e.g. the crash landed after the peer finished and left,
+    # so the restarted party had nobody to resume with).
     crashed = result.sender if party == "sender" else result.receiver
-    fired = (result.crash_stats.get(party) or {}).get("fired", False)
-    # The hook only fires if that party's thread reached the point
-    # (streaming points need chunking, rotate points need completion);
-    # when it fired, the supervisor must have restarted the party.
-    if fired:
-        assert crashed.restarts >= 1, result.describe()
+    # In lock-step the hook's reach is exact: every point fires (R has
+    # no incrementally streamed round, so no chunk to yield), and a
+    # fired hook is one process death, answered by one restart.
+    assert result.crash_stats[party]["fired"] == (
+        (party, point) != ("receiver", "streaming.chunk.yield")
+    )
+    assert crashed.restarts == result.crash_stats[party]["fired"]
 
 
 # ----------------------------------------------------------------------
@@ -121,24 +117,27 @@ def _composed_schedule() -> ChaosSchedule:
 
 
 def test_all_axes_composed_schedule_holds_invariant():
-    result = run_schedule(_composed_schedule(), wall_timeout_s=WALL)
+    result = run_schedule(_composed_schedule())
     assert result.ok, result.describe()
 
 
 def test_crash_schedule_replays_deterministically():
-    """The reproduction handle: the same schedule twice, byte-equal
-    observable outcome (crash-only schedules have no timing axis)."""
-    schedule = ChaosSchedule(
+    """The reproduction handle: the same schedule twice, equal
+    observable outcome - counters included, and with network and disk
+    faults in the schedule: virtual time leaves no timing axis."""
+    schedules = [ChaosSchedule.generate(seed) for seed in range(100, 124)]
+    assert any(s.client_net or s.server_net for s in schedules)
+    assert any(s.sender_disk or s.receiver_disk for s in schedules)
+    schedules.append(ChaosSchedule(
         seed=4242,
         protocol="intersection-size",
         sender_crash=("journal.append.post", 2),
         receiver_crash=("journal.rotate.pre", 1),
-    )
-    first = run_schedule(schedule, wall_timeout_s=WALL)
-    again = run_schedule(schedule, wall_timeout_s=WALL)
-    assert first.ok, first.describe()
-    assert again.ok, again.describe()
-    assert first.as_dict() == again.as_dict()
+    ))
+    for schedule in schedules:
+        first, again = (run_schedule(schedule).as_dict() for _ in range(2))
+        assert first["ok"], first
+        assert first == again
 
 
 def test_generated_schedules_are_pure_functions_of_the_seed():
@@ -151,8 +150,6 @@ def test_generated_schedules_are_pure_functions_of_the_seed():
 # Worker-crash axis: schedules are pure, seeded, and override-stable
 # ----------------------------------------------------------------------
 def test_worker_crash_schedules_are_pure_functions_of_the_seed():
-    from repro.net.chaos import WorkerCrashSchedule
-
     for seed in (0, 1, 99, 4096):
         assert (
             WorkerCrashSchedule.generate(seed)
@@ -165,8 +162,6 @@ def test_worker_crash_schedule_overrides_keep_the_draws():
     """Overriding sessions/shards must not shift any random draw - the
     same seed keeps the same kill/hang times, with shard indices
     re-folded into the overridden shard count."""
-    from repro.net.chaos import WorkerCrashSchedule
-
     for seed in (3, 17, 2024):
         base = WorkerCrashSchedule.generate(seed)
         overridden = WorkerCrashSchedule.generate(seed, sessions=8, shards=2)
@@ -179,8 +174,6 @@ def test_worker_crash_schedule_overrides_keep_the_draws():
 
 
 def test_worker_crash_schedule_describes_every_event():
-    from repro.net.chaos import WorkerCrashSchedule
-
     schedule = WorkerCrashSchedule(
         seed=5, kills=((0.1, 0), (0.3, 1)), hangs=((0.2, 1, 0.5),)
     )

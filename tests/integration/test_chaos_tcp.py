@@ -15,8 +15,11 @@ from collections import Counter
 
 import pytest
 
+from repro.net.chaos import ChaosSchedule, CrashHook, SimulatedCrash, hooked
+from repro.net.diskfaults import FaultyJournalIO
 from repro.net.faults import FaultInjector, FaultPlan
-from repro.net.session import RetryPolicy, SessionConfig
+from repro.net.journal import JournalDir, JournalError
+from repro.net.session import RetryPolicy, SessionConfig, SessionError
 from repro.net.tcp import (
     connect_resumable_receiver,
     serve_resumable_sender,
@@ -66,47 +69,64 @@ def _config() -> SessionConfig:
     )
 
 
-def _run(protocol, client_injector=None, server_injector=None, seed=0,
-         chunk_size=None, case=None, make_sender=None):
-    v_r, v_s, expected = case or CASES[protocol]
-    config = _config()
+def _drive(protocol, case, seed, sender, receiver, supervise=None):
+    """Party S on a thread, party R here, over loopback.
+
+    ``sender`` / ``receiver`` are the extra keyword arguments of the
+    two public resumable drivers; ``supervise(role, drive)`` runs one
+    (default: just call it). Returns ``(R's result, S's result)``;
+    whatever escaped S's thread is re-raised here.
+    """
+    v_r, v_s, _expected = case
     params = PublicParams.for_bits(128)
     ready = threading.Event()
     box: dict = {}
+    supervise = supervise or (lambda role, drive: drive())
 
     def serve():
-        try:
-            box["server"] = serve_resumable_sender(
-                protocol, v_s, params, random.Random(seed + 1),
-                ready_callback=lambda port: (
-                    box.__setitem__("port", port), ready.set()
-                ),
-                config=config,
-                endpoint_wrapper=server_injector,
-                chunk_size=chunk_size,
-                make_sender=make_sender,
-            )
-        except Exception as exc:  # surfaced in the main thread below
-            box["error"] = exc
-            ready.set()
+        return serve_resumable_sender(
+            protocol, v_s, params, random.Random(seed + 1),
+            port=box.get("port", 0),  # a restarted S listens where it did
+            ready_callback=lambda port: (
+                box.__setitem__("port", port), ready.set()
+            ),
+            **sender,
+        )
 
-    thread = threading.Thread(target=serve)
+    def sender_thread():
+        try:
+            box["sender"] = supervise("sender", serve)
+        except BaseException as exc:  # surfaced in the main thread below
+            box["error"] = exc
+        ready.set()
+
+    thread = threading.Thread(target=sender_thread)
     thread.start()
     assert ready.wait(timeout=10)
     if "error" in box:
         raise box["error"]
-    answer, client_stats = connect_resumable_receiver(
+    result = supervise("receiver", lambda: connect_resumable_receiver(
         protocol, v_r, random.Random(seed + 2), "127.0.0.1", box["port"],
-        config=config, endpoint_wrapper=client_injector,
-        chunk_size=chunk_size,
-    )
-    thread.join(timeout=30)
+        **receiver,
+    ))
+    thread.join(timeout=60)
     assert not thread.is_alive()
     if "error" in box:
         raise box["error"]
-    size_v_r, server_stats = box["server"]
-    assert answer == expected, f"{protocol} answered {answer!r}"
-    assert size_v_r == len(set(v_r)) if protocol != "equijoin-size" else True
+    return result, box["sender"]
+
+
+def _run(protocol, client_injector=None, server_injector=None, seed=0,
+         chunk_size=None, case=None, make_sender=None):
+    case = case or CASES[protocol]
+    common = dict(config=_config(), chunk_size=chunk_size)
+    (answer, client_stats), (size_v_r, server_stats) = _drive(
+        protocol, case, seed,
+        dict(common, endpoint_wrapper=server_injector, make_sender=make_sender),
+        dict(common, endpoint_wrapper=client_injector),
+    )
+    assert answer == case[2], f"{protocol} answered {answer!r}"
+    assert size_v_r == len(set(case[0])) if protocol != "equijoin-size" else True
     return client_stats, server_stats
 
 
@@ -333,3 +353,86 @@ class TestScriptedResumeStats:
         assert record["reconnects"] == 1
         assert record["replayed_frames"] >= 1
         assert record["elapsed_s"] > 0
+
+
+# ----------------------------------------------------------------------
+# Composed chaos over real sockets: the sample that keeps the virtual-time
+# schedule suite honest about what only a socket and a thread produce
+# ----------------------------------------------------------------------
+def _run_composed(schedule, tmp_path):
+    """Both parties of ``schedule`` through the public drivers: its
+    network plans as ``endpoint_wrapper``, its disk plans under the
+    journal dirs, its crash points hooked around each party's driver,
+    which a supervisor restarts after a simulated crash or a journal
+    failure. Each party ends in its driver's result or a typed failure
+    (returned); anything untyped propagates."""
+    case = CASES[schedule.protocol]
+    hooks, kwargs = {}, {}
+    for role, net, disk, crash in (
+        ("sender", schedule.server_net, schedule.sender_disk,
+         schedule.sender_crash),
+        ("receiver", schedule.client_net, schedule.receiver_disk,
+         schedule.receiver_crash),
+    ):
+        hooks[role] = CrashHook(*crash) if crash else None
+        kwargs[role] = dict(
+            config=_config(), chunk_size=schedule.chunk_size,
+            endpoint_wrapper=FaultInjector(net) if net else None,
+            journal_dir=JournalDir(
+                tmp_path / role, io=FaultyJournalIO(disk) if disk else None
+            ),
+        )
+
+    def supervise(role, drive):
+        failure = None
+        for _ in range(schedule.max_restarts + 1):
+            try:
+                with hooked(hooks[role]):
+                    return drive()
+            except (SimulatedCrash, JournalError) as exc:
+                failure = exc
+            except SessionError as exc:
+                return exc
+        return failure
+
+    outcomes = _drive(
+        schedule.protocol, case, schedule.seed,
+        kwargs["sender"], kwargs["receiver"], supervise,
+    )
+    if isinstance(outcomes[0], tuple):
+        assert outcomes[0][0] == case[2], f"chaos seed {schedule.seed}"
+    return outcomes
+
+
+#: Generated schedules (seed -> protocol ``sorted(CASES)[seed % 4]``)
+#: that between them fire a crash on either party, faults on either
+#: link and on either disk, over whole-round and chunked wires.
+COMPOSED_SEEDS = (7, 9, 10, 20, 25, 36)
+
+
+@pytest.mark.parametrize("seed", COMPOSED_SEEDS)
+def test_composed_schedule_over_real_sockets(seed, tmp_path):
+    """Correct answer or typed failure, through the public drivers."""
+    _run_composed(
+        ChaosSchedule.generate(seed, protocol=sorted(CASES)[seed % 4]),
+        tmp_path,
+    )
+
+
+def test_receiver_restarted_after_its_answer_was_journaled(tmp_path):
+    """R dies between its completion record and the rotation. The
+    restart finds the answer on disk: it replays the journal offline,
+    rotates it and returns - it neither refuses the completed journal
+    nor dials a second query."""
+    receiver, sender = _run_composed(
+        ChaosSchedule(
+            seed=5, protocol="intersection",
+            receiver_crash=("journal.rotate.pre", 1),
+        ),
+        tmp_path,
+    )
+    answer, stats = receiver
+    assert answer == CASES["intersection"][2]
+    assert stats.frames_sent == 0 and stats.rounds_recovered == 2
+    assert isinstance(sender, tuple)
+    assert [p.suffix for p in (tmp_path / "receiver").iterdir()] == [".done"]

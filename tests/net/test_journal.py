@@ -66,14 +66,7 @@ def _machine_wires(name, params):
     r_data, s_data = _inputs(name)
     receiver = ReceiverMachine(spec, r_data, params, random.Random("R"))
     sender = SenderMachine(spec, s_data, params, random.Random("S"))
-    wires = []
-    for rnd in spec.rounds:
-        producer, consumer = (
-            (receiver, sender) if rnd.source == "R" else (sender, receiver)
-        )
-        wire = producer.produce(rnd).to_wire()
-        wires.append((rnd.source, wire))
-        consumer.consume(rnd, wire)
+    wires = spec.exchange(receiver, sender)
     return wires, receiver.finish()
 
 

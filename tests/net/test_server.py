@@ -270,14 +270,7 @@ def _journal_crash_window(tmp_path, params, protocol, sid):
     v_r, v_s = _values()
     receiver = ReceiverMachine(spec, v_r, params, random.Random("R"))
     sender = SenderMachine(spec, v_s, params, random.Random("S"))
-    wires = []
-    for rnd in spec.rounds:
-        producer, consumer = (
-            (receiver, sender) if rnd.source == "R" else (sender, receiver)
-        )
-        wire = producer.produce(rnd).to_wire()
-        wires.append((rnd.source, wire))
-        consumer.consume(rnd, wire)
+    wires = spec.exchange(receiver, sender)
 
     jdir = JournalDir(tmp_path, fsync=False)
     s_journal = SessionJournal(
@@ -461,12 +454,7 @@ def test_idle_reaper_spares_a_session_actively_exchanging_rounds(params):
     s_data = _offers(params)[protocol][0]
     receiver_m = ReceiverMachine(spec, v_r, params, random.Random("R"))
     sender_m = SenderMachine(spec, s_data, params, random.Random("S"))
-    for rnd in spec.rounds:
-        producer, consumer = (
-            (receiver_m, sender_m) if rnd.source == "R"
-            else (sender_m, receiver_m)
-        )
-        consumer.consume(rnd, producer.produce(rnd).to_wire())
+    spec.exchange(receiver_m, sender_m)
     expected = receiver_m.finish()
 
     server = ProtocolServer(

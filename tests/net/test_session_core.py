@@ -1,10 +1,11 @@
-"""The session core under a third, test-only shell: virtual time.
+"""The session core under its third shell: virtual time.
 
-``repro.net.session_core`` decides everything and touches nothing, so a
-shell with a virtual clock and an in-memory lossy link can run party R
-against party S in lock-step - no socket, no thread, no real sleep -
-and assert not just the answer and the stats but the *exact* time of
-every frame: the retransmit and backoff schedule the policy implies.
+``repro.net.session_core`` decides everything and touches nothing, so
+``repro.net.virtual.LockStep`` - a virtual clock and in-memory links -
+runs party R against party S in lock-step, no socket, no thread, no
+real sleep, and these tests assert not just the answer and the stats
+but the *exact* time of every frame: the retransmit and backoff
+schedule the policy implies.
 
 Cases here are the ones only a single I/O-free core makes checkable;
 the same faults over real sockets live in ``test_session.py`` and the
@@ -14,23 +15,16 @@ chaos suites.
 from __future__ import annotations
 
 import random
-from collections import deque
 
 import pytest
 
+from repro.net import LockStep
+from repro.net.virtual import Party
 from repro.net.session import RetryPolicy, SessionConfig, SessionStats
 from repro.net.session_core import (
-    DONE,
-    Compute,
-    NextChunk,
-    Now,
-    Open,
     ReceiverCore,
-    Recv,
-    Send,
     SenderCore,
     SessionError,
-    Sleep,
     unseal,
 )
 from repro.protocols.parties import PublicParams
@@ -50,142 +44,40 @@ CONFIG = SessionConfig(
 )
 
 
-class _Conn:
-    """One in-memory connection: a frame queue per direction."""
-
-    def __init__(self):
-        self.inbox = {"R": deque(), "S": deque()}
-        self.dead = False
-
-
-class _Party:
-    def __init__(self, name, core):
-        self.name = name
-        self.steps = core.steps()
-        self.conn = None
-        self.request = None
-        self.wake_at = None  # virtual deadline of the pending request
-        self.reply = self.failure = None
-        self.done = False
-        self.result = None
-
-
 class Sim:
-    """Both cores, one virtual clock, one scripted link.
+    """Both cores under the lock-step shell, one scripted link.
 
     ``faults`` maps ``(sender, tag, nth)`` - the ``nth`` frame with that
     tag the named party sends - to ``"drop"``, ``"corrupt"`` (CRC
     broken in flight), ``"dup"`` (delivered twice) or ``"cut"`` (the
-    frame is lost and the connection dies under both parties).
-    Delivery is instantaneous; time only moves when every party is
-    blocked, straight to the earliest pending deadline.
+    frame is lost and the connection dies under both parties). The
+    script is each party's connection wrapper, which also logs every
+    frame put on a live connection with its virtual send time.
     """
 
     def __init__(self, r_core, s_core, faults=()):
-        self.clock = 0.0
-        self.r = _Party("R", r_core)
-        self.s = _Party("S", s_core)
+        self.shell = LockStep(
+            accept_timeout_s=CONFIG.timeout_s * CONFIG.retry.max_attempts
+        )
         self.faults = dict(faults)
         self.sent = {}  # (sender, tag) -> count so far
-        self.pending = deque()  # dialed, not yet accepted
         self.wire = []  # (time, sender, unsealed fields) per frame sent
-        self.accept_timeout_s = (
-            CONFIG.timeout_s * CONFIG.retry.max_attempts
+        self.r, self.s = (
+            Party(
+                name, core.steps, dials=name == "R",
+                wrap=lambda end, name=name: _Scripted(self, name, end),
+            )
+            for name, core in (("R", r_core), ("S", s_core))
         )
 
+    clock = property(lambda self: self.shell.clock)
+
     def run(self):
-        parties = (self.r, self.s)
-        while not all(p.done for p in parties):
-            progressed = False
-            for party in parties:
-                while not party.done and self._step(party):
-                    progressed = True
-            if not progressed:
-                wake = [p.wake_at for p in parties if not p.done]
-                assert wake and None not in wake, "deadlock with no deadline"
-                assert min(wake) > self.clock, "blocked past its deadline"
-                self.clock = min(wake)
+        self.shell.run(self.r, self.s)
+        for party in (self.r, self.s):
+            if party.error is not None:
+                raise party.error
         return self.r.result, self.s.result
-
-    # -- one request of one party; False when it must wait ------------
-    def _step(self, party):
-        if party.request is None:
-            try:
-                if party.failure is not None:
-                    failure, party.failure = party.failure, None
-                    party.request = party.steps.throw(failure)
-                else:
-                    reply, party.reply = party.reply, None
-                    party.request = party.steps.send(reply)
-            except StopIteration as stop:
-                party.done, party.result = True, stop.value
-                if party.conn is not None and party is self.r:
-                    party.conn.dead = True  # R hangs up when finished
-                return True
-            party.wake_at = None
-        request, kind = party.request, type(party.request)
-        try:
-            if kind is Now:
-                party.reply = self.clock
-            elif kind is Compute:
-                party.reply = request.fn()
-            elif kind is NextChunk:
-                party.reply = next(request.source, DONE)
-            elif kind is Send:
-                self._send(party, request.frame)
-            elif kind is Sleep:
-                if not self._due(party, request.seconds):
-                    return False
-            elif kind is Recv:
-                inbox = party.conn.inbox[party.name]
-                if inbox:
-                    party.reply = inbox.popleft()
-                elif party.conn.dead:
-                    raise ConnectionResetError("peer hung up")
-                elif self._due(party, request.timeout):
-                    raise TimeoutError("virtual timeout")
-                else:
-                    return False
-            elif kind is Open:
-                if party.conn is not None:
-                    party.conn.dead = True
-                    party.conn = None
-                if party is self.r:
-                    party.conn = _Conn()
-                    self.pending.append(party.conn)
-                elif self.pending:
-                    party.conn = self.pending.popleft()
-                elif self._due(party, self.accept_timeout_s):
-                    raise TimeoutError("nobody dialed")
-                else:
-                    return False
-            else:
-                raise AssertionError(f"unknown request {request!r}")
-        except Exception as exc:
-            party.failure = exc
-        party.request = None
-        return True
-
-    def _due(self, party, seconds):
-        if party.wake_at is None:
-            party.wake_at = self.clock + seconds
-        return self.clock >= party.wake_at
-
-    def _send(self, party, frame):
-        if party.conn.dead:
-            raise BrokenPipeError("connection is gone")
-        tag = frame[0]
-        nth = self.sent.get((party.name, tag), 0)
-        self.sent[party.name, tag] = nth + 1
-        self.wire.append((self.clock, party.name, unseal(frame)))
-        fault = self.faults.get((party.name, tag, nth))
-        peer_inbox = party.conn.inbox["S" if party.name == "R" else "R"]
-        if fault == "cut":
-            party.conn.dead = True
-        elif fault == "corrupt":
-            peer_inbox.append((*frame[:-1], frame[-1] ^ 1))
-        elif fault != "drop":
-            peer_inbox.extend([frame] * (2 if fault == "dup" else 1))
 
     def times(self, sender, tag):
         """When ``sender`` put each ``tag`` frame on the wire."""
@@ -196,6 +88,30 @@ class Sim:
         """The fields of every ``tag`` frame ``sender`` sent, in order."""
         return [fields for _, who, fields in self.wire
                 if who == sender and fields[0] == tag]
+
+
+class _Scripted:
+    """One party's end of a connection, under the simulation's script."""
+
+    def __init__(self, sim, name, end):
+        self.sim, self.name, self.end = sim, name, end
+
+    def send(self, frame):
+        sim, end = self.sim, self.end
+        if end.dead:
+            raise BrokenPipeError("connection is gone")
+        tag = frame[0]
+        nth = sim.sent.get((self.name, tag), 0)
+        sim.sent[self.name, tag] = nth + 1
+        sim.wire.append((sim.clock, self.name, unseal(frame)))
+        fault = sim.faults.get((self.name, tag, nth))
+        if fault == "cut":
+            end.close()
+        elif fault == "corrupt":
+            end.send((*frame[:-1], frame[-1] ^ 1))
+        elif fault != "drop":
+            for _ in range(2 if fault == "dup" else 1):
+                end.send(frame)
 
 
 def _cores(chunk_size):
@@ -357,18 +273,25 @@ def test_unanswered_hello_gives_up_with_a_typed_error():
 
 def test_the_core_module_is_io_free():
     """No socket, loop, thread or clock is even importable from the
-    core: whatever it needs of them it must request from a shell."""
+    core: whatever it needs of them it must request from a shell. The
+    lock-step shell and the chaos driver built on it serve those
+    requests without them too (the chaos module's worker-crash driver,
+    which kills real processes, imports its clock and loop locally)."""
     import ast
     import inspect
 
-    from repro.net import session_core
+    from repro.net import chaos, session_core, virtual
 
-    imported = set()
-    for node in ast.walk(ast.parse(inspect.getsource(session_core))):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            imported.add(node.module.split(".")[0])
-    assert not imported & {
-        "socket", "asyncio", "threading", "queue", "select", "time",
-    }
+    for subject in (session_core, virtual, chaos.run_schedule, chaos):
+        tree = ast.parse(inspect.getsource(subject))
+        nodes = tree.body if subject is chaos else ast.walk(tree)
+        imported = set()
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert not imported & {
+            "socket", "asyncio", "threading", "queue", "select", "time",
+        }, subject
+    assert "chaos" not in inspect.getsource(session_core)

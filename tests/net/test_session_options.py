@@ -8,6 +8,7 @@ import threading
 import warnings
 
 import repro
+from repro.analysis.instrumentation import MetricsRecorder
 from repro.net.session import RetryPolicy, SessionConfig
 
 V_R = [f"v{i}" for i in range(10)]
@@ -107,3 +108,35 @@ class TestServeResultPort:
             assert peer.port != 0
         finally:
             peer.close()
+
+
+class TestRecorderThroughTheFacade:
+    """A ``recorder=`` passed to any facade entry point counts the
+    run's exponentiations: intersection costs ``2 (n_R + n_S)``."""
+
+    MODEXP = 2 * (len(V_R) + len(V_S))
+
+    def test_run_and_catalog_pair(self):
+        rec = MetricsRecorder()
+        repro.run("intersection", V_R, V_S, bits=128, seed=1, recorder=rec)
+        report = rec.report()
+        assert report["total_modexp"] == self.MODEXP
+        assert report["engine"]["engine"] == "SerialEngine"
+
+        rec = MetricsRecorder()
+        receiver, sender = (
+            repro.open_catalog(v, bits=128, seed=s, recorder=rec)
+            for v, s in ((V_R, 1), (V_S, 2))
+        )
+        receiver.pair(sender).query("intersection")
+        assert rec.total_modexp == self.MODEXP
+
+    def test_serve_and_connect(self):
+        for session in (None, repro.SessionOptions(config=_config())):
+            recs = MetricsRecorder(), MetricsRecorder()
+            box = _serve_connect(
+                {"session": session, "recorder": recs[0]},
+                {"session": session, "recorder": recs[1]},
+            )
+            assert box["connect"].answer == EXPECTED
+            assert [r.total_modexp for r in recs] == [self.MODEXP // 2] * 2
