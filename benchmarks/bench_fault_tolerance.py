@@ -28,7 +28,7 @@ from repro.bench.tasks.robustness import (
     session_config,
 )
 from repro.net.chaos import ChaosSchedule, run_schedule
-from repro.net.journal import JournalDir, recover_sender_session
+from repro.net.journal import JournalDir, open_session
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS
 
@@ -96,7 +96,7 @@ def test_report_journal_overhead(bench_bits, tmp_path):
 
 
 def test_report_kill_resume_recovery_time(bench_bits, tmp_path):
-    """Time to rebuild a SenderSession from its journal after SIGKILL.
+    """Time to rebuild party S's session from its journal after SIGKILL.
 
     Recovery replays every journaled round through a fresh machine and
     byte-verifies each recomputed outbound, so the cost scales with the
@@ -113,13 +113,12 @@ def test_report_kill_resume_recovery_time(bench_bits, tmp_path):
         journal_dir = JournalDir(tmp_path / f"resume-{n}", fsync=False)
         rounds = build_crashed_journal(journal_dir, params, n, 0xBE0000 + n)
         _, v_s, _ = _inputs(n)
-        stale = journal_dir.incomplete("sender", "intersection")
-        assert len(stale) == 1
+        assert len(journal_dir.incomplete("sender", "intersection")) == 1
         started = time.perf_counter()
-        session = recover_sender_session(
-            stale[0], params,
+        session, _ = open_session(
+            "sender", "intersection",
             lambda: spec.make_sender(v_s, params, random.Random("S")),
-            config=session_config(), fsync=False,
+            params=params, journal_dir=journal_dir, config=session_config(),
         )
         elapsed = time.perf_counter() - started
         assert session.stats.rounds_recovered == rounds

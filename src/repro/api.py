@@ -31,12 +31,16 @@ queries - the repeated-query protocol):
 * :meth:`Catalog.insert` / :meth:`Catalog.delete` stage the table
   mutations the next query's delta rounds will carry.
 
-The one-shot verbs are implemented as a thin open-query-close over the
-stateful core, so their wire transcripts are byte-identical to earlier
-releases. All entry points accept ``chunk_size`` to stream chunkable
-rounds in bounded slices; ``chunk_size=None`` keeps the legacy
-whole-round frames. New protocols registered in ``PROTOCOLS`` are
-runnable here with zero facade edits.
+The one-shot verbs have no series of queries to keep state for, so
+they sit directly on the drivers: :func:`run` is two party machines and
+``spec.exchange``, :func:`serve` / :func:`connect` call
+:mod:`repro.net.tcp`'s plain or resumable pair. A networked
+:class:`Peer` runs the same round loops per query (a plain link opens
+with one extra frame that announces the query). All entry points
+accept ``chunk_size`` to stream chunkable rounds in bounded slices;
+``chunk_size=None`` keeps the legacy whole-round frames. New
+protocols registered in ``PROTOCOLS`` are runnable here with zero
+facade edits.
 
 Quickstart (one-shot)::
 
@@ -187,13 +191,30 @@ class SessionOptions:
             :class:`~repro.net.journal.JournalDir`) for the round
             journal; ``None`` keeps the session in memory only.
         config: a :class:`~repro.net.session.SessionConfig` tuning
-            timeouts and retry/backoff; ``None`` uses the defaults.
+            timeouts and retry/backoff; ``None`` uses the defaults,
+            with the caller's ``timeout`` (when it gave one) as the
+            frame deadline.
         journal_fsync: fsync journal appends (durability vs speed).
     """
 
     journal_dir: Any = None
     config: Any = None
     journal_fsync: bool = True
+
+
+def _session_config(
+    session: SessionOptions, timeout: float | None, retry: Any = None
+) -> Any:
+    """The config a session-layer call runs under: ``session.config``
+    when set; failing that what a ``retry`` policy implies; failing
+    that the defaults, with ``timeout`` (when given) as ``timeout_s``."""
+    from .net.session import SessionConfig
+
+    if session.config is not None:
+        return session.config
+    if retry is not None:
+        return retry.session_config()
+    return SessionConfig(timeout_s=timeout) if timeout else None
 
 
 def _metered(engine: Any, recorder: Any) -> Any:
@@ -373,9 +394,7 @@ class Catalog:
             sender.params = params
         elif sender.params != params:
             raise ValueError("paired catalogs must share public params")
-        return Peer(
-            kind="local", catalog=self, remote=sender, announce=False
-        )
+        return Peer(kind="local", catalog=self, remote=sender)
 
     def serve(
         self,
@@ -384,7 +403,6 @@ class Catalog:
         port: int = 0,
         ready_callback: Callable[[int], None] | None = None,
         timeout: float | None = None,
-        announce: bool = True,
         session: SessionOptions | None = None,
     ) -> "Peer":
         """Expose this catalog as party S on a TCP port.
@@ -392,10 +410,7 @@ class Catalog:
         Returns a server :class:`Peer` whose :meth:`Peer.query` accepts
         one client connection and answers one query; call it repeatedly
         (typically in lockstep with the remote side's queries) and
-        :meth:`Peer.close` when done. ``announce=False`` speaks the
-        legacy one-shot handshake (no query-announcement frame; the
-        params frame opens the connection) - that is how the
-        :func:`serve` facade keeps its wire transcript byte-identical.
+        :meth:`Peer.close` when done.
         With a :class:`SessionOptions`, each query runs under the
         resumable session layer instead (reconnects resume mid-round,
         and a ``journal_dir`` adds crash recovery - including for delta
@@ -409,7 +424,6 @@ class Catalog:
             host=host,
             port=port,
             timeout=timeout,
-            announce=announce,
             session=session,
             ready_callback=ready_callback,
         )
@@ -420,7 +434,6 @@ class Catalog:
         *,
         port: int,
         timeout: float | None = None,
-        announce: bool = True,
         session: SessionOptions | None = None,
     ) -> "Peer":
         """Link this catalog (as party R) to a serving peer.
@@ -428,9 +441,8 @@ class Catalog:
         Returns a client :class:`Peer`; every :meth:`Peer.query` dials
         the server, announces the query (protocol + full/delta), and
         runs the rounds. Public params are adopted from the server's
-        handshake on first use. ``announce=False`` speaks the legacy
-        one-shot handshake (used by the :func:`connect` facade);
-        ``session`` runs queries under the resumable session layer.
+        handshake on first use. ``session`` runs queries under the
+        resumable session layer.
         """
         return Peer(
             kind="client",
@@ -438,7 +450,6 @@ class Catalog:
             host=host,
             port=port,
             timeout=timeout,
-            announce=announce,
             session=session,
         )
 
@@ -709,7 +720,6 @@ class Peer:
         host: str = "127.0.0.1",
         port: int = 0,
         timeout: float | None = None,
-        announce: bool = True,
         session: SessionOptions | None = None,
         ready_callback: Callable[[int], None] | None = None,
     ):
@@ -719,7 +729,6 @@ class Peer:
         self._host = host
         self._port = port
         self._timeout = timeout
-        self._announce = announce
         self._session = session
         self._ready_callback = ready_callback
         self._listener: socket.socket | None = None
@@ -845,8 +854,7 @@ class Peer:
         kind = self._resolve_kind(spec, mode, "receiver")
         endpoint = tcp._dial(self._host, self._port, self._timeout)
         try:
-            if self._announce:
-                endpoint.send(("query", spec.name, kind))
+            endpoint.send(("query", spec.name, kind))
             tag, payload = endpoint.recv()
             if tag == "error":
                 raise RuntimeError(f"server refused the query: {payload}")
@@ -894,7 +902,8 @@ class Peer:
 
         answer, stats = tcp.connect_resumable_receiver(
             wire_spec.name, None, cat.rng, self._host, self._port,
-            config=opts.config, engine=cat.engine, recorder=cat.recorder,
+            config=_session_config(opts, self._timeout),
+            engine=cat.engine, recorder=cat.recorder,
             journal_dir=opts.journal_dir, journal_fsync=opts.journal_fsync,
             chunk_size=chunk_size, make_receiver=make_receiver,
         )
@@ -929,44 +938,41 @@ class Peer:
         tcp._nodelay(conn)
         endpoint = tcp.SocketEndpoint(sock=conn)
         try:
-            if self._announce:
-                frame = endpoint.recv()
-                if not (
-                    isinstance(frame, tuple)
-                    and len(frame) == 3
-                    and frame[0] == "query"
-                ):
-                    endpoint.send(("error", "expected a query announcement"))
-                    raise ValueError("client sent no query announcement")
-                _tag, name, kind = frame
-                if name != spec.name:
-                    endpoint.send((
-                        "error",
-                        f"server is answering {spec.name!r}, not {name!r}",
-                    ))
-                    raise ValueError(
-                        f"client asked for {name!r}, server is answering "
-                        f"{spec.name!r}"
-                    )
-                if mode != "auto" and kind != mode:
-                    endpoint.send((
-                        "error", f"server requires a {mode} query",
-                    ))
-                    raise ValueError(
-                        f"client asked for a {kind} query, server requires "
-                        f"{mode}"
-                    )
-                if kind == "delta" and not cat._has_link(spec, "sender"):
-                    endpoint.send((
-                        "error",
-                        "server has no committed state for a delta query",
-                    ))
-                    raise ValueError(
-                        "client asked for a delta query but this catalog "
-                        "has no committed state"
-                    )
-            else:
-                kind = "full" if mode == "auto" else mode
+            frame = endpoint.recv()
+            if not (
+                isinstance(frame, tuple)
+                and len(frame) == 3
+                and frame[0] == "query"
+            ):
+                endpoint.send(("error", "expected a query announcement"))
+                raise ValueError("client sent no query announcement")
+            _tag, name, kind = frame
+            if name != spec.name:
+                endpoint.send((
+                    "error",
+                    f"server is answering {spec.name!r}, not {name!r}",
+                ))
+                raise ValueError(
+                    f"client asked for {name!r}, server is answering "
+                    f"{spec.name!r}"
+                )
+            if mode != "auto" and kind != mode:
+                endpoint.send((
+                    "error", f"server requires a {mode} query",
+                ))
+                raise ValueError(
+                    f"client asked for a {kind} query, server requires "
+                    f"{mode}"
+                )
+            if kind == "delta" and not cat._has_link(spec, "sender"):
+                endpoint.send((
+                    "error",
+                    "server has no committed state for a delta query",
+                ))
+                raise ValueError(
+                    "client asked for a delta query but this catalog "
+                    "has no committed state"
+                )
             endpoint.send(("params", params.to_wire()))
             wire_spec, make_state, commit = cat._plan(spec, "sender", kind)
             machine = SenderMachine.from_factory(
@@ -1011,7 +1017,8 @@ class Peer:
         size_v_r, stats = tcp.serve_resumable_sender(
             wire_spec.name, None, params, cat.rng,
             host=self._host, port=self._port, ready_callback=_capture,
-            config=opts.config, engine=cat.engine, recorder=cat.recorder,
+            config=_session_config(opts, self._timeout),
+            engine=cat.engine, recorder=cat.recorder,
             journal_dir=opts.journal_dir, journal_fsync=opts.journal_fsync,
             chunk_size=chunk_size, make_sender=make_sender,
         )
@@ -1040,13 +1047,11 @@ def run(
 ) -> RunResult:
     """Run both parties of any registered protocol in-process.
 
-    A thin open-query-close over the stateful core: two
-    :class:`Catalog` objects are opened, paired, queried once and
-    dropped - the wire payloads (and rng draw order) are identical to
-    what this function always produced. Delta specs
-    (``"<name>+delta"``) run directly with
-    :class:`~repro.protocols.delta.DeltaExchange` inputs and commit
-    nothing (the caller owns the base state).
+    Two party machines, ``spec.exchange``, ``finish`` - the wire
+    payloads (and rng draw order) are identical to what this function
+    always produced. Delta specs (``"<name>+delta"``) run the same way
+    on :class:`~repro.protocols.delta.DeltaExchange` inputs (the caller
+    owns the base state).
 
     Args:
         protocol: registry name (or an unregistered spec object).
@@ -1071,35 +1076,18 @@ def run(
         params = PublicParams.for_bits(bits)
     rng_r, rng_s = _party_rngs(seed, rng)
     engine = _metered(engine, recorder)
-    if spec.delta_of is not None:
-        receiver = ReceiverMachine(
-            spec, receiver_data, params, rng_r, engine=engine,
-            recorder=recorder,
-        )
-        sender = SenderMachine(
-            spec, sender_data, params, rng_s, engine=engine,
-            recorder=recorder,
-        )
-        spec.exchange(receiver, sender, chunk_size)
-        answer = receiver.finish()
-        return RunResult(
-            answer=answer,
-            size_v_r=getattr(sender.state, "size_v_r", None),
-            size_v_s=getattr(receiver.state, "size_v_s", None),
-        )
-    catalog_r = Catalog(
-        receiver_data, params=params, rng=rng_r, engine=engine,
-        recorder=recorder,
+    receiver = ReceiverMachine(
+        spec, receiver_data, params, rng_r, engine=engine, recorder=recorder
     )
-    catalog_s = Catalog(
-        sender_data, params=params, rng=rng_s, engine=engine,
-        recorder=recorder,
+    sender = SenderMachine(
+        spec, sender_data, params, rng_s, engine=engine, recorder=recorder
     )
-    result = catalog_r.pair(catalog_s).query(spec, chunk_size=chunk_size)
+    spec.exchange(receiver, sender, chunk_size)
+    answer = receiver.finish()
     return RunResult(
-        answer=result.answer,
-        size_v_r=result.size_v_r,
-        size_v_s=result.size_v_s,
+        answer=answer,
+        size_v_r=getattr(sender.state, "size_v_r", None),
+        size_v_s=getattr(receiver.state, "size_v_s", None),
     )
 
 
@@ -1118,7 +1106,6 @@ def serve(
     engine: Any = None,
     recorder: Any = None,
     chunk_size: int | None = None,
-    config: Any = None,
     session: SessionOptions | None = None,
 ) -> ServeResult:
     """Run party S of any registered protocol as a TCP server.
@@ -1127,17 +1114,18 @@ def serve(
     :class:`ServeResult` carrying the actual bound port - with
     ``port=0`` the kernel picks a free one, exposed as
     ``ServeResult.port`` (and still passed to ``ready_callback`` as
-    soon as the listener is up). The plain path is a thin
-    open-query-close over :class:`Catalog` / :class:`Peer` speaking
-    the legacy handshake, so the wire transcript is byte-identical to
-    earlier releases.
+    soon as the listener is up). The plain path is
+    :func:`repro.net.tcp.serve`: the params frame, then the spec's
+    rounds, any failure aborts the run.
 
     ``session=SessionOptions(...)`` serves under the fault-tolerant
-    session layer: checksummed frames, resume after disconnects,
-    chunk-granular cursors when ``chunk_size`` is set, and - with a
-    ``journal_dir`` - crash recovery from the on-disk round journal.
-    ``config`` overrides the session config. This serves one run and
-    returns; to serve many sessions concurrently, host them on a
+    session layer (:func:`repro.net.tcp.serve_resumable_sender`):
+    checksummed frames, resume after disconnects, chunk-granular
+    cursors when ``chunk_size`` is set, and - with a ``journal_dir`` -
+    crash recovery from the on-disk round journal; with no
+    ``session.config``, ``timeout`` is the session's frame deadline.
+    This serves one run and returns; to serve many sessions
+    concurrently, host them on a
     :class:`~repro.net.server.ProtocolServer` (or
     :class:`~repro.net.shard.ShardedProtocolServer`).
     """
@@ -1155,30 +1143,22 @@ def serve(
         if ready_callback is not None:
             ready_callback(actual_port)
 
-    if session is not None:
+    common: dict[str, Any] = dict(
+        host=host, port=port, ready_callback=_capture,
+        engine=_metered(engine, recorder), recorder=recorder,
+        chunk_size=chunk_size,
+    )
+    stats = None
+    if session is None:
+        size_v_r = tcp.serve(spec, data, params, rng, timeout=timeout, **common)
+    else:
         size_v_r, stats = tcp.serve_resumable_sender(
-            spec.name, data, params, rng, host=host, port=port,
-            ready_callback=_capture,
-            config=config if config is not None else session.config,
-            engine=_metered(engine, recorder), recorder=recorder,
+            spec.name, data, params, rng,
+            config=_session_config(session, timeout),
             journal_dir=session.journal_dir,
-            journal_fsync=session.journal_fsync, chunk_size=chunk_size,
+            journal_fsync=session.journal_fsync, **common,
         )
-        return ServeResult(size_v_r=size_v_r, port=bound["port"], stats=stats)
-    catalog = Catalog(
-        data, params=params, rng=rng, engine=engine, recorder=recorder
-    )
-    peer = catalog.serve(
-        host=host, port=port, ready_callback=_capture, timeout=timeout,
-        announce=False,
-    )
-    try:
-        result = peer.query(spec, chunk_size=chunk_size)
-    finally:
-        peer.close()
-    return ServeResult(
-        size_v_r=result.size_v_r, port=bound["port"], stats=None
-    )
+    return ServeResult(size_v_r=size_v_r, port=bound["port"], stats=stats)
 
 
 def connect(
@@ -1193,7 +1173,6 @@ def connect(
     engine: Any = None,
     recorder: Any = None,
     chunk_size: int | None = None,
-    config: Any = None,
     retry: Any = None,
     session: SessionOptions | None = None,
 ) -> ConnectResult:
@@ -1202,14 +1181,13 @@ def connect(
     The server's handshake carries the public parameters, so R needs
     no setup beyond the address. Returns a :class:`ConnectResult`
     whose ``answer`` is the protocol's output for R. The plain path is
-    a thin open-query-close over :class:`Catalog` / :class:`Peer`
-    speaking the legacy handshake, so the wire transcript is
-    byte-identical to earlier releases.
+    :func:`repro.net.tcp.connect`.
 
     ``session=SessionOptions(...)`` connects under the fault-tolerant
-    session layer - it must match a resumable server. ``chunk_size``
-    streams R's chunkable outgoing rounds; inbound chunking is
-    auto-detected either way.
+    session layer (:func:`repro.net.tcp.connect_resumable_receiver`) -
+    it must match a resumable server. ``chunk_size`` streams R's
+    chunkable outgoing rounds; inbound chunking is auto-detected
+    either way.
 
     Without ``retry`` a typed refusal (a busy server is an immediate
     :class:`~repro.net.session.ServerBusyError`) propagates. ``retry``
@@ -1221,9 +1199,10 @@ def connect(
     *which* typed failures are redialed - busy refusals and
     :class:`~repro.net.session.WorkerLost` (a supervised shard whose
     worker is mid-respawn) by default. The failures waited out are
-    reported as ``ConnectResult.retries`` / ``busy_retries``. When no
-    explicit ``config`` is passed the policy also shapes the session
-    config (per-attempt timeout, in-session reconnect budget).
+    reported as ``ConnectResult.retries`` / ``busy_retries``. With no
+    ``session.config`` the policy also shapes the session config
+    (per-attempt timeout, in-session reconnect budget); with neither,
+    ``timeout`` is the session's frame deadline.
     """
     from .net import tcp
     from .net.session import ClientRetryPolicy
@@ -1233,39 +1212,30 @@ def connect(
         rng = random.Random(seed)
     if isinstance(retry, str):
         retry = ClientRetryPolicy.parse(retry)
-    if retry is not None and config is None:
-        config = retry.session_config()
-
-    catalog = (
-        Catalog(data, params=None, rng=rng, engine=engine, recorder=recorder)
-        if session is None
-        else None
+    common: dict[str, Any] = dict(
+        engine=_metered(engine, recorder), recorder=recorder,
+        chunk_size=chunk_size,
     )
 
-    def _attempt() -> ConnectResult:
-        if session is not None:
-            answer, stats = tcp.connect_resumable_receiver(
-                spec.name, data, rng, host, port,
-                config=config if config is not None else session.config,
-                engine=_metered(engine, recorder), recorder=recorder,
-                journal_dir=session.journal_dir,
-                journal_fsync=session.journal_fsync, chunk_size=chunk_size,
-            )
-            return ConnectResult(answer=answer, stats=stats)
-        peer = catalog.connect(
-            host, port=port, timeout=timeout, announce=False
+    def _attempt() -> tuple[Any, Any]:
+        if session is None:
+            return tcp.connect(
+                spec, data, rng, host, port, timeout=timeout, **common
+            ), None
+        return tcp.connect_resumable_receiver(
+            spec.name, data, rng, host, port,
+            config=_session_config(session, timeout, retry),
+            journal_dir=session.journal_dir,
+            journal_fsync=session.journal_fsync, **common,
         )
-        result = peer.query(spec, mode="full", chunk_size=chunk_size)
-        return ConnectResult(answer=result.answer, stats=None)
 
+    retries = busy_retries = 0
     if retry is None:
-        return _attempt()
-    result, retries, busy_retries = retry.redial(
-        _attempt, random.Random(rng.getrandbits(64))
-    )
+        answer, stats = _attempt()
+    else:
+        (answer, stats), retries, busy_retries = retry.redial(
+            _attempt, random.Random(rng.getrandbits(64))
+        )
     return ConnectResult(
-        answer=result.answer,
-        stats=result.stats,
-        busy_retries=busy_retries,
-        retries=retries,
+        answer=answer, stats=stats, busy_retries=busy_retries, retries=retries
     )

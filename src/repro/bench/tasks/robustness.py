@@ -15,7 +15,7 @@ import time
 
 from ...net.chaos import ChaosSchedule, run_schedule
 from ...net.faults import FaultInjector, FaultPlan
-from ...net.journal import JournalDir, recover_sender_session
+from ...net.journal import JournalDir, open_session
 from ...net.serialization import encode
 from ...net.session import RetryPolicy, SessionConfig
 from ...net.tcp import connect_resumable_receiver, serve_resumable_sender
@@ -308,7 +308,7 @@ def journal_overhead(ctx) -> list[dict]:
     smoke={"bits": 128, "sizes": [8]},
     full={"bits": 256, "sizes": [8, 32]},
     source="benchmarks/bench_fault_tolerance.py",
-    summary="Time to rebuild a SenderSession from its journal after a "
+    summary="Time to rebuild party S's session from its journal after a "
             "crash at the worst point (all rounds journaled, none "
             "shipped).",
     regress_on=("recovery_s",),
@@ -329,15 +329,15 @@ def kill_resume(ctx) -> list[dict]:
                 journal_dir, params, n, 0xBE0000 + n
             )
             _, v_s, _ = _inputs(n)
-            stale = journal_dir.incomplete("sender", "intersection")
-            assert len(stale) == 1
+            assert len(journal_dir.incomplete("sender", "intersection")) == 1
             started = time.perf_counter()
-            session = recover_sender_session(
-                stale[0], params,
+            session, _ = open_session(
+                "sender", "intersection",
                 lambda v=v_s: spec.make_sender(
                     v, params, random.Random("S")
                 ),
-                config=session_config(), fsync=False,
+                params=params, journal_dir=journal_dir,
+                config=session_config(),
             )
             elapsed = time.perf_counter() - started
             assert session.stats.rounds_recovered == rounds

@@ -447,8 +447,9 @@ def _session_config(timeout: float | None):
     return SessionConfig(timeout_s=timeout) if timeout else SessionConfig()
 
 
-def _session_options(args: argparse.Namespace, config):
-    """``--resumable`` as the facade's ``session=`` (``None`` = plain)."""
+def _session_options(args: argparse.Namespace, config=None):
+    """``--resumable`` as the facade's ``session=`` (``None`` = plain);
+    with no ``config`` the facade makes ``--timeout`` the frame deadline."""
     from .api import SessionOptions
 
     if not args.resumable:
@@ -518,7 +519,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             params=params, seed=args.seed, ready_callback=announce,
             timeout=args.timeout, engine=engine, recorder=recorder,
             chunk_size=args.chunk_size,
-            session=_session_options(args, _session_config(args.timeout)),
+            session=_session_options(args),
         )
         print(f"run complete; S learned |V_R| = {served.size_v_r}")
         if served.stats is not None:
@@ -636,17 +637,19 @@ def _cmd_connect(args: argparse.Namespace) -> int:
 
     engine, recorder = _build_engine_and_recorder(args)
 
-    def _config():
-        if policy is not None and args.timeout is None:
-            return policy.session_config()
-        return _session_config(args.timeout)
+    # An explicit --timeout outranks the policy's per-attempt one.
+    config = (
+        policy.session_config()
+        if policy is not None and args.timeout is None
+        else None
+    )
 
     def attempt() -> int:
         connected = api.connect(
             args.protocol, v_r, host=args.host, port=args.port,
             seed=args.seed, timeout=args.timeout, engine=engine,
             recorder=recorder, chunk_size=args.chunk_size,
-            session=_session_options(args, _config()),
+            session=_session_options(args, config),
         )
         _print_answer(args.protocol, connected.answer)
         if connected.stats is not None:

@@ -39,6 +39,7 @@ import time
 from typing import Any, Awaitable, Callable
 
 from . import serialization
+from .journal import open_session
 from .session import SessionConfig, SessionStats
 from .session_core import (
     DONE,
@@ -46,7 +47,6 @@ from .session_core import (
     NextChunk,
     Now,
     Open,
-    ReceiverCore,
     Recv,
     Send,
     Sleep,
@@ -360,8 +360,8 @@ async def connect_receiver_async(
 
     The async counterpart of
     :func:`~repro.net.tcp.connect_resumable_receiver` (sans journal
-    and recorder): the same :class:`~repro.net.session_core.ReceiverCore`
-    under :func:`run_async`, so it is wire-compatible with any
+    and recorder): the same :func:`~repro.net.journal.open_session`
+    core under :func:`run_async`, so it is wire-compatible with any
     session-layer sender and counts its stats the same way. Returns
     ``(answer, session stats)``. The rng draw order matches the sync
     driver - the session seed is consumed first - so a given seed
@@ -376,13 +376,9 @@ async def connect_receiver_async(
     make_receiver = lambda wire: spec.make_receiver(  # noqa: E731
         data, PublicParams.from_wire(tuple(wire)), rng, engine=engine
     )
-    core = ReceiverCore(
-        protocol,
-        make_receiver,
-        config,
-        session_rng,
-        SessionStats(protocol=protocol),
-        chunk_size=chunk_size,
+    core, _ = open_session(
+        "receiver", protocol, make_receiver,
+        config=config, rng=session_rng, chunk_size=chunk_size,
     )
     answer, link = await run_async(
         core.steps(),

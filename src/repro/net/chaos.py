@@ -16,7 +16,7 @@ protocol runs under the composition, FoundationDB-style:
   (:class:`repro.net.virtual.LockStep`): both parties run journaled
   sessions on one thread over in-memory links, each restarted through
   the product's own restart rule
-  (:func:`repro.net.journal.restart_session`) after every simulated
+  (:func:`repro.net.journal.open_session`) after every simulated
   crash or journal failure, up to the restart budget. No socket, no
   thread, no sleep: a schedule costs milliseconds and the same seed
   gives the same run, counters included.
@@ -60,14 +60,12 @@ from .journal import (
     WAL_SUFFIX,
     JournalDir,
     JournalError,
+    open_session,
     peek_state,
-    restart_session,
 )
 from .server import ProtocolOffer
 from .session import (
-    ReceiverSession,
     RetryPolicy,
-    SenderSession,
     ServerBusyError,
     SessionConfig,
     SessionError,
@@ -353,7 +351,7 @@ def run_schedule(
 
     Both parties run journaled resumable sessions as the two parties
     of a :class:`~repro.net.virtual.LockStep` shell. Each is restarted
-    - through :func:`~repro.net.journal.restart_session`, the rule the
+    - through :func:`~repro.net.journal.open_session`, the rule the
     resumable TCP helpers and the supervised server restart by - after
     every :class:`SimulatedCrash` or
     :class:`~repro.net.journal.JournalError`, up to
@@ -437,29 +435,16 @@ def run_schedule(
         """One process life of ``role``: restart rule, then the run."""
         # The same session seed every life, as a restarted process
         # has: a session restarted from a stub draws its old id again.
-        common = dict(
-            config=config, chunk_size=schedule.chunk_size,
+        core, answer = open_session(
+            role, protocol,
+            make_sender if role == "sender" else make_receiver,
+            params=params, journal_dir=dirs[role], config=config,
             rng=random.Random(f"chaos-{role}-{schedule.seed}"),
-        )
-        make_state = make_sender if role == "sender" else make_receiver
-        session, answer = restart_session(
-            dirs[role], role, protocol, make_state, params=params, **common
+            chunk_size=schedule.chunk_size,
         )
         if answer is not None:
             return answer
-        if session is None and role == "sender":
-            session = SenderSession(
-                protocol, params, make_sender, journal=dirs[role], **common
-            )
-        elif session is None:
-            session = ReceiverSession(
-                protocol, make_receiver, journal=dirs[role], **common
-            )
-        try:
-            return (yield from session.steps())
-        finally:
-            if session.journal is not None:
-                session.journal.close()
+        return (yield from core.steps())
 
     for role, side, net_plan, disk_plan, crash in (
         ("sender", "server", schedule.server_net, schedule.sender_disk,

@@ -10,13 +10,10 @@ the whole run. This module puts the round log on disk:
   completion marker) is appended to a per-session journal file as a
   length-prefixed, CRC32-sealed record, ``flush``-ed and (by default)
   ``fsync``-ed before the session acts on it;
-* on restart, :func:`recover_sender_session` /
-  :func:`recover_receiver_session` rebuild a
-  :class:`~repro.net.session.SenderSession` /
-  :class:`~repro.net.session.ReceiverSession` to its exact resume
-  cursor by replaying the journal through a fresh party machine - the
-  process picks the run back up from disk instead of restarting the
-  protocol;
+* on restart, :func:`open_session` rebuilds the session core
+  (:mod:`repro.net.session_core`) to its exact resume cursor by
+  replaying the journal through a fresh party machine - the process
+  picks the run back up from disk instead of restarting the protocol;
 * a journal whose tail was torn by the crash (a half-written record)
   is truncated back to the last intact record on open, so recovery
   never trips over its own corpse;
@@ -49,6 +46,7 @@ where each payload is :mod:`repro.net.serialization` bytes for one of::
 
 from __future__ import annotations
 
+import random
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -58,7 +56,8 @@ from typing import Any, Callable, Iterable
 from . import serialization
 from .crashpoints import crash_point
 from .diskfaults import JournalIO
-from .session_core import RoundLog, round_frames
+from .session import SessionConfig, SessionStats
+from .session_core import ReceiverCore, RoundLog, SenderCore, round_frames
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -69,8 +68,7 @@ __all__ = [
     "JournalState",
     "peek_state",
     "replay_state",
-    "recover_sender_session",
-    "recover_receiver_session",
+    "open_session",
 ]
 
 JOURNAL_VERSION = 1
@@ -451,9 +449,8 @@ class JournalDir:
         """Open (or create) the journal for one session.
 
         A fresh journal gets its ``open`` and ``session_id`` records
-        written immediately; an existing one is returned as-is (use
-        :func:`recover_sender_session` / :func:`recover_receiver_session`
-        to resume it).
+        written immediately; an existing one is returned as-is
+        (:func:`open_session` is what resumes it).
         """
         journal = SessionJournal(
             self.path_for(role, protocol, session_id),
@@ -500,7 +497,7 @@ class JournalDir:
 
         The same read-only scan as :meth:`_live`. A ``*.wal`` whose run
         completed (crash between the completion record and the
-        rotation) is not listed here; :func:`restart_session` is what
+        rotation) is not listed here; :func:`open_session` is what
         salvages or rotates one.
         """
         return [
@@ -717,16 +714,6 @@ def _replay_machine(
     return in_bounds, out_bounds
 
 
-def _open(
-    journal: SessionJournal | str | Path,
-    fsync: bool,
-    io: JournalIO | None = None,
-) -> SessionJournal:
-    if isinstance(journal, SessionJournal):
-        return journal
-    return SessionJournal(journal, fsync=fsync, io=io)
-
-
 def _decode_all(payloads: Iterable[bytes], path: Path) -> list[Any]:
     """Decode journaled wire payloads; JournalError on garbage.
 
@@ -747,203 +734,160 @@ def _decode_all(payloads: Iterable[bytes], path: Path) -> list[Any]:
     return out
 
 
-def _recover(
-    journal: SessionJournal | str | Path,
-    role: str,
-    chunk_size: int | None,
-    fsync: bool,
-    io: JournalIO | None,
-) -> tuple[SessionJournal, JournalState]:
-    """Open a journal for recovery; check it is ``role``'s and was
-    written under the same ``chunk_size``."""
-    journal = _open(journal, fsync, io)
-    state = replay_state(journal)
-    if state.role != role:
-        raise JournalError(f"{journal.path}: not a {role} journal")
-    if state.chunk_size != chunk_size:
-        raise JournalError(
-            f"{journal.path}: journaled with chunk_size="
-            f"{state.chunk_size}, recovering with chunk_size={chunk_size}"
-        )
-    return journal, state
+def _restore(core: Any, state: JournalState) -> None:
+    """Bring a just-built ``core`` to the cursor ``state`` journaled.
 
-
-def _restore_log(session: Any, state: JournalState) -> None:
-    """Replay ``state`` through the session's machine into its log."""
-    journal = session.journal
+    The journaled frames are replayed through the core's machine into
+    its round log; ``make_state`` must be the same deterministic
+    factory (same data, same params, same rng seed) the crashed
+    process used - the replay verifies it byte-for-byte.
+    """
+    journal = core.journal
+    if core.role == "sender":
+        core._session_id = state.session_id
+        core._complete = state.complete
+    else:
+        # The original welcome's parameters; without them the crash
+        # fell inside the handshake and there is no round to restore.
+        core._params_wire = state.params_wire
+        if state.params_wire is None:
+            if state.inbound or state.outbound:
+                raise JournalError(
+                    f"{journal.path}: round payloads journaled before the "
+                    "public parameters - not a journal this code wrote"
+                )
+            return
     journaled_sends = len(state.outbound)
     inbound = _decode_all(state.inbound, journal.path)
     in_bounds, out_bounds = _replay_machine(
-        session._ensure_machine(), session.spec, session.emits,
+        core._ensure_machine(), core.spec, core.emits,
         inbound, state.outbound, journal.path,
-        chunk_size=session.chunk_size, journal=journal,
+        chunk_size=core.chunk_size, journal=journal,
     )
     # state.outbound now covers whole rounds (the replay re-journaled
     # any tail frames the crash cut off); every frame journaled before
     # the crash may have reached the wire.
-    session.log = RoundLog(
+    core.log = RoundLog(
         inbound, _decode_all(state.outbound, journal.path),
         in_bounds, out_bounds, set(range(journaled_sends)),
     )
-    session.stats.rounds_recovered = len(in_bounds) + len(out_bounds)
+    core.stats.rounds_recovered = len(in_bounds) + len(out_bounds)
 
 
-def recover_sender_session(
-    journal: SessionJournal | str | Path,
-    params: Any,
-    make_sender: Callable[[], Any],
-    config: Any = None,
-    rng: Any = None,
-    recorder: Any = None,
-    fsync: bool = True,
-    chunk_size: int | None = None,
-    io: JournalIO | None = None,
-) -> Any:
-    """Rebuild a :class:`~repro.net.session.SenderSession` from disk.
-
-    ``make_sender`` must be the same deterministic factory (same data,
-    same params, same rng seed) the crashed process used, and
-    ``chunk_size`` must match the journaled run's - replay verifies
-    both byte-for-byte. The returned session holds the open journal and
-    resumes appending to it; hand it to the usual ``run(accept)`` loop
-    and the reconnecting client is served from the exact
-    ``(round, chunk)`` cursor the crash interrupted.
-    """
-    from .session import SenderSession
-
-    journal, state = _recover(journal, "sender", chunk_size, fsync, io)
-    session = SenderSession(
-        state.protocol,
-        params,
-        make_sender,
-        config=config,
-        rng=rng,
-        recorder=recorder,
-        journal=journal,
-        chunk_size=chunk_size,
-    )
-    session._session_id = state.session_id
-    session._complete = state.complete
-    _restore_log(session, state)
-    return session
-
-
-def recover_receiver_session(
-    journal: SessionJournal | str | Path,
-    make_receiver: Callable[[Any], Any],
-    config: Any = None,
-    rng: Any = None,
-    recorder: Any = None,
-    fsync: bool = True,
-    chunk_size: int | None = None,
-    io: JournalIO | None = None,
-) -> Any:
-    """Rebuild a :class:`~repro.net.session.ReceiverSession` from disk.
-
-    The journal supplies the session id (so the reconnect routes to
-    the same server-side session) and the public parameters from the
-    original welcome; ``make_receiver`` is the usual params-taking
-    factory and must be seed-deterministic, and ``chunk_size`` must
-    match the journaled run's - replay verifies both.
-    """
-    from .session import ReceiverSession
-
-    journal, state = _recover(journal, "receiver", chunk_size, fsync, io)
-    if state.session_id is None:
-        raise JournalError(f"{journal.path}: no session id journaled")
-    session = ReceiverSession(
-        state.protocol,
-        make_receiver,
-        config=config,
-        rng=rng,
-        session_id=state.session_id,
-        recorder=recorder,
-        journal=journal,
-        chunk_size=chunk_size,
-    )
-    session._params_wire = state.params_wire
-    if state.params_wire is not None:
-        _restore_log(session, state)
-    elif state.inbound or state.outbound:
-        raise JournalError(
-            f"{journal.path}: round payloads journaled before the "
-            "public parameters - not a journal this code wrote"
-        )
-    return session
-
-
-
-def restart_session(
-    journal_dir: JournalDir | None,
+def open_session(
     role: str,
     protocol: str,
     make_state: Callable[..., Any],
     *,
     params: Any = None,
+    journal_dir: JournalDir | None = None,
     session_id: int | None = None,
-    **session: Any,
+    config: SessionConfig | None = None,
+    rng: random.Random | None = None,
+    recorder: Any = None,
+    chunk_size: int | None = None,
 ) -> tuple[Any, Any]:
-    """What a restarting party owes the journals a previous life left.
+    """The one way to start a session: recovered if a journal says so,
+    fresh otherwise.
 
-    The one fresh-or-recover rule, for ``role`` ``"sender"`` (pass
-    ``params``) or ``"receiver"``; ``session`` are the keyword
-    arguments a recovered session is rebuilt with (``config``, ``rng``,
-    ``recorder``, ``chunk_size``). With a ``session_id`` only that
-    session's own path is consulted - the supervised server's case,
-    where other journals in the directory belong to live sessions;
-    without one the directory's ``*.wal`` files for ``protocol`` are
-    taken oldest first. Per journal:
+    Returns ``(core, answer)``: a ready
+    :class:`~repro.net.session_core.SenderCore` (``role="sender"``;
+    pass ``params``, and ``make_state()`` builds party S) or
+    :class:`~repro.net.session_core.ReceiverCore` (``"receiver"``;
+    ``make_state(params_wire)`` builds party R) - hand ``core.steps()``
+    to a shell - and ``None``, or the answer a previous life already
+    journaled, in which case there is nothing left to run. ``config``
+    defaults to ``SessionConfig()`` and ``rng`` to an unseeded one;
+    ``core.stats`` starts at zero.
 
-    * rounds journaled, run incomplete: **recover** it
-      (:func:`recover_sender_session` / :func:`recover_receiver_session`)
-      and return ``(session, None)`` - run the session;
+    What a restarting party owes the journals a previous life left in
+    ``journal_dir`` is decided here, once. With a ``session_id`` only
+    that session's own path is consulted - the supervised server's
+    case, where other journals in the directory belong to live
+    sessions; without one the directory's ``*.wal`` files for
+    ``protocol`` are taken oldest first. Per journal:
+
+    * rounds journaled, run incomplete: **recovered** - the core
+      resumes from the exact ``(round, chunk)`` cursor the crash
+      interrupted, appending to the same journal;
     * completed but never rotated (the crash fell between the
       completion record and the rename): a receiver journal replays
-      offline to its answer, is rotated, and ``(session, answer)`` is
-      returned - no dial, the answer is already on disk; a sender
-      journal is rotated and the scan goes on;
+      offline to its answer and is rotated - no dial, the answer is
+      already on disk; a sender journal is rotated and the scan goes
+      on;
     * metadata only (death inside the handshake - possibly before the
       ``chunk_size`` record recovery would check): deleted, nothing
       durable is lost by starting that id over.
 
-    Returns ``(None, None)`` when nothing is left to resume (or there
-    is no ``journal_dir``): start a fresh session.
+    When nothing is left to resume the core is fresh and journals to
+    ``journal_dir`` (if any) under the id it draws or is told.
 
     Raises:
         JournalError: a journal does not replay (wrong seed, data or
             ``chunk_size``), or - with ``session_id`` - is unreadable.
     """
+
+    def build(journal: Any, session_id: int | None) -> Any:
+        shared = (
+            config or SessionConfig(), rng or random.Random(),
+            SessionStats(protocol=protocol),
+        )
+        if role == "sender":
+            return SenderCore(
+                protocol, params, make_state, *shared,
+                recorder=recorder, journal=journal, chunk_size=chunk_size,
+            )
+        return ReceiverCore(
+            protocol, make_state, *shared, session_id=session_id,
+            recorder=recorder, journal=journal, chunk_size=chunk_size,
+        )
+
+    def recover(path: Path, state: JournalState) -> Any:
+        if state.role != role:
+            raise JournalError(f"{path}: not a {role} journal")
+        if state.chunk_size != chunk_size:
+            raise JournalError(
+                f"{path}: journaled with chunk_size={state.chunk_size}, "
+                f"recovering with chunk_size={chunk_size}"
+            )
+        if role == "receiver" and state.session_id is None:
+            raise JournalError(f"{path}: no session id journaled")
+        core = build(
+            SessionJournal(path, fsync=journal_dir.fsync, io=journal_dir.io),
+            state.session_id,
+        )
+        try:
+            _restore(core, state)
+        except BaseException:
+            core.journal.close()
+            raise
+        return core
+
     if journal_dir is None:
-        return None, None
-    if session_id is None:
+        found = []
+    elif session_id is None:
         found = journal_dir._live(role, protocol)
     else:
         path = journal_dir.path_for(role, protocol, session_id)
         state = peek_state(path) if path.exists() else None
         found = [(path, state)] if state is not None else []
-
-    def recover(path: Path) -> Any:
-        common = dict(session, fsync=journal_dir.fsync, io=journal_dir.io)
-        if role == "sender":
-            return recover_sender_session(path, params, make_state, **common)
-        return recover_receiver_session(path, make_state, **common)
-
     for path, state in found:
         if not state.complete:
             if state.inbound or state.outbound:
-                return recover(path), None
+                return recover(path, state), None
             path.unlink()
         elif role == "sender":
             SessionJournal(
                 path, fsync=journal_dir.fsync, io=journal_dir.io
             ).rotate()
         else:
-            session = recover(path)
-            if session._machine is None:
+            core = recover(path, state)
+            if core._machine is None:
+                core.journal.close()
                 raise JournalError(
                     f"{path}: complete journal without parameters"
                 )
-            answer = session._machine.finish()
-            session._journal_complete()
-            return session, answer
-    return None, None
+            answer = core._machine.finish()
+            core._journal_complete()
+            return core, answer
+    return build(journal_dir, session_id), None

@@ -82,11 +82,10 @@ from .journal import (
     CORRUPT_SUFFIX,
     JournalDir,
     JournalError,
-    restart_session,
+    open_session,
 )
 from .session import (
     SESSION_VERSION,
-    SenderSession,
     SessionAborted,
     SessionConfig,
     seal,
@@ -622,8 +621,6 @@ class ProtocolServer:
             record.error = exc
         if record.session is not None:
             record.session.stats.finish()
-            if record.session.journal is not None:
-                record.session.journal.close()
         if self.recorder is not None:
             self.recorder.add_session(record.as_dict())
         with self._finished:
@@ -662,10 +659,10 @@ class ProtocolServer:
         finally:
             await endpoint.close()
 
-    def _make_session(self, protocol: str, session_id: int) -> SenderSession:
+    def _make_session(self, protocol: str, session_id: int) -> Any:
         """A fresh or journal-recovered session for a reserved id.
 
-        :func:`~repro.net.journal.restart_session` on this id's own
+        :func:`~repro.net.journal.open_session` on this id's own
         journal path - never a directory-wide scan, which would touch
         journals that other, currently-running sessions are appending
         to. The lookup itself is read-only; the repairing open happens
@@ -675,33 +672,13 @@ class ProtocolServer:
             JournalError: the journal is unreadable or replay diverges.
         """
         offer = self.offers[protocol]
-        journal = None
-        if self.journal_dir is not None:
-            session, _ = restart_session(
-                self.journal_dir, "sender", protocol, offer.make_sender,
-                params=offer.params, session_id=session_id,
-                config=self.config, recorder=self.recorder,
-                chunk_size=self.chunk_size,
-            )
-            if session is not None:
-                return session
-            journal = self.journal_dir.open_session(
-                "sender", protocol, session_id
-            )
-            if self.chunk_size is not None:
-                # The meta record recovery checks against; the session
-                # cannot write it itself (it only does so when it opens
-                # the journal, and here the journal arrives pre-opened).
-                journal.record_meta("chunk_size", self.chunk_size)
-        return SenderSession(
-            protocol,
-            offer.params,
-            offer.make_sender,
-            config=self.config,
-            recorder=self.recorder,
-            journal=journal,
+        core, _ = open_session(
+            "sender", protocol, offer.make_sender, params=offer.params,
+            journal_dir=self.journal_dir, session_id=session_id,
+            config=self.config, recorder=self.recorder,
             chunk_size=self.chunk_size,
         )
+        return core
 
     async def _fail_start(
         self, record: SessionRecord, exc: BaseException

@@ -16,13 +16,12 @@ the policy types (:class:`RetryPolicy`, :class:`SessionConfig`,
 :class:`ClientRetryPolicy`), :class:`SessionStats`, and the **blocking
 shell** (:func:`run_blocking`) that executes the core's requests over
 any ``send``/``recv``/``settimeout``/``close`` transport on the
-caller's own thread. :class:`SenderSession`, :class:`ReceiverSession`
-and :class:`SessionEndpoint` are the core's classes under that shell.
+caller's own thread. Sessions are built by
+:func:`repro.net.journal.open_session`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import time
@@ -34,14 +33,11 @@ from .session_core import (
     SESSION_VERSION,
     Compute,
     HandshakeError,
-    Link,
     NextChunk,
     Now,
     Open,
-    ReceiverCore,
     Recv,
     Send,
-    SenderCore,
     ServerBusyError,
     SessionAborted,
     SessionError,
@@ -65,9 +61,6 @@ __all__ = [
     "ClientRetryPolicy",
     "SessionConfig",
     "SessionStats",
-    "SessionEndpoint",
-    "SenderSession",
-    "ReceiverSession",
     "busy_backoff_s",
     "refusal_retry_hint_s",
     "seal",
@@ -128,8 +121,8 @@ class ClientRetryPolicy:
             session config's ``timeout_s``).
         total_deadline_s: wall budget across all attempts and backoff
             sleeps; ``None`` means unbounded.
-        base_delay_s / multiplier / max_delay_s / jitter: the jittered
-            exponential backoff between attempts.
+        backoff: the jittered exponential backoff between attempts
+            (also the derived session config's ``retry``).
         retry_busy: whether a typed busy refusal is retried.
         retry_worker_lost: whether a typed worker-lost notice is
             retried (reconnect-and-resume lands on the respawned
@@ -139,16 +132,14 @@ class ClientRetryPolicy:
     max_attempts: int = 8
     attempt_timeout_s: float = 5.0
     total_deadline_s: float | None = None
-    base_delay_s: float = 0.05
-    multiplier: float = 2.0
-    max_delay_s: float = 2.0
-    jitter: float = 0.5
+    backoff: RetryPolicy = field(default_factory=RetryPolicy)
     retry_busy: bool = True
     retry_worker_lost: bool = True
 
-    #: ``parse`` key → (field name, converter). Module-level constants
-    #: would do, but keeping it on the class documents the spec format
-    #: next to the fields it maps onto.
+    #: ``parse`` key → (field name, converter); a name that is not a
+    #: field here is one of ``backoff``'s. Module-level constants would
+    #: do, but keeping it on the class documents the spec format next
+    #: to the fields it maps onto.
     _PARSE_KEYS = {
         "attempts": ("max_attempts", int),
         "timeout": ("attempt_timeout_s", float),
@@ -196,18 +187,9 @@ class ClientRetryPolicy:
                     raise ValueError(
                         f"retry-policy {key}= wants a number, got {value!r}"
                     ) from None
-        return cls(**kwargs)
-
-    @functools.cached_property
-    def _retry(self) -> RetryPolicy:
-        """This policy's backoff shape as the :class:`RetryPolicy` both
-        the redial loop and the derived session config pace by."""
-        return RetryPolicy(
-            base_delay_s=self.base_delay_s,
-            multiplier=self.multiplier,
-            max_delay_s=self.max_delay_s,
-            jitter=self.jitter,
-        )
+        own = {f.name for f in fields(cls)}
+        shape = {k: kwargs.pop(k) for k in list(kwargs) if k not in own}
+        return cls(backoff=RetryPolicy(**shape), **kwargs)
 
     def retryable(self, exc: BaseException) -> bool:
         """Whether this typed failure is worth another attempt."""
@@ -232,9 +214,9 @@ class ClientRetryPolicy:
         jittered exponential.
         """
         if hint_s is None:
-            return self._retry.delay_s(attempt, rng)
-        floor = max(self._retry._ceiling_s(attempt), hint_s)
-        return floor * (1.0 + self.jitter * rng.random())
+            return self.backoff.delay_s(attempt, rng)
+        floor = max(self.backoff._ceiling_s(attempt), hint_s)
+        return floor * (1.0 + self.backoff.jitter * rng.random())
 
     def session_config(self, **overrides: Any) -> SessionConfig:
         """The :class:`SessionConfig` this policy implies.
@@ -246,7 +228,7 @@ class ClientRetryPolicy:
         """
         kwargs: dict[str, Any] = dict(
             timeout_s=self.attempt_timeout_s,
-            retry=self._retry,
+            retry=self.backoff,
             max_reconnects=self.max_attempts,
         )
         kwargs.update(overrides)
@@ -419,115 +401,3 @@ def run_blocking(
     finally:
         _close_quietly(stream)
         _close_quietly(opened)
-
-
-class SessionEndpoint(Link):
-    """Reliable, checksummed stop-and-wait messaging on one connection.
-
-    A core :class:`~repro.net.session_core.Link` driven by the blocking
-    shell over any framed transport (``send``/``recv``/optional
-    ``settimeout``). Sequence cursors can be seeded from a session log
-    so a reconnected endpoint continues where the last one died.
-    """
-
-    def __init__(
-        self,
-        transport: Any,
-        config: SessionConfig,
-        stats: SessionStats,
-        rng: random.Random,
-        send_seq: int = 0,
-        recv_seq: int = 0,
-    ):
-        super().__init__(config, stats, rng, send_seq, recv_seq)
-        self.transport = transport
-
-    # The link's verbs (and their docs), run to completion on ``transport``.
-    def send(self, payload: Any) -> None:
-        run_blocking(super().send(payload), self.transport)
-
-    def recv(self) -> Any:
-        return run_blocking(super().recv(), self.transport)
-
-    def fin(self, session_id: int) -> None:
-        run_blocking(super().fin(session_id), self.transport)
-
-    def fin_wait(self, session_id: int) -> bool:
-        return run_blocking(super().fin_wait(session_id), self.transport)
-
-    def await_fin(self, grace_s: float) -> bool:
-        return run_blocking(super().await_fin(grace_s), self.transport)
-
-
-class SenderSession(SenderCore):
-    """Party S's resumable run: accept, hand-shake, serve, survive.
-
-    :class:`~repro.net.session_core.SenderCore` (the round log, the
-    handshake, the reconnect loop) under the blocking shell.
-    """
-
-    def __init__(
-        self,
-        protocol: str,
-        params: Any,
-        make_sender: Callable[[], Any],
-        config: SessionConfig | None = None,
-        rng: random.Random | None = None,
-        recorder: Any = None,
-        journal: Any = None,
-        chunk_size: int | None = None,
-    ):
-        super().__init__(
-            protocol, params, make_sender,
-            config or SessionConfig(), rng or random.Random(0),
-            SessionStats(protocol=protocol),
-            recorder=recorder, journal=journal, chunk_size=chunk_size,
-        )
-
-    def run(self, accept: Callable[[], Any]) -> Any:
-        """Serve the run to completion; returns the sender party state.
-
-        ``accept()`` must block until the next client connection and
-        return a framed transport for it (raising ``TimeoutError`` when
-        none arrives within its own deadline).
-        """
-        return run_blocking(self.steps(), open_link=accept)
-
-    def _handshake(self, transport: Any) -> tuple[Link, int]:
-        """One handshake on an already-open transport (a test seam)."""
-        return run_blocking(self.handshake(), transport)
-
-
-class ReceiverSession(ReceiverCore):
-    """Party R's resumable run: connect, hand-shake, drive, reconnect.
-
-    :class:`~repro.net.session_core.ReceiverCore` under the blocking
-    shell.
-    """
-
-    def __init__(
-        self,
-        protocol: str,
-        make_receiver: Callable[[Any], Any],
-        config: SessionConfig | None = None,
-        rng: random.Random | None = None,
-        session_id: int | None = None,
-        recorder: Any = None,
-        journal: Any = None,
-        chunk_size: int | None = None,
-    ):
-        super().__init__(
-            protocol, make_receiver,
-            config or SessionConfig(), rng or random.Random(),
-            SessionStats(protocol=protocol), session_id=session_id,
-            recorder=recorder, journal=journal, chunk_size=chunk_size,
-        )
-
-    def run(self, connect: Callable[[], Any]) -> Any:
-        """Drive the run to completion; returns the protocol answer.
-
-        ``connect()`` must dial the server and return a framed
-        transport; it is re-invoked after every transient failure, up
-        to ``config.max_reconnects`` times.
-        """
-        return run_blocking(self.steps(), open_link=connect)

@@ -20,7 +20,8 @@ dead link (``ConnectionError``/``OSError``), a refused dial - is
 *thrown into* the body at its ``yield``, so the ``except`` clauses
 here are the one place that says what is transient. The shell owns the
 link and the chunk stream and closes both when the body ends, which is
-why no body yields from a ``finally``.
+why no body yields from a ``finally``; a party's journal is its own,
+and ``steps()`` closes it however the run ends.
 
 Wire frames (every frame sealed with a trailing CRC32 of the encoded
 preceding fields):
@@ -589,9 +590,9 @@ class _Party:
         self._machine: Any = None
         #: S only: every round is served, only the goodbye is left.
         self._complete = False
-        # ``journal`` is an open SessionJournal (recovery and the
-        # supervised server pass one) or a JournalDir to open this
-        # session's file from once its id is known.
+        # ``journal`` is an open SessionJournal (recovery passes one)
+        # or a JournalDir to open this session's file from once its id
+        # is known.
         if not isinstance(journal, (JournalDir, SessionJournal, type(None))):
             raise TypeError(
                 f"journal= takes a SessionJournal or JournalDir, "
@@ -646,36 +647,43 @@ class _Party:
         R. Every :data:`OPEN` asks for the next connection - S accepts, R
         dials - and is re-issued after each transient failure, up to
         ``config.max_reconnects`` times. A ``TimeoutError`` thrown in
-        (nobody connected) counts as a failed connection.
+        (nobody connected) counts as a failed connection. However the
+        run ends, the journal is closed before its outcome leaves.
         """
         failures = 0
-        while True:
-            try:
-                yield OPEN
-                result = yield from self._connection()
-                self.stats.finish()
-                return result
-            except (HandshakeError, SessionAborted):
-                raise
-            except (SessionError, ValueError, *_TRANSIENT) as exc:
-                if self._complete:
+        try:
+            while True:
+                try:
+                    yield OPEN
+                    result = yield from self._connection()
                     self.stats.finish()
-                    return self._machine.state
-                failures += 1
-                self.stats.reconnects += 1
-                if failures > self.config.max_reconnects:
-                    raise SessionError(
-                        f"{self.role} session gave up after {failures} "
-                        f"failed connections: {exc}"
-                    ) from exc
-                if self.emits == "R":  # R dials, so R paces the redial
-                    delay = self.config.retry.delay_s(failures - 1, self.rng)
-                    hint = getattr(exc, "retry_after_s", None)
-                    if hint is not None:
-                        # A worker-lost notice names its respawn window;
-                        # redialing earlier just burns a reconnect.
-                        delay = max(delay, busy_backoff_s(hint, self.rng))
-                    yield Sleep(delay)
+                    return result
+                except (HandshakeError, SessionAborted):
+                    raise
+                except (SessionError, ValueError, *_TRANSIENT) as exc:
+                    if self._complete:
+                        self.stats.finish()
+                        return self._machine.state
+                    failures += 1
+                    self.stats.reconnects += 1
+                    if failures > self.config.max_reconnects:
+                        raise SessionError(
+                            f"{self.role} session gave up after {failures} "
+                            f"failed connections: {exc}"
+                        ) from exc
+                    if self.emits == "R":  # R dials, so R paces the redial
+                        delay = self.config.retry.delay_s(failures - 1, self.rng)
+                        hint = getattr(exc, "retry_after_s", None)
+                        if hint is not None:
+                            # A worker-lost notice names its respawn window;
+                            # redialing earlier just burns a reconnect.
+                            delay = max(delay, busy_backoff_s(hint, self.rng))
+                        yield Sleep(delay)
+        finally:
+            # The journal is this party's own (it opened it): closed
+            # however the run ends - a completed run already rotated it.
+            if self.journal is not None:
+                self.journal.close()
 
     def _walk(self, link: Link, machine: Any) -> Steps:
         """Walk the round schedule: produce our rounds, receive theirs."""
@@ -844,8 +852,8 @@ class SenderCore(_Party):
 
     A reconnecting client announces its receive cursor and the session
     replays exactly the cached frames it is missing. :meth:`steps` is
-    the whole run; :class:`~repro.net.session.SenderSession` is this
-    class plus the blocking shell.
+    the whole run; build one with
+    :func:`~repro.net.journal.open_session`.
     """
 
     role, emits = "sender", "S"
@@ -975,10 +983,8 @@ class ReceiverCore(_Party):
     Like :class:`SenderCore`, R walks the protocol's registered round
     schedule with a persistent party machine and caches every round
     payload, so a reconnect resumes mid-schedule instead of restarting
-    the run. :meth:`steps` is the whole run;
-    :class:`~repro.net.session.ReceiverSession` is this class plus the
-    blocking shell, :func:`~repro.net.aio.connect_receiver_async` runs
-    it under the asyncio one.
+    the run. :meth:`steps` is the whole run; build one with
+    :func:`~repro.net.journal.open_session`.
     """
 
     role, emits = "receiver", "R"

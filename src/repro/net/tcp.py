@@ -46,15 +46,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..protocols.parties import PublicParams, ReceiverMachine, SenderMachine
-from ..protocols.spec import PROTOCOLS, ProtocolSpec, get_spec
+from ..protocols.spec import ProtocolSpec, get_spec
 from . import serialization
-from .journal import JournalDir, restart_session
-from .session import (
-    ReceiverSession,
-    SenderSession,
-    SessionConfig,
-    SessionStats,
-)
+from .journal import JournalDir, open_session
+from .session import SessionConfig, SessionStats, run_blocking
 from .streaming import TimedIterator, prefetch
 
 __all__ = [
@@ -63,7 +58,6 @@ __all__ = [
     "SocketEndpoint",
     "serve",
     "connect",
-    "SESSION_PROTOCOLS",
     "serve_resumable_sender",
     "connect_resumable_receiver",
 ]
@@ -176,6 +170,24 @@ def _listen(
     return listener
 
 
+def _wrapped(
+    endpoint: SocketEndpoint,
+    wrapper: Callable[[SocketEndpoint], Any] | None,
+) -> Any:
+    """``endpoint`` under ``wrapper`` (fault injector, recorder, ...).
+
+    Every accepted or dialed connection is wrapped *here* so a wrapper
+    that raises cannot leak the socket.
+    """
+    if wrapper is None:
+        return endpoint
+    try:
+        return wrapper(endpoint)
+    except BaseException:
+        endpoint.close()
+        raise
+
+
 def _accept_one(
     host: str,
     port: int,
@@ -184,11 +196,7 @@ def _accept_one(
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
 ) -> Any:
-    """Listen, announce the bound port, return the first client.
-
-    The wrapper (fault injector, recorder, ...) is applied *here* so a
-    wrapper that raises cannot leak the accepted socket.
-    """
+    """Listen, announce the bound port, return the first client."""
     listener = _listen(host, port, timeout)
     try:
         if ready_callback is not None:
@@ -203,14 +211,10 @@ def _accept_one(
         listener.close()
     conn.settimeout(timeout)
     _nodelay(conn)
-    endpoint = SocketEndpoint(sock=conn, max_frame_bytes=max_frame_bytes)
-    if endpoint_wrapper is None:
-        return endpoint
-    try:
-        return endpoint_wrapper(endpoint)
-    except BaseException:
-        conn.close()
-        raise
+    return _wrapped(
+        SocketEndpoint(sock=conn, max_frame_bytes=max_frame_bytes),
+        endpoint_wrapper,
+    )
 
 
 def _dial(
@@ -218,9 +222,13 @@ def _dial(
     port: int,
     timeout: float | None,
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> SocketEndpoint:
+    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
+) -> Any:
     sock = _nodelay(socket.create_connection((host, port), timeout=timeout))
-    return SocketEndpoint(sock=sock, max_frame_bytes=max_frame_bytes)
+    return _wrapped(
+        SocketEndpoint(sock=sock, max_frame_bytes=max_frame_bytes),
+        endpoint_wrapper,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -391,15 +399,7 @@ def connect(
     auto-detected regardless.
     """
     spec = get_spec(protocol)
-    endpoint = _dial(host, port, timeout, max_frame_bytes)
-    if endpoint_wrapper is None:
-        transport = endpoint
-    else:
-        try:
-            transport = endpoint_wrapper(endpoint)
-        except BaseException:
-            endpoint.close()
-            raise
+    transport = _dial(host, port, timeout, max_frame_bytes, endpoint_wrapper)
     try:
         tag, wire_params = transport.recv()
         if tag != "params":
@@ -425,15 +425,6 @@ def connect(
 # ----------------------------------------------------------------------
 # Resumable runs under the session layer
 # ----------------------------------------------------------------------
-#: protocol name -> (sender factory, receiver factory); both take
-#: ``(data, params, rng)`` where ``data`` is the party's private input.
-#: Derived from the spec registry; kept as a public back-compat view.
-SESSION_PROTOCOLS: dict[str, tuple[Callable, Callable]] = {
-    name: (spec.make_sender, spec.make_receiver)
-    for name, spec in PROTOCOLS.items()
-}
-
-
 def _journal_dir(journal_dir: Any, fsync: bool) -> JournalDir | None:
     """``journal_dir=`` as given to the resumable helpers, opened."""
     if journal_dir is None or isinstance(journal_dir, JournalDir):
@@ -479,7 +470,7 @@ def serve_resumable_sender(
     ``rng`` *and* ``chunk_size`` match the crashed process (replay
     verifies the bytes exactly). A run that completed but died before
     its journal was rotated is rotated first
-    (:func:`~repro.net.journal.restart_session` is the whole rule).
+    (:func:`~repro.net.journal.open_session` is the whole rule).
 
     ``make_sender`` overrides the default state factory (which builds
     ``spec.make_sender(data, params, rng)``); the stateful Catalog
@@ -495,17 +486,11 @@ def serve_resumable_sender(
     session_rng = random.Random(rng.getrandbits(64))
     if make_sender is None:
         make_sender = lambda: spec.make_sender(data, params, rng, engine=engine)  # noqa: E731
-    journal_dir = _journal_dir(journal_dir, journal_fsync)
-    common = dict(
-        config=config, rng=session_rng, recorder=recorder, chunk_size=chunk_size
+    core, _ = open_session(
+        "sender", protocol, make_sender, params=params,
+        journal_dir=_journal_dir(journal_dir, journal_fsync), config=config,
+        rng=session_rng, recorder=recorder, chunk_size=chunk_size,
     )
-    session, _ = restart_session(
-        journal_dir, "sender", protocol, make_sender, params=params, **common
-    )
-    if session is None:
-        session = SenderSession(
-            protocol, params, make_sender, journal=journal_dir, **common
-        )
     listener = _listen(
         host, port, config.timeout_s * config.retry.max_attempts
     )
@@ -520,13 +505,12 @@ def serve_resumable_sender(
                 raise TimeoutError("no client (re)connected in time") from exc
             conn.settimeout(config.timeout_s)
             _nodelay(conn)
-            endpoint = SocketEndpoint(
-                sock=conn, max_frame_bytes=max_frame_bytes
+            return _wrapped(
+                SocketEndpoint(sock=conn, max_frame_bytes=max_frame_bytes),
+                endpoint_wrapper,
             )
-            return endpoint_wrapper(endpoint) if endpoint_wrapper else endpoint
 
-        sender = session.run(accept)
-        return sender.size_v_r, session.stats
+        return run_blocking(core.steps(), open_link=accept).size_v_r, core.stats
     finally:
         listener.close()
 
@@ -563,7 +547,7 @@ def connect_resumable_receiver(
     verifies it), reconnecting under the journaled session id so the
     server resumes the same run. A run whose answer was fully journaled
     before the crash (only the rotation was lost) is answered from the
-    journal without dialing (:func:`~repro.net.journal.restart_session`).
+    journal without dialing (:func:`~repro.net.journal.open_session`).
 
     ``make_receiver`` overrides the default state factory (a
     ``wire_params -> state`` closure over ``spec.make_receiver``); the
@@ -579,23 +563,16 @@ def connect_resumable_receiver(
         make_receiver = lambda wire: spec.make_receiver(  # noqa: E731
             data, PublicParams.from_wire(tuple(wire)), rng, engine=engine
         )
-    journal_dir = _journal_dir(journal_dir, journal_fsync)
-    common = dict(
-        config=config, rng=session_rng, recorder=recorder, chunk_size=chunk_size
+    core, answer = open_session(
+        "receiver", protocol, make_receiver,
+        journal_dir=_journal_dir(journal_dir, journal_fsync), config=config,
+        rng=session_rng, recorder=recorder, chunk_size=chunk_size,
     )
-    session, answer = restart_session(
-        journal_dir, "receiver", protocol, make_receiver, **common
-    )
-    if answer is not None:
-        return answer, session.stats
-    if session is None:
-        session = ReceiverSession(
-            protocol, make_receiver, journal=journal_dir, **common
+    if answer is None:
+        answer = run_blocking(
+            core.steps(),
+            open_link=lambda: _dial(
+                host, port, config.timeout_s, max_frame_bytes, endpoint_wrapper
+            ),
         )
-
-    def dial() -> Any:
-        endpoint = _dial(host, port, config.timeout_s, max_frame_bytes)
-        return endpoint_wrapper(endpoint) if endpoint_wrapper else endpoint
-
-    answer = session.run(dial)
-    return answer, session.stats
+    return answer, core.stats

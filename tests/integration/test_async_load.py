@@ -26,12 +26,13 @@ import pytest
 
 from repro.net import tcp
 from repro.net.aio import connect_receiver_async
+from repro.net.journal import open_session
 from repro.net.session import (
-    ReceiverSession,
     RetryPolicy,
     ServerBusyError,
     SessionConfig,
     busy_backoff_s,
+    run_blocking,
 )
 from repro.net.shard import ShardedProtocolServer
 from repro.protocols.parties import PublicParams
@@ -169,8 +170,8 @@ def test_reconnect_routing_while_the_herd_is_in_flight(params):
 
     def run_flaky(i: int) -> None:
         try:
-            session = ReceiverSession(
-                "intersection", make_receiver(i),
+            session, _ = open_session(
+                "receiver", "intersection", make_receiver(i),
                 config=_config(), rng=random.Random(30_000 + i),
             )
             dials = {"count": 0}
@@ -191,7 +192,7 @@ def test_reconnect_routing_while_the_herd_is_in_flight(params):
                     endpoint.recv = recv_once_then_die
                 return endpoint
 
-            answer = session.run(dial)
+            answer = run_blocking(session.steps(), open_link=dial)
             assert dials["count"] >= 2
             results[i] = sorted(answer)
             session_ids[i] = session.session_id

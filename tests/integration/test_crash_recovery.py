@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.net import tcp
-from repro.net.journal import DONE_SUFFIX, WAL_SUFFIX
+from repro.net.journal import DONE_SUFFIX, WAL_SUFFIX, open_session
 from repro.net.serialization import (
     decode,
     encode,
@@ -38,7 +38,7 @@ from repro.net.serialization import (
     is_chunk_end,
     is_chunk_frame,
 )
-from repro.net.session import ReceiverSession, RetryPolicy, SessionConfig
+from repro.net.session import RetryPolicy, SessionConfig, run_blocking
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS
 
@@ -150,8 +150,8 @@ def test_sigkill_mid_run_recovers_byte_identical(name, tmp_path):
         _wait_for(port_file.exists, 30.0, "the sender to bind")
 
         frames: dict = {}
-        session = ReceiverSession(
-            name,
+        session, _ = open_session(
+            "receiver", name,
             lambda wire: spec.make_receiver(
                 _receiver_inputs(name),
                 PublicParams.from_wire(tuple(wire)),
@@ -169,7 +169,7 @@ def test_sigkill_mid_run_recovers_byte_identical(name, tmp_path):
         answer_box: dict = {}
 
         def client():
-            answer_box["answer"] = session.run(dial)
+            answer_box["answer"] = run_blocking(session.steps(), open_link=dial)
 
         thread = threading.Thread(target=client)
         thread.start()
@@ -284,8 +284,8 @@ def test_sigkill_mid_chunk_resumes_byte_identical(tmp_path):
         _wait_for(port_file.exists, 30.0, "the sender to bind")
 
         frames: dict = {}
-        session = ReceiverSession(
-            name,
+        session, _ = open_session(
+            "receiver", name,
             lambda wire: spec.make_receiver(
                 _receiver_inputs(name),
                 PublicParams.from_wire(tuple(wire)),
@@ -304,7 +304,7 @@ def test_sigkill_mid_chunk_resumes_byte_identical(tmp_path):
         answer_box: dict = {}
 
         def client():
-            answer_box["answer"] = session.run(dial)
+            answer_box["answer"] = run_blocking(session.steps(), open_link=dial)
 
         thread = threading.Thread(target=client)
         thread.start()

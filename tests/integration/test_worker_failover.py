@@ -131,10 +131,11 @@ def test_budget_exhaustion_is_contained_to_the_failed_shard(tmp_path):
 
         # A full client run on the healthy shard completes end to end.
         from repro.protocols.spec import get_spec
-        from repro.net.session import ReceiverSession
+        from repro.net.journal import open_session
+        from repro.net.session import run_blocking
 
-        session = ReceiverSession(
-            "intersection",
+        session, _ = open_session(
+            "receiver", "intersection",
             lambda wire: get_spec("intersection").make_receiver(
                 ["a", "b", "c"],
                 PublicParams.from_wire(tuple(wire)),
@@ -144,8 +145,9 @@ def test_budget_exhaustion_is_contained_to_the_failed_shard(tmp_path):
             rng=random.Random(3),
             session_id=11,  # odd: shard 1
         )
-        answer = session.run(
-            lambda: tcp._dial("127.0.0.1", server.port, timeout=5.0)
+        answer = run_blocking(
+            session.steps(),
+            open_link=lambda: tcp._dial("127.0.0.1", server.port, timeout=5.0),
         )
         assert sorted(answer) == ["b", "c"]
     states = {r["shard"]: r["state"] for r in server.drain_report}

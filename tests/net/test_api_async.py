@@ -53,7 +53,7 @@ class TestHostedJournal:
         with server:
             connected = repro.connect(
                 "intersection", ["a", "b"], seed=4, port=server.port,
-                session=repro.SessionOptions(), config=_config(),
+                session=repro.SessionOptions(config=_config()),
             )
             assert server.wait_for_sessions(1, timeout=10)
         assert sorted(connected.answer) == ["b"]
@@ -85,7 +85,7 @@ class TestConnectRetryBusy:
             )
             connected = repro.connect(
                 "intersection", ["a", "b", "c"], seed=5, port=server.port,
-                session=repro.SessionOptions(), config=_config(),
+                session=repro.SessionOptions(config=_config()),
                 retry="attempts=41,base=0.001,max-delay=0.001",
             )
             holder.close()
@@ -134,9 +134,10 @@ class TestConnectUnifiedRetry:
             )
             connected = repro.connect(
                 "intersection", ["a", "b", "c"], seed=5, port=server.port,
-                session=repro.SessionOptions(), config=_config(),
+                session=repro.SessionOptions(config=_config()),
                 retry=ClientRetryPolicy(
-                    max_attempts=40, base_delay_s=0.02, max_delay_s=0.2
+                    max_attempts=40,
+                    backoff=RetryPolicy(base_delay_s=0.02, max_delay_s=0.2),
                 ),
             )
             holder.close()

@@ -3,10 +3,9 @@
 Three properties anchor the repeated-query redesign:
 
 * **Golden parity** - the first (full) query through a Catalog puts
-  exactly the bytes of the legacy one-shot drivers on the wire, for
-  every registered protocol, in both roles.  The announce dialect adds
-  precisely one framing message (the query announcement) and nothing
-  else.
+  exactly the bytes of the one-shot drivers on the wire, for every
+  registered protocol, seen from either end, behind precisely one
+  framing message (the query announcement) and nothing else.
 * **Delta correctness** - a delta query's answer equals a fresh full
   run over the mutated tables, and so does the party state it commits
   (delta ∘ full ≡ full), for every protocol, whole or streamed, with
@@ -96,76 +95,52 @@ def _serve_recording(protocol, v_s, log):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("protocol", BASE_PROTOCOLS)
 class TestGoldenParity:
-    def test_catalog_client_matches_legacy_client(self, protocol):
-        """Same seeds, same server: a Catalog client's full query puts
-        the identical messages on the wire as legacy tcp.connect."""
+    def test_catalog_client_matches_legacy_client(self, protocol, monkeypatch):
+        """Same seeds: what a Catalog client sends and receives is its
+        announcement, then exactly legacy tcp.connect's transcript."""
         v_r, v_s = _tables(protocol)
 
         legacy_log = []
-        thread, ports, _ = _serve_recording(protocol, v_s, legacy_log)
+        thread, ports, _ = _serve_recording(protocol, v_s, [])
         legacy_answer = tcp.connect(
             protocol, v_r, random.Random("R"), "127.0.0.1", ports[0],
             timeout=10.0,
+            endpoint_wrapper=lambda e: _RecordingTransport(e, legacy_log),
         )
         thread.join(timeout=10)
 
         catalog_log = []
-        thread, ports, _ = _serve_recording(protocol, v_s, catalog_log)
-        catalog = repro.open_catalog(v_r, rng=random.Random("R"))
-        peer = catalog.connect(
-            "127.0.0.1", port=ports[0], timeout=10.0, announce=False
+        dial = tcp._dial
+        monkeypatch.setattr(
+            tcp, "_dial",
+            lambda *a, **k: _RecordingTransport(dial(*a, **k), catalog_log),
         )
-        result = peer.query(protocol)
+        server_peer = repro.open_catalog(
+            v_s, params=PARAMS, rng=random.Random("S")
+        ).serve(port=0, timeout=10.0)
+        thread = threading.Thread(target=server_peer.query, args=(protocol,))
+        thread.start()
+        catalog = repro.open_catalog(v_r, rng=random.Random("R"))
+        result = catalog.connect(
+            "127.0.0.1", port=server_peer.port, timeout=10.0
+        ).query(protocol)
         thread.join(timeout=10)
+        server_peer.close()
 
         assert result.mode == "full"
         assert result.answer == legacy_answer
-        assert catalog_log == legacy_log
-
-    def test_catalog_server_matches_legacy_server(self, protocol):
-        """Same seeds, same client: a Catalog server peer answers with
-        the identical messages as legacy tcp.serve."""
-        v_r, v_s = _tables(protocol)
-
-        def run_client(port, log):
-            return tcp.connect(
-                protocol, v_r, random.Random("R"), "127.0.0.1", port,
-                timeout=10.0,
-                endpoint_wrapper=lambda e: _RecordingTransport(e, log),
-            )
-
-        legacy_log = []
-        thread, ports, box = _serve_recording(protocol, v_s, [])
-        legacy_answer = run_client(ports[0], legacy_log)
-        thread.join(timeout=10)
-
-        catalog_log = []
-        catalog = repro.open_catalog(
-            v_s, params=PARAMS, rng=random.Random("S")
-        )
-        peer = catalog.serve(port=0, timeout=10.0, announce=False)
-        box2 = {}
-
-        def serve_thread():
-            box2["result"] = peer.query(protocol)
-
-        thread = threading.Thread(target=serve_thread)
-        thread.start()
-        answer = run_client(peer.port, catalog_log)
-        thread.join(timeout=10)
-        peer.close()
-
-        assert answer == legacy_answer
-        assert catalog_log == legacy_log
-        assert box2["result"].size_v_r == box["size_v_r"]
+        assert catalog_log == [
+            ("sent", ("query", protocol, "full")), *legacy_log
+        ]
 
     def test_announce_dialect_adds_exactly_one_frame(self, protocol):
         """Catalog-to-catalog queries announce (protocol, kind) first;
-        every byte after that announcement is the legacy transcript."""
+        every byte after that announcement is the legacy transcript,
+        and the serving Catalog learns what legacy tcp.serve learns."""
         v_r, v_s = _tables(protocol)
 
         legacy_log = []
-        thread, ports, _ = _serve_recording(protocol, v_s, legacy_log)
+        thread, ports, legacy = _serve_recording(protocol, v_s, legacy_log)
         tcp.connect(
             protocol, v_r, random.Random("R"), "127.0.0.1", ports[0],
             timeout=10.0,
@@ -200,6 +175,7 @@ class TestGoldenParity:
             "received", ("query", protocol, "full")
         )
         assert announce_log[1:] == legacy_log
+        assert box["result"].size_v_r == legacy["size_v_r"]
 
 
 class _ListenerRecorder:
@@ -440,15 +416,22 @@ def test_warm_start_is_wire_identical(tmp_path):
     v_r, v_s = _tables("intersection")
 
     def run_once(log):
-        thread, ports, _ = _serve_recording("intersection", v_s, log)
+        server_peer = repro.open_catalog(
+            v_s, params=PARAMS, rng=random.Random("S")
+        ).serve(port=0, timeout=10.0)
+        server_peer._listener = _ListenerRecorder(server_peer._listener, log)
+        thread = threading.Thread(
+            target=server_peer.query, args=("intersection",)
+        )
+        thread.start()
         catalog = repro.open_catalog(
             v_r, rng=random.Random("R"), cache_dir=tmp_path / "r"
         )
-        peer = catalog.connect(
-            "127.0.0.1", port=ports[0], timeout=10.0, announce=False
-        )
-        result = peer.query("intersection")
+        result = catalog.connect(
+            "127.0.0.1", port=server_peer.port, timeout=10.0
+        ).query("intersection")
         thread.join(timeout=10)
+        server_peer.close()
         return result
 
     cold_log, warm_log = [], []

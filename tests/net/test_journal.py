@@ -20,18 +20,12 @@ from repro.net.journal import (
     JournalDir,
     JournalError,
     SessionJournal,
+    open_session,
     peek_state,
-    recover_receiver_session,
-    recover_sender_session,
     replay_state,
 )
 from repro.net.serialization import encode
-from repro.net.session import (
-    ReceiverSession,
-    RetryPolicy,
-    SenderSession,
-    SessionConfig,
-)
+from repro.net.session import RetryPolicy, SessionConfig, run_blocking
 from repro.net.tcp import SocketEndpoint
 from repro.protocols.parties import (
     PublicParams,
@@ -307,12 +301,12 @@ def test_recover_sender_restores_cursor_and_caches(tmp_path, params):
         path, "sender", "intersection", 1, params, wires, rounds=2, emits="S"
     )
     _, s_data = _inputs("intersection")
-    session = recover_sender_session(
-        path, params,
+    session, _ = open_session(
+        "sender", "intersection",
         lambda: PROTOCOLS["intersection"].make_sender(
             s_data, params, random.Random("S")
         ),
-        fsync=False,
+        params=params, journal_dir=JournalDir(tmp_path, fsync=False),
     )
     assert session.stats.rounds_recovered == 2
     assert session._session_id == 1
@@ -329,12 +323,12 @@ def test_recover_sender_rejects_divergent_seed(tmp_path, params):
     )
     _, s_data = _inputs("intersection")
     with pytest.raises(JournalError, match="diverges"):
-        recover_sender_session(
-            path, params,
+        open_session(
+            "sender", "intersection",
             lambda: PROTOCOLS["intersection"].make_sender(
                 s_data, params, random.Random("WRONG-SEED")
             ),
-            fsync=False,
+            params=params, journal_dir=JournalDir(tmp_path, fsync=False),
         )
 
 
@@ -346,12 +340,12 @@ def test_recover_receiver_restores_session_id_and_params(tmp_path, params):
         emits="R",
     )
     r_data, _ = _inputs("intersection")
-    session = recover_receiver_session(
-        path,
+    session, _ = open_session(
+        "receiver", "intersection",
         lambda wire: PROTOCOLS["intersection"].make_receiver(
             r_data, PublicParams.from_wire(tuple(wire)), random.Random("R")
         ),
-        fsync=False,
+        journal_dir=JournalDir(tmp_path, fsync=False),
     )
     assert session.session_id == 3
     assert session._params_wire == tuple(params.to_wire())
@@ -360,14 +354,13 @@ def test_recover_receiver_restores_session_id_and_params(tmp_path, params):
 
 
 def test_recover_receiver_rejects_rounds_before_params(tmp_path):
-    journal = SessionJournal(tmp_path / "r.wal", fsync=False)
-    journal.record_open("receiver", "intersection")
-    journal.record_meta("session_id", 4)
+    jdir = JournalDir(tmp_path, fsync=False)
+    journal = jdir.open_session("receiver", "intersection", 4)
     journal.record_outbound(0, encode(("a round", "with no params")))
     journal.close()
     with pytest.raises(JournalError, match="before the"):
-        recover_receiver_session(
-            tmp_path / "r.wal", lambda wire: None, fsync=False
+        open_session(
+            "receiver", "intersection", lambda wire: None, journal_dir=jdir
         )
 
 
@@ -395,17 +388,18 @@ def test_recovered_pair_completes_the_run(tmp_path, params):
         max_reconnects=1,
         fin_grace_s=0.05,
     )
-    sender_session = recover_sender_session(
-        s_path, params,
+    jdir = JournalDir(tmp_path, fsync=False)
+    sender_session, _ = open_session(
+        "sender", name,
         lambda: spec.make_sender(s_data, params, random.Random("S")),
-        config=config, fsync=False,
+        params=params, journal_dir=jdir, config=config,
     )
-    receiver_session = recover_receiver_session(
-        r_path,
+    receiver_session, _ = open_session(
+        "receiver", name,
         lambda wire: spec.make_receiver(
             r_data, PublicParams.from_wire(tuple(wire)), random.Random("R")
         ),
-        config=config, fsync=False,
+        journal_dir=jdir, config=config,
     )
     raw_s, raw_r = socket.socketpair()
     raw_s.settimeout(10.0)
@@ -414,11 +408,13 @@ def test_recovered_pair_completes_the_run(tmp_path, params):
     box = {}
     thread = threading.Thread(
         target=lambda: box.update(
-            state=sender_session.run(lambda: next(connections))
+            state=run_blocking(sender_session.steps(), open_link=connections.__next__)
         )
     )
     thread.start()
-    answer = receiver_session.run(lambda: SocketEndpoint(sock=raw_r))
+    answer = run_blocking(
+        receiver_session.steps(), open_link=lambda: SocketEndpoint(sock=raw_r)
+    )
     thread.join(timeout=10)
     assert not thread.is_alive()
 
@@ -432,7 +428,7 @@ def test_recovered_pair_completes_the_run(tmp_path, params):
 
 
 def test_fresh_journaled_sessions_rotate_on_completion(tmp_path, params):
-    """A clean run under ``journal=JournalDir(...)`` leaves only .done."""
+    """A clean run under ``journal_dir=JournalDir(...)`` leaves only .done."""
     name = "intersection"
     spec = PROTOCOLS[name]
     r_data, s_data = _inputs(name)
@@ -443,27 +439,31 @@ def test_fresh_journaled_sessions_rotate_on_completion(tmp_path, params):
         max_reconnects=1,
         fin_grace_s=0.05,
     )
-    sender_session = SenderSession(
-        name, params,
+    sender_session, _ = open_session(
+        "sender", name,
         lambda: spec.make_sender(s_data, params, random.Random("S")),
-        config=config, rng=random.Random(1), journal=jdir,
+        params=params, journal_dir=jdir, config=config, rng=random.Random(1),
     )
-    receiver_session = ReceiverSession(
-        name,
+    receiver_session, _ = open_session(
+        "receiver", name,
         lambda wire: spec.make_receiver(
             r_data, PublicParams.from_wire(tuple(wire)), random.Random("R")
         ),
-        config=config, rng=random.Random(2), journal=jdir,
+        journal_dir=jdir, config=config, rng=random.Random(2),
     )
     raw_s, raw_r = socket.socketpair()
     raw_s.settimeout(10.0)
     raw_r.settimeout(10.0)
     connections = iter([SocketEndpoint(sock=raw_s)])
     thread = threading.Thread(
-        target=lambda: sender_session.run(lambda: next(connections))
+        target=lambda: run_blocking(
+            sender_session.steps(), open_link=connections.__next__
+        )
     )
     thread.start()
-    answer = receiver_session.run(lambda: SocketEndpoint(sock=raw_r))
+    answer = run_blocking(
+        receiver_session.steps(), open_link=lambda: SocketEndpoint(sock=raw_r)
+    )
     thread.join(timeout=10)
     assert not thread.is_alive()
 
@@ -472,3 +472,94 @@ def test_fresh_journaled_sessions_rotate_on_completion(tmp_path, params):
     assert not list(tmp_path.glob("*.wal"))
     assert len(list(tmp_path.glob(f"*{DONE_SUFFIX}"))) == 2
     assert jdir.incomplete() == []
+
+
+# ----------------------------------------------------------------------
+# open_session: what each kind of leftover journal turns into
+# ----------------------------------------------------------------------
+def _open(role, params, jdir, seed=None, **options):
+    """``open_session`` for an intersection party seeded like the run
+    :func:`_machine_wires` journals (or, with ``seed``, unlike it)."""
+    spec = PROTOCOLS["intersection"]
+    r_data, s_data = _inputs("intersection")
+    if role == "sender":
+        make = lambda: spec.make_sender(  # noqa: E731
+            s_data, params, random.Random(seed or "S")
+        )
+    else:
+        make = lambda wire: spec.make_receiver(  # noqa: E731
+            r_data, PublicParams.from_wire(tuple(wire)), random.Random(seed or "R")
+        )
+    return open_session(
+        role, "intersection", make, params=params, journal_dir=jdir,
+        rng=random.Random(5), **options,
+    )
+
+
+def _leave_behind(tmp_path, role, params, rounds, complete=False):
+    """A ``role`` journal of ``rounds`` rounds; the path and the answer."""
+    wires, expected = _machine_wires("intersection", params)
+    path = tmp_path / f"{role}-intersection-{9:016x}.wal"
+    _write_party_journal(
+        path, role, "intersection", 9, params, wires, rounds, role[0].upper()
+    )
+    if complete:
+        journal = SessionJournal(path, fsync=False)
+        journal.record_complete()
+        journal.close()
+    return path, expected
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+@pytest.mark.parametrize(
+    "left_behind", ["no-dir", "empty", "stub", "incomplete", "complete"]
+)
+def test_open_session_table(tmp_path, params, role, left_behind):
+    jdir = None if left_behind == "no-dir" else JournalDir(tmp_path, fsync=False)
+    # S crashed with its reply journaled and unshipped, R with Y_R out.
+    rounds = {"sender": 2, "receiver": 1}[role]
+    path = expected = None
+    if left_behind == "stub":
+        stub = jdir.open_session(role, "intersection", 9)
+        stub.close()
+        path = stub.path
+    elif left_behind != "no-dir" and left_behind != "empty":
+        path, expected = _leave_behind(
+            tmp_path, role, params,
+            2 if left_behind == "complete" else rounds,
+            complete=left_behind == "complete",
+        )
+
+    core, answer = _open(role, params, jdir)
+
+    if left_behind == "incomplete":  # recovered at the exact cursor
+        assert answer is None and core.journal.path == path
+        assert core.stats.rounds_recovered == rounds
+        assert (len(core.log.inbound), len(core.log.outbound)) == (rounds - 1, 1)
+        assert core.log.attempted_sends == {0}
+        assert 9 == (core._session_id if role == "sender" else core.session_id)
+    elif left_behind == "complete" and role == "receiver":
+        # Answered from the journal: nothing to run, nothing dialed.
+        assert answer == expected and core.stats.frames_sent == 0
+    else:  # fresh
+        assert answer is None and core.stats.rounds_recovered == 0
+        assert core.log.inbound == core.log.outbound == []
+        assert (core.journal is None) == (jdir is None or role == "sender")
+    if path is not None and left_behind != "incomplete":
+        # The stub is deleted, the completed journal rotated.
+        assert not path.exists()
+        assert path.with_suffix(DONE_SUFFIX).exists() == (left_behind == "complete")
+    if core.journal is not None:
+        core.journal.close()
+
+
+@pytest.mark.parametrize("role", ["sender", "receiver"])
+@pytest.mark.parametrize("wrong,match", [
+    ({"chunk_size": 3}, "chunk_size"), ({"seed": "WRONG-SEED"}, "diverges"),
+])
+def test_open_session_refuses_a_journal_it_cannot_replay(
+    tmp_path, params, role, wrong, match
+):
+    _leave_behind(tmp_path, role, params, {"sender": 2, "receiver": 1}[role])
+    with pytest.raises(JournalError, match=match):
+        _open(role, params, JournalDir(tmp_path, fsync=False), **wrong)

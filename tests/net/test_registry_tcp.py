@@ -31,7 +31,6 @@ def params():
 
 def test_equijoin_sum_is_registry_only():
     assert "equijoin-sum" in PROTOCOLS
-    assert "equijoin-sum" in tcp.SESSION_PROTOCOLS
     bespoke = [name for name in dir(tcp) if "equijoin_sum" in name.lower()]
     assert bespoke == [], f"unexpected bespoke equijoin-sum helpers: {bespoke}"
 

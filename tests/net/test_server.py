@@ -19,15 +19,15 @@ import pytest
 
 from repro.analysis.instrumentation import MetricsRecorder
 from repro.net import tcp
-from repro.net.journal import JournalDir
+from repro.net.journal import JournalDir, open_session
 from repro.net.serialization import encode
 from repro.net.server import ProtocolOffer, ProtocolServer
 from repro.net.session import (
     SESSION_VERSION,
-    ReceiverSession,
     RetryPolicy,
     ServerBusyError,
     SessionConfig,
+    run_blocking,
     seal,
     unseal,
 )
@@ -142,8 +142,8 @@ def test_four_concurrent_protocols_and_busy_rejection(params):
             def run(protocol=protocol, sid=100 + i):
                 v_r, _ = _values()
                 spec = PROTOCOLS[protocol]
-                session = ReceiverSession(
-                    protocol,
+                session, _ = open_session(
+                    "receiver", protocol,
                     lambda wire: spec.make_receiver(
                         v_r, PublicParams.from_wire(tuple(wire)),
                         random.Random("R"),
@@ -152,8 +152,9 @@ def test_four_concurrent_protocols_and_busy_rejection(params):
                     rng=random.Random(i),
                     session_id=sid,
                 )
-                answers[protocol] = session.run(
-                    lambda: tcp._dial("127.0.0.1", server.port, 2.0)
+                answers[protocol] = run_blocking(
+                    session.steps(),
+                    open_link=lambda: tcp._dial("127.0.0.1", server.port, 2.0),
                 )
             threads.append(threading.Thread(target=run))
         for holder in holders:
@@ -188,8 +189,8 @@ def test_reconnect_routes_to_owning_session(params):
 
         v_r, _ = _values()
         spec = PROTOCOLS["intersection"]
-        session = ReceiverSession(
-            "intersection",
+        session, _ = open_session(
+            "receiver", "intersection",
             lambda wire: spec.make_receiver(
                 v_r, PublicParams.from_wire(tuple(wire)), random.Random("R")
             ),
@@ -197,8 +198,9 @@ def test_reconnect_routes_to_owning_session(params):
             rng=random.Random(3),
             session_id=0xBEEF,
         )
-        answer = session.run(
-            lambda: tcp._dial("127.0.0.1", server.port, 2.0)
+        answer = run_blocking(
+            session.steps(),
+            open_link=lambda: tcp._dial("127.0.0.1", server.port, 2.0),
         )
         assert answer == {f"c{i}" for i in range(N // 2)}
     finally:
@@ -320,17 +322,16 @@ def test_server_recovers_journaled_session_for_unknown_id(
         journal_dir=jdir, recorder=recorder,
     ).start()
     try:
-        from repro.net.journal import recover_receiver_session
-
-        client = recover_receiver_session(
-            jdir.path_for("receiver", protocol, sid),
+        client, _ = open_session(
+            "receiver", protocol,
             lambda wire: PROTOCOLS[protocol].make_receiver(
                 v_r, PublicParams.from_wire(tuple(wire)), random.Random("R")
             ),
-            config=_config(), fsync=False,
+            journal_dir=jdir, config=_config(),
         )
-        answer = client.run(
-            lambda: tcp._dial("127.0.0.1", server.port, 2.0)
+        answer = run_blocking(
+            client.steps(),
+            open_link=lambda: tcp._dial("127.0.0.1", server.port, 2.0),
         )
         assert answer == expected
     finally:
@@ -398,8 +399,8 @@ def test_corrupt_journal_rejects_quarantines_and_frees_the_id(
             assert sid not in server.sessions  # the id is free again
 
         # A fresh client under the same id completes on a new journal.
-        session = ReceiverSession(
-            protocol,
+        session, _ = open_session(
+            "receiver", protocol,
             lambda wire: spec.make_receiver(
                 v_r, PublicParams.from_wire(tuple(wire)), random.Random("R2")
             ),
@@ -407,8 +408,9 @@ def test_corrupt_journal_rejects_quarantines_and_frees_the_id(
             rng=random.Random(5),
             session_id=sid,
         )
-        answer = session.run(
-            lambda: tcp._dial("127.0.0.1", server.port, 2.0)
+        answer = run_blocking(
+            session.steps(),
+            open_link=lambda: tcp._dial("127.0.0.1", server.port, 2.0),
         )
         assert answer == {f"c{i}" for i in range(N // 2)}
     finally:
@@ -462,8 +464,8 @@ def test_idle_reaper_spares_a_session_actively_exchanging_rounds(params):
         idle_timeout_s=idle_timeout_s,
     ).start()
     try:
-        session = ReceiverSession(
-            protocol,
+        session, _ = open_session(
+            "receiver", protocol,
             lambda wire: spec.make_receiver(
                 v_r, PublicParams.from_wire(tuple(wire)), random.Random("R")
             ),
@@ -472,8 +474,8 @@ def test_idle_reaper_spares_a_session_actively_exchanging_rounds(params):
             session_id=0xA11CE,
         )
         start = time.monotonic()
-        answer = session.run(
-            lambda: _SlowSendTransport(
+        answer = run_blocking(
+            session.steps(), open_link=lambda: _SlowSendTransport(
                 tcp._dial("127.0.0.1", server.port, 5.0), 0.3
             )
         )
@@ -534,8 +536,8 @@ def test_metadata_only_stub_journal_restarts_fresh(tmp_path, params):
         journal_dir=jdir, chunk_size=1,
     ).start()
     try:
-        session = ReceiverSession(
-            protocol,
+        session, _ = open_session(
+            "receiver", protocol,
             lambda wire: PROTOCOLS[protocol].make_receiver(
                 v_r, PublicParams.from_wire(tuple(wire)), random.Random("R")
             ),
@@ -544,8 +546,9 @@ def test_metadata_only_stub_journal_restarts_fresh(tmp_path, params):
             session_id=sid,
             chunk_size=1,
         )
-        answer = session.run(
-            lambda: tcp._dial("127.0.0.1", server.port, 2.0)
+        answer = run_blocking(
+            session.steps(),
+            open_link=lambda: tcp._dial("127.0.0.1", server.port, 2.0),
         )
     finally:
         server.shutdown(drain_timeout_s=2.0)

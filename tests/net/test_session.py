@@ -2,29 +2,31 @@
 
 from __future__ import annotations
 
+import os
 import random
 import socket
 import threading
 
 import pytest
 
+from repro.net.journal import open_session
 from repro.net.serialization import encode
 from repro.net.session import (
     SESSION_VERSION,
     ClientRetryPolicy,
     HandshakeError,
     RetryPolicy,
-    SenderSession,
     ServerBusyError,
     SessionConfig,
-    SessionEndpoint,
     SessionError,
     SessionStats,
     WorkerLost,
     refusal_retry_hint_s,
+    run_blocking,
     seal,
     unseal,
 )
+from repro.net.session_core import Link
 from repro.net.tcp import SocketEndpoint
 from repro.protocols.parties import PublicParams
 
@@ -81,8 +83,18 @@ class TestRetryPolicy:
         assert a == b
 
 
+class _BlockingLink(Link):
+    """A core link whose verbs run to completion on one transport."""
+
+    def send(self, payload):
+        run_blocking(super().send(payload), self.transport)
+
+    def recv(self):
+        return run_blocking(super().recv(), self.transport)
+
+
 def _endpoint_pair(timeout_s=0.5, max_attempts=3):
-    """A SessionEndpoint facing a raw framed endpoint over a socketpair."""
+    """A session link facing a raw framed endpoint over a socketpair."""
     raw_a, raw_b = socket.socketpair()
     raw_a.settimeout(2.0)
     raw_b.settimeout(2.0)
@@ -91,9 +103,8 @@ def _endpoint_pair(timeout_s=0.5, max_attempts=3):
         retry=RetryPolicy(max_attempts=max_attempts, base_delay_s=0.01,
                           max_delay_s=0.02),
     )
-    session_side = SessionEndpoint(
-        SocketEndpoint(sock=raw_a), config, SessionStats(), random.Random(0)
-    )
+    session_side = _BlockingLink(config, SessionStats(), random.Random(0))
+    session_side.transport = SocketEndpoint(sock=raw_a)
     return session_side, SocketEndpoint(sock=raw_b)
 
 
@@ -187,16 +198,18 @@ def _handshake_config():
     )
 
 
+def _handshake(server, transport):
+    """One handshake on an already-open transport."""
+    return run_blocking(server.handshake(), transport)
+
+
 class TestHandshake:
     def _server_session(self):
-        params = PublicParams.for_bits(64)
-        return SenderSession(
-            "intersection",
-            params,
-            make_sender=lambda: None,
-            config=_handshake_config(),
-            rng=random.Random(0),
-        )
+        return open_session(
+            "sender", "intersection", lambda: None,
+            params=PublicParams.for_bits(64),
+            config=_handshake_config(), rng=random.Random(0),
+        )[0]
 
     def test_version_mismatch_rejected(self):
         raw_a, raw_b = socket.socketpair()
@@ -206,7 +219,7 @@ class TestHandshake:
         client = SocketEndpoint(sock=raw_b)
         client.send(seal("hello", 99, "intersection", 1, 0, 0))
         with pytest.raises(HandshakeError, match="version"):
-            server._handshake(SocketEndpoint(sock=raw_a))
+            _handshake(server, SocketEndpoint(sock=raw_a))
         reject = unseal(client.recv())
         assert reject[0] == "reject"
 
@@ -220,7 +233,7 @@ class TestHandshake:
             seal("hello", SESSION_VERSION, "equijoin", 1, 0, 0)
         )
         with pytest.raises(HandshakeError, match="protocol|equijoin"):
-            server._handshake(SocketEndpoint(sock=raw_a))
+            _handshake(server, SocketEndpoint(sock=raw_a))
         assert unseal(client.recv())[0] == "reject"
 
     def test_valid_hello_answered_with_welcome(self):
@@ -230,7 +243,7 @@ class TestHandshake:
         server = self._server_session()
         client = SocketEndpoint(sock=raw_b)
         client.send(seal("hello", SESSION_VERSION, "intersection", 77, 0, 0))
-        endpoint, next_recv = server._handshake(SocketEndpoint(sock=raw_a))
+        endpoint, next_recv = _handshake(server, SocketEndpoint(sock=raw_a))
         assert next_recv == 0
         welcome = unseal(client.recv())
         assert welcome[0] == "welcome"
@@ -246,7 +259,7 @@ class TestHandshake:
         client = SocketEndpoint(sock=raw_b)
         client.send(seal("hello", SESSION_VERSION, "intersection", 1, 0, 5))
         with pytest.raises(SessionError, match="cursor"):
-            server._handshake(SocketEndpoint(sock=raw_a))
+            _handshake(server, SocketEndpoint(sock=raw_a))
 
     def test_garbled_hello_absorbed_then_accepted(self):
         """A corrupted hello does not kill the connection: the server
@@ -259,7 +272,7 @@ class TestHandshake:
         good = seal("hello", SESSION_VERSION, "intersection", 5, 0, 0)
         client.send((good[0], 99, *good[2:]))  # fails the checksum
         client.send(good)
-        _endpoint, next_recv = server._handshake(SocketEndpoint(sock=raw_a))
+        _endpoint, next_recv = _handshake(server, SocketEndpoint(sock=raw_a))
         assert next_recv == 0
         assert server.stats.checksum_failures == 1
 
@@ -357,6 +370,68 @@ class TestResumableEndToEnd:
                 "set-union", ["a"], random.Random(0), "127.0.0.1", 1
             )
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs procfs")
+    def test_failed_run_leaves_no_journal_handle_open(self, tmp_path):
+        """A journaled run that gives up (the peer drops every
+        connection) must close its ``*.wal`` - a redial opens the same
+        file again - while the failure (and the frames its traceback
+        holds) is still alive."""
+        from repro.net.tcp import connect_resumable_receiver
+
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def hang_up_on_everyone():
+            try:
+                while True:
+                    listener.accept()[0].close()
+            except OSError:
+                pass  # listener closed: the test is over
+
+        threading.Thread(target=hang_up_on_everyone, daemon=True).start()
+        with pytest.raises(SessionError) as failure:
+            connect_resumable_receiver(
+                "intersection", ["a"], random.Random(2), "127.0.0.1",
+                listener.getsockname()[1], config=_handshake_config(),
+                journal_dir=tmp_path,
+            )
+        listener.close()
+        held = [os.path.realpath(f"/proc/self/fd/{fd}") for fd in os.listdir("/proc/self/fd")]
+        assert [p for p in held if p.startswith(str(tmp_path))] == []
+        assert list(tmp_path.glob("receiver-intersection-*.wal"))  # it was journaled
+        assert "gave up" in str(failure.value)
+
+    def test_wrapper_failure_closes_the_resumable_drivers_socket(self):
+        """``endpoint_wrapper`` raising on a dialed or an accepted
+        connection must not leak the socket it was handed."""
+        from repro.net.tcp import (
+            connect_resumable_receiver,
+            serve_resumable_sender,
+        )
+
+        handed = []
+
+        def wrapper(endpoint):
+            handed.append(endpoint)
+            raise RuntimeError("wrapper failed")
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        with pytest.raises(RuntimeError, match="wrapper failed"):
+            connect_resumable_receiver(
+                "intersection", ["a"], random.Random(2), "127.0.0.1",
+                listener.getsockname()[1], endpoint_wrapper=wrapper,
+            )
+        listener.close()
+        with pytest.raises(RuntimeError, match="wrapper failed"):
+            serve_resumable_sender(
+                "intersection", ["a"], PublicParams.for_bits(64),
+                random.Random(1), config=_handshake_config(),
+                ready_callback=lambda port: socket.create_connection(
+                    ("127.0.0.1", port)
+                ).close(),
+                endpoint_wrapper=wrapper,
+            )
+        assert [endpoint.sock.fileno() for endpoint in handed] == [-1, -1]
+
 
 # ----------------------------------------------------------------------
 # The unified client retry policy and the typed worker-lost refusal
@@ -370,10 +445,9 @@ class TestClientRetryPolicy:
         assert policy.max_attempts == 4
         assert policy.attempt_timeout_s == 1.5
         assert policy.total_deadline_s == 30.0
-        assert policy.base_delay_s == 0.1
-        assert policy.multiplier == 3.0
-        assert policy.max_delay_s == 1.0
-        assert policy.jitter == 0.25
+        assert policy.backoff == RetryPolicy(
+            base_delay_s=0.1, multiplier=3.0, max_delay_s=1.0, jitter=0.25
+        )
         assert policy.retry_busy is False
         assert policy.retry_worker_lost is True
 
@@ -413,9 +487,9 @@ class TestClientRetryPolicy:
         assert not off.retryable(WorkerLost("lost"))
 
     def test_backoff_without_hint_is_subtractive_exponential(self):
-        policy = ClientRetryPolicy(
+        policy = ClientRetryPolicy(backoff=RetryPolicy(
             base_delay_s=0.1, multiplier=2.0, max_delay_s=0.5, jitter=0.5
-        )
+        ))
         rng = random.Random(7)
         for attempt, raw in enumerate([0.1, 0.2, 0.4, 0.5, 0.5]):
             delay = policy.backoff_s(attempt, rng)
@@ -425,24 +499,25 @@ class TestClientRetryPolicy:
         """A server hint is a promise of unavailability: the sleep may
         stretch past it (jitter de-syncs the herd) but never dips
         below it."""
-        policy = ClientRetryPolicy(base_delay_s=0.01, jitter=0.5)
+        policy = ClientRetryPolicy(
+            backoff=RetryPolicy(base_delay_s=0.01, jitter=0.5)
+        )
         rng = random.Random(11)
         for attempt in range(5):
             delay = policy.backoff_s(attempt, rng, hint_s=0.3)
-            assert 0.3 <= delay <= 0.3 * 1.5 + policy.max_delay_s
+            assert 0.3 <= delay <= 0.3 * 1.5 + policy.backoff.max_delay_s
 
     def test_session_config_mirrors_the_policy(self):
+        shape = RetryPolicy(
+            base_delay_s=0.03, multiplier=4.0, max_delay_s=0.7, jitter=0.1
+        )
         policy = ClientRetryPolicy(
-            max_attempts=5, attempt_timeout_s=1.25,
-            base_delay_s=0.03, multiplier=4.0, max_delay_s=0.7, jitter=0.1,
+            max_attempts=5, attempt_timeout_s=1.25, backoff=shape
         )
         config = policy.session_config()
         assert config.timeout_s == 1.25
         assert config.max_reconnects == 5
-        assert config.retry.base_delay_s == 0.03
-        assert config.retry.multiplier == 4.0
-        assert config.retry.max_delay_s == 0.7
-        assert config.retry.jitter == 0.1
+        assert config.retry is shape
         override = policy.session_config(fin_grace_s=0.01)
         assert override.fin_grace_s == 0.01
 

@@ -74,6 +74,25 @@ class TestSessionOptions:
             )
         assert box["connect"].answer == EXPECTED
 
+    def test_timeout_is_the_frame_deadline_of_a_session_without_config(
+        self, monkeypatch
+    ):
+        """``timeout=`` is not dropped when ``session=`` is given: it is
+        the session's ``timeout_s`` unless ``session.config`` says."""
+        from repro.net import tcp
+
+        seen = []
+        monkeypatch.setattr(
+            tcp, "connect_resumable_receiver",
+            lambda *args, config, **kwargs: (seen.append(config), None),
+        )
+        for options in (repro.SessionOptions(),
+                        repro.SessionOptions(config=_config(9.0))):
+            repro.connect(
+                "intersection", V_R, port=1, timeout=1.5, session=options
+            )
+        assert [config.timeout_s for config in seen] == [1.5, 9.0]
+
 
 class TestServeResultPort:
     def test_port_zero_reports_bound_port(self):

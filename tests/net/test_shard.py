@@ -17,13 +17,14 @@ import time
 import pytest
 
 from repro.net import tcp
+from repro.net.journal import open_session
 from repro.net.serialization import encode
 from repro.net.session import (
     SESSION_VERSION,
-    ReceiverSession,
     RetryPolicy,
     SessionConfig,
     refusal_retry_hint_s,
+    run_blocking,
     seal,
     unseal,
 )
@@ -53,14 +54,15 @@ def _config(timeout_s=2.0, max_reconnects=8):
 
 def _session(port, seed, config=None):
     """One sync resumable client run through the router."""
-    session = ReceiverSession(
-        "intersection",
+    session, _ = open_session(
+        "receiver", "intersection",
         lambda wire: _make_receiver(wire, seed),
         config=config or _config(),
         rng=random.Random(seed),
     )
-    answer = session.run(
-        lambda: tcp._dial("127.0.0.1", port, timeout=5.0)
+    answer = run_blocking(
+        session.steps(),
+        open_link=lambda: tcp._dial("127.0.0.1", port, timeout=5.0),
     )
     return answer, session
 
@@ -99,8 +101,8 @@ class TestRouting:
         with ShardedProtocolServer(
             _offers(params), shards=3, config=_config(), max_sessions=4
         ) as server:
-            session = ReceiverSession(
-                "intersection",
+            session, _ = open_session(
+                "receiver", "intersection",
                 lambda wire: _make_receiver(wire, 99),
                 config=_config(),
                 rng=random.Random(99),
@@ -123,7 +125,7 @@ class TestRouting:
                     endpoint.recv = recv_once_then_die
                 return endpoint
 
-            answer = session.run(flaky_dial)
+            answer = run_blocking(session.steps(), open_link=flaky_dial)
             assert sorted(answer) == ["b", "c"]
             assert dials["count"] >= 2  # it really did reconnect
             deadline = time.monotonic() + 5.0

@@ -32,17 +32,22 @@ REMOVED_SHIMS = [
     "connect_equijoin_receiver",
     "serve_equijoin_size_sender",
     "connect_equijoin_size_receiver",
+    # The blocking session classes (open_session + run_blocking now).
+    "SenderSession",
+    "ReceiverSession",
+    "SessionEndpoint",
+    "SESSION_PROTOCOLS",
 ]
 
 
 @pytest.mark.parametrize("name", REMOVED_SHIMS)
 def test_shim_is_removed(name):
-    assert not hasattr(tcp, name), f"removed shim {name} reappeared"
-    assert name not in tcp.__all__
     import repro.net as net
+    from repro.net import session
 
-    assert not hasattr(net, name)
-    assert name not in net.__all__
+    for module in (tcp, net, session):
+        assert not hasattr(module, name), f"removed {name} reappeared"
+        assert name not in module.__all__
 
 
 def test_generic_pair_is_the_exported_surface():

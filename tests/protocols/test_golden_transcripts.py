@@ -28,12 +28,8 @@ from repro.net.serialization import (
     is_chunk_end,
     is_chunk_frame,
 )
-from repro.net.session import (
-    ReceiverSession,
-    RetryPolicy,
-    SenderSession,
-    SessionConfig,
-)
+from repro.net.journal import open_session
+from repro.net.session import RetryPolicy, SessionConfig, run_blocking
 from repro.net.tcp import SocketEndpoint, connect, serve
 from repro.protocols.parties import (
     PublicParams,
@@ -265,17 +261,17 @@ def test_resumable_matches_golden(name, params, engines):
     raw_s, raw_r = socket.socketpair()
     raw_s.settimeout(10.0)
     raw_r.settimeout(10.0)
-    sender_session = SenderSession(
-        name,
-        params,
+    sender_session, _ = open_session(
+        "sender", name,
         lambda: spec.make_sender(
             s_data, params, random.Random("S"), engine=s_engine
         ),
+        params=params,
         config=config,
         rng=random.Random(1),
     )
-    receiver_session = ReceiverSession(
-        name,
+    receiver_session, _ = open_session(
+        "receiver", name,
         lambda wire: spec.make_receiver(
             r_data,
             PublicParams.from_wire(tuple(wire)),
@@ -289,13 +285,16 @@ def test_resumable_matches_golden(name, params, engines):
     connections = iter([SocketEndpoint(sock=raw_s)])
 
     def serve_thread():
-        server_box["state"] = sender_session.run(lambda: next(connections))
+        server_box["state"] = run_blocking(
+            sender_session.steps(), open_link=connections.__next__
+        )
 
     thread = threading.Thread(target=serve_thread)
     thread.start()
     frames: dict = {}
-    answer = receiver_session.run(
-        lambda: _SessionRecordingTransport(SocketEndpoint(sock=raw_r), frames)
+    answer = run_blocking(
+        receiver_session.steps(),
+        open_link=lambda: _SessionRecordingTransport(SocketEndpoint(sock=raw_r), frames),
     )
     thread.join(timeout=10)
     assert not thread.is_alive()
@@ -476,18 +475,18 @@ def test_resumable_chunked_matches_golden(name, params, engines):
     raw_s, raw_r = socket.socketpair()
     raw_s.settimeout(10.0)
     raw_r.settimeout(10.0)
-    sender_session = SenderSession(
-        name,
-        params,
+    sender_session, _ = open_session(
+        "sender", name,
         lambda: spec.make_sender(
             s_data, params, random.Random("S"), engine=s_engine
         ),
+        params=params,
         config=config,
         rng=random.Random(1),
         chunk_size=CHUNK_SIZE,
     )
-    receiver_session = ReceiverSession(
-        name,
+    receiver_session, _ = open_session(
+        "receiver", name,
         lambda wire: spec.make_receiver(
             r_data,
             PublicParams.from_wire(tuple(wire)),
@@ -502,13 +501,16 @@ def test_resumable_chunked_matches_golden(name, params, engines):
     connections = iter([SocketEndpoint(sock=raw_s)])
 
     def serve_thread():
-        server_box["state"] = sender_session.run(lambda: next(connections))
+        server_box["state"] = run_blocking(
+            sender_session.steps(), open_link=connections.__next__
+        )
 
     thread = threading.Thread(target=serve_thread)
     thread.start()
     frames: dict = {}
-    answer = receiver_session.run(
-        lambda: _SessionRecordingTransport(SocketEndpoint(sock=raw_r), frames)
+    answer = run_blocking(
+        receiver_session.steps(),
+        open_link=lambda: _SessionRecordingTransport(SocketEndpoint(sock=raw_r), frames),
     )
     thread.join(timeout=10)
     assert not thread.is_alive()
