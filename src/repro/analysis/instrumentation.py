@@ -18,6 +18,7 @@ the ``on_modexp`` callback of
 from __future__ import annotations
 
 import random
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -230,7 +231,10 @@ class MetricsRecorder:
     Phases may nest; time and exponentiations are attributed to the
     innermost open phase (the outer phase's ``wall_s`` still covers the
     whole span, as wall time does). Exponentiations counted outside any
-    phase land in ``unattributed_modexp``.
+    phase land in ``unattributed_modexp``. "Open" is per thread - a
+    party step a shell runs in the background opens its phase beside
+    whatever the session thread is waiting in - while ``phases`` and
+    the totals are the one shared report.
     """
 
     def __init__(self, engine: CryptoEngine | None = None):
@@ -238,7 +242,8 @@ class MetricsRecorder:
         self.pipelines: dict[str, PipelineStats] = {}
         self.unattributed_modexp = 0
         self.sessions: list[dict[str, Any]] = []
-        self._stack: list[PhaseStats] = []
+        self._open = threading.local()
+        self._lock = threading.Lock()  # the shared counters' updates
         self._engine = engine
         self._started_at = time.perf_counter()
 
@@ -248,25 +253,35 @@ class MetricsRecorder:
             stats = self.phases[name] = PhaseStats(name=name)
         return stats
 
+    def _stack(self) -> list[PhaseStats]:
+        """The calling thread's open phases, outermost first."""
+        return self._open.__dict__.setdefault("stack", [])
+
     @contextmanager
     def phase(self, name: str) -> Iterator[PhaseStats]:
         """Time one phase; re-entering a name accumulates into it."""
-        stats = self._stats(name)
-        stats.calls += 1
-        self._stack.append(stats)
+        stack = self._stack()
+        with self._lock:
+            stats = self._stats(name)
+            stats.calls += 1
+        stack.append(stats)
         start = time.perf_counter()
         try:
             yield stats
         finally:
-            stats.wall_s += time.perf_counter() - start
-            self._stack.pop()
+            elapsed = time.perf_counter() - start
+            stack.pop()
+            with self._lock:
+                stats.wall_s += elapsed
 
     def count_modexp(self, n: int = 1) -> None:
         """Attribute ``n`` modular exponentiations to the open phase."""
-        if self._stack:
-            self._stack[-1].modexp += n
-        else:
-            self.unattributed_modexp += n
+        stack = self._stack()
+        with self._lock:
+            if stack:
+                stack[-1].modexp += n
+            else:
+                self.unattributed_modexp += n
 
     @property
     def total_modexp(self) -> int:

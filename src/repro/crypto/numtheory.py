@@ -144,12 +144,15 @@ def jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        # (2/n)^t in one shift: t trailing zeros, and (2/n) = -1 exactly
+        # when n = 3, 5 (mod 8) - a big-int division per bit is what
+        # made this the cost of try-and-increment hashing.
+        t = (a & -a).bit_length() - 1
+        a >>= t
+        if t & 1 and n & 7 in (3, 5):
+            result = -result
         a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        if a & 3 == 3 and n & 3 == 3:
             result = -result
         a %= n
     return result if n == 1 else 0

@@ -43,6 +43,7 @@ from .journal import open_session
 from .session import SessionConfig, SessionStats
 from .session_core import (
     DONE,
+    Ahead,
     Compute,
     NextChunk,
     Now,
@@ -281,10 +282,14 @@ async def run_async(
     asks for. The generator itself runs on the loop (it only decides);
     machine steps go through ``run_in_executor`` on ``executor`` and
     streamed chunks through :func:`~repro.net.streaming.aprefetch`, so
-    crypto never blocks the loop. Whatever a request raises is thrown
-    into ``steps`` - a timeout always as the builtin ``TimeoutError``
-    the core's ``except`` clauses name - and what ``steps`` does not
-    handle (cancellation included) propagates, with the link and the
+    crypto never blocks the loop. ``Ahead`` steps are chained on the
+    executor one after the other and the chain is awaited before a
+    ``Compute`` and before a new chunk stream starts, so a party's
+    machine steps never overlap each other. Whatever a request raises
+    is thrown into ``steps`` - a timeout always as the builtin
+    ``TimeoutError`` the core's ``except`` clauses name - and what
+    ``steps`` does not handle (cancellation included) propagates, with
+    the ``Ahead`` chain cancelled and the link and the
     chunk stream closed. A run that completes returns ``(value,
     link)``: what ``steps`` returned and its last link, still open -
     how to hang up on a finished peer is the caller's to say (a client
@@ -293,6 +298,18 @@ async def run_async(
     loop = asyncio.get_running_loop()
     endpoint = stream = stream_source = None
     reply = failure = None
+    ahead: asyncio.Task | None = None  # the tail of the ``Ahead`` chain
+
+    async def after(
+        previous: asyncio.Task | None, fn: Callable[[], None]
+    ) -> None:
+        if previous is not None:
+            await previous
+        try:
+            await loop.run_in_executor(executor, fn)
+        except Exception:
+            pass  # dropped with the step: the round step recomputes
+
     try:
         while True:
             try:
@@ -301,6 +318,8 @@ async def run_async(
                 else:
                     request = steps.throw(failure)
             except StopIteration as stop:
+                if ahead is not None:
+                    await ahead
                 # Completed: the link leaves with the result, not
                 # through the ``finally`` below.
                 link, endpoint = endpoint, None
@@ -317,9 +336,15 @@ async def run_async(
                 elif kind is Sleep:
                     await asyncio.sleep(request.seconds)
                 elif kind is Compute:
+                    if ahead is not None:
+                        await ahead
                     reply = await loop.run_in_executor(executor, request.fn)
+                elif kind is Ahead:
+                    ahead = loop.create_task(after(ahead, request.fn))
                 elif kind is NextChunk:
                     if stream_source is not request.source:
+                        if ahead is not None:
+                            await ahead
                         if stream is not None:
                             await stream.aclose()
                         stream_source = request.source
@@ -339,6 +364,10 @@ async def run_async(
             except BaseException as exc:
                 failure = exc
     finally:
+        if ahead is not None:
+            # A run that died abandons the chain: the step on the
+            # executor runs out, none after it starts.
+            ahead.cancel()
         if stream is not None:
             await stream.aclose()
         if endpoint is not None:

@@ -16,14 +16,17 @@ the policy types (:class:`RetryPolicy`, :class:`SessionConfig`,
 :class:`ClientRetryPolicy`), :class:`SessionStats`, and the **blocking
 shell** (:func:`run_blocking`) that executes the core's requests over
 any ``send``/``recv``/``settimeout``/``close`` transport on the
-caller's own thread. Sessions are built by
+caller's own thread, the party's ``Ahead`` steps on one worker thread
+beside it. Sessions are built by
 :func:`repro.net.journal.open_session`.
 """
 
 from __future__ import annotations
 
 import itertools
+import queue
 import random
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
@@ -31,6 +34,7 @@ from typing import Any, Callable
 from .session_core import (
     DONE,
     SESSION_VERSION,
+    Ahead,
     Compute,
     HandshakeError,
     NextChunk,
@@ -337,6 +341,58 @@ def _close_quietly(closeable: Any) -> None:
             pass
 
 
+class _AheadWorker:
+    """The blocking shell's one background thread: a party's ``Ahead``
+    steps, first in first out.
+
+    A daemon thread, started by the first step - a session that issues
+    none never has one. What a step raises is dropped with the step:
+    it only filled a memo, and the round step that reads the memo
+    recomputes what is missing and raises where it always did.
+    """
+
+    def __init__(self) -> None:
+        self._steps: queue.Queue = queue.Queue()
+        self._thread: threading.Thread | None = None
+        self._abandoned = False
+
+    def submit(self, fn: Callable[[], None]) -> None:
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, name="repro-ahead", daemon=True
+            )
+            self._thread.start()
+        self._steps.put(fn)
+
+    def _run(self) -> None:
+        while True:
+            fn = self._steps.get()
+            try:
+                if fn is None:
+                    return
+                if not self._abandoned:
+                    fn()
+            except Exception:
+                pass
+            finally:
+                self._steps.task_done()
+
+    def wait(self) -> None:
+        """Block until every step submitted so far is over."""
+        self._steps.join()
+
+    def close(self, abandon: bool) -> None:
+        """End the thread: joined after its pending steps, or - when
+        the session died - left to finish the step it is in and skip
+        the rest."""
+        if self._thread is None:
+            return
+        self._abandoned = abandon
+        self._steps.put(None)
+        if not abandon:
+            self._thread.join()
+
+
 def run_blocking(
     steps: Any,
     transport: Any = None,
@@ -347,17 +403,23 @@ def run_blocking(
     ``steps`` is a generator from :mod:`repro.net.session_core`;
     ``transport`` is any framed transport (``send``/``recv``/optional
     ``settimeout``/``close``) and ``open_link`` what an ``OPEN``
-    request calls for the next one. Everything runs on the calling
-    thread; the one thread a streamed round uses is
-    :func:`~repro.net.streaming.prefetch`'s producer. Whatever a
-    request raises (a timeout, a garbled frame, a dead link, a
-    simulated crash) is thrown into ``steps``, which alone decides
-    what is transient. Links this shell opened and the chunk stream
-    are closed when ``steps`` ends; a ``transport`` passed in stays
-    the caller's.
+    request calls for the next one. I/O, ``Compute`` steps and the
+    body itself run on the calling thread; a streamed round's chunks
+    are produced on :func:`~repro.net.streaming.prefetch`'s thread,
+    and ``Ahead`` steps on one worker thread that lives as long as the
+    run (reconnects included - the machine persists across ``OPEN``,
+    so does its pending work). Machine steps never overlap each
+    other: the worker is waited for before a ``Compute`` and before a
+    new chunk stream starts. Whatever a request raises (a timeout, a
+    garbled frame, a dead link, a simulated crash) is thrown into
+    ``steps``, which alone decides what is transient. Links this shell
+    opened and the chunk stream are closed when ``steps`` ends; a
+    ``transport`` passed in stays the caller's.
     """
     opened = stream = stream_source = None
     reply = failure = None
+    ahead = _AheadWorker()
+    completed = False
     try:
         while True:
             try:
@@ -366,6 +428,7 @@ def run_blocking(
                 else:
                     request = steps.throw(failure)
             except StopIteration as stop:
+                completed = True
                 return stop.value
             reply = failure = None
             kind = type(request)
@@ -382,9 +445,13 @@ def run_blocking(
                 elif kind is Sleep:
                     time.sleep(request.seconds)
                 elif kind is Compute:
+                    ahead.wait()
                     reply = request.fn()
+                elif kind is Ahead:
+                    ahead.submit(request.fn)
                 elif kind is NextChunk:
                     if stream_source is not request.source:
+                        ahead.wait()
                         _close_quietly(stream)
                         stream_source = request.source
                         stream = prefetch(stream_source)
@@ -401,3 +468,4 @@ def run_blocking(
     finally:
         _close_quietly(stream)
         _close_quietly(opened)
+        ahead.close(abandon=not completed)

@@ -7,21 +7,27 @@ frame-granular round log and the reconnect loop - as generator bodies
 that never touch a socket, a clock, a thread or an event loop. What a
 body cannot do itself it *yields* as a request (:class:`Send`,
 :class:`Recv`, :class:`Sleep`, :data:`NOW`, :class:`Compute`,
-:class:`NextChunk`, :data:`OPEN`) and is resumed with the result.
+:class:`Ahead`, :class:`NextChunk`, :data:`OPEN`) and is resumed with
+the result.
 
 A *shell* executes the requests. The blocking shell
 (:func:`repro.net.session.run_blocking`) serves them from any
 ``send``/``recv``/``settimeout``/``close`` transport on the caller's
 own thread; the asyncio shell (:func:`repro.net.aio.run_async`) serves
-them from an event loop, machine steps through ``run_in_executor``. A
-shell decides nothing: every failure of a request - a timeout
-(``TimeoutError``), a frame that does not decode (``ValueError``), a
-dead link (``ConnectionError``/``OSError``), a refused dial - is
-*thrown into* the body at its ``yield``, so the ``except`` clauses
-here are the one place that says what is transient. The shell owns the
-link and the chunk stream and closes both when the body ends, which is
-why no body yields from a ``finally``; a party's journal is its own,
-and ``steps()`` closes it however the run ends.
+them from an event loop, machine steps through ``run_in_executor``;
+the lock-step shell (:class:`repro.net.virtual.LockStep`) serves them
+inline on a virtual clock. All three keep one invariant: *machine
+steps of one party never run concurrently with each other* - an
+:class:`Ahead` step overlaps only the party's ``Send`` / ``Recv`` /
+``Sleep``, and is over before its next :class:`Compute` or chunk
+stream starts. A shell decides nothing: every failure of a request -
+a timeout (``TimeoutError``), a frame that does not decode
+(``ValueError``), a dead link (``ConnectionError``/``OSError``), a
+refused dial - is *thrown into* the body at its ``yield``, so the
+``except`` clauses here are the one place that says what is transient.
+The shell owns the link and the chunk stream and closes both when the
+body ends, which is why no body yields from a ``finally``; a party's
+journal is its own, and ``steps()`` closes it however the run ends.
 
 Wire frames (every frame sealed with a trailing CRC32 of the encoded
 preceding fields):
@@ -70,6 +76,7 @@ __all__ = [
     "Now",
     "NOW",
     "Compute",
+    "Ahead",
     "NextChunk",
     "DONE",
     "Open",
@@ -234,10 +241,25 @@ class Compute(NamedTuple):
     """Run ``fn()`` - a party-machine step - and resume with its result.
 
     The blocking shell calls it in place; the asyncio shell moves it
-    off the event loop. Whatever ``fn`` raises is thrown in.
+    off the event loop; both first wait out the party's pending
+    :class:`Ahead` steps. Whatever ``fn`` raises is thrown in.
     """
 
     fn: Callable[[], Any]
+
+
+class Ahead(NamedTuple):
+    """Run the rng-free machine step ``fn()`` in the background.
+
+    The body is resumed at once, with nothing. The step only fills a
+    memo its party's next round step reads, so its outcome is never
+    awaited by name: the shell finishes it before the next
+    :class:`Compute` or new :class:`NextChunk` source, and discards
+    whatever it raises (the round step recomputes, and raises where it
+    always did).
+    """
+
+    fn: Callable[[], None]
 
 
 class NextChunk(NamedTuple):
@@ -833,13 +855,21 @@ class _Party:
             with machine.wait(rnd):
                 frame = yield from link.recv()
             log.inbound.append(frame)
-            if serialization.is_chunk_frame(frame):
+            is_chunk = serialization.is_chunk_frame(frame)
+            if is_chunk:
                 self.stats.chunks_received += 1
             if self.journal is not None:
                 self.journal.record_inbound(
                     len(log.inbound) - 1, serialization.encode(frame)
                 )
             crash_point("session.recv.frame")
+            # Checked, acked and journaled: a round that declares an
+            # eager step may start on this chunk while the rest of the
+            # round is still coming (frames a recovered process folds
+            # from its journal above are left to the round step).
+            step = machine.eager(rnd, frame[2]) if is_chunk else None
+            if step is not None:
+                yield Ahead(step)
         consume = (
             machine.consume if status == "single" else machine.consume_chunks
         )
@@ -965,6 +995,13 @@ class SenderCore(_Party):
     def script(self, link: Link, client_next_recv: int) -> Steps:
         """Run (or resume) the round schedule over a welcomed link."""
         machine = self._ensure_machine()
+        # Every seeded draw (cipher keys, the Paillier keypair) happens
+        # here, before anything runs beside anything.
+        yield Compute(machine.ensure_state)
+        if self.spec.warm is not None and not self.log.out_rounds:
+            # Nothing orders S's own-set encryption after Y_R: it runs
+            # while we wait for m1 (the round step finds it done).
+            yield Ahead(machine.warm)
         if client_next_recv < len(self.log.outbound):
             # A reconnected client served from the cached frame log.
             self.stats.rounds_resumed += 1

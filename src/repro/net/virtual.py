@@ -3,10 +3,11 @@
 :mod:`repro.net.session_core` decides everything and touches nothing,
 so a shell needs no socket, thread or real sleep to run it. This one
 executes the ``Send`` / ``Recv`` / ``Sleep`` / ``NOW`` / ``Compute`` /
-``NextChunk`` / ``OPEN`` requests of every party on the caller's
-thread, over in-memory connections, against a clock that only moves
-when every party is blocked - and then straight to the earliest
-pending deadline. A run is therefore a pure function of its parties
+``Ahead`` / ``NextChunk`` / ``OPEN`` requests of every party on the
+caller's thread (an ``Ahead`` step simply runs in place: nothing is
+concurrent here), over in-memory connections, against a clock that
+only moves when every party is blocked - and then straight to the
+earliest pending deadline. A run is therefore a pure function of its parties
 and their seeds: the exact time of every retransmit can be asserted
 (``tests/net/test_session_core.py``), and a chaos schedule costs
 milliseconds and replays identically (:func:`repro.net.chaos.run_schedule`).
@@ -30,7 +31,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
 from .crashpoints import SimulatedCrash, crash_point, hooked
-from .session_core import DONE, Compute, NextChunk, Now, Open, Recv, Send, Sleep
+from .session_core import (
+    DONE,
+    Ahead,
+    Compute,
+    NextChunk,
+    Now,
+    Open,
+    Recv,
+    Send,
+    Sleep,
+)
 
 __all__ = ["LockStep", "Party", "Stuck"]
 
@@ -214,6 +225,11 @@ class LockStep:
             party._reply = self.clock
         elif kind is Compute:
             party._reply = request.fn()
+        elif kind is Ahead:
+            try:
+                request.fn()
+            except Exception:
+                pass  # dropped with the step, as under every shell
         elif kind is NextChunk:
             party._reply = next(request.source, DONE)
             if party._reply is not DONE:

@@ -291,6 +291,9 @@ class _Party:
         self._y_by_value: dict = {}
         #: The values the latest :meth:`own` step added.
         self._announced: list = []
+        #: R: ``y -> f_eR(y)`` for the ``Y_S`` segments re-encrypted
+        #: ahead of the reply they belong to (:meth:`absorb_ahead`).
+        self._z_ahead: dict = {}
         self._declare()
         if cached is None:
             self._keys = tuple(
@@ -375,11 +378,26 @@ class _Party:
         inputs."""
         tombstones = [self._retire(v) for v in removed]
         self._learn(added)
-        fresh = [v for v in added if v not in self._y_by_value]
+        self._fill(added)
+        return [self._y_by_value[v] for v in added], tombstones
+
+    def _fill(self, values: Iterable[Hashable]) -> None:
+        """Encrypt, under every key, the hashed values among ``values``
+        the party holds no ciphertext for."""
+        fresh = [v for v in values if v not in self._y_by_value]
         hashes = [self._hash_by_value[v] for v in fresh]
         for key, ys in zip(self._keys, self._own_maps()):
             ys.update(zip(fresh, self._encrypt(key, hashes)))
-        return [self._y_by_value[v] for v in added], tombstones
+
+    def warm(self) -> None:
+        """Encrypt the table ahead of the round that ships it.
+
+        Fills the own-ciphertext maps :meth:`own` reads and touches
+        nothing else - no rng, no count, no ``_announced`` - so it may
+        run (or not, or twice) any time after construction: the round
+        step finds its modexp done and only reorders.
+        """
+        self._fill(self._hash_by_value)
 
     def own(self, added: Mapping, removed: Iterable) -> tuple[list, list]:
         """Encrypt/tombstone my own values: the ``(added, removed)``
@@ -425,13 +443,26 @@ class _Party:
         """S notes the size of what R announced - all it learns."""
         self.size_v_r = (self.size_v_r or 0) + len(added) - len(removed)
 
+    def absorb_ahead(self, ys: Sequence) -> None:
+        """R re-encrypts one ``Y_S`` segment ahead of the whole reply.
+
+        Only the memo :meth:`_absorb_y_s` reads is filled (rng-free;
+        every occurrence is exponentiated, as the round step would).
+        """
+        self._z_ahead.update(zip(ys, self._encrypt(self._key, ys)))
+
     def _absorb_y_s(self, added: Sequence, removed: Sequence) -> None:
-        """R re-encrypts S's churn under its own key into ``Z_S``."""
+        """R re-encrypts S's churn under its own key into ``Z_S`` -
+        what :meth:`absorb_ahead` has not already."""
+        ahead = self._z_ahead
+        late = [y for y in added if y not in ahead]
+        ahead.update(zip(late, self._encrypt(self._key, late)))
         _patch(
             self._z_s,
-            self._encrypt(self._key, added),
+            [ahead[y] for y in added],
             self._encrypt(self._key, removed),
         )
+        ahead.clear()
         self.size_v_s = (self.size_v_s or 0) + len(added) - len(removed)
 
     # ------------------------------------------------------------------
@@ -980,6 +1011,54 @@ class _Machine:
     def wait(self, rnd: Any):
         """Context manager timing the blocking receive of round ``rnd``."""
         return self._phase(f"wait_{rnd.name}")
+
+    # ------------------------------------------------------------------
+    # Steps run ahead of the round step that owns their work.  They are
+    # rng-free and only fill a memo that step reads, so skipping one (a
+    # recovered run), repeating one or losing one to an exception moves
+    # no byte: the round step computes whatever it does not find.  Each
+    # is recorded under the phase the work moved out of.
+    # ------------------------------------------------------------------
+    def _next_phase(self) -> str:
+        """The phase of this role's next round step - ``finish`` once
+        every round it emits is produced."""
+        emits = sum(r.source == self.role.upper() for r in self.spec.rounds)
+        if self._rounds_produced < emits:
+            return f"round{self._rounds_produced + 1}"
+        return "finish"
+
+    def warm(self) -> None:
+        """Run the spec's warm step (own-set crypto, peer-independent).
+
+        A session issues it while the party waits for the peer's first
+        round.
+        """
+        with self._phase(self._next_phase()):
+            self.spec.warm(self.state)
+
+    def eager(self, rnd: Any, payload: Any) -> Callable[[], None] | None:
+        """The eager step of inbound round ``rnd`` for one chunk, or None.
+
+        Bound to the chunk's body when ``rnd`` declares a step for the
+        part this chunk payload belongs to; ``None`` for every other
+        chunk (a malformed one included: reporting those is the
+        assembler's).
+        """
+        if rnd.eager is None:
+            return None
+        part, step = rnd.eager
+        if not (
+            isinstance(payload, tuple)
+            and len(payload) == 3
+            and payload[:2] == (part, "seg")
+        ):
+            return None
+
+        def run() -> None:
+            with self._phase(self._next_phase()):
+                step(self.state, payload[2])
+
+        return run
 
     def produce(self, rnd: Any) -> Message:
         """Compute this role's next outgoing round message."""

@@ -100,6 +100,13 @@ class RoundSpec:
             leave the party untouched until it is exhausted; rounds
             without one fall back to computing the full message and
             splitting it.
+        eager: optional ``(part_index, step)`` for the *receiving*
+            party: ``step(state, segment)`` is run on every inbound
+            ``"seg"`` chunk of that part as it lands, ahead of the step
+            that consumes the assembled round. It must be rng-free and
+            only fill a memo that step reads (see
+            :meth:`~repro.protocols.parties._Party.absorb_ahead`): a
+            session is free to skip it, and discards it if it raises.
     """
 
     name: str
@@ -109,6 +116,7 @@ class RoundSpec:
     parts: tuple[str, ...]
     chunkable: bool = False
     chunk_step: Callable[[Any, Mapping[str, Message], int], Iterator[tuple]] | None = None
+    eager: tuple[int, Callable[[Any, list], None]] | None = None
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,10 @@ class ProtocolSpec:
         answer_kind: how the CLI prints R's answer - ``"set"``,
             ``"ext-map"`` or ``"number"``.
         doc: one-line description (paper section) for ``--help``.
+        warm: optional ``warm(sender_state)``: S's own-set crypto,
+            which needs nothing of R's, run while S waits for ``m1``.
+            Rng-free and memo-only like :attr:`RoundSpec.eager`. The
+            delta schedules declare none - their crypto is O(|delta|).
         delta_of: for incremental schedules, the base protocol's
             registry name. Delta specs take a
             :class:`~repro.protocols.delta.DeltaExchange` as ``data``
@@ -146,6 +158,7 @@ class ProtocolSpec:
     sender_input: str = "values"
     answer_kind: str = "number"
     doc: str = ""
+    warm: Callable[[Any], None] | None = None
     delta_of: str | None = None
 
     @property
@@ -350,6 +363,16 @@ def _equijoin_m2_chunks(
         yield (1, "seg", segment)
 
 
+def _warm_own_set(state: Any) -> None:
+    """S's warm step: ``f_eS(h(V_S))`` (under every key S draws)."""
+    state.warm()
+
+
+def _absorb_y_s_ahead(state: Any, segment: list) -> None:
+    """R's eager step on a ``Y_S`` segment: ``f_eR`` over it."""
+    state.absorb_ahead(segment)
+
+
 INTERSECTION = register(
     ProtocolSpec(
         name="intersection",
@@ -363,6 +386,7 @@ INTERSECTION = register(
                 "m2", "S", IntersectionReply, _sender_round1,
                 ("4a:Y_S", "4b:pairs"),
                 chunkable=True, chunk_step=_intersection_m2_chunks,
+                eager=(0, _absorb_y_s_ahead),
             ),
         ),
         make_receiver=IntersectionReceiver,
@@ -371,6 +395,7 @@ INTERSECTION = register(
         sender_input="values",
         answer_kind="set",
         doc="set intersection (Section 3.3)",
+        warm=_warm_own_set,
     )
 )
 
@@ -386,6 +411,7 @@ INTERSECTION_SIZE = register(
             RoundSpec(
                 "m2", "S", SizeReply, _sender_round1, ("4a:Y_S", "4b:Z_R"),
                 chunkable=True, chunk_step=_size_m2_chunks,
+                eager=(0, _absorb_y_s_ahead),
             ),
         ),
         make_receiver=IntersectionSizeReceiver,
@@ -394,6 +420,7 @@ INTERSECTION_SIZE = register(
         sender_input="values",
         answer_kind="number",
         doc="intersection size only (Section 5.1)",
+        warm=_warm_own_set,
     )
 )
 
@@ -418,6 +445,7 @@ EQUIJOIN = register(
         sender_input="ext",
         answer_kind="ext-map",
         doc="equijoin with encrypted ext payloads (Section 4.3)",
+        warm=_warm_own_set,
     )
 )
 
@@ -433,6 +461,7 @@ EQUIJOIN_SIZE = register(
             RoundSpec(
                 "m2", "S", SizeReply, _sender_round1, ("4a:Y_S", "4b:Z_R"),
                 chunkable=True, chunk_step=_size_m2_chunks,
+                eager=(0, _absorb_y_s_ahead),
             ),
         ),
         make_receiver=EquijoinSizeReceiver,
@@ -441,6 +470,7 @@ EQUIJOIN_SIZE = register(
         sender_input="values",
         answer_kind="number",
         doc="equijoin size over multisets (Section 5.2)",
+        warm=_warm_own_set,
     )
 )
 
@@ -471,6 +501,7 @@ EQUIJOIN_SUM = register(
         sender_input="amounts",
         answer_kind="number",
         doc="sum over the intersection (aggregate; paper future work)",
+        warm=_warm_own_set,
     )
 )
 

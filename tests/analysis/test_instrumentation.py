@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 
@@ -107,6 +109,62 @@ class TestMetricsRecorder:
         assert stats.calls == 3
         assert stats.modexp == 3
         assert stats.wall_s > 0
+
+    def test_open_phases_are_per_thread(self):
+        """A step running in the background (``s.round1``) opens and
+        closes its phase while the session thread sits in ``s.wait_m1``:
+        each thread's exponentiations land in its own innermost phase,
+        and closing one thread's phase leaves the other's open."""
+        rec = MetricsRecorder()
+        opened, counted = threading.Event(), threading.Event()
+
+        def background():
+            with rec.phase("s.round1"):
+                rec.count_modexp(300)
+                opened.set()
+                assert counted.wait(timeout=10)
+            rec.count_modexp(1)  # no phase open on this thread
+
+        worker = threading.Thread(target=background, daemon=True)
+        with rec.phase("s.wait_m1"):
+            worker.start()
+            assert opened.wait(timeout=10)
+            rec.count_modexp(7)  # while s.round1 is open over there
+            counted.set()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            rec.count_modexp(2)  # and after it closed
+        assert rec.phases["s.round1"].modexp == 300
+        assert rec.phases["s.wait_m1"].modexp == 9
+        assert rec.unattributed_modexp == 1
+        assert rec.total_modexp == 310
+
+    def test_shared_totals_lose_no_update_between_threads(self):
+        """Eight threads on two cores hammer one phase and the
+        unattributed counter under a short switch interval."""
+        rec = MetricsRecorder()
+        rounds = 2000
+
+        def hammer():
+            for _ in range(rounds):
+                with rec.phase("shared"):
+                    rec.count_modexp(1)
+                rec.count_modexp(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, daemon=True) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert rec.phases["shared"].calls == 8 * rounds
+        assert rec.phases["shared"].modexp == 8 * rounds
+        assert rec.unattributed_modexp == 8 * rounds
 
     def test_report_is_json_dumpable(self):
         rec = MetricsRecorder()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.groups import QRGroup
 from repro.crypto.numtheory import (
     crt,
     egcd,
@@ -132,6 +133,50 @@ class TestJacobiLegendre:
     def test_is_quadratic_residue(self):
         assert is_quadratic_residue(4, 7)
         assert not is_quadratic_residue(3, 7)
+
+    @pytest.mark.parametrize("bits", [64, 256, 1024])
+    def test_matches_eulers_criterion_at_protocol_sizes(self, bits):
+        """(a/p) = a^((p-1)/2) mod p, read as -1, 0 or 1."""
+        p = QRGroup.for_bits(bits).p
+        rng = random.Random(bits)
+        edges = [0, 1, 2, 4, p - 1, p, p + 1, 2 * p, 7 * p, -1, -p, 1 << 40,
+                 (1 << 40) * 3, p << 5]
+        for a in edges + [rng.getrandbits(bits + 8) for _ in range(60)]:
+            euler = pow(a, (p - 1) // 2, p)
+            assert jacobi(a, p) == (-1 if euler == p - 1 else euler), a
+
+    def test_matches_the_bit_at_a_time_reference(self):
+        """The one-shift strip of trailing zeros equals the loop it
+        replaced, composite odd moduli and n = 1 included."""
+
+        def reference(a, n):
+            a %= n
+            result = 1
+            while a != 0:
+                while a % 2 == 0:
+                    a //= 2
+                    if n % 8 in (3, 5):
+                        result = -result
+                a, n = n, a
+                if a % 4 == 3 and n % 4 == 3:
+                    result = -result
+                a %= n
+            return result if n == 1 else 0
+
+        rng = random.Random(5)
+        moduli = [1, 3, 9, 15, 21, 45, 3 * 5 * 7 * 11, 7919 * 10007]
+        moduli += [rng.getrandbits(200) | 1 for _ in range(20)]
+        for n in moduli:
+            for a in [0, n, 3 * n, 1 << 64] + [
+                rng.getrandbits(220) for _ in range(20)
+            ]:
+                assert jacobi(a, n) == reference(a, n), (a, n)
+        assert all(jacobi(a, 1) == 1 for a in range(-3, 4))
+
+    def test_composite_modulus_is_the_product_over_prime_factors(self):
+        for a in range(60):
+            assert jacobi(a, 15) == legendre(a, 3) * legendre(a, 5)
+            assert jacobi(a, 45) == legendre(a, 3) ** 2 * legendre(a, 5)
 
 
 class TestSqrtMod:

@@ -17,18 +17,26 @@ import threading
 
 import pytest
 
-from repro.net import tcp
+from repro.crypto.engine import MeteredEngine, SerialEngine
+from repro.net import LockStep, tcp
 from repro.net.aio import (
     AsyncFrameEndpoint,
     LoopThread,
     connect_receiver_async,
     open_endpoint,
+    run_async,
 )
+from repro.net.journal import open_session
 from repro.net.serialization import encode
 from repro.net.streaming import aprefetch
 from repro.net.session import SessionConfig, RetryPolicy
+from repro.net.session_core import Ahead, Compute
 from repro.net.tcp import FrameTooLarge
+from repro.net.virtual import Party
 from repro.protocols.parties import PublicParams
+from repro.protocols.spec import get_spec
+
+from .test_server_shell import _LoseOnce
 
 BITS = 128
 
@@ -282,14 +290,73 @@ class _TapAndCutOnce:
         self.endpoint.close()
 
 
+class TestRunAsyncAhead:
+    """The asyncio shell's side of ``Ahead``: a chain on the executor,
+    awaited before the next ``Compute``, cancelled with a dead body."""
+
+    def test_steps_chain_in_order_and_finish_before_a_compute(self):
+        ran = []
+
+        def step(tag):
+            def fn():
+                ran.append((tag, threading.current_thread()))
+            return fn
+
+        def body():
+            yield Ahead(step("a"))
+            yield Ahead(lambda: 1 / 0)  # dropped; the chain goes on
+            yield Ahead(step("b"))
+            seen = yield Compute(lambda: [tag for tag, _ in ran])
+            yield Ahead(step("c"))
+            return seen
+
+        loop_thread = []
+
+        async def go():
+            loop_thread.append(threading.current_thread())
+            return await run_async(body(), dial=None)
+
+        seen, link = _run(go())
+        assert seen == ["a", "b"] and link is None
+        assert [tag for tag, _ in ran] == ["a", "b", "c"]  # c: awaited at the end
+        assert all(thread is not loop_thread[0] for _, thread in ran)
+
+    def test_a_dead_body_starts_no_further_step(self):
+        entered, release, ran = threading.Event(), threading.Event(), []
+
+        def slow():
+            entered.set()
+            assert release.wait(timeout=10)
+            ran.append("slow")
+
+        def body():
+            yield Ahead(slow)
+            yield Ahead(lambda: ran.append("never"))
+            raise RuntimeError("the session died")
+
+        async def go():
+            with pytest.raises(RuntimeError, match="the session died"):
+                await run_async(body(), dial=None)
+            await asyncio.get_running_loop().run_in_executor(
+                None, entered.wait, 10
+            )
+            release.set()
+            await asyncio.sleep(0.05)  # room for a step that must not come
+
+        _run(go())
+        assert ran == ["slow"]
+
+
 class TestShellParity:
     def test_sync_and_async_clients_send_the_same_bytes(self, params):
         """Same seed, same server, one forced mid-round disconnect:
-        the blocking shell and the asyncio shell put identical bytes
-        on the wire and count identical stats - the resume hello
-        carries the frames *attempted* (2 of the 4 computed), and the
-        one replayed chunk counts as replayed and as a resumed round
-        in both."""
+        the blocking shell, the asyncio shell and the lock-step shell
+        put identical bytes on the wire and count identical stats -
+        the resume hello carries the frames *attempted* (2 of the 4
+        computed), and the one replayed chunk counts as replayed and
+        as a resumed round in all three. So do their engines: round 1,
+        then one batch per ``Y_S`` chunk as it lands (``Ahead``), and
+        nothing left over for ``finish``."""
         v_r = ["a", "b", "c", "d", "e"]
         v_s = ["b", "c", "x"]
         config = SessionConfig(
@@ -322,24 +389,63 @@ class TestShellParity:
             answer, stats = client(bound["port"])
             server.join(timeout=10)
             assert not server.is_alive() and cut == ["cut"]
+            return outcome(answer, received, stats)
+
+        def outcome(answer, frames, stats):
             flat = stats.as_dict()
             del flat["elapsed_s"]
-            return sorted(answer), received, flat
+            return sorted(answer), frames, flat
 
+        def engine(batches):
+            return MeteredEngine(SerialEngine(), batches.append)
+
+        def lock_step(batches):
+            """Both cores as the resumable drivers build them (the
+            session seed drawn first), on one thread."""
+            spec = get_spec("intersection")
+            r_rng, s_rng = random.Random(2), random.Random(1)
+            r_session, s_session = (
+                random.Random(rng.getrandbits(64)) for rng in (r_rng, s_rng)
+            )
+            receiver, _ = open_session(
+                "receiver", "intersection",
+                lambda wire: spec.make_receiver(
+                    v_r, PublicParams.from_wire(tuple(wire)), r_rng,
+                    engine=engine(batches),
+                ),
+                config=config, rng=r_session, chunk_size=2,
+            )
+            sender, _ = open_session(
+                "sender", "intersection",
+                lambda: spec.make_sender(v_s, params, s_rng),
+                params=params, config=config, rng=s_session, chunk_size=2,
+            )
+            sent, cut = [], []
+            r = Party("R", receiver.steps, dials=True,
+                      wrap=lambda end: _LoseOnce(end, sent, cut, 1))
+            s = Party("S", sender.steps, dials=False)
+            LockStep(accept_timeout_s=config.timeout_s).run(r, s)
+            assert r.error is None and s.error is None and cut == ["cut"]
+            return outcome(r.result, sent, receiver.stats)
+
+        batches = {"sync": [], "loop": [], "lock-step": []}
         sync = run_against_fresh_server(
             lambda port: tcp.connect_resumable_receiver(
                 "intersection", v_r, random.Random(2), "127.0.0.1", port,
-                config=config, chunk_size=2,
+                config=config, chunk_size=2, engine=engine(batches["sync"]),
             )
         )
         via_loop = run_against_fresh_server(
             lambda port: _run(connect_receiver_async(
                 "intersection", v_r, random.Random(2), "127.0.0.1", port,
-                config=config, chunk_size=2,
+                config=config, chunk_size=2, engine=engine(batches["loop"]),
             ))
         )
-        assert sync[0] == via_loop[0] == ["b", "c"]
-        assert sync[1] == via_loop[1]
-        assert sync[2] == via_loop[2]
+        in_lock_step = lock_step(batches["lock-step"])
+        assert sync[0] == via_loop[0] == in_lock_step[0] == ["b", "c"]
+        assert sync[1] == via_loop[1] == in_lock_step[1]
+        assert sync[2] == via_loop[2] == in_lock_step[2]
         assert (sync[2]["reconnects"], sync[2]["replayed_frames"],
                 sync[2]["rounds_resumed"]) == (1, 1, 1)
+        assert batches["sync"] == batches["loop"] == batches["lock-step"]
+        assert batches["sync"] == [len(v_r), 2, 1]  # Y_R; Y_S chunk by chunk

@@ -5,8 +5,10 @@ running the session core under the asyncio shell;
 :func:`~repro.net.tcp.serve_resumable_sender` runs the same core under
 the blocking shell. The mirror of ``test_aio.TestShellParity`` (which
 pins party R): same seed, same forced mid-round disconnect, and the two
-hosts must put the same frames on the wire, count the same stats and
-leave byte-identical journals. Then the supervision that became
+hosts - and the lock-step shell beside them - must put the same frames
+on the wire, count the same stats and leave byte-identical journals,
+S's own set exponentiated ahead of ``m1`` under all three. Then the
+supervision that became
 ``task.cancel()``: idle and past-deadline sessions end ``expired`` and
 free their slot, and a zero-second drain does not wait out a session's
 frame timeout. Real time, short windows - no clock is faked.
@@ -20,8 +22,9 @@ import time
 
 import pytest
 
-from repro.net import tcp
-from repro.net.journal import JournalDir
+from repro.crypto.engine import MeteredEngine, SerialEngine
+from repro.net import LockStep, tcp
+from repro.net.journal import JournalDir, open_session
 from repro.net.serialization import encode
 from repro.net.server import ProtocolOffer, ProtocolServer
 from repro.net.session import (
@@ -32,6 +35,7 @@ from repro.net.session import (
     seal,
     unseal,
 )
+from repro.net.virtual import Party
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import get_spec
 
@@ -82,6 +86,27 @@ class _TapAndHangUpOnce:
         self.endpoint.close()
 
 
+class _LoseOnce:
+    """The lock-step twin of :class:`_TapAndHangUpOnce` (and of
+    ``test_aio._TapAndCutOnce``), on the sending party's end: logs the
+    bytes of every frame sent and loses data frame ``cut_seq`` together
+    with the connection."""
+
+    def __init__(self, end, log, state, cut_seq):
+        self.end, self.log, self.state = end, log, state
+        self.cut_seq = cut_seq
+
+    def send(self, frame):
+        if self.end.dead:
+            raise BrokenPipeError("connection is gone")
+        self.log.append(encode(frame))
+        if not self.state and frame[:2] == ("msg", self.cut_seq):
+            self.state.append("cut")
+            self.end.close()
+        else:
+            self.end.send(frame)
+
+
 def _sender_rng():
     """S's party rng as ``serve_resumable_sender`` leaves it: the
     session-rng seed is drawn first, then the party factory runs."""
@@ -106,18 +131,21 @@ class TestSenderShellParity:
                 ),
             )
 
-        def outcome(answer, frames, cut, stats, folder):
+        def outcome(answer, frames, cut, stats, folder, batches):
             assert cut == ["cut"] and not list(folder.glob("*.wal"))
             flat = stats.as_dict()
             del flat["elapsed_s"]
             journals = {
                 path.name: path.read_bytes() for path in folder.iterdir()
             }
-            return sorted(answer), frames, flat, journals
+            return sorted(answer), frames, flat, journals, batches
+
+        def engine(batches):
+            return MeteredEngine(SerialEngine(), batches.append)
 
         def blocking():
             folder = tmp_path / "blocking"
-            frames, cut, bound, served = [], [], {}, {}
+            frames, cut, bound, served, batches = [], [], {}, {}, []
             port_ready = threading.Event()
 
             def serve():
@@ -127,6 +155,7 @@ class TestSenderShellParity:
                                               port_ready.set()),
                     config=config, chunk_size=chunk_size,
                     journal_dir=folder, journal_fsync=False,
+                    engine=engine(batches),
                 )[1]
 
             server = threading.Thread(target=serve, daemon=True)
@@ -135,15 +164,19 @@ class TestSenderShellParity:
             answer, _stats = client(bound["port"], frames, cut)
             server.join(timeout=10)
             assert not server.is_alive()
-            return outcome(answer, frames, cut, served["stats"], folder)
+            return outcome(
+                answer, frames, cut, served["stats"], folder, batches
+            )
 
         def hosted():
             folder = tmp_path / "hosted"
-            frames, cut = [], []
+            frames, cut, batches = [], [], []
             rng = _sender_rng()
             offer = ProtocolOffer(
                 "intersection", params,
-                lambda: get_spec("intersection").make_sender(V_S, params, rng),
+                lambda: get_spec("intersection").make_sender(
+                    V_S, params, rng, engine=engine(batches)
+                ),
             )
             with ProtocolServer(
                 [offer], config=config, chunk_size=chunk_size,
@@ -153,14 +186,63 @@ class TestSenderShellParity:
                 assert server.wait_for_sessions(1, timeout=10)
                 (record,) = server.sessions.values()
             assert record.status == "done"
-            return outcome(answer, frames, cut, record.session.stats, folder)
+            return outcome(
+                answer, frames, cut, record.session.stats, folder, batches
+            )
+
+        def lock_step():
+            """Both cores as the resumable drivers build them, on one
+            thread; S journals like the two hosts above."""
+            folder = tmp_path / "lock-step"
+            frames, cut, batches = [], [], []
+            spec = get_spec("intersection")
+            s_rng, r_rng = _sender_rng(), random.Random(2)
+            sender, _ = open_session(
+                "sender", "intersection",
+                lambda: spec.make_sender(
+                    V_S, params, s_rng, engine=engine(batches)
+                ),
+                params=params, journal_dir=JournalDir(folder, fsync=False),
+                config=config,
+                rng=random.Random(random.Random(1).getrandbits(64)),
+                chunk_size=chunk_size,
+            )
+            receiver, _ = open_session(
+                "receiver", "intersection",
+                lambda wire: spec.make_receiver(
+                    V_R, PublicParams.from_wire(tuple(wire)), r_rng
+                ),
+                config=config, rng=random.Random(r_rng.getrandbits(64)),
+                chunk_size=chunk_size,
+            )
+            s = Party("S", sender.steps, dials=False,
+                      wrap=lambda end: _LoseOnce(end, frames, cut, cut_seq))
+            r = Party("R", receiver.steps, dials=True)
+            LockStep(accept_timeout_s=config.timeout_s).run(r, s)
+            assert r.error is None and s.error is None
+            return outcome(
+                r.result, frames, cut, sender.stats, folder, batches
+            )
 
         under_blocking, under_loop = blocking(), hosted()
-        assert under_blocking[0] == under_loop[0] == ["b", "c"]
-        assert under_blocking[1] == under_loop[1]  # server -> client frames
-        assert under_blocking[2] == under_loop[2]  # S's SessionStats
-        assert under_blocking[3] == under_loop[3]  # rotated journal bytes
+        in_lock_step = lock_step()
+        assert under_blocking[0] == under_loop[0] == in_lock_step[0] == ["b", "c"]
+        # server -> client frames, S's SessionStats, rotated journal
+        # bytes: the same under every shell.
+        for observed in (1, 2, 3):
+            assert (under_blocking[observed] == under_loop[observed]
+                    == in_lock_step[observed]), observed
         assert len(under_loop[3]) == 1
+        # S's engine under every shell: the own set first, whole (it
+        # went ahead of m1), then the answers - all of them at least
+        # once (how far an abandoned chunk stream had run ahead of the
+        # cut is the shell's prefetch depth).
+        for batches in (under_blocking[4], under_loop[4], in_lock_step[4]):
+            assert batches[0] == len(V_S)
+            assert sum(batches[1:]) >= len(V_R)
+        if chunk_size is None:
+            assert (under_blocking[4] == under_loop[4] == in_lock_step[4]
+                    == [len(V_S), len(V_R)])
         stats = under_loop[2]
         assert (stats["reconnects"], stats["replayed_frames"],
                 stats["rounds_resumed"]) == (1, 1, 1)

@@ -6,6 +6,7 @@ import os
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro.net.session import (
     seal,
     unseal,
 )
-from repro.net.session_core import Link
+from repro.net.session_core import OPEN, Ahead, Compute, Link
 from repro.net.tcp import SocketEndpoint
 from repro.protocols.parties import PublicParams
 
@@ -400,6 +401,46 @@ class TestResumableEndToEnd:
         assert list(tmp_path.glob("receiver-intersection-*.wal"))  # it was journaled
         assert "gave up" in str(failure.value)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs procfs")
+    def test_failed_run_with_work_ahead_leaves_no_handle_and_no_thread(
+        self, tmp_path
+    ):
+        """S welcomes a client, starts its own-set step in the
+        background, and the client never speaks again: the run gives
+        up holding no ``*.wal`` handle, and the worker it abandons is a
+        daemon that ends on its own - nothing a process exit waits for."""
+        from repro.net.tcp import serve_resumable_sender
+
+        def hello_then_vanish(port):
+            def client():
+                with socket.create_connection(("127.0.0.1", port)) as sock:
+                    endpoint = SocketEndpoint(sock=sock)
+                    endpoint.send(
+                        seal("hello", SESSION_VERSION, "intersection", 9, 0, 0)
+                    )
+                    assert unseal(endpoint.recv())[0] == "welcome"
+
+            threading.Thread(target=client, daemon=True).start()
+
+        with pytest.raises(SessionError, match="gave up"):
+            serve_resumable_sender(
+                "intersection", [f"v{i}" for i in range(50)],
+                PublicParams.for_bits(128), random.Random(1),
+                config=_handshake_config(), ready_callback=hello_then_vanish,
+                journal_dir=tmp_path,
+            )
+        held = [os.path.realpath(f"/proc/self/fd/{fd}") for fd in os.listdir("/proc/self/fd")]
+        assert [p for p in held if p.startswith(str(tmp_path))] == []
+        assert list(tmp_path.glob("sender-intersection-*.wal"))
+        assert all(t.daemon for t in _ahead_threads())
+        for worker in _ahead_threads():
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+        assert [
+            t for t in threading.enumerate()
+            if not t.daemon and t is not threading.main_thread()
+        ] == []
+
     def test_wrapper_failure_closes_the_resumable_drivers_socket(self):
         """``endpoint_wrapper`` raising on a dialed or an accepted
         connection must not leak the socket it was handed."""
@@ -431,6 +472,93 @@ class TestResumableEndToEnd:
                 endpoint_wrapper=wrapper,
             )
         assert [endpoint.sock.fileno() for endpoint in handed] == [-1, -1]
+
+
+# ----------------------------------------------------------------------
+# The blocking shell's Ahead worker
+# ----------------------------------------------------------------------
+def _ahead_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-ahead"]
+
+
+class TestAheadWorker:
+    def test_steps_run_in_order_on_one_daemon_thread_before_a_compute(self):
+        ran = []
+
+        def step(tag):
+            def fn():
+                time.sleep(0.01)
+                ran.append((tag, threading.current_thread()))
+            return fn
+
+        def body():
+            yield Ahead(step("a"))
+            yield Ahead(step("b"))
+            assert (yield Compute(lambda: [tag for tag, _ in ran])) == ["a", "b"]
+            yield OPEN  # a reconnect: the worker and its queue live on
+            yield Ahead(step("c"))
+            yield Compute(lambda: ran.append(("d", threading.current_thread())))
+            return "done"
+
+        assert run_blocking(body(), open_link=lambda: None) == "done"
+        assert [tag for tag, _ in ran] == ["a", "b", "c", "d"]
+        worker = ran[0][1]
+        assert worker.name == "repro-ahead" and worker.daemon
+        assert all(thread is worker for _, thread in ran[:3])
+        assert ran[3][1] is threading.current_thread()
+        assert not worker.is_alive()  # joined when the body ended
+
+    def test_a_session_that_asks_for_nothing_ahead_starts_no_thread(
+        self, monkeypatch
+    ):
+        started = []
+        real = threading.Thread
+
+        def counting(*args, **kwargs):
+            started.append(kwargs.get("name"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", counting)
+
+        def body():
+            return (yield Compute(lambda: 41)) + 1
+
+        assert run_blocking(body()) == 42
+        assert started == []
+
+    def test_a_failing_step_is_dropped_and_the_next_still_runs(self):
+        ran = []
+
+        def body():
+            yield Ahead(lambda: 1 / 0)
+            yield Ahead(lambda: ran.append("after"))
+            return (yield Compute(lambda: list(ran)))
+
+        assert run_blocking(body()) == ["after"]
+
+    def test_a_dead_body_abandons_the_steps_not_yet_started(self):
+        entered, release, ran = threading.Event(), threading.Event(), []
+
+        def slow():
+            entered.set()
+            assert release.wait(timeout=10)
+            ran.append("slow")
+
+        def body():
+            yield Ahead(slow)
+            yield Ahead(lambda: ran.append("never"))
+            assert entered.wait(timeout=10)
+            raise RuntimeError("the session died")
+
+        before = set(_ahead_threads())
+        with pytest.raises(RuntimeError, match="the session died"):
+            run_blocking(body())  # returns while ``slow`` is still in flight
+        (worker,) = set(_ahead_threads()) - before
+        assert worker.daemon and worker.is_alive()
+        release.set()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert ran == ["slow"]
 
 
 # ----------------------------------------------------------------------
