@@ -1,26 +1,21 @@
-"""The unified benchmark harness: a task registry + one runner.
+"""The paper-table experiment report: a task registry + one runner.
 
-Every experiment in ``benchmarks/`` registers here as a named
-:class:`~repro.bench.registry.BenchTask` (``<area>.<task>``), and one
-CLI runs any subset with a seeded RNG, warmup/repeat control, and
-environment capture::
+Every experiment is a named :class:`~repro.bench.registry.BenchTask`
+(``<area>.<task>``), and one CLI runs any subset with a seeded RNG and
+warmup/repeat control, then renders what was recorded::
 
     python -m repro.bench list
-    python -m repro.bench run all --smoke
-    python -m repro.bench run robustness --out BENCH_robustness.json
-    python -m repro.bench compare --baseline HEAD
+    python -m repro.bench run all --full
     python -m repro.bench report --out EXPERIMENTS.md
 
-Each run emits one normalized, schema-tagged ``BENCH_<area>.json`` per
-area; those files are committed per PR so the repo carries its own
-perf trajectory, and the ``compare`` phase (plus the ``bench-smoke``
-CI job) fails on a >20% regression against the last committed numbers.
-See ``docs/BENCHMARKS.md`` for the user guide.
+Each run emits one schema-tagged ``BENCH_<area>.json`` per area; the
+committed files are the numbers EXPERIMENTS.md prints, and ``report``
+only renders them. Nothing here judges a timing regression - that is
+``perf/`` (see ``perf/README.md``). User guide: ``docs/BENCHMARKS.md``.
 """
 
 from __future__ import annotations
 
-from .compare import Comparison, MetricDelta, compare_payloads, load_baseline
 from .registry import (
     BenchTask,
     DuplicateTaskError,
@@ -43,20 +38,16 @@ from .schema import (
 
 __all__ = [
     "BenchTask",
-    "Comparison",
     "DuplicateTaskError",
     "FILE_SCHEMA",
-    "MetricDelta",
     "RunContext",
     "UnknownTaskError",
     "all_tasks",
     "areas",
     "capture_environment",
-    "compare_payloads",
     "dump_payload",
     "get_task",
     "load_all_tasks",
-    "load_baseline",
     "load_payload",
     "register",
     "run_selection",

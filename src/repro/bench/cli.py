@@ -1,15 +1,15 @@
 """``python -m repro.bench`` — the harness command line.
 
-Phases::
+Verbs::
 
     list                       show registered tasks (name, area, summary)
     run <task|area|all>        execute a subset, emit BENCH_<area>.json
-    compare --baseline <ref>   diff a run against committed numbers
-    report                     regenerate the EXPERIMENTS.md report
+    report                     render the BENCH_<area>.json files in a
+                               directory as EXPERIMENTS.md (runs nothing)
 
-``run`` selectors take a full task name (``robustness.chaos-survival``),
+``run`` selectors take a full task name (``robustness.kill-resume``),
 an area (``robustness``), ``all``, or a comma-separated mix. Exit
-codes: 0 success, 1 regression found (``compare``), 2 usage error.
+codes: 0 success, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,25 +19,19 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .compare import (
-    DEFAULT_MIN_ABS,
-    DEFAULT_THRESHOLD,
-    Comparison,
-    compare_payloads,
-    load_baseline,
-)
 from .registry import UnknownTaskError, all_tasks, select_tasks
+from .report import load_payloads, render_payloads
 from .runner import run_selection, write_bench_files
-from .schema import load_payload
+from .schema import dump_payload
 
-__all__ = ["build_parser", "legacy_main", "main"]
+__all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro.bench`` argument parser (exposed for testing/docs)."""
     parser = argparse.ArgumentParser(
         prog="repro.bench",
-        description="Unified benchmark harness (see docs/BENCHMARKS.md)",
+        description="Paper-table experiment report (see docs/BENCHMARKS.md)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -56,10 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode.add_argument(
         "--full", dest="mode", action="store_const", const="full",
-        help="real parameters (the committed-trajectory scale)",
+        help="real parameters (the scale of the committed files)",
     )
     mode.add_argument(
-        "--mode", dest="mode", choices=("smoke", "full", "report"),
+        "--mode", dest="mode", choices=("smoke", "full"),
         help="explicit parameter-set choice",
     )
     p.set_defaults(mode="smoke")
@@ -78,33 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="suppress per-task progress lines")
 
     p = sub.add_parser(
-        "compare", help="diff BENCH files against a baseline"
+        "report", help="render a directory's BENCH_<area>.json files"
     )
-    p.add_argument(
-        "--baseline", default="HEAD",
-        help="git ref holding the committed numbers, or a directory of "
-             "BENCH_<area>.json files (default HEAD)",
-    )
-    p.add_argument(
-        "--current", default=".", metavar="DIR",
-        help="directory holding the freshly produced files (default .)",
-    )
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="fail above this fractional slowdown (default 0.20)")
-    p.add_argument("--min-abs", type=float, default=DEFAULT_MIN_ABS,
-                   help="ignore absolute drifts at or below this many "
-                        "seconds (default 0.01)")
-    p.add_argument("--area", action="append", default=None,
-                   help="only compare these areas (repeatable)")
-    p.add_argument("--no-fail", action="store_true",
-                   help="report regressions but exit 0 (first-run CI)")
-
-    p = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
+    p.add_argument("--dir", default=".", metavar="DIR",
+                   help="directory holding the BENCH_<area>.json files "
+                        "(default .: the repo root holds the committed ones)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="write here (default stdout)")
-    p.add_argument("--mode", choices=("smoke", "full", "report"),
-                   default="report", help="parameter scale (default report)")
-    p.add_argument("--seed", type=int, default=20030609)
     return parser
 
 
@@ -144,8 +118,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        from .schema import dump_payload
-
         (payload,) = by_area.values()
         dump_payload(payload, args.out)
         print(args.out)
@@ -155,43 +127,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    current_dir = Path(args.current)
-    files = sorted(current_dir.glob("BENCH_*.json"))
-    if args.area:
-        wanted = set(args.area)
-        files = [
-            f for f in files
-            if f.name[len("BENCH_"):-len(".json")] in wanted
-        ]
-    if not files:
-        print(f"repro.bench: no BENCH_*.json under {current_dir}",
+def _cmd_report(args: argparse.Namespace) -> int:
+    by_area = load_payloads(args.dir)
+    if not by_area:
+        print(f"repro.bench: no BENCH_*.json under {args.dir}",
               file=sys.stderr)
         return 2
-    comparison = Comparison(threshold=args.threshold, min_abs=args.min_abs)
-    for path in files:
-        current = load_payload(path)
-        area = current.get("area", path.stem)
-        baseline = load_baseline(args.baseline, area)
-        if baseline is None:
-            comparison.notes.append(
-                f"{area}: no baseline in {args.baseline!r}; skipped"
-            )
-            continue
-        compare_payloads(
-            baseline, current, threshold=args.threshold,
-            min_abs=args.min_abs, comparison=comparison,
-        )
-    print(comparison.describe())
-    if not comparison.ok and not args.no_fail:
-        return 1
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .report import write_report
-
-    text = write_report(mode=args.mode, seed=args.seed)
+    text = render_payloads(by_area)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(args.out)
@@ -207,23 +149,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_list(args)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
     if args.command == "report":
         return _cmd_report(args)
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
-
-
-def legacy_main(task_selector: str, argv: Sequence[str] | None = None) -> int:
-    """Back-compat shim for ``python benchmarks/bench_<x>.py [args]``.
-
-    Each legacy script forwards here with its registry selector; extra
-    CLI args pass straight through to ``run`` (so e.g. ``--full`` or
-    ``--seed 7`` keep working from the old entrypoints).
-    """
-    argv = list(sys.argv[1:] if argv is None else argv)
-    print(
-        f"# legacy entrypoint -> python -m repro.bench run {task_selector}",
-        file=sys.stderr,
-    )
-    return main(["run", task_selector, *argv])

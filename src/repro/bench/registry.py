@@ -72,18 +72,12 @@ class BenchTask:
     fn: Callable[[Any], list[dict]]
     #: Tiny parameters: seconds-scale, used by CI and the smoke tests.
     smoke: Mapping[str, Any]
-    #: Real parameters: the committed-trajectory scale.
+    #: Real parameters: the scale of the committed files.
     full: Mapping[str, Any]
-    #: Optional override for the EXPERIMENTS.md report (default: full).
-    report: Mapping[str, Any] | None = None
     #: Record-shape version; bump when record fields change meaning.
     schema: int = 1
-    #: The legacy ``benchmarks/bench_*.py`` script this task absorbed.
-    source: str = ""
     #: One-line description shown by ``list`` and in the report.
     summary: str = ""
-    #: Metric keys the compare phase gates on (inside ``metrics``).
-    regress_on: tuple[str, ...] = ("elapsed_s",)
 
     @property
     def area(self) -> str:
@@ -91,16 +85,10 @@ class BenchTask:
         return self.name.split(".", 1)[0]
 
     def params_for(self, mode: str) -> dict[str, Any]:
-        """The parameter set for a run mode (report falls back to full)."""
-        if mode == "smoke":
-            chosen: Mapping[str, Any] = self.smoke
-        elif mode == "full":
-            chosen = self.full
-        elif mode == "report":
-            chosen = self.report if self.report is not None else self.full
-        else:
+        """The parameter set for a run mode: ``smoke`` or ``full``."""
+        if mode not in ("smoke", "full"):
             raise ValueError(f"unknown mode {mode!r}")
-        return dict(chosen)
+        return dict(self.smoke if mode == "smoke" else self.full)
 
 
 #: name -> task. Populated by :func:`register` at task-module import.
@@ -112,11 +100,8 @@ def register(
     *,
     smoke: Mapping[str, Any],
     full: Mapping[str, Any],
-    report: Mapping[str, Any] | None = None,
     schema: int = 1,
-    source: str = "",
     summary: str = "",
-    regress_on: tuple[str, ...] = ("elapsed_s",),
 ) -> Callable[[Callable], Callable]:
     """Decorator registering a task function under ``name``.
 
@@ -135,9 +120,8 @@ def register(
                 f"(by {_REGISTRY[name].fn.__module__})"
             )
         _REGISTRY[name] = BenchTask(
-            name=name, fn=fn, smoke=smoke, full=full, report=report,
-            schema=schema, source=source, summary=summary,
-            regress_on=regress_on,
+            name=name, fn=fn, smoke=smoke, full=full,
+            schema=schema, summary=summary,
         )
         return fn
 

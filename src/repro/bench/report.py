@@ -1,26 +1,25 @@
-"""The extract/view phase: render EXPERIMENTS.md from harness runs.
+"""The view phase: render EXPERIMENTS.md from ``BENCH_<area>.json``.
 
-Replaces the ad-hoc ``benchmarks/make_experiments_report.py`` script
-body (that file is now a thin shim onto this module): every section
-cites the registry task that produced it — name, record schema
-version, parameters — instead of a script path, so the report and the
-committed ``BENCH_<area>.json`` trajectory speak the same vocabulary.
+Rendering runs no task: the report is a pure function of the files
+``run`` wrote, so EXPERIMENTS.md and the committed ``BENCH_<area>.json``
+are one set of numbers. Every section cites the registry task that
+produced it - name, record schema version, mode, seed, parameters.
 """
 
 from __future__ import annotations
 
 import io
+from pathlib import Path
 from typing import Any
 
-from .registry import select_tasks
-from .runner import run_selection
+from .schema import bench_filename, load_payload
 
-__all__ = ["render_payloads", "write_report"]
+__all__ = ["load_payloads", "render_payloads"]
 
 #: Area order in the report — paper-section-ish reading order.
 _AREA_ORDER = [
     "crypto", "attacks", "costmodel", "protocols", "circuits",
-    "leakage", "apps", "parallelism", "streaming", "robustness",
+    "leakage", "apps", "parallelism", "robustness",
 ]
 
 
@@ -73,14 +72,15 @@ def render_payloads(by_area: dict[str, dict]) -> str:
     emit = lambda *a: print(*a, file=out)  # noqa: E731
     emit("# EXPERIMENTS - paper-reported vs measured")
     emit()
-    emit("Regenerated by `python -m repro.bench report --out EXPERIMENTS.md`")
-    emit("(the harness's extract/view phase; see docs/BENCHMARKS.md).")
-    emit("Every section names the registry task and record-schema version")
-    emit("that produced it; deterministic columns (counts, bytes, paper")
-    emit("constants) are reproducible at the given seed, while columns from")
-    emit("the `metrics` block are wall-clock measurements on this machine.")
-    emit("The same records, in machine-readable form, land in the committed")
-    emit("`BENCH_<area>.json` trajectory files.")
+    emit("Rendered by `python -m repro.bench report --out EXPERIMENTS.md`")
+    emit("from the committed `BENCH_<area>.json` files and nothing else (see")
+    emit("docs/BENCHMARKS.md; `python -m repro.bench run all --full` rewrites")
+    emit("them). Every section names the registry task, record-schema")
+    emit("version, mode, seed and parameters that produced it; deterministic")
+    emit("columns (counts, bytes, paper constants) are reproducible at the")
+    emit("given seed, while columns from the `metrics` block are wall-clock")
+    emit("measurements on the machine that ran them - for what a query costs")
+    emit("against the paper's `C_e` model, see docs/PERFORMANCE.md.")
     ordered = [a for a in _AREA_ORDER if a in by_area]
     ordered += [a for a in sorted(by_area) if a not in _AREA_ORDER]
     for area in ordered:
@@ -98,10 +98,6 @@ def render_payloads(by_area: dict[str, dict]) -> str:
             if task_result.get("summary"):
                 emit(task_result["summary"])
                 emit()
-            if task_result.get("source"):
-                emit(f"Legacy script: `{task_result['source']}` — run via "
-                     f"`python -m repro.bench run {task_result['task']}`.")
-                emit()
             emit(f"Params: `{task_result['params']}`")
             emit()
             for line in _record_table(task_result):
@@ -110,7 +106,10 @@ def render_payloads(by_area: dict[str, dict]) -> str:
     return out.getvalue()
 
 
-def write_report(mode: str = "report", seed: int = 20030609) -> str:
-    """Run every registered task at report scale and render the text."""
-    by_area = run_selection(select_tasks("all"), mode=mode, seed=seed)
-    return render_payloads(by_area)
+def load_payloads(directory: Path | str) -> dict[str, dict]:
+    """``{area: payload}`` for every ``BENCH_<area>.json`` in a directory."""
+    payloads = (
+        load_payload(path)
+        for path in sorted(Path(directory).glob(bench_filename("*")))
+    )
+    return {payload["area"]: payload for payload in payloads}

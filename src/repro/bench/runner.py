@@ -13,7 +13,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from .registry import BenchTask
 from .schema import (
@@ -35,11 +35,11 @@ class RunContext:
     run never shifts its stream.
     """
 
-    #: The mode's parameter dict (smoke/full/report, CLI-overridable).
+    #: The mode's parameter dict (smoke or full).
     params: dict[str, Any]
     #: Seeded per-task; the only randomness a task should use.
     rng: random.Random
-    #: Which parameter set is running: ``smoke``, ``full`` or ``report``.
+    #: Which parameter set is running: ``smoke`` or ``full``.
     mode: str = "smoke"
     #: Discarded timing calls before measurement.
     warmup: int = 0
@@ -94,14 +94,12 @@ def run_selection(
     seed: int = 20030609,
     warmup: int | None = None,
     repeat: int | None = None,
-    param_overrides: Mapping[str, Any] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> dict[str, dict]:
     """Execute tasks and return ``{area: payload}`` per the schema.
 
-    ``warmup``/``repeat`` default per mode (0/1 for smoke, 1/3
-    otherwise); ``param_overrides`` lets the CLI poke individual task
-    parameters (applied to every selected task that has the key).
+    ``warmup``/``repeat`` default per mode (0/1 for smoke, 1/3 for
+    full).
     """
     if warmup is None:
         warmup = 0 if mode == "smoke" else 1
@@ -111,9 +109,6 @@ def run_selection(
     by_area: dict[str, dict] = {}
     for task in tasks:
         params = task.params_for(mode)
-        for key, value in (param_overrides or {}).items():
-            if key in params:
-                params[key] = value
         if progress:
             progress(f"run {task.name} [{mode}] params={params}")
         ctx = RunContext(
@@ -139,10 +134,8 @@ def run_selection(
         payload["tasks"].append({
             "task": task.name,
             "schema": task.schema,
-            "source": task.source,
             "summary": task.summary,
             "params": params,
-            "regress_on": list(task.regress_on),
             "records": records,
         })
     for payload in by_area.values():

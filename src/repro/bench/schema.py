@@ -1,21 +1,19 @@
 """The normalized ``BENCH_<area>.json`` result format.
 
-One file per area, schema-tagged at both levels so the trajectory
-stays diffable across PRs::
+One file per area, schema-tagged at both levels::
 
     {
-      "schema": 2,                 # file format version (this module)
+      "schema": 3,                 # file format version (this module)
       "area": "robustness",
-      "mode": "smoke",             # which parameter set produced it
+      "mode": "full",              # which parameter set produced it
       "seed": 20030609,
       "environment": {...},        # volatile: machine, sha, timestamp
       "tasks": [
         {
           "task": "robustness.fault-tolerance",
           "schema": 1,             # task's own record-shape version
-          "source": "benchmarks/bench_fault_tolerance.py",
+          "summary": "...",
           "params": {...},
-          "regress_on": ["elapsed_s"],
           "records": [
             {"id": "rate-0.05", ..., "metrics": {"elapsed_s": 0.41}}
           ]
@@ -26,13 +24,14 @@ stays diffable across PRs::
 Record discipline: every record carries a stable ``id`` (unique within
 its task), deterministic facts (counts, byte totals, answers — identical
 across reruns at the same seed and params) at the top level, and noisy
-measured values under ``"metrics"``. The compare phase diffs only the
-metrics named by ``regress_on``; the determinism test diffs everything
-*except* metrics and the environment block (:func:`strip_volatile`).
+measured values under ``"metrics"``. The determinism test diffs
+everything *except* metrics and the environment block
+(:func:`strip_volatile`).
 
-Schema history: ``1`` was the flat ``{"benchmark", "records"}`` shape
-the pre-harness ``bench_fault_tolerance.py`` emitted; ``2`` is the
-registry format above.
+Schema history: ``1`` was a flat ``{"benchmark", "records"}`` shape;
+``2`` the registry format with two more per-task fields (a script
+path, and the metric names a seconds-based gate read); ``3`` is ``2``
+without them.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ __all__ = [
 ]
 
 #: Version tag written at the top of every ``BENCH_<area>.json``.
-FILE_SCHEMA = 2
+FILE_SCHEMA = 3
 
 
 def bench_filename(area: str) -> str:
@@ -120,10 +119,9 @@ def percentiles(
     Returns ``{"p50": ..., "p95": ..., "p99": ...}`` (keys follow
     ``points``), computed by linear interpolation between closest
     ranks on the sorted samples - the same convention as
-    ``numpy.percentile``'s default, but dependency-free. Load-style
-    tasks record distributions this way instead of means alone: a
-    mean hides exactly the tail the concurrency benches exist to
-    watch.
+    ``numpy.percentile``'s default, but dependency-free. Tasks that
+    time repeated trials record the distribution this way instead of
+    a mean alone: a mean hides exactly the tail.
 
     Raises:
         ValueError: no samples, or a point outside [0, 100].

@@ -3,8 +3,7 @@
 Importing a module here registers its tasks (the
 :func:`repro.bench.registry.register` decorator runs at import);
 :func:`repro.bench.registry.load_all_tasks` imports all of them.
-Each module absorbs the measurement core of one or more legacy
-``benchmarks/bench_*.py`` scripts — the scripts remain as pytest
-suites asserting the paper's claims and as thin ``__main__`` shims
-that forward to ``python -m repro.bench run <task>``.
+A task checks the paper's claim it reproduces with its own ``assert``
+statements, so every run - the tier-1 smoke run included - is also a
+test of the numbers it records.
 """

@@ -1,9 +1,8 @@
 """Area ``apps`` — the paper's two Section 6.2 applications, live.
 
-Absorbs ``bench_app_docshare.py`` (selective document sharing, S6.2.1)
-and ``bench_app_medical.py`` (the Figure 2 medical-research pipeline,
-S6.2.2): paper estimates from the cost model, plus real reduced-scale
-runs validated against plaintext.
+Selective document sharing (S6.2.1) and the Figure 2 medical-research
+pipeline (S6.2.2): paper estimates from the cost model, plus real
+reduced-scale runs validated against plaintext.
 """
 
 from __future__ import annotations
@@ -44,10 +43,8 @@ def _small_corpus(words_per_doc: int, k: int, n_r: int, n_s: int):
     "apps.document-sharing",
     smoke={"bits": 128, "words_per_doc": 25, "k": 12, "n_r": 2, "n_s": 4},
     full={"bits": 128, "words_per_doc": 40, "k": 20, "n_r": 3, "n_s": 6},
-    source="benchmarks/bench_app_docshare.py",
     summary="S6.2.1: paper headline (4e6 C_e, ~2 h at P=10, ~35 min on "
             "a T1) plus a live TF-IDF + per-pair protocol run.",
-    regress_on=("elapsed_s",),
 )
 def document_sharing(ctx) -> list[dict]:
     """Check the paper estimate, then run the application for real."""
@@ -93,11 +90,9 @@ def document_sharing(ctx) -> list[dict]:
     "apps.medical",
     smoke={"bits": 128, "people": 60},
     full={"bits": 128, "people": 150},
-    source="benchmarks/bench_app_medical.py",
     summary="S6.2.2: paper headline (8e6 C_e, ~4 h at P=10, ~1.5 h "
             "transfer) plus a live Figure 2 three-party pipeline run "
             "checked against plaintext SQL.",
-    regress_on=("elapsed_s",),
 )
 def medical(ctx) -> list[dict]:
     """Check the paper estimate, then run the Figure 2 pipeline."""

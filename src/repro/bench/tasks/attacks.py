@@ -1,9 +1,8 @@
 """Area ``attacks`` — the paper's negative results, measured.
 
-Absorbs ``bench_naive_attack.py`` (S3.1 dictionary attack) and
-``bench_sorting_ablation.py`` (footnote-3 positional attack). The
-switchable-reorder protocol lives here so both the legacy pytest
-module and ``make_experiments_report.py`` import one copy.
+The S3.1 dictionary attack on the naive hash protocol, and the
+footnote-3 positional attack on a size protocol whose step-4(b)
+reordering can be switched off.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from ...protocols.naive_hash import dictionary_attack, run_naive_intersection
 from ...workloads.generator import overlapping_sets
 from ..registry import register
 
-__all__ = ["intersection_size_run"]
+__all__ = []
 
 
 def intersection_size_run(v_r, v_s, suite, reorder_z_r: bool):
@@ -63,10 +62,8 @@ def intersection_size_run(v_r, v_s, suite, reorder_z_r: bool):
     "attacks.naive-dictionary",
     smoke={"bits": 128, "domain": 200, "n_s": 40, "n_r": 25},
     full={"bits": 256, "domain": 400, "n_s": 80, "n_r": 50},
-    source="benchmarks/bench_naive_attack.py",
     summary="S3.1: dictionary attack recovers 100% of V_S from the "
             "naive hash protocol and 0% from ours.",
-    regress_on=("attack_s",),
 )
 def naive_dictionary(ctx) -> list[dict]:
     """Run the attack against both protocols over the same domain."""
@@ -113,10 +110,8 @@ def naive_dictionary(ctx) -> list[dict]:
     "attacks.sorting-ablation",
     smoke={"bits": 128, "n_r": 20, "n_s": 25, "overlap": 9},
     full={"bits": 256, "n_r": 40, "n_s": 50, "overlap": 18},
-    source="benchmarks/bench_sorting_ablation.py",
     summary="Footnote 3: skipping the 4(b) reorder lets R's positional "
             "attack recover the full intersection; the audit flags it.",
-    regress_on=(),
 )
 def sorting_ablation(ctx) -> list[dict]:
     """Run the size protocol with and without the 4(b) reorder."""

@@ -1,9 +1,7 @@
 """Area ``circuits`` — the garbled-circuit baseline, run for real.
 
-Absorbs ``bench_yao_empirical.py`` (Yao PSI vs our protocol on the
-same inputs) and the built-circuit cross-checks from
-``bench_appendixA_communication.py`` (garbled-table volume vs the
-4-k0-bits-per-gate model).
+Yao PSI vs our protocol on the same inputs, and the garbled-table
+volume of actually built circuits vs the 4-k0-bits-per-gate model.
 """
 
 from __future__ import annotations
@@ -34,10 +32,8 @@ def _inputs(n: int, rng: random.Random, width: int = 16):
     "circuits.yao-empirical",
     smoke={"bits": 256, "sizes": [4, 8], "width": 16},
     full={"bits": 256, "sizes": [4, 8, 16], "width": 16},
-    source="benchmarks/bench_yao_empirical.py",
     summary="Appendix A made empirical: Yao PSI vs our protocol on "
             "identical inputs; the communication gap widens with n.",
-    regress_on=("yao_s", "ours_s"),
 )
 def yao_empirical(ctx) -> list[dict]:
     """Run both protocols at each n; assert equal answers, record gap."""
@@ -72,8 +68,9 @@ def yao_empirical(ctx) -> list[dict]:
                 "ours_s": round(ours_s, 6),
             },
         })
-    # Quadratic vs linear: the gap must widen monotonically with n.
-    assert gaps == sorted(gaps)
+    # Quadratic vs linear: the gap must widen monotonically with n,
+    # and is past 10x before n = 8.
+    assert gaps == sorted(gaps) and gaps[-1] > 10
     return records
 
 
@@ -81,11 +78,9 @@ def yao_empirical(ctx) -> list[dict]:
     "circuits.garbling",
     smoke={"sizes": [2, 4]},
     full={"sizes": [2, 4, 8]},
-    source="benchmarks/bench_appendixA_communication.py",
     summary="Garbled-table volume of actually built circuits vs the "
             "4 k0 bits/gate model (constant factor 544/256 for "
             "128-bit labels).",
-    regress_on=("garble_s",),
 )
 def garbling(ctx) -> list[dict]:
     """Garble brute-force PSI circuits; check the table-volume model."""

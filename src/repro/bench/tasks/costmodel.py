@@ -1,8 +1,8 @@
 """Area ``costmodel`` — analytic cost tables, validated against code.
 
-Absorbs the four appendix-A benches (gates, OT, communication,
-computation tables) and the two section-6 benches (wire traffic vs the
-bit formulas, modexp counts vs the operation formulas).
+The four Appendix A tables (gates, OT, communication, computation) and
+the two Section 6 checks (wire traffic vs the bit formulas, modexp
+counts vs the operation formulas).
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ def _close(a: float, b: float, rel: float) -> bool:
     "costmodel.appendix-a-gates",
     smoke={},
     full={},
-    source="benchmarks/bench_appendixA_gates.py",
     summary="A.1.2 circuit-size tables: partitioning m/f(n) rows and "
             "the brute-force row, rebuilt from the closed form.",
-    regress_on=(),
 )
 def appendixA_gates(ctx) -> list[dict]:
     """Regenerate the A.1.2 gate-count tables and check the paper rows."""
@@ -78,10 +76,8 @@ def appendixA_gates(ctx) -> list[dict]:
     "costmodel.appendix-a-ot",
     smoke={"bits": 256, "runs": 4},
     full={"bits": 1024, "runs": 10},
-    source="benchmarks/bench_appendixA_ot.py",
     summary="A.1.1 Naor-Pinkas amortization (optimal l=8, 0.157 C_e, "
             "3200 bits) plus an executable DH-based OT timing.",
-    regress_on=("ot_s",),
 )
 def appendixA_ot(ctx) -> list[dict]:
     """Sweep the batch parameter l and time one executable OT."""
@@ -124,11 +120,8 @@ def appendixA_ot(ctx) -> list[dict]:
     "costmodel.appendix-a-comparison",
     smoke={"cr_samples": 2000},
     full={"cr_samples": 20000},
-    source="benchmarks/bench_appendixA_communication.py, "
-           "benchmarks/bench_appendixA_computation.py",
     summary="A.2 circuit-vs-ours tables (bits and operation counts) "
             "with the 144-days-vs-0.5-hours headline and measured C_r.",
-    regress_on=("cr_s",),
 )
 def appendixA_comparison(ctx) -> list[dict]:
     """Regenerate both A.2 tables and locate this machine's C_r."""
@@ -181,10 +174,8 @@ def appendixA_comparison(ctx) -> list[dict]:
     "costmodel.section6-communication",
     smoke={"pairs": [[30, 30], [20, 60]], "bits": 128},
     full={"pairs": [[50, 50], [30, 90], [100, 20]], "bits": 128},
-    source="benchmarks/bench_section6_communication.py",
     summary="S6.1: codewords on the wire match the (n_S + 2 n_R) k and "
             "equijoin bit formulas exactly.",
-    regress_on=(),
 )
 def section6_communication(ctx) -> list[dict]:
     """Count codewords on real transcripts against the bit formulas."""
@@ -242,10 +233,8 @@ def section6_communication(ctx) -> list[dict]:
            "calib_samples": 4},
     full={"pairs": [[50, 50], [20, 80], [100, 10]], "calib_bits": 1024,
           "calib_samples": 20},
-    source="benchmarks/bench_section6_computation.py",
     summary="S6.1: instrumented modexp counts equal the operation "
             "formulas; extrapolation to n=1M (paper: 2.22 h, P=10).",
-    regress_on=("calibrate_s",),
 )
 def section6_computation(ctx) -> list[dict]:
     """Count modexps against the model, then extrapolate to paper scale."""

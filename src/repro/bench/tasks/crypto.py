@@ -1,11 +1,7 @@
-"""Area ``crypto`` — substrate costs: hashing, collisions, key size.
-
-Absorbs ``bench_collision_bound.py`` and ``bench_keysize_ablation.py``.
-"""
+"""Area ``crypto`` — substrate costs: hashing, collisions, key size."""
 
 from __future__ import annotations
 
-import math
 import time
 
 from ...analysis.calibration import calibrate
@@ -13,8 +9,8 @@ from ...crypto.groups import QRGroup
 from ...crypto.hashing import (
     SquareHash,
     TryIncrementHash,
-    collision_probability,
     find_collisions,
+    log10_collision_probability,
 )
 from ...protocols.base import ProtocolSuite
 from ...protocols.intersection_size import run_intersection_size
@@ -27,23 +23,19 @@ __all__ = []  # tasks register by side effect; nothing to re-export
     "crypto.collision-bound",
     smoke={"cases": [[1024, 10**6], [512, 10**6]]},
     full={"cases": [[1024, 10**6], [1024, 10**4], [512, 10**6], [2048, 10**6]]},
-    source="benchmarks/bench_collision_bound.py",
     summary="S3.2.2: Pr[hash collision] at the paper's parameters "
             "(paper: ~1e-295 at k=1024, n=1e6).",
-    regress_on=(),
 )
 def collision_bound(ctx) -> list[dict]:
     """Recompute the S3.2.2 collision bound; pure math, no timing."""
     records = []
     for bits, n in ctx.param("cases"):
-        domain = 2**bits // 2
-        p = collision_probability(n, domain)
         records.append({
             "id": f"k{bits}-n{n:.0e}",
             "bits": bits,
             "n": n,
-            "log10_pr_collision": (
-                round(math.log10(p), 2) if p > 0 else None
+            "log10_pr_collision": round(
+                log10_collision_probability(n, 2**bits // 2), 2
             ),
             "paper": "~1e-295 at k=1024, n=1e6",
         })
@@ -54,10 +46,8 @@ def collision_bound(ctx) -> list[dict]:
     "crypto.hash-throughput",
     smoke={"bits": 256, "values": 50, "check_values": 1000},
     full={"bits": 1024, "values": 300, "check_values": 10_000},
-    source="benchmarks/bench_collision_bound.py",
     summary="Try-and-increment hash into QR_p and the sort-based "
             "collision check the bound justifies.",
-    regress_on=("hash_elapsed_s", "check_elapsed_s"),
 )
 def hash_throughput(ctx) -> list[dict]:
     """Time hashing + the duplicate check at the chosen modulus size."""
@@ -87,10 +77,8 @@ def hash_throughput(ctx) -> list[dict]:
     "crypto.hash-construction",
     smoke={"bits": 256, "values": 60},
     full={"bits": 1024, "values": 300},
-    source="benchmarks/bench_keysize_ablation.py",
     summary="DESIGN.md choice 1: try-and-increment vs hash-and-square "
             "constructions for hashing into QR_p.",
-    regress_on=("try_increment_s", "square_s"),
 )
 def hash_construction(ctx) -> list[dict]:
     """Time both hash-into-QR constructions on the same value set."""
@@ -118,10 +106,8 @@ def hash_construction(ctx) -> list[dict]:
     "crypto.keysize-ablation",
     smoke={"sizes": [128, 256], "n": 8, "samples": 3},
     full={"sizes": [256, 512, 1024, 2048], "n": 24, "samples": 8},
-    source="benchmarks/bench_keysize_ablation.py",
     summary="Section 6's k=1024 design point ablated: C_e is "
             "superlinear in k, wire bits linear in k.",
-    regress_on=("ce_s", "run_s"),
 )
 def keysize_ablation(ctx) -> list[dict]:
     """Sweep the modulus size through a real intersection-size run."""
@@ -146,4 +132,8 @@ def keysize_ablation(ctx) -> list[dict]:
                 "run_s": round(elapsed, 6),
             },
         })
+    # Wire volume is linear in k: one codeword count, ceil(k/8) + 5
+    # bytes each, at every size.
+    codewords = [r["wire_bytes"] / (r["bits"] // 8 + 5) for r in records]
+    assert max(codewords) < 1.02 * min(codewords)
     return records

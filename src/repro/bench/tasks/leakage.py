@@ -1,8 +1,8 @@
 """Area ``leakage`` — S5.2 equijoin-size leakage characterization.
 
-Absorbs ``bench_leakage_ablation.py``: the duplicate-distribution sweep
-between the paper's two extremes, plus the live-protocol check that the
-wire-visible overlap matrix equals the plaintext analysis.
+The duplicate-distribution sweep between the paper's two extremes,
+plus the live-protocol check that the wire-visible overlap matrix
+equals the plaintext analysis.
 """
 
 from __future__ import annotations
@@ -39,11 +39,9 @@ def _distinct_count_multisets(n: int, overlap: int):
            "bits": 128},
     full={"n": 40, "overlap": 16, "live_n": 12, "live_overlap": 5,
           "bits": 128},
-    source="benchmarks/bench_leakage_ablation.py",
     summary="S5.2: identified fraction from uniform duplicates (0.0) "
             "to all-distinct counts (1.0), Zipf points in between; "
             "live protocol leak equals the plaintext analysis.",
-    regress_on=(),
 )
 def duplicate_distributions(ctx) -> list[dict]:
     """Sweep duplicate distributions and check the live protocol."""

@@ -1,8 +1,7 @@
 """Area ``parallelism`` — the Section 6.2 P-processor assumption.
 
-The measurement cores (``run_intersection_with_engine``, ``sweep``)
-moved here from ``benchmarks/bench_parallelism_ablation.py``; the
-legacy script imports them back for its pytest assertions.
+Raw batch exponentiation and a whole intersection run through the
+process-pool engine, against the model's ideal 1/P.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from ...protocols.parties import (
 )
 from ..registry import register
 
-__all__ = ["run_intersection_with_engine", "sweep"]
+__all__ = []
 
 
 def run_intersection_with_engine(
@@ -95,10 +94,8 @@ def sweep(
     "parallelism.batch-speedup",
     smoke={"bits": 512, "batches": [32, 96], "max_workers": 2},
     full={"bits": 1024, "batches": [32, 128, 512], "max_workers": 4},
-    source="benchmarks/bench_parallelism_ablation.py",
     summary="Raw batch modexp through the process pool vs the model's "
             "ideal 1/P, pool startup reported separately.",
-    regress_on=("parallel_s",),
 )
 def batch_speedup(ctx) -> list[dict]:
     """Measure parallel_pow speedup at growing batch sizes."""
@@ -128,10 +125,8 @@ def batch_speedup(ctx) -> list[dict]:
     "parallelism.engine-sweep",
     smoke={"workers": [1, 2], "sizes": [64], "bits": [256]},
     full={"workers": [1, 2, 4], "sizes": [64, 512], "bits": [256, 512]},
-    source="benchmarks/bench_parallelism_ablation.py",
     summary="End-to-end intersection through the party state machines "
             "with a shared process-pool engine: workers x n x bits.",
-    regress_on=("wall_s",),
 )
 def engine_sweep(ctx) -> list[dict]:
     """Run the real-protocol engine sweep; one record per grid cell."""

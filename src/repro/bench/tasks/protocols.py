@@ -1,8 +1,7 @@
 """Area ``protocols`` — end-to-end runs of all four core protocols.
 
-Absorbs ``bench_protocols_scaling.py`` (the scaling validation table)
-and ``bench_extensions.py`` (the future-work aggregate and selection
-operations the paper asks for).
+The scaling validation table, and the future-work aggregate and
+selection operations the paper asks for.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from ...protocols.selection import run_selection as _run_selection_protocol
 from ...workloads.generator import multiset_pair, overlapping_sets
 from ..registry import register
 
-__all__ = ["PROTOCOL_DRIVERS"]
+__all__ = []
 
 #: Name -> driver over ``(v_r, v_s, suite)`` for the four core protocols.
 PROTOCOL_DRIVERS = {
@@ -41,10 +40,8 @@ PROTOCOL_DRIVERS = {
     "protocols.scaling",
     smoke={"bits": 128, "sizes": [16, 32]},
     full={"bits": 512, "sizes": [16, 32, 64]},
-    source="benchmarks/bench_protocols_scaling.py",
     summary="All four protocols end to end at growing n: wall clock, "
             "wire bytes, correctness vs plaintext on every run.",
-    regress_on=("elapsed_s",),
 )
 def scaling(ctx) -> list[dict]:
     """Run every protocol at each n; one record per (protocol, n)."""
@@ -77,10 +74,8 @@ def scaling(ctx) -> list[dict]:
     "protocols.multiset-join",
     smoke={"bits": 128, "sizes": [16]},
     full={"bits": 512, "sizes": [16, 48]},
-    source="benchmarks/bench_protocols_scaling.py",
     summary="Equijoin-size over Zipf-duplicated multisets, join size "
             "asserted against the plaintext multiset join.",
-    regress_on=("elapsed_s",),
 )
 def multiset_join(ctx) -> list[dict]:
     """Run the multiset size protocol at realistic duplicate skews."""
@@ -109,10 +104,8 @@ def multiset_join(ctx) -> list[dict]:
     "protocols.extensions",
     smoke={"bits": 128, "n_sum": 12, "selection_sizes": [4, 16]},
     full={"bits": 256, "n_sum": 24, "selection_sizes": [4, 16, 64]},
-    source="benchmarks/bench_extensions.py",
     summary="Future-work extensions: equijoin-sum overhead over the "
             "size protocol, and selection's amortizing per-record cost.",
-    regress_on=("elapsed_s",),
 )
 def extensions(ctx) -> list[dict]:
     """Cost the aggregate and selection extensions against baselines."""

@@ -24,6 +24,7 @@ from .hashing import (
     TryIncrementHash,
     collision_probability,
     find_collisions,
+    log10_collision_probability,
     value_to_bytes,
 )
 from .numtheory import (
@@ -83,6 +84,7 @@ __all__ = [
     "measure_speedup",
     "BatchSpeedup",
     "collision_probability",
+    "log10_collision_probability",
     "find_collisions",
     "value_to_bytes",
     "EMBEDDED_SAFE_PRIMES",

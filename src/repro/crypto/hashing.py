@@ -37,6 +37,7 @@ __all__ = [
     "TryIncrementHash",
     "SquareHash",
     "collision_probability",
+    "log10_collision_probability",
     "find_collisions",
 ]
 
@@ -134,6 +135,23 @@ def collision_probability(n: int, domain_size: int) -> float:
         return 0.0
     exponent = -(n * (n - 1)) / (2 * domain_size)
     return -math.expm1(exponent)
+
+
+def log10_collision_probability(n: int, domain_size: int) -> float:
+    """``log10`` of :func:`collision_probability`, finite at any key size.
+
+    The float bound underflows to 0.0 once ``n(n-1)/2N`` drops below
+    ~2**-1074 (a 2048-bit modulus at ``n = 10**6``). For
+    ``x = n(n-1)/2N < 1e-9``, ``1 - exp(-x) = x`` to nine digits, so the
+    logarithm is taken of the two integers instead; above that the
+    float formula is exact enough and is used as is.
+    """
+    if n < 2:
+        return -math.inf
+    pairs, twice_domain = n * (n - 1), 2 * domain_size
+    if pairs * 10**9 < twice_domain:
+        return math.log10(pairs) - math.log10(twice_domain)
+    return math.log10(collision_probability(n, domain_size))
 
 
 def find_collisions(hashes: Sequence[int]) -> list[int]:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.costmodel import CostConstants
 from repro.analysis.estimates import (
     document_sharing_estimate,
     medical_research_estimate,
 )
+
+#: A measured-today C_e (~1 ms at 1024 bits) at the paper's P = 10.
+_THIS_CENTURY = CostConstants(ce_seconds=0.001).with_processors(10)
 
 
 class TestDocumentSharing:
@@ -16,6 +20,11 @@ class TestDocumentSharing:
     def test_total_encryptions(self):
         est = document_sharing_estimate()
         assert est.encryptions_ce == pytest.approx(4e6)
+        # Extrapolating with another machine's C_e moves the hours,
+        # never the operation count.
+        faster = document_sharing_estimate(constants=_THIS_CENTURY)
+        assert faster.encryptions_ce == est.encryptions_ce
+        assert faster.computation_hours < est.computation_hours
 
     def test_computation_about_two_hours(self):
         """'4e6 C_e / P ~ 2 hour' (exactly 2.22 h at P=10)."""
@@ -49,6 +58,9 @@ class TestMedicalResearch:
     def test_total_encryptions(self):
         est = medical_research_estimate()
         assert est.encryptions_ce == pytest.approx(8e6)
+        faster = medical_research_estimate(constants=_THIS_CENTURY)
+        assert faster.encryptions_ce == est.encryptions_ce
+        assert faster.computation_hours < est.computation_hours
 
     def test_computation_about_four_hours(self):
         """'8e6 C_e / P ~ 4 hours' (exactly 4.44 h at P=10)."""

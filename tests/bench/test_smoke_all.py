@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench.cli import main
 from repro.bench.registry import all_tasks, areas
+from repro.bench.report import load_payloads, render_payloads
 from repro.bench.schema import FILE_SCHEMA
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +26,7 @@ def smoke_dir(tmp_path_factory):
 
 
 def _payloads(smoke_dir):
-    return [
-        json.loads(p.read_text(encoding="utf-8"))
-        for p in sorted(smoke_dir.glob("BENCH_*.json"))
-    ]
+    return list(load_payloads(smoke_dir).values())
 
 
 def test_every_area_emits_a_file(smoke_dir):
@@ -52,16 +52,20 @@ def test_schema_tags_present(smoke_dir):
         assert payload["environment"].get("python")
         for entry in payload["tasks"]:
             assert entry["schema"] >= 1
-            assert isinstance(entry["regress_on"], list)
 
 
 def test_smoke_files_match_committed_areas(smoke_dir):
-    """The committed trajectory covers exactly the registered areas."""
-    from pathlib import Path
+    """The committed files cover exactly the registered areas."""
+    assert set(load_payloads(REPO_ROOT)) == set(areas())
 
-    repo_root = Path(__file__).resolve().parents[2]
-    committed = {
-        p.name[len("BENCH_"):-len(".json")]
-        for p in repo_root.glob("BENCH_*.json")
-    }
-    assert committed == set(areas())
+
+def test_experiments_md_is_the_committed_files_rendered(capsys):
+    """``report`` runs nothing: EXPERIMENTS.md is the committed
+    ``BENCH_<area>.json`` files (all written by ``run all --full``),
+    rendered - through the function and through the CLI alike."""
+    committed = load_payloads(REPO_ROOT)
+    assert {p["mode"] for p in committed.values()} == {"full"}
+    experiments = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    assert experiments == render_payloads(committed)
+    assert main(["report", "--dir", str(REPO_ROOT)]) == 0
+    assert capsys.readouterr().out == experiments

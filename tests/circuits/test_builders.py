@@ -15,7 +15,11 @@ from repro.circuits.builders import (
     less_than_comparator,
     pack_inputs,
 )
-from repro.circuits.costmodel import equality_gates, less_than_gates
+from repro.circuits.costmodel import (
+    CircuitCostModel,
+    equality_gates,
+    less_than_gates,
+)
 
 
 class TestEncodeValueBits:
@@ -86,10 +90,13 @@ class TestBruteForceIntersection:
         assert out == [1, 0]
 
     def test_gate_count(self):
-        w, n_s, n_r = 4, 3, 2
-        circuit = brute_force_intersection_circuit(w, n_s, n_r)
-        expected = n_s * n_r * equality_gates(w) + n_r * (n_s - 1)
-        assert circuit.gate_count == expected
+        """Built = the cost model's comparator-only lower bound plus the
+        OR-merge gates it leaves out, at every shape."""
+        for w, n_s, n_r in [(4, 3, 2), (8, 2, 2), (8, 8, 8), (8, 16, 16)]:
+            circuit = brute_force_intersection_circuit(w, n_s, n_r)
+            bound = CircuitCostModel(width=w).brute_force_gates(n_s, n_r)
+            assert bound == n_s * n_r * equality_gates(w)
+            assert circuit.gate_count == bound + n_r * (n_s - 1)
 
     def test_single_values(self):
         circuit = brute_force_intersection_circuit(3, 1, 1)

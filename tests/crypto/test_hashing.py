@@ -14,6 +14,7 @@ from repro.crypto.hashing import (
     TryIncrementHash,
     collision_probability,
     find_collisions,
+    log10_collision_probability,
     value_to_bytes,
 )
 
@@ -120,6 +121,30 @@ class TestCollisionProbability:
         big_n = 10**9
         probabilities = [collision_probability(n, big_n) for n in (10, 100, 1000)]
         assert probabilities == sorted(probabilities)
+
+    def test_log10_bound_is_a_number_at_every_key_size(self):
+        """The float bound is 0.0 at k = 2048 (its log has no value);
+        the log-space bound keeps falling with k, and is the float
+        formula's own logarithm wherever that one has a value."""
+        n = 10**6
+        by_bits = {
+            bits: log10_collision_probability(n, 2**bits // 2)
+            for bits in (512, 1024, 2048)
+        }
+        assert collision_probability(n, 2**2048 // 2) == 0.0
+        assert by_bits[2048] < by_bits[1024] < by_bits[512]
+        assert {k: round(v, 2) for k, v in by_bits.items()} == {
+            512: -142.13, 1024: -296.25, 2048: -604.51,
+        }
+        for bits in (512, 1024):
+            assert by_bits[bits] == pytest.approx(
+                math.log10(collision_probability(n, 2**bits // 2)), abs=1e-9
+            )
+        # Above x = 1e-9 it is the float formula, birthday paradox included.
+        assert log10_collision_probability(23, 365) == pytest.approx(
+            math.log10(collision_probability(23, 365))
+        )
+        assert log10_collision_probability(1, 365) == -math.inf
 
 
 class TestFindCollisions:

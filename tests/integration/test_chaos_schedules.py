@@ -134,10 +134,14 @@ def test_crash_schedule_replays_deterministically():
         sender_crash=("journal.append.post", 2),
         receiver_crash=("journal.rotate.pre", 1),
     ))
+    answers = 0
     for schedule in schedules:
         first, again = (run_schedule(schedule).as_dict() for _ in range(2))
         assert first["ok"], first
         assert first == again
+        answers += first["receiver"] == "answer"
+    # Survivable, not only typed: most composed schedules still answer.
+    assert answers >= len(schedules) // 2
 
 
 def test_generated_schedules_are_pure_functions_of_the_seed():

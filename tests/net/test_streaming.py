@@ -265,7 +265,7 @@ class _FrameSizeProbe:
         self._transport.close()
 
 
-def _probe_run(v_r, v_s, chunk_size):
+def _probe_run(v_r, v_s, chunk_size, s_recorder=None):
     params = PublicParams.for_bits(64)
     port_box: queue.Queue[int] = queue.Queue()
     probes = []
@@ -274,6 +274,7 @@ def _probe_run(v_r, v_s, chunk_size):
         tcp.serve(
             "intersection", v_s, params, random.Random("s"),
             ready_callback=port_box.put, chunk_size=chunk_size,
+            recorder=s_recorder,
         )
 
     thread = threading.Thread(target=serve_s)
@@ -302,10 +303,22 @@ class TestPayloadStaysChunkSized:
         v_r = [f"r{i}" for i in range(n)]
         v_s = [f"s{i}" for i in range(n // 2)] + v_r[: n // 2]
 
-        whole_answer, whole_peak = _probe_run(v_r, v_s, chunk_size=None)
-        chunked_answer, chunked_peak = _probe_run(v_r, v_s, chunk_size=c)
+        whole_rec, chunked_rec = MetricsRecorder(), MetricsRecorder()
+        whole_answer, whole_peak = _probe_run(
+            v_r, v_s, chunk_size=None, s_recorder=whole_rec
+        )
+        chunked_answer, chunked_peak = _probe_run(
+            v_r, v_s, chunk_size=c, s_recorder=chunked_rec
+        )
 
         assert chunked_answer == whole_answer
+        # Chunk accounting over real TCP: a whole-round run reports no
+        # pipeline at all, a chunked one an entry for S's streamed m2
+        # with at least n / c chunks and a non-negative overlap.
+        assert "pipeline" not in whole_rec.report()
+        s_m2 = chunked_rec.report()["pipeline"]["s.m2"]
+        assert s_m2["chunks"] >= n // c
+        assert s_m2["overlap_s"] >= 0.0
         # Generous constant: a chunk frame carries c elements plus tag
         # overhead, so (c+4)/n of the whole-round frame bounds it.
         assert chunked_peak < whole_peak * (c + 4) / n, (

@@ -80,3 +80,9 @@ class TestUnlinkability:
         result = run_intersection_size(list("abc"), list("xy"), suite)
         z_r = next(result.run.r_view.payloads("4b:Z_R"))
         assert len(z_r) == 3  # |V_R| double encryptions
+        # ... so a run is n_S + 2 n_R codewords of ceil(k/8) + 5 bytes.
+        n = 32
+        run = run_intersection_size(
+            [f"r{i}" for i in range(n)], [f"s{i}" for i in range(n)], suite
+        ).run
+        assert run.total_bytes == pytest.approx(3 * n * (128 // 8 + 5), rel=0.02)

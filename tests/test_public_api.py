@@ -139,7 +139,7 @@ class TestFacadeSurface:
     def _generated_reference(self) -> str:
         spec = importlib.util.spec_from_file_location(
             "make_api_reference",
-            REPO_ROOT / "benchmarks" / "make_api_reference.py",
+            REPO_ROOT / "tools" / "make_api_reference.py",
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
