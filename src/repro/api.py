@@ -72,7 +72,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
-from .crypto.engine import MeteredEngine, SerialEngine
+from .crypto.engine import (
+    MeteredEngine,
+    SerialEngine,
+    available_cpus,
+    shared_engine,
+)
 from .protocols.delta import DeltaExchange
 from .protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from .protocols.spec import PROTOCOLS, ProtocolSpec, get_spec
@@ -241,6 +246,20 @@ def _metered(engine: Any, recorder: Any) -> Any:
     return engine
 
 
+def _both_parties_here(engine: Any) -> Any:
+    """The engine of an entry point that hosts **both** parties in this
+    interpreter (:func:`run`, a :meth:`Catalog.pair` query).
+
+    Nothing else computes while one party does, so when the caller
+    passed no ``engine=`` the batches go to the process-wide pool over
+    the CPUs this process may run on (the serial engine when that is
+    one); the pool itself keeps batches too small to pay serial.
+    :func:`serve` / :func:`connect` and hosted sessions stay serial by
+    default: there the peer's process is the other core.
+    """
+    return engine if engine is not None else shared_engine(available_cpus())
+
+
 def _party_rngs(
     seed: Any, rng: random.Random | None
 ) -> tuple[random.Random, random.Random]:
@@ -306,6 +325,7 @@ class Catalog:
         self._bits = bits
         self.params = params
         self.rng = rng if rng is not None else random.Random(seed)
+        self._engine_given = engine
         self.engine = _metered(engine, recorder)
         self.recorder = recorder
         self.cache = None
@@ -490,10 +510,11 @@ class Catalog:
         return (spec.name, role) in self._links
 
     def _plan(
-        self, spec: ProtocolSpec, role: str, kind: str
+        self, spec: ProtocolSpec, role: str, kind: str, both_here: bool = False
     ) -> tuple[ProtocolSpec, Callable[[PublicParams], Any], Callable[[Any], bool]]:
         """How this catalog runs one ``kind`` query of ``spec`` as
         ``role``: ``(wire spec, make_state, commit)``.
+        ``both_here`` is the local link's (:func:`_both_parties_here`).
 
         ``wire_spec`` is the schedule the link exchanges,
         ``make_state(params)`` builds the party state its machine
@@ -514,7 +535,10 @@ class Catalog:
             wire_spec.make_receiver if role == "receiver" else wire_spec.make_sender
         )
         plan = self._plan_full if wire_spec is spec else self._plan_delta
-        return (wire_spec, *plan((spec.name, role), factory))
+        engine = self.engine
+        if both_here and self._engine_given is None:
+            engine = _metered(_both_parties_here(None), self.recorder)
+        return (wire_spec, *plan((spec.name, role), factory, engine))
 
     def _mark(self) -> int:
         """The op number the next staged mutation will get."""
@@ -534,7 +558,7 @@ class Catalog:
         self._log_start = keep
 
     def _plan_full(
-        self, key: tuple[str, str], factory: Callable[..., Any]
+        self, key: tuple[str, str], factory: Callable[..., Any], engine: Any
     ) -> tuple[Callable[[PublicParams], Any], Callable[[Any], bool]]:
         """A full query: warm-start from the cache, store on a miss."""
         from .net.catalog import CatalogCacheError, TableDigest
@@ -567,7 +591,7 @@ class Catalog:
                     entry = None  # other params, or not this table's values
             found.update(entry=entry, params=params)
             extra = {} if entry is None else {"cached": entry.party_cache()}
-            return factory(snapshot, params, self.rng, engine=self.engine, **extra)
+            return factory(snapshot, params, self.rng, engine=engine, **extra)
 
         def commit(party: Any) -> bool:
             entry = found["entry"]
@@ -584,7 +608,7 @@ class Catalog:
         return make_state, commit
 
     def _plan_delta(
-        self, key: tuple[str, str], factory: Callable[..., Any]
+        self, key: tuple[str, str], factory: Callable[..., Any], engine: Any
     ) -> tuple[Callable[[PublicParams], Any], Callable[[Any], bool]]:
         """A delta query: the churn staged since the link's cursor, on
         its committed party."""
@@ -598,7 +622,7 @@ class Catalog:
         digest = None if link["entry"] is None else self._digest.hexdigest()
 
         def make_state(params: PublicParams) -> Any:
-            return factory(exchange, params, self.rng, engine=self.engine)
+            return factory(exchange, params, self.rng, engine=engine)
 
         def commit(staged: Any) -> bool:
             staged.commit()
@@ -674,7 +698,9 @@ def open_catalog(
         seed: seed for this party's private randomness.
         rng: explicit rng (overrides ``seed``).
         engine: batch-crypto execution strategy
-            (:mod:`repro.crypto.engine`).
+            (:mod:`repro.crypto.engine`); by default serial over a
+            network link and :func:`run`'s shared pool when paired
+            locally.
         recorder: per-phase metrics collector.
         cache_dir: directory for the persistent encrypted-catalog cache
             (:class:`~repro.net.catalog.CatalogCache`); ``None``
@@ -823,8 +849,10 @@ class Peer:
         recv_cat, send_cat = self._catalog, self._remote
         params = recv_cat._ensure_params()
         kind = self._resolve_kind(spec, mode, "receiver")
-        wire_spec, make_r, commit_r = recv_cat._plan(spec, "receiver", kind)
-        _, make_s, commit_s = send_cat._plan(spec, "sender", kind)
+        wire_spec, make_r, commit_r = recv_cat._plan(
+            spec, "receiver", kind, both_here=True
+        )
+        _, make_s, commit_s = send_cat._plan(spec, "sender", kind, both_here=True)
         receiver = ReceiverMachine.from_factory(
             wire_spec, lambda: make_r(params), recv_cat.recorder
         )
@@ -1065,7 +1093,9 @@ def run(
             independently derived rng.
         rng: explicit master rng (overrides ``seed``).
         engine: batch-crypto execution strategy
-            (:mod:`repro.crypto.engine`).
+            (:mod:`repro.crypto.engine`); by default the process-wide
+            pool over this process's CPUs, which batches too small to
+            pay never touch.
         recorder: per-phase metrics collector
             (:class:`repro.analysis.instrumentation.MetricsRecorder`).
         chunk_size: stream chunkable rounds in slices of at most this
@@ -1075,7 +1105,7 @@ def run(
     if params is None:
         params = PublicParams.for_bits(bits)
     rng_r, rng_s = _party_rngs(seed, rng)
-    engine = _metered(engine, recorder)
+    engine = _metered(_both_parties_here(engine), recorder)
     receiver = ReceiverMachine(
         spec, receiver_data, params, rng_r, engine=engine, recorder=recorder
     )

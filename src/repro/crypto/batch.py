@@ -12,9 +12,9 @@ The pool itself lives in :mod:`repro.crypto.engine`: repeated
 :func:`parallel_pow` calls share one process-wide
 :class:`~repro.crypto.engine.ProcessPoolEngine` per processor count,
 so only the *first* call pays worker startup. :func:`measure_speedup`
-reports that startup cost separately (``pool_startup_s``) from the
-steady-state parallel time, which is what the crossover analysis in
-the parallelism ablation actually needs.
+reports that startup cost (``pool_startup_s``), the first batch after
+it (``cold_s``) and the steady-state parallel time separately, which
+is what the crossover analysis in the parallelism ablation needs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import ProcessPoolEngine, shared_engine
+from .engine import shared_engine
 
 __all__ = ["parallel_pow", "sequential_pow", "BatchSpeedup", "measure_speedup"]
 
@@ -34,37 +34,29 @@ def sequential_pow(xs: Sequence[int], exponent: int, modulus: int) -> list[int]:
 
 
 def parallel_pow(
-    xs: Sequence[int],
-    exponent: int,
-    modulus: int,
-    processors: int = 2,
-    chunk_size: int | None = None,
+    xs: Sequence[int], exponent: int, modulus: int, processors: int = 2
 ) -> list[int]:
-    """The batch fanned out over ``processors`` worker processes.
+    """The batch split over ``processors`` worker processes.
 
-    Order is preserved. Falls back to the sequential path for small
-    batches or ``processors <= 1`` (avoids pool overhead dominating).
-    The worker pool is shared across calls with the same processor
-    count (see :func:`repro.crypto.engine.shared_engine`), so only the
-    first call pays startup.
+    Order is preserved. Stays on the sequential path for
+    ``processors <= 1`` and for batches too small to pay for a round
+    trip through the pool. The worker pool is shared across calls with
+    the same processor count (see
+    :func:`repro.crypto.engine.shared_engine`), so only the first call
+    pays startup.
     """
-    xs = list(xs)
-    if processors <= 1 or len(xs) < 2 * processors:
-        return sequential_pow(xs, exponent, modulus)
-    engine = shared_engine(processors)
-    if isinstance(engine, ProcessPoolEngine):
-        return engine.pow_many(xs, exponent, modulus, chunk_size=chunk_size)
-    return engine.pow_many(xs, exponent, modulus)
+    return shared_engine(processors).pow_many(xs, exponent, modulus)
 
 
 @dataclass(frozen=True)
 class BatchSpeedup:
     """One measured sequential-vs-parallel comparison.
 
-    ``parallel_s`` is the steady-state (warm pool) time;
-    ``pool_startup_s`` is the one-time worker startup cost, reported
-    separately because a shared pool amortizes it across all batches
-    of a run.
+    ``parallel_s`` is the steady-state (warm pool) time and ``cold_s``
+    the first batch after the workers started - what a one-shot query
+    gets; ``pool_startup_s`` is the one-time worker startup cost,
+    reported separately because a shared pool amortizes it across all
+    batches of a run.
     """
 
     batch: int
@@ -72,6 +64,7 @@ class BatchSpeedup:
     sequential_s: float
     parallel_s: float
     pool_startup_s: float = 0.0
+    cold_s: float = 0.0
 
     @property
     def speedup(self) -> float:
@@ -88,9 +81,9 @@ def measure_speedup(
 ) -> BatchSpeedup:
     """Time both paths on the same batch.
 
-    The shared pool is warmed first and that startup time recorded in
-    ``pool_startup_s``; on later calls with the same processor count
-    the pool is already warm and the startup cost reads ~0.
+    The shared pool is restarted first (that startup time is
+    ``pool_startup_s``), so the first parallel batch is a cold one and
+    the second a warm one.
     """
     start = time.perf_counter()
     expected = sequential_pow(xs, exponent, modulus)
@@ -99,12 +92,16 @@ def measure_speedup(
     engine = shared_engine(processors)
     pool_startup_s = 0.0
     if engine.workers > 1:
+        engine.close()
         start = time.perf_counter()
         engine.warm_up()
         pool_startup_s = time.perf_counter() - start
 
     start = time.perf_counter()
     got = parallel_pow(xs, exponent, modulus, processors)
+    cold_s = time.perf_counter() - start
+    start = time.perf_counter()
+    parallel_pow(xs, exponent, modulus, processors)
     parallel_s = time.perf_counter() - start
 
     if got != expected:  # pragma: no cover - would be a correctness bug
@@ -115,4 +112,5 @@ def measure_speedup(
         sequential_s=sequential_s,
         parallel_s=parallel_s,
         pool_startup_s=pool_startup_s,
+        cold_s=cold_s,
     )

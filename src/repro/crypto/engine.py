@@ -14,15 +14,16 @@ Engines:
 
 * :class:`SerialEngine` - the single-processor baseline; zero
   overhead, always correct.
-* :class:`ProcessPoolEngine` - fans chunks out over a **shared**
-  :class:`~concurrent.futures.ProcessPoolExecutor` (CPython's GIL
-  makes threads useless for bignum math). The pool is created lazily
-  on the first large batch and reused for every later call, so the
-  fork/spawn cost is paid once per engine, not once per batch. Small
-  batches (below the crossover where pool overhead dominates) and
-  ``processors <= 1`` fall back to the serial path, and a pool that
-  cannot be started or breaks mid-run degrades to serial instead of
-  failing the protocol.
+* :class:`ProcessPoolEngine` - hands each worker of a **shared**
+  :class:`~concurrent.futures.ProcessPoolExecutor` one slice of the
+  batch (CPython's GIL makes threads useless for bignum math). The
+  pool is created lazily on the first batch worth a round trip and
+  reused for every later call, so the fork cost is paid once per
+  engine, not once per batch. Batches whose estimated work is below
+  the crossover (:data:`POOL_ROUND_TRIP`) and ``processors <= 1`` stay
+  on the serial path, a pool that cannot be started or breaks mid-run
+  degrades to serial instead of failing the protocol, and a pool
+  inherited through ``os.fork()`` is forgotten in the child.
 * :class:`MeteredEngine` - decorator that reports every batch's size
   to a callback, which is how the per-phase metrics layer counts
   modular exponentiations without the engines knowing about metrics.
@@ -36,13 +37,15 @@ from __future__ import annotations
 
 import atexit
 import os
+import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
 __all__ = [
-    "DEFAULT_MIN_PARALLEL",
+    "POOL_ROUND_TRIP",
+    "available_cpus",
     "CryptoEngine",
     "SerialEngine",
     "ProcessPoolEngine",
@@ -52,17 +55,39 @@ __all__ = [
     "shutdown_shared_engines",
 ]
 
-#: Batches smaller than this never touch the pool: at realistic key
-#: sizes the chunk pickling + IPC round-trip costs more than the
-#: exponentiations themselves (see docs/PERFORMANCE.md for measured
-#: crossovers).
-DEFAULT_MIN_PARALLEL = 32
+#: What a round trip through the pool costs, in the unit one modexp is
+#: priced in below (``exponent bits x modulus bits^2``, schoolbook
+#: square-and-multiply): three full 1024-bit exponentiations. A batch
+#: goes to the pool only when the slices take more than this off its
+#: critical path. Calibrated once on the 2-CPU box of
+#: docs/PERFORMANCE.md (crossover table there): eight 1024-bit values
+#: pay (30 -> 22 ms), sixty-four 256-bit values do not (6.9 -> 8.6 ms).
+POOL_ROUND_TRIP = 3 * 1024**3
+
+
+def available_cpus() -> int:
+    """How many CPUs this process may run on.
+
+    Its affinity mask where the platform has one (a container pinned
+    to one CPU reads 1), the machine's CPU count elsewhere.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _pow_chunk(args: tuple[list[int], int, int]) -> list[int]:
-    """Worker: exponentiate one chunk (module-level for pickling)."""
+    """Worker: exponentiate one slice (module-level for pickling)."""
     chunk, exponent, modulus = args
     return [pow(x, exponent, modulus) for x in chunk]
+
+
+def _stay_busy(seconds: float) -> None:
+    """Worker: compute nothing for ``seconds`` (the warm-up task)."""
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
 
 
 class CryptoEngine(ABC):
@@ -105,47 +130,52 @@ class SerialEngine(CryptoEngine):
 
 
 class ProcessPoolEngine(CryptoEngine):
-    """Batches fanned out over a shared worker-process pool.
+    """Batches split one slice per worker over a shared process pool.
 
-    The executor is created lazily on the first batch large enough to
-    parallelize and then *reused* across calls - a protocol performs
-    several batched rounds and must not pay pool startup for each.
+    The executor is created lazily on the first batch worth a round
+    trip and then *reused* across calls - a protocol performs several
+    batched rounds and must not pay pool startup for each. All items of
+    a batch share exponent and modulus, so equal slices finish together
+    and finer chunks would only add round trips.
 
     Args:
-        processors: worker count ``P`` (default: ``os.cpu_count()``).
-        chunk_size: items per task; default splits each batch into
-            ``4 * processors`` chunks so stragglers even out.
-        min_parallel: batches smaller than this run serially.
+        processors: worker count ``P`` (default:
+            :func:`available_cpus`).
     """
 
-    def __init__(
-        self,
-        processors: int | None = None,
-        chunk_size: int | None = None,
-        min_parallel: int = DEFAULT_MIN_PARALLEL,
-    ):
-        self.workers = processors if processors else (os.cpu_count() or 1)
-        self.chunk_size = chunk_size
-        self.min_parallel = min_parallel
+    def __init__(self, processors: int | None = None):
+        self.workers = processors if processors else available_cpus()
         self.serial_batches = 0
         self.parallel_batches = 0
         self.pool_failures = 0
         self._pool: ProcessPoolExecutor | None = None
+        self._owner = 0  # pid that started ``_pool``
         self._broken = False
 
     # ------------------------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._owner != os.getpid():
+            # Inherited through os.fork(): the executor's manager
+            # thread lives only in the parent, so a batch submitted here
+            # would wait forever. Forget it; it is the parent's to stop.
+            self._pool, self._owner = None, os.getpid()
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def warm_up(self) -> None:
-        """Start the workers and run one no-op task through them."""
+        """Start every worker.
+
+        One task each, long enough that no worker is idle again in
+        time to take a second - and busy, not asleep: workers put to
+        sleep right after the fork were seen sharing one CPU for the
+        pool's first second (5 of 37 cold starts on the box of
+        docs/PERFORMANCE.md, against 0 of 37 kept busy).
+        """
         if self.workers <= 1 or self._broken:
             return
         try:
-            pool = self._ensure_pool()
-            list(pool.map(_pow_chunk, [([1], 1, 3)] * self.workers))
+            list(self._ensure_pool().map(_stay_busy, [0.02] * self.workers))
         except (BrokenProcessPool, OSError, RuntimeError):
             self._mark_broken()
 
@@ -154,37 +184,29 @@ class ProcessPoolEngine(CryptoEngine):
         self._broken = True
         self.close()
 
-    def _threshold(self) -> int:
-        return max(self.min_parallel, 2 * self.workers)
+    def _pays(self, n: int, exponent: int, modulus: int) -> bool:
+        """Whether the modexps the pool takes off the critical path
+        (``n`` in a row against the longest slice's ``ceil(n / P)``)
+        outweigh a round trip through it."""
+        saved = n - -(-n // self.workers)
+        work = exponent.bit_length() * modulus.bit_length() ** 2
+        return saved * work > POOL_ROUND_TRIP
 
     def pow_many(
-        self,
-        xs: Sequence[int],
-        exponent: int,
-        modulus: int,
-        chunk_size: int | None = None,
+        self, xs: Sequence[int], exponent: int, modulus: int
     ) -> list[int]:
-        """The batch over the pool; serial below the crossover.
-
-        ``chunk_size`` overrides the engine default for this call
-        (used by ablation benchmarks sweeping chunk granularity).
-        """
+        """The batch over the pool; serial below the crossover."""
         xs = list(xs)
-        if self.workers <= 1 or self._broken or len(xs) < self._threshold():
+        if self._broken or not self._pays(len(xs), exponent, modulus):
             self.serial_batches += 1
             return [pow(x, exponent, modulus) for x in xs]
-        chunk = chunk_size or self.chunk_size
-        if chunk is None:
-            chunk = max(1, -(-len(xs) // (4 * self.workers)))
-        chunks = [
-            (xs[i : i + chunk], exponent, modulus)
-            for i in range(0, len(xs), chunk)
+        step = -(-len(xs) // self.workers)
+        slices = [
+            (xs[i : i + step], exponent, modulus)
+            for i in range(0, len(xs), step)
         ]
         try:
-            pool = self._ensure_pool()
-            out: list[int] = []
-            for result in pool.map(_pow_chunk, chunks):
-                out.extend(result)
+            parts = list(self._ensure_pool().map(_pow_chunk, slices))
         except (BrokenProcessPool, OSError, RuntimeError):
             # A pool that cannot start (sandbox, fd limits) or died
             # mid-batch must not fail the protocol: degrade to serial.
@@ -192,13 +214,16 @@ class ProcessPoolEngine(CryptoEngine):
             self.serial_batches += 1
             return [pow(x, exponent, modulus) for x in xs]
         self.parallel_batches += 1
-        return out
+        return [y for part in parts for y in part]
 
     def close(self) -> None:
-        """Shut the executor down (idempotent; a later batch restarts it)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Shut the executor down (idempotent; a later batch restarts it).
+
+        A forked child only forgets its parent's executor.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None and self._owner == os.getpid():
+            pool.shutdown(wait=True)
 
     def describe(self) -> dict[str, Any]:
         """Engine summary plus batch-routing counters."""
@@ -207,7 +232,6 @@ class ProcessPoolEngine(CryptoEngine):
             serial_batches=self.serial_batches,
             parallel_batches=self.parallel_batches,
             pool_failures=self.pool_failures,
-            min_parallel=self.min_parallel,
         )
         return info
 
@@ -253,7 +277,6 @@ class MeteredEngine(CryptoEngine):
 
 def create_engine(
     workers: int | None = None,
-    chunk_size: int | None = None,
     on_modexp: Callable[[int], None] | None = None,
 ) -> CryptoEngine:
     """The right engine for a ``--workers N`` knob.
@@ -266,7 +289,7 @@ def create_engine(
     if workers is None or workers <= 1:
         engine = SerialEngine()
     else:
-        engine = ProcessPoolEngine(processors=workers, chunk_size=chunk_size)
+        engine = ProcessPoolEngine(processors=workers)
     if on_modexp is not None:
         engine = MeteredEngine(engine, on_modexp)
     return engine
@@ -278,18 +301,14 @@ _SHARED: dict[int, CryptoEngine] = {}
 def shared_engine(processors: int) -> CryptoEngine:
     """A process-wide engine for ``processors``, created once.
 
-    :func:`repro.crypto.batch.parallel_pow` goes through here so
-    repeated calls reuse one executor instead of rebuilding the pool
-    per batch.
+    What :func:`repro.run` and locally paired catalogs default to
+    (sized by :func:`available_cpus`), and what
+    :func:`repro.crypto.batch.parallel_pow` goes through: every caller
+    reuses one executor instead of rebuilding the pool per batch.
     """
     engine = _SHARED.get(processors)
     if engine is None:
-        engine = (
-            SerialEngine()
-            if processors <= 1
-            else ProcessPoolEngine(processors=processors)
-        )
-        _SHARED[processors] = engine
+        engine = _SHARED[processors] = create_engine(processors)
     return engine
 
 

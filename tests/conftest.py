@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.crypto import engine as engine_module
 from repro.crypto.commutative import PowerCipher
 from repro.crypto.groups import QRGroup
 from repro.crypto.hashing import TryIncrementHash
@@ -57,3 +58,21 @@ def suite() -> ProtocolSuite:
 def suite64() -> ProtocolSuite:
     """Smallest/fastest suite for property-based protocol tests."""
     return ProtocolSuite.default(bits=64, seed=42)
+
+
+@pytest.fixture()
+def always_pays(monkeypatch):
+    """Every batch of two or more goes through the pool, whatever its
+    work: the real crossover (``engine.POOL_ROUND_TRIP``) keeps the
+    128-bit batches tests can afford serial. Stops the process-wide
+    engines afterwards, so no test leaves workers behind."""
+    monkeypatch.setattr(engine_module, "POOL_ROUND_TRIP", 0)
+    yield
+    engine_module.shutdown_shared_engines()
+
+
+@pytest.fixture()
+def two_cpus():
+    """Skip where the default engine of ``repro.run`` is the serial one."""
+    if engine_module.available_cpus() < 2:
+        pytest.skip("the default engine is serial on one CPU")

@@ -29,14 +29,15 @@ def batch(group):
 
 
 class TestCorrectness:
-    def test_matches_sequential(self, batch):
+    def test_matches_sequential(self, batch, always_pays):
         xs, e, p = batch
         assert parallel_pow(xs, e, p, processors=2) == sequential_pow(xs, e, p)
 
-    def test_order_preserved(self, batch):
+    def test_order_preserved(self, batch, always_pays):
         xs, e, p = batch
-        out = parallel_pow(xs, e, p, processors=3, chunk_size=4)
+        out = parallel_pow(xs, e, p, processors=3)
         assert out == [pow(x, e, p) for x in xs]
+        assert shared_engine(3).parallel_batches == 1
 
     def test_empty_batch(self, group):
         assert parallel_pow([], 3, group.p, processors=2) == []
@@ -46,18 +47,12 @@ class TestCorrectness:
         assert parallel_pow(xs, e, p, processors=1) == sequential_pow(xs, e, p)
 
     def test_tiny_batch_falls_back(self, group):
-        # Fewer items than 2*processors: no pool spun up.
+        # Nothing to split: no pool spun up.
         xs = [group.generator]
         assert parallel_pow(xs, 5, group.p, processors=8) == [
             pow(group.generator, 5, group.p)
         ]
-
-    def test_explicit_chunk_size(self, batch):
-        xs, e, p = batch
-        for chunk in (1, 7, 100):
-            assert parallel_pow(xs, e, p, processors=2, chunk_size=chunk) == (
-                sequential_pow(xs, e, p)
-            )
+        assert shared_engine(8)._pool is None
 
 
 class TestMeasurement:
@@ -68,6 +63,7 @@ class TestMeasurement:
         assert result.processors == 2
         assert result.sequential_s > 0
         assert result.parallel_s > 0
+        assert result.cold_s > 0
         assert result.ideal == 2.0
 
     def test_speedup_ratio_positive(self, batch):
@@ -95,16 +91,13 @@ class TestMeasurement:
 
 
 class TestSharedExecutor:
-    def test_repeated_calls_reuse_one_pool(self, batch):
+    def test_repeated_calls_reuse_one_pool(self, batch, always_pays):
         xs, e, p = batch
-        try:
-            parallel_pow(xs, e, p, processors=2)
-            engine = shared_engine(2)
-            pool = engine._pool
-            assert pool is not None
-            parallel_pow(xs, e, p, processors=2)
-            assert shared_engine(2) is engine
-            assert engine._pool is pool
-            assert engine.parallel_batches >= 2
-        finally:
-            shutdown_shared_engines()
+        parallel_pow(xs, e, p, processors=2)
+        engine = shared_engine(2)
+        pool = engine._pool
+        assert pool is not None
+        parallel_pow(xs, e, p, processors=2)
+        assert shared_engine(2) is engine
+        assert engine._pool is pool
+        assert engine.parallel_batches >= 2

@@ -9,6 +9,7 @@ import warnings
 
 import repro
 from repro.analysis.instrumentation import MetricsRecorder
+from repro.crypto.engine import available_cpus
 from repro.net.session import RetryPolicy, SessionConfig
 
 V_R = [f"v{i}" for i in range(10)]
@@ -140,7 +141,12 @@ class TestRecorderThroughTheFacade:
         repro.run("intersection", V_R, V_S, bits=128, seed=1, recorder=rec)
         report = rec.report()
         assert report["total_modexp"] == self.MODEXP
-        assert report["engine"]["engine"] == "SerialEngine"
+        # Both parties here: the shared pool where there are two CPUs,
+        # which a run this small never leaves the serial path of.
+        assert report["engine"]["engine"] == (
+            "ProcessPoolEngine" if available_cpus() > 1 else "SerialEngine"
+        )
+        assert not report["engine"].get("parallel_batches")
 
         rec = MetricsRecorder()
         receiver, sender = (

@@ -43,7 +43,7 @@ from repro.protocols.intersection_size import run_intersection_size
 FIXTURE_PATH = Path(__file__).with_name("golden_transcripts.json")
 
 BITS = 128
-N = 40  # above DEFAULT_MIN_PARALLEL so pooled runs actually batch
+N = 40  # batches of a size the pooled test runs send through their pools
 CHUNK_SIZE = 7  # the chunked column's fixed streaming slice
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.crypto import engine as engine_module
 from repro.crypto.engine import ProcessPoolEngine
 from repro.net.serialization import (
     chunk_end_frame,
@@ -96,10 +97,14 @@ def params():
 
 @pytest.fixture(scope="module")
 def pooled_engines():
-    """One pool per party so concurrent runs never share a pool."""
-    with ProcessPoolEngine(processors=2, chunk_size=7) as r_engine:
-        with ProcessPoolEngine(processors=2, chunk_size=7) as s_engine:
-            yield r_engine, s_engine
+    """One pool per party so concurrent runs never share a pool; the
+    crossover is lowered so the fixture's 128-bit batches reach them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "POOL_ROUND_TRIP", 0)
+        with ProcessPoolEngine(processors=2) as r_engine:
+            with ProcessPoolEngine(processors=2) as s_engine:
+                yield r_engine, s_engine
+                assert r_engine.parallel_batches and s_engine.parallel_batches
 
 
 @pytest.fixture(params=["serial", "pooled"])
