@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 from ..crypto.commutative import PowerCipher
-from ..crypto.engine import CryptoEngine
+from ..crypto.engine import CryptoEngine, MeteredEngine, SerialEngine
 from ..crypto.ext_cipher import BlockExtCipher
 from ..crypto.groups import QRGroup
 from ..crypto.hashing import DomainHash, TryIncrementHash, Value
@@ -54,39 +54,6 @@ class OperationCounter:
         self.encryptions = 0
         self.hashes = 0
         self.k_encryptions = 0
-
-
-class _CountingCipher(PowerCipher):
-    """PowerCipher that counts every modular exponentiation."""
-
-    def __init__(
-        self,
-        group: QRGroup,
-        counter: OperationCounter,
-        engine: CryptoEngine | None = None,
-    ):
-        super().__init__(group, engine=engine)
-        self._counter = counter
-
-    def encrypt(self, key: int, x: int) -> int:
-        self._counter.encryptions += 1
-        return super().encrypt(key, x)
-
-    def decrypt(self, key: int, y: int) -> int:
-        self._counter.encryptions += 1
-        return super().decrypt(key, y)
-
-    def encrypt_many(self, key: int, xs):
-        # The batched path goes through the engine, not encrypt():
-        # count the whole batch here.
-        xs = list(xs)
-        self._counter.encryptions += len(xs)
-        return super().encrypt_many(key, xs)
-
-    def decrypt_many(self, key: int, ys):
-        ys = list(ys)
-        self._counter.encryptions += len(ys)
-        return super().decrypt_many(key, ys)
 
 
 class _CountingHash(DomainHash):
@@ -136,11 +103,20 @@ def counting_suite(
 ) -> CountingSuite:
     """Build a suite whose cipher/hash/ext-cipher count their calls.
 
-    ``engine`` selects the batch execution strategy (parallel engines
-    produce identical counts - the counter tallies work, not workers).
+    Exponentiations are counted where :class:`MetricsRecorder` counts
+    them - by a :class:`~repro.crypto.engine.MeteredEngine` under a
+    plain cipher, every protocol exponentiation being an engine batch -
+    so the two cannot disagree; the hash and the ext cipher, which no
+    engine sees, keep their counting wrappers.  ``engine`` selects the
+    batch execution strategy (parallel engines produce identical
+    counts - the counter tallies work, not workers).
     """
     group = QRGroup.for_bits(bits)
     counter = OperationCounter()
+
+    def count(n: int) -> None:
+        counter.encryptions += n
+
     if seed is None:
         rng_r, rng_s = random.Random(), random.Random()
     else:
@@ -148,7 +124,9 @@ def counting_suite(
     suite = ProtocolSuite(
         group=group,
         hash=_CountingHash(TryIncrementHash(group), counter),
-        cipher=_CountingCipher(group, counter, engine=engine),
+        cipher=PowerCipher(
+            group, engine=MeteredEngine(engine or SerialEngine(), count)
+        ),
         ext_cipher=_CountingExtCipher(group, counter),
         rng_r=rng_r,
         rng_s=rng_s,

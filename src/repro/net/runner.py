@@ -1,13 +1,17 @@
-"""Two- and three-party protocol orchestration.
+"""Two- and three-party run records: accounted channels plus views.
 
-Protocols are written as plain Python driver functions that move typed
-messages between party objects through :class:`~repro.net.channel.Channel`
-instances, so every bit a party learns crosses an accounted wire and is
-recorded in its :class:`~repro.net.transcript.View`.
+A :class:`ProtocolRun` is what a protocol driver ships its messages
+through, one :class:`~repro.net.channel.Channel` per direction, so
+every bit a party learns crosses an accounted wire and is recorded in
+its :class:`~repro.net.transcript.View`.  The hand-written protocols
+(naive hash, selection, the medical application) call :meth:`to_s` /
+:meth:`to_r` as they go; the five registered ones run through
+:meth:`~repro.protocols.spec.ProtocolSpec.exchange` - the only
+in-process round loop - and ``spec.run_recorded`` ships the wires it
+returns, part by part.
 
-:class:`ProtocolRun` bundles the channels and exposes the statistics
-the benchmarks need (bytes per direction, paper-accounting codeword
-counts, modelled transfer times).
+The run exposes the statistics the benchmarks need (bytes per
+direction, modelled transfer times).
 """
 
 from __future__ import annotations
@@ -19,37 +23,7 @@ from typing import Any
 from .channel import Endpoint, LinkModel, T1_LINE, duplex_pair
 from .transcript import View
 
-__all__ = ["ProtocolRun", "ThreePartyRun", "run_spec"]
-
-
-def run_spec(spec: Any, receiver: Any, sender: Any, run: "ProtocolRun") -> Any:
-    """Drive one spec-described protocol over a run's in-memory channels.
-
-    Interprets the spec's round schedule: each round's producing
-    machine computes its typed message, every message *part* crosses
-    the accounted wire separately under its historical transcript
-    label, and the consuming machine reassembles the round from what
-    actually arrived. Returns the receiver's answer.
-
-    ``spec`` / ``receiver`` / ``sender`` are duck-typed (a
-    :class:`~repro.protocols.spec.ProtocolSpec` and the two machines
-    from :mod:`repro.protocols.parties`) so this module stays free of
-    protocol-layer imports.
-    """
-    for rnd in spec.rounds:
-        if rnd.source == "R":
-            producer, consumer, ship = receiver, sender, run.to_s
-        else:
-            producer, consumer, ship = sender, receiver, run.to_r
-        message = producer.produce(rnd)
-        received = [
-            ship(label, part)
-            for label, part in zip(rnd.parts, message.to_parts())
-        ]
-        consumer.consume_parts(rnd, received)
-    answer = receiver.finish()
-    run.finish()
-    return answer
+__all__ = ["ProtocolRun", "ThreePartyRun"]
 
 
 @dataclass

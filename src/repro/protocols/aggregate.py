@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from ..net.runner import ProtocolRun, run_spec
+from ..net.runner import ProtocolRun
 from .base import ProtocolSuite
-from .parties import CryptoContext, PublicParams, ReceiverMachine, SenderMachine
-from .spec import PROTOCOLS
+from .spec import run_recorded
 
 __all__ = ["EquijoinSumResult", "run_equijoin_sum"]
 
@@ -64,18 +63,9 @@ def run_equijoin_sum(
         suite: agreed parameters.
         paillier_bits: S's Paillier modulus size (>= 2048 for real use).
     """
-    suite = suite or ProtocolSuite.default()
-    spec = PROTOCOLS["equijoin-sum"]
-    run = ProtocolRun(protocol=spec.run_label)
-    crypto = CryptoContext.from_suite(suite)
-    params = PublicParams(p=suite.group.p)
-    receiver = ReceiverMachine(spec, v_r, params, suite.rng_r, crypto=crypto)
-    sender = SenderMachine(
-        spec, values_s, params, suite.rng_s, crypto=crypto,
-        paillier_bits=paillier_bits,
+    total, r_state, s_state, run = run_recorded(
+        "equijoin-sum", v_r, values_s, suite, paillier_bits=paillier_bits
     )
-    total = run_spec(spec, receiver, sender, run)
-    r_state, s_state = receiver.state, sender.state
     return EquijoinSumResult(
         total=total,
         match_count=r_state.match_count,

@@ -25,10 +25,8 @@ from typing import Hashable, Mapping, Sequence
 
 from ..db.table import Table
 from ..net import serialization
-from ..net.runner import ProtocolRun, run_spec
 from .base import EquijoinResult, ProtocolSuite
-from .parties import CryptoContext, PublicParams, ReceiverMachine, SenderMachine
-from .spec import PROTOCOLS
+from .spec import run_recorded
 
 __all__ = ["run_equijoin", "join_tables"]
 
@@ -41,8 +39,8 @@ def run_equijoin(
     """Execute the Section 4.3 protocol.
 
     The steps live in :class:`~repro.protocols.parties.EquijoinReceiver`
-    / ``EquijoinSender``; this driver executes the registered
-    ``"equijoin"`` spec over in-memory channels. Step 8 (computing
+    / ``EquijoinSender``; this driver runs the registered
+    ``"equijoin"`` spec in process and records it. Step 8 (computing
     ``T_S ⋈ T_R`` from ext) is the caller's job; see
     :func:`join_tables` for the table-level wrapper.
 
@@ -52,19 +50,12 @@ def run_equijoin(
             ``V_S``, the payloads the joined extra information).
         suite: agreed parameters; fresh 1024-bit default when omitted.
     """
-    suite = suite or ProtocolSuite.default()
-    spec = PROTOCOLS["equijoin"]
-    run = ProtocolRun(protocol=spec.run_label)
-    crypto = CryptoContext.from_suite(suite)
-    params = PublicParams(p=suite.group.p)
-    receiver = ReceiverMachine(spec, v_r, params, suite.rng_r, crypto=crypto)
-    sender = SenderMachine(spec, ext_s, params, suite.rng_s, crypto=crypto)
-    matches = run_spec(spec, receiver, sender, run)
+    matches, r_state, s_state, run = run_recorded("equijoin", v_r, ext_s, suite)
     return EquijoinResult(
         intersection=set(matches),
         matches=matches,
-        size_v_s=receiver.state.size_v_s,
-        size_v_r=sender.state.size_v_r,
+        size_v_s=r_state.size_v_s,
+        size_v_r=s_state.size_v_r,
         run=run,
     )
 

@@ -25,10 +25,8 @@ from collections import Counter
 from typing import Hashable, Iterable
 
 from ..db.multiset import ValueMultiset
-from ..net.runner import ProtocolRun, run_spec
 from .base import EquijoinSizeResult, ProtocolSuite
-from .parties import CryptoContext, PublicParams, ReceiverMachine, SenderMachine
-from .spec import PROTOCOLS
+from .spec import run_recorded
 
 __all__ = ["run_equijoin_size", "join_size_tables"]
 
@@ -42,8 +40,8 @@ def run_equijoin_size(
 
     The steps live in
     :class:`~repro.protocols.parties.EquijoinSizeReceiver` /
-    ``EquijoinSizeSender``; this driver executes the registered
-    ``"equijoin-size"`` spec over in-memory channels and then derives
+    ``EquijoinSizeSender``; this driver runs the registered
+    ``"equijoin-size"`` spec in process, records it and then derives
     the leakage diagnostics from the parties' retained observations.
 
     Args:
@@ -51,15 +49,9 @@ def run_equijoin_size(
         v_s: S's attribute values with duplicates.
         suite: agreed parameters; fresh 1024-bit default when omitted.
     """
-    suite = suite or ProtocolSuite.default()
-    spec = PROTOCOLS["equijoin-size"]
-    run = ProtocolRun(protocol=spec.run_label)
-    crypto = CryptoContext.from_suite(suite)
-    params = PublicParams(p=suite.group.p)
-    receiver = ReceiverMachine(spec, v_r, params, suite.rng_r, crypto=crypto)
-    sender = SenderMachine(spec, v_s, params, suite.rng_s, crypto=crypto)
-    join_size = run_spec(spec, receiver, sender, run)
-    r_state, s_state = receiver.state, sender.state
+    join_size, r_state, s_state, run = run_recorded(
+        "equijoin-size", v_r, v_s, suite
+    )
 
     # What R can further deduce (Section 5.2's characterization):
     # group matched codewords by their (d_R, d_S) duplicate classes.
@@ -68,11 +60,13 @@ def run_equijoin_size(
     z_s_counts, z_r_counts = r_state._z_s, r_state._z_r
     partition_overlap: dict[tuple[int, int], int] = {}
     doubly_r = {
-        suite.cipher.encrypt(s_state._key, y): v
+        s_state.cipher.encrypt(s_state._key, y): v
         for v, y in r_state._y_by_value.items()
         # R cannot do this itself (it lacks e_S); this mirrors what R
         # infers from multiplicities alone and is validated against the
-        # plaintext computation in the tests.
+        # plaintext computation in the tests.  A diagnostic, not a
+        # protocol step: one ``cipher.encrypt`` at a time, outside the
+        # engine, which is what keeps it out of every modexp count.
     }
     for codeword, s_count in z_s_counts.items():
         if codeword in z_r_counts:

@@ -6,8 +6,8 @@ Party R (receiver) and party S (sender) hold value sets ``V_R`` and
 
 The six steps of Section 3.3 live in the party state machines
 (:class:`~repro.protocols.parties.IntersectionReceiver` /
-``IntersectionSender``); this driver executes the registered
-``"intersection"`` spec over in-memory channels, so simulation, TCP
+``IntersectionSender``); this driver runs the registered
+``"intersection"`` spec in process and records it, so simulation, TCP
 and resumable execution all share one code path. The step labels on
 the wire messages match the paper's numbering so the recorded views
 can be compared against the proof's simulators.
@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from ..net.runner import ProtocolRun, run_spec
 from .base import IntersectionResult, ProtocolSuite
-from .parties import CryptoContext, PublicParams, ReceiverMachine, SenderMachine
-from .spec import PROTOCOLS
+from .spec import run_recorded
 
 __all__ = ["run_intersection"]
 
@@ -42,18 +40,11 @@ def run_intersection(
         The intersection together with the sizes each side learned and
         the recorded run.
     """
-    suite = suite or ProtocolSuite.default()
-    spec = PROTOCOLS["intersection"]
-    run = ProtocolRun(protocol=spec.run_label)
-    crypto = CryptoContext.from_suite(suite)
-    params = PublicParams(p=suite.group.p)
-    receiver = ReceiverMachine(spec, v_r, params, suite.rng_r, crypto=crypto)
-    sender = SenderMachine(spec, v_s, params, suite.rng_s, crypto=crypto)
-    answer = run_spec(spec, receiver, sender, run)
+    answer, r_state, s_state, run = run_recorded("intersection", v_r, v_s, suite)
     # Both parties also learn the set sizes (the allowed information I).
     return IntersectionResult(
         intersection=answer,
-        size_v_s=receiver.state.size_v_s,
-        size_v_r=sender.state.size_v_r,
+        size_v_s=r_state.size_v_s,
+        size_v_r=s_state.size_v_r,
         run=run,
     )

@@ -6,18 +6,16 @@ only the lexicographically reordered double encryptions ``Z_R``,
 cannot tell *which* of its values matched (Statements 5 and 6).
 
 The steps live in :class:`~repro.protocols.parties.IntersectionSizeReceiver`
-/ ``IntersectionSizeSender``; this driver executes the registered
-``"intersection-size"`` spec over in-memory channels.
+/ ``IntersectionSizeSender``; this driver runs the registered
+``"intersection-size"`` spec in process and records it.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from ..net.runner import ProtocolRun, run_spec
 from .base import IntersectionSizeResult, ProtocolSuite
-from .parties import CryptoContext, PublicParams, ReceiverMachine, SenderMachine
-from .spec import PROTOCOLS
+from .spec import run_recorded
 
 __all__ = ["run_intersection_size"]
 
@@ -28,17 +26,12 @@ def run_intersection_size(
     suite: ProtocolSuite | None = None,
 ) -> IntersectionSizeResult:
     """Execute the Section 5.1.1 protocol; R learns ``|V_S ∩ V_R|``."""
-    suite = suite or ProtocolSuite.default()
-    spec = PROTOCOLS["intersection-size"]
-    run = ProtocolRun(protocol=spec.run_label)
-    crypto = CryptoContext.from_suite(suite)
-    params = PublicParams(p=suite.group.p)
-    receiver = ReceiverMachine(spec, v_r, params, suite.rng_r, crypto=crypto)
-    sender = SenderMachine(spec, v_s, params, suite.rng_s, crypto=crypto)
-    size = run_spec(spec, receiver, sender, run)
+    size, r_state, s_state, run = run_recorded(
+        "intersection-size", v_r, v_s, suite
+    )
     return IntersectionSizeResult(
         size=size,
-        size_v_s=receiver.state.size_v_s,
-        size_v_r=sender.state.size_v_r,
+        size_v_s=r_state.size_v_s,
+        size_v_r=s_state.size_v_r,
         run=run,
     )

@@ -2,10 +2,10 @@
 
 Each round of a protocol ships exactly one :class:`Message`.  A message
 is a frozen dataclass whose fields are the round's wire *parts* in
-transmission order; the in-memory runner records each part separately
-(preserving the historical per-part transcript labels) while the TCP
-and resumable paths ship the assembled :meth:`Message.to_wire` payload
-as a single frame.
+transmission order; every transport ships the assembled
+:meth:`Message.to_wire` payload as a single frame, and the result
+drivers record each part of it separately (preserving the historical
+per-part transcript labels).
 
 The wire encoding is pinned for backward compatibility with the
 pre-spec per-protocol helpers: a single-part message is encoded as the

@@ -849,11 +849,12 @@ class EquijoinSumReceiver(_Party):
         for codeword in pairs_removed:
             if codeword not in self._pairs_by_codeword:  # not a replace
                 self._z_by_codeword.pop(codeword, None)
-        for codeword, _ in pairs_added:
-            if codeword not in self._z_by_codeword:
-                self._z_by_codeword[codeword] = self.cipher.encrypt(
-                    self._key, codeword
-                )
+        fresh = [
+            codeword
+            for codeword in dict(pairs_added)
+            if codeword not in self._z_by_codeword
+        ]
+        self._z_by_codeword.update(zip(fresh, self._encrypt(self._key, fresh)))
         matched = [
             ciphertext
             for codeword, ciphertext in self._pairs_by_codeword.items()
@@ -1119,12 +1120,6 @@ class _Machine:
     def consume_chunks(self, rnd: Any, payloads: Sequence[Any]) -> Message:
         """Reassemble a received chunk payload stream into the inbox."""
         message = rnd.message.from_wire_chunks(payloads)
-        self.inbox[rnd.name] = message
-        return message
-
-    def consume_parts(self, rnd: Any, parts: Sequence[Any]) -> Message:
-        """Assemble a received round from its per-part payloads."""
-        message = rnd.message.from_parts(tuple(parts))
         self.inbox[rnd.name] = message
         return message
 

@@ -11,8 +11,9 @@ over the concrete party states in :mod:`repro.protocols.parties`.
 A single pair of interpreters
 (:class:`~repro.protocols.parties.SenderMachine` /
 :class:`~repro.protocols.parties.ReceiverMachine`) executes any spec,
-and every transport - the in-memory runner, plain TCP, resumable
-sessions, the CLI - dispatches through the :data:`PROTOCOLS` registry.
+and every transport - :meth:`ProtocolSpec.exchange` for two parties in
+one process, plain TCP, resumable sessions, the CLI - dispatches
+through the :data:`PROTOCOLS` registry.
 Adding a protocol to the stack is now a registry entry, not five
 layers of bespoke plumbing; ``equijoin-sum`` is registered here purely
 that way and is reachable over TCP with no transport code of its own.
@@ -29,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
+from ..net.runner import ProtocolRun
 from . import delta
-from .base import sorted_ciphertexts
+from .base import ProtocolSuite, sorted_ciphertexts
 from .messages import (
     BlindedSum,
     CipherList,
@@ -47,6 +49,7 @@ from .messages import (
     SumReply,
 )
 from .parties import (
+    CryptoContext,
     EquijoinReceiver,
     EquijoinSender,
     EquijoinSizeReceiver,
@@ -57,6 +60,9 @@ from .parties import (
     IntersectionSender,
     IntersectionSizeReceiver,
     IntersectionSizeSender,
+    PublicParams,
+    ReceiverMachine,
+    SenderMachine,
 )
 
 __all__ = [
@@ -125,8 +131,6 @@ class ProtocolSpec:
 
     Attributes:
         name: registry key and CLI name (``"intersection-size"``...).
-        run_label: label for :class:`~repro.net.runner.ProtocolRun`
-            and recorded views (historically underscored).
         rounds: the ordered round schedule.
         make_receiver: ``(data, params, rng, *, engine=, crypto=, ...)``
             building party R's state.
@@ -150,7 +154,6 @@ class ProtocolSpec:
     """
 
     name: str
-    run_label: str
     rounds: tuple[RoundSpec, ...]
     make_receiver: Callable[..., Any]
     make_sender: Callable[..., Any]
@@ -227,6 +230,43 @@ def get_spec(protocol: str | ProtocolSpec) -> ProtocolSpec:
         raise ValueError(
             f"unknown protocol {protocol!r} (expected one of: {known})"
         ) from None
+
+
+def run_recorded(
+    name: str,
+    r_data: Any,
+    s_data: Any,
+    suite: ProtocolSuite | None = None,
+    **sender_options: Any,
+) -> tuple[Any, Any, Any, ProtocolRun]:
+    """One full run of protocol ``name`` between two machines sharing
+    ``suite`` (a fresh 1024-bit default when omitted), recorded.
+
+    The rounds go through :meth:`ProtocolSpec.exchange`; every wire it
+    returns is then shipped *part by part* over a
+    :class:`~repro.net.runner.ProtocolRun`'s accounted channels under
+    the paper's step labels, which is what the ``run_<name>`` result
+    drivers hand the security audit (the ``View`` s) and the cost-model
+    tasks (the byte counts).  Returns ``(answer, receiver state,
+    sender state, run)``.
+    """
+    spec = PROTOCOLS[name]
+    suite = suite or ProtocolSuite.default()
+    run = ProtocolRun(protocol=name.replace("-", "_"))
+    crypto = CryptoContext.from_suite(suite)
+    params = PublicParams(p=suite.group.p)
+    receiver = ReceiverMachine(spec, r_data, params, suite.rng_r, crypto=crypto)
+    sender = SenderMachine(
+        spec, s_data, params, suite.rng_s, crypto=crypto, **sender_options
+    )
+    wires = spec.exchange(receiver, sender)
+    answer = receiver.finish()
+    for rnd, (source, wire) in zip(spec.rounds, wires):
+        ship = run.to_s if source == "R" else run.to_r
+        for label, part in zip(rnd.parts, rnd.message.from_wire(wire).to_parts()):
+            ship(label, part)
+    run.finish()
+    return answer, receiver.state, sender.state, run
 
 
 def _receiver_round1(state: Any, inbox: Mapping[str, Message]) -> Message:
@@ -376,7 +416,6 @@ def _absorb_y_s_ahead(state: Any, segment: list) -> None:
 INTERSECTION = register(
     ProtocolSpec(
         name="intersection",
-        run_label="intersection",
         rounds=(
             RoundSpec(
                 "m1", "R", CipherList, _receiver_round1, ("3:Y_R",),
@@ -402,7 +441,6 @@ INTERSECTION = register(
 INTERSECTION_SIZE = register(
     ProtocolSpec(
         name="intersection-size",
-        run_label="intersection_size",
         rounds=(
             RoundSpec(
                 "m1", "R", CipherList, _receiver_round1, ("3:Y_R",),
@@ -427,7 +465,6 @@ INTERSECTION_SIZE = register(
 EQUIJOIN = register(
     ProtocolSpec(
         name="equijoin",
-        run_label="equijoin",
         rounds=(
             RoundSpec(
                 "m1", "R", CipherList, _receiver_round1, ("3:Y_R",),
@@ -452,7 +489,6 @@ EQUIJOIN = register(
 EQUIJOIN_SIZE = register(
     ProtocolSpec(
         name="equijoin-size",
-        run_label="equijoin_size",
         rounds=(
             RoundSpec(
                 "m1", "R", CipherList, _receiver_round1, ("3:Y_R",),
@@ -477,7 +513,6 @@ EQUIJOIN_SIZE = register(
 EQUIJOIN_SUM = register(
     ProtocolSpec(
         name="equijoin-sum",
-        run_label="equijoin_sum",
         rounds=(
             RoundSpec(
                 "m1", "R", CipherList, _receiver_round1, ("1:Y_R",),
@@ -529,7 +564,6 @@ def _register_delta(
     return register(
         ProtocolSpec(
             name=base.name + "+delta",
-            run_label=base.run_label + "_delta",
             rounds=(
                 RoundSpec(
                     "m1", "R", DeltaAnnounce, delta.announce,

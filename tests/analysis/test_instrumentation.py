@@ -11,13 +11,18 @@ import threading
 
 import pytest
 
+import repro
 from repro.analysis.costmodel import ProtocolCostModel
 from repro.analysis.instrumentation import MetricsRecorder, counting_suite
 from repro.crypto.engine import create_engine
+from repro.protocols.aggregate import run_equijoin_sum
 from repro.protocols.equijoin import run_equijoin
+from repro.protocols.equijoin_size import run_equijoin_size
 from repro.protocols.intersection import run_intersection
 from repro.protocols.intersection_size import run_intersection_size
 from repro.protocols.parties import IntersectionReceiver, IntersectionSender, PublicParams
+
+from ..protocols import make_golden_fixture as golden
 
 
 @pytest.fixture()
@@ -58,6 +63,40 @@ class TestJoinOpCounts:
         assert cs.counter.encryptions == predicted.encryptions  # 2nS + 5nR
         assert cs.counter.hashes == predicted.hashes
         assert cs.counter.k_encryptions == predicted.k_encryptions  # nS + n∩
+
+
+#: protocol -> (its result driver, the count on the golden inputs).
+COUNTED = {
+    "intersection": (run_intersection, 160),
+    "intersection-size": (run_intersection_size, 160),
+    "equijoin": (run_equijoin, 280),
+    "equijoin-size": (run_equijoin_size, 168),
+    "equijoin-sum": (run_equijoin_sum, 160),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_the_two_counters_and_the_model_agree(name, model):
+    """``counting_suite`` through the result driver, the recorder
+    through ``repro.run`` and the Section 6 formula read one number."""
+    driver, pinned = COUNTED[name]
+    r_data, s_data = golden._chunk_inputs(name)
+    cs = counting_suite(bits=64)
+    driver(r_data, s_data, cs.suite)
+    recorder = MetricsRecorder()
+    repro.run(name, r_data, s_data, bits=64, seed=0, recorder=recorder)
+    n_s, n_r = len(set(s_data)), len(set(r_data))
+    if name == "equijoin":
+        formula = model.join_ops(n_s, n_r).encryptions  # 2nS + 5nR
+    elif name == "equijoin-size":
+        # Over multisets a party encrypts each *distinct* value of its
+        # own once and every *occurrence* the peer sends once, so
+        # 2(nS + nR) reads (|V_S| + |V_R|) + (|T_S| + |T_R|): the
+        # fixture's 43 / 45 occurrences over 40 / 40 values.
+        formula = (n_s + n_r) + (len(s_data) + len(r_data))
+    else:
+        formula = model.intersection_ops(n_s, n_r).encryptions  # 2(nS + nR)
+    assert cs.counter.encryptions == recorder.total_modexp == formula == pinned
 
 
 class TestCounterMechanics:

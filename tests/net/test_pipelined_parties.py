@@ -69,11 +69,10 @@ CASES = {
     "equijoin-size": (
         T_R, T_S, len(set(T_R)) + len(T_S), len(set(T_S)) + len(T_R),
     ),
-    # Of its 2(n_S + n_R), R's n_S codeword re-encryptions go one by
-    # one, past the batch engine that is counted here.
+    # 2(n_S + n_R): R re-encrypts S's n_S codewords in one batch.
     "equijoin-sum": (
         V_R, {v: i for i, v in enumerate(V_S)},
-        len(V_R), len(V_S) + len(V_R),
+        len(V_R) + len(V_S), len(V_S) + len(V_R),
     ),
 }
 #: The protocols whose R re-encrypts ``Y_S``, shipped first in ``m2``.

@@ -65,10 +65,14 @@ def test_healthy_herd_over_forked_shards_sends_no_worker_lost_notice(
             time.sleep(0.02)
         time.sleep(_config().fin_grace_s + 0.1)
         notices, deaths = server.worker_lost_notices, server.worker_deaths
-    assert [sorted(answer) for answer, _stats in done] == [["b", "c"]] * SESSIONS
-    assert all(stats.worker_lost == 0 for _answer, stats in done)
-    assert server.routed == SESSIONS
-    assert (notices, deaths) == (0, 0)
     rows = server.results()
-    assert len(rows) == SESSIONS
-    assert all(row["status"] == "done" for row in rows)
+    seen = (
+        f"notices={notices} deaths={deaths} routed={server.routed} "
+        f"not done: {[row for row in rows if row['status'] != 'done']}"
+    )
+    assert [sorted(answer) for answer, _stats in done] == [["b", "c"]] * SESSIONS, seen
+    assert all(stats.worker_lost == 0 for _answer, stats in done), seen
+    assert server.routed == SESSIONS, seen
+    assert (notices, deaths) == (0, 0), seen
+    assert len(rows) == SESSIONS, seen
+    assert all(row["status"] == "done" for row in rows), seen

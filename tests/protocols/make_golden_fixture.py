@@ -208,19 +208,12 @@ def capture_chunked(protocol: str) -> dict[str, str]:
     receiver = ReceiverMachine(spec, r_data, params, random.Random("R"))
     sender = SenderMachine(spec, s_data, params, random.Random("S"))
     digests: dict[str, str] = {}
-    for i, rnd in enumerate(spec.rounds, start=1):
-        producer, consumer = (
-            (receiver, sender) if rnd.source == "R" else (sender, receiver)
-        )
-        if rnd.chunkable:
-            payloads = list(producer.produce_chunks(rnd, CHUNK_SIZE))
-            frames = [
-                chunk_frame(j, payload) for j, payload in enumerate(payloads)
-            ] + [chunk_end_frame(len(payloads))]
-            consumer.consume_chunks(rnd, payloads)
-        else:
-            frames = [producer.produce(rnd).to_wire()]
-            consumer.consume(rnd, frames[0])
+    wires = spec.exchange(receiver, sender, CHUNK_SIZE)
+    for i, (rnd, (_, wire)) in enumerate(zip(spec.rounds, wires), start=1):
+        frames = [wire]
+        if rnd.chunkable:  # came back as the round's chunk payloads
+            frames = [chunk_frame(j, payload) for j, payload in enumerate(wire)]
+            frames.append(chunk_end_frame(len(wire)))
         stream = hashlib.sha256()
         for frame in frames:
             stream.update(encode(frame))
@@ -313,15 +306,11 @@ def drive(spec, receiver, sender) -> dict[str, object]:
     """Exchange ``spec``'s rounds between two in-process machines and
     digest every part, every assembled round and the answer."""
     record: dict[str, object] = {"parts": {}, "wires": {}}
-    for i, rnd in enumerate(spec.rounds, start=1):
-        producer, consumer = (
-            (receiver, sender) if rnd.source == "R" else (sender, receiver)
-        )
-        message = producer.produce(rnd)
-        for label, part in zip(rnd.parts, message.to_parts()):
-            record["parts"][label] = digest(part)
-        record["wires"][f"m{i}"] = digest(message.to_wire())
-        consumer.consume(rnd, message.to_wire())
+    wires = spec.exchange(receiver, sender)
+    for i, (rnd, (_, wire)) in enumerate(zip(spec.rounds, wires), start=1):
+        parts = rnd.message.from_wire(wire).to_parts()
+        record["parts"].update(zip(rnd.parts, map(digest, parts)))
+        record["wires"][f"m{i}"] = digest(wire)
     answer = receiver.finish()
     record["answer"] = digest(delta_answer(spec, answer, receiver.state))
     record["size_v_r"] = sender.state.size_v_r

@@ -143,8 +143,15 @@ def _pooled_batches():
     return shared_engine(available_cpus()).parallel_batches
 
 
-#: Section 6's exact modexp counts at the fixture's n_R = n_S = 40.
-PAPER_MODEXPS = {"intersection": 2 * (N + N), "equijoin": 2 * N + 5 * N}
+#: Section 6's exact modexp counts at the fixture's n_R = n_S = 40;
+#: equijoin-size re-encrypts the 45 + 43 occurrences it is sent.
+PAPER_MODEXPS = {
+    "intersection": 2 * (N + N),
+    "intersection-size": 2 * (N + N),
+    "equijoin": 2 * N + 5 * N,
+    "equijoin-size": (N + N) + (45 + 43),
+    "equijoin-sum": 2 * (N + N),
+}
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE["protocols"]))
@@ -170,7 +177,7 @@ def test_default_engine_matches_golden(name, two_cpus, always_pays, through_run)
     wires, answer, modexps = runs["default"]
     assert wires == FIXTURE["protocols"][name]["wires"]
     assert answer == FIXTURE["protocols"][name]["answer"]
-    assert modexps == PAPER_MODEXPS.get(name, modexps)
+    assert modexps == PAPER_MODEXPS[name]
 
 
 @pytest.mark.parametrize("dname", sorted(FIXTURE["deltas"]))

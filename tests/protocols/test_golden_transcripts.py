@@ -177,6 +177,19 @@ def _assert_answer(name, answer, match_count=None):
 
 
 # ----------------------------------------------------------------------
+# The result drivers: recorded views, part by part, and diagnostics
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_result_drivers_match_golden(name):
+    """``run_<name>`` records what it always recorded: every ``View``
+    part, assembled round, answer and learned size - and equijoin-size's
+    leakage diagnostics - equal the committed record."""
+    record = dict(FIXTURE["protocols"][name])
+    del record["chunked_wires"]
+    assert golden.capture(name) == record
+
+
+# ----------------------------------------------------------------------
 # In-memory: machines driven directly, wires captured per round
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
@@ -190,17 +203,13 @@ def test_in_memory_matches_golden(name, params, engines):
     sender = SenderMachine(
         spec, s_data, params, random.Random("S"), engine=s_engine
     )
-    digests = {}
-    for i, rnd in enumerate(spec.rounds, start=1):
-        producer, consumer = (
-            (receiver, sender) if rnd.source == "R" else (sender, receiver)
-        )
-        wire = producer.produce(rnd).to_wire()
-        digests[f"m{i}"] = _digest(wire)
-        consumer.consume(rnd, wire)
+    wires = spec.exchange(receiver, sender)
     answer = receiver.finish()
 
-    _assert_wires(name, digests)
+    _assert_wires(
+        name,
+        {f"m{i}": _digest(wire) for i, (_, wire) in enumerate(wires, start=1)},
+    )
     _assert_answer(
         name, answer, getattr(receiver.state, "match_count", None)
     )
@@ -363,22 +372,14 @@ def test_in_memory_chunked_matches_golden(name, params, engines):
     )
     logical = {}
     streamed = {}
-    for i, rnd in enumerate(spec.rounds, start=1):
-        producer, consumer = (
-            (receiver, sender) if rnd.source == "R" else (sender, receiver)
-        )
-        if rnd.chunkable:
-            payloads = list(producer.produce_chunks(rnd, CHUNK_SIZE))
-            frames = [
-                chunk_frame(j, payload) for j, payload in enumerate(payloads)
-            ] + [chunk_end_frame(len(payloads))]
-            consumer.consume_chunks(rnd, payloads)
-            message = consumer.inbox[rnd.name]
-        else:
-            wire = producer.produce(rnd).to_wire()
-            frames = [wire]
-            message = consumer.consume(rnd, wire)
-        logical[f"m{i}"] = _digest(message.to_wire())
+    wires = spec.exchange(receiver, sender, CHUNK_SIZE)
+    for i, (rnd, (_, wire)) in enumerate(zip(spec.rounds, wires), start=1):
+        frames = [wire]
+        if rnd.chunkable:  # came back as the round's chunk payloads
+            frames = [chunk_frame(j, payload) for j, payload in enumerate(wire)]
+            frames.append(chunk_end_frame(len(wire)))
+        consumer = sender if rnd.source == "R" else receiver
+        logical[f"m{i}"] = _digest(consumer.inbox[rnd.name].to_wire())
         streamed[f"m{i}"] = _stream_digest(frames)
     answer = receiver.finish()
 
