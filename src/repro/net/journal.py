@@ -267,8 +267,12 @@ class SessionJournal:
         survive a power cut - but the data a successful ``append``
         fsync'd is intact, so this is recorded
         (:attr:`dir_fsync_failures`, surfaced by :meth:`io_stats`)
-        rather than poisoning the journal.
+        rather than poisoning the journal.  It follows ``fsync=``: a
+        journal that asks no durability for its data buys none for its
+        name.
         """
+        if not self.fsync:
+            return
         try:
             self._io.fsync_dir(path if path is not None else self.path.parent)
         except OSError:

@@ -6,9 +6,14 @@ slowly-changing tables each party instead keeps the per-value crypto
 state a run produced - the declared fields of the
 :mod:`repro.protocols.parties` classes - and subsequent queries
 exchange only the *delta*: newly inserted values encrypted, removed
-values tombstoned by their old ciphertexts.  All modexp work per delta
-query is O(|delta|); only cheap set/counter bookkeeping touches the
-full catalogs.
+values tombstoned by their old ciphertexts.  Every step of a delta
+query is O(|delta|) - modexps, hashing, the collision check (fresh
+hashes against the held ``hash -> value`` map), R's answer (maintained,
+moved by what the patch touched) and the staging itself (a fork reads
+the committed party through views and copies nothing) - plus, for R,
+the size of the answer it hands back.  The one exception is
+equijoin-sum, whose R re-sums its matched Paillier ciphertexts on
+every query.
 
 There is no delta arithmetic here.  The party steps are written once
 over ``(added, removed)`` - a full run is the delta that adds the whole

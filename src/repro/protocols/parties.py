@@ -50,7 +50,9 @@ import copy
 import random
 from contextlib import nullcontext
 from collections import Counter
+from collections.abc import MutableMapping
 from dataclasses import dataclass
+from itertools import chain, filterfalse
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -224,14 +226,78 @@ def _resolve_crypto(
     return CryptoContext.from_params(params, engine=engine)
 
 
-def _patch(counts: Counter, added: Iterable, removed: Iterable) -> None:
-    """Apply one ``(added, removed)`` churn to an occurrence counter in
-    place, dropping the entries it drains."""
-    counts.update(added)
-    counts.subtract(removed)
-    for key in removed:
-        if counts[key] <= 0:
-            del counts[key]
+_GONE = object()
+
+
+class _Staged(MutableMapping):
+    """A mapping staged over ``base``: reads fall through to it, writes
+    and deletes land in ``patch`` (a deleted key maps to ``_GONE``), so
+    ``base`` is untouched until :meth:`commit` and staging costs nothing
+    per entry ``base`` holds."""
+
+    def __init__(self, base: MutableMapping):
+        self.base = base
+        self.patch: dict = {}
+
+    def __getitem__(self, key: Hashable) -> Any:
+        value = self.patch.get(key, self)
+        if value is self:  # not staged: the base's
+            # ``get``, not ``[]``: a Counter answers 0 for a missing key.
+            value = self.base.get(key, _GONE)
+        if value is _GONE:
+            raise KeyError(key)
+        return value
+
+    def __setitem__(self, key: Hashable, value: Any) -> None:
+        self.patch[key] = value
+
+    def __delitem__(self, key: Hashable) -> None:
+        if key not in self:
+            raise KeyError(key)
+        self.patch[key] = _GONE
+
+    def __iter__(self):
+        patch = self.patch
+        return chain(
+            filterfalse(patch.__contains__, self.base),
+            (key for key, value in patch.items() if value is not _GONE),
+        )
+
+    def __len__(self) -> int:
+        base = self.base
+        return len(base) + sum(
+            (value is not _GONE) - (key in base)
+            for key, value in self.patch.items()
+        )
+
+    def commit(self) -> MutableMapping:
+        """Apply the patch to ``base`` in place, O(|patch|); returns
+        ``base``."""
+        base = self.base
+        for key, value in self.patch.items():
+            if value is _GONE:
+                base.pop(key, None)
+            else:
+                base[key] = value
+        return base
+
+
+def _patch(counts: MutableMapping, added: Iterable, removed: Iterable) -> dict:
+    """Apply one ``(added, removed)`` churn (occurrence lists or
+    counters) to an occurrence map in place, dropping the entries it
+    drains.  Returns the change it made to each key it touched."""
+    net = Counter(added)
+    net.subtract(removed)
+    moved = {}
+    for key, n in net.items():
+        before = counts.get(key, 0)
+        after = max(before + n, 0)
+        if after:
+            counts[key] = after
+        else:
+            counts.pop(key, None)
+        moved[key] = after - before
+    return moved
 
 
 class _Party:
@@ -246,13 +312,18 @@ class _Party:
     what their step patches (:meth:`reset`, :meth:`_declare`) - which
     also makes them safe to call again - while a streamed round and a
     delta run on a :meth:`fork` that :meth:`adopt` folds back once the
-    stream is exhausted / the exchange has committed.
+    stream is exhausted / the exchange has committed.  A fork copies
+    nothing: it reads the party's containers through :class:`_Staged`
+    views and keeps its own writes, which ``adopt`` applies in place -
+    so a step costs what its ``(added, removed)`` costs, whatever the
+    party holds.
 
     * :meth:`own` - encrypt/tombstone my own values (both roles);
     * ``answer`` - S's reply to a batch of the peer's ciphertexts
       (pairs, ``Z_R`` or triples), ``reply`` composing it with ``own``
       into the parts of one round;
-    * ``absorb`` - R patches what it holds of S and recomputes.
+    * ``absorb`` - R patches what it holds of S and moves the answer it
+      maintains by what the patch touched; the caller gets a snapshot.
 
     With an injected :class:`PartyCache` the keys, hashes and own
     ciphertexts come from the cache (no rng draw, no hashing, no own
@@ -286,7 +357,10 @@ class _Party:
         #: value -> occurrences for the multiset parties); read-only, so
         #: forks share it.
         self.opening = MappingProxyType(self._table(values))
+        #: ``h(v)`` per held value and its exact inverse, which is what
+        #: a fresh hash is checked against.
         self._hash_by_value: dict = {}
+        self._value_by_hash: dict = {}
         #: Own values under the own (first) key: ``f_e(h(v))``.
         self._y_by_value: dict = {}
         #: The values the latest :meth:`own` step added.
@@ -295,10 +369,12 @@ class _Party:
         #: ahead of the reply they belong to (:meth:`absorb_ahead`).
         self._z_ahead: dict = {}
         self._declare()
+        opening = list(self.opening)
         if cached is None:
             self._keys = tuple(
                 self.cipher.sample_key(rng) for _ in range(self.n_keys)
             )
+            hashes = self.hash.hash_set(opening)
         else:
             self._keys = tuple(cached.keys)
             if len(self._keys) != self.n_keys:
@@ -306,13 +382,15 @@ class _Party:
                     f"party cache holds {len(self._keys)} keys, "
                     f"this party draws {self.n_keys}"
                 )
-            opening = list(self.opening)
-            self._hash_by_value.update(zip(opening, cached.hashes_for(opening)))
+            hashes = cached.hashes_for(opening)
             for index, ys in enumerate(self._own_maps()):
                 ys.update(zip(opening, cached.ciphertexts_for(opening, index)))
-            self._check_collisions()
         self._key = self._keys[0]
-        self._learn(self.opening)
+        # The whole set is new: the paper's sort, then the inverse map
+        # every later value is checked against.
+        self._hash_by_value.update(zip(opening, hashes))
+        self._check_collisions()
+        self._value_by_hash.update(zip(hashes, opening))
 
     @property
     def values(self) -> list:
@@ -359,16 +437,22 @@ class _Party:
             )
 
     def _learn(self, values: Iterable[Hashable]) -> None:
-        """Hash the not-yet-hashed among ``values`` (collision-checked
-        against the whole set)."""
+        """Hash the not-yet-hashed among ``values``, each fresh hash
+        checked against every held one and the fresh ones before it -
+        as exact as the sort, at the cost of the fresh values alone."""
         fresh = [v for v in values if v not in self._hash_by_value]
-        if fresh:
-            self._hash_by_value.update(zip(fresh, self.hash.hash_set(fresh)))
-            self._check_collisions()
+        for v, hashed in zip(fresh, self.hash.hash_set(fresh)):
+            if hashed in self._value_by_hash:
+                raise HashCollisionError(
+                    "hash collision within the party's set "
+                    "(a new value's hash is a held value's)"
+                )
+            self._hash_by_value[v] = hashed
+            self._value_by_hash[hashed] = v
 
     def _retire(self, v: Hashable) -> int:
         """Forget one own value; its ciphertext is the tombstone."""
-        del self._hash_by_value[v]
+        del self._value_by_hash[self._hash_by_value.pop(v)]
         return [ys.pop(v) for ys in self._own_maps()][0]
 
     def _own(self, added: Mapping, removed: Iterable) -> tuple[list, list]:
@@ -451,36 +535,47 @@ class _Party:
         """
         self._z_ahead.update(zip(ys, self._encrypt(self._key, ys)))
 
-    def _absorb_y_s(self, added: Sequence, removed: Sequence) -> None:
+    def _absorb_y_s(self, added: Sequence, removed: Sequence) -> dict:
         """R re-encrypts S's churn under its own key into ``Z_S`` -
-        what :meth:`absorb_ahead` has not already."""
+        what :meth:`absorb_ahead` has not already.  Returns the change
+        to each ``Z_S`` count it touched."""
         ahead = self._z_ahead
         late = [y for y in added if y not in ahead]
         ahead.update(zip(late, self._encrypt(self._key, late)))
-        _patch(
+        moved = _patch(
             self._z_s,
             [ahead[y] for y in added],
             self._encrypt(self._key, removed),
         )
-        ahead.clear()
+        self._z_ahead = {}
         self.size_v_s = (self.size_v_s or 0) + len(added) - len(removed)
+        return moved
 
     # ------------------------------------------------------------------
     # Staging and persistence
     # ------------------------------------------------------------------
     def fork(self) -> "_Party":
-        """A copy owning every container the steps patch in place
-        (the lists are only ever rebound): steps run on it leave this
-        party untouched until :meth:`adopt`."""
+        """A twin staging every container the steps patch in place
+        (the lists are only ever rebound) over this party's own: steps
+        run on it leave this party untouched until :meth:`adopt`, and
+        nothing this party holds is walked to make it."""
         twin = copy.copy(self)
         for name, value in vars(self).items():
-            if isinstance(value, (dict, set)):
-                setattr(twin, name, value.copy())
+            if isinstance(value, MutableMapping):
+                setattr(twin, name, _Staged(value))
         return twin
 
     def adopt(self, fork: "_Party") -> None:
-        """Fold a fork's state in (a delta's commit)."""
-        vars(self).update(vars(fork))
+        """Fold a fork's state in (a delta's commit).
+
+        It costs what the fork wrote: its staged writes land in the
+        containers they were staged over, what it rebound (``reset`` /
+        ``_declare``) is taken as it is, and this party is left holding
+        plain containers."""
+        for name, value in vars(fork).items():
+            if isinstance(value, _Staged):
+                value = value.commit()
+            setattr(self, name, value)
 
     def cache_keys(self) -> tuple:
         """The party's cipher keys in draw order (for catalog caching)."""
@@ -513,7 +608,7 @@ class _MultisetParty(_Party):
         """Additionally empty the table's occurrence counts, which
         :meth:`own` accumulates."""
         super().reset()
-        self._counts.clear()
+        self._counts = Counter()
 
     @staticmethod
     def _table(values: Iterable[Hashable]) -> Counter:
@@ -522,17 +617,27 @@ class _MultisetParty(_Party):
         return Counter(values)
 
     def _own(self, added: Counter, removed: Counter) -> tuple[list, list]:
-        """Hash and encrypt each newly seen distinct value once, expand
-        both sides by multiplicity, then settle the counts (a value
-        whose last occurrence goes is forgotten)."""
-        super()._own(added, ())
+        """Tombstone the values whose last occurrence goes - first, as
+        :meth:`_Party._own` does: a hash that leaves is free for what
+        comes -, hash and encrypt each newly seen distinct value once,
+        expand both sides by multiplicity and settle the counts.  A
+        value the one churn both inserts and drains is forgotten last,
+        once its ciphertexts are listed."""
+        leaving = [
+            v for v, n in Counter(removed).items()
+            if v not in added and n >= self._counts.get(v, 0)
+        ]
+        gone = dict(zip(leaving, super()._own(added, leaving)[1]))
         ys = tuple(
-            [self._y_by_value[v] for v in Counter(counts).elements()]
+            [
+                gone[v] if v in gone else self._y_by_value[v]
+                for v in Counter(counts).elements()
+            ]
             for counts in (added, removed)
         )
         _patch(self._counts, added, removed)
         for v in removed:
-            if v not in self._counts:
+            if v not in self._counts and v not in gone:
                 self._retire(v)
         return ys
 
@@ -555,31 +660,44 @@ class IntersectionReceiver(_Party):
     """Party R of the Section 3.3 protocol."""
 
     def _declare(self) -> None:
-        #: ``Z_S`` (occurrence counts; 1 each for the set protocols)
-        #: and each own value's double encryption ``f_eS(f_eR(h(v)))``.
+        #: ``Z_S`` (occurrence counts; 1 each for the set protocols),
+        #: each own value's double encryption ``f_eS(f_eR(h(v)))`` with
+        #: its inverse, and the answer: the values whose double is in
+        #: ``Z_S`` (a dict for its keys).
         self._z_s: Counter = Counter()
         self._double_by_value: dict = {}
+        self._value_by_double: dict = {}
+        self._matched: dict = {}
         super()._declare()
 
     def _retire(self, v: Hashable) -> int:
-        self._double_by_value.pop(v, None)
+        self._value_by_double.pop(self._double_by_value.pop(v, None), None)
+        self._matched.pop(v, None)
         return super()._retire(v)
 
     def absorb(
         self, y_s_added: list, y_s_removed: list, pairs_added: list
     ) -> set[Hashable]:
         """Steps 5-6: patch ``Z_S`` and the doubles of what this query
-        announced, then intersect (set operations only)."""
-        self._absorb_y_s(y_s_added, y_s_removed)
+        announced, then re-decide the doubles either patch touched
+        (set operations only)."""
+        touched = set(self._absorb_y_s(y_s_added, y_s_removed))
         mine = {self._y_by_value[v]: v for v in self._announced}
-        self._double_by_value.update(
-            (mine[y], double) for y, double in pairs_added if y in mine
-        )
-        return {
-            v
-            for v, double in self._double_by_value.items()
-            if double in self._z_s
-        }
+        for y, double in pairs_added:
+            if y in mine:
+                v = mine[y]
+                self._value_by_double.pop(self._double_by_value.get(v), None)
+                self._double_by_value[v] = double
+                self._value_by_double[double] = v
+                touched.add(double)
+        for double in touched:
+            if double in self._value_by_double:
+                v = self._value_by_double[double]
+                if double in self._z_s:
+                    self._matched[v] = None
+                else:
+                    self._matched.pop(v, None)
+        return set(self._matched)
 
     def finish(self, reply: IntersectionReply) -> set[Hashable]:
         """Steps 5-6: recover the intersection from S's reply."""
@@ -614,23 +732,28 @@ class _SizeReceiver:
     multiset one with every multiplicity 1."""
 
     def _declare(self) -> None:
-        #: Occurrence counts of ``Z_S`` and of the unpaired ``Z_R``.
+        #: Occurrence counts of ``Z_S`` and of the unpaired ``Z_R``,
+        #: and the answer: their matched codewords, each counted by the
+        #: product of its multiplicities.
         self._z_s: Counter = Counter()
         self._z_r: Counter = Counter()
+        self._overlap = 0
         super()._declare()
 
     def absorb(
         self, y_s_added: list, y_s_removed: list, z_added: list, z_removed: list
     ) -> int:
-        """Steps 5-6: patch both double-encrypted collections; matched
-        codewords contribute the product of their multiplicities."""
-        self._absorb_y_s(y_s_added, y_s_removed)
-        _patch(self._z_r, z_added, z_removed)
-        return sum(
-            count * self._z_r[codeword]
-            for codeword, count in self._z_s.items()
-            if codeword in self._z_r
-        )
+        """Steps 5-6: patch both double-encrypted collections.
+
+        One after the other: each count that moves takes the overlap
+        with it, by the other side's count of that codeword."""
+        moved = self._absorb_y_s(y_s_added, y_s_removed)
+        for codeword, change in moved.items():
+            self._overlap += change * self._z_r.get(codeword, 0)
+        moved = _patch(self._z_r, z_added, z_removed)
+        for codeword, change in moved.items():
+            self._overlap += change * self._z_s.get(codeword, 0)
+        return self._overlap
 
     def finish(self, reply: SizeReply) -> int:
         """Steps 5-6: count the overlap from S's reply."""
@@ -685,21 +808,25 @@ class EquijoinReceiver(_Party):
 
     def _declare(self) -> None:
         #: Own side: ``codeword -> (value, kappa)`` and its inverse;
-        #: S's side: ``codeword -> K(kappa, ext)``.
+        #: S's side: ``codeword -> K(kappa, ext)``; the answer: the
+        #: decrypted ext of every codeword both sides hold.
         self._by_codeword: dict = {}
         self._codeword_by_value: dict = {}
         self._pairs_by_codeword: dict = {}
+        self._matches: dict = {}
         super()._declare()
 
     def _retire(self, v: Hashable) -> int:
         self._by_codeword.pop(self._codeword_by_value.pop(v, None), None)
+        self._matches.pop(v, None)
         return super()._retire(v)
 
     def absorb(
         self, triples_added: list, pairs_added: list, pairs_removed: list
     ) -> dict[Hashable, bytes]:
         """Steps 6-7: strip own layer off the triples this query
-        announced, patch both codeword maps, match and decrypt ext."""
+        announced, patch both codeword maps, then match and decrypt ext
+        for the codewords either patch touched."""
         inverse = self.cipher.invert_key(self._key)
         by_y = {self._y_by_value[v]: v for v in self._announced}
         mine = [
@@ -719,13 +846,19 @@ class EquijoinReceiver(_Party):
         )
         self.size_v_s = len(self._pairs_by_codeword)
         ext_cipher = self.crypto.ext()
-        matches = {}
-        for codeword, ciphertext in self._pairs_by_codeword.items():
+        touched = {*codewords, *pairs_removed, *(c for c, _ in pairs_added)}
+        for codeword in touched:
             hit = self._by_codeword.get(codeword)
             if hit is not None:
                 v, kappa = hit
-                matches[v] = ext_cipher.decrypt(kappa, list(ciphertext))
-        return matches
+                ciphertext = self._pairs_by_codeword.get(codeword)
+                if ciphertext is None:
+                    self._matches.pop(v, None)
+                else:
+                    self._matches[v] = ext_cipher.decrypt(
+                        kappa, list(ciphertext)
+                    )
+        return dict(self._matches)
 
     def finish(self, reply: EquijoinReply) -> dict[Hashable, bytes]:
         """Steps 6-7: recover the matches from S's reply."""

@@ -10,14 +10,22 @@ cache.  After every committed query:
   scratch;
 * ``lookup(table_digest(table))`` finds exactly the committed party's
   ``cache_entries()``;
-* each cache directory holds exactly one ``.cat`` file.
+* each cache directory holds exactly one ``.cat`` file;
+* the answer R maintains is what the whole-set formula makes of the
+  state R holds (the formula ``absorb`` ran on every query before it
+  kept the answer: here it is the oracle), each inverse map is the
+  exact inverse of its map, and every container of both committed
+  parties is a plain one - no staged view outlives ``adopt``.
 """
 
 from __future__ import annotations
 
+import copy
+import random
 import shutil
 import tempfile
 from collections import Counter
+from collections.abc import MutableMapping, MutableSet
 from pathlib import Path
 
 from hypothesis import settings
@@ -31,6 +39,12 @@ from hypothesis.stateful import (
 
 import repro
 from repro.net.catalog import CatalogCache, table_digest
+from repro.protocols.parties import (
+    IntersectionReceiver,
+    IntersectionSender,
+    PublicParams,
+)
+from repro.protocols.spec import INTERSECTION
 
 BITS = 128
 PROTOCOLS = ["intersection", "intersection-size", "equijoin", "equijoin-size"]
@@ -47,6 +61,44 @@ def _oracle(protocol, v_r, v_s):
         return {v: v_s[v] for v in v_r if v in v_s}
     count_r, count_s = Counter(v_r), Counter(v_s)
     return sum(n * count_s[v] for v, n in count_r.items())
+
+
+def _recomputed(protocol, r):
+    """R's answer from everything it holds - the whole-set scan."""
+    if protocol == "intersection":
+        return {v for v, double in r._double_by_value.items() if double in r._z_s}
+    if protocol == "equijoin":
+        ext_cipher = r.crypto.ext()
+        return {
+            r._by_codeword[codeword][0]: ext_cipher.decrypt(
+                r._by_codeword[codeword][1], list(ciphertext)
+            )
+            for codeword, ciphertext in r._pairs_by_codeword.items()
+            if codeword in r._by_codeword
+        }
+    return sum(
+        count * r._z_r[codeword]
+        for codeword, count in r._z_s.items()
+        if codeword in r._z_r
+    )
+
+
+def _maintained(protocol, r):
+    if protocol == "intersection":
+        return set(r._matched)
+    return r._matches if protocol == "equijoin" else r._overlap
+
+
+def _inverse(mapping):
+    return {value: key for key, value in mapping.items()}
+
+
+def _check_party(party):
+    assert party._value_by_hash == _inverse(party._hash_by_value)
+    assert len(party._value_by_hash) == len(party._hash_by_value)
+    for name, value in vars(party).items():
+        if isinstance(value, (MutableMapping, MutableSet)):
+            assert type(value) in (dict, Counter, set), name
 
 
 class CatalogLife(RuleBasedStateMachine):
@@ -120,10 +172,10 @@ class CatalogLife(RuleBasedStateMachine):
         result = self.peer.query(self.protocol)
         assert result.answer == _oracle(self.protocol, *self.tables.values())
         self.staged = False
-        for side, role in (("r", "receiver"), ("s", "sender")):
+        for side in "rs":
             catalog, table = self.catalogs[side], self.tables[side]
             assert catalog._digest.hexdigest() == table_digest(table)
-            party = catalog._links[(self.protocol, role)]["party"]
+            party = self._party(side)
             (path,) = (self.tmp / side).iterdir()
             assert path.suffix == ".cat"
             entry = CatalogCache(self.tmp / side).lookup(
@@ -132,6 +184,19 @@ class CatalogLife(RuleBasedStateMachine):
             assert entry is not None and entry.path == path
             assert entry.entries == party.cache_entries()
             assert not catalog._log  # one link: every commit trims it
+            _check_party(party)
+        receiver = self._party("r")
+        assert (
+            _maintained(self.protocol, receiver)
+            == _recomputed(self.protocol, receiver)
+            == result.answer
+        )
+        if self.protocol == "intersection":
+            assert receiver._value_by_double == _inverse(receiver._double_by_value)
+
+    def _party(self, side):
+        role = {"r": "receiver", "s": "sender"}[side]
+        return self.catalogs[side]._links[(self.protocol, role)]["party"]
 
     @precondition(lambda self: not self.staged)
     @rule()
@@ -147,3 +212,34 @@ CatalogLife.TestCase.settings = settings(
     max_examples=40, stateful_step_count=20, deadline=None
 )
 TestCatalogLife = CatalogLife.TestCase
+
+
+def _held(party):
+    """Everything a party holds across queries, deep-copied."""
+    return copy.deepcopy({
+        name: value
+        for name, value in vars(party).items()
+        if isinstance(value, (dict, set, list, int, type(None)))
+    })
+
+
+def test_abandoned_stream_and_sibling_forks_leave_the_party_alone():
+    params = PublicParams.for_bits(BITS)
+    receiver = IntersectionReceiver(["a", "b", "c"], params, random.Random(1))
+    sender = IntersectionSender(["b", "c", "d", "e"], params, random.Random(2))
+    before = _held(sender)
+
+    # S's streamed m2, dropped after its first chunk: the own-set
+    # ciphertexts it computed stay on the attempt's fork.
+    stream = INTERSECTION.rounds[1].chunk_step(
+        sender, {"m1": receiver.round1()}, 2
+    )
+    assert next(stream)[:2] == (0, "seg")
+    stream.close()
+    assert _held(sender) == before
+
+    one, other = sender.fork(), sender.fork()
+    del one._hash_by_value["b"]
+    other._y_by_value["e"] = 7
+    assert "b" in other._hash_by_value and "e" not in one._y_by_value
+    assert _held(sender) == before

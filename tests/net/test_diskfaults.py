@@ -164,10 +164,10 @@ class TestJournalFailStop:
         journal.close()  # teardown is safe
 
     def test_write_failure_poisons_the_journal(self, tmp_path):
-        # fsync=False ops: magic write(1), dir fsync(2); open write(3);
-        # meta write(4); inbound write(5) <- the scripted fault.
+        # fsync=False ops (no fsync, no dir fsync): magic write(1); open
+        # write(2); meta write(3); inbound write(4) <- the scripted fault.
         io = FaultyJournalIO(DiskFaultPlan(
-            seed=3, enospc_rate=1.0, skip=4, max_faults=1,
+            seed=3, enospc_rate=1.0, skip=3, max_faults=1,
         ))
         journal = _journal(tmp_path / "j.wal", io=io)
         with pytest.raises(JournalError, match="fail-stop"):
@@ -178,7 +178,7 @@ class TestJournalFailStop:
     def test_torn_append_is_repaired_on_reopen(self, tmp_path):
         path = tmp_path / "j.wal"
         io = FaultyJournalIO(DiskFaultPlan(
-            seed=11, torn_write_rate=1.0, skip=4, max_faults=1,
+            seed=11, torn_write_rate=1.0, skip=3, max_faults=1,
         ))
         journal = _journal(path, io=io)
         good = path.read_bytes()

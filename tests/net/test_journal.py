@@ -34,6 +34,8 @@ from repro.protocols.parties import (
 )
 from repro.protocols.spec import PROTOCOLS
 
+from .test_catalog_durability import CountingIO
+
 BITS = 128
 N = 12
 
@@ -176,6 +178,26 @@ def test_rotate_is_atomic_and_idempotent(tmp_path):
     assert not path.exists()
     assert journal.rotate() == rotated  # second rotation is a no-op
     assert rotated.exists()
+
+
+@pytest.mark.parametrize(
+    "fsync, expected",
+    [
+        # The magic, the two records and the close; the create and
+        # the rename.
+        (True, {"fsyncs": 4, "dir_fsyncs": 2}),
+        # No data durability asked, no name durability bought.
+        (False, {"fsyncs": 0, "dir_fsyncs": 0}),
+    ],
+)
+def test_directory_barrier_follows_the_fsync_switch(tmp_path, fsync, expected):
+    io = CountingIO()
+    journal = SessionJournal(tmp_path / "s.wal", fsync=fsync, io=io)
+    journal.record_open("sender", "intersection")
+    journal.record_complete()
+    assert journal.rotate().suffix == DONE_SUFFIX
+    assert {kind: io.counts[kind] for kind in expected} == expected
+    assert journal.dir_fsync_failures == 0
 
 
 # ----------------------------------------------------------------------

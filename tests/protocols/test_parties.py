@@ -249,3 +249,116 @@ class TestEquijoinSizeParties:
             ValueMultiset.from_values(v_s)
         )
         assert self._run(v_r, v_s, params) == expected
+
+
+class TestDeltaCollisions:
+    """The collision check on a delta's own-set step: exact on the
+    fresh hashes, and never at the committed party's expense."""
+
+    PROTOCOLS = ["intersection", "equijoin-size"]
+    V_R, V_S = ["a", "b", "c", "x"], ["b", "c", "d"]
+
+    class _Pair:
+        """Both parties of one protocol over a programmable oracle,
+        their full query run."""
+
+        def __init__(self, protocol, params):
+            from repro.crypto.oracle import RandomOracle
+            from repro.protocols.parties import CryptoContext
+            from repro.protocols.spec import PROTOCOLS
+
+            self.params, self.spec = params, PROTOCOLS[protocol]
+            self.delta_spec = PROTOCOLS[protocol + "+delta"]
+            group, _, cipher = params.build()
+            self.oracle = RandomOracle(group, seed=3)
+            crypto = CryptoContext(group=group, hash=self.oracle, cipher=cipher)
+            self.r = self.spec.make_receiver(
+                TestDeltaCollisions.V_R, params, random.Random(1), crypto=crypto
+            )
+            self.s = self.spec.make_sender(
+                TestDeltaCollisions.V_S, params, random.Random(2), crypto=crypto
+            )
+            self.full = self.r.finish(self.s.round1(self.r.round1()))
+
+        def collide(self, value, held):
+            self.oracle.program(value, self.oracle.hash_value(held))
+
+        def delta(self, inserts=(), deletes=()):
+            """One delta query with R's churn (S stages none),
+            committed on both sides; R's answer."""
+            from repro.protocols.delta import DeltaExchange
+            from repro.protocols.parties import ReceiverMachine, SenderMachine
+
+            receiver = ReceiverMachine(
+                self.delta_spec,
+                DeltaExchange(
+                    state=self.r,
+                    inserts=tuple((v, None) for v in inserts),
+                    deletes=tuple(deletes),
+                ),
+                self.params, random.Random(),
+            )
+            sender = SenderMachine(
+                self.delta_spec, DeltaExchange(state=self.s), self.params,
+                random.Random(),
+            )
+            self.delta_spec.exchange(receiver, sender)
+            answer = receiver.finish()
+            receiver.state.commit()
+            sender.state.commit()
+            return answer
+
+        def held(self):
+            """What R holds across queries, snapshotted."""
+            return (
+                self.r.cache_entries(),
+                {
+                    name: value.copy()
+                    for name, value in vars(self.r).items()
+                    if isinstance(value, dict)
+                },
+            )
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize(
+        "inserts, colliding",
+        [
+            (["new"], [("new", "a")]),  # with a held value
+            (["new", "new2"], [("new2", "new")]),  # within the delta
+        ],
+    )
+    def test_colliding_insert_fails_the_delta_alone(
+        self, params, protocol, inserts, colliding
+    ):
+        from repro.protocols.base import HashCollisionError
+
+        pair = self._Pair(protocol, params)
+        for value, held in colliding:
+            pair.collide(value, held)
+        before = pair.held()
+        with pytest.raises(HashCollisionError):
+            pair.delta(inserts=inserts)
+        assert pair.held() == before
+        # The committed party goes on without the offender.
+        assert pair.delta(inserts=["d"], deletes=["b"]) == (
+            {"c", "d"} if protocol == "intersection" else 2
+        )
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_hash_of_a_value_leaving_in_the_same_delta_is_free(
+        self, params, protocol
+    ):
+        pair = self._Pair(protocol, params)
+        pair.collide("new", "x")
+        assert pair.delta(inserts=["new"], deletes=["x"]) == pair.full
+        assert pair.r.values == ["a", "b", "c", "new"]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_reinsert_after_delete_meets_no_stale_entry(self, params, protocol):
+        pair = self._Pair(protocol, params)
+        hashed = pair.r._hash_by_value["b"]
+        gone = pair.delta(deletes=["b"])
+        assert hashed not in pair.r._value_by_hash
+        assert gone == ({"c"} if protocol == "intersection" else 1)
+        assert pair.delta(inserts=["b"]) == pair.full
+        assert pair.r._value_by_hash[hashed] == "b"
