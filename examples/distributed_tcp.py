@@ -6,8 +6,11 @@ this demo runs them as genuine network endpoints through the one-call
 facade: ``repro.serve`` hosts party S on a localhost socket (here in a
 thread - it would normally be another process or machine),
 ``repro.connect`` runs party R against it, the public parameters
-travel in the handshake, and the two parties exchange exactly the
-Section 3.3 messages as length-prefixed frames.
+travel in the handshake (S's welcome), and the two parties exchange
+exactly the Section 3.3 messages as length-prefixed, checksummed and
+acknowledged frames - one connection, no retry; pass
+``session=repro.SessionOptions()`` to both for a run that reconnects
+and resumes.
 
 A ``chunk_size`` streams S's big reply round in bounded slices, so a
 million-item set never has to materialize as one frame - and while one

@@ -17,7 +17,6 @@ the ``on_modexp`` callback of
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 from contextlib import contextmanager
@@ -29,7 +28,7 @@ from ..crypto.engine import CryptoEngine, MeteredEngine, SerialEngine
 from ..crypto.ext_cipher import BlockExtCipher
 from ..crypto.groups import QRGroup
 from ..crypto.hashing import DomainHash, TryIncrementHash, Value
-from ..protocols.base import ProtocolSuite
+from ..protocols.base import ProtocolSuite, _suite_rngs
 
 __all__ = [
     "OperationCounter",
@@ -117,10 +116,7 @@ def counting_suite(
     def count(n: int) -> None:
         counter.encryptions += n
 
-    if seed is None:
-        rng_r, rng_s = random.Random(), random.Random()
-    else:
-        rng_r, rng_s = random.Random(f"{seed}/R"), random.Random(f"{seed}/S")
+    rng_r, rng_s = _suite_rngs(seed)
     suite = ProtocolSuite(
         group=group,
         hash=_CountingHash(TryIncrementHash(group), counter),

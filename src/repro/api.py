@@ -12,8 +12,8 @@ dispatching off the :data:`~repro.protocols.spec.PROTOCOLS` registry:
 
 * :func:`run` - both parties in-process, one call, returns the answer
   plus what each party learned about the other's set size;
-* :func:`serve` - party S behind a real TCP listener (optionally under
-  the resumable session layer, optionally journaled to disk);
+* :func:`serve` - party S behind a real TCP listener (a session that,
+  on request, reconnects, resumes and journals to disk);
 * :func:`connect` - party R dialing a server.
 
 **The stateful surface** (open once, query many times, mutate between
@@ -34,13 +34,14 @@ queries - the repeated-query protocol):
 The one-shot verbs have no series of queries to keep state for, so
 they sit directly on the drivers: :func:`run` is two party machines and
 ``spec.exchange``, :func:`serve` / :func:`connect` call
-:mod:`repro.net.tcp`'s plain or resumable pair. A networked
-:class:`Peer` runs the same round loops per query (a plain link opens
-with one extra frame that announces the query). All entry points
-accept ``chunk_size`` to stream chunkable rounds in bounded slices;
-``chunk_size=None`` keeps the legacy whole-round frames. New
-protocols registered in ``PROTOCOLS`` are runnable here with zero
-facade edits.
+:mod:`repro.net.tcp`'s session pair. A networked :class:`Peer` runs
+one such session per query, frame for frame (the hello names the
+query). Every networked run is therefore checksummed and acknowledged;
+``session=`` only chooses its retry / deadline / journal policy
+(:func:`_session_config`). All entry points accept ``chunk_size`` to
+stream chunkable rounds in bounded slices; ``chunk_size=None`` keeps
+the whole-round frames. New protocols registered in ``PROTOCOLS`` are
+runnable here with zero facade edits.
 
 Quickstart (one-shot)::
 
@@ -66,6 +67,8 @@ Quickstart (repeated queries)::
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import socket
 from collections import Counter
@@ -78,6 +81,7 @@ from .crypto.engine import (
     available_cpus,
     shared_engine,
 )
+from .crypto.numtheory import _key_rng
 from .protocols.delta import DeltaExchange
 from .protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from .protocols.spec import PROTOCOLS, ProtocolSpec, get_spec
@@ -122,8 +126,7 @@ class ServeResult:
         size_v_r: ``|V_R|`` - all party S learns from the run.
         port: the actual bound port (the kernel-assigned one when the
             call asked for ``port=0``).
-        stats: the :class:`~repro.net.session.SessionStats` of a
-            resumable run; ``None`` for a plain one-shot run.
+        stats: the run's :class:`~repro.net.session.SessionStats`.
     """
 
     size_v_r: int
@@ -137,8 +140,7 @@ class ConnectResult:
 
     Attributes:
         answer: the protocol's output for party R.
-        stats: the :class:`~repro.net.session.SessionStats` of a
-            resumable run; ``None`` for a plain one-shot run.
+        stats: the run's :class:`~repro.net.session.SessionStats`.
         busy_retries: how many busy refusals a ``retry`` policy waited
             out before the server admitted this session.
         retries: total redials a ``retry`` policy performed across all
@@ -169,7 +171,7 @@ class QueryResult:
         size_v_s: ``|V_S|`` as known after this query (``None`` where
             the role does not learn it).
         stats: the :class:`~repro.net.session.SessionStats` of a
-            session-layer query; ``None`` for plain transports.
+            networked query; ``None`` for an in-process pair.
     """
 
     answer: Any
@@ -184,12 +186,14 @@ class QueryResult:
 class SessionOptions:
     """Typed bundle of fault-tolerant session-layer settings.
 
-    Passing a ``SessionOptions`` (even the default ``SessionOptions()``)
-    to :func:`serve`, :func:`connect`, :meth:`Catalog.serve` or
-    :meth:`Catalog.connect` runs the exchange under the resumable
-    session layer of :mod:`repro.net.session`: checksummed,
-    acknowledged frames, reconnect-and-resume after drops, and - with a
-    ``journal_dir`` - crash recovery from the on-disk round journal.
+    Every networked exchange is a session of :mod:`repro.net.session`
+    (checksummed, acknowledged frames). Passing a ``SessionOptions``
+    (even the default ``SessionOptions()``) to :func:`serve`,
+    :func:`connect`, :meth:`Catalog.serve` or :meth:`Catalog.connect`
+    makes it a *resumable* one: deadlines on every frame,
+    reconnect-and-resume after drops, and - with a ``journal_dir`` -
+    crash recovery from the on-disk round journal. ``session=None`` is
+    one connection with no retry (see :func:`_session_config`).
 
     Attributes:
         journal_dir: directory (or
@@ -208,18 +212,37 @@ class SessionOptions:
 
 
 def _session_config(
-    session: SessionOptions, timeout: float | None, retry: Any = None
+    session: SessionOptions | None, timeout: float | None, retry: Any = None
 ) -> Any:
-    """The config a session-layer call runs under: ``session.config``
-    when set; failing that what a ``retry`` policy implies; failing
-    that the defaults, with ``timeout`` (when given) as ``timeout_s``."""
+    """The config a networked call runs under.
+
+    ``session=None`` is the plain contract on the session wire: one
+    connection (the first failure is final and immediate), and no
+    deadline unless ``timeout`` gives one - a silent but connected peer
+    is waited for indefinitely. With a :class:`SessionOptions` it is
+    ``session.config`` when set; failing that what a ``retry`` policy
+    implies; failing that the defaults, with ``timeout`` (when given)
+    as ``timeout_s``.
+    """
     from .net.session import SessionConfig
 
+    if session is None:
+        return SessionConfig(timeout_s=timeout or math.inf, max_reconnects=0)
     if session.config is not None:
         return session.config
     if retry is not None:
         return retry.session_config()
-    return SessionConfig(timeout_s=timeout) if timeout else None
+    return SessionConfig(timeout_s=timeout) if timeout else SessionConfig()
+
+
+def _journal(session: SessionOptions | None) -> Any:
+    """``session``'s :class:`~repro.net.journal.JournalDir`, opened;
+    ``None`` when nothing is journaled."""
+    from .net import tcp
+
+    if session is None:
+        return None
+    return tcp._journal_dir(session.journal_dir, session.journal_fsync)
 
 
 def _metered(engine: Any, recorder: Any) -> Any:
@@ -268,9 +291,13 @@ def _party_rngs(
     Handing both machines the *same* rng would entangle their key
     draws through call order; deriving one child rng per party from a
     single master keeps ``seed=`` runs reproducible without that
-    coupling.
+    coupling. With neither a seed nor a seedable ``rng`` both parties
+    draw from the operating system's CSPRNG.
     """
-    master = rng if rng is not None else random.Random(seed)
+    master = _key_rng(rng, seed)
+    if isinstance(master, random.SystemRandom):
+        # Nothing to reproduce, and 64 bits of it would be a weak seed.
+        return _key_rng(), _key_rng()
     rng_r = random.Random(master.getrandbits(64))
     rng_s = random.Random(master.getrandbits(64))
     return rng_r, rng_s
@@ -324,7 +351,7 @@ class Catalog:
         self.data = dict(data) if isinstance(data, Mapping) else list(data)
         self._bits = bits
         self.params = params
-        self.rng = rng if rng is not None else random.Random(seed)
+        self.rng = _key_rng(rng, seed)
         self._engine_given = engine
         self.engine = _metered(engine, recorder)
         self.recorder = recorder
@@ -427,14 +454,15 @@ class Catalog:
     ) -> "Peer":
         """Expose this catalog as party S on a TCP port.
 
-        Returns a server :class:`Peer` whose :meth:`Peer.query` accepts
-        one client connection and answers one query; call it repeatedly
-        (typically in lockstep with the remote side's queries) and
-        :meth:`Peer.close` when done.
-        With a :class:`SessionOptions`, each query runs under the
-        resumable session layer instead (reconnects resume mid-round,
-        and a ``journal_dir`` adds crash recovery - including for delta
-        rounds, which replay idempotently).
+        The listener is bound here and stays up until
+        :meth:`Peer.close` (``Peer.port`` is final, ``ready_callback``
+        fires before this returns), so a client early for the next
+        query queues. Each :meth:`Peer.query` of the returned server
+        :class:`Peer` answers one client query as one session; call it
+        once per query the remote side makes. With a
+        :class:`SessionOptions` the sessions are resumable (reconnects
+        resume mid-round, and a ``journal_dir`` adds crash recovery -
+        including for delta rounds, which replay idempotently).
         """
         params = self._ensure_params()
         del params  # built eagerly so the first query cannot race
@@ -459,10 +487,10 @@ class Catalog:
         """Link this catalog (as party R) to a serving peer.
 
         Returns a client :class:`Peer`; every :meth:`Peer.query` dials
-        the server, announces the query (protocol + full/delta), and
-        runs the rounds. Public params are adopted from the server's
-        handshake on first use. ``session`` runs queries under the
-        resumable session layer.
+        the server and runs one session whose hello names the query
+        (the protocol, ``+delta`` for a delta). Public params are
+        adopted from the server's welcome on first use. ``session``
+        makes the sessions resumable.
         """
         return Peer(
             kind="client",
@@ -732,8 +760,8 @@ class Peer:
     schedule the first time a protocol is queried through this
     catalog, only the delta rounds afterwards. Networked peers are
     role-symmetric - the serving side calls ``query`` to answer what
-    the connecting side's ``query`` asks - and each call handles one
-    connection, so a server loops ``query`` (one iteration per client
+    the connecting side's ``query`` asks - and each call is one
+    session, so a server loops ``query`` (one iteration per client
     query) until :meth:`close`.
     """
 
@@ -754,22 +782,20 @@ class Peer:
         self._remote = remote
         self._host = host
         self._port = port
-        self._timeout = timeout
-        self._session = session
-        self._ready_callback = ready_callback
+        self._config = _session_config(session, timeout)
+        self._journal_dir = _journal(session)
         self._listener: socket.socket | None = None
-        if kind == "server" and session is None:
+        if kind == "server":
             from .net import tcp
 
-            self._listener = tcp._listen(host, port, timeout)
+            self._listener = tcp._session_listener(host, port, self._config)
             self._port = self._listener.getsockname()[1]
             if ready_callback is not None:
                 ready_callback(self._port)
 
     @property
     def port(self) -> int:
-        """The server's bound port (0 until a session-mode peer's first
-        query binds its listener)."""
+        """The port this link dials, or (a server) is bound to."""
         return self._port
 
     def query(
@@ -783,12 +809,15 @@ class Peer:
 
         ``mode`` is ``"auto"`` (full on first use, delta once state is
         committed), or an explicit ``"full"`` / ``"delta"``. On a
-        networked link the connecting side's choice is announced in the
-        handshake and the serving side follows it (session-mode peers
-        skip the announcement; keep both sides' query loops in
-        lockstep). After a successful query the staged table mutations
-        are committed into the per-protocol state - a failed exchange
-        commits nothing and can simply be retried.
+        networked link the connecting side's choice travels in its
+        hello (the protocol field, ``+delta`` for a delta) and a
+        serving ``"auto"`` follows it; a server refuses - a typed
+        :class:`~repro.net.session.HandshakeError` on both sides, its
+        listener unharmed - a hello for another protocol, one that
+        contradicts its own forced mode, and a delta it holds no
+        committed state for. After a successful query the staged table
+        mutations are committed into the per-protocol state - a failed
+        exchange commits nothing and can simply be retried.
         """
         spec = get_spec(protocol)
         if spec.delta_of is not None:
@@ -801,11 +830,7 @@ class Peer:
         if self._kind == "local":
             return self._query_local(spec, mode, chunk_size)
         if self._kind == "client":
-            if self._session is not None:
-                return self._query_client_session(spec, mode, chunk_size)
             return self._query_client(spec, mode, chunk_size)
-        if self._session is not None:
-            return self._query_server_session(spec, mode, chunk_size)
         return self._query_server(spec, mode, chunk_size)
 
     def close(self) -> None:
@@ -880,45 +905,6 @@ class Peer:
 
         cat = self._catalog
         kind = self._resolve_kind(spec, mode, "receiver")
-        endpoint = tcp._dial(self._host, self._port, self._timeout)
-        try:
-            endpoint.send(("query", spec.name, kind))
-            tag, payload = endpoint.recv()
-            if tag == "error":
-                raise RuntimeError(f"server refused the query: {payload}")
-            if tag != "params":
-                raise ValueError(f"unexpected handshake message {tag!r}")
-            params = cat._adopt_params(
-                PublicParams.from_wire(tuple(payload))
-            )
-            wire_spec, make_state, commit = cat._plan(spec, "receiver", kind)
-            machine = ReceiverMachine.from_factory(
-                wire_spec, lambda: make_state(params), cat.recorder
-            )
-            machine.ensure_state()
-            tcp.run_rounds(
-                endpoint, machine, wire_spec, sends="R",
-                chunk_size=chunk_size, recorder=cat.recorder,
-            )
-            answer = machine.finish()
-        finally:
-            endpoint.close()
-        hit = commit(machine.state)
-        return QueryResult(
-            answer=answer,
-            mode=kind,
-            cache_hit=hit,
-            size_v_s=getattr(machine.state, "size_v_s", None),
-        )
-
-    def _query_client_session(
-        self, spec: ProtocolSpec, mode: str, chunk_size: int | None
-    ) -> QueryResult:
-        from .net import tcp
-
-        cat = self._catalog
-        opts = self._session
-        kind = self._resolve_kind(spec, mode, "receiver")
         wire_spec, make_state, commit = cat._plan(spec, "receiver", kind)
         built: dict[str, Any] = {}
 
@@ -930,10 +916,9 @@ class Peer:
 
         answer, stats = tcp.connect_resumable_receiver(
             wire_spec.name, None, cat.rng, self._host, self._port,
-            config=_session_config(opts, self._timeout),
-            engine=cat.engine, recorder=cat.recorder,
-            journal_dir=opts.journal_dir, journal_fsync=opts.journal_fsync,
+            config=self._config, engine=cat.engine, recorder=cat.recorder,
             chunk_size=chunk_size, make_receiver=make_receiver,
+            journal_dir=self._journal_dir,
         )
         hit = commit(built["state"])
         return QueryResult(
@@ -951,112 +936,75 @@ class Peer:
         self, spec: ProtocolSpec, mode: str, chunk_size: int | None
     ) -> QueryResult:
         from .net import tcp
+        from .net.journal import open_session
+        from .net.server import _refusal_frame
+        from .net.session import HandshakeError, run_blocking
 
         cat = self._catalog
         params = cat._ensure_params()
         if self._listener is None:
             raise RuntimeError("this server peer is closed")
+        config = self._config
+
+        def accept() -> Any:
+            return tcp._accept(self._listener, config)
+
+        # The hello is the announcement: its protocol field names the
+        # schedule the client runs, its session id the journal to look
+        # up, before there is a core to read either.
+        endpoint, hello = tcp._first_hello(accept, config)
         try:
-            conn, _addr = self._listener.accept()
-        except socket.timeout as exc:
-            raise TimeoutError(
-                f"no client connected within {self._timeout}s"
-            ) from exc
-        conn.settimeout(self._timeout)
-        tcp._nodelay(conn)
-        endpoint = tcp.SocketEndpoint(sock=conn)
-        try:
-            frame = endpoint.recv()
-            if not (
-                isinstance(frame, tuple)
-                and len(frame) == 3
-                and frame[0] == "query"
-            ):
-                endpoint.send(("error", "expected a query announcement"))
-                raise ValueError("client sent no query announcement")
-            _tag, name, kind = frame
-            if name != spec.name:
-                endpoint.send((
-                    "error",
-                    f"server is answering {spec.name!r}, not {name!r}",
-                ))
-                raise ValueError(
-                    f"client asked for {name!r}, server is answering "
-                    f"{spec.name!r}"
+            _, _version, asked, session_id, _next_send, _next_recv = hello
+            kinds = {spec.name: "full"}
+            delta = _delta_spec(spec)
+            if delta is not None:
+                kinds[delta.name] = "delta"
+            kind = kinds.get(asked) if isinstance(asked, str) else None
+            refusal = None
+            if kind is None:
+                refusal = f"server is answering {spec.name!r}, not {asked!r}"
+            elif mode != "auto" and kind != mode:
+                refusal = f"server requires a {mode} query"
+            elif kind == "delta" and not cat._has_link(spec, "sender"):
+                refusal = "server has no committed state for a delta query"
+            elif not isinstance(session_id, int):
+                refusal = "malformed session id"
+            if refusal is not None:
+                try:
+                    endpoint.send(_refusal_frame("reject", refusal))
+                except OSError:
+                    pass
+                raise HandshakeError(
+                    f"refused the client's {asked!r} query: {refusal}"
                 )
-            if mode != "auto" and kind != mode:
-                endpoint.send((
-                    "error", f"server requires a {mode} query",
-                ))
-                raise ValueError(
-                    f"client asked for a {kind} query, server requires "
-                    f"{mode}"
-                )
-            if kind == "delta" and not cat._has_link(spec, "sender"):
-                endpoint.send((
-                    "error",
-                    "server has no committed state for a delta query",
-                ))
-                raise ValueError(
-                    "client asked for a delta query but this catalog "
-                    "has no committed state"
-                )
-            endpoint.send(("params", params.to_wire()))
             wire_spec, make_state, commit = cat._plan(spec, "sender", kind)
-            machine = SenderMachine.from_factory(
-                wire_spec, lambda: make_state(params), cat.recorder
+            built: dict[str, Any] = {}
+
+            def make_sender() -> Any:
+                built["state"] = make_state(params)
+                return built["state"]
+
+            core, _ = open_session(
+                "sender", wire_spec.name, make_sender, params=params,
+                journal_dir=self._journal_dir,
+                session_id=session_id, config=config,
+                # Drawn before the factory touches the rng, like every
+                # session: a restarted, identically seeded peer replays.
+                rng=random.Random(cat.rng.getrandbits(64)),
+                recorder=cat.recorder, chunk_size=chunk_size,
             )
-            machine.ensure_state()
-            tcp.run_rounds(
-                endpoint, machine, wire_spec, sends="S",
-                chunk_size=chunk_size, recorder=cat.recorder,
-            )
-        finally:
+        except BaseException:
             endpoint.close()
-        hit = commit(machine.state)
-        return QueryResult(
-            answer=None,
-            mode=kind,
-            cache_hit=hit,
-            size_v_r=getattr(machine.state, "size_v_r", None),
-        )
-
-    def _query_server_session(
-        self, spec: ProtocolSpec, mode: str, chunk_size: int | None
-    ) -> QueryResult:
-        from .net import tcp
-
-        cat = self._catalog
-        opts = self._session
-        params = cat._ensure_params()
-        kind = self._resolve_kind(spec, mode, "sender")
-        wire_spec, make_state, commit = cat._plan(spec, "sender", kind)
-        built: dict[str, Any] = {}
-
-        def make_sender() -> Any:
-            built["state"] = make_state(params)
-            return built["state"]
-
-        def _capture(actual_port: int) -> None:
-            self._port = actual_port
-            if self._ready_callback is not None:
-                self._ready_callback(actual_port)
-
-        size_v_r, stats = tcp.serve_resumable_sender(
-            wire_spec.name, None, params, cat.rng,
-            host=self._host, port=self._port, ready_callback=_capture,
-            config=_session_config(opts, self._timeout),
-            engine=cat.engine, recorder=cat.recorder,
-            journal_dir=opts.journal_dir, journal_fsync=opts.journal_fsync,
-            chunk_size=chunk_size, make_sender=make_sender,
-        )
+            raise
+        links = itertools.chain([endpoint], iter(accept, None))
+        state = run_blocking(core.steps(), open_link=lambda: next(links))
         hit = commit(built["state"])
         return QueryResult(
             answer=None,
             mode=kind,
             cache_hit=hit,
-            size_v_r=size_v_r,
-            stats=stats,
+            size_v_r=state.size_v_r,
+            stats=core.stats,
         )
 
 
@@ -1144,15 +1092,17 @@ def serve(
     :class:`ServeResult` carrying the actual bound port - with
     ``port=0`` the kernel picks a free one, exposed as
     ``ServeResult.port`` (and still passed to ``ready_callback`` as
-    soon as the listener is up). The plain path is
-    :func:`repro.net.tcp.serve`: the params frame, then the spec's
-    rounds, any failure aborts the run.
+    soon as the listener is up). The run is one session
+    (:func:`repro.net.tcp.serve_resumable_sender`): a hello / welcome
+    handshake that carries the params, then the spec's rounds as
+    checksummed, acknowledged frames. With ``session=None`` it is one
+    connection - the first failure ends the run - and nothing has a
+    deadline unless ``timeout`` gives one.
 
-    ``session=SessionOptions(...)`` serves under the fault-tolerant
-    session layer (:func:`repro.net.tcp.serve_resumable_sender`):
-    checksummed frames, resume after disconnects, chunk-granular
-    cursors when ``chunk_size`` is set, and - with a ``journal_dir`` -
-    crash recovery from the on-disk round journal; with no
+    ``session=SessionOptions(...)`` makes it resumable: deadlines on
+    every frame, resume after disconnects, chunk-granular cursors when
+    ``chunk_size`` is set, and - with a ``journal_dir`` - crash
+    recovery from the on-disk round journal; with no
     ``session.config``, ``timeout`` is the session's frame deadline.
     This serves one run and returns; to serve many sessions
     concurrently, host them on a
@@ -1164,8 +1114,6 @@ def serve(
     spec = get_spec(protocol)
     if params is None:
         params = PublicParams.for_bits(bits)
-    if rng is None:
-        rng = random.Random(seed)
     bound: dict[str, int] = {}
 
     def _capture(actual_port: int) -> None:
@@ -1173,21 +1121,13 @@ def serve(
         if ready_callback is not None:
             ready_callback(actual_port)
 
-    common: dict[str, Any] = dict(
+    size_v_r, stats = tcp.serve_resumable_sender(
+        spec.name, data, params, _key_rng(rng, seed),
         host=host, port=port, ready_callback=_capture,
+        config=_session_config(session, timeout),
         engine=_metered(engine, recorder), recorder=recorder,
-        chunk_size=chunk_size,
+        journal_dir=_journal(session), chunk_size=chunk_size,
     )
-    stats = None
-    if session is None:
-        size_v_r = tcp.serve(spec, data, params, rng, timeout=timeout, **common)
-    else:
-        size_v_r, stats = tcp.serve_resumable_sender(
-            spec.name, data, params, rng,
-            config=_session_config(session, timeout),
-            journal_dir=session.journal_dir,
-            journal_fsync=session.journal_fsync, **common,
-        )
     return ServeResult(size_v_r=size_v_r, port=bound["port"], stats=stats)
 
 
@@ -1208,16 +1148,17 @@ def connect(
 ) -> ConnectResult:
     """Run party R of any registered protocol as a TCP client.
 
-    The server's handshake carries the public parameters, so R needs
-    no setup beyond the address. Returns a :class:`ConnectResult`
-    whose ``answer`` is the protocol's output for R. The plain path is
-    :func:`repro.net.tcp.connect`.
-
-    ``session=SessionOptions(...)`` connects under the fault-tolerant
-    session layer (:func:`repro.net.tcp.connect_resumable_receiver`) -
-    it must match a resumable server. ``chunk_size`` streams R's
-    chunkable outgoing rounds; inbound chunking is auto-detected
-    either way.
+    The server's welcome carries the public parameters, so R needs no
+    setup beyond the address. Returns a :class:`ConnectResult` whose
+    ``answer`` is the protocol's output for R. The run is one session
+    (:func:`repro.net.tcp.connect_resumable_receiver`) against any
+    server that speaks the session wire - a :func:`serve`, a serving
+    :class:`Peer`, a :class:`~repro.net.server.ProtocolServer`. With
+    ``session=None`` it is one connection: a refused dial or a dropped
+    link raises at once, and nothing has a deadline unless ``timeout``
+    gives one. ``session=SessionOptions(...)`` makes it resumable
+    (reconnects, resume, journal). ``chunk_size`` streams R's chunkable
+    outgoing rounds; inbound chunking is auto-detected either way.
 
     Without ``retry`` a typed refusal (a busy server is an immediate
     :class:`~repro.net.session.ServerBusyError`) propagates. ``retry``
@@ -1229,34 +1170,27 @@ def connect(
     *which* typed failures are redialed - busy refusals and
     :class:`~repro.net.session.WorkerLost` (a supervised shard whose
     worker is mid-respawn) by default. The failures waited out are
-    reported as ``ConnectResult.retries`` / ``busy_retries``. With no
-    ``session.config`` the policy also shapes the session config
-    (per-attempt timeout, in-session reconnect budget); with neither,
-    ``timeout`` is the session's frame deadline.
+    reported as ``ConnectResult.retries`` / ``busy_retries``. With a
+    ``session`` that has no ``config`` the policy also shapes the
+    session config (per-attempt timeout, in-session reconnect budget);
+    with neither, ``timeout`` is the session's frame deadline.
     """
     from .net import tcp
     from .net.session import ClientRetryPolicy
 
     spec = get_spec(protocol)
-    if rng is None:
-        rng = random.Random(seed)
+    rng = _key_rng(rng, seed)
     if isinstance(retry, str):
         retry = ClientRetryPolicy.parse(retry)
-    common: dict[str, Any] = dict(
+    run: dict[str, Any] = dict(
+        config=_session_config(session, timeout, retry),
         engine=_metered(engine, recorder), recorder=recorder,
-        chunk_size=chunk_size,
+        journal_dir=_journal(session), chunk_size=chunk_size,
     )
 
     def _attempt() -> tuple[Any, Any]:
-        if session is None:
-            return tcp.connect(
-                spec, data, rng, host, port, timeout=timeout, **common
-            ), None
         return tcp.connect_resumable_receiver(
-            spec.name, data, rng, host, port,
-            config=_session_config(session, timeout, retry),
-            journal_dir=session.journal_dir,
-            journal_fsync=session.journal_fsync, **common,
+            spec.name, data, rng, host, port, **run
         )
 
     retries = busy_retries = 0

@@ -25,9 +25,11 @@ Commands:
 
 ``serve``/``connect`` accept ``--protocol`` (every protocol in the
 :mod:`repro.protocols.spec` registry - new registrations appear here
-automatically), ``--timeout``, and ``--resumable`` to run under the
-fault-tolerant session layer (checksummed frames, retries, resume
-after disconnects) instead of the plain one-shot handshake. ``--workers N`` runs the
+automatically), ``--timeout``, and ``--resumable``. Every run is a
+session of checksummed, acknowledged frames; without ``--resumable``
+it is one connection with no retry and no deadline but ``--timeout``,
+with it the session reconnects and resumes after disconnects and
+prints its stats. ``--workers N`` runs the
 party's batch encryption on ``N`` processes (the Section 6.2
 ``P``-processor model; see docs/PERFORMANCE.md), and ``--metrics``
 prints a per-phase wall-clock + modexp-count JSON report to stderr
@@ -207,11 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0, help="0 = pick a free port")
     p.add_argument(
         "--timeout", type=float, default=None,
-        help="socket deadline in seconds (default: block forever)",
+        help="frame deadline in seconds (default: block forever; "
+             "5 with --resumable)",
     )
     p.add_argument(
         "--resumable", action="store_true",
-        help="serve under the fault-tolerant session layer",
+        help="reconnect and resume after failures (default: one "
+             "connection, the first failure ends the run)",
     )
     p.add_argument(
         "--journal-dir", default=None,
@@ -261,11 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, required=True)
     p.add_argument(
         "--timeout", type=float, default=None,
-        help="socket deadline in seconds (default: block forever)",
+        help="frame deadline in seconds (default: block forever; "
+             "5 with --resumable)",
     )
     p.add_argument(
         "--resumable", action="store_true",
-        help="connect under the fault-tolerant session layer",
+        help="reconnect and resume after failures (default: one "
+             "connection, the first failure ends the run)",
     )
     p.add_argument(
         "--journal-dir", default=None,
@@ -333,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--port", type=int, default=0, help="0 = pick a free port")
     cp.add_argument(
         "--timeout", type=float, default=None,
-        help="socket deadline in seconds (default: block forever)",
+        help="frame deadline in seconds (default: block forever; "
+             "5 with --resumable)",
     )
     cp.add_argument(
         "--queries", type=int, default=1,
@@ -351,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--port", type=int, required=True)
     cp.add_argument(
         "--timeout", type=float, default=None,
-        help="socket deadline in seconds (default: block forever)",
+        help="frame deadline in seconds (default: block forever; "
+             "5 with --resumable)",
     )
     _add_catalog_common(cp)
 
@@ -448,8 +456,9 @@ def _session_config(timeout: float | None):
 
 
 def _session_options(args: argparse.Namespace, config=None):
-    """``--resumable`` as the facade's ``session=`` (``None`` = plain);
-    with no ``config`` the facade makes ``--timeout`` the frame deadline."""
+    """``--resumable`` as the facade's ``session=`` (``None`` = one
+    connection, no retry); with no ``config`` the facade makes
+    ``--timeout`` the frame deadline."""
     from .api import SessionOptions
 
     if not args.resumable:
@@ -522,7 +531,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             session=_session_options(args),
         )
         print(f"run complete; S learned |V_R| = {served.size_v_r}")
-        if served.stats is not None:
+        if args.resumable:
             print(f"# session stats: {served.stats.as_dict()}",
                   file=sys.stderr)
         _emit_metrics(args, recorder)
@@ -617,9 +626,8 @@ def _serve_supervised(
 
 
 def _cmd_connect(args: argparse.Namespace) -> int:
-    import random as _random
-
     from . import api
+    from .crypto.numtheory import _key_rng
     from .net.session import ClientRetryPolicy
 
     v_r = _read_values(args.receiver)
@@ -652,7 +660,7 @@ def _cmd_connect(args: argparse.Namespace) -> int:
             session=_session_options(args, config),
         )
         _print_answer(args.protocol, connected.answer)
-        if connected.stats is not None:
+        if args.resumable:
             print(f"# session stats: {connected.stats.as_dict()}",
                   file=sys.stderr)
         _emit_metrics(args, recorder)
@@ -670,7 +678,7 @@ def _cmd_connect(args: argparse.Namespace) -> int:
             return attempt()
         # Jittered independently of the protocol seed so identically
         # seeded clients refused in one burst do not redial in lockstep.
-        return policy.redial(attempt, _random.Random(), on_retry=announce)[0]
+        return policy.redial(attempt, _key_rng(), on_retry=announce)[0]
     finally:
         engine.close()
 
@@ -717,9 +725,7 @@ def _stage(catalog, inserts, deletes, shape: str | None) -> None:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     """The ``catalog`` subcommands: stateful repeated-query runs."""
-    import random as _random
-
-    from .api import open_catalog
+    from .api import _party_rngs, open_catalog
 
     spec = get_spec(args.protocol)
     shape = spec.sender_input
@@ -728,9 +734,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     mutating = bool(inserts or deletes)
 
     if args.catalog_command == "query":
-        master = _random.Random(args.seed)
-        rng_r = _random.Random(master.getrandbits(64))
-        rng_s = _random.Random(master.getrandbits(64))
+        rng_r, rng_s = _party_rngs(args.seed, None)
         base = Path(args.cache_dir) if args.cache_dir else None
         cat_r = open_catalog(
             _read_values(args.receiver), bits=args.bits, rng=rng_r,

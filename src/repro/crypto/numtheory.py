@@ -11,7 +11,8 @@ protocol is ``pow(x, e, p)``, which CPython already implements in C.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+import secrets
+from typing import Any, Sequence
 
 __all__ = [
     "is_probable_prime",
@@ -49,6 +50,20 @@ _DETERMINISTIC_WITNESSES: tuple[tuple[int, tuple[int, ...]], ...] = (
     (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
     (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
+
+
+def _key_rng(rng: random.Random | None = None, seed: Any = None) -> random.Random:
+    """The randomness a caller's ``rng=`` / ``seed=`` arguments ask for.
+
+    ``rng`` itself when given, a reproducible ``random.Random(seed)``
+    when a seed is, and otherwise the operating system's CSPRNG: key
+    material comes from the Mersenne Twister only on request.
+    """
+    if rng is not None:
+        return rng
+    if seed is not None:
+        return random.Random(seed)
+    return secrets.SystemRandom()
 
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
@@ -94,7 +109,7 @@ def is_probable_prime(n: int, rounds: int = 40, rng: random.Random | None = None
         if n < bound:
             return all(_miller_rabin_round(n, a, d, r) for a in witnesses)
 
-    rng = rng or random.Random()
+    rng = _key_rng(rng)
     for _ in range(rounds):
         a = rng.randrange(2, n - 1)
         if not _miller_rabin_round(n, a, d, r):

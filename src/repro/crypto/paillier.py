@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .numtheory import is_probable_prime, modinv
+from .numtheory import _key_rng, is_probable_prime, modinv
 
 __all__ = ["PaillierPublicKey", "PaillierPrivateKey", "generate_keypair"]
 
@@ -111,7 +111,7 @@ def generate_keypair(
 
     256-bit default keeps tests fast; use >= 2048 for anything real.
     """
-    rng = rng or random.Random()
+    rng = _key_rng(rng)
     half = bits // 2
     while True:
         p = _random_prime(half, rng)

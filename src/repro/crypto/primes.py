@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from .numtheory import is_probable_prime
+from .numtheory import _key_rng, is_probable_prime
 
 __all__ = [
     "EMBEDDED_SAFE_PRIMES",
@@ -115,7 +115,7 @@ def generate_safe_prime(bits: int, rng: random.Random | None = None) -> int:
     """
     if bits < 4:
         raise ValueError("safe primes need at least 4 bits")
-    rng = rng or random.Random()
+    rng = _key_rng(rng)
     while True:
         # Sample q with the top bit set so p = 2q + 1 has exactly `bits` bits.
         q = rng.getrandbits(bits - 1) | (1 << (bits - 2)) | 1

@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
+from ..crypto.numtheory import _key_rng
 from . import serialization
 from .crashpoints import crash_point
 from .diskfaults import JournalIO
@@ -833,7 +834,7 @@ def open_session(
 
     def build(journal: Any, session_id: int | None) -> Any:
         shared = (
-            config or SessionConfig(), rng or random.Random(),
+            config or SessionConfig(), _key_rng(rng),
             SessionStats(protocol=protocol),
         )
         if role == "sender":

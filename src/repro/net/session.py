@@ -24,6 +24,7 @@ beside it. Sessions are built by
 from __future__ import annotations
 
 import itertools
+import math
 import queue
 import random
 import threading
@@ -98,7 +99,16 @@ class RetryPolicy:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    """Deadlines and retry limits for one session."""
+    """Deadlines and retry limits for one session.
+
+    Two values are whole policies. ``timeout_s=math.inf`` is "no
+    deadline": a silent but connected peer is waited for indefinitely
+    (the blocking shell and the TCP drivers use a blocking socket).
+    ``max_reconnects=0`` is "one connection": the first failed link
+    ends the run, so nothing will ever be replayed and the core drops
+    each frame once it is acknowledged or consumed. Together they are
+    what ``session=None`` means at the facade.
+    """
 
     timeout_s: float = 5.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -436,7 +446,12 @@ def run_blocking(
                 if kind is Recv:
                     settimeout = getattr(transport, "settimeout", None)
                     if settimeout is not None:
-                        settimeout(max(request.timeout, 1e-3))
+                        # A config with no deadline (timeout_s = inf)
+                        # waits on a blocking socket.
+                        settimeout(
+                            None if request.timeout == math.inf
+                            else max(request.timeout, 1e-3)
+                        )
                     reply = transport.recv()
                 elif kind is Send:
                     transport.send(request.frame)

@@ -313,7 +313,10 @@ class RoundLog:
     recovered process restarts mid-round at the first frame the peer
     lacks, and a round is only *complete* once its closing frame is
     logged. With ``chunk_size=None`` every round is exactly one frame
-    and the log degenerates to a round-granular one.
+    and the log degenerates to a round-granular one. A party whose
+    config allows no reconnect (``max_reconnects == 0``) blanks each
+    slot once the frame in it can no longer be asked for; lengths, and
+    so every cursor, are the same either way.
 
     ``attempted_sends`` are the sequence numbers ever put on a wire
     (its size is the hello's send cursor; re-sending one is a replay) -
@@ -380,7 +383,7 @@ class Link:
                 return
         raise SessionError(
             f"frame {seq} unacknowledged after {retry.max_attempts} attempts"
-        )
+        ) from _silence(self.config)
 
     def _wait_ack(self, seq: int) -> Steps:
         deadline = (yield NOW) + self.config.timeout_s
@@ -434,7 +437,7 @@ class Link:
                 if remaining <= 0:
                     raise SessionError(
                         f"timed out waiting for frame {self.recv_seq}"
-                    )
+                    ) from _silence(config)
                 try:
                     frame = unseal(
                         (yield Recv(min(remaining, config.timeout_s)))
@@ -558,6 +561,12 @@ class Link:
         return self.fin_seen
 
 
+def _silence(config: Any) -> TimeoutError:
+    """The cause of a deadline the peer let pass: callers that sort
+    failures by their root (the CLI's exit codes) see a timeout."""
+    return TimeoutError(f"peer silent for {config.timeout_s}s per attempt")
+
+
 def _worker_lost(stats: Any, fields: tuple) -> WorkerLost:
     """A routed front end lost our worker: typed and retryable."""
     stats.worker_lost += 1
@@ -603,6 +612,12 @@ class _Party:
         self.protocol = protocol
         self.spec = get_spec(protocol)
         self.config = config
+        #: Whether a later connection may ask for a frame again. A
+        #: one-connection run ends at its first failed link, so it lets
+        #: go of each outbound frame once acknowledged and of each
+        #: inbound round once consumed (the slots stay: cursors are
+        #: list lengths) - a streamed run holds O(chunk_size) of frames.
+        self._replays = config.max_reconnects > 0
         self.rng = rng
         self.stats = stats
         self.recorder = recorder
@@ -762,6 +777,8 @@ class _Party:
                 stats.chunks_sent += 1
             crash_point("session.ship.frame")
             yield from link.send(frame)
+            if not self._replays:
+                log.outbound[seq] = None
 
     def _produce_round(
         self, link: Link, machine: Any, rnd: Any, index: int
@@ -875,6 +892,8 @@ class _Party:
         )
         yield Compute(lambda: consume(rnd, payload))
         log.in_rounds.append(len(log.inbound))
+        if not self._replays:
+            log.inbound[start:] = [None] * (len(log.inbound) - start)
 
 
 class SenderCore(_Party):
@@ -918,7 +937,9 @@ class SenderCore(_Party):
         while True:
             remaining = deadline - (yield NOW)
             if remaining <= 0:
-                raise SessionError("no valid hello before the deadline")
+                raise SessionError(
+                    "no valid hello before the deadline"
+                ) from _silence(config)
             try:
                 fields = unseal(
                     (yield Recv(min(remaining, config.timeout_s)))
@@ -1095,7 +1116,7 @@ class ReceiverCore(_Party):
                 # Stray ack/data from the previous connection: ignore.
         raise SessionError(
             f"no welcome after {config.retry.max_attempts} hellos"
-        )
+        ) from _silence(config)
 
     def handshake(self) -> Steps:
         """Announce our cursors on the current link.

@@ -3,41 +3,34 @@
 The in-memory channels are perfect for analysis (byte-exact accounting,
 recorded views); this module provides the deployment-shaped
 counterpart: length-prefixed frames of the same wire format over a TCP
-socket, plus serve/connect drivers that interpret any registered
+socket, plus the serve/connect pair that runs any registered
 :class:`~repro.protocols.spec.ProtocolSpec` across the connection.
 
 Framing: each message is ``len(payload) as u32 big-endian || payload``,
 where the payload is :mod:`repro.net.serialization` bytes. Frames are
 bounded (:data:`DEFAULT_MAX_FRAME_BYTES`), so a corrupt or hostile
 length prefix fails fast with :class:`FrameTooLarge` instead of
-triggering a multi-gigabyte allocation, and every helper takes a
-``timeout`` so a hung or absent peer raises instead of blocking
-forever.
+triggering a multi-gigabyte allocation.
 
-Two families of drivers cover every protocol in the registry:
-
-* :func:`serve`/:func:`connect` speak the original one-shot handshake
-  (the sender ships its
-  :class:`~repro.protocols.parties.PublicParams`, the spec's rounds
-  follow in order, any failure aborts the run);
-* :func:`serve_resumable_sender`/:func:`connect_resumable_receiver`
-  run the same round schedule under the fault-tolerant session layer
-  of :mod:`repro.net.session` - checksummed, acknowledged frames,
-  retry with backoff, and resumption from the last acknowledged round
-  after a dropped connection.
-
-All four take ``chunk_size``: when set, chunkable rounds ship as a
-stream of ``("chunk", ...)`` frames (:mod:`repro.net.serialization`)
-instead of one whole-round frame, holding at most O(chunk_size)
-payload in memory per frame, and chunk production is double-buffered
+:func:`serve_resumable_sender` / :func:`connect_resumable_receiver`
+are the one pair of drivers: a session core
+(:func:`repro.net.journal.open_session`) under the blocking shell
+(:func:`repro.net.session.run_blocking`), S accepting on a listener
+that stays up for the run and R dialing - checksummed, acknowledged
+frames, and whatever the :class:`~repro.net.session.SessionConfig`
+says about deadlines and reconnects (``timeout_s=math.inf`` blocks on
+the socket, ``max_reconnects=0`` is a one-connection run). Both take
+``chunk_size``: when set, chunkable rounds ship as a stream of
+``("chunk", ...)`` frames (:mod:`repro.net.serialization`) instead of
+one whole-round frame, chunk production double-buffered
 (:func:`repro.net.streaming.prefetch`) so the crypto for chunk ``k+1``
 overlaps the send of chunk ``k``. Receivers auto-detect chunked
-rounds, so ``chunk_size`` is a per-party local choice; the default
-``None`` reproduces the legacy wire format byte for byte.
+rounds, so ``chunk_size`` is a per-party local choice.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import socket
 import struct
@@ -45,19 +38,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..protocols.parties import PublicParams, ReceiverMachine, SenderMachine
-from ..protocols.spec import ProtocolSpec, get_spec
+from ..protocols.parties import PublicParams
+from ..protocols.spec import get_spec
 from . import serialization
 from .journal import JournalDir, open_session
-from .session import SessionConfig, SessionStats, run_blocking
-from .streaming import TimedIterator, prefetch
+from .session import (
+    SessionConfig,
+    SessionError,
+    SessionStats,
+    run_blocking,
+    unseal,
+)
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "FrameTooLarge",
     "SocketEndpoint",
-    "serve",
-    "connect",
     "serve_resumable_sender",
     "connect_resumable_receiver",
 ]
@@ -188,35 +184,6 @@ def _wrapped(
         raise
 
 
-def _accept_one(
-    host: str,
-    port: int,
-    ready_callback,
-    timeout: float | None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
-) -> Any:
-    """Listen, announce the bound port, return the first client."""
-    listener = _listen(host, port, timeout)
-    try:
-        if ready_callback is not None:
-            ready_callback(listener.getsockname()[1])
-        try:
-            conn, _addr = listener.accept()
-        except socket.timeout as exc:
-            raise TimeoutError(
-                f"no client connected within {timeout}s"
-            ) from exc
-    finally:
-        listener.close()
-    conn.settimeout(timeout)
-    _nodelay(conn)
-    return _wrapped(
-        SocketEndpoint(sock=conn, max_frame_bytes=max_frame_bytes),
-        endpoint_wrapper,
-    )
-
-
 def _dial(
     host: str,
     port: int,
@@ -232,204 +199,104 @@ def _dial(
 
 
 # ----------------------------------------------------------------------
-# Round shipping shared by both parties of the one-shot drivers
-# ----------------------------------------------------------------------
-def _send_round(
-    transport: Any,
-    machine: Any,
-    rnd: Any,
-    chunk_size: int | None,
-    recorder: Any,
-) -> None:
-    """Ship one outgoing round, chunked and pipelined when enabled.
-
-    The chunk producer runs one step ahead on the prefetch thread, so
-    while frame ``k`` is in ``transport.send`` the crypto for chunk
-    ``k+1`` is already underway; the recorder (if any) gets the round's
-    produce/send/wall split for the pipeline-overlap report.
-    """
-    if chunk_size is None or not rnd.chunkable:
-        transport.send(machine.produce(rnd).to_wire())
-        return
-    wall_start = time.perf_counter()
-    timed = TimedIterator(machine.produce_chunks(rnd, chunk_size))
-    send_s = 0.0
-    count = 0
-    for payload in prefetch(timed):
-        start = time.perf_counter()
-        transport.send(serialization.chunk_frame(count, payload))
-        send_s += time.perf_counter() - start
-        count += 1
-    start = time.perf_counter()
-    transport.send(serialization.chunk_end_frame(count))
-    send_s += time.perf_counter() - start
-    if recorder is not None:
-        recorder.add_pipeline(
-            f"{machine.role}.{rnd.name}",
-            produce_s=timed.elapsed_s,
-            send_s=send_s,
-            wall_s=time.perf_counter() - wall_start,
-            chunks=count,
-        )
-
-
-def _recv_round(transport: Any, machine: Any, rnd: Any) -> None:
-    """Receive one round, whole-frame or chunked (auto-detected)."""
-    frames: list = []
-    while True:
-        with machine.wait(rnd):
-            frames.append(transport.recv())
-        status, payload, _used = serialization.fold_chunk_frames(frames)
-        if status == "single":
-            machine.consume(rnd, payload)
-            return
-        if status == "chunked":
-            machine.consume_chunks(rnd, payload)
-            return
-
-
-def run_rounds(
-    transport: Any,
-    machine: Any,
-    spec: ProtocolSpec,
-    *,
-    sends: str,
-    chunk_size: int | None = None,
-    recorder: Any = None,
-) -> None:
-    """Drive one party's side of a spec's round schedule on a transport.
-
-    ``sends`` is the round source this party ships (``"R"`` for the
-    receiver, ``"S"`` for the sender); every other round is received.
-    This is the loop both one-shot drivers run after their handshake,
-    shared so the stateful Catalog peers reuse it frame for frame.
-    """
-    for rnd in spec.rounds:
-        if rnd.source == sends:
-            _send_round(transport, machine, rnd, chunk_size, recorder)
-        else:
-            _recv_round(transport, machine, rnd)
-
-
-# ----------------------------------------------------------------------
-# Plain one-shot runs (original handshake; any failure aborts)
-# ----------------------------------------------------------------------
-def serve(
-    protocol: str | ProtocolSpec,
-    data: Any,
-    params: PublicParams,
-    rng: random.Random,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    ready_callback=None,
-    timeout: float | None = None,
-    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    engine=None,
-    recorder=None,
-    chunk_size: int | None = None,
-) -> int:
-    """Run party S of any registered protocol as a TCP server.
-
-    Interprets the spec's round schedule: after the ``params``
-    handshake, S receives every receiver-sourced round and ships every
-    sender-sourced one, in order. Blocks until one receiver has been
-    served; returns ``|V_R|`` (everything S learns).
-
-    Args:
-        protocol: registry name (or an unregistered spec object).
-        data: S's private input, shaped per ``spec.sender_input``
-            (value list, ``v -> ext(v)`` map, or ``v -> amount`` map).
-        params: the public parameters shipped in the handshake.
-        rng: S's private randomness.
-        ready_callback: called with the bound port once listening -
-            with ``port=0`` this is the actual kernel-assigned port;
-            pass it to the client thread/process.
-        timeout: bounds both the wait for a client and each socket read.
-        endpoint_wrapper: wraps the accepted connection (e.g. a
-            :class:`~repro.net.faults.FaultyEndpoint` constructor).
-        engine: batch-crypto execution strategy
-            (:mod:`repro.crypto.engine`).
-        recorder: per-phase metrics collector
-            (:class:`repro.analysis.instrumentation.MetricsRecorder`).
-        chunk_size: stream chunkable outgoing rounds in frames of at
-            most this many elements (``None`` = legacy whole-round
-            frames, byte-identical to earlier releases).
-    """
-    spec = get_spec(protocol)
-    transport = _accept_one(
-        host, port, ready_callback, timeout, max_frame_bytes,
-        endpoint_wrapper=endpoint_wrapper,
-    )
-    try:
-        transport.send(("params", params.to_wire()))
-        machine = SenderMachine(
-            spec, data, params, rng, engine=engine, recorder=recorder
-        )
-        machine.ensure_state()
-        run_rounds(
-            transport, machine, spec, sends="S",
-            chunk_size=chunk_size, recorder=recorder,
-        )
-        return machine.state.size_v_r
-    finally:
-        transport.close()
-
-
-def connect(
-    protocol: str | ProtocolSpec,
-    data: Any,
-    rng: random.Random,
-    host: str,
-    port: int,
-    timeout: float | None = None,
-    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-    engine=None,
-    recorder=None,
-    chunk_size: int | None = None,
-) -> Any:
-    """Run party R of any registered protocol as a TCP client.
-
-    The server's handshake carries the public parameters, so R needs
-    no out-of-band setup beyond the address. Returns the protocol's
-    answer for R (set, size, ext mapping, or aggregate - whatever the
-    spec's ``finish`` computes). ``chunk_size`` streams R's chunkable
-    outgoing rounds (see :func:`serve`); inbound chunking is
-    auto-detected regardless.
-    """
-    spec = get_spec(protocol)
-    transport = _dial(host, port, timeout, max_frame_bytes, endpoint_wrapper)
-    try:
-        tag, wire_params = transport.recv()
-        if tag != "params":
-            raise ValueError(f"unexpected handshake message {tag!r}")
-        machine = ReceiverMachine(
-            spec,
-            data,
-            PublicParams.from_wire(tuple(wire_params)),
-            rng,
-            engine=engine,
-            recorder=recorder,
-        )
-        machine.ensure_state()
-        run_rounds(
-            transport, machine, spec, sends="R",
-            chunk_size=chunk_size, recorder=recorder,
-        )
-        return machine.finish()
-    finally:
-        transport.close()
-
-
-# ----------------------------------------------------------------------
-# Resumable runs under the session layer
+# Session runs: a core under the blocking shell, over real sockets
 # ----------------------------------------------------------------------
 def _journal_dir(journal_dir: Any, fsync: bool) -> JournalDir | None:
     """``journal_dir=`` as given to the resumable helpers, opened."""
     if journal_dir is None or isinstance(journal_dir, JournalDir):
         return journal_dir
     return JournalDir(journal_dir, fsync=fsync)
+
+
+def _socket_timeout(seconds: float) -> float | None:
+    """A config's deadline as a socket timeout (``inf``: block)."""
+    return None if seconds == math.inf else seconds
+
+
+def _session_listener(host: str, port: int, config: SessionConfig) -> socket.socket:
+    """Party S's listener: up for the whole run (or a serving peer's
+    whole life), so a reconnect - or a client early for the next
+    query - queues instead of being refused."""
+    return _listen(
+        host, port,
+        _socket_timeout(config.timeout_s * config.retry.max_attempts),
+    )
+
+
+def _accept(
+    listener: socket.socket,
+    config: SessionConfig,
+    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
+) -> Any:
+    """The next client of ``listener``, as a framed endpoint."""
+    try:
+        conn, _addr = listener.accept()
+    except socket.timeout as exc:
+        raise TimeoutError("no client (re)connected in time") from exc
+    conn.settimeout(_socket_timeout(config.timeout_s))
+    _nodelay(conn)
+    return _wrapped(
+        SocketEndpoint(sock=conn, max_frame_bytes=max_frame_bytes),
+        endpoint_wrapper,
+    )
+
+
+class _Unread:
+    """``endpoint`` with one frame already read put back in front."""
+
+    def __init__(self, endpoint: Any, frame: Any):
+        self._endpoint = endpoint
+        self._frame = frame
+        self.send = endpoint.send
+        self.settimeout = endpoint.settimeout
+        self.close = endpoint.close
+
+    def recv(self) -> Any:
+        if self._frame is None:
+            return self._endpoint.recv()
+        frame, self._frame = self._frame, None
+        return frame
+
+
+def _first_hello(
+    accept: Callable[[], Any], config: SessionConfig
+) -> tuple[Any, tuple]:
+    """The first valid hello to arrive, and its connection with the
+    hello put back for the session's own handshake to read.
+
+    The blocking twin of ``ProtocolServer._read_hello`` +
+    ``AsyncFrameEndpoint._unread``: a serving
+    :class:`~repro.api.Peer` learns which schedule the client wants
+    (the hello's protocol field) and which journal to look up (its
+    session id) before it builds the core. A garbled seal is skipped
+    (the client retransmits its hello); a connection that dies or
+    stays silent is dropped and the next one accepted, as often as the
+    config allows reconnects.
+    """
+    budget_s = config.timeout_s * config.retry.max_attempts
+    for _ in range(config.max_reconnects + 1):
+        endpoint = accept()
+        try:
+            deadline = time.monotonic() + budget_s
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError(f"no hello within {budget_s}s")
+                endpoint.settimeout(
+                    _socket_timeout(min(remaining, config.timeout_s))
+                )
+                frame = endpoint.recv()
+                try:
+                    fields = unseal(frame)
+                except ValueError:
+                    continue
+                if fields[0] == "hello" and len(fields) == 6:
+                    return _Unread(endpoint, frame), fields
+        except (ConnectionError, TimeoutError, OSError, ValueError) as exc:
+            failure = exc
+            endpoint.close()
+    raise SessionError(f"no client sent a valid hello: {failure}") from failure
 
 
 def serve_resumable_sender(
@@ -448,7 +315,6 @@ def serve_resumable_sender(
     journal_dir: Any = None,
     journal_fsync: bool = True,
     chunk_size: int | None = None,
-    make_sender: Callable[[], Any] | None = None,
 ) -> tuple[int, SessionStats]:
     """Serve party S of any registered protocol under the session layer.
 
@@ -471,12 +337,6 @@ def serve_resumable_sender(
     verifies the bytes exactly). A run that completed but died before
     its journal was rotated is rotated first
     (:func:`~repro.net.journal.open_session` is the whole rule).
-
-    ``make_sender`` overrides the default state factory (which builds
-    ``spec.make_sender(data, params, rng)``); the stateful Catalog
-    peers use it to inject warm-cache construction and to keep a handle
-    on the built party for delta commits. It may be called more than
-    once (journal replay), so it must be idempotent.
     """
     config = config or SessionConfig()
     spec = get_spec(protocol)
@@ -484,33 +344,24 @@ def serve_resumable_sender(
     # ``rng`` - this fixed draw order is what lets a restarted process
     # with an identically seeded ``rng`` replay its journal exactly.
     session_rng = random.Random(rng.getrandbits(64))
-    if make_sender is None:
-        make_sender = lambda: spec.make_sender(data, params, rng, engine=engine)  # noqa: E731
     core, _ = open_session(
-        "sender", protocol, make_sender, params=params,
+        "sender", protocol,
+        lambda: spec.make_sender(data, params, rng, engine=engine),
+        params=params,
         journal_dir=_journal_dir(journal_dir, journal_fsync), config=config,
         rng=session_rng, recorder=recorder, chunk_size=chunk_size,
     )
-    listener = _listen(
-        host, port, config.timeout_s * config.retry.max_attempts
-    )
+    listener = _session_listener(host, port, config)
     try:
         if ready_callback is not None:
             ready_callback(listener.getsockname()[1])
-
-        def accept() -> Any:
-            try:
-                conn, _addr = listener.accept()
-            except socket.timeout as exc:
-                raise TimeoutError("no client (re)connected in time") from exc
-            conn.settimeout(config.timeout_s)
-            _nodelay(conn)
-            return _wrapped(
-                SocketEndpoint(sock=conn, max_frame_bytes=max_frame_bytes),
-                endpoint_wrapper,
-            )
-
-        return run_blocking(core.steps(), open_link=accept).size_v_r, core.stats
+        state = run_blocking(
+            core.steps(),
+            open_link=lambda: _accept(
+                listener, config, max_frame_bytes, endpoint_wrapper
+            ),
+        )
+        return state.size_v_r, core.stats
     finally:
         listener.close()
 
@@ -572,7 +423,8 @@ def connect_resumable_receiver(
         answer = run_blocking(
             core.steps(),
             open_link=lambda: _dial(
-                host, port, config.timeout_s, max_frame_bytes, endpoint_wrapper
+                host, port, _socket_timeout(config.timeout_s),
+                max_frame_bytes, endpoint_wrapper,
             ),
         )
     return answer, core.stats

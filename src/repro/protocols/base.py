@@ -19,6 +19,7 @@ from ..crypto.commutative import PowerCipher
 from ..crypto.ext_cipher import BlockExtCipher, ExtCipher
 from ..crypto.groups import QRGroup
 from ..crypto.hashing import DomainHash, TryIncrementHash, find_collisions
+from ..crypto.numtheory import _key_rng
 from ..net.runner import ProtocolRun
 
 __all__ = [
@@ -46,6 +47,14 @@ class HashCollisionError(Exception):
     """
 
 
+def _suite_rngs(seed: object) -> tuple[random.Random, random.Random]:
+    """R's and S's randomness for a suite: two streams derived from
+    ``seed``, or (``seed=None``) the operating system's CSPRNG."""
+    if seed is None:
+        return _key_rng(), _key_rng()
+    return random.Random(f"{seed}/R"), random.Random(f"{seed}/S")
+
+
 @dataclass
 class ProtocolSuite:
     """Agreed public parameters plus per-party private randomness."""
@@ -70,14 +79,11 @@ class ProtocolSuite:
             bits: modulus size (embedded safe primes exist for
                 64..512, 768, 1024, 1536, 2048).
             seed: derives *distinct* seeds for R's and S's randomness;
-                None gives nondeterministic randomness.
+                None draws both from the OS CSPRNG.
             hash_cls: domain-hash construction (ablation point).
         """
         group = QRGroup.for_bits(bits)
-        if seed is None:
-            rng_r, rng_s = random.Random(), random.Random()
-        else:
-            rng_r, rng_s = random.Random(f"{seed}/R"), random.Random(f"{seed}/S")
+        rng_r, rng_s = _suite_rngs(seed)
         return cls(
             group=group,
             hash=hash_cls(group),

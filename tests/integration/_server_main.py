@@ -19,6 +19,7 @@ post-resume frames byte-identical against that fixture.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 import time
@@ -28,7 +29,7 @@ from repro.net import tcp
 from repro.net.journal import SessionJournal
 from repro.net.session import RetryPolicy, SessionConfig
 from repro.protocols.parties import PublicParams
-from repro.protocols.spec import get_spec
+from repro.protocols.spec import PROTOCOLS
 
 
 def _inputs(name: str, n: int):
@@ -72,9 +73,18 @@ def main() -> int:
     if args.stall_marker:
         _arm_stall(args.stall_marker, args.stall_round)
 
-    spec = get_spec(args.protocol)
     params = PublicParams.for_bits(args.bits)
     data = _inputs(args.protocol, args.n)
+    # Party S keyed as the golden fixture keys it (and afresh on every
+    # build, so a restart replays): the driver's own rng has already
+    # given the session its seed by the time the factory runs.
+    spec = PROTOCOLS[args.protocol]
+    PROTOCOLS[args.protocol] = dataclasses.replace(
+        spec,
+        make_sender=lambda data, params, _rng, **kw: spec.make_sender(
+            data, params, random.Random("S"), **kw
+        ),
+    )
     config = SessionConfig(
         timeout_s=2.0,
         retry=RetryPolicy(max_attempts=4, base_delay_s=0.02, max_delay_s=0.1),
@@ -86,7 +96,6 @@ def main() -> int:
         ready_callback=lambda port: Path(args.port_file).write_text(str(port)),
         config=config, journal_dir=args.journal_dir,
         chunk_size=args.chunk_size,
-        make_sender=lambda: spec.make_sender(data, params, random.Random("S")),
     )
     if stats.rounds_recovered:
         print(f"recovered rounds={stats.rounds_recovered}", flush=True)

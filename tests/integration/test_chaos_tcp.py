@@ -9,6 +9,7 @@ and replayed frames for mid-frame disconnects.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import threading
 from collections import Counter
@@ -25,7 +26,7 @@ from repro.net.tcp import (
     serve_resumable_sender,
 )
 from repro.protocols.parties import PublicParams
-from repro.protocols.spec import get_spec
+from repro.protocols.spec import PROTOCOLS, get_spec
 
 #: protocol -> (R's data, S's data, expected answer for R)
 CASES = {
@@ -117,12 +118,12 @@ def _drive(protocol, case, seed, sender, receiver, supervise=None):
 
 
 def _run(protocol, client_injector=None, server_injector=None, seed=0,
-         chunk_size=None, case=None, make_sender=None):
+         chunk_size=None, case=None):
     case = case or CASES[protocol]
     common = dict(config=_config(), chunk_size=chunk_size)
     (answer, client_stats), (size_v_r, server_stats) = _drive(
         protocol, case, seed,
-        dict(common, endpoint_wrapper=server_injector, make_sender=make_sender),
+        dict(common, endpoint_wrapper=server_injector),
         dict(common, endpoint_wrapper=client_injector),
     )
     assert answer == case[2], f"{protocol} answered {answer!r}"
@@ -313,10 +314,18 @@ class TestScriptedTailResume:
 
     @pytest.mark.parametrize("back", [0, 1, 2])
     @pytest.mark.parametrize("protocol", sorted(TAIL_CASES))
-    def test_server_tail_disconnect_keeps_committed_state(self, protocol, back):
+    def test_server_tail_disconnect_keeps_committed_state(
+        self, protocol, back, monkeypatch
+    ):
         v_r, v_s, expected, m2_chunks = TAIL_CASES[protocol]
-        party = get_spec(protocol).make_sender(
+        spec = get_spec(protocol)
+        party = spec.make_sender(
             v_s, PublicParams.for_bits(128), random.Random(1)
+        )
+        # S serves the party built here, so its state can be read back.
+        monkeypatch.setitem(
+            PROTOCOLS, protocol,
+            dataclasses.replace(spec, make_sender=lambda *a, **k: party),
         )
         # The server sends the welcome, six m1 acks (5 chunks +
         # chunk-end), then the m2 chunks: kill the last one (or one of
@@ -327,7 +336,7 @@ class TestScriptedTailResume:
         )
         _client_stats, server_stats = _run(
             protocol, server_injector=injector, chunk_size=2,
-            case=(v_r, v_s, expected), make_sender=lambda: party,
+            case=(v_r, v_s, expected),
         )
         assert injector.stats.disconnects == 1
         assert server_stats.reconnects == 1

@@ -3,9 +3,9 @@
 Three properties anchor the repeated-query redesign:
 
 * **Golden parity** - the first (full) query through a Catalog puts
-  exactly the bytes of the one-shot drivers on the wire, for every
-  registered protocol, seen from either end, behind precisely one
-  framing message (the query announcement) and nothing else.
+  exactly the frames of the one-shot verbs on the wire, for every
+  registered protocol, seen from either end: the hello names the
+  query, so there is no announcement frame.
 * **Delta correctness** - a delta query's answer equals a fresh full
   run over the mutated tables, and so does the party state it commits
   (delta ∘ full ≡ full), for every protocol, whole or streamed, with
@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 import repro
 from repro.crypto.engine import create_engine
 from repro.net import tcp
+from repro.net.session import HandshakeError
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS, get_spec
 
@@ -71,171 +73,95 @@ class _RecordingTransport:
         self._transport.close()
 
 
-def _serve_recording(protocol, v_s, log):
-    """A legacy tcp.serve thread that records its transcript."""
-    port_box, ready = [], threading.Event()
+def _record(monkeypatch, opener, log):
+    """Record every frame of the links ``tcp.<opener>`` opens
+    (``"_dial"``: the client's, ``"_accept"``: the server's)."""
+    opened = getattr(tcp, opener)
+    monkeypatch.setattr(
+        tcp, opener,
+        lambda *a, **k: _RecordingTransport(opened(*a, **k), log),
+    )
+
+
+def _one_shot(protocol, v_r, v_s):
+    """``repro.serve`` on a thread, ``repro.connect`` here."""
+    ports, ready = [], threading.Event()
     box = {}
 
     def serve_thread():
-        box["size_v_r"] = tcp.serve(
-            protocol, v_s, PARAMS, random.Random("S"),
-            ready_callback=lambda p: (port_box.append(p), ready.set()),
+        box["serve"] = repro.serve(
+            protocol, v_s, params=PARAMS, rng=random.Random("S"),
+            ready_callback=lambda p: (ports.append(p), ready.set()),
             timeout=10.0,
-            endpoint_wrapper=lambda e: _RecordingTransport(e, log),
         )
 
     thread = threading.Thread(target=serve_thread)
     thread.start()
     assert ready.wait(timeout=10)
-    return thread, port_box, box
+    connected = repro.connect(
+        protocol, v_r, rng=random.Random("R"), port=ports[0], timeout=10.0
+    )
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    return connected, box["serve"]
+
+
+def _catalog_query(protocol, v_r, v_s, **client):
+    """One query between a serving and a connecting catalog."""
+    server_peer = repro.open_catalog(
+        v_s, params=PARAMS, rng=random.Random("S")
+    ).serve(port=0, timeout=10.0)
+    box = {}
+    thread = threading.Thread(
+        target=lambda: box.update(served=server_peer.query(protocol))
+    )
+    thread.start()
+    catalog = repro.open_catalog(v_r, rng=random.Random("R"), **client)
+    result = catalog.connect(
+        "127.0.0.1", port=server_peer.port, timeout=10.0
+    ).query(protocol)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    server_peer.close()
+    return result, box["served"]
 
 
 # ----------------------------------------------------------------------
-# Golden parity: Catalog first query == legacy one-shot, all protocols
+# Golden parity: Catalog first query == one-shot run, all protocols
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("protocol", BASE_PROTOCOLS)
 class TestGoldenParity:
     def test_catalog_client_matches_legacy_client(self, protocol, monkeypatch):
-        """Same seeds: what a Catalog client sends and receives is its
-        announcement, then exactly legacy tcp.connect's transcript."""
+        """Same seeds: a Catalog client's transcript is
+        ``repro.connect``'s - the hello names the query, so there is
+        not one frame more."""
         v_r, v_s = _tables(protocol)
-
-        legacy_log = []
-        thread, ports, _ = _serve_recording(protocol, v_s, [])
-        legacy_answer = tcp.connect(
-            protocol, v_r, random.Random("R"), "127.0.0.1", ports[0],
-            timeout=10.0,
-            endpoint_wrapper=lambda e: _RecordingTransport(e, legacy_log),
-        )
-        thread.join(timeout=10)
-
-        catalog_log = []
-        dial = tcp._dial
-        monkeypatch.setattr(
-            tcp, "_dial",
-            lambda *a, **k: _RecordingTransport(dial(*a, **k), catalog_log),
-        )
-        server_peer = repro.open_catalog(
-            v_s, params=PARAMS, rng=random.Random("S")
-        ).serve(port=0, timeout=10.0)
-        thread = threading.Thread(target=server_peer.query, args=(protocol,))
-        thread.start()
-        catalog = repro.open_catalog(v_r, rng=random.Random("R"))
-        result = catalog.connect(
-            "127.0.0.1", port=server_peer.port, timeout=10.0
-        ).query(protocol)
-        thread.join(timeout=10)
-        server_peer.close()
+        one_shot_log, catalog_log = [], []
+        with monkeypatch.context() as patch:
+            _record(patch, "_dial", one_shot_log)
+            connected, _ = _one_shot(protocol, v_r, v_s)
+        _record(monkeypatch, "_dial", catalog_log)
+        result, _ = _catalog_query(protocol, v_r, v_s)
 
         assert result.mode == "full"
-        assert result.answer == legacy_answer
-        assert catalog_log == [
-            ("sent", ("query", protocol, "full")), *legacy_log
-        ]
+        assert result.answer == connected.answer
+        assert one_shot_log[0][1][0] == "hello"
+        assert catalog_log == one_shot_log
 
-    def test_announce_dialect_adds_exactly_one_frame(self, protocol):
-        """Catalog-to-catalog queries announce (protocol, kind) first;
-        every byte after that announcement is the legacy transcript,
-        and the serving Catalog learns what legacy tcp.serve learns."""
+    def test_serving_catalog_adds_no_frame(self, protocol, monkeypatch):
+        """Seen from S's socket: a serving Catalog exchanges exactly
+        ``repro.serve``'s frames and learns what it learns."""
         v_r, v_s = _tables(protocol)
+        one_shot_log, catalog_log = [], []
+        with monkeypatch.context() as patch:
+            _record(patch, "_accept", one_shot_log)
+            _, served = _one_shot(protocol, v_r, v_s)
+        _record(monkeypatch, "_accept", catalog_log)
+        result, answered = _catalog_query(protocol, v_r, v_s)
 
-        legacy_log = []
-        thread, ports, legacy = _serve_recording(protocol, v_s, legacy_log)
-        tcp.connect(
-            protocol, v_r, random.Random("R"), "127.0.0.1", ports[0],
-            timeout=10.0,
-        )
-        thread.join(timeout=10)
-
-        announce_log = []
-        cat_s = repro.open_catalog(v_s, params=PARAMS, rng=random.Random("S"))
-        server_peer = cat_s.serve(port=0, timeout=10.0)
-        # Record at the server's socket: wrap accept() before the
-        # server thread starts so its endpoint logs every frame.
-        server_peer._listener = _ListenerRecorder(
-            server_peer._listener, announce_log
-        )
-        box = {}
-
-        def serve_thread():
-            box["result"] = server_peer.query(protocol)
-
-        thread = threading.Thread(target=serve_thread)
-        thread.start()
-        cat_r = repro.open_catalog(v_r, rng=random.Random("R"))
-        client_peer = cat_r.connect(
-            "127.0.0.1", port=server_peer.port, timeout=10.0
-        )
-        result = client_peer.query(protocol)
-        thread.join(timeout=10)
-        server_peer.close()
-
-        assert result.mode == "full"
-        assert announce_log[0] == (
-            "received", ("query", protocol, "full")
-        )
-        assert announce_log[1:] == legacy_log
-        assert box["result"].size_v_r == legacy["size_v_r"]
-
-
-class _ListenerRecorder:
-    """Intercepts accept() so the server peer's endpoint records."""
-
-    def __init__(self, listener, log):
-        self._listener = listener
-        self.log = log
-
-    def accept(self):
-        conn, addr = self._listener.accept()
-        return _RecordingSocket(conn, self.log), addr
-
-    def __getattr__(self, name):
-        return getattr(self._listener, name)
-
-
-class _RecordingSocket:
-    """A socket shim that reassembles and decodes framed messages.
-
-    SocketEndpoint speaks sendall/recv at the byte level, so this
-    records complete length-prefixed frames as they cross the socket
-    and logs them decoded - same shape as _RecordingTransport logs.
-    """
-
-    def __init__(self, sock, log):
-        self._sock = sock
-        self.log = log
-        self._out = b""
-        self._in = b""
-
-    def sendall(self, data):
-        self._sock.sendall(data)
-        self._out += data
-        self._drain("sent", "_out")
-
-    def recv(self, n):
-        data = self._sock.recv(n)
-        self._in += data
-        self._drain("received", "_in")
-        return data
-
-    def _drain(self, tag, attr):
-        import struct
-
-        from repro.net import serialization
-
-        buf = getattr(self, attr)
-        while len(buf) >= 4:
-            (length,) = struct.unpack(">I", buf[:4])
-            if len(buf) < 4 + length:
-                break
-            self.log.append(
-                (tag, serialization.decode(buf[4 : 4 + length]))
-            )
-            buf = buf[4 + length :]
-        setattr(self, attr, buf)
-
-    def __getattr__(self, name):
-        return getattr(self._sock, name)
+        assert result.mode == answered.mode == "full"
+        assert catalog_log == one_shot_log
+        assert answered.size_v_r == served.size_v_r
 
 
 # ----------------------------------------------------------------------
@@ -410,28 +336,17 @@ def test_cache_warm_start_and_rekey(tmp_path, protocol, chunk_size):
     assert rewarmed.answer == delta.answer
 
 
-def test_warm_start_is_wire_identical(tmp_path):
+def test_warm_start_is_wire_identical(tmp_path, monkeypatch):
     """A cache-hit query must put the same bytes on the wire as the
     cold run it replays - warm starts are a pure compute shortcut."""
     v_r, v_s = _tables("intersection")
 
     def run_once(log):
-        server_peer = repro.open_catalog(
-            v_s, params=PARAMS, rng=random.Random("S")
-        ).serve(port=0, timeout=10.0)
-        server_peer._listener = _ListenerRecorder(server_peer._listener, log)
-        thread = threading.Thread(
-            target=server_peer.query, args=("intersection",)
-        )
-        thread.start()
-        catalog = repro.open_catalog(
-            v_r, rng=random.Random("R"), cache_dir=tmp_path / "r"
-        )
-        result = catalog.connect(
-            "127.0.0.1", port=server_peer.port, timeout=10.0
-        ).query("intersection")
-        thread.join(timeout=10)
-        server_peer.close()
+        with monkeypatch.context() as patch:
+            _record(patch, "_accept", log)
+            result, _ = _catalog_query(
+                "intersection", v_r, v_s, cache_dir=tmp_path / "r"
+            )
         return result
 
     cold_log, warm_log = [], []
@@ -538,28 +453,24 @@ class TestStagingAndModes:
             cat_r.pair(cat_s)
 
     def test_protocol_mismatch_over_tcp(self):
+        """A hello for another protocol is a typed refusal on both
+        sides, and the server's listener outlives it."""
         v_r, v_s = _tables("intersection")
         cat_s = repro.open_catalog(v_s, bits=BITS, seed=1)
         server_peer = cat_s.serve(port=0, timeout=10.0)
-        errors = {}
-
-        def serve_thread():
-            try:
-                server_peer.query("equijoin-size")
-            except ValueError as exc:
-                errors["server"] = str(exc)
-
-        thread = threading.Thread(target=serve_thread)
-        thread.start()
-        cat_r = repro.open_catalog(v_r, bits=BITS, seed=2)
-        client = cat_r.connect(
+        client = repro.open_catalog(v_r, bits=BITS, seed=2).connect(
             "127.0.0.1", port=server_peer.port, timeout=10.0
         )
-        with pytest.raises(RuntimeError, match="refused"):
+        served = _in_thread(server_peer.query, "equijoin-size")
+        with pytest.raises(HandshakeError, match="answering 'equijoin-size'"):
             client.query("intersection")
-        thread.join(timeout=10)
+        with pytest.raises(HandshakeError, match="'intersection'"):
+            served()
+
+        served = _in_thread(server_peer.query, "intersection")
+        assert client.query("intersection").answer == set(v_r) & set(v_s)
+        assert served().mode == "full"
         server_peer.close()
-        assert "intersection" in errors["server"]
 
     def test_context_managers(self):
         v_r, v_s = _tables("intersection")
@@ -568,6 +479,116 @@ class TestStagingAndModes:
                 with cat_r.pair(cat_s) as peer:
                     assert peer.query("intersection").mode == "full"
         assert not cat_r._links  # close() dropped the committed state
+
+
+# ----------------------------------------------------------------------
+# The hello is the announcement: one mode rule, one listener, both modes
+# ----------------------------------------------------------------------
+def _in_thread(fn, *args, **kwargs):
+    """Start ``fn`` on a thread; the returned callable joins it and
+    hands back its result (or raises what it raised)."""
+    box = {}
+
+    def run():
+        try:
+            box["result"] = fn(*args, **kwargs)
+        except Exception as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join():
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        if "error" in box:
+            raise box["error"]
+        return box["result"]
+
+    return join
+
+
+SESSION_MODES = pytest.mark.parametrize(
+    "session", [None, repro.SessionOptions()], ids=["plain", "session"]
+)
+
+
+def _linked_pair(session, ready_callback=None):
+    v_r, v_s = _tables("intersection")
+    cat_s = repro.open_catalog(v_s, bits=BITS, seed=8)
+    server_peer = cat_s.serve(
+        port=0, timeout=10.0, session=session, ready_callback=ready_callback
+    )
+    cat_r = repro.open_catalog(v_r, bits=BITS, seed=9)
+    client = cat_r.connect(
+        "127.0.0.1", port=server_peer.port, timeout=10.0, session=session
+    )
+    return cat_r, cat_s, client, server_peer
+
+
+@SESSION_MODES
+class TestPeerLinks:
+    def test_the_server_follows_the_clients_mode(self, session):
+        """``mode="auto"`` on the serving side runs what the hello
+        asks for - a forced full over committed state included."""
+        cat_r, cat_s, client, server_peer = _linked_pair(session)
+        for asked, expected in (("auto", "full"), ("auto", "delta"),
+                                ("full", "full"), ("delta", "delta")):
+            served = _in_thread(server_peer.query, "intersection")
+            result = client.query("intersection", mode=asked)
+            assert (result.mode, served().mode) == (expected, expected)
+            assert result.answer == set(cat_r.data) & set(cat_s.data)
+            cat_r.insert(f"new-{asked}-{expected}")
+            cat_s.insert(f"new-{asked}-{expected}")
+        server_peer.close()
+
+    def test_refusals_are_typed_and_leave_the_listener_up(self, session):
+        cat_r, _cat_s, client, server_peer = _linked_pair(session)
+        # R holds state (from a local pair), this S does not: the
+        # delta R's hello asks for cannot be answered.
+        cat_r.pair(repro.open_catalog(["x"], bits=BITS, seed=1)).query(
+            "intersection"
+        )
+        served = _in_thread(server_peer.query, "intersection")
+        with pytest.raises(HandshakeError, match="no committed state"):
+            client.query("intersection", mode="delta")
+        with pytest.raises(HandshakeError, match="no committed state"):
+            served()
+        # A mode the server forces and the client contradicts.
+        served = _in_thread(server_peer.query, "intersection", mode="delta")
+        with pytest.raises(HandshakeError, match="requires a delta"):
+            client.query("intersection", mode="full")
+        with pytest.raises(HandshakeError, match="requires a delta"):
+            served()
+        # The same listener then serves a good query.
+        served = _in_thread(server_peer.query, "intersection")
+        assert client.query("intersection", mode="full").mode == "full"
+        assert served().stats.reconnects == 0
+        server_peer.close()
+
+    def test_a_client_early_for_the_next_query_queues(self, session):
+        """One listener from ``serve()`` to ``close()``: the port is
+        final at construction, ``ready_callback`` has fired by then,
+        and a client that dials before the server's next ``query()``
+        waits in the backlog instead of being refused."""
+        ports = []
+        cat_r, cat_s, client, server_peer = _linked_pair(session, ports.append)
+        assert ports == [server_peer.port] and server_peer.port != 0
+        served = _in_thread(server_peer.query, "intersection")
+        assert client.query("intersection").mode == "full"
+        assert served().mode == "full"
+
+        cat_r.insert("early")
+        cat_s.insert("early")
+        asked = _in_thread(client.query, "intersection")
+        time.sleep(0.3)  # the client is dialing; nobody is in query()
+        served = server_peer.query("intersection")
+        result = asked()
+        assert result.mode == served.mode == "delta"
+        assert "early" in result.answer
+        assert result.stats.reconnects == served.stats.reconnects == 0
+        assert ports == [server_peer.port]
+        server_peer.close()
 
 
 # ----------------------------------------------------------------------

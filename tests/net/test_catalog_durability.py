@@ -13,13 +13,16 @@ The catalog cache's contract for a series of queries:
 from __future__ import annotations
 
 import shutil
+import threading
 from types import SimpleNamespace
 
 import pytest
 
 import repro
 from repro.net.catalog import CatalogCache, CatalogCacheError, table_digest
+from repro.net.crashpoints import CrashHook, SimulatedCrash, hooked
 from repro.net.diskfaults import DiskFaultPlan, FaultyJournalIO, JournalIO
+from repro.net.session import RetryPolicy, SessionConfig, SessionError
 
 BITS = 128
 PROTOCOL = "intersection"
@@ -228,3 +231,70 @@ def test_any_fault_in_a_delta_commit_is_all_or_nothing(
         _restart(folder, table)
     if not run.failed:
         assert _only_entry(crashed).name.startswith(table_digest(run.new)[:32])
+
+
+# ----------------------------------------------------------------------
+# A killed serving peer: the hello's session id finds the journal
+# ----------------------------------------------------------------------
+def test_a_killed_serving_peer_recovers_the_session_its_client_names(tmp_path):
+    """Two lives of a journaled serving peer die mid-query, each on a
+    different client's session; only the second client keeps redialing.
+    The third life must recover *that* client's journal - looked up by
+    the session id in its hello, not taken as the directory's oldest."""
+    v_r = [f"v{i:05d}" for i in range(12)]
+    config = SessionConfig(
+        timeout_s=1.0,
+        retry=RetryPolicy(max_attempts=3, base_delay_s=0.02, max_delay_s=0.1),
+        max_reconnects=40,
+        fin_grace_s=0.05,
+    )
+    journaled = repro.SessionOptions(journal_dir=tmp_path / "s", config=config)
+
+    def serve_one_life(port, crash):
+        """A fresh process's worth of party S: same table, same seed."""
+        peer = repro.open_catalog(V_S, bits=BITS, seed=8).serve(
+            port=port, session=journaled
+        )
+        box = {}
+
+        def life():
+            try:
+                with hooked(CrashHook("session.ship.frame") if crash else None):
+                    box["result"] = peer.query(PROTOCOL)
+            except SimulatedCrash:
+                box["crashed"] = True
+            finally:
+                peer.close()
+
+        thread = threading.Thread(target=life)
+        thread.start()
+        return peer.port, thread, box
+
+    port, first_life, first = serve_one_life(0, crash=True)
+    with pytest.raises(SessionError):  # one connection: no second try
+        repro.open_catalog(v_r, bits=BITS, seed=1).connect(
+            port=port, timeout=1.0
+        ).query(PROTOCOL)
+    first_life.join(timeout=10)
+    assert first == {"crashed": True}
+
+    _, second_life, second = serve_one_life(port, crash=True)
+    answer = {}
+    client = threading.Thread(target=lambda: answer.update(
+        result=repro.open_catalog(v_r, bits=BITS, seed=2).connect(
+            port=port, session=repro.SessionOptions(config=config)
+        ).query(PROTOCOL)
+    ))
+    client.start()
+    second_life.join(timeout=10)
+    assert second == {"crashed": True}
+    assert len(list((tmp_path / "s").glob("*.wal"))) == 2
+
+    _, third_life, third = serve_one_life(port, crash=False)
+    client.join(timeout=30)
+    third_life.join(timeout=10)
+    assert not client.is_alive() and not third_life.is_alive()
+    assert answer["result"].answer == set(v_r) & set(V_S)
+    assert answer["result"].stats.reconnects >= 1
+    assert third["result"].stats.rounds_recovered > 0
+    assert third["result"].size_v_r == len(v_r)

@@ -3,8 +3,9 @@
 ``equijoin-sum`` was added to :data:`repro.protocols.spec.PROTOCOLS`
 without touching :mod:`repro.net.tcp`, :mod:`repro.net.session` or the
 CLI dispatch tables. These smoke tests prove the generic drivers pick
-it up by name - over plain TCP and over a resumable session - and that
-no bespoke helper for it exists anywhere in the net layer.
+it up by name - through the one-shot verbs and through the resumable
+pair under them - and that no bespoke helper for it exists anywhere in
+the net layer.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import threading
 
 import pytest
 
+import repro
 from repro.net import tcp
 from repro.net.session import RetryPolicy, SessionConfig
 from repro.protocols.parties import PublicParams
@@ -41,19 +43,18 @@ def test_equijoin_sum_over_plain_tcp(params):
     result: dict = {}
 
     def serve():
-        result["size_v_r"] = tcp.serve(
-            "equijoin-sum", AMOUNTS, params, random.Random(7),
+        result["size_v_r"] = repro.serve(
+            "equijoin-sum", AMOUNTS, params=params, seed=7,
             ready_callback=lambda port: (port_box.append(port), ready.set()),
             timeout=10.0,
-        )
+        ).size_v_r
 
     thread = threading.Thread(target=serve)
     thread.start()
     assert ready.wait(timeout=10)
-    total = tcp.connect(
-        "equijoin-sum", V_R, random.Random(11), "127.0.0.1", port_box[0],
-        timeout=10.0,
-    )
+    total = repro.connect(
+        "equijoin-sum", V_R, seed=11, port=port_box[0], timeout=10.0
+    ).answer
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert total == EXPECTED_TOTAL

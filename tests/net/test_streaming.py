@@ -5,21 +5,26 @@ the wire chunk frames (:mod:`repro.net.serialization`), the message
 chunker/assembler (:mod:`repro.protocols.messages`), the double-buffer
 (:mod:`repro.net.streaming`), and the end-to-end guarantee the whole
 stack exists for - peak resident payload per round stays O(chunk_size)
-on the plain TCP path, with the producer/consumer overlap visible in
-the metrics report.
+on a one-connection run (``session=None``), in the frames and in the
+core's round log, with the producer/consumer overlap visible in the
+metrics report.
 """
 
 from __future__ import annotations
 
 import queue
 import random
+import socket
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.analysis.instrumentation import MetricsRecorder, PipelineStats
 from repro.net import serialization, tcp
+from repro.net.journal import open_session
+from repro.net.session import SessionConfig, run_blocking
 from repro.net.streaming import TimedIterator, prefetch
 from repro.protocols.messages import (
     ChunkAssembler,
@@ -29,6 +34,7 @@ from repro.protocols.messages import (
     SumReply,
 )
 from repro.protocols.parties import PublicParams
+from repro.protocols.spec import PROTOCOLS
 
 
 # ----------------------------------------------------------------------
@@ -235,7 +241,7 @@ class TestPipelineStats:
 
 
 # ----------------------------------------------------------------------
-# End-to-end memory bound on the plain TCP path
+# End-to-end memory bound of a one-connection run
 # ----------------------------------------------------------------------
 class _FrameSizeProbe:
     """Transport wrapper recording the encoded size of every frame."""
@@ -266,13 +272,12 @@ class _FrameSizeProbe:
 
 
 def _probe_run(v_r, v_s, chunk_size, s_recorder=None):
-    params = PublicParams.for_bits(64)
     port_box: queue.Queue[int] = queue.Queue()
     probes = []
 
     def serve_s():
-        tcp.serve(
-            "intersection", v_s, params, random.Random("s"),
+        repro.serve(
+            "intersection", v_s, bits=64, rng=random.Random("s"),
             ready_callback=port_box.put, chunk_size=chunk_size,
             recorder=s_recorder,
         )
@@ -286,19 +291,75 @@ def _probe_run(v_r, v_s, chunk_size, s_recorder=None):
         probes.append(probe)
         return probe
 
-    answer = tcp.connect(
+    answer, _stats = tcp.connect_resumable_receiver(
         "intersection", v_r, random.Random("r"), "127.0.0.1", port,
+        config=repro.api._session_config(None, None),
         chunk_size=chunk_size, endpoint_wrapper=wrap,
     )
     thread.join(timeout=10)
     return answer, probes[0].max_frame
 
 
+def _core_pair(config, chunk_size):
+    """Run intersection as two session cores over a socketpair;
+    returns the cores, the answer and the hello R would send next."""
+    v_r = [f"r{i}" for i in range(24)]
+    v_s = v_r[:12] + [f"s{i}" for i in range(12)]
+    params = PublicParams.for_bits(64)
+    spec = PROTOCOLS["intersection"]
+    sender, _ = open_session(
+        "sender", "intersection",
+        lambda: spec.make_sender(v_s, params, random.Random("s")),
+        params=params, config=config, rng=random.Random(1),
+        chunk_size=chunk_size,
+    )
+    receiver, _ = open_session(
+        "receiver", "intersection",
+        lambda wire: spec.make_receiver(
+            v_r, PublicParams.from_wire(tuple(wire)), random.Random("r")
+        ),
+        config=config, rng=random.Random(2), chunk_size=chunk_size,
+    )
+    raw_s, raw_r = socket.socketpair()
+    links = iter([tcp.SocketEndpoint(sock=raw_s)])
+    thread = threading.Thread(
+        target=run_blocking, args=(sender.steps(),),
+        kwargs={"open_link": links.__next__},
+    )
+    thread.start()
+    answer = run_blocking(
+        receiver.steps(), open_link=lambda: tcp.SocketEndpoint(sock=raw_r)
+    )
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert answer == set(v_s) & set(v_r)
+    return sender, receiver, next(receiver.handshake()).frame
+
+
 class TestPayloadStaysChunkSized:
+    def test_a_one_connection_run_lets_go_of_its_frames(self):
+        """``max_reconnects=0`` can never serve a replay, so the round
+        log keeps a slot per frame (the cursors are list lengths) and
+        no frame; a session that may reconnect keeps them all."""
+        one_shot = repro.api._session_config(None, None)
+        kept_s, kept_r, kept_hello = _core_pair(SessionConfig(), chunk_size=4)
+        freed_s, freed_r, freed_hello = _core_pair(one_shot, chunk_size=4)
+        for kept, freed in ((kept_s, freed_s), (kept_r, freed_r)):
+            for held in (kept.log.inbound, kept.log.outbound):
+                assert held and None not in held
+            assert freed.log.inbound == [None] * len(kept.log.inbound)
+            assert freed.log.outbound == [None] * len(kept.log.outbound)
+            assert freed.log.in_rounds == kept.log.in_rounds
+            assert freed.log.out_rounds == kept.log.out_rounds
+        assert freed_hello == kept_hello
+        assert freed_hello[4:6] == (
+            len(kept_r.log.outbound), len(kept_r.log.inbound)
+        )
+
     def test_peak_frame_is_o_chunk_size_not_o_n(self):
         """The point of streaming: with n items and chunk size c, no
-        frame on the plain TCP path ever holds more than O(c) payload -
-        the per-round resident buffer no longer scales with n."""
+        frame of a one-connection run ever holds more than O(c) payload
+        - the per-round resident buffer no longer scales with n."""
         n, c = 192, 8
         v_r = [f"r{i}" for i in range(n)]
         v_s = [f"s{i}" for i in range(n // 2)] + v_r[: n // 2]

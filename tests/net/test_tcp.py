@@ -1,25 +1,30 @@
-"""Tests for the TCP transport: protocols across a real socket."""
+"""Tests for the TCP transport: framing, and every protocol across a
+real socket through the one-shot verbs (``repro.serve`` /
+``repro.connect`` with ``session=None``: one connection, no retry)."""
 
 from __future__ import annotations
 
+import dataclasses
 import queue
 import random
 import socket
 import threading
+import time
 
 import pytest
 
 import struct
 
+import repro
+from repro.net import tcp
 from repro.net.serialization import encode
+from repro.net.session import SessionError
 from repro.net.tcp import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameTooLarge,
     SocketEndpoint,
-    connect,
-    serve,
 )
-from repro.protocols.parties import PublicParams
+from repro.protocols.spec import PROTOCOLS
 
 
 def _socket_pair():
@@ -143,85 +148,158 @@ class TestHardenedFraming:
         b.close()
 
     def test_accept_timeout_raises(self):
-        with pytest.raises(TimeoutError, match="no client"):
-            serve(
-                "intersection", ["a"], PublicParams.for_bits(64),
-                random.Random(0), timeout=0.05,
+        with pytest.raises(SessionError, match="no client") as failure:
+            repro.serve("intersection", ["a"], bits=64, seed=0, timeout=0.05)
+        assert isinstance(failure.value.__cause__, TimeoutError)
+
+    def _connect_to(self, answer_hello):
+        """A default ``repro.connect`` against a one-connection server
+        that runs ``answer_hello(conn)``; returns how it failed and how
+        many times it dialed."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)
+        listener.settimeout(0.5)
+        dials = []
+
+        def serve():
+            try:
+                while True:
+                    conn, _ = listener.accept()
+                    dials.append(conn)
+                    answer_hello(conn)
+                    conn.close()
+            except socket.timeout:
+                pass
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        with pytest.raises(SessionError) as failure:
+            repro.connect(
+                "intersection", ["a"], seed=0,
+                port=listener.getsockname()[1], timeout=2.0,
             )
+        thread.join()
+        listener.close()
+        return failure.value, len(dials)
 
     def test_truncated_handshake_aborts_client(self):
-        """A server that dies mid-handshake aborts the client with a
-        connection error, not a hang or a garbage answer."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        port = listener.getsockname()[1]
-
-        def half_handshake():
-            conn, _ = listener.accept()
-            payload = encode(("params", (23, "try-increment")))
+        """A server that dies mid-welcome aborts the client with a
+        connection error - at once, ``session=None`` never redials -
+        not a hang or a garbage answer."""
+        def half_welcome(conn):
+            payload = encode(("welcome", 1, "intersection"))
             frame = struct.pack(">I", len(payload)) + payload
             conn.sendall(frame[: len(frame) // 2])  # die mid-frame
-            conn.close()
 
-        thread = threading.Thread(target=half_handshake)
-        thread.start()
-        with pytest.raises(ConnectionError):
-            connect(
-                "intersection", ["a"], random.Random(0), "127.0.0.1", port,
-                timeout=2.0,
-            )
-        thread.join()
-        listener.close()
+        failure, dials = self._connect_to(half_welcome)
+        assert isinstance(failure.__cause__, ConnectionError)
+        assert dials == 1
 
     def test_wrong_handshake_tag_rejected(self):
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        port = listener.getsockname()[1]
+        """An answer that is no sealed welcome never starts the rounds."""
+        failure, dials = self._connect_to(
+            lambda conn: SocketEndpoint(sock=conn).send(("banner", "hi"))
+        )
+        assert isinstance(failure.__cause__, ConnectionError)
+        assert dials == 1
 
-        def bad_handshake():
-            conn, _ = listener.accept()
-            SocketEndpoint(sock=conn).send(("banner", "hi"))
-            conn.close()
 
-        thread = threading.Thread(target=bad_handshake)
+class TestPlainContract:
+    """``session=None``: one connection, no deadline unless asked."""
+
+    def test_a_refused_dial_raises_at_once(self, monkeypatch):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        dials = []
+        dial = tcp._dial
+        monkeypatch.setattr(
+            tcp, "_dial", lambda *a, **k: (dials.append(a), dial(*a, **k))[1]
+        )
+        monkeypatch.setattr(
+            time, "sleep", lambda s: pytest.fail(f"slept {s}s before failing")
+        )
+        with pytest.raises(SessionError) as failure:
+            repro.connect("intersection", ["a"], seed=0, port=port)
+        assert isinstance(failure.value.__cause__, ConnectionRefusedError)
+        assert len(dials) == 1
+
+    def test_a_slow_peer_is_waited_out(self, monkeypatch):
+        """No ``timeout=``, no deadline: an S that takes a second to
+        build its party costs R neither a retransmit nor a reconnect,
+        every read of the run waiting on a blocking socket."""
+        spec = PROTOCOLS["intersection"]
+
+        def slow_sender(*args, **kwargs):
+            time.sleep(1.0)
+            return spec.make_sender(*args, **kwargs)
+
+        monkeypatch.setitem(
+            PROTOCOLS, "intersection",
+            dataclasses.replace(spec, make_sender=slow_sender),
+        )
+        deadlines = set()
+        dial = tcp._dial
+
+        class Watched:
+            def __init__(self, endpoint):
+                self.send, self.recv = endpoint.send, endpoint.recv
+                self.close = endpoint.close
+                self._settimeout = endpoint.settimeout
+
+            def settimeout(self, timeout):
+                deadlines.add(timeout)
+                self._settimeout(timeout)
+
+        monkeypatch.setattr(
+            tcp, "_dial", lambda *a, **k: Watched(dial(*a, **k))
+        )
+        ports: queue.Queue[int] = queue.Queue()
+        box: dict = {}
+        thread = threading.Thread(target=lambda: box.update(served=repro.serve(
+            "intersection", ["b", "c"], bits=64, seed=1,
+            ready_callback=ports.put,
+        )))
         thread.start()
-        with pytest.raises(ValueError, match="handshake"):
-            connect(
-                "intersection", ["a"], random.Random(0), "127.0.0.1", port,
-                timeout=2.0,
-            )
-        thread.join()
-        listener.close()
+        connected = repro.connect(
+            "intersection", ["a", "b"], seed=2, port=ports.get(timeout=10)
+        )
+        thread.join(timeout=10)
+        assert connected.answer == {"b"}
+        assert connected.stats.elapsed_s >= 1.0
+        for stats in (connected.stats, box["served"].stats):
+            assert stats.reconnects == stats.retransmits == 0
+        assert deadlines == {None}
 
 
 def _run_over_tcp(protocol, v_r, v_s, bits=128, chunk_size=None):
     """Spawn S as a server thread, run R as a client; return both results."""
-    params = PublicParams.for_bits(bits)
     port_box: queue.Queue[int] = queue.Queue()
     server_result: dict = {}
 
     def serve_s():
-        server_result["size_v_r"] = serve(
-            protocol, v_s, params, random.Random("s"),
+        server_result["size_v_r"] = repro.serve(
+            protocol, v_s, bits=bits, rng=random.Random("s"),
             ready_callback=port_box.put, chunk_size=chunk_size,
-        )
+        ).size_v_r
 
     thread = threading.Thread(target=serve_s)
     thread.start()
     port = port_box.get(timeout=10)
-    answer = connect(
-        protocol, v_r, random.Random("r"), "127.0.0.1", port,
+    connected = repro.connect(
+        protocol, v_r, rng=random.Random("r"), port=port,
         chunk_size=chunk_size,
     )
     thread.join(timeout=10)
     assert not thread.is_alive()
-    return answer, server_result["size_v_r"]
+    assert connected.stats.reconnects == connected.stats.retransmits == 0
+    return connected.answer, server_result["size_v_r"]
 
 
-#: ``chunk_size=None`` is the legacy whole-round wire format; the
-#: chunked runs must produce the same answers over the same schedule.
+#: ``chunk_size=None`` ships whole-round frames; the chunked runs
+#: must produce the same answers over the same schedule.
 CHUNKINGS = [None, 4]
 
 
@@ -267,7 +345,7 @@ class TestDistributedIntersectionSize:
 
     def test_params_travel_in_handshake(self, chunk_size):
         """The receiver needs no out-of-band parameters: a 64-bit run
-        works because the server's handshake carries the modulus."""
+        works because the server's welcome carries the modulus."""
         size, _ = _run_over_tcp(
             "intersection-size",
             v_r=["x", "y"],
@@ -348,17 +426,15 @@ class TestBoundPortReporting:
         ports: queue.Queue[int] = queue.Queue()
 
         def serve_s():
-            serve(
-                "intersection", ["v"], PublicParams.for_bits(64),
-                random.Random(1), port=0, ready_callback=ports.put,
+            repro.serve(
+                "intersection", ["v"], bits=64, seed=1, port=0,
+                ready_callback=ports.put,
             )
 
         thread = threading.Thread(target=serve_s)
         thread.start()
         port = ports.get(timeout=10)
         assert port != 0
-        answer = connect(
-            "intersection", ["v"], random.Random(2), "127.0.0.1", port
-        )
+        answer = repro.connect("intersection", ["v"], seed=2, port=port).answer
         thread.join(timeout=10)
         assert answer == {"v"}

@@ -4,8 +4,8 @@
 per-protocol drivers (see ``make_golden_fixture.py``). These tests
 assert that the declarative round schedules, interpreted by the
 generic machines, reproduce those bytes exactly - for every registered
-protocol, across the in-memory, plain-TCP and resumable execution
-paths, with the serial and the process-pool crypto engines.
+protocol, in memory and as sessions (one-connection and resumable
+configs), with the serial and the process-pool crypto engines.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from repro.net.serialization import (
     is_chunk_frame,
 )
 from repro.net.journal import open_session
+from repro.api import _session_config as _facade_session_config
+from repro.net import tcp
 from repro.net.session import RetryPolicy, SessionConfig, run_blocking
-from repro.net.tcp import SocketEndpoint, connect, serve
+from repro.net.tcp import SocketEndpoint
 from repro.protocols.parties import (
     PublicParams,
     ReceiverMachine,
@@ -83,11 +85,6 @@ def _canonical_answer(name, answer, match_count=None):
     if name == "equijoin-sum":
         return [answer, match_count]
     return answer  # the size protocols answer with one number
-
-
-def _plain_match_count() -> int:
-    v_r, v_s = _values()
-    return len(set(v_r) & set(v_s))
 
 
 @pytest.fixture(scope="module")
@@ -219,84 +216,55 @@ def test_in_memory_matches_golden(name, params, engines):
 
 
 # ----------------------------------------------------------------------
-# Plain TCP: generic serve/connect, wires captured on the client side
+# Sessions: two cores under the blocking shell, msg frames captured on
+# R's side. Two inputs of one run: a resumable config over a socketpair,
+# and the facade's ``session=None`` config (one connection, frames let
+# go of once acknowledged) over loopback TCP. The cores are built here
+# rather than by ``repro.serve`` / ``connect``, which draw the session
+# rng's seed from the party rng first and so key the parties otherwise
+# than the fixture's in-memory capture.
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", PROTOCOL_NAMES)
-def test_tcp_matches_golden(name, params, engines):
-    r_engine, s_engine = engines
-    spec = PROTOCOLS[name]
-    r_data, s_data = _inputs(name)
-    port_box: list[int] = []
-    ready = threading.Event()
-    server_box: dict = {}
-
-    def serve_thread():
-        server_box["size_v_r"] = serve(
-            name, s_data, params, random.Random("S"),
-            ready_callback=lambda port: (port_box.append(port), ready.set()),
-            timeout=10.0, engine=s_engine,
-        )
-
-    thread = threading.Thread(target=serve_thread)
-    thread.start()
-    assert ready.wait(timeout=10)
-    log: list = []
-    answer = connect(
-        name, r_data, random.Random("R"), "127.0.0.1", port_box[0],
-        timeout=10.0, engine=r_engine,
-        endpoint_wrapper=lambda endpoint: _RecordingTransport(endpoint, log),
-    )
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-
-    rounds = log[1:]  # drop the ("params", ...) handshake frame
-    assert len(rounds) == len(spec.rounds)
-    digests = {}
-    for i, (rnd, (direction, message)) in enumerate(
-        zip(spec.rounds, rounds), start=1
-    ):
-        assert direction == ("sent" if rnd.source == "R" else "received")
-        digests[f"m{i}"] = _digest(message)
-    _assert_wires(name, digests)
-    match_count = _plain_match_count() if name == "equijoin-sum" else None
-    _assert_answer(name, answer, match_count)
-    assert server_box["size_v_r"] == FIXTURE["protocols"][name]["size_v_r"]
-
-
-# ----------------------------------------------------------------------
-# Resumable sessions: driven over a socketpair, msg frames captured
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", PROTOCOL_NAMES)
-def test_resumable_matches_golden(name, params, engines):
-    r_engine, s_engine = engines
-    spec = PROTOCOLS[name]
-    r_data, s_data = _inputs(name)
-    config = _session_config()
+def _socketpair():
     raw_s, raw_r = socket.socketpair()
     raw_s.settimeout(10.0)
     raw_r.settimeout(10.0)
+    return SocketEndpoint(sock=raw_s), SocketEndpoint(sock=raw_r)
+
+
+def _loopback():
+    listener = tcp._listen("127.0.0.1", 0, 10.0)
+    try:
+        dialed = tcp._dial("127.0.0.1", listener.getsockname()[1], 10.0)
+        accepted, _addr = listener.accept()
+    finally:
+        listener.close()
+    return SocketEndpoint(sock=accepted), dialed
+
+
+SESSION_RUNS = {
+    "resumable": (_session_config, _socketpair),
+    "tcp": (lambda: _facade_session_config(None, 10.0), _loopback),
+}
+
+
+def _run_sessions(name, params, make_sender, make_receiver, run, chunk_size=None):
+    """One session of ``name`` between the parties the two factories
+    build, under ``run = (make_config, connect)``; returns R's answer,
+    R's ``msg`` payloads by (direction, seq), both cores and S's final
+    party state."""
+    make_config, connect = run
     sender_session, _ = open_session(
-        "sender", name,
-        lambda: spec.make_sender(
-            s_data, params, random.Random("S"), engine=s_engine
-        ),
-        params=params,
-        config=config,
-        rng=random.Random(1),
+        "sender", name, make_sender, params=params, config=make_config(),
+        rng=random.Random(1), chunk_size=chunk_size,
     )
     receiver_session, _ = open_session(
         "receiver", name,
-        lambda wire: spec.make_receiver(
-            r_data,
-            PublicParams.from_wire(tuple(wire)),
-            random.Random("R"),
-            engine=r_engine,
-        ),
-        config=config,
-        rng=random.Random(2),
+        lambda wire: make_receiver(PublicParams.from_wire(tuple(wire))),
+        config=make_config(), rng=random.Random(2), chunk_size=chunk_size,
     )
+    s_link, r_link = connect()
     server_box: dict = {}
-    connections = iter([SocketEndpoint(sock=raw_s)])
+    connections = iter([s_link])
 
     def serve_thread():
         server_box["state"] = run_blocking(
@@ -308,11 +276,34 @@ def test_resumable_matches_golden(name, params, engines):
     frames: dict = {}
     answer = run_blocking(
         receiver_session.steps(),
-        open_link=lambda: _SessionRecordingTransport(SocketEndpoint(sock=raw_r), frames),
+        open_link=lambda: _SessionRecordingTransport(r_link, frames),
     )
     thread.join(timeout=10)
     assert not thread.is_alive()
+    assert sender_session.stats.reconnects == 0
+    assert receiver_session.stats.reconnects == 0
+    return answer, frames, sender_session, receiver_session, server_box["state"]
 
+
+def _run_base_sessions(name, params, engines, run, chunk_size=None):
+    """``_run_sessions`` on the fixture's inputs and party seeds."""
+    r_engine, s_engine = engines
+    spec = PROTOCOLS[name]
+    r_data, s_data = _inputs(name)
+    return _run_sessions(
+        name, params,
+        lambda: spec.make_sender(
+            s_data, params, random.Random("S"), engine=s_engine
+        ),
+        lambda wire_params: spec.make_receiver(
+            r_data, wire_params, random.Random("R"), engine=r_engine
+        ),
+        SESSION_RUNS[run], chunk_size,
+    )
+
+
+def _msg_digests(spec, frames):
+    """Per-round digests of a whole-frame session: one ``msg`` a round."""
     digests = {}
     sent = received = 0
     for i, rnd in enumerate(spec.rounds, start=1):
@@ -323,21 +314,37 @@ def test_resumable_matches_golden(name, params, engines):
             wire_bytes = frames[("received", received)]
             received += 1
         digests[f"m{i}"] = hashlib.sha256(wire_bytes).hexdigest()
-    _assert_wires(name, digests)
+    return digests
+
+
+def _assert_whole_session(name, params, engines, run):
+    spec = PROTOCOLS[name]
+    answer, frames, sender_session, receiver_session, s_state = (
+        _run_base_sessions(name, params, engines, run)
+    )
+    _assert_wires(name, _msg_digests(spec, frames))
     match_count = getattr(
         receiver_session._machine.state, "match_count", None
     )
     _assert_answer(name, answer, match_count)
     record = FIXTURE["protocols"][name]
-    assert server_box["state"].size_v_r == record["size_v_r"]
-    assert sender_session.stats.reconnects == 0
-    assert receiver_session.stats.reconnects == 0
+    assert s_state.size_v_r == record["size_v_r"]
     assert sender_session.stats.rounds_computed == sum(
         1 for rnd in spec.rounds if rnd.source == "S"
     )
     assert receiver_session.stats.rounds_computed == sum(
         1 for rnd in spec.rounds if rnd.source == "R"
     )
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_tcp_matches_golden(name, params, engines):
+    _assert_whole_session(name, params, engines, "tcp")
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_resumable_matches_golden(name, params, engines):
+    _assert_whole_session(name, params, engines, "resumable")
 
 
 # ----------------------------------------------------------------------
@@ -427,100 +434,15 @@ def _round_digests_from_frames(spec, frame_groups):
     return logical, streamed
 
 
-@pytest.mark.parametrize("name", PROTOCOL_NAMES)
-def test_tcp_chunked_matches_golden(name, params, engines):
-    """A ``chunk_size`` TCP run streams the pinned chunk frames and
-    reassembles to the pinned logical transcript."""
-    r_engine, s_engine = engines
-    spec = PROTOCOLS[name]
-    r_data, s_data = _inputs(name)
-    port_box: list[int] = []
-    ready = threading.Event()
-    server_box: dict = {}
-
-    def serve_thread():
-        server_box["size_v_r"] = serve(
-            name, s_data, params, random.Random("S"),
-            ready_callback=lambda port: (port_box.append(port), ready.set()),
-            timeout=10.0, engine=s_engine, chunk_size=CHUNK_SIZE,
-        )
-
-    thread = threading.Thread(target=serve_thread)
-    thread.start()
-    assert ready.wait(timeout=10)
-    log: list = []
-    answer = connect(
-        name, r_data, random.Random("R"), "127.0.0.1", port_box[0],
-        timeout=10.0, engine=r_engine, chunk_size=CHUNK_SIZE,
-        endpoint_wrapper=lambda endpoint: _RecordingTransport(endpoint, log),
-    )
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-
-    frames = [message for _direction, message in log[1:]]  # drop params
-    logical, streamed = _round_digests_from_frames(
-        spec, _group_round_frames(frames)
-    )
-    _assert_wires(name, logical)
-    _assert_chunked_wires(name, streamed)
-    match_count = _plain_match_count() if name == "equijoin-sum" else None
-    _assert_answer(name, answer, match_count)
-    assert server_box["size_v_r"] == FIXTURE["protocols"][name]["size_v_r"]
-
-
-@pytest.mark.parametrize("name", PROTOCOL_NAMES)
-def test_resumable_chunked_matches_golden(name, params, engines):
+def _assert_chunked_session(name, params, engines, run):
     """Chunked sessions: every ``msg`` frame is one chunk (or one
     whole non-chunkable round), and both pinned columns reproduce."""
     from repro.net.serialization import decode
 
-    r_engine, s_engine = engines
     spec = PROTOCOLS[name]
-    r_data, s_data = _inputs(name)
-    config = _session_config()
-    raw_s, raw_r = socket.socketpair()
-    raw_s.settimeout(10.0)
-    raw_r.settimeout(10.0)
-    sender_session, _ = open_session(
-        "sender", name,
-        lambda: spec.make_sender(
-            s_data, params, random.Random("S"), engine=s_engine
-        ),
-        params=params,
-        config=config,
-        rng=random.Random(1),
-        chunk_size=CHUNK_SIZE,
+    answer, frames, sender_session, receiver_session, s_state = (
+        _run_base_sessions(name, params, engines, run, chunk_size=CHUNK_SIZE)
     )
-    receiver_session, _ = open_session(
-        "receiver", name,
-        lambda wire: spec.make_receiver(
-            r_data,
-            PublicParams.from_wire(tuple(wire)),
-            random.Random("R"),
-            engine=r_engine,
-        ),
-        config=config,
-        rng=random.Random(2),
-        chunk_size=CHUNK_SIZE,
-    )
-    server_box: dict = {}
-    connections = iter([SocketEndpoint(sock=raw_s)])
-
-    def serve_thread():
-        server_box["state"] = run_blocking(
-            sender_session.steps(), open_link=connections.__next__
-        )
-
-    thread = threading.Thread(target=serve_thread)
-    thread.start()
-    frames: dict = {}
-    answer = run_blocking(
-        receiver_session.steps(),
-        open_link=lambda: _SessionRecordingTransport(SocketEndpoint(sock=raw_r), frames),
-    )
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-
     sent = sorted(
         (seq, data) for (direction, seq), data in frames.items()
         if direction == "sent"
@@ -546,13 +468,23 @@ def test_resumable_chunked_matches_golden(name, params, engines):
     )
     _assert_answer(name, answer, match_count)
     record = FIXTURE["protocols"][name]
-    assert server_box["state"].size_v_r == record["size_v_r"]
+    assert s_state.size_v_r == record["size_v_r"]
     chunkable_sent = sum(
         1 for rnd in spec.rounds if rnd.source == "R" and rnd.chunkable
     )
     if chunkable_sent:
         assert receiver_session.stats.chunks_sent > 0
     assert sender_session.stats.chunks_sent > 0
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_tcp_chunked_matches_golden(name, params, engines):
+    _assert_chunked_session(name, params, engines, "tcp")
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_resumable_chunked_matches_golden(name, params, engines):
+    _assert_chunked_session(name, params, engines, "resumable")
 
 
 # ----------------------------------------------------------------------
@@ -588,10 +520,9 @@ def test_delta_in_memory_matches_golden(dname, params, engines):
 
 @pytest.mark.parametrize("dname", DELTA_NAMES)
 def test_delta_resumable_tcp_matches_golden(dname, params):
-    """Each delta exchange as one resumable TCP session: the ``msg``
-    frames carry the pinned round bytes and R gets the pinned answer."""
-    from repro.net.tcp import connect_resumable_receiver, serve_resumable_sender
-
+    """Each delta exchange as one resumable session over loopback TCP:
+    the ``msg`` frames carry the pinned round bytes and R gets the
+    pinned answer."""
     dspec = PROTOCOLS[dname]
     rng_r, rng_s = random.Random("R"), random.Random("S")
     r_state, s_state = golden.full_run_states(
@@ -606,52 +537,23 @@ def test_delta_resumable_tcp_matches_golden(dname, params):
             built["s"] = dspec.make_sender(s_exchange, params, rng_s)
             return built["s"]
 
-        def make_receiver(wire):
-            built["r"] = dspec.make_receiver(
-                r_exchange, PublicParams.from_wire(tuple(wire)), rng_r
-            )
+        def make_receiver(wire_params):
+            built["r"] = dspec.make_receiver(r_exchange, wire_params, rng_r)
             return built["r"]
 
-        port_box: list[int] = []
-        ready = threading.Event()
-        server_box: dict = {}
-
-        def serve_thread():
-            server_box["size_v_r"], _stats = serve_resumable_sender(
-                dname, None, params, random.Random("session-S"),
-                ready_callback=lambda port: (port_box.append(port), ready.set()),
-                config=_session_config(), make_sender=make_sender,
-            )
-
-        thread = threading.Thread(target=serve_thread)
-        thread.start()
-        assert ready.wait(timeout=10)
-        frames: dict = {}
-        answer, stats = connect_resumable_receiver(
-            dname, None, random.Random("session-R"), "127.0.0.1", port_box[0],
-            config=_session_config(), make_receiver=make_receiver,
-            endpoint_wrapper=lambda e: _SessionRecordingTransport(e, frames),
+        answer, frames, _s_core, _r_core, s_party = _run_sessions(
+            dname, params, make_sender, make_receiver,
+            (_session_config, _loopback),
         )
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert stats.reconnects == 0
 
         expected = FIXTURE["deltas"][dname][label]
-        sent = received = 0
-        digests = {}
-        for i, rnd in enumerate(dspec.rounds, start=1):
-            if rnd.source == "R":
-                wire_bytes = frames[("sent", sent)]
-                sent += 1
-            else:
-                wire_bytes = frames[("received", received)]
-                received += 1
-            digests[f"m{i}"] = hashlib.sha256(wire_bytes).hexdigest()
-        assert digests == expected["wires"], f"{dname} {label} wire diverges"
+        assert _msg_digests(dspec, frames) == expected["wires"], (
+            f"{dname} {label} wire diverges"
+        )
         assert _digest(
             golden.delta_answer(dspec, answer, built["r"])
         ) == expected["answer"]
-        assert server_box["size_v_r"] == expected["size_v_r"]
+        assert s_party.size_v_r == expected["size_v_r"]
         assert built["r"].size_v_s == expected["size_v_s"]
         built["r"].commit()
         built["s"].commit()

@@ -1,0 +1,79 @@
+"""Key material comes from the OS CSPRNG unless a seed is asked for."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import repro
+from repro.analysis.instrumentation import counting_suite
+from repro.api import _party_rngs
+from repro.crypto import paillier, primes
+from repro.crypto.numtheory import _key_rng
+from repro.net.journal import open_session
+from repro.protocols.base import ProtocolSuite
+from repro.protocols.parties import PublicParams
+from repro.protocols.spec import PROTOCOLS
+
+V_R, V_S = ["a", "b", "c"], ["b", "c", "d"]
+
+
+def _is_csprng(rng) -> bool:
+    return isinstance(rng, random.SystemRandom)
+
+
+def test_the_helper_is_the_rule():
+    given = random.Random(1)
+    assert _key_rng(given, seed=2) is given
+    assert _key_rng(seed=2).random() == random.Random(2).random()
+    assert not _is_csprng(_key_rng(seed=0))  # 0 is a seed, not "none"
+    assert _is_csprng(_key_rng())
+
+
+def test_unseeded_entry_points_hold_a_system_random(monkeypatch):
+    assert _is_csprng(repro.open_catalog(V_R, bits=64).rng)
+    assert all(map(_is_csprng, _party_rngs(None, None)))
+    assert all(map(_is_csprng, _party_rngs(None, random.SystemRandom())))
+    for suite in (ProtocolSuite.default(bits=64, seed=None),
+                  counting_suite(bits=64, seed=None).suite):
+        assert _is_csprng(suite.rng_r) and _is_csprng(suite.rng_s)
+        assert suite.rng_r is not suite.rng_s
+    core, _ = open_session(
+        "sender", "intersection", lambda: None,
+        params=PublicParams.for_bits(64),
+    )
+    assert _is_csprng(core.rng)
+
+    # The crypto fallbacks and the one-shot verbs: what they hand on.
+    seen = []
+    real = random.SystemRandom.getrandbits
+    monkeypatch.setattr(
+        random.SystemRandom, "getrandbits",
+        lambda self, k: (seen.append(k), real(self, k))[1],
+    )
+    paillier.generate_keypair(bits=64)
+    primes.generate_safe_prime(16)
+    assert seen
+    del seen[:]
+    assert repro.run("intersection", V_R, V_S, bits=64).answer == {"b", "c"}
+    assert seen
+
+
+@pytest.mark.parametrize("seed", [0, 7, "label"])
+def test_a_seed_still_reproduces_the_same_keys(seed):
+    first = [rng.getrandbits(256) for rng in _party_rngs(seed, None)]
+    again = [rng.getrandbits(256) for rng in _party_rngs(seed, None)]
+    assert first == again and first[0] != first[1]
+    assert not any(map(_is_csprng, _party_rngs(seed, None)))
+
+    spec = PROTOCOLS["intersection"]
+    params = PublicParams.for_bits(64)
+
+    def wire():
+        catalog = repro.open_catalog(V_S, params=params, seed=seed)
+        return spec.make_sender(catalog.data, params, catalog.rng).round1(
+            spec.make_receiver(V_R, params, random.Random(1)).round1()
+        )
+
+    assert wire() == wire()
