@@ -271,11 +271,10 @@ def worker_failover(ctx) -> list[dict]:
     backoff, journal takeover, reconnect and replayed rounds all land
     inside it.
     """
-    import asyncio
+    import concurrent.futures
     import tempfile
     from pathlib import Path
 
-    from ...net.aio import connect_receiver_async
     from ...net.shard import ShardedProtocolServer
     from ...net.server import ProtocolOffer
     from ..schema import percentiles
@@ -294,21 +293,21 @@ def worker_failover(ctx) -> list[dict]:
         fin_grace_s=0.05,
     )
 
-    async def trial(server, index: int) -> tuple[float, int]:
+    def trial(server, index: int) -> tuple[float, int]:
         routed_before = server.routed
-        task = asyncio.ensure_future(
-            connect_receiver_async(
+        with concurrent.futures.ThreadPoolExecutor(1) as client:
+            run = client.submit(
+                connect_resumable_receiver,
                 "intersection", v_r, random.Random(f"failover-{index}"),
                 "127.0.0.1", server.port, config=config, chunk_size=1,
             )
-        )
-        # Kill the instant the front end has spliced the session
-        # through - the worker dies owning journaled in-flight rounds.
-        while server.routed == routed_before:
-            await asyncio.sleep(0.002)
-        server.kill_worker(0)
-        killed_at = time.perf_counter()
-        answer, stats = await task
+            # Kill the instant the front end has spliced the session
+            # through - the worker dies owning journaled in-flight rounds.
+            while server.routed == routed_before:
+                time.sleep(0.002)
+            server.kill_worker(0)
+            killed_at = time.perf_counter()
+            answer, stats = run.result()
         recovery = time.perf_counter() - killed_at
         assert set(answer) == expected
         assert stats.reconnects >= 1, "kill landed after the session"
@@ -334,7 +333,7 @@ def worker_failover(ctx) -> list[dict]:
             samples = []
             worker_lost_total = 0
             for index in range(trials):
-                recovery, lost = asyncio.run(trial(server, index))
+                recovery, lost = trial(server, index)
                 samples.append(recovery)
                 worker_lost_total += lost
             respawns = server.respawns

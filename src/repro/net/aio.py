@@ -2,26 +2,29 @@
 
 The session rules live once, I/O-free, in
 :mod:`repro.net.session_core`; what does not scale is giving every
-session its *own* blocking socket reader - thread-per-session I/O hits
-the thread ceiling long before the protocol does. This module puts the
-sockets on an event loop:
+hosted session its *own* blocking socket reader - thread-per-session
+I/O hits the thread ceiling long before the protocol does. This module
+puts a server's sockets on an event loop:
 
 * **one event loop owns every socket** - :class:`AsyncFrameEndpoint`
   does the length-prefixed framing of :mod:`repro.net.tcp`
   (``u32 big-endian length || serialization payload``, same
   ``max_frame_bytes`` bound, same :class:`~repro.net.tcp.FrameTooLarge`
-  teardown semantics) as coroutines on that loop;
+  teardown semantics) as coroutines on that loop, and
+  :func:`read_hello` reads a fresh connection up to its hello, which
+  is all the worker and the shard router need to route it;
 * **the asyncio shell** - :func:`run_async` executes a session core's
   requests on the loop: frames through an :class:`AsyncFrameEndpoint`,
   every machine step (hashing, modexp batches - optionally via a
   :class:`~repro.crypto.engine.CryptoEngine` pool) through
   ``run_in_executor`` and streamed chunks through
   :func:`~repro.net.streaming.aprefetch`, so thousands of sessions can
-  share one loop and a small thread pool. Both ends run under it:
-  :func:`connect_receiver_async` is party R's core as a coroutine, and
-  every session a :class:`~repro.net.server.ProtocolServer` hosts is
-  party S's core as a task on the server's own loop - no thread is
-  parked per session and no frame changes threads.
+  share one loop and a small thread pool. It hosts party S: every
+  session a :class:`~repro.net.server.ProtocolServer` hosts is S's
+  core as a task on the server's own loop - no thread is parked per
+  session and no frame changes threads. Party R is one process asking
+  one query; it runs under the blocking shell
+  (:func:`~repro.net.tcp.connect_resumable_receiver`).
 
 :class:`LoopThread` hosts one loop on a dedicated daemon thread with a
 thread-safe ``run``/``submit`` surface; the supervised server
@@ -33,14 +36,11 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import random
 import threading
 import time
 from typing import Any, Awaitable, Callable
 
 from . import serialization
-from .journal import open_session
-from .session import SessionConfig, SessionStats
 from .session_core import (
     DONE,
     Ahead,
@@ -51,6 +51,8 @@ from .session_core import (
     Recv,
     Send,
     Sleep,
+    is_hello,
+    unseal,
 )
 from .streaming import aprefetch
 from .tcp import _LEN, DEFAULT_MAX_FRAME_BYTES, FrameTooLarge
@@ -58,13 +60,16 @@ from .tcp import _LEN, DEFAULT_MAX_FRAME_BYTES, FrameTooLarge
 __all__ = [
     "AsyncFrameEndpoint",
     "LoopThread",
-    "connect_receiver_async",
-    "open_endpoint",
 ]
 
 #: ``asyncio.wait_for`` raises ``asyncio.TimeoutError``, which is the
 #: builtin ``TimeoutError`` only from 3.11 on; catch both for 3.10.
 _TIMEOUTS = (TimeoutError, asyncio.TimeoutError)
+
+#: Frames a fresh connection may send up to and including its hello. A
+#: well-behaved client's first frame *is* its hello; the allowance
+#: merely tolerates a burst of garbled retransmits.
+_MAX_PREHELLO_FRAMES = 32
 
 
 class AsyncFrameEndpoint:
@@ -183,19 +188,37 @@ class AsyncFrameEndpoint:
             pass
 
 
-async def open_endpoint(
-    host: str,
-    port: int,
-    timeout: float | None = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-) -> AsyncFrameEndpoint:
-    """Dial ``host:port`` and wrap the stream in a framed endpoint."""
-    connect = asyncio.open_connection(host, port)
-    if timeout is not None:
-        reader, writer = await asyncio.wait_for(connect, timeout)
-    else:
-        reader, writer = await connect
-    return AsyncFrameEndpoint(reader, writer, max_frame_bytes=max_frame_bytes)
+async def read_hello(
+    endpoint: AsyncFrameEndpoint, timeout_s: float
+) -> tuple[list[bytes], tuple] | None:
+    """Read a fresh connection up to its first well-formed hello.
+
+    Returns every raw payload read, the hello's last, with the hello's
+    unsealed fields - what it says is for the caller to judge. A
+    garbled seal is read past (the client retransmits its hello); a
+    frame that is not even wire format, no hello among the first
+    ``_MAX_PREHELLO_FRAMES`` frames, ``timeout_s`` of silence or a
+    dead connection give ``None``.
+    """
+    deadline = time.monotonic() + timeout_s
+    frames: list[bytes] = []
+    while len(frames) < _MAX_PREHELLO_FRAMES:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return None
+        try:
+            raw = await endpoint.recv_bytes_within(remaining)
+            frame = serialization.decode(raw)
+        except (*_TIMEOUTS, ConnectionError, OSError, ValueError):
+            return None
+        frames.append(raw)
+        try:
+            fields = unseal(frame)
+        except ValueError:
+            continue
+        if is_hello(fields):
+            return frames, fields
+    return None
 
 
 class LoopThread:
@@ -372,47 +395,3 @@ async def run_async(
             await stream.aclose()
         if endpoint is not None:
             await endpoint.close()
-
-
-async def connect_receiver_async(
-    protocol: str,
-    data: Any,
-    rng: random.Random,
-    host: str,
-    port: int,
-    config: SessionConfig | None = None,
-    chunk_size: int | None = None,
-    engine: Any = None,
-    executor: Any = None,
-) -> tuple[Any, SessionStats]:
-    """Run party R under the session layer as a coroutine.
-
-    The async counterpart of
-    :func:`~repro.net.tcp.connect_resumable_receiver` (sans journal
-    and recorder): the same :func:`~repro.net.journal.open_session`
-    core under :func:`run_async`, so it is wire-compatible with any
-    session-layer sender and counts its stats the same way. Returns
-    ``(answer, session stats)``. The rng draw order matches the sync
-    driver - the session seed is consumed first - so a given seed
-    produces the same session id and party randomness either way.
-    """
-    from ..protocols.parties import PublicParams
-    from ..protocols.spec import get_spec
-
-    config = config or SessionConfig()
-    spec = get_spec(protocol)
-    session_rng = random.Random(rng.getrandbits(64))
-    make_receiver = lambda wire: spec.make_receiver(  # noqa: E731
-        data, PublicParams.from_wire(tuple(wire)), rng, engine=engine
-    )
-    core, _ = open_session(
-        "receiver", protocol, make_receiver,
-        config=config, rng=session_rng, chunk_size=chunk_size,
-    )
-    answer, link = await run_async(
-        core.steps(),
-        lambda: open_endpoint(host, port, timeout=config.timeout_s),
-        executor,
-    )
-    await link.close()
-    return answer, core.stats

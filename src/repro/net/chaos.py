@@ -22,7 +22,9 @@ protocol runs under the composition, FoundationDB-style:
   gives the same run, counters included.
 * **the worker-crash axis** - :func:`run_worker_crash_schedule` kills
   *real* forked shard workers under a live server; that one stays on
-  real processes, sockets and time on purpose.
+  real processes, sockets and time on purpose, its herd of clients the
+  blocking :func:`~repro.net.tcp.connect_resumable_receiver` every
+  user runs, one thread per session.
 
 The invariant the driver checks is the repo's durability contract:
 **every run ends in the correct answer or a typed, clean failure** -
@@ -36,6 +38,7 @@ out undetected corruption, not just wrong answers.
 from __future__ import annotations
 
 import random
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,7 +47,6 @@ from typing import Any
 from ..protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from ..protocols.spec import get_spec
 from . import serialization
-from .aio import connect_receiver_async
 from .crashpoints import (
     CRASH_POINTS,
     CrashHook,
@@ -65,14 +67,15 @@ from .journal import (
 )
 from .server import ProtocolOffer
 from .session import (
+    ClientRetryPolicy,
     RetryPolicy,
     ServerBusyError,
     SessionConfig,
     SessionError,
     WorkerLost,
-    busy_backoff_s,
 )
 from .shard import ShardedProtocolServer
+from .tcp import connect_resumable_receiver
 from .virtual import LockStep, Party
 
 __all__ = [
@@ -720,22 +723,25 @@ def run_worker_crash_schedule(
 
     Starts a :class:`~repro.net.shard.ShardedProtocolServer` with
     forked, supervised, journaled workers; drives
-    ``schedule.sessions`` concurrent async receiver sessions (each
-    with its own catalog, dials staggered ``stagger_s`` apart and
-    rounds streamed chunk-by-chunk so the herd stays in flight across
-    every scheduled event) against it; SIGKILLs and wedges workers at
-    the scheduled moments; and compares every answer byte-for-byte
-    (canonical encoding of the sorted answer) against a fault-free
-    in-memory reference run of the same protocol. Clients absorb
-    typed refusals (:class:`~repro.net.session.ServerBusyError`,
-    :class:`~repro.net.session.WorkerLost`) by redialing with the
-    server's own retry hints; anything rawer is recorded as the
-    invariant breach it is.
+    ``schedule.sessions`` concurrent receiver sessions against it, one
+    thread each running
+    :func:`~repro.net.tcp.connect_resumable_receiver` (each with its
+    own catalog, dials staggered ``stagger_s`` apart and rounds
+    streamed chunk-by-chunk so the herd stays in flight across every
+    scheduled event); SIGKILLs and wedges workers at the scheduled
+    moments from the calling thread; and compares every answer
+    byte-for-byte (canonical encoding of the sorted answer) against a
+    fault-free in-memory reference run of the same protocol. Typed
+    refusals (:class:`~repro.net.session.ServerBusyError`,
+    :class:`~repro.net.session.WorkerLost`) that escape a session are
+    redialed by :meth:`~repro.net.session.ClientRetryPolicy.redial`,
+    honoring the server's retry hints, within ``wall_timeout_s``;
+    anything rawer is recorded as the invariant breach it is.
 
     Returns a :class:`WorkerCrashResult`; assert on ``result.ok`` and
     print ``result.describe()`` on failure.
     """
-    import asyncio
+    import threading
     import time
 
     protocol = "intersection"
@@ -789,135 +795,100 @@ def run_worker_crash_schedule(
         chunk_size=2,
     ).start()
 
-    outcomes: list[WorkerCrashOutcome] = []
+    # Typed refusals are redialed until the wall budget runs out.
+    policy = ClientRetryPolicy(
+        max_attempts=sys.maxsize, total_deadline_s=wall_timeout_s,
+        backoff=config.retry,
+    )
+    finished: list[WorkerCrashOutcome | None] = [None] * schedule.sessions
     injected: list[dict[str, Any]] = []
+    start = time.monotonic()
 
-    async def _herd() -> None:
-        start = time.monotonic()
-        deadline = start + wall_timeout_s
+    def one(i: int) -> None:
+        rng = random.Random(f"repro-worker-crash-{schedule.seed}-c{i}")
+        backoff_rng = random.Random(rng.getrandbits(64))
+        # Staggered dials keep the herd in flight across every
+        # scheduled kill instead of finishing before the first one.
+        time.sleep(max(start + i * stagger_s - time.monotonic(), 0))
+        t0 = time.monotonic()
+        refusals: list[SessionError] = []  # what the policy waited out
+        outcome = WorkerCrashOutcome(session=i, kind="error")
+        try:
+            (answer, stats), redials, busy = policy.redial(
+                lambda: connect_resumable_receiver(
+                    protocol, _herd_data(i), rng, "127.0.0.1", server.port,
+                    config=config, chunk_size=2,
+                ),
+                backoff_rng,
+                on_retry=lambda exc, _delay, _attempt: refusals.append(exc),
+            )
+        except (ServerBusyError, WorkerLost) as exc:
+            outcome.kind = "hang"
+            outcome.error = f"deadline after {type(exc).__name__}"
+        except SessionError as exc:
+            outcome.error = repr(exc)
+            outcome.raw_reset = isinstance(exc.__cause__, ConnectionResetError)
+        except Exception as exc:
+            # A raw socket error reaching the client is exactly what
+            # the supervisor contract forbids.
+            outcome.error = repr(exc)
+            outcome.raw_reset = isinstance(exc, ConnectionResetError)
+        else:
+            outcome = WorkerCrashOutcome(
+                session=i,
+                kind="answer",
+                matched=(
+                    serialization.encode(sorted(answer, key=repr))
+                    == reference[i]
+                ),
+                reconnects=stats.reconnects,
+                worker_lost=redials - busy + stats.worker_lost,
+            )
+        outcome.redials = len(refusals)
+        outcome.elapsed_s = time.monotonic() - t0
+        finished[i] = outcome
 
-        async def one(i: int) -> WorkerCrashOutcome:
-            rng = random.Random(f"repro-worker-crash-{schedule.seed}-c{i}")
-            backoff_rng = random.Random(rng.getrandbits(64))
-            # Staggered dials keep the herd in flight across every
-            # scheduled kill instead of finishing before the first one.
-            await asyncio.sleep(i * stagger_s)
-            t0 = time.monotonic()
-            redials = 0
-            worker_lost = 0
-            reconnects = 0
-            while True:
-                try:
-                    answer, stats = await connect_receiver_async(
-                        protocol, _herd_data(i), rng,
-                        "127.0.0.1", server.port, config=config,
-                        chunk_size=2,
-                    )
-                except (ServerBusyError, WorkerLost) as exc:
-                    redials += 1
-                    if isinstance(exc, WorkerLost):
-                        worker_lost += 1
-                    if time.monotonic() > deadline:
-                        return WorkerCrashOutcome(
-                            session=i, kind="hang", redials=redials,
-                            elapsed_s=time.monotonic() - t0,
-                            error=f"deadline after {type(exc).__name__}",
-                        )
-                    await asyncio.sleep(
-                        busy_backoff_s(
-                            getattr(exc, "retry_after_s", None),
-                            backoff_rng, fallback_s=0.05,
-                        )
-                    )
-                    continue
-                except SessionError as exc:
-                    return WorkerCrashOutcome(
-                        session=i, kind="error", redials=redials,
-                        elapsed_s=time.monotonic() - t0,
-                        error=repr(exc),
-                        raw_reset=isinstance(
-                            exc.__cause__, ConnectionResetError
-                        ),
-                    )
-                except (ConnectionError, OSError, TimeoutError) as exc:
-                    # A raw socket error reaching the client is exactly
-                    # what the supervisor contract forbids.
-                    return WorkerCrashOutcome(
-                        session=i, kind="error", redials=redials,
-                        elapsed_s=time.monotonic() - t0,
-                        error=repr(exc),
-                        raw_reset=isinstance(exc, ConnectionResetError),
-                    )
-                worker_lost += stats.worker_lost
-                reconnects = stats.reconnects
-                return WorkerCrashOutcome(
-                    session=i,
-                    kind="answer",
-                    matched=(
-                        serialization.encode(sorted(answer, key=repr))
-                        == reference[i]
-                    ),
-                    elapsed_s=time.monotonic() - t0,
-                    redials=redials,
-                    reconnects=reconnects,
-                    worker_lost=worker_lost,
-                )
-
-        async def murder() -> None:
-            events = [("kill", d, s, None) for d, s in schedule.kills] + [
-                ("hang", d, s, w) for d, s, w in schedule.hangs
-            ]
-            for kind, delay, shard, wedge_s in sorted(
-                events, key=lambda e: e[1]
-            ):
-                await asyncio.sleep(max(start + delay - time.monotonic(), 0))
-                if kind == "kill":
-                    pid = server.kill_worker(shard)
-                    injected.append(
-                        {"event": "kill", "shard": shard, "pid": pid,
-                         "t_s": round(time.monotonic() - start, 3)}
-                    )
-                else:
-                    sent = server.wedge_worker(shard, wedge_s)
-                    injected.append(
-                        {"event": "hang", "shard": shard, "sent": sent,
-                         "wedge_s": wedge_s,
-                         "t_s": round(time.monotonic() - start, 3)}
-                    )
-
-        murderer = asyncio.ensure_future(murder())
-        tasks = [
-            asyncio.wait_for(one(i), wall_timeout_s)
-            for i in range(schedule.sessions)
-        ]
-        for i, result in enumerate(
-            await asyncio.gather(*tasks, return_exceptions=True)
-        ):
-            if isinstance(result, WorkerCrashOutcome):
-                outcomes.append(result)
-            elif isinstance(result, asyncio.TimeoutError):
-                outcomes.append(
-                    WorkerCrashOutcome(session=i, kind="hang",
-                                       elapsed_s=wall_timeout_s)
-                )
-            else:
-                outcomes.append(
-                    WorkerCrashOutcome(
-                        session=i, kind="error", error=repr(result),
-                        raw_reset=isinstance(result, ConnectionResetError),
-                    )
-                )
-        await murderer
-
+    herd = [
+        threading.Thread(target=one, args=(i,), daemon=True)
+        for i in range(schedule.sessions)
+    ]
     health: list[dict[str, Any]] = []
     try:
-        asyncio.run(_herd())
+        for thread in herd:
+            thread.start()
+        events = [("kill", d, s, None) for d, s in schedule.kills] + [
+            ("hang", d, s, w) for d, s, w in schedule.hangs
+        ]
+        for kind, delay, shard, wedge_s in sorted(events, key=lambda e: e[1]):
+            time.sleep(max(start + delay - time.monotonic(), 0))
+            if kind == "kill":
+                pid = server.kill_worker(shard)
+                injected.append(
+                    {"event": "kill", "shard": shard, "pid": pid,
+                     "t_s": round(time.monotonic() - start, 3)}
+                )
+            else:
+                sent = server.wedge_worker(shard, wedge_s)
+                injected.append(
+                    {"event": "hang", "shard": shard, "sent": sent,
+                     "wedge_s": wedge_s,
+                     "t_s": round(time.monotonic() - start, 3)}
+                )
+        for thread in herd:
+            thread.join(max(start + wall_timeout_s - time.monotonic(), 0))
         health = server.health()
     finally:
         server.shutdown(drain_timeout_s=2.0)
+    # A session still running past the wall budget is a hang.
+    outcomes = [
+        outcome or WorkerCrashOutcome(
+            session=i, kind="hang", elapsed_s=wall_timeout_s
+        )
+        for i, outcome in enumerate(list(finished))
+    ]
     result = WorkerCrashResult(
         schedule=schedule,
-        outcomes=sorted(outcomes, key=lambda o: o.session),
+        outcomes=outcomes,
         injected=injected,
         health=health,
         drain_report=server.drain_report,

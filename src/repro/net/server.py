@@ -13,7 +13,9 @@ provides:
   not blocked threads. Admitted sessions - up to ``max_sessions`` at a
   time - are tasks on that same loop, each running the session core
   (:mod:`repro.net.session_core`) under the asyncio shell
-  (:func:`~repro.net.aio.run_async`): frames never change threads and
+  (:func:`~repro.net.aio.run_async`, which hosts nothing else - every
+  party R runs under the blocking or the lock-step shell): frames
+  never change threads and
   no thread is parked per session; only machine steps, chunk
   production and journal recovery go to an executor of
   ``max_sessions`` workers. The ``(max_sessions + 1)``-th new client
@@ -23,7 +25,10 @@ provides:
 * **reconnect routing** - the session id in every hello routes a
   reconnecting client back to the record that owns its run, so the
   session layer's resume-from-round-log machinery works unchanged
-  behind one shared port;
+  behind one shared port. The hello is read by
+  :func:`~repro.net.aio.read_hello`, the shard router's reader too:
+  a connection whose hello is not among its first frames is dropped,
+  and a hello whose session id is not an integer is rejected;
 * **crash durability** - with a ``journal_dir``, every session is
   journaled (:mod:`repro.net.journal`) and a hello for a session this
   *process* has never seen is first looked up on disk - only its own
@@ -75,8 +80,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
 from ..protocols.spec import get_spec
-from . import serialization
-from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS, run_async
+from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS, read_hello, run_async
 from .crashpoints import SimulatedCrash, crash_point
 from .journal import (
     CORRUPT_SUFFIX,
@@ -89,9 +93,7 @@ from .session import (
     SessionAborted,
     SessionConfig,
     seal,
-    unseal,
 )
-from .tcp import DEFAULT_MAX_FRAME_BYTES
 
 __all__ = [
     "ProtocolOffer",
@@ -250,7 +252,6 @@ class ProtocolServer:
         session_deadline_s: float | None = None,
         idle_timeout_s: float | None = None,
         recorder: Any = None,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         backlog: int = 16,
         chunk_size: int | None = None,
         busy_retry_hint_s: float = 0.5,
@@ -277,7 +278,6 @@ class ProtocolServer:
         self.session_deadline_s = session_deadline_s
         self.idle_timeout_s = idle_timeout_s
         self.recorder = recorder
-        self.max_frame_bytes = max_frame_bytes
         self.backlog = backlog
         self.chunk_size = chunk_size
         self.busy_retry_hint_s = busy_retry_hint_s
@@ -459,15 +459,13 @@ class ProtocolServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One connection: read its hello, validate, route or refuse."""
-        endpoint = AsyncFrameEndpoint(
-            reader, writer, max_frame_bytes=self.max_frame_bytes
-        )
+        endpoint = AsyncFrameEndpoint(reader, writer)
         try:
-            hello = await self._read_hello(endpoint)
+            hello = await read_hello(endpoint, self.config.timeout_s)
             if hello is None:
                 await endpoint.close()
                 return
-            raw, fields = hello
+            frames, fields = hello
             _, version, protocol, session_id, _next_send, _next_recv = fields
             if version != SESSION_VERSION:
                 await self._refuse_async(
@@ -486,41 +484,14 @@ class ProtocolServer:
                     endpoint, "reject", "malformed session id"
                 )
                 return
-            await self._route(endpoint, raw, protocol, session_id)
+            # Only the hello goes on: the garbled frames before it are
+            # the client's to retransmit, not the session's to read.
+            await self._route(endpoint, frames[-1], protocol, session_id)
         except (ConnectionError, OSError, *_TIMEOUTS):
             await endpoint.close()
         except asyncio.CancelledError:
             await endpoint.close()
             raise
-
-    async def _read_hello(
-        self, endpoint: AsyncFrameEndpoint
-    ) -> tuple[bytes, tuple] | None:
-        """One valid hello from a fresh connection, or ``None``.
-
-        Returns the hello's raw payload bytes (pushed back onto the
-        endpoint once routed, for the session's own handshake to read)
-        alongside its unsealed fields.
-        """
-        deadline = time.monotonic() + self.config.timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            try:
-                raw = await endpoint.recv_bytes_within(remaining)
-            except (*_TIMEOUTS, ConnectionError, OSError):
-                return None
-            try:
-                frame = serialization.decode(raw)
-            except ValueError:
-                return None  # not even wire format: close, as before
-            try:
-                fields = unseal(frame)
-            except ValueError:
-                continue  # garbled seal: let the client retransmit
-            if fields[0] == "hello" and len(fields) == 6:
-                return raw, fields
 
     async def _route(
         self,

@@ -169,25 +169,24 @@ def unseal(frame: Any) -> tuple:
     return tuple(fields)
 
 
-def busy_backoff_s(
-    retry_after_s: float | None,
-    rng: random.Random,
-    *,
-    fallback_s: float = 0.5,
-    jitter: float = 0.5,
-) -> float:
+def busy_backoff_s(retry_after_s: float | None, rng: random.Random) -> float:
     """How long a busy-refused client should sleep before redialing.
 
-    The server's ``retry_after_s`` hint (or ``fallback_s`` when the
-    busy frame carried none) is stretched by up to ``jitter`` of
-    itself: ``base * (1 + jitter * rng.random())``. Jitter is *added*,
-    never subtracted - retrying before the server's own hint elapses
-    would land inside the very window it said it was busy for - and it
+    The server's ``retry_after_s`` hint (half a second when the busy
+    frame carried none) is stretched by up to half of itself:
+    ``base * (1 + 0.5 * rng.random())``. Jitter is *added*, never
+    subtracted - retrying before the server's own hint elapses would
+    land inside the very window it said it was busy for - and it
     de-synchronizes the herd of clients a draining or saturated server
     just refused in one burst, so they do not all redial in lockstep.
     """
-    base = max(retry_after_s if retry_after_s is not None else fallback_s, 0.0)
-    return base * (1.0 + jitter * rng.random())
+    base = retry_after_s if retry_after_s is not None else 0.5
+    return max(base, 0.0) * (1.0 + 0.5 * rng.random())
+
+
+def is_hello(fields: tuple) -> bool:
+    """Whether an unsealed frame is a hello (what opens a connection)."""
+    return fields[0] == "hello" and len(fields) == 6
 
 
 def refusal_retry_hint_s(fields: tuple) -> float | None:
@@ -949,7 +948,7 @@ class SenderCore(_Party):
             except ValueError:
                 self.stats.checksum_failures += 1
                 continue
-            if fields[0] == "hello" and len(fields) == 6:
+            if is_hello(fields):
                 return fields
             # Stray frame from the previous connection's tail: ignore.
 

@@ -12,8 +12,10 @@ one process's executor, not the sockets. This module splits the roles:
   benches use);
 * **front end** - a :class:`ShardedProtocolServer` accept/route loop
   that owns the public port. It reads frames off a new connection just
-  far enough to find the first valid ``hello``, takes the session id
-  from it, and splices the connection through to worker
+  far enough to find the first valid ``hello`` - with the worker's own
+  reader, :func:`~repro.net.aio.read_hello` - takes the session id
+  from it (a non-integer one gets the worker's typed ``reject``), and
+  splices the connection through to worker
   ``session_id % shards`` - first replaying the buffered frames
   byte-for-byte, then degenerating into a dumb bidirectional byte
   relay. The front end never unseals payloads beyond the hello and
@@ -71,18 +73,11 @@ import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from . import serialization
-from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS
+from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS, read_hello
 from .server import ProtocolOffer, ProtocolServer, _refusal_frame
-from .session import SessionConfig, unseal
-from .tcp import DEFAULT_MAX_FRAME_BYTES
+from .session import SessionConfig
 
 __all__ = ["ShardedProtocolServer"]
-
-#: Pre-hello frames the front end will buffer before giving up on a
-#: connection. A well-behaved client's first frame *is* its hello;
-#: the allowance merely tolerates a burst of garbled retransmits.
-_MAX_PREHELLO_FRAMES = 32
 
 #: Relay chunk size for the post-hello byte splice.
 _RELAY_CHUNK = 65536
@@ -213,7 +208,6 @@ class ShardedProtocolServer:
         config: SessionConfig | None = None,
         journal_dir: Any = None,
         journal_fsync: bool = True,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         backlog: int = 128,
         restart_budget: int = 3,
         heartbeat_s: float = 1.0,
@@ -243,7 +237,6 @@ class ShardedProtocolServer:
         self.config = config or SessionConfig()
         self.journal_dir = journal_dir
         self.journal_fsync = journal_fsync
-        self.max_frame_bytes = max_frame_bytes
         self.backlog = backlog
         self.restart_budget = restart_budget
         self.heartbeat_s = heartbeat_s
@@ -289,7 +282,6 @@ class ShardedProtocolServer:
             host="127.0.0.1",
             port=0,
             config=self.config,
-            max_frame_bytes=self.max_frame_bytes,
             **self.worker_kwargs,
         )
         if self.journal_dir is not None:
@@ -730,16 +722,21 @@ class ShardedProtocolServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One public connection: find its hello, splice to its shard."""
-        endpoint = AsyncFrameEndpoint(
-            reader, writer, max_frame_bytes=self.max_frame_bytes
-        )
+        endpoint = AsyncFrameEndpoint(reader, writer)
         upstream: AsyncFrameEndpoint | None = None
         try:
-            routed = await self._read_routable_hello(endpoint)
-            if routed is None:
+            hello = await read_hello(endpoint, self.config.timeout_s)
+            if hello is None:
                 self.refused_unroutable += 1
                 return
-            buffered, session_id = routed
+            # Every frame read goes on, garbled seals included: the
+            # worker judges them as if the client had dialed it.
+            buffered, fields = hello
+            session_id = fields[3]
+            if not isinstance(session_id, int):
+                self.refused_unroutable += 1
+                await self._notify(endpoint, "reject", "malformed session id")
+                return
             shard = self._shards[session_id % self.shards]
             if shard.state == "failed":
                 self.refused_failed += 1
@@ -763,9 +760,7 @@ class ShardedProtocolServer:
                 up_reader, up_writer = await asyncio.open_connection(
                     "127.0.0.1", port
                 )
-                upstream = AsyncFrameEndpoint(
-                    up_reader, up_writer, max_frame_bytes=self.max_frame_bytes
-                )
+                upstream = AsyncFrameEndpoint(up_reader, up_writer)
                 for raw in buffered:
                     await upstream.send_bytes(raw)
                 self.routed += 1
@@ -796,45 +791,6 @@ class ShardedProtocolServer:
             await endpoint.close()
             if upstream is not None:
                 await upstream.close()
-
-    async def _read_routable_hello(
-        self, endpoint: AsyncFrameEndpoint
-    ) -> tuple[list[bytes], int] | None:
-        """Buffer frames until a valid hello yields a session id.
-
-        Mirrors the worker's own hello tolerance: garbled seals are
-        buffered and passed along (the worker re-judges them), frames
-        that are not even wire format close the connection, and a
-        pre-hello burst beyond ``_MAX_PREHELLO_FRAMES`` is dropped as
-        hostile.
-        """
-        deadline = time.monotonic() + self.config.timeout_s
-        buffered: list[bytes] = []
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            try:
-                raw = await endpoint.recv_bytes_within(remaining)
-            except (*_TIMEOUTS, ConnectionError, OSError):
-                return None
-            buffered.append(raw)
-            if len(buffered) > _MAX_PREHELLO_FRAMES:
-                return None
-            try:
-                frame = serialization.decode(raw)
-            except ValueError:
-                return None
-            try:
-                fields = unseal(frame)
-            except ValueError:
-                continue
-            if (
-                fields[0] == "hello"
-                and len(fields) == 6
-                and isinstance(fields[3], int)
-            ):
-                return buffered, fields[3]
 
     async def _splice(
         self,

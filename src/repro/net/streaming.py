@@ -65,12 +65,10 @@ class TimedIterator:
         return item
 
 
-def prefetch(
-    source: Iterable[Any], depth: int = DEFAULT_PREFETCH_DEPTH
-) -> Iterator[Any]:
-    """Yield ``source``'s items, produced ``depth`` ahead on a thread.
+def prefetch(source: Iterable[Any]) -> Iterator[Any]:
+    """Yield ``source``'s items, produced ahead on a thread.
 
-    A bounded queue decouples production from consumption: while the
+    A bounded queue (:data:`DEFAULT_PREFETCH_DEPTH` items) decouples production from consumption: while the
     consumer blocks (e.g. in a socket send waiting for the peer), the
     producer thread keeps filling the buffer, so per-item production
     cost overlaps per-item consumption cost instead of adding to it.
@@ -78,9 +76,7 @@ def prefetch(
     consumer's next pull; abandoning the generator (``close()``/GC)
     stops the producer thread promptly.
     """
-    if depth < 1:
-        raise ValueError(f"prefetch depth must be >= 1, got {depth}")
-    buffer: queue.Queue = queue.Queue(maxsize=depth)
+    buffer: queue.Queue = queue.Queue(maxsize=DEFAULT_PREFETCH_DEPTH)
     stop = threading.Event()
     failure: list[BaseException] = []
 
@@ -126,9 +122,7 @@ def prefetch(
 
 
 async def aprefetch(
-    source: Iterable[Any],
-    depth: int = DEFAULT_PREFETCH_DEPTH,
-    executor: Any = None,
+    source: Iterable[Any], executor: Any = None
 ) -> AsyncIterator[Any]:
     """Async :func:`prefetch`: the double buffer as a producer task.
 
@@ -142,8 +136,6 @@ async def aprefetch(
     consumer's next pull; abandoning the async generator cancels the
     producer task. ``executor=None`` uses the loop's default executor.
     """
-    if depth < 1:
-        raise ValueError(f"prefetch depth must be >= 1, got {depth}")
     loop = asyncio.get_running_loop()
     iterator = iter(source)
 
@@ -156,7 +148,7 @@ async def aprefetch(
         except StopIteration:
             return _DONE
 
-    buffer: asyncio.Queue = asyncio.Queue(maxsize=depth)
+    buffer: asyncio.Queue = asyncio.Queue(maxsize=DEFAULT_PREFETCH_DEPTH)
     failure: list[BaseException] = []
 
     async def _produce() -> None:

@@ -49,6 +49,7 @@ from .session import (
     run_blocking,
     unseal,
 )
+from .session_core import is_hello
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
@@ -188,14 +189,10 @@ def _dial(
     host: str,
     port: int,
     timeout: float | None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
 ) -> Any:
     sock = _nodelay(socket.create_connection((host, port), timeout=timeout))
-    return _wrapped(
-        SocketEndpoint(sock=sock, max_frame_bytes=max_frame_bytes),
-        endpoint_wrapper,
-    )
+    return _wrapped(SocketEndpoint(sock=sock), endpoint_wrapper)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +223,6 @@ def _session_listener(host: str, port: int, config: SessionConfig) -> socket.soc
 def _accept(
     listener: socket.socket,
     config: SessionConfig,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
 ) -> Any:
     """The next client of ``listener``, as a framed endpoint."""
@@ -236,10 +232,7 @@ def _accept(
         raise TimeoutError("no client (re)connected in time") from exc
     conn.settimeout(_socket_timeout(config.timeout_s))
     _nodelay(conn)
-    return _wrapped(
-        SocketEndpoint(sock=conn, max_frame_bytes=max_frame_bytes),
-        endpoint_wrapper,
-    )
+    return _wrapped(SocketEndpoint(sock=conn), endpoint_wrapper)
 
 
 class _Unread:
@@ -265,7 +258,7 @@ def _first_hello(
     """The first valid hello to arrive, and its connection with the
     hello put back for the session's own handshake to read.
 
-    The blocking twin of ``ProtocolServer._read_hello`` +
+    The blocking twin of :func:`repro.net.aio.read_hello` +
     ``AsyncFrameEndpoint._unread``: a serving
     :class:`~repro.api.Peer` learns which schedule the client wants
     (the hello's protocol field) and which journal to look up (its
@@ -291,7 +284,7 @@ def _first_hello(
                     fields = unseal(frame)
                 except ValueError:
                     continue
-                if fields[0] == "hello" and len(fields) == 6:
+                if is_hello(fields):
                     return _Unread(endpoint, frame), fields
         except (ConnectionError, TimeoutError, OSError, ValueError) as exc:
             failure = exc
@@ -309,7 +302,6 @@ def serve_resumable_sender(
     ready_callback=None,
     config: SessionConfig | None = None,
     endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     engine=None,
     recorder=None,
     journal_dir: Any = None,
@@ -357,9 +349,7 @@ def serve_resumable_sender(
             ready_callback(listener.getsockname()[1])
         state = run_blocking(
             core.steps(),
-            open_link=lambda: _accept(
-                listener, config, max_frame_bytes, endpoint_wrapper
-            ),
+            open_link=lambda: _accept(listener, config, endpoint_wrapper),
         )
         return state.size_v_r, core.stats
     finally:
@@ -374,7 +364,6 @@ def connect_resumable_receiver(
     port: int,
     config: SessionConfig | None = None,
     endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     engine=None,
     recorder=None,
     journal_dir: Any = None,
@@ -423,8 +412,7 @@ def connect_resumable_receiver(
         answer = run_blocking(
             core.steps(),
             open_link=lambda: _dial(
-                host, port, _socket_timeout(config.timeout_s),
-                max_frame_bytes, endpoint_wrapper,
+                host, port, _socket_timeout(config.timeout_s), endpoint_wrapper
             ),
         )
     return answer, core.stats

@@ -1,7 +1,9 @@
 """Cross-session isolation under concurrency (the async-server stress).
 
 Satellite acceptance for the event-loop refactor: 100+ concurrent
-sessions through the sharded async server, asserting that no session
+sessions through the sharded async server - each client a thread
+running the blocking :func:`~repro.net.tcp.connect_resumable_receiver`
+every user runs - asserting that no session
 ever observes another's frames, journals, or results, and that
 reconnect routing keeps working while the rest of the herd is in
 flight.
@@ -17,21 +19,19 @@ route to it.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.net import tcp
-from repro.net.aio import connect_receiver_async
 from repro.net.journal import open_session
 from repro.net.session import (
+    ClientRetryPolicy,
     RetryPolicy,
-    ServerBusyError,
     SessionConfig,
-    busy_backoff_s,
     run_blocking,
 )
 from repro.net.shard import ShardedProtocolServer
@@ -90,27 +90,24 @@ def test_isolated_answers_and_journals_at_scale(params, tmp_path):
         backlog=256,
     )
 
-    async def one(i: int) -> tuple[int, list]:
-        # Session ids are random, so sid % shards is only uniform in
-        # expectation - a busy refusal from an unlucky shard is part of
-        # the contract, and the client waits out the hint and redials.
+    # Session ids are random, so sid % shards is only uniform in
+    # expectation - a busy refusal from an unlucky shard is part of the
+    # contract, and the client waits out the hint and redials.
+    policy = ClientRetryPolicy(max_attempts=100, backoff=_config().retry)
+
+    def one(i: int) -> tuple[int, list]:
         rng = random.Random(10_000 + i)
-        while True:
-            try:
-                answer, _stats = await connect_receiver_async(
-                    "intersection", _receiver_values(i), rng,
-                    "127.0.0.1", server.port, config=_config(),
-                    chunk_size=2,
-                )
-                return i, sorted(answer)
-            except ServerBusyError as exc:
-                await asyncio.sleep(busy_backoff_s(exc.retry_after_s, rng))
+        (answer, _stats), _retries, _busy = policy.redial(
+            lambda: tcp.connect_resumable_receiver(
+                "intersection", _receiver_values(i), rng,
+                "127.0.0.1", server.port, config=_config(), chunk_size=2,
+            ),
+            rng,
+        )
+        return i, sorted(answer)
 
-    async def herd() -> list:
-        return await asyncio.gather(*(one(i) for i in range(SESSIONS)))
-
-    with server:
-        outcomes = asyncio.run(herd())
+    with server, ThreadPoolExecutor(SESSIONS) as herd:
+        outcomes = list(herd.map(one, range(SESSIONS), timeout=120))
         rows = server.results()
 
     # Results: every session saw exactly its own intersection.
@@ -199,8 +196,8 @@ def test_reconnect_routing_while_the_herd_is_in_flight(params):
         except BaseException as exc:  # surfaced by the main thread
             errors.append((i, exc))
 
-    async def steady_one(i: int) -> tuple[int, list]:
-        answer, _stats = await connect_receiver_async(
+    def steady_one(i: int) -> tuple[int, list]:
+        answer, _stats = tcp.connect_resumable_receiver(
             "intersection", _receiver_values(i), random.Random(40_000 + i),
             "127.0.0.1", server.port, config=_config(),
         )
@@ -213,13 +210,10 @@ def test_reconnect_routing_while_the_herd_is_in_flight(params):
         ]
         for thread in threads:
             thread.start()
-
-        async def herd():
-            return await asyncio.gather(
-                *(steady_one(i) for i in range(flaky, flaky + steady))
-            )
-
-        steady_outcomes = asyncio.run(herd())
+        with ThreadPoolExecutor(steady) as herd:
+            steady_outcomes = list(herd.map(
+                steady_one, range(flaky, flaky + steady), timeout=120
+            ))
         for thread in threads:
             thread.join(timeout=60)
             assert not thread.is_alive()

@@ -3,9 +3,9 @@
 The properties that make the event-loop stack safe to put under the
 byte-exact session layer: framing round-trips, a receive timeout never
 desynchronizes the stream (the pending-read pattern), the loop thread
-runs coroutines for synchronous callers, the async prefetcher preserves order and propagates producer
-failures, and the async client speaks the same wire protocol as the
-sync resumable server.
+runs coroutines for synchronous callers, the async prefetcher preserves
+order and propagates producer failures, and the asyncio shell runs
+``Ahead`` steps as the core expects.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ import pytest
 
 from repro.crypto.engine import MeteredEngine, SerialEngine
 from repro.net import LockStep, tcp
-from repro.net.aio import (
-    AsyncFrameEndpoint,
-    LoopThread,
-    connect_receiver_async,
-    open_endpoint,
-    run_async,
-)
+from repro.net.aio import AsyncFrameEndpoint, LoopThread, run_async
 from repro.net.journal import open_session
 from repro.net.serialization import encode
 from repro.net.streaming import aprefetch
@@ -46,15 +40,6 @@ def params():
     return PublicParams.for_bits(BITS)
 
 
-def _config(timeout_s=2.0):
-    return SessionConfig(
-        timeout_s=timeout_s,
-        retry=RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.05),
-        max_reconnects=2,
-        fin_grace_s=0.05,
-    )
-
-
 def _run(coro):
     return asyncio.run(coro)
 
@@ -63,6 +48,12 @@ async def _echo_server(handler):
     """One-connection asyncio server; returns (server, port)."""
     server = await asyncio.start_server(handler, "127.0.0.1", 0)
     return server, server.sockets[0].getsockname()[1]
+
+
+async def _dial(port, **kwargs):
+    """A framed client endpoint on a fresh loopback connection."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    return AsyncFrameEndpoint(reader, writer, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +69,7 @@ class TestAsyncFrameEndpoint:
                 await ep.close()
 
             server, port = await _echo_server(handle)
-            ep = await open_endpoint("127.0.0.1", port, timeout=5)
+            ep = await _dial(port)
             await ep.send(("k", [1, 2, b"three"]))
             reply = await ep.recv()
             sent, received = ep.bytes_sent, ep.bytes_received
@@ -98,9 +89,7 @@ class TestAsyncFrameEndpoint:
                 await writer.drain()
 
             server, port = await _echo_server(handle)
-            ep = await open_endpoint(
-                "127.0.0.1", port, timeout=5, max_frame_bytes=1024
-            )
+            ep = await _dial(port, max_frame_bytes=1024)
             with pytest.raises(FrameTooLarge):
                 await ep.recv()
             await ep.close()
@@ -117,7 +106,7 @@ class TestAsyncFrameEndpoint:
                 writer.close()
 
             server, port = await _echo_server(handle)
-            ep = await open_endpoint("127.0.0.1", port, timeout=5)
+            ep = await _dial(port)
             with pytest.raises(ConnectionError, match="mid-frame"):
                 await ep.recv()
             await ep.close()
@@ -147,7 +136,7 @@ class TestAsyncFrameEndpoint:
                 await writer.drain()
 
             server, port = await _echo_server(handle)
-            ep = await open_endpoint("127.0.0.1", port, timeout=5)
+            ep = await _dial(port)
             with pytest.raises(asyncio.TimeoutError):
                 await ep.recv_within(0.05)
             release.set()
@@ -183,7 +172,7 @@ class TestAprefetch:
     def test_preserves_order_and_exhausts(self):
         async def scenario():
             items = []
-            async for item in aprefetch(iter(range(20)), depth=3):
+            async for item in aprefetch(iter(range(20))):
                 items.append(item)
             return items
 
@@ -212,7 +201,7 @@ class TestAprefetch:
                 yield i
 
         async def scenario():
-            agen = aprefetch(source(), depth=2)
+            agen = aprefetch(source())
             async for item in agen:
                 if item == 3:
                     break
@@ -223,73 +212,8 @@ class TestAprefetch:
 
 
 # ----------------------------------------------------------------------
-# The async client against the sync resumable server
+# run_async's Ahead chain
 # ----------------------------------------------------------------------
-class TestAsyncClient:
-    @pytest.mark.parametrize("chunk_size", [None, 2])
-    def test_intersection_against_sync_server(self, params, chunk_size):
-        v_r = ["a", "b", "c", "d"]
-        v_s = ["b", "c", "x"]
-        port_ready = threading.Event()
-        bound = {}
-
-        def serve():
-            tcp.serve_resumable_sender(
-                "intersection", v_s, params, random.Random(1),
-                ready_callback=lambda p: (bound.update(port=p),
-                                          port_ready.set()),
-                config=_config(), chunk_size=chunk_size,
-            )
-
-        server = threading.Thread(target=serve, daemon=True)
-        server.start()
-        assert port_ready.wait(5)
-
-        async def go():
-            return await connect_receiver_async(
-                "intersection", v_r, random.Random(2),
-                "127.0.0.1", bound["port"],
-                config=_config(), chunk_size=chunk_size,
-            )
-
-        answer, stats = _run(go())
-        server.join(timeout=10)
-        assert sorted(answer) == ["b", "c"]
-        assert stats.frames_sent > 0 and stats.frames_received > 0
-        if chunk_size is not None:
-            assert stats.chunks_sent > 0
-
-
-# ----------------------------------------------------------------------
-# One core, two shells: the sync and async clients are the same client
-# ----------------------------------------------------------------------
-class _TapAndCutOnce:
-    """Server-side endpoint wrapper: logs the bytes of every client
-    frame and hangs up once, right after reading the client's second
-    data frame - mid-round, with its ack never sent."""
-
-    def __init__(self, endpoint, log, state):
-        self.endpoint, self.log, self.state = endpoint, log, state
-
-    def recv(self):
-        frame = self.endpoint.recv()
-        self.log.append(encode(frame))
-        if not self.state and frame[:2] == ("msg", 1):
-            self.state.append("cut")
-            self.endpoint.close()
-            raise ConnectionResetError("forced mid-round disconnect")
-        return frame
-
-    def send(self, message):
-        self.endpoint.send(message)
-
-    def settimeout(self, timeout):
-        self.endpoint.settimeout(timeout)
-
-    def close(self):
-        self.endpoint.close()
-
-
 class TestRunAsyncAhead:
     """The asyncio shell's side of ``Ahead``: a chain on the executor,
     awaited before the next ``Compute``, cancelled with a dead body."""
@@ -347,16 +271,48 @@ class TestRunAsyncAhead:
         assert ran == ["slow"]
 
 
+
+# ----------------------------------------------------------------------
+# One core, two shells: party R over a socket and in lock-step is one client
+# ----------------------------------------------------------------------
+class _TapAndCutOnce:
+    """Server-side endpoint wrapper: logs the bytes of every client
+    frame and hangs up once, right after reading the client's second
+    data frame - mid-round, with its ack never sent."""
+
+    def __init__(self, endpoint, log, state):
+        self.endpoint, self.log, self.state = endpoint, log, state
+
+    def recv(self):
+        frame = self.endpoint.recv()
+        self.log.append(encode(frame))
+        if not self.state and frame[:2] == ("msg", 1):
+            self.state.append("cut")
+            self.endpoint.close()
+            raise ConnectionResetError("forced mid-round disconnect")
+        return frame
+
+    def send(self, message):
+        self.endpoint.send(message)
+
+    def settimeout(self, timeout):
+        self.endpoint.settimeout(timeout)
+
+    def close(self):
+        self.endpoint.close()
+
+
 class TestShellParity:
-    def test_sync_and_async_clients_send_the_same_bytes(self, params):
-        """Same seed, same server, one forced mid-round disconnect:
-        the blocking shell, the asyncio shell and the lock-step shell
-        put identical bytes on the wire and count identical stats -
-        the resume hello carries the frames *attempted* (2 of the 4
+    def test_blocking_and_lock_step_clients_send_the_same_bytes(self, params):
+        """Same seed, one forced mid-round disconnect: party R under the
+        blocking shell over a socket and under the lock-step shell puts
+        identical bytes on the wire and counts identical stats - the
+        resume hello carries the frames *attempted* (2 of the 4
         computed), and the one replayed chunk counts as replayed and
-        as a resumed round in all three. So do their engines: round 1,
-        then one batch per ``Y_S`` chunk as it lands (``Ahead``), and
-        nothing left over for ``finish``."""
+        as a resumed round in both. So do their engines: round 1, then
+        one batch per ``Y_S`` chunk as it lands (``Ahead``), and
+        nothing left over for ``finish``. (S's side of the asyncio
+        shell is held to the same frames in ``test_server_shell``.)"""
         v_r = ["a", "b", "c", "d", "e"]
         v_s = ["b", "c", "x"]
         config = SessionConfig(
@@ -367,7 +323,15 @@ class TestShellParity:
             fin_grace_s=1.0,
         )
 
-        def run_against_fresh_server(client):
+        def outcome(answer, frames, stats):
+            flat = stats.as_dict()
+            del flat["elapsed_s"]
+            return sorted(answer), frames, flat
+
+        def engine(batches):
+            return MeteredEngine(SerialEngine(), batches.append)
+
+        def over_a_socket(batches):
             received, cut = [], []
             port_ready = threading.Event()
             bound = {}
@@ -386,18 +350,14 @@ class TestShellParity:
             )
             server.start()
             assert port_ready.wait(5)
-            answer, stats = client(bound["port"])
+            answer, stats = tcp.connect_resumable_receiver(
+                "intersection", v_r, random.Random(2), "127.0.0.1",
+                bound["port"], config=config, chunk_size=2,
+                engine=engine(batches),
+            )
             server.join(timeout=10)
             assert not server.is_alive() and cut == ["cut"]
             return outcome(answer, received, stats)
-
-        def outcome(answer, frames, stats):
-            flat = stats.as_dict()
-            del flat["elapsed_s"]
-            return sorted(answer), frames, flat
-
-        def engine(batches):
-            return MeteredEngine(SerialEngine(), batches.append)
 
         def lock_step(batches):
             """Both cores as the resumable drivers build them (the
@@ -428,24 +388,13 @@ class TestShellParity:
             assert r.error is None and s.error is None and cut == ["cut"]
             return outcome(r.result, sent, receiver.stats)
 
-        batches = {"sync": [], "loop": [], "lock-step": []}
-        sync = run_against_fresh_server(
-            lambda port: tcp.connect_resumable_receiver(
-                "intersection", v_r, random.Random(2), "127.0.0.1", port,
-                config=config, chunk_size=2, engine=engine(batches["sync"]),
-            )
-        )
-        via_loop = run_against_fresh_server(
-            lambda port: _run(connect_receiver_async(
-                "intersection", v_r, random.Random(2), "127.0.0.1", port,
-                config=config, chunk_size=2, engine=engine(batches["loop"]),
-            ))
-        )
+        batches = {"blocking": [], "lock-step": []}
+        blocking = over_a_socket(batches["blocking"])
         in_lock_step = lock_step(batches["lock-step"])
-        assert sync[0] == via_loop[0] == in_lock_step[0] == ["b", "c"]
-        assert sync[1] == via_loop[1] == in_lock_step[1]
-        assert sync[2] == via_loop[2] == in_lock_step[2]
-        assert (sync[2]["reconnects"], sync[2]["replayed_frames"],
-                sync[2]["rounds_resumed"]) == (1, 1, 1)
-        assert batches["sync"] == batches["loop"] == batches["lock-step"]
-        assert batches["sync"] == [len(v_r), 2, 1]  # Y_R; Y_S chunk by chunk
+        assert blocking[0] == in_lock_step[0] == ["b", "c"]
+        assert blocking[1] == in_lock_step[1]
+        assert blocking[2] == in_lock_step[2]
+        assert (blocking[2]["reconnects"], blocking[2]["replayed_frames"],
+                blocking[2]["rounds_resumed"]) == (1, 1, 1)
+        assert batches["blocking"] == batches["lock-step"]
+        assert batches["blocking"] == [len(v_r), 2, 1]  # Y_R; Y_S chunk by chunk

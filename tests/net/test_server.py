@@ -512,6 +512,33 @@ def test_rejects_unknown_protocol_and_bad_version(params):
     assert server.results() == []  # rejects never became sessions
 
 
+@pytest.mark.parametrize("garbled, served", [(31, True), (32, False)])
+def test_hello_must_come_within_the_prehello_allowance(params, garbled, served):
+    """A worker reached directly reads at most 32 frames for a hello,
+    as the shard router in front of it does: 31 garbled seals and a
+    hello are served, 32 and a hello are dropped unanswered."""
+    server = ProtocolServer(
+        {"intersection": _offers(params)["intersection"]},
+        max_sessions=2, config=_config(),
+    ).start()
+    try:
+        sock = socket.create_connection(("127.0.0.1", server.port), 5.0)
+        endpoint = tcp.SocketEndpoint(sock=sock)
+        for _ in range(garbled):
+            endpoint.send(("hello", "garbled", "no-seal"))
+        endpoint.send(seal("hello", SESSION_VERSION, "intersection", 7, 0, 0))
+        endpoint.settimeout(5.0)
+        if served:
+            assert unseal(endpoint.recv())[0] == "welcome"
+        else:
+            with pytest.raises(ConnectionError):
+                endpoint.recv()
+        endpoint.close()
+    finally:
+        server.shutdown(drain_timeout_s=0)
+    assert len(server.results()) == int(served)
+
+
 def test_metadata_only_stub_journal_restarts_fresh(tmp_path, params):
     """A worker killed between journal creation and the ``chunk_size``
     meta append leaves a metadata-only stub (open + session_id, no

@@ -276,7 +276,7 @@ def test_the_core_module_is_io_free():
     core: whatever it needs of them it must request from a shell. The
     lock-step shell and the chaos driver built on it serve those
     requests without them too (the chaos module's worker-crash driver,
-    which kills real processes, imports its clock and loop locally)."""
+    which kills real processes, imports its clock and threads locally)."""
     import ast
     import inspect
 

@@ -182,6 +182,29 @@ class TestRouting:
             assert frame[0] == "welcome"
             endpoint.close()
 
+    def test_malformed_session_id_is_rejected_like_the_worker_does(
+        self, params
+    ):
+        """A hello the router cannot route gets the typed reject a
+        worker would send, not silence and a close."""
+        with ShardedProtocolServer(
+            _offers(params), shards=2, config=_config(), max_sessions=2
+        ) as server:
+            sock = socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5.0
+            )
+            endpoint = tcp.SocketEndpoint(sock=sock)
+            endpoint.send(
+                seal("hello", SESSION_VERSION, "intersection", "7", 0, 0)
+            )
+            endpoint.settimeout(5.0)
+            fields = unseal(endpoint.recv())
+            endpoint.close()
+            assert fields[:3] == ("reject", SESSION_VERSION,
+                                  "malformed session id")
+            assert server.refused_unroutable == 1
+            assert server.results() == []
+
 
 class TestProcessWorkers:
     def test_forked_workers_serve_and_report_results(self, params):

@@ -11,14 +11,14 @@ EOF after the fin echo, so a healthy herd must raise no notice at all.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.net.aio import connect_receiver_async
 from repro.net.session import RetryPolicy, SessionConfig
+from repro.net.tcp import connect_resumable_receiver
 from repro.net.shard import ShardedProtocolServer
 from repro.protocols.parties import PublicParams
 
@@ -44,21 +44,21 @@ def _config():
 def test_healthy_herd_over_forked_shards_sends_no_worker_lost_notice(
     params, chunk_size
 ):
-    async def herd(port):
-        return await asyncio.gather(*(
-            connect_receiver_async(
-                "intersection", ["a", "b", "c"], random.Random(seed),
-                "127.0.0.1", port, config=_config(), chunk_size=chunk_size,
-            )
-            for seed in range(SESSIONS)
-        ))
-
     with ShardedProtocolServer(
         {"intersection": (["b", "c", "x"], params)}, shards=2,
         worker_processes=True, config=_config(), max_sessions=SESSIONS,
         chunk_size=chunk_size, heartbeat_timeout_s=30.0,
     ) as server:
-        done = asyncio.run(herd(server.port))
+        with ThreadPoolExecutor(SESSIONS) as herd:
+            done = list(herd.map(
+                lambda seed: connect_resumable_receiver(
+                    "intersection", ["a", "b", "c"], random.Random(seed),
+                    "127.0.0.1", server.port, config=_config(),
+                    chunk_size=chunk_size,
+                ),
+                range(SESSIONS),
+                timeout=120,
+            ))
         # Let every relay see both legs end before counting.
         deadline = time.monotonic() + 5.0
         while server.routed < SESSIONS and time.monotonic() < deadline:

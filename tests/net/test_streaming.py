@@ -161,10 +161,6 @@ class TestPrefetch:
         with pytest.raises(RuntimeError, match="producer died"):
             list(it)
 
-    def test_depth_must_be_positive(self):
-        with pytest.raises(ValueError):
-            next(prefetch(iter([1]), depth=0))
-
     def test_abandoned_consumer_stops_producer(self):
         produced = []
 
@@ -173,7 +169,7 @@ class TestPrefetch:
                 produced.append(i)
                 yield i
 
-        it = prefetch(source(), depth=2)
+        it = prefetch(source())
         next(it)
         it.close()
         time.sleep(0.2)

@@ -132,7 +132,6 @@ class TestFacadeSurface:
                 name.startswith(("serve_", "connect_"))
                 and name not in (
                     "serve_resumable_sender", "connect_resumable_receiver",
-                    "connect_receiver_async",  # protocol-generic, async
                 )
             ), f"per-protocol shim {name} resurfaced in repro.net.__all__"
 
