@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from ..crypto import kernel
 from ..crypto.ext_cipher import MultiplicativeExtCipher
 from ..crypto.groups import QRGroup
 from ..crypto.hashing import TryIncrementHash
@@ -68,7 +69,9 @@ def calibrate(
 
     base = group.random_element(rng)
     exponent = group.random_exponent(rng)
-    ce = _time_per_call(lambda: pow(base, exponent, group.p), samples)
+    ce = _time_per_call(
+        lambda: kernel.pow_many([base], exponent, group.p), samples
+    )
 
     values = [f"calibration-{rng.randrange(10**9)}" for _ in range(samples)]
     values_iter = iter(values * 2)

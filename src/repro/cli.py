@@ -560,16 +560,13 @@ def _serve_supervised(
     from .net.server import ProtocolOffer, ProtocolServer
     from .net.shard import ShardedProtocolServer
 
-    offer = ProtocolOffer.from_data(
-        args.protocol, data, params, seed=args.seed or 0, engine=engine
-    )
     if args.shards > 1:
         # Worker processes build their own party state post-fork; a
         # parent-owned pool engine would not survive the fork, so the
         # sharded path always uses the in-process engine.
         server = ShardedProtocolServer(
             [ProtocolOffer.from_data(
-                args.protocol, data, params, seed=args.seed or 0
+                args.protocol, data, params, seed=args.seed
             )],
             shards=args.shards,
             host=args.host,
@@ -584,7 +581,9 @@ def _serve_supervised(
         )
     else:
         server = ProtocolServer(
-            [offer],
+            [ProtocolOffer.from_data(
+                args.protocol, data, params, seed=args.seed, engine=engine
+            )],
             host=args.host,
             port=args.port,
             max_sessions=args.max_sessions,

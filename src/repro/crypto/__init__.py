@@ -3,7 +3,9 @@ commutative encryption, domain hashing, the ext cipher ``K``, and
 oblivious transfer.
 
 This package is the "Libraries (including encryption primitives)" box
-of the paper's Figure 1, built from scratch on Python bignums.
+of the paper's Figure 1, built from scratch on Python bignums; its
+exponentiations and Legendre tests run through :mod:`.kernel`, on the
+system's GMP where that loads.
 """
 
 from .commutative import CommutativeCipher, PowerCipher

@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import kernel
 from .engine import shared_engine
 
 __all__ = ["parallel_pow", "sequential_pow", "BatchSpeedup", "measure_speedup"]
@@ -30,7 +31,7 @@ __all__ = ["parallel_pow", "sequential_pow", "BatchSpeedup", "measure_speedup"]
 
 def sequential_pow(xs: Sequence[int], exponent: int, modulus: int) -> list[int]:
     """Baseline: the batch on one processor."""
-    return [pow(x, exponent, modulus) for x in xs]
+    return kernel.pow_many(xs, exponent, modulus)
 
 
 def parallel_pow(

@@ -23,6 +23,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Iterable
 
+from . import kernel
 from .engine import CryptoEngine, SerialEngine
 from .groups import QRGroup
 from .numtheory import modinv
@@ -119,10 +120,10 @@ class PowerCipher(CommutativeCipher):
     def encrypt(self, key: int, x: int) -> int:
         if not 0 < x < self.group.p:
             raise ValueError("plaintext outside Z_p^*")
-        return pow(x, key, self.group.p)
+        return kernel.pow_many([x], key, self.group.p)[0]
 
     def decrypt(self, key: int, y: int) -> int:
-        return pow(y, self.invert_key(key), self.group.p)
+        return kernel.pow_many([y], self.invert_key(key), self.group.p)[0]
 
     def encrypt_many(self, key: int, xs: Iterable[int]) -> list[int]:
         """Encrypt a batch through the engine (order preserved)."""

@@ -31,6 +31,8 @@ Engines:
 Order is always preserved: for every engine,
 ``engine.pow_many(xs, e, p) == [pow(x, e, p) for x in xs]`` - the
 protocol transcripts are byte-identical whichever engine runs them.
+Engines decide *where* a batch runs; *how* each exponentiation is
+computed is :mod:`repro.crypto.kernel`'s, in every process.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
+
+from . import kernel
 
 __all__ = [
     "POOL_ROUND_TRIP",
@@ -59,9 +63,12 @@ __all__ = [
 #: priced in below (``exponent bits x modulus bits^2``, schoolbook
 #: square-and-multiply): three full 1024-bit exponentiations. A batch
 #: goes to the pool only when the slices take more than this off its
-#: critical path. Calibrated once on the 2-CPU box of
-#: docs/PERFORMANCE.md (crossover table there): eight 1024-bit values
-#: pay (30 -> 22 ms), sixty-four 256-bit values do not (6.9 -> 8.6 ms).
+#: critical path. Calibrated on the 2-CPU box of docs/PERFORMANCE.md
+#: (crossover tables there) with the builtin ``pow``: eight 1024-bit
+#: values pay (30 -> 22 ms), sixty-four 256-bit values do not (6.9 ->
+#: 8.6 ms). Kept under the GMP kernel, where every batch it sends to the
+#: pool is still faster there (eight 1024-bit values 3.3 -> 2.3 ms) and
+#: below 1024 bits it errs on the serial side.
 POOL_ROUND_TRIP = 3 * 1024**3
 
 
@@ -79,8 +86,7 @@ def available_cpus() -> int:
 
 def _pow_chunk(args: tuple[list[int], int, int]) -> list[int]:
     """Worker: exponentiate one slice (module-level for pickling)."""
-    chunk, exponent, modulus = args
-    return [pow(x, exponent, modulus) for x in chunk]
+    return kernel.pow_many(*args)
 
 
 def _stay_busy(seconds: float) -> None:
@@ -110,7 +116,11 @@ class CryptoEngine(ABC):
 
     def describe(self) -> dict[str, Any]:
         """Flat JSON-able summary for metrics reports."""
-        return {"engine": type(self).__name__, "workers": self.workers}
+        return {
+            "engine": type(self).__name__,
+            "workers": self.workers,
+            "kernel": kernel.describe(),
+        }
 
     def __enter__(self) -> "CryptoEngine":
         return self
@@ -126,7 +136,7 @@ class SerialEngine(CryptoEngine):
         self, xs: Sequence[int], exponent: int, modulus: int
     ) -> list[int]:
         """The batch on one processor, in order."""
-        return [pow(x, exponent, modulus) for x in xs]
+        return kernel.pow_many(xs, exponent, modulus)
 
 
 class ProcessPoolEngine(CryptoEngine):
@@ -199,7 +209,7 @@ class ProcessPoolEngine(CryptoEngine):
         xs = list(xs)
         if self._broken or not self._pays(len(xs), exponent, modulus):
             self.serial_batches += 1
-            return [pow(x, exponent, modulus) for x in xs]
+            return kernel.pow_many(xs, exponent, modulus)
         step = -(-len(xs) // self.workers)
         slices = [
             (xs[i : i + step], exponent, modulus)
@@ -212,7 +222,7 @@ class ProcessPoolEngine(CryptoEngine):
             # mid-batch must not fail the protocol: degrade to serial.
             self._mark_broken()
             self.serial_batches += 1
-            return [pow(x, exponent, modulus) for x in xs]
+            return kernel.pow_many(xs, exponent, modulus)
         self.parallel_batches += 1
         return [y for part in parts for y in part]
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import kernel
 from .numtheory import is_quadratic_residue, modinv
 from .primes import is_safe_prime, safe_prime, sophie_germain_order
 
@@ -100,7 +101,7 @@ class QRGroup:
 
     def pow(self, x: int, e: int) -> int:
         """Exponentiation ``x ** e mod p`` (the paper's ``f_e``)."""
-        return pow(x, e, self.p)
+        return kernel.pow_many([x], e, self.p)[0]
 
     # ------------------------------------------------------------------
     # Sampling

@@ -1,11 +1,17 @@
 """Elementary number theory used by the cryptographic substrate.
 
-Everything here is deliberately pure Python over arbitrary-precision
-integers: the paper's protocols only need modular exponentiation,
-Jacobi/Legendre symbols, modular inverses, and primality testing.
+Everything here is pure Python over arbitrary-precision integers,
+written for clarity first: the paper's protocols only need modular
+exponentiation, Jacobi/Legendre symbols, modular inverses, and
+primality testing.
 
-The functions are written for clarity first; the hot path of every
-protocol is ``pow(x, e, p)``, which CPython already implements in C.
+The two operations on a protocol's hot path do not run here.
+Exponentiation batches go through :mod:`repro.crypto.kernel`, and so
+do :func:`legendre` and :func:`is_quadratic_residue`: the kernel uses
+the system's GMP where it loads. :func:`jacobi` stays the pure-Python
+reference that the kernel checks itself against and falls back to.
+Miller-Rabin keeps the interpreter's ``pow``; its exponents are public
+and it runs once per key generation.
 """
 
 from __future__ import annotations
@@ -175,12 +181,12 @@ def jacobi(a: int, n: int) -> int:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime ``p``; in {-1, 0, 1}."""
-    return jacobi(a, p)
+    return kernel.jacobi(a, p)
 
 
 def is_quadratic_residue(a: int, p: int) -> bool:
     """True when ``a`` is a nonzero quadratic residue modulo the odd prime ``p``."""
-    return legendre(a, p) == 1
+    return kernel.jacobi(a, p) == 1
 
 
 def sqrt_mod(a: int, p: int) -> int:
@@ -241,3 +247,8 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
         x = (x + modulus * (diff * p % m)) % (modulus * m)
         modulus *= m
     return x
+
+
+# Last: the kernel's load-time self-test calls ``jacobi`` above, so this
+# module must be complete whichever of the two is imported first.
+from . import kernel

@@ -22,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import kernel
 from .numtheory import _key_rng, is_probable_prime, modinv
 
 __all__ = ["PaillierPublicKey", "PaillierPrivateKey", "generate_keypair"]
@@ -57,7 +58,7 @@ class PaillierPublicKey:
             r = rng.randrange(1, self.n)
             if math.gcd(r, self.n) == 1:
                 break
-        return (1 + m * self.n) % n2 * pow(r, self.n, n2) % n2
+        return (1 + m * self.n) % n2 * kernel.pow_many([r], self.n, n2)[0] % n2
 
     def add(self, c1: int, c2: int) -> int:
         """``E(a) + E(b) -> E(a + b)`` (ciphertext multiplication)."""
@@ -69,7 +70,7 @@ class PaillierPublicKey:
 
     def multiply_plain(self, c: int, k: int) -> int:
         """``E(a) * k -> E(k a)`` (ciphertext exponentiation)."""
-        return pow(c, k % self.n, self.n_squared)
+        return kernel.pow_many([c], k % self.n, self.n_squared)[0]
 
     def rerandomize(self, c: int, rng: random.Random) -> int:
         """Fresh randomness, same plaintext (unlinkability helper)."""
@@ -94,7 +95,7 @@ class PaillierPrivateKey:
         n2 = self.public.n_squared
         if not 0 < c < n2:
             raise ValueError("ciphertext outside Z_{n^2}")
-        x = pow(c, self.lam, n2)
+        x = kernel.pow_many([c], self.lam, n2)[0]
         l_value = (x - 1) // n
         return l_value * self.mu % n
 

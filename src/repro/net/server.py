@@ -79,6 +79,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
 
+from ..crypto.numtheory import _key_rng
 from ..protocols.spec import get_spec
 from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS, read_hello, run_async
 from .crashpoints import SimulatedCrash, crash_point
@@ -110,6 +111,9 @@ class ProtocolOffer:
     session gets its own) and, when journaling is on, must be
     deterministic in its rng seed so a journaled session can be
     recovered after a process crash.
+
+    Every session of one offer is keyed alike: per-session keys need a
+    factory of the session id, which this shape does not take.
     """
 
     protocol: str
@@ -118,15 +122,21 @@ class ProtocolOffer:
 
     @classmethod
     def from_data(
-        cls, protocol: str, data: Any, params: Any, seed: Any = 0,
+        cls, protocol: str, data: Any, params: Any, seed: Any = None,
         engine: Any = None,
     ) -> "ProtocolOffer":
         """An offer whose sender factory reseeds per call.
 
         Every session (and every recovery of a session) sees an
         identically-seeded rng, which is exactly the determinism the
-        journal's replay invariant requires.
+        journal's replay invariant requires. Without a ``seed``, one is
+        drawn from the operating system's CSPRNG here, once per offer:
+        S's keys are secret, and a worker forked after the offer was
+        built - a respawned shard worker too - still replays its
+        predecessor's journals.
         """
+        if seed is None:
+            seed = _key_rng().getrandbits(128)
         spec = get_spec(protocol)
         return cls(
             protocol=protocol,
@@ -167,17 +177,23 @@ class SessionRecord:
     routed connections (each with its hello pushed back) the session
     has not adopted yet; ``last_activity`` moves with every routed
     hello and every frame the session's connection moves.
+
+    A terminal record keeps only its summary - ``status``, ``error``
+    and the session's ``stats`` - and lets go of the session core (its
+    round log and party state), the task and the inbox, so a
+    long-lived server's memory follows its live sessions, not every
+    session it ever hosted.
     """
 
     session_id: int
     protocol: str
     session: Any = None
-    inbox: "asyncio.Queue[AsyncFrameEndpoint]" = field(
+    inbox: "asyncio.Queue[AsyncFrameEndpoint] | None" = field(
         default_factory=asyncio.Queue
     )
     task: "asyncio.Task | None" = None
     status: str = "starting"  # starting | running | done | failed | expired
-    result: Any = None
+    stats: Any = None
     error: BaseException | None = None
     started_at: float = field(default_factory=time.monotonic)
     last_activity: float = field(default_factory=time.monotonic)
@@ -188,9 +204,7 @@ class SessionRecord:
 
     def as_dict(self) -> dict[str, Any]:
         """Flat summary for logs and the metrics report."""
-        stats = (
-            self.session.stats.as_dict() if self.session is not None else {}
-        )
+        stats = self.stats.as_dict() if self.stats is not None else {}
         return {
             "session_id": self.session_id,
             "protocol": self.protocol,
@@ -215,7 +229,7 @@ class ProtocolServer:
         offers: the protocols this server runs - an iterable of
             :class:`ProtocolOffer` or a mapping
             ``protocol -> (data, params)`` (convenience; uses
-            :meth:`ProtocolOffer.from_data` with a per-protocol seed).
+            :meth:`ProtocolOffer.from_data`, which draws S's seed).
         host / port: bind address (``port=0`` picks a free port).
         max_sessions: concurrent-session ceiling; further new clients
             get a typed ``busy`` frame and are closed.
@@ -258,7 +272,7 @@ class ProtocolServer:
     ):
         if isinstance(offers, Mapping):
             offers = [
-                ProtocolOffer.from_data(name, data, params, seed=name)
+                ProtocolOffer.from_data(name, data, params)
                 for name, (data, params) in offers.items()
             ]
         self.offers: dict[str, ProtocolOffer] = {
@@ -282,6 +296,9 @@ class ProtocolServer:
         self.chunk_size = chunk_size
         self.busy_retry_hint_s = busy_retry_hint_s
         self.sessions: dict[int, SessionRecord] = {}
+        #: The records holding a slot (:data:`_ACTIVE_STATUSES`), kept
+        #: as they are admitted and retired; read under the lock.
+        self._live: dict[int, SessionRecord] = {}
         self.rejected_busy = 0
         self.quarantined: list[Path] = []
         self._lock = threading.Lock()
@@ -376,10 +393,10 @@ class ProtocolServer:
             with self._finished:
 
                 def idle() -> bool:
-                    return not self._active()
+                    return not self._live
 
                 if not self._finished.wait_for(idle, drain_timeout_s):
-                    for record in self._active():
+                    for record in list(self._live.values()):
                         self._loop_thread.loop.call_soon_threadsafe(
                             self._abort, record, "drain timeout"
                         )
@@ -419,7 +436,7 @@ class ProtocolServer:
         """
         with self._finished:
             return self._finished.wait_for(
-                lambda: len(self.sessions) - len(self._active()) >= count,
+                lambda: len(self.sessions) - len(self._live) >= count,
                 timeout,
             )
 
@@ -439,18 +456,13 @@ class ProtocolServer:
     def active_sessions(self) -> int:
         """How many sessions are currently starting or running.
 
-        Cheap enough to poll from a heartbeat loop: a status sum under
-        the lock, with none of the sorting or per-record dict building
-        :meth:`results` does for its full report.
+        Cheap enough to poll from a heartbeat loop: the size of the
+        maintained set of live records, with none of the sorting or
+        per-record dict building :meth:`results` does for its full
+        report.
         """
         with self._lock:
-            return len(self._active())
-
-    def _active(self) -> list[SessionRecord]:
-        """The records holding a slot (call with the lock held)."""
-        return [
-            r for r in self.sessions.values() if r.status in _ACTIVE_STATUSES
-        ]
+            return len(self._live)
 
     # ------------------------------------------------------------------
     # Accepting and routing (event-loop side)
@@ -512,7 +524,7 @@ class ProtocolServer:
                     )
             elif self._draining.is_set():
                 refusal = ("busy", "server draining", self.busy_retry_hint_s)
-            elif len(self._active()) >= self.max_sessions:
+            elif len(self._live) >= self.max_sessions:
                 refusal = (
                     "busy",
                     f"server at capacity ({self.max_sessions} sessions)",
@@ -524,6 +536,7 @@ class ProtocolServer:
                 record = self.sessions[session_id] = SessionRecord(
                     session_id=session_id, protocol=protocol
                 )
+                self._live[session_id] = record
                 record.task = asyncio.get_running_loop().create_task(
                     self._host(record)
                 )
@@ -571,13 +584,14 @@ class ProtocolServer:
                 self._executor, self._make_session,
                 record.protocol, record.session_id,
             )
+            record.stats = record.session.stats
             record.status = "running"
             crash_point("server.session.run")
-            record.result, link = await run_async(
+            link = (await run_async(
                 record.session.steps(),
                 lambda: self._adopt(record),
                 self._executor,
-            )
+            ))[1]
             record.status = "done"
         except asyncio.CancelledError:
             record.status = "expired"
@@ -590,16 +604,30 @@ class ProtocolServer:
                 return
             record.status = "failed"
             record.error = exc
-        if record.session is not None:
-            record.session.stats.finish()
+        if record.stats is not None:
+            record.stats.finish()
+        unadopted = self._retire(record)
         if self.recorder is not None:
             self.recorder.add_session(record.as_dict())
         with self._finished:
             self._finished.notify_all()
+        while not unadopted.empty():
+            await unadopted.get_nowait().close()
         if link is not None:
             # Only now, with the slot already free: hanging up on a
             # finished client is nobody's critical path.
             await self._linger(link)
+
+    def _retire(
+        self, record: SessionRecord
+    ) -> "asyncio.Queue[AsyncFrameEndpoint]":
+        """Free a terminal record's slot and everything but its summary;
+        returns the inbox, whose connections nobody will adopt now."""
+        with self._lock:
+            self._live.pop(record.session_id, None)
+        inbox, record.inbox = record.inbox, None
+        record.session = record.task = None
+        return inbox
 
     async def _adopt(self, record: SessionRecord) -> AsyncFrameEndpoint:
         """A session's ``OPEN``: the next connection routed to it."""
@@ -671,6 +699,7 @@ class ProtocolServer:
         )
         with self._finished:
             self.sessions.pop(record.session_id, None)
+            self._live.pop(record.session_id, None)
             self._finished.notify_all()
         reason = (
             f"journal recovery for session {record.session_id} failed: {exc}"
@@ -713,7 +742,7 @@ class ProtocolServer:
             now = time.monotonic()
             with self._lock:
                 running = [
-                    r for r in self.sessions.values() if r.status == "running"
+                    r for r in self._live.values() if r.status == "running"
                 ]
             for record in running:
                 if (

@@ -226,7 +226,7 @@ class ShardedProtocolServer:
             )
         if isinstance(offers, Mapping):
             offers = [
-                ProtocolOffer.from_data(name, data, params, seed=name)
+                ProtocolOffer.from_data(name, data, params)
                 for name, (data, params) in offers.items()
             ]
         self.offers = list(offers)

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.crypto import engine as engine_module
+from repro.crypto import engine as engine_module, kernel
 from repro.crypto.commutative import PowerCipher
 from repro.crypto.groups import QRGroup
 from repro.crypto.hashing import TryIncrementHash
@@ -67,6 +67,20 @@ def always_pays(monkeypatch):
     128-bit batches tests can afford serial. Stops the process-wide
     engines afterwards, so no test leaves workers behind."""
     monkeypatch.setattr(engine_module, "POOL_ROUND_TRIP", 0)
+    yield
+    engine_module.shutdown_shared_engines()
+
+
+@pytest.fixture()
+def builtin_kernel(monkeypatch):
+    """Every exponentiation and Legendre test on the interpreter's
+    ``pow`` and ``numtheory.jacobi``: the kernel as it is where libgmp
+    does not load. The process-wide engines are stopped on both sides,
+    so no pool worker forked under the other kernel serves the test."""
+    monkeypatch.setattr(
+        kernel, "_active", kernel._load("libgmp-hidden-by-a-test.so")
+    )
+    engine_module.shutdown_shared_engines()
     yield
     engine_module.shutdown_shared_engines()
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.crypto import engine as engine_module
+from repro.crypto import engine as engine_module, kernel
 from repro.crypto.engine import (
     POOL_ROUND_TRIP,
     MeteredEngine,
@@ -55,6 +55,7 @@ class TestSerialEngine:
         assert SerialEngine().describe() == {
             "engine": "SerialEngine",
             "workers": 1,
+            "kernel": kernel.describe(),
         }
 
 
@@ -142,6 +143,7 @@ class TestProcessPoolEngine:
         assert info == {
             "engine": "ProcessPoolEngine",
             "workers": 2,
+            "kernel": kernel.describe(),
             "parallel_batches": 1,
             "serial_batches": 1,
             "pool_failures": 0,
@@ -179,6 +181,15 @@ class TestCrossover:
         assert POOL_ROUND_TRIP == 3 * 1024**3
 
     def test_equal_to_pow_on_both_sides(self, group):
+        self.check_routing(group)
+
+    def test_equal_to_pow_on_both_sides_builtin_kernel(self, group, builtin_kernel):
+        self.check_routing(group)
+
+    @staticmethod
+    def check_routing(group):
+        """``pow_many == [pow ...]`` and routing == ``_pays``, whichever
+        kernel the pool's workers and the serial path compute with."""
         p, q = group.p, group.q
         unit = q.bit_length() * p.bit_length() ** 2
         with ProcessPoolEngine(processors=2) as engine, \

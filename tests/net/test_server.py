@@ -10,10 +10,12 @@ per-session stats folded into the metrics report.
 
 from __future__ import annotations
 
+import gc
 import random
 import socket
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.net.session import (
     RetryPolicy,
     ServerBusyError,
     SessionConfig,
+    SessionStats,
     run_blocking,
     seal,
     unseal,
@@ -208,6 +211,48 @@ def test_reconnect_routes_to_owning_session(params):
     (record,) = server.results()
     assert record["session_id"] == 0xBEEF
     assert record["status"] == "done"
+
+
+def test_finished_sessions_keep_only_their_summary(params):
+    """A long-lived server lets go of each finished session's core and
+    party state (its round log, S's keys and tables); ``results()``
+    reports what it always did."""
+    spec = PROTOCOLS["intersection"]
+    _, v_s = _values()
+    states = []
+
+    def make_sender():
+        state = spec.make_sender(v_s, params, random.Random("S"))
+        states.append(weakref.ref(state))
+        return state
+
+    server = ProtocolServer(
+        [ProtocolOffer("intersection", params, make_sender)],
+        max_sessions=2, config=_config(),
+    ).start()
+    try:
+        for seed in range(6):
+            answer, _ = _client(server.port, "intersection", seed)
+            assert answer == {f"c{i}" for i in range(N // 2)}
+        assert server.wait_for_sessions(6, timeout=10)
+        deadline = time.monotonic() + 5.0
+        while any(ref() is not None for ref in states):
+            assert time.monotonic() < deadline, "a finished session's state lives on"
+            gc.collect()
+            time.sleep(0.02)
+        rows = server.results()
+    finally:
+        server.shutdown(drain_timeout_s=2.0)
+    assert len(states) == 6
+    for record in server.sessions.values():
+        assert (record.session, record.task, record.inbox) == (None, None, None)
+    assert server.active_sessions() == 0 and server._live == {}
+    assert [row["status"] for row in rows] == ["done"] * 6
+    assert set(rows[0]) == {
+        "session_id", "status", "error", *SessionStats().as_dict(),
+    }
+    assert all(row["frames_sent"] and row["frames_received"] for row in rows)
+    assert server.results() == rows
 
 
 # ----------------------------------------------------------------------

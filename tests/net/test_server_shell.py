@@ -187,7 +187,7 @@ class TestSenderShellParity:
                 (record,) = server.sessions.values()
             assert record.status == "done"
             return outcome(
-                answer, frames, cut, record.session.stats, folder, batches
+                answer, frames, cut, record.stats, folder, batches
             )
 
         def lock_step():

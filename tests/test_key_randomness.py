@@ -12,6 +12,8 @@ from repro.api import _party_rngs
 from repro.crypto import paillier, primes
 from repro.crypto.numtheory import _key_rng
 from repro.net.journal import open_session
+from repro.net.server import ProtocolOffer, ProtocolServer
+from repro.net.shard import ShardedProtocolServer
 from repro.protocols.base import ProtocolSuite
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS
@@ -77,3 +79,42 @@ def test_a_seed_still_reproduces_the_same_keys(seed):
         )
 
     assert wire() == wire()
+
+
+def test_a_server_built_from_data_keys_s_from_a_secret_seed():
+    """S's keys behind every hosted session used to come from the
+    protocol's name: anyone could recompute ``e_S``. Two servers holding
+    the same data now answer one client's ``m1`` with different ``Y_S``,
+    neither of them the public seed's."""
+    spec = PROTOCOLS["intersection"]
+    params = PublicParams.for_bits(64)
+    m1 = spec.make_receiver(V_R, params, random.Random(1)).round1()
+    tables = {"intersection": (V_S, params)}
+
+    def answer(make_sender):
+        return make_sender().round1(m1)
+
+    offers = [
+        ProtocolServer(tables).offers["intersection"],
+        ShardedProtocolServer(tables).offers[0],
+        ProtocolOffer.from_data("intersection", V_S, params),
+    ]
+    public = answer(
+        lambda: spec.make_sender(V_S, params, random.Random("intersection"))
+    )
+    answers = [answer(offer.make_sender) for offer in offers]
+    for i, one in enumerate(answers):
+        assert one != public
+        assert all(one != other for other in answers[i + 1:])
+    # Each offer keys all of its sessions alike: journal replay holds.
+    assert [answer(offer.make_sender) for offer in offers] == answers
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_an_explicit_offer_seed_keys_s_as_it_says(seed):
+    spec = PROTOCOLS["intersection"]
+    params = PublicParams.for_bits(64)
+    m1 = spec.make_receiver(V_R, params, random.Random(1)).round1()
+    offer = ProtocolOffer.from_data("intersection", V_S, params, seed=seed)
+    seeded = spec.make_sender(V_S, params, random.Random(seed))
+    assert offer.make_sender().round1(m1) == seeded.round1(m1)
