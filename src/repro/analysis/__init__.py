@@ -5,9 +5,11 @@ from .calibration import Calibration, calibrate
 from .composition import CompositionAnalyzer, MembershipKnowledge
 from .costmodel import (
     CostConstants,
+    LinkModel,
     OperationCounts,
     PAPER_CONSTANTS,
     ProtocolCostModel,
+    T1_LINE,
 )
 from .instrumentation import CountingSuite, OperationCounter, counting_suite
 from .estimates import (
@@ -18,6 +20,8 @@ from .estimates import (
 from .leakage import LeakageProfile, leakage_profile, overlap_matrix
 
 __all__ = [
+    "LinkModel",
+    "T1_LINE",
     "CostConstants",
     "PAPER_CONSTANTS",
     "OperationCounts",

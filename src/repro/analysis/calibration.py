@@ -19,8 +19,7 @@ from ..crypto import kernel
 from ..crypto.ext_cipher import MultiplicativeExtCipher
 from ..crypto.groups import QRGroup
 from ..crypto.hashing import TryIncrementHash
-from ..net.channel import LinkModel, T1_LINE
-from .costmodel import CostConstants
+from .costmodel import CostConstants, LinkModel, T1_LINE
 
 __all__ = ["Calibration", "calibrate"]
 

@@ -26,9 +26,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from ..net.channel import LinkModel, T1_LINE
+__all__ = [
+    "LinkModel",
+    "T1_LINE",
+    "CostConstants",
+    "PAPER_CONSTANTS",
+    "OperationCounts",
+    "ProtocolCostModel",
+]
 
-__all__ = ["CostConstants", "PAPER_CONSTANTS", "OperationCounts", "ProtocolCostModel"]
+
+@dataclass(frozen=True)
+class LinkModel:
+    """A simple bandwidth/latency link model.
+
+    Attributes:
+        bandwidth_bps: usable bandwidth in bits per second.
+        latency_s: one-way latency added per message.
+    """
+
+    bandwidth_bps: float = 1.544e6
+    latency_s: float = 0.0
+
+    def transfer_time(self, bits: float, messages: int = 1) -> float:
+        """Seconds to push ``bits`` over the link in ``messages`` sends."""
+        return bits / self.bandwidth_bps + messages * self.latency_s
+
+
+#: The T1 line assumed throughout Section 6 (1.544 Mbit/s ~ 5 Gbit/hour).
+T1_LINE = LinkModel(bandwidth_bps=1.544e6)
 
 
 @dataclass(frozen=True)

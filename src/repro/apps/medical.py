@@ -95,14 +95,15 @@ def intersection_size_to_third_party(
     y_s = suite.cipher.encrypt_many(e_s, x_s)
 
     # Steps 3/4(a) - exchange of singly encrypted sets between R and S.
-    y_r_at_s = run.r_to_s.to_s(f"{label}:3:Y_R", sorted_ciphertexts(y_r))
-    y_s_at_r = run.r_to_s.to_r(f"{label}:4a:Y_S", sorted_ciphertexts(y_s))
+    y_r_at_s = run.to_s(f"{label}:3:Y_R", sorted_ciphertexts(y_r))
+    y_s_at_r = run.to_r(f"{label}:4a:Y_S", sorted_ciphertexts(y_s))
 
-    # Modified step 4(b) - double encryptions go to T, reordered.
-    z_r_at_t = run.s_sends_t(
+    # Modified step 4(b) - double encryptions go to T, reordered
+    # (Z_R from S, then Z_S from R).
+    z_r_at_t = run.to_t(
         f"{label}:Z_R", sorted_ciphertexts(suite.cipher.encrypt_many(e_s, y_r_at_s))
     )
-    z_s_at_t = run.r_sends_t(
+    z_s_at_t = run.to_t(
         f"{label}:Z_S", sorted_ciphertexts(suite.cipher.encrypt_many(e_r, y_s_at_r))
     )
 

@@ -2,8 +2,8 @@
 
 The paper's cost model assumes an idealized, lossless channel; a
 deployment does not get one. :class:`FaultyEndpoint` wraps any framed
-endpoint - the in-memory :class:`~repro.net.channel.Endpoint` or the
-TCP :class:`~repro.net.tcp.SocketEndpoint` - and injects *seeded,
+endpoint - the TCP :class:`~repro.net.tcp.SocketEndpoint` or a
+:class:`~repro.net.virtual.LockStep` connection - and injects *seeded,
 reproducible* faults on the send path:
 
 * **drop** - the frame silently never reaches the peer;
@@ -36,7 +36,6 @@ __all__ = [
     "FaultyEndpoint",
     "FaultInjector",
     "corrupt_message",
-    "faulty_duplex_pair",
 ]
 
 _LEN = struct.Struct(">I")
@@ -150,10 +149,10 @@ def corrupt_message(message: Any, rng: random.Random) -> Any:
 class FaultyEndpoint:
     """Wrap a framed endpoint, injecting seeded faults on ``send``.
 
-    Works over both transports: for a :class:`~repro.net.tcp.SocketEndpoint`
-    a *disconnect* writes half a frame before killing the socket (the
-    peer sees a truncated read); for the in-memory endpoint it closes
-    the outbound channel. Receive and byte accounting pass through.
+    For a :class:`~repro.net.tcp.SocketEndpoint` a *disconnect* writes
+    half a frame before killing the socket (the peer sees a truncated
+    read); a :class:`~repro.net.virtual.LockStep` connection is just
+    closed. Receive and byte accounting pass through.
     """
 
     def __init__(
@@ -290,17 +289,3 @@ class FaultInjector:
         )
 
     __call__ = wrap
-
-
-def faulty_duplex_pair(
-    plan_a: FaultPlan,
-    plan_b: FaultPlan | None = None,
-) -> tuple[FaultyEndpoint, FaultyEndpoint]:
-    """An in-memory duplex pair with fault injection on both sends."""
-    from .channel import duplex_pair
-
-    a, b = duplex_pair()
-    return (
-        FaultyEndpoint(a, plan_a),
-        FaultyEndpoint(b, plan_b if plan_b is not None else plan_a),
-    )

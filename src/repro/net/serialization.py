@@ -9,7 +9,8 @@ in bits on the wire), so there is no versioning or compression.
 Big integers are encoded with a 4-byte length prefix followed by
 big-endian magnitude - i.e. a ``k``-bit group element costs
 ``ceil(k/8) + 5`` bytes. The cost-model benchmarks use the *paper's*
-accounting (exactly ``k`` bits per codeword); the channel reports both.
+accounting (exactly ``k`` bits per codeword); a
+:class:`~repro.net.runner.ProtocolRun` counts the encoded bytes.
 
 Chunked rounds: a streamed round is shipped as a sequence of
 ``("chunk", index, payload)`` frames closed by a ``("chunk-end",

@@ -292,7 +292,7 @@ class ClientRetryPolicy:
 
 @dataclass
 class SessionStats:
-    """Observability counters, ``ProtocolRun``-style, for one session."""
+    """Observability counters and elapsed time for one session."""
 
     protocol: str = ""
     frames_sent: int = 0

@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, NamedTuple
 
 from . import serialization
-from .channel import ChannelClosed
 from .crashpoints import crash_point
 from .streaming import TimedIterator
 
@@ -91,7 +90,7 @@ __all__ = [
 SESSION_VERSION = 1
 
 #: Transport-level events a reconnect can recover from.
-_TRANSIENT = (ConnectionError, TimeoutError, OSError, ChannelClosed)
+_TRANSIENT = (ConnectionError, TimeoutError, OSError)
 
 #: What every body here is: requests out, replies in, a result back.
 Steps = Generator[Any, Any, Any]
@@ -392,7 +391,7 @@ class Link:
                 return False
             try:
                 frame = unseal((yield Recv(remaining)))
-            except (TimeoutError, ChannelClosed):
+            except TimeoutError:
                 return False
             except ValueError:
                 self.stats.checksum_failures += 1
@@ -441,7 +440,7 @@ class Link:
                     frame = unseal(
                         (yield Recv(min(remaining, config.timeout_s)))
                     )
-                except (TimeoutError, ChannelClosed):
+                except TimeoutError:
                     continue
                 except ValueError:
                     # Can't attribute a sequence number to a garbled

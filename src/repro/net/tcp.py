@@ -1,8 +1,9 @@
 """TCP transport: run the protocols as two real network endpoints.
 
-The in-memory channels are perfect for analysis (byte-exact accounting,
-recorded views); this module provides the deployment-shaped
-counterpart: length-prefixed frames of the same wire format over a TCP
+A :class:`~repro.net.runner.ProtocolRun` records what the analysis
+needs (byte-exact accounting, recorded views); this module provides the
+deployment-shaped counterpart: length-prefixed frames of the same wire
+format over a TCP
 socket, plus the serve/connect pair that runs any registered
 :class:`~repro.protocols.spec.ProtocolSpec` across the connection.
 

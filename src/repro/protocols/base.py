@@ -112,7 +112,7 @@ class IntersectionResult:
         intersection: ``V_S ∩ V_R`` - R's answer.
         size_v_s: ``|V_S|`` - extra information R learns.
         size_v_r: ``|V_R|`` - extra information S learns.
-        run: channels + views of this execution.
+        run: wire bytes + views of this execution.
     """
 
     intersection: set[Hashable]

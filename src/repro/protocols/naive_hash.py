@@ -50,8 +50,6 @@ def run_naive_intersection(
     # Step 3 - R keeps every v whose hash appears in X_S.
     observed = set(x_s_received)
     answer = {v for v in set(v_r) if suite.hash.hash_value(v) in observed}
-
-    run.finish()
     return NaiveIntersectionResult(
         intersection=answer, observed_hashes=observed, run=run
     )

@@ -5,7 +5,7 @@ convenient for simulation and analysis, but they hold both parties'
 secrets in one stack frame. A downstream deployment needs each party
 as its *own* object that sees only its inputs, its randomness and the
 messages addressed to it - so it can sit behind any transport
-(the in-memory channels, the TCP transport in :mod:`repro.net.tcp`,
+(the in-process exchange, the TCP transport in :mod:`repro.net.tcp`,
 or a message queue).
 
 Message flow (intersection, Section 3.3):

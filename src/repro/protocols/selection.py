@@ -34,6 +34,9 @@ from .base import ProtocolSuite
 
 __all__ = ["SelectionResult", "run_selection"]
 
+#: Longest record the 2-byte length prefix can restore.
+_MAX_RECORD_BYTES = 0xFFFF
+
 
 @dataclass
 class SelectionResult:
@@ -55,17 +58,21 @@ def run_selection(
     sizes do not distinguish them; the 2-byte length prefix restores the
     original payload.
     """
-    suite = suite or ProtocolSuite.default()
-    run = ProtocolRun(protocol="selection")
-
     if not records:
         raise ValueError("selection over an empty record set")
     if not 0 <= index < len(records):
         raise ValueError(f"index {index} outside [0, {len(records)})")
-
     # S pads its records to uniform length (R may learn the maximum
     # record size - declared).
     width = max(len(r) for r in records)
+    if width > _MAX_RECORD_BYTES:
+        raise ValueError(
+            f"a {width}-byte record exceeds the {_MAX_RECORD_BYTES}-byte "
+            "limit of the 2-byte length prefix"
+        )
+
+    suite = suite or ProtocolSuite.default()
+    run = ProtocolRun(protocol="selection")
     padded = [
         len(r).to_bytes(2, "big") + bytes(r).ljust(width, b"\0") for r in records
     ]
@@ -104,5 +111,4 @@ def run_selection(
     length = int.from_bytes(framed[:2], "big")
     record = framed[2 : 2 + length]
 
-    run.finish()
     return SelectionResult(record=record, n_records=len(records), run=run)

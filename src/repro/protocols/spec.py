@@ -164,20 +164,6 @@ class ProtocolSpec:
     warm: Callable[[Any], None] | None = None
     delta_of: str | None = None
 
-    @property
-    def receiver_rounds(self) -> tuple[RoundSpec, ...]:
-        """The rounds party R emits, in order."""
-        return tuple(r for r in self.rounds if r.source == "R")
-
-    @property
-    def sender_rounds(self) -> tuple[RoundSpec, ...]:
-        """The rounds party S emits, in order."""
-        return tuple(r for r in self.rounds if r.source == "S")
-
-    def part_labels(self) -> tuple[str, ...]:
-        """All transcript part labels across the schedule, in order."""
-        return tuple(label for rnd in self.rounds for label in rnd.parts)
-
     def exchange(
         self, receiver: Any, sender: Any, chunk_size: int | None = None
     ) -> list[tuple[str, Any]]:
@@ -243,12 +229,11 @@ def run_recorded(
     ``suite`` (a fresh 1024-bit default when omitted), recorded.
 
     The rounds go through :meth:`ProtocolSpec.exchange`; every wire it
-    returns is then shipped *part by part* over a
-    :class:`~repro.net.runner.ProtocolRun`'s accounted channels under
-    the paper's step labels, which is what the ``run_<name>`` result
-    drivers hand the security audit (the ``View`` s) and the cost-model
-    tasks (the byte counts).  Returns ``(answer, receiver state,
-    sender state, run)``.
+    returns is then recorded *part by part* in a
+    :class:`~repro.net.runner.ProtocolRun` under the paper's step
+    labels, which is what the ``run_<name>`` result drivers hand the
+    security audit (the ``View`` s) and the cost-model tasks (the byte
+    counts).  Returns ``(answer, receiver state, sender state, run)``.
     """
     spec = PROTOCOLS[name]
     suite = suite or ProtocolSuite.default()
@@ -262,10 +247,9 @@ def run_recorded(
     wires = spec.exchange(receiver, sender)
     answer = receiver.finish()
     for rnd, (source, wire) in zip(spec.rounds, wires):
-        ship = run.to_s if source == "R" else run.to_r
+        record = run.to_s if source == "R" else run.to_r
         for label, part in zip(rnd.parts, rnd.message.from_wire(wire).to_parts()):
-            ship(label, part)
-    run.finish()
+            record(label, part)
     return answer, receiver.state, sender.state, run
 
 

@@ -8,8 +8,10 @@ import pytest
 
 from repro.analysis.costmodel import (
     CostConstants,
+    LinkModel,
     PAPER_CONSTANTS,
     ProtocolCostModel,
+    T1_LINE,
 )
 
 
@@ -109,3 +111,22 @@ class TestCommunicationFormulas:
         model = ProtocolCostModel(CostConstants(k_bits=512, k_prime_bits=256))
         assert model.intersection_bits(10, 10) == 30 * 512
         assert model.join_bits(10, 10) == 40 * 512 + 10 * 256
+
+
+class TestLinkModel:
+    def test_t1_constant(self):
+        assert T1_LINE.bandwidth_bps == pytest.approx(1.544e6)
+        assert T1_LINE.latency_s == 0.0
+
+    def test_transfer_time_bandwidth_only(self):
+        link = LinkModel(bandwidth_bps=1e6)
+        assert link.transfer_time(5e6) == pytest.approx(5.0)
+
+    def test_transfer_time_with_latency(self):
+        link = LinkModel(bandwidth_bps=1e6, latency_s=0.1)
+        assert link.transfer_time(1e6, messages=3) == pytest.approx(1.3)
+
+    def test_paper_t1_throughput_per_hour(self):
+        """Section 6: T1 ~ 5 Gbits/hour."""
+        bits_per_hour = T1_LINE.bandwidth_bps * 3600
+        assert bits_per_hour == pytest.approx(5.56e9, rel=0.01)

@@ -92,8 +92,8 @@ class TestThirdPartyRouting:
     def test_rs_channel_carries_singly_encrypted_sets(self, suite, rng):
         wl = medical_workload(30, rng)
         result = run_medical_research(wl.t_r, wl.t_s, suite)
-        r_steps = [m.step for m in result.run.r_to_s.r_view.received]
-        s_steps = [m.step for m in result.run.r_to_s.s_view.received]
+        r_steps = [m.step for m in result.run.r_view.received]
+        s_steps = [m.step for m in result.run.s_view.received]
         assert len(s_steps) == 4  # one Y_R per query
         assert len(r_steps) == 4  # one Y_S per query
 

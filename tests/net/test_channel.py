@@ -1,94 +1,21 @@
-"""Tests for accounted channels and the link model."""
+"""Tests for the two-way link a protocol run record gives R and S."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.net.channel import (
-    Channel,
-    ChannelClosed,
-    LinkModel,
-    T1_LINE,
-    duplex_pair,
-)
+from repro.net.runner import ProtocolRun
 from repro.net.serialization import encoded_size
-
-
-class TestChannel:
-    def test_fifo_order(self):
-        ch = Channel()
-        ch.send([1, 2])
-        ch.send("second")
-        assert ch.recv() == [1, 2]
-        assert ch.recv() == "second"
-
-    def test_byte_accounting_exact(self):
-        ch = Channel()
-        payloads = [[2**100, 2**100 + 1], "text", b"\x00" * 10]
-        for p in payloads:
-            ch.send(p)
-        assert ch.bytes_sent == sum(encoded_size(p) for p in payloads)
-        assert ch.bits_sent == 8 * ch.bytes_sent
-        assert ch.messages_sent == 3
-
-    def test_recv_empty_raises(self):
-        with pytest.raises(ChannelClosed):
-            Channel().recv()
-
-    def test_send_after_close_raises(self):
-        ch = Channel()
-        ch.close()
-        with pytest.raises(ChannelClosed):
-            ch.send(1)
-
-    def test_pending(self):
-        ch = Channel()
-        assert ch.pending == 0
-        ch.send(1)
-        ch.send(2)
-        assert ch.pending == 2
-        ch.recv()
-        assert ch.pending == 1
-
-    def test_receiver_sees_serialized_copy(self):
-        """No shared mutable state between the parties."""
-        ch = Channel()
-        original = [1, 2, 3]
-        ch.send(original)
-        original.append(4)
-        assert ch.recv() == [1, 2, 3]
 
 
 class TestDuplexPair:
     def test_cross_wiring(self):
-        a, b = duplex_pair()
-        a.send("from-a")
-        b.send("from-b")
-        assert b.recv() == "from-a"
-        assert a.recv() == "from-b"
+        run = ProtocolRun(protocol="demo")
+        run.to_s("a", "from-r")
+        run.to_r("b", "from-s")
+        assert list(run.s_view.payloads()) == ["from-r"]
+        assert list(run.r_view.payloads()) == ["from-s"]
 
     def test_total_bytes_sums_both_directions(self):
-        a, b = duplex_pair()
-        a.send([1] * 10)
-        b.send("x")
-        assert a.total_bytes == a.bytes_sent + a.bytes_received
-        assert a.total_bytes == b.total_bytes
-
-
-class TestLinkModel:
-    def test_t1_constant(self):
-        assert T1_LINE.bandwidth_bps == pytest.approx(1.544e6)
-        assert T1_LINE.latency_s == 0.0
-
-    def test_transfer_time_bandwidth_only(self):
-        link = LinkModel(bandwidth_bps=1e6)
-        assert link.transfer_time(5e6) == pytest.approx(5.0)
-
-    def test_transfer_time_with_latency(self):
-        link = LinkModel(bandwidth_bps=1e6, latency_s=0.1)
-        assert link.transfer_time(1e6, messages=3) == pytest.approx(1.3)
-
-    def test_paper_t1_throughput_per_hour(self):
-        """Section 6: T1 ~ 5 Gbits/hour."""
-        bits_per_hour = T1_LINE.bandwidth_bps * 3600
-        assert bits_per_hour == pytest.approx(5.56e9, rel=0.01)
+        run = ProtocolRun(protocol="demo")
+        run.to_s("a", [1] * 10)
+        run.to_r("b", "x")
+        assert run.total_bytes == encoded_size([1] * 10) + encoded_size("x")

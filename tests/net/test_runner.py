@@ -1,10 +1,7 @@
-"""Tests for the protocol run orchestration."""
+"""Tests for the protocol run records."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.net.channel import LinkModel
 from repro.net.runner import ProtocolRun, ThreePartyRun
 from repro.net.serialization import encoded_size
 
@@ -19,29 +16,36 @@ class TestProtocolRun:
         assert [m.step for m in run.s_view.received] == ["1:msg"]
         assert [m.step for m in run.r_view.received] == ["2:msg"]
 
+    def test_views_record_in_order(self):
+        run = ProtocolRun(protocol="demo")
+        run.to_s("1", [1, 2])
+        run.to_s("2", "second")
+        assert list(run.s_view.payloads()) == [[1, 2], "second"]
+
     def test_byte_accounting_by_direction(self):
         run = ProtocolRun(protocol="demo")
         a = [2**100] * 4
         b = [2**100] * 7
         run.to_s("x", a)
+        assert run.total_bytes == encoded_size(a)
         run.to_r("y", b)
-        assert run.bytes_r_to_s == encoded_size(a)
-        assert run.bytes_s_to_r == encoded_size(b)
         assert run.total_bytes == encoded_size(a) + encoded_size(b)
-        assert run.total_bits == 8 * run.total_bytes
 
-    def test_elapsed_and_finish(self):
+    def test_byte_accounting_exact(self):
         run = ProtocolRun(protocol="demo")
-        assert run.elapsed_s >= 0
-        run.finish()
-        frozen = run.elapsed_s
-        assert run.elapsed_s == frozen
+        payloads = [[2**100, 2**100 + 1], "text", b"\x00" * 10]
+        for p in payloads:
+            run.to_r("m", p)
+        assert run.total_bytes == sum(encoded_size(p) for p in payloads)
 
-    def test_transfer_time_uses_link(self):
+    def test_receiver_sees_serialized_copy(self):
+        """No shared mutable state between the parties."""
         run = ProtocolRun(protocol="demo")
-        run.to_s("x", [1])
-        link = LinkModel(bandwidth_bps=8.0)  # one byte per second
-        assert run.transfer_time(link) == pytest.approx(run.total_bytes)
+        original = [1, 2, 3]
+        got = run.to_s("m", original)
+        original.append(4)
+        assert got == [1, 2, 3] and got is not original
+        assert next(run.s_view.payloads("m")) == [1, 2, 3]
 
     def test_views_labelled_by_party(self):
         run = ProtocolRun(protocol="demo")
@@ -53,18 +57,18 @@ class TestProtocolRun:
 class TestThreePartyRun:
     def test_t_receives_from_both(self):
         run = ThreePartyRun(protocol="medical")
-        run.r_sends_t("zs", [1, 2])
-        run.s_sends_t("zr", [3])
+        run.to_t("zs", [1, 2])
+        run.to_t("zr", [3])
         steps = [m.step for m in run.t_view.received]
         assert steps == ["zs", "zr"]
+        assert run.t_view.party == "T"
+        assert not run.r_view.received and not run.s_view.received
 
     def test_total_bytes_includes_all_links(self):
         run = ThreePartyRun(protocol="medical")
-        run.r_to_s.to_s("a", [1] * 5)
-        run.r_sends_t("b", [2] * 3)
-        run.s_sends_t("c", [3] * 2)
-        expected = (
-            encoded_size([1] * 5) + encoded_size([2] * 3) + encoded_size([3] * 2)
-        )
-        assert run.total_bytes == expected
-        assert run.total_bits == 8 * expected
+        payloads = [[1] * 5, [2] * 3, [3] * 2, b"z" * 9]
+        run.to_s("a", payloads[0])
+        run.to_r("b", payloads[1])
+        run.to_t("c", payloads[2])
+        run.to_t("d", payloads[3])
+        assert run.total_bytes == sum(encoded_size(p) for p in payloads)

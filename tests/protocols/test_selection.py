@@ -54,6 +54,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_selection(-1, records, suite)
 
+    def test_record_longer_than_length_prefix_rejected(self, suite):
+        """A record the 2-byte length prefix cannot describe is refused
+        by name, before either party draws a key."""
+        states = suite.rng_r.getstate(), suite.rng_s.getstate()
+        with pytest.raises(ValueError, match="65535-byte limit"):
+            run_selection(0, [b"a" * 70000, b"b"], suite)
+        assert (suite.rng_r.getstate(), suite.rng_s.getstate()) == states
+
 
 class TestDisclosureShape:
     def test_s_sees_only_uniform_elements(self, suite, records):
