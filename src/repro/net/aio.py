@@ -15,10 +15,12 @@ puts a server's sockets on an event loop:
   is all the worker and the shard router need to route it;
 * **the asyncio shell** - :func:`run_async` executes a session core's
   requests on the loop: frames through an :class:`AsyncFrameEndpoint`,
-  every machine step (hashing, modexp batches - optionally via a
-  :class:`~repro.crypto.engine.CryptoEngine` pool) through
-  ``run_in_executor`` and streamed chunks through
-  :func:`~repro.net.streaming.aprefetch`, so thousands of sessions can
+  and a machine step (hashing, modexp batches - optionally via a
+  :class:`~repro.crypto.engine.CryptoEngine` pool) in place when the
+  core declares it small (:data:`INLINE_WORK`: a small session's steps
+  cost about as much as the thread hop that would carry them), otherwise
+  through ``run_in_executor`` and, streamed, through
+  :func:`~repro.net.streaming.aprefetch` - so thousands of sessions can
   share one loop and a small thread pool. It hosts party S: every
   session a :class:`~repro.net.server.ProtocolServer` hosts is S's
   core as a task on the server's own loop - no thread is parked per
@@ -38,9 +40,10 @@ import asyncio
 import concurrent.futures
 import threading
 import time
-from typing import Any, Awaitable, Callable
+from typing import Any, AsyncIterator, Awaitable, Callable
 
 from . import serialization
+from .crashpoints import crash_point
 from .session_core import (
     DONE,
     Ahead,
@@ -58,6 +61,7 @@ from .streaming import aprefetch
 from .tcp import _LEN, DEFAULT_MAX_FRAME_BYTES, FrameTooLarge
 
 __all__ = [
+    "INLINE_WORK",
     "AsyncFrameEndpoint",
     "LoopThread",
 ]
@@ -293,6 +297,38 @@ class LoopThread:
         self._loop = None
 
 
+#: The most declared work a machine step may do on the event loop
+#: itself, in the unit of :data:`~repro.crypto.engine.POOL_ROUND_TRIP`
+#: (``exponent bits x modulus bits^2`` per exponentiation): one 1024-bit
+#: exponentiation's, or sixty-four 256-bit ones - 0.4-0.9 ms with GMP,
+#: the longest one step holds up the other sessions' frames. A step
+#: declaring more, or nothing, pays the executor round trip (60-110 µs
+#: of latency and as much CPU on the 2-CPU box of docs/PERFORMANCE.md,
+#: "Hop only when it pays") and leaves the loop free while GMP, which
+#: releases the interpreter, exponentiates. Measured there: small
+#: sessions beside a big one are fastest with this limit; with every
+#: step in place they wait out the big one's steps (256-bit |V| = 128:
+#: p95 +24 %; 1024-bit |V| = 300: 12x), and with every step hopping
+#: they pay the round trips (median +25-55 %). Every step of a
+#: ``herd-small`` session (256 bits, n = 4) runs in place; none of a
+#: 1024-bit one with hundreds of values does.
+INLINE_WORK = 1024**3
+
+
+def _in_place(request: Any) -> bool:
+    """Whether a machine step declares little enough to run on the loop."""
+    return request.work is not None and request.work <= INLINE_WORK
+
+
+async def _pulled(source: Any) -> AsyncIterator[Any]:
+    """A chunk stream stepped on the loop itself: plain ``next`` with
+    :func:`~repro.net.streaming.aprefetch`'s crash point, no producer
+    task and no buffer."""
+    for item in source:
+        crash_point("streaming.chunk.yield")
+        yield item
+
+
 async def run_async(
     steps: Any,
     dial: Callable[[], Awaitable[AsyncFrameEndpoint]],
@@ -302,13 +338,17 @@ async def run_async(
 
     ``steps`` is a generator from :mod:`repro.net.session_core`;
     ``dial`` opens the :class:`AsyncFrameEndpoint` an ``OPEN`` request
-    asks for. The generator itself runs on the loop (it only decides);
-    machine steps go through ``run_in_executor`` on ``executor`` and
-    streamed chunks through :func:`~repro.net.streaming.aprefetch`, so
-    crypto never blocks the loop. ``Ahead`` steps are chained on the
-    executor one after the other and the chain is awaited before a
-    ``Compute`` and before a new chunk stream starts, so a party's
-    machine steps never overlap each other. Whatever a request raises
+    asks for. The generator itself runs on the loop (it only decides).
+    A machine step whose declared work is at most :data:`INLINE_WORK`
+    runs on the loop too, a chunk stream as plain ``next``; every other
+    one goes through ``run_in_executor`` on ``executor``, a chunk
+    stream through :func:`~repro.net.streaming.aprefetch`, so heavy
+    crypto never blocks the loop. Offloaded ``Ahead`` steps are chained
+    on the executor one after the other; the chain is awaited before a
+    ``Compute``, before a new chunk stream starts and before an
+    in-place ``Ahead``, so a party's machine steps never overlap each
+    other. An ``Ahead`` step's ``Exception`` is dropped wherever it
+    ran. Whatever a request raises
     is thrown into ``steps`` - a timeout always as the builtin
     ``TimeoutError`` the core's ``except`` clauses name - and what
     ``steps`` does not handle (cancellation included) propagates, with
@@ -361,9 +401,20 @@ async def run_async(
                 elif kind is Compute:
                     if ahead is not None:
                         await ahead
-                    reply = await loop.run_in_executor(executor, request.fn)
+                    if _in_place(request):
+                        reply = request.fn()
+                    else:
+                        reply = await loop.run_in_executor(executor, request.fn)
                 elif kind is Ahead:
-                    ahead = loop.create_task(after(ahead, request.fn))
+                    if _in_place(request):
+                        if ahead is not None:
+                            await ahead
+                        try:
+                            request.fn()
+                        except Exception:
+                            pass  # dropped, as an offloaded step's is
+                    else:
+                        ahead = loop.create_task(after(ahead, request.fn))
                 elif kind is NextChunk:
                     if stream_source is not request.source:
                         if ahead is not None:
@@ -371,7 +422,10 @@ async def run_async(
                         if stream is not None:
                             await stream.aclose()
                         stream_source = request.source
-                        stream = aprefetch(stream_source, executor=executor)
+                        stream = (
+                            _pulled(stream_source) if _in_place(request)
+                            else aprefetch(stream_source, executor=executor)
+                        )
                     reply = await anext(stream, DONE)
                 elif kind is Open:
                     if stream is not None:

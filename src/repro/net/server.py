@@ -16,8 +16,10 @@ provides:
   (:func:`~repro.net.aio.run_async`, which hosts nothing else - every
   party R runs under the blocking or the lock-step shell): frames
   never change threads and
-  no thread is parked per session; only machine steps, chunk
-  production and journal recovery go to an executor of
+  no thread is parked per session. A fresh session is built on the
+  loop, and a machine step runs there too when the core declares it
+  small (:data:`~repro.net.aio.INLINE_WORK`); heavier machine steps
+  and chunk production, and journal recovery, go to an executor of
   ``max_sessions`` workers. The ``(max_sessions + 1)``-th new client
   is turned away with a typed ``busy`` frame (raised client-side as
   :class:`~repro.net.session.ServerBusyError`) carrying a retry hint
@@ -38,10 +40,11 @@ provides:
   from the exact interrupted cursor, while an unrecoverable journal
   (corruption, replay divergence) is quarantined as ``*.corrupt`` and
   the client gets a typed ``reject`` instead of a hang;
-* **supervision** - a reaper task on the loop enforces per-session
-  wall-clock deadlines and an idle timeout measured from the last
-  frame the session actually moved (abandoned runs stop holding
-  slots; busy runs on one long-lived connection are left alone),
+* **supervision** - a reaper task on the loop, started only when
+  either is set, enforces per-session wall-clock deadlines and an
+  idle timeout measured from the last frame the session actually
+  moved (abandoned runs stop holding slots; busy runs on one
+  long-lived connection are left alone),
   and :meth:`ProtocolServer.shutdown` / SIGTERM drains gracefully:
   new sessions are refused, in-flight rounds finish (journaled as they
   go) up to ``drain_timeout_s``, stragglers are aborted, and only then
@@ -110,7 +113,11 @@ class ProtocolOffer:
     ``make_sender`` must return a **fresh** party state per call (each
     session gets its own) and, when journaling is on, must be
     deterministic in its rng seed so a journaled session can be
-    recovered after a process crash.
+    recovered after a process crash. A ``make_sender`` with a ``size``
+    - how many values each party it builds holds, when building one is
+    hashing them, as :meth:`from_data`'s says - lets a hosted session
+    build a small party on the event loop; one without builds on the
+    executor.
 
     Every session of one offer is keyed alike: per-session keys need a
     factory of the session id, which this shape does not take.
@@ -137,14 +144,40 @@ class ProtocolOffer:
         """
         if seed is None:
             seed = _key_rng().getrandbits(128)
-        spec = get_spec(protocol)
         return cls(
             protocol=protocol,
             params=params,
-            make_sender=lambda: spec.make_sender(
-                data, params, random.Random(seed), engine=engine
+            make_sender=_SeededSender(
+                get_spec(protocol), data, params, seed, engine
             ),
         )
+
+
+@dataclass(frozen=True, eq=False)
+class _SeededSender:
+    """:meth:`ProtocolOffer.from_data`'s factory: party S over ``data``,
+    every call from an identically seeded rng."""
+
+    spec: Any
+    data: Any
+    params: Any
+    seed: Any
+    engine: Any
+
+    def __call__(self) -> Any:
+        return self.spec.make_sender(
+            self.data, self.params, random.Random(self.seed),
+            engine=self.engine,
+        )
+
+    @property
+    def size(self) -> int | None:
+        """How many values each party holds, when building one is
+        hashing them (``None`` otherwise: a party that draws a Paillier
+        keypair, a delta's)."""
+        if getattr(self.spec.make_sender, "light_build", False):
+            return len(self.data)
+        return None
 
 
 def _refusal_frame(
@@ -171,8 +204,8 @@ class SessionRecord:
     """Supervisor-side bookkeeping for one hosted session.
 
     A record is born ``starting`` - the id is reserved and reconnects
-    queue on its inbox - while the (possibly slow) journal lookup and
-    replay run on the executor outside the supervisor lock; it becomes
+    queue on its inbox - while the session is built or, from a journal
+    on disk, replayed on the executor outside the supervisor lock; it becomes
     ``running`` once its task owns a live session. ``inbox`` holds the
     routed connections (each with its hello pushed back) the session
     has not adopted yet; ``last_activity`` moves with every routed
@@ -220,8 +253,9 @@ class ProtocolServer:
     The event loop (on its own thread) owns the listener, every
     connection and every admitted session: each is a task running the
     session core under :func:`~repro.net.aio.run_async`, with an
-    executor of ``max_sessions`` workers for machine steps, chunk
-    production and journal recovery. Wire bytes, journal bytes, and
+    executor of ``max_sessions`` workers for the machine steps and
+    chunk production too heavy for the loop, and for journal recovery.
+    Wire bytes, journal bytes, and
     the refusal/recovery semantics are identical to
     :func:`~repro.net.tcp.serve_resumable_sender`'s blocking shell.
 
@@ -324,7 +358,11 @@ class ProtocolServer:
         return self._bound_port
 
     def start(self) -> "ProtocolServer":
-        """Spin up the event loop, bind, listen, start the reaper."""
+        """Spin up the event loop, bind, listen (and reap, if asked).
+
+        The reaper task starts only with a session deadline or an idle
+        timeout to enforce.
+        """
         if self._loop_thread is not None:
             raise RuntimeError("server already started")
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -343,9 +381,10 @@ class ProtocolServer:
             backlog=self.backlog,
         )
         self._bound_port = self._aserver.sockets[0].getsockname()[1]
-        self._reaper_task = asyncio.get_running_loop().create_task(
-            self._reap_loop()
-        )
+        if self.session_deadline_s is not None or self.idle_timeout_s is not None:
+            self._reaper_task = asyncio.get_running_loop().create_task(
+                self._reap_loop()
+            )
 
     def __enter__(self) -> "ProtocolServer":
         """Start on entry."""
@@ -572,18 +611,25 @@ class ProtocolServer:
     async def _host(self, record: SessionRecord) -> None:
         """One admitted session, start to finish, as a task on the loop.
 
-        The session is built - or recovered, a full cryptographic
-        replay - on the executor so hello routing stays live, then its
-        core runs under the asyncio shell, every ``OPEN`` adopting the
-        next connection routed to this record. Cancelling this task is
-        how the reaper and the drain abort a session.
+        A fresh session is built in place; one whose journal is on disk
+        is recovered - a full cryptographic replay - on the executor so
+        hello routing stays live. Then its core runs under the asyncio
+        shell, every ``OPEN`` adopting the next connection routed to
+        this record. Cancelling this task is how the reaper and the
+        drain abort a session.
         """
         link = None
         try:
-            record.session = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._make_session,
-                record.protocol, record.session_id,
-            )
+            if self._journaled(record):
+                loop = asyncio.get_running_loop()
+                record.session = await loop.run_in_executor(
+                    self._executor, self._make_session,
+                    record.protocol, record.session_id,
+                )
+            else:
+                record.session = self._make_session(
+                    record.protocol, record.session_id
+                )
             record.stats = record.session.stats
             record.status = "running"
             crash_point("server.session.run")
@@ -657,6 +703,12 @@ class ProtocolServer:
             pass
         finally:
             await endpoint.close()
+
+    def _journaled(self, record: SessionRecord) -> bool:
+        """Whether a journal for this record's id is already on disk."""
+        return self.journal_dir is not None and self.journal_dir.path_for(
+            "sender", record.protocol, record.session_id
+        ).exists()
 
     def _make_session(self, protocol: str, session_id: int) -> Any:
         """A fresh or journal-recovered session for a reserved id.

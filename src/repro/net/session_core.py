@@ -14,13 +14,27 @@ A *shell* executes the requests. The blocking shell
 (:func:`repro.net.session.run_blocking`) serves them from any
 ``send``/``recv``/``settimeout``/``close`` transport on the caller's
 own thread; the asyncio shell (:func:`repro.net.aio.run_async`) serves
-them from an event loop, machine steps through ``run_in_executor``;
-the lock-step shell (:class:`repro.net.virtual.LockStep`) serves them
-inline on a virtual clock. All three keep one invariant: *machine
-steps of one party never run concurrently with each other* - an
-:class:`Ahead` step overlaps only the party's ``Send`` / ``Recv`` /
-``Sleep``, and is over before its next :class:`Compute` or chunk
-stream starts. A shell decides nothing: every failure of a request -
+them from an event loop, heavy machine steps through
+``run_in_executor``; the lock-step shell
+(:class:`repro.net.virtual.LockStep`) serves them inline on a virtual
+clock. All three keep one invariant: *machine steps of one party never
+run concurrently with each other* - an :class:`Ahead` step overlaps
+only the party's ``Send`` / ``Recv`` / ``Sleep``, and is over before
+its next :class:`Compute` or chunk stream starts.
+
+A machine step carries its *declared work*: an upper bound on the
+exponentiations it does, each priced ``exponent bits x modulus
+bits^2`` (the unit of :data:`~repro.crypto.engine.POOL_ROUND_TRIP`;
+every exponent is below the modulus, so a step over ``n`` items
+declares ``n x`` :data:`_EXPS_PER_ITEM` ``x bits^3``), or ``None``
+where the core cannot bound it. The core fills it from sizes it
+holds: zero for decoding a received round; the party's values plus
+the items received so far for S's set-up (when its factory knows the
+table's size), its own-set step and a streamed round; nothing for a
+whole round or R's other steps. The asyncio shell runs a step that declares
+little in place and hops to its executor for the rest
+(:data:`repro.net.aio.INLINE_WORK`). A shell decides nothing else:
+every failure of a request -
 a timeout (``TimeoutError``), a frame that does not decode
 (``ValueError``), a dead link (``ConnectionError``/``OSError``), a
 refused dial - is *thrown into* the body at its ``yield``, so the
@@ -94,6 +108,13 @@ _TRANSIENT = (ConnectionError, TimeoutError, OSError)
 
 #: What every body here is: requests out, replies in, a result back.
 Steps = Generator[Any, Any, Any]
+
+#: Exponentiations one item of a machine step costs at most: a value
+#: or a peer's ciphertext is encrypted under at most two keys (S's
+#: equijoin keys), R strips at most two layers off a triple, and
+#: hashing a value costs less than two (docs/PERFORMANCE.md, "Hop only
+#: when it pays").
+_EXPS_PER_ITEM = 2
 
 
 class SessionError(Exception):
@@ -239,25 +260,28 @@ class Compute(NamedTuple):
     """Run ``fn()`` - a party-machine step - and resume with its result.
 
     The blocking shell calls it in place; the asyncio shell moves it
-    off the event loop; both first wait out the party's pending
-    :class:`Ahead` steps. Whatever ``fn`` raises is thrown in.
+    off the event loop unless its declared ``work`` is small; both
+    first wait out the party's pending :class:`Ahead` steps. Whatever
+    ``fn`` raises is thrown in.
     """
 
     fn: Callable[[], Any]
+    work: int | None = None
 
 
 class Ahead(NamedTuple):
     """Run the rng-free machine step ``fn()`` in the background.
 
-    The body is resumed at once, with nothing. The step only fills a
-    memo its party's next round step reads, so its outcome is never
-    awaited by name: the shell finishes it before the next
-    :class:`Compute` or new :class:`NextChunk` source, and discards
-    whatever it raises (the round step recomputes, and raises where it
-    always did).
+    The body is resumed with nothing: at once, or after the step where
+    a shell runs it in place. The step only fills a memo its party's next
+    round step reads, so its outcome is never awaited by name: the
+    shell finishes it before the next :class:`Compute` or new
+    :class:`NextChunk` source, and discards whatever it raises (the
+    round step recomputes, and raises where it always did).
     """
 
     fn: Callable[[], None]
+    work: int | None = None
 
 
 class NextChunk(NamedTuple):
@@ -265,10 +289,13 @@ class NextChunk(NamedTuple):
 
     The shell may run ``source`` ahead of the body (its double
     buffer), which is what overlaps chunk ``k+1``'s crypto with chunk
-    ``k``'s acknowledged send.
+    ``k``'s acknowledged send. ``work`` bounds any one item's: the
+    whole stream's, since a sorted part is encrypted whole before its
+    first chunk can go.
     """
 
     source: Any
+    work: int | None = None
 
 
 class Open(NamedTuple):
@@ -665,6 +692,14 @@ class _Party:
             journal.record_meta("chunk_size", self.chunk_size)
         self.journal = journal
 
+    def _work(self, items: int | None) -> int | None:
+        """The declared work of a machine step over ``items`` values
+        and received items, in the agreed group (``None`` stays
+        ``None``: unknown)."""
+        if items is None:
+            return None
+        return items * _EXPS_PER_ITEM * int(self._modulus).bit_length() ** 3
+
     def _ensure_machine(self) -> Any:
         if self._machine is None:
             from ..protocols.parties import ReceiverMachine, SenderMachine
@@ -828,9 +863,10 @@ class _Party:
         already = len(log.outbound) - log.open_round_base()
         wall_start = yield NOW
         send_s = 0.0
+        work = self._work(machine.item_count())
         timed = TimedIterator(machine.produce_chunks(rnd, self.chunk_size))
         count = 0
-        while (payload := (yield NextChunk(timed))) is not DONE:
+        while (payload := (yield NextChunk(timed, work))) is not DONE:
             if count >= already:
                 self._append_outbound(serialization.chunk_frame(count, payload))
                 begin = yield NOW
@@ -888,7 +924,7 @@ class _Party:
         consume = (
             machine.consume if status == "single" else machine.consume_chunks
         )
-        yield Compute(lambda: consume(rnd, payload))
+        yield Compute(lambda: consume(rnd, payload), 0)  # it only decodes
         log.in_rounds.append(len(log.inbound))
         if not self._replays:
             log.inbound[start:] = [None] * (len(log.inbound) - start)
@@ -923,6 +959,10 @@ class SenderCore(_Party):
         )
         self.params = params
         self._session_id: int | None = None
+
+    @property
+    def _modulus(self) -> int:
+        return self.params.to_wire()[0]
 
     def _connection(self) -> Steps:
         link, client_next_recv = yield from self.handshake()
@@ -1015,12 +1055,17 @@ class SenderCore(_Party):
         """Run (or resume) the round schedule over a welcomed link."""
         machine = self._ensure_machine()
         # Every seeded draw (cipher keys, the Paillier keypair) happens
-        # here, before anything runs beside anything.
-        yield Compute(machine.ensure_state)
+        # here, before anything runs beside anything. Building the party
+        # hashes its table: a factory that knows the table's size
+        # (ProtocolOffer.from_data's) declares it.
+        yield Compute(
+            machine.ensure_state,
+            self._work(getattr(self._make_state, "size", None)),
+        )
         if self.spec.warm is not None and not self.log.out_rounds:
             # Nothing orders S's own-set encryption after Y_R: it runs
             # while we wait for m1 (the round step finds it done).
-            yield Ahead(machine.warm)
+            yield Ahead(machine.warm, self._work(machine.item_count()))
         if client_next_recv < len(self.log.outbound):
             # A reconnected client served from the cached frame log.
             self.stats.rounds_resumed += 1
@@ -1069,6 +1114,10 @@ class ReceiverCore(_Party):
         # R picks its session id up front, so the per-session file is
         # adopted immediately (unlike the sender's lazy path).
         self._adopt_journal(self.session_id)
+
+    @property
+    def _modulus(self) -> int:
+        return self._params_wire[0]
 
     def _connection(self) -> Steps:
         link = yield from self.handshake()

@@ -5,7 +5,8 @@ byte-exact session layer: framing round-trips, a receive timeout never
 desynchronizes the stream (the pending-read pattern), the loop thread
 runs coroutines for synchronous callers, the async prefetcher preserves
 order and propagates producer failures, and the asyncio shell runs
-``Ahead`` steps as the core expects.
+``Ahead`` steps as the core expects - each machine step on the loop or
+on the executor by the work it declares.
 """
 
 from __future__ import annotations
@@ -14,17 +15,19 @@ import asyncio
 import random
 import struct
 import threading
+import time
 
 import pytest
 
 from repro.crypto.engine import MeteredEngine, SerialEngine
 from repro.net import LockStep, tcp
-from repro.net.aio import AsyncFrameEndpoint, LoopThread, run_async
+from repro.net.aio import INLINE_WORK, AsyncFrameEndpoint, LoopThread, run_async
+from repro.net.crashpoints import RecordingHook, hooked
 from repro.net.journal import open_session
 from repro.net.serialization import encode
 from repro.net.streaming import aprefetch
 from repro.net.session import SessionConfig, RetryPolicy
-from repro.net.session_core import Ahead, Compute
+from repro.net.session_core import DONE, Ahead, Compute, NextChunk
 from repro.net.tcp import FrameTooLarge
 from repro.net.virtual import Party
 from repro.protocols.parties import PublicParams
@@ -214,9 +217,14 @@ class TestAprefetch:
 # ----------------------------------------------------------------------
 # run_async's Ahead chain
 # ----------------------------------------------------------------------
+#: Declared work one unit over what may run on the loop.
+HEAVY = INLINE_WORK + 1
+
+
 class TestRunAsyncAhead:
-    """The asyncio shell's side of ``Ahead``: a chain on the executor,
-    awaited before the next ``Compute``, cancelled with a dead body."""
+    """The asyncio shell's side of a heavy ``Ahead``: a chain on the
+    executor, awaited before the next ``Compute``, cancelled with a dead
+    body."""
 
     def test_steps_chain_in_order_and_finish_before_a_compute(self):
         ran = []
@@ -227,11 +235,11 @@ class TestRunAsyncAhead:
             return fn
 
         def body():
-            yield Ahead(step("a"))
-            yield Ahead(lambda: 1 / 0)  # dropped; the chain goes on
-            yield Ahead(step("b"))
+            yield Ahead(step("a"), HEAVY)
+            yield Ahead(lambda: 1 / 0, HEAVY)  # dropped; the chain goes on
+            yield Ahead(step("b"), HEAVY)
             seen = yield Compute(lambda: [tag for tag, _ in ran])
-            yield Ahead(step("c"))
+            yield Ahead(step("c"), HEAVY)
             return seen
 
         loop_thread = []
@@ -254,8 +262,8 @@ class TestRunAsyncAhead:
             ran.append("slow")
 
         def body():
-            yield Ahead(slow)
-            yield Ahead(lambda: ran.append("never"))
+            yield Ahead(slow, HEAVY)
+            yield Ahead(lambda: ran.append("never"), HEAVY)
             raise RuntimeError("the session died")
 
         async def go():
@@ -269,6 +277,84 @@ class TestRunAsyncAhead:
 
         _run(go())
         assert ran == ["slow"]
+
+
+class TestRunAsyncPlacement:
+    """Where the asyncio shell runs a machine step: on the loop when its
+    declared work is at most ``INLINE_WORK``, on the executor when it
+    declares more or nothing - and one party's steps in order, never
+    overlapping, either way."""
+
+    @staticmethod
+    def _placed(work):
+        """One ``Ahead``, one ``Compute`` and a two-chunk stream, each
+        declaring ``work``: the loop's thread, each step's thread and
+        the crash points the run passed."""
+        threads = {}
+
+        def mark(tag):
+            threads[tag] = threading.current_thread()
+
+        def chunks():
+            for i in range(2):
+                mark(f"chunk {i}")
+                yield i
+
+        def body():
+            yield Ahead(lambda: mark("ahead"), work)
+            yield Ahead(lambda: 1 / 0, work)  # dropped wherever it runs
+            yield Compute(lambda: mark("compute"), work)
+            source, items = chunks(), []
+            while (item := (yield NextChunk(source, work))) is not DONE:
+                items.append(item)
+            return items
+
+        async def go():
+            return threading.current_thread(), await run_async(body(), None)
+
+        hook = RecordingHook()
+        with hooked(hook):
+            loop_thread, (items, _link) = _run(go())
+        assert items == [0, 1]
+        assert set(threads) == {"ahead", "compute", "chunk 0", "chunk 1"}
+        return loop_thread, threads, hook.counts
+
+    @pytest.mark.parametrize("work", [0, INLINE_WORK])
+    def test_a_declared_light_step_runs_on_the_loop_thread(self, work):
+        loop_thread, threads, crash_points = self._placed(work)
+        assert all(thread is loop_thread for thread in threads.values())
+        # A stream pulled in place passes aprefetch's crash point per chunk.
+        assert crash_points == {"streaming.chunk.yield": 2}
+
+    @pytest.mark.parametrize("work", [HEAVY, None])
+    def test_a_heavy_or_undeclared_step_runs_on_an_executor_thread(self, work):
+        loop_thread, threads, crash_points = self._placed(work)
+        assert all(thread is not loop_thread for thread in threads.values())
+        assert crash_points == {"streaming.chunk.yield": 2}
+
+    def test_a_heavy_ahead_then_light_steps_run_in_order_without_overlap(self):
+        spans = []
+
+        def step(tag, seconds=0.0):
+            def fn():
+                start = time.perf_counter()
+                time.sleep(seconds)
+                spans.append((tag, start, time.perf_counter()))
+                return tag
+            return fn
+
+        def body():
+            yield Ahead(step("heavy ahead", 0.05), HEAVY)
+            yield Ahead(step("light ahead"), 0)
+            yield Ahead(step("heavy ahead 2", 0.05), HEAVY)
+            return (yield Compute(step("light compute"), 0))
+
+        assert _run(run_async(body(), None))[0] == "light compute"
+        assert [tag for tag, _, _ in spans] == [
+            "heavy ahead", "light ahead", "heavy ahead 2", "light compute",
+        ]
+        for (_, _, end), (_, start, _) in zip(spans, spans[1:]):
+            assert start >= end
 
 
 

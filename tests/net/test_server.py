@@ -10,6 +10,8 @@ per-session stats folded into the metrics report.
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
 import gc
 import random
 import socket
@@ -91,6 +93,26 @@ def _raw_hello_holder(port, protocol, session_id):
         seal("hello", SESSION_VERSION, protocol, session_id, 0, 0)
     )
     return endpoint
+
+
+class _Submissions(concurrent.futures.ThreadPoolExecutor):
+    """A server executor logging the qualified name of every callable
+    submitted to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=4, thread_name_prefix="repro-session")
+        self.names = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.names.append(fn.__qualname__)
+        return super().submit(fn, *args, **kwargs)
+
+
+def _watch_executor(server):
+    """Swap a started server's executor for a :class:`_Submissions`."""
+    server._executor.shutdown()
+    server._executor = _Submissions()
+    return server._executor
 
 
 def _expect_frame(endpoint, tag, timeout=5.0):
@@ -366,6 +388,7 @@ def test_server_recovers_journaled_session_for_unknown_id(
         [offer], max_sessions=2, config=_config(),
         journal_dir=jdir, recorder=recorder,
     ).start()
+    submitted = _watch_executor(server)
     try:
         client, _ = open_session(
             "receiver", protocol,
@@ -385,6 +408,8 @@ def test_server_recovers_journaled_session_for_unknown_id(
     (record,) = server.results()
     assert record["status"] == "done"
     assert record["rounds_recovered"] == 2  # rebuilt from the journal
+    # The replay ran off the loop: hello routing stayed live meanwhile.
+    assert submitted.names[0] == "ProtocolServer._make_session"
     # Stats landed in the metrics report.
     report = recorder.report()
     assert len(report["sessions"]) == 1
@@ -429,12 +454,15 @@ def test_corrupt_journal_rejects_quarantines_and_frees_the_id(
     server = ProtocolServer(
         [offer], max_sessions=2, config=_config(), journal_dir=jdir
     ).start()
+    submitted = _watch_executor(server)
     try:
         endpoint = _raw_hello_holder(server.port, protocol, sid)
         fields = _expect_frame(endpoint, "reject")
         assert "recovery" in fields[2]
         assert "quarantined" in fields[2]
         endpoint.close()
+        # The failed replay ran off the loop.
+        assert submitted.names == ["ProtocolServer._make_session"]
 
         wal = jdir.path_for("sender", protocol, sid)
         corrupt = wal.with_suffix(".corrupt")
@@ -463,6 +491,8 @@ def test_corrupt_journal_rejects_quarantines_and_frees_the_id(
     (record,) = server.results()
     assert record["status"] == "done"
     assert corrupt.exists()  # still there for forensics
+    # The fresh session after it was built on the loop.
+    assert submitted.names.count("ProtocolServer._make_session") == 1
 
 
 class _SlowSendTransport:
@@ -633,3 +663,91 @@ def test_metadata_only_stub_journal_restarts_fresh(tmp_path, params):
     # journal rotated normally.
     assert list(tmp_path.glob("*.corrupt")) == []
     assert jdir.incomplete("sender", protocol) == []
+
+
+# ----------------------------------------------------------------------
+# Where a hosted session's machine steps run
+# ----------------------------------------------------------------------
+def test_a_herd_small_shaped_session_submits_nothing_to_the_executor(
+    tmp_path,
+):
+    """256 bits, n = 4, ``chunk_size=2``, journaled, as ``herd-small``:
+    building the session and party S, S's own set, the streamed ``m2``
+    and decoding ``m1`` all declare at most ``INLINE_WORK`` and run on
+    the loop."""
+    params = PublicParams.for_bits(256)
+    server = ProtocolServer(
+        {"intersection": (["a", "b", "c", "d"], params)}, config=_config(),
+        journal_dir=JournalDir(tmp_path, fsync=False), chunk_size=2,
+    ).start()
+    submitted = _watch_executor(server)
+    try:
+        answer, _ = tcp.connect_resumable_receiver(
+            "intersection", ["c", "d", "e", "f"], random.Random(1),
+            "127.0.0.1", server.port, config=_config(), chunk_size=2,
+        )
+        assert server.wait_for_sessions(1, timeout=10)
+    finally:
+        server.shutdown(drain_timeout_s=2.0)
+    assert answer == {"c", "d"}
+    assert [row["status"] for row in server.results()] == ["done"]
+    assert submitted.names == []
+
+
+def test_a_1024_bit_session_of_hundreds_still_hops_for_its_heavy_steps():
+    """1024 bits, |V| = 300, ``chunk_size=64``: building S, S's own set
+    and every chunk of the streamed ``m2`` go to the executor; decoding
+    ``m1`` (zero work) and building the session stay on the loop."""
+    params = PublicParams.for_bits(1024)
+    v_s = [f"s{i}" for i in range(200)] + [f"c{i}" for i in range(100)]
+    v_r = [f"r{i}" for i in range(200)] + [f"c{i}" for i in range(100)]
+    server = ProtocolServer(
+        {"intersection": (v_s, params)}, config=_config(timeout_s=30.0),
+        chunk_size=64,
+    ).start()
+    submitted = _watch_executor(server)
+    try:
+        answer, _ = tcp.connect_resumable_receiver(
+            "intersection", v_r, random.Random(1), "127.0.0.1", server.port,
+            config=_config(timeout_s=30.0), chunk_size=64,
+        )
+        assert server.wait_for_sessions(1, timeout=30)
+    finally:
+        server.shutdown(drain_timeout_s=2.0)
+    assert answer == {f"c{i}" for i in range(100)}
+    # Five Y_S and five pair chunks, then the pull that finds the end.
+    assert submitted.names == (
+        ["_Machine.ensure_state", "_Machine.warm"]
+        + ["aprefetch.<locals>._step"] * 11
+    )
+
+
+# ----------------------------------------------------------------------
+# The reaper runs only when there is something to reap
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "limits, reaps",
+    [({}, False), ({"idle_timeout_s": 5.0}, True),
+     ({"session_deadline_s": 5.0}, True)],
+)
+def test_the_reaper_is_scheduled_only_with_a_deadline_or_idle_timeout(
+    params, limits, reaps
+):
+    """A default server - every ``herd-small`` shard worker - has no
+    task waking every 50 ms; it serves and stops without one."""
+    server = ProtocolServer(
+        {"intersection": _offers(params)["intersection"]},
+        config=_config(), **limits,
+    ).start()
+    try:
+        async def tasks():
+            return [task.get_coro().__qualname__ for task in asyncio.all_tasks()]
+
+        running = server._loop_thread.run(tasks(), timeout=5)
+        assert ("ProtocolServer._reap_loop" in running) is reaps
+        assert (server._reaper_task is not None) is reaps
+        answer, _ = _client(server.port, "intersection", seed=1)
+        assert answer == {f"c{i}" for i in range(N // 2)}
+    finally:
+        server.shutdown(drain_timeout_s=2.0)
+    assert server.wait_closed(timeout=5)
