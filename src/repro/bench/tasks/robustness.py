@@ -301,8 +301,8 @@ def worker_failover(ctx) -> list[dict]:
                 "intersection", v_r, random.Random(f"failover-{index}"),
                 "127.0.0.1", server.port, config=config, chunk_size=1,
             )
-            # Kill the instant the front end has spliced the session
-            # through - the worker dies owning journaled in-flight rounds.
+            # Kill the instant the front end has handed the session
+            # over - the worker dies owning journaled in-flight rounds.
             while server.routed == routed_before:
                 time.sleep(0.002)
             server.kill_worker(0)

@@ -333,7 +333,7 @@ async def run_async(
     steps: Any,
     dial: Callable[[], Awaitable[AsyncFrameEndpoint]],
     executor: Any = None,
-) -> tuple[Any, AsyncFrameEndpoint | None]:
+) -> Any:
     """The asyncio shell: execute a session core's requests on the loop.
 
     ``steps`` is a generator from :mod:`repro.net.session_core`;
@@ -353,10 +353,9 @@ async def run_async(
     ``TimeoutError`` the core's ``except`` clauses name - and what
     ``steps`` does not handle (cancellation included) propagates, with
     the ``Ahead`` chain cancelled and the link and the
-    chunk stream closed. A run that completes returns ``(value,
-    link)``: what ``steps`` returned and its last link, still open -
-    how to hang up on a finished peer is the caller's to say (a client
-    just closes; the server lingers for the client's EOF).
+    chunk stream closed. A run that completes returns what ``steps``
+    returned, its link closed too: by then the peer has had the fin
+    echo and sends nothing more, so hanging up first is a clean close.
     """
     loop = asyncio.get_running_loop()
     endpoint = stream = stream_source = None
@@ -383,10 +382,7 @@ async def run_async(
             except StopIteration as stop:
                 if ahead is not None:
                     await ahead
-                # Completed: the link leaves with the result, not
-                # through the ``finally`` below.
-                link, endpoint = endpoint, None
-                return stop.value, link
+                return stop.value
             reply = failure = None
             kind = type(request)
             try:

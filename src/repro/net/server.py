@@ -73,9 +73,13 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
+import functools
 import os
 import random
 import signal
+import socket
+import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -197,6 +201,25 @@ def _refusal_frame(
 
 #: Statuses under which a record holds a session slot and accepts routing.
 _ACTIVE_STATUSES = ("starting", "running")
+
+#: A handed-over connection's token - the front end's name for it, sent
+#: with the socket and back in the worker's ``closed`` notice.
+HANDOFF_TOKEN = struct.Struct(">Q")
+
+#: Most bytes a shard front end may have read off a connection when it
+#: hands it over: the frames up to and including the hello, and whatever
+#: arrived behind them. A handoff is one channel datagram, so this stays
+#: well under a socket's default send buffer (~208 KiB on Linux).
+HANDOFF_MAX_BYTES = 65536
+
+
+class _HandedOver(asyncio.StreamReaderProtocol):
+    """A connection adopted from a shard front end: when this server's
+    copy of its socket closes, ``on_lost()`` tells the front end."""
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        super().connection_lost(exc)
+        self.on_lost()
 
 
 @dataclass
@@ -342,6 +365,7 @@ class ProtocolServer:
         self._bound_port: int | None = None
         self._executor: concurrent.futures.ThreadPoolExecutor | None = None
         self._reaper_task: asyncio.Task | None = None
+        self._channel: socket.socket | None = None
         self._draining = threading.Event()
         self._closed = threading.Event()
         self._shutdown_lock = threading.Lock()
@@ -450,6 +474,10 @@ class ProtocolServer:
                 except (concurrent.futures.TimeoutError, RuntimeError):
                     pass
                 self._loop_thread.stop()
+            if self._channel is not None:
+                # Every ``closed`` notice is out; the EOF tells an
+                # in-process front end that this worker is gone.
+                self._channel.close()
             self._shutdown_done = True
 
     async def _stop_async(self) -> None:
@@ -506,6 +534,61 @@ class ProtocolServer:
     # ------------------------------------------------------------------
     # Accepting and routing (event-loop side)
     # ------------------------------------------------------------------
+    def accept_handoffs(self, channel: socket.socket) -> None:
+        """Also serve the connections a shard front end hands over.
+
+        ``channel`` is this server's end of an ``AF_UNIX``
+        ``SOCK_SEQPACKET`` pair (:mod:`repro.net.shard`). Each datagram
+        on it is one connection the front end accepted: its socket, a
+        token, and every byte the front end read off it - the frames up
+        to the hello and what arrived behind them. Those bytes go in
+        front of the socket's own, so :meth:`_handle_client` reads the
+        connection exactly as if the client had dialed this server.
+        When this server's copy of a handed-over socket closes, the
+        token goes back up the channel (``closed``); the channel itself
+        closes with the server.
+        """
+        # A ``closed`` notice waits at most this long for a front end
+        # that has stopped reading.
+        channel.settimeout(self.config.timeout_s)
+        self._channel = channel
+        loop = self._loop_thread.loop
+        loop.call_soon_threadsafe(loop.add_reader, channel, self._on_handoff)
+
+    def _on_handoff(self) -> None:
+        """Reader callback on the channel: adopt one handed-over socket,
+        the bytes read off it first in its reader."""
+        loop = self._loop_thread.loop
+        try:
+            data, fds, _flags, _addr = socket.recv_fds(
+                self._channel, HANDOFF_TOKEN.size + HANDOFF_MAX_BYTES, 1
+            )
+        except OSError:
+            data = b""
+        if not data:
+            # The front end is gone: nothing more will be handed over.
+            loop.remove_reader(self._channel)
+            return
+        reader = asyncio.StreamReader()
+        reader.feed_data(data[HANDOFF_TOKEN.size:])
+        protocol = _HandedOver(reader, self._handle_client)
+        protocol.on_lost = functools.partial(
+            self._handoff_closed, *HANDOFF_TOKEN.unpack_from(data)
+        )
+        if not fds:
+            # Out of descriptors, the kernel dropped the socket: the
+            # front end closes its copy, and the client redials.
+            protocol.on_lost()
+            return
+        loop.create_task(loop.connect_accepted_socket(
+            lambda: protocol, socket.socket(fileno=fds[0])
+        ))
+
+    def _handoff_closed(self, token: int) -> None:
+        """Tell the front end to drop its copy of a handed-over socket."""
+        with contextlib.suppress(OSError):  # if it is gone, so are they
+            self._channel.send(HANDOFF_TOKEN.pack(token))
+
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -618,7 +701,6 @@ class ProtocolServer:
         this record. Cancelling this task is how the reaper and the
         drain abort a session.
         """
-        link = None
         try:
             if self._journaled(record):
                 loop = asyncio.get_running_loop()
@@ -633,11 +715,11 @@ class ProtocolServer:
             record.stats = record.session.stats
             record.status = "running"
             crash_point("server.session.run")
-            link = (await run_async(
+            await run_async(
                 record.session.steps(),
                 lambda: self._adopt(record),
                 self._executor,
-            ))[1]
+            )
             record.status = "done"
         except asyncio.CancelledError:
             record.status = "expired"
@@ -659,10 +741,6 @@ class ProtocolServer:
             self._finished.notify_all()
         while not unadopted.empty():
             await unadopted.get_nowait().close()
-        if link is not None:
-            # Only now, with the slot already free: hanging up on a
-            # finished client is nobody's critical path.
-            await self._linger(link)
 
     def _retire(
         self, record: SessionRecord
@@ -685,24 +763,6 @@ class ProtocolServer:
                 f"no client (re)connected to session "
                 f"{record.session_id} in {wait_s}s"
             ) from None
-
-    async def _linger(self, endpoint: AsyncFrameEndpoint) -> None:
-        """Lingering close after a completed run: let the client hang up.
-
-        The client closes as soon as it reads the fin echo; reading to
-        its EOF (for at most ``fin_grace_s``) before closing means a
-        relay in between - the shard router's splice - sees the client
-        leg end first and never mistakes a finished session for a lost
-        worker.
-        """
-        deadline = time.monotonic() + self.config.fin_grace_s
-        try:
-            while (remaining := deadline - time.monotonic()) > 0:
-                await endpoint.recv_bytes_within(remaining)
-        except (ConnectionError, OSError, *_TIMEOUTS):
-            pass
-        finally:
-            await endpoint.close()
 
     def _journaled(self, record: SessionRecord) -> bool:
         """Whether a journal for this record's id is already on disk."""

@@ -15,11 +15,16 @@ one process's executor, not the sockets. This module splits the roles:
   far enough to find the first valid ``hello`` - with the worker's own
   reader, :func:`~repro.net.aio.read_hello` - takes the session id
   from it (a non-integer one gets the worker's typed ``reject``), and
-  splices the connection through to worker
-  ``session_id % shards`` - first replaying the buffered frames
-  byte-for-byte, then degenerating into a dumb bidirectional byte
-  relay. The front end never unseals payloads beyond the hello and
-  holds no session state, so it stays O(connections), not O(sessions).
+  hands the connection over to worker ``session_id % shards``: the
+  socket itself (``SCM_RIGHTS``) and every byte read off it so far, in
+  one datagram on that worker's ``AF_UNIX`` ``SOCK_SEQPACKET``
+  *channel* (:meth:`ProtocolServer.accept_handoffs`). From then on the
+  front end reads nothing from the connection; client and worker talk
+  over the one TCP connection with nothing in between. It keeps a
+  duplicate of the socket only so that it can still answer the client
+  if the worker dies, and drops the duplicate when the worker sends the
+  token back (``closed``). The front end never unseals payloads beyond
+  the hello and holds no session state.
 
 Routing by ``session_id % shards`` is what makes *reconnects* work:
 the id in every hello is stable across a client's reconnect attempts,
@@ -42,12 +47,13 @@ shards keep serving. The per-shard lifecycle is::
                            \\--budget spent--> failed
 
 While a shard is down, the front end never lets a client see a raw
-socket reset: an in-flight splice that loses its worker leg - and any
+socket reset. A worker's death is EOF on its channel: every connection
+the front end still holds a duplicate of for that worker - and any
 hello routed at a dead or respawning shard - is answered with a typed
 ``worker-lost`` frame (the busy wire shape under its own tag, retry
-hint included) before the client socket is closed cleanly. The session
-layer raises it as :class:`~repro.net.session.WorkerLost` and
-reconnects-and-resumes onto the respawned worker.
+hint included) and then closed cleanly. The session layer raises it as
+:class:`~repro.net.session.WorkerLost` and reconnects-and-resumes onto
+the respawned worker.
 
 Wire bytes are otherwise untouched: a client cannot tell a sharded
 server from a flat one (same hello/welcome/busy/reject frames, same
@@ -56,31 +62,37 @@ would.
 
 Process workers are started by **fork** (party factories are closures
 over live data and do not pickle), so ``worker_processes=True`` is
-POSIX-only; construction fails fast elsewhere. The initial workers are
-forked *before* the front end's event-loop thread starts; respawns
-necessarily fork later, but the child immediately builds its own loop
-and touches none of the parent's threads.
+POSIX-only; construction fails fast elsewhere. Handing a socket over
+needs ``AF_UNIX`` ``SOCK_SEQPACKET`` and ``SCM_RIGHTS`` (Linux has
+both), in-process shards included. The initial workers are forked
+*before* the front end's event-loop thread starts; respawns
+necessarily fork later, but the child immediately builds its own loop,
+touches none of the parent's threads, and lets go of every socket it
+inherited but its own two: the public listener, the connections the
+front end holds, the other shards' channels.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import multiprocessing
 import os
 import signal
+import socket
+import stat
 import threading
 import time
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from . import serialization
 from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS, read_hello
-from .server import ProtocolOffer, ProtocolServer, _refusal_frame
+from .server import HANDOFF_MAX_BYTES, HANDOFF_TOKEN, ProtocolOffer, ProtocolServer, _refusal_frame
 from .session import SessionConfig
+from .tcp import _LEN
 
 __all__ = ["ShardedProtocolServer"]
-
-#: Relay chunk size for the post-hello byte splice.
-_RELAY_CHUNK = 65536
 
 #: Ceiling on the exponential pause between respawns of one shard.
 _RESPAWN_BACKOFF_CAP_S = 2.0
@@ -89,28 +101,53 @@ _RESPAWN_BACKOFF_CAP_S = 2.0
 _SPAWN_TIMEOUT_S = 30.0
 
 
+def _release_inherited_sockets(keep: set[int]) -> None:
+    """Let go of every socket this forked process inherited but ``keep``.
+
+    A worker forked while the front end runs (a respawn) would otherwise
+    hold the public listener - a client could still connect after the
+    front end closed it, and wait on nobody - as well as the
+    connections the front end holds and the other shards' channels. Each
+    one is overwritten with ``/dev/null`` rather than closed, so its
+    number stays taken: a socket object of the front end's that this
+    process collects later closes ``/dev/null``, never a socket of the
+    worker's own.
+    """
+    null = os.open(os.devnull, os.O_RDWR)
+    for fd in map(int, os.listdir("/dev/fd")):
+        # (The listing's own descriptor is closed by now: OSError.)
+        with contextlib.suppress(OSError):
+            if fd > 2 and fd not in keep and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.dup2(null, fd)
+    os.close(null)
+
+
 def _worker_main(
     offers: list[ProtocolOffer],
     kwargs: dict[str, Any],
     conn: Any,
+    channel: socket.socket,
     shard_index: int,
     heartbeat_s: float,
 ) -> None:
     """Child-process entry: serve one shard until told to drain.
 
-    Between control messages the worker emits ``("hb", shard,
-    active_sessions, wall_ts)`` every ``heartbeat_s`` seconds; the
-    parent's supervisor treats their absence as a hang. A ``("wedge",
-    seconds)`` message - the chaos/test hook behind the heartbeat-hang
-    axis - stops the control loop (heartbeats included) for that long,
-    exactly what a worker stuck in a pathological syscall looks like
-    from the outside.
+    Connections arrive on ``channel`` from the front end
+    (:meth:`ProtocolServer.accept_handoffs`). Between control messages
+    the worker emits ``("hb", shard, active_sessions, wall_ts)`` every
+    ``heartbeat_s`` seconds; the parent's supervisor treats their
+    absence as a hang. A ``("wedge", seconds)`` message - the
+    chaos/test hook behind the heartbeat-hang axis - stops the control
+    loop (heartbeats included) for that long, exactly what a worker
+    stuck in a pathological syscall looks like from the outside.
     """
+    _release_inherited_sockets({conn.fileno(), channel.fileno()})
     # A terminal Ctrl-C signals the whole process group; workers must
     # outlive it so the front end's pipe-driven drain (which the
     # parent's own handler triggers) can journal a clean stop.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     server = ProtocolServer(offers, **kwargs).start()
+    server.accept_handoffs(channel)
     try:
         conn.send(("port", server.port))
         last_hb = 0.0  # send the first heartbeat immediately
@@ -160,12 +197,25 @@ class _Shard:
         self.server: ProtocolServer | None = None  # in-process mode
         self.process: Any = None  # process mode
         self.conn: Any = None
+        self.channel: _Channel | None = None
         self.results: list[dict[str, Any]] = []
         self.state = "alive"
         self.restarts = 0
         self.active_sessions = 0
         self.last_heartbeat = time.monotonic()
         self.respawn_at = 0.0
+
+
+class _Channel:
+    """A fresh handoff channel to one worker: ``sock`` is the front
+    end's end, ``theirs`` the worker's. ``held`` maps the token of every
+    connection handed over on it that the worker has not said it closed
+    to the front end's duplicate of its socket."""
+
+    def __init__(self) -> None:
+        self.sock, self.theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        self.sock.setblocking(False)
+        self.held: dict[int, socket.socket] = {}
 
 
 class ShardedProtocolServer:
@@ -303,15 +353,17 @@ class ShardedProtocolServer:
         """
         ctx = multiprocessing.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()
+        channel = _Channel()
         shard.process = ctx.Process(
             target=_worker_main,
             args=(self.offers, self._worker_config(shard.index), child_conn,
-                  shard.index, self.heartbeat_s),
+                  channel.theirs, shard.index, self.heartbeat_s),
             daemon=True,
             name=f"repro-shard-{shard.index}",
         )
         shard.process.start()
         child_conn.close()
+        channel.theirs.close()
         shard.conn = parent_conn
         if not parent_conn.poll(_SPAWN_TIMEOUT_S):
             raise RuntimeError(f"shard {shard.index} failed to start")
@@ -321,6 +373,7 @@ class ShardedProtocolServer:
                 f"shard {shard.index} failed to start: {value!r}"
             )
         shard.port = value
+        shard.channel = channel
         shard.state = "alive"
         shard.active_sessions = 0
         shard.last_heartbeat = time.monotonic()
@@ -341,6 +394,8 @@ class ShardedProtocolServer:
                 shard.server = ProtocolServer(
                     self.offers, **self._worker_config(index)
                 ).start()
+                shard.channel = _Channel()
+                shard.server.accept_handoffs(shard.channel.theirs)
                 shard.port = shard.server.port
             self._shards.append(shard)
         self._loop_thread = LoopThread(name="repro-shard-front").start()
@@ -355,6 +410,8 @@ class ShardedProtocolServer:
         return self
 
     async def _start_async(self) -> None:
+        for shard in self._shards:
+            self._watch(shard)
         self._aserver = await asyncio.start_server(
             self._route_client,
             self.host,
@@ -447,9 +504,9 @@ class ShardedProtocolServer:
             except OSError:
                 pass
             shard.conn = None
-        shard.port = None  # stop routing at the corpse immediately
+        shard.port = None
         shard.active_sessions = 0
-        shard.state = "dead"
+        shard.state = "dead"  # stop routing at the corpse immediately
         self._schedule_respawn_or_fail(shard, now)
 
     def _absorb_heartbeats(self, shard: _Shard, now: float) -> None:
@@ -483,6 +540,8 @@ class ShardedProtocolServer:
             # the budget and back off further.
             shard.state = "dead"
             self._schedule_respawn_or_fail(shard, time.monotonic())
+            return
+        self._loop_thread.loop.call_soon_threadsafe(self._watch, shard)
 
     def _retry_hint_s(self, shard: _Shard) -> float:
         """What to tell a refused client about when to redial."""
@@ -572,13 +631,15 @@ class ShardedProtocolServer:
     # Shutdown / drain
     # ------------------------------------------------------------------
     def shutdown(self, drain_timeout_s: float | None = 5.0) -> None:
-        """Stop accepting, drain every worker, then stop the relay.
+        """Stop accepting, drain every worker, then stop the front end.
 
-        The front end closes its listener first but leaves live relays
-        running, so in-flight sessions keep talking to their workers
-        for the whole drain window. Dead, failed, and respawning shards
-        are reaped without waiting on their control pipes, and every
-        shard's outcome lands in :attr:`drain_report`. Idempotent.
+        The front end closes its listener first; connections already
+        handed over belong to their workers, so in-flight sessions keep
+        running for the whole drain window. Dead, failed, and
+        respawning shards are reaped without waiting on their control
+        pipes, and every shard's outcome lands in :attr:`drain_report`.
+        Once the workers are gone, a connection the front end still
+        holds is answered as one whose worker died. Idempotent.
         """
         self._draining.set()
         with self._shutdown_lock:
@@ -646,6 +707,8 @@ class ShardedProtocolServer:
                     shard.conn = None
             self.drain_report = sorted(report, key=lambda r: r["shard"])
             if self._loop_thread is not None:
+                # Runs on the loop before stop()'s cancellations do.
+                self._loop_thread.loop.call_soon_threadsafe(self._drop_channels)
                 self._loop_thread.stop()
             self._closed.set()
             self._shutdown_done = True
@@ -721,17 +784,14 @@ class ShardedProtocolServer:
     async def _route_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One public connection: find its hello, splice to its shard."""
+        """One public connection: find its hello, hand it to its shard."""
         endpoint = AsyncFrameEndpoint(reader, writer)
-        upstream: AsyncFrameEndpoint | None = None
         try:
             hello = await read_hello(endpoint, self.config.timeout_s)
             if hello is None:
                 self.refused_unroutable += 1
                 return
-            # Every frame read goes on, garbled seals included: the
-            # worker judges them as if the client had dialed it.
-            buffered, fields = hello
+            frames, fields = hello
             session_id = fields[3]
             if not isinstance(session_id, int):
                 self.refused_unroutable += 1
@@ -746,110 +806,92 @@ class ShardedProtocolServer:
                     "(worker restart budget exhausted)",
                 )
                 return
-            port = shard.port
-            if shard.state != "alive" or port is None:
-                self.worker_lost_notices += 1
-                await self._notify(
-                    endpoint, "worker-lost",
-                    f"shard {shard.index} worker is respawning",
-                    retry_after_s=self._retry_hint_s(shard),
-                )
-                return
-            culprit = "worker"
-            try:
-                up_reader, up_writer = await asyncio.open_connection(
-                    "127.0.0.1", port
-                )
-                upstream = AsyncFrameEndpoint(up_reader, up_writer)
-                for raw in buffered:
-                    await upstream.send_bytes(raw)
-                self.routed += 1
-                culprit = await self._splice(
-                    reader, writer, up_reader, up_writer
-                )
-            except (ConnectionError, OSError, *_TIMEOUTS):
-                # Everything in the try block beyond the splice talks
-                # only to the worker leg; the splice classifies its own
-                # failures. Either way this is a worker-path loss.
-                pass
-            if culprit == "worker":
-                # Satellite-fix contract: a worker-side reset is never
-                # propagated raw - the client gets a typed, retryable
-                # notice and then a clean close.
-                self.worker_lost_notices += 1
-                await self._notify(
-                    endpoint, "worker-lost",
-                    f"shard {shard.index} worker connection was lost "
-                    "mid-session",
-                    retry_after_s=self._retry_hint_s(shard),
-                )
+            channel = shard.channel
+            if shard.state == "alive" and channel is not None:
+                # Read nothing more. Every frame read goes on, garbled
+                # seals included - the worker judges them as if the
+                # client had dialed it - and so does whatever arrived
+                # behind the hello.
+                writer.transport.pause_reading()
+                data = b"".join(_LEN.pack(len(raw)) + raw for raw in frames)
+                data += bytes(reader._buffer)
+                if len(data) > HANDOFF_MAX_BYTES:
+                    self.refused_unroutable += 1
+                    return
+                # Our duplicate, held until the worker sends its token back.
+                held = writer.get_extra_info("socket").dup()
+                token = held.fileno()
+                try:
+                    socket.send_fds(channel.sock, [HANDOFF_TOKEN.pack(token) + data], [token])
+                    channel.held[token] = held
+                    self.routed += 1
+                    return
+                except OSError:
+                    held.close()  # the worker is gone, or that far behind
+            self.worker_lost_notices += 1
+            await self._notify(
+                endpoint, "worker-lost",
+                f"shard {shard.index} worker is respawning",
+                retry_after_s=self._retry_hint_s(shard),
+            )
         except (ConnectionError, OSError, *_TIMEOUTS):
             pass
-        except asyncio.CancelledError:
-            raise
         finally:
+            # A handed-over connection lives on in the worker (and in
+            # the channel's duplicate): this closes only our descriptor.
             await endpoint.close()
-            if upstream is not None:
-                await upstream.close()
 
-    async def _splice(
-        self,
-        down_reader: asyncio.StreamReader,
-        down_writer: asyncio.StreamWriter,
-        up_reader: asyncio.StreamReader,
-        up_writer: asyncio.StreamWriter,
-    ) -> str:
-        """Dumb byte relay, both directions, until either side drops.
+    def _watch(self, shard: _Shard) -> None:
+        """Start reading a shard's current channel (loop thread)."""
+        asyncio.get_running_loop().add_reader(
+            shard.channel.sock, self._on_channel, shard, shard.channel
+        )
 
-        Returns which side dropped first - ``"client"`` or
-        ``"worker"`` - so the caller can translate a lost worker into
-        a typed notice instead of a raw reset.
-        """
+    def _on_channel(self, shard: _Shard, channel: _Channel) -> None:
+        """Reader callback on a worker's channel: drop the duplicates of
+        the connections the worker closed; EOF means the worker is gone."""
+        while True:
+            try:
+                data = channel.sock.recv(HANDOFF_TOKEN.size)
+            except BlockingIOError:
+                return
+            except OSError:
+                data = b""
+            if not data:
+                self._channel_lost(shard, channel)
+                return
+            held = channel.held.pop(HANDOFF_TOKEN.unpack(data)[0], None)
+            if held is not None:
+                held.close()
 
-        async def _pipe(
-            src: asyncio.StreamReader,
-            dst: asyncio.StreamWriter,
-            src_side: str,
-            dst_side: str,
-        ) -> str:
-            while True:
-                try:
-                    chunk = await src.read(_RELAY_CHUNK)
-                except (ConnectionError, OSError):
-                    return src_side
-                if not chunk:
-                    return src_side
-                try:
-                    dst.write(chunk)
-                    await dst.drain()
-                except (ConnectionError, OSError):
-                    return dst_side
-
-        tasks = {
-            asyncio.ensure_future(
-                _pipe(down_reader, up_writer, "client", "worker")
-            ),
-            asyncio.ensure_future(
-                _pipe(up_reader, down_writer, "worker", "client")
-            ),
-        }
-        culprit = "client"
-        try:
-            done, _pending = await asyncio.wait(
-                tasks, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                if task.result() == "worker":
-                    culprit = "worker"
-        finally:
-            # One side dropped (or we were cancelled): tear down both
-            # legs; the caller notifies the client if the worker leg
-            # was the one that died.
-            for task in tasks:
-                task.cancel()
-            for task in tasks:
-                try:
-                    await task
-                except (asyncio.CancelledError, ConnectionError, OSError):
+    def _channel_lost(self, shard: _Shard, channel: _Channel) -> None:
+        """The worker behind ``channel`` is gone: every connection it
+        still had gets a typed worker-lost frame, then a clean close."""
+        asyncio.get_running_loop().remove_reader(channel.sock)
+        channel.sock.close()
+        if shard.channel is channel:
+            shard.channel = None
+        payload = serialization.encode(_refusal_frame(
+            "worker-lost",
+            f"shard {shard.index} worker connection was lost mid-session",
+            self._retry_hint_s(shard),
+        ))
+        for held in channel.held.values():
+            self.worker_lost_notices += 1
+            held.setblocking(False)
+            with contextlib.suppress(OSError):
+                # Closing over bytes nobody read would reset the
+                # connection instead of ending it: drain them first.
+                while held.recv(65536):
                     pass
-        return culprit
+            with contextlib.suppress(OSError):
+                held.send(_LEN.pack(len(payload)) + payload)  # best effort
+            held.close()
+        channel.held.clear()
+
+    def _drop_channels(self) -> None:
+        """Shutdown, every worker gone: hear what each said last (then
+        its EOF), and answer what it left open as a lost worker's."""
+        for shard in self._shards:
+            if shard.channel is not None:
+                self._on_channel(shard, shard.channel)

@@ -152,3 +152,30 @@ def test_budget_exhaustion_is_contained_to_the_failed_shard(tmp_path):
         assert sorted(answer) == ["b", "c"]
     states = {r["shard"]: r["state"] for r in server.drain_report}
     assert states == {0: "failed", 1: "drained"}
+
+
+# ----------------------------------------------------------------------
+# A respawned worker inherits none of the front end's sockets
+# ----------------------------------------------------------------------
+def test_a_respawned_worker_does_not_keep_the_public_port_open():
+    """A respawn forks while the front end listens: the child must let
+    go of the listener, or a client still connects after the front end
+    closed it - and waits on nobody - instead of being refused."""
+    import time
+
+    server = ShardedProtocolServer(
+        {"intersection": (["b", "c", "x"], PublicParams.for_bits(96))},
+        shards=1, worker_processes=True, heartbeat_s=0.05,
+        respawn_backoff_s=0.05, restart_budget=2,
+    ).start()
+    try:
+        assert server.kill_worker(0) is not None
+        deadline = time.monotonic() + 15.0
+        while server.health()[0]["restarts"] < 1 or server.health()[0]["state"] != "alive":
+            assert time.monotonic() < deadline, server.health()
+            time.sleep(0.02)
+        server._loop_thread.run(server._close_listener(), timeout=10)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", server.port), timeout=2.0).close()
+    finally:
+        server.shutdown(drain_timeout_s=1.0)

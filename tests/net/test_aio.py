@@ -248,8 +248,8 @@ class TestRunAsyncAhead:
             loop_thread.append(threading.current_thread())
             return await run_async(body(), dial=None)
 
-        seen, link = _run(go())
-        assert seen == ["a", "b"] and link is None
+        seen = _run(go())
+        assert seen == ["a", "b"]
         assert [tag for tag, _ in ran] == ["a", "b", "c"]  # c: awaited at the end
         assert all(thread is not loop_thread[0] for _, thread in ran)
 
@@ -314,7 +314,7 @@ class TestRunAsyncPlacement:
 
         hook = RecordingHook()
         with hooked(hook):
-            loop_thread, (items, _link) = _run(go())
+            loop_thread, items = _run(go())
         assert items == [0, 1]
         assert set(threads) == {"ahead", "compute", "chunk 0", "chunk 1"}
         return loop_thread, threads, hook.counts
@@ -349,7 +349,7 @@ class TestRunAsyncPlacement:
             yield Ahead(step("heavy ahead 2", 0.05), HEAVY)
             return (yield Compute(step("light compute"), 0))
 
-        assert _run(run_async(body(), None))[0] == "light compute"
+        assert _run(run_async(body(), None)) == "light compute"
         assert [tag for tag, _, _ in spans] == [
             "heavy ahead", "light ahead", "heavy ahead 2", "light compute",
         ]

@@ -164,7 +164,7 @@ class TestRouting:
 
     def test_sealed_garbage_before_hello_is_forwarded(self, params):
         """A garbled-seal frame then a valid hello still gets served -
-        the router buffers and replays pre-hello frames verbatim."""
+        the router hands pre-hello frames over with the connection."""
         with ShardedProtocolServer(
             _offers(params), shards=2, config=_config(), max_sessions=2
         ) as server:
@@ -312,7 +312,7 @@ class TestSupervision:
     def test_mid_session_worker_loss_is_typed_then_clean_eof(
         self, params
     ):
-        """The splice contract: a worker-side reset mid-session reaches
+        """The handoff contract: a worker killed mid-session reaches
         the client as a typed worker-lost frame followed by a clean
         EOF - never as a raw ``ConnectionResetError``."""
         with ShardedProtocolServer(
@@ -322,7 +322,7 @@ class TestSupervision:
         ) as server:
             sock, endpoint = _raw_hello(server.port, session_id=9)
             fields = unseal(endpoint.recv())
-            assert fields[0] == "welcome"  # spliced through to a worker
+            assert fields[0] == "welcome"  # handed over to a worker
             assert server.kill_worker(0) is not None
             deadline = time.monotonic() + 10.0
             while True:

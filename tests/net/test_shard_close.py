@@ -1,12 +1,12 @@
-"""A finished session is not a lost worker (the shard splice's close order).
+"""A finished session is not a lost worker.
 
-The router's splice is a dumb byte relay: whichever leg reaches EOF
-first is "the side that dropped", and a worker leg that drops gets a
-typed ``worker-lost`` frame thrown at the client. That is the contract
-for a worker that *died* (``test_shard.TestSupervision`` pins it with a
-real SIGKILL) - but a worker that merely hung up first after a
-completed run looked the same. The worker now lingers for the client's
-EOF after the fin echo, so a healthy herd must raise no notice at all.
+The router hands each connection to its worker and learns of a lost
+worker only from that worker's channel reaching EOF; then every client
+the worker still had gets a typed ``worker-lost`` frame. That is the
+contract for a worker that *died* (``test_shard.TestSupervision`` pins
+it with a real SIGKILL). A worker that merely hangs up on a completed
+run - it closes right after echoing the fin - must never look the same:
+a healthy herd must raise no notice at all.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def test_healthy_herd_over_forked_shards_sends_no_worker_lost_notice(
                 range(SESSIONS),
                 timeout=120,
             ))
-        # Let every relay see both legs end before counting.
+        # Let every worker's closed notice reach the router before counting.
         deadline = time.monotonic() + 5.0
         while server.routed < SESSIONS and time.monotonic() < deadline:
             time.sleep(0.02)
