@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Mapping
@@ -52,7 +51,7 @@ from typing import Any, Hashable, Iterable, Mapping
 from ..crypto.commutative import key_fingerprint
 from ..protocols.parties import PartyCache, PublicParams
 from .diskfaults import JournalIO
-from .serialization import decode, encode
+from .serialization import encode, scan_sealed, seal
 
 __all__ = [
     "CATALOG_MAGIC",
@@ -68,9 +67,6 @@ __all__ = [
 #: header.  Files of another version fail the magic check: a miss.
 CATALOG_VERSION = 2
 CATALOG_MAGIC = b"RPCC" + struct.pack(">H", CATALOG_VERSION)
-
-_LEN = struct.Struct(">I")
-_CRC = struct.Struct(">I")
 
 
 class CatalogCacheError(Exception):
@@ -95,10 +91,13 @@ class TableDigest:
     def __init__(self, data: Any = ()):
         mapping = isinstance(data, Mapping)
         self.shape = "map" if mapping else "seq"
-        self.count = 0
-        self.total = 0
-        for item in data.items() if mapping else data:
-            self.add(item)
+        sha256, from_bytes = hashlib.sha256, int.from_bytes
+        hashes = [
+            from_bytes(sha256(encode(item)).digest(), "big")
+            for item in (data.items() if mapping else data)
+        ]
+        self.count = len(hashes)
+        self.total = sum(hashes)
 
     @staticmethod
     def _hash(item: Any) -> int:
@@ -156,12 +155,6 @@ class CacheEntry:
         return PartyCache(keys=self.keys, entries=dict(self.entries))
 
 
-def _record(payload: Any) -> bytes:
-    """One CRC-sealed record: ``u32 len || payload || u32 crc32``."""
-    raw = encode(payload)
-    return _LEN.pack(len(raw)) + raw + _CRC.pack(zlib.crc32(raw))
-
-
 def _batch(adds: Mapping[Hashable, tuple], dels: Iterable, digest: str) -> list[bytes]:
     """The sealed records of one batch: ``adds`` in ``repr`` order,
     ``dels``, and the ``rekey`` that commits them."""
@@ -171,31 +164,7 @@ def _batch(adds: Mapping[Hashable, tuple], dels: Iterable, digest: str) -> list[
     ]
     records += [("del", value) for value in dels]
     records.append(("rekey", digest))
-    return [_record(record) for record in records]
-
-
-def _scan_records(data: bytes) -> tuple[list[Any], list[int]]:
-    """Decode records after the magic; returns (records, their ends).
-
-    Stops at the first torn or corrupt tail — everything before it is
-    intact (CRC-verified), mirroring the journal's recovery scan.
-    """
-    records: list[Any] = []
-    ends: list[int] = []
-    offset = len(CATALOG_MAGIC)
-    while offset + _LEN.size <= len(data):
-        (length,) = _LEN.unpack_from(data, offset)
-        end = offset + _LEN.size + length + _CRC.size
-        if end > len(data):
-            break
-        raw = data[offset + _LEN.size : offset + _LEN.size + length]
-        (crc,) = _CRC.unpack_from(data, offset + _LEN.size + length)
-        if zlib.crc32(raw) != crc:
-            break
-        records.append(decode(raw))
-        ends.append(end)
-        offset = end
-    return records, ends
+    return [seal(record) for record in records]
 
 
 class CatalogCache:
@@ -256,7 +225,7 @@ class CatalogCache:
         if data[: len(CATALOG_MAGIC)] != CATALOG_MAGIC:
             raise CatalogCacheError(f"{path.name}: bad catalog-cache magic")
         try:
-            records, ends = _scan_records(data)
+            records, ends = scan_sealed(data, len(CATALOG_MAGIC))
             # Records count from their batch's rekey on; the last one
             # ends the committed prefix.
             committed = len(records) - 1
@@ -350,7 +319,7 @@ class CatalogCache:
             key_fingerprint(keys, params.p),
         )
         batch = _batch(entries, (), digest)
-        self._append(tmp, [CATALOG_MAGIC, _record(header), *batch])
+        self._append(tmp, [CATALOG_MAGIC, seal(header), *batch])
         self._publish(tmp, path)
         return CacheEntry(
             digest=digest,

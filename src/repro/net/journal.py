@@ -16,7 +16,9 @@ the whole run. This module puts the round log on disk:
   picks the run back up from disk instead of restarting the protocol;
 * a journal whose tail was torn by the crash (a half-written record)
   is truncated back to the last intact record on open, so recovery
-  never trips over its own corpse;
+  never trips over its own corpse - but a record that passes its CRC
+  and still is not a record was written whole and then damaged: that
+  is corruption (:class:`JournalError`), and nothing is truncated;
 * a completed journal is **rotated** - atomically renamed from
   ``*.wal`` to ``*.done`` via ``os.replace`` - so a directory scan
   (:meth:`JournalDir.incomplete`) finds exactly the runs that still
@@ -48,7 +50,6 @@ from __future__ import annotations
 
 import random
 import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -77,9 +78,6 @@ JOURNAL_VERSION = 1
 #: File prologue: four ASCII bytes plus the format version.
 JOURNAL_MAGIC = b"RPJL" + struct.pack(">H", JOURNAL_VERSION)
 
-_LEN = struct.Struct(">I")
-_CRC = struct.Struct(">I")
-
 #: Suffix of a live (possibly incomplete) journal.
 WAL_SUFFIX = ".wal"
 #: Suffix a completed journal is atomically rotated to.
@@ -107,7 +105,10 @@ class SessionJournal:
     Opening an existing file scans and validates every record,
     truncating a torn tail (a record cut short by a crash, or one whose
     checksum fails) back to the last intact byte; the dropped length is
-    reported in :attr:`truncated_bytes`. Appends go through
+    reported in :attr:`truncated_bytes`. A CRC-valid record that does
+    not decode to a str-tagged tuple raises :class:`JournalError`
+    instead (the rule of :func:`~repro.net.serialization.scan_sealed`,
+    which the catalog cache shares). Appends go through
     ``write + flush + fsync`` (fsync skippable via ``fsync=False`` for
     benchmarks) so a record returned from :meth:`append` survives the
     process.
@@ -194,7 +195,8 @@ class SessionJournal:
         merely inspect it (:func:`peek_state`) must not.
 
         Raises:
-            JournalError: on a foreign or future header.
+            JournalError: on a foreign or future header, or a CRC-valid
+                record that is not one.
         """
         if data[: len(JOURNAL_MAGIC)] != JOURNAL_MAGIC:
             if JOURNAL_MAGIC.startswith(data):
@@ -203,40 +205,11 @@ class SessionJournal:
             raise JournalError(
                 f"{path} has a foreign or future journal header"
             )
-        records: list[tuple] = []
-        offset = good_end = len(JOURNAL_MAGIC)
-        while offset < len(data):
-            record, end = SessionJournal._scan_one(data, offset)
-            if record is None:
-                break  # torn tail: keep everything before it
-            records.append(record)
-            good_end = offset = end
-        return records, good_end
-
-    @staticmethod
-    def _scan_one(data: bytes, offset: int) -> tuple[tuple | None, int]:
-        """Parse one record at ``offset``; ``(None, offset)`` if torn."""
-        if offset + _LEN.size > len(data):
-            return None, offset
-        (length,) = _LEN.unpack_from(data, offset)
-        body_start = offset + _LEN.size
-        crc_start = body_start + length
-        end = crc_start + _CRC.size
-        if end > len(data):
-            return None, offset
-        payload = data[body_start:crc_start]
-        (crc,) = _CRC.unpack_from(data, crc_start)
-        if zlib.crc32(payload) != crc:
-            return None, offset
         try:
-            record = serialization.decode(payload)
-        except ValueError:
-            return None, offset
-        if not isinstance(record, tuple) or not record or not isinstance(
-            record[0], str
-        ):
-            return None, offset
-        return record, end
+            records, ends = serialization.scan_sealed(data, len(JOURNAL_MAGIC))
+        except ValueError as exc:
+            raise JournalError(f"{path}: corrupt journal ({exc})") from exc
+        return records, ends[-1] if ends else len(JOURNAL_MAGIC)
 
     # ------------------------------------------------------------------
     # Appending
@@ -298,14 +271,10 @@ class SessionJournal:
             )
         if self._file is None:
             raise JournalError(f"{self.path} is closed")
-        payload = serialization.encode(record)
+        sealed = serialization.seal(record)
         crash_point("journal.append.pre")
         try:
-            self._io.write(
-                self._file,
-                _LEN.pack(len(payload)) + payload
-                + _CRC.pack(zlib.crc32(payload)),
-            )
+            self._io.write(self._file, sealed)
         except OSError as exc:
             self.write_failures += 1
             self._poison("write", exc)
@@ -545,8 +514,9 @@ def peek_state(path: str | Path) -> JournalState | None:
     yet (crash mid-creation) - nothing to recover or resume.
 
     Raises:
-        JournalError: unreadable file, foreign header, or records that
-            fail :func:`replay_state` validation.
+        JournalError: unreadable file, foreign header, a CRC-valid
+            record that is not one, or records that fail
+            :func:`replay_state` validation.
     """
     path = Path(path)
     try:

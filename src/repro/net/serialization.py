@@ -24,12 +24,15 @@ version bump.
 from __future__ import annotations
 
 import struct
+import zlib
 from typing import Any
 
 __all__ = [
     "encode",
     "decode",
     "encoded_size",
+    "seal",
+    "scan_sealed",
     "CHUNK_TAG",
     "CHUNK_END_TAG",
     "chunk_frame",
@@ -49,31 +52,72 @@ _TAG_STR = b"S"
 _TAG_LIST = b"L"
 _TAG_TUPLE = b"U"
 
+_U32 = struct.Struct(">I")
+_pack = _U32.pack
+_unpack_from = _U32.unpack_from
+#: A tag and a u32 length or count: the head of every value but
+#: ``None``, ``True`` and ``False``.
+_head = struct.Struct(">cI").pack
+#: What a malformed buffer raises inside the decoder, besides ValueError.
+_MALFORMED = (struct.error, IndexError, RecursionError)
+
 
 def encode(obj: Any) -> bytes:
     """Serialize a message object to bytes."""
+    if type(obj) is str:  # a lone table value, as TableDigest hashes one
+        body = obj.encode("utf-8")
+        return _head(_TAG_STR, len(body)) + body
+    out: list[bytes] = []
+    _encode_into((obj,), out)
+    return b"".join(out)
+
+
+def _encode_into(items: Any, out: list[bytes]) -> None:
+    """Append the encodings of ``items`` to ``out``: a leaf of an exact
+    type inline, a call only for a nested container or anything else."""
+    append = out.append
+    for item in items:
+        kind = type(item)
+        if kind is int and item >= 0:
+            body = item.to_bytes((item.bit_length() + 7) // 8 or 1, "big")
+            append(_head(_TAG_INT, len(body)))
+            append(body)
+        elif kind is str:
+            body = item.encode("utf-8")
+            append(_head(_TAG_STR, len(body)))
+            append(body)
+        elif kind is bytes:
+            append(_head(_TAG_BYTES, len(item)))
+            append(item)
+        elif kind is tuple or kind is list:
+            append(_head(_TAG_TUPLE if kind is tuple else _TAG_LIST, len(item)))
+            _encode_into(item, out)
+        else:
+            _encode_other(item, out)
+
+
+def _encode_other(obj: Any, out: list[bytes]) -> None:
+    """``None``, ``bool``, negative ints and the subclasses (an
+    ``IntEnum``, a ``NamedTuple``), by ``isinstance`` - as every value
+    once was."""
     if obj is None:
-        return _TAG_NONE
-    if obj is True:
-        return _TAG_TRUE
-    if obj is False:
-        return _TAG_FALSE
-    if isinstance(obj, int):
-        tag = _TAG_INT if obj >= 0 else _TAG_NEG_INT
+        out.append(_TAG_NONE)
+    elif obj is True or obj is False:
+        out.append(_TAG_TRUE if obj else _TAG_FALSE)
+    elif isinstance(obj, int):
         magnitude = abs(obj)
         body = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
-        return tag + struct.pack(">I", len(body)) + body
-    if isinstance(obj, bytes):
-        return _TAG_BYTES + struct.pack(">I", len(obj)) + obj
-    if isinstance(obj, str):
+        out.append(_head(_TAG_INT if obj >= 0 else _TAG_NEG_INT, len(body)) + body)
+    elif isinstance(obj, bytes):
+        out.append(_head(_TAG_BYTES, len(obj)) + obj)
+    elif isinstance(obj, str):
         body = obj.encode("utf-8")
-        return _TAG_STR + struct.pack(">I", len(body)) + body
-    if isinstance(obj, (list, tuple)):
-        tag = _TAG_LIST if isinstance(obj, list) else _TAG_TUPLE
-        parts = [encode(item) for item in obj]
-        payload = b"".join(parts)
-        return tag + struct.pack(">I", len(obj)) + payload
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        out.append(_head(_TAG_STR, len(body)) + body)
+    elif isinstance(obj, (list, tuple)):
+        out.append(_head(_TAG_LIST if isinstance(obj, list) else _TAG_TUPLE, len(obj)))
+        _encode_into(obj, out)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def encoded_size(obj: Any) -> int:
@@ -90,10 +134,8 @@ def decode(data: bytes) -> Any:
             wire never raises anything else.
     """
     try:
-        obj, offset = _decode_at(data, 0)
-    except ValueError:
-        raise
-    except (struct.error, UnicodeDecodeError, IndexError, RecursionError) as exc:
+        (obj,), offset = _decode_items(data, 0, 1)
+    except _MALFORMED as exc:
         raise ValueError(f"malformed wire data: {exc}") from exc
     if offset > len(data):
         raise ValueError("truncated wire data")
@@ -102,38 +144,85 @@ def decode(data: bytes) -> Any:
     return obj
 
 
-def _decode_at(data: bytes, offset: int) -> tuple[Any, int]:
-    tag = data[offset : offset + 1]
-    offset += 1
-    if tag == _TAG_NONE:
-        return None, offset
-    if tag == _TAG_TRUE:
-        return True, offset
-    if tag == _TAG_FALSE:
-        return False, offset
-    if tag in (_TAG_INT, _TAG_NEG_INT):
-        (length,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        value = int.from_bytes(data[offset : offset + length], "big")
-        offset += length
-        return (value if tag == _TAG_INT else -value), offset
-    if tag == _TAG_BYTES:
-        (length,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        return data[offset : offset + length], offset + length
-    if tag == _TAG_STR:
-        (length,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        return data[offset : offset + length].decode("utf-8"), offset + length
-    if tag in (_TAG_LIST, _TAG_TUPLE):
-        (count,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        items = []
-        for _ in range(count):
-            item, offset = _decode_at(data, offset)
-            items.append(item)
-        return (items if tag == _TAG_LIST else tuple(items)), offset
-    raise ValueError(f"unknown wire tag {tag!r} at offset {offset - 1}")
+def _decode_items(data: bytes, offset: int, count: int) -> tuple[list, int]:
+    """Decode ``count`` consecutive values at ``offset``; returns them
+    and the offset past the last.  Tags compare as ints, leaves decode
+    inline, a nested container is the one recursive call.  A length
+    running past the buffer leaves the offset past its end too."""
+    items: list[Any] = []
+    append = items.append
+    for _ in range(count):
+        tag = data[offset]
+        if tag == 73 or tag == 74 or tag == 83 or tag == 66:  # I J S B
+            (length,) = _unpack_from(data, offset + 1)
+            start = offset + 5
+            offset = start + length
+            if tag == 73:
+                append(int.from_bytes(data[start:offset], "big"))
+            elif tag == 83:
+                append(data[start:offset].decode("utf-8"))
+            elif tag == 66:
+                append(data[start:offset])
+            else:
+                append(-int.from_bytes(data[start:offset], "big"))
+        elif tag == 85 or tag == 76:  # U L
+            (length,) = _unpack_from(data, offset + 1)
+            children, offset = _decode_items(data, offset + 5, length)
+            append(tuple(children) if tag == 85 else children)
+        elif tag == 78 or tag == 84 or tag == 70:  # N T F
+            append(None if tag == 78 else tag == 84)
+            offset += 1
+        else:
+            raise ValueError(f"unknown wire tag {bytes((tag,))!r} at offset {offset}")
+    return items, offset
+
+
+# ----------------------------------------------------------------------
+# Sealed records: the journal's and the catalog cache's file framing
+# ----------------------------------------------------------------------
+def seal(record: Any) -> bytes:
+    """One CRC-sealed record: ``u32 len || encode(record) || u32 crc32``."""
+    raw = encode(record)
+    return _pack(len(raw)) + raw + _pack(zlib.crc32(raw))
+
+
+def scan_sealed(data: bytes, offset: int) -> tuple[list[tuple], list[int]]:
+    """The sealed records of ``data`` from ``offset`` on, each decoded
+    in place, and the offset just past each one.
+
+    The scan stops at the first record cut short or failing its CRC: a
+    torn tail, which the file's owner truncates.  A zero length stops
+    it too - no record encodes to nothing, and a zero-filled tail left
+    by a crash passes the CRC.  Any other record that passes its CRC
+    was written whole, so one that does not decode to exactly its
+    declared length, or to a tuple tagged by a ``str``, is not a
+    crash's leftover but corruption.
+
+    Raises:
+        ValueError: a CRC-valid record that is not a record.
+    """
+    records: list[tuple] = []
+    ends: list[int] = []
+    while offset + 4 <= len(data):
+        (length,) = _unpack_from(data, offset)
+        start = offset + 4
+        stop = start + length
+        if not length or stop + 4 > len(data) or (
+            zlib.crc32(data[start:stop]) != _unpack_from(data, stop)[0]
+        ):
+            break
+        try:
+            if data[start] != 85:  # U: a record is a tuple
+                raise ValueError("not a tuple")
+            items, end = _decode_items(data, start + 5, _unpack_from(data, start + 1)[0])
+            if end != stop or not items or type(items[0]) is not str:
+                raise ValueError("not a str-tagged tuple of its declared length")
+        except (ValueError, *_MALFORMED) as exc:
+            raise ValueError(f"record at offset {offset}: {exc}") from exc
+        records.append(tuple(items))
+        offset = stop + 4
+        ends.append(offset)
+    return records, ends
 
 
 # ----------------------------------------------------------------------

@@ -21,10 +21,10 @@ from repro.net.catalog import (
     CatalogCache,
     CatalogCacheError,
     TableDigest,
-    _record,
     table_digest,
 )
 from repro.net.diskfaults import DiskFaultPlan, FaultyJournalIO, JournalIO
+from repro.net.serialization import encode, seal
 from repro.protocols.parties import PublicParams
 
 PARAMS = PublicParams.for_bits(128)
@@ -66,6 +66,16 @@ class TestTableDigest:
         pairs.remove(("a", 1))
         pairs.add(("a", 2))
         assert pairs.hexdigest() == table_digest({"b": b"x", "a": 2})
+
+    def test_digests_are_pinned(self):
+        """Cache files are named by these: a digest that moves turns
+        every cache written before it into a miss."""
+        assert table_digest(["alice", "bob", "bob", 7, -7, b"x", True, None]) == (
+            "56b1b5953fd46b7300dc04edd7580b98c26cda14431b52e40b18b34b1fc06b91"
+        )
+        assert table_digest({"a": 1, "b": b"x", "c": ("p", [2**300])}) == (
+            "acabdc80803a2dd82ed27125b2bb4bb7ce9707b9eac4b2abfaa953c50d5563b2"
+        )
 
 
 class TestRoundTrip:
@@ -146,9 +156,19 @@ class TestAppendDelta:
         cache = CatalogCache(tmp_path)
         path = _store(cache).path
         intact = path.read_bytes()
-        path.write_bytes(intact + _record(("del", "alice")))
+        path.write_bytes(intact + seal(("del", "alice")))
         loaded = cache.lookup(DIGEST, "intersection.r")
         assert loaded.entries == ENTRIES
+        assert path.read_bytes() == intact
+
+    def test_zero_filled_tail_is_cut_not_corruption(self, tmp_path):
+        """A zero length passes its CRC (crc32 of nothing is 0), but no
+        record is empty: the zeros a crash can leave are a torn tail."""
+        cache = CatalogCache(tmp_path)
+        path = _store(cache).path
+        intact = path.read_bytes()
+        path.write_bytes(intact + bytes(4096))
+        assert cache.lookup(DIGEST, "intersection.r").entries == ENTRIES
         assert path.read_bytes() == intact
 
     def test_crash_before_rename_is_a_miss_under_either_name(self, tmp_path):
@@ -201,7 +221,7 @@ class TestCompaction:
             compact = _store(
                 CatalogCache(tmp_path / "compact"), digest, live
             ).path.stat().st_size
-            batch = len(_record(("add", new, *live[new]))) + 100
+            batch = len(seal(("add", new, *live[new]))) + 100
             assert entry.path.stat().st_size <= 2 * compact + batch
         # 80 steps x 3 records against 30 live ones: it fired, and more
         # than once, but nowhere near once per delta.
@@ -245,11 +265,11 @@ class TestCorruption:
         # must not.
         path.write_bytes(
             CATALOG_MAGIC
-            + _record((
+            + seal((
                 "header", "intersection.r", PARAMS.to_wire(),
                 KEYS, key_fingerprint((987654321,), PARAMS.p),
             ))
-            + _record(("rekey", DIGEST))
+            + seal(("rekey", DIGEST))
         )
         with pytest.raises(CatalogCacheError, match="fingerprint"):
             cache.lookup(DIGEST, "intersection.r")
@@ -325,12 +345,26 @@ class TestMalformedRecords:
         [("header", "intersection.r", ("p",), KEYS, "fp"), ("rekey", DIGEST)],
     ])
     def test_wrong_shape_is_a_typed_miss(self, tmp_path, records):
-        blob = b"".join(_record(r) for r in records)
+        blob = b"".join(seal(r) for r in records)
         assert _lookup_is_typed(tmp_path, blob) is None
 
     def test_undecodable_payload_is_a_typed_miss(self, tmp_path):
-        blob = _record(_HEADER) + _sealed(b"\xff\x00garbage")
-        assert _lookup_is_typed(tmp_path, blob + _record(("rekey", DIGEST))) is None
+        blob = seal(_HEADER) + _sealed(b"\xff\x00garbage")
+        assert _lookup_is_typed(tmp_path, blob + seal(("rekey", DIGEST))) is None
+
+    def test_payload_longer_than_its_value_is_corruption(self, tmp_path):
+        """CRC-valid, so written whole: not a torn tail to cut away,
+        even after the last committed batch."""
+        blob = (
+            CATALOG_MAGIC + seal(_HEADER) + seal(("rekey", DIGEST))
+            + _sealed(encode(("del", "alice")) + b"\x00")
+        )
+        cache = CatalogCache(tmp_path)
+        path = cache.path_for(DIGEST, "intersection.r")
+        path.write_bytes(blob)
+        with pytest.raises(CatalogCacheError, match="declared length"):
+            cache.lookup(DIGEST, "intersection.r")
+        assert path.read_bytes() == blob
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -353,7 +387,7 @@ class TestMalformedRecords:
                 records.insert(index, payload)
             elif len(records) > 1:
                 del records[index]
-        blob = b"".join(_record(r) for r in records)
+        blob = b"".join(seal(r) for r in records)
         entry = _lookup_is_typed(tmp_path_factory.mktemp("fuzz"), blob)
         if entry is not None:
             for value, (hash_, ys) in entry.entries.items():

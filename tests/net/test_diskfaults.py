@@ -28,6 +28,7 @@ from repro.net.journal import (
     SessionJournal,
     peek_state,
 )
+from repro.net.serialization import scan_sealed
 
 
 def _journal(path, io=None, **records):
@@ -275,12 +276,9 @@ def _multi_record_journal(tmp_path):
     journal.record_complete()
     journal.close()
     data = base.read_bytes()
-    boundaries = [len(JOURNAL_MAGIC)]
-    offset = len(JOURNAL_MAGIC)
-    while offset < len(data):
-        record, offset = SessionJournal._scan_one(data, offset)
-        assert record is not None
-        boundaries.append(offset)
+    _, ends = scan_sealed(data, len(JOURNAL_MAGIC))
+    assert ends[-1] == len(data)
+    boundaries = [len(JOURNAL_MAGIC), *ends]
     assert len(boundaries) == 7  # magic + 6 records
     return data, boundaries
 

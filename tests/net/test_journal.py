@@ -24,7 +24,7 @@ from repro.net.journal import (
     peek_state,
     replay_state,
 )
-from repro.net.serialization import encode
+from repro.net.serialization import encode, seal
 from repro.net.session import RetryPolicy, SessionConfig, run_blocking
 from repro.net.tcp import SocketEndpoint
 from repro.protocols.parties import (
@@ -34,6 +34,7 @@ from repro.protocols.parties import (
 )
 from repro.protocols.spec import PROTOCOLS
 
+from .test_catalog_cache import _sealed
 from .test_catalog_durability import CountingIO
 
 BITS = 128
@@ -148,6 +149,52 @@ def test_corrupt_crc_truncates_from_that_record(tmp_path):
     assert len(reopened.records) == 1
     assert reopened.truncated_bytes > 0
     assert path.read_bytes() == good
+    reopened.close()
+
+
+def _open_meta_journal(path, tail: bytes) -> bytes:
+    journal = SessionJournal(path, fsync=False)
+    journal.record_open("sender", "intersection")
+    journal.record_meta("session_id", 1)
+    journal.close()
+    path.write_bytes(path.read_bytes() + tail)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("payload", [
+    b"Z",
+    encode(("meta", "chunk_size", 2)) + b"\x00",  # longer than its value
+    encode(["meta", "chunk_size", 2]),
+    encode((2, "chunk_size")),
+    encode(()),
+], ids=["undecodable", "trailing-byte", "list", "int-tagged", "empty-tuple"])
+def test_a_crc_valid_non_record_is_corruption_not_a_torn_tail(tmp_path, payload):
+    """A record that passes its CRC was written whole: opening must not
+    cut it - and every intact record after it - away as a torn tail."""
+    path = tmp_path / "s.wal"
+    before = _open_meta_journal(
+        path, _sealed(payload) + seal(("meta", "chunk_size", 2))
+    )
+    with pytest.raises(JournalError, match="corrupt"):
+        SessionJournal(path, fsync=False)
+    with pytest.raises(JournalError, match="corrupt"):
+        peek_state(path)
+    assert path.read_bytes() == before
+
+
+def test_a_zero_filled_tail_is_torn(tmp_path):
+    """Zeros read as a zero-length record with a valid CRC; no record
+    is empty, so they are a crash's leftover, cut like any torn tail."""
+    path = tmp_path / "s.wal"
+    intact = _open_meta_journal(path, b"")
+    path.write_bytes(intact + bytes(16))
+    assert len(peek_state(path).inbound) == 0
+    reopened = SessionJournal(path, fsync=False)
+    assert reopened.records == [
+        ("open", 1, "sender", "intersection"), ("meta", "session_id", 1)
+    ]
+    assert reopened.truncated_bytes == 16
+    assert path.read_bytes() == intact
     reopened.close()
 
 

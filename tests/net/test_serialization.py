@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import enum
+import struct
+from typing import Any, NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,3 +154,189 @@ class TestMalformedInput:
             decode(bytes(wire))
         except ValueError:
             pass
+
+
+# ----------------------------------------------------------------------
+# Parity with the reference codec
+# ----------------------------------------------------------------------
+# The codec as it was before it dispatched on exact types (one
+# recursive call per value, ``isinstance`` for every type), kept
+# verbatim.  The fast codec must produce its bytes, and accept and
+# reject what it does.
+_TAG_NONE = b"N"
+_TAG_TRUE = b"T"
+_TAG_FALSE = b"F"
+_TAG_INT = b"I"
+_TAG_NEG_INT = b"J"
+_TAG_BYTES = b"B"
+_TAG_STR = b"S"
+_TAG_LIST = b"L"
+_TAG_TUPLE = b"U"
+
+
+def reference_encode(obj: Any) -> bytes:
+    if obj is None:
+        return _TAG_NONE
+    if obj is True:
+        return _TAG_TRUE
+    if obj is False:
+        return _TAG_FALSE
+    if isinstance(obj, int):
+        tag = _TAG_INT if obj >= 0 else _TAG_NEG_INT
+        magnitude = abs(obj)
+        body = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1, "big")
+        return tag + struct.pack(">I", len(body)) + body
+    if isinstance(obj, bytes):
+        return _TAG_BYTES + struct.pack(">I", len(obj)) + obj
+    if isinstance(obj, str):
+        body = obj.encode("utf-8")
+        return _TAG_STR + struct.pack(">I", len(body)) + body
+    if isinstance(obj, (list, tuple)):
+        tag = _TAG_LIST if isinstance(obj, list) else _TAG_TUPLE
+        parts = [reference_encode(item) for item in obj]
+        payload = b"".join(parts)
+        return tag + struct.pack(">I", len(obj)) + payload
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_decode(data: bytes) -> Any:
+    try:
+        obj, offset = _reference_decode_at(data, 0)
+    except ValueError:
+        raise
+    except (struct.error, UnicodeDecodeError, IndexError, RecursionError) as exc:
+        raise ValueError(f"malformed wire data: {exc}") from exc
+    if offset > len(data):
+        raise ValueError("truncated wire data")
+    if offset != len(data):
+        raise ValueError(f"trailing bytes after message ({len(data) - offset})")
+    return obj
+
+
+def _reference_decode_at(data: bytes, offset: int) -> tuple[Any, int]:
+    tag = data[offset : offset + 1]
+    offset += 1
+    if tag == _TAG_NONE:
+        return None, offset
+    if tag == _TAG_TRUE:
+        return True, offset
+    if tag == _TAG_FALSE:
+        return False, offset
+    if tag in (_TAG_INT, _TAG_NEG_INT):
+        (length,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        value = int.from_bytes(data[offset : offset + length], "big")
+        offset += length
+        return (value if tag == _TAG_INT else -value), offset
+    if tag == _TAG_BYTES:
+        (length,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        return data[offset : offset + length], offset + length
+    if tag == _TAG_STR:
+        (length,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        return data[offset : offset + length].decode("utf-8"), offset + length
+    if tag in (_TAG_LIST, _TAG_TUPLE):
+        (count,) = struct.unpack_from(">I", data, offset)
+        offset += 4
+        items = []
+        for _ in range(count):
+            item, offset = _reference_decode_at(data, offset)
+            items.append(item)
+        return (items if tag == _TAG_LIST else tuple(items)), offset
+    raise ValueError(f"unknown wire tag {tag!r} at offset {offset - 1}")
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = -300
+
+
+class Label(str):
+    pass
+
+
+class Pair(NamedTuple):
+    left: Any
+    right: Any
+
+
+parity_atoms = st.one_of(
+    atoms,
+    st.integers(min_value=-(2**2048), max_value=-1),
+    st.integers(min_value=2**2047, max_value=2**2048),
+    st.sampled_from(list(Colour)),
+    st.text(max_size=16).map(Label),
+    st.just([]),
+    st.just(()),
+)
+parity_messages = st.recursive(
+    parity_atoms,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(children, max_size=6).map(tuple),
+        st.builds(Pair, children, children),
+        # A deep chain of one-item containers.
+        st.tuples(children, st.integers(1, 40), st.booleans()).map(
+            lambda t: _nest(*t)
+        ),
+    ),
+    max_leaves=25,
+)
+
+
+def _nest(inner: Any, depth: int, as_list: bool) -> Any:
+    for _ in range(depth):
+        inner = [inner] if as_list else (inner,)
+    return inner
+
+
+def _decoded_or_error(decoder, data: bytes) -> Any:
+    """What ``decoder`` makes of ``data``, told apart by type: the
+    value's reference encoding (``True`` is not ``1``), or the error."""
+    try:
+        return ("value", reference_encode(decoder(data)))
+    except ValueError:
+        return ("ValueError",)
+
+
+class TestReferenceParity:
+    @given(parity_messages)
+    @settings(max_examples=500)
+    def test_encode_matches_reference(self, obj):
+        assert encode(obj) == reference_encode(obj)
+
+    @pytest.mark.parametrize("obj", [
+        True, False, -1, -(2**2048), 2**2048, Colour.RED, Colour.BLUE,
+        Label("tag"), Pair(1, Label("x")), [Pair(True, [Colour.BLUE])],
+        [], (), [[]], ((),), _nest(None, 300, True), _nest(b"x", 300, False),
+    ])
+    def test_subclasses_and_edges_match_reference(self, obj):
+        wire = encode(obj)
+        assert wire == reference_encode(obj)
+        assert _decoded_or_error(decode, wire) == _decoded_or_error(
+            reference_decode, wire
+        )
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=1000)
+    def test_decode_agrees_on_random_bytes(self, blob):
+        assert _decoded_or_error(decode, blob) == _decoded_or_error(
+            reference_decode, blob
+        )
+
+    @given(parity_messages, st.integers(min_value=0), st.integers(0, 255))
+    @settings(max_examples=1000)
+    def test_decode_agrees_on_one_byte_flips(self, obj, position, new_byte):
+        wire = bytearray(encode(obj))
+        wire[position % len(wire)] = new_byte
+        assert _decoded_or_error(decode, bytes(wire)) == _decoded_or_error(
+            reference_decode, bytes(wire)
+        )
+
+    def test_deep_nesting_still_a_value_error(self):
+        data = b"L\x00\x00\x00\x01" * 5000 + encode(None)
+        with pytest.raises(ValueError):
+            decode(data)
+        with pytest.raises(ValueError):
+            reference_decode(data)

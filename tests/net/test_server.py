@@ -18,6 +18,7 @@ import socket
 import threading
 import time
 import weakref
+import zlib
 
 import pytest
 
@@ -425,6 +426,16 @@ def test_corrupt_journal_rejects_quarantines_and_frees_the_id(
     session id or kill the dispatch thread: the client gets a typed
     reject, the journal is quarantined as ``*.corrupt``, and a fresh
     hello under the same id starts over on a new journal."""
+    _quarantine_round_trip(tmp_path, params, "divergence")
+
+
+def test_a_crc_valid_non_record_in_a_journal_is_quarantined(tmp_path, params):
+    """A record that passes its CRC but does not decode is corruption,
+    not a torn tail to cut away and resume past."""
+    _quarantine_round_trip(tmp_path, params, "crc-valid-non-record")
+
+
+def _quarantine_round_trip(tmp_path, params, damage):
     from repro.net.journal import SessionJournal
 
     protocol = "intersection"
@@ -441,8 +452,12 @@ def test_corrupt_journal_rejects_quarantines_and_frees_the_id(
     journal.record_open("sender", protocol)
     journal.record_meta("session_id", sid)
     journal.record_inbound(0, encode(m1))
-    journal.record_outbound(0, b"not what replay recomputes")
+    if damage == "divergence":
+        journal.record_outbound(0, b"not what replay recomputes")
     journal.close()
+    if damage == "crc-valid-non-record":
+        with open(journal.path, "ab") as handle:
+            handle.write(b"\x00\x00\x00\x01Z" + zlib.crc32(b"Z").to_bytes(4, "big"))
 
     offer = ProtocolOffer(
         protocol=protocol,
