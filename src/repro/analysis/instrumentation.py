@@ -156,11 +156,11 @@ class PipelineStats:
     """Producer/consumer overlap observations for one streamed round.
 
     The streaming transports (:mod:`repro.net.tcp` with a
-    ``chunk_size``) time chunk *production* (crypto, on the prefetch
-    thread) and chunk *sends* (wire I/O, on the driving thread)
-    separately from the round's wall clock. When the double buffer
-    works, ``produce_s + send_s > wall_s`` - the excess is the overlap
-    the pipeline bought.
+    ``chunk_size``) time chunk *production* (crypto, pulled one chunk
+    ahead as an ``Ahead`` step) and chunk *sends* (wire I/O, on the
+    driving thread) separately from the round's wall clock. When
+    the lookahead works, ``produce_s + send_s > wall_s`` - the excess is
+    the overlap the pipeline bought.
     """
 
     name: str

@@ -19,9 +19,8 @@ puts a server's sockets on an event loop:
   :class:`~repro.crypto.engine.CryptoEngine` pool) in place when the
   core declares it small (:data:`INLINE_WORK`: a small session's steps
   cost about as much as the thread hop that would carry them), otherwise
-  through ``run_in_executor`` and, streamed, through
-  :func:`~repro.net.streaming.aprefetch` - so thousands of sessions can
-  share one loop and a small thread pool. It hosts party S: every
+  through ``run_in_executor`` - so thousands of sessions can share one
+  loop and a small thread pool. It hosts party S: every
   session a :class:`~repro.net.server.ProtocolServer` hosts is S's
   core as a task on the server's own loop - no thread is parked per
   session and no frame changes threads. Party R is one process asking
@@ -40,15 +39,12 @@ import asyncio
 import concurrent.futures
 import threading
 import time
-from typing import Any, AsyncIterator, Awaitable, Callable
+from typing import Any, Awaitable, Callable
 
 from . import serialization
-from .crashpoints import crash_point
 from .session_core import (
-    DONE,
     Ahead,
     Compute,
-    NextChunk,
     Now,
     Open,
     Recv,
@@ -57,7 +53,6 @@ from .session_core import (
     is_hello,
     unseal,
 )
-from .streaming import aprefetch
 from .tcp import _LEN, DEFAULT_MAX_FRAME_BYTES, FrameTooLarge
 
 __all__ = [
@@ -320,15 +315,6 @@ def _in_place(request: Any) -> bool:
     return request.work is not None and request.work <= INLINE_WORK
 
 
-async def _pulled(source: Any) -> AsyncIterator[Any]:
-    """A chunk stream stepped on the loop itself: plain ``next`` with
-    :func:`~repro.net.streaming.aprefetch`'s crash point, no producer
-    task and no buffer."""
-    for item in source:
-        crash_point("streaming.chunk.yield")
-        yield item
-
-
 async def run_async(
     steps: Any,
     dial: Callable[[], Awaitable[AsyncFrameEndpoint]],
@@ -340,26 +326,23 @@ async def run_async(
     ``dial`` opens the :class:`AsyncFrameEndpoint` an ``OPEN`` request
     asks for. The generator itself runs on the loop (it only decides).
     A machine step whose declared work is at most :data:`INLINE_WORK`
-    runs on the loop too, a chunk stream as plain ``next``; every other
-    one goes through ``run_in_executor`` on ``executor``, a chunk
-    stream through :func:`~repro.net.streaming.aprefetch`, so heavy
-    crypto never blocks the loop. Offloaded ``Ahead`` steps are chained
-    on the executor one after the other; the chain is awaited before a
-    ``Compute``, before a new chunk stream starts and before an
-    in-place ``Ahead``, so a party's machine steps never overlap each
-    other. An ``Ahead`` step's ``Exception`` is dropped wherever it
-    ran. Whatever a request raises
-    is thrown into ``steps`` - a timeout always as the builtin
-    ``TimeoutError`` the core's ``except`` clauses name - and what
-    ``steps`` does not handle (cancellation included) propagates, with
-    the ``Ahead`` chain cancelled and the link and the
-    chunk stream closed. A run that completes returns what ``steps``
+    runs on the loop too; every other one goes through
+    ``run_in_executor`` on ``executor``, so heavy crypto never blocks
+    the loop. Offloaded ``Ahead`` steps - a streamed round's next chunk
+    among them - are chained on the executor one after the other; the
+    chain is awaited before a ``Compute`` and before an in-place
+    ``Ahead``, so a party's machine steps never overlap each other. An
+    ``Ahead`` step's ``Exception`` is dropped wherever it ran. Whatever
+    a request raises is thrown into ``steps`` - a timeout always as the
+    builtin ``TimeoutError`` the core's ``except`` clauses name - and
+    what ``steps`` does not handle (cancellation included) propagates,
+    with the ``Ahead`` chain cancelled and the link closed. A run that
+    completes returns what ``steps``
     returned, its link closed too: by then the peer has had the fin
     echo and sends nothing more, so hanging up first is a clean close.
     """
     loop = asyncio.get_running_loop()
-    endpoint = stream = stream_source = None
-    reply = failure = None
+    endpoint = reply = failure = None
     ahead: asyncio.Task | None = None  # the tail of the ``Ahead`` chain
 
     async def after(
@@ -411,24 +394,10 @@ async def run_async(
                             pass  # dropped, as an offloaded step's is
                     else:
                         ahead = loop.create_task(after(ahead, request.fn))
-                elif kind is NextChunk:
-                    if stream_source is not request.source:
-                        if ahead is not None:
-                            await ahead
-                        if stream is not None:
-                            await stream.aclose()
-                        stream_source = request.source
-                        stream = (
-                            _pulled(stream_source) if _in_place(request)
-                            else aprefetch(stream_source, executor=executor)
-                        )
-                    reply = await anext(stream, DONE)
                 elif kind is Open:
-                    if stream is not None:
-                        await stream.aclose()
                     if endpoint is not None:
                         await endpoint.close()
-                    endpoint = stream = stream_source = None
+                    endpoint = None
                     endpoint = await dial()
                 else:
                     raise TypeError(f"unknown session request {request!r}")
@@ -441,7 +410,5 @@ async def run_async(
             # A run that died abandons the chain: the step on the
             # executor runs out, none after it starts.
             ahead.cancel()
-        if stream is not None:
-            await stream.aclose()
         if endpoint is not None:
             await endpoint.close()

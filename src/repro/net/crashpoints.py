@@ -1,6 +1,6 @@
 """Crash points: named places a simulated process death can strike.
 
-The journal, session, streaming and server layers call
+The journal, session and server layers call
 :func:`crash_point` at every boundary that matters for durability
 (pre/post-append, pre/post-rotate, per frame shipped or received, per
 streamed chunk). The call is a thread-local lookup and costs nothing

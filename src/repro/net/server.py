@@ -270,6 +270,31 @@ class SessionRecord:
         }
 
 
+def _drain_on_signals(
+    server: Any, drain_timeout_s: float, signals: tuple | None
+) -> None:
+    """Run ``server.shutdown(drain_timeout_s)`` on SIGTERM (and SIGINT
+    when ``signals`` is ``None``): the one drain-on-signal of both
+    :class:`ProtocolServer` and the sharded front end.
+
+    Main-thread only (a Python ``signal`` restriction). The handler
+    runs the shutdown on a helper thread so the signal context returns
+    immediately.
+    """
+    if signals is None:
+        signals = (signal.SIGTERM, signal.SIGINT)
+
+    def _handler(signum: int, frame: Any) -> None:
+        threading.Thread(
+            target=server.shutdown,
+            kwargs={"drain_timeout_s": drain_timeout_s},
+            daemon=True,
+        ).start()
+
+    for sig in signals:
+        signal.signal(sig, _handler)
+
+
 class ProtocolServer:
     """Accepts many concurrent protocol clients behind one port.
 
@@ -423,22 +448,9 @@ class ProtocolServer:
     ) -> None:
         """Drain gracefully on SIGTERM (and SIGINT by default).
 
-        Main-thread only (a Python ``signal`` restriction). The handler
-        runs :meth:`shutdown` on a helper thread so the signal context
-        returns immediately.
+        See :func:`_drain_on_signals`.
         """
-        if signals is None:
-            signals = (signal.SIGTERM, signal.SIGINT)
-
-        def _handler(signum: int, frame: Any) -> None:
-            threading.Thread(
-                target=self.shutdown,
-                kwargs={"drain_timeout_s": drain_timeout_s},
-                daemon=True,
-            ).start()
-
-        for sig in signals:
-            signal.signal(sig, _handler)
+        _drain_on_signals(self, drain_timeout_s, signals)
 
     def shutdown(self, drain_timeout_s: float | None = 5.0) -> None:
         """Refuse new sessions, drain in-flight ones, then close.

@@ -33,12 +33,10 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from .session_core import (
-    DONE,
     SESSION_VERSION,
     Ahead,
     Compute,
     HandshakeError,
-    NextChunk,
     Now,
     Open,
     Recv,
@@ -53,7 +51,6 @@ from .session_core import (
     seal,
     unseal,
 )
-from .streaming import prefetch
 
 __all__ = [
     "SESSION_VERSION",
@@ -73,15 +70,36 @@ __all__ = [
 ]
 
 
+def _require(policy: Any, name: str, ok: bool, limit: str) -> None:
+    """Refuse a policy field outside its range, by name."""
+    if not ok:
+        raise ValueError(
+            f"{type(policy).__name__}.{name} must be {limit}, "
+            f"got {getattr(policy, name)!r}"
+        )
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with jitter for retransmits and reconnects."""
+    """Exponential backoff with jitter for retransmits and reconnects.
+
+    Every delay it computes is non-negative: ``jitter`` is a fraction
+    in [0, 1] taken off the capped exponential, whose delays are at
+    least 0 and whose ``multiplier`` is positive.
+    """
 
     max_attempts: int = 5
     base_delay_s: float = 0.05
     multiplier: float = 2.0
     max_delay_s: float = 2.0
     jitter: float = 0.5
+
+    def __post_init__(self) -> None:
+        _require(self, "max_attempts", self.max_attempts >= 1, ">= 1")
+        _require(self, "base_delay_s", self.base_delay_s >= 0, ">= 0")
+        _require(self, "multiplier", self.multiplier > 0, "> 0")
+        _require(self, "max_delay_s", self.max_delay_s >= 0, ">= 0")
+        _require(self, "jitter", 0 <= self.jitter <= 1, "in [0, 1]")
 
     def _ceiling_s(self, attempt: int) -> float:
         """The capped exponential, before jitter."""
@@ -150,6 +168,15 @@ class ClientRetryPolicy:
     retry_busy: bool = True
     retry_worker_lost: bool = True
 
+    def __post_init__(self) -> None:
+        _require(self, "max_attempts", self.max_attempts >= 1, ">= 1")
+        _require(self, "attempt_timeout_s", self.attempt_timeout_s > 0, "> 0")
+        _require(
+            self, "total_deadline_s",
+            self.total_deadline_s is None or self.total_deadline_s >= 0,
+            ">= 0 or None",
+        )
+
     #: ``parse`` key → (field name, converter); a name that is not a
     #: field here is one of ``backoff``'s. Module-level constants would
     #: do, but keeping it on the class documents the spec format next
@@ -172,8 +199,8 @@ class ClientRetryPolicy:
 
         Keys: ``attempts``, ``timeout``, ``deadline``, ``base``,
         ``multiplier``, ``max-delay``, ``jitter`` (numbers) and
-        ``busy``, ``worker-lost`` (``yes``/``no``). Unknown keys and
-        unparsable values raise ``ValueError``.
+        ``busy``, ``worker-lost`` (``yes``/``no``). Unknown keys,
+        unparsable values and values out of range raise ``ValueError``.
         """
         kwargs: dict[str, Any] = {}
         for part in filter(None, (p.strip() for p in spec.split(","))):
@@ -414,19 +441,18 @@ def run_blocking(
     ``transport`` is any framed transport (``send``/``recv``/optional
     ``settimeout``/``close``) and ``open_link`` what an ``OPEN``
     request calls for the next one. I/O, ``Compute`` steps and the
-    body itself run on the calling thread; a streamed round's chunks
-    are produced on :func:`~repro.net.streaming.prefetch`'s thread,
-    and ``Ahead`` steps on one worker thread that lives as long as the
-    run (reconnects included - the machine persists across ``OPEN``,
-    so does its pending work). Machine steps never overlap each
-    other: the worker is waited for before a ``Compute`` and before a
-    new chunk stream starts. Whatever a request raises (a timeout, a
-    garbled frame, a dead link, a simulated crash) is thrown into
-    ``steps``, which alone decides what is transient. Links this shell
-    opened and the chunk stream are closed when ``steps`` ends; a
-    ``transport`` passed in stays the caller's.
+    body itself run on the calling thread; ``Ahead`` steps - a
+    streamed round's next chunk among them - on one worker thread that
+    lives as long as the run (reconnects included - the machine
+    persists across ``OPEN``, so does its pending work). Machine steps
+    never overlap each other: the worker is waited for before a
+    ``Compute``. Whatever a request raises (a timeout, a garbled
+    frame, a dead link, a simulated crash) is thrown into ``steps``,
+    which alone decides what is transient. Links this shell opened are
+    closed when ``steps`` ends; a ``transport`` passed in stays the
+    caller's.
     """
-    opened = stream = stream_source = None
+    opened = None
     reply = failure = None
     ahead = _AheadWorker()
     completed = False
@@ -464,23 +490,14 @@ def run_blocking(
                     reply = request.fn()
                 elif kind is Ahead:
                     ahead.submit(request.fn)
-                elif kind is NextChunk:
-                    if stream_source is not request.source:
-                        ahead.wait()
-                        _close_quietly(stream)
-                        stream_source = request.source
-                        stream = prefetch(stream_source)
-                    reply = next(stream, DONE)
                 elif kind is Open:
-                    _close_quietly(stream)
                     _close_quietly(opened)
-                    opened = stream = stream_source = None
+                    opened = None
                     transport = opened = open_link()
                 else:
                     raise TypeError(f"unknown session request {request!r}")
             except BaseException as exc:
                 failure = exc
     finally:
-        _close_quietly(stream)
         _close_quietly(opened)
         ahead.close(abandon=not completed)

@@ -7,8 +7,7 @@ frame-granular round log and the reconnect loop - as generator bodies
 that never touch a socket, a clock, a thread or an event loop. What a
 body cannot do itself it *yields* as a request (:class:`Send`,
 :class:`Recv`, :class:`Sleep`, :data:`NOW`, :class:`Compute`,
-:class:`Ahead`, :class:`NextChunk`, :data:`OPEN`) and is resumed with
-the result.
+:class:`Ahead`, :data:`OPEN`) and is resumed with the result.
 
 A *shell* executes the requests. The blocking shell
 (:func:`repro.net.session.run_blocking`) serves them from any
@@ -20,7 +19,8 @@ them from an event loop, heavy machine steps through
 clock. All three keep one invariant: *machine steps of one party never
 run concurrently with each other* - an :class:`Ahead` step overlaps
 only the party's ``Send`` / ``Recv`` / ``Sleep``, and is over before
-its next :class:`Compute` or chunk stream starts.
+its next :class:`Compute` starts. A streamed round's lookahead is such
+a step: the core pulls chunk ``k+1`` ahead while it ships chunk ``k``.
 
 A machine step carries its *declared work*: an upper bound on the
 exponentiations it does, each priced ``exponent bits x modulus
@@ -39,8 +39,7 @@ a timeout (``TimeoutError``), a frame that does not decode
 (``ValueError``), a dead link (``ConnectionError``/``OSError``), a
 refused dial - is *thrown into* the body at its ``yield``, so the
 ``except`` clauses here are the one place that says what is transient.
-The shell owns the link and the chunk stream and closes both when the
-body ends, which is why no body yields from a ``finally``; a party's
+The shell owns the link and closes it when the body ends, which is why no body yields from a ``finally``; a party's
 journal is its own, and ``steps()`` closes it however the run ends.
 
 Wire frames (every frame sealed with a trailing CRC32 of the encoded
@@ -70,7 +69,7 @@ from typing import Any, Callable, Generator, NamedTuple
 
 from . import serialization
 from .crashpoints import crash_point
-from .streaming import TimedIterator
+from .streaming import DONE, TimedIterator
 
 __all__ = [
     "SESSION_VERSION",
@@ -90,8 +89,6 @@ __all__ = [
     "NOW",
     "Compute",
     "Ahead",
-    "NextChunk",
-    "DONE",
     "Open",
     "OPEN",
     "round_frames",
@@ -275,26 +272,12 @@ class Ahead(NamedTuple):
     The body is resumed with nothing: at once, or after the step where
     a shell runs it in place. The step only fills a memo its party's next
     round step reads, so its outcome is never awaited by name: the
-    shell finishes it before the next :class:`Compute` or new
-    :class:`NextChunk` source, and discards whatever it raises (the
-    round step recomputes, and raises where it always did).
+    shell finishes it before the next :class:`Compute`, and discards
+    whatever it raises (the round step recomputes, and raises where it
+    always did).
     """
 
     fn: Callable[[], None]
-    work: int | None = None
-
-
-class NextChunk(NamedTuple):
-    """The next item of the iterator ``source``, or :data:`DONE`.
-
-    The shell may run ``source`` ahead of the body (its double
-    buffer), which is what overlaps chunk ``k+1``'s crypto with chunk
-    ``k``'s acknowledged send. ``work`` bounds any one item's: the
-    whole stream's, since a sorted part is encrypted whole before its
-    first chunk can go.
-    """
-
-    source: Any
     work: int | None = None
 
 
@@ -304,8 +287,6 @@ class Open(NamedTuple):
 
 NOW = Now()
 OPEN = Open()
-#: Reply to :class:`NextChunk` once its source is exhausted.
-DONE = object()
 
 
 def round_frames(machine: Any, rnd: Any, chunk_size: int | None) -> list:
@@ -854,9 +835,12 @@ class _Party:
 
         The chunk producer is rng-free and deterministic, so an
         in-process retry recomputes the stream and skips the frames
-        already journaled. The shell runs production ahead of us,
-        overlapping chunk ``k+1``'s crypto with chunk ``k``'s
-        acknowledged send; the recorder (if any) gets the round's
+        already journaled. Chunk ``k+1`` is pulled ``Ahead`` before
+        chunk ``k`` is journaled and shipped, so its crypto overlaps
+        that acknowledged send - one chunk ahead, no further. A pull
+        declares the stream's work: any one chunk may cost the whole
+        round's, since a sorted part is encrypted whole before its
+        first chunk can go. The recorder (if any) gets the round's
         produce/send/wall split for the pipeline-overlap report.
         """
         log = self.log
@@ -864,9 +848,12 @@ class _Party:
         wall_start = yield NOW
         send_s = 0.0
         work = self._work(machine.item_count())
-        timed = TimedIterator(machine.produce_chunks(rnd, self.chunk_size))
+        stream = TimedIterator(machine.produce_chunks(rnd, self.chunk_size))
+        yield Ahead(stream.pull, work)
         count = 0
-        while (payload := (yield NextChunk(timed, work))) is not DONE:
+        while (payload := (yield Compute(stream.take, 0))) is not DONE:
+            crash_point("streaming.chunk.yield")
+            yield Ahead(stream.pull, work)
             if count >= already:
                 self._append_outbound(serialization.chunk_frame(count, payload))
                 begin = yield NOW
@@ -878,7 +865,7 @@ class _Party:
         if self.recorder is not None:
             self.recorder.add_pipeline(
                 f"{machine.role}.{rnd.name}",
-                produce_s=timed.elapsed_s,
+                produce_s=stream.elapsed_s,
                 send_s=send_s,
                 wall_s=(yield NOW) - wall_start,
                 chunks=count,

@@ -88,7 +88,7 @@ from typing import Any, Iterable, Mapping
 
 from . import serialization
 from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS, read_hello
-from .server import HANDOFF_MAX_BYTES, HANDOFF_TOKEN, ProtocolOffer, ProtocolServer, _refusal_frame
+from .server import HANDOFF_MAX_BYTES, HANDOFF_TOKEN, ProtocolOffer, ProtocolServer, _drain_on_signals, _refusal_frame
 from .session import SessionConfig
 from .tcp import _LEN
 
@@ -438,23 +438,11 @@ class ShardedProtocolServer:
     ) -> None:
         """Drain gracefully on SIGTERM (and SIGINT by default).
 
-        Main-thread only (a Python ``signal`` restriction). The handler
-        runs :meth:`shutdown` on a helper thread so the signal context
-        returns immediately. Worker processes are daemonized children;
-        the front end's drain is what stops them cleanly.
+        See :func:`~repro.net.server._drain_on_signals`. Worker
+        processes are daemonized children; the front end's drain is
+        what stops them cleanly.
         """
-        if signals is None:
-            signals = (signal.SIGTERM, signal.SIGINT)
-
-        def _handler(signum: int, frame: Any) -> None:
-            threading.Thread(
-                target=self.shutdown,
-                kwargs={"drain_timeout_s": drain_timeout_s},
-                daemon=True,
-            ).start()
-
-        for sig in signals:
-            signal.signal(sig, _handler)
+        _drain_on_signals(self, drain_timeout_s, signals)
 
     # ------------------------------------------------------------------
     # Supervision (worker-process mode)

@@ -23,9 +23,9 @@ says about deadlines and reconnects (``timeout_s=math.inf`` blocks on
 the socket, ``max_reconnects=0`` is a one-connection run). Both take
 ``chunk_size``: when set, chunkable rounds ship as a stream of
 ``("chunk", ...)`` frames (:mod:`repro.net.serialization`) instead of
-one whole-round frame, chunk production double-buffered
-(:func:`repro.net.streaming.prefetch`) so the crypto for chunk ``k+1``
-overlaps the send of chunk ``k``. Receivers auto-detect chunked
+one whole-round frame, chunk ``k+1`` produced ahead (an ``Ahead``
+step of the session core) so its crypto overlaps the send of chunk
+``k``. Receivers auto-detect chunked
 rounds, so ``chunk_size`` is a per-party local choice.
 """
 

@@ -3,7 +3,7 @@
 :mod:`repro.net.session_core` decides everything and touches nothing,
 so a shell needs no socket, thread or real sleep to run it. This one
 executes the ``Send`` / ``Recv`` / ``Sleep`` / ``NOW`` / ``Compute`` /
-``Ahead`` / ``NextChunk`` / ``OPEN`` requests of every party on the
+``Ahead`` / ``OPEN`` requests of every party on the
 caller's thread (an ``Ahead`` step simply runs in place: nothing is
 concurrent here), over in-memory connections, against a clock that
 only moves when every party is blocked - and then straight to the
@@ -30,12 +30,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-from .crashpoints import SimulatedCrash, crash_point, hooked
+from .crashpoints import SimulatedCrash, hooked
 from .session_core import (
-    DONE,
     Ahead,
     Compute,
-    NextChunk,
     Now,
     Open,
     Recv,
@@ -230,11 +228,6 @@ class LockStep:
                 request.fn()
             except Exception:
                 pass  # dropped with the step, as under every shell
-        elif kind is NextChunk:
-            party._reply = next(request.source, DONE)
-            if party._reply is not DONE:
-                # Where the production shells' prefetchers fire it.
-                crash_point("streaming.chunk.yield")
         elif kind is Send:
             party._link.send(request.frame)
         elif kind is Sleep:

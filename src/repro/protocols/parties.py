@@ -1231,8 +1231,8 @@ class _Machine:
         Yields ``(part_index, kind, body)`` chunk payloads in wire
         order. Rounds with a registered ``chunk_step`` stream
         incrementally - the chunk for segment *k+1* is only computed
-        when the consumer pulls it, so a double-buffering transport
-        overlaps its crypto with the wire. Rounds without one compute
+        when the consumer pulls it, so a session that pulls one chunk
+        ahead overlaps its crypto with the wire. Rounds without one compute
         the full message first and split it. Either way the assembled
         message lands in the inbox exactly as :meth:`produce` would
         have put it (the generator must be driven to exhaustion).

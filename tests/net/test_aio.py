@@ -3,10 +3,10 @@
 The properties that make the event-loop stack safe to put under the
 byte-exact session layer: framing round-trips, a receive timeout never
 desynchronizes the stream (the pending-read pattern), the loop thread
-runs coroutines for synchronous callers, the async prefetcher preserves
-order and propagates producer failures, and the asyncio shell runs
-``Ahead`` steps as the core expects - each machine step on the loop or
-on the executor by the work it declares.
+runs coroutines for synchronous callers, and the asyncio shell runs
+``Ahead`` steps - a chunk stream's pulls among them - as the core
+expects: each machine step on the loop or on the executor by the work
+it declares.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ import pytest
 from repro.crypto.engine import MeteredEngine, SerialEngine
 from repro.net import LockStep, tcp
 from repro.net.aio import INLINE_WORK, AsyncFrameEndpoint, LoopThread, run_async
-from repro.net.crashpoints import RecordingHook, hooked
 from repro.net.journal import open_session
 from repro.net.serialization import encode
-from repro.net.streaming import aprefetch
+from repro.net.streaming import DONE, TimedIterator
 from repro.net.session import SessionConfig, RetryPolicy
-from repro.net.session_core import DONE, Ahead, Compute, NextChunk
+from repro.net.session_core import Ahead, Compute
 from repro.net.tcp import FrameTooLarge
 from repro.net.virtual import Party
 from repro.protocols.parties import PublicParams
@@ -169,49 +168,31 @@ class TestLoopBridge:
 
 
 # ----------------------------------------------------------------------
-# aprefetch
+# A chunk stream prefetched by the asyncio shell
 # ----------------------------------------------------------------------
 class TestAprefetch:
-    def test_preserves_order_and_exhausts(self):
-        async def scenario():
-            items = []
-            async for item in aprefetch(iter(range(20))):
-                items.append(item)
-            return items
-
-        assert _run(scenario()) == list(range(20))
+    """A stream pulled ahead on the executor, as the core pulls it."""
 
     def test_producer_failure_reraises_after_buffered_items(self):
         def source():
             yield "ok"
             raise RuntimeError("producer blew up")
 
+        seen = []
+
+        def body():
+            stream = TimedIterator(source())
+            yield Ahead(stream.pull, HEAVY)
+            while (item := (yield Compute(stream.take, 0))) is not DONE:
+                seen.append(item)
+                yield Ahead(stream.pull, HEAVY)
+
         async def scenario():
-            seen = []
             with pytest.raises(RuntimeError, match="blew up"):
-                async for item in aprefetch(source()):
-                    seen.append(item)
-            return seen
-
-        assert _run(scenario()) == ["ok"]
-
-    def test_abandoning_the_stream_stops_the_producer(self):
-        produced = []
-
-        def source():
-            for i in range(10_000):
-                produced.append(i)
-                yield i
-
-        async def scenario():
-            agen = aprefetch(source())
-            async for item in agen:
-                if item == 3:
-                    break
-            await agen.aclose()
+                await run_async(body(), dial=None)
 
         _run(scenario())
-        assert len(produced) < 100  # bounded by depth, not the source
+        assert seen == ["ok"]
 
 
 # ----------------------------------------------------------------------
@@ -287,9 +268,9 @@ class TestRunAsyncPlacement:
 
     @staticmethod
     def _placed(work):
-        """One ``Ahead``, one ``Compute`` and a two-chunk stream, each
-        declaring ``work``: the loop's thread, each step's thread and
-        the crash points the run passed."""
+        """One ``Ahead``, one ``Compute`` and a two-chunk stream pulled
+        ahead as the core pulls it, each declaring ``work``: the loop's
+        thread and each step's thread."""
         threads = {}
 
         def mark(tag):
@@ -304,33 +285,30 @@ class TestRunAsyncPlacement:
             yield Ahead(lambda: mark("ahead"), work)
             yield Ahead(lambda: 1 / 0, work)  # dropped wherever it runs
             yield Compute(lambda: mark("compute"), work)
-            source, items = chunks(), []
-            while (item := (yield NextChunk(source, work))) is not DONE:
+            stream, items = TimedIterator(chunks()), []
+            yield Ahead(stream.pull, work)
+            while (item := (yield Compute(stream.take, 0))) is not DONE:
                 items.append(item)
+                yield Ahead(stream.pull, work)
             return items
 
         async def go():
             return threading.current_thread(), await run_async(body(), None)
 
-        hook = RecordingHook()
-        with hooked(hook):
-            loop_thread, items = _run(go())
+        loop_thread, items = _run(go())
         assert items == [0, 1]
         assert set(threads) == {"ahead", "compute", "chunk 0", "chunk 1"}
-        return loop_thread, threads, hook.counts
+        return loop_thread, threads
 
     @pytest.mark.parametrize("work", [0, INLINE_WORK])
     def test_a_declared_light_step_runs_on_the_loop_thread(self, work):
-        loop_thread, threads, crash_points = self._placed(work)
+        loop_thread, threads = self._placed(work)
         assert all(thread is loop_thread for thread in threads.values())
-        # A stream pulled in place passes aprefetch's crash point per chunk.
-        assert crash_points == {"streaming.chunk.yield": 2}
 
     @pytest.mark.parametrize("work", [HEAVY, None])
     def test_a_heavy_or_undeclared_step_runs_on_an_executor_thread(self, work):
-        loop_thread, threads, crash_points = self._placed(work)
+        loop_thread, threads = self._placed(work)
         assert all(thread is not loop_thread for thread in threads.values())
-        assert crash_points == {"streaming.chunk.yield": 2}
 
     def test_a_heavy_ahead_then_light_steps_run_in_order_without_overlap(self):
         spans = []

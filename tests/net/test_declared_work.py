@@ -24,7 +24,6 @@ from repro.net import server as server_module
 from repro.net import tcp
 from repro.net.server import ProtocolOffer, ProtocolServer
 from repro.net.session import RetryPolicy, SessionConfig
-from repro.net.session_core import NextChunk
 from repro.protocols.delta import DeltaExchange
 from repro.protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from repro.protocols.spec import PROTOCOLS
@@ -34,24 +33,12 @@ from ..protocols import make_golden_fixture as golden
 BITS = 128
 BASES = [name for name, spec in PROTOCOLS.items() if spec.delta_of is None]
 CONSUME = "_Party._recv_round.<locals>.<lambda>"
+PULL = "TimedIterator.pull"
 
 
 @pytest.fixture(scope="module")
 def params():
     return PublicParams.for_bits(BITS)
-
-
-class _MeteredStream:
-    """A chunk source whose every ``next`` is logged like a step."""
-
-    def __init__(self, source, log, work):
-        self.source, self.log, self.work = source, log, work
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        return self.log.step("chunk", self.work, lambda: next(self.source))
 
 
 class _WorkLog:
@@ -71,9 +58,7 @@ class _WorkLog:
             self.rows.append((name, work, used))
 
     def audited(self, steps):
-        """A session core's request stream, each declared step metered
-        (one wrapper per chunk source: the shell keys streams by it)."""
-        streams = {}
+        """A session core's request stream, each declared step metered."""
         reply = failure = None
         while True:
             try:
@@ -83,18 +68,11 @@ class _WorkLog:
             except StopIteration as stop:
                 return stop.value
             if getattr(request, "work", None) is not None:
-                if isinstance(request, NextChunk):
-                    if request.source not in streams:
-                        streams[request.source] = _MeteredStream(
-                            request.source, self, request.work
-                        )
-                    request = request._replace(source=streams[request.source])
-                else:
-                    fn, name = request.fn, request.fn.__qualname__
-                    request = request._replace(
-                        fn=lambda fn=fn, name=name, work=request.work:
-                        self.step(name, work, fn)
-                    )
+                fn, name = request.fn, request.fn.__qualname__
+                request = request._replace(
+                    fn=lambda fn=fn, name=name, work=request.work:
+                    self.step(name, work, fn)
+                )
             reply = failure = None
             try:
                 reply = yield request
@@ -168,7 +146,7 @@ def test_a_full_query_declares_at_least_what_s_computes(
     # S's own set really was exponentiated under its declaration.
     assert all(used for name, _, used in log.rows if name == "_Machine.warm")
     if chunk_size is not None and PROTOCOLS[protocol].rounds[1].chunk_step:
-        assert sum(used for name, _, used in log.rows if name == "chunk")
+        assert sum(used for name, _, used in log.rows if name == PULL)
 
 
 @pytest.mark.parametrize("protocol", BASES)
@@ -196,7 +174,7 @@ def test_a_chunk_can_cost_its_whole_round(monkeypatch, params):
     """Why a streamed round declares the whole round on every chunk:
     ``Z_R`` is sorted, so with |V_R| far above |V_S| its first chunk
     answers every ``Y_R`` segment the ``Y_S`` chunks did not - many
-    times ``chunk_size`` exponentiations in one ``next``."""
+    times ``chunk_size`` exponentiations in one pull."""
     v_s = ["c0", "c1", "s0", "s1"]
     v_r = ["c0", "c1"] + [f"r{i}" for i in range(28)]
     log = _WorkLog(BITS)
@@ -207,6 +185,6 @@ def test_a_chunk_can_cost_its_whole_round(monkeypatch, params):
     assert _host(monkeypatch, "intersection-size", offer, v_r, 2, log) == 2
     _assert_bounded(log)
     # The second Y_S chunk answered Y_R's first segment; the first Z_R
-    # chunk answers the other fourteen, 28 exponentiations in one next.
-    chunks = [used for name, _, used in log.rows if name == "chunk"]
+    # chunk answers the other fourteen, 28 exponentiations in one pull.
+    chunks = [used for name, _, used in log.rows if name == PULL]
     assert max(chunks) == (len(v_r) - 2) * BITS**3

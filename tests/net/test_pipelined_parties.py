@@ -30,6 +30,7 @@ import pytest
 from repro.crypto.engine import MeteredEngine, SerialEngine
 from repro.net.serialization import decode, encode, is_chunk_end, is_chunk_frame
 from repro.net.session import SessionStats, run_blocking, seal, unseal
+from repro.net.streaming import TimedIterator
 from repro.net.session_core import (
     Ahead,
     Compute,
@@ -171,6 +172,17 @@ class Run(Sim):
     def requests(self, name, kind):
         return [e for e in self.events[name] if type(e) is kind]
 
+    def memos(self, name):
+        """The party's warm and eager steps: its ``Ahead`` requests but
+        a chunk stream's pulls."""
+        return [e for e in self.events[name] if _is_memo(e)]
+
+
+def _is_memo(event):
+    return type(event) is Ahead and getattr(
+        event.fn, "__func__", None
+    ) is not TimedIterator.pull
+
 
 class _Tampering(_Scripted):
     """The scripted end, plus a hook that may rewrite a data frame's
@@ -231,12 +243,12 @@ def test_warm_and_eager_steps_are_requested_where_the_registry_says(
     assert [type(e) for e in between] == [Compute, Ahead]
     assert between[0].fn == machine.ensure_state
     assert between[1].fn == machine.warm
-    assert len(run.requests("S", Ahead)) == 1
+    assert len(run.memos("S")) == 1
 
     # R: one eager step per Y_S chunk, each requested right after its
     # chunk was received and before the round's chunk-end frame.
     r_events = run.events["R"]
-    aheads = [i for i, e in enumerate(r_events) if type(e) is Ahead]
+    aheads = [i for i, e in enumerate(r_events) if _is_memo(e)]
     assert len(aheads) == _y_s_chunks(protocol, chunk_size)
     if aheads:
         end = next(
@@ -272,22 +284,27 @@ def test_a_reconnect_exponentiates_nothing_of_the_memos_twice(protocol):
     ``Y_S`` chunks (where ``Y_S`` ships first). The memos are the
     parties', not the connection's: R's share is exact, and S - asked
     to warm again where ``m2`` was still streaming - finds its own set
-    done. What S's restarted stream answers a second time (the
-    segments of ``Y_R`` it had answered before the cut) it always has."""
+    done. What S's restarted stream answers a second time is the
+    segments of ``Y_R`` it had answered before the cut, plus the one
+    segment it had pulled ahead of the cut frame (the lookahead is one
+    chunk)."""
     run = Run(protocol, CHUNK, {("S", "msg", 2): "cut"}).run()
     assert run.r.error is None and run.s.error is None
     assert run.r.result == _oracle(protocol)
     assert run.receiver.stats.reconnects == 1
     r_share, s_share = CASES[protocol][2:]
     assert sum(run.of["R"]) == r_share
-    assert len(run.requests("R", Ahead)) == _y_s_chunks(protocol, CHUNK)
+    assert len(run.memos("R")) == _y_s_chunks(protocol, CHUNK)
     streamed = protocol != "equijoin-sum"  # whose m2 is computed whole
-    assert len(run.requests("S", Ahead)) == (2 if streamed else 1)
+    assert len(run.memos("S")) == (2 if streamed else 1)
     answered_twice = {
         "intersection": 0,  # Y_S ships first: no pair was computed yet
-        "intersection-size": 2 * CHUNK,  # one segment per Y_S chunk sent
-        "equijoin-size": 2 * CHUNK,
-        "equijoin": 3 * 2 * CHUNK,  # three triples chunks, two keys each
+        # One segment per Y_S chunk sent, and the lookahead segment.
+        "intersection-size": 2 * CHUNK + CHUNK,
+        "equijoin-size": 2 * CHUNK + CHUNK,
+        # Three triples chunks, two keys each, and the lookahead: the
+        # last segment, Y_R's seventh value under two keys.
+        "equijoin": 3 * 2 * CHUNK + 2 * 1,
         "equijoin-sum": 0,  # no chunk_step: computed whole, once
     }[protocol]
     assert sum(run.of["S"]) == s_share + answered_twice
@@ -346,7 +363,7 @@ def test_a_wrong_chunk_fails_where_and_how_it_always_did(body, error, where):
     for i, event in enumerate(r_events):
         if isinstance(event, Exception):
             assert type(r_events[i - 1]) is not Ahead
-    assert len(run.requests("R", Ahead)) == _y_s_chunks("intersection", CHUNK)
+    assert len(run.memos("R")) == _y_s_chunks("intersection", CHUNK)
     if error is TypeError:
         assert isinstance(run.r.error, TypeError)
     else:

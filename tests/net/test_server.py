@@ -14,6 +14,7 @@ import asyncio
 import concurrent.futures
 import gc
 import random
+import signal
 import socket
 import threading
 import time
@@ -27,6 +28,7 @@ from repro.net import tcp
 from repro.net.journal import JournalDir, open_session
 from repro.net.serialization import encode
 from repro.net.server import ProtocolOffer, ProtocolServer
+from repro.net.shard import ShardedProtocolServer
 from repro.net.session import (
     SESSION_VERSION,
     RetryPolicy,
@@ -733,7 +735,7 @@ def test_a_1024_bit_session_of_hundreds_still_hops_for_its_heavy_steps():
     # Five Y_S and five pair chunks, then the pull that finds the end.
     assert submitted.names == (
         ["_Machine.ensure_state", "_Machine.warm"]
-        + ["aprefetch.<locals>._step"] * 11
+        + ["TimedIterator.pull"] * 11
     )
 
 
@@ -766,3 +768,32 @@ def test_the_reaper_is_scheduled_only_with_a_deadline_or_idle_timeout(
     finally:
         server.shutdown(drain_timeout_s=2.0)
     assert server.wait_closed(timeout=5)
+
+
+# ----------------------------------------------------------------------
+# One drain-on-signal for both servers
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("server_class", [ProtocolServer, ShardedProtocolServer])
+def test_a_signal_drains_either_server_off_the_signal_context(server_class):
+    """``install_signal_handlers`` of the supervised server and of the
+    sharded front end: the signal starts ``shutdown`` with the drain
+    timeout on a helper thread, and the handler returns at once."""
+    drained = []
+    called = threading.Event()
+
+    class _Server:
+        def shutdown(self, drain_timeout_s):
+            drained.append((drain_timeout_s, threading.current_thread()))
+            called.set()
+
+    previous = signal.getsignal(signal.SIGUSR2)
+    try:
+        server_class.install_signal_handlers(
+            _Server(), drain_timeout_s=0.5, signals=(signal.SIGUSR2,)
+        )
+        signal.raise_signal(signal.SIGUSR2)
+        assert called.wait(timeout=5)
+    finally:
+        signal.signal(signal.SIGUSR2, previous)
+    ((timeout_s, thread),) = drained
+    assert timeout_s == 0.5 and thread is not threading.main_thread()

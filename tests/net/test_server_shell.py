@@ -235,14 +235,14 @@ class TestSenderShellParity:
         assert len(under_loop[3]) == 1
         # S's engine under every shell: the own set first, whole (it
         # went ahead of m1), then the answers - all of them at least
-        # once (how far an abandoned chunk stream had run ahead of the
-        # cut is the shell's prefetch depth).
+        # once (an abandoned chunk stream had pulled one chunk ahead of
+        # the cut, under every shell alike).
         for batches in (under_blocking[4], under_loop[4], in_lock_step[4]):
             assert batches[0] == len(V_S)
             assert sum(batches[1:]) >= len(V_R)
+        assert under_blocking[4] == under_loop[4] == in_lock_step[4]
         if chunk_size is None:
-            assert (under_blocking[4] == under_loop[4] == in_lock_step[4]
-                    == [len(V_S), len(V_R)])
+            assert under_loop[4] == [len(V_S), len(V_R)]
         stats = under_loop[2]
         assert (stats["reconnects"], stats["replayed_frames"],
                 stats["rounds_resumed"]) == (1, 1, 1)

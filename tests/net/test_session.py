@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import repro
 from repro.net.journal import open_session
 from repro.net.serialization import encode
 from repro.net.session import (
@@ -603,6 +604,44 @@ class TestClientRetryPolicy:
     def test_parse_rejections(self, spec, match):
         with pytest.raises(ValueError, match=match):
             ClientRetryPolicy.parse(spec)
+
+    @pytest.mark.parametrize("spec,name", [
+        ("jitter=1.5", "jitter"),
+        ("jitter=-0.1", "jitter"),
+        ("base=-0.5", "base_delay_s"),
+        ("max-delay=-1", "max_delay_s"),
+        ("multiplier=0", "multiplier"),
+        ("attempts=0", "max_attempts"),
+        ("timeout=0", "attempt_timeout_s"),
+        ("deadline=-1", "total_deadline_s"),
+    ])
+    def test_parse_refuses_values_out_of_range(self, spec, name):
+        with pytest.raises(ValueError, match=f"\\.{name} must be"):
+            ClientRetryPolicy.parse(spec)
+
+    def test_construction_refuses_values_out_of_range(self):
+        with pytest.raises(ValueError, match="RetryPolicy.jitter"):
+            RetryPolicy(jitter=1.5)
+        with pytest.raises(ValueError, match="RetryPolicy.max_attempts"):
+            RetryPolicy(max_attempts=0)
+        with pytest.raises(ValueError, match="ClientRetryPolicy.max_attempts"):
+            ClientRetryPolicy(max_attempts=0)
+        ClientRetryPolicy(total_deadline_s=0.0, backoff=RetryPolicy(
+            base_delay_s=0.0, max_delay_s=0.0, jitter=1.0
+        ))  # every limit is inclusive where it says so
+
+    def test_a_policy_at_its_limits_gives_up_with_a_session_error(self):
+        """Jitter 1 and no base delay are in range: every backoff sleep
+        is non-negative, so a dead port ends in the typed give-up."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(SessionError, match="gave up"):
+            repro.connect(
+                "intersection", ["a"], port=port, seed=1,
+                retry="attempts=2,jitter=1,base=0",
+                session=repro.SessionOptions(),
+            )
 
     def test_retryable_routes_by_exception_and_toggle(self):
         policy = ClientRetryPolicy()

@@ -1,9 +1,10 @@
-"""The streaming round pipeline: chunk framing, prefetch, memory bounds.
+"""The streaming round pipeline: chunk framing, lookahead, memory bounds.
 
 Covers the layers the million-item streaming path is built from:
 the wire chunk frames (:mod:`repro.net.serialization`), the message
-chunker/assembler (:mod:`repro.protocols.messages`), the double-buffer
-(:mod:`repro.net.streaming`), and the end-to-end guarantee the whole
+chunker/assembler (:mod:`repro.protocols.messages`), the chunk stream
+(:mod:`repro.net.streaming`) the session core pulls one chunk ahead
+under every shell, and the end-to-end guarantee the whole
 stack exists for - peak resident payload per round stays O(chunk_size)
 on a one-connection run (``session=None``), in the frames and in the
 core's round log, with the producer/consumer overlap visible in the
@@ -17,15 +18,20 @@ import random
 import socket
 import threading
 import time
+from typing import NamedTuple
 
 import pytest
 
 import repro
 from repro.analysis.instrumentation import MetricsRecorder, PipelineStats
-from repro.net import serialization, tcp
+from repro.net import LockStep, aio, serialization, tcp
+from repro.net.crashpoints import SimulatedCrash
 from repro.net.journal import open_session
-from repro.net.session import SessionConfig, run_blocking
-from repro.net.streaming import TimedIterator, prefetch
+from repro.net.server import ProtocolOffer, ProtocolServer
+from repro.net.session import RetryPolicy, SessionConfig, run_blocking, unseal
+from repro.net.session_core import Ahead, Compute, Send, SenderCore
+from repro.net.streaming import DONE, TimedIterator
+from repro.net.virtual import Party
 from repro.protocols.messages import (
     ChunkAssembler,
     CipherList,
@@ -33,8 +39,10 @@ from repro.protocols.messages import (
     SizeReply,
     SumReply,
 )
-from repro.protocols.parties import PublicParams
-from repro.protocols.spec import PROTOCOLS
+from repro.protocols.parties import PublicParams, ReceiverMachine, SenderMachine
+from repro.protocols.spec import PROTOCOLS, get_spec
+
+from .test_server_shell import _LoseOnce, _TapAndHangUpOnce
 
 
 # ----------------------------------------------------------------------
@@ -145,58 +153,8 @@ class TestMessageChunking:
 
 
 # ----------------------------------------------------------------------
-# The double buffer
+# The chunk stream: pulled ahead, taken in order
 # ----------------------------------------------------------------------
-class TestPrefetch:
-    def test_preserves_order(self):
-        assert list(prefetch(iter(range(50)))) == list(range(50))
-
-    def test_producer_exception_reaches_consumer(self):
-        def faulty():
-            yield 1
-            raise RuntimeError("producer died")
-
-        it = prefetch(faulty())
-        assert next(it) == 1
-        with pytest.raises(RuntimeError, match="producer died"):
-            list(it)
-
-    def test_abandoned_consumer_stops_producer(self):
-        produced = []
-
-        def source():
-            for i in range(10_000):
-                produced.append(i)
-                yield i
-
-        it = prefetch(source())
-        next(it)
-        it.close()
-        time.sleep(0.2)
-        # The producer ran at most a few items ahead, then stopped.
-        assert len(produced) < 50
-
-    def test_production_overlaps_slow_consumption(self):
-        """While the consumer sleeps on item k, the producer fills the
-        buffer with k+1 - the wall clock beats the serial sum."""
-        delay = 0.02
-        n = 8
-
-        def slow_source():
-            for i in range(n):
-                time.sleep(delay)
-                yield i
-
-        timed = TimedIterator(slow_source())
-        start = time.perf_counter()
-        for _ in prefetch(timed):
-            time.sleep(delay)  # consumer-side work
-        wall = time.perf_counter() - start
-        serial = timed.elapsed_s + n * delay
-        assert timed.items == n
-        assert wall < serial * 0.9, (wall, serial)
-
-
 class TestTimedIterator:
     def test_counts_items_and_time(self):
         timed = TimedIterator(iter([1, 2, 3]))
@@ -204,7 +162,379 @@ class TestTimedIterator:
         assert timed.items == 3
         assert timed.elapsed_s >= 0.0
 
+    def test_take_returns_what_pull_produced_then_done(self):
+        timed = TimedIterator(iter([1, 2]))
+        for expected in (1, 2, DONE):
+            timed.pull()
+            assert timed.take() is expected
+        assert timed.items == 2
 
+    def test_pull_keeps_what_the_source_raises_for_take(self):
+        def source():
+            yield 1
+            raise SimulatedCrash("producer died")
+
+        timed = TimedIterator(source())
+        timed.pull()
+        assert timed.take() == 1
+        timed.pull()  # raises nothing itself
+        with pytest.raises(SimulatedCrash, match="producer died"):
+            timed.take()
+
+
+class TestPrefetch:
+    """A stream pulled ahead by the blocking shell's worker thread."""
+
+    def test_producer_exception_reaches_consumer(self):
+        def faulty():
+            yield 1
+            raise RuntimeError("producer died")
+
+        seen = []
+
+        def body():
+            stream = TimedIterator(faulty())
+            yield Ahead(stream.pull)
+            while (item := (yield Compute(stream.take))) is not DONE:
+                seen.append(item)
+                yield Ahead(stream.pull)
+
+        with pytest.raises(RuntimeError, match="producer died"):
+            run_blocking(body())
+        assert seen == [1]
+
+
+#: S's ``m2`` under ``CHUNK``: five ``Y_S`` chunks, then four pair chunks.
+STREAM_V_R = [f"r{i}" for i in range(3)] + [f"c{i}" for i in range(4)]
+STREAM_V_S = [f"s{i}" for i in range(5)] + [f"c{i}" for i in range(4)]
+CHUNK = 2
+#: "asyncio-offloaded" is the asyncio shell with every declared step
+#: too heavy for the loop: the pulls run on its executor.
+SHELLS = ["blocking", "asyncio", "asyncio-offloaded", "lock-step"]
+
+
+@pytest.fixture(scope="module")
+def params():
+    return PublicParams.for_bits(128)
+
+
+class _Thrown(NamedTuple):
+    failure: BaseException
+    thread: threading.Thread
+
+
+def _tapped(steps, events, threads):
+    """Forward a core's requests, noting each one and each failure
+    thrown into it (with the thread it was thrown on), in order, and
+    the thread the body starts on."""
+    threads.append(threading.current_thread())
+    reply = failure = None
+    while True:
+        try:
+            if failure is None:
+                request = steps.send(reply)
+            else:
+                request = steps.throw(failure)
+        except StopIteration as stop:
+            return stop.value
+        events.append(request)
+        reply = failure = None
+        try:
+            reply = yield request
+        except (Exception, SimulatedCrash) as exc:
+            events.append(_Thrown(exc, threading.current_thread()))
+            failure = exc
+
+
+def _is(request, method):
+    return getattr(getattr(request, "fn", None), "__func__", None) is method
+
+
+class _SlowReader:
+    """R's endpoint, 20 ms slow to hand on each frame it has read: S's
+    every send waits that long for its ack."""
+
+    def __init__(self, endpoint):
+        self.endpoint = endpoint
+
+    def recv(self):
+        frame = self.endpoint.recv()
+        time.sleep(0.02)
+        return frame
+
+    def send(self, message):
+        self.endpoint.send(message)
+
+    def settimeout(self, timeout):
+        self.endpoint.settimeout(timeout)
+
+    def close(self):
+        self.endpoint.close()
+
+
+class TestChunkStream:
+    """A streamed round's lookahead is the core's ``Ahead(pull)`` and
+    ``Compute(take)``: one intersection query with S's ``m2`` streamed,
+    S under each shell (R beside it: blocking over TCP, or lock-step),
+    S's requests tapped and its chunk producer instrumented."""
+
+    @pytest.fixture(autouse=True)
+    def _instrument(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.events, self.threads = [], []
+        self.produced, self.consumed = [], []
+        self.on_chunk = lambda k: None
+        steps = SenderCore.steps
+        monkeypatch.setattr(
+            SenderCore, "steps",
+            lambda core: _tapped(steps(core), self.events, self.threads),
+        )
+        produce = SenderMachine.produce_chunks
+
+        def produce_chunks(machine, rnd, chunk_size):
+            for k, payload in enumerate(produce(machine, rnd, chunk_size)):
+                self.on_chunk(k)
+                self.produced.append(payload)
+                yield payload
+
+        monkeypatch.setattr(SenderMachine, "produce_chunks", produce_chunks)
+        consume = ReceiverMachine.consume_chunks
+
+        def consume_chunks(machine, rnd, payloads):
+            self.consumed.append(list(payloads))
+            return consume(machine, rnd, payloads)
+
+        monkeypatch.setattr(ReceiverMachine, "consume_chunks", consume_chunks)
+
+    def _query(
+        self, shell, params, cut_seq=None, timeout_s=5.0, recorder=None,
+        r_wrapper=None,
+    ):
+        """R's answer (or error) and S's error, if S died. ``recorder``
+        and ``r_wrapper`` (around R's endpoint) serve the socket shells."""
+        config = SessionConfig(
+            timeout_s=timeout_s,
+            retry=RetryPolicy(max_attempts=3, base_delay_s=0.01,
+                              max_delay_s=0.05),
+            max_reconnects=2,
+            fin_grace_s=0.2,
+        )
+        cut: list = []
+        if shell == "lock-step":
+            spec = get_spec("intersection")
+            sender, _ = open_session(
+                "sender", "intersection",
+                lambda: spec.make_sender(STREAM_V_S, params, random.Random(1)),
+                params=params, config=config, rng=random.Random(3),
+                chunk_size=CHUNK,
+            )
+            receiver, _ = open_session(
+                "receiver", "intersection",
+                lambda wire: spec.make_receiver(
+                    STREAM_V_R, PublicParams.from_wire(tuple(wire)),
+                    random.Random(2),
+                ),
+                config=config, rng=random.Random(4), chunk_size=CHUNK,
+            )
+            wrap = None if cut_seq is None else (
+                lambda end: _LoseOnce(end, [], cut, cut_seq)
+            )
+            s = Party("S", sender.steps, dials=False, wrap=wrap)
+            r = Party("R", receiver.steps, dials=True)
+            LockStep(accept_timeout_s=config.timeout_s).run(r, s)
+            return (r.result if r.error is None else r.error), s.error
+
+        def client(port):
+            wrapper = r_wrapper if cut_seq is None else (
+                lambda ep: _TapAndHangUpOnce(ep, [], cut, cut_seq)
+            )
+            try:
+                return tcp.connect_resumable_receiver(
+                    "intersection", STREAM_V_R, random.Random(2),
+                    "127.0.0.1", port, config=config, chunk_size=CHUNK,
+                    endpoint_wrapper=wrapper,
+                )[0]
+            except Exception as exc:
+                return exc
+
+        if shell.startswith("asyncio"):
+            if shell.endswith("offloaded"):
+                self.monkeypatch.setattr(aio, "INLINE_WORK", 0)
+            offer = ProtocolOffer.from_data(
+                "intersection", STREAM_V_S, params, seed="S"
+            )
+            with ProtocolServer([offer], config=config, chunk_size=CHUNK,
+                                recorder=recorder) as server:
+                answer = client(server.port)
+                assert server.wait_for_sessions(1, timeout=10)
+                first = min(server.sessions.values(),
+                            key=lambda record: record.started_at)
+            return answer, first.error
+        bound, served, ready = {}, {}, threading.Event()
+
+        def serve():
+            try:
+                tcp.serve_resumable_sender(
+                    "intersection", STREAM_V_S, params, random.Random(1),
+                    ready_callback=lambda p: (bound.update(port=p),
+                                              ready.set()),
+                    config=config, chunk_size=CHUNK, recorder=recorder,
+                )
+            except (Exception, SimulatedCrash) as exc:
+                served["error"] = exc
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        assert ready.wait(5)
+        answer = client(bound["port"])
+        server.join(timeout=10)
+        assert not server.is_alive()
+        return answer, served.get("error")
+
+    def _thrown(self):
+        """``(request, failure, thread)`` per failure thrown into S."""
+        return [
+            (self.events[i - 1], *event)
+            for i, event in enumerate(self.events)
+            if type(event) is _Thrown
+        ]
+
+    @pytest.mark.parametrize("shell", SHELLS)
+    def test_chunks_arrive_in_order(self, params, shell):
+        producers = []
+        self.on_chunk = lambda k: producers.append(threading.current_thread())
+        answer, s_error = self._query(shell, params)
+        assert s_error is None
+        assert answer == set(STREAM_V_R) & set(STREAM_V_S)
+        assert len(self.produced) == 9
+        assert self.consumed[-1] == self.produced
+        assert not self._thrown()
+        # Pulled beside the body by the blocking shell and an offloading
+        # asyncio shell, in place by the others.
+        in_place = shell in ("asyncio", "lock-step")
+        assert {thread is self.threads[0] for thread in producers} == {in_place}
+
+    def test_a_producer_failure_surfaces_at_one_take(self, params):
+        def fail_once(k):
+            if k == 2 and not failed:
+                failed.append(k)
+                raise ValueError("no chunk 2")
+
+        seen = {}
+        for shell in SHELLS:
+            failed = []
+            self.events.clear()
+            self.on_chunk = fail_once
+            answer, s_error = self._query(shell, params)
+            # S drops the link, as after any framing fault, and the
+            # restarted stream completes the query.
+            assert s_error is None
+            assert answer == set(STREAM_V_R) & set(STREAM_V_S)
+            request, failure, _ = self._thrown()[0]
+            assert type(failure) is ValueError and "no chunk 2" in str(failure)
+            assert _is(request, TimedIterator.take)
+            at = [type(e) for e in self.events].index(_Thrown) - 1
+            takes = [e for e in self.events[:at] if _is(e, TimedIterator.take)]
+            assert len(takes) == 2  # chunks 0 and 1 were taken
+            seen[shell] = [type(e).__name__ for e in self.events[:at + 1]]
+        assert all(kinds == seen["lock-step"] for kinds in seen.values())
+
+    @pytest.mark.parametrize("shell", SHELLS)
+    def test_a_producer_crash_kills_the_party(
+        self, params, shell, monkeypatch
+    ):
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+
+        def crash_once(k):
+            if k == 2 and not crashed:
+                crashed.append(k)
+                raise SimulatedCrash("S dies producing chunk 2")
+
+        crashed = []
+        self.on_chunk = crash_once
+        _answer, s_error = self._query(shell, params, timeout_s=1.0)
+        assert isinstance(s_error, SimulatedCrash)
+        request, failure, thread = self._thrown()[0]
+        # Thrown into S's body at its take, on the thread the body runs
+        # on - not raised where the pull ran, which carries on unharmed.
+        assert failure is s_error and _is(request, TimedIterator.take)
+        assert thread is self.threads[0]
+        assert died == []
+
+    @pytest.mark.parametrize("shell", ["blocking", "asyncio-offloaded"])
+    def test_production_overlaps_the_send(self, params, shell):
+        """Pulled beside the body, chunk ``k+1`` is produced while chunk
+        ``k`` waits for its ack: with both 20 ms a chunk, the round's
+        wall clock beats the serial sum of the two."""
+        self.on_chunk = lambda k: time.sleep(0.02)
+        recorder = MetricsRecorder()
+        answer, s_error = self._query(
+            shell, params, recorder=recorder, r_wrapper=_SlowReader,
+        )
+        assert s_error is None
+        assert answer == set(STREAM_V_R) & set(STREAM_V_S)
+        stats = recorder.pipelines["s.m2"]
+        assert stats.chunks == 9
+        assert stats.wall_s < 0.9 * (stats.produce_s + stats.send_s), stats
+
+    def test_lock_step_pulls_exactly_one_chunk_ahead_of_the_send(self, params):
+        """The pull for chunk ``k+1`` is requested before chunk ``k``'s
+        ``Send``, and never a second one before chunk ``k+1`` is taken."""
+        self._query("lock-step", params)
+        pulls = takes = 0
+        sent = []
+        for event in self.events:
+            if _is(event, TimedIterator.pull):
+                assert type(event) is Ahead
+                pulls += 1
+            elif _is(event, TimedIterator.take):
+                takes += 1
+            elif type(event) is Send and event.frame[0] == "msg":
+                frame = serialization.decode(unseal(event.frame)[2])
+                if serialization.is_chunk_frame(frame):
+                    k = frame[1]
+                    sent.append(k)
+                    assert takes == k + 1 and pulls == k + 2
+            assert 0 <= pulls - takes <= 1
+        assert sent == list(range(9))
+        assert (pulls, takes) == (10, 10)  # the tenth finds the end
+
+    @pytest.mark.parametrize("shell", SHELLS)
+    def test_a_lost_link_abandons_the_stream(self, params, shell, monkeypatch):
+        spans = []
+
+        def timed(method, name):
+            def run(stream):
+                start = time.perf_counter()
+                try:
+                    return method(stream)
+                finally:
+                    spans.append((name, id(stream), start,
+                                  time.perf_counter()))
+            return run
+
+        monkeypatch.setattr(
+            TimedIterator, "pull", timed(TimedIterator.pull, "pull")
+        )
+        monkeypatch.setattr(
+            TimedIterator, "take", timed(TimedIterator.take, "take")
+        )
+        self.on_chunk = lambda k: time.sleep(0.01)
+        answer, s_error = self._query(shell, params, cut_seq=2)
+        assert s_error is None
+        assert answer == set(STREAM_V_R) & set(STREAM_V_S)
+        streams = list(dict.fromkeys(stream for _, stream, _, _ in spans))
+        assert len(streams) == 2  # the one cut, and its restart
+        old = [span for span in spans if span[1] == streams[0]]
+        new = [span for span in spans if span[1] == streams[1]]
+        old_takes = sum(name == "take" for name, *_ in old)
+        old_pulls = sum(name == "pull" for name, *_ in old)
+        # Abandoned one chunk ahead of the last chunk taken, no further.
+        assert old_pulls == old_takes + 1
+        assert max(end for *_, end in old) <= min(start for *_, start, _ in new)
+        # The restart runs every chunk from the first.
+        assert sum(name == "take" for name, *_ in new) == 10  # 9, and DONE
 # ----------------------------------------------------------------------
 # Pipeline metrics
 # ----------------------------------------------------------------------

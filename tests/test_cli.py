@@ -449,6 +449,15 @@ class TestRetryPolicyFlag:
         assert code == 2
         assert "bad --retry-policy" in capsys.readouterr().err
 
+    def test_retry_policy_out_of_range_is_usage_error(self, value_files, capsys):
+        r, _ = value_files
+        code = main(["connect", "--receiver", r, "--port", "9",
+                     "--retry-policy", "jitter=1.5,base=0.5"])
+        assert code == 2
+        assert "bad --retry-policy: RetryPolicy.jitter must be in [0, 1]" in (
+            capsys.readouterr().err
+        )
+
     def test_retry_policy_waits_out_busy(
         self, busy_server, value_files, capsys
     ):
