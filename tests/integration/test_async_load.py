@@ -108,7 +108,18 @@ def test_isolated_answers_and_journals_at_scale(params, tmp_path):
 
     with server, ThreadPoolExecutor(SESSIONS) as herd:
         outcomes = list(herd.map(one, range(SESSIONS), timeout=120))
-        rows = server.results()
+        # A client has its answer once the fin echo lands, which can be
+        # before S's task marks its record: wait for every record to
+        # reach a terminal status.
+        deadline = time.monotonic() + 10.0
+        while True:
+            rows = server.results()
+            if len(rows) >= SESSIONS and not any(
+                r["status"] in ("starting", "running") for r in rows
+            ):
+                break
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
 
     # Results: every session saw exactly its own intersection.
     assert len(outcomes) == SESSIONS
