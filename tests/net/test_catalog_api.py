@@ -336,6 +336,44 @@ def test_cache_warm_start_and_rekey(tmp_path, protocol, chunk_size):
     assert rewarmed.answer == delta.answer
 
 
+def test_deltas_that_change_no_entry_keep_the_cache_bounded(tmp_path):
+    """A repeated query on an unchanged table writes nothing to either
+    cache; one more occurrence of a held value re-keys each file by a
+    batch, and compaction keeps those batches from piling up."""
+    v_r, v_s = ["a", "b", "c", "d"], ["a", "b", "e", "f"]
+    cat_r = repro.open_catalog(v_r, bits=BITS, seed=1, cache_dir=tmp_path / "r")
+    cat_s = repro.open_catalog(v_s, bits=BITS, seed=2, cache_dir=tmp_path / "s")
+    peer = cat_r.pair(cat_s)
+    peer.query("equijoin-size")
+
+    def files():
+        return [f.read_bytes() for side in "rs" for f in (tmp_path / side).iterdir()]
+
+    compact = files()
+    assert len(compact) == 2
+    for _ in range(6):
+        assert peer.query("equijoin-size").mode == "delta"
+    assert files() == compact
+
+    compact = [len(data) for data in compact]
+    batch, sizes = None, []
+    for _ in range(6 * len(v_r)):
+        cat_r.insert("a")
+        cat_s.insert("a")
+        result = peer.query("equijoin-size")
+        assert result.mode == "delta"
+        grown = [len(data) - size for data, size in zip(files(), compact)]
+        batch = batch or grown
+        # Fewer batches since the last compaction than distinct values.
+        assert all(0 <= g < len(set(v_r)) * b for g, b in zip(grown, batch))
+        sizes.append(grown)
+    # Each file was compacted back to its compact size, more than once.
+    assert all(sum(g[side] == 0 for g in sizes) >= 2 for side in (0, 1))
+    assert result.answer == repro.run(
+        "equijoin-size", cat_r.data, cat_s.data, bits=BITS, seed=3
+    ).answer
+
+
 def test_warm_start_is_wire_identical(tmp_path, monkeypatch):
     """A cache-hit query must put the same bytes on the wire as the
     cold run it replays - warm starts are a pure compute shortcut."""
