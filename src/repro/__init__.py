@@ -51,6 +51,7 @@ from .protocols import (
     IntersectionResult,
     IntersectionSizeResult,
     ProtocolSuite,
+    ProtocolViolation,
     join_tables,
     run_equijoin,
     run_equijoin_size,
@@ -73,6 +74,7 @@ __all__ = [
     "QueryResult",
     "SessionOptions",
     "ProtocolSuite",
+    "ProtocolViolation",
     "run_intersection",
     "run_intersection_size",
     "run_equijoin",

@@ -274,9 +274,9 @@ def _both_parties_here(engine: Any) -> Any:
     interpreter (:func:`run`, a :meth:`Catalog.pair` query).
 
     Nothing else computes while one party does, so when the caller
-    passed no ``engine=`` the batches go to the process-wide pool over
-    the CPUs this process may run on (the serial engine when that is
-    one); the pool itself keeps batches too small to pay serial.
+    passed no ``engine=`` the batches are shared by as many threads as
+    this process has CPUs to run on (the serial engine when that is
+    one); the engine itself keeps batches too small to pay serial.
     :func:`serve` / :func:`connect` and hosted sessions stay serial by
     default: there the peer's process is the other core.
     """
@@ -727,8 +727,8 @@ def open_catalog(
         rng: explicit rng (overrides ``seed``).
         engine: batch-crypto execution strategy
             (:mod:`repro.crypto.engine`); by default serial over a
-            network link and :func:`run`'s shared pool when paired
-            locally.
+            network link and :func:`run`'s shared thread engine when
+            paired locally.
         recorder: per-phase metrics collector.
         cache_dir: directory for the persistent encrypted-catalog cache
             (:class:`~repro.net.catalog.CatalogCache`); ``None``
@@ -1042,8 +1042,8 @@ def run(
         rng: explicit master rng (overrides ``seed``).
         engine: batch-crypto execution strategy
             (:mod:`repro.crypto.engine`); by default the process-wide
-            pool over this process's CPUs, which batches too small to
-            pay never touch.
+            thread engine over this process's CPUs, which batches too
+            small to pay never reach.
         recorder: per-phase metrics collector
             (:class:`repro.analysis.instrumentation.MetricsRecorder`).
         chunk_size: stream chunkable rounds in slices of at most this

@@ -1,7 +1,7 @@
 """Area ``parallelism`` — the Section 6.2 P-processor assumption.
 
 Raw batch exponentiation and a whole intersection run through the
-process-pool engine, against the model's ideal 1/P.
+thread engine, against the model's ideal 1/P.
 """
 
 from __future__ import annotations
@@ -39,22 +39,18 @@ def run_intersection_with_engine(
     recorder = MetricsRecorder()
     engine = create_engine(workers, on_modexp=recorder.count_modexp)
     recorder.attach_engine(engine)
-    try:
-        engine.warm_up()  # pool startup is measured once, not per-run
-        rng_r, rng_s = random.Random(f"{seed}/R"), random.Random(f"{seed}/S")
-        start = time.perf_counter()
-        with recorder.phase("setup"):
-            receiver = IntersectionReceiver(v_r, params, rng_r, engine=engine)
-            sender = IntersectionSender(v_s, params, rng_s, engine=engine)
-        with recorder.phase("r.round1"):
-            m1 = receiver.round1()
-        with recorder.phase("s.round1"):
-            m2 = sender.round1(m1)
-        with recorder.phase("r.finish"):
-            answer = receiver.finish(m2)
-        wall_s = time.perf_counter() - start
-    finally:
-        engine.close()
+    rng_r, rng_s = random.Random(f"{seed}/R"), random.Random(f"{seed}/S")
+    start = time.perf_counter()
+    with recorder.phase("setup"):
+        receiver = IntersectionReceiver(v_r, params, rng_r, engine=engine)
+        sender = IntersectionSender(v_s, params, rng_s, engine=engine)
+    with recorder.phase("r.round1"):
+        m1 = receiver.round1()
+    with recorder.phase("s.round1"):
+        m2 = sender.round1(m1)
+    with recorder.phase("r.finish"):
+        answer = receiver.finish(m2)
+    wall_s = time.perf_counter() - start
     assert answer == {f"c{i}" for i in range(half)}
     report = recorder.report()
     return {
@@ -93,10 +89,8 @@ def sweep(
     "parallelism.batch-speedup",
     smoke={"bits": 512, "batches": [32, 96], "max_workers": 2},
     full={"bits": 1024, "batches": [32, 128, 512], "max_workers": 4},
-    summary="Raw batch modexp through the process pool vs the model's "
-            "ideal 1/P: the first batch after pool start (cold, what a "
-            "one-shot query gets) beside the warm one, pool startup "
-            "reported separately.",
+    summary="Raw batch modexp shared by P threads vs the model's "
+            "ideal 1/P.",
 )
 def batch_speedup(ctx) -> list[dict]:
     """Measure parallel_pow speedup at growing batch sizes."""
@@ -115,10 +109,7 @@ def batch_speedup(ctx) -> list[dict]:
             "metrics": {
                 "sequential_s": round(result.sequential_s, 6),
                 "parallel_s": round(result.parallel_s, 6),
-                "cold_s": round(result.cold_s, 6),
-                "pool_startup_s": round(result.pool_startup_s, 6),
                 "speedup": round(result.speedup, 3),
-                "cold_speedup": round(result.sequential_s / result.cold_s, 3),
             },
         })
     return records
@@ -129,7 +120,7 @@ def batch_speedup(ctx) -> list[dict]:
     smoke={"workers": [1, 2], "sizes": [64], "bits": [256]},
     full={"workers": [1, 2, 4], "sizes": [64, 512], "bits": [256, 512]},
     summary="End-to-end intersection through the party state machines "
-            "with a shared process-pool engine: workers x n x bits.",
+            "with a shared thread engine: workers x n x bits.",
 )
 def engine_sweep(ctx) -> list[dict]:
     """Run the real-protocol engine sweep; one record per grid cell."""

@@ -144,7 +144,7 @@ def _add_engine_options(p: argparse.ArgumentParser) -> None:
     """The batch-crypto engine knobs shared by ``serve`` and ``connect``."""
     p.add_argument(
         "--workers", type=int, default=1,
-        help="processes for batch encryption (Section 6.2's P; default 1)",
+        help="threads for batch encryption (Section 6.2's P; default 1)",
     )
     p.add_argument(
         "--chunk-size", type=int, default=None,
@@ -518,26 +518,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("--shards requires --max-sessions > 1", file=sys.stderr)
         return 2
 
-    try:
-        if args.resumable and args.max_sessions > 1:
-            return _serve_supervised(
-                args, data, params, engine, recorder, announce
-            )
-        served = api.serve(
-            args.protocol, data, host=args.host, port=args.port,
-            params=params, seed=args.seed, ready_callback=announce,
-            timeout=args.timeout, engine=engine, recorder=recorder,
-            chunk_size=args.chunk_size,
-            session=_session_options(args),
+    if args.resumable and args.max_sessions > 1:
+        return _serve_supervised(
+            args, data, params, engine, recorder, announce
         )
-        print(f"run complete; S learned |V_R| = {served.size_v_r}")
-        if args.resumable:
-            print(f"# session stats: {served.stats.as_dict()}",
-                  file=sys.stderr)
-        _emit_metrics(args, recorder)
-        return 0
-    finally:
-        engine.close()
+    served = api.serve(
+        args.protocol, data, host=args.host, port=args.port,
+        params=params, seed=args.seed, ready_callback=announce,
+        timeout=args.timeout, engine=engine, recorder=recorder,
+        chunk_size=args.chunk_size,
+        session=_session_options(args),
+    )
+    print(f"run complete; S learned |V_R| = {served.size_v_r}")
+    if args.resumable:
+        print(f"# session stats: {served.stats.as_dict()}",
+              file=sys.stderr)
+    _emit_metrics(args, recorder)
+    return 0
 
 
 def _serve_supervised(
@@ -561,9 +558,6 @@ def _serve_supervised(
     from .net.shard import ShardedProtocolServer
 
     if args.shards > 1:
-        # Worker processes build their own party state post-fork; a
-        # parent-owned pool engine would not survive the fork, so the
-        # sharded path always uses the in-process engine.
         server = ShardedProtocolServer(
             [ProtocolOffer.from_data(
                 args.protocol, data, params, seed=args.seed
@@ -672,14 +666,11 @@ def _cmd_connect(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    try:
-        if policy is None:
-            return attempt()
-        # Jittered independently of the protocol seed so identically
-        # seeded clients refused in one burst do not redial in lockstep.
-        return policy.redial(attempt, _key_rng(), on_retry=announce)[0]
-    finally:
-        engine.close()
+    if policy is None:
+        return attempt()
+    # Jittered independently of the protocol seed so identically
+    # seeded clients refused in one burst do not redial in lockstep.
+    return policy.redial(attempt, _key_rng(), on_retry=announce)[0]
 
 
 def _split_insert(raw: str) -> tuple[str, str | None]:

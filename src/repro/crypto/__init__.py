@@ -12,7 +12,7 @@ from .commutative import CommutativeCipher, PowerCipher
 from .engine import (
     CryptoEngine,
     MeteredEngine,
-    ProcessPoolEngine,
+    ThreadPoolEngine,
     SerialEngine,
     create_engine,
     shared_engine,
@@ -58,7 +58,7 @@ __all__ = [
     "PowerCipher",
     "CryptoEngine",
     "SerialEngine",
-    "ProcessPoolEngine",
+    "ThreadPoolEngine",
     "MeteredEngine",
     "create_engine",
     "shared_engine",

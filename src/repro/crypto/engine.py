@@ -14,16 +14,16 @@ Engines:
 
 * :class:`SerialEngine` - the single-processor baseline; zero
   overhead, always correct.
-* :class:`ProcessPoolEngine` - hands each worker of a **shared**
-  :class:`~concurrent.futures.ProcessPoolExecutor` one slice of the
-  batch (CPython's GIL makes threads useless for bignum math). The
-  pool is created lazily on the first batch worth a round trip and
-  reused for every later call, so the fork cost is paid once per
-  engine, not once per batch. Batches whose estimated work is below
-  the crossover (:data:`POOL_ROUND_TRIP`) and ``processors <= 1`` stay
-  on the serial path, a pool that cannot be started or breaks mid-run
-  degrades to serial instead of failing the protocol, and a pool
-  inherited through ``os.fork()`` is forgotten in the child.
+* :class:`ThreadPoolEngine` - cuts a batch into chunks of about
+  :data:`CHUNK_WORK` that the calling thread and ``P - 1`` helper
+  threads pull from one shared cursor. Each exponentiation is one GMP
+  call, which releases the GIL (:mod:`repro.crypto.kernel`), so the
+  threads compute at once in this process. The helpers come from one
+  lazily made, process-wide executor that a forked child forgets and
+  re-makes. Batches that save less than a thread hop
+  (:data:`THREAD_HOP`), ``processors <= 1`` and the builtin kernel,
+  whose ``pow`` holds the GIL, stay serial; so does a batch whose
+  helper thread cannot start.
 * :class:`MeteredEngine` - decorator that reports every batch's size
   to a callback, which is how the per-phase metrics layer counts
   modular exponentiations without the engines knowing about metrics.
@@ -32,44 +32,48 @@ Order is always preserved: for every engine,
 ``engine.pow_many(xs, e, p) == [pow(x, e, p) for x in xs]`` - the
 protocol transcripts are byte-identical whichever engine runs them.
 Engines decide *where* a batch runs; *how* each exponentiation is
-computed is :mod:`repro.crypto.kernel`'s, in every process.
+computed is :mod:`repro.crypto.kernel`'s.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
-import time
+import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
 from . import kernel
 
 __all__ = [
-    "POOL_ROUND_TRIP",
+    "THREAD_HOP",
+    "CHUNK_WORK",
     "available_cpus",
     "CryptoEngine",
     "SerialEngine",
-    "ProcessPoolEngine",
+    "ThreadPoolEngine",
     "MeteredEngine",
     "create_engine",
     "shared_engine",
     "shutdown_shared_engines",
 ]
 
-#: What a round trip through the pool costs, in the unit one modexp is
-#: priced in below (``exponent bits x modulus bits^2``, schoolbook
-#: square-and-multiply): three full 1024-bit exponentiations. A batch
-#: goes to the pool only when the slices take more than this off its
-#: critical path. Calibrated on the 2-CPU box of docs/PERFORMANCE.md
-#: (crossover tables there) with the builtin ``pow``: eight 1024-bit
-#: values pay (30 -> 22 ms), sixty-four 256-bit values do not (6.9 ->
-#: 8.6 ms). Kept under the GMP kernel, where every batch it sends to the
-#: pool is still faster there (eight 1024-bit values 3.3 -> 2.3 ms) and
-#: below 1024 bits it errs on the serial side.
-POOL_ROUND_TRIP = 3 * 1024**3
+#: What handing part of a batch to a helper thread costs, in the unit
+#: one modexp is priced in below (``exponent bits x modulus bits^2``):
+#: half a 1024-bit exponentiation. A batch is split only when the
+#: helpers take more than this off its critical path. Measured on the
+#: 2-CPU box of docs/PERFORMANCE.md ("One process for the crypto"):
+#: eight 256-bit values take 0.18 ms serially and 0.22 ms on two
+#: threads, sixty-four about break even, 128 pay (2.2 -> 1.6 ms).
+THREAD_HOP = 1024**3 // 2
+
+#: The work of one chunk in the same unit: about four 1024-bit
+#: exponentiations, or about 256 at 256 bits. Two CPUs are not equally free
+#: from moment to moment, and threads that pull chunks this size finish
+#: within one of each other where two equal slices wait for the slower
+#: one; smaller chunks only take the cursor more often (the sweep in
+#: docs/PERFORMANCE.md).
+CHUNK_WORK = 4 * 1024**3
 
 
 def available_cpus() -> int:
@@ -84,16 +88,32 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pow_chunk(args: tuple[list[int], int, int]) -> list[int]:
-    """Worker: exponentiate one slice (module-level for pickling)."""
-    return kernel.pow_many(*args)
+_helpers: ThreadPoolExecutor | None = None
+_helpers_lock = threading.Lock()
 
 
-def _stay_busy(seconds: float) -> None:
-    """Worker: compute nothing for ``seconds`` (the warm-up task)."""
-    end = time.perf_counter() + seconds
-    while time.perf_counter() < end:
-        pass
+def _executor() -> ThreadPoolExecutor:
+    """The process-wide helper threads, made on first use."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(thread_name_prefix="repro-crypto")
+        return _helpers
+
+
+def _forget_executor() -> None:
+    """Drop the helper threads' executor; the next batch makes a new one.
+
+    Run in a forked child, where the parent's helper threads do not
+    exist (a batch handed to them would wait forever), and after
+    :func:`shutdown_shared_engines` stopped them.
+    """
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
 
 
 class CryptoEngine(ABC):
@@ -139,17 +159,17 @@ class SerialEngine(CryptoEngine):
         return kernel.pow_many(xs, exponent, modulus)
 
 
-class ProcessPoolEngine(CryptoEngine):
-    """Batches split one slice per worker over a shared process pool.
+class ThreadPoolEngine(CryptoEngine):
+    """Batches shared by the calling thread and helper threads.
 
-    The executor is created lazily on the first batch worth a round
-    trip and then *reused* across calls - a protocol performs several
-    batched rounds and must not pay pool startup for each. All items of
-    a batch share exponent and modulus, so equal slices finish together
-    and finer chunks would only add round trips.
+    A batch that pays is cut into chunks of about :data:`CHUNK_WORK`,
+    none longer than an equal share; the caller and up to ``P - 1``
+    helpers take chunks from one cursor until none is left, and each
+    writes its results to the chunk's place in the output. The helpers
+    come from one process-wide executor that every engine shares.
 
     Args:
-        processors: worker count ``P`` (default:
+        processors: thread count ``P``, the caller included (default:
             :func:`available_cpus`).
     """
 
@@ -157,93 +177,64 @@ class ProcessPoolEngine(CryptoEngine):
         self.workers = processors if processors else available_cpus()
         self.serial_batches = 0
         self.parallel_batches = 0
-        self.pool_failures = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._owner = 0  # pid that started ``_pool``
-        self._broken = False
+        self.thread_failures = 0
 
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._owner != os.getpid():
-            # Inherited through os.fork(): the executor's manager
-            # thread lives only in the parent, so a batch submitted here
-            # would wait forever. Forget it; it is the parent's to stop.
-            self._pool, self._owner = None, os.getpid()
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
+    def _step(self, n: int, exponent: int, modulus: int) -> int:
+        """Values per chunk; ``n`` when the batch stays whole.
 
-    def warm_up(self) -> None:
-        """Start every worker.
-
-        One task each, long enough that no worker is idle again in
-        time to take a second - and busy, not asleep: workers put to
-        sleep right after the fork were seen sharing one CPU for the
-        pool's first second (5 of 37 cold starts on the box of
-        docs/PERFORMANCE.md, against 0 of 37 kept busy).
+        Whole unless the helpers take more work off the critical path
+        (``n`` in a row against an equal share's ``ceil(n / P)``) than
+        a thread hop costs, and unless GMP computes: the builtin
+        ``pow`` holds the GIL, so threads would only take turns.
         """
-        if self.workers <= 1 or self._broken:
-            return
-        try:
-            list(self._ensure_pool().map(_stay_busy, [0.02] * self.workers))
-        except (BrokenProcessPool, OSError, RuntimeError):
-            self._mark_broken()
-
-    def _mark_broken(self) -> None:
-        self.pool_failures += 1
-        self._broken = True
-        self.close()
-
-    def _pays(self, n: int, exponent: int, modulus: int) -> bool:
-        """Whether the modexps the pool takes off the critical path
-        (``n`` in a row against the longest slice's ``ceil(n / P)``)
-        outweigh a round trip through it."""
-        saved = n - -(-n // self.workers)
         work = exponent.bit_length() * modulus.bit_length() ** 2
-        return saved * work > POOL_ROUND_TRIP
+        share = -(-n // self.workers)
+        if (n - share) * work <= THREAD_HOP or not kernel.describe().startswith("gmp"):
+            return n
+        return min(max(1, CHUNK_WORK // work), share)
 
     def pow_many(
         self, xs: Sequence[int], exponent: int, modulus: int
     ) -> list[int]:
-        """The batch over the pool; serial below the crossover."""
+        """The batch over the threads; serial where it does not pay."""
         xs = list(xs)
-        if self._broken or not self._pays(len(xs), exponent, modulus):
+        step = self._step(len(xs), exponent, modulus)
+        if step >= len(xs):
             self.serial_batches += 1
             return kernel.pow_many(xs, exponent, modulus)
-        step = -(-len(xs) // self.workers)
-        slices = [
-            (xs[i : i + step], exponent, modulus)
-            for i in range(0, len(xs), step)
-        ]
-        try:
-            parts = list(self._ensure_pool().map(_pow_chunk, slices))
-        except (BrokenProcessPool, OSError, RuntimeError):
-            # A pool that cannot start (sandbox, fd limits) or died
-            # mid-batch must not fail the protocol: degrade to serial.
-            self._mark_broken()
+        out = [0] * len(xs)
+        cursor = iter(range(0, len(xs), step))  # next() is atomic under the GIL
+
+        def drain() -> None:
+            for start in cursor:
+                end = start + step
+                out[start:end] = kernel.pow_many(xs[start:end], exponent, modulus)
+
+        helpers = []
+        for _ in range(min(self.workers, -(-len(xs) // step)) - 1):
+            try:
+                helpers.append(_executor().submit(drain))
+            except RuntimeError:  # no thread to be had: go on without
+                self.thread_failures += 1
+                break
+        drain()
+        for helper in helpers:
+            if not helper.cancel():  # a helper still queued found nothing
+                helper.result()
+        if helpers:
+            self.parallel_batches += 1
+        else:
             self.serial_batches += 1
-            return kernel.pow_many(xs, exponent, modulus)
-        self.parallel_batches += 1
-        return [y for part in parts for y in part]
-
-    def close(self) -> None:
-        """Shut the executor down (idempotent; a later batch restarts it).
-
-        A forked child only forgets its parent's executor.
-        """
-        pool, self._pool = self._pool, None
-        if pool is not None and self._owner == os.getpid():
-            pool.shutdown(wait=True)
+        return out
 
     def describe(self) -> dict[str, Any]:
         """Engine summary plus batch-routing counters."""
-        info = super().describe()
-        info.update(
-            serial_batches=self.serial_batches,
-            parallel_batches=self.parallel_batches,
-            pool_failures=self.pool_failures,
-        )
-        return info
+        return {
+            **super().describe(),
+            "serial_batches": self.serial_batches,
+            "parallel_batches": self.parallel_batches,
+            "thread_failures": self.thread_failures,
+        }
 
 
 class MeteredEngine(CryptoEngine):
@@ -292,14 +283,14 @@ def create_engine(
     """The right engine for a ``--workers N`` knob.
 
     ``workers`` of ``None``/``0``/``1`` gives the serial engine;
-    anything larger a process pool. With ``on_modexp`` the engine is
+    anything larger the thread engine. With ``on_modexp`` the engine is
     wrapped in a :class:`MeteredEngine`.
     """
     engine: CryptoEngine
     if workers is None or workers <= 1:
         engine = SerialEngine()
     else:
-        engine = ProcessPoolEngine(processors=workers)
+        engine = ThreadPoolEngine(processors=workers)
     if on_modexp is not None:
         engine = MeteredEngine(engine, on_modexp)
     return engine
@@ -313,8 +304,8 @@ def shared_engine(processors: int) -> CryptoEngine:
 
     What :func:`repro.run` and locally paired catalogs default to
     (sized by :func:`available_cpus`), and what
-    :func:`repro.crypto.batch.parallel_pow` goes through: every caller
-    reuses one executor instead of rebuilding the pool per batch.
+    :func:`repro.crypto.batch.parallel_pow` goes through: one set of
+    batch counters per processor count.
     """
     engine = _SHARED.get(processors)
     if engine is None:
@@ -323,10 +314,11 @@ def shared_engine(processors: int) -> CryptoEngine:
 
 
 def shutdown_shared_engines() -> None:
-    """Close every process-wide engine (also runs at interpreter exit)."""
-    for engine in _SHARED.values():
-        engine.close()
+    """Forget every process-wide engine and stop the helper threads.
+
+    The next call makes fresh ones.
+    """
     _SHARED.clear()
-
-
-atexit.register(shutdown_shared_engines)
+    if _helpers is not None:
+        _helpers.shutdown()
+    _forget_executor()

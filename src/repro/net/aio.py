@@ -16,7 +16,7 @@ puts a server's sockets on an event loop:
 * **the asyncio shell** - :func:`run_async` executes a session core's
   requests on the loop: frames through an :class:`AsyncFrameEndpoint`,
   and a machine step (hashing, modexp batches - optionally via a
-  :class:`~repro.crypto.engine.CryptoEngine` pool) in place when the
+  threaded :class:`~repro.crypto.engine.CryptoEngine`) in place when the
   core declares it small (:data:`INLINE_WORK`: a small session's steps
   cost about as much as the thread hop that would carry them), otherwise
   through ``run_in_executor`` - so thousands of sessions can share one
@@ -293,7 +293,7 @@ class LoopThread:
 
 
 #: The most declared work a machine step may do on the event loop
-#: itself, in the unit of :data:`~repro.crypto.engine.POOL_ROUND_TRIP`
+#: itself, in the unit of :data:`~repro.crypto.engine.THREAD_HOP`
 #: (``exponent bits x modulus bits^2`` per exponentiation): one 1024-bit
 #: exponentiation's, or sixty-four 256-bit ones - 0.4-0.9 ms with GMP,
 #: the longest one step holds up the other sessions' frames. A step

@@ -24,7 +24,7 @@ a step: the core pulls chunk ``k+1`` ahead while it ships chunk ``k``.
 
 A machine step carries its *declared work*: an upper bound on the
 exponentiations it does, each priced ``exponent bits x modulus
-bits^2`` (the unit of :data:`~repro.crypto.engine.POOL_ROUND_TRIP`;
+bits^2`` (the unit of :data:`~repro.crypto.engine.THREAD_HOP`;
 every exponent is below the modulus, so a step over ``n`` items
 declares ``n x`` :data:`_EXPS_PER_ITEM` ``x bits^3``), or ``None``
 where the core cannot bound it. The core fills it from sizes it
@@ -698,9 +698,13 @@ class _Party:
         R. Every :data:`OPEN` asks for the next connection - S accepts, R
         dials - and is re-issued after each transient failure, up to
         ``config.max_reconnects`` times. A ``TimeoutError`` thrown in
-        (nobody connected) counts as a failed connection. However the
-        run ends, the journal is closed before its outcome leaves.
+        (nobody connected) counts as a failed connection; a received
+        round that violates its protocol ends the run, since a retry
+        would replay it. However the run ends, the journal is closed
+        before its outcome leaves.
         """
+        from ..protocols.messages import ProtocolViolation
+
         failures = 0
         try:
             while True:
@@ -709,7 +713,7 @@ class _Party:
                     result = yield from self._connection()
                     self.stats.finish()
                     return result
-                except (HandshakeError, SessionAborted):
+                except (HandshakeError, SessionAborted, ProtocolViolation):
                     raise
                 except (SessionError, ValueError, *_TRANSIENT) as exc:
                     if self._complete:

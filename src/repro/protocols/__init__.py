@@ -14,6 +14,7 @@ from .base import (
     ProtocolSuite,
 )
 from .equijoin import join_tables, run_equijoin
+from .messages import ProtocolViolation
 from .equijoin_size import join_size_tables, run_equijoin_size
 from .intersection import run_intersection
 from .intersection_size import run_intersection_size
@@ -41,6 +42,7 @@ __all__ = [
     "ProtocolSuite",
     "DEFAULT_BITS",
     "HashCollisionError",
+    "ProtocolViolation",
     "run_intersection",
     "IntersectionResult",
     "run_intersection_size",

@@ -26,14 +26,23 @@ single ``"one"`` chunk, and messages with composite parts (e.g.
 :class:`SumReply`) define their own kinds.  Reassembly is exact: the
 message rebuilt from chunks has byte-identical :meth:`Message.to_wire`
 output, which the golden-transcript suite pins.
+
+Validation: every message declares its :attr:`Message.shape` - the
+nesting of each part down to its ``int`` leaves, and which leaves are
+group elements. A party checks what it receives against it
+(:meth:`Message.check`) before any step reads it, so a malformed or
+out-of-range payload is one typed :class:`ProtocolViolation`, never a
+bare ``TypeError`` from deep inside a step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Any, Iterable, Iterator
 
 __all__ = [
+    "ProtocolViolation",
     "Message",
     "ChunkAssembler",
     "CipherList",
@@ -51,13 +60,73 @@ __all__ = [
 ]
 
 
+class ProtocolViolation(ValueError):
+    """A received message that is not what its protocol declares.
+
+    The wrong nesting, a leaf that is not an ``int``, a group element
+    outside ``[1, p)``, or a malformed chunk stream.
+    """
+
+
+#: The leaves of a :attr:`Message.shape`: a group element (an ``int``
+#: in ``[1, p)``), any ``int``, and an ext ciphertext - an element, or a
+#: list of them (:mod:`repro.crypto.ext_cipher`).
+ELEMENT, INT, EXT = "element", "int", "ext"
+
+
+def _check(items: Any, shape: Any, p: int, where: str) -> None:
+    """Raise :class:`ProtocolViolation` unless every item has ``shape``:
+    ``[inner]`` a list, a tuple one entry per position, else a leaf.
+
+    Each level is checked for the whole list at once (the set of its
+    item types, then ``min`` / ``max``), so the cost is a few C-level
+    passes per received list, not Python work per element.
+    """
+    if not items:
+        return
+    kinds = set(map(type, items))
+    if shape == EXT:
+        _check([x for x in items if type(x) is not list], ELEMENT, p, where)
+        _check([x for x in items if type(x) is list], [ELEMENT], p, where)
+    elif type(shape) is list:
+        if kinds != {list}:
+            raise ProtocolViolation(f"{where}: expected lists")
+        _check(list(chain.from_iterable(items)), shape[0], p, where)
+    elif type(shape) is tuple:
+        if kinds != {tuple} or set(map(len, items)) != {len(shape)}:
+            raise ProtocolViolation(f"{where}: expected {len(shape)}-tuples")
+        for column, inner in zip(zip(*items), shape):
+            _check(column, inner, p, where)
+    elif kinds != {int}:
+        raise ProtocolViolation(f"{where}: a leaf that is not an int")
+    elif shape == ELEMENT and (min(items) < 1 or max(items) >= p):
+        raise ProtocolViolation(f"{where}: a group element outside [1, p)")
+
+
 class Message:
     """Base class for round payloads.
 
     Subclasses are frozen dataclasses whose fields are the wire parts
     of one round, in order.  The base class derives part/wire
-    conversion from the dataclass fields.
+    conversion from the dataclass fields; :attr:`shape` declares each
+    part's nesting.
     """
+
+    #: One entry per part (see :func:`_check`); a message that
+    #: declares none is a list of group elements in every part.
+    shape: tuple = ()
+
+    def check(self, p: int) -> "Message":
+        """This message, checked against its :attr:`shape` mod ``p``.
+
+        :class:`ProtocolViolation` unless every part has its declared
+        nesting and every group element lies in ``[1, p)``.
+        """
+        parts = fields(self)  # type: ignore[arg-type]
+        shapes = self.shape or ([ELEMENT],) * len(parts)
+        for spec, shape in zip(parts, shapes):
+            _check([getattr(self, spec.name)], shape, p, f"{type(self).__name__}.{spec.name}")
+        return self
 
     def to_parts(self) -> tuple[Any, ...]:
         """The message as its ordered wire parts."""
@@ -81,9 +150,12 @@ class Message:
     @classmethod
     def from_wire(cls, wire: Any) -> "Message":
         """Decode :meth:`to_wire` output back into a typed message."""
-        if len(fields(cls)) == 1:  # type: ignore[arg-type]
+        n_parts = len(fields(cls))  # type: ignore[arg-type]
+        if n_parts == 1:
             return cls.from_parts((wire,))
-        return cls.from_parts(tuple(wire))
+        if type(wire) is not tuple or len(wire) != n_parts:
+            raise ProtocolViolation(f"{cls.__name__}: expected {n_parts} parts")
+        return cls.from_parts(wire)
 
     @classmethod
     def coerce(cls, payload: Any) -> "Message":
@@ -123,15 +195,15 @@ class Message:
     def from_part_chunks(cls, index: int, chunks: list[tuple[str, Any]]) -> Any:
         """Rebuild one part value from its ``(kind, body)`` chunks."""
         if not chunks:
-            raise ValueError(f"no chunks received for part {index}")
+            raise ProtocolViolation(f"no chunks received for part {index}")
         if chunks[0][0] == "one":
             if len(chunks) != 1:
-                raise ValueError(f"part {index}: extra chunks after 'one'")
+                raise ProtocolViolation(f"part {index}: extra chunks after 'one'")
             return chunks[0][1]
         part: list = []
         for kind, body in chunks:
             if kind != "seg" or not isinstance(body, list):
-                raise ValueError(f"part {index}: unknown chunk kind {kind!r}")
+                raise ProtocolViolation(f"part {index}: unknown chunk kind {kind!r}")
             part.extend(body)
         return part
 
@@ -179,17 +251,15 @@ class ChunkAssembler:
     def add(self, payload: Any) -> None:
         """Accept one ``(part_index, kind, body)`` chunk payload."""
         if not isinstance(payload, tuple) or len(payload) != 3:
-            raise ValueError(f"malformed chunk payload: {payload!r}")
+            raise ProtocolViolation(f"malformed chunk payload: {payload!r}")
         index, kind, body = payload
         if not isinstance(index, int) or not 0 <= index < self._n_parts:
-            raise ValueError(
+            raise ProtocolViolation(
                 f"chunk part index {index!r} outside "
                 f"{self.message_cls.__name__}'s {self._n_parts} parts"
             )
-        if not isinstance(kind, str):
-            raise ValueError(f"chunk kind must be a string, got {kind!r}")
         if index < self._open_part:
-            raise ValueError(
+            raise ProtocolViolation(
                 f"chunk for part {index} after part {self._open_part} opened"
             )
         self._open_part = index
@@ -244,6 +314,7 @@ class IntersectionReply(Message):
 
     y_s: list
     pairs: list
+    shape = ([ELEMENT], [(ELEMENT, ELEMENT)])
 
 
 @dataclass(frozen=True)
@@ -270,6 +341,7 @@ class EquijoinReply(Message):
 
     triples: list
     pairs: list
+    shape = ([(ELEMENT, ELEMENT, ELEMENT)], [(ELEMENT, EXT)])
 
 
 @dataclass(frozen=True)
@@ -284,6 +356,7 @@ class SumReply(Message):
 
     z_r_pk: tuple
     pairs: list
+    shape = (([ELEMENT], INT), [(ELEMENT, INT)])
 
     @property
     def z_r(self) -> list:
@@ -305,29 +378,16 @@ class SumReply(Message):
             yield from super().to_part_chunks(index, value, chunk_size)
             return
         z_r, n = value
-        if not z_r:
-            yield ("seg", [])
-        else:
-            for start in range(0, len(z_r), chunk_size):
-                yield ("seg", z_r[start : start + chunk_size])
+        yield from super().to_part_chunks(index, z_r, chunk_size)
         yield ("pk", n)
 
     @classmethod
     def from_part_chunks(cls, index: int, chunks: list[tuple[str, Any]]) -> Any:
         if index != 0:
             return super().from_part_chunks(index, chunks)
-        z_r: list = []
-        n = None
-        for kind, body in chunks:
-            if kind == "seg" and isinstance(body, list):
-                z_r.extend(body)
-            elif kind == "pk":
-                n = body
-            else:
-                raise ValueError(f"part 0: unknown chunk kind {kind!r}")
-        if n is None:
-            raise ValueError("part 0: missing 'pk' chunk")
-        return (z_r, n)
+        if not chunks or chunks[-1][0] != "pk":
+            raise ProtocolViolation("part 0: missing 'pk' chunk")
+        return (super().from_part_chunks(index, chunks[:-1]), chunks[-1][1])
 
 
 @dataclass(frozen=True)
@@ -359,6 +419,7 @@ class IntersectionDeltaPatch(Message):
     y_s_added: list
     y_s_removed: list
     pairs_added: list
+    shape = ([ELEMENT], [ELEMENT], [(ELEMENT, ELEMENT)])
 
 
 @dataclass(frozen=True)
@@ -389,6 +450,7 @@ class EquijoinDeltaPatch(Message):
     triples_added: list
     pairs_added: list
     pairs_removed: list
+    shape = ([(ELEMENT, ELEMENT, ELEMENT)], [(ELEMENT, EXT)], [ELEMENT])
 
 
 @dataclass(frozen=True)
@@ -399,6 +461,7 @@ class SumDeltaPatch(Message):
     z_removed: list
     pairs_added: list
     pairs_removed: list
+    shape = ([ELEMENT], [ELEMENT], [(ELEMENT, INT)], [ELEMENT])
 
 
 @dataclass(frozen=True)
@@ -406,6 +469,7 @@ class BlindedSum(Message):
     """Equijoin-sum round 3: the receiver's masked Paillier accumulator."""
 
     ciphertext: int
+    shape = (INT,)
 
 
 @dataclass(frozen=True)
@@ -413,3 +477,4 @@ class RevealedSum(Message):
     """Equijoin-sum round 4: the decrypted (still masked) total."""
 
     value: int
+    shape = (INT,)

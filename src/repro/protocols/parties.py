@@ -1265,14 +1265,17 @@ class _Machine:
         self.inbox[rnd.name] = assembler.message()
 
     def consume(self, rnd: Any, wire: Any) -> Message:
-        """Decode a received single-frame wire payload into the inbox."""
-        message = rnd.message.from_wire(wire)
+        """Decode and check a received single-frame wire payload into
+        the inbox; :class:`~repro.protocols.messages.ProtocolViolation`
+        if it is not the round's declared shape."""
+        message = rnd.message.from_wire(wire).check(self.state.group.p)
         self.inbox[rnd.name] = message
         return message
 
     def consume_chunks(self, rnd: Any, payloads: Sequence[Any]) -> Message:
-        """Reassemble a received chunk payload stream into the inbox."""
-        message = rnd.message.from_wire_chunks(payloads)
+        """Reassemble and check a received chunk payload stream into the
+        inbox, as :meth:`consume`."""
+        message = rnd.message.from_wire_chunks(payloads).check(self.state.group.p)
         self.inbox[rnd.name] = message
         return message
 

@@ -60,29 +60,31 @@ def suite64() -> ProtocolSuite:
     return ProtocolSuite.default(bits=64, seed=42)
 
 
-@pytest.fixture()
-def always_pays(monkeypatch):
-    """Every batch of two or more goes through the pool, whatever its
-    work: the real crossover (``engine.POOL_ROUND_TRIP``) keeps the
-    128-bit batches tests can afford serial. Stops the process-wide
-    engines afterwards, so no test leaves workers behind."""
-    monkeypatch.setattr(engine_module, "POOL_ROUND_TRIP", 0)
+@pytest.fixture(autouse=True)
+def _fresh_shared_engines():
+    """Every test starts without another's process-wide engines: their
+    batch counters are forgotten and their helper threads stopped after
+    each test (``repro.run`` and the bench tasks use them unasked)."""
     yield
     engine_module.shutdown_shared_engines()
+
+
+@pytest.fixture()
+def always_pays(monkeypatch):
+    """Every batch of two or more is shared among threads, whatever its
+    work: the real crossover (``engine.THREAD_HOP``) keeps the 128-bit
+    batches tests can afford serial."""
+    monkeypatch.setattr(engine_module, "THREAD_HOP", 0)
 
 
 @pytest.fixture()
 def builtin_kernel(monkeypatch):
     """Every exponentiation and Legendre test on the interpreter's
     ``pow`` and ``numtheory.jacobi``: the kernel as it is where libgmp
-    does not load. The process-wide engines are stopped on both sides,
-    so no pool worker forked under the other kernel serves the test."""
+    does not load."""
     monkeypatch.setattr(
         kernel, "_active", kernel._load("libgmp-hidden-by-a-test.so")
     )
-    engine_module.shutdown_shared_engines()
-    yield
-    engine_module.shutdown_shared_engines()
 
 
 @pytest.fixture()

@@ -7,6 +7,7 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.crypto import engine as engine_module, kernel
 from repro.crypto.engine import (
-    POOL_ROUND_TRIP,
+    CHUNK_WORK,
+    THREAD_HOP,
     MeteredEngine,
-    ProcessPoolEngine,
     SerialEngine,
+    ThreadPoolEngine,
     available_cpus,
     create_engine,
     shared_engine,
@@ -59,114 +61,229 @@ class TestSerialEngine:
         }
 
 
+#: Whether batches can be shared at all: the builtin ``pow`` holds the
+#: GIL, so without GMP the thread engine keeps every batch serial.
+GMP = kernel.describe().startswith("gmp")
+needs_gmp = pytest.mark.skipif(not GMP, reason=f"kernel is {kernel.describe()}")
+
+
+def no_threads():
+    raise AssertionError("a helper thread was asked for")
+
+
 class TestProcessPoolEngine:
+    """:class:`ThreadPoolEngine` - the class keeps the name its tests
+    had under the process pool the thread engine replaced."""
+
     def test_order_preserved_odd_chunks(self, batch, always_pays):
-        # Batch sizes the worker count does not divide exercise the
-        # flatten-in-order path (last slice short, or fewer slices
-        # than workers).
+        # Batch sizes the thread count does not divide exercise the
+        # write-in-place path (last chunk short, or fewer chunks than
+        # threads).
         xs, e, p = batch
         sizes = (2, 3, 7, len(xs) - 1, len(xs))
         for processors in (2, 3):
-            with ProcessPoolEngine(processors=processors) as engine:
-                for n in sizes:
-                    assert engine.pow_many(xs[:n], e, p) == expected(xs[:n], e, p)
-                assert engine.parallel_batches == len(sizes)
+            engine = ThreadPoolEngine(processors=processors)
+            for n in sizes:
+                assert engine.pow_many(xs[:n], e, p) == expected(xs[:n], e, p)
+            assert engine.parallel_batches == (len(sizes) if GMP else 0)
 
-    def test_tiny_batch_serial_no_pool(self, batch):
+    @settings(max_examples=80, deadline=None)
+    @given(
+        processors=st.integers(1, 6),
+        n=st.integers(0, 40),
+        per_chunk=st.integers(1, 9),
+    )
+    def test_order_preserved_for_every_p_and_size(
+        self, batch, processors, n, per_chunk
+    ):
+        xs, e, p = batch
+        work = e.bit_length() * p.bit_length() ** 2
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "THREAD_HOP", 0)
+            patch.setattr(engine_module, "CHUNK_WORK", per_chunk * work)
+            engine = ThreadPoolEngine(processors=processors)
+            assert engine.pow_many(xs[:n], e, p) == expected(xs[:n], e, p)
+        split = GMP and processors > 1 and n > 1
+        assert engine.parallel_batches == int(split)
+
+    def test_tiny_batch_serial_no_pool(self, batch, monkeypatch):
         # 40 values at 128 bits are far below the crossover.
         xs, e, p = batch
-        engine = ProcessPoolEngine(processors=4)
+        monkeypatch.setattr(engine_module, "_executor", no_threads)
+        engine = ThreadPoolEngine(processors=4)
         assert engine.pow_many(xs, e, p) == expected(xs, e, p)
-        assert engine._pool is None  # never spun up
         assert engine.serial_batches == 1
         assert engine.parallel_batches == 0
 
-    def test_single_processor_stays_serial(self, batch, always_pays):
+    def test_single_processor_stays_serial(self, batch, always_pays, monkeypatch):
         xs, e, p = batch
-        engine = ProcessPoolEngine(processors=1)
+        monkeypatch.setattr(engine_module, "_executor", no_threads)
+        engine = ThreadPoolEngine(processors=1)
         assert engine.pow_many(xs, e, p) == expected(xs, e, p)
-        assert engine._pool is None
+        assert engine.serial_batches == 1
 
     def test_default_size_is_the_affinity_mask(self):
-        assert ProcessPoolEngine().workers == available_cpus()
+        assert ThreadPoolEngine().workers == available_cpus()
         if hasattr(os, "sched_getaffinity"):
             assert available_cpus() == len(os.sched_getaffinity(0))
 
+    @needs_gmp
     def test_pool_reused_across_calls(self, batch, always_pays):
         xs, e, p = batch
-        with ProcessPoolEngine(processors=2) as engine:
-            engine.pow_many(xs, e, p)
-            first_pool = engine._pool
-            engine.pow_many(xs, e, p)
-            assert engine._pool is first_pool
-            assert engine.parallel_batches == 2
+        engine = ThreadPoolEngine(processors=2)
+        engine.pow_many(xs, e, p)
+        helpers = engine_module._helpers
+        assert helpers is not None
+        engine.pow_many(xs, e, p)
+        ThreadPoolEngine(processors=3).pow_many(xs, e, p)
+        assert engine_module._helpers is helpers  # one per process
+        assert engine.parallel_batches == 2
 
-    def test_broken_pool_degrades_to_serial(self, batch, always_pays, monkeypatch):
+    def test_broken_pool_degrades_to_serial(self, batch, always_pays):
+        # A helper thread that cannot start: the caller computes alone.
         xs, e, p = batch
-        engine = ProcessPoolEngine(processors=2)
 
-        def boom():
-            raise OSError("no forks for you")
+        class NoThreads:
+            def submit(self, fn):
+                raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(engine, "_ensure_pool", boom)
+        engine = ThreadPoolEngine(processors=3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "_executor", NoThreads)
+            assert engine.pow_many(xs, e, p) == expected(xs, e, p)
+        assert engine.describe()["thread_failures"] == (1 if GMP else 0)
+        assert engine.serial_batches == 1
+        # Nothing stays broken: the next batch gets its helpers.
         assert engine.pow_many(xs, e, p) == expected(xs, e, p)
-        assert engine.pool_failures == 1
-        assert engine._broken
-        monkeypatch.undo()
-        # Once broken, stays serial even though the pool would work now.
-        assert engine.pow_many(xs, e, p) == expected(xs, e, p)
-        assert engine._pool is None
-        assert engine.serial_batches == 2
+        assert engine.parallel_batches == (1 if GMP else 0)
+
+    def test_a_helper_s_exception_reaches_the_caller(
+        self, batch, always_pays, monkeypatch
+    ):
+        xs, e, p = batch
+        taken = threading.Event()
+        real = kernel.pow_many
+
+        def helper_fails(chunk, exponent, modulus):
+            if threading.current_thread() is threading.main_thread():
+                # Hold the caller's chunk until a helper has its own.
+                taken.wait(timeout=10)
+                return real(chunk, exponent, modulus)
+            taken.set()
+            raise ArithmeticError("in a helper")
+
+        monkeypatch.setattr(kernel, "pow_many", helper_fails)
+        engine = ThreadPoolEngine(processors=2)
+        if GMP:
+            with pytest.raises(ArithmeticError, match="in a helper"):
+                engine.pow_many(xs, e, p)
+        else:  # serial: the caller's own chunk is the whole batch
+            taken.set()
+            assert engine.pow_many(xs, e, p) == expected(xs, e, p)
+
+    def test_every_batch_is_serial_under_the_builtin_kernel(
+        self, batch, always_pays, builtin_kernel, monkeypatch
+    ):
+        xs, e, p = batch
+        monkeypatch.setattr(engine_module, "_executor", no_threads)
+        engine = ThreadPoolEngine(processors=4)
+        for n in (2, 7, len(xs)):
+            assert engine.pow_many(xs[:n], e, p) == expected(xs[:n], e, p)
+        assert (engine.serial_batches, engine.parallel_batches) == (3, 0)
 
     def test_close_idempotent(self, batch, always_pays):
         xs, e, p = batch
-        engine = ProcessPoolEngine(processors=2)
+        engine = ThreadPoolEngine(processors=2)
         engine.pow_many(xs, e, p)
         engine.close()
         engine.close()
-        assert engine._pool is None
-        # A later batch transparently restarts the pool.
+        # A later batch needs nothing restarted.
         assert engine.pow_many(xs, e, p) == expected(xs, e, p)
-        engine.close()
-
-    def test_warm_up_starts_workers(self):
-        with ProcessPoolEngine(processors=3) as engine:
-            engine.warm_up()
-            assert len(engine._pool._processes) == 3
 
     def test_describe_counters(self, batch, always_pays):
         xs, e, p = batch
-        with ProcessPoolEngine(processors=2) as engine:
-            engine.pow_many(xs, e, p)
-            engine.pow_many(xs[:1], e, p)
-            info = engine.describe()
-        assert info == {
-            "engine": "ProcessPoolEngine",
+        engine = ThreadPoolEngine(processors=2)
+        engine.pow_many(xs, e, p)
+        engine.pow_many(xs[:1], e, p)
+        assert engine.describe() == {
+            "engine": "ThreadPoolEngine",
             "workers": 2,
             "kernel": kernel.describe(),
-            "parallel_batches": 1,
-            "serial_batches": 1,
-            "pool_failures": 0,
+            "parallel_batches": 1 if GMP else 0,
+            "serial_batches": 1 if GMP else 2,
+            "thread_failures": 0,
         }
 
 
+class TestConcurrentCallers:
+    def test_eight_threads_share_one_engine(
+        self, group, always_pays, monkeypatch
+    ):
+        # One value a chunk, and a thread switch forced every
+        # microsecond: a chunk two threads both took, or one nobody
+        # took, shows as a wrong or missing result.
+        monkeypatch.setattr(
+            engine_module, "CHUNK_WORK", group.q.bit_length() * group.p.bit_length() ** 2
+        )
+        rng = random.Random(12)
+        jobs = [
+            ([group.random_element(rng) for _ in range(30 + i)],
+             group.random_exponent(rng))
+            for i in range(8)
+        ]
+        got: list = [None] * len(jobs)
+        start = threading.Barrier(len(jobs))
+
+        def call(i):
+            xs, e = jobs[i]
+            start.wait()
+            got[i] = [shared_engine(2).pow_many(xs, e, group.p) for _ in range(5)]
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[expected(xs, e, group.p)] * 5 for xs, e in jobs]
+
+
 class TestCrossover:
-    """``_pays``: work taken off the critical path against one round
-    trip (:data:`POOL_ROUND_TRIP`), from sizes alone - no pool runs."""
+    """``_step``: work taken off the critical path against one thread
+    hop (:data:`THREAD_HOP`), and chunks of about :data:`CHUNK_WORK`,
+    from sizes alone - no thread runs."""
 
     @staticmethod
-    def pays(n, bits, processors=2):
+    def step(n, bits, processors=2):
         modulus = (1 << bits) - 1
         exponent = (1 << (bits - 1)) - 1  # a full-size exponent mod q
-        return ProcessPoolEngine(processors)._pays(n, exponent, modulus)
+        return ThreadPoolEngine(processors)._step(n, exponent, modulus)
 
+    def pays(self, n, bits, processors=2):
+        return self.step(n, bits, processors) < n
+
+    @needs_gmp
     def test_documented_crossovers(self):
-        # docs/PERFORMANCE.md, "The crossover": eight 1024-bit values
-        # pay, sixty-four 256-bit values do not.
-        assert self.pays(8, 1024) and not self.pays(7, 1024)
-        assert self.pays(50, 512) and not self.pays(49, 512)
-        assert self.pays(386, 256) and not self.pays(385, 256)
+        # docs/PERFORMANCE.md, "One process for the crypto": two
+        # 1024-bit values pay, sixty-four 256-bit values do not.
+        assert self.pays(2, 1024) and not self.pays(1, 1024)
+        assert self.pays(10, 512) and not self.pays(9, 512)
+        assert self.pays(66, 256) and not self.pays(65, 256)
         assert not self.pays(64, 256)
+
+    @needs_gmp
+    def test_chunks_are_sized_by_work(self):
+        # ~4 modexps at 1024 bits, ~256 at 256 bits, never more than an
+        # equal share.
+        assert self.step(500, 1024) == 4
+        assert self.step(4000, 256) == 257
+        assert self.step(300, 256) == 150
+        assert self.step(9, 1024, processors=4) == 3
 
     def test_small_queries_never_pay(self):
         # herd-small, delta-churn, the ladder, api.facade_ms: 4-16
@@ -178,7 +295,8 @@ class TestCrossover:
     def test_nothing_to_split_never_pays(self):
         assert not self.pays(1, 8192)
         assert not self.pays(10_000, 1024, processors=1)
-        assert POOL_ROUND_TRIP == 3 * 1024**3
+        assert THREAD_HOP == 1024**3 // 2
+        assert CHUNK_WORK == 4 * 1024**3
 
     def test_equal_to_pow_on_both_sides(self, group):
         self.check_routing(group)
@@ -188,19 +306,19 @@ class TestCrossover:
 
     @staticmethod
     def check_routing(group):
-        """``pow_many == [pow ...]`` and routing == ``_pays``, whichever
-        kernel the pool's workers and the serial path compute with."""
+        """``pow_many == [pow ...]`` and routing == ``_step``, whichever
+        kernel computes: under the builtin one nothing is split."""
         p, q = group.p, group.q
         unit = q.bit_length() * p.bit_length() ** 2
-        with ProcessPoolEngine(processors=2) as engine, \
-                pytest.MonkeyPatch.context() as patch:
-            # Full-exponent batches of seven or more pay, shorter
-            # batches and short exponents do not.
-            patch.setattr(engine_module, "POOL_ROUND_TRIP", 3 * unit - 1)
+        engine = ThreadPoolEngine(processors=2)
+        with pytest.MonkeyPatch.context() as patch:
+            # Full-exponent batches of six or more pay, shorter batches
+            # and short exponents do not.
+            patch.setattr(engine_module, "THREAD_HOP", 3 * unit - 1)
 
             @settings(max_examples=60, deadline=None)
-            @example(xs=[2] * 7, e=q - 1)
             @example(xs=[2] * 6, e=q - 1)
+            @example(xs=[2] * 5, e=q - 1)
             @example(xs=[2] * 7, e=3)
             @given(
                 xs=st.lists(st.integers(0, p - 1), max_size=12),
@@ -210,15 +328,16 @@ class TestCrossover:
                 before = engine.parallel_batches
                 assert engine.pow_many(xs, e, p) == [pow(x, e, p) for x in xs]
                 went_parallel = engine.parallel_batches > before
-                assert went_parallel == engine._pays(len(xs), e, p)
+                assert went_parallel == (engine._step(len(xs), e, p) < len(xs))
 
             check()
-            assert engine.parallel_batches and engine.serial_batches
+        assert engine.serial_batches
+        assert bool(engine.parallel_batches) == kernel.describe().startswith("gmp")
 
 
-#: The reproducer of the hang: pool used, ``os.fork()``, the same call
-#: in the child, which then leaves through the interpreter's own exit
-#: (atexit hooks included), as a ``multiprocessing`` user's child would.
+#: A batch in a forked child after a parallel batch in its parent: the
+#: child's helper threads are not the parent's, and the child leaves
+#: through the interpreter's own exit (atexit hooks included).
 FORK_REPRODUCER = """
 import os, sys
 from repro.crypto.engine import shared_engine
@@ -237,15 +356,16 @@ sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
+@needs_gmp
 class TestForkInheritance:
-    """A pool inherited through ``os.fork()`` has no manager thread in
-    the child: the child must forget it, not wait on it."""
+    """Helper threads do not survive ``os.fork()``: the child must make
+    its own, not wait on the parent's."""
 
     def test_reproducer_exits_within_its_timeout(self):
         src = str(Path(__file__).resolve().parents[2] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         script = (
-            "import repro.crypto.engine as m; m.POOL_ROUND_TRIP = 0"
+            "import repro.crypto.engine as m; m.THREAD_HOP = 0"
             + FORK_REPRODUCER
         )
         done = subprocess.run(
@@ -256,35 +376,37 @@ class TestForkInheritance:
 
     def test_forked_child_runs_its_own_pool(self, batch, always_pays):
         xs, e, p = batch
-        with ProcessPoolEngine(processors=2) as engine:
-            assert engine.pow_many(xs, e, p) == expected(xs, e, p)
-            pool = engine._pool
-            pid = os.fork()
-            if pid == 0:  # pragma: no cover - runs in the child
-                signal.alarm(30)  # a hang dies here instead of stalling the suite
-                ok = engine.pow_many(xs, e, p) == expected(xs, e, p)
-                ok = ok and engine._pool is not pool and engine.parallel_batches == 2
-                engine.close()
-                os._exit(0 if ok else 1)
-            _, status = os.waitpid(pid, 0)
-            assert os.waitstatus_to_exitcode(status) == 0
-            # The parent's pool was not shut down from the child.
-            assert engine.pow_many(xs, e, p) == expected(xs, e, p)
-            assert engine._pool is pool
+        engine = ThreadPoolEngine(processors=2)
+        assert engine.pow_many(xs, e, p) == expected(xs, e, p)
+        helpers = engine_module._helpers
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            signal.alarm(30)  # a hang dies here instead of stalling the suite
+            ok = engine.pow_many(xs, e, p) == expected(xs, e, p)
+            ok = ok and engine_module._helpers not in (None, helpers)
+            os._exit(0 if ok and engine.parallel_batches == 2 else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        # The parent's threads were not touched from the child.
+        assert engine.pow_many(xs, e, p) == expected(xs, e, p)
+        assert engine_module._helpers is helpers
 
     def test_child_close_leaves_the_parents_pool_alone(self, batch, always_pays):
         xs, e, p = batch
-        with ProcessPoolEngine(processors=2) as engine:
-            engine.pow_many(xs, e, p)
-            pid = os.fork()
-            if pid == 0:  # pragma: no cover - runs in the child
-                signal.alarm(30)
-                engine.close()  # what the atexit hook does
-                os._exit(0 if engine._pool is None else 1)
-            _, status = os.waitpid(pid, 0)
-            assert os.waitstatus_to_exitcode(status) == 0
-            assert engine.pow_many(xs, e, p) == expected(xs, e, p)
-            assert engine.parallel_batches == 2
+        engine = ThreadPoolEngine(processors=2)
+        engine.pow_many(xs, e, p)
+        helpers = engine_module._helpers
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            signal.alarm(30)
+            engine.close()
+            shutdown_shared_engines()  # what a child's cleanup does
+            os._exit(0 if engine_module._helpers is None else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert engine.pow_many(xs, e, p) == expected(xs, e, p)
+        assert engine_module._helpers is helpers
+        assert engine.parallel_batches == 2
 
 
 class TestMeteredEngine:
@@ -306,9 +428,8 @@ class TestCreateEngine:
 
     def test_pool_for_many_workers(self):
         engine = create_engine(3)
-        assert isinstance(engine, ProcessPoolEngine)
+        assert isinstance(engine, ThreadPoolEngine)
         assert engine.workers == 3
-        engine.close()
 
     def test_metered_wrapping(self, batch):
         xs, e, p = batch

@@ -7,6 +7,7 @@ from __future__ import annotations
 import ctypes
 import os
 import random
+import signal
 import threading
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.analysis.calibration import calibrate
 from repro.crypto import batch, engine as engine_module, kernel, numtheory
 from repro.crypto.commutative import PowerCipher
-from repro.crypto.engine import ProcessPoolEngine, SerialEngine
+from repro.crypto.engine import SerialEngine, ThreadPoolEngine
 from repro.crypto.groups import QRGroup
 from repro.crypto.hashing import TryIncrementHash
 from repro.crypto.paillier import generate_keypair
@@ -163,32 +164,39 @@ class TestConcurrency:
         assert got == [[w] * 3 for w in want]
 
 
-def _pow_chunk_in_worker(args):
-    """Pool task: ``engine._pow_chunk`` with the kernel's GMP path
-    counted, plus what the worker's kernel says it is."""
-    calls = []
-    real = kernel._gmp_pow_many
-    kernel._gmp_pow_many = lambda *a: (calls.append(1), real(*a))[1]
-    try:
-        return engine_module._pow_chunk(args), len(calls), kernel.describe(), os.getpid()
-    finally:
-        kernel._gmp_pow_many = real
-
-
 class TestWiring:
     """Every modexp loop and Legendre test of the crypto layer."""
 
     @needs_gmp
-    def test_a_forked_pool_worker_computes_through_the_kernel(self):
-        xs, e = [2, 3, 5], 65537
-        with ProcessPoolEngine(processors=2) as engine:
-            pool = engine._ensure_pool()
-            out, calls, name, pid = pool.submit(
-                _pow_chunk_in_worker, (xs, e, P1024)
-            ).result(timeout=60)
-        assert pid != os.getpid()
-        assert out == [pow(x, e, P1024) for x in xs]
-        assert calls == 1 and name == kernel.describe()
+    def test_a_forked_pool_worker_computes_through_the_kernel(self, monkeypatch):
+        """A child forked after the parent's helper threads ran shares
+        a batch with helper threads of its own, every one of them
+        computing through GMP."""
+        xs, e = [2, 3, 5, 7], 65537
+        want = [pow(x, e, P1024) for x in xs]
+        monkeypatch.setattr(engine_module, "THREAD_HOP", 0)
+        monkeypatch.setattr(engine_module, "CHUNK_WORK", 0)  # one value a chunk
+        assert ThreadPoolEngine(processors=4).pow_many(xs, e, P1024) == want
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            signal.alarm(30)  # a hang dies here instead of stalling the suite
+            helper_ran, threads = threading.Event(), []
+            real = kernel._gmp_pow_many
+
+            def counted(*args):
+                threads.append(threading.current_thread())
+                if threading.current_thread() is threading.main_thread():
+                    helper_ran.wait(timeout=10)  # until a helper has a chunk
+                else:
+                    helper_ran.set()
+                return real(*args)
+
+            kernel._gmp_pow_many = counted
+            out = ThreadPoolEngine(processors=4).pow_many(xs, e, P1024)
+            ok = out == want and len(threads) == len(xs) and helper_ran.is_set()
+            os._exit(0 if ok and kernel.describe().startswith("gmp") else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_every_exponentiation_goes_through_pow_many(self, monkeypatch):
         group = QRGroup.for_bits(128)
@@ -208,8 +216,7 @@ class TestWiring:
         key = cipher.sample_key(rng)
         calls = [
             lambda: SerialEngine().pow_many([x, x], key, p),
-            lambda: engine_module._pow_chunk(([x], key, p)),
-            lambda: ProcessPoolEngine(processors=2).pow_many([x], key, p),
+            lambda: ThreadPoolEngine(processors=2).pow_many([x], key, p),
             lambda: batch.sequential_pow([x], key, p),
             lambda: cipher.decrypt(key, cipher.encrypt(key, x)),
             lambda: group.pow(x, key),
@@ -239,4 +246,4 @@ class TestWiring:
 
     def test_engines_report_the_kernel(self):
         assert SerialEngine().describe()["kernel"] == kernel.describe()
-        assert ProcessPoolEngine(2).describe()["kernel"] == kernel.describe()
+        assert ThreadPoolEngine(2).describe()["kernel"] == kernel.describe()

@@ -101,8 +101,23 @@ class TestEgcdModinv:
         assert (a * inverse) % p == 1
         assert 0 <= inverse < p
 
+    @given(st.integers(64, 1024).flatmap(
+        lambda bits: st.tuples(
+            st.integers(1, 2**bits - 1), st.integers(2, 2**bits - 1)
+        )
+    ))
+    @settings(max_examples=200)
+    def test_modinv_equals_the_egcd_inverse(self, case):
+        a, m = case
+        g, x, _ = egcd(a % m, m)
+        if g == 1:
+            assert modinv(a, m) == x % m
+        else:
+            with pytest.raises(ValueError, match=rf"gcd={g}\)"):
+                modinv(a, m)
+
     def test_modinv_noninvertible_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"6 is not invertible modulo 9 \(gcd=3\)"):
             modinv(6, 9)
 
     def test_modinv_of_negative(self):

@@ -40,6 +40,7 @@ from repro.net.session_core import (
     SenderCore,
 )
 from repro.net.tcp import SocketEndpoint
+from repro.protocols.messages import ProtocolViolation
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS, get_spec
 
@@ -341,11 +342,11 @@ def _spoil_first_y_s_chunk(body):
 @pytest.mark.parametrize(
     "body, error, where",
     [
-        # A list holding a non-integer assembles; the exponentiation
-        # of the round step refuses it, as it always has.
-        (["not-a-number", 5], TypeError, "ReceiverMachine.finish"),
-        # A part that is no list never assembles (a ValueError the
-        # session retries as a framing fault until it gives up).
+        # A list holding a non-integer assembles, and the round's
+        # decode refuses it: a leaf that is not an int.
+        (["not-a-number", 5], ProtocolViolation, "_recv_round"),
+        # A part that is no list never assembles (a ProtocolViolation,
+        # which is a ValueError, from the chunk assembler).
         ("not-a-list", ValueError, "_recv_round"),
     ],
 )
@@ -364,10 +365,8 @@ def test_a_wrong_chunk_fails_where_and_how_it_always_did(body, error, where):
         if isinstance(event, Exception):
             assert type(r_events[i - 1]) is not Ahead
     assert len(run.memos("R")) == _y_s_chunks("intersection", CHUNK)
-    if error is TypeError:
-        assert isinstance(run.r.error, TypeError)
-    else:
-        assert "gave up" in str(run.r.error)
+    # Terminal: a reconnect would replay the same round.
+    assert isinstance(run.r.error, ProtocolViolation)
 
 
 # ----------------------------------------------------------------------

@@ -144,7 +144,7 @@ class TestRecorderThroughTheFacade:
         # Both parties here: the shared pool where there are two CPUs,
         # which a run this small never leaves the serial path of.
         assert report["engine"]["engine"] == (
-            "ProcessPoolEngine" if available_cpus() > 1 else "SerialEngine"
+            "ThreadPoolEngine" if available_cpus() > 1 else "SerialEngine"
         )
         assert not report["engine"].get("parallel_batches")
 

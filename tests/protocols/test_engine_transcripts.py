@@ -1,6 +1,8 @@
-"""Engine choice must never change the wire: serial and pooled runs of
-every protocol produce byte-identical transcripts and equal answers -
-also when the pool is the one ``repro.run`` picks by default."""
+"""Engine choice must never change the wire: serial and threaded runs
+of every protocol produce byte-identical transcripts and equal answers -
+also when the thread engine is the one ``repro.run`` picks by default.
+Without GMP (``test_builtin_kernel_transcripts.py``) the thread engine
+keeps every batch serial, and these tests say so."""
 
 from __future__ import annotations
 
@@ -13,9 +15,10 @@ import pytest
 import repro
 from repro import api
 from repro.analysis.instrumentation import MetricsRecorder
+from repro.crypto import kernel
 from repro.crypto.engine import (
-    ProcessPoolEngine,
     SerialEngine,
+    ThreadPoolEngine,
     available_cpus,
     shared_engine,
 )
@@ -39,7 +42,7 @@ FIXTURE = json.loads(
     Path(__file__).with_name("golden_transcripts.json").read_text()
 )
 BITS = 128
-N = 40  # batches the ``always_pays`` fixture sends through the pool
+N = 40  # batches the ``always_pays`` fixture shares among threads
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +91,10 @@ def test_transcripts_identical_across_engines(
 ):
     serial = _run(receiver_cls, sender_cls, params, SerialEngine(),
                   sender_ext=sender_ext)
-    with ProcessPoolEngine(processors=2) as engine:
-        pooled = _run(receiver_cls, sender_cls, params, engine,
-                      sender_ext=sender_ext)
-        assert engine.parallel_batches > 0, "pool never engaged"
+    engine = ThreadPoolEngine(processors=2)
+    pooled = _run(receiver_cls, sender_cls, params, engine,
+                  sender_ext=sender_ext)
+    assert _engaged(engine.parallel_batches), "threads never engaged"
     s_m1, s_m2, s_answer = serial
     p_m1, p_m2, p_answer = pooled
     assert encode(s_m1) == encode(p_m1)
@@ -100,11 +103,9 @@ def test_transcripts_identical_across_engines(
 
 
 def test_answers_correct_under_pool(params, always_pays):
-    with ProcessPoolEngine(processors=2) as engine:
-        _, _, answer = _run(
-            IntersectionReceiver, IntersectionSender, params, engine
-        )
-        assert engine.parallel_batches > 0
+    engine = ThreadPoolEngine(processors=2)
+    _, _, answer = _run(IntersectionReceiver, IntersectionSender, params, engine)
+    assert _engaged(engine.parallel_batches)
     assert answer == {f"c{i}" for i in range(N // 2)}
 
 
@@ -143,6 +144,12 @@ def _pooled_batches():
     return shared_engine(available_cpus()).parallel_batches
 
 
+def _engaged(parallel_batches):
+    """Batches were shared among threads - exactly when GMP computes:
+    the builtin ``pow`` holds the GIL, so the engine keeps them serial."""
+    return (parallel_batches > 0) == kernel.describe().startswith("gmp")
+
+
 #: Section 6's exact modexp counts at the fixture's n_R = n_S = 40;
 #: equijoin-size re-encrypts the 45 + 43 occurrences it is sent.
 PAPER_MODEXPS = {
@@ -172,7 +179,7 @@ def test_default_engine_matches_golden(name, two_cpus, always_pays, through_run)
             recorder.report()["total_modexp"],
         )
         if label == "default":
-            assert _pooled_batches() > 0, "the default never reached the pool"
+            assert _engaged(_pooled_batches()), "the default never reached the threads"
     assert runs["default"] == runs["serial"]
     wires, answer, modexps = runs["default"]
     assert wires == FIXTURE["protocols"][name]["wires"]
@@ -204,6 +211,6 @@ def test_default_engine_matches_golden_deltas(
             record["size_v_r"], record["size_v_s"]
         )
         if label == "churn":
-            assert _pooled_batches() > before, "the churn never reached the pool"
+            assert _engaged(_pooled_batches() - before), "the churn never reached the threads"
         staged_r.state.commit()
         staged_s.state.commit()

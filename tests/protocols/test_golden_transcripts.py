@@ -5,7 +5,7 @@ per-protocol drivers (see ``make_golden_fixture.py``). These tests
 assert that the declarative round schedules, interpreted by the
 generic machines, reproduce those bytes exactly - for every registered
 protocol, in memory and as sessions (one-connection and resumable
-configs), with the serial and the process-pool crypto engines.
+configs), with the serial and the thread crypto engines.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.crypto import engine as engine_module
-from repro.crypto.engine import ProcessPoolEngine
+from repro.crypto import engine as engine_module, kernel
+from repro.crypto.engine import ThreadPoolEngine
 from repro.net.serialization import (
     chunk_end_frame,
     chunk_frame,
@@ -94,14 +94,17 @@ def params():
 
 @pytest.fixture(scope="module")
 def pooled_engines():
-    """One pool per party so concurrent runs never share a pool; the
-    crossover is lowered so the fixture's 128-bit batches reach them."""
+    """One thread engine per party, so each counts its own batches; the
+    crossover is lowered so the fixture's 128-bit batches reach the
+    threads - wherever GMP computes, the builtin ``pow`` keeping them
+    serial. The set collects whether GMP computed in each test."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(engine_module, "POOL_ROUND_TRIP", 0)
-        with ProcessPoolEngine(processors=2) as r_engine:
-            with ProcessPoolEngine(processors=2) as s_engine:
-                yield r_engine, s_engine
-                assert r_engine.parallel_batches and s_engine.parallel_batches
+        patch.setattr(engine_module, "THREAD_HOP", 0)
+        r_engine, s_engine = ThreadPoolEngine(2), ThreadPoolEngine(2)
+        gmp: set = set()
+        yield r_engine, s_engine, gmp
+        threaded = bool(r_engine.parallel_batches and s_engine.parallel_batches)
+        assert gmp == {threaded}
 
 
 @pytest.fixture(params=["serial", "pooled"])
@@ -109,7 +112,9 @@ def engines(request, pooled_engines):
     """(receiver engine, sender engine); ``None`` means serial."""
     if request.param == "serial":
         return None, None
-    return pooled_engines
+    r_engine, s_engine, gmp = pooled_engines
+    gmp.add(kernel.describe().startswith("gmp"))
+    return r_engine, s_engine
 
 
 def _session_config():

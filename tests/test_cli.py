@@ -294,7 +294,7 @@ class TestDistributedProtocolOptions:
         ]
         assert len(reports) == 2
         for report in reports:
-            assert report["engine"]["engine"] == "ProcessPoolEngine"
+            assert report["engine"]["engine"] == "ThreadPoolEngine"
             assert report["engine"]["workers"] == 2
             # Tiny sets stay under the parallel crossover - routed
             # serially, but still counted.

@@ -1,11 +1,12 @@
 """The engine an entry point picks when the caller passed none.
 
 ``repro.run`` and a ``Catalog.pair`` query host both parties in this
-interpreter, so they default to the process-wide pool over the CPUs the
-process may run on; ``repro.serve`` / ``repro.connect`` keep the serial
-default (the peer's process is the other core). The pool itself keeps
-batches too small to pay serial, so only tests that lower the crossover
-(``always_pays``) ever start workers.
+interpreter, so they default to the process-wide thread engine over the
+CPUs the process may run on; ``repro.serve`` / ``repro.connect`` keep
+the serial default (the peer's process is the other core). The engine
+itself keeps batches too small to pay serial, so only tests that lower
+the crossover (``always_pays``) ever share a batch - and only where GMP
+computes: the builtin ``pow`` holds the GIL.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import pytest
 
 import repro
 from repro import api
-from repro.crypto import engine as engine_module
+from repro.crypto import engine as engine_module, kernel
 from repro.crypto.engine import SerialEngine, available_cpus, shared_engine
 
 BITS = 128
+GMP = kernel.describe().startswith("gmp")
 
 
 def _tables(n=40):
@@ -53,22 +55,23 @@ class CountingEngine(SerialEngine):
 
 
 # ----------------------------------------------------------------------
-# Which entry points get the pool
+# Which entry points get the thread engine
 # ----------------------------------------------------------------------
 class TestTheRule:
     def test_run_goes_through_the_shared_pool(self, two_cpus, always_pays):
         v_r, v_s = _tables()
         result = repro.run("intersection", v_r, v_s, bits=BITS, seed=1)
         assert result.answer == set(v_r) & set(v_s)
-        assert _default().parallel_batches > 0
+        assert (_default().parallel_batches > 0) == GMP
 
-    def test_small_run_never_starts_a_worker(self, two_cpus):
+    def test_small_run_never_starts_a_worker(self, two_cpus, monkeypatch):
         # The real crossover: 40 values at 128 bits do not pay.
+        monkeypatch.setattr(engine_module, "_executor", None)
         v_r, v_s = _tables()
         result = repro.run("intersection", v_r, v_s, bits=BITS, seed=1)
         assert result.answer == set(v_r) & set(v_s)
         assert _default().serial_batches > 0
-        assert _default().parallel_batches == 0 and _default()._pool is None
+        assert _default().parallel_batches == 0
 
     def test_one_cpu_gets_the_serial_engine(self, monkeypatch, always_pays):
         monkeypatch.setattr(
@@ -109,17 +112,18 @@ class TestTheRule:
         assert result.answer == set(v_r) & set(v_s)
         assert not engine_module._SHARED
 
-    def test_pool_that_cannot_start_degrades_to_serial(
+    def test_thread_that_cannot_start_degrades_to_serial(
         self, two_cpus, monkeypatch, always_pays
     ):
-        def no_forks(*args, **kwargs):
-            raise OSError("no forks for you")
+        class NoThreads:
+            def submit(self, fn):
+                raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", no_forks)
+        monkeypatch.setattr(engine_module, "_executor", NoThreads)
         v_r, v_s = _tables()
         result = repro.run("intersection", v_r, v_s, bits=BITS, seed=1)
         assert result.answer == set(v_r) & set(v_s)
-        assert _default().pool_failures == 1
+        assert (_default().thread_failures > 0) == GMP
         assert _default().parallel_batches == 0
 
 
@@ -141,15 +145,15 @@ class TestPairedCatalogs:
         cold = cat_r.pair(cat_s).query("intersection")
         assert cold.answer == set(v_r) & set(v_s) and not cold.cache_hit
         pooled = _default().parallel_batches
-        assert pooled > 0
+        assert (pooled > 0) == GMP
 
         cat_r, cat_s = self.open_pair(tmp_path, v_r, v_s)
         warm = cat_r.pair(cat_s).query("intersection")
         assert warm.answer == cold.answer and warm.cache_hit
-        assert _default().parallel_batches > pooled
+        assert (_default().parallel_batches > pooled) == GMP
 
     def test_delta_of_eight_values_never_creates_an_executor(
-        self, two_cpus, tmp_path
+        self, two_cpus, tmp_path, monkeypatch
     ):
         # delta-churn's shape at the real crossover: 256 bits, four
         # deletes and four inserts per side.
@@ -157,13 +161,14 @@ class TestPairedCatalogs:
         cat_r, cat_s = self.open_pair(tmp_path, v_r, v_s, bits=256)
         peer = cat_r.pair(cat_s)
         peer.query("intersection")
+        monkeypatch.setattr(engine_module, "_executor", None)
         for i in range(4):
             cat_r.delete(f"r{i}").insert(f"new{i}")
             cat_s.delete(f"c{i}").insert(f"new{i}")
         delta = peer.query("intersection")
         assert delta.mode == "delta"
         assert delta.answer == set(cat_r.data) & set(cat_s.data)
-        assert _default().parallel_batches == 0 and _default()._pool is None
+        assert _default().parallel_batches == 0
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +193,7 @@ class TestThreadsAndForks:
             stop.set()
             thread.join(timeout=5)
         assert result.answer == set(v_r) & set(v_s)
-        assert _default().parallel_batches > 0 and ticks
+        assert (_default().parallel_batches > 0) == GMP and ticks
 
     def test_run_in_a_forked_child_of_a_process_that_used_the_pool(
         self, always_pays
@@ -196,7 +201,7 @@ class TestThreadsAndForks:
         v_r, v_s = _tables()
         expected = set(v_r) & set(v_s)
         assert repro.run("intersection", v_r, v_s, bits=BITS, seed=1).answer == expected
-        assert _default()._pool is not None
+        assert (engine_module._helpers is not None) or not GMP
         pid = os.fork()
         if pid == 0:  # pragma: no cover - runs in the child
             signal.alarm(60)  # a hang dies here instead of stalling the suite
@@ -205,5 +210,5 @@ class TestThreadsAndForks:
             os._exit(0 if answer == expected else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        # ... and the parent's pool is still the parent's to use.
+        # ... and the parent's threads are still the parent's to use.
         assert repro.run("intersection", v_r, v_s, bits=BITS, seed=1).answer == expected
