@@ -7,8 +7,8 @@ Verbs::
     report                     render the BENCH_<area>.json files in a
                                directory as EXPERIMENTS.md (runs nothing)
 
-``run`` selectors take a full task name (``robustness.kill-resume``),
-an area (``robustness``), ``all``, or a comma-separated mix. Exit
+``run`` selectors take a full task name (``protocols.scaling``),
+an area (``protocols``), ``all``, or a comma-separated mix. Exit
 codes: 0 success, 2 usage error.
 """
 

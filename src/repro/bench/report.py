@@ -19,7 +19,7 @@ __all__ = ["load_payloads", "render_payloads"]
 #: Area order in the report — paper-section-ish reading order.
 _AREA_ORDER = [
     "crypto", "attacks", "costmodel", "protocols", "circuits",
-    "leakage", "apps", "parallelism", "robustness",
+    "leakage", "apps", "parallelism",
 ]
 
 

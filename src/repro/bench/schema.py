@@ -4,18 +4,18 @@ One file per area, schema-tagged at both levels::
 
     {
       "schema": 3,                 # file format version (this module)
-      "area": "robustness",
+      "area": "protocols",
       "mode": "full",              # which parameter set produced it
       "seed": 20030609,
       "environment": {...},        # volatile: machine, sha, timestamp
       "tasks": [
         {
-          "task": "robustness.fault-tolerance",
+          "task": "protocols.scaling",
           "schema": 1,             # task's own record-shape version
           "summary": "...",
           "params": {...},
           "records": [
-            {"id": "rate-0.05", ..., "metrics": {"elapsed_s": 0.41}}
+            {"id": "equijoin-n32", ..., "metrics": {"elapsed_s": 0.16}}
           ]
         }
       ]

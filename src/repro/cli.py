@@ -449,12 +449,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _session_config(timeout: float | None):
-    from .net.session import SessionConfig
-
-    return SessionConfig(timeout_s=timeout) if timeout else SessionConfig()
-
-
 def _session_options(args: argparse.Namespace, config=None):
     """``--resumable`` as the facade's ``session=`` (``None`` = one
     connection, no retry); with no ``config`` the facade makes
@@ -554,9 +548,11 @@ def _serve_supervised(
     import json as _json
     import signal as _signal
 
+    from .api import _session_config
     from .net.server import ProtocolOffer, ProtocolServer
     from .net.shard import ShardedProtocolServer
 
+    config = _session_config(_session_options(args), args.timeout)
     if args.shards > 1:
         server = ShardedProtocolServer(
             [ProtocolOffer.from_data(
@@ -567,7 +563,7 @@ def _serve_supervised(
             port=args.port,
             worker_processes=True,
             max_sessions=args.max_sessions,
-            config=_session_config(args.timeout),
+            config=config,
             journal_dir=args.journal_dir,
             chunk_size=args.chunk_size,
             restart_budget=args.restart_budget,
@@ -581,7 +577,7 @@ def _serve_supervised(
             host=args.host,
             port=args.port,
             max_sessions=args.max_sessions,
-            config=_session_config(args.timeout),
+            config=config,
             journal_dir=args.journal_dir,
             recorder=recorder,
             chunk_size=args.chunk_size,

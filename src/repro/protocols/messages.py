@@ -64,7 +64,9 @@ class ProtocolViolation(ValueError):
     """A received message that is not what its protocol declares.
 
     The wrong nesting, a leaf that is not an ``int``, a group element
-    outside ``[1, p)``, or a malformed chunk stream.
+    outside ``[1, p)``, a malformed chunk stream, or a reply whose
+    counts R checks before absorbing it: one answer per ciphertext R
+    sent, and no codeword repeated where a set's cannot be.
     """
 
 

@@ -75,6 +75,7 @@ from .messages import (
     EquijoinReply,
     IntersectionReply,
     Message,
+    ProtocolViolation,
     RevealedSum,
     SizeReply,
     SumReply,
@@ -300,6 +301,12 @@ def _patch(counts: MutableMapping, added: Iterable, removed: Iterable) -> dict:
     return moved
 
 
+def _distinct(items: Sequence, what: str) -> None:
+    """:class:`ProtocolViolation` when ``items`` repeats an element."""
+    if len(set(items)) != len(items):
+        raise ProtocolViolation(f"{what}: an element repeats")
+
+
 class _Party:
     """One party's cross-query state and the steps that move it.
 
@@ -367,8 +374,10 @@ class _Party:
         self._value_by_hash: dict = {}
         #: Own values under the own (first) key: ``f_e(h(v))``.
         self._y_by_value: dict = {}
-        #: The values the latest :meth:`own` step added.
+        #: The values the latest :meth:`own` step added, and how many
+        #: ciphertexts it sent as added and as tombstoned.
         self._announced: list = []
+        self._sent = (0, 0)
         #: R: ``y -> f_eR(y)`` for the ``Y_S`` segments re-encrypted
         #: ahead of the reply they belong to (:meth:`absorb_ahead`).
         self._z_ahead: dict = {}
@@ -492,6 +501,7 @@ class _Party:
         ciphertexts, each reordered lexicographically."""
         ys, tombstones = self._own(added, removed)
         self._announced = list(added)
+        self._sent = (len(ys), len(tombstones))
         return sorted_ciphertexts(ys), sorted_ciphertexts(tombstones)
 
     def churn(self, inserts: Iterable, deletes: Iterable) -> tuple[dict, list]:
@@ -539,10 +549,29 @@ class _Party:
         """
         self._z_ahead.update(zip(ys, self._encrypt(self._key, ys)))
 
+    def _answered(self, answers: Sequence[tuple], what: str) -> dict:
+        """``y -> v`` over what the latest :meth:`own` announced, once
+        S's ``answers`` to it are checked: one per announced ``y``,
+        keyed on it, and no second element (a double, a codeword)
+        twice - else :class:`ProtocolViolation`, before R changes
+        anything."""
+        mine = {self._y_by_value[v]: v for v in self._announced}
+        if len(answers) != len(mine) or {a[0] for a in answers} != mine.keys():
+            raise ProtocolViolation(f"{what}: not one answer per ciphertext R sent")
+        _distinct([a[1] for a in answers], what)
+        return mine
+
+    @staticmethod
+    def _check_y_s(added: Sequence, removed: Sequence) -> None:
+        """A set's ``Y_S`` churn repeats no codeword."""
+        _distinct(added, "Y_S")
+        _distinct(removed, "Y_S tombstones")
+
     def _absorb_y_s(self, added: Sequence, removed: Sequence) -> dict:
         """R re-encrypts S's churn under its own key into ``Z_S`` -
         what :meth:`absorb_ahead` has not already.  Returns the change
         to each ``Z_S`` count it touched."""
+        self._check_y_s(added, removed)
         ahead = self._z_ahead
         late = [y for y in added if y not in ahead]
         ahead.update(zip(late, self._encrypt(self._key, late)))
@@ -615,6 +644,10 @@ class _MultisetParty(_Party):
         self._counts = Counter()
 
     @staticmethod
+    def _check_y_s(added: Sequence, removed: Sequence) -> None:
+        """A multiset's ``Y_S`` repeats a codeword per occurrence."""
+
+    @staticmethod
     def _table(values: Iterable[Hashable]) -> Counter:
         """Occurrences per value (a
         :class:`~repro.db.multiset.ValueMultiset` iterates its own)."""
@@ -685,15 +718,14 @@ class IntersectionReceiver(_Party):
         """Steps 5-6: patch ``Z_S`` and the doubles of what this query
         announced, then re-decide the doubles either patch touched
         (set operations only)."""
+        mine = self._answered(pairs_added, "pairs")
         touched = set(self._absorb_y_s(y_s_added, y_s_removed))
-        mine = {self._y_by_value[v]: v for v in self._announced}
         for y, double in pairs_added:
-            if y in mine:
-                v = mine[y]
-                self._value_by_double.pop(self._double_by_value.get(v), None)
-                self._double_by_value[v] = double
-                self._value_by_double[double] = v
-                touched.add(double)
+            v = mine[y]
+            self._value_by_double.pop(self._double_by_value.get(v), None)
+            self._double_by_value[v] = double
+            self._value_by_double[double] = v
+            touched.add(double)
         for double in touched:
             if double in self._value_by_double:
                 v = self._value_by_double[double]
@@ -750,7 +782,10 @@ class _SizeReceiver:
         """Steps 5-6: patch both double-encrypted collections.
 
         One after the other: each count that moves takes the overlap
-        with it, by the other side's count of that codeword."""
+        with it, by the other side's count of that codeword.  ``Z_R``
+        holds one double per ciphertext R sent, on each side."""
+        if (len(z_added), len(z_removed)) != self._sent:
+            raise ProtocolViolation("Z_R: not one double per ciphertext R sent")
         moved = self._absorb_y_s(y_s_added, y_s_removed)
         for codeword, change in moved.items():
             self._overlap += change * self._z_r.get(codeword, 0)
@@ -831,13 +866,9 @@ class EquijoinReceiver(_Party):
         """Steps 6-7: strip own layer off the triples this query
         announced, patch both codeword maps, then match and decrypt ext
         for the codewords either patch touched."""
+        by_y = self._answered(triples_added, "triples")
         inverse = self.cipher.invert_key(self._key)
-        by_y = {self._y_by_value[v]: v for v in self._announced}
-        mine = [
-            (by_y[y], second, third)
-            for y, second, third in triples_added
-            if y in by_y
-        ]
+        mine = [(by_y[y], second, third) for y, second, third in triples_added]
         codewords = self._encrypt(inverse, [t[1] for t in mine])
         kappas = self._encrypt(inverse, [t[2] for t in mine])
         for (v, _, _), codeword, kappa in zip(mine, codewords, kappas):

@@ -55,9 +55,9 @@ class TestRegistration:
             register(name, smoke={}, full={})(_noop)
 
     def test_area_is_the_prefix(self, scratch_registry):
-        register("robustness.kill-resume", smoke={}, full={})(_noop)
-        task = get_task("robustness.kill-resume")
-        assert task.area == "robustness"
+        register("area.task-name", smoke={}, full={})(_noop)
+        task = get_task("area.task-name")
+        assert task.area == "area"
 
     def test_params_for_knows_two_modes(self, scratch_registry):
         register("a.t", smoke={"n": 1}, full={"n": 9})(_noop)
@@ -135,9 +135,6 @@ class TestRealRegistry:
             "protocols.extensions",
             "protocols.multiset-join",
             "protocols.scaling",
-            "robustness.fault-tolerance",
-            "robustness.kill-resume",
-            "robustness.worker-failover",
         ]
 
     def test_removed_names_stay_removed(self):

@@ -10,6 +10,7 @@ and replayed frames for mid-frame disconnects.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import threading
 from collections import Counter
@@ -131,12 +132,46 @@ def _run(protocol, client_injector=None, server_injector=None, seed=0,
     return client_stats, server_stats
 
 
+def _keeping(injector):
+    """``injector`` as an endpoint wrapper that also keeps each endpoint
+    it wraps, and the list it keeps them in: what the client sends is
+    summed over its reconnects."""
+    endpoints = []
+
+    def wrap(transport):
+        endpoints.append(injector(transport))
+        return endpoints[-1]
+
+    return wrap, endpoints
+
+
+@functools.lru_cache(maxsize=None)
+def _clean_sends(protocol):
+    """The frames the client offers and the bytes it puts on the wire
+    in a fault-free run of ``protocol``."""
+    injector = FaultInjector(FaultPlan())
+    wrap, endpoints = _keeping(injector)
+    client_stats, server_stats = _run(protocol, client_injector=wrap)
+    assert client_stats.retransmits == server_stats.retransmits == 0
+    assert client_stats.reconnects == 0
+    return injector.stats.sent, sum(e.bytes_sent for e in endpoints)
+
+
 @pytest.mark.parametrize("fault_class", sorted(FAULT_CLASSES))
 @pytest.mark.parametrize("protocol", sorted(CASES))
 def test_protocol_completes_under_faults(protocol, fault_class):
     plan = FAULT_CLASSES[fault_class]
     injector = FaultInjector(plan)
-    client_stats, server_stats = _run(protocol, client_injector=injector)
+    wrap, endpoints = _keeping(injector)
+    client_stats, server_stats = _run(protocol, client_injector=wrap)
+    # A recovery is traffic on top of the protocol's own frames: the
+    # client offers at least the clean run's frames and, unless a frame
+    # is dropped before the socket (a dropped closing fin is not sent
+    # again), puts at least its bytes on the wire.
+    clean_frames, clean_bytes = _clean_sends(protocol)
+    assert injector.stats.sent >= clean_frames
+    if not injector.stats.dropped:
+        assert sum(e.bytes_sent for e in endpoints) >= clean_bytes
 
     if fault_class == "none":
         assert injector.stats.injected == 0

@@ -3,6 +3,9 @@ nesting, an ``int`` at every leaf (``bool`` excluded) and every group
 element in ``[1, p)``. Anything else is one typed
 :class:`~repro.ProtocolViolation` - in memory and over a session - never
 a bare ``ValueError`` / ``TypeError`` from a step, and never an answer.
+So is a well-formed reply that breaks R's count invariants: one answer
+per ciphertext R sent, keyed on it, and no codeword repeated where a
+set's cannot be.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from repro.net.session import RetryPolicy, SessionConfig, SessionStats
 from repro.net.session_core import ReceiverCore, SenderCore
 from repro.net.virtual import Party
 from repro.protocols import spec as spec_module
+from repro.protocols.delta import DeltaExchange
 from repro.protocols.messages import IntersectionReply, ProtocolViolation
 from repro.protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from repro.protocols.spec import PROTOCOLS, get_spec
@@ -28,6 +32,37 @@ V_R, V_S = ["a", "b", "c", "d"], ["c", "d", "e"]
 #: The probe's rows that the shape and range check turns into a
 #: ProtocolViolation: S's ``Y_S`` with an element appended.
 ROWS = {"zero": 0, "str": "x", "p": PARAMS.p, "bool": True}
+
+#: S's ``m2``, well-formed but breaking one of R's count invariants:
+#: row -> (protocol, tampering). Unchecked, R answers a value S does
+#: not hold, drops a match, or accepts the repeat.
+COUNTS = {
+    "one-double-for-all": ("intersection", lambda r: dataclasses.replace(
+        r, pairs=[(y, r.pairs[0][1]) for y, _ in r.pairs])),
+    "one-pair": ("intersection", lambda r: dataclasses.replace(
+        r, pairs=r.pairs[-1:])),
+    "a-pair-twice": ("intersection", lambda r: dataclasses.replace(
+        r, pairs=r.pairs + r.pairs[:1])),
+    "y-s-twice": ("intersection", lambda r: dataclasses.replace(
+        r, y_s=r.y_s + r.y_s[:1])),
+    "one-triple": ("equijoin", lambda r: dataclasses.replace(
+        r, triples=r.triples[-1:])),
+    "one-codeword-for-all": ("equijoin", lambda r: dataclasses.replace(
+        r, triples=[(y, r.triples[0][1], k) for y, _, k in r.triples])),
+    "size-z-short": ("intersection-size", lambda r: dataclasses.replace(
+        r, z_r=r.z_r[:-1])),
+    "size-y-s-twice": ("intersection-size", lambda r: dataclasses.replace(
+        r, y_s=r.y_s + r.y_s[:1])),
+    "multiset-z-long": ("equijoin-size", lambda r: dataclasses.replace(
+        r, z_r=r.z_r + r.z_r[:1])),
+}
+
+#: What R answers S's honest ``m2`` (intersection: the test below).
+HONEST = {
+    "equijoin": {"c": b"ext:c", "d": b"ext:d"},
+    "intersection-size": 2,
+    "equijoin-size": 2,
+}
 
 
 def _inputs(name):
@@ -74,6 +109,62 @@ def test_the_honest_reply_passes_and_answers():
     receiver, reply = _honest_m2()
     receiver.consume(m2, reply.to_wire())
     assert receiver.finish() == {"c", "d"}
+
+
+@pytest.mark.parametrize("name", sorted(HONEST))
+def test_each_protocols_honest_reply_passes_and_answers(name):
+    m2 = get_spec(name).rounds[1]
+    receiver, reply = _honest_m2(name)
+    receiver.consume(m2, reply.to_wire())
+    assert receiver.finish() == HONEST[name]
+
+
+@pytest.mark.parametrize("row", sorted(COUNTS))
+def test_a_reply_that_breaks_a_count_is_a_violation_in_memory(row):
+    name, tamper = COUNTS[row]
+    m2 = get_spec(name).rounds[1]
+    receiver, reply = _honest_m2(name)
+    receiver.consume(m2, tamper(reply).to_wire())
+    with pytest.raises(ProtocolViolation):
+        receiver.finish()
+
+
+#: The intersection rows on a delta patch, whose parts answer only the
+#: churn: R inserts {e, f}, S inserts {f, g}.
+DELTA_COUNTS = {
+    "one-pair": lambda p: dataclasses.replace(
+        p, pairs_added=p.pairs_added[-1:]),
+    "a-pair-twice": lambda p: dataclasses.replace(
+        p, pairs_added=p.pairs_added + p.pairs_added[:1]),
+    "y-s-twice": lambda p: dataclasses.replace(
+        p, y_s_added=p.y_s_added + p.y_s_added[:1]),
+}
+
+
+@pytest.mark.parametrize("row", sorted(DELTA_COUNTS))
+def test_a_rejected_delta_leaves_the_committed_party_as_it_was(row):
+    """A tampered delta patch is refused; the same churn, answered
+    honestly next, answers as if the refused one never came."""
+    receiver, sender = _machines("intersection")
+    PROTOCOLS["intersection"].exchange(receiver, sender)
+    assert receiver.finish() == {"c", "d"}
+    delta = PROTOCOLS["intersection+delta"]
+    m1, m2 = delta.rounds
+
+    def run(tamper):
+        r = ReceiverMachine(delta, DeltaExchange(
+            state=receiver.state, inserts=(("e", None), ("f", None)),
+        ), PARAMS, random.Random("R"))
+        s = SenderMachine(delta, DeltaExchange(
+            state=sender.state, inserts=(("f", None), ("g", None)),
+        ), PARAMS, random.Random("S"))
+        s.consume(m1, r.produce(m1).to_wire())
+        r.consume(m2, tamper(s.produce(m2)).to_wire())
+        return r.finish()
+
+    with pytest.raises(ProtocolViolation):
+        run(DELTA_COUNTS[row])
+    assert run(lambda patch: patch) == {"c", "d", "e", "f"}
 
 
 def _leaves(wire, path=()):
@@ -163,38 +254,38 @@ CONFIG = SessionConfig(
 )
 
 
-def _tampered(extra):
-    """The intersection spec, with S appending ``extra`` to ``Y_S``."""
-    spec = get_spec("intersection")
-    m1, m2 = spec.rounds
+def _tampered(name, tamper):
+    """``name``'s spec, with S passing its ``m2`` through ``tamper``."""
+    spec = get_spec(name)
+    m1, m2, *rest = spec.rounds
     honest = m2.step
 
     def step(state, inbox):
-        reply = IntersectionReply.coerce(honest(state, inbox))
-        return IntersectionReply(reply.y_s + [extra], reply.pairs)
+        return tamper(m2.message.coerce(honest(state, inbox)))
 
     bad_m2 = dataclasses.replace(m2, step=step, chunk_step=None)
-    return dataclasses.replace(spec, rounds=(m1, bad_m2))
+    return dataclasses.replace(spec, rounds=(m1, bad_m2, *rest))
 
 
-@pytest.mark.parametrize("chunk_size", [None, 2])
-@pytest.mark.parametrize("row", ["zero", "str"])
-def test_a_bad_element_in_y_s_is_a_violation_over_lock_step(row, chunk_size):
-    spec = get_spec("intersection")
+def _refused_over_lock_step(name, tamper, chunk_size):
+    """Run ``name`` over a session with S's ``m2`` tampered: R must end
+    on a ProtocolViolation with no answer and no retry."""
+    spec = get_spec(name)
+    r_data, s_data = _inputs(name)
     receiver = ReceiverCore(
-        "intersection",
+        name,
         lambda wire: spec.make_receiver(
-            V_R, PublicParams.from_wire(tuple(wire)), random.Random("R")
+            r_data, PublicParams.from_wire(tuple(wire)), random.Random("R")
         ),
-        CONFIG, random.Random(7), SessionStats(protocol="intersection"),
+        CONFIG, random.Random(7), SessionStats(protocol=name),
         chunk_size=chunk_size,
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spec_module, "get_spec", lambda _: _tampered(ROWS[row]))
+        patch.setattr(spec_module, "get_spec", lambda _: _tampered(name, tamper))
         sender = SenderCore(
-            "intersection", PARAMS,
-            lambda: spec.make_sender(V_S, PARAMS, random.Random("S")),
-            CONFIG, random.Random(8), SessionStats(protocol="intersection"),
+            name, PARAMS,
+            lambda: spec.make_sender(s_data, PARAMS, random.Random("S")),
+            CONFIG, random.Random(8), SessionStats(protocol=name),
             chunk_size=chunk_size,
         )
     r_party = Party("R", receiver.steps, dials=True)
@@ -204,3 +295,20 @@ def test_a_bad_element_in_y_s_is_a_violation_over_lock_step(row, chunk_size):
     assert r_party.result is None
     # R gave up at once: a retry would replay the same round.
     assert receiver.stats.reconnects == 0
+
+
+@pytest.mark.parametrize("chunk_size", [None, 2])
+@pytest.mark.parametrize("row", ["zero", "str"])
+def test_a_bad_element_in_y_s_is_a_violation_over_lock_step(row, chunk_size):
+    extra = ROWS[row]
+    _refused_over_lock_step(
+        "intersection",
+        lambda reply: dataclasses.replace(reply, y_s=reply.y_s + [extra]),
+        chunk_size,
+    )
+
+
+@pytest.mark.parametrize("chunk_size", [None, 2])
+@pytest.mark.parametrize("row", sorted(COUNTS))
+def test_a_reply_that_breaks_a_count_is_a_violation_over_lock_step(row, chunk_size):
+    _refused_over_lock_step(*COUNTS[row], chunk_size)
