@@ -29,7 +29,14 @@ party S on a TCP port (``port=0`` picks a free one and reports it),
 million-item rounds in bounded chunks when given a ``chunk_size``.
 The classic per-protocol helpers (``run_intersection`` and friends)
 remain for result objects carrying full transcripts.
+
+The library logs under ``repro`` (``repro.net.session``, ``.server``,
+``.shard``, ``.journal``, ``repro.catalog``, ``repro.cli``) as
+``event key=value ...`` lines, and prints none of them unless the
+caller configures logging.
 """
+
+import logging
 
 from .api import (
     Catalog,
@@ -60,6 +67,8 @@ from .protocols import (
 )
 
 __version__ = "1.0.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "run",

@@ -75,12 +75,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
 
-from .crypto.engine import (
-    MeteredEngine,
-    SerialEngine,
-    available_cpus,
-    shared_engine,
-)
+from .crypto.engine import MeteredEngine, available_cpus, shared_engine
 from .crypto.numtheory import _key_rng
 from .protocols.delta import DeltaExchange
 from .protocols.parties import PublicParams, ReceiverMachine, SenderMachine
@@ -246,41 +241,30 @@ def _journal(session: SessionOptions | None) -> Any:
 
 
 def _metered(engine: Any, recorder: Any) -> Any:
-    """``engine`` as ``recorder`` can see it.
+    """The engine an entry point runs, as ``recorder`` can see it.
 
-    A recorder counts only the exponentiations a
-    :class:`~repro.crypto.engine.MeteredEngine` reports to it, so every
-    entry point that takes ``engine=``/``recorder=`` passes the pair
-    through here: the engine (the serial one when none was given) is
-    wrapped to report into ``recorder`` and named in its report.
-    Idempotent - an engine already metered into ``recorder`` is kept.
+    The one rule for every entry point - :func:`run`, :func:`serve`,
+    :func:`connect` and a :class:`Catalog`'s links, paired or networked:
+    when the caller passed no ``engine=`` the batches are shared by as
+    many threads as this process has CPUs to run on (the serial engine
+    when that is one); the engine itself keeps batches too small to pay
+    serial. A recorder counts only the exponentiations a
+    :class:`~repro.crypto.engine.MeteredEngine` reports to it, so the
+    engine is then wrapped to report into ``recorder`` and named in its
+    report. Idempotent - an engine already metered into ``recorder`` is
+    kept.
     """
+    if engine is None:
+        engine = shared_engine(available_cpus())
     if recorder is None:
         return engine
     if not (
         isinstance(engine, MeteredEngine)
         and engine.on_modexp == recorder.count_modexp
     ):
-        engine = MeteredEngine(
-            engine if engine is not None else SerialEngine(),
-            recorder.count_modexp,
-        )
+        engine = MeteredEngine(engine, recorder.count_modexp)
     recorder.attach_engine(engine)
     return engine
-
-
-def _both_parties_here(engine: Any) -> Any:
-    """The engine of an entry point that hosts **both** parties in this
-    interpreter (:func:`run`, a :meth:`Catalog.pair` query).
-
-    Nothing else computes while one party does, so when the caller
-    passed no ``engine=`` the batches are shared by as many threads as
-    this process has CPUs to run on (the serial engine when that is
-    one); the engine itself keeps batches too small to pay serial.
-    :func:`serve` / :func:`connect` and hosted sessions stay serial by
-    default: there the peer's process is the other core.
-    """
-    return engine if engine is not None else shared_engine(available_cpus())
 
 
 def _party_rngs(
@@ -352,7 +336,6 @@ class Catalog:
         self._bits = bits
         self.params = params
         self.rng = _key_rng(rng, seed)
-        self._engine_given = engine
         self.engine = _metered(engine, recorder)
         self.recorder = recorder
         self.cache = None
@@ -538,11 +521,10 @@ class Catalog:
         return (spec.name, role) in self._links
 
     def _plan(
-        self, spec: ProtocolSpec, role: str, kind: str, both_here: bool = False
+        self, spec: ProtocolSpec, role: str, kind: str
     ) -> tuple[ProtocolSpec, Callable[[PublicParams], Any], Callable[[Any], bool]]:
         """How this catalog runs one ``kind`` query of ``spec`` as
         ``role``: ``(wire spec, make_state, commit)``.
-        ``both_here`` is the local link's (:func:`_both_parties_here`).
 
         ``wire_spec`` is the schedule the link exchanges,
         ``make_state(params)`` builds the party state its machine
@@ -563,10 +545,7 @@ class Catalog:
             wire_spec.make_receiver if role == "receiver" else wire_spec.make_sender
         )
         plan = self._plan_full if wire_spec is spec else self._plan_delta
-        engine = self.engine
-        if both_here and self._engine_given is None:
-            engine = _metered(_both_parties_here(None), self.recorder)
-        return (wire_spec, *plan((spec.name, role), factory, engine))
+        return (wire_spec, *plan((spec.name, role), factory, self.engine))
 
     def _mark(self) -> int:
         """The op number the next staged mutation will get."""
@@ -726,9 +705,9 @@ def open_catalog(
         seed: seed for this party's private randomness.
         rng: explicit rng (overrides ``seed``).
         engine: batch-crypto execution strategy
-            (:mod:`repro.crypto.engine`); by default serial over a
-            network link and :func:`run`'s shared thread engine when
-            paired locally.
+            (:mod:`repro.crypto.engine`); by default, paired or over a
+            network link, the process-wide thread engine over this
+            process's CPUs, as for every entry point.
         recorder: per-phase metrics collector.
         cache_dir: directory for the persistent encrypted-catalog cache
             (:class:`~repro.net.catalog.CatalogCache`); ``None``
@@ -874,10 +853,8 @@ class Peer:
         recv_cat, send_cat = self._catalog, self._remote
         params = recv_cat._ensure_params()
         kind = self._resolve_kind(spec, mode, "receiver")
-        wire_spec, make_r, commit_r = recv_cat._plan(
-            spec, "receiver", kind, both_here=True
-        )
-        _, make_s, commit_s = send_cat._plan(spec, "sender", kind, both_here=True)
+        wire_spec, make_r, commit_r = recv_cat._plan(spec, "receiver", kind)
+        _, make_s, commit_s = send_cat._plan(spec, "sender", kind)
         receiver = ReceiverMachine.from_factory(
             wire_spec, lambda: make_r(params), recv_cat.recorder
         )
@@ -1042,8 +1019,8 @@ def run(
         rng: explicit master rng (overrides ``seed``).
         engine: batch-crypto execution strategy
             (:mod:`repro.crypto.engine`); by default the process-wide
-            thread engine over this process's CPUs, which batches too
-            small to pay never reach.
+            thread engine over this process's CPUs, as for every entry
+            point; batches too small to pay never reach its threads.
         recorder: per-phase metrics collector
             (:class:`repro.analysis.instrumentation.MetricsRecorder`).
         chunk_size: stream chunkable rounds in slices of at most this
@@ -1053,7 +1030,7 @@ def run(
     if params is None:
         params = PublicParams.for_bits(bits)
     rng_r, rng_s = _party_rngs(seed, rng)
-    engine = _metered(_both_parties_here(engine), recorder)
+    engine = _metered(engine, recorder)
     receiver = ReceiverMachine(
         spec, receiver_data, params, rng_r, engine=engine, recorder=recorder
     )

@@ -48,6 +48,7 @@ supervised :class:`~repro.net.server.ProtocolServer` serving up to
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -88,6 +89,21 @@ EXIT_TIMEOUT = 6
 EXIT_JOURNAL = 7
 #: Exit code: any other typed session-layer failure.
 EXIT_SESSION = 8
+
+
+class _Stderr(logging.Handler):
+    """A record's message, printed to whatever ``sys.stderr`` is then."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        print(self.format(record), file=sys.stderr)
+
+
+#: The CLI's ``repro: ...`` lines: printed as they are, never passed up
+#: to ``repro``'s handlers.
+_log = logging.getLogger(__name__)
+_log.addHandler(_Stderr())
+_log.propagate = False
+_log.setLevel(logging.INFO)
 
 
 def _read_values(path: str) -> list[str]:
@@ -656,10 +672,9 @@ def _cmd_connect(args: argparse.Namespace) -> int:
         return 0
 
     def announce(exc: Exception, delay: float, attempt_no: int) -> None:
-        print(
-            f"repro: {type(exc).__name__}; retrying in {delay:.3f}s "
-            f"(attempt {attempt_no}/{policy.max_attempts})",
-            file=sys.stderr,
+        _log.warning(
+            "repro: %s; retrying in %.3fs (attempt %d/%d)",
+            type(exc).__name__, delay, attempt_no, policy.max_attempts,
         )
 
     if policy is None:
@@ -679,16 +694,16 @@ def _sender_payload(shape: str, value: str, payload: str | None):
     """Parse an insert payload per the spec's sender-input shape."""
     if shape == "values":
         if payload is not None:
-            raise SystemExit(
-                f"repro: --insert {value},{payload}: {shape!r} protocols "
+            raise SystemExit(_fail(
+                1, f"--insert {value},{payload}: {shape!r} protocols "
                 "take bare values"
-            )
+            ))
         return None
     if payload is None:
-        raise SystemExit(
-            f"repro: --insert {value}: this protocol needs value,"
+        raise SystemExit(_fail(
+            1, f"--insert {value}: this protocol needs value,"
             f"{'ext' if shape == 'ext' else 'amount'}"
-        )
+        ))
     return payload.encode("utf-8") if shape == "ext" else int(payload)
 
 
@@ -816,7 +831,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _fail(code: int, message: str) -> int:
-    print(f"repro: {message}", file=sys.stderr)
+    _log.error("repro: %s", message)
     return code
 
 

@@ -302,8 +302,8 @@ _SHARED: dict[int, CryptoEngine] = {}
 def shared_engine(processors: int) -> CryptoEngine:
     """A process-wide engine for ``processors``, created once.
 
-    What :func:`repro.run` and locally paired catalogs default to
-    (sized by :func:`available_cpus`), and what
+    What every :mod:`repro.api` entry point defaults to (sized by
+    :func:`available_cpus`), and what
     :func:`repro.crypto.batch.parallel_pow` goes through: one set of
     batch counters per processor count.
     """

@@ -13,11 +13,19 @@ run at load, and for every call outside ``powm_sec``'s domain
 nothing above this module can tell which one ran but the clock and
 :func:`describe`.
 
-``ctypes`` releases the GIL for the length of each GMP call, so every
-call builds its own ``mpz`` temporaries: two threads exponentiating at
-once share nothing. Inputs are read-only ``mpz`` views
-(``mpz_roinit_n``) of the little-endian bytes of a Python ``int``;
-only a batch's result is allocated by GMP.
+``ctypes`` releases the GIL for the length of each GMP call, and in a
+batch's loop each value costs that one call and nothing else: before
+the loop the reduced inputs are packed into one buffer of slots a
+modulus wide, ``powm_sec`` writes each result straight into its slot
+of a second buffer, and after the loop the results are read in one
+pass. Every call builds its own buffers and ``mpz`` headers, so two
+threads exponentiating at once share nothing.
+
+Writing a result into a slot relies on one thing GMP does not
+document: ``mpz_powm_sec`` keeps a result's limbs when their
+``_mp_alloc`` already covers the modulus. The self-test asks that of
+limbs GMP allocated itself, where a reallocation frees nothing foreign,
+and a library that reallocates takes the builtin path.
 """
 
 from __future__ import annotations
@@ -45,20 +53,25 @@ class _Mpz(ctypes.Structure):
 
 
 class _Gmp:
-    """The entry points the kernel calls, typed, and the limb size."""
+    """The entry points the kernel calls, typed, and the limb size.
+
+    ``powm_sec`` alone is untyped: it is only handed ``byref`` objects made
+    once per batch, and converting them again on every call would cost
+    as much as the rest of the loop.
+    """
 
     def __init__(self, lib: object):
         z = ctypes.POINTER(_Mpz)
 
         def bind(name: str, restype: object, *argtypes: object) -> object:
             function = getattr(lib, "__gmpz_" + name)
-            function.restype, function.argtypes = restype, argtypes
+            function.restype, function.argtypes = restype, argtypes or None
             return function
 
-        self.init = bind("init", None, z)
+        self.init2 = bind("init2", None, z, ctypes.c_ulong)
         self.clear = bind("clear", None, z)
         self.roinit = bind("roinit_n", None, z, ctypes.c_char_p, ctypes.c_long)
-        self.powm_sec = bind("powm_sec", None, z, z, z, z)
+        self.powm_sec = bind("powm_sec", None)
         self.jacobi = bind("jacobi", ctypes.c_int, z, z)
         self.limb_bytes = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value // 8
         self.version = ctypes.c_char_p.in_dll(lib, "__gmp_version").value.decode()
@@ -76,29 +89,43 @@ class _Gmp:
         referenced until the last call that reads ``z``."""
         self.roinit(z, limbs, len(limbs) // self.limb_bytes)
 
-    def value(self, z: _Mpz) -> int:
-        """The non-negative value of ``z``."""
-        return int.from_bytes(
-            ctypes.string_at(z.limbs, z.size * self.limb_bytes), "little"
-        )
-
 
 def _gmp_pow_many(gmp: _Gmp, xs: Iterable[int], e: int, m: int) -> list[int]:
-    result, base, exponent, modulus = (_Mpz * 4)()
     e_limbs, m_limbs = gmp.limbs(e), gmp.limbs(m)
+    width = len(m_limbs)
+    packed = b"".join([(x % m).to_bytes(width, "little") for x in xs])
+    bases = ctypes.create_string_buffer(packed, len(packed))
+    results = ctypes.create_string_buffer(len(packed))
+    mpz = result, base, exponent, modulus = (_Mpz * 4)()
     gmp.view(exponent, e_limbs)
     gmp.view(modulus, m_limbs)
-    gmp.init(result)
-    try:
-        out = []
-        for x in xs:
-            x_limbs = gmp.limbs(x % m, len(m_limbs))
-            gmp.view(base, x_limbs)
-            gmp.powm_sec(result, base, exponent, modulus)
-            out.append(gmp.value(result))
-        return out
-    finally:
-        gmp.clear(result)
+    # A slot keeps its high zero limbs: powm_sec's mpn layer takes them,
+    # and a result slot always has room (see the module docstring).
+    base.size = base.alloc = result.alloc = width // gmp.limb_bytes
+    args, powm_sec = [ctypes.byref(z) for z in mpz], gmp.powm_sec
+    bases_at, results_at = ctypes.addressof(bases), ctypes.addressof(results)
+    for offset in range(0, len(packed), width):
+        base.limbs, result.limbs = bases_at + offset, results_at + offset
+        powm_sec(*args)
+    raw = results.raw
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _reallocates(gmp: _Gmp) -> bool:
+    """Whether ``powm_sec`` moves a result whose limbs have room for it,
+    asked of limbs GMP allocated: :func:`_gmp_pow_many` hands it limbs
+    that GMP did not allocate and must not free."""
+    result, base, exponent, modulus = (_Mpz * 4)()
+    b_limbs, e_limbs, m_limbs = gmp.limbs(3), gmp.limbs(65537), gmp.limbs(2**521 - 1)
+    gmp.view(base, b_limbs)
+    gmp.view(exponent, e_limbs)
+    gmp.view(modulus, m_limbs)
+    gmp.init2(result, 8 * len(m_limbs))
+    given = result.limbs, result.alloc
+    gmp.powm_sec(*[ctypes.byref(z) for z in (result, base, exponent, modulus)])
+    moved = (result.limbs, result.alloc) != given
+    gmp.clear(result)
+    return moved
 
 
 def _gmp_jacobi(gmp: _Gmp, a: int, n: int) -> int:
@@ -112,6 +139,8 @@ def _gmp_jacobi(gmp: _Gmp, a: int, n: int) -> int:
 
 def _self_test(gmp: _Gmp) -> str | None:
     """What the library got wrong on the known answers, or ``None``."""
+    if _reallocates(gmp):
+        return "mpz_powm_sec reallocated a result that had room"
     for m in (3**41, 2**127 - 1, 2**521 - 1):
         xs = [0, 1, 2, m - 1, m, 2 * m + 1, -5, 7**50]
         for e in (1, 65537, 2**64 + 13):

@@ -48,6 +48,7 @@ equivalent to publishing the keys.
 from __future__ import annotations
 
 import hashlib
+import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +73,8 @@ __all__ = [
 #: Files of another version fail the magic check: a miss.
 CATALOG_VERSION = 3
 CATALOG_MAGIC = b"RPCC" + struct.pack(">H", CATALOG_VERSION)
+
+_log = logging.getLogger("repro.catalog")
 
 
 class CatalogCacheError(Exception):
@@ -365,6 +368,10 @@ class CatalogCache:
         entry.digest, entry.path = new_digest, new_path
         entry.records += len(adds) + len(dels) + 1
         if entry.records > 2 * len(entry.entries):
+            _log.info(
+                "catalog compacted records=%d entries=%d",
+                entry.records, len(entry.entries),
+            )
             return self.store(
                 new_digest, entry.protocol, entry.params, entry.keys, entry.entries
             )

@@ -48,6 +48,7 @@ where each payload is :mod:`repro.net.serialization` bytes for one of::
 
 from __future__ import annotations
 
+import logging
 import random
 import struct
 from dataclasses import dataclass, field
@@ -97,6 +98,8 @@ class JournalError(Exception):
 
 #: The default I/O seam: real ``os`` calls, shared and stateless.
 _REAL_IO = JournalIO()
+
+_log = logging.getLogger(__name__)
 
 
 class SessionJournal:
@@ -174,6 +177,10 @@ class SessionJournal:
         self.records, good_end = self._scan_bytes(data, self.path)
         if good_end < len(data):
             self.truncated_bytes = len(data) - good_end
+            _log.warning(
+                "torn tail truncated path=%s dropped_bytes=%d",
+                self.path, self.truncated_bytes,
+            )
             try:
                 self._io.truncate(self.path, good_end)
             except OSError as exc:

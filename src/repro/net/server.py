@@ -75,6 +75,7 @@ import asyncio
 import concurrent.futures
 import contextlib
 import functools
+import logging
 import os
 import random
 import signal
@@ -201,6 +202,8 @@ def _refusal_frame(
 
 #: Statuses under which a record holds a session slot and accepts routing.
 _ACTIVE_STATUSES = ("starting", "running")
+
+_log = logging.getLogger(__name__)
 
 #: A handed-over connection's token - the front end's name for it, sent
 #: with the socket and back in the worker's ``closed`` notice.
@@ -677,6 +680,9 @@ class ProtocolServer:
         if refusal is not None:
             if refusal[0] == "busy":
                 self.rejected_busy += 1
+                _log.info(
+                    "busy refusal session=%d reason=%s", session_id, refusal[1]
+                )
             await self._refuse_async(endpoint, *refusal)
             return
         # The session's own handshake reads the hello: push it back.
@@ -817,7 +823,7 @@ class ProtocolServer:
         while the bad file stays for forensics.
         """
         quarantined = (
-            self._quarantine(record.protocol, record.session_id)
+            self._quarantine(record.protocol, record.session_id, exc)
             if isinstance(exc, JournalError)
             else None
         )
@@ -836,7 +842,9 @@ class ProtocolServer:
                 record.inbox.get_nowait(), "reject", reason
             )
 
-    def _quarantine(self, protocol: str, session_id: int) -> Path | None:
+    def _quarantine(
+        self, protocol: str, session_id: int, reason: BaseException
+    ) -> Path | None:
         """Rename an unrecoverable ``*.wal`` to ``*.corrupt``."""
         if self.journal_dir is None:
             return None
@@ -847,6 +855,7 @@ class ProtocolServer:
         except OSError:
             return None  # already gone (or never created)
         self.quarantined.append(target)
+        _log.warning("journal quarantined path=%s reason=%s", target, reason)
         return target
 
     # ------------------------------------------------------------------

@@ -61,6 +61,7 @@ an *implicit* ack (the peer can only have progressed past our frame).
 
 from __future__ import annotations
 
+import logging
 import random
 import zlib
 from collections import deque
@@ -99,6 +100,9 @@ __all__ = [
 ]
 
 SESSION_VERSION = 1
+
+#: The session layer's logger: :mod:`repro.net.session` drives this core.
+_log = logging.getLogger("repro.net.session")
 
 #: Transport-level events a reconnect can recover from.
 _TRANSIENT = (ConnectionError, TimeoutError, OSError)
@@ -721,6 +725,10 @@ class _Party:
                         return self._machine.state
                     failures += 1
                     self.stats.reconnects += 1
+                    _log.info(
+                        "reconnect role=%s protocol=%s failures=%d error=%s",
+                        self.role, self.protocol, failures, type(exc).__name__,
+                    )
                     if failures > self.config.max_reconnects:
                         raise SessionError(
                             f"{self.role} session gave up after {failures} "

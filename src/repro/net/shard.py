@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import logging
 import multiprocessing
 import os
 import signal
@@ -96,6 +97,8 @@ __all__ = ["ShardedProtocolServer"]
 
 #: Ceiling on the exponential pause between respawns of one shard.
 _RESPAWN_BACKOFF_CAP_S = 2.0
+
+_log = logging.getLogger(__name__)
 
 #: How long a freshly forked worker gets to report its port.
 _SPAWN_TIMEOUT_S = 30.0
@@ -521,6 +524,7 @@ class ShardedProtocolServer:
     def _respawn(self, shard: _Shard) -> None:
         shard.restarts += 1
         self.respawns += 1
+        _log.warning("respawn shard=%d restarts=%d", shard.index, shard.restarts)
         try:
             self._spawn_worker(shard)
         except Exception:
@@ -817,6 +821,7 @@ class ShardedProtocolServer:
                 except OSError:
                     held.close()  # the worker is gone, or that far behind
             self.worker_lost_notices += 1
+            _log.info("worker-lost notice shard=%d", shard.index)
             await self._notify(
                 endpoint, "worker-lost",
                 f"shard {shard.index} worker is respawning",
@@ -864,6 +869,9 @@ class ShardedProtocolServer:
             f"shard {shard.index} worker connection was lost mid-session",
             self._retry_hint_s(shard),
         ))
+        _log.warning(
+            "worker lost shard=%d notices=%d", shard.index, len(channel.held)
+        )
         for held in channel.held.values():
             self.worker_lost_notices += 1
             held.setblocking(False)

@@ -8,10 +8,11 @@ import ctypes
 import os
 import random
 import signal
+import sys
 import threading
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.analysis.calibration import calibrate
 from repro.crypto import batch, engine as engine_module, kernel, numtheory
@@ -55,6 +56,42 @@ class TestParity:
             xs += data.draw(st.lists(st.integers(-m, 3 * m), max_size=3))
         assert kernel.pow_many(xs, e, m) == [pow(x, e, m) for x in xs]
 
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @example(n=0, m=2**127 - 1, e=65537, one_a_chunk=False, data=None)
+    @example(n=1, m=2**2048 - 159, e=2**64, one_a_chunk=False, data=None)
+    @given(
+        n=st.one_of(st.just(0), st.just(1), st.integers(2, 300)),
+        m=moduli(odd=True),
+        e=st.one_of(st.just(1), st.integers(2, 2**64)),
+        one_a_chunk=st.booleans(),
+        data=st.data(),
+    )
+    def test_every_batch_size_on_the_kernel_and_on_threads(
+        self, always_pays, monkeypatch, n, m, e, one_a_chunk, data
+    ):
+        """A batch is one buffer of slots a modulus wide, whatever its
+        length and width, and the thread engine's chunks are slices of
+        it: 0, ``m``, ``m - 1``, negatives and values past ``m`` come
+        back as ``pow`` gives them."""
+        xs = (edges(m) * n)[:n]
+        if data is not None:
+            xs = data.draw(
+                st.lists(
+                    st.one_of(st.sampled_from(edges(m)), st.integers(-m, 3 * m)),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        if one_a_chunk:
+            monkeypatch.setattr(engine_module, "CHUNK_WORK", 0)
+        want = [pow(x, e, m) for x in xs]
+        assert kernel.pow_many(xs, e, m) == want
+        assert ThreadPoolEngine(2).pow_many(xs, e, m) == want
+
     @settings(max_examples=80, deadline=None)
     @example(a=0, n=3)
     @example(a=-5, n=9)  # composite: Jacobi, not Legendre
@@ -90,25 +127,34 @@ class TestParity:
 
 
 class _Liar:
-    """libgmp with one entry point answering wrongly."""
+    """libgmp with one entry point misbehaving."""
 
     def __init__(self, lie: str):
         self._real = ctypes.CDLL(kernel._SONAME)
         z = ctypes.POINTER(kernel._Mpz)
         copy = getattr(self._real, "__gmpz_set")
         copy.argtypes, copy.restype = (z, z), None
+        grow = getattr(self._real, "__gmpz_realloc2")
+        grow.argtypes, grow.restype = (z, ctypes.c_ulong), None
+        powm = getattr(self._real, "__gmpz_powm_sec")
+        powm.restype = None
         jacobi = getattr(self._real, "__gmpz_jacobi")
         jacobi.argtypes, jacobi.restype = (z, z), ctypes.c_int
-        self._lies = {
+        self._lie, self._function = {
             # x**e answered as x, right only for e = 1.
-            "__gmpz_powm_sec": lambda r, x, e, m: copy(r, x),
-            "__gmpz_jacobi": lambda a, n: -jacobi(a, n),
-        }
-        self._lie = "__gmpz_" + lie
+            "powm_sec": ("__gmpz_powm_sec", lambda r, x, e, m: copy(r, x)),
+            # The right answer in limbs of its own: in the batch loop it
+            # would free the result buffer, which GMP did not allocate.
+            "realloc": (
+                "__gmpz_powm_sec",
+                lambda r, x, e, m: (grow(r, 1 << 14), powm(r, x, e, m)),
+            ),
+            "jacobi": ("__gmpz_jacobi", lambda a, n: -jacobi(a, n)),
+        }[lie]
 
     def __getattr__(self, name):
         if name == self._lie:
-            return self._lies[name]
+            return self._function
         return getattr(self._real, name)
 
 
@@ -119,11 +165,16 @@ class TestSelfTest:
         assert kernel._bind(ctypes.CDLL(kernel._SONAME))[0] is not None
 
     @needs_gmp
-    @pytest.mark.parametrize("lie", ["powm_sec", "jacobi"])
+    @pytest.mark.parametrize("lie", ["powm_sec", "realloc", "jacobi"])
     def test_a_lying_library_leaves_the_builtin_path(self, monkeypatch, lie):
+        says = {
+            "powm_sec": "mpz_powm_sec disagreed",
+            "realloc": "mpz_powm_sec reallocated",
+            "jacobi": "mpz_jacobi disagreed",
+        }[lie]
         active = kernel._bind(_Liar(lie))
         assert active[0] is None
-        assert active[1].startswith(f"builtin (self-test failed: mpz_{lie} ")
+        assert active[1].startswith(f"builtin (self-test failed: {says} ")
         monkeypatch.setattr(kernel, "_active", active)
         assert kernel.describe() == active[1]
         assert SerialEngine().describe()["kernel"] == active[1]
@@ -162,6 +213,41 @@ class TestConcurrency:
         for thread in threads:
             thread.join(timeout=60)
         assert got == [[w] * 3 for w in want]
+
+    def test_batches_of_different_widths_at_once_keep_their_own_buffers(self):
+        """More threads than CPUs, each batching over its own modulus,
+        exponent and slot width, switch between their GMP calls as often
+        as the interpreter lets them: every result is its own batch's."""
+        rng = random.Random(8)
+        jobs = [
+            (2**521 - 1, rng.randrange(1, 2**521)),
+            (2**127 - 1, 65537),
+            (P1024, rng.randrange(1, 2**64)),
+            (3**41, 3),
+        ]
+        failures: list = []
+        start = threading.Barrier(len(jobs))
+
+        def work(m, e):
+            batch_rng = random.Random(m)
+            start.wait()
+            for _ in range(30):
+                xs = [batch_rng.randrange(-m, 2 * m) for _ in range(batch_rng.randrange(1, 40))]
+                if kernel.pow_many(xs, e, m) != [pow(x, e, m) for x in xs]:
+                    failures.append((m, xs))
+
+        threads = [threading.Thread(target=work, args=job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 class TestWiring:

@@ -1,12 +1,12 @@
 """The engine an entry point picks when the caller passed none.
 
-``repro.run`` and a ``Catalog.pair`` query host both parties in this
-interpreter, so they default to the process-wide thread engine over the
-CPUs the process may run on; ``repro.serve`` / ``repro.connect`` keep
-the serial default (the peer's process is the other core). The engine
-itself keeps batches too small to pay serial, so only tests that lower
-the crossover (``always_pays``) ever share a batch - and only where GMP
-computes: the builtin ``pow`` holds the GIL.
+One rule: ``repro.run``, ``repro.serve``, ``repro.connect`` and a
+catalog's links, paired or networked, default to the process-wide
+thread engine over the CPUs the process may run on. A hosted
+``ProtocolServer`` session and the CLI's ``--workers`` keep their own
+choice. The engine itself keeps batches too small to pay serial, so
+only tests that lower the crossover (``always_pays``) ever share a
+batch - and only where GMP computes: the builtin ``pow`` holds the GIL.
 """
 
 from __future__ import annotations
@@ -19,9 +19,11 @@ import threading
 import pytest
 
 import repro
-from repro import api
+from repro import api, cli
 from repro.crypto import engine as engine_module, kernel
 from repro.crypto.engine import SerialEngine, available_cpus, shared_engine
+from repro.net.server import ProtocolOffer, ProtocolServer
+from repro.protocols.parties import PublicParams
 
 BITS = 128
 GMP = kernel.describe().startswith("gmp")
@@ -77,7 +79,7 @@ class TestTheRule:
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: {0}, raising=False
         )
-        assert type(api._both_parties_here(None)) is SerialEngine
+        assert type(_default()) is SerialEngine
         v_r, v_s = _tables()
         assert repro.run(
             "intersection", v_r, v_s, bits=BITS, seed=1
@@ -97,7 +99,7 @@ class TestTheRule:
         assert r_engine.batches > 0 and s_engine.batches > 0
         assert not engine_module._SHARED  # the default was never asked for
 
-    def test_serve_and_connect_stay_serial(self, always_pays):
+    def test_serve_and_connect_share_the_thread_engine(self, always_pays):
         v_r, v_s = _tables()
         ports: queue.Queue = queue.Queue()
         server = threading.Thread(
@@ -110,6 +112,55 @@ class TestTheRule:
         )
         server.join(timeout=10)
         assert result.answer == set(v_r) & set(v_s)
+        assert list(engine_module._SHARED) == [available_cpus()]
+        assert engine_module._SHARED[available_cpus()] is _default()
+
+    def test_a_hosted_session_keeps_the_serial_engine(self, always_pays):
+        v_r, v_s = _tables()
+        params = PublicParams.for_bits(BITS)
+        offer = ProtocolOffer.from_data("intersection", v_s, params, seed=2)
+        client = CountingEngine()
+        with ProtocolServer([offer], max_sessions=2) as server:
+            answer = repro.connect(
+                "intersection", v_r, port=server.port, seed=1, timeout=10.0,
+                engine=client,
+            ).answer
+        assert answer == set(v_r) & set(v_s)
+        assert client.batches > 0
+        assert not engine_module._SHARED  # the server's S never asked for it
+
+    def test_workers_one_keeps_the_serial_engine(self, tmp_path, capsys):
+        v_r, v_s = _tables()
+        (tmp_path / "r.txt").write_text("\n".join(v_r))
+        (tmp_path / "s.txt").write_text("\n".join(v_s))
+        ports: queue.Queue = queue.Queue()
+        real_serve = api.serve
+
+        def serve(*args, ready_callback, **kwargs):
+            def ready(port):
+                ready_callback(port)
+                ports.put(port)
+
+            return real_serve(*args, ready_callback=ready, **kwargs)
+
+        codes = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(api, "serve", serve)
+            server = threading.Thread(
+                target=lambda: codes.setdefault("serve", cli.main(
+                    ["--bits", str(BITS), "serve", "--workers", "1",
+                     "--sender", str(tmp_path / "s.txt"), "--port", "0"]
+                ))
+            )
+            server.start()
+            port = ports.get(timeout=10)
+        codes["connect"] = cli.main(
+            ["--bits", str(BITS), "connect", "--workers", "1",
+             "--receiver", str(tmp_path / "r.txt"), "--port", str(port)]
+        )
+        server.join(timeout=10)
+        assert codes == {"serve": 0, "connect": 0}
+        assert set(capsys.readouterr().out.split()) >= set(v_r) & set(v_s)
         assert not engine_module._SHARED
 
     def test_thread_that_cannot_start_degrades_to_serial(
