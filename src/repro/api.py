@@ -67,7 +67,6 @@ Quickstart (repeated queries)::
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import socket
@@ -914,72 +913,51 @@ class Peer:
     ) -> QueryResult:
         from .net import tcp
         from .net.journal import open_session
-        from .net.server import _refusal_frame
-        from .net.session import HandshakeError, run_blocking
 
         cat = self._catalog
         params = cat._ensure_params()
         if self._listener is None:
             raise RuntimeError("this server peer is closed")
-        config = self._config
+        plan: dict[str, Any] = {}
 
-        def accept() -> Any:
-            return tcp._accept(self._listener, config)
-
-        # The hello is the announcement: its protocol field names the
-        # schedule the client runs, its session id the journal to look
-        # up, before there is a core to read either.
-        endpoint, hello = tcp._first_hello(accept, config)
-        try:
-            _, _version, asked, session_id, _next_send, _next_recv = hello
+        def admit(asked: Any, session_id: int) -> Any:
+            # The hello is the announcement: its protocol field names
+            # the schedule the client runs, its session id the journal
+            # to look up, before there is a core to read either.
             kinds = {spec.name: "full"}
             delta = _delta_spec(spec)
             if delta is not None:
                 kinds[delta.name] = "delta"
             kind = kinds.get(asked) if isinstance(asked, str) else None
-            refusal = None
             if kind is None:
-                refusal = f"server is answering {spec.name!r}, not {asked!r}"
-            elif mode != "auto" and kind != mode:
-                refusal = f"server requires a {mode} query"
-            elif kind == "delta" and not cat._has_link(spec, "sender"):
-                refusal = "server has no committed state for a delta query"
-            elif not isinstance(session_id, int):
-                refusal = "malformed session id"
-            if refusal is not None:
-                try:
-                    endpoint.send(_refusal_frame("reject", refusal))
-                except OSError:
-                    pass
-                raise HandshakeError(
-                    f"refused the client's {asked!r} query: {refusal}"
-                )
-            wire_spec, make_state, commit = cat._plan(spec, "sender", kind)
-            built: dict[str, Any] = {}
+                return f"server is answering {spec.name!r}, not {asked!r}"
+            if mode != "auto" and kind != mode:
+                return f"server requires a {mode} query"
+            if kind == "delta" and not cat._has_link(spec, "sender"):
+                return "server has no committed state for a delta query"
+            wire_spec, make_state, plan["commit"] = cat._plan(spec, "sender", kind)
+            plan["kind"] = kind
 
             def make_sender() -> Any:
-                built["state"] = make_state(params)
-                return built["state"]
+                plan["state"] = make_state(params)
+                return plan["state"]
 
             core, _ = open_session(
                 "sender", wire_spec.name, make_sender, params=params,
                 journal_dir=self._journal_dir,
-                session_id=session_id, config=config,
+                session_id=session_id, config=self._config,
                 # Drawn before the factory touches the rng, like every
                 # session: a restarted, identically seeded peer replays.
                 rng=random.Random(cat.rng.getrandbits(64)),
                 recorder=cat.recorder, chunk_size=chunk_size,
             )
-        except BaseException:
-            endpoint.close()
-            raise
-        links = itertools.chain([endpoint], iter(accept, None))
-        state = run_blocking(core.steps(), open_link=lambda: next(links))
-        hit = commit(built["state"])
+            return core
+
+        core, state = tcp._serve_hello(self._listener, self._config, admit)
         return QueryResult(
             answer=None,
-            mode=kind,
-            cache_hit=hit,
+            mode=plan["kind"],
+            cache_hit=plan["commit"](plan["state"]),
             size_v_r=state.size_v_r,
             stats=core.stats,
         )
@@ -1174,8 +1152,11 @@ def connect(
     if retry is None:
         answer, stats = _attempt()
     else:
+        # Jittered from the CSPRNG: identically seeded clients refused
+        # in one burst do not redial in lockstep, and R's keys are the
+        # seed's with or without a policy.
         (answer, stats), retries, busy_retries = retry.redial(
-            _attempt, random.Random(rng.getrandbits(64))
+            _attempt, _key_rng()
         )
     return ConnectResult(
         answer=answer, stats=stats, busy_retries=busy_retries, retries=retries

@@ -577,7 +577,6 @@ def _serve_supervised(
             shards=args.shards,
             host=args.host,
             port=args.port,
-            worker_processes=True,
             max_sessions=args.max_sessions,
             config=config,
             journal_dir=args.journal_dir,

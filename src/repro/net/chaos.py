@@ -358,7 +358,11 @@ def run_schedule(
     resumable TCP helpers and the supervised server restart by - after
     every :class:`SimulatedCrash` or
     :class:`~repro.net.journal.JournalError`, up to
-    ``schedule.max_restarts`` resurrections. Network faults (their
+    ``schedule.max_restarts`` resurrections. S restarts through the
+    oldest-first scan (no ``session_id``), not - as
+    :func:`~repro.net.tcp.serve_resumable_sender` does - by the session
+    id of the client's next hello: this S hosts one session per
+    schedule, so both rules pick the same journal. Network faults (their
     delays bound to the virtual clock), disk faults and crash hooks all
     come from the schedule and all randomness derives from
     ``schedule.seed``, so a run replays exactly: same outcome, same
@@ -786,7 +790,6 @@ def run_worker_crash_schedule(
     server = ShardedProtocolServer(
         [offer],
         shards=schedule.shards,
-        worker_processes=True,
         config=config,
         journal_dir=journal_root,
         max_sessions=schedule.sessions,

@@ -75,6 +75,7 @@ import asyncio
 import concurrent.futures
 import contextlib
 import functools
+import hashlib
 import logging
 import os
 import random
@@ -115,37 +116,36 @@ __all__ = [
 class ProtocolOffer:
     """One protocol a server is willing to run, with S's inputs.
 
-    ``make_sender`` must return a **fresh** party state per call (each
-    session gets its own) and, when journaling is on, must be
-    deterministic in its rng seed so a journaled session can be
-    recovered after a process crash. A ``make_sender`` with a ``size``
-    - how many values each party it builds holds, when building one is
-    hashing them, as :meth:`from_data`'s says - lets a hosted session
-    build a small party on the event loop; one without builds on the
-    executor.
-
-    Every session of one offer is keyed alike: per-session keys need a
-    factory of the session id, which this shape does not take.
+    ``make_sender(session_id)`` must return a **fresh** party state per
+    call (each session gets its own) and, when journaling is on, must be
+    deterministic in the session id so a journaled session can be
+    recovered after a process crash: the server passes the id of the
+    hello it answers, for a fresh session and a recovered one alike. A
+    ``make_sender`` with a ``size`` - how many values each party it
+    builds holds, when building one is hashing them, as
+    :meth:`from_data`'s says - lets a hosted session build a small party
+    on the event loop; one without builds on the executor.
     """
 
     protocol: str
     params: Any
-    make_sender: Callable[[], Any]
+    make_sender: Callable[[int], Any]
 
     @classmethod
     def from_data(
         cls, protocol: str, data: Any, params: Any, seed: Any = None,
         engine: Any = None,
     ) -> "ProtocolOffer":
-        """An offer whose sender factory reseeds per call.
+        """An offer whose sender factory keys S per session.
 
-        Every session (and every recovery of a session) sees an
-        identically-seeded rng, which is exactly the determinism the
-        journal's replay invariant requires. Without a ``seed``, one is
-        drawn from the operating system's CSPRNG here, once per offer:
-        S's keys are secret, and a worker forked after the offer was
-        built - a respawned shard worker too - still replays its
-        predecessor's journals.
+        Each session's S draws from an rng seeded with a hash of the
+        offer's ``seed`` and the session id, so two sessions of one
+        offer share no key, while every recovery of a session re-derives
+        its keys - the determinism the journal's replay invariant
+        requires. Without a ``seed``, one is drawn from the operating
+        system's CSPRNG here, once per offer: S's keys are secret, and a
+        worker forked after the offer was built - a respawned shard
+        worker too - still replays its predecessor's journals.
         """
         if seed is None:
             seed = _key_rng().getrandbits(128)
@@ -161,7 +161,9 @@ class ProtocolOffer:
 @dataclass(frozen=True, eq=False)
 class _SeededSender:
     """:meth:`ProtocolOffer.from_data`'s factory: party S over ``data``,
-    every call from an identically seeded rng."""
+    its rng seeded with SHA-256 over a label, the offer's seed and the
+    session id - so no two sessions of an offer, and no other use of
+    its seed, draw the same keys."""
 
     spec: Any
     data: Any
@@ -169,10 +171,11 @@ class _SeededSender:
     seed: Any
     engine: Any
 
-    def __call__(self) -> Any:
+    def __call__(self, session_id: int) -> Any:
+        label = ("repro.net.server.session-key", self.seed, session_id)
+        seed = hashlib.sha256(repr(label).encode()).digest()
         return self.spec.make_sender(
-            self.data, self.params, random.Random(self.seed),
-            engine=self.engine,
+            self.data, self.params, random.Random(seed), engine=self.engine
         )
 
     @property
@@ -490,8 +493,8 @@ class ProtocolServer:
                     pass
                 self._loop_thread.stop()
             if self._channel is not None:
-                # Every ``closed`` notice is out; the EOF tells an
-                # in-process front end that this worker is gone.
+                # Every ``closed`` notice is out; the EOF tells the
+                # front end that this worker is gone.
                 self._channel.close()
             self._shutdown_done = True
 
@@ -789,7 +792,8 @@ class ProtocolServer:
         ).exists()
 
     def _make_session(self, protocol: str, session_id: int) -> Any:
-        """A fresh or journal-recovered session for a reserved id.
+        """A fresh or journal-recovered session for a reserved id, its
+        S built by the offer's factory for that id.
 
         :func:`~repro.net.journal.open_session` on this id's own
         journal path - never a directory-wide scan, which would touch
@@ -801,8 +805,10 @@ class ProtocolServer:
             JournalError: the journal is unreadable or replay diverges.
         """
         offer = self.offers[protocol]
+        make_sender = functools.partial(offer.make_sender, session_id)
+        make_sender.size = getattr(offer.make_sender, "size", None)
         core, _ = open_session(
-            "sender", protocol, offer.make_sender, params=offer.params,
+            "sender", protocol, make_sender, params=offer.params,
             journal_dir=self.journal_dir, session_id=session_id,
             config=self.config, recorder=self.recorder,
             chunk_size=self.chunk_size,

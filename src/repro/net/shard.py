@@ -4,12 +4,9 @@ One :class:`~repro.net.server.ProtocolServer` scales to the sessions a
 single process can crypto for; past that the bottleneck is the GIL and
 one process's executor, not the sockets. This module splits the roles:
 
-* **workers** - plain :class:`ProtocolServer` instances (each with its
-  own event loop, worker pool, and journal subdirectory
-  ``shard-<i>/``), either forked into child processes
-  (``worker_processes=True``, real parallelism) or started in-process
-  (``False`` - cheap, deterministic, and what the tests and smoke
-  benches use);
+* **workers** - plain :class:`ProtocolServer` instances, each forked
+  into its own child process (real parallel crypto) with its own event
+  loop, worker pool, and journal subdirectory ``shard-<i>/``;
 * **front end** - a :class:`ShardedProtocolServer` accept/route loop
   that owns the public port. It reads frames off a new connection just
   far enough to find the first valid ``hello`` - with the worker's own
@@ -30,7 +27,7 @@ Routing by ``session_id % shards`` is what makes *reconnects* work:
 the id in every hello is stable across a client's reconnect attempts,
 so a resumed session always lands on the worker that owns its journal.
 
-**Self-healing.** Forked workers are supervised: each worker sends
+**Self-healing.** Workers are supervised: each worker sends
 periodic ``("hb", shard, sessions, ts)`` heartbeat frames up its
 control pipe, and a supervisor thread on the front end sweeps every
 shard - reaping exits via the process table (``Process.is_alive`` is
@@ -60,11 +57,14 @@ server from a flat one (same hello/welcome/busy/reject frames, same
 CRC seals), and each worker journals exactly what a standalone server
 would.
 
-Process workers are started by **fork** (party factories are closures
-over live data and do not pickle), so ``worker_processes=True`` is
-POSIX-only; construction fails fast elsewhere. Handing a socket over
-needs ``AF_UNIX`` ``SOCK_SEQPACKET`` and ``SCM_RIGHTS`` (Linux has
-both), in-process shards included. The initial workers are forked
+Workers are started by **fork** (party factories are closures over
+live data and do not pickle), so sharding is POSIX-only; construction
+fails fast elsewhere. Handing a socket over needs ``AF_UNIX``
+``SOCK_SEQPACKET`` and ``SCM_RIGHTS`` (Linux has both). A worker's
+session summaries reach the front end when it drains
+(:meth:`ShardedProtocolServer.results`), and nothing else of its state
+ever does - which is why a ``recorder=`` is refused rather than handed
+to copies that never report back. The initial workers are forked
 *before* the front end's event-loop thread starts; respawns
 necessarily fork later, but the child immediately builds its own loop,
 touches none of the parent's threads, and lets go of every socket it
@@ -187,18 +187,16 @@ def _worker_main(
 
 
 class _Shard:
-    """Front-end handle on one worker, in-process or forked.
+    """Front-end handle on one forked worker.
 
     ``state`` walks alive -> dead -> respawning -> alive (or ``failed``
-    once the restart budget is spent); in-process shards stay
-    ``alive`` - there is no separate process to lose.
+    once the restart budget is spent).
     """
 
     def __init__(self, index: int):
         self.index = index
         self.port: int | None = None
-        self.server: ProtocolServer | None = None  # in-process mode
-        self.process: Any = None  # process mode
+        self.process: Any = None
         self.conn: Any = None
         self.channel: _Channel | None = None
         self.results: list[dict[str, Any]] = []
@@ -227,17 +225,18 @@ class ShardedProtocolServer:
     Accepts every :class:`ProtocolServer` keyword argument and forwards
     them to each worker unchanged, except ``journal_dir``, which is
     namespaced per shard (``<journal_dir>/shard-<i>``) so workers never
-    contend for each other's journals, and ``max_sessions``, which is
+    contend for each other's journals, ``max_sessions``, which is
     the **per-worker** ceiling (total capacity = ``shards x
-    max_sessions``).
+    max_sessions``), and ``recorder``, which raises :class:`TypeError`:
+    a forked worker's recorder is a copy that never reports back.
 
     Args:
         offers: as for :class:`ProtocolServer` (offers or mapping).
         shards: worker count; session ``sid`` is served by worker
             ``sid % shards``.
-        worker_processes: fork each worker into its own process (true
-            parallel crypto; POSIX only) instead of running them all
-            in this process behind distinct ports.
+        worker_processes: must be ``True``, the only mode: every worker
+            is forked into its own process. ``False`` (the in-process
+            workers that are gone) raises :class:`ValueError`.
         journal_fsync: fsync policy for the per-shard journal dirs
             (pass ``False`` for throughput benches where crash
             durability across power loss is not the point).
@@ -257,7 +256,7 @@ class ShardedProtocolServer:
         shards: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
-        worker_processes: bool = False,
+        worker_processes: bool = True,
         config: SessionConfig | None = None,
         journal_dir: Any = None,
         journal_fsync: bool = True,
@@ -270,11 +269,21 @@ class ShardedProtocolServer:
     ):
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
-        if worker_processes and "fork" not in (
-            multiprocessing.get_all_start_methods()
-        ):
+        if not worker_processes:
+            raise ValueError(
+                "in-process shard workers are gone: every worker is a "
+                "forked process (worker_processes= stays only until the "
+                "perf/ workloads stop passing it, ROADMAP H(4))"
+            )
+        if "recorder" in worker_kwargs:
+            raise TypeError(
+                "ShardedProtocolServer takes no recorder=: each forked "
+                "worker would fold its sessions into its own copy, which "
+                "never reports back"
+            )
+        if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
-                "worker_processes=True needs the fork start method "
+                "sharding needs the fork start method "
                 "(party factories are closures and do not pickle)"
             )
         if isinstance(offers, Mapping):
@@ -286,7 +295,6 @@ class ShardedProtocolServer:
         self.shards = shards
         self.host = host
         self.requested_port = port
-        self.worker_processes = worker_processes
         self.config = config or SessionConfig()
         self.journal_dir = journal_dir
         self.journal_fsync = journal_fsync
@@ -384,32 +392,23 @@ class ShardedProtocolServer:
     def start(self) -> "ShardedProtocolServer":
         """Start every worker, the routing front end, the supervisor.
 
-        Worker processes are forked *before* the front end's event-loop
-        thread exists, so children never inherit a half-locked loop.
+        Workers are forked *before* the front end's event-loop thread
+        exists, so children never inherit a half-locked loop.
         """
         if self._loop_thread is not None:
             raise RuntimeError("server already started")
         for index in range(self.shards):
             shard = _Shard(index)
-            if self.worker_processes:
-                self._spawn_worker(shard)
-            else:
-                shard.server = ProtocolServer(
-                    self.offers, **self._worker_config(index)
-                ).start()
-                shard.channel = _Channel()
-                shard.server.accept_handoffs(shard.channel.theirs)
-                shard.port = shard.server.port
+            self._spawn_worker(shard)
             self._shards.append(shard)
         self._loop_thread = LoopThread(name="repro-shard-front").start()
         self._loop_thread.run(self._start_async(), timeout=30)
-        if self.worker_processes:
-            self._supervisor = threading.Thread(
-                target=self._supervise_loop,
-                name="repro-shard-supervisor",
-                daemon=True,
-            )
-            self._supervisor.start()
+        self._supervisor = threading.Thread(
+            target=self._supervise_loop,
+            name="repro-shard-supervisor",
+            daemon=True,
+        )
+        self._supervisor.start()
         return self
 
     async def _start_async(self) -> None:
@@ -448,7 +447,7 @@ class ShardedProtocolServer:
         _drain_on_signals(self, drain_timeout_s, signals)
 
     # ------------------------------------------------------------------
-    # Supervision (worker-process mode)
+    # Supervision
     # ------------------------------------------------------------------
     def _supervise_loop(self) -> None:
         """Sweep every shard until shutdown stops us."""
@@ -463,7 +462,7 @@ class ShardedProtocolServer:
                     pass
 
     def _check_shard(self, shard: _Shard, now: float) -> None:
-        if shard.process is None or shard.state == "failed":
+        if shard.state == "failed":
             return
         self._absorb_heartbeats(shard, now)
         if shard.state == "respawning":
@@ -551,11 +550,10 @@ class ShardedProtocolServer:
         """Chaos hook: signal shard ``index``'s live worker process.
 
         Returns the pid signalled, or ``None`` when there was no live
-        worker to kill (in-process shard, already dead, or failed).
+        worker to kill (already dead, or failed).
         """
-        shard = self._shards[index % self.shards]
-        process = shard.process
-        if process is None or process.pid is None or not process.is_alive():
+        process = self._shards[index % self.shards].process
+        if not process.is_alive():
             return None
         try:
             os.kill(process.pid, sig)
@@ -585,39 +583,22 @@ class ShardedProtocolServer:
     def health(self) -> list[dict[str, Any]]:
         """One snapshot row per shard: pid, state, restarts, sessions.
 
-        For forked workers ``active_sessions`` and ``heartbeat_age_s``
-        reflect the most recent heartbeat; in-process shards are read
-        directly and are always ``alive``.
+        ``active_sessions`` and ``heartbeat_age_s`` reflect the worker's
+        most recent heartbeat.
         """
         now = time.monotonic()
-        rows = []
-        for shard in self._shards:
-            if shard.server is not None:
-                active = shard.server.active_sessions()
-                rows.append({
-                    "shard": shard.index,
-                    "state": "alive",
-                    "pid": os.getpid(),
-                    "port": shard.port,
-                    "restarts": 0,
-                    "active_sessions": active,
-                    "heartbeat_age_s": 0.0,
-                })
-            else:
-                rows.append({
-                    "shard": shard.index,
-                    "state": shard.state,
-                    "pid": (
-                        shard.process.pid
-                        if shard.process is not None
-                        else None
-                    ),
-                    "port": shard.port,
-                    "restarts": shard.restarts,
-                    "active_sessions": shard.active_sessions,
-                    "heartbeat_age_s": round(now - shard.last_heartbeat, 3),
-                })
-        return rows
+        return [
+            {
+                "shard": shard.index,
+                "state": shard.state,
+                "pid": shard.process.pid,
+                "port": shard.port,
+                "restarts": shard.restarts,
+                "active_sessions": shard.active_sessions,
+                "heartbeat_age_s": round(now - shard.last_heartbeat, 3),
+            }
+            for shard in self._shards
+        ]
 
     # ------------------------------------------------------------------
     # Shutdown / drain
@@ -652,17 +633,6 @@ class ShardedProtocolServer:
             report: list[dict[str, Any]] = []
             pending: list[_Shard] = []
             for shard in self._shards:
-                if shard.server is not None:
-                    shard.server.shutdown(drain_timeout_s=drain_timeout_s)
-                    shard.results = shard.server.results()
-                    report.append({
-                        "shard": shard.index, "state": "drained",
-                        "restarts": shard.restarts,
-                        "sessions": len(shard.results),
-                    })
-                    continue
-                if shard.process is None:
-                    continue
                 if (
                     shard.state == "alive"
                     and shard.conn is not None
@@ -685,8 +655,6 @@ class ShardedProtocolServer:
             # waitpid sweep: every forked child, including long-dead
             # ones, is joined with a bounded timeout and escalated.
             for shard in self._shards:
-                if shard.process is None:
-                    continue
                 shard.process.join(timeout=self.config.timeout_s * 2)
                 if shard.process.is_alive():
                     shard.process.terminate()
@@ -741,21 +709,16 @@ class ShardedProtocolServer:
     def results(self) -> list[dict[str, Any]]:
         """Session summaries from every shard, tagged with ``"shard"``.
 
-        Live (pre-shutdown) results are only visible for in-process
-        workers; forked workers report theirs at drain time. Sessions
-        a killed worker never got to report are absent - their ground
-        truth lives in the shard's journal directory.
+        Workers report their sessions when they drain, so this is empty
+        until :meth:`shutdown`. Sessions a killed worker never got to
+        report are absent - their ground truth lives in the shard's
+        journal directory.
         """
-        merged: list[dict[str, Any]] = []
-        for shard in self._shards:
-            rows = (
-                shard.server.results()
-                if shard.server is not None
-                else shard.results
-            )
-            for row in rows:
-                merged.append({**row, "shard": shard.index})
-        return merged
+        return [
+            {**row, "shard": shard.index}
+            for shard in self._shards
+            for row in shard.results
+        ]
 
     # ------------------------------------------------------------------
     # Routing (event-loop side)

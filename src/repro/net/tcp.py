@@ -31,6 +31,8 @@ rounds, so ``chunk_size`` is a per-party local choice.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import random
 import socket
@@ -44,10 +46,13 @@ from ..protocols.spec import get_spec
 from . import serialization
 from .journal import JournalDir, open_session
 from .session import (
+    SESSION_VERSION,
+    HandshakeError,
     SessionConfig,
     SessionError,
     SessionStats,
     run_blocking,
+    seal,
     unseal,
 )
 from .session_core import is_hello
@@ -255,42 +260,95 @@ class _Unread:
 
 def _first_hello(
     accept: Callable[[], Any], config: SessionConfig
-) -> tuple[Any, tuple]:
-    """The first valid hello to arrive, and its connection with the
-    hello put back for the session's own handshake to read.
+) -> tuple[Any, tuple, int]:
+    """The first valid hello to arrive, its connection with the hello
+    put back for the session's own handshake to read, and how many
+    garbled frames came before it.
 
     The blocking twin of :func:`repro.net.aio.read_hello` +
-    ``AsyncFrameEndpoint._unread``: a serving
-    :class:`~repro.api.Peer` learns which schedule the client wants
-    (the hello's protocol field) and which journal to look up (its
-    session id) before it builds the core. A garbled seal is skipped
-    (the client retransmits its hello); a connection that dies or
-    stays silent is dropped and the next one accepted, as often as the
-    config allows reconnects.
+    ``AsyncFrameEndpoint._unread``: party S learns which schedule the
+    client wants (the hello's protocol field) and which journal to look
+    up (its session id) before it builds the core (:func:`_serve_hello`).
+    It waits for a hello as the core's own handshake does: a garbled
+    frame is skipped and a quiet spell waited out (the client
+    retransmits its hello) until ``timeout_s x max_attempts`` have
+    passed; a connection that dies or stays silent that long is dropped
+    and the next one accepted - and an accept nobody answers in time is
+    one more failure - as often as the config allows reconnects.
     """
     budget_s = config.timeout_s * config.retry.max_attempts
+    garbled = 0
     for _ in range(config.max_reconnects + 1):
-        endpoint = accept()
+        try:
+            endpoint = accept()
+        except (TimeoutError, OSError) as exc:  # nobody connected
+            failure = exc
+            continue
         try:
             deadline = time.monotonic() + budget_s
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError(f"no hello within {budget_s}s")
+            while (remaining := deadline - time.monotonic()) > 0:
                 endpoint.settimeout(
                     _socket_timeout(min(remaining, config.timeout_s))
                 )
-                frame = endpoint.recv()
                 try:
+                    frame = endpoint.recv()
                     fields = unseal(frame)
+                except TimeoutError:
+                    continue
                 except ValueError:
+                    garbled += 1
                     continue
                 if is_hello(fields):
-                    return _Unread(endpoint, frame), fields
-        except (ConnectionError, TimeoutError, OSError, ValueError) as exc:
+                    return _Unread(endpoint, frame), fields, garbled
+            raise TimeoutError(f"no hello within {budget_s}s")
+        except (ConnectionError, TimeoutError, OSError) as exc:
             failure = exc
             endpoint.close()
     raise SessionError(f"no client sent a valid hello: {failure}") from failure
+
+
+def _serve_hello(
+    listener: socket.socket,
+    config: SessionConfig,
+    admit: Callable[[Any, int], Any],
+    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
+) -> tuple[Any, Any]:
+    """Party S's one session on ``listener``, built for the hello that
+    asks for it: the blocking twin of a hosted session's start.
+
+    The first valid hello (:func:`_first_hello`) comes before any core:
+    ``admit(protocol, session_id)`` reads what it asks for - which
+    schedule, which journal - and returns the session core to run, or a
+    string, the reason the client gets a typed ``reject`` for, raised
+    here as :class:`~repro.net.session.HandshakeError`. A session id
+    that is not an integer is refused before ``admit`` sees it. The
+    core's own handshake then reads the hello again, and every later
+    connection to ``listener`` is a reconnect of that session. Returns
+    ``(core, state)``: the core and the party state its run ended with.
+    """
+
+    def accept() -> Any:
+        return _accept(listener, config, endpoint_wrapper)
+
+    endpoint, hello, garbled = _first_hello(accept, config)
+    try:
+        asked, session_id = hello[2], hello[3]
+        core = (
+            admit(asked, session_id)
+            if isinstance(session_id, int) else "malformed session id"
+        )
+        if isinstance(core, str):
+            with contextlib.suppress(OSError):
+                endpoint.send(seal("reject", SESSION_VERSION, core))
+            raise HandshakeError(
+                f"refused the client's {asked!r} query: {core}"
+            )
+    except BaseException:
+        endpoint.close()
+        raise
+    core.stats.checksum_failures += garbled  # as if its handshake read them
+    links = itertools.chain([endpoint], iter(accept, None))
+    return core, run_blocking(core.steps(), open_link=lambda: next(links))
 
 
 def serve_resumable_sender(
@@ -323,35 +381,41 @@ def serve_resumable_sender(
     mid-round at the last acknowledged chunk).
 
     With a ``journal_dir``, every frame is journaled to disk
-    (:mod:`repro.net.journal`) before it is acted on, and a restart
-    against the same directory *recovers* the oldest incomplete run for
-    this protocol instead of starting a fresh one - provided ``data``,
-    ``rng`` *and* ``chunk_size`` match the crashed process (replay
-    verifies the bytes exactly). A run that completed but died before
-    its journal was rotated is rotated first
+    (:mod:`repro.net.journal`) before it is acted on. S reads the
+    client's hello first and opens the journal of the session id it
+    names, so a restart against the same directory *recovers* the run
+    its reconnecting client resumes - provided ``data``, ``rng`` *and*
+    ``chunk_size`` match the crashed process (replay verifies the bytes
+    exactly) - and a new client starts fresh, whatever stale journals a
+    run its client gave up on left behind. A hello whose session id is
+    not an integer gets a typed ``reject``. A run that completed but
+    died before its journal was rotated is rotated first
     (:func:`~repro.net.journal.open_session` is the whole rule).
     """
     config = config or SessionConfig()
     spec = get_spec(protocol)
+    journals = _journal_dir(journal_dir, journal_fsync)
     # Consume the session-rng seed before the factory ever touches
     # ``rng`` - this fixed draw order is what lets a restarted process
     # with an identically seeded ``rng`` replay its journal exactly.
     session_rng = random.Random(rng.getrandbits(64))
-    core, _ = open_session(
-        "sender", protocol,
-        lambda: spec.make_sender(data, params, rng, engine=engine),
-        params=params,
-        journal_dir=_journal_dir(journal_dir, journal_fsync), config=config,
-        rng=session_rng, recorder=recorder, chunk_size=chunk_size,
-    )
+
+    def admit(_asked: Any, session_id: int) -> Any:
+        # A hello for another protocol is the core's handshake's to refuse.
+        core, _ = open_session(
+            "sender", protocol,
+            lambda: spec.make_sender(data, params, rng, engine=engine),
+            params=params, journal_dir=journals, session_id=session_id,
+            config=config, rng=session_rng, recorder=recorder,
+            chunk_size=chunk_size,
+        )
+        return core
+
     listener = _session_listener(host, port, config)
     try:
         if ready_callback is not None:
             ready_callback(listener.getsockname()[1])
-        state = run_blocking(
-            core.steps(),
-            open_link=lambda: _accept(listener, config, endpoint_wrapper),
-        )
+        core, state = _serve_hello(listener, config, admit, endpoint_wrapper)
         return state.size_v_r, core.stats
     finally:
         listener.close()

@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.net import tcp
+from repro.net.crashpoints import CrashHook, SimulatedCrash, hooked
 from repro.net.journal import DONE_SUFFIX, WAL_SUFFIX, open_session
 from repro.net.serialization import (
     decode,
@@ -38,7 +39,12 @@ from repro.net.serialization import (
     is_chunk_end,
     is_chunk_frame,
 )
-from repro.net.session import RetryPolicy, SessionConfig, run_blocking
+from repro.net.session import (
+    RetryPolicy,
+    SessionConfig,
+    SessionError,
+    run_blocking,
+)
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS
 
@@ -379,3 +385,63 @@ def test_sigkill_mid_chunk_resumes_byte_identical(tmp_path):
             if proc is not None and proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+
+
+def test_a_stale_sender_journal_does_not_lock_out_the_next_client(tmp_path):
+    """A one-shot S that crashed mid-run leaves its ``.wal``, and its
+    client gives up. The next S on that directory reads a new client's
+    hello first and opens the journal that hello's session id names - a
+    fresh one - so the client gets its answer and the stale journal is
+    left as it was."""
+    params = PublicParams.for_bits(128)
+    config = SessionConfig(
+        timeout_s=0.5,
+        retry=RetryPolicy(max_attempts=2, base_delay_s=0.01, max_delay_s=0.05),
+        max_reconnects=2,
+        fin_grace_s=0.05,
+    )
+
+    def serve(hook=None):
+        ready, box = threading.Event(), {}
+
+        def run():
+            try:
+                with hooked(hook):
+                    box["served"] = tcp.serve_resumable_sender(
+                        "intersection", ["b", "c", "d"], params,
+                        random.Random(1),
+                        ready_callback=lambda port: (
+                            box.__setitem__("port", port), ready.set()
+                        ),
+                        config=config, journal_dir=tmp_path,
+                        journal_fsync=False,
+                    )
+            except BaseException as exc:  # surfaced by the test below
+                box["error"] = exc
+            ready.set()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        assert ready.wait(timeout=10)
+        return thread, box
+
+    def connect(seed, port):
+        return tcp.connect_resumable_receiver(
+            "intersection", ["a", "b", "c"], random.Random(seed),
+            "127.0.0.1", port, config=config,
+        )[0]
+
+    thread, box = serve(CrashHook("journal.append.post", hit=3))
+    with pytest.raises(SessionError):
+        connect(2, box["port"])
+    thread.join(timeout=10)
+    assert isinstance(box["error"], SimulatedCrash)
+    (stale,) = tmp_path.glob(f"sender-*{WAL_SUFFIX}")
+    before = stale.read_bytes()
+
+    thread, box = serve()
+    assert connect(3, box["port"]) == {"b", "c"}
+    thread.join(timeout=10)
+    assert "error" not in box and box["served"][0] == 3
+    assert stale.read_bytes() == before
+    assert len(list(tmp_path.glob(f"sender-*{DONE_SUFFIX}"))) == 1

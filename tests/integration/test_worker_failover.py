@@ -93,7 +93,7 @@ def test_budget_exhaustion_is_contained_to_the_failed_shard(tmp_path):
     )
     server = ShardedProtocolServer(
         {"intersection": (["b", "c", "x"], params)},
-        shards=2, worker_processes=True, config=config, max_sessions=4,
+        shards=2, config=config, max_sessions=4,
         journal_dir=tmp_path, journal_fsync=False,
         heartbeat_s=0.05, respawn_backoff_s=0.05, restart_budget=0,
     )
@@ -165,7 +165,7 @@ def test_a_respawned_worker_does_not_keep_the_public_port_open():
 
     server = ShardedProtocolServer(
         {"intersection": (["b", "c", "x"], PublicParams.for_bits(96))},
-        shards=1, worker_processes=True, heartbeat_s=0.05,
+        shards=1, heartbeat_s=0.05,
         respawn_backoff_s=0.05, restart_budget=2,
     ).start()
     try:

@@ -246,7 +246,7 @@ def test_finished_sessions_keep_only_their_summary(params):
     _, v_s = _values()
     states = []
 
-    def make_sender():
+    def make_sender(session_id):
         state = spec.make_sender(v_s, params, random.Random("S"))
         states.append(weakref.ref(state))
         return state
@@ -278,6 +278,41 @@ def test_finished_sessions_keep_only_their_summary(params):
     }
     assert all(row["frames_sent"] and row["frames_received"] for row in rows)
     assert server.results() == rows
+
+
+@pytest.mark.parametrize("server_class", [ProtocolServer, ShardedProtocolServer])
+def test_two_sessions_of_one_offer_share_no_key(params, server_class):
+    """Every hosted session keys its own S: one ``m1`` sent under three
+    session ids - two of them on one shard worker - comes back with
+    three disjoint ``Y_S``. (They were one ``Y_S`` while S's keys
+    belonged to the offer.)"""
+    spec = PROTOCOLS["intersection"]
+    v_r, v_s = _values()
+
+    def reply(port, session_id):
+        core, _ = open_session(
+            "receiver", "intersection",
+            lambda wire: spec.make_receiver(
+                v_r, PublicParams.from_wire(tuple(wire)), random.Random(1)
+            ),
+            config=_config(), rng=random.Random(session_id),
+            session_id=session_id,
+        )
+        answer = run_blocking(
+            core.steps(),
+            open_link=lambda: tcp._dial("127.0.0.1", port, timeout=5.0),
+        )
+        assert answer == {f"c{i}" for i in range(N // 2)}
+        (m1,), (m2,) = core.log.outbound, core.log.inbound
+        return m1, set(spec.rounds[1].message.from_wire(m2).y_s)
+
+    with server_class(
+        {"intersection": (v_s, params)}, config=_config(), max_sessions=4
+    ) as server:
+        (m1, *others), replies = zip(*(reply(server.port, sid) for sid in (2, 3, 4)))
+    assert all(other == m1 for other in others)
+    assert all(len(y_s) == N for y_s in replies)
+    assert len(set().union(*replies)) == 3 * N
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +417,7 @@ def test_server_recovers_journaled_session_for_unknown_id(
     offer = ProtocolOffer(
         protocol=protocol,
         params=params,
-        make_sender=lambda: PROTOCOLS[protocol].make_sender(
+        make_sender=lambda session_id: PROTOCOLS[protocol].make_sender(
             v_s, params, random.Random("S")
         ),
     )
@@ -464,7 +499,7 @@ def _quarantine_round_trip(tmp_path, params, damage):
     offer = ProtocolOffer(
         protocol=protocol,
         params=params,
-        make_sender=lambda: spec.make_sender(
+        make_sender=lambda session_id: spec.make_sender(
             v_s, params, random.Random("S")
         ),
     )
@@ -646,7 +681,7 @@ def test_metadata_only_stub_journal_restarts_fresh(tmp_path, params):
     offer = ProtocolOffer(
         protocol=protocol,
         params=params,
-        make_sender=lambda: PROTOCOLS[protocol].make_sender(
+        make_sender=lambda session_id: PROTOCOLS[protocol].make_sender(
             v_s, params, random.Random("S")
         ),
     )

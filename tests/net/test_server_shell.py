@@ -174,7 +174,7 @@ class TestSenderShellParity:
             rng = _sender_rng()
             offer = ProtocolOffer(
                 "intersection", params,
-                lambda: get_spec("intersection").make_sender(
+                lambda session_id: get_spec("intersection").make_sender(
                     V_S, params, rng, engine=engine(batches)
                 ),
             )

@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.analysis.instrumentation import MetricsRecorder
 from repro.net import tcp
 from repro.net.journal import open_session
 from repro.net.serialization import encode
@@ -87,9 +88,9 @@ class TestRouting:
                 answer, session = _session(server.port, seed)
                 assert sorted(answer) == ["b", "c"]
                 sessions.append(session)
-            # In-process workers expose live results: every session id
-            # must sit on exactly the worker its id selects.
-            rows = server.results()
+        # Workers report their results at drain: every session id must
+        # sit on exactly the worker its id selects.
+        rows = server.results()
         by_sid = {row["session_id"]: row["shard"] for row in rows}
         assert len(by_sid) == 4
         for session in sessions:
@@ -128,17 +129,10 @@ class TestRouting:
             answer = run_blocking(session.steps(), open_link=flaky_dial)
             assert sorted(answer) == ["b", "c"]
             assert dials["count"] >= 2  # it really did reconnect
-            deadline = time.monotonic() + 5.0
-            while True:
-                rows = server.results()
-                mine = [
-                    r for r in rows
-                    if r["session_id"] == session.session_id
-                ]
-                if mine and mine[0]["status"] == "done":
-                    break
-                assert time.monotonic() < deadline
-                time.sleep(0.02)
+        mine = [
+            r for r in server.results()
+            if r["session_id"] == session.session_id
+        ]
         assert len(mine) == 1  # one record total: both dials, one worker
         assert mine[0]["status"] == "done"
         assert mine[0]["shard"] == session.session_id % 3
@@ -160,7 +154,7 @@ class TestRouting:
             while server.refused_unroutable == 0:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-            assert server.results() == []
+        assert server.results() == []  # reported at drain: no session
 
     def test_sealed_garbage_before_hello_is_forwarded(self, params):
         """A garbled-seal frame then a valid hello still gets served -
@@ -203,13 +197,13 @@ class TestRouting:
             assert fields[:3] == ("reject", SESSION_VERSION,
                                   "malformed session id")
             assert server.refused_unroutable == 1
-            assert server.results() == []
+        assert server.results() == []  # reported at drain: no session
 
 
 class TestProcessWorkers:
     def test_forked_workers_serve_and_report_results(self, params):
         with ShardedProtocolServer(
-            _offers(params), shards=2, worker_processes=True,
+            _offers(params), shards=2,
             config=_config(), max_sessions=4,
         ) as server:
             answers = [
@@ -223,7 +217,7 @@ class TestProcessWorkers:
 
     def test_shutdown_is_idempotent_and_joins_workers(self, params):
         server = ShardedProtocolServer(
-            _offers(params), shards=2, worker_processes=True,
+            _offers(params), shards=2,
             config=_config(), max_sessions=2,
         ).start()
         _session(server.port, 7)
@@ -242,6 +236,15 @@ class TestValidation:
         server = ShardedProtocolServer(_offers(params), shards=1)
         with pytest.raises(RuntimeError, match="not started"):
             server.port
+
+    def test_in_process_workers_are_refused(self, params):
+        with pytest.raises(ValueError, match="forked"):
+            ShardedProtocolServer(_offers(params), worker_processes=False)
+
+    def test_a_recorder_is_refused_not_dropped(self, params):
+        """A forked worker's recorder is a copy nobody reads back."""
+        with pytest.raises(TypeError, match="recorder"):
+            ShardedProtocolServer(_offers(params), recorder=MetricsRecorder())
 
 
 def _wait_for(predicate, timeout_s=15.0, interval_s=0.02, what="condition"):
@@ -270,7 +273,7 @@ class TestSupervision:
         self, params, tmp_path
     ):
         with ShardedProtocolServer(
-            _offers(params), shards=1, worker_processes=True,
+            _offers(params), shards=1,
             config=_config(), max_sessions=4,
             journal_dir=tmp_path, journal_fsync=False,
             heartbeat_s=0.05, respawn_backoff_s=0.4, restart_budget=4,
@@ -316,7 +319,7 @@ class TestSupervision:
         the client as a typed worker-lost frame followed by a clean
         EOF - never as a raw ``ConnectionResetError``."""
         with ShardedProtocolServer(
-            _offers(params), shards=1, worker_processes=True,
+            _offers(params), shards=1,
             config=_config(), max_sessions=4,
             heartbeat_s=0.05, respawn_backoff_s=0.05, restart_budget=4,
         ) as server:
@@ -340,7 +343,7 @@ class TestSupervision:
 
     def test_wedged_worker_is_killed_and_respawned(self, params):
         with ShardedProtocolServer(
-            _offers(params), shards=1, worker_processes=True,
+            _offers(params), shards=1,
             config=_config(), max_sessions=4,
             heartbeat_s=0.05, heartbeat_timeout_s=0.25,
             respawn_backoff_s=0.05, restart_budget=4,
@@ -368,7 +371,7 @@ class TestSupervision:
 
     def test_budget_exhaustion_degrades_only_that_shard(self, params):
         with ShardedProtocolServer(
-            _offers(params), shards=2, worker_processes=True,
+            _offers(params), shards=2,
             config=_config(), max_sessions=4,
             heartbeat_s=0.05, respawn_backoff_s=0.05, restart_budget=0,
         ) as server:
@@ -392,7 +395,7 @@ class TestSupervision:
 
     def test_drain_reaps_dead_workers_without_hanging(self, params):
         server = ShardedProtocolServer(
-            _offers(params), shards=2, worker_processes=True,
+            _offers(params), shards=2,
             config=_config(), max_sessions=2,
             heartbeat_s=0.05, respawn_backoff_s=0.05, restart_budget=0,
         ).start()

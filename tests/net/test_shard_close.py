@@ -46,7 +46,7 @@ def test_healthy_herd_over_forked_shards_sends_no_worker_lost_notice(
 ):
     with ShardedProtocolServer(
         {"intersection": (["b", "c", "x"], params)}, shards=2,
-        worker_processes=True, config=_config(), max_sessions=SESSIONS,
+        config=_config(), max_sessions=SESSIONS,
         chunk_size=chunk_size, heartbeat_timeout_s=30.0,
     ) as server:
         with ThreadPoolExecutor(SESSIONS) as herd:

@@ -137,7 +137,7 @@ class TestBytesReachTheWorker:
             assert sock.recv(1024) == b""
             sock.close()
             assert (server.routed, server.refused_unroutable) == (0, 1)
-            assert server.results() == []
+        assert server.results() == []  # reported at drain: no session
 
 
 class TestTheWorkersChannel:
@@ -169,7 +169,7 @@ class TestTheFrontEndLetsGo:
         forked before the patch, so only the front end is counted.)"""
         fed = []
         with ShardedProtocolServer(
-            _offers(params), shards=2, worker_processes=True,
+            _offers(params), shards=2,
             config=_config(), max_sessions=4,
         ) as server:
             feed_data = asyncio.StreamReader.feed_data
@@ -186,7 +186,7 @@ class TestTheFrontEndLetsGo:
 
     def test_a_herd_of_100_leaves_no_connection_and_no_descriptor(self, params):
         with ShardedProtocolServer(
-            _offers(params), shards=2, worker_processes=True,
+            _offers(params), shards=2,
             config=_config(), max_sessions=8, heartbeat_timeout_s=30.0,
         ) as server:
             gc.collect()  # no earlier test's socket may close mid-count
@@ -228,7 +228,7 @@ class TestAKilledShard:
             return endpoint
 
         with ShardedProtocolServer(
-            _offers(params), shards=2, worker_processes=True,
+            _offers(params), shards=2,
             config=_config(), max_sessions=8,
             heartbeat_s=0.05, respawn_backoff_s=0.05, restart_budget=4,
         ) as server:

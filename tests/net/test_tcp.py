@@ -18,7 +18,13 @@ import struct
 import repro
 from repro.net import tcp
 from repro.net.serialization import encode
-from repro.net.session import SessionError
+from repro.net.session import (
+    SESSION_VERSION,
+    HandshakeError,
+    SessionError,
+    seal,
+    unseal,
+)
 from repro.net.tcp import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameTooLarge,
@@ -272,6 +278,34 @@ class TestPlainContract:
         for stats in (connected.stats, box["served"].stats):
             assert stats.reconnects == stats.retransmits == 0
         assert deadlines == {None}
+
+
+def test_a_malformed_session_id_gets_a_typed_reject(tmp_path):
+    """S reads the hello before it opens a journal: a session id that
+    names no journal is refused, and no file is made for it."""
+    ports: queue.Queue[int] = queue.Queue()
+    box: dict = {}
+
+    def serve():
+        try:
+            repro.serve(
+                "intersection", ["b", "c"], bits=64, seed=1,
+                ready_callback=ports.put, timeout=5.0,
+                session=repro.SessionOptions(journal_dir=tmp_path),
+            )
+        except HandshakeError as exc:
+            box["error"] = exc
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    endpoint = tcp._dial("127.0.0.1", ports.get(timeout=10), timeout=5.0)
+    endpoint.send(seal("hello", SESSION_VERSION, "intersection", "7", 0, 0))
+    fields = unseal(endpoint.recv())
+    endpoint.close()
+    thread.join(timeout=10)
+    assert fields == ("reject", SESSION_VERSION, "malformed session id")
+    assert "malformed session id" in str(box["error"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def _run_over_tcp(protocol, v_r, v_s, bits=128, chunk_size=None):

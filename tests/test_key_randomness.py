@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -85,36 +86,72 @@ def test_a_server_built_from_data_keys_s_from_a_secret_seed():
     """S's keys behind every hosted session used to come from the
     protocol's name: anyone could recompute ``e_S``. Two servers holding
     the same data now answer one client's ``m1`` with different ``Y_S``,
-    neither of them the public seed's."""
+    neither of them the public seed's - and so do two sessions of one
+    server."""
     spec = PROTOCOLS["intersection"]
     params = PublicParams.for_bits(64)
     m1 = spec.make_receiver(V_R, params, random.Random(1)).round1()
     tables = {"intersection": (V_S, params)}
 
-    def answer(make_sender):
-        return make_sender().round1(m1)
+    def answer(make_sender, session_id):
+        return make_sender(session_id).round1(m1)
 
     offers = [
         ProtocolServer(tables).offers["intersection"],
         ShardedProtocolServer(tables).offers[0],
         ProtocolOffer.from_data("intersection", V_S, params),
     ]
-    public = answer(
-        lambda: spec.make_sender(V_S, params, random.Random("intersection"))
-    )
-    answers = [answer(offer.make_sender) for offer in offers]
+    public = spec.make_sender(V_S, params, random.Random("intersection")).round1(m1)
+    answers = [answer(offer.make_sender, sid) for offer in offers for sid in (1, 2)]
     for i, one in enumerate(answers):
         assert one != public
         assert all(one != other for other in answers[i + 1:])
-    # Each offer keys all of its sessions alike: journal replay holds.
-    assert [answer(offer.make_sender) for offer in offers] == answers
+    # One offer keys one session id alike every time: journal replay holds.
+    assert [answer(offer.make_sender, sid) for offer in offers for sid in (1, 2)] == answers
 
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_an_explicit_offer_seed_keys_s_as_it_says(seed):
+    """An explicit seed keys session ``sid``'s S from SHA-256 over the
+    label, the seed and ``sid`` - byte-identical across offers."""
     spec = PROTOCOLS["intersection"]
     params = PublicParams.for_bits(64)
     m1 = spec.make_receiver(V_R, params, random.Random(1)).round1()
     offer = ProtocolOffer.from_data("intersection", V_S, params, seed=seed)
-    seeded = spec.make_sender(V_S, params, random.Random(seed))
-    assert offer.make_sender().round1(m1) == seeded.round1(m1)
+    again = ProtocolOffer.from_data("intersection", V_S, params, seed=seed)
+    for sid in (0, 5):
+        label = repr(("repro.net.server.session-key", seed, sid)).encode()
+        seeded = spec.make_sender(
+            V_S, params, random.Random(hashlib.sha256(label).digest())
+        )
+        assert offer.make_sender(sid).round1(m1) == seeded.round1(m1)
+        assert again.make_sender(sid).round1(m1) == seeded.round1(m1)
+    assert offer.make_sender(0).round1(m1) != offer.make_sender(5).round1(m1)
+
+
+def test_a_retry_policy_jitters_from_the_csprng_and_leaves_r_s_keys(monkeypatch):
+    """``connect(retry=)`` used to seed its redial jitter from R's rng:
+    identically seeded clients redialed in lockstep, and the policy
+    shifted R's key draws for a given seed."""
+    from repro.net import tcp
+    from repro.net.session import ClientRetryPolicy, SessionStats
+
+    draws, jitter = [], []
+    monkeypatch.setattr(
+        tcp, "connect_resumable_receiver",
+        lambda protocol, data, rng, *a, **k: (
+            draws.append(rng.getrandbits(64)), SessionStats(protocol=protocol)
+        ),
+    )
+    redial = ClientRetryPolicy.redial
+
+    def watched(self, attempt, rng, **kwargs):
+        jitter.append(rng)
+        return redial(self, attempt, rng, **kwargs)
+
+    monkeypatch.setattr(ClientRetryPolicy, "redial", watched)
+    repro.connect("intersection", V_R, port=1, seed=7)
+    repro.connect("intersection", V_R, port=1, seed=7, retry="attempts=3")
+    assert draws[0] == draws[1]
+    (rng,) = jitter
+    assert _is_csprng(rng)
