@@ -601,15 +601,22 @@ class Catalog:
 
         def commit(party: Any) -> bool:
             entry = found["entry"]
+            link = {"party": party, "cursor": cursor, "entry": None}
             if entry is None and cacheable:
-                entry = self.cache.store(
-                    digest, cache_name, found["params"],
-                    party.cache_keys(), party.cache_entries(),
+                link["entry"] = self.cache.store(
+                    digest, cache_name, found["params"], party.cache_keys(),
+                    party.cache_entries(), party.peer_maps(),
                 )
-            self._commit_link(
-                key, {"party": party, "cursor": cursor, "entry": entry}
-            )
-            return found["entry"] is not None
+            self._commit_link(key, link)
+            if entry is not None:
+                # A hit: the peer maps moved by what the peer changed
+                # while the parties were down (nothing, on unchanged
+                # tables). As for a delta, a failed append leaves the
+                # link without its entry.
+                link["entry"] = self.cache.append_delta(
+                    entry, digest, {}, (), *_peer_churn(entry, party)
+                )
+            return entry is not None
 
         return make_state, commit
 
@@ -631,6 +638,7 @@ class Catalog:
             return factory(exchange, params, self.rng, engine=engine)
 
         def commit(staged: Any) -> bool:
+            touched = staged.staged_peers()
             staged.commit()
             # A failed append leaves the file in doubt: the link goes on
             # without its entry rather than append to it again.
@@ -649,6 +657,7 @@ class Catalog:
                     digest,
                     {v: e for v, e in held.items() if entry.entries.get(v) != e},
                     [v for v in staged.removed if v not in held],
+                    *_peer_churn(entry, link["party"], touched),
                 )
             return False
 
@@ -677,6 +686,24 @@ class Catalog:
             tuple((v, None) for v in sorted((+net).elements(), key=repr)),
             tuple(sorted((-net).elements(), key=repr)),
         )
+
+
+def _peer_churn(entry: Any, party: Any, touched: Any = None) -> tuple[tuple, list]:
+    """What ``party``'s peer maps changed against the cache ``entry``:
+    ``(adds, dels)`` - the maps of what moved, one per key, and the
+    elements that left - over the elements a delta ``touched``, or over
+    the maps whole where ``touched`` is ``None``."""
+    maps, old = party.peer_maps(), entry.peers
+    if touched is None:
+        if maps == old:
+            return (), []  # the common reopen: one C-level compare
+        touched = {*old[0], *maps[0]}
+    moved = [
+        y for y in touched
+        if y in maps[0] and any(fs[y] != was.get(y) for fs, was in zip(maps, old))
+    ]
+    gone = [y for y in touched if y not in maps[0] and y in old[0]]
+    return tuple({y: fs[y] for y in moved} for fs in maps), gone
 
 
 def open_catalog(

@@ -1,12 +1,16 @@
 """On-disk encrypted-catalog cache for repeated queries.
 
-A party's expensive per-query work — hashing its values and raising
-each hash to its secret exponent — depends only on (value set, cipher
-key, public params).  This module persists that state so a process
-restart resumes a query series without redoing the O(|V|) modexp
-setup: each entry stores the party's cipher key(s) and, per value, the
-hash and its encryption(s), keyed by ``(table digest, key fingerprint,
-protocol)``.
+A party's expensive per-query work — hashing its values, raising each
+hash to its secret exponent, and raising each of the peer's
+ciphertexts to it — depends only on (value set, cipher key, public
+params) and on what the peer sends, which the deterministic cipher
+makes the same every time.  This module persists that state so a
+process restart resumes a query series without redoing the O(|V|)
+modexp setup or re-encrypting a peer element it has seen: each entry
+stores the party's cipher key(s), per value the hash and its
+encryption(s), and per peer element ``y`` its re-encryption(s)
+``f_key(y)`` (the party's peer maps), keyed by ``(table digest, key
+fingerprint, protocol)``.
 
 The file format mirrors the session journal's discipline
 (:mod:`repro.net.journal`): a magic + version header, then CRC-sealed
@@ -15,34 +19,50 @@ length-prefixed records, every byte written through the
 are injectable, fsync'd before an entry is advertised as durable, and
 torn tails truncated on open.  After the ``header`` record (protocol,
 params, keys, key fingerprint) the file is a sequence of *batches*,
-one sealed ``("batch", digest, values, ints, dels)`` record each:
-the added values (codec-encoded, in ``repr`` order), one blob of
-fixed-width big-endian blocks holding each added value's hash and then
-its ciphertexts, the removed values, and the digest of the table the
-file describes from there on.  A batch is all-or-nothing by its CRC: a
-torn or interrupted append is a torn tail, cut away on load.
+one sealed ``("batch", digest, values, ints, dels, peer_ints,
+peer_dels)`` record each (format v4):
+
+* ``digest`` - the table the file describes from there on;
+* ``values`` / ``ints`` / ``dels`` - the own entries: the added values
+  (codec-encoded, in ``repr`` order), one blob of fixed-width
+  big-endian blocks holding each added value's hash and then its
+  ciphertexts, and the removed values;
+* ``peer_ints`` / ``peer_dels`` - the peer maps: one blob of blocks
+  holding each added peer element (ascending) and then its
+  re-encryption per key, and one blob of the removed elements.
+
+Every block is as wide as ``p`` and must lie below it.  A batch is
+all-or-nothing by its CRC: a torn or interrupted append is a torn
+tail, cut away on load.
 
 A table mutation (:meth:`CatalogCache.append_delta`) appends one batch
-— O(|delta|) bytes — fsyncs it, and atomically renames the file to the
-new table's digest (``os.replace`` + directory fsync), so lookups
-always key on the *current* table contents.  A crash before the rename
-leaves the file under its old name saying, by its last batch, which
-table it describes; a name that disagrees with it is a
+— O(|delta|) bytes, the delta's peer-map churn included — fsyncs it,
+and atomically renames the file to the new table's digest
+(``os.replace`` + directory fsync), so lookups always key on the
+*current* table contents; a batch that only moves the peer maps (a
+full query after the peer changed) keeps the name and skips the
+rename.  A crash before the rename leaves the file under its old name
+saying, by its last batch, which table it describes; a name that disagrees with it is a
 :class:`CatalogCacheError` (a miss), never a wrong entry.
 :meth:`CatalogCache.store` is the one full rewrite, and doubles as the
 compactor: ``append_delta`` runs it once the file's weight - the
-values written (the adds and dels of every batch) plus one per batch -
-exceeds twice the live values, which keeps the file within ~2x its
-compact size at amortised O(1) rewritten values per appended one.
+values and peer elements written (the adds and dels of every batch)
+plus one per batch - exceeds twice the live ones, which keeps the file
+within ~2x its compact size at amortised O(1) rewritten entries per
+appended one.
 Counting each batch bounds batches that carry no value too (one more
 occurrence of a held value re-keys the file and changes no entry); a
 commit on an unchanged table writes nothing.
 
 Security note (cache-key hygiene, detailed in ``docs/PROTOCOLS.md``):
 entries contain the party's **raw secret keys** — that is what makes
-cached ciphertexts reusable.  The cache directory is created with mode
-``0o700`` and must remain private to the party; sharing it is
-equivalent to publishing the keys.
+cached ciphertexts reusable.  The peer maps hold the peer's
+ciphertexts and their re-encryptions.  Equijoin R's strip map is more
+than its keys: it holds S's codeword ``f_eS(h(v))`` and payload key
+``kappa(v)`` for each of R's own values, so a leaked R file lets
+whoever sees S's pairs for those values match them and decrypt their
+ext payloads.  The cache directory is created with mode ``0o700`` and must remain
+private to the party; sharing it is equivalent to publishing the keys.
 """
 
 from __future__ import annotations
@@ -69,9 +89,10 @@ __all__ = [
     "table_digest",
 ]
 
-#: v3: a batch is one record, its ints fixed-width blocks of one blob.
-#: Files of another version fail the magic check: a miss.
-CATALOG_VERSION = 3
+#: v4: a batch also carries the peer maps' churn (v3: a batch is one
+#: record, its ints fixed-width blocks of one blob).  Files of another
+#: version fail the magic check: a miss.
+CATALOG_VERSION = 4
 CATALOG_MAGIC = b"RPCC" + struct.pack(">H", CATALOG_VERSION)
 
 _log = logging.getLogger("repro.catalog")
@@ -149,10 +170,17 @@ class CacheEntry:
     keys: tuple
     entries: dict[Hashable, tuple]
     path: Path
-    #: The file's weight: the values written (the adds and dels of
-    #: every batch) plus one per batch; beyond ``len(entries)`` it is
-    #: dead weight the next compaction drops.
+    #: The peer maps, one per key in key order: ``y -> f_key(y)``.
+    peers: tuple[dict[int, int], ...] = ()
+    #: The file's weight: the values and peer elements written (the
+    #: adds and dels of every batch) plus one per batch; beyond
+    #: :attr:`live` it is dead weight the next compaction drops.
     records: int = 0
+
+    @property
+    def live(self) -> int:
+        """The entries a compact file holds: values and peer elements."""
+        return len(self.entries) + len(self.peers[0])
 
     @property
     def fingerprint(self) -> str:
@@ -161,21 +189,33 @@ class CacheEntry:
 
     def party_cache(self) -> PartyCache:
         """The entry as a :class:`PartyCache` ready for injection."""
-        return PartyCache(keys=self.keys, entries=dict(self.entries))
+        return PartyCache(keys=self.keys, entries=dict(self.entries), peers=self.peers)
 
 
-def _batch(digest: str, adds: Mapping[Hashable, tuple], dels: Iterable, p: int) -> bytes:
-    """One sealed batch: ``adds`` in ``repr`` order, their hash and
+def _blob(ints: Iterable[int], width: int) -> bytes:
+    """``ints`` as fixed-width big-endian blocks."""
+    return b"".join(i.to_bytes(width, "big") for i in ints)
+
+
+def _batch(
+    digest: str, adds: Mapping[Hashable, tuple], dels: Iterable, p: int,
+    peer_adds: tuple = (), peer_dels: Iterable[int] = (),
+) -> bytes:
+    """One sealed batch: ``adds`` in ``repr`` order with their hash and
     ciphertexts as blocks of one blob - each as wide as ``p``, which
-    every one of them is below - and ``dels``."""
+    every one of them is below - and ``dels``; then the elements of the
+    peer maps ``peer_adds`` (one per key) in ascending order, each with
+    its re-encryption per key, as blocks of a second blob, and
+    ``peer_dels`` as a third."""
     width = (p.bit_length() + 7) // 8
-    values, ints = sorted(adds, key=repr), bytearray()
-    for value in values:
-        hash_, ys = adds[value]
-        ints += hash_.to_bytes(width, "big")
-        for y in ys:
-            ints += y.to_bytes(width, "big")
-    return seal(("batch", digest, tuple(values), bytes(ints), tuple(dels)))
+    values = sorted(adds, key=repr)
+    ints = (i for v in values for i in (adds[v][0], *adds[v][1]))
+    ys = sorted(peer_adds[0]) if peer_adds else []
+    peer_ints = (i for y in ys for i in (y, *(fs[y] for fs in peer_adds)))
+    return seal((
+        "batch", digest, tuple(values), _blob(ints, width), tuple(dels),
+        _blob(peer_ints, width), _blob(peer_dels, width),
+    ))
 
 
 class CatalogCache:
@@ -252,25 +292,41 @@ class CatalogCache:
                     f"{path.name}: key fingerprint mismatch (corrupt or foreign keys)"
                 )
             width, stride = (params.p.bit_length() + 7) // 8, 1 + len(keys)
+
+            def blocks(blob: bytes, per_row: int) -> list[int]:
+                """``blob``'s blocks, whole rows of ``per_row``, each below p."""
+                if len(blob) % (per_row * width):
+                    raise CatalogCacheError(f"{path.name}: batch blob of the wrong length")
+                ints = [int.from_bytes(blob[at : at + width], "big")
+                        for at in range(0, len(blob), width)]
+                if max(ints, default=0) >= params.p:
+                    raise CatalogCacheError(f"{path.name}: a block is not below p")
+                return ints
+
             entries: dict[Hashable, tuple] = {}
+            peers = tuple({} for _ in keys)
             written = 0
             for record in records[1:]:
                 if record[0] != "batch":
                     raise CatalogCacheError(f"{path.name}: unknown record kind {record[0]!r}")
-                _, digest, values, ints, dels = record
-                if tuple(map(type, record[1:])) != (str, tuple, bytes, tuple):
+                _, digest, values, ints, dels, peer_ints, peer_dels = record
+                if tuple(map(type, record[1:])) != (str, tuple, bytes, tuple, bytes, bytes):
                     raise CatalogCacheError(f"{path.name}: malformed batch")
-                if len(ints) != len(values) * stride * width:
+                own, peer_adds, peer_gone = (
+                    blocks(ints, stride), blocks(peer_ints, stride), blocks(peer_dels, 1)
+                )
+                if len(own) != len(values) * stride:
                     raise CatalogCacheError(f"{path.name}: batch blob of the wrong length")
-                blocks = [int.from_bytes(ints[at : at + width], "big")
-                          for at in range(0, len(ints), width)]
-                if max(blocks, default=0) >= params.p:
-                    raise CatalogCacheError(f"{path.name}: a block is not below p")
                 for value in dels:
                     entries.pop(value, None)
-                ciphertexts = zip(*(blocks[k::stride] for k in range(1, stride)))
-                entries.update(zip(values, zip(blocks[::stride], ciphertexts)))
-                written += len(values) + len(dels) + 1
+                ciphertexts = zip(*(own[k::stride] for k in range(1, stride)))
+                entries.update(zip(values, zip(own[::stride], ciphertexts)))
+                ys = peer_adds[::stride]
+                for index, fs in enumerate(peers, 1):
+                    for y in peer_gone:
+                        fs.pop(y, None)
+                    fs.update(zip(ys, peer_adds[index::stride]))
+                written += len(values) + len(dels) + len(peer_gone) + len(ys) + 1
         except (ValueError, TypeError, IndexError, OverflowError) as exc:
             # CRC-valid but malformed (wrong arity, non-tuple payload,
             # undecodable bytes, a negative key): corrupt all the same.
@@ -282,6 +338,7 @@ class CatalogCache:
             keys=tuple(keys),
             entries=entries,
             path=path,
+            peers=peers,
             records=written,
         )
 
@@ -313,9 +370,10 @@ class CatalogCache:
         params: PublicParams,
         keys: tuple,
         entries: Mapping[Hashable, tuple],
+        peers: tuple = (),
     ) -> CacheEntry:
         """Durably write a fresh, compact entry (atomic: tmp + rename +
-        dir fsync)."""
+        dir fsync); ``peers`` holds the peer maps, one per key."""
         path = self.path_for(digest, protocol)
         tmp = path.with_suffix(path.suffix + ".tmp")
         if tmp.exists():  # leftover from an earlier crash
@@ -324,8 +382,11 @@ class CatalogCache:
             "header", protocol, params.to_wire(), tuple(int(k) for k in keys),
             key_fingerprint(keys, params.p),
         )
-        self._append(tmp, [CATALOG_MAGIC, seal(header), _batch(digest, entries, (), params.p)])
+        self._append(tmp, [
+            CATALOG_MAGIC, seal(header), _batch(digest, entries, (), params.p, peers),
+        ])
         self._publish(tmp, path)
+        peers = tuple(map(dict, peers)) or tuple({} for _ in keys)
         return CacheEntry(
             digest=digest,
             protocol=protocol,
@@ -333,7 +394,8 @@ class CatalogCache:
             keys=tuple(keys),
             entries={v: (h, tuple(ys)) for v, (h, ys) in entries.items()},
             path=path,
-            records=len(entries) + 1,
+            peers=peers,
+            records=len(entries) + len(peers[0]) + 1,
         )
 
     def append_delta(
@@ -342,37 +404,50 @@ class CatalogCache:
         new_digest: str,
         adds: Mapping[Hashable, tuple],
         dels: Any = (),
+        peer_adds: tuple = (),
+        peer_dels: Any = (),
     ) -> CacheEntry:
         """Append one batch to an entry's file and re-key it to the
         table's new digest; ``entry`` is folded forward and returned.
+        ``peer_adds`` holds what the peer maps add, one map per key.
 
         The batch, one sealed record, is fsync'd before the rename, so
         a crash leaves the old entry under the old name (an interrupted
         append is cut away on the next load), or the
         updated entry under the old name - a miss either way it is
         looked up, since the file says which table it describes - or
-        the updated entry under the new name.  Once the file's weight
-        (values written plus batches) exceeds twice the live values
-        the file is compacted through :meth:`store`.  A commit that
-        changes neither the table nor an entry writes nothing.
+        the updated entry under the new name.  A batch on an unchanged
+        table (peer-map churn alone) needs no rename.  Once the file's
+        weight (entries written plus batches) exceeds twice the live
+        entries the file is compacted through :meth:`store`.  A commit
+        that changes neither the table nor an entry writes nothing.
         """
-        dels = list(dels)
-        if new_digest == entry.digest and not adds and not dels:
+        dels, peer_dels = list(dels), list(peer_dels)
+        added = len(peer_adds[0]) if peer_adds else 0
+        if new_digest == entry.digest and not (adds or dels or added or peer_dels):
             return entry  # the file already says it all
-        self._append(entry.path, [_batch(new_digest, adds, dels, entry.params.p)])
+        self._append(entry.path, [
+            _batch(new_digest, adds, dels, entry.params.p, peer_adds, peer_dels)
+        ])
         new_path = self.path_for(new_digest, entry.protocol)
-        self._publish(entry.path, new_path)
+        if new_path != entry.path:
+            self._publish(entry.path, new_path)
         for value in dels:
             entry.entries.pop(value, None)
         entry.entries.update((v, (h, tuple(ys))) for v, (h, ys) in adds.items())
+        for index, fs in enumerate(entry.peers):
+            for y in peer_dels:
+                fs.pop(y, None)
+            fs.update(peer_adds[index] if added else ())
         entry.digest, entry.path = new_digest, new_path
-        entry.records += len(adds) + len(dels) + 1
-        if entry.records > 2 * len(entry.entries):
+        entry.records += len(adds) + len(dels) + added + len(peer_dels) + 1
+        if entry.records > 2 * entry.live:
             _log.info(
                 "catalog compacted records=%d entries=%d",
-                entry.records, len(entry.entries),
+                entry.records, entry.live,
             )
             return self.store(
-                new_digest, entry.protocol, entry.params, entry.keys, entry.entries
+                new_digest, entry.protocol, entry.params, entry.keys,
+                entry.entries, entry.peers,
             )
         return entry

@@ -832,8 +832,12 @@ class ShardedProtocolServer:
             f"shard {shard.index} worker connection was lost mid-session",
             self._retry_hint_s(shard),
         ))
-        _log.warning(
-            "worker lost shard=%d notices=%d", shard.index, len(channel.held)
+        # A drained worker's EOF at shutdown is the end of its life, not
+        # a loss - unless it left a connection to answer as lost.
+        drained = self._draining.is_set() and not channel.held
+        _log.log(
+            logging.DEBUG if drained else logging.WARNING,
+            "worker lost shard=%d notices=%d", shard.index, len(channel.held),
         )
         for held in channel.held.values():
             self.worker_lost_notices += 1

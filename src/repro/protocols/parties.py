@@ -47,6 +47,7 @@ these two machines.
 from __future__ import annotations
 
 import copy
+import math
 import random
 from contextlib import nullcontext
 from collections import Counter
@@ -190,14 +191,19 @@ class PartyCache:
     ``keys`` holds the party's commutative-cipher keys in draw order;
     ``entries`` maps each value to ``(hash, ciphertexts)`` where
     ``ciphertexts`` carries one encryption of the hash per key, in key
-    order.  Injecting a cache skips both the rng key draw and the
-    O(|V|) hash + modexp setup.  The ciphertexts are only valid under
-    the same public params and keys they were produced with — the
-    catalog layer verifies the key fingerprint before injecting.
+    order.  ``peers`` holds the party's peer maps, one per key in key
+    order, each ``y -> f_key(y)`` over the peer-supplied elements the
+    link held (equijoin's R strips under its key's inverse).  Injecting
+    a cache skips the rng key draw, the O(|V|) hash + modexp setup, and
+    every exponentiation of a peer element the peer sends again.  The
+    ciphertexts are only valid under the same public params and keys
+    they were produced with — the catalog layer verifies the key
+    fingerprint before injecting.
     """
 
     keys: tuple
     entries: Mapping[Hashable, tuple]
+    peers: tuple[Mapping[int, int], ...] = ()
 
     def hashes_for(self, values: Sequence[Hashable]) -> list[int]:
         """The cached hashes aligned to ``values`` (all must be covered)."""
@@ -248,6 +254,10 @@ class _Staged(MutableMapping):
         if value is _GONE:
             raise KeyError(key)
         return value
+
+    def __contains__(self, key: object) -> bool:
+        value = self.patch.get(key, self)
+        return key in self.base if value is self else value is not _GONE
 
     def __setitem__(self, key: Hashable, value: Any) -> None:
         self.patch[key] = value
@@ -332,14 +342,25 @@ class _Party:
     * ``absorb`` - R patches what it holds of S and moves the answer it
       maintains by what the patch touched; the caller gets a snapshot.
 
-    With an injected :class:`PartyCache` the keys, hashes and own
-    ciphertexts come from the cache (no rng draw, no hashing, no own
-    modexp).  The collision check still runs - it is cheap and the
-    cache may have been produced by an older code path.
+    Every exponentiation of a peer-supplied element goes through one
+    *peer map* per key, ``y -> f_key(y)`` (:meth:`_through`): the cipher
+    is deterministic, so an element the peer sends again costs nothing.
+    A map holds the peer elements the link holds - a full query keeps
+    what it received, a peer tombstone drops its entry - and
+    :meth:`peer_maps` hands them to the catalog.
+
+    With an injected :class:`PartyCache` the keys, hashes, own
+    ciphertexts and peer maps come from the cache (no rng draw, no
+    hashing, no own modexp, none for a peer element the cache holds).
+    The collision check still runs - it is cheap and the cache may have
+    been produced by an older code path.
     """
 
     #: Commutative-cipher keys the party draws.
     n_keys = 1
+    #: The peer maps, one per key in key order: ``y -> f_key(y)`` over
+    #: the peer-supplied elements the link holds.
+    _peer_names: tuple[str, ...] = ("_f_by_y",)
     #: Whether the catalog layer may persist this party's own-set state.
     cacheable = True
     #: Whether building the party is hashing its table and drawing its
@@ -378,9 +399,9 @@ class _Party:
         #: ciphertexts it sent as added and as tombstoned.
         self._announced: list = []
         self._sent = (0, 0)
-        #: R: ``y -> f_eR(y)`` for the ``Y_S`` segments re-encrypted
-        #: ahead of the reply they belong to (:meth:`absorb_ahead`).
-        self._z_ahead: dict = {}
+        peers = () if cached is None else cached.peers
+        for index, name in enumerate(self._peer_names):
+            setattr(self, name, dict(peers[index]) if peers else {})
         self._declare()
         opening = list(self.opening)
         if cached is None:
@@ -432,6 +453,39 @@ class _Party:
     def _own_maps(self) -> tuple[dict, ...]:
         """The own-ciphertext maps, one per key, in key order."""
         return (self._y_by_value,)
+
+    # ------------------------------------------------------------------
+    # The peer maps
+    # ------------------------------------------------------------------
+    def _peer_keys(self) -> tuple:
+        """The key each peer map exponentiates under."""
+        return self._keys
+
+    def _through(self, ys: Sequence[int], index: int = 0) -> list[int]:
+        """``f_key(y)`` per ``y`` under peer key ``index``: one engine
+        batch over the occurrences whose element its map lacks (every
+        one, as Section 5.2 counts a multiset's), the rest map hits."""
+        fs = getattr(self, self._peer_names[index])
+        late = [y for y in ys if y not in fs]
+        fs.update(zip(late, self._encrypt(self._peer_keys()[index], late)))
+        return [fs[y] for y in ys]
+
+    def _forget(self, ys: Iterable[int]) -> None:
+        """Drop the entries of peer elements the link no longer holds."""
+        ys = list(ys)
+        for name in self._peer_names:
+            fs = getattr(self, name)
+            for y in ys:
+                fs.pop(y, None)
+
+    def _narrow(self, ys: Iterable[int]) -> None:
+        """A full query: what the peer sent is all the link holds, so
+        each map keeps those entries and drops the rest (rebound, which
+        a fork's :meth:`adopt` takes as it is)."""
+        ys = list(ys)
+        for name in self._peer_names:
+            fs = getattr(self, name)
+            setattr(self, name, {y: fs[y] for y in ys if y in fs})
 
     # ------------------------------------------------------------------
     # The own-set step
@@ -538,16 +592,22 @@ class _Party:
         return self.reply(list(CipherList.coerce(y_r)), (), self.opening, ())
 
     def hear(self, added: Sequence, removed: Sequence = ()) -> None:
-        """S notes the size of what R announced - all it learns."""
+        """S notes the size of what R announced - all it learns.
+
+        Called once its reply has answered R: on a full query the peer
+        maps keep what R announced, on a delta they drop R's
+        tombstones."""
+        if self.size_v_r is None:
+            self._narrow(added)
+        self._forget(removed)
         self.size_v_r = (self.size_v_r or 0) + len(added) - len(removed)
 
     def absorb_ahead(self, ys: Sequence) -> None:
         """R re-encrypts one ``Y_S`` segment ahead of the whole reply.
 
-        Only the memo :meth:`_absorb_y_s` reads is filled (rng-free;
-        every occurrence is exponentiated, as the round step would).
+        Only the peer map :meth:`_absorb_y_s` reads is filled (rng-free).
         """
-        self._z_ahead.update(zip(ys, self._encrypt(self._key, ys)))
+        self._through(ys)
 
     def _answered(self, answers: Sequence[tuple], what: str) -> dict:
         """``y -> v`` over what the latest :meth:`own` announced, once
@@ -568,19 +628,17 @@ class _Party:
         _distinct(removed, "Y_S tombstones")
 
     def _absorb_y_s(self, added: Sequence, removed: Sequence) -> dict:
-        """R re-encrypts S's churn under its own key into ``Z_S`` -
-        what :meth:`absorb_ahead` has not already.  Returns the change
-        to each ``Z_S`` count it touched."""
+        """R re-encrypts S's churn under its own key into ``Z_S``
+        through its peer map, which then holds the ``Y_S`` of the link:
+        all of a full query's, or less the tombstones whose last
+        occurrence left.  Returns the change to each ``Z_S`` count it
+        touched."""
         self._check_y_s(added, removed)
-        ahead = self._z_ahead
-        late = [y for y in added if y not in ahead]
-        ahead.update(zip(late, self._encrypt(self._key, late)))
-        moved = _patch(
-            self._z_s,
-            [ahead[y] for y in added],
-            self._encrypt(self._key, removed),
-        )
-        self._z_ahead = {}
+        z_s = self._z_s
+        moved = _patch(z_s, self._through(added), self._through(removed))
+        if self.size_v_s is None:
+            self._narrow(added)
+        self._forget([y for y in removed if self._f_by_y[y] not in z_s])
         self.size_v_s = (self.size_v_s or 0) + len(added) - len(removed)
         return moved
 
@@ -613,6 +671,15 @@ class _Party:
     def cache_keys(self) -> tuple:
         """The party's cipher keys in draw order (for catalog caching)."""
         return self._keys
+
+    def peer_maps(self) -> tuple[Mapping[int, int], ...]:
+        """The peer maps, one per key in key order: ``y -> f_key(y)``."""
+        return tuple(getattr(self, name) for name in self._peer_names)
+
+    def staged_peers(self) -> set:
+        """The peer elements a fork's steps wrote or dropped: what a
+        delta's commit writes."""
+        return set().union(*(fs.patch for fs in self.peer_maps()))
 
     def cache_entries(self, values: Iterable[Hashable] | None = None) -> dict:
         """Per-value ``(hash, ciphertexts)`` for catalog caching, one
@@ -747,15 +814,16 @@ class IntersectionSender(_Party):
 
     def answer(self, ys: list) -> list:
         """Step 4(b): the ``⟨y, f_eS(y)⟩`` pairs, in the order given."""
-        return list(zip(ys, self._encrypt(self._key, ys)))
+        return list(zip(ys, self._through(ys)))
 
     def reply(
         self, r_added: list, r_removed: list, added: Mapping, removed: Iterable
     ) -> tuple[list, list, list]:
         """Own churn plus pairs for what R added (tombstones on R's
         side need no answer)."""
+        parts = (*self.own(added, removed), self.answer(r_added))
         self.hear(r_added, r_removed)
-        return (*self.own(added, removed), self.answer(r_added))
+        return parts
 
     def round1(self, y_r: CipherList) -> IntersectionReply:
         """Steps 4(a)+(b): ``Y_S`` reordered plus the pairs."""
@@ -807,18 +875,21 @@ class _SizeSender:
     def answer(self, ys: list) -> list:
         """Step 4(b): ``f_eS(y)`` per ciphertext - to be reordered
         before it ships, which is what unpairs it."""
-        return self._encrypt(self._key, ys)
+        return self._through(ys)
 
     def reply(
         self, r_added: list, r_removed: list, added: Mapping, removed: Iterable
     ) -> tuple[list, list, list, list]:
-        """Own churn plus the reordered doubles of R's churn."""
-        self.hear(r_added, r_removed)
-        return (
+        """Own churn plus the reordered doubles of R's churn.
+
+        A tombstone's double is a peer-map hit."""
+        parts = (
             *self.own(added, removed),
             sorted_ciphertexts(self.answer(r_added)),
             sorted_ciphertexts(self.answer(r_removed)),
         )
+        self.hear(r_added, r_removed)
+        return parts
 
     def round1(self, y_r: CipherList) -> SizeReply:
         """Steps 4(a)+(b): ``Y_S`` plus the unpaired, reordered ``Z_R``."""
@@ -841,22 +912,44 @@ class EquijoinSizeReceiver(_SizeReceiver, _MultisetParty):
 class EquijoinSizeSender(_SizeSender, _MultisetParty):
     """Party S of the Section 5.2 protocol."""
 
+    def _declare(self) -> None:
+        #: Occurrences of each ``Y_R`` element: R tombstones one
+        #: occurrence at a time, and the peer maps keep an element
+        #: until its last one goes.
+        self._y_r: Counter = Counter()
+        super()._declare()
+
+    def hear(self, added: Sequence, removed: Sequence = ()) -> None:
+        _patch(self._y_r, added, removed)
+        super().hear(added, removed)
+
+    def _forget(self, ys: Iterable[int]) -> None:
+        super()._forget([y for y in ys if y not in self._y_r])
+
 
 class EquijoinReceiver(_Party):
     """Party R of the Section 4.3 protocol."""
 
     def _declare(self) -> None:
-        #: Own side: ``codeword -> (value, kappa)`` and its inverse;
+        #: Own side: ``codeword -> (value, kappa)``, and S's answer to
+        #: each value (the two elements the peer map strips to them);
         #: S's side: ``codeword -> K(kappa, ext)``; the answer: the
         #: decrypted ext of every codeword both sides hold.
         self._by_codeword: dict = {}
-        self._codeword_by_value: dict = {}
+        self._answer_by_value: dict = {}
         self._pairs_by_codeword: dict = {}
         self._matches: dict = {}
         super()._declare()
 
+    def _peer_keys(self) -> tuple:
+        """R strips its layer: its one peer map is under ``e_R⁻¹``."""
+        return (self.cipher.invert_key(self._key),)
+
     def _retire(self, v: Hashable) -> int:
-        self._by_codeword.pop(self._codeword_by_value.pop(v, None), None)
+        answer = self._answer_by_value.pop(v, None)
+        if answer is not None:
+            self._by_codeword.pop(self._f_by_y[answer[0]], None)
+            self._forget(answer)
         self._matches.pop(v, None)
         return super()._retire(v)
 
@@ -867,13 +960,14 @@ class EquijoinReceiver(_Party):
         announced, patch both codeword maps, then match and decrypt ext
         for the codewords either patch touched."""
         by_y = self._answered(triples_added, "triples")
-        inverse = self.cipher.invert_key(self._key)
         mine = [(by_y[y], second, third) for y, second, third in triples_added]
-        codewords = self._encrypt(inverse, [t[1] for t in mine])
-        kappas = self._encrypt(inverse, [t[2] for t in mine])
-        for (v, _, _), codeword, kappa in zip(mine, codewords, kappas):
+        codewords = self._through([t[1] for t in mine])
+        kappas = self._through([t[2] for t in mine])
+        if self.size_v_s is None:
+            self._narrow(chain.from_iterable(t[1:] for t in mine))
+        for (v, second, third), codeword, kappa in zip(mine, codewords, kappas):
             self._by_codeword[codeword] = (v, kappa)
-            self._codeword_by_value[v] = codeword
+            self._answer_by_value[v] = (second, third)
         for codeword in pairs_removed:
             self._pairs_by_codeword.pop(codeword, None)
         self._pairs_by_codeword.update(
@@ -924,6 +1018,7 @@ class EquijoinSender(_PayloadSender):
     """Party S of the Section 4.3 protocol (two keys + ext payloads)."""
 
     n_keys = 2
+    _peer_names = ("_f_by_y", "_kappa_by_y")
 
     def __init__(self, *args: Any, **kwargs: Any):
         #: Own values under the second key (``kappa``).
@@ -936,13 +1031,7 @@ class EquijoinSender(_PayloadSender):
 
     def answer(self, ys: list) -> list:
         """Step 4: ``⟨y, f_eS(y), f_e'S(y)⟩`` in the order given."""
-        return list(
-            zip(
-                ys,
-                self._encrypt(self._keys[0], ys),
-                self._encrypt(self._keys[1], ys),
-            )
-        )
+        return list(zip(ys, self._through(ys, 0), self._through(ys, 1)))
 
     def pairs(self, added: Mapping, removed: Iterable) -> tuple[list, list]:
         """Step 5 over own churn: the reordered ``⟨codeword, K(kappa,
@@ -971,8 +1060,9 @@ class EquijoinSender(_PayloadSender):
         self, r_added: list, r_removed: list, added: Mapping, removed: Iterable
     ) -> tuple[list, list, list]:
         """Triples for what R added, pair churn for own."""
+        parts = (self.answer(r_added), *self.pairs(added, removed))
         self.hear(r_added, r_removed)
-        return (self.answer(r_added), *self.pairs(added, removed))
+        return parts
 
     def round1(self, y_r: CipherList) -> EquijoinReply:
         """Steps 4-5: triples over ``Y_R`` plus the pairs."""
@@ -989,16 +1079,41 @@ class EquijoinSumReceiver(_Party):
     blinded round trip runs on every query (R never learns the
     plaintext amounts, so the answer cannot be maintained locally) and
     draws fresh mask randomness, so a delta of this protocol is *not*
-    journal-replay-safe; the double-encryption cache keeps its
-    matching at O(delta) modexp.
+    journal-replay-safe; the peer map keeps its matching at O(delta)
+    modexp.
+
+    Before its state moves, R checks S's Paillier material: a modulus
+    of the ``paillier_bits`` both parties were built with (a product of
+    two primes of half that size: that many bits, or one fewer), and
+    every ciphertext in ``Z*_{n²}`` - else :class:`ProtocolViolation`.
     """
 
+    def __init__(self, *args: Any, paillier_bits: int = 256, **kwargs: Any):
+        self.paillier_bits = paillier_bits
+        super().__init__(*args, **kwargs)
+
+    def _paillier(self, n: int) -> PaillierPublicKey:
+        """S's announced modulus as a key, once it has the agreed size."""
+        if not self.paillier_bits - 1 <= n.bit_length() <= self.paillier_bits:
+            raise ProtocolViolation(
+                f"Paillier modulus of {n.bit_length()} bits, "
+                f"not the agreed {self.paillier_bits}"
+            )
+        return PaillierPublicKey(n)
+
+    @staticmethod
+    def _check_ciphertexts(pk: PaillierPublicKey, pairs: Sequence[tuple]) -> None:
+        """Every pair's ciphertext lies in ``Z*_{n²}``: in ``[1, n²)``
+        and coprime to ``n``."""
+        n, n_squared = pk.n, pk.n_squared
+        if any(not 0 < c < n_squared or math.gcd(c, n) != 1 for _, c in pairs):
+            raise ProtocolViolation("a Paillier ciphertext outside Z*_{n²}")
+
     def _declare(self) -> None:
-        #: ``Z_R`` (occurrence counts), S's ``codeword -> Enc(amount)``
-        #: pairs and the double encryption of each codeword seen.
+        #: ``Z_R`` (occurrence counts) and S's ``codeword -> Enc(amount)``
+        #: pairs; the peer map holds each codeword's double encryption.
         self._z_r: Counter = Counter()
         self._pairs_by_codeword: dict = {}
-        self._z_by_codeword: dict = {}
         self._pk: PaillierPublicKey | None = None
         self._mask: int | None = None
         self.match_count: int | None = None
@@ -1010,23 +1125,21 @@ class EquijoinSumReceiver(_Party):
     ) -> BlindedSum:
         """Step 5: patch ``Z_R`` and the pair map, match against the
         unlinkable ``Z_R``, sum and blind."""
+        self._check_ciphertexts(self._pk, pairs_added)
         _patch(self._z_r, z_added, z_removed)
+        held = self._pairs_by_codeword
         for codeword in pairs_removed:
-            self._pairs_by_codeword.pop(codeword, None)
-        self._pairs_by_codeword.update(pairs_added)
-        for codeword in pairs_removed:
-            if codeword not in self._pairs_by_codeword:  # not a replace
-                self._z_by_codeword.pop(codeword, None)
-        fresh = [
-            codeword
-            for codeword in dict(pairs_added)
-            if codeword not in self._z_by_codeword
-        ]
-        self._z_by_codeword.update(zip(fresh, self._encrypt(self._key, fresh)))
+            held.pop(codeword, None)
+        held.update(pairs_added)
+        self._forget(c for c in pairs_removed if c not in held)  # not a replace
+        self._through(list(dict(pairs_added)))
+        if self.size_v_s is None:
+            self._narrow(held)
+        doubles = self._f_by_y
         matched = [
             ciphertext
-            for codeword, ciphertext in self._pairs_by_codeword.items()
-            if self._z_by_codeword[codeword] in self._z_r
+            for codeword, ciphertext in held.items()
+            if doubles[codeword] in self._z_r
         ]
         pk = self._pk
         accumulator = pk.encrypt_zero(self.rng)
@@ -1040,8 +1153,10 @@ class EquijoinSumReceiver(_Party):
     def round2(self, reply: SumReply) -> BlindedSum:
         """Step 5 of a full run: adopt S's Paillier modulus, absorb."""
         reply = SumReply.coerce(reply)
+        pk = self._paillier(reply.n)
+        self._check_ciphertexts(pk, reply.pairs)
         self._declare()
-        self._pk = PaillierPublicKey(reply.n)
+        self._pk = pk
         return self.absorb(reply.z_r, (), reply.pairs, ())
 
     def finish(self, reply: RevealedSum) -> int:
@@ -1072,7 +1187,7 @@ class EquijoinSumSender(_PayloadSender):
 
     def answer(self, ys: list) -> list:
         """Step 3: ``f_eS(y)`` per ciphertext, reordered before it ships."""
-        return self._encrypt(self._key, ys)
+        return self._through(ys)
 
     def reply(
         self, r_added: list, r_removed: list, added: Mapping, removed: Iterable
@@ -1088,9 +1203,9 @@ class EquijoinSumSender(_PayloadSender):
                 "aggregated values must be non-negative amounts "
                 f"({len(invalid)} invalid)"
             )
-        self.hear(r_added, r_removed)
         z_added = sorted_ciphertexts(self.answer(r_added))
         z_removed = sorted_ciphertexts(self.answer(r_removed))
+        self.hear(r_added, r_removed)
         _, tombstones = self.own(added, removed)
         self.payloads.update((v, int(amount)) for v, amount in added.items())
         pairs = sorted(

@@ -223,10 +223,13 @@ def run_recorded(
     r_data: Any,
     s_data: Any,
     suite: ProtocolSuite | None = None,
-    **sender_options: Any,
+    **options: Any,
 ) -> tuple[Any, Any, Any, ProtocolRun]:
     """One full run of protocol ``name`` between two machines sharing
-    ``suite`` (a fresh 1024-bit default when omitted), recorded.
+    ``suite`` (a fresh 1024-bit default when omitted), recorded; both
+    parties are built with ``options`` (equijoin-sum's
+    ``paillier_bits``, which S draws its modulus at and R checks it
+    against).
 
     The rounds go through :meth:`ProtocolSpec.exchange`; every wire it
     returns is then recorded *part by part* in a
@@ -240,9 +243,11 @@ def run_recorded(
     run = ProtocolRun(protocol=name.replace("-", "_"))
     crypto = CryptoContext.from_suite(suite)
     params = PublicParams(p=suite.group.p)
-    receiver = ReceiverMachine(spec, r_data, params, suite.rng_r, crypto=crypto)
+    receiver = ReceiverMachine(
+        spec, r_data, params, suite.rng_r, crypto=crypto, **options
+    )
     sender = SenderMachine(
-        spec, s_data, params, suite.rng_s, crypto=crypto, **sender_options
+        spec, s_data, params, suite.rng_s, crypto=crypto, **options
     )
     wires = spec.exchange(receiver, sender)
     answer = receiver.finish()

@@ -16,6 +16,7 @@ seed replays with
 
 from __future__ import annotations
 
+import logging
 import os
 import random
 import socket
@@ -179,3 +180,28 @@ def test_a_respawned_worker_does_not_keep_the_public_port_open():
             socket.create_connection(("127.0.0.1", server.port), timeout=2.0).close()
     finally:
         server.shutdown(drain_timeout_s=1.0)
+
+
+def test_a_killed_worker_logs_its_warning_and_a_clean_shutdown_none(caplog):
+    import time
+
+    server = ShardedProtocolServer(
+        {"intersection": (["b", "c", "x"], PublicParams.for_bits(96))},
+        shards=2, heartbeat_s=0.05, respawn_backoff_s=0.05, restart_budget=2,
+    )
+
+    def lost():
+        return [
+            (r.levelname, r.getMessage()) for r in caplog.records
+            if r.getMessage().startswith("worker lost")
+        ]
+
+    with caplog.at_level(logging.DEBUG, logger="repro"):
+        with server:
+            assert server.kill_worker(0) is not None
+            deadline = time.monotonic() + 15.0
+            while not lost():
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+    warnings = [entry for entry in lost() if entry[0] == "WARNING"]
+    assert warnings == [("WARNING", "worker lost shard=0 notices=0")]

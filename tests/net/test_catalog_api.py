@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 import repro
 from repro.crypto.engine import create_engine
 from repro.net import tcp
+from repro.net.catalog import CatalogCache, table_digest
 from repro.net.session import HandshakeError
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS, get_spec
@@ -320,9 +321,10 @@ def test_cache_warm_start_and_rekey(tmp_path, protocol, chunk_size):
     warm = peer.query(protocol, chunk_size=chunk_size)
     assert warm.cache_hit
     assert warm.answer == cold.answer
-    # Whole or streamed, a warm S only answers Y_R (under both of
-    # equijoin's keys); its own set comes from the cache.
-    assert sum(s_modexps) == len(v_r) * (2 if protocol == "equijoin" else 1)
+    # Whole or streamed, a warm S on unchanged tables exponentiates
+    # nothing: its own set and its answers to Y_R (under both of
+    # equijoin's keys) come from the cache.
+    assert sum(s_modexps) == 0
 
     # A delta commit re-keys the entries to the mutated tables.
     cat_r.insert("zz")
@@ -364,8 +366,11 @@ def test_deltas_that_change_no_entry_keep_the_cache_bounded(tmp_path):
         assert result.mode == "delta"
         grown = [len(data) - size for data, size in zip(files(), compact)]
         batch = batch or grown
-        # Fewer batches since the last compaction than distinct values.
-        assert all(0 <= g < len(set(v_r)) * b for g, b in zip(grown, batch))
+        # Fewer batches since the last compaction than live entries: a
+        # file holds its side's distinct values and, in its peer map,
+        # the other side's.
+        live = len(set(v_r)) + len(set(v_s))
+        assert all(0 <= g < live * b for g, b in zip(grown, batch))
         sizes.append(grown)
     # Each file was compacted back to its compact size, more than once.
     assert all(sum(g[side] == 0 for g in sizes) >= 2 for side in (0, 1))
@@ -398,6 +403,146 @@ def test_warm_start_is_wire_identical(tmp_path, monkeypatch):
 # ----------------------------------------------------------------------
 # Staging and mode errors
 # ----------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# The peer maps: a reopen exponentiates only what changed
+# ----------------------------------------------------------------------
+def _counted_pair(tmp_path, v_r, v_s):
+    """A cached pair, each party on its own engine counting modexps:
+    what a fresh process opens on the same directories."""
+    counts = {"r": [], "s": []}
+    catalogs = [
+        repro.open_catalog(
+            data, bits=BITS, seed=seed, cache_dir=tmp_path / side,
+            engine=create_engine(1, on_modexp=counts[side].append),
+        )
+        for side, data, seed in (("r", v_r, 1), ("s", v_s, 2))
+    ]
+    return (*catalogs, counts)
+
+
+@pytest.mark.parametrize("chunk_size", [None, 7])
+@pytest.mark.parametrize("protocol", BASE_PROTOCOLS)
+def test_a_reopen_on_unchanged_tables_exponentiates_nothing(tmp_path, protocol, chunk_size):
+    """Every cacheable party finds its own ciphertexts and its
+    re-encryptions of the peer's in the cache: zero modexps on either
+    engine, and the cold answer."""
+    v_r, v_s = _tables(protocol)
+    cat_r, cat_s, _ = _counted_pair(tmp_path, v_r, v_s)
+    cold = cat_r.pair(cat_s).query(protocol, chunk_size=chunk_size)
+    cat_r, cat_s, counts = _counted_pair(tmp_path, v_r, v_s)
+    warm = cat_r.pair(cat_s).query(protocol, chunk_size=chunk_size)
+    assert warm.cache_hit and warm.answer == cold.answer
+    assert sum(counts["r"]) == 0
+    # equijoin-sum's S draws its Paillier keypair per process and
+    # caches nothing: it encrypts its set and answers Y_R again.
+    s_cold = len(v_s) + len(v_r) if protocol == "equijoin-sum" else 0
+    assert sum(counts["s"]) == s_cold
+
+
+#: Re-encryptions per peer value that changed, by the unchanged side:
+#: equijoin's S answers under both keys, and its R re-encrypts only S's
+#: answers to R's own values, which a change of S's table leaves alone.
+_PER_CHANGED = {("equijoin", "s"): 2, ("equijoin", "r"): 0}
+
+
+@pytest.mark.parametrize("unchanged", ["r", "s"])
+@pytest.mark.parametrize("protocol", BASE_PROTOCOLS)
+def test_a_reopen_exponentiates_exactly_the_peer_elements_that_changed(
+    tmp_path, protocol, unchanged
+):
+    if (protocol, unchanged) == ("equijoin-sum", "s"):
+        pytest.skip("equijoin-sum's S caches nothing")
+    v_r, v_s = _tables(protocol)
+    cat_r, cat_s, _ = _counted_pair(tmp_path, v_r, v_s)
+    cat_r.pair(cat_s).query(protocol)
+    # While both are down, the other side swaps k of its values for new
+    # ones: its own cache misses, and its seed draws the same keys.
+    k = 3
+    tables = {"r": list(v_r), "s": v_s.copy()}
+    changed = tables["s" if unchanged == "r" else "r"]
+    for i in range(k):
+        gone = sorted(changed)[i]
+        if isinstance(changed, dict):
+            changed[f"new{i}"] = changed.pop(gone)
+        else:
+            changed[changed.index(gone)] = f"new{i}"
+    cat_r, cat_s, counts = _counted_pair(tmp_path, tables["r"], tables["s"])
+    result = cat_r.pair(cat_s).query(protocol)
+    assert result.cache_hit
+    assert result.answer == repro.run(
+        protocol, tables["r"], tables["s"], bits=BITS, seed=3
+    ).answer
+    assert sum(counts[unchanged]) == k * _PER_CHANGED.get((protocol, unchanged), 1)
+
+
+def test_a_deltas_peer_tombstones_are_map_hits(tmp_path):
+    """The delta-churn shape: each side deletes 4 values and inserts 4,
+    2 of them common. R re-encrypts S's 4 new elements and finds its
+    4 tombstones in the map: 16 modexps, not 20."""
+    v_r = [f"r{i}" for i in range(20)] + [f"c{i}" for i in range(20)]
+    v_s = [f"s{i}" for i in range(20)] + [f"c{i}" for i in range(20)]
+    cat_r, cat_s, counts = _counted_pair(tmp_path, v_r, v_s)
+    peer = cat_r.pair(cat_s)
+    peer.query("intersection")
+    del counts["r"][:], counts["s"][:]
+    for side, catalog in (("r", cat_r), ("s", cat_s)):
+        for value in (f"{side}0", f"{side}1", "c0", "c1"):
+            catalog.delete(value)
+        for i in range(4):
+            catalog.insert(f"new-{'both' if i % 2 else side}-{i}")
+    result = peer.query("intersection")
+    assert result.mode == "delta"
+    assert result.answer == set(cat_r.data) & set(cat_s.data)
+    assert (sum(counts["r"]), sum(counts["s"])) == (8, 8)
+
+
+def _peer_elements(protocol, receiver, sender):
+    """The peer elements each party's link holds: S's ``Y_R`` from R,
+    and what R receives of S - ``Y_S`` or the codewords, or equijoin's
+    answers to R's own values under both of S's keys."""
+    y_r = set(receiver._y_by_value.values())
+    if protocol == "equijoin":
+        from_s = {f[y] for f in (sender._f_by_y, sender._kappa_by_y) for y in y_r}
+    else:
+        from_s = set(sender._y_by_value.values())
+    return from_s, y_r
+
+
+@pytest.mark.parametrize("protocol", BASE_PROTOCOLS)
+def test_after_churn_and_compaction_the_maps_hold_the_links_peer_elements(
+    tmp_path, protocol, caplog
+):
+    v_r, v_s = _tables(protocol)
+    cat_r, cat_s, _ = _counted_pair(tmp_path, v_r, v_s)
+    peer = cat_r.pair(cat_s)
+    peer.query(protocol)
+    rng = random.Random(protocol)
+    with caplog.at_level("INFO", logger="repro.catalog"):
+        for step in range(24):
+            for side, catalog in (("r", cat_r), ("s", cat_s)):
+                held = sorted(catalog.data, key=repr)
+                _stage(catalog, protocol, "delete", rng.choice(held), step)
+                _stage(catalog, protocol, "insert", f"n{side}{step}", step)
+                # A second occurrence (equijoin-size) or a new payload.
+                _stage(catalog, protocol, "insert", rng.choice(held), step)
+                _stage(catalog, protocol, "replace", rng.choice(held), step)
+            assert peer.query(protocol).mode == "delta"
+    assert "catalog compacted" in caplog.text
+    receiver = cat_r._links[(protocol, "receiver")]["party"]
+    sender = cat_s._links[(protocol, "sender")]["party"]
+    from_s, y_r = _peer_elements(protocol, receiver, sender)
+    assert set(receiver.peer_maps()[0]) == from_s
+    assert set(sender.peer_maps()[0]) == y_r
+    assert all(fs.keys() == sender.peer_maps()[0].keys() for fs in sender.peer_maps())
+    for side, digest_of, party in (("r", cat_r, receiver), ("s", cat_s, sender)):
+        if party.cacheable:
+            found = CatalogCache(tmp_path / side).lookup(
+                table_digest(digest_of.data), f"{protocol}.{side}"
+            )
+            assert found.peers == party.peer_maps()
+            assert found.records <= 2 * found.live
+
+
 class TestStagingAndModes:
     def test_delta_mode_without_state_raises(self):
         v_r, v_s = _tables("intersection")

@@ -35,6 +35,8 @@ ENTRIES = {
     "carol": (33, (3333,)),
 }
 DIGEST = table_digest(["alice", "bob", "carol"])
+#: The peer maps, one per key: a peer element -> its re-encryption.
+PEERS = ({7: 77, 8: 88},)
 #: Bytes per int block of a batch's blob.
 WIDTH = (PARAMS.p.bit_length() + 7) // 8
 
@@ -47,12 +49,19 @@ def _blob(*ints):
     return b"".join(i.to_bytes(WIDTH, "big") for i in ints)
 
 
-def _batch(digest=DIGEST, adds=ENTRIES, dels=()):
-    """A v3 batch record: the adds' values, their hash and ciphertexts
-    as one blob of fixed-width blocks, and the dels."""
+def _batch(digest=DIGEST, adds=ENTRIES, dels=(), peer_adds=({},), peer_dels=()):
+    """A v4 batch record: the adds' values, their hash and ciphertexts
+    as one blob of fixed-width blocks, and the dels; then the peer-map
+    adds (each element and its re-encryption) as a second blob, and the
+    peer-map dels as a third."""
     values = tuple(sorted(adds, key=repr))
     ints = [i for v in values for i in (adds[v][0], *adds[v][1])]
-    return ("batch", digest, values, _blob(*ints), tuple(dels))
+    ys = sorted(peer_adds[0])
+    peer_ints = [i for y in ys for i in (y, *(fs[y] for fs in peer_adds))]
+    return (
+        "batch", digest, values, _blob(*ints), tuple(dels),
+        _blob(*peer_ints), _blob(*peer_dels),
+    )
 
 
 class TestTableDigest:
@@ -211,6 +220,116 @@ class TestAppendDelta:
         assert fresh.lookup(new_digest, "intersection.r") is None
 
 
+class TestPeerMaps:
+    """The party's re-encryptions of the peer's elements ride the same
+    batches as its own entries."""
+
+    def _stored(self, cache):
+        return cache.store(DIGEST, "intersection.r", PARAMS, KEYS, ENTRIES, PEERS)
+
+    def test_store_then_lookup_and_inject(self, tmp_path):
+        self._stored(CatalogCache(tmp_path))
+        loaded = CatalogCache(tmp_path).lookup(DIGEST, "intersection.r")
+        assert loaded.peers == PEERS and loaded.entries == ENTRIES
+        assert loaded.records == len(ENTRIES) + len(PEERS[0]) + 1
+        assert loaded.party_cache().peers == PEERS
+
+    def test_delta_folds_the_maps_in_its_one_batch(self, tmp_path):
+        cache = CatalogCache(tmp_path)
+        entry = cache.store(DIGEST, "intersection.r", PARAMS, KEYS, _entries(20), PEERS)
+        before = entry.path.read_bytes()
+        new_digest = table_digest(["alice", "carol"])
+        updated = cache.append_delta(entry, new_digest, {}, ["v0"], ({9: 99},), [7])
+        assert updated.peers == ({8: 88, 9: 99},)
+        assert updated.path.read_bytes().startswith(before)
+        loaded = cache.lookup(new_digest, "intersection.r")
+        assert loaded.peers == updated.peers and loaded.records == updated.records
+
+    def test_map_churn_alone_appends_without_a_rename(self, tmp_path):
+        """A full query after the peer changed: the table, and so the
+        name, stay; one write and one fsync, no rename."""
+
+        class Counting(JournalIO):
+            calls: list = []
+
+            def write(self, fh, data):
+                self.calls.append("write")
+                super().write(fh, data)
+
+            def fsync(self, fh):
+                self.calls.append("fsync")
+                super().fsync(fh)
+
+            def replace(self, src, dst):
+                self.calls.append("rename")
+                super().replace(src, dst)
+
+        io = Counting()
+        cache = CatalogCache(tmp_path, io=io)
+        entry = self._stored(cache)
+        inode = entry.path.stat().st_ino
+        del io.calls[:]
+        updated = cache.append_delta(entry, DIGEST, {}, (), ({9: 99},), [7])
+        assert io.calls == ["write", "fsync"]
+        assert updated.path.stat().st_ino == inode
+        assert cache.lookup(DIGEST, "intersection.r").peers == ({8: 88, 9: 99},)
+        # And an unchanged map writes nothing at all.
+        assert cache.append_delta(updated, DIGEST, {}, ()) is updated
+        assert io.calls == ["write", "fsync"]
+
+    def test_a_torn_map_batch_is_cut_and_the_prefix_served(self, tmp_path):
+        cache = CatalogCache(tmp_path)
+        path = self._stored(cache).path
+        intact = path.read_bytes()
+        torn = seal(_batch(adds={}, peer_adds=({9: 99},), peer_dels=[7]))
+        for cut in (1, len(torn) // 2, len(torn) - 1):
+            path.write_bytes(intact + torn[:cut])
+            loaded = cache.lookup(DIGEST, "intersection.r")
+            assert loaded.peers == PEERS and loaded.entries == ENTRIES
+            assert path.read_bytes() == intact
+
+    def test_a_crash_before_the_rename_is_a_miss(self, tmp_path):
+        class NoRename(JournalIO):
+            def replace(self, src, dst):
+                raise OSError("crash before the rename")
+
+        entry = self._stored(CatalogCache(tmp_path))
+        new_digest = table_digest(["alice", "carol"])
+        with pytest.raises(OSError):
+            CatalogCache(tmp_path, io=NoRename()).append_delta(
+                entry, new_digest, {}, ["bob"], ({9: 99},), [7]
+            )
+        fresh = CatalogCache(tmp_path)
+        with pytest.raises(CatalogCacheError, match="describes"):
+            fresh.lookup(DIGEST, "intersection.r")
+        assert fresh.lookup(new_digest, "intersection.r") is None
+
+    def test_map_churn_counts_toward_compaction(self, tmp_path):
+        """Peer elements that come and go weigh like values: the file
+        is compacted within ~2x of its compact size (in bytes where a
+        batch's framing is no heavier than a row: p of 512 bits)."""
+        params = PublicParams.for_bits(512)
+        peers = {y: y + 1 for y in range(100, 130)}
+        cache = CatalogCache(tmp_path / "live")
+        entry = cache.store(DIGEST, "intersection.r", params, KEYS, ENTRIES, (peers,))
+        compactions = 0
+        for step in range(80):
+            gone, new = 100 + step, 130 + step
+            del peers[gone]
+            peers[new] = new + 1
+            size_before = entry.path.stat().st_size
+            entry = cache.append_delta(entry, DIGEST, {}, (), ({new: peers[new]},), [gone])
+            compactions += entry.path.stat().st_size < size_before
+            assert entry.peers == (peers,) and entry.records <= 2 * entry.live
+            fresh = CatalogCache(cache.root).lookup(DIGEST, "intersection.r")
+            assert fresh.peers == (peers,) and fresh.records == entry.records
+            compact = CatalogCache(tmp_path / "compact").store(
+                DIGEST, "intersection.r", params, KEYS, ENTRIES, (peers,)
+            ).path.stat().st_size
+            assert entry.path.stat().st_size <= 2 * compact + 200
+        assert 2 <= compactions <= 12
+
+
 def _entries(n):
     return {f"v{i}": (1000 + i, (5000 + i,)) for i in range(n)}
 
@@ -347,6 +466,19 @@ class TestCorruption:
             cache.lookup(DIGEST, "intersection.r")
 
 
+    def test_v3_file_is_a_miss(self, tmp_path):
+        """A whole file of the previous layout - batches without the
+        peer maps' blobs - is a miss by its magic: the next full query
+        rebuilds it."""
+        cache = CatalogCache(tmp_path)
+        path = cache.path_for(DIGEST, "intersection.r")
+        path.write_bytes(
+            b"RPCC\x00\x03" + seal(_HEADER) + seal(_batch()[:5])
+        )
+        with pytest.raises(CatalogCacheError, match="magic"):
+            cache.lookup(DIGEST, "intersection.r")
+
+
 # ----------------------------------------------------------------------
 # CRC-valid but malformed records: always a typed error
 # ----------------------------------------------------------------------
@@ -416,24 +548,35 @@ class TestMalformedRecords:
         assert _lookup_is_typed(tmp_path, blob) is None
 
     @pytest.mark.parametrize("batch, error", [
-        (("batch", DIGEST, ("x",), _blob(1, 2)[:-1], ()), "blob"),
-        (("batch", DIGEST, ("x",), _blob(1, 2) + b"\0", ()), "blob"),
-        (("batch", DIGEST, ("x",), _blob(1, 2, 3), ()), "blob"),
-        (("batch", DIGEST, ("x", "y"), _blob(1, 2), ()), "blob"),
-        (("batch", DIGEST, ("x",), _blob(PARAMS.p, 2), ()), "below p"),
-        (("batch", DIGEST, ("x",), _blob(1, PARAMS.p + 1), ()), "below p"),
-        (("batch", 12345, ("x",), _blob(1, 2), ()), "malformed batch"),
-        (("batch", DIGEST.encode(), ("x",), _blob(1, 2), ()), "malformed batch"),
-        (("batch", DIGEST, ["x"], _blob(1, 2), ()), "malformed batch"),
-        (("batch", DIGEST, "x", _blob(1, 2), ()), "malformed batch"),
-        (("batch", DIGEST, ("x",), _blob(1, 2), ["alice"]), "malformed batch"),
-        (("batch", DIGEST, ("x",), _blob(1, 2), "alice"), "malformed batch"),
+        (("batch", DIGEST, ("x",), _blob(1, 2)[:-1], (), b"", b""), "blob"),
+        (("batch", DIGEST, ("x",), _blob(1, 2) + b"\0", (), b"", b""), "blob"),
+        (("batch", DIGEST, ("x",), _blob(1, 2, 3), (), b"", b""), "blob"),
+        (("batch", DIGEST, ("x", "y"), _blob(1, 2), (), b"", b""), "blob"),
+        (("batch", DIGEST, ("x",), _blob(PARAMS.p, 2), (), b"", b""), "below p"),
+        (("batch", DIGEST, ("x",), _blob(1, PARAMS.p + 1), (), b"", b""), "below p"),
+        (("batch", 12345, ("x",), _blob(1, 2), (), b"", b""), "malformed batch"),
+        (("batch", DIGEST.encode(), ("x",), _blob(1, 2), (), b"", b""), "malformed batch"),
+        (("batch", DIGEST, ["x"], _blob(1, 2), (), b"", b""), "malformed batch"),
+        (("batch", DIGEST, "x", _blob(1, 2), (), b"", b""), "malformed batch"),
+        (("batch", DIGEST, ("x",), _blob(1, 2), ["alice"], b"", b""), "malformed batch"),
+        (("batch", DIGEST, ("x",), _blob(1, 2), "alice", b"", b""), "malformed batch"),
+        # The peer maps' blobs: one element and one re-encryption per
+        # key each added row, one element each removed one, below p.
+        (("batch", DIGEST, (), b"", (), _blob(5), b""), "blob"),
+        (("batch", DIGEST, (), b"", (), _blob(5, 6, 7), b""), "blob"),
+        (("batch", DIGEST, (), b"", (), b"", _blob(5)[:-1]), "blob"),
+        (("batch", DIGEST, (), b"", (), _blob(PARAMS.p, 6), b""), "below p"),
+        (("batch", DIGEST, (), b"", (), _blob(5, PARAMS.p), b""), "below p"),
+        (("batch", DIGEST, (), b"", (), b"", _blob(PARAMS.p)), "below p"),
+        (("batch", DIGEST, (), b"", (), (5, 6), b""), "malformed batch"),
+        (("batch", DIGEST, (), b"", (), b"", (5,)), "malformed batch"),
     ])
     def test_bad_batch_is_a_typed_miss_not_served(self, tmp_path, batch, error):
         """CRC-valid, so written whole: a batch whose blob does not
-        hold one hash and one ciphertext per key for each value, whose
-        block is no residue mod ``p``, or whose fields have the wrong
-        type is corruption - never served, never cut away."""
+        hold one hash and one ciphertext per key for each value (or one
+        element and one re-encryption per key for each peer-map row),
+        whose block is no residue mod ``p``, or whose fields have the
+        wrong type is corruption - never served, never cut away."""
         cache = CatalogCache(tmp_path)
         path = _store(cache).path
         data = path.read_bytes() + seal(batch)

@@ -103,9 +103,11 @@ def _restart(cache_dir, v_r):
     result = cat_r.pair(repro.open_catalog(V_S, bits=BITS, seed=2)).query(PROTOCOL)
     assert result.mode == "full"
     assert result.answer == set(v_r) & set(V_S)
-    # Whatever it found, it leaves the entry of the table it ran on.
+    # Whatever it found, it leaves the entry of the table it ran on,
+    # with the peer map the query left.
     entry = CatalogCache(cache_dir).lookup(table_digest(v_r), f"{PROTOCOL}.r")
     assert entry is not None and set(entry.entries) == set(v_r)
+    assert entry.peers == cat_r._links[(PROTOCOL, "receiver")]["party"].peer_maps()
     return result
 
 
@@ -157,31 +159,39 @@ _FAULTS = {
 }
 
 
+def _copy(maps):
+    return tuple(dict(fs) for fs in maps)
+
+
 def _run_commit(folder, plan):
     """Full query, churn, delta query on a receiver whose cache I/O
-    follows ``plan``: the tables and the party's cache entries before
-    and after the delta, the I/O op count at each stage, and whether
-    the delta query raised ``OSError``."""
+    follows ``plan``: the tables and the party's cache entries and peer
+    map before and after the delta, the I/O op count at each stage, and
+    whether the delta query raised ``OSError``. S churns too, so the
+    batch carries peer-map records beside the entries."""
     old = [f"v{i:05d}" for i in range(12)]
     new = list(old)
     io = FaultyJournalIO(plan)
     cat_r = repro.open_catalog(
         old, bits=BITS, seed=1, cache_dir=folder, cache_io=io
     )
-    peer = cat_r.pair(repro.open_catalog(V_S, bits=BITS, seed=2))
+    cat_s = repro.open_catalog(V_S, bits=BITS, seed=2)
+    peer = cat_r.pair(cat_s)
     peer.query(PROTOCOL)
     party = cat_r._links[(PROTOCOL, "receiver")]["party"]
     run = SimpleNamespace(
         old=old, new=new, entries_old=party.cache_entries(),
-        ops_full=io.stats.ops, failed=False,
+        peers_old=_copy(party.peer_maps()), ops_full=io.stats.ops, failed=False,
     )
     _churn(cat_r, new)
+    cat_s.delete(V_S[-1]).insert("s-new")
     try:
         peer.query(PROTOCOL)
     except OSError:
         run.failed = True
     # The party commits before the cache does, fault or no fault.
     run.entries_new = party.cache_entries()
+    run.peers_new = _copy(party.peer_maps())
     run.ops_delta = io.stats.ops - run.ops_full
     run.injected = io.stats.injected
     return run
@@ -218,8 +228,10 @@ def test_any_fault_in_a_delta_commit_is_all_or_nothing(
     # past the last one the commit runs clean.
     assert run.failed == bool(run.injected)
 
-    for name, table, entries in (
-        ("old", run.old, run.entries_old), ("new", run.new, run.entries_new)
+    assert run.peers_old != run.peers_new
+    for name, table, entries, peers in (
+        ("old", run.old, run.entries_old, run.peers_old),
+        ("new", run.new, run.entries_new, run.peers_new),
     ):
         folder = tmp_path / f"restart-on-{name}"
         shutil.copytree(crashed, folder)
@@ -229,8 +241,8 @@ def test_any_fault_in_a_delta_commit_is_all_or_nothing(
             )
         except CatalogCacheError:
             found = None
-        # The old entries, the new entries or a miss - never a mix.
-        assert found is None or found.entries == entries
+        # The old entries and map, the new ones or a miss - never a mix.
+        assert found is None or (found.entries, found.peers) == (entries, peers)
         _restart(folder, table)
     if not run.failed:
         assert _only_entry(crashed).name.startswith(table_digest(run.new)[:32])

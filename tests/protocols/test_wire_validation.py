@@ -312,3 +312,61 @@ def test_a_bad_element_in_y_s_is_a_violation_over_lock_step(row, chunk_size):
 @pytest.mark.parametrize("row", sorted(COUNTS))
 def test_a_reply_that_breaks_a_count_is_a_violation_over_lock_step(row, chunk_size):
     _refused_over_lock_step(*COUNTS[row], chunk_size)
+
+
+# ----------------------------------------------------------------------
+# equijoin-sum: S's Paillier material, checked before R's state moves
+# ----------------------------------------------------------------------
+def _with_ciphertext(reply, c):
+    (codeword, _), *rest = reply.pairs
+    return dataclasses.replace(reply, pairs=[(codeword, c), *rest])
+
+
+#: S's ``m2`` with its Paillier modulus or one ciphertext out of place.
+PAILLIER = {
+    "short-modulus": lambda r: dataclasses.replace(r, z_r_pk=(r.z_r, r.n >> 16)),
+    "long-modulus": lambda r: dataclasses.replace(r, z_r_pk=(r.z_r, r.n << 2 | 1)),
+    "ciphertext-n-squared": lambda r: _with_ciphertext(r, r.n * r.n),
+    "ciphertext-above": lambda r: _with_ciphertext(r, r.n * r.n + 5),
+    "ciphertext-zero": lambda r: _with_ciphertext(r, 0),
+    "ciphertext-n": lambda r: _with_ciphertext(r, r.n),
+    "ciphertext-3n": lambda r: _with_ciphertext(r, 3 * r.n),
+}
+
+
+@pytest.mark.parametrize("row", sorted(PAILLIER))
+def test_bad_paillier_material_is_a_violation_before_r_moves(row):
+    spec = get_spec("equijoin-sum")
+    m2, m3 = spec.rounds[1:3]
+    receiver, reply = _honest_m2("equijoin-sum")
+    receiver.consume(m2, PAILLIER[row](reply).to_wire())
+    with pytest.raises(ProtocolViolation, match="Paillier"):
+        receiver.produce(m3)
+    assert receiver.state._pk is None and receiver.state.size_v_s is None
+
+
+def test_the_honest_paillier_material_passes():
+    spec = get_spec("equijoin-sum")
+    receiver, sender = _machines("equijoin-sum")
+    spec.exchange(receiver, sender)
+    assert receiver.finish() == 3 * 2  # c and d, 3 each
+
+
+def test_a_bad_ciphertext_in_a_delta_patch_leaves_r_as_it_was():
+    receiver, sender = _machines("equijoin-sum")
+    PROTOCOLS["equijoin-sum"].exchange(receiver, sender)
+    committed = dict(vars(receiver.state))
+    delta = PROTOCOLS["equijoin-sum+delta"]
+    m1, m2, m3 = delta.rounds[:3]
+    r = ReceiverMachine(delta, DeltaExchange(state=receiver.state), PARAMS,
+                        random.Random("R"))
+    s = SenderMachine(delta, DeltaExchange(
+        state=sender.state, inserts=(("a", 4),),
+    ), PARAMS, random.Random("S"))
+    s.consume(m1, r.produce(m1).to_wire())
+    patch = s.produce(m2)
+    (codeword, _), = patch.pairs_added
+    r.consume(m2, dataclasses.replace(patch, pairs_added=[(codeword, 0)]).to_wire())
+    with pytest.raises(ProtocolViolation, match="Paillier"):
+        r.produce(m3)
+    assert vars(receiver.state) == committed

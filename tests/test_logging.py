@@ -11,6 +11,7 @@ import sys
 from repro import cli
 from repro.net.catalog import CatalogCache, table_digest
 from repro.net.journal import SessionJournal
+from repro.net.shard import ShardedProtocolServer
 from repro.net.serialization import encode
 from repro.protocols.parties import PublicParams
 
@@ -71,3 +72,23 @@ def test_cli_lines_print_as_before_and_stay_out_of_the_root_logger(capsys, caplo
     assert capsys.readouterr().err == "repro: cannot reach the server: refused\n"
     assert caplog.records == []
     assert logging.getLogger("repro.cli").propagate is False
+
+
+def test_a_clean_sharded_shutdown_logs_no_warning(caplog):
+    """Each drained worker's EOF is the end of its life, not a lost
+    worker: a DEBUG record, not a WARNING (a killed worker still logs
+    one, see ``test_worker_failover.py``)."""
+    server = ShardedProtocolServer(
+        {"intersection": (["b", "c", "x"], PublicParams.for_bits(96))}, shards=2
+    )
+    with caplog.at_level(logging.DEBUG, logger="repro"):
+        with server:
+            pass
+    warnings = [
+        r.getMessage() for r in caplog.records
+        if r.name.startswith("repro") and r.levelno >= logging.WARNING
+    ]
+    assert warnings == []
+    assert sorted(_records(caplog, "repro.net.shard")) == [
+        "worker lost shard=0 notices=0", "worker lost shard=1 notices=0",
+    ]
