@@ -590,18 +590,19 @@ class Catalog:
                     entry = self.cache.lookup(digest, cache_name)
                 except CatalogCacheError:
                     pass  # corrupt or foreign-keyed entry: treat as a miss
-                if entry is not None and (
-                    entry.params != params
-                    or not set(snapshot) <= entry.entries.keys()
-                ):
-                    entry = None  # other params, or not this table's values
+                if entry is not None and entry.params != params:
+                    entry = None
             found.update(entry=entry, params=params)
+            # The party checks that the entry holds exactly its values.
             extra = {} if entry is None else {"cached": entry.party_cache()}
             return factory(snapshot, params, self.rng, engine=engine, **extra)
 
         def commit(party: Any) -> bool:
             entry = found["entry"]
             link = {"party": party, "cursor": cursor, "entry": None}
+            # What the query moved - on a hit, in the entry's own maps,
+            # so the entry cannot tell it by comparing.
+            churn = party.cache_churn()
             if entry is None and cacheable:
                 link["entry"] = self.cache.store(
                     digest, cache_name, found["params"], party.cache_keys(),
@@ -613,9 +614,7 @@ class Catalog:
                 # while the parties were down (nothing, on unchanged
                 # tables). As for a delta, a failed append leaves the
                 # link without its entry.
-                link["entry"] = self.cache.append_delta(
-                    entry, digest, {}, (), *_peer_churn(entry, party)
-                )
+                link["entry"] = self.cache.append_delta(entry, digest, *churn)
             return entry is not None
 
         return make_state, commit
@@ -638,27 +637,17 @@ class Catalog:
             return factory(exchange, params, self.rng, engine=engine)
 
         def commit(staged: Any) -> bool:
-            touched = staged.staged_peers()
             staged.commit()
+            # An entry the party held before (one more occurrence of a
+            # held value, a replaced payload) is no churn.
+            churn = link["party"].cache_churn()
             # A failed append leaves the file in doubt: the link goes on
             # without its entry rather than append to it again.
             entry, link["entry"] = link["entry"], None
             link["cursor"] = cursor
             self._commit_link(key, link)
             if entry is not None:
-                # What the churn touched and the party still holds; an
-                # unchanged entry (one more occurrence of a held value)
-                # is not written again.
-                held = link["party"].cache_entries(
-                    dict.fromkeys((*staged.added, *staged.removed))
-                )
-                link["entry"] = self.cache.append_delta(
-                    entry,
-                    digest,
-                    {v: e for v, e in held.items() if entry.entries.get(v) != e},
-                    [v for v in staged.removed if v not in held],
-                    *_peer_churn(entry, link["party"], touched),
-                )
+                link["entry"] = self.cache.append_delta(entry, digest, *churn)
             return False
 
         return make_state, commit
@@ -686,24 +675,6 @@ class Catalog:
             tuple((v, None) for v in sorted((+net).elements(), key=repr)),
             tuple(sorted((-net).elements(), key=repr)),
         )
-
-
-def _peer_churn(entry: Any, party: Any, touched: Any = None) -> tuple[tuple, list]:
-    """What ``party``'s peer maps changed against the cache ``entry``:
-    ``(adds, dels)`` - the maps of what moved, one per key, and the
-    elements that left - over the elements a delta ``touched``, or over
-    the maps whole where ``touched`` is ``None``."""
-    maps, old = party.peer_maps(), entry.peers
-    if touched is None:
-        if maps == old:
-            return (), []  # the common reopen: one C-level compare
-        touched = {*old[0], *maps[0]}
-    moved = [
-        y for y in touched
-        if y in maps[0] and any(fs[y] != was.get(y) for fs, was in zip(maps, old))
-    ]
-    gone = [y for y in touched if y not in maps[0] and y in old[0]]
-    return tuple({y: fs[y] for y in moved} for fs in maps), gone
 
 
 def open_catalog(

@@ -28,6 +28,7 @@ import math
 from abc import ABC, abstractmethod
 from typing import Iterable, Sequence
 
+from . import kernel
 from .groups import QRGroup
 from .numtheory import is_quadratic_residue
 
@@ -109,6 +110,21 @@ class TryIncrementHash(DomainHash):
             if candidate != 0 and is_quadratic_residue(candidate, p):
                 return candidate
             counter += 1
+
+    def hash_set(self, values: Iterable[Value]) -> list[int]:
+        """:meth:`hash_value` of each value, a round of tries at a time.
+
+        Each round is one batched Legendre test over the values still
+        trying."""
+        values, p = list(values), self.group.p
+        hashes, trying, counter = [0] * len(values), range(len(values)), 0
+        while trying:
+            candidates = [self._digest_stream(values[i], counter) % p for i in trying]
+            for i, candidate, symbol in zip(trying, candidates, kernel.jacobi_many(candidates, p)):
+                if symbol == 1:  # a candidate 0 has symbol 0: never taken
+                    hashes[i] = candidate
+            trying, counter = [i for i in trying if not hashes[i]], counter + 1
+        return hashes
 
 
 class SquareHash(DomainHash):

@@ -4,8 +4,8 @@ Every ``x**e mod m`` batch and every Legendre test in
 :mod:`repro.crypto` comes here. Where the system's GMP loads (through
 stdlib :mod:`ctypes`, nothing installed), a batch runs through
 ``mpz_powm_sec`` - GMP's side-channel-resistant exponentiation, about
-ten times CPython's variable-time ``pow`` at 1024 bits - and a Jacobi
-symbol through ``mpz_jacobi``. The interpreter's ``pow`` and
+ten times CPython's variable-time ``pow`` at 1024 bits - and a batch of
+Jacobi symbols through ``mpz_jacobi``. The interpreter's ``pow`` and
 :func:`repro.crypto.numtheory.jacobi` are the other path, taken when
 the library does not load, when it fails the known-answer self-test
 run at load, and for every call outside ``powm_sec``'s domain
@@ -35,7 +35,7 @@ from typing import Iterable
 
 from . import numtheory
 
-__all__ = ["pow_many", "jacobi", "describe"]
+__all__ = ["pow_many", "jacobi_many", "jacobi", "describe"]
 
 #: Loaded by soname: ``ctypes.util.find_library`` runs ``ldconfig`` in a
 #: subprocess, seven times the cost of the load itself.
@@ -90,12 +90,18 @@ class _Gmp:
         self.roinit(z, limbs, len(limbs) // self.limb_bytes)
 
 
+def _slots(reduced: list[int], width: int) -> ctypes.Array:
+    """Values below a modulus ``width`` bytes wide, packed in one
+    buffer of slots that wide, little-endian."""
+    packed = b"".join([x.to_bytes(width, "little") for x in reduced])
+    return ctypes.create_string_buffer(packed, len(packed))
+
+
 def _gmp_pow_many(gmp: _Gmp, xs: Iterable[int], e: int, m: int) -> list[int]:
     e_limbs, m_limbs = gmp.limbs(e), gmp.limbs(m)
     width = len(m_limbs)
-    packed = b"".join([(x % m).to_bytes(width, "little") for x in xs])
-    bases = ctypes.create_string_buffer(packed, len(packed))
-    results = ctypes.create_string_buffer(len(packed))
+    bases = _slots([x % m for x in xs], width)
+    results = ctypes.create_string_buffer(len(bases))
     mpz = result, base, exponent, modulus = (_Mpz * 4)()
     gmp.view(exponent, e_limbs)
     gmp.view(modulus, m_limbs)
@@ -104,7 +110,7 @@ def _gmp_pow_many(gmp: _Gmp, xs: Iterable[int], e: int, m: int) -> list[int]:
     base.size = base.alloc = result.alloc = width // gmp.limb_bytes
     args, powm_sec = [ctypes.byref(z) for z in mpz], gmp.powm_sec
     bases_at, results_at = ctypes.addressof(bases), ctypes.addressof(results)
-    for offset in range(0, len(packed), width):
+    for offset in range(0, len(bases), width):
         base.limbs, result.limbs = bases_at + offset, results_at + offset
         powm_sec(*args)
     raw = results.raw
@@ -128,13 +134,22 @@ def _reallocates(gmp: _Gmp) -> bool:
     return moved
 
 
-def _gmp_jacobi(gmp: _Gmp, a: int, n: int) -> int:
-    top, bottom = (_Mpz * 2)()
+def _gmp_jacobi_many(gmp: _Gmp, xs: Iterable[int], n: int) -> list[int]:
     n_limbs = gmp.limbs(n)
-    a_limbs = gmp.limbs(a % n, len(n_limbs))
-    gmp.view(top, a_limbs)
+    width, limb_bits = len(n_limbs), 8 * gmp.limb_bytes
+    reduced = [x % n for x in xs]
+    packed = _slots(reduced, width)
+    top, bottom = (_Mpz * 2)()
     gmp.view(bottom, n_limbs)
-    return gmp.jacobi(top, bottom)
+    top.alloc = width // gmp.limb_bytes
+    at, jacobi, symbols = ctypes.addressof(packed), gmp.jacobi, []
+    for x in reduced:
+        # mpz_jacobi reads a normalised top: as many limbs as the value
+        # takes, not the slot's high zero ones.
+        top.limbs, top.size = at, -(-x.bit_length() // limb_bits)
+        symbols.append(jacobi(top, bottom))
+        at += width
+    return symbols
 
 
 def _self_test(gmp: _Gmp) -> str | None:
@@ -146,8 +161,8 @@ def _self_test(gmp: _Gmp) -> str | None:
         for e in (1, 65537, 2**64 + 13):
             if _gmp_pow_many(gmp, xs, e, m) != [pow(x, e, m) for x in xs]:
                 return f"mpz_powm_sec disagreed with pow mod {m}"
-        for a in xs:
-            if _gmp_jacobi(gmp, a, m) != numtheory.jacobi(a, m):
+        for a, symbol in zip(xs, _gmp_jacobi_many(gmp, xs, m)):
+            if symbol != numtheory.jacobi(a, m):
                 return f"mpz_jacobi disagreed with jacobi({a}, {m})"
     return None
 
@@ -185,12 +200,19 @@ def pow_many(xs: Iterable[int], e: int, m: int) -> list[int]:
     return _gmp_pow_many(gmp, xs, e, m)
 
 
-def jacobi(a: int, n: int) -> int:
-    """:func:`repro.crypto.numtheory.jacobi`, through GMP where it can."""
+def jacobi_many(xs: Iterable[int], n: int) -> list[int]:
+    """``[numtheory.jacobi(x, n) for x in xs]``, through GMP where it can.
+
+    One buffer for the batch and one ``mpz_jacobi`` call a value."""
     gmp = _active[0]
     if gmp is None or n < 3 or not n & 1:
-        return numtheory.jacobi(a, n)
-    return _gmp_jacobi(gmp, a, n)
+        return [numtheory.jacobi(x, n) for x in xs]
+    return _gmp_jacobi_many(gmp, xs, n)
+
+
+def jacobi(a: int, n: int) -> int:
+    """:func:`repro.crypto.numtheory.jacobi`, through GMP where it can."""
+    return jacobi_many([a], n)[0]
 
 
 def describe() -> str:

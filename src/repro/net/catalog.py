@@ -35,6 +35,14 @@ Every block is as wide as ``p`` and must lie below it.  A batch is
 all-or-nothing by its CRC: a torn or interrupted append is a torn
 tail, cut away on load.
 
+A load decodes each batch's blobs a column of blocks at a time straight
+into the maps a party keeps - each value's hash, one ciphertext map per
+key, the peer maps - and :meth:`CacheEntry.party_cache` hands the party
+those maps uncopied, so a reopen builds no per-value record.  The entry
+and its party then share the maps: what a query moved in them reaches
+the file through the party's own account of it (``peer_churn``), not by
+comparing the two.
+
 A table mutation (:meth:`CatalogCache.append_delta`) appends one batch
 — O(|delta|) bytes, the delta's peer-map churn included — fsyncs it,
 and atomically renames the file to the new table's digest
@@ -71,6 +79,7 @@ import hashlib
 import logging
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Mapping
 
@@ -162,13 +171,19 @@ def table_digest(data: Any) -> str:
 
 @dataclass
 class CacheEntry:
-    """One decoded cache entry: keys plus per-value crypto state."""
+    """One decoded cache entry: keys plus per-value crypto state.
+
+    The state is held in the maps a party keeps (:class:`PartyCache`'s
+    shape), which :meth:`party_cache` hands over uncopied."""
 
     digest: str
     protocol: str
     params: PublicParams
     keys: tuple
-    entries: dict[Hashable, tuple]
+    #: Each value's hash, and one map per key from each value to its
+    #: hash's encryption under that key.
+    hashes: dict[Hashable, int]
+    ciphertexts: tuple[dict[Hashable, int], ...]
     path: Path
     #: The peer maps, one per key in key order: ``y -> f_key(y)``.
     peers: tuple[dict[int, int], ...] = ()
@@ -180,7 +195,16 @@ class CacheEntry:
     @property
     def live(self) -> int:
         """The entries a compact file holds: values and peer elements."""
-        return len(self.entries) + len(self.peers[0])
+        return len(self.hashes) + len(self.peers[0])
+
+    @property
+    def entries(self) -> dict[Hashable, tuple]:
+        """Per value ``(hash, ciphertexts)``, as :meth:`CatalogCache.store`
+        takes them (built afresh on each call)."""
+        return {
+            v: (hashed, tuple(ys[v] for ys in self.ciphertexts))
+            for v, hashed in self.hashes.items()
+        }
 
     @property
     def fingerprint(self) -> str:
@@ -188,8 +212,34 @@ class CacheEntry:
         return key_fingerprint(self.keys, self.params.p)
 
     def party_cache(self) -> PartyCache:
-        """The entry as a :class:`PartyCache` ready for injection."""
-        return PartyCache(keys=self.keys, entries=dict(self.entries), peers=self.peers)
+        """The entry's maps as a :class:`PartyCache`, uncopied.
+
+        The party it is injected into keeps them as its own, so the
+        entry sees what the party commits."""
+        return PartyCache(self.keys, self.hashes, self.ciphertexts, self.peers)
+
+
+def _empty(protocol: str, params: PublicParams, keys: Any, path: Path) -> CacheEntry:
+    """An entry holding nothing yet, with one own and one peer map per
+    key; its batches are folded in."""
+    return CacheEntry(
+        digest="", protocol=protocol, params=params, keys=tuple(keys),
+        hashes={}, ciphertexts=tuple({} for _ in keys), path=path,
+        peers=tuple({} for _ in keys),
+    )
+
+
+def _rows(adds: Mapping[Hashable, tuple], peer_adds: tuple = ()) -> tuple[list, list, list]:
+    """A batch's adds as the file lays them out: the values in ``repr``
+    order, then the blocks of each one's row - its hash, then its
+    ciphertext per key - and those of each added peer element's row,
+    ascending: the element, then its re-encryption per key (one map per
+    key in ``peer_adds``)."""
+    values = sorted(adds, key=repr)
+    ints = [i for v in values for i in (adds[v][0], *adds[v][1])]
+    ys = sorted(peer_adds[0]) if peer_adds else []
+    peer_ints = [i for y in ys for i in (y, *(fs[y] for fs in peer_adds))]
+    return values, ints, peer_ints
 
 
 def _blob(ints: Iterable[int], width: int) -> bytes:
@@ -198,24 +248,38 @@ def _blob(ints: Iterable[int], width: int) -> bytes:
 
 
 def _batch(
-    digest: str, adds: Mapping[Hashable, tuple], dels: Iterable, p: int,
-    peer_adds: tuple = (), peer_dels: Iterable[int] = (),
+    digest: str, values: list, ints: list, dels: Iterable, peer_ints: list,
+    peer_dels: Iterable[int], p: int,
 ) -> bytes:
-    """One sealed batch: ``adds`` in ``repr`` order with their hash and
-    ciphertexts as blocks of one blob - each as wide as ``p``, which
-    every one of them is below - and ``dels``; then the elements of the
-    peer maps ``peer_adds`` (one per key) in ascending order, each with
-    its re-encryption per key, as blocks of a second blob, and
-    ``peer_dels`` as a third."""
+    """One sealed batch of :func:`_rows`' layout, every block as wide
+    as ``p`` - which each of them is below."""
     width = (p.bit_length() + 7) // 8
-    values = sorted(adds, key=repr)
-    ints = (i for v in values for i in (adds[v][0], *adds[v][1]))
-    ys = sorted(peer_adds[0]) if peer_adds else []
-    peer_ints = (i for y in ys for i in (y, *(fs[y] for fs in peer_adds)))
     return seal((
         "batch", digest, tuple(values), _blob(ints, width), tuple(dels),
         _blob(peer_ints, width), _blob(peer_dels, width),
     ))
+
+
+def _fold(
+    entry: CacheEntry, values: Any, ints: list, dels: Iterable,
+    peer_ints: list, peer_dels: Iterable[int],
+) -> None:
+    """Apply one batch of :func:`_rows`' layout to ``entry``'s maps in
+    place, its dels first, a column of blocks at a time, and count its
+    weight."""
+    stride = 1 + len(entry.keys)
+    owns = (entry.hashes, *entry.ciphertexts)
+    for value in dels:
+        for own in owns:
+            own.pop(value, None)
+    for index, own in enumerate(owns):
+        own.update(zip(values, ints[index::stride]))
+    elements = peer_ints[::stride]
+    for index, fs in enumerate(entry.peers, 1):
+        for y in peer_dels:
+            fs.pop(y, None)
+        fs.update(zip(elements, peer_ints[index::stride]))
+    entry.records += len(values) + len(dels) + len(elements) + len(peer_dels) + 1
 
 
 class CatalogCache:
@@ -297,50 +361,29 @@ class CatalogCache:
                 """``blob``'s blocks, whole rows of ``per_row``, each below p."""
                 if len(blob) % (per_row * width):
                     raise CatalogCacheError(f"{path.name}: batch blob of the wrong length")
-                ints = [int.from_bytes(blob[at : at + width], "big")
-                        for at in range(0, len(blob), width)]
+                split = struct.unpack(f"{width}s" * (len(blob) // width), blob)
+                ints = list(map(int.from_bytes, split, repeat("big")))
                 if max(ints, default=0) >= params.p:
                     raise CatalogCacheError(f"{path.name}: a block is not below p")
                 return ints
 
-            entries: dict[Hashable, tuple] = {}
-            peers = tuple({} for _ in keys)
-            written = 0
+            entry = _empty(protocol, params, keys, path)
             for record in records[1:]:
                 if record[0] != "batch":
                     raise CatalogCacheError(f"{path.name}: unknown record kind {record[0]!r}")
-                _, digest, values, ints, dels, peer_ints, peer_dels = record
+                _, entry.digest, values, ints, dels, peer_ints, peer_dels = record
                 if tuple(map(type, record[1:])) != (str, tuple, bytes, tuple, bytes, bytes):
                     raise CatalogCacheError(f"{path.name}: malformed batch")
-                own, peer_adds, peer_gone = (
-                    blocks(ints, stride), blocks(peer_ints, stride), blocks(peer_dels, 1)
-                )
+                own = blocks(ints, stride)
                 if len(own) != len(values) * stride:
                     raise CatalogCacheError(f"{path.name}: batch blob of the wrong length")
-                for value in dels:
-                    entries.pop(value, None)
-                ciphertexts = zip(*(own[k::stride] for k in range(1, stride)))
-                entries.update(zip(values, zip(own[::stride], ciphertexts)))
-                ys = peer_adds[::stride]
-                for index, fs in enumerate(peers, 1):
-                    for y in peer_gone:
-                        fs.pop(y, None)
-                    fs.update(zip(ys, peer_adds[index::stride]))
-                written += len(values) + len(dels) + len(peer_gone) + len(ys) + 1
+                peer_adds, peer_gone = blocks(peer_ints, stride), blocks(peer_dels, 1)
+                _fold(entry, values, own, dels, peer_adds, peer_gone)
         except (ValueError, TypeError, IndexError, OverflowError) as exc:
             # CRC-valid but malformed (wrong arity, non-tuple payload,
             # undecodable bytes, a negative key): corrupt all the same.
             raise CatalogCacheError(f"{path.name}: malformed record ({exc})") from exc
-        return CacheEntry(
-            digest=digest,
-            protocol=protocol,
-            params=params,
-            keys=tuple(keys),
-            entries=entries,
-            path=path,
-            peers=peers,
-            records=written,
-        )
+        return entry
 
     # ------------------------------------------------------------------
     # Writing
@@ -382,21 +425,16 @@ class CatalogCache:
             "header", protocol, params.to_wire(), tuple(int(k) for k in keys),
             key_fingerprint(keys, params.p),
         )
+        values, ints, peer_ints = _rows(entries, peers)
         self._append(tmp, [
-            CATALOG_MAGIC, seal(header), _batch(digest, entries, (), params.p, peers),
+            CATALOG_MAGIC, seal(header),
+            _batch(digest, values, ints, (), peer_ints, (), params.p),
         ])
         self._publish(tmp, path)
-        peers = tuple(map(dict, peers)) or tuple({} for _ in keys)
-        return CacheEntry(
-            digest=digest,
-            protocol=protocol,
-            params=params,
-            keys=tuple(keys),
-            entries={v: (h, tuple(ys)) for v, (h, ys) in entries.items()},
-            path=path,
-            peers=peers,
-            records=len(entries) + len(peers[0]) + 1,
-        )
+        entry = _empty(protocol, params, keys, path)
+        entry.digest = digest
+        _fold(entry, values, ints, (), peer_ints, ())
+        return entry
 
     def append_delta(
         self,
@@ -423,24 +461,17 @@ class CatalogCache:
         that changes neither the table nor an entry writes nothing.
         """
         dels, peer_dels = list(dels), list(peer_dels)
-        added = len(peer_adds[0]) if peer_adds else 0
-        if new_digest == entry.digest and not (adds or dels or added or peer_dels):
+        values, ints, peer_ints = _rows(adds, peer_adds)
+        if new_digest == entry.digest and not (values or dels or peer_ints or peer_dels):
             return entry  # the file already says it all
         self._append(entry.path, [
-            _batch(new_digest, adds, dels, entry.params.p, peer_adds, peer_dels)
+            _batch(new_digest, values, ints, dels, peer_ints, peer_dels, entry.params.p)
         ])
         new_path = self.path_for(new_digest, entry.protocol)
         if new_path != entry.path:
             self._publish(entry.path, new_path)
-        for value in dels:
-            entry.entries.pop(value, None)
-        entry.entries.update((v, (h, tuple(ys))) for v, (h, ys) in adds.items())
-        for index, fs in enumerate(entry.peers):
-            for y in peer_dels:
-                fs.pop(y, None)
-            fs.update(peer_adds[index] if added else ())
+        _fold(entry, values, ints, dels, peer_ints, peer_dels)
         entry.digest, entry.path = new_digest, new_path
-        entry.records += len(adds) + len(dels) + added + len(peer_dels) + 1
         if entry.records > 2 * entry.live:
             _log.info(
                 "catalog compacted records=%d entries=%d",

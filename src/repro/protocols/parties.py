@@ -53,7 +53,7 @@ from contextlib import nullcontext
 from collections import Counter
 from collections.abc import MutableMapping
 from dataclasses import dataclass
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, repeat
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -61,12 +61,7 @@ from ..crypto.commutative import PowerCipher
 from ..crypto.engine import CryptoEngine
 from ..crypto.ext_cipher import BlockExtCipher, ExtCipher
 from ..crypto.groups import QRGroup
-from ..crypto.hashing import (
-    DomainHash,
-    SquareHash,
-    TryIncrementHash,
-    find_collisions,
-)
+from ..crypto.hashing import DomainHash, SquareHash, TryIncrementHash
 from ..crypto.paillier import PaillierPublicKey, generate_keypair
 from .base import HashCollisionError, sorted_ciphertexts
 from .messages import (
@@ -189,37 +184,24 @@ class PartyCache:
     """Previously persisted per-party crypto state (a catalog-cache hit).
 
     ``keys`` holds the party's commutative-cipher keys in draw order;
-    ``entries`` maps each value to ``(hash, ciphertexts)`` where
-    ``ciphertexts`` carries one encryption of the hash per key, in key
-    order.  ``peers`` holds the party's peer maps, one per key in key
-    order, each ``y -> f_key(y)`` over the peer-supplied elements the
-    link held (equijoin's R strips under its key's inverse).  Injecting
-    a cache skips the rng key draw, the O(|V|) hash + modexp setup, and
-    every exponentiation of a peer element the peer sends again.  The
+    ``hashes`` maps each value of the table to its hash, and
+    ``ciphertexts`` holds one map per key, in key order, from each
+    value to its hash's encryption under that key.  ``peers`` holds the
+    party's peer maps, one per key in key order, each ``y -> f_key(y)``
+    over the peer-supplied elements the link held (equijoin's R strips
+    under its key's inverse).  Injecting a cache skips the rng key
+    draw, the O(|V|) hash + modexp setup, and every exponentiation of a
+    peer element the peer sends again.  The party takes the maps as its
+    own, uncopied: a cache is injected into one party.  The
     ciphertexts are only valid under the same public params and keys
     they were produced with — the catalog layer verifies the key
     fingerprint before injecting.
     """
 
     keys: tuple
-    entries: Mapping[Hashable, tuple]
-    peers: tuple[Mapping[int, int], ...] = ()
-
-    def hashes_for(self, values: Sequence[Hashable]) -> list[int]:
-        """The cached hashes aligned to ``values`` (all must be covered)."""
-        missing = [v for v in values if v not in self.entries]
-        if missing:
-            raise ValueError(
-                f"party cache is missing {len(missing)} of the party's values"
-            )
-        return [self.entries[v][0] for v in values]
-
-    def ciphertexts_for(
-        self, values: Sequence[Hashable], key_index: int = 0
-    ) -> list[int]:
-        """The cached ciphertexts under key ``key_index``, aligned to
-        ``values``."""
-        return [self.entries[v][1][key_index] for v in values]
+    hashes: dict
+    ciphertexts: tuple[dict, ...]
+    peers: tuple[dict, ...] = ()
 
 
 def _resolve_crypto(
@@ -298,6 +280,9 @@ def _patch(counts: MutableMapping, added: Iterable, removed: Iterable) -> dict:
     counters) to an occurrence map in place, dropping the entries it
     drains.  Returns the change it made to each key it touched."""
     net = Counter(added)
+    if not counts and not removed:  # a full query's: every count is new
+        counts.update(net)
+        return net
     net.subtract(removed)
     moved = {}
     for key, n in net.items():
@@ -309,6 +294,23 @@ def _patch(counts: MutableMapping, added: Iterable, removed: Iterable) -> dict:
             counts.pop(key, None)
         moved[key] = after - before
     return moved
+
+
+def _moved(record: Iterable[tuple] | None, held: Mapping) -> tuple[list, list]:
+    """The keys a record of ``(key, held then)`` notes says ``held``
+    gained and lost since the record began, in the order they first
+    moved."""
+    was: dict = {}
+    for key, before in record or ():
+        was.setdefault(key, before)
+    gained = [key for key, before in was.items() if not before and key in held]
+    lost = [key for key, before in was.items() if before and key not in held]
+    return gained, lost
+
+
+def _columns(rows: Sequence[tuple], width: int) -> list:
+    """``rows`` of ``width`` items as ``width`` columns."""
+    return list(zip(*rows)) or [()] * width
 
 
 def _distinct(items: Sequence, what: str) -> None:
@@ -347,17 +349,25 @@ class _Party:
     is deterministic, so an element the peer sends again costs nothing.
     A map holds the peer elements the link holds - a full query keeps
     what it received, a peer tombstone drops its entry - and
-    :meth:`peer_maps` hands them to the catalog.
+    :meth:`peer_maps` hands them to the catalog, and
+    :meth:`cache_churn` what they and the own entries gained and lost
+    since it last asked.
 
     With an injected :class:`PartyCache` the keys, hashes, own
-    ciphertexts and peer maps come from the cache (no rng draw, no
-    hashing, no own modexp, none for a peer element the cache holds).
-    The collision check still runs - it is cheap and the cache may have
-    been produced by an older code path.
+    ciphertexts and peer maps are the cache's maps, taken uncopied (no
+    rng draw, no hashing, no own modexp, none for a peer element the
+    cache holds).  The collision check still runs: a file that holds
+    two values under one hash passes every check of its own (its CRC
+    seals what was written, not whether it is a set's), and the check
+    costs nothing - the inverse of the hash map is built either way,
+    and a collision is the two maps' lengths differing.
     """
 
     #: Commutative-cipher keys the party draws.
     n_keys = 1
+    #: The own-ciphertext maps, one per key in key order:
+    #: ``v -> f_key(h(v))``.
+    _own_names: tuple[str, ...] = ("_y_by_value",)
     #: The peer maps, one per key in key order: ``y -> f_key(y)`` over
     #: the peer-supplied elements the link holds.
     _peer_names: tuple[str, ...] = ("_f_by_y",)
@@ -389,26 +399,23 @@ class _Party:
         #: value -> occurrences for the multiset parties); read-only, so
         #: forks share it.
         self.opening = MappingProxyType(self._table(values))
-        #: ``h(v)`` per held value and its exact inverse, which is what
-        #: a fresh hash is checked against.
-        self._hash_by_value: dict = {}
-        self._value_by_hash: dict = {}
-        #: Own values under the own (first) key: ``f_e(h(v))``.
-        self._y_by_value: dict = {}
         #: The values the latest :meth:`own` step added, and how many
         #: ciphertexts it sent as added and as tombstoned.
         self._announced: list = []
         self._sent = (0, 0)
-        peers = () if cached is None else cached.peers
-        for index, name in enumerate(self._peer_names):
-            setattr(self, name, dict(peers[index]) if peers else {})
+        #: The own values and the peer elements whose entries moved
+        #: since the latest :meth:`cache_churn`, in the order they
+        #: moved, each with whether the party held it then - no record
+        #: before that first call, unless the party was built from a
+        #: cache.  Only ever rebound, so a fork copies nothing for them.
+        self._own_moved, self._peer_moved = (None, None) if cached is None else ((), ())
         self._declare()
-        opening = list(self.opening)
+        owns = peers = ()
         if cached is None:
             self._keys = tuple(
                 self.cipher.sample_key(rng) for _ in range(self.n_keys)
             )
-            hashes = self.hash.hash_set(opening)
+            hashes = dict(zip(self.opening, self.hash.hash_set(self.opening)))
         else:
             self._keys = tuple(cached.keys)
             if len(self._keys) != self.n_keys:
@@ -416,15 +423,24 @@ class _Party:
                     f"party cache holds {len(self._keys)} keys, "
                     f"this party draws {self.n_keys}"
                 )
-            hashes = cached.hashes_for(opening)
-            for index, ys in enumerate(self._own_maps()):
-                ys.update(zip(opening, cached.ciphertexts_for(opening, index)))
+            if cached.hashes.keys() != self.opening.keys():
+                raise ValueError("party cache does not hold exactly the party's values")
+            hashes, owns, peers = cached.hashes, cached.ciphertexts, cached.peers
         self._key = self._keys[0]
-        # The whole set is new: the paper's sort, then the inverse map
-        # every later value is checked against.
-        self._hash_by_value.update(zip(opening, hashes))
-        self._check_collisions()
-        self._value_by_hash.update(zip(hashes, opening))
+        for names, maps in ((self._own_names, owns), (self._peer_names, peers)):
+            for name, fs in zip(names, maps or [{} for _ in names]):
+                setattr(self, name, fs)
+        #: ``h(v)`` per held value and its exact inverse, which is what
+        #: a fresh hash is checked against: the whole set is new, so
+        #: the paper's collision check is the inverse coming out short.
+        self._hash_by_value: dict = hashes
+        self._value_by_hash: dict = dict(zip(hashes.values(), hashes))
+        if len(self._value_by_hash) != len(hashes):
+            raise HashCollisionError(
+                "hash collision within the party's set "
+                f"({len(hashes) - len(self._value_by_hash)} values share "
+                "another's hash)"
+            )
 
     @property
     def values(self) -> list:
@@ -433,8 +449,9 @@ class _Party:
 
     @staticmethod
     def _table(values: Iterable[Hashable]) -> Mapping:
-        """The constructor's input as the first query's ``added``."""
-        return dict.fromkeys(sorted(set(values), key=repr))
+        """The constructor's input as the first query's ``added``, in
+        input order: every list a step builds from it ships reordered."""
+        return dict.fromkeys(values)
 
     def _declare(self) -> None:
         """Declare, empty, what the party holds of its peer across
@@ -452,7 +469,7 @@ class _Party:
 
     def _own_maps(self) -> tuple[dict, ...]:
         """The own-ciphertext maps, one per key, in key order."""
-        return (self._y_by_value,)
+        return tuple(getattr(self, name) for name in self._own_names)
 
     # ------------------------------------------------------------------
     # The peer maps
@@ -468,24 +485,45 @@ class _Party:
         fs = getattr(self, self._peer_names[index])
         late = [y for y in ys if y not in fs]
         fs.update(zip(late, self._encrypt(self._peer_keys()[index], late)))
+        self._note("_peer_moved", late, False)
         return [fs[y] for y in ys]
 
     def _forget(self, ys: Iterable[int]) -> None:
         """Drop the entries of peer elements the link no longer holds."""
-        ys = list(ys)
-        for name in self._peer_names:
-            fs = getattr(self, name)
-            for y in ys:
-                fs.pop(y, None)
+        maps = self.peer_maps()
+        gone = [y for y in dict.fromkeys(ys) if y in maps[0]]
+        self._note("_peer_moved", gone, True)
+        for fs in maps:
+            for y in gone:
+                del fs[y]
 
     def _narrow(self, ys: Iterable[int]) -> None:
         """A full query: what the peer sent is all the link holds, so
-        each map keeps those entries and drops the rest (rebound, which
-        a fork's :meth:`adopt` takes as it is)."""
-        ys = list(ys)
-        for name in self._peer_names:
-            fs = getattr(self, name)
-            setattr(self, name, {y: fs[y] for y in ys if y in fs})
+        the maps drop every other element, in place."""
+        self._forget(self.peer_maps()[0].keys() - set(ys))
+
+    def cache_churn(self) -> tuple[dict, list, tuple[dict, ...], list]:
+        """What the party's cacheable state gained and lost since the
+        latest call.
+
+        ``(adds, dels, peer_adds, peer_dels)`` since the call before or
+        since the party was built, as
+        :meth:`~repro.net.catalog.CatalogCache.append_delta` takes them:
+        the own values gained with their entries, the values lost, the
+        maps of the peer elements gained (one per key) and the elements
+        lost.  A value or element that left and came back is no churn.
+        What a cache commit writes, whether the maps are the cache
+        entry's own or not.  A party built without a cache reports
+        nothing on the first call: what it holds then is written
+        whole."""
+        maps = self.peer_maps()
+        values, gone = _moved(self._own_moved, self._hash_by_value)
+        ys, lost = _moved(self._peer_moved, maps[0])
+        self._own_moved, self._peer_moved = (), ()
+        return (
+            self.cache_entries(values), gone,
+            tuple({y: fs[y] for y in ys} for fs in maps), lost,
+        )
 
     # ------------------------------------------------------------------
     # The own-set step
@@ -493,15 +531,6 @@ class _Party:
     def _encrypt(self, key: int, xs: Sequence[int]) -> list[int]:
         """One engine batch - none at all for an empty list."""
         return self.cipher.encrypt_many(key, xs) if xs else []
-
-    def _check_collisions(self) -> None:
-        """The paper's sorted-hash check over the party's whole set."""
-        collisions = find_collisions(list(self._hash_by_value.values()))
-        if collisions:
-            raise HashCollisionError(
-                "hash collision within the party's set "
-                f"({len(collisions)} colliding values)"
-            )
 
     def _learn(self, values: Iterable[Hashable]) -> None:
         """Hash the not-yet-hashed among ``values``, each fresh hash
@@ -516,10 +545,12 @@ class _Party:
                 )
             self._hash_by_value[v] = hashed
             self._value_by_hash[hashed] = v
+        self._note("_own_moved", fresh, False)
 
     def _retire(self, v: Hashable) -> int:
         """Forget one own value; its ciphertext is the tombstone."""
         del self._value_by_hash[self._hash_by_value.pop(v)]
+        self._note("_own_moved", [v], True)
         return [ys.pop(v) for ys in self._own_maps()][0]
 
     def _own(self, added: Mapping, removed: Iterable) -> tuple[list, list]:
@@ -609,17 +640,17 @@ class _Party:
         """
         self._through(ys)
 
-    def _answered(self, answers: Sequence[tuple], what: str) -> dict:
-        """``y -> v`` over what the latest :meth:`own` announced, once
-        S's ``answers`` to it are checked: one per announced ``y``,
-        keyed on it, and no second element (a double, a codeword)
-        twice - else :class:`ProtocolViolation`, before R changes
-        anything."""
-        mine = {self._y_by_value[v]: v for v in self._announced}
-        if len(answers) != len(mine) or {a[0] for a in answers} != mine.keys():
+    def _answered(self, ys: Sequence[int], seconds: Sequence, what: str) -> list:
+        """The values the latest :meth:`own` announced, aligned to the
+        ``ys`` S's answers are keyed on, once the answers are checked:
+        one per announced ``y``, and no second element (a double, a
+        codeword) twice - else :class:`ProtocolViolation`, before R
+        changes anything."""
+        mine = dict(zip(map(self._y_by_value.__getitem__, self._announced), self._announced))
+        if len(ys) != len(mine) or mine.keys() != set(ys):
             raise ProtocolViolation(f"{what}: not one answer per ciphertext R sent")
-        _distinct([a[1] for a in answers], what)
-        return mine
+        _distinct(seconds, what)
+        return list(map(mine.__getitem__, ys))
 
     @staticmethod
     def _check_y_s(added: Sequence, removed: Sequence) -> None:
@@ -672,14 +703,16 @@ class _Party:
         """The party's cipher keys in draw order (for catalog caching)."""
         return self._keys
 
+    def _note(self, record: str, keys: Iterable, held: bool) -> None:
+        """Note in the churn ``record``, if one runs, that the entries
+        of ``keys`` moved, each ``held`` before."""
+        moved = getattr(self, record)
+        if moved is not None:
+            setattr(self, record, (*moved, *zip(keys, repeat(held))))
+
     def peer_maps(self) -> tuple[Mapping[int, int], ...]:
         """The peer maps, one per key in key order: ``y -> f_key(y)``."""
         return tuple(getattr(self, name) for name in self._peer_names)
-
-    def staged_peers(self) -> set:
-        """The peer elements a fork's steps wrote or dropped: what a
-        delta's commit writes."""
-        return set().union(*(fs.patch for fs in self.peer_maps()))
 
     def cache_entries(self, values: Iterable[Hashable] | None = None) -> dict:
         """Per-value ``(hash, ciphertexts)`` for catalog caching, one
@@ -785,21 +818,20 @@ class IntersectionReceiver(_Party):
         """Steps 5-6: patch ``Z_S`` and the doubles of what this query
         announced, then re-decide the doubles either patch touched
         (set operations only)."""
-        mine = self._answered(pairs_added, "pairs")
+        ys, doubles = _columns(pairs_added, 2)
+        values = self._answered(ys, doubles, "pairs")
         touched = set(self._absorb_y_s(y_s_added, y_s_removed))
-        for y, double in pairs_added:
-            v = mine[y]
-            self._value_by_double.pop(self._double_by_value.get(v), None)
-            self._double_by_value[v] = double
-            self._value_by_double[double] = v
-            touched.add(double)
-        for double in touched:
-            if double in self._value_by_double:
-                v = self._value_by_double[double]
-                if double in self._z_s:
-                    self._matched[v] = None
-                else:
-                    self._matched.pop(v, None)
+        # What this query announced is new to the party: no double of
+        # it is held to replace.
+        self._double_by_value.update(zip(values, doubles))
+        self._value_by_double.update(zip(doubles, values))
+        touched.update(doubles)
+        # Re-decide the touched doubles of own values: in Z_S or not.
+        hits = touched & self._value_by_double.keys()
+        live = hits & self._z_s.keys()
+        for double in hits - live:
+            self._matched.pop(self._value_by_double[double], None)
+        self._matched.update(dict.fromkeys(map(self._value_by_double.__getitem__, live)))
         return set(self._matched)
 
     def finish(self, reply: IntersectionReply) -> set[Hashable]:
@@ -959,13 +991,15 @@ class EquijoinReceiver(_Party):
         """Steps 6-7: strip own layer off the triples this query
         announced, patch both codeword maps, then match and decrypt ext
         for the codewords either patch touched."""
-        by_y = self._answered(triples_added, "triples")
-        mine = [(by_y[y], second, third) for y, second, third in triples_added]
-        codewords = self._through([t[1] for t in mine])
-        kappas = self._through([t[2] for t in mine])
+        ys, seconds, thirds = _columns(triples_added, 3)
+        values = self._answered(ys, seconds, "triples")
+        codewords = self._through(seconds)
+        kappas = self._through(thirds)
         if self.size_v_s is None:
-            self._narrow(chain.from_iterable(t[1:] for t in mine))
-        for (v, second, third), codeword, kappa in zip(mine, codewords, kappas):
+            self._narrow(chain(seconds, thirds))
+        for v, second, third, codeword, kappa in zip(
+            values, seconds, thirds, codewords, kappas
+        ):
             self._by_codeword[codeword] = (v, kappa)
             self._answer_by_value[v] = (second, third)
         for codeword in pairs_removed:
@@ -1018,16 +1052,13 @@ class EquijoinSender(_PayloadSender):
     """Party S of the Section 4.3 protocol (two keys + ext payloads)."""
 
     n_keys = 2
+    #: The codewords and, under the second key, each value's ``kappa``.
+    _own_names = ("_y_by_value", "_kappa_by_value")
     _peer_names = ("_f_by_y", "_kappa_by_y")
 
     def __init__(self, *args: Any, **kwargs: Any):
-        #: Own values under the second key (``kappa``).
-        self._kappa_by_value: dict = {}
         super().__init__(*args, **kwargs)
         self._ext_cipher = self.crypto.ext()
-
-    def _own_maps(self) -> tuple[dict, ...]:
-        return (self._y_by_value, self._kappa_by_value)
 
     def answer(self, ys: list) -> list:
         """Step 4: ``⟨y, f_eS(y), f_e'S(y)⟩`` in the order given."""
@@ -1070,6 +1101,14 @@ class EquijoinSender(_PayloadSender):
         return EquijoinReply(triples=triples, pairs=pairs)
 
 
+def _check_paillier(pk: PaillierPublicKey, ciphertexts: Iterable[int]) -> None:
+    """Every ciphertext lies in ``Z*_{n²}``: in ``[1, n²)`` and coprime
+    to ``n`` - else :class:`ProtocolViolation`."""
+    n, n_squared = pk.n, pk.n_squared
+    if any(not 0 < c < n_squared or math.gcd(c, n) != 1 for c in ciphertexts):
+        raise ProtocolViolation("a Paillier ciphertext outside Z*_{n²}")
+
+
 class EquijoinSumReceiver(_Party):
     """Party R of the equijoin-sum aggregate (paper future work).
 
@@ -1101,14 +1140,6 @@ class EquijoinSumReceiver(_Party):
             )
         return PaillierPublicKey(n)
 
-    @staticmethod
-    def _check_ciphertexts(pk: PaillierPublicKey, pairs: Sequence[tuple]) -> None:
-        """Every pair's ciphertext lies in ``Z*_{n²}``: in ``[1, n²)``
-        and coprime to ``n``."""
-        n, n_squared = pk.n, pk.n_squared
-        if any(not 0 < c < n_squared or math.gcd(c, n) != 1 for _, c in pairs):
-            raise ProtocolViolation("a Paillier ciphertext outside Z*_{n²}")
-
     def _declare(self) -> None:
         #: ``Z_R`` (occurrence counts) and S's ``codeword -> Enc(amount)``
         #: pairs; the peer map holds each codeword's double encryption.
@@ -1125,7 +1156,7 @@ class EquijoinSumReceiver(_Party):
     ) -> BlindedSum:
         """Step 5: patch ``Z_R`` and the pair map, match against the
         unlinkable ``Z_R``, sum and blind."""
-        self._check_ciphertexts(self._pk, pairs_added)
+        _check_paillier(self._pk, [c for _, c in pairs_added])
         _patch(self._z_r, z_added, z_removed)
         held = self._pairs_by_codeword
         for codeword in pairs_removed:
@@ -1154,7 +1185,7 @@ class EquijoinSumReceiver(_Party):
         """Step 5 of a full run: adopt S's Paillier modulus, absorb."""
         reply = SumReply.coerce(reply)
         pk = self._paillier(reply.n)
-        self._check_ciphertexts(pk, reply.pairs)
+        _check_paillier(pk, [c for _, c in reply.pairs])
         self._declare()
         self._pk = pk
         return self.absorb(reply.z_r, (), reply.pairs, ())
@@ -1166,7 +1197,11 @@ class EquijoinSumReceiver(_Party):
 
 
 class EquijoinSumSender(_PayloadSender):
-    """Party S of the equijoin-sum aggregate (Paillier keypair holder)."""
+    """Party S of the equijoin-sum aggregate (Paillier keypair holder).
+
+    S decrypts R's blinded sum only once it lies in ``Z*_{n²}``, else
+    :class:`ProtocolViolation`: the check R makes of S's ciphertexts.
+    """
 
     #: The Paillier keypair is not persisted.
     cacheable = False
@@ -1221,8 +1256,10 @@ class EquijoinSumSender(_PayloadSender):
         return SumReply(z_r_pk=(z_r, self._public.n), pairs=pairs)
 
     def round2(self, blinded: BlindedSum) -> RevealedSum:
-        """Step 6: decrypt the rerandomized blinded ciphertext."""
+        """Step 6: decrypt the rerandomized blinded ciphertext, once it
+        is checked to lie in ``Z*_{n²}``."""
         blinded = BlindedSum.coerce(blinded)
+        _check_paillier(self._public, [blinded.ciphertext])
         return RevealedSum(self._private.decrypt(blinded.ciphertext))
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import kernel, numtheory
 from repro.crypto.groups import QRGroup
 from repro.crypto.hashing import (
     SquareHash,
@@ -78,6 +79,35 @@ class TestTryIncrementHash:
     def test_membership_property(self, v):
         group = QRGroup.for_bits(64)
         assert TryIncrementHash(group).hash_value(v) in group
+
+    def test_hash_set_tests_a_round_of_tries_in_one_kernel_call(
+        self, group128, monkeypatch
+    ):
+        """``hash_set`` is ``hash_value`` per value, bit for bit, with
+        one batched Legendre test per round of tries: as many calls as
+        the value that tries longest needs, none one value at a time."""
+        h, p = TryIncrementHash(group128), group128.p
+        vals = [f"v{i}" for i in range(300)] + list(range(100)) + [b"x", ""]
+        expected = [h.hash_value(v) for v in vals]
+
+        def tries(v):
+            counter = 0
+            while True:
+                candidate = h._digest_stream(v, counter) % p
+                if candidate and numtheory.jacobi(candidate, p) == 1:
+                    return counter + 1
+                counter += 1
+
+        calls, real = [], kernel.jacobi_many
+        monkeypatch.setattr(
+            kernel, "jacobi_many", lambda xs, n: (calls.append(len(xs)), real(xs, n))[1]
+        )
+        monkeypatch.setattr(
+            kernel, "jacobi", lambda a, n: pytest.fail("a Legendre test of its own")
+        )
+        assert h.hash_set(vals) == expected
+        assert len(calls) == max(map(tries, vals)) <= 40
+        assert calls[0] == len(vals) and sum(calls) == sum(map(tries, vals))
 
 
 class TestSquareHash:

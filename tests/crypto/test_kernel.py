@@ -102,6 +102,19 @@ class TestParity:
         for edge in edges(n):
             assert kernel.jacobi(edge, n) == numtheory.jacobi(edge, n)
 
+    @pytest.mark.parametrize("path", ["gmp", "builtin"])
+    def test_jacobi_many_is_the_reference_on_the_self_test_s_values(
+        self, monkeypatch, path
+    ):
+        if path == "builtin":
+            monkeypatch.setattr(kernel, "_active", kernel._load("libgmp-hidden-by-a-test.so"))
+        elif kernel._active[0] is None:
+            pytest.skip(f"kernel is {kernel.describe()}")
+        for m in (3**41, 2**127 - 1, 2**521 - 1, P1024):
+            xs = [0, 1, 2, m - 1, m, 2 * m + 1, -5, 7**50]
+            assert kernel.jacobi_many(xs, m) == [numtheory.jacobi(x, m) for x in xs]
+        assert kernel.jacobi_many([], P1024) == []
+
     @pytest.mark.parametrize("n", [0, -7, 10])
     def test_jacobi_outside_its_domain_raises_like_the_reference(self, n):
         with pytest.raises(ValueError, match="odd n"):

@@ -473,6 +473,12 @@ def test_a_reopen_exponentiates_exactly_the_peer_elements_that_changed(
         protocol, tables["r"], tables["s"], bits=BITS, seed=3
     ).answer
     assert sum(counts[unchanged]) == k * _PER_CHANGED.get((protocol, unchanged), 1)
+    # Those re-encryptions went into the maps the party took from the
+    # cache entry, and from them into the file: a second reopen finds
+    # every peer element and exponentiates nothing on that side.
+    cat_r, cat_s, counts = _counted_pair(tmp_path, tables["r"], tables["s"])
+    assert cat_r.pair(cat_s).query(protocol).cache_hit
+    assert sum(counts[unchanged]) == 0
 
 
 def test_a_deltas_peer_tombstones_are_map_hits(tmp_path):

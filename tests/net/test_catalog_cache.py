@@ -127,9 +127,13 @@ class TestRoundTrip:
     def test_party_cache_shape(self, tmp_path):
         cache = CatalogCache(tmp_path)
         _store(cache)
-        pc = cache.lookup(DIGEST, "intersection.r").party_cache()
+        entry = cache.lookup(DIGEST, "intersection.r")
+        pc = entry.party_cache()
         assert pc.keys == KEYS
-        assert pc.entries == ENTRIES
+        assert pc.hashes == {v: h for v, (h, _) in ENTRIES.items()}
+        assert pc.ciphertexts == ({v: ys[0] for v, (_, ys) in ENTRIES.items()},)
+        # The party is handed the entry's maps, not copies of them.
+        assert pc.hashes is entry.hashes and pc.peers is entry.peers
 
 
 class TestAppendDelta:

@@ -10,10 +10,14 @@ set's cannot be.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 import repro
 from repro.net import LockStep
@@ -22,7 +26,7 @@ from repro.net.session_core import ReceiverCore, SenderCore
 from repro.net.virtual import Party
 from repro.protocols import spec as spec_module
 from repro.protocols.delta import DeltaExchange
-from repro.protocols.messages import IntersectionReply, ProtocolViolation
+from repro.protocols.messages import BlindedSum, IntersectionReply, ProtocolViolation
 from repro.protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from repro.protocols.spec import PROTOCOLS, get_spec
 
@@ -352,6 +356,63 @@ def test_the_honest_paillier_material_passes():
     assert receiver.finish() == 3 * 2  # c and d, 3 each
 
 
+#: R's ``m3``, its blinded sum outside ``Z*_{n²}``, by S's modulus.
+BLINDED = {
+    "zero": lambda n: 0,
+    "n-squared": lambda n: n * n,
+    "2**600": lambda n: 2**600,
+    "a-multiple-of-n": lambda n: 5 * n,
+}
+
+
+@pytest.mark.parametrize("row", sorted(BLINDED))
+def test_a_blinded_sum_outside_z_star_is_a_violation_before_s_decrypts(row):
+    spec = get_spec("equijoin-sum")
+    m1, m2, m3, m4 = spec.rounds
+    receiver, sender = _machines("equijoin-sum")
+    sender.consume(m1, receiver.produce(m1).to_wire())
+    receiver.consume(m2, sender.produce(m2).to_wire())
+    blinded = BLINDED[row](sender.state._public.n)
+    sender.consume(m3, BlindedSum(blinded).to_wire())
+    with pytest.raises(ProtocolViolation, match="Paillier"):
+        sender.produce(m4)
+
+
+@pytest.mark.parametrize("row", sorted(BLINDED))
+def test_a_blinded_sum_outside_z_star_is_a_violation_over_lock_step(row):
+    """R's ``m3`` replaced on the wire: S ends on a ProtocolViolation,
+    R with no answer."""
+    name = "equijoin-sum"
+    spec = get_spec(name)
+    r_data, s_data = _inputs(name)
+    m1, m2, m3, m4 = spec.rounds
+    bad_m3 = dataclasses.replace(
+        m3, step=lambda state, inbox: BlindedSum(BLINDED[row](inbox["m2"].n))
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            spec_module, "get_spec",
+            lambda _: dataclasses.replace(spec, rounds=(m1, m2, bad_m3, m4)),
+        )
+        receiver = ReceiverCore(
+            name,
+            lambda wire: spec.make_receiver(
+                r_data, PublicParams.from_wire(tuple(wire)), random.Random("R")
+            ),
+            CONFIG, random.Random(7), SessionStats(protocol=name),
+        )
+    sender = SenderCore(
+        name, PARAMS, lambda: spec.make_sender(s_data, PARAMS, random.Random("S")),
+        CONFIG, random.Random(8), SessionStats(protocol=name),
+    )
+    r_party = Party("R", receiver.steps, dials=True)
+    s_party = Party("S", sender.steps, dials=False)
+    LockStep(accept_timeout_s=5.0).run(r_party, s_party)
+    assert isinstance(s_party.error, ProtocolViolation), s_party.error
+    assert "Paillier" in str(s_party.error)
+    assert r_party.result is None
+
+
 def test_a_bad_ciphertext_in_a_delta_patch_leaves_r_as_it_was():
     receiver, sender = _machines("equijoin-sum")
     PROTOCOLS["equijoin-sum"].exchange(receiver, sender)
@@ -370,3 +431,112 @@ def test_a_bad_ciphertext_in_a_delta_patch_leaves_r_as_it_was():
     with pytest.raises(ProtocolViolation, match="Paillier"):
         r.produce(m3)
     assert vars(receiver.state) == committed
+
+
+# ----------------------------------------------------------------------
+# Well-framed wrong replies against a catalog's cache and committed link
+# ----------------------------------------------------------------------
+#: Leaves the shape or range check refuses, whatever part they land in.
+BAD_LEAVES = [0, -1, PARAMS.p, PARAMS.p + 5, "x", b"x", None, True]
+
+#: What S's intersection ``m2`` (or delta patch) can be made into, by
+#: ``(mutation, index, other index, bad leaf)``: a reordered part -
+#: the same reply to R -, or a change R must refuse: an element or a
+#: pair repeated, a pair dropped, keyed on a ciphertext R did not send
+#: or sharing another's double, or a leaf out of shape or range.  A
+#: change R cannot see (another ``Y_S`` element) is no reply to refuse.
+MUTATIONS = ["shuffle", "repeat", "drop-pair", "foreign-pair", "repeat-double", "bad-leaf"]
+mutations = st.lists(
+    st.tuples(
+        st.sampled_from(MUTATIONS), st.integers(0, 40), st.integers(0, 40),
+        st.sampled_from(BAD_LEAVES),
+    ),
+    max_size=4,
+)
+
+
+def _mutate(reply, ops):
+    parts = [list(part) for part in reply.to_parts()]
+    for name, at, other, leaf in ops:
+        part = parts[at % len(parts)]
+        pairs = bool(part) and isinstance(part[0], tuple)
+        if not part:
+            continue
+        i, j = at % len(part), other % len(part)
+        if name == "shuffle":
+            random.Random(other).shuffle(part)
+        elif name == "repeat":
+            part.append(part[j])
+        elif name == "drop-pair" and pairs:
+            del part[i]
+        elif name == "foreign-pair" and pairs:
+            part[i] = (part[i][1], part[i][1])
+        elif name == "repeat-double" and pairs and i != j:
+            part[i] = (part[i][0], part[j][1])
+        elif name == "bad-leaf":
+            part[i] = (part[i][0], leaf) if pairs else leaf
+    return type(reply).from_parts(tuple(parts))
+
+
+def _held(catalog, root):
+    """What a tampered query must leave alone: the committed link's
+    containers and cursor, and every cache file's bytes."""
+    links = {
+        key: (link["cursor"], {
+            name: copy.deepcopy(value) for name, value in vars(link["party"]).items()
+            if isinstance(value, (dict, list, tuple, int, type(None)))
+        })
+        for key, link in catalog._links.items()
+    }
+    return links, {path.name: path.read_bytes() for path in sorted(root.rglob("*.cat"))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["full", "delta"]), ops=mutations)
+def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing(kind, ops):
+    """S's ``m2`` - on a reopen over the warm cache, or a delta patch
+    on the committed link - mutated well-framed over a session: R ends
+    on the plaintext answer or a ProtocolViolation, and a refused
+    reply leaves R's committed party and both cache files as they
+    were."""
+    spec = get_spec("intersection")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+
+        def open_pair():
+            return [
+                repro.open_catalog(data, params=PARAMS, seed=side, cache_dir=root / side)
+                for side, data in (("r", V_R), ("s", V_S))
+            ]
+
+        cat_r, cat_s = open_pair()
+        cat_r.pair(cat_s).query(spec)
+        if kind == "full":
+            cat_r, cat_s = open_pair()
+            expected = set(V_R) & set(V_S)
+        else:
+            cat_r.insert("e").insert("f").delete("a")
+            cat_s.insert("f").insert("g").delete("e")
+            expected = {"c", "d", "f"}
+        before = _held(cat_r, root)
+        wire_spec, make_r, _ = cat_r._plan(spec, "receiver", kind)
+        _, make_s, _ = cat_s._plan(spec, "sender", kind)
+        receiver = ReceiverCore(
+            wire_spec.name, lambda wire: make_r(PublicParams.from_wire(tuple(wire))),
+            CONFIG, random.Random(7), SessionStats(protocol=wire_spec.name),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            tampered = _tampered(wire_spec.name, lambda reply: _mutate(reply, ops))
+            patch.setattr(spec_module, "get_spec", lambda _: tampered)
+            sender = SenderCore(
+                wire_spec.name, PARAMS, lambda: make_s(PARAMS),
+                CONFIG, random.Random(8), SessionStats(protocol=wire_spec.name),
+            )
+        r_party = Party("R", receiver.steps, dials=True)
+        LockStep(accept_timeout_s=5.0).run(r_party, Party("S", sender.steps, dials=False))
+        event(f"{kind}: {'refused' if r_party.error else 'answered'}")
+        if r_party.error is None:
+            assert r_party.result == expected
+        else:
+            assert isinstance(r_party.error, ProtocolViolation), r_party.error
+            assert _held(cat_r, root) == before
