@@ -576,22 +576,33 @@ class Catalog:
         # sender caches (codeword, kappa) pairs under two keys), so the
         # role is part of the cache key.
         cache_name = f"{key[0]}.{key[1][0]}"
+        preloaded = []
         if cacheable and self._digest is None:
-            self._digest = TableDigest(self.data)
-        digest = self._digest.hexdigest() if cacheable else None
+            # A reopen: the protocol's one file, if it holds exactly this
+            # table, lends it its digest; else the table is hashed, and
+            # the file served if that names it.
+            entry = self.cache.sole_entry(cache_name)
+            lent = entry is not None and entry.describes(self.data)
+            self._digest = TableDigest.resume(entry.state) if lent else TableDigest(self.data)
+            if entry is not None and entry.state == self._digest.state:
+                preloaded.append(entry)
+        # Pinned: mutations staged from here on are the next query's.
+        table = TableDigest.resume(self._digest.state) if cacheable else None
         cursor = self._mark()
         snapshot = dict(self.data) if isinstance(self.data, dict) else list(self.data)
         found: dict[str, Any] = {}
 
         def make_state(params: PublicParams) -> Any:
-            entry = None
-            if cacheable:
+            # A preloaded entry builds one party, which takes its maps:
+            # a second build (journal replay) loads the file again.
+            entry = preloaded.pop() if preloaded else None
+            if cacheable and entry is None:
                 try:
-                    entry = self.cache.lookup(digest, cache_name)
+                    entry = self.cache.lookup(table.hexdigest(), cache_name)
                 except CatalogCacheError:
                     pass  # corrupt or foreign-keyed entry: treat as a miss
-                if entry is not None and entry.params != params:
-                    entry = None
+            if entry is not None and entry.params != params:
+                entry = None
             found.update(entry=entry, params=params)
             # The party checks that the entry holds exactly its values.
             extra = {} if entry is None else {"cached": entry.party_cache()}
@@ -605,7 +616,7 @@ class Catalog:
             churn = party.cache_churn()
             if entry is None and cacheable:
                 link["entry"] = self.cache.store(
-                    digest, cache_name, found["params"], party.cache_keys(),
+                    table, cache_name, found["params"], party.cache_keys(),
                     party.cache_entries(), party.peer_maps(),
                 )
             self._commit_link(key, link)
@@ -614,7 +625,7 @@ class Catalog:
                 # while the parties were down (nothing, on unchanged
                 # tables). As for a delta, a failed append leaves the
                 # link without its entry.
-                link["entry"] = self.cache.append_delta(entry, digest, *churn)
+                link["entry"] = self.cache.append_delta(entry, table, *churn)
             return entry is not None
 
         return make_state, commit
@@ -624,6 +635,8 @@ class Catalog:
     ) -> tuple[Callable[[PublicParams], Any], Callable[[Any], bool]]:
         """A delta query: the churn staged since the link's cursor, on
         its committed party."""
+        from .net.catalog import TableDigest
+
         link = self._links[key]
         cursor = self._mark()
         inserts, deletes = self._staged(link["cursor"])
@@ -631,7 +644,7 @@ class Catalog:
             state=link["party"], inserts=inserts, deletes=deletes
         )
         # The file is re-keyed to the table as of this query's entry.
-        digest = None if link["entry"] is None else self._digest.hexdigest()
+        table = None if link["entry"] is None else TableDigest.resume(self._digest.state)
 
         def make_state(params: PublicParams) -> Any:
             return factory(exchange, params, self.rng, engine=engine)
@@ -647,7 +660,7 @@ class Catalog:
             link["cursor"] = cursor
             self._commit_link(key, link)
             if entry is not None:
-                link["entry"] = self.cache.append_delta(entry, digest, *churn)
+                link["entry"] = self.cache.append_delta(entry, table, *churn)
             return False
 
         return make_state, commit

@@ -19,10 +19,13 @@ length-prefixed records, every byte written through the
 are injectable, fsync'd before an entry is advertised as durable, and
 torn tails truncated on open.  After the ``header`` record (protocol,
 params, keys, key fingerprint) the file is a sequence of *batches*,
-one sealed ``("batch", digest, values, ints, dels, peer_ints,
-peer_dels)`` record each (format v4):
+one sealed ``("batch", shape, sums, values, ints, dels, peer_ints,
+peer_dels)`` record each (format v5):
 
-* ``digest`` - the table the file describes from there on;
+* ``shape`` / ``sums`` - the table the file describes from there on, as
+  its :class:`TableDigest`'s state, from which its digest follows: the
+  shape, and one 40-byte blob of the count (8 bytes) and the total mod
+  2**256 (32 bytes), big-endian - as wide whatever the table's size;
 * ``values`` / ``ints`` / ``dels`` - the own entries: the added values
   (codec-encoded, in ``repr`` order), one blob of fixed-width
   big-endian blocks holding each added value's hash and then its
@@ -40,8 +43,14 @@ into the maps a party keeps - each value's hash, one ciphertext map per
 key, the peer maps - and :meth:`CacheEntry.party_cache` hands the party
 those maps uncopied, so a reopen builds no per-value record.  The entry
 and its party then share the maps: what a query moved in them reaches
-the file through the party's own account of it (``peer_churn``), not by
-comparing the two.
+the file through the party's own account of it (``cache_churn``), not
+by comparing the two.
+
+A party reopened on a duplicate-free table of ``str``, ``bytes`` and
+``int`` values hashes none of it: when its protocol has one file here
+(:meth:`CatalogCache.sole_entry`) and that file's table holds exactly
+the table's values, as many as it has (:meth:`CacheEntry.describes`),
+the file's state resumes the catalog's running digest.
 
 A table mutation (:meth:`CatalogCache.append_delta`) appends one batch
 — O(|delta|) bytes, the delta's peer-map churn included — fsyncs it,
@@ -51,8 +60,11 @@ and atomically renames the file to the new table's digest
 full query after the peer changed) keeps the name and skips the
 rename.  A crash before the rename leaves the file under its old name
 saying, by its last batch, which table it describes; a name that disagrees with it is a
-:class:`CatalogCacheError` (a miss), never a wrong entry.
-:meth:`CatalogCache.store` is the one full rewrite, and doubles as the
+:class:`CatalogCacheError` (a miss), never a wrong entry - and a file
+served for the table it describes is renamed to its digest's name when
+the query commits.
+:meth:`CatalogCache.store` is the one full rewrite, removes the
+protocol's other files once its own is durable, and doubles as the
 compactor: ``append_delta`` runs it once the file's weight - the
 values and peer elements written (the adds and dels of every batch)
 plus one per batch - exceeds twice the live ones, which keeps the file
@@ -98,10 +110,10 @@ __all__ = [
     "table_digest",
 ]
 
-#: v4: a batch also carries the peer maps' churn (v3: a batch is one
-#: record, its ints fixed-width blocks of one blob).  Files of another
+#: v5: a batch records its table's digest state, not the digest (v4:
+#: a batch also carries the peer maps' churn).  Files of another
 #: version fail the magic check: a miss.
-CATALOG_VERSION = 4
+CATALOG_VERSION = 5
 CATALOG_MAGIC = b"RPCC" + struct.pack(">H", CATALOG_VERSION)
 
 _log = logging.getLogger("repro.catalog")
@@ -151,10 +163,27 @@ class TableDigest:
         self.total -= self._hash(item)
         self.count -= 1
 
+    @classmethod
+    def resume(cls, state: Any) -> "TableDigest":
+        """The digest whose :attr:`state` is ``state`` (as a cache file
+        records it), its table unread; ``ValueError`` if it is none."""
+        shape, count, total = state
+        if shape not in ("seq", "map") or not (
+            type(count) is type(total) is int and count >= 0 and 0 <= total < 1 << 256
+        ):
+            raise ValueError(f"not a table digest's state: {state!r}")
+        digest = cls.__new__(cls)
+        digest.shape, digest.count, digest.total = shape, count, total
+        return digest
+
+    @property
+    def state(self) -> tuple[str, int, int]:
+        """``(shape, count, total mod 2**256)``: all the digest depends on."""
+        return self.shape, self.count, self.total % (1 << 256)
+
     def hexdigest(self) -> str:
         """The table's canonical hex digest."""
-        summary = (self.shape, self.count, self.total % (1 << 256))
-        return hashlib.sha256(encode(summary)).hexdigest()
+        return hashlib.sha256(encode(self.state)).hexdigest()
 
 
 def table_digest(data: Any) -> str:
@@ -176,7 +205,8 @@ class CacheEntry:
     The state is held in the maps a party keeps (:class:`PartyCache`'s
     shape), which :meth:`party_cache` hands over uncopied."""
 
-    digest: str
+    #: The :attr:`TableDigest.state` of the table the entry describes.
+    state: tuple
     protocol: str
     params: PublicParams
     keys: tuple
@@ -191,6 +221,25 @@ class CacheEntry:
     #: adds and dels of every batch) plus one per batch; beyond
     #: :attr:`live` it is dead weight the next compaction drops.
     records: int = 0
+
+    @property
+    def digest(self) -> str:
+        """The hex digest of the table the entry describes."""
+        return TableDigest.resume(self.state).hexdigest()
+
+    def describes(self, data: Any) -> bool:
+        """Whether ``data`` is exactly the entry's table, told without
+        hashing it: a sequence of as many distinct values as the table
+        counts, the entry's values, all ``str``, ``bytes`` or ``int``
+        (whose equal values encode alike)."""
+        shape, count, _ = self.state
+        if shape != "seq" or isinstance(data, Mapping):
+            return False
+        values = set(data)
+        return (
+            count == len(data) == len(values) and self.hashes.keys() == values
+            and {*map(type, values), *map(type, self.hashes)} <= {str, bytes, int}
+        )
 
     @property
     def live(self) -> int:
@@ -223,7 +272,7 @@ def _empty(protocol: str, params: PublicParams, keys: Any, path: Path) -> CacheE
     """An entry holding nothing yet, with one own and one peer map per
     key; its batches are folded in."""
     return CacheEntry(
-        digest="", protocol=protocol, params=params, keys=tuple(keys),
+        state=(), protocol=protocol, params=params, keys=tuple(keys),
         hashes={}, ciphertexts=tuple({} for _ in keys), path=path,
         peers=tuple({} for _ in keys),
     )
@@ -248,14 +297,16 @@ def _blob(ints: Iterable[int], width: int) -> bytes:
 
 
 def _batch(
-    digest: str, values: list, ints: list, dels: Iterable, peer_ints: list,
+    state: tuple, values: list, ints: list, dels: Iterable, peer_ints: list,
     peer_dels: Iterable[int], p: int,
 ) -> bytes:
     """One sealed batch of :func:`_rows`' layout, every block as wide
     as ``p`` - which each of them is below."""
     width = (p.bit_length() + 7) // 8
+    shape, count, total = state
+    sums = count.to_bytes(8, "big") + total.to_bytes(32, "big")
     return seal((
-        "batch", digest, tuple(values), _blob(ints, width), tuple(dels),
+        "batch", shape, sums, tuple(values), _blob(ints, width), tuple(dels),
         _blob(peer_ints, width), _blob(peer_dels, width),
     ))
 
@@ -371,9 +422,12 @@ class CatalogCache:
             for record in records[1:]:
                 if record[0] != "batch":
                     raise CatalogCacheError(f"{path.name}: unknown record kind {record[0]!r}")
-                _, entry.digest, values, ints, dels, peer_ints, peer_dels = record
-                if tuple(map(type, record[1:])) != (str, tuple, bytes, tuple, bytes, bytes):
+                _, shape, sums, values, ints, dels, peer_ints, peer_dels = record
+                types = (str, bytes, tuple, bytes, tuple, bytes, bytes)
+                if tuple(map(type, record[1:])) != types or len(sums) != 40:
                     raise CatalogCacheError(f"{path.name}: malformed batch")
+                count, total = (int.from_bytes(part, "big") for part in (sums[:8], sums[8:]))
+                entry.state = TableDigest.resume((shape, count, total)).state
                 own = blocks(ints, stride)
                 if len(own) != len(values) * stride:
                     raise CatalogCacheError(f"{path.name}: batch blob of the wrong length")
@@ -384,6 +438,17 @@ class CatalogCache:
             # undecodable bytes, a negative key): corrupt all the same.
             raise CatalogCacheError(f"{path.name}: malformed record ({exc})") from exc
         return entry
+
+    def sole_entry(self, protocol: str) -> CacheEntry | None:
+        """The one file ``protocol`` has here, loaded whatever its name;
+        ``None`` if it has none or several, or the file is unreadable
+        or another protocol's."""
+        try:
+            (path,) = self.root.glob(f"*.{protocol}.cat")
+            entry = self._load(path)
+        except (ValueError, CatalogCacheError):
+            return None
+        return entry if entry.protocol == protocol else None
 
     # ------------------------------------------------------------------
     # Writing
@@ -408,16 +473,18 @@ class CatalogCache:
 
     def store(
         self,
-        digest: str,
+        table: TableDigest,
         protocol: str,
         params: PublicParams,
         keys: tuple,
         entries: Mapping[Hashable, tuple],
         peers: tuple = (),
     ) -> CacheEntry:
-        """Durably write a fresh, compact entry (atomic: tmp + rename +
-        dir fsync); ``peers`` holds the peer maps, one per key."""
-        path = self.path_for(digest, protocol)
+        """Durably write a fresh, compact entry for the table digested
+        by ``table`` (atomic: tmp + rename + dir fsync), then remove the
+        protocol's other files; ``peers`` holds the peer maps, one per
+        key."""
+        path = self.path_for(table.hexdigest(), protocol)
         tmp = path.with_suffix(path.suffix + ".tmp")
         if tmp.exists():  # leftover from an earlier crash
             self.io.truncate(tmp, 0)
@@ -428,25 +495,29 @@ class CatalogCache:
         values, ints, peer_ints = _rows(entries, peers)
         self._append(tmp, [
             CATALOG_MAGIC, seal(header),
-            _batch(digest, values, ints, (), peer_ints, (), params.p),
+            _batch(table.state, values, ints, (), peer_ints, (), params.p),
         ])
         self._publish(tmp, path)
+        for other in self.root.glob(f"*.{protocol}.cat"):
+            if other != path:  # an older table's, dead weight from here on
+                other.unlink(missing_ok=True)
         entry = _empty(protocol, params, keys, path)
-        entry.digest = digest
+        entry.state = table.state
         _fold(entry, values, ints, (), peer_ints, ())
         return entry
 
     def append_delta(
         self,
         entry: CacheEntry,
-        new_digest: str,
+        table: TableDigest,
         adds: Mapping[Hashable, tuple],
         dels: Any = (),
         peer_adds: tuple = (),
         peer_dels: Any = (),
     ) -> CacheEntry:
         """Append one batch to an entry's file and re-key it to the
-        table's new digest; ``entry`` is folded forward and returned.
+        digest of the table ``table`` digests now; ``entry`` is folded
+        forward and returned.
         ``peer_adds`` holds what the peer maps add, one map per key.
 
         The batch, one sealed record, is fsync'd before the rename, so
@@ -458,27 +529,31 @@ class CatalogCache:
         table (peer-map churn alone) needs no rename.  Once the file's
         weight (entries written plus batches) exceeds twice the live
         entries the file is compacted through :meth:`store`.  A commit
-        that changes neither the table nor an entry writes nothing.
+        that changes neither the table nor an entry writes nothing -
+        unless the file is under another name (a crash before a
+        rename), which its batch then re-keys.
         """
+        state, new_path = table.state, self.path_for(table.hexdigest(), entry.protocol)
         dels, peer_dels = list(dels), list(peer_dels)
         values, ints, peer_ints = _rows(adds, peer_adds)
-        if new_digest == entry.digest and not (values or dels or peer_ints or peer_dels):
+        if (state, new_path) == (entry.state, entry.path) and not (
+            values or dels or peer_ints or peer_dels
+        ):
             return entry  # the file already says it all
         self._append(entry.path, [
-            _batch(new_digest, values, ints, dels, peer_ints, peer_dels, entry.params.p)
+            _batch(state, values, ints, dels, peer_ints, peer_dels, entry.params.p)
         ])
-        new_path = self.path_for(new_digest, entry.protocol)
         if new_path != entry.path:
             self._publish(entry.path, new_path)
         _fold(entry, values, ints, dels, peer_ints, peer_dels)
-        entry.digest, entry.path = new_digest, new_path
+        entry.state, entry.path = state, new_path
         if entry.records > 2 * entry.live:
             _log.info(
                 "catalog compacted records=%d entries=%d",
                 entry.records, entry.live,
             )
             return self.store(
-                new_digest, entry.protocol, entry.params, entry.keys,
+                table, entry.protocol, entry.params, entry.keys,
                 entry.entries, entry.peers,
             )
         return entry

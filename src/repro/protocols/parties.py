@@ -1152,11 +1152,16 @@ class EquijoinSumReceiver(_Party):
 
     def absorb(
         self, z_added: list, z_removed: list, pairs_added: list,
-        pairs_removed: list,
+        pairs_removed: list, pk: PaillierPublicKey | None = None,
     ) -> BlindedSum:
         """Step 5: patch ``Z_R`` and the pair map, match against the
-        unlinkable ``Z_R``, sum and blind."""
-        _check_paillier(self._pk, [c for _, c in pairs_added])
+        unlinkable ``Z_R``, sum and blind.  A full run passes S's
+        modulus as ``pk``: R's state starts afresh under it, once each
+        ciphertext is checked (once)."""
+        _check_paillier(pk or self._pk, [c for _, c in pairs_added])
+        if pk is not None:
+            self._declare()
+            self._pk = pk
         _patch(self._z_r, z_added, z_removed)
         held = self._pairs_by_codeword
         for codeword in pairs_removed:
@@ -1184,11 +1189,7 @@ class EquijoinSumReceiver(_Party):
     def round2(self, reply: SumReply) -> BlindedSum:
         """Step 5 of a full run: adopt S's Paillier modulus, absorb."""
         reply = SumReply.coerce(reply)
-        pk = self._paillier(reply.n)
-        _check_paillier(pk, [c for _, c in reply.pairs])
-        self._declare()
-        self._pk = pk
-        return self.absorb(reply.z_r, (), reply.pairs, ())
+        return self.absorb(reply.z_r, (), reply.pairs, (), pk=self._paillier(reply.n))
 
     def finish(self, reply: RevealedSum) -> int:
         """Step 7: remove the mask from S's decrypted blinded sum."""

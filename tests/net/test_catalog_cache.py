@@ -34,23 +34,26 @@ ENTRIES = {
     "bob": (22, (2222,)),
     "carol": (33, (3333,)),
 }
-DIGEST = table_digest(["alice", "bob", "carol"])
+TABLE = TableDigest(["alice", "bob", "carol"])
+DIGEST = TABLE.hexdigest()
+#: A v5 batch's first two fields: the table's shape, its count and total.
+STATE = ("seq", (3).to_bytes(8, "big") + TABLE.state[2].to_bytes(32, "big"))
 #: The peer maps, one per key: a peer element -> its re-encryption.
 PEERS = ({7: 77, 8: 88},)
 #: Bytes per int block of a batch's blob.
 WIDTH = (PARAMS.p.bit_length() + 7) // 8
 
 
-def _store(cache, digest=DIGEST, entries=ENTRIES):
-    return cache.store(digest, "intersection.r", PARAMS, KEYS, entries)
+def _store(cache, table=TABLE, entries=ENTRIES):
+    return cache.store(table, "intersection.r", PARAMS, KEYS, entries)
 
 
 def _blob(*ints):
     return b"".join(i.to_bytes(WIDTH, "big") for i in ints)
 
 
-def _batch(digest=DIGEST, adds=ENTRIES, dels=(), peer_adds=({},), peer_dels=()):
-    """A v4 batch record: the adds' values, their hash and ciphertexts
+def _batch(adds=ENTRIES, dels=(), peer_adds=({},), peer_dels=()):
+    """A v5 batch record: the table's digest state, the adds' values, their hash and ciphertexts
     as one blob of fixed-width blocks, and the dels; then the peer-map
     adds (each element and its re-encryption) as a second blob, and the
     peer-map dels as a third."""
@@ -59,7 +62,7 @@ def _batch(digest=DIGEST, adds=ENTRIES, dels=(), peer_adds=({},), peer_dels=()):
     ys = sorted(peer_adds[0])
     peer_ints = [i for y in ys for i in (y, *(fs[y] for fs in peer_adds))]
     return (
-        "batch", digest, values, _blob(*ints), tuple(dels),
+        "batch", *STATE, values, _blob(*ints), tuple(dels),
         _blob(*peer_ints), _blob(*peer_dels),
     )
 
@@ -89,6 +92,23 @@ class TestTableDigest:
         pairs.remove(("a", 1))
         pairs.add(("a", 2))
         assert pairs.hexdigest() == table_digest({"b": b"x", "a": 2})
+
+    def test_resumes_from_its_state(self):
+        running = TableDigest(["a", "b"])
+        running.remove("a")
+        running.remove("b")  # a total below zero
+        resumed = TableDigest.resume(running.state)
+        assert resumed.state == running.state == ("seq", 0, 0)
+        resumed.add("c")
+        assert resumed.hexdigest() == table_digest(["c"])
+
+    @pytest.mark.parametrize("state", [
+        ("bag", 1, 0), ("seq", -1, 0), ("seq", 1, -1), ("seq", 1, 1 << 256),
+        ("seq", True, 0), ("seq", 1, "0"), ("seq", 1), ["seq", 1, 0, 0], "seq", None,
+    ])
+    def test_resume_refuses_what_no_digest_has(self, state):
+        with pytest.raises((ValueError, TypeError)):
+            TableDigest.resume(state)
 
     def test_digests_are_pinned(self):
         """Cache files are named by these: a digest that moves turns
@@ -140,9 +160,9 @@ class TestAppendDelta:
     def test_folds_and_rekeys(self, tmp_path):
         cache = CatalogCache(tmp_path)
         entry = _store(cache)
-        new_digest = table_digest(["alice", "carol", "dave"])
+        new_table = TableDigest(["alice", "carol", "dave"])
         updated = cache.append_delta(
-            entry, new_digest, {"dave": (44, (4444,))}, ["bob"]
+            entry, new_table, {"dave": (44, (4444,))}, ["bob"]
         )
         assert updated.entries == {
             "alice": (11, (1111,)),
@@ -151,15 +171,15 @@ class TestAppendDelta:
         }
         # The old key is gone; the new one loads the folded entry.
         assert cache.lookup(DIGEST, "intersection.r") is None
-        loaded = cache.lookup(new_digest, "intersection.r")
+        loaded = cache.lookup(new_table.hexdigest(), "intersection.r")
         assert loaded.entries == updated.entries
 
     def test_replace_same_value(self, tmp_path):
         cache = CatalogCache(tmp_path)
         entry = _store(cache)
-        new_digest = table_digest(["replaced"])
+        new_table = TableDigest(["replaced"])
         updated = cache.append_delta(
-            entry, new_digest, {"alice": (99, (9999,))}, []
+            entry, new_table, {"alice": (99, (9999,))}, []
         )
         assert updated.entries["alice"] == (99, (9999,))
 
@@ -170,7 +190,7 @@ class TestAppendDelta:
         before = entry.path.read_bytes()
         inode = entry.path.stat().st_ino
         updated = cache.append_delta(
-            entry, table_digest(["next"]), {"dave": (44, (4444,))}, ["v0"]
+            entry, TableDigest(["next"]), {"dave": (44, (4444,))}, ["v0"]
         )
         after = updated.path.read_bytes()
         assert after.startswith(before)
@@ -213,15 +233,15 @@ class TestAppendDelta:
                 raise OSError("crash before the rename")
 
         entry = _store(CatalogCache(tmp_path))
-        new_digest = table_digest(["alice", "carol", "dave"])
+        new_table = TableDigest(["alice", "carol", "dave"])
         with pytest.raises(OSError):
             CatalogCache(tmp_path, io=NoRename()).append_delta(
-                entry, new_digest, {"dave": (44, (4444,))}, ["bob"]
+                entry, new_table, {"dave": (44, (4444,))}, ["bob"]
             )
         fresh = CatalogCache(tmp_path)
         with pytest.raises(CatalogCacheError, match="describes"):
             fresh.lookup(DIGEST, "intersection.r")
-        assert fresh.lookup(new_digest, "intersection.r") is None
+        assert fresh.lookup(new_table.hexdigest(), "intersection.r") is None
 
 
 class TestPeerMaps:
@@ -229,7 +249,7 @@ class TestPeerMaps:
     batches as its own entries."""
 
     def _stored(self, cache):
-        return cache.store(DIGEST, "intersection.r", PARAMS, KEYS, ENTRIES, PEERS)
+        return cache.store(TABLE, "intersection.r", PARAMS, KEYS, ENTRIES, PEERS)
 
     def test_store_then_lookup_and_inject(self, tmp_path):
         self._stored(CatalogCache(tmp_path))
@@ -240,13 +260,13 @@ class TestPeerMaps:
 
     def test_delta_folds_the_maps_in_its_one_batch(self, tmp_path):
         cache = CatalogCache(tmp_path)
-        entry = cache.store(DIGEST, "intersection.r", PARAMS, KEYS, _entries(20), PEERS)
+        entry = cache.store(TABLE, "intersection.r", PARAMS, KEYS, _entries(20), PEERS)
         before = entry.path.read_bytes()
-        new_digest = table_digest(["alice", "carol"])
-        updated = cache.append_delta(entry, new_digest, {}, ["v0"], ({9: 99},), [7])
+        new_table = TableDigest(["alice", "carol"])
+        updated = cache.append_delta(entry, new_table, {}, ["v0"], ({9: 99},), [7])
         assert updated.peers == ({8: 88, 9: 99},)
         assert updated.path.read_bytes().startswith(before)
-        loaded = cache.lookup(new_digest, "intersection.r")
+        loaded = cache.lookup(new_table.hexdigest(), "intersection.r")
         assert loaded.peers == updated.peers and loaded.records == updated.records
 
     def test_map_churn_alone_appends_without_a_rename(self, tmp_path):
@@ -273,12 +293,12 @@ class TestPeerMaps:
         entry = self._stored(cache)
         inode = entry.path.stat().st_ino
         del io.calls[:]
-        updated = cache.append_delta(entry, DIGEST, {}, (), ({9: 99},), [7])
+        updated = cache.append_delta(entry, TABLE, {}, (), ({9: 99},), [7])
         assert io.calls == ["write", "fsync"]
         assert updated.path.stat().st_ino == inode
         assert cache.lookup(DIGEST, "intersection.r").peers == ({8: 88, 9: 99},)
         # And an unchanged map writes nothing at all.
-        assert cache.append_delta(updated, DIGEST, {}, ()) is updated
+        assert cache.append_delta(updated, TABLE, {}, ()) is updated
         assert io.calls == ["write", "fsync"]
 
     def test_a_torn_map_batch_is_cut_and_the_prefix_served(self, tmp_path):
@@ -298,15 +318,15 @@ class TestPeerMaps:
                 raise OSError("crash before the rename")
 
         entry = self._stored(CatalogCache(tmp_path))
-        new_digest = table_digest(["alice", "carol"])
+        new_table = TableDigest(["alice", "carol"])
         with pytest.raises(OSError):
             CatalogCache(tmp_path, io=NoRename()).append_delta(
-                entry, new_digest, {}, ["bob"], ({9: 99},), [7]
+                entry, new_table, {}, ["bob"], ({9: 99},), [7]
             )
         fresh = CatalogCache(tmp_path)
         with pytest.raises(CatalogCacheError, match="describes"):
             fresh.lookup(DIGEST, "intersection.r")
-        assert fresh.lookup(new_digest, "intersection.r") is None
+        assert fresh.lookup(new_table.hexdigest(), "intersection.r") is None
 
     def test_map_churn_counts_toward_compaction(self, tmp_path):
         """Peer elements that come and go weigh like values: the file
@@ -315,20 +335,20 @@ class TestPeerMaps:
         params = PublicParams.for_bits(512)
         peers = {y: y + 1 for y in range(100, 130)}
         cache = CatalogCache(tmp_path / "live")
-        entry = cache.store(DIGEST, "intersection.r", params, KEYS, ENTRIES, (peers,))
+        entry = cache.store(TABLE, "intersection.r", params, KEYS, ENTRIES, (peers,))
         compactions = 0
         for step in range(80):
             gone, new = 100 + step, 130 + step
             del peers[gone]
             peers[new] = new + 1
             size_before = entry.path.stat().st_size
-            entry = cache.append_delta(entry, DIGEST, {}, (), ({new: peers[new]},), [gone])
+            entry = cache.append_delta(entry, TABLE, {}, (), ({new: peers[new]},), [gone])
             compactions += entry.path.stat().st_size < size_before
             assert entry.peers == (peers,) and entry.records <= 2 * entry.live
             fresh = CatalogCache(cache.root).lookup(DIGEST, "intersection.r")
             assert fresh.peers == (peers,) and fresh.records == entry.records
             compact = CatalogCache(tmp_path / "compact").store(
-                DIGEST, "intersection.r", params, KEYS, ENTRIES, (peers,)
+                TABLE, "intersection.r", params, KEYS, ENTRIES, (peers,)
             ).path.stat().st_size
             assert entry.path.stat().st_size <= 2 * compact + 200
         assert 2 <= compactions <= 12
@@ -346,15 +366,16 @@ class TestCompaction:
         holds exactly one entry file throughout."""
         live = _entries(30)
         cache = CatalogCache(tmp_path / "live")
-        entry = _store(cache, table_digest(sorted(live)), live)
+        entry = _store(cache, TableDigest(sorted(live)), live)
         compactions = 0
         for step in range(80):
             gone, new = f"v{step}", f"v{step + 30}"
             del live[gone]
             live[new] = (1000 + step + 30, (5000 + step + 30,))
-            digest = table_digest(sorted(live))
+            table = TableDigest(sorted(live))
+            digest = table.hexdigest()
             size_before = entry.path.stat().st_size
-            entry = cache.append_delta(entry, digest, {new: live[new]}, [gone])
+            entry = cache.append_delta(entry, table, {new: live[new]}, [gone])
             compactions += entry.path.stat().st_size < size_before
 
             assert entry.entries == live
@@ -362,9 +383,9 @@ class TestCompaction:
             fresh = CatalogCache(cache.root).lookup(digest, "intersection.r")
             assert fresh.entries == live and fresh.records == entry.records
             compact = _store(
-                CatalogCache(tmp_path / "compact"), digest, live
+                CatalogCache(tmp_path / "compact"), table, live
             ).path.stat().st_size
-            batch = len(seal(_batch(digest, {new: live[new]}, [gone]))) + 100
+            batch = len(seal(_batch({new: live[new]}, [gone]))) + 100
             assert entry.path.stat().st_size <= 2 * compact + batch
         # 80 steps x (2 values + 1 batch) against 30 live ones: it fired,
         # and more than once, but nowhere near once per delta.
@@ -378,17 +399,17 @@ class TestCompaction:
         live = _entries(30)
         table = TableDigest(sorted(live))
         cache = CatalogCache(tmp_path)
-        entry = _store(cache, table.hexdigest(), live)
+        entry = _store(cache, table, live)
         compact = entry.path.read_bytes()
-        entry = cache.append_delta(entry, table.hexdigest(), {}, [])
+        entry = cache.append_delta(entry, table, {}, [])
         assert entry.path.read_bytes() == compact
-        batch = len(seal(_batch(DIGEST, {}, ())))
+        batch = len(seal(_batch({}, ())))
         compactions = 0
         for _ in range(3 * len(live)):
             table.add("v0")
             digest = table.hexdigest()
             size_before = entry.path.stat().st_size
-            entry = cache.append_delta(entry, digest, {}, [])
+            entry = cache.append_delta(entry, table, {}, [])
             compactions += entry.path.stat().st_size < size_before
             # Fewer than len(live) batches since the last compaction: in
             # bytes within 2x where a batch's framing is no heavier than
@@ -482,6 +503,20 @@ class TestCorruption:
         with pytest.raises(CatalogCacheError, match="magic"):
             cache.lookup(DIGEST, "intersection.r")
 
+    def test_v4_file_is_a_miss(self, tmp_path):
+        """A whole file of the previous layout - batches naming their
+        table by its hex digest - is a miss by its magic, and no file
+        to lend a reopen its digest."""
+        cache = CatalogCache(tmp_path)
+        path = cache.path_for(DIGEST, "intersection.r")
+        path.write_bytes(
+            b"RPCC\x00\x04" + seal(_HEADER)
+            + seal(("batch", DIGEST, *_batch()[3:]))
+        )
+        with pytest.raises(CatalogCacheError, match="magic"):
+            cache.lookup(DIGEST, "intersection.r")
+        assert cache.sole_entry("intersection.r") is None
+
 
 # ----------------------------------------------------------------------
 # CRC-valid but malformed records: always a typed error
@@ -527,11 +562,11 @@ class TestMalformedRecords:
         [(*_HEADER, "extra"), _batch()],
         ["header", _batch()],
         [7, _batch()],
-        [_HEADER, ("batch", DIGEST, ("x",), _blob(1, 2))],
+        [_HEADER, ("batch", *STATE, ("x",), _blob(1, 2))],
         [_HEADER, (*_batch(), "extra")],
-        [_HEADER, ("batch", DIGEST, (["unhashable"],), _blob(1, 2), ())],
-        [_HEADER, _batch(), ("batch", DIGEST, (), b"", (["unhashable"],))],
-        [_HEADER, ("batch", DIGEST, ("x",), (1, 2), ())],
+        [_HEADER, ("batch", *STATE, (["unhashable"],), _blob(1, 2), ())],
+        [_HEADER, _batch(), ("batch", *STATE, (), b"", (["unhashable"],))],
+        [_HEADER, ("batch", *STATE, ("x",), (1, 2), ())],
         [_HEADER, ("batch",)],
         [_HEADER, _batch(), ("del", "x")],
         [_HEADER, _batch(), ("rekey", DIGEST)],
@@ -543,7 +578,7 @@ class TestMalformedRecords:
         [("header", "intersection.r", ("p",), KEYS, "fp"), _batch()],
         [
             (*_HEADER[:3], (), key_fingerprint((), PARAMS.p)),
-            ("batch", DIGEST, ("x",), _blob(1), ()),
+            ("batch", *STATE, ("x",), _blob(1), ()),
         ],
         [(*_HEADER[:3], (-1,), _HEADER[4]), _batch()],
     ])
@@ -552,28 +587,33 @@ class TestMalformedRecords:
         assert _lookup_is_typed(tmp_path, blob) is None
 
     @pytest.mark.parametrize("batch, error", [
-        (("batch", DIGEST, ("x",), _blob(1, 2)[:-1], (), b"", b""), "blob"),
-        (("batch", DIGEST, ("x",), _blob(1, 2) + b"\0", (), b"", b""), "blob"),
-        (("batch", DIGEST, ("x",), _blob(1, 2, 3), (), b"", b""), "blob"),
-        (("batch", DIGEST, ("x", "y"), _blob(1, 2), (), b"", b""), "blob"),
-        (("batch", DIGEST, ("x",), _blob(PARAMS.p, 2), (), b"", b""), "below p"),
-        (("batch", DIGEST, ("x",), _blob(1, PARAMS.p + 1), (), b"", b""), "below p"),
-        (("batch", 12345, ("x",), _blob(1, 2), (), b"", b""), "malformed batch"),
-        (("batch", DIGEST.encode(), ("x",), _blob(1, 2), (), b"", b""), "malformed batch"),
-        (("batch", DIGEST, ["x"], _blob(1, 2), (), b"", b""), "malformed batch"),
-        (("batch", DIGEST, "x", _blob(1, 2), (), b"", b""), "malformed batch"),
-        (("batch", DIGEST, ("x",), _blob(1, 2), ["alice"], b"", b""), "malformed batch"),
-        (("batch", DIGEST, ("x",), _blob(1, 2), "alice", b"", b""), "malformed batch"),
+        (("batch", *STATE, ("x",), _blob(1, 2)[:-1], (), b"", b""), "blob"),
+        (("batch", *STATE, ("x",), _blob(1, 2) + b"\0", (), b"", b""), "blob"),
+        (("batch", *STATE, ("x",), _blob(1, 2, 3), (), b"", b""), "blob"),
+        (("batch", *STATE, ("x", "y"), _blob(1, 2), (), b"", b""), "blob"),
+        (("batch", *STATE, ("x",), _blob(PARAMS.p, 2), (), b"", b""), "below p"),
+        (("batch", *STATE, ("x",), _blob(1, PARAMS.p + 1), (), b"", b""), "below p"),
+        # The digest state: a shape string and a 40-byte blob.
+        (("batch", 12345, STATE[1], ("x",), _blob(1, 2), (), b"", b""), "malformed batch"),
+        (("batch", "seq", DIGEST, ("x",), _blob(1, 2), (), b"", b""), "malformed batch"),
+        (("batch", "seq", 3, ("x",), _blob(1, 2), (), b"", b""), "malformed batch"),
+        (("batch", "seq", STATE[1][:-1], ("x",), _blob(1, 2), (), b"", b""), "malformed batch"),
+        (("batch", "bag", STATE[1], ("x",), _blob(1, 2), (), b"", b""), "digest's state"),
+        (("batch", DIGEST, ("x",), _blob(1, 2), (), b"", b""), "malformed"),
+        (("batch", *STATE, ["x"], _blob(1, 2), (), b"", b""), "malformed batch"),
+        (("batch", *STATE, "x", _blob(1, 2), (), b"", b""), "malformed batch"),
+        (("batch", *STATE, ("x",), _blob(1, 2), ["alice"], b"", b""), "malformed batch"),
+        (("batch", *STATE, ("x",), _blob(1, 2), "alice", b"", b""), "malformed batch"),
         # The peer maps' blobs: one element and one re-encryption per
         # key each added row, one element each removed one, below p.
-        (("batch", DIGEST, (), b"", (), _blob(5), b""), "blob"),
-        (("batch", DIGEST, (), b"", (), _blob(5, 6, 7), b""), "blob"),
-        (("batch", DIGEST, (), b"", (), b"", _blob(5)[:-1]), "blob"),
-        (("batch", DIGEST, (), b"", (), _blob(PARAMS.p, 6), b""), "below p"),
-        (("batch", DIGEST, (), b"", (), _blob(5, PARAMS.p), b""), "below p"),
-        (("batch", DIGEST, (), b"", (), b"", _blob(PARAMS.p)), "below p"),
-        (("batch", DIGEST, (), b"", (), (5, 6), b""), "malformed batch"),
-        (("batch", DIGEST, (), b"", (), b"", (5,)), "malformed batch"),
+        (("batch", *STATE, (), b"", (), _blob(5), b""), "blob"),
+        (("batch", *STATE, (), b"", (), _blob(5, 6, 7), b""), "blob"),
+        (("batch", *STATE, (), b"", (), b"", _blob(5)[:-1]), "blob"),
+        (("batch", *STATE, (), b"", (), _blob(PARAMS.p, 6), b""), "below p"),
+        (("batch", *STATE, (), b"", (), _blob(5, PARAMS.p), b""), "below p"),
+        (("batch", *STATE, (), b"", (), b"", _blob(PARAMS.p)), "below p"),
+        (("batch", *STATE, (), b"", (), (5, 6), b""), "malformed batch"),
+        (("batch", *STATE, (), b"", (), b"", (5,)), "malformed batch"),
     ])
     def test_bad_batch_is_a_typed_miss_not_served(self, tmp_path, batch, error):
         """CRC-valid, so written whole: a batch whose blob does not

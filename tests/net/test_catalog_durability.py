@@ -146,6 +146,13 @@ class TestCrashBetweenAppendAndRekey:
         _, new = self._crash(tmp_path)
         _restart(tmp_path / "r", new)
 
+    def test_restart_on_the_new_table_serves_the_file_under_its_name(self, tmp_path):
+        """The file describes the new table exactly: it is served, and
+        renamed to the new table's digest as the query commits."""
+        _, new = self._crash(tmp_path)
+        assert _restart(tmp_path / "r", new).cache_hit
+        assert _only_entry(tmp_path / "r").name.startswith(table_digest(new)[:32])
+
 
 # ----------------------------------------------------------------------
 # Fault sweep: every faultable operation of one delta commit

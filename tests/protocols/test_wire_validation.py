@@ -356,6 +356,22 @@ def test_the_honest_paillier_material_passes():
     assert receiver.finish() == 3 * 2  # c and d, 3 each
 
 
+def test_a_full_query_checks_each_paillier_ciphertext_once(monkeypatch):
+    """R checks each of S's pairs once, S its one blinded sum."""
+    from repro.protocols import parties
+
+    checked = []
+    check = parties._check_paillier
+    monkeypatch.setattr(
+        parties, "_check_paillier", lambda pk, cs: check(pk, checked.extend(cs) or cs)
+    )
+    spec = get_spec("equijoin-sum")
+    receiver, sender = _machines("equijoin-sum")
+    spec.exchange(receiver, sender)
+    assert receiver.finish() == 3 * 2
+    assert len(checked) == len(V_S) + 1
+
+
 #: R's ``m3``, its blinded sum outside ``Z*_{n²}``, by S's modulus.
 BLINDED = {
     "zero": lambda n: 0,
@@ -439,12 +455,13 @@ def test_a_bad_ciphertext_in_a_delta_patch_leaves_r_as_it_was():
 #: Leaves the shape or range check refuses, whatever part they land in.
 BAD_LEAVES = [0, -1, PARAMS.p, PARAMS.p + 5, "x", b"x", None, True]
 
-#: What S's intersection ``m2`` (or delta patch) can be made into, by
-#: ``(mutation, index, other index, bad leaf)``: a reordered part -
-#: the same reply to R -, or a change R must refuse: an element or a
-#: pair repeated, a pair dropped, keyed on a ciphertext R did not send
-#: or sharing another's double, or a leaf out of shape or range.  A
-#: change R cannot see (another ``Y_S`` element) is no reply to refuse.
+#: What S's intersection or intersection-size ``m2`` (or delta patch)
+#: can be made into, by ``(mutation, index, other index, bad leaf)``: a
+#: reordered part - the same reply to R -, or a change R must refuse:
+#: an element or a pair repeated (a second ``Y_S`` codeword, one double
+#: more than R sent), a pair dropped, keyed on a ciphertext R did not
+#: send or sharing another's double, or a leaf out of shape or range.
+#: A change R cannot see (another ``Y_S`` element) is no reply to refuse.
 MUTATIONS = ["shuffle", "repeat", "drop-pair", "foreign-pair", "repeat-double", "bad-leaf"]
 mutations = st.lists(
     st.tuples(
@@ -491,15 +508,18 @@ def _held(catalog, root):
     return links, {path.name: path.read_bytes() for path in sorted(root.rglob("*.cat"))}
 
 
-@settings(max_examples=150, deadline=None)
-@given(kind=st.sampled_from(["full", "delta"]), ops=mutations)
-def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing(kind, ops):
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(["intersection", "intersection-size"]),
+    kind=st.sampled_from(["full", "delta"]), ops=mutations,
+)
+def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing(name, kind, ops):
     """S's ``m2`` - on a reopen over the warm cache, or a delta patch
     on the committed link - mutated well-framed over a session: R ends
     on the plaintext answer or a ProtocolViolation, and a refused
     reply leaves R's committed party and both cache files as they
     were."""
-    spec = get_spec("intersection")
+    spec = get_spec(name)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
 
@@ -534,9 +554,9 @@ def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing
             )
         r_party = Party("R", receiver.steps, dials=True)
         LockStep(accept_timeout_s=5.0).run(r_party, Party("S", sender.steps, dials=False))
-        event(f"{kind}: {'refused' if r_party.error else 'answered'}")
+        event(f"{name} {kind}: {'refused' if r_party.error else 'answered'}")
         if r_party.error is None:
-            assert r_party.result == expected
+            assert r_party.result == (expected if name == "intersection" else len(expected))
         else:
             assert isinstance(r_party.error, ProtocolViolation), r_party.error
             assert _held(cat_r, root) == before

@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 from repro import cli
-from repro.net.catalog import CatalogCache, table_digest
+from repro.net.catalog import CatalogCache, TableDigest
 from repro.net.journal import SessionJournal
 from repro.net.shard import ShardedProtocolServer
 from repro.net.serialization import encode
@@ -52,13 +52,13 @@ def test_a_compaction_is_one_catalog_record(tmp_path, caplog):
     params = PublicParams.for_bits(128)
     live = {f"v{i}": (1000 + i, (5000 + i,)) for i in range(4)}
     cache = CatalogCache(tmp_path, fsync=False)
-    entry = cache.store(table_digest(sorted(live)), "intersection.r", params, (7,), live)
+    entry = cache.store(TableDigest(sorted(live)), "intersection.r", params, (7,), live)
     with caplog.at_level(logging.INFO, logger="repro"):
         for step in range(2):
             del live[f"v{step}"]
             live[f"w{step}"] = (2000 + step, (6000 + step,))
             entry = cache.append_delta(
-                entry, table_digest(sorted(live)), {f"w{step}": live[f"w{step}"]},
+                entry, TableDigest(sorted(live)), {f"w{step}": live[f"w{step}"]},
                 [f"v{step}"],
             )
     # 5 records + two batches of 3 = 11 > 2 x 4 live values.
