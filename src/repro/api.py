@@ -775,9 +775,9 @@ class Peer:
         self._journal_dir = _journal(session)
         self._listener: socket.socket | None = None
         if kind == "server":
-            from .net import tcp
-
-            self._listener = tcp._session_listener(host, port, self._config)
+            # Bound for the peer's life: a client early for the next
+            # query waits in the backlog until ``query`` accepts it.
+            self._listener = socket.create_server((host, port), backlog=16)
             self._port = self._listener.getsockname()[1]
             if ready_callback is not None:
                 ready_callback(self._port)
@@ -922,8 +922,8 @@ class Peer:
     def _query_server(
         self, spec: ProtocolSpec, mode: str, chunk_size: int | None
     ) -> QueryResult:
-        from .net import tcp
         from .net.journal import open_session
+        from .net.server import host_session
 
         cat = self._catalog
         params = cat._ensure_params()
@@ -964,7 +964,7 @@ class Peer:
             )
             return core
 
-        core, state = tcp._serve_hello(self._listener, self._config, admit)
+        core, state = host_session(self._listener, self._config, admit)
         return QueryResult(
             answer=None,
             mode=plan["kind"],
@@ -1059,11 +1059,12 @@ def serve(
     ``port=0`` the kernel picks a free one, exposed as
     ``ServeResult.port`` (and still passed to ``ready_callback`` as
     soon as the listener is up). The run is one session
-    (:func:`repro.net.tcp.serve_resumable_sender`): a hello / welcome
-    handshake that carries the params, then the spec's rounds as
-    checksummed, acknowledged frames. With ``session=None`` it is one
-    connection - the first failure ends the run - and nothing has a
-    deadline unless ``timeout`` gives one.
+    (:func:`repro.net.tcp.serve_resumable_sender`, hosted as a
+    :class:`~repro.net.server.ProtocolServer` hosts each of its own):
+    a hello / welcome handshake that carries the params, then the
+    spec's rounds as checksummed, acknowledged frames. With
+    ``session=None`` it is one connection - the first failure ends the
+    run - and nothing has a deadline unless ``timeout`` gives one.
 
     ``session=SessionOptions(...)`` makes it resumable: deadlines on
     every frame, resume after disconnects, chunk-granular cursors when

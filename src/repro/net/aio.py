@@ -23,7 +23,9 @@ puts a server's sockets on an event loop:
   loop and a small thread pool. It hosts party S: every
   session a :class:`~repro.net.server.ProtocolServer` hosts is S's
   core as a task on the server's own loop - no thread is parked per
-  session and no frame changes threads. Party R is one process asking
+  session and no frame changes threads - and the one-shot S's one
+  session runs the same way (:func:`~repro.net.server.host_session`).
+  Party R is one process asking
   one query; it runs under the blocking shell
   (:func:`~repro.net.tcp.connect_resumable_receiver`).
 
@@ -96,6 +98,7 @@ class AsyncFrameEndpoint:
         self.messages_sent = 0
         self.on_frame: Callable[[], None] | None = None
         self._recv_task: asyncio.Future | None = None
+        self._unread_payloads: list[bytes] = []
 
     async def send_bytes(self, payload: bytes) -> None:
         """Frame and ship one already-encoded payload."""
@@ -150,6 +153,8 @@ class AsyncFrameEndpoint:
         read stays pending and the next call resumes it; only
         :meth:`close` abandons it.
         """
+        if self._unread_payloads:
+            return self._unread_payloads.pop(0)
         if self._recv_task is None:
             self._recv_task = asyncio.ensure_future(self.recv_bytes())
         done, _pending = await asyncio.wait(
@@ -164,12 +169,12 @@ class AsyncFrameEndpoint:
         """One decoded frame within ``timeout`` seconds."""
         return serialization.decode(await self.recv_bytes_within(timeout))
 
-    def _unread(self, payload: bytes) -> None:
-        """Push a payload just read back: the next ``*_within`` read
-        returns it. Only valid with no read pending (the server hands a
-        routed connection, hello included, to its session this way)."""
-        self._recv_task = asyncio.get_running_loop().create_future()
-        self._recv_task.set_result(payload)
+    def _unread(self, payloads: list[bytes]) -> None:
+        """Push the payloads just read back: the next ``*_within`` reads
+        return them, in order. Only valid with no read pending (a host
+        hands an admitted connection, hello included, to its session
+        this way)."""
+        self._unread_payloads = list(payloads)
 
     async def close(self) -> None:
         """Close the underlying stream, tolerating a dead peer."""

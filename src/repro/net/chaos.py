@@ -359,10 +359,11 @@ def run_schedule(
     every :class:`SimulatedCrash` or
     :class:`~repro.net.journal.JournalError`, up to
     ``schedule.max_restarts`` resurrections. S restarts through the
-    oldest-first scan (no ``session_id``), not - as
-    :func:`~repro.net.tcp.serve_resumable_sender` does - by the session
-    id of the client's next hello: this S hosts one session per
-    schedule, so both rules pick the same journal. Network faults (their
+    oldest-first scan (no ``session_id``), not - as every TCP host of S
+    does (:func:`~repro.net.server.host_session` and the
+    :class:`~repro.net.server.ProtocolServer`) - by the session id of
+    the client's next hello: this S hosts one session per schedule, so
+    both rules pick the same journal. Network faults (their
     delays bound to the virtual clock), disk faults and crash hooks all
     come from the schedule and all randomness derives from
     ``schedule.seed``, so a run replays exactly: same outcome, same

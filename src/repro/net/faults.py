@@ -2,7 +2,9 @@
 
 The paper's cost model assumes an idealized, lossless channel; a
 deployment does not get one. :class:`FaultyEndpoint` wraps any framed
-endpoint - the TCP :class:`~repro.net.tcp.SocketEndpoint` or a
+endpoint - the TCP :class:`~repro.net.tcp.SocketEndpoint` R dials, the
+:class:`~repro.net.aio.AsyncFrameEndpoint` S accepts (through a
+:class:`FaultInjector`, which awaits the same fates) or a
 :class:`~repro.net.virtual.LockStep` connection - and injects *seeded,
 reproducible* faults on the send path:
 
@@ -22,6 +24,8 @@ stay deterministic regardless of how many retries follow.
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import random
 import struct
 import time
@@ -39,6 +43,12 @@ __all__ = [
 ]
 
 _LEN = struct.Struct(">I")
+
+#: The :class:`FaultStats` counter of each fault class.
+_COUNTERS = {
+    "disconnect": "disconnects", "drop": "dropped", "corrupt": "corrupted",
+    "delay": "delayed",
+}
 
 
 @dataclass(frozen=True)
@@ -193,24 +203,29 @@ class FaultyEndpoint:
             return "delay"
         return "deliver"
 
+    def _fate(self, message: Any) -> tuple[str, Any]:
+        """Count one send and decide what happens to it: the fate, and
+        the message to ship (damaged, if that is its fate)."""
+        self.stats.sent += 1
+        fate = self._decide()
+        if fate != "deliver":
+            counter = _COUNTERS[fate]
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        if fate == "corrupt":
+            message = corrupt_message(message, self.rng)
+        return fate, message
+
     # ------------------------------------------------------------------
     # Endpoint interface
     # ------------------------------------------------------------------
     def send(self, message: Any) -> None:
         """Ship one message, or do something worse to it."""
-        self.stats.sent += 1
-        fate = self._decide()
+        fate, message = self._fate(message)
         if fate == "disconnect":
-            self.stats.disconnects += 1
             self._disconnect(message)
         if fate == "drop":
-            self.stats.dropped += 1
             return
-        if fate == "corrupt":
-            self.stats.corrupted += 1
-            message = corrupt_message(message, self.rng)
-        elif fate == "delay":
-            self.stats.delayed += 1
+        if fate == "delay":
             self._sleep(self.plan.delay_s)
         self.transport.send(message)
         self.stats.delivered += 1
@@ -220,10 +235,8 @@ class FaultyEndpoint:
         if sock is not None:
             # Mid-frame cut: ship a truncated frame so the peer's
             # _read_exact observes a half-delivered message.
-            wire = serialization.encode(message)
-            frame = _LEN.pack(len(wire)) + wire
             try:
-                sock.sendall(frame[: max(1, len(frame) // 2)])
+                sock.sendall(_half_frame(message))
             except OSError:
                 pass
         close = getattr(self.transport, "close", None)
@@ -238,11 +251,12 @@ class FaultyEndpoint:
         """Receive from the wrapped transport (faults are send-side)."""
         return self.transport.recv()
 
-    def close(self) -> None:
-        """Close the wrapped transport."""
+    def close(self) -> Any:
+        """Close the wrapped transport (an awaitable, for one whose
+        ``close`` is)."""
         close = getattr(self.transport, "close", None)
         if close is not None:
-            close()
+            return close()
 
     def settimeout(self, timeout: float | None) -> None:
         """Forward deadline configuration when the transport has one."""
@@ -257,6 +271,38 @@ class FaultyEndpoint:
     @property
     def bytes_received(self) -> int:
         return getattr(self.transport, "bytes_received", 0)
+
+
+class _AsyncFaultyEndpoint(FaultyEndpoint):
+    """:class:`FaultyEndpoint` over an
+    :class:`~repro.net.aio.AsyncFrameEndpoint` (the connections party S
+    accepts): the same seeded fates, awaited on the event loop."""
+
+    async def send(self, message: Any) -> None:
+        """Ship one message, or do something worse to it."""
+        fate, message = self._fate(message)
+        if fate == "disconnect":
+            with contextlib.suppress(OSError):
+                self.transport.writer.write(_half_frame(message))
+            await self.transport.close()
+            raise ConnectionError("fault injection: connection dropped mid-frame")
+        if fate == "drop":
+            return
+        if fate == "delay":
+            await asyncio.sleep(self.plan.delay_s)
+        await self.transport.send(message)
+        self.stats.delivered += 1
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.transport, name)  # receive side: untouched
+
+
+def _half_frame(message: Any) -> bytes:
+    """The first half of ``message``'s frame: a cut mid-frame leaves
+    the peer a truncated read."""
+    wire = serialization.encode(message)
+    frame = _LEN.pack(len(wire)) + wire
+    return frame[: max(1, len(frame) // 2)]
 
 
 class FaultInjector:
@@ -283,8 +329,13 @@ class FaultInjector:
         self._sleep = sleep
 
     def wrap(self, transport: Any) -> FaultyEndpoint:
-        """A faulty wrapper sharing this injector's RNG and counters."""
-        return FaultyEndpoint(
+        """A faulty wrapper sharing this injector's RNG and counters
+        (awaitable for a transport whose ``send`` is)."""
+        faulty = (
+            _AsyncFaultyEndpoint
+            if asyncio.iscoroutinefunction(transport.send) else FaultyEndpoint
+        )
+        return faulty(
             transport, self.plan, self.stats, sleep=self._sleep, rng=self.rng
         )
 

@@ -1,10 +1,17 @@
 """Supervised multi-session protocol server on the asyncio core.
 
-:func:`repro.net.tcp.serve_resumable_sender` hosts exactly one run on
-one listener; a deployment-shaped endpoint (the ROADMAP's heavy-traffic
-north star, and the long-lived multi-query servers of the encrypted
-equi-join and Prism lines of work) needs the supervisor this module
-provides:
+Party S has one host, in this module. :func:`host_session` runs one
+session on one listener - the one-shot
+:func:`repro.net.tcp.serve_resumable_sender` and a serving
+:class:`~repro.Peer` are that - through the same steps a
+:class:`ProtocolServer` takes for each of its sessions: the hello read
+by :func:`~repro.net.aio.read_hello`, the admission step, the session
+core from :func:`~repro.net.journal.open_session` on the journal the
+hello's session id names, and the asyncio shell
+(:func:`~repro.net.aio.run_async`). A deployment-shaped endpoint (the
+ROADMAP's heavy-traffic north star, and the long-lived multi-query
+servers of the encrypted equi-join and Prism lines of work) needs the
+supervisor around them:
 
 * **many concurrent clients** - a :class:`ProtocolServer` accepts on
   one port with an event loop (:mod:`repro.net.aio`) that owns every
@@ -13,7 +20,7 @@ provides:
   not blocked threads. Admitted sessions - up to ``max_sessions`` at a
   time - are tasks on that same loop, each running the session core
   (:mod:`repro.net.session_core`) under the asyncio shell
-  (:func:`~repro.net.aio.run_async`, which hosts nothing else - every
+  (:func:`~repro.net.aio.run_async`, which hosts party S only - every
   party R runs under the blocking or the lock-step shell): frames
   never change threads and
   no thread is parked per session. A fresh session is built on the
@@ -100,8 +107,10 @@ from .journal import (
 )
 from .session import (
     SESSION_VERSION,
+    HandshakeError,
     SessionAborted,
     SessionConfig,
+    SessionError,
     seal,
 )
 
@@ -201,6 +210,50 @@ def _refusal_frame(
     if retry_after_s is not None:
         fields.append(max(int(round(retry_after_s * 1000)), 0))
     return seal(*fields)
+
+
+async def _refuse(
+    endpoint: Any, tag: str, reason: str, retry_after_s: float | None = None
+) -> None:
+    """Send a typed reject/busy frame and close (loop side)."""
+    try:
+        await endpoint.send(_refusal_frame(tag, reason, retry_after_s))
+    except (OSError, ValueError):
+        pass
+    finally:
+        await endpoint.close()
+
+
+async def _admitted(
+    endpoint: Any, hello: tuple, admit: Callable[[Any, int], Any]
+) -> Any:
+    """The admission step of every host of party S.
+
+    ``hello`` is what :func:`~repro.net.aio.read_hello` read off
+    ``endpoint``. A hello in another session version, or whose session
+    id is not an integer, is refused here; any other is the host's
+    ``admit(protocol, session_id)`` to answer - with whatever takes the
+    connection, or a refusal: a reason string (a ``reject``) or a
+    ``(tag, reason, retry hint)`` triple. A refused connection gets its
+    typed frame and is closed, and the refusal is returned. An admitted
+    one gets every frame read pushed back, so the session's own
+    handshake reads them - a garbled seal before the hello is its
+    checksum failure, as on any later connection.
+    """
+    frames, (_, version, protocol, session_id, _, _) = hello
+    if version != SESSION_VERSION:
+        verdict = f"unsupported session version {version}"
+    elif not isinstance(session_id, int):
+        verdict = "malformed session id"
+    else:
+        verdict = admit(protocol, session_id)
+    if isinstance(verdict, str):
+        verdict = ("reject", verdict)
+    if isinstance(verdict, tuple):
+        await _refuse(endpoint, *verdict)
+    else:
+        endpoint._unread(frames)
+    return verdict
 
 
 #: Statuses under which a record holds a session slot and accepts routing.
@@ -309,9 +362,9 @@ class ProtocolServer:
     session core under :func:`~repro.net.aio.run_async`, with an
     executor of ``max_sessions`` workers for the machine steps and
     chunk production too heavy for the loop, and for journal recovery.
-    Wire bytes, journal bytes, and
-    the refusal/recovery semantics are identical to
-    :func:`~repro.net.tcp.serve_resumable_sender`'s blocking shell.
+    Each session is hosted as :func:`host_session` hosts its one: the
+    same hello reader, admission step and restart rule, so wire bytes,
+    journal bytes and refusals are the one-shot S's.
 
     Args:
         offers: the protocols this server runs - an iterable of
@@ -610,69 +663,43 @@ class ProtocolServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection: read its hello, validate, route or refuse."""
+        """One connection: read its hello, then route it or refuse it."""
         endpoint = AsyncFrameEndpoint(reader, writer)
         try:
             hello = await read_hello(endpoint, self.config.timeout_s)
             if hello is None:
                 await endpoint.close()
                 return
-            frames, fields = hello
-            _, version, protocol, session_id, _next_send, _next_recv = fields
-            if version != SESSION_VERSION:
-                await self._refuse_async(
-                    endpoint, "reject",
-                    f"unsupported session version {version}",
-                )
-                return
-            if protocol not in self.offers:
-                await self._refuse_async(
-                    endpoint, "reject",
-                    f"protocol {protocol!r} not served here",
-                )
-                return
-            if not isinstance(session_id, int):
-                await self._refuse_async(
-                    endpoint, "reject", "malformed session id"
-                )
-                return
-            # Only the hello goes on: the garbled frames before it are
-            # the client's to retransmit, not the session's to read.
-            await self._route(endpoint, frames[-1], protocol, session_id)
+            record = await _admitted(endpoint, hello, self._admit)
+            if isinstance(record, SessionRecord):
+                endpoint.on_frame = record._touch
+                record._touch()
+                record.inbox.put_nowait(endpoint)
         except (ConnectionError, OSError, *_TIMEOUTS):
             await endpoint.close()
         except asyncio.CancelledError:
             await endpoint.close()
             raise
 
-    async def _route(
-        self,
-        endpoint: AsyncFrameEndpoint,
-        raw_hello: bytes,
-        protocol: str,
-        session_id: int,
-    ) -> None:
-        """Deliver a validated hello to its session, new or existing."""
-        refusal = None
+    def _admit(self, protocol: Any, session_id: int) -> Any:
+        """This server's admission rule: the record that owns
+        ``session_id`` (reserved now for a new session, whose task
+        starts building it), or a refusal."""
+        if protocol not in self.offers:
+            return f"protocol {protocol!r} not served here"
         with self._lock:
             record = self.sessions.get(session_id)
             if record is not None:
-                if record.status not in _ACTIVE_STATUSES:
-                    refusal = (
-                        "reject",
-                        f"session {session_id} already {record.status}",
-                    )
-            elif self._draining.is_set():
-                refusal = ("busy", "server draining", self.busy_retry_hint_s)
+                if record.status in _ACTIVE_STATUSES:
+                    return record
+                return f"session {session_id} already {record.status}"
+            if self._draining.is_set():
+                reason = "server draining"
             elif len(self._live) >= self.max_sessions:
-                refusal = (
-                    "busy",
-                    f"server at capacity ({self.max_sessions} sessions)",
-                    self.busy_retry_hint_s,
-                )
+                reason = f"server at capacity ({self.max_sessions} sessions)"
             else:
-                # Reserve the slot now; reconnects queue on the inbox
-                # while the task builds (or recovers) the session.
+                # Reconnects queue on the inbox while the task builds
+                # (or recovers) the session.
                 record = self.sessions[session_id] = SessionRecord(
                     session_id=session_id, protocol=protocol
                 )
@@ -680,34 +707,10 @@ class ProtocolServer:
                 record.task = asyncio.get_running_loop().create_task(
                     self._host(record)
                 )
-        if refusal is not None:
-            if refusal[0] == "busy":
-                self.rejected_busy += 1
-                _log.info(
-                    "busy refusal session=%d reason=%s", session_id, refusal[1]
-                )
-            await self._refuse_async(endpoint, *refusal)
-            return
-        # The session's own handshake reads the hello: push it back.
-        endpoint._unread(raw_hello)
-        endpoint.on_frame = record._touch
-        record._touch()
-        record.inbox.put_nowait(endpoint)
-
-    async def _refuse_async(
-        self,
-        endpoint: AsyncFrameEndpoint,
-        tag: str,
-        reason: str,
-        retry_after_s: float | None = None,
-    ) -> None:
-        """Send a typed reject/busy frame and close (loop side)."""
-        try:
-            await endpoint.send(_refusal_frame(tag, reason, retry_after_s))
-        except (OSError, ValueError):
-            pass
-        finally:
-            await endpoint.close()
+                return record
+            self.rejected_busy += 1
+        _log.info("busy refusal session=%d reason=%s", session_id, reason)
+        return ("busy", reason, self.busy_retry_hint_s)
 
     # ------------------------------------------------------------------
     # Session tasks (event-loop side; the executor for what computes)
@@ -844,9 +847,7 @@ class ProtocolServer:
             reason += f" (journal quarantined as {quarantined.name})"
         # The id is free, so nothing more can queue behind these.
         while not record.inbox.empty():
-            await self._refuse_async(
-                record.inbox.get_nowait(), "reject", reason
-            )
+            await _refuse(record.inbox.get_nowait(), "reject", reason)
 
     def _quarantine(
         self, protocol: str, session_id: int, reason: BaseException
@@ -895,3 +896,98 @@ class ProtocolServer:
                 ):
                     self._abort(record, "idle timeout")
             await asyncio.sleep(self._REAP_POLL_S)
+
+
+# ----------------------------------------------------------------------
+# One session on a listener: the one-shot S and a serving Peer
+# ----------------------------------------------------------------------
+def host_session(
+    listener: socket.socket,
+    config: SessionConfig,
+    admit: Callable[[Any, int], Any],
+    endpoint_wrapper: Callable[[AsyncFrameEndpoint], Any] | None = None,
+) -> tuple[Any, Any]:
+    """Party S's one session on ``listener``, built for the hello that
+    asks for it; returns ``(core, state)``, the core and the party state
+    its run ended with.
+
+    A session hosted as :class:`ProtocolServer` hosts each of its own:
+    the first valid hello (:func:`~repro.net.aio.read_hello`) goes
+    through the admission step, where ``admit(protocol, session_id)``
+    returns the session core to run - from
+    :func:`~repro.net.journal.open_session` on the journal the hello's
+    id names - or a reason, which the client gets a typed ``reject``
+    for and which is raised here as
+    :class:`~repro.net.session.HandshakeError`. The core then runs
+    under :func:`~repro.net.aio.run_async` on an event loop of this
+    call's own, every later ``OPEN`` accepting the next connection as
+    a reconnect of that session. A connection is accepted only when
+    the session asks for one, so a client early for a later session
+    waits in the listener's backlog. Every accepted connection goes
+    through ``endpoint_wrapper``. A client that says no hello within
+    ``timeout_s x max_attempts`` is dropped and the next one accepted,
+    as often as the config allows reconnects; then the call ends in a
+    :class:`~repro.net.session.SessionError`. A failed session raises
+    its failure. ``listener`` is left open.
+    """
+    budget_s = config.timeout_s * config.retry.max_attempts
+
+    async def accept() -> Any:
+        return await _accept(listener, budget_s, endpoint_wrapper)
+
+    async def host() -> tuple[Any, Any]:
+        failure: BaseException | None = None
+        for _ in range(config.max_reconnects + 1):
+            try:
+                endpoint = await accept()
+            except (TimeoutError, OSError) as exc:  # nobody connected
+                failure = exc
+                continue
+            try:
+                hello = await read_hello(endpoint, budget_s)
+                core = hello and await _admitted(endpoint, hello, admit)
+            except BaseException:
+                await endpoint.close()
+                raise
+            if hello is None:
+                failure = ConnectionError("the client sent no valid hello")
+                await endpoint.close()
+            elif isinstance(core, tuple):
+                raise HandshakeError(
+                    f"refused the client's {hello[1][2]!r} query: {core[1]}"
+                )
+            else:
+                links = [endpoint]
+
+                async def dial() -> Any:
+                    return links.pop() if links else await accept()
+
+                return core, await run_async(core.steps(), dial)
+        raise SessionError(f"no client sent a valid hello: {failure}") from failure
+
+    listener.setblocking(False)
+    return asyncio.run(host())
+
+
+async def _accept(
+    listener: socket.socket,
+    timeout_s: float,
+    wrap: Callable[[AsyncFrameEndpoint], Any] | None,
+) -> Any:
+    """The next client of ``listener``, as a framed endpoint."""
+    loop = asyncio.get_running_loop()
+    try:
+        sock, _addr = await asyncio.wait_for(loop.sock_accept(listener), timeout_s)
+    except _TIMEOUTS:
+        raise TimeoutError("no client (re)connected in time") from None
+    # asyncio sets TCP_NODELAY only on sockets whose ``proto`` names TCP,
+    # and a listener made with proto 0 accepts none: a frame left to
+    # Nagle waits out the peer's delayed ack (40 ms).
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    endpoint = AsyncFrameEndpoint(*await asyncio.open_connection(sock=sock))
+    try:
+        return endpoint if wrap is None else wrap(endpoint)
+    except BaseException:
+        await endpoint.close()
+        raise
+

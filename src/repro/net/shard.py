@@ -89,7 +89,7 @@ from typing import Any, Iterable, Mapping
 
 from . import serialization
 from .aio import AsyncFrameEndpoint, LoopThread, _TIMEOUTS, read_hello
-from .server import HANDOFF_MAX_BYTES, HANDOFF_TOKEN, ProtocolOffer, ProtocolServer, _drain_on_signals, _refusal_frame
+from .server import HANDOFF_MAX_BYTES, HANDOFF_TOKEN, ProtocolOffer, ProtocolServer, _drain_on_signals, _refusal_frame, _refuse
 from .session import SessionConfig
 from .tcp import _LEN
 
@@ -723,19 +723,6 @@ class ShardedProtocolServer:
     # ------------------------------------------------------------------
     # Routing (event-loop side)
     # ------------------------------------------------------------------
-    async def _notify(
-        self,
-        endpoint: AsyncFrameEndpoint,
-        tag: str,
-        reason: str,
-        retry_after_s: float | None = None,
-    ) -> None:
-        """Best-effort typed refusal frame on the client leg."""
-        try:
-            await endpoint.send(_refusal_frame(tag, reason, retry_after_s))
-        except (ConnectionError, OSError, ValueError, *_TIMEOUTS):
-            pass
-
     async def _route_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -750,12 +737,12 @@ class ShardedProtocolServer:
             session_id = fields[3]
             if not isinstance(session_id, int):
                 self.refused_unroutable += 1
-                await self._notify(endpoint, "reject", "malformed session id")
+                await _refuse(endpoint, "reject", "malformed session id")
                 return
             shard = self._shards[session_id % self.shards]
             if shard.state == "failed":
                 self.refused_failed += 1
-                await self._notify(
+                await _refuse(
                     endpoint, "reject",
                     f"shard {shard.index} is failed "
                     "(worker restart budget exhausted)",
@@ -785,7 +772,7 @@ class ShardedProtocolServer:
                     held.close()  # the worker is gone, or that far behind
             self.worker_lost_notices += 1
             _log.info("worker-lost notice shard=%d", shard.index)
-            await self._notify(
+            await _refuse(
                 endpoint, "worker-lost",
                 f"shard {shard.index} worker is respawning",
                 retry_after_s=self._retry_hint_s(shard),

@@ -14,13 +14,17 @@ length prefix fails fast with :class:`FrameTooLarge` instead of
 triggering a multi-gigabyte allocation.
 
 :func:`serve_resumable_sender` / :func:`connect_resumable_receiver`
-are the one pair of drivers: a session core
-(:func:`repro.net.journal.open_session`) under the blocking shell
-(:func:`repro.net.session.run_blocking`), S accepting on a listener
-that stays up for the run and R dialing - checksummed, acknowledged
-frames, and whatever the :class:`~repro.net.session.SessionConfig`
-says about deadlines and reconnects (``timeout_s=math.inf`` blocks on
-the socket, ``max_reconnects=0`` is a one-connection run). Both take
+are the one pair of drivers, each running a session core
+(:func:`repro.net.journal.open_session`): party R dials under the
+blocking shell (:func:`repro.net.session.run_blocking`); party S is
+hosted as every S is - one session on a listener that stays up for
+the run, under the asyncio shell
+(:func:`repro.net.server.host_session`, the steps a
+:class:`~repro.net.server.ProtocolServer` runs for each of its
+sessions). Frames are checksummed and acknowledged, and whatever the
+:class:`~repro.net.session.SessionConfig` says about deadlines and
+reconnects holds (``timeout_s=math.inf`` blocks on the socket,
+``max_reconnects=0`` is a one-connection run). Both take
 ``chunk_size``: when set, chunkable rounds ship as a stream of
 ``("chunk", ...)`` frames (:mod:`repro.net.serialization`) instead of
 one whole-round frame, chunk ``k+1`` produced ahead (an ``Ahead``
@@ -31,13 +35,10 @@ rounds, so ``chunk_size`` is a per-party local choice.
 
 from __future__ import annotations
 
-import contextlib
-import itertools
 import math
 import random
 import socket
 import struct
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -45,17 +46,7 @@ from ..protocols.parties import PublicParams
 from ..protocols.spec import get_spec
 from . import serialization
 from .journal import JournalDir, open_session
-from .session import (
-    SESSION_VERSION,
-    HandshakeError,
-    SessionConfig,
-    SessionError,
-    SessionStats,
-    run_blocking,
-    seal,
-    unseal,
-)
-from .session_core import is_hello
+from .session import SessionConfig, SessionStats, run_blocking
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
@@ -143,212 +134,41 @@ class SocketEndpoint:
 # ----------------------------------------------------------------------
 # Socket plumbing shared by the serve/connect drivers
 # ----------------------------------------------------------------------
-def _nodelay(sock: socket.socket) -> socket.socket:
-    """Disable Nagle on a protocol socket.
-
-    Every exchange here is stop-and-wait: a small sealed frame, then a
-    wait for the peer's (even smaller) ack. Nagle's algorithm holds
-    exactly those sub-MSS writes back waiting for acks that will never
-    precede them, so leaving it on taxes every round trip; all protocol
-    sockets (dialed and accepted alike) run with ``TCP_NODELAY``. See
-    docs/PERFORMANCE.md for the measured before/after.
-    """
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    except OSError:
-        pass  # not a TCP socket (tests splice in socketpairs)
-    return sock
-
-
-def _listen(
-    host: str, port: int, timeout: float | None, backlog: int = 16
-) -> socket.socket:
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    # A backlog of 1 made the kernel refuse the racing reconnects a
-    # resumable run depends on; 16 absorbs a burst of clients.
-    listener.listen(backlog)
-    listener.settimeout(timeout)
-    return listener
-
-
-def _wrapped(
-    endpoint: SocketEndpoint,
-    wrapper: Callable[[SocketEndpoint], Any] | None,
-) -> Any:
-    """``endpoint`` under ``wrapper`` (fault injector, recorder, ...).
-
-    Every accepted or dialed connection is wrapped *here* so a wrapper
-    that raises cannot leak the socket.
-    """
-    if wrapper is None:
-        return endpoint
-    try:
-        return wrapper(endpoint)
-    except BaseException:
-        endpoint.close()
-        raise
-
-
 def _dial(
     host: str,
     port: int,
     timeout: float | None,
     endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
 ) -> Any:
-    sock = _nodelay(socket.create_connection((host, port), timeout=timeout))
-    return _wrapped(SocketEndpoint(sock=sock), endpoint_wrapper)
+    """A framed connection to ``host:port`` under ``endpoint_wrapper``
+    (fault injector, recorder, ...) - one that raises leaks no socket.
+
+    Every exchange is stop-and-wait: a small sealed frame, then a wait
+    for the peer's (even smaller) ack. Nagle's algorithm holds exactly
+    those sub-MSS writes back, so the socket runs with ``TCP_NODELAY``,
+    as every connection S accepts does. See docs/PERFORMANCE.md for the
+    measured before/after.
+    """
+    sock = socket.create_connection((host, port), timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    endpoint = SocketEndpoint(sock=sock)
+    if endpoint_wrapper is None:
+        return endpoint
+    try:
+        return endpoint_wrapper(endpoint)
+    except BaseException:
+        endpoint.close()
+        raise
 
 
 # ----------------------------------------------------------------------
-# Session runs: a core under the blocking shell, over real sockets
+# Session runs over real sockets
 # ----------------------------------------------------------------------
 def _journal_dir(journal_dir: Any, fsync: bool) -> JournalDir | None:
     """``journal_dir=`` as given to the resumable helpers, opened."""
     if journal_dir is None or isinstance(journal_dir, JournalDir):
         return journal_dir
     return JournalDir(journal_dir, fsync=fsync)
-
-
-def _socket_timeout(seconds: float) -> float | None:
-    """A config's deadline as a socket timeout (``inf``: block)."""
-    return None if seconds == math.inf else seconds
-
-
-def _session_listener(host: str, port: int, config: SessionConfig) -> socket.socket:
-    """Party S's listener: up for the whole run (or a serving peer's
-    whole life), so a reconnect - or a client early for the next
-    query - queues instead of being refused."""
-    return _listen(
-        host, port,
-        _socket_timeout(config.timeout_s * config.retry.max_attempts),
-    )
-
-
-def _accept(
-    listener: socket.socket,
-    config: SessionConfig,
-    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
-) -> Any:
-    """The next client of ``listener``, as a framed endpoint."""
-    try:
-        conn, _addr = listener.accept()
-    except socket.timeout as exc:
-        raise TimeoutError("no client (re)connected in time") from exc
-    conn.settimeout(_socket_timeout(config.timeout_s))
-    _nodelay(conn)
-    return _wrapped(SocketEndpoint(sock=conn), endpoint_wrapper)
-
-
-class _Unread:
-    """``endpoint`` with one frame already read put back in front."""
-
-    def __init__(self, endpoint: Any, frame: Any):
-        self._endpoint = endpoint
-        self._frame = frame
-        self.send = endpoint.send
-        self.settimeout = endpoint.settimeout
-        self.close = endpoint.close
-
-    def recv(self) -> Any:
-        if self._frame is None:
-            return self._endpoint.recv()
-        frame, self._frame = self._frame, None
-        return frame
-
-
-def _first_hello(
-    accept: Callable[[], Any], config: SessionConfig
-) -> tuple[Any, tuple, int]:
-    """The first valid hello to arrive, its connection with the hello
-    put back for the session's own handshake to read, and how many
-    garbled frames came before it.
-
-    The blocking twin of :func:`repro.net.aio.read_hello` +
-    ``AsyncFrameEndpoint._unread``: party S learns which schedule the
-    client wants (the hello's protocol field) and which journal to look
-    up (its session id) before it builds the core (:func:`_serve_hello`).
-    It waits for a hello as the core's own handshake does: a garbled
-    frame is skipped and a quiet spell waited out (the client
-    retransmits its hello) until ``timeout_s x max_attempts`` have
-    passed; a connection that dies or stays silent that long is dropped
-    and the next one accepted - and an accept nobody answers in time is
-    one more failure - as often as the config allows reconnects.
-    """
-    budget_s = config.timeout_s * config.retry.max_attempts
-    garbled = 0
-    for _ in range(config.max_reconnects + 1):
-        try:
-            endpoint = accept()
-        except (TimeoutError, OSError) as exc:  # nobody connected
-            failure = exc
-            continue
-        try:
-            deadline = time.monotonic() + budget_s
-            while (remaining := deadline - time.monotonic()) > 0:
-                endpoint.settimeout(
-                    _socket_timeout(min(remaining, config.timeout_s))
-                )
-                try:
-                    frame = endpoint.recv()
-                    fields = unseal(frame)
-                except TimeoutError:
-                    continue
-                except ValueError:
-                    garbled += 1
-                    continue
-                if is_hello(fields):
-                    return _Unread(endpoint, frame), fields, garbled
-            raise TimeoutError(f"no hello within {budget_s}s")
-        except (ConnectionError, TimeoutError, OSError) as exc:
-            failure = exc
-            endpoint.close()
-    raise SessionError(f"no client sent a valid hello: {failure}") from failure
-
-
-def _serve_hello(
-    listener: socket.socket,
-    config: SessionConfig,
-    admit: Callable[[Any, int], Any],
-    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
-) -> tuple[Any, Any]:
-    """Party S's one session on ``listener``, built for the hello that
-    asks for it: the blocking twin of a hosted session's start.
-
-    The first valid hello (:func:`_first_hello`) comes before any core:
-    ``admit(protocol, session_id)`` reads what it asks for - which
-    schedule, which journal - and returns the session core to run, or a
-    string, the reason the client gets a typed ``reject`` for, raised
-    here as :class:`~repro.net.session.HandshakeError`. A session id
-    that is not an integer is refused before ``admit`` sees it. The
-    core's own handshake then reads the hello again, and every later
-    connection to ``listener`` is a reconnect of that session. Returns
-    ``(core, state)``: the core and the party state its run ended with.
-    """
-
-    def accept() -> Any:
-        return _accept(listener, config, endpoint_wrapper)
-
-    endpoint, hello, garbled = _first_hello(accept, config)
-    try:
-        asked, session_id = hello[2], hello[3]
-        core = (
-            admit(asked, session_id)
-            if isinstance(session_id, int) else "malformed session id"
-        )
-        if isinstance(core, str):
-            with contextlib.suppress(OSError):
-                endpoint.send(seal("reject", SESSION_VERSION, core))
-            raise HandshakeError(
-                f"refused the client's {asked!r} query: {core}"
-            )
-    except BaseException:
-        endpoint.close()
-        raise
-    core.stats.checksum_failures += garbled  # as if its handshake read them
-    links = itertools.chain([endpoint], iter(accept, None))
-    return core, run_blocking(core.steps(), open_link=lambda: next(links))
 
 
 def serve_resumable_sender(
@@ -360,7 +180,7 @@ def serve_resumable_sender(
     port: int = 0,
     ready_callback=None,
     config: SessionConfig | None = None,
-    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
+    endpoint_wrapper: Callable[[Any], Any] | None = None,
     engine=None,
     recorder=None,
     journal_dir: Any = None,
@@ -369,11 +189,13 @@ def serve_resumable_sender(
 ) -> tuple[int, SessionStats]:
     """Serve party S of any registered protocol under the session layer.
 
-    The listener stays open across client reconnects, so a connection
-    dropped mid-run resumes from the last acknowledged round. Returns
+    One session (:func:`~repro.net.server.host_session`) on a listener
+    that stays open across client reconnects, so a connection dropped
+    mid-run resumes from the last acknowledged round. Returns
     ``(|V_R|, session stats)``. ``endpoint_wrapper`` (e.g. a
-    :class:`~repro.net.faults.FaultyEndpoint` constructor) wraps every
-    accepted connection - that is how the chaos tests inject faults.
+    :class:`~repro.net.faults.FaultInjector`) wraps every accepted
+    :class:`~repro.net.aio.AsyncFrameEndpoint` - that is how the chaos
+    tests inject faults.
     ``engine`` selects the batch-crypto execution strategy;
     ``recorder`` collects per-phase metrics. ``chunk_size`` streams
     chunkable outgoing rounds as acknowledged chunk frames, making the
@@ -411,14 +233,13 @@ def serve_resumable_sender(
         )
         return core
 
-    listener = _session_listener(host, port, config)
-    try:
+    from .server import host_session
+
+    with socket.create_server((host, port), backlog=16) as listener:
         if ready_callback is not None:
             ready_callback(listener.getsockname()[1])
-        core, state = _serve_hello(listener, config, admit, endpoint_wrapper)
-        return state.size_v_r, core.stats
-    finally:
-        listener.close()
+        core, state = host_session(listener, config, admit, endpoint_wrapper)
+    return state.size_v_r, core.stats
 
 
 def connect_resumable_receiver(
@@ -474,10 +295,9 @@ def connect_resumable_receiver(
         rng=session_rng, recorder=recorder, chunk_size=chunk_size,
     )
     if answer is None:
+        timeout = None if config.timeout_s == math.inf else config.timeout_s
         answer = run_blocking(
             core.steps(),
-            open_link=lambda: _dial(
-                host, port, _socket_timeout(config.timeout_s), endpoint_wrapper
-            ),
+            open_link=lambda: _dial(host, port, timeout, endpoint_wrapper),
         )
     return answer, core.stats

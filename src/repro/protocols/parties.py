@@ -319,6 +319,14 @@ def _distinct(items: Sequence, what: str) -> None:
         raise ProtocolViolation(f"{what}: an element repeats")
 
 
+def _check_pairs(added: Sequence, removed: Sequence) -> None:
+    """S's ``(codeword, payload)`` churn names each of its codewords -
+    one per value it holds - once; a second payload under one codeword
+    is no table's."""
+    _distinct([codeword for codeword, _ in added], "pairs")
+    _distinct(removed, "pair tombstones")
+
+
 class _Party:
     """One party's cross-query state and the steps that move it.
 
@@ -991,6 +999,7 @@ class EquijoinReceiver(_Party):
         """Steps 6-7: strip own layer off the triples this query
         announced, patch both codeword maps, then match and decrypt ext
         for the codewords either patch touched."""
+        _check_pairs(pairs_added, pairs_removed)
         ys, seconds, thirds = _columns(triples_added, 3)
         values = self._answered(ys, seconds, "triples")
         codewords = self._through(seconds)
@@ -1158,6 +1167,7 @@ class EquijoinSumReceiver(_Party):
         unlinkable ``Z_R``, sum and blind.  A full run passes S's
         modulus as ``pk``: R's state starts afresh under it, once each
         ciphertext is checked (once)."""
+        _check_pairs(pairs_added, pairs_removed)
         _check_paillier(pk or self._pk, [c for _, c in pairs_added])
         if pk is not None:
             self._declare()

@@ -340,30 +340,25 @@ class TestRunAsyncPlacement:
 # One core, two shells: party R over a socket and in lock-step is one client
 # ----------------------------------------------------------------------
 class _TapAndCutOnce:
-    """Server-side endpoint wrapper: logs the bytes of every client
-    frame and hangs up once, right after reading the client's second
-    data frame - mid-round, with its ack never sent."""
+    """Server-side endpoint wrapper (around the asyncio endpoint S
+    accepts): logs the bytes of every client frame S's session reads
+    and hangs up once, right after reading the client's second data
+    frame - mid-round, with its ack never sent."""
 
     def __init__(self, endpoint, log, state):
         self.endpoint, self.log, self.state = endpoint, log, state
 
-    def recv(self):
-        frame = self.endpoint.recv()
+    async def recv_within(self, timeout):
+        frame = await self.endpoint.recv_within(timeout)
         self.log.append(encode(frame))
         if not self.state and frame[:2] == ("msg", 1):
             self.state.append("cut")
-            self.endpoint.close()
+            await self.endpoint.close()
             raise ConnectionResetError("forced mid-round disconnect")
         return frame
 
-    def send(self, message):
-        self.endpoint.send(message)
-
-    def settimeout(self, timeout):
-        self.endpoint.settimeout(timeout)
-
-    def close(self):
-        self.endpoint.close()
+    def __getattr__(self, name):
+        return getattr(self.endpoint, name)
 
 
 class TestShellParity:

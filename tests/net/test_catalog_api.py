@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.crypto.engine import create_engine
-from repro.net import tcp
+from repro.net import server, tcp
 from repro.net.catalog import CatalogCache, table_digest
 from repro.net.session import HandshakeError
 from repro.protocols.parties import PublicParams
@@ -74,14 +74,46 @@ class _RecordingTransport:
         self._transport.close()
 
 
+class _AsyncRecordingTransport:
+    """:class:`_RecordingTransport` for a connection S accepts (an
+    :class:`~repro.net.aio.AsyncFrameEndpoint`)."""
+
+    def __init__(self, transport, log):
+        self._transport = transport
+        self.log = log
+
+    async def send(self, message):
+        self.log.append(("sent", message))
+        await self._transport.send(message)
+
+    async def recv_within(self, timeout):
+        # What the session reads, the hello it is handed back included
+        # (the host's own read of it comes through ``__getattr__``).
+        message = await self._transport.recv_within(timeout)
+        self.log.append(("received", message))
+        return message
+
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
+
+
 def _record(monkeypatch, opener, log):
-    """Record every frame of the links ``tcp.<opener>`` opens
-    (``"_dial"``: the client's, ``"_accept"``: the server's)."""
-    opened = getattr(tcp, opener)
-    monkeypatch.setattr(
-        tcp, opener,
-        lambda *a, **k: _RecordingTransport(opened(*a, **k), log),
-    )
+    """Record every frame of the links a party opens (``"_dial"``: the
+    client's, ``tcp._dial``; ``"_accept"``: the server's,
+    ``server._accept``)."""
+    if opener == "_dial":
+        dial = tcp._dial
+        monkeypatch.setattr(
+            tcp, "_dial",
+            lambda *a, **k: _RecordingTransport(dial(*a, **k), log),
+        )
+        return
+    accept = server._accept
+
+    async def accept_recording(*args, **kwargs):
+        return _AsyncRecordingTransport(await accept(*args, **kwargs), log)
+
+    monkeypatch.setattr(server, "_accept", accept_recording)
 
 
 def _one_shot(protocol, v_r, v_s):

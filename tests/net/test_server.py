@@ -832,3 +832,46 @@ def test_a_signal_drains_either_server_off_the_signal_context(server_class):
         signal.signal(signal.SIGUSR2, previous)
     ((timeout_s, thread),) = drained
     assert timeout_s == 0.5 and thread is not threading.main_thread()
+
+
+class _GarbleFirstHello:
+    """Client-side wrapper: a copy of the first frame with a broken
+    checksum goes out just ahead of it."""
+
+    def __init__(self, endpoint):
+        self.endpoint, self.garbled = endpoint, False
+
+    def send(self, message):
+        if not self.garbled:
+            self.garbled = True
+            self.endpoint.send((message[0], 99, *message[2:]))
+        self.endpoint.send(message)
+
+    def recv(self):
+        return self.endpoint.recv()
+
+    def settimeout(self, timeout):
+        self.endpoint.settimeout(timeout)
+
+    def close(self):
+        self.endpoint.close()
+
+
+def test_garbled_frames_before_a_routed_hello_count_as_checksum_failures(
+    params,
+):
+    """The garbled seal read ahead of a hello is the session's checksum
+    failure, as if its own handshake had read it."""
+    v_r, _ = _values()
+    with ProtocolServer(
+        {"intersection": _offers(params)["intersection"]}, config=_config()
+    ) as server:
+        answer, _stats = tcp.connect_resumable_receiver(
+            "intersection", v_r, random.Random(1), "127.0.0.1", server.port,
+            config=_config(), endpoint_wrapper=_GarbleFirstHello,
+        )
+        assert server.wait_for_sessions(1, timeout=10)
+    assert sorted(answer) == [f"c{i}" for i in range(N // 2)]
+    (record,) = server.results()
+    assert record["status"] == "done"
+    assert record["checksum_failures"] == 1

@@ -1,13 +1,14 @@
-"""Party S under both shells, and the supervisor's task cancellation.
+"""Party S's hosts, and the supervisor's task cancellation.
 
 :class:`~repro.net.server.ProtocolServer` hosts every session as a task
 running the session core under the asyncio shell;
-:func:`~repro.net.tcp.serve_resumable_sender` runs the same core under
-the blocking shell. The mirror of ``test_aio.TestShellParity`` (which
-pins party R): same seed, same forced mid-round disconnect, and the two
-hosts - and the lock-step shell beside them - must put the same frames
-on the wire, count the same stats and leave byte-identical journals,
-S's own set exponentiated ahead of ``m1`` under all three. Then the
+:func:`~repro.net.tcp.serve_resumable_sender` hosts one session the
+same way on a loop of its own (:func:`~repro.net.server.host_session`).
+The mirror of ``test_aio.TestShellParity`` (which pins party R): same
+seed, same forced mid-round disconnect, and the two hosts - and the
+lock-step shell beside them - must put the same frames on the wire,
+count the same stats and leave byte-identical journals, S's own set
+exponentiated ahead of ``m1`` under all three. Then the
 supervision that became
 ``task.cancel()``: idle and past-deadline sessions end ``expired`` and
 free their slot, and a zero-second drain does not wait out a session's
@@ -143,8 +144,8 @@ class TestSenderShellParity:
         def engine(batches):
             return MeteredEngine(SerialEngine(), batches.append)
 
-        def blocking():
-            folder = tmp_path / "blocking"
+        def one_shot():
+            folder = tmp_path / "one-shot"
             frames, cut, bound, served, batches = [], [], {}, {}, []
             port_ready = threading.Event()
 
@@ -224,23 +225,23 @@ class TestSenderShellParity:
                 r.result, frames, cut, sender.stats, folder, batches
             )
 
-        under_blocking, under_loop = blocking(), hosted()
+        under_one_shot, under_loop = one_shot(), hosted()
         in_lock_step = lock_step()
-        assert under_blocking[0] == under_loop[0] == in_lock_step[0] == ["b", "c"]
+        assert under_one_shot[0] == under_loop[0] == in_lock_step[0] == ["b", "c"]
         # server -> client frames, S's SessionStats, rotated journal
         # bytes: the same under every shell.
         for observed in (1, 2, 3):
-            assert (under_blocking[observed] == under_loop[observed]
+            assert (under_one_shot[observed] == under_loop[observed]
                     == in_lock_step[observed]), observed
         assert len(under_loop[3]) == 1
         # S's engine under every shell: the own set first, whole (it
         # went ahead of m1), then the answers - all of them at least
         # once (an abandoned chunk stream had pulled one chunk ahead of
         # the cut, under every shell alike).
-        for batches in (under_blocking[4], under_loop[4], in_lock_step[4]):
+        for batches in (under_one_shot[4], under_loop[4], in_lock_step[4]):
             assert batches[0] == len(V_S)
             assert sum(batches[1:]) >= len(V_R)
-        assert under_blocking[4] == under_loop[4] == in_lock_step[4]
+        assert under_one_shot[4] == under_loop[4] == in_lock_step[4]
         if chunk_size is None:
             assert under_loop[4] == [len(V_S), len(V_R)]
         stats = under_loop[2]

@@ -472,7 +472,9 @@ class TestResumableEndToEnd:
                 ).close(),
                 endpoint_wrapper=wrapper,
             )
-        assert [endpoint.sock.fileno() for endpoint in handed] == [-1, -1]
+        dialed, accepted = handed
+        assert dialed.sock.fileno() == -1
+        assert accepted.writer.get_extra_info("socket").fileno() == -1
 
 
 # ----------------------------------------------------------------------

@@ -370,24 +370,32 @@ class TestChunkStream:
                 first = min(server.sessions.values(),
                             key=lambda record: record.started_at)
             return answer, first.error
-        bound, served, ready = {}, {}, threading.Event()
+        # "blocking": S's core under the blocking shell (the one R runs
+        # on), each connection accepted off a plain listener.
+        spec = get_spec("intersection")
+        sender, _ = open_session(
+            "sender", "intersection",
+            lambda: spec.make_sender(STREAM_V_S, params, random.Random(1)),
+            params=params, config=config, rng=random.Random(3),
+            recorder=recorder, chunk_size=CHUNK,
+        )
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(config.timeout_s)
+        served = {}
 
         def serve():
             try:
-                tcp.serve_resumable_sender(
-                    "intersection", STREAM_V_S, params, random.Random(1),
-                    ready_callback=lambda p: (bound.update(port=p),
-                                              ready.set()),
-                    config=config, chunk_size=CHUNK, recorder=recorder,
-                )
+                run_blocking(sender.steps(), open_link=lambda: tcp.SocketEndpoint(
+                    sock=listener.accept()[0]
+                ))
             except (Exception, SimulatedCrash) as exc:
                 served["error"] = exc
 
         server = threading.Thread(target=serve, daemon=True)
         server.start()
-        assert ready.wait(5)
-        answer = client(bound["port"])
+        answer = client(listener.getsockname()[1])
         server.join(timeout=10)
+        listener.close()
         assert not server.is_alive()
         return answer, served.get("error")
 

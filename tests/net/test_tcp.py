@@ -30,6 +30,7 @@ from repro.net.tcp import (
     FrameTooLarge,
     SocketEndpoint,
 )
+from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS
 
 
@@ -306,6 +307,39 @@ def test_a_malformed_session_id_gets_a_typed_reject(tmp_path):
     assert fields == ("reject", SESSION_VERSION, "malformed session id")
     assert "malformed session id" in str(box["error"])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_both_ends_of_a_session_run_without_nagle():
+    """R's dialed socket and every connection S accepts have
+    ``TCP_NODELAY`` set: a stop-and-wait frame left to Nagle waits out
+    the peer's delayed ack (~40 ms a round trip on Linux)."""
+    nodelay = []
+
+    def option(sock):
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def accepted(endpoint):
+        nodelay.append(("S", option(endpoint.writer.get_extra_info("socket"))))
+        return endpoint
+
+    def dialed(endpoint):
+        nodelay.append(("R", option(endpoint.sock)))
+        return endpoint
+
+    ports: queue.Queue[int] = queue.Queue()
+    thread = threading.Thread(target=lambda: tcp.serve_resumable_sender(
+        "intersection", ["b", "c"], PublicParams.for_bits(64),
+        random.Random(1), ready_callback=ports.put, endpoint_wrapper=accepted,
+    ))
+    thread.start()
+    answer, _stats = tcp.connect_resumable_receiver(
+        "intersection", ["a", "b"], random.Random(2), "127.0.0.1",
+        ports.get(timeout=10), endpoint_wrapper=dialed,
+    )
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert answer == {"b"}
+    assert sorted(side for side, on in nodelay if on) == ["R", "S"]
 
 
 def _run_over_tcp(protocol, v_r, v_s, bits=128, chunk_size=None):

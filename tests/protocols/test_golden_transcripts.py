@@ -237,7 +237,8 @@ def _socketpair():
 
 
 def _loopback():
-    listener = tcp._listen("127.0.0.1", 0, 10.0)
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10.0)
     try:
         dialed = tcp._dial("127.0.0.1", listener.getsockname()[1], 10.0)
         accepted, _addr = listener.accept()

@@ -53,6 +53,8 @@ COUNTS = {
         r, triples=r.triples[-1:])),
     "one-codeword-for-all": ("equijoin", lambda r: dataclasses.replace(
         r, triples=[(y, r.triples[0][1], k) for y, _, k in r.triples])),
+    "a-codeword-twice": ("equijoin", lambda r: dataclasses.replace(
+        r, pairs=r.pairs + [(r.pairs[0][0], r.pairs[1][1])])),
     "size-z-short": ("intersection-size", lambda r: dataclasses.replace(
         r, z_r=r.z_r[:-1])),
     "size-y-s-twice": ("intersection-size", lambda r: dataclasses.replace(
@@ -131,6 +133,17 @@ def test_a_reply_that_breaks_a_count_is_a_violation_in_memory(row):
     receiver.consume(m2, tamper(reply).to_wire())
     with pytest.raises(ProtocolViolation):
         receiver.finish()
+
+
+def test_a_codeword_twice_among_s_sum_pairs_is_a_violation():
+    """Two amounts under one of S's codewords are no table's: R refuses
+    before it sums either."""
+    m2, m3 = get_spec("equijoin-sum").rounds[1:3]
+    receiver, reply = _honest_m2("equijoin-sum")
+    pairs = reply.pairs + [(reply.pairs[0][0], reply.pairs[1][1])]
+    receiver.consume(m2, dataclasses.replace(reply, pairs=pairs).to_wire())
+    with pytest.raises(ProtocolViolation, match="pairs"):
+        receiver.produce(m3)
 
 
 #: The intersection rows on a delta patch, whose parts answer only the
@@ -455,13 +468,14 @@ def test_a_bad_ciphertext_in_a_delta_patch_leaves_r_as_it_was():
 #: Leaves the shape or range check refuses, whatever part they land in.
 BAD_LEAVES = [0, -1, PARAMS.p, PARAMS.p + 5, "x", b"x", None, True]
 
-#: What S's intersection or intersection-size ``m2`` (or delta patch)
-#: can be made into, by ``(mutation, index, other index, bad leaf)``: a
-#: reordered part - the same reply to R -, or a change R must refuse:
-#: an element or a pair repeated (a second ``Y_S`` codeword, one double
-#: more than R sent), a pair dropped, keyed on a ciphertext R did not
-#: send or sharing another's double, or a leaf out of shape or range.
-#: A change R cannot see (another ``Y_S`` element) is no reply to refuse.
+#: What S's ``m2`` (or delta patch) can be made into, by ``(mutation,
+#: index, other index, bad leaf)``: a reordered part - the same reply to
+#: R -, or a change R must refuse: an element or a tuple repeated (a
+#: second ``Y_S`` codeword, one double more than R sent), a tuple
+#: dropped, keyed on a ciphertext R did not send or sharing another's
+#: answers, or a leaf out of shape or range. A change R cannot see
+#: (another ``Y_S`` element) is no reply to refuse. A tuple is a pair or
+#: an equijoin triple; a mutated one keeps its arity.
 MUTATIONS = ["shuffle", "repeat", "drop-pair", "foreign-pair", "repeat-double", "bad-leaf"]
 mutations = st.lists(
     st.tuples(
@@ -487,11 +501,11 @@ def _mutate(reply, ops):
         elif name == "drop-pair" and pairs:
             del part[i]
         elif name == "foreign-pair" and pairs:
-            part[i] = (part[i][1], part[i][1])
+            part[i] = (part[i][1], *part[i][1:])
         elif name == "repeat-double" and pairs and i != j:
-            part[i] = (part[i][0], part[j][1])
+            part[i] = (part[i][0], *part[j][1:])
         elif name == "bad-leaf":
-            part[i] = (part[i][0], leaf) if pairs else leaf
+            part[i] = (part[i][0], leaf, *part[i][2:]) if pairs else leaf
     return type(reply).from_parts(tuple(parts))
 
 
@@ -508,9 +522,81 @@ def _held(catalog, root):
     return links, {path.name: path.read_bytes() for path in sorted(root.rglob("*.cat"))}
 
 
-@settings(max_examples=200, deadline=None)
+def _plaintext(name, r_data, s_data):
+    """R's answer over the two tables, computed in the clear."""
+    common = set(r_data) & set(s_data)
+    if name == "intersection":
+        return common
+    if name == "intersection-size":
+        return len(common)
+    if name == "equijoin":
+        return {v: s_data[v] for v in common}
+    if name == "equijoin-size":
+        return sum(r_data.count(v) * s_data.count(v) for v in common)
+    return sum(s_data[v] for v in common)
+
+
+#: Where S's reply carries S's own table with payloads or multiplicities,
+#: by ``(protocol, kind)``: part -> what it holds - its ``(codeword,
+#: payload)`` pairs, their tombstones, or a multiset's codewords.
+#: Rewriting those parts (beyond reordering them) is S answering for
+#: another table, a change R cannot see - unless a codeword of the pairs
+#: or tombstones comes twice, which no table's reply does.
+OWN_PARTS = {
+    ("equijoin", "full"): {1: "pairs"},
+    ("equijoin", "delta"): {1: "pairs", 2: "tombstones"},
+    ("equijoin-size", "full"): {0: "multiset"},
+    ("equijoin-size", "delta"): {0: "multiset", 1: "multiset"},
+    ("equijoin-sum", "full"): {1: "pairs"},
+    ("equijoin-sum", "delta"): {2: "pairs", 3: "tombstones"},
+}
+
+
+def _own_table(name, kind, honest, mutated):
+    """What ``mutated`` makes of S's own table in ``honest``: ``None``
+    (it is untouched, or only reordered), ``"another"`` or ``"none"``
+    (no table's reply: a codeword twice)."""
+    before, after = honest.to_parts(), mutated.to_parts()
+    verdict = None
+    for index, holds in OWN_PARTS.get((name, kind), {}).items():
+        keys = [
+            repr(item[0] if holds == "pairs" and isinstance(item, tuple) else item)
+            for item in after[index]
+        ]
+        if holds != "multiset" and len(set(keys)) != len(keys):
+            return "none"
+        if sorted(map(repr, before[index])) != sorted(map(repr, after[index])):
+            verdict = "another"
+    return verdict
+
+
+def _reachable(name, answer, r_data, s_tables):
+    """Whether ``answer`` is one some table of S's gives, its values
+    among those S held: all an answer to a rewritten own table can be
+    held to (S decrypts equijoin-sum's total itself, so any ``int``)."""
+    if name == "equijoin":
+        held = set(r_data) & set().union(*s_tables)
+        return set(answer) <= held and all(
+            isinstance(ext, bytes) for ext in answer.values()
+        )
+    return isinstance(answer, int) and (name == "equijoin-sum" or answer >= 0)
+
+
+#: S's churn for a delta query, by the shape of its table: a value
+#: inserted and one deleted.
+S_CHURN = {
+    "values": lambda cat: cat.insert("f").insert("g").delete("e"),
+    "ext": lambda cat: cat.insert("f", b"ext:f").insert("g", b"ext:g").delete("e"),
+    "amounts": lambda cat: cat.insert("f", 5).insert("g", 7).delete("e"),
+}
+
+
+@settings(max_examples=500, deadline=None)
 @given(
-    name=st.sampled_from(["intersection", "intersection-size"]),
+    name=st.sampled_from([
+        "intersection", "intersection-size", "equijoin", "equijoin-size",
+        "equijoin-sum",
+    ]),
     kind=st.sampled_from(["full", "delta"]), ops=mutations,
 )
 def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing(name, kind, ops):
@@ -518,27 +604,38 @@ def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing
     on the committed link - mutated well-framed over a session: R ends
     on the plaintext answer or a ProtocolViolation, and a refused
     reply leaves R's committed party and both cache files as they
-    were."""
+    were. A reply that rewrites S's own table is S answering for
+    another one: R ends on an answer some table of S's gives, or a
+    ProtocolViolation - the one outcome of a reply no table gives."""
     spec = get_spec(name)
+    v_r, v_s = _inputs(name)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
 
         def open_pair():
             return [
-                repro.open_catalog(data, params=PARAMS, seed=side, cache_dir=root / side)
-                for side, data in (("r", V_R), ("s", V_S))
+                repro.open_catalog(copy.copy(data), params=PARAMS, seed=side, cache_dir=root / side)
+                for side, data in (("r", v_r), ("s", v_s))
             ]
 
         cat_r, cat_s = open_pair()
         cat_r.pair(cat_s).query(spec)
+        s_tables = [copy.copy(cat_s.data)]
         if kind == "full":
             cat_r, cat_s = open_pair()
-            expected = set(V_R) & set(V_S)
         else:
             cat_r.insert("e").insert("f").delete("a")
-            cat_s.insert("f").insert("g").delete("e")
-            expected = {"c", "d", "f"}
+            S_CHURN[spec.sender_input](cat_s)
+        expected = _plaintext(name, cat_r.data, cat_s.data)
+        s_tables.append(cat_s.data)
         before = _held(cat_r, root)
+        own = []
+
+        def tamper(reply):
+            mutated = _mutate(reply, ops)
+            own.append(_own_table(name, kind, reply, mutated))
+            return mutated
+
         wire_spec, make_r, _ = cat_r._plan(spec, "receiver", kind)
         _, make_s, _ = cat_s._plan(spec, "sender", kind)
         receiver = ReceiverCore(
@@ -546,7 +643,7 @@ def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing
             CONFIG, random.Random(7), SessionStats(protocol=wire_spec.name),
         )
         with pytest.MonkeyPatch.context() as patch:
-            tampered = _tampered(wire_spec.name, lambda reply: _mutate(reply, ops))
+            tampered = _tampered(wire_spec.name, tamper)
             patch.setattr(spec_module, "get_spec", lambda _: tampered)
             sender = SenderCore(
                 wire_spec.name, PARAMS, lambda: make_s(PARAMS),
@@ -556,7 +653,11 @@ def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing
         LockStep(accept_timeout_s=5.0).run(r_party, Party("S", sender.steps, dials=False))
         event(f"{name} {kind}: {'refused' if r_party.error else 'answered'}")
         if r_party.error is None:
-            assert r_party.result == (expected if name == "intersection" else len(expected))
+            assert "none" not in own, "R answered a reply no table gives"
+        if r_party.error is None and "another" in own:
+            assert _reachable(name, r_party.result, cat_r.data, s_tables)
+        elif r_party.error is None:
+            assert r_party.result == expected
         else:
             assert isinstance(r_party.error, ProtocolViolation), r_party.error
             assert _held(cat_r, root) == before

@@ -301,6 +301,84 @@ class TestDistributedProtocolOptions:
             assert report["total_modexp"] > 0
 
 
+#: The keys of ``# session stats:``, as ``SessionStats.as_dict`` names them.
+SESSION_STATS_KEYS = {
+    "protocol", "frames_sent", "frames_received", "retransmits",
+    "implicit_acks", "duplicates_discarded", "checksum_failures",
+    "malformed_frames", "naks_sent", "reconnects", "worker_lost",
+    "replayed_frames", "chunks_sent", "chunks_received", "rounds_computed",
+    "rounds_resumed", "rounds_recovered", "elapsed_s",
+}
+
+
+class TestOneShotServeOutput:
+    """What a seeded one-shot ``serve`` prints, whichever host runs it:
+    its stdout lines, the keys of its session stats and of its
+    ``--metrics`` report - and no ``sessions`` entry, which only the
+    supervised server's report has."""
+
+    @pytest.mark.parametrize("resumable", [False, True])
+    def test_stdout_stats_and_metrics_keys(
+        self, value_files, resumable, capsys
+    ):
+        import ast
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        r, s = value_files
+        flag = ["--resumable"] if resumable else []
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--bits", "128", "--seed", "1",
+             "serve", *flag, "--sender", s, "--port", "0", "--timeout", "10",
+             "--metrics"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            first = server.stdout.readline()
+            port = int(first.rsplit(":", 1)[1].split()[0])
+            code = main(["--bits", "128", "--seed", "2", "connect", *flag,
+                         "--receiver", r, "--port", str(port),
+                         "--timeout", "10"])
+            out, err = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=10)
+        assert code == 0 and server.returncode == 0
+        assert capsys.readouterr().out.splitlines() == ["bob", "carol"]
+        assert [first.rstrip("\n"), *out.splitlines()] == [
+            f"serving intersection as party S on 127.0.0.1:{port} "
+            "(3 values)",
+            "run complete; S learned |V_R| = 3",
+        ]
+        lines = err.splitlines()
+        stats = [
+            ast.literal_eval(line[len("# session stats: "):])
+            for line in lines if line.startswith("# session stats: ")
+        ]
+        reports = [json.loads(line) for line in lines if line.startswith("{")]
+        assert len(lines) == len(stats) + len(reports)
+        assert [set(entry) for entry in stats] == (
+            [SESSION_STATS_KEYS] if resumable else []
+        )
+        (report,) = reports
+        assert set(report) == {
+            "engine", "total_wall_s", "total_modexp", "unattributed_modexp",
+            "phases",
+        }
+        assert set(report["engine"]) == {"engine", "workers", "kernel"}
+        assert set(report["phases"]) == {"s.setup", "s.wait_m1", "s.round1"}
+        for phase in report["phases"].values():
+            assert set(phase) == {"wall_s", "modexp", "calls"}
+
+
 class TestFailureExitCodes:
     """Operational failures exit with a code and one stderr line."""
 
