@@ -806,7 +806,10 @@ class Peer:
         contradicts its own forced mode, and a delta it holds no
         committed state for. After a successful query the staged table
         mutations are committed into the per-protocol state - a failed
-        exchange commits nothing and can simply be retried.
+        exchange commits nothing and can simply be retried. A networked
+        query runs its session on an event loop of the calling thread,
+        so a thread whose own loop is running cannot call it
+        (``RuntimeError``).
         """
         spec = get_spec(protocol)
         if spec.delta_of is not None:
@@ -1125,7 +1128,10 @@ def connect(
     link raises at once, and nothing has a deadline unless ``timeout``
     gives one. ``session=SessionOptions(...)`` makes it resumable
     (reconnects, resume, journal). ``chunk_size`` streams R's chunkable
-    outgoing rounds; inbound chunking is auto-detected either way.
+    outgoing rounds; inbound chunking is auto-detected either way. The
+    session runs on the calling thread's own event loop (kept for the
+    thread's next query), so a thread whose loop is running cannot
+    call this (``RuntimeError``).
 
     Without ``retry`` a typed refusal (a busy server is an immediate
     :class:`~repro.net.session.ServerBusyError`) propagates. ``retry``

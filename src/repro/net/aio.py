@@ -19,14 +19,14 @@ puts a server's sockets on an event loop:
   threaded :class:`~repro.crypto.engine.CryptoEngine`) in place when the
   core declares it small (:data:`INLINE_WORK`: a small session's steps
   cost about as much as the thread hop that would carry them), otherwise
-  through ``run_in_executor`` - so thousands of sessions can share one
-  loop and a small thread pool. It hosts party S: every
-  session a :class:`~repro.net.server.ProtocolServer` hosts is S's
-  core as a task on the server's own loop - no thread is parked per
-  session and no frame changes threads - and the one-shot S's one
-  session runs the same way (:func:`~repro.net.server.host_session`).
-  Party R is one process asking
-  one query; it runs under the blocking shell
+  through the executor - so thousands of sessions can share one
+  loop and a small thread pool. It is the one real-I/O shell, for both
+  parties. Every session a :class:`~repro.net.server.ProtocolServer`
+  hosts is S's core as a task on the server's own loop - no thread is
+  parked per session and no frame changes threads - and the one-shot
+  S's one session runs the same way
+  (:func:`~repro.net.server.host_session`). Party R, one process asking
+  one query, runs its core on its thread's own loop
   (:func:`~repro.net.tcp.connect_resumable_receiver`).
 
 :class:`LoopThread` hosts one loop on a dedicated daemon thread with a
@@ -41,6 +41,7 @@ import asyncio
 import concurrent.futures
 import threading
 import time
+from collections import deque
 from typing import Any, Awaitable, Callable
 
 from . import serialization
@@ -73,6 +74,19 @@ _TIMEOUTS = (TimeoutError, asyncio.TimeoutError)
 _MAX_PREHELLO_FRAMES = 32
 
 
+async def _within(awaitable: Awaitable[Any], timeout: float) -> Any:
+    """``awaitable`` under a deadline, raising ``asyncio.TimeoutError``.
+
+    ``asyncio.timeout`` (3.11 on) runs it in the caller's task;
+    ``wait_for`` gives it a task of its own, a hop of the loop more per
+    await - on 3.10, which has nothing else.
+    """
+    if hasattr(asyncio, "timeout"):
+        async with asyncio.timeout(timeout):
+            return await awaitable
+    return await asyncio.wait_for(awaitable, timeout)
+
+
 class AsyncFrameEndpoint:
     """Framed, serialized messaging on an asyncio stream pair.
 
@@ -97,7 +111,7 @@ class AsyncFrameEndpoint:
         self.bytes_received = 0
         self.messages_sent = 0
         self.on_frame: Callable[[], None] | None = None
-        self._recv_task: asyncio.Future | None = None
+        self._length: int | None = None  # of a frame whose header is read
         self._unread_payloads: list[bytes] = []
 
     async def send_bytes(self, payload: bytes) -> None:
@@ -117,24 +131,32 @@ class AsyncFrameEndpoint:
     async def recv_bytes(self) -> bytes:
         """Read one frame; return its raw (still-encoded) payload.
 
+        Cancelling it loses no byte: ``readexactly`` takes nothing from
+        the stream until it has all it asked for, and a frame whose
+        header was read keeps its length here, so the next read goes on
+        with its payload.
+
         Raises:
             FrameTooLarge: the length prefix exceeds
                 ``max_frame_bytes`` (corrupt header or hostile peer).
             ConnectionError: the peer closed the stream mid-frame.
         """
         try:
-            header = await self.reader.readexactly(_LEN.size)
-            (length,) = _LEN.unpack(header)
-            if length > self.max_frame_bytes:
-                raise FrameTooLarge(
-                    f"frame declares {length} bytes, limit is "
-                    f"{self.max_frame_bytes} (corrupt length prefix?)"
-                )
-            payload = await self.reader.readexactly(length)
+            if self._length is None:
+                header = await self.reader.readexactly(_LEN.size)
+                (length,) = _LEN.unpack(header)
+                if length > self.max_frame_bytes:
+                    raise FrameTooLarge(
+                        f"frame declares {length} bytes, limit is "
+                        f"{self.max_frame_bytes} (corrupt length prefix?)"
+                    )
+                self._length = length
+            payload = await self.reader.readexactly(self._length)
         except asyncio.IncompleteReadError as exc:
             raise ConnectionError(
                 "peer closed the connection mid-frame"
             ) from exc
+        length, self._length = self._length, None
         self.bytes_received += _LEN.size + length
         if self.on_frame is not None:
             self.on_frame()
@@ -147,23 +169,14 @@ class AsyncFrameEndpoint:
     async def recv_bytes_within(self, timeout: float) -> bytes:
         """One frame's raw payload within ``timeout`` seconds.
 
-        Unlike ``wait_for(recv_bytes(), ...)``, a timeout here does
-        *not* cancel the in-flight read - cancelling between a frame's
-        header and payload would desynchronize the stream forever. The
-        read stays pending and the next call resumes it; only
-        :meth:`close` abandons it.
+        A timeout cancels the read, which :meth:`recv_bytes` makes safe
+        even between a frame's header and its payload: the next call
+        goes on where it stopped. The read runs in the caller's task
+        (:func:`_within`), so a frame costs no task of its own.
         """
         if self._unread_payloads:
             return self._unread_payloads.pop(0)
-        if self._recv_task is None:
-            self._recv_task = asyncio.ensure_future(self.recv_bytes())
-        done, _pending = await asyncio.wait(
-            {self._recv_task}, timeout=max(timeout, 1e-3)
-        )
-        if not done:
-            raise asyncio.TimeoutError(f"no frame within {timeout}s")
-        task, self._recv_task = self._recv_task, None
-        return task.result()
+        return await _within(self.recv_bytes(), max(timeout, 1e-3))
 
     async def recv_within(self, timeout: float) -> Any:
         """One decoded frame within ``timeout`` seconds."""
@@ -171,20 +184,12 @@ class AsyncFrameEndpoint:
 
     def _unread(self, payloads: list[bytes]) -> None:
         """Push the payloads just read back: the next ``*_within`` reads
-        return them, in order. Only valid with no read pending (a host
-        hands an admitted connection, hello included, to its session
-        this way)."""
+        return them, in order (a host hands an admitted connection,
+        hello included, to its session this way)."""
         self._unread_payloads = list(payloads)
 
     async def close(self) -> None:
         """Close the underlying stream, tolerating a dead peer."""
-        if self._recv_task is not None:
-            self._recv_task.cancel()
-            try:
-                await self._recv_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._recv_task = None
         try:
             self.writer.close()
             await self.writer.wait_closed()
@@ -320,6 +325,59 @@ def _in_place(request: Any) -> bool:
     return request.work is not None and request.work <= INLINE_WORK
 
 
+class _AheadChain:
+    """A run's offloaded ``Ahead`` steps, one after another on the
+    executor.
+
+    One executor job runs the steps in order, each starting on the
+    thread the one before it ended on, so the chain never waits for the
+    loop between steps - a loop busy journaling or serving other
+    sessions does not stall it. A job starts when a step arrives with
+    none running; the loop awaits the job (:meth:`wait`). A step's
+    ``Exception`` is dropped with the step: it only filled a memo, and
+    the round step that reads it recomputes what is missing.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, executor: Any):
+        self._loop, self._executor = loop, executor
+        self._steps: deque = deque()
+        self._lock = threading.Lock()
+        self._job: asyncio.Future | None = None
+        self._running = False
+
+    def add(self, fn: Callable[[], None]) -> None:
+        with self._lock:
+            self._steps.append(fn)
+            if self._running:
+                return
+            self._running = True
+        self._job = self._loop.run_in_executor(self._executor, self._drain)
+
+    def _drain(self) -> None:
+        while (fn := self._next()) is not None:
+            try:
+                fn()
+            except Exception:
+                pass
+
+    def _next(self) -> Callable[[], None] | None:
+        with self._lock:
+            if self._steps:
+                return self._steps.popleft()
+            self._running = False
+            return None
+
+    async def wait(self) -> None:
+        """Until every step added so far is over."""
+        if self._job is not None:
+            await self._job
+
+    def abandon(self) -> None:
+        """The step on the executor runs out; none after it starts."""
+        with self._lock:
+            self._steps.clear()
+
+
 async def run_async(
     steps: Any,
     dial: Callable[[], Awaitable[AsyncFrameEndpoint]],
@@ -334,31 +392,22 @@ async def run_async(
     runs on the loop too; every other one goes through
     ``run_in_executor`` on ``executor``, so heavy crypto never blocks
     the loop. Offloaded ``Ahead`` steps - a streamed round's next chunk
-    among them - are chained on the executor one after the other; the
-    chain is awaited before a ``Compute`` and before an in-place
-    ``Ahead``, so a party's machine steps never overlap each other. An
-    ``Ahead`` step's ``Exception`` is dropped wherever it ran. Whatever
-    a request raises is thrown into ``steps`` - a timeout always as the
-    builtin ``TimeoutError`` the core's ``except`` clauses name - and
-    what ``steps`` does not handle (cancellation included) propagates,
-    with the ``Ahead`` chain cancelled and the link closed. A run that
-    completes returns what ``steps``
-    returned, its link closed too: by then the peer has had the fin
-    echo and sends nothing more, so hanging up first is a clean close.
+    among them - run one after another on the executor, each started by
+    the one before it (:class:`_AheadChain`); the chain is awaited
+    before a ``Compute`` and before an in-place ``Ahead``, so a party's
+    machine steps never overlap each other. An ``Ahead`` step's
+    ``Exception`` is dropped wherever it ran. Whatever a request raises
+    is thrown into ``steps`` - a timeout always as the builtin
+    ``TimeoutError`` the core's ``except`` clauses name - and what
+    ``steps`` does not handle (cancellation included) propagates, with
+    the ``Ahead`` chain abandoned and the link closed. A run that
+    completes returns what ``steps`` returned, its link closed too: by
+    then the peer has had the fin echo and sends nothing more, so
+    hanging up first is a clean close.
     """
     loop = asyncio.get_running_loop()
     endpoint = reply = failure = None
-    ahead: asyncio.Task | None = None  # the tail of the ``Ahead`` chain
-
-    async def after(
-        previous: asyncio.Task | None, fn: Callable[[], None]
-    ) -> None:
-        if previous is not None:
-            await previous
-        try:
-            await loop.run_in_executor(executor, fn)
-        except Exception:
-            pass  # dropped with the step: the round step recomputes
+    ahead = _AheadChain(loop, executor)
 
     try:
         while True:
@@ -368,8 +417,7 @@ async def run_async(
                 else:
                     request = steps.throw(failure)
             except StopIteration as stop:
-                if ahead is not None:
-                    await ahead
+                await ahead.wait()
                 return stop.value
             reply = failure = None
             kind = type(request)
@@ -383,22 +431,20 @@ async def run_async(
                 elif kind is Sleep:
                     await asyncio.sleep(request.seconds)
                 elif kind is Compute:
-                    if ahead is not None:
-                        await ahead
+                    await ahead.wait()
                     if _in_place(request):
                         reply = request.fn()
                     else:
                         reply = await loop.run_in_executor(executor, request.fn)
                 elif kind is Ahead:
                     if _in_place(request):
-                        if ahead is not None:
-                            await ahead
+                        await ahead.wait()
                         try:
                             request.fn()
                         except Exception:
                             pass  # dropped, as an offloaded step's is
                     else:
-                        ahead = loop.create_task(after(ahead, request.fn))
+                        ahead.add(request.fn)
                 elif kind is Open:
                     if endpoint is not None:
                         await endpoint.close()
@@ -411,9 +457,6 @@ async def run_async(
             except BaseException as exc:
                 failure = exc
     finally:
-        if ahead is not None:
-            # A run that died abandons the chain: the step on the
-            # executor runs out, none after it starts.
-            ahead.cancel()
+        ahead.abandon()  # a completed run's chain is already over
         if endpoint is not None:
             await endpoint.close()

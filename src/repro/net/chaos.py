@@ -23,8 +23,8 @@ protocol runs under the composition, FoundationDB-style:
 * **the worker-crash axis** - :func:`run_worker_crash_schedule` kills
   *real* forked shard workers under a live server; that one stays on
   real processes, sockets and time on purpose, its herd of clients the
-  blocking :func:`~repro.net.tcp.connect_resumable_receiver` every
-  user runs, one thread per session.
+  :func:`~repro.net.tcp.connect_resumable_receiver` every user runs,
+  one thread (and one event loop) per session.
 
 The invariant the driver checks is the repo's durability contract:
 **every run ends in the correct answer or a typed, clean failure** -

@@ -2,17 +2,16 @@
 
 The paper's cost model assumes an idealized, lossless channel; a
 deployment does not get one. :class:`FaultyEndpoint` wraps any framed
-endpoint - the TCP :class:`~repro.net.tcp.SocketEndpoint` R dials, the
-:class:`~repro.net.aio.AsyncFrameEndpoint` S accepts (through a
-:class:`FaultInjector`, which awaits the same fates) or a
-:class:`~repro.net.virtual.LockStep` connection - and injects *seeded,
-reproducible* faults on the send path:
+endpoint - an :class:`~repro.net.aio.AsyncFrameEndpoint` R dials or S
+accepts (through a :class:`FaultInjector`, which awaits the same fates)
+or a :class:`~repro.net.virtual.LockStep` connection - and injects
+*seeded, reproducible* faults on the send path:
 
 * **drop** - the frame silently never reaches the peer;
 * **corrupt** - one leaf of the message (preferring payload bytes) is
   damaged before transmission, so checksums must catch it;
 * **delay** - delivery is stalled by a configurable sleep;
-* **disconnect** - the connection dies mid-frame (for sockets, half a
+* **disconnect** - the connection dies mid-frame (on a socket, half a
   frame is written first, so the peer observes a truncated read).
 
 Every injected fault increments a per-class counter in
@@ -159,10 +158,11 @@ def corrupt_message(message: Any, rng: random.Random) -> Any:
 class FaultyEndpoint:
     """Wrap a framed endpoint, injecting seeded faults on ``send``.
 
-    For a :class:`~repro.net.tcp.SocketEndpoint` a *disconnect* writes
-    half a frame before killing the socket (the peer sees a truncated
-    read); a :class:`~repro.net.virtual.LockStep` connection is just
-    closed. Receive and byte accounting pass through.
+    Over an :class:`~repro.net.aio.AsyncFrameEndpoint` (a
+    :class:`FaultInjector` picks the awaiting subclass) a *disconnect*
+    writes half a frame before killing the socket (the peer sees a
+    truncated read); a :class:`~repro.net.virtual.LockStep` connection
+    is just closed. Receive and byte accounting pass through.
     """
 
     def __init__(
@@ -222,30 +222,15 @@ class FaultyEndpoint:
         """Ship one message, or do something worse to it."""
         fate, message = self._fate(message)
         if fate == "disconnect":
-            self._disconnect(message)
+            with contextlib.suppress(OSError):
+                self.close()
+            raise ConnectionError("fault injection: connection dropped mid-frame")
         if fate == "drop":
             return
         if fate == "delay":
             self._sleep(self.plan.delay_s)
         self.transport.send(message)
         self.stats.delivered += 1
-
-    def _disconnect(self, message: Any) -> None:
-        sock = getattr(self.transport, "sock", None)
-        if sock is not None:
-            # Mid-frame cut: ship a truncated frame so the peer's
-            # _read_exact observes a half-delivered message.
-            try:
-                sock.sendall(_half_frame(message))
-            except OSError:
-                pass
-        close = getattr(self.transport, "close", None)
-        if close is not None:
-            try:
-                close()
-            except OSError:
-                pass
-        raise ConnectionError("fault injection: connection dropped mid-frame")
 
     def recv(self) -> Any:
         """Receive from the wrapped transport (faults are send-side)."""
@@ -258,12 +243,6 @@ class FaultyEndpoint:
         if close is not None:
             return close()
 
-    def settimeout(self, timeout: float | None) -> None:
-        """Forward deadline configuration when the transport has one."""
-        settimeout = getattr(self.transport, "settimeout", None)
-        if settimeout is not None:
-            settimeout(timeout)
-
     @property
     def bytes_sent(self) -> int:
         return getattr(self.transport, "bytes_sent", 0)
@@ -275,8 +254,8 @@ class FaultyEndpoint:
 
 class _AsyncFaultyEndpoint(FaultyEndpoint):
     """:class:`FaultyEndpoint` over an
-    :class:`~repro.net.aio.AsyncFrameEndpoint` (the connections party S
-    accepts): the same seeded fates, awaited on the event loop."""
+    :class:`~repro.net.aio.AsyncFrameEndpoint` (the connections R dials
+    and S accepts): the same seeded fates, awaited on the event loop."""
 
     async def send(self, message: Any) -> None:
         """Ship one message, or do something worse to it."""

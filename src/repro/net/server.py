@@ -20,9 +20,9 @@ supervisor around them:
   not blocked threads. Admitted sessions - up to ``max_sessions`` at a
   time - are tasks on that same loop, each running the session core
   (:mod:`repro.net.session_core`) under the asyncio shell
-  (:func:`~repro.net.aio.run_async`, which hosts party S only - every
-  party R runs under the blocking or the lock-step shell): frames
-  never change threads and
+  (:func:`~repro.net.aio.run_async`, the shell every real party R
+  runs under too, on a loop of its own): frames never change threads
+  and
   no thread is parked per session. A fresh session is built on the
   loop, and a machine step runs there too when the core declares it
   small (:data:`~repro.net.aio.INLINE_WORK`); heavier machine steps

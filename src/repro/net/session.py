@@ -11,40 +11,29 @@ journal (:mod:`repro.net.journal`) - at the first frame the peer
 lacks, chunk-granular when ``chunk_size`` streams a round.
 
 Those rules and the wire frames are written once, I/O-free, in
-:mod:`repro.net.session_core`. This module holds what is not a rule:
-the policy types (:class:`RetryPolicy`, :class:`SessionConfig`,
-:class:`ClientRetryPolicy`), :class:`SessionStats`, and the **blocking
-shell** (:func:`run_blocking`) that executes the core's requests over
-any ``send``/``recv``/``settimeout``/``close`` transport on the
-caller's own thread, the party's ``Ahead`` steps on one worker thread
-beside it. Sessions are built by
-:func:`repro.net.journal.open_session`.
+:mod:`repro.net.session_core`, and executed by one real-I/O shell,
+:func:`repro.net.aio.run_async`, for both parties (the lock-step shell
+of :mod:`repro.net.virtual` runs them on a virtual clock). This module
+holds what is neither a rule nor a shell: the policy types
+(:class:`RetryPolicy`, :class:`SessionConfig`,
+:class:`ClientRetryPolicy`) and :class:`SessionStats`. Sessions are
+built by :func:`repro.net.journal.open_session`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import queue
 import random
-import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from .session_core import (
     SESSION_VERSION,
-    Ahead,
-    Compute,
     HandshakeError,
-    Now,
-    Open,
-    Recv,
-    Send,
     ServerBusyError,
     SessionAborted,
     SessionError,
-    Sleep,
     WorkerLost,
     busy_backoff_s,
     refusal_retry_hint_s,
@@ -121,7 +110,7 @@ class SessionConfig:
 
     Two values are whole policies. ``timeout_s=math.inf`` is "no
     deadline": a silent but connected peer is waited for indefinitely
-    (the blocking shell and the TCP drivers use a blocking socket).
+    (the asyncio shell's reads and the TCP dial carry no timeout).
     ``max_reconnects=0`` is "one connection": the first failed link
     ends the run, so nothing will ever be replayed and the core drops
     each frame once it is acknowledged or consumed. Together they are
@@ -367,137 +356,3 @@ class SessionStats:
         }
         flat["elapsed_s"] = self.elapsed_s
         return flat
-
-
-def _close_quietly(closeable: Any) -> None:
-    close = getattr(closeable, "close", None)
-    if close is not None:
-        try:
-            close()
-        except OSError:
-            pass
-
-
-class _AheadWorker:
-    """The blocking shell's one background thread: a party's ``Ahead``
-    steps, first in first out.
-
-    A daemon thread, started by the first step - a session that issues
-    none never has one. What a step raises is dropped with the step:
-    it only filled a memo, and the round step that reads the memo
-    recomputes what is missing and raises where it always did.
-    """
-
-    def __init__(self) -> None:
-        self._steps: queue.Queue = queue.Queue()
-        self._thread: threading.Thread | None = None
-        self._abandoned = False
-
-    def submit(self, fn: Callable[[], None]) -> None:
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name="repro-ahead", daemon=True
-            )
-            self._thread.start()
-        self._steps.put(fn)
-
-    def _run(self) -> None:
-        while True:
-            fn = self._steps.get()
-            try:
-                if fn is None:
-                    return
-                if not self._abandoned:
-                    fn()
-            except Exception:
-                pass
-            finally:
-                self._steps.task_done()
-
-    def wait(self) -> None:
-        """Block until every step submitted so far is over."""
-        self._steps.join()
-
-    def close(self, abandon: bool) -> None:
-        """End the thread: joined after its pending steps, or - when
-        the session died - left to finish the step it is in and skip
-        the rest."""
-        if self._thread is None:
-            return
-        self._abandoned = abandon
-        self._steps.put(None)
-        if not abandon:
-            self._thread.join()
-
-
-def run_blocking(
-    steps: Any,
-    transport: Any = None,
-    open_link: Callable[[], Any] | None = None,
-) -> Any:
-    """The blocking shell: execute a session core's requests in place.
-
-    ``steps`` is a generator from :mod:`repro.net.session_core`;
-    ``transport`` is any framed transport (``send``/``recv``/optional
-    ``settimeout``/``close``) and ``open_link`` what an ``OPEN``
-    request calls for the next one. I/O, ``Compute`` steps and the
-    body itself run on the calling thread; ``Ahead`` steps - a
-    streamed round's next chunk among them - on one worker thread that
-    lives as long as the run (reconnects included - the machine
-    persists across ``OPEN``, so does its pending work). Machine steps
-    never overlap each other: the worker is waited for before a
-    ``Compute``. Whatever a request raises (a timeout, a garbled
-    frame, a dead link, a simulated crash) is thrown into ``steps``,
-    which alone decides what is transient. Links this shell opened are
-    closed when ``steps`` ends; a ``transport`` passed in stays the
-    caller's.
-    """
-    opened = None
-    reply = failure = None
-    ahead = _AheadWorker()
-    completed = False
-    try:
-        while True:
-            try:
-                if failure is None:
-                    request = steps.send(reply)
-                else:
-                    request = steps.throw(failure)
-            except StopIteration as stop:
-                completed = True
-                return stop.value
-            reply = failure = None
-            kind = type(request)
-            try:
-                if kind is Recv:
-                    settimeout = getattr(transport, "settimeout", None)
-                    if settimeout is not None:
-                        # A config with no deadline (timeout_s = inf)
-                        # waits on a blocking socket.
-                        settimeout(
-                            None if request.timeout == math.inf
-                            else max(request.timeout, 1e-3)
-                        )
-                    reply = transport.recv()
-                elif kind is Send:
-                    transport.send(request.frame)
-                elif kind is Now:
-                    reply = time.monotonic()
-                elif kind is Sleep:
-                    time.sleep(request.seconds)
-                elif kind is Compute:
-                    ahead.wait()
-                    reply = request.fn()
-                elif kind is Ahead:
-                    ahead.submit(request.fn)
-                elif kind is Open:
-                    _close_quietly(opened)
-                    opened = None
-                    transport = opened = open_link()
-                else:
-                    raise TypeError(f"unknown session request {request!r}")
-            except BaseException as exc:
-                failure = exc
-    finally:
-        _close_quietly(opened)
-        ahead.close(abandon=not completed)

@@ -9,18 +9,16 @@ body cannot do itself it *yields* as a request (:class:`Send`,
 :class:`Recv`, :class:`Sleep`, :data:`NOW`, :class:`Compute`,
 :class:`Ahead`, :data:`OPEN`) and is resumed with the result.
 
-A *shell* executes the requests. The blocking shell
-(:func:`repro.net.session.run_blocking`) serves them from any
-``send``/``recv``/``settimeout``/``close`` transport on the caller's
-own thread; the asyncio shell (:func:`repro.net.aio.run_async`) serves
-them from an event loop, heavy machine steps through
-``run_in_executor``; the lock-step shell
-(:class:`repro.net.virtual.LockStep`) serves them inline on a virtual
-clock. All three keep one invariant: *machine steps of one party never
-run concurrently with each other* - an :class:`Ahead` step overlaps
-only the party's ``Send`` / ``Recv`` / ``Sleep``, and is over before
-its next :class:`Compute` starts. A streamed round's lookahead is such
-a step: the core pulls chunk ``k+1`` ahead while it ships chunk ``k``.
+A *shell* executes the requests. The asyncio shell
+(:func:`repro.net.aio.run_async`), the one that does real I/O, serves
+them from an event loop for both parties, heavy machine steps through
+its executor; the lock-step shell (:class:`repro.net.virtual.LockStep`)
+serves them inline on a virtual clock. Both keep one invariant:
+*machine steps of one party never run concurrently with each other* -
+an :class:`Ahead` step overlaps only the party's ``Send`` / ``Recv`` /
+``Sleep``, and is over before its next :class:`Compute` starts. A
+streamed round's lookahead is such a step: the core pulls chunk ``k+1``
+ahead while it ships chunk ``k``.
 
 A machine step carries its *declared work*: an upper bound on the
 exponentiations it does, each priced ``exponent bits x modulus
@@ -29,10 +27,11 @@ every exponent is below the modulus, so a step over ``n`` items
 declares ``n x`` :data:`_EXPS_PER_ITEM` ``x bits^3``), or ``None``
 where the core cannot bound it. The core fills it from sizes it
 holds: zero for decoding a received round; the party's values plus
-the items received so far for S's set-up (when its factory knows the
-table's size), its own-set step and a streamed round; nothing for a
-whole round or R's other steps. The asyncio shell runs a step that declares
-little in place and hops to its executor for the rest
+the items received so far for a produced round (whole or streamed),
+S's own-set step and R's answer; the party's values for its set-up,
+when its factory knows the table's size (``size``); a received chunk's
+items for the eager step on it. The asyncio shell runs a step that
+declares little in place and hops to its executor for the rest
 (:data:`repro.net.aio.INLINE_WORK`). A shell decides nothing else:
 every failure of a request -
 a timeout (``TimeoutError``), a frame that does not decode
@@ -260,8 +259,8 @@ class Now(NamedTuple):
 class Compute(NamedTuple):
     """Run ``fn()`` - a party-machine step - and resume with its result.
 
-    The blocking shell calls it in place; the asyncio shell moves it
-    off the event loop unless its declared ``work`` is small; both
+    The asyncio shell moves it off the event loop unless its declared
+    ``work`` is small; the lock-step shell calls it in place; both
     first wait out the party's pending :class:`Ahead` steps. Whatever
     ``fn`` raises is thrown in.
     """
@@ -836,7 +835,8 @@ class _Party:
         log = self.log
         if log.pending_frames is None:
             log.pending_frames = yield Compute(
-                lambda: round_frames(machine, rnd, self.chunk_size)
+                lambda: round_frames(machine, rnd, self.chunk_size),
+                self._work(machine.item_count()),
             )
         done = len(log.outbound) - log.open_round_base()
         for frame in log.pending_frames[done:]:
@@ -919,7 +919,11 @@ class _Party:
             # from its journal above are left to the round step).
             step = machine.eager(rnd, frame[2]) if is_chunk else None
             if step is not None:
-                yield Ahead(step)
+                # It works on this chunk's segment, nothing else.
+                segment = frame[2][2]
+                yield Ahead(step, self._work(
+                    len(segment) if isinstance(segment, list) else 0
+                ))
         consume = (
             machine.consume if status == "single" else machine.consume_chunks
         )
@@ -1102,9 +1106,14 @@ class ReceiverCore(_Party):
         journal: Any = None,
         chunk_size: int | None = None,
     ):
+        def make_state() -> Any:
+            return make_receiver(self._params_wire)
+
+        # A factory that knows R's table size declares its set-up.
+        make_state.size = getattr(make_receiver, "size", None)
         super().__init__(
-            protocol, lambda: make_receiver(self._params_wire),
-            config, rng, stats, recorder, journal, chunk_size,
+            protocol, make_state, config, rng, stats, recorder, journal,
+            chunk_size,
         )
         self.session_id = (
             session_id if session_id is not None else rng.getrandbits(63)
@@ -1217,8 +1226,13 @@ class ReceiverCore(_Party):
     def script(self, link: Link) -> Steps:
         """Run (or resume) the round schedule; returns the answer."""
         machine = self._ensure_machine()
-        yield Compute(machine.ensure_state)
+        yield Compute(
+            machine.ensure_state,
+            self._work(getattr(self._make_state, "size", None)),
+        )
         yield from self._walk(link, machine)
-        answer = yield Compute(machine.finish)
+        answer = yield Compute(
+            machine.finish, self._work(machine.item_count())
+        )
         self._journal_complete()
         return answer

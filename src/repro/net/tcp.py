@@ -15,15 +15,17 @@ triggering a multi-gigabyte allocation.
 
 :func:`serve_resumable_sender` / :func:`connect_resumable_receiver`
 are the one pair of drivers, each running a session core
-(:func:`repro.net.journal.open_session`): party R dials under the
-blocking shell (:func:`repro.net.session.run_blocking`); party S is
-hosted as every S is - one session on a listener that stays up for
-the run, under the asyncio shell
+(:func:`repro.net.journal.open_session`) under the one real-I/O shell,
+:func:`repro.net.aio.run_async`, on an event loop of the calling
+thread's own (R keeps its thread's loop from one query to the next;
+neither may be called from a thread whose own loop is running): party
+R dials (``TCP_NODELAY`` set); party S is hosted as every S is - one
+session on a listener that stays up for the run
 (:func:`repro.net.server.host_session`, the steps a
 :class:`~repro.net.server.ProtocolServer` runs for each of its
 sessions). Frames are checksummed and acknowledged, and whatever the
 :class:`~repro.net.session.SessionConfig` says about deadlines and
-reconnects holds (``timeout_s=math.inf`` blocks on the socket,
+reconnects holds (``timeout_s=math.inf`` waits without a deadline,
 ``max_reconnects=0`` is a one-connection run). Both take
 ``chunk_size``: when set, chunkable rounds ship as a stream of
 ``("chunk", ...)`` frames (:mod:`repro.net.serialization`) instead of
@@ -35,10 +37,14 @@ rounds, so ``chunk_size`` is a per-party local choice.
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
 import math
+import os
 import random
 import socket
 import struct
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -46,7 +52,7 @@ from ..protocols.parties import PublicParams
 from ..protocols.spec import get_spec
 from . import serialization
 from .journal import JournalDir, open_session
-from .session import SessionConfig, SessionStats, run_blocking
+from .session import SessionConfig, SessionStats
 
 __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
@@ -74,7 +80,12 @@ class FrameTooLarge(ConnectionError):
 
 @dataclass
 class SocketEndpoint:
-    """Framed, serialized messaging over a connected socket."""
+    """Framed, serialized messaging over a connected blocking socket.
+
+    The drivers speak through :class:`~repro.net.aio.AsyncFrameEndpoint`;
+    this is the same wire format for code that owns a plain socket (a
+    raw test client, a loopback measurement).
+    """
 
     sock: socket.socket
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
@@ -122,43 +133,9 @@ class SocketEndpoint:
             remaining -= len(chunk)
         return b"".join(chunks)
 
-    def settimeout(self, timeout: float | None) -> None:
-        """Deadline for subsequent socket operations (None = block)."""
-        self.sock.settimeout(timeout)
-
     def close(self) -> None:
         """Close the underlying socket."""
         self.sock.close()
-
-
-# ----------------------------------------------------------------------
-# Socket plumbing shared by the serve/connect drivers
-# ----------------------------------------------------------------------
-def _dial(
-    host: str,
-    port: int,
-    timeout: float | None,
-    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
-) -> Any:
-    """A framed connection to ``host:port`` under ``endpoint_wrapper``
-    (fault injector, recorder, ...) - one that raises leaks no socket.
-
-    Every exchange is stop-and-wait: a small sealed frame, then a wait
-    for the peer's (even smaller) ack. Nagle's algorithm holds exactly
-    those sub-MSS writes back, so the socket runs with ``TCP_NODELAY``,
-    as every connection S accepts does. See docs/PERFORMANCE.md for the
-    measured before/after.
-    """
-    sock = socket.create_connection((host, port), timeout=timeout)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    endpoint = SocketEndpoint(sock=sock)
-    if endpoint_wrapper is None:
-        return endpoint
-    try:
-        return endpoint_wrapper(endpoint)
-    except BaseException:
-        endpoint.close()
-        raise
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +226,7 @@ def connect_resumable_receiver(
     host: str,
     port: int,
     config: SessionConfig | None = None,
-    endpoint_wrapper: Callable[[SocketEndpoint], Any] | None = None,
+    endpoint_wrapper: Callable[[Any], Any] | None = None,
     engine=None,
     recorder=None,
     journal_dir: Any = None,
@@ -266,6 +243,12 @@ def connect_resumable_receiver(
     selects the batch-crypto execution strategy; ``recorder`` collects
     per-phase metrics; ``chunk_size`` streams R's chunkable outgoing
     rounds as acknowledged chunk frames (chunk-granular resume).
+    ``endpoint_wrapper`` (e.g. a
+    :class:`~repro.net.faults.FaultInjector`) wraps every dialed
+    :class:`~repro.net.aio.AsyncFrameEndpoint`. The run goes on the
+    calling thread's own event loop, kept for its next query and closed
+    when the thread ends, so a thread whose event loop is running
+    cannot call this (``RuntimeError``).
 
     With a ``journal_dir``, rounds are journaled and a restart against
     the same directory recovers the oldest incomplete receiver run for
@@ -286,18 +269,99 @@ def connect_resumable_receiver(
     spec = get_spec(protocol)
     session_rng = random.Random(rng.getrandbits(64))
     if make_receiver is None:
-        make_receiver = lambda wire: spec.make_receiver(  # noqa: E731
-            data, PublicParams.from_wire(tuple(wire)), rng, engine=engine
-        )
+        def make_receiver(wire: Any) -> Any:
+            return spec.make_receiver(
+                data, PublicParams.from_wire(tuple(wire)), rng, engine=engine
+            )
+
+        # Building R hashes its table: the core declares that work.
+        make_receiver.size = len(data) if hasattr(data, "__len__") else None
     core, answer = open_session(
         "receiver", protocol, make_receiver,
         journal_dir=_journal_dir(journal_dir, journal_fsync), config=config,
         rng=session_rng, recorder=recorder, chunk_size=chunk_size,
     )
     if answer is None:
+        from .aio import run_async
+
         timeout = None if config.timeout_s == math.inf else config.timeout_s
-        answer = run_blocking(
-            core.steps(),
-            open_link=lambda: _dial(host, port, timeout, endpoint_wrapper),
-        )
+        # The run's own executor, joined when the run ends, as
+        # ``asyncio.run`` joins its loop's: no thread outlives a query,
+        # and a query whose steps all run on the loop starts none.
+        with concurrent.futures.ThreadPoolExecutor() as executor:
+            answer = _run(run_async(
+                core.steps(),
+                lambda: _connect(host, port, timeout, endpoint_wrapper),
+                executor,
+            ))
     return answer, core.stats
+
+
+#: Party R's event loop on each thread that queries.
+_loops = threading.local()
+
+
+class _ThreadLoop:
+    """One thread's event loop, kept from one query to the next: a loop
+    built and torn down per query (``asyncio.run``) costs ~0.3 ms, a
+    tenth of a small session (docs/PERFORMANCE.md, "One real-I/O
+    shell"). Closed when its thread ends and the thread's storage goes
+    - by the process that built it: a forked child builds its own."""
+
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self.loop = asyncio.new_event_loop()
+
+    def __del__(self) -> None:
+        if os.getpid() == self.pid:
+            self.loop.close()
+
+
+def _run(coro: Any) -> Any:
+    """``coro`` to completion on this thread's own loop, as
+    ``asyncio.run`` would: a thread whose loop is running cannot call
+    it (``RuntimeError``), and a task the run leaves behind is
+    cancelled, not carried into the next query."""
+    held = getattr(_loops, "held", None)
+    if held is None or held.pid != os.getpid():
+        held = _loops.held = _ThreadLoop()
+    loop = held.loop
+    try:
+        return loop.run_until_complete(coro)
+    finally:
+        left = asyncio.all_tasks(loop)
+        for task in left:
+            task.cancel()
+        if left:
+            loop.run_until_complete(asyncio.gather(*left, return_exceptions=True))
+
+
+async def _connect(
+    host: str,
+    port: int,
+    timeout: float | None,
+    wrap: Callable[[Any], Any] | None = None,
+) -> Any:
+    """A framed connection to ``host:port`` under ``wrap`` (fault
+    injector, recorder, ...) - one that raises leaks no socket.
+
+    Every exchange is stop-and-wait: a small sealed frame, then a wait
+    for the peer's (even smaller) ack. Nagle's algorithm holds exactly
+    those sub-MSS writes back, so the socket runs with ``TCP_NODELAY``,
+    as every connection S accepts does (``server._accept``). See
+    docs/PERFORMANCE.md for the measured before/after.
+    """
+    from .aio import AsyncFrameEndpoint
+
+    reader, writer = await asyncio.wait_for(
+        asyncio.open_connection(host, port), timeout
+    )
+    endpoint = AsyncFrameEndpoint(reader, writer)
+    try:
+        writer.get_extra_info("socket").setsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+        )
+        return endpoint if wrap is None else wrap(endpoint)
+    except BaseException:
+        await endpoint.close()
+        raise

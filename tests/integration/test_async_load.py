@@ -2,8 +2,8 @@
 
 Satellite acceptance for the event-loop refactor: 100+ concurrent
 sessions through the sharded async server - each client a thread
-running the blocking :func:`~repro.net.tcp.connect_resumable_receiver`
-every user runs - asserting that no session
+running the :func:`~repro.net.tcp.connect_resumable_receiver` every
+user runs, on an event loop of its own - asserting that no session
 ever observes another's frames, journals, or results, and that
 reconnect routing keeps working while the rest of the herd is in
 flight.
@@ -31,11 +31,12 @@ from repro.net.session import (
     ClientRetryPolicy,
     RetryPolicy,
     SessionConfig,
-    run_blocking,
 )
 from repro.net.shard import ShardedProtocolServer
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import get_spec
+
+from ..net.shells import run_core
 
 BITS = 96
 SESSIONS = 104
@@ -175,23 +176,21 @@ def test_reconnect_routing_while_the_herd_is_in_flight(params):
             )
             dials = {"count": 0}
 
-            def dial():
+            async def dial():
                 dials["count"] += 1
-                endpoint = tcp._dial(
-                    "127.0.0.1", server.port, timeout=10.0
-                )
+                endpoint = await tcp._connect("127.0.0.1", server.port, 10.0)
                 if dials["count"] == 1:
-                    original_recv = endpoint.recv
+                    original_recv = endpoint.recv_within
 
-                    def recv_once_then_die():
-                        original_recv()
-                        endpoint.close()
+                    async def recv_once_then_die(timeout):
+                        await original_recv(timeout)
+                        await endpoint.close()
                         raise ConnectionError("injected drop")
 
-                    endpoint.recv = recv_once_then_die
+                    endpoint.recv_within = recv_once_then_die
                 return endpoint
 
-            answer = run_blocking(session.steps(), open_link=dial)
+            answer = run_core(session.steps(), dial)
             assert dials["count"] >= 2
             results[i] = sorted(answer)
             session_ids[i] = session.session_id

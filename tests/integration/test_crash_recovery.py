@@ -43,10 +43,11 @@ from repro.net.session import (
     RetryPolicy,
     SessionConfig,
     SessionError,
-    run_blocking,
 )
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS
+
+from ..net.shells import run_core
 
 SERVER_MAIN = Path(__file__).with_name("_server_main.py")
 FIXTURE = json.loads(
@@ -86,22 +87,19 @@ class _FrameLog:
         self._transport = transport
         self.frames = frames
 
-    def send(self, frame):
+    async def send(self, frame):
         if isinstance(frame, tuple) and frame and frame[0] == "msg":
             self.frames.setdefault(("sent", frame[1]), frame[2])
-        self._transport.send(frame)
+        await self._transport.send(frame)
 
-    def recv(self):
-        frame = self._transport.recv()
+    async def recv_within(self, timeout):
+        frame = await self._transport.recv_within(timeout)
         if isinstance(frame, tuple) and frame and frame[0] == "msg":
             self.frames.setdefault(("received", frame[1]), frame[2])
         return frame
 
-    def settimeout(self, timeout):
-        self._transport.settimeout(timeout)
-
-    def close(self):
-        self._transport.close()
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
 
 
 def _spawn_sender(name, journal_dir, port_file, stall_marker=None,
@@ -169,13 +167,15 @@ def test_sigkill_mid_run_recovers_byte_identical(name, tmp_path):
 
         def dial():
             port = int(port_file.read_text())
-            sock_endpoint = tcp._dial("127.0.0.1", port, config.timeout_s)
-            return _FrameLog(sock_endpoint, frames)
+            return tcp._connect(
+                "127.0.0.1", port, config.timeout_s,
+                lambda endpoint: _FrameLog(endpoint, frames),
+            )
 
         answer_box: dict = {}
 
         def client():
-            answer_box["answer"] = run_blocking(session.steps(), open_link=dial)
+            answer_box["answer"] = run_core(session.steps(), dial)
 
         thread = threading.Thread(target=client)
         thread.start()
@@ -304,13 +304,15 @@ def test_sigkill_mid_chunk_resumes_byte_identical(tmp_path):
 
         def dial():
             port = int(port_file.read_text())
-            sock_endpoint = tcp._dial("127.0.0.1", port, config.timeout_s)
-            return _FrameLog(sock_endpoint, frames)
+            return tcp._connect(
+                "127.0.0.1", port, config.timeout_s,
+                lambda endpoint: _FrameLog(endpoint, frames),
+            )
 
         answer_box: dict = {}
 
         def client():
-            answer_box["answer"] = run_blocking(session.steps(), open_link=dial)
+            answer_box["answer"] = run_core(session.steps(), dial)
 
         thread = threading.Thread(target=client)
         thread.start()

@@ -112,7 +112,7 @@ def test_budget_exhaustion_is_contained_to_the_failed_shard(tmp_path):
                 ("127.0.0.1", server.port), timeout=5.0
             )
             endpoint = tcp.SocketEndpoint(sock=sock)
-            endpoint.settimeout(5.0)
+            endpoint.sock.settimeout(5.0)
             endpoint.send(
                 seal("hello", SESSION_VERSION, "intersection",
                      session_id, 0, 0)
@@ -133,7 +133,8 @@ def test_budget_exhaustion_is_contained_to_the_failed_shard(tmp_path):
         # A full client run on the healthy shard completes end to end.
         from repro.protocols.spec import get_spec
         from repro.net.journal import open_session
-        from repro.net.session import run_blocking
+
+        from ..net.shells import run_core
 
         session, _ = open_session(
             "receiver", "intersection",
@@ -146,9 +147,8 @@ def test_budget_exhaustion_is_contained_to_the_failed_shard(tmp_path):
             rng=random.Random(3),
             session_id=11,  # odd: shard 1
         )
-        answer = run_blocking(
-            session.steps(),
-            open_link=lambda: tcp._dial("127.0.0.1", server.port, timeout=5.0),
+        answer = run_core(
+            session.steps(), lambda: tcp._connect("127.0.0.1", server.port, 5.0)
         )
         assert sorted(answer) == ["b", "c"]
     states = {r["shard"]: r["state"] for r in server.drain_report}

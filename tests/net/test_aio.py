@@ -2,7 +2,7 @@
 
 The properties that make the event-loop stack safe to put under the
 byte-exact session layer: framing round-trips, a receive timeout never
-desynchronizes the stream (the pending-read pattern), the loop thread
+desynchronizes the stream (the read is cancel-safe), the loop thread
 runs coroutines for synchronous callers, and the asyncio shell runs
 ``Ahead`` steps - a chunk stream's pulls among them - as the core
 expects: each machine step on the loop or on the executor by the work
@@ -26,7 +26,7 @@ from repro.net.journal import open_session
 from repro.net.serialization import encode
 from repro.net.streaming import DONE, TimedIterator
 from repro.net.session import SessionConfig, RetryPolicy
-from repro.net.session_core import Ahead, Compute
+from repro.net.session_core import Ahead, Compute, Sleep
 from repro.net.tcp import FrameTooLarge
 from repro.net.virtual import Party
 from repro.protocols.parties import PublicParams
@@ -121,10 +121,10 @@ class TestAsyncFrameEndpoint:
         """A timed-out read resumes where it left off.
 
         The server sends a frame's header, stalls past the client's
-        timeout, then sends the payload. Cancelling the read on timeout
-        would strand the payload as a phantom next frame; the pending
-        pattern must instead deliver the whole frame to the *next*
-        receive call.
+        timeout, then sends the payload. A read cancelled on timeout
+        that forgot the header would strand the payload as a phantom
+        next frame; the endpoint keeps the header's length instead, and
+        the *next* receive call delivers the whole frame.
         """
         payload = encode(("slow", "frame"))
         release = asyncio.Event()
@@ -149,6 +149,28 @@ class TestAsyncFrameEndpoint:
             return frame
 
         assert _run(scenario()) == ("slow", "frame")
+
+
+    def test_a_cancel_from_outside_is_no_timeout(self):
+        """A receive cancelled by its caller's owner (a reaper, a drain)
+        ends in ``CancelledError``, not in the timeout it runs under."""
+        async def scenario():
+            async def handle(reader, writer):
+                await reader.read()  # says nothing until the client goes
+                writer.close()
+
+            server, port = await _echo_server(handle)
+            ep = await _dial(port)
+            receive = asyncio.ensure_future(ep.recv_within(5.0))
+            await asyncio.sleep(0.05)
+            receive.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await receive
+            await ep.close()
+            server.close()
+            await server.wait_closed()
+
+        _run(scenario())
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +282,50 @@ class TestRunAsyncAhead:
         assert ran == ["slow"]
 
 
+    def test_the_chain_does_not_wait_for_a_busy_loop(self):
+        """The second of two offloaded steps starts as the first ends,
+        not when the loop next runs: a 50 ms synchronous callback holding
+        the loop does not hold it back."""
+        starts, block = {}, {}
+
+        def step(tag):
+            return lambda: starts.setdefault(tag, time.perf_counter())
+
+        def hold_the_loop():
+            block["start"] = time.perf_counter()
+            time.sleep(0.05)
+            block["end"] = time.perf_counter()
+
+        def body():
+            yield Ahead(step("first"), HEAVY)
+            yield Ahead(step("second"), HEAVY)
+            asyncio.get_running_loop().call_soon(hold_the_loop)
+            yield Sleep(0.01)
+            yield Compute(lambda: None, 0)
+
+        _run(run_async(body(), None))
+        assert starts["first"] <= starts["second"] < block["end"]
+
+    def test_a_run_of_light_steps_starts_no_thread(self, monkeypatch):
+        """Steps that declare little run on the loop, and the run starts
+        no executor thread for them."""
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+
+        def body():
+            yield Ahead(lambda: None, 0)
+            return (yield Compute(lambda: 41, 0)) + 1
+
+        assert _run(run_async(body(), None)) == 42
+        assert started == []
+
+
 class TestRunAsyncPlacement:
     """Where the asyncio shell runs a machine step: on the loop when its
     declared work is at most ``INLINE_WORK``, on the executor when it
@@ -337,7 +403,8 @@ class TestRunAsyncPlacement:
 
 
 # ----------------------------------------------------------------------
-# One core, two shells: party R over a socket and in lock-step is one client
+# One core, two shells: party R on a loop over a socket and in lock-step
+# is one client
 # ----------------------------------------------------------------------
 class _TapAndCutOnce:
     """Server-side endpoint wrapper (around the asyncio endpoint S
@@ -362,9 +429,9 @@ class _TapAndCutOnce:
 
 
 class TestShellParity:
-    def test_blocking_and_lock_step_clients_send_the_same_bytes(self, params):
+    def test_asyncio_and_lock_step_clients_send_the_same_bytes(self, params):
         """Same seed, one forced mid-round disconnect: party R under the
-        blocking shell over a socket and under the lock-step shell puts
+        asyncio shell over a socket and under the lock-step shell puts
         identical bytes on the wire and counts identical stats - the
         resume hello carries the frames *attempted* (2 of the 4
         computed), and the one replayed chunk counts as replayed and
@@ -447,13 +514,13 @@ class TestShellParity:
             assert r.error is None and s.error is None and cut == ["cut"]
             return outcome(r.result, sent, receiver.stats)
 
-        batches = {"blocking": [], "lock-step": []}
-        blocking = over_a_socket(batches["blocking"])
+        batches = {"asyncio": [], "lock-step": []}
+        on_a_loop = over_a_socket(batches["asyncio"])
         in_lock_step = lock_step(batches["lock-step"])
-        assert blocking[0] == in_lock_step[0] == ["b", "c"]
-        assert blocking[1] == in_lock_step[1]
-        assert blocking[2] == in_lock_step[2]
-        assert (blocking[2]["reconnects"], blocking[2]["replayed_frames"],
-                blocking[2]["rounds_resumed"]) == (1, 1, 1)
-        assert batches["blocking"] == batches["lock-step"]
-        assert batches["blocking"] == [len(v_r), 2, 1]  # Y_R; Y_S chunk by chunk
+        assert on_a_loop[0] == in_lock_step[0] == ["b", "c"]
+        assert on_a_loop[1] == in_lock_step[1]
+        assert on_a_loop[2] == in_lock_step[2]
+        assert (on_a_loop[2]["reconnects"], on_a_loop[2]["replayed_frames"],
+                on_a_loop[2]["rounds_resumed"]) == (1, 1, 1)
+        assert batches["asyncio"] == batches["lock-step"]
+        assert batches["asyncio"] == [len(v_r), 2, 1]  # Y_R; Y_S chunk by chunk

@@ -52,31 +52,8 @@ def _tables(protocol):
 
 
 class _RecordingTransport:
-    """Wraps a framed transport; logs every message in arrival order."""
-
-    def __init__(self, transport, log):
-        self._transport = transport
-        self.log = log
-
-    def send(self, message):
-        self.log.append(("sent", message))
-        self._transport.send(message)
-
-    def recv(self):
-        message = self._transport.recv()
-        self.log.append(("received", message))
-        return message
-
-    def settimeout(self, timeout):
-        self._transport.settimeout(timeout)
-
-    def close(self):
-        self._transport.close()
-
-
-class _AsyncRecordingTransport:
-    """:class:`_RecordingTransport` for a connection S accepts (an
-    :class:`~repro.net.aio.AsyncFrameEndpoint`)."""
+    """Wraps a framed endpoint (an :class:`~repro.net.aio.AsyncFrameEndpoint`
+    R dials or S accepts); logs every message in arrival order."""
 
     def __init__(self, transport, log):
         self._transport = transport
@@ -88,7 +65,7 @@ class _AsyncRecordingTransport:
 
     async def recv_within(self, timeout):
         # What the session reads, the hello it is handed back included
-        # (the host's own read of it comes through ``__getattr__``).
+        # (a host's own read of it comes through ``__getattr__``).
         message = await self._transport.recv_within(timeout)
         self.log.append(("received", message))
         return message
@@ -98,22 +75,16 @@ class _AsyncRecordingTransport:
 
 
 def _record(monkeypatch, opener, log):
-    """Record every frame of the links a party opens (``"_dial"``: the
-    client's, ``tcp._dial``; ``"_accept"``: the server's,
+    """Record every frame of the links a party opens (``"_connect"``:
+    the client's, ``tcp._connect``; ``"_accept"``: the server's,
     ``server._accept``)."""
-    if opener == "_dial":
-        dial = tcp._dial
-        monkeypatch.setattr(
-            tcp, "_dial",
-            lambda *a, **k: _RecordingTransport(dial(*a, **k), log),
-        )
-        return
-    accept = server._accept
+    module = tcp if opener == "_connect" else server
+    open_link = getattr(module, opener)
 
-    async def accept_recording(*args, **kwargs):
-        return _AsyncRecordingTransport(await accept(*args, **kwargs), log)
+    async def recording(*args, **kwargs):
+        return _RecordingTransport(await open_link(*args, **kwargs), log)
 
-    monkeypatch.setattr(server, "_accept", accept_recording)
+    monkeypatch.setattr(module, opener, recording)
 
 
 def _one_shot(protocol, v_r, v_s):
@@ -171,9 +142,9 @@ class TestGoldenParity:
         v_r, v_s = _tables(protocol)
         one_shot_log, catalog_log = [], []
         with monkeypatch.context() as patch:
-            _record(patch, "_dial", one_shot_log)
+            _record(patch, "_connect", one_shot_log)
             connected, _ = _one_shot(protocol, v_r, v_s)
-        _record(monkeypatch, "_dial", catalog_log)
+        _record(monkeypatch, "_connect", catalog_log)
         result, _ = _catalog_query(protocol, v_r, v_s)
 
         assert result.mode == "full"

@@ -10,7 +10,8 @@ yields with a declared ``work`` is wrapped to count the
 exponentiations run under it (a step's only, since one party's steps
 never overlap and R computes on its own engine), and each counted
 exponentiation is priced at ``bits**3`` - at least its real
-``exponent bits x modulus bits^2``.
+``exponent bits x modulus bits^2``. Party R of each base protocol is
+audited the same way on its own loop.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import random
 import pytest
 
 from repro.crypto.engine import MeteredEngine, SerialEngine
+from repro.net import aio
 from repro.net import server as server_module
 from repro.net import tcp
 from repro.net.server import ProtocolOffer, ProtocolServer
@@ -147,6 +149,45 @@ def test_a_full_query_declares_at_least_what_s_computes(
     assert all(used for name, _, used in log.rows if name == "_Machine.warm")
     if chunk_size is not None and PROTOCOLS[protocol].rounds[1].chunk_step:
         assert sum(used for name, _, used in log.rows if name == PULL)
+
+
+@pytest.mark.parametrize("chunk_size", [None, 2])
+@pytest.mark.parametrize("protocol", BASES)
+def test_a_full_query_declares_at_least_what_r_computes(
+    monkeypatch, params, protocol, chunk_size
+):
+    """Party R's core declares its set-up (its table's size), its whole
+    rounds, the eager step on each ``Y_S`` chunk and its answer - each
+    at least what R's engine does under it."""
+    r_data, s_data = golden._chunk_inputs(protocol)
+    log = _WorkLog(BITS)
+    run_async = aio.run_async
+    monkeypatch.setattr(
+        aio, "run_async",
+        lambda steps, dial, executor=None: run_async(
+            log.audited(steps), dial, executor
+        ),
+    )
+    offer = ProtocolOffer.from_data(protocol, s_data, params, seed="S")
+    with ProtocolServer(
+        [offer], config=_config(), chunk_size=chunk_size
+    ) as server:
+        answer, _ = tcp.connect_resumable_receiver(
+            protocol, r_data, random.Random("R"), "127.0.0.1", server.port,
+            config=_config(), chunk_size=chunk_size,
+            engine=MeteredEngine(SerialEngine(), log.modexps.append),
+        )
+        assert server.wait_for_sessions(1, timeout=10)
+    assert answer == _in_memory(protocol, r_data, s_data, params)
+    _assert_bounded(log)
+    declared = {name for name, _, _ in log.rows}
+    assert {"_Machine.ensure_state", "ReceiverMachine.finish"} <= declared
+    # R's opening round really was exponentiated under its declaration.
+    whole = "_Party._produce_whole.<locals>.<lambda>"
+    assert sum(used for name, _, used in log.rows if name == whole)
+    if chunk_size is not None and PROTOCOLS[protocol].rounds[1].eager:
+        eager = "_Machine.eager.<locals>.run"
+        assert sum(used for name, _, used in log.rows if name == eager)
 
 
 @pytest.mark.parametrize("protocol", BASES)

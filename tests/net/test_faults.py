@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import random
 import socket
 
@@ -14,6 +15,7 @@ from repro.net.faults import (
     FaultyEndpoint,
     corrupt_message,
 )
+from repro.net.aio import AsyncFrameEndpoint
 from repro.net.tcp import SocketEndpoint
 
 
@@ -194,13 +196,16 @@ class TestSocketDisconnect:
     def test_mid_frame_cut_truncates_read(self):
         """The peer of a disconnect fault observes a half-sent frame."""
         raw_a, raw_b = socket.socketpair()
-        a = FaultyEndpoint(
-            SocketEndpoint(sock=raw_a),
-            FaultPlan(seed=0, disconnect_rate=1.0),
-        )
+
+        async def cut():
+            a = FaultInjector(FaultPlan(seed=0, disconnect_rate=1.0)).wrap(
+                AsyncFrameEndpoint(*await asyncio.open_connection(sock=raw_a))
+            )
+            with pytest.raises(ConnectionError, match="mid-frame"):
+                await a.send(("payload", b"x" * 64))
+
+        asyncio.run(cut())
         b = SocketEndpoint(sock=raw_b)
-        with pytest.raises(ConnectionError, match="mid-frame"):
-            a.send(("payload", b"x" * 64))
         with pytest.raises(ConnectionError, match="mid-frame"):
             b.recv()
         b.close()
@@ -212,7 +217,7 @@ class TestSocketDisconnect:
         a.send([1, 2, 3])
         assert b.recv() == [1, 2, 3]
         assert a.bytes_sent > 0 and b.bytes_received == a.bytes_sent
-        b.settimeout(0.01)
+        raw_b.settimeout(0.01)
         with pytest.raises((TimeoutError, OSError)):
             b.recv()
         a.close()

@@ -25,8 +25,7 @@ from repro.net.journal import (
     replay_state,
 )
 from repro.net.serialization import encode, seal
-from repro.net.session import RetryPolicy, SessionConfig, run_blocking
-from repro.net.tcp import SocketEndpoint
+from repro.net.session import RetryPolicy, SessionConfig
 from repro.protocols.parties import (
     PublicParams,
     ReceiverMachine,
@@ -35,6 +34,7 @@ from repro.protocols.parties import (
 from repro.protocols.spec import PROTOCOLS
 
 from .test_catalog_cache import _sealed
+from .shells import run_core
 from .test_catalog_durability import CountingIO
 
 BITS = 128
@@ -473,17 +473,15 @@ def test_recovered_pair_completes_the_run(tmp_path, params):
     raw_s, raw_r = socket.socketpair()
     raw_s.settimeout(10.0)
     raw_r.settimeout(10.0)
-    connections = iter([SocketEndpoint(sock=raw_s)])
+    connections = iter([raw_s])
     box = {}
     thread = threading.Thread(
         target=lambda: box.update(
-            state=run_blocking(sender_session.steps(), open_link=connections.__next__)
+            state=run_core(sender_session.steps(), connections.__next__)
         )
     )
     thread.start()
-    answer = run_blocking(
-        receiver_session.steps(), open_link=lambda: SocketEndpoint(sock=raw_r)
-    )
+    answer = run_core(receiver_session.steps(), lambda: raw_r)
     thread.join(timeout=10)
     assert not thread.is_alive()
 
@@ -523,16 +521,12 @@ def test_fresh_journaled_sessions_rotate_on_completion(tmp_path, params):
     raw_s, raw_r = socket.socketpair()
     raw_s.settimeout(10.0)
     raw_r.settimeout(10.0)
-    connections = iter([SocketEndpoint(sock=raw_s)])
+    connections = iter([raw_s])
     thread = threading.Thread(
-        target=lambda: run_blocking(
-            sender_session.steps(), open_link=connections.__next__
-        )
+        target=lambda: run_core(sender_session.steps(), connections.__next__)
     )
     thread.start()
-    answer = run_blocking(
-        receiver_session.steps(), open_link=lambda: SocketEndpoint(sock=raw_r)
-    )
+    answer = run_core(receiver_session.steps(), lambda: raw_r)
     thread.join(timeout=10)
     assert not thread.is_alive()
 

@@ -12,8 +12,8 @@ On the lock-step shell (one thread, no clock) the *order of requests*
 is the whole observable, so the first half asserts exactly that, plus
 the exponentiation counts - clean, and through a reconnect in the
 middle of ``Y_S``. The second half is the one place a wall clock is
-read: the blocking shell over a socketpair with an engine that
-*sleeps* per exponentiation (sleep releases the GIL, so the test shows
+read: the asyncio shell, each party on a loop of its own, over a
+socketpair with an engine that *sleeps* per exponentiation (sleep releases the GIL, so the test shows
 scheduling, not cores).
 """
 
@@ -29,7 +29,7 @@ import pytest
 
 from repro.crypto.engine import MeteredEngine, SerialEngine
 from repro.net.serialization import decode, encode, is_chunk_end, is_chunk_frame
-from repro.net.session import SessionStats, run_blocking, seal, unseal
+from repro.net.session import SessionStats, seal, unseal
 from repro.net.streaming import TimedIterator
 from repro.net.session_core import (
     Ahead,
@@ -39,11 +39,11 @@ from repro.net.session_core import (
     Send,
     SenderCore,
 )
-from repro.net.tcp import SocketEndpoint
 from repro.protocols.messages import ProtocolViolation
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS, get_spec
 
+from .shells import run_core
 from .test_session_core import CONFIG, Sim, _Scripted
 
 PARAMS = PublicParams.for_bits(64)
@@ -403,11 +403,11 @@ def test_a_wrong_chunk_fails_where_and_how_it_always_did(body, error, where):
 
 
 # ----------------------------------------------------------------------
-# (b) the blocking shell really overlaps: a sleeping engine
+# (b) the asyncio shell really overlaps: a sleeping engine
 # ----------------------------------------------------------------------
 class _SleepingEngine(SerialEngine):
     """1 ms of *sleep* per exponentiation, summed per party: the sleep
-    releases the GIL, so two parties (and a party's worker thread)
+    releases the GIL, so two parties (and a party's executor thread)
     overlap exactly as far as the shell schedules them to."""
 
     PER_MODEXP_S = 1e-3
@@ -424,7 +424,7 @@ class _SleepingEngine(SerialEngine):
         return out
 
 
-def test_blocking_shell_overlaps_the_parties_under_a_sleeping_engine():
+def test_asyncio_shell_overlaps_the_parties_under_a_sleeping_engine():
     """n = 200 per side, chunks of 25: serial is 4n ms of engine time.
     With S's own set under R's round 1 and R's ``Y_S`` under S's
     answers, the query takes about half of it; the parent, where every
@@ -450,21 +450,18 @@ def test_blocking_shell_overlaps_the_parties_under_a_sleeping_engine():
         CONFIG, random.Random(8), SessionStats(), chunk_size=chunk,
     )
     left, right = socket.socketpair()
-    ends = {"R": SocketEndpoint(sock=left), "S": SocketEndpoint(sock=right)}
     outcome = {}
 
     def serve():
         try:
-            outcome["S"] = run_blocking(
-                sender.steps(), open_link=lambda: ends["S"]
-            )
+            outcome["S"] = run_core(sender.steps(), lambda: right)
         except BaseException as exc:  # reported by the assertion below
             outcome["S"] = exc
 
     server = threading.Thread(target=serve, daemon=True)
     start = time.perf_counter()
     server.start()
-    answer = run_blocking(receiver.steps(), open_link=lambda: ends["R"])
+    answer = run_core(receiver.steps(), lambda: left)
     wall_s = time.perf_counter() - start
     server.join(timeout=30)
     assert not server.is_alive()

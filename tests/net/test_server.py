@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 import gc
 import random
 import signal
@@ -35,12 +36,13 @@ from repro.net.session import (
     ServerBusyError,
     SessionConfig,
     SessionStats,
-    run_blocking,
     seal,
     unseal,
 )
 from repro.protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from repro.protocols.spec import PROTOCOLS
+
+from .shells import run_core
 
 BITS = 128
 N = 12
@@ -119,7 +121,7 @@ def _watch_executor(server):
 
 
 def _expect_frame(endpoint, tag, timeout=5.0):
-    endpoint.settimeout(timeout)
+    endpoint.sock.settimeout(timeout)
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         fields = unseal(endpoint.recv())
@@ -180,9 +182,9 @@ def test_four_concurrent_protocols_and_busy_rejection(params):
                     rng=random.Random(i),
                     session_id=sid,
                 )
-                answers[protocol] = run_blocking(
+                answers[protocol] = run_core(
                     session.steps(),
-                    open_link=lambda: tcp._dial("127.0.0.1", server.port, 2.0),
+                    lambda: tcp._connect("127.0.0.1", server.port, 2.0),
                 )
             threads.append(threading.Thread(target=run))
         for holder in holders:
@@ -226,9 +228,9 @@ def test_reconnect_routes_to_owning_session(params):
             rng=random.Random(3),
             session_id=0xBEEF,
         )
-        answer = run_blocking(
+        answer = run_core(
             session.steps(),
-            open_link=lambda: tcp._dial("127.0.0.1", server.port, 2.0),
+            lambda: tcp._connect("127.0.0.1", server.port, 2.0),
         )
         assert answer == {f"c{i}" for i in range(N // 2)}
     finally:
@@ -298,9 +300,9 @@ def test_two_sessions_of_one_offer_share_no_key(params, server_class):
             config=_config(), rng=random.Random(session_id),
             session_id=session_id,
         )
-        answer = run_blocking(
+        answer = run_core(
             core.steps(),
-            open_link=lambda: tcp._dial("127.0.0.1", port, timeout=5.0),
+            lambda: tcp._connect("127.0.0.1", port, 5.0),
         )
         assert answer == {f"c{i}" for i in range(N // 2)}
         (m1,), (m2,) = core.log.outbound, core.log.inbound
@@ -435,9 +437,9 @@ def test_server_recovers_journaled_session_for_unknown_id(
             ),
             journal_dir=jdir, config=_config(),
         )
-        answer = run_blocking(
+        answer = run_core(
             client.steps(),
-            open_link=lambda: tcp._dial("127.0.0.1", server.port, 2.0),
+            lambda: tcp._connect("127.0.0.1", server.port, 2.0),
         )
         assert answer == expected
     finally:
@@ -533,9 +535,9 @@ def _quarantine_round_trip(tmp_path, params, damage):
             rng=random.Random(5),
             session_id=sid,
         )
-        answer = run_blocking(
+        answer = run_core(
             session.steps(),
-            open_link=lambda: tcp._dial("127.0.0.1", server.port, 2.0),
+            lambda: tcp._connect("127.0.0.1", server.port, 2.0),
         )
         assert answer == {f"c{i}" for i in range(N // 2)}
     finally:
@@ -559,18 +561,12 @@ class _SlowSendTransport:
         self._transport = transport
         self._delay_s = delay_s
 
-    def send(self, message):
-        time.sleep(self._delay_s)
-        self._transport.send(message)
+    async def send(self, message):
+        await asyncio.sleep(self._delay_s)
+        await self._transport.send(message)
 
-    def recv(self):
-        return self._transport.recv()
-
-    def settimeout(self, timeout):
-        self._transport.settimeout(timeout)
-
-    def close(self):
-        self._transport.close()
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
 
 
 def test_idle_reaper_spares_a_session_actively_exchanging_rounds(params):
@@ -601,11 +597,10 @@ def test_idle_reaper_spares_a_session_actively_exchanging_rounds(params):
             session_id=0xA11CE,
         )
         start = time.monotonic()
-        answer = run_blocking(
-            session.steps(), open_link=lambda: _SlowSendTransport(
-                tcp._dial("127.0.0.1", server.port, 5.0), 0.3
-            )
-        )
+        answer = run_core(session.steps(), lambda: tcp._connect(
+            "127.0.0.1", server.port, 5.0,
+            lambda endpoint: _SlowSendTransport(endpoint, 0.3),
+        ))
         # The run really did outlive the idle window on one connection.
         assert time.monotonic() - start > idle_timeout_s
         assert answer == expected
@@ -654,7 +649,7 @@ def test_hello_must_come_within_the_prehello_allowance(params, garbled, served):
         for _ in range(garbled):
             endpoint.send(("hello", "garbled", "no-seal"))
         endpoint.send(seal("hello", SESSION_VERSION, "intersection", 7, 0, 0))
-        endpoint.settimeout(5.0)
+        endpoint.sock.settimeout(5.0)
         if served:
             assert unseal(endpoint.recv())[0] == "welcome"
         else:
@@ -700,9 +695,9 @@ def test_metadata_only_stub_journal_restarts_fresh(tmp_path, params):
             session_id=sid,
             chunk_size=1,
         )
-        answer = run_blocking(
+        answer = run_core(
             session.steps(),
-            open_link=lambda: tcp._dial("127.0.0.1", server.port, 2.0),
+            lambda: tcp._connect("127.0.0.1", server.port, 2.0),
         )
     finally:
         server.shutdown(drain_timeout_s=2.0)
@@ -746,10 +741,38 @@ def test_a_herd_small_shaped_session_submits_nothing_to_the_executor(
     assert submitted.names == []
 
 
-def test_a_1024_bit_session_of_hundreds_still_hops_for_its_heavy_steps():
+def test_a_1024_bit_session_of_hundreds_still_hops_for_its_heavy_steps(
+    monkeypatch,
+):
     """1024 bits, |V| = 300, ``chunk_size=64``: building S, S's own set
     and every chunk of the streamed ``m2`` go to the executor; decoding
-    ``m1`` (zero work) and building the session stay on the loop."""
+    ``m1`` (zero work) and building the session stay on the loop. The
+    offloaded ``Ahead`` steps run one after another in chain jobs
+    (``_AheadChain._drain``), so the steps are logged where they run."""
+    from repro.net.streaming import TimedIterator
+    from repro.protocols.parties import _Machine
+
+    ran, inside = [], threading.local()  # outermost steps only
+
+    def logging(real):
+        @functools.wraps(real)
+        def logged(self):
+            if getattr(inside, "step", False):
+                return real(self)
+            if threading.current_thread().name.startswith("repro-session"):
+                ran.append(real.__qualname__)
+            inside.step = True
+            try:
+                return real(self)
+            finally:
+                inside.step = False
+
+        return logged
+
+    for owner, name in (
+        (_Machine, "ensure_state"), (_Machine, "warm"), (TimedIterator, "pull"),
+    ):
+        monkeypatch.setattr(owner, name, logging(getattr(owner, name)))
     params = PublicParams.for_bits(1024)
     v_s = [f"s{i}" for i in range(200)] + [f"c{i}" for i in range(100)]
     v_r = [f"r{i}" for i in range(200)] + [f"c{i}" for i in range(100)]
@@ -768,10 +791,13 @@ def test_a_1024_bit_session_of_hundreds_still_hops_for_its_heavy_steps():
         server.shutdown(drain_timeout_s=2.0)
     assert answer == {f"c{i}" for i in range(100)}
     # Five Y_S and five pair chunks, then the pull that finds the end.
-    assert submitted.names == (
+    assert ran == (
         ["_Machine.ensure_state", "_Machine.warm"]
         + ["TimedIterator.pull"] * 11
     )
+    assert set(submitted.names) == {
+        "_Machine.ensure_state", "_AheadChain._drain",
+    }
 
 
 # ----------------------------------------------------------------------
@@ -841,20 +867,14 @@ class _GarbleFirstHello:
     def __init__(self, endpoint):
         self.endpoint, self.garbled = endpoint, False
 
-    def send(self, message):
+    async def send(self, message):
         if not self.garbled:
             self.garbled = True
-            self.endpoint.send((message[0], 99, *message[2:]))
-        self.endpoint.send(message)
+            await self.endpoint.send((message[0], 99, *message[2:]))
+        await self.endpoint.send(message)
 
-    def recv(self):
-        return self.endpoint.recv()
-
-    def settimeout(self, timeout):
-        self.endpoint.settimeout(timeout)
-
-    def close(self):
-        self.endpoint.close()
+    def __getattr__(self, name):
+        return getattr(self.endpoint, name)
 
 
 def test_garbled_frames_before_a_routed_hello_count_as_checksum_failures(

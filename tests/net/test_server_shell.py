@@ -18,6 +18,7 @@ frame timeout. Real time, short windows - no clock is faked.
 from __future__ import annotations
 
 import random
+import socket
 import threading
 import time
 
@@ -68,23 +69,17 @@ class _TapAndHangUpOnce:
         self.endpoint, self.log, self.state = endpoint, log, state
         self.cut_seq = cut_seq
 
-    def recv(self):
-        frame = self.endpoint.recv()
+    async def recv_within(self, timeout):
+        frame = await self.endpoint.recv_within(timeout)
         self.log.append(encode(frame))
         if not self.state and frame[:2] == ("msg", self.cut_seq):
             self.state.append("cut")
-            self.endpoint.close()
+            await self.endpoint.close()
             raise ConnectionResetError("forced mid-round disconnect")
         return frame
 
-    def send(self, message):
-        self.endpoint.send(message)
-
-    def settimeout(self, timeout):
-        self.endpoint.settimeout(timeout)
-
-    def close(self):
-        self.endpoint.close()
+    def __getattr__(self, name):
+        return getattr(self.endpoint, name)
 
 
 class _LoseOnce:
@@ -251,7 +246,9 @@ class TestSenderShellParity:
 
 def _hello(port, session_id):
     """A raw client that says a valid hello and nothing else."""
-    endpoint = tcp._dial("127.0.0.1", port, 5.0)
+    endpoint = tcp.SocketEndpoint(
+        sock=socket.create_connection(("127.0.0.1", port), timeout=5.0)
+    )
     endpoint.send(
         seal("hello", SESSION_VERSION, "intersection", session_id, 0, 0)
     )

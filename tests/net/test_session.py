@@ -6,7 +6,6 @@ import os
 import random
 import socket
 import threading
-import time
 
 import pytest
 
@@ -24,13 +23,14 @@ from repro.net.session import (
     SessionStats,
     WorkerLost,
     refusal_retry_hint_s,
-    run_blocking,
     seal,
     unseal,
 )
-from repro.net.session_core import OPEN, Ahead, Compute, Link
+from repro.net.session_core import Link
 from repro.net.tcp import SocketEndpoint
 from repro.protocols.parties import PublicParams
+
+from .shells import KeptLink, run_core
 
 
 class TestSeal:
@@ -85,14 +85,15 @@ class TestRetryPolicy:
         assert a == b
 
 
-class _BlockingLink(Link):
-    """A core link whose verbs run to completion on one transport."""
+class _ShellLink(Link):
+    """A core link whose verbs each run to completion under the asyncio
+    shell, on one loop and one endpoint."""
 
     def send(self, payload):
-        run_blocking(super().send(payload), self.transport)
+        self.shell.run(super().send(payload))
 
     def recv(self):
-        return run_blocking(super().recv(), self.transport)
+        return self.shell.run(super().recv())
 
 
 def _endpoint_pair(timeout_s=0.5, max_attempts=3):
@@ -105,8 +106,8 @@ def _endpoint_pair(timeout_s=0.5, max_attempts=3):
         retry=RetryPolicy(max_attempts=max_attempts, base_delay_s=0.01,
                           max_delay_s=0.02),
     )
-    session_side = _BlockingLink(config, SessionStats(), random.Random(0))
-    session_side.transport = SocketEndpoint(sock=raw_a)
+    session_side = _ShellLink(config, SessionStats(), random.Random(0))
+    session_side.shell = KeptLink(raw_a)
     return session_side, SocketEndpoint(sock=raw_b)
 
 
@@ -202,7 +203,7 @@ def _handshake_config():
 
 def _handshake(server, transport):
     """One handshake on an already-open transport."""
-    return run_blocking(server.handshake(), transport)
+    return run_core(server.handshake(), transport=transport)
 
 
 class TestHandshake:
@@ -221,7 +222,7 @@ class TestHandshake:
         client = SocketEndpoint(sock=raw_b)
         client.send(seal("hello", 99, "intersection", 1, 0, 0))
         with pytest.raises(HandshakeError, match="version"):
-            _handshake(server, SocketEndpoint(sock=raw_a))
+            _handshake(server, raw_a)
         reject = unseal(client.recv())
         assert reject[0] == "reject"
 
@@ -235,7 +236,7 @@ class TestHandshake:
             seal("hello", SESSION_VERSION, "equijoin", 1, 0, 0)
         )
         with pytest.raises(HandshakeError, match="protocol|equijoin"):
-            _handshake(server, SocketEndpoint(sock=raw_a))
+            _handshake(server, raw_a)
         assert unseal(client.recv())[0] == "reject"
 
     def test_valid_hello_answered_with_welcome(self):
@@ -245,7 +246,7 @@ class TestHandshake:
         server = self._server_session()
         client = SocketEndpoint(sock=raw_b)
         client.send(seal("hello", SESSION_VERSION, "intersection", 77, 0, 0))
-        endpoint, next_recv = _handshake(server, SocketEndpoint(sock=raw_a))
+        endpoint, next_recv = _handshake(server, raw_a)
         assert next_recv == 0
         welcome = unseal(client.recv())
         assert welcome[0] == "welcome"
@@ -261,7 +262,7 @@ class TestHandshake:
         client = SocketEndpoint(sock=raw_b)
         client.send(seal("hello", SESSION_VERSION, "intersection", 1, 0, 5))
         with pytest.raises(SessionError, match="cursor"):
-            _handshake(server, SocketEndpoint(sock=raw_a))
+            _handshake(server, raw_a)
 
     def test_garbled_hello_absorbed_then_accepted(self):
         """A corrupted hello does not kill the connection: the server
@@ -274,7 +275,7 @@ class TestHandshake:
         good = seal("hello", SESSION_VERSION, "intersection", 5, 0, 0)
         client.send((good[0], 99, *good[2:]))  # fails the checksum
         client.send(good)
-        _endpoint, next_recv = _handshake(server, SocketEndpoint(sock=raw_a))
+        _endpoint, next_recv = _handshake(server, raw_a)
         assert next_recv == 0
         assert server.stats.checksum_failures == 1
 
@@ -408,8 +409,8 @@ class TestResumableEndToEnd:
     ):
         """S welcomes a client, starts its own-set step in the
         background, and the client never speaks again: the run gives
-        up holding no ``*.wal`` handle, and the worker it abandons is a
-        daemon that ends on its own - nothing a process exit waits for."""
+        up holding no ``*.wal`` handle, and no thread of the run outlives
+        it - nothing a process exit waits for."""
         from repro.net.tcp import serve_resumable_sender
 
         def hello_then_vanish(port):
@@ -433,10 +434,6 @@ class TestResumableEndToEnd:
         held = [os.path.realpath(f"/proc/self/fd/{fd}") for fd in os.listdir("/proc/self/fd")]
         assert [p for p in held if p.startswith(str(tmp_path))] == []
         assert list(tmp_path.glob("sender-intersection-*.wal"))
-        assert all(t.daemon for t in _ahead_threads())
-        for worker in _ahead_threads():
-            worker.join(timeout=10)
-            assert not worker.is_alive()
         assert [
             t for t in threading.enumerate()
             if not t.daemon and t is not threading.main_thread()
@@ -473,95 +470,8 @@ class TestResumableEndToEnd:
                 endpoint_wrapper=wrapper,
             )
         dialed, accepted = handed
-        assert dialed.sock.fileno() == -1
+        assert dialed.writer.get_extra_info("socket").fileno() == -1
         assert accepted.writer.get_extra_info("socket").fileno() == -1
-
-
-# ----------------------------------------------------------------------
-# The blocking shell's Ahead worker
-# ----------------------------------------------------------------------
-def _ahead_threads():
-    return [t for t in threading.enumerate() if t.name == "repro-ahead"]
-
-
-class TestAheadWorker:
-    def test_steps_run_in_order_on_one_daemon_thread_before_a_compute(self):
-        ran = []
-
-        def step(tag):
-            def fn():
-                time.sleep(0.01)
-                ran.append((tag, threading.current_thread()))
-            return fn
-
-        def body():
-            yield Ahead(step("a"))
-            yield Ahead(step("b"))
-            assert (yield Compute(lambda: [tag for tag, _ in ran])) == ["a", "b"]
-            yield OPEN  # a reconnect: the worker and its queue live on
-            yield Ahead(step("c"))
-            yield Compute(lambda: ran.append(("d", threading.current_thread())))
-            return "done"
-
-        assert run_blocking(body(), open_link=lambda: None) == "done"
-        assert [tag for tag, _ in ran] == ["a", "b", "c", "d"]
-        worker = ran[0][1]
-        assert worker.name == "repro-ahead" and worker.daemon
-        assert all(thread is worker for _, thread in ran[:3])
-        assert ran[3][1] is threading.current_thread()
-        assert not worker.is_alive()  # joined when the body ended
-
-    def test_a_session_that_asks_for_nothing_ahead_starts_no_thread(
-        self, monkeypatch
-    ):
-        started = []
-        real = threading.Thread
-
-        def counting(*args, **kwargs):
-            started.append(kwargs.get("name"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(threading, "Thread", counting)
-
-        def body():
-            return (yield Compute(lambda: 41)) + 1
-
-        assert run_blocking(body()) == 42
-        assert started == []
-
-    def test_a_failing_step_is_dropped_and_the_next_still_runs(self):
-        ran = []
-
-        def body():
-            yield Ahead(lambda: 1 / 0)
-            yield Ahead(lambda: ran.append("after"))
-            return (yield Compute(lambda: list(ran)))
-
-        assert run_blocking(body()) == ["after"]
-
-    def test_a_dead_body_abandons_the_steps_not_yet_started(self):
-        entered, release, ran = threading.Event(), threading.Event(), []
-
-        def slow():
-            entered.set()
-            assert release.wait(timeout=10)
-            ran.append("slow")
-
-        def body():
-            yield Ahead(slow)
-            yield Ahead(lambda: ran.append("never"))
-            assert entered.wait(timeout=10)
-            raise RuntimeError("the session died")
-
-        before = set(_ahead_threads())
-        with pytest.raises(RuntimeError, match="the session died"):
-            run_blocking(body())  # returns while ``slow`` is still in flight
-        (worker,) = set(_ahead_threads()) - before
-        assert worker.daemon and worker.is_alive()
-        release.set()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        assert ran == ["slow"]
 
 
 # ----------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_disconnect_mid_chunked_round_resumes_at_the_chunk():
     """Chunk 1 of R's 3-chunk round is cut. The second hello carries
     send cursor 2 (frames ever attempted), S's welcome asks for frame
     1, and exactly that one frame is a replay - counted, as
-    the blocking shell always has, once as replayed and once as a
+    every shell always has, once as replayed and once as a
     resumed round."""
     sim, r, s = _run(2, {("R", "msg", 1): "cut"})
     assert [f[4:] for f in sim.frames("R", "hello")] == [(0, 0), (2, 0)]

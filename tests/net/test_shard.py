@@ -25,12 +25,13 @@ from repro.net.session import (
     RetryPolicy,
     SessionConfig,
     refusal_retry_hint_s,
-    run_blocking,
     seal,
     unseal,
 )
 from repro.net.shard import ShardedProtocolServer
 from repro.protocols.parties import PublicParams
+
+from .shells import run_core
 
 BITS = 128
 
@@ -54,16 +55,15 @@ def _config(timeout_s=2.0, max_reconnects=8):
 
 
 def _session(port, seed, config=None):
-    """One sync resumable client run through the router."""
+    """One resumable client run through the router."""
     session, _ = open_session(
         "receiver", "intersection",
         lambda wire: _make_receiver(wire, seed),
         config=config or _config(),
         rng=random.Random(seed),
     )
-    answer = run_blocking(
-        session.steps(),
-        open_link=lambda: tcp._dial("127.0.0.1", port, timeout=5.0),
+    answer = run_core(
+        session.steps(), lambda: tcp._connect("127.0.0.1", port, 5.0)
     )
     return answer, session
 
@@ -110,23 +110,23 @@ class TestRouting:
             )
             dials = {"count": 0}
 
-            def flaky_dial():
+            async def flaky_dial():
                 dials["count"] += 1
-                endpoint = tcp._dial("127.0.0.1", server.port, timeout=5.0)
+                endpoint = await tcp._connect("127.0.0.1", server.port, 5.0)
                 if dials["count"] == 1:
                     # Kill the first connection right after the
                     # handshake frames land.
-                    original_recv = endpoint.recv
+                    original_recv = endpoint.recv_within
 
-                    def recv_once_then_die():
-                        original_recv()
-                        endpoint.close()
+                    async def recv_once_then_die(timeout):
+                        await original_recv(timeout)
+                        await endpoint.close()
                         raise ConnectionError("injected drop")
 
-                    endpoint.recv = recv_once_then_die
+                    endpoint.recv_within = recv_once_then_die
                 return endpoint
 
-            answer = run_blocking(session.steps(), open_link=flaky_dial)
+            answer = run_core(session.steps(), flaky_dial)
             assert sorted(answer) == ["b", "c"]
             assert dials["count"] >= 2  # it really did reconnect
         mine = [
@@ -171,7 +171,7 @@ class TestRouting:
             endpoint.send(
                 seal("hello", SESSION_VERSION, "intersection", 6, 0, 0)
             )
-            endpoint.settimeout(5.0)
+            endpoint.sock.settimeout(5.0)
             frame = endpoint.recv()
             assert frame[0] == "welcome"
             endpoint.close()
@@ -191,7 +191,7 @@ class TestRouting:
             endpoint.send(
                 seal("hello", SESSION_VERSION, "intersection", "7", 0, 0)
             )
-            endpoint.settimeout(5.0)
+            endpoint.sock.settimeout(5.0)
             fields = unseal(endpoint.recv())
             endpoint.close()
             assert fields[:3] == ("reject", SESSION_VERSION,
@@ -258,7 +258,7 @@ def _raw_hello(port, session_id):
     """Dial the front end and send a bare valid hello."""
     sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
     endpoint = tcp.SocketEndpoint(sock=sock)
-    endpoint.settimeout(5.0)
+    endpoint.sock.settimeout(5.0)
     endpoint.send(
         seal("hello", SESSION_VERSION, "intersection", session_id, 0, 0)
     )

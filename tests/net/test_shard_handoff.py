@@ -32,13 +32,14 @@ from repro.net.session import (
     SESSION_VERSION,
     RetryPolicy,
     SessionConfig,
-    run_blocking,
     seal,
     unseal,
 )
 from repro.net.shard import ShardedProtocolServer
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import get_spec
+
+from .shells import run_core
 
 BITS = 96
 
@@ -88,9 +89,8 @@ def _session(port, session_id, dial=None):
         ),
         config=_config(), rng=random.Random(session_id), session_id=session_id,
     )
-    answer = run_blocking(
-        session.steps(),
-        open_link=dial or (lambda: tcp._dial("127.0.0.1", port, timeout=5.0)),
+    answer = run_core(
+        session.steps(), dial or (lambda: tcp._connect("127.0.0.1", port, 5.0))
     )
     return sorted(answer), session.stats
 
@@ -110,7 +110,7 @@ class TestBytesReachTheWorker:
             sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
             sock.sendall(b"".join(map(_framed, (garbled, garbled, hello, hello))))
             endpoint = tcp.SocketEndpoint(sock=sock)
-            endpoint.settimeout(5.0)
+            endpoint.sock.settimeout(5.0)
             frames = [unseal(endpoint.recv()) for _ in range(2)]
             endpoint.close()
             # Everything but the session id, which differs by design.
@@ -166,8 +166,9 @@ class TestTheFrontEndLetsGo:
     ):
         """White box: every byte the front end's streams take in over a
         whole session is the client's one hello frame. (The workers are
-        forked before the patch, so only the front end is counted.)"""
-        fed = []
+        forked before the patch, and the client's own loop runs on this
+        thread, so only the front end is counted.)"""
+        fed, client = [], threading.current_thread()
         with ShardedProtocolServer(
             _offers(params), shards=2,
             config=_config(), max_sessions=4,
@@ -175,7 +176,11 @@ class TestTheFrontEndLetsGo:
             feed_data = asyncio.StreamReader.feed_data
             monkeypatch.setattr(
                 asyncio.StreamReader, "feed_data",
-                lambda reader, data: (fed.append(bytes(data)), feed_data(reader, data)),
+                lambda reader, data: (
+                    threading.current_thread() is client
+                    or fed.append(bytes(data)),
+                    feed_data(reader, data),
+                ),
             )
             answer, stats = _session(server.port, 7)
         assert answer == ["b", "c"] and stats.frames_received >= 1
@@ -211,20 +216,21 @@ class TestAKilledShard:
     ):
         welcomed, resume = threading.Semaphore(0), threading.Event()
 
-        def paused_dial(port):
-            """Dial, then hold the run right after its welcome."""
-            endpoint = tcp._dial("127.0.0.1", port, timeout=5.0)
-            recv, paused = endpoint.recv, []
+        async def paused_dial(port):
+            """Dial, then hold the run (and its own loop) right after
+            its welcome."""
+            endpoint = await tcp._connect("127.0.0.1", port, 5.0)
+            recv_within, paused = endpoint.recv_within, []
 
-            def held_recv():
-                frame = recv()
+            async def held_recv(timeout):
+                frame = await recv_within(timeout)
                 if not paused:
                     paused.append(frame)
                     welcomed.release()
                     assert resume.wait(timeout=20)
                 return frame
 
-            endpoint.recv = held_recv
+            endpoint.recv_within = held_recv
             return endpoint
 
         with ShardedProtocolServer(
@@ -236,7 +242,7 @@ class TestAKilledShard:
             for sid in (0, 2, 4):  # shard 0
                 sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
                 endpoint = tcp.SocketEndpoint(sock=sock)
-                endpoint.settimeout(5.0)
+                endpoint.sock.settimeout(5.0)
                 endpoint.send(seal("hello", SESSION_VERSION, "intersection", sid, 0, 0))
                 assert unseal(endpoint.recv())[0] == "welcome"
                 doomed.append((sock, endpoint))

@@ -13,6 +13,7 @@ metrics report.
 
 from __future__ import annotations
 
+import asyncio
 import queue
 import random
 import socket
@@ -28,12 +29,13 @@ from repro.net import LockStep, aio, serialization, tcp
 from repro.net.crashpoints import SimulatedCrash
 from repro.net.journal import open_session
 from repro.net.server import ProtocolOffer, ProtocolServer
-from repro.net.session import RetryPolicy, SessionConfig, run_blocking, unseal
-from repro.net.session_core import Ahead, Compute, Send, SenderCore
+from repro.net.session import RetryPolicy, SessionConfig, unseal
+from repro.net.session_core import Ahead, Compute, ReceiverCore, Send, SenderCore
 from repro.net.streaming import DONE, TimedIterator
 from repro.net.virtual import Party
 from repro.protocols.messages import (
     ChunkAssembler,
+    ProtocolViolation,
     CipherList,
     IntersectionReply,
     SizeReply,
@@ -42,6 +44,7 @@ from repro.protocols.messages import (
 from repro.protocols.parties import PublicParams, ReceiverMachine, SenderMachine
 from repro.protocols.spec import PROTOCOLS, get_spec
 
+from .shells import run_core
 from .test_server_shell import _LoseOnce, _TapAndHangUpOnce
 
 
@@ -182,35 +185,13 @@ class TestTimedIterator:
             timed.take()
 
 
-class TestPrefetch:
-    """A stream pulled ahead by the blocking shell's worker thread."""
-
-    def test_producer_exception_reaches_consumer(self):
-        def faulty():
-            yield 1
-            raise RuntimeError("producer died")
-
-        seen = []
-
-        def body():
-            stream = TimedIterator(faulty())
-            yield Ahead(stream.pull)
-            while (item := (yield Compute(stream.take))) is not DONE:
-                seen.append(item)
-                yield Ahead(stream.pull)
-
-        with pytest.raises(RuntimeError, match="producer died"):
-            run_blocking(body())
-        assert seen == [1]
-
-
 #: S's ``m2`` under ``CHUNK``: five ``Y_S`` chunks, then four pair chunks.
 STREAM_V_R = [f"r{i}" for i in range(3)] + [f"c{i}" for i in range(4)]
 STREAM_V_S = [f"s{i}" for i in range(5)] + [f"c{i}" for i in range(4)]
 CHUNK = 2
 #: "asyncio-offloaded" is the asyncio shell with every declared step
 #: too heavy for the loop: the pulls run on its executor.
-SHELLS = ["blocking", "asyncio", "asyncio-offloaded", "lock-step"]
+SHELLS = ["asyncio", "asyncio-offloaded", "lock-step"]
 
 
 @pytest.fixture(scope="module")
@@ -257,25 +238,20 @@ class _SlowReader:
     def __init__(self, endpoint):
         self.endpoint = endpoint
 
-    def recv(self):
-        frame = self.endpoint.recv()
-        time.sleep(0.02)
+    async def recv_within(self, timeout):
+        frame = await self.endpoint.recv_within(timeout)
+        await asyncio.sleep(0.02)
         return frame
 
-    def send(self, message):
-        self.endpoint.send(message)
-
-    def settimeout(self, timeout):
-        self.endpoint.settimeout(timeout)
-
-    def close(self):
-        self.endpoint.close()
+    def __getattr__(self, name):
+        return getattr(self.endpoint, name)
 
 
 class TestChunkStream:
     """A streamed round's lookahead is the core's ``Ahead(pull)`` and
     ``Compute(take)``: one intersection query with S's ``m2`` streamed,
-    S under each shell (R beside it: blocking over TCP, or lock-step),
+    S under each shell (R beside it: on a loop of its own over TCP, or
+    lock-step),
     S's requests tapped and its chunk producer instrumented."""
 
     @pytest.fixture(autouse=True)
@@ -284,10 +260,20 @@ class TestChunkStream:
         self.events, self.threads = [], []
         self.produced, self.consumed = [], []
         self.on_chunk = lambda k: None
+        self.spoil = lambda k, payload: payload  # what S ships as chunk k
         steps = SenderCore.steps
         monkeypatch.setattr(
             SenderCore, "steps",
             lambda core: _tapped(steps(core), self.events, self.threads),
+        )
+        self.r_cores, self.r_events = [], []
+        r_steps = ReceiverCore.steps
+        monkeypatch.setattr(
+            ReceiverCore, "steps",
+            lambda core: (
+                self.r_cores.append(core),
+                _tapped(r_steps(core), self.r_events, []),
+            )[1],
         )
         produce = SenderMachine.produce_chunks
 
@@ -295,7 +281,7 @@ class TestChunkStream:
             for k, payload in enumerate(produce(machine, rnd, chunk_size)):
                 self.on_chunk(k)
                 self.produced.append(payload)
-                yield payload
+                yield self.spoil(k, payload)
 
         monkeypatch.setattr(SenderMachine, "produce_chunks", produce_chunks)
         consume = ReceiverMachine.consume_chunks
@@ -357,47 +343,18 @@ class TestChunkStream:
             except Exception as exc:
                 return exc
 
-        if shell.startswith("asyncio"):
-            if shell.endswith("offloaded"):
-                self.monkeypatch.setattr(aio, "INLINE_WORK", 0)
-            offer = ProtocolOffer.from_data(
-                "intersection", STREAM_V_S, params, seed="S"
-            )
-            with ProtocolServer([offer], config=config, chunk_size=CHUNK,
-                                recorder=recorder) as server:
-                answer = client(server.port)
-                assert server.wait_for_sessions(1, timeout=10)
-                first = min(server.sessions.values(),
-                            key=lambda record: record.started_at)
-            return answer, first.error
-        # "blocking": S's core under the blocking shell (the one R runs
-        # on), each connection accepted off a plain listener.
-        spec = get_spec("intersection")
-        sender, _ = open_session(
-            "sender", "intersection",
-            lambda: spec.make_sender(STREAM_V_S, params, random.Random(1)),
-            params=params, config=config, rng=random.Random(3),
-            recorder=recorder, chunk_size=CHUNK,
+        if shell.endswith("offloaded"):
+            self.monkeypatch.setattr(aio, "INLINE_WORK", 0)
+        offer = ProtocolOffer.from_data(
+            "intersection", STREAM_V_S, params, seed="S"
         )
-        listener = socket.create_server(("127.0.0.1", 0))
-        listener.settimeout(config.timeout_s)
-        served = {}
-
-        def serve():
-            try:
-                run_blocking(sender.steps(), open_link=lambda: tcp.SocketEndpoint(
-                    sock=listener.accept()[0]
-                ))
-            except (Exception, SimulatedCrash) as exc:
-                served["error"] = exc
-
-        server = threading.Thread(target=serve, daemon=True)
-        server.start()
-        answer = client(listener.getsockname()[1])
-        server.join(timeout=10)
-        listener.close()
-        assert not server.is_alive()
-        return answer, served.get("error")
+        with ProtocolServer([offer], config=config, chunk_size=CHUNK,
+                            recorder=recorder) as server:
+            answer = client(server.port)
+            assert server.wait_for_sessions(1, timeout=10)
+            first = min(server.sessions.values(),
+                        key=lambda record: record.started_at)
+        return answer, first.error
 
     def _thrown(self):
         """``(request, failure, thread)`` per failure thrown into S."""
@@ -417,8 +374,8 @@ class TestChunkStream:
         assert len(self.produced) == 9
         assert self.consumed[-1] == self.produced
         assert not self._thrown()
-        # Pulled beside the body by the blocking shell and an offloading
-        # asyncio shell, in place by the others.
+        # Pulled beside the body by an offloading asyncio shell, in
+        # place by the others.
         in_place = shell in ("asyncio", "lock-step")
         assert {thread is self.threads[0] for thread in producers} == {in_place}
 
@@ -470,7 +427,7 @@ class TestChunkStream:
         assert thread is self.threads[0]
         assert died == []
 
-    @pytest.mark.parametrize("shell", ["blocking", "asyncio-offloaded"])
+    @pytest.mark.parametrize("shell", ["asyncio-offloaded"])
     def test_production_overlaps_the_send(self, params, shell):
         """Pulled beside the body, chunk ``k+1`` is produced while chunk
         ``k`` waits for its ack: with both 20 ms a chunk, the round's
@@ -485,6 +442,38 @@ class TestChunkStream:
         stats = recorder.pipelines["s.m2"]
         assert stats.chunks == 9
         assert stats.wall_s < 0.9 * (stats.produce_s + stats.send_s), stats
+
+    @pytest.mark.parametrize(
+        "body", [["not-a-number", 5], [0, 5]],
+        ids=["the-ahead-step-raises", "the-ahead-step-runs"],
+    )
+    def test_a_bad_chunk_fails_alike_under_every_shell(self, params, body):
+        """S's first ``Y_S`` chunk, well framed but wrong. R's eager
+        step meets it first - and raises on a leaf that is no int, or
+        runs on an element out of range - then the round step refuses
+        it. Under every shell R ends on the same ProtocolViolation after
+        the same requests, at once, with nothing of the round consumed."""
+        self.spoil = lambda k, payload: (0, "seg", body) if k == 0 else payload
+        seen = {}
+        for shell in SHELLS:
+            self.r_cores.clear()
+            self.r_events.clear()
+            answer, _s_error = self._query(shell, params)
+            assert isinstance(answer, ProtocolViolation), (shell, answer)
+            (core,) = self.r_cores
+            assert core.stats.reconnects == 0
+            assert core.log.in_rounds == []
+            assert set(core._machine.inbox) == {"m1"}
+            at = [type(e) for e in self.r_events].index(_Thrown)
+            request, thrown = self.r_events[at - 1], self.r_events[at].failure
+            assert thrown is answer and type(request) is Compute
+            seen[shell] = (str(answer), [
+                (type(e).__name__, getattr(getattr(e, "fn", None), "__qualname__", None))
+                for e in self.r_events[:at]
+            ])
+        assert all(outcome == seen["lock-step"] for outcome in seen.values())
+        eager = ("Ahead", "_Machine.eager.<locals>.run")
+        assert eager in seen["lock-step"][1]
 
     def test_lock_step_pulls_exactly_one_chunk_ahead_of_the_send(self, params):
         """The pull for chunk ``k+1`` is requested before chunk ``k``'s
@@ -589,20 +578,17 @@ class _FrameSizeProbe:
             self.max_frame, serialization.encoded_size(message)
         )
 
-    def send(self, message):
+    async def send(self, message):
         self._observe(message)
-        self._transport.send(message)
+        await self._transport.send(message)
 
-    def recv(self):
-        message = self._transport.recv()
+    async def recv_within(self, timeout):
+        message = await self._transport.recv_within(timeout)
         self._observe(message)
         return message
 
-    def settimeout(self, timeout):
-        self._transport.settimeout(timeout)
-
-    def close(self):
-        self._transport.close()
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
 
 
 def _probe_run(v_r, v_s, chunk_size, s_recorder=None):
@@ -655,15 +641,12 @@ def _core_pair(config, chunk_size):
         config=config, rng=random.Random(2), chunk_size=chunk_size,
     )
     raw_s, raw_r = socket.socketpair()
-    links = iter([tcp.SocketEndpoint(sock=raw_s)])
+    links = iter([raw_s])
     thread = threading.Thread(
-        target=run_blocking, args=(sender.steps(),),
-        kwargs={"open_link": links.__next__},
+        target=run_core, args=(sender.steps(), links.__next__)
     )
     thread.start()
-    answer = run_blocking(
-        receiver.steps(), open_link=lambda: tcp.SocketEndpoint(sock=raw_r)
-    )
+    answer = run_core(receiver.steps(), lambda: raw_r)
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert answer == set(v_s) & set(v_r)

@@ -4,7 +4,10 @@ real socket through the one-shot verbs (``repro.serve`` /
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
+import gc
+import math
 import queue
 import random
 import socket
@@ -148,7 +151,7 @@ class TestHardenedFraming:
 
     def test_read_timeout_raises(self):
         a, b = _socket_pair()
-        b.settimeout(0.05)
+        b.sock.settimeout(0.05)
         with pytest.raises((TimeoutError, OSError)):
             b.recv()
         a.close()
@@ -221,13 +224,16 @@ class TestPlainContract:
         port = probe.getsockname()[1]
         probe.close()
         dials = []
-        dial = tcp._dial
+        dial = tcp._connect
         monkeypatch.setattr(
-            tcp, "_dial", lambda *a, **k: (dials.append(a), dial(*a, **k))[1]
+            tcp, "_connect", lambda *a, **k: (dials.append(a), dial(*a, **k))[1]
         )
-        monkeypatch.setattr(
-            time, "sleep", lambda s: pytest.fail(f"slept {s}s before failing")
-        )
+
+        def no_sleep(seconds, *_args):
+            pytest.fail(f"slept {seconds}s before failing")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        monkeypatch.setattr(asyncio, "sleep", no_sleep)
         with pytest.raises(SessionError) as failure:
             repro.connect("intersection", ["a"], seed=0, port=port)
         assert isinstance(failure.value.__cause__, ConnectionRefusedError)
@@ -236,7 +242,7 @@ class TestPlainContract:
     def test_a_slow_peer_is_waited_out(self, monkeypatch):
         """No ``timeout=``, no deadline: an S that takes a second to
         build its party costs R neither a retransmit nor a reconnect,
-        every read of the run waiting on a blocking socket."""
+        the dial and every read of the run waiting without a timeout."""
         spec = PROTOCOLS["intersection"]
 
         def slow_sender(*args, **kwargs):
@@ -248,21 +254,24 @@ class TestPlainContract:
             dataclasses.replace(spec, make_sender=slow_sender),
         )
         deadlines = set()
-        dial = tcp._dial
+        dial = tcp._connect
 
         class Watched:
             def __init__(self, endpoint):
-                self.send, self.recv = endpoint.send, endpoint.recv
-                self.close = endpoint.close
-                self._settimeout = endpoint.settimeout
+                self.endpoint = endpoint
 
-            def settimeout(self, timeout):
+            async def recv_within(self, timeout):
                 deadlines.add(timeout)
-                self._settimeout(timeout)
+                return await self.endpoint.recv_within(timeout)
 
-        monkeypatch.setattr(
-            tcp, "_dial", lambda *a, **k: Watched(dial(*a, **k))
-        )
+            def __getattr__(self, name):
+                return getattr(self.endpoint, name)
+
+        def watched(host, port, timeout, wrap=None):
+            deadlines.add(timeout)  # the dial's
+            return dial(host, port, timeout, Watched)
+
+        monkeypatch.setattr(tcp, "_connect", watched)
         ports: queue.Queue[int] = queue.Queue()
         box: dict = {}
         thread = threading.Thread(target=lambda: box.update(served=repro.serve(
@@ -278,7 +287,7 @@ class TestPlainContract:
         assert connected.stats.elapsed_s >= 1.0
         for stats in (connected.stats, box["served"].stats):
             assert stats.reconnects == stats.retransmits == 0
-        assert deadlines == {None}
+        assert deadlines == {None, math.inf}
 
 
 def test_a_malformed_session_id_gets_a_typed_reject(tmp_path):
@@ -299,7 +308,9 @@ def test_a_malformed_session_id_gets_a_typed_reject(tmp_path):
 
     thread = threading.Thread(target=serve)
     thread.start()
-    endpoint = tcp._dial("127.0.0.1", ports.get(timeout=10), timeout=5.0)
+    endpoint = SocketEndpoint(sock=socket.create_connection(
+        ("127.0.0.1", ports.get(timeout=10)), timeout=5.0
+    ))
     endpoint.send(seal("hello", SESSION_VERSION, "intersection", "7", 0, 0))
     fields = unseal(endpoint.recv())
     endpoint.close()
@@ -323,7 +334,7 @@ def test_both_ends_of_a_session_run_without_nagle():
         return endpoint
 
     def dialed(endpoint):
-        nodelay.append(("R", option(endpoint.sock)))
+        nodelay.append(("R", option(endpoint.writer.get_extra_info("socket"))))
         return endpoint
 
     ports: queue.Queue[int] = queue.Queue()
@@ -506,3 +517,30 @@ class TestBoundPortReporting:
         answer = repro.connect("intersection", ["v"], seed=2, port=port).answer
         thread.join(timeout=10)
         assert answer == {"v"}
+
+
+def test_a_querying_thread_keeps_one_loop_and_closes_it_when_it_ends():
+    """Party R's queries on one thread share the thread's event loop,
+    and the loop is closed once the thread is gone."""
+    from repro.net.server import ProtocolServer
+
+    loops = []
+
+    def two_queries(port):
+        for seed in (1, 2):
+            assert repro.connect(
+                "intersection", ["a", "b"], seed=seed, port=port,
+                session=repro.SessionOptions(),
+            ).answer == {"b"}
+            loops.append(tcp._loops.held.loop)
+
+    params = PublicParams.for_bits(64)
+    with ProtocolServer({"intersection": (["b", "c"], params)}) as server:
+        thread = threading.Thread(target=two_queries, args=(server.port,))
+        thread.start()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    first, second = loops
+    assert first is second
+    gc.collect()
+    assert first.is_closed()

@@ -1,8 +1,9 @@
 """One wire: what is gone stays gone, and every way in is the session.
 
 The per-protocol ``serve_*``/``connect_*`` shims, the blocking session
-classes and - last - the plain one-shot loop (``tcp.serve`` /
-``tcp.connect`` / ``run_rounds``) were removed; the supported networked
+classes, the plain one-shot loop (``tcp.serve`` / ``tcp.connect`` /
+``run_rounds``) and - last - the blocking shell (``run_blocking``) were
+removed; the supported networked
 entry points are the facade ``repro.serve`` / ``repro.connect`` over
 the one generic pair in :mod:`repro.net.tcp`. These tests pin the
 removals - the names must not quietly come back - and prove that the
@@ -35,7 +36,7 @@ REMOVED_SHIMS = [
     "connect_equijoin_receiver",
     "serve_equijoin_size_sender",
     "connect_equijoin_size_receiver",
-    # The blocking session classes (open_session + run_blocking now).
+    # The blocking session classes (open_session + run_async now).
     "SenderSession",
     "ReceiverSession",
     "SessionEndpoint",
@@ -44,6 +45,8 @@ REMOVED_SHIMS = [
     "serve",
     "connect",
     "run_rounds",
+    # The blocking shell: every real party runs on ``aio.run_async``.
+    "run_blocking",
 ]
 
 
@@ -73,20 +76,17 @@ class _RecordingTransport:
         self._transport = transport
         self.log = log
 
-    def send(self, message):
+    async def send(self, message):
         self.log.append(("sent", message))
-        self._transport.send(message)
+        await self._transport.send(message)
 
-    def recv(self):
-        message = self._transport.recv()
+    async def recv_within(self, timeout):
+        message = await self._transport.recv_within(timeout)
         self.log.append(("received", message))
         return message
 
-    def settimeout(self, timeout):
-        self._transport.settimeout(timeout)
-
-    def close(self):
-        self._transport.close()
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
 
 
 def _values():
@@ -152,11 +152,12 @@ def _run_facade(protocol, log, chunk_size, session, monkeypatch):
         session=session,
     ))
     with monkeypatch.context() as patch:
-        dial = tcp._dial
-        patch.setattr(
-            tcp, "_dial",
-            lambda *a, **k: _RecordingTransport(dial(*a, **k), log),
-        )
+        dial = tcp._connect
+
+        async def recording(*args, **kwargs):
+            return _RecordingTransport(await dial(*args, **kwargs), log)
+
+        patch.setattr(tcp, "_connect", recording)
         connected = repro.connect(
             protocol, v_r, rng=random.Random("R"), port=port,
             timeout=10.0, chunk_size=chunk_size, session=session,

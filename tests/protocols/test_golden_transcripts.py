@@ -31,9 +31,7 @@ from repro.net.serialization import (
 )
 from repro.net.journal import open_session
 from repro.api import _session_config as _facade_session_config
-from repro.net import tcp
-from repro.net.session import RetryPolicy, SessionConfig, run_blocking
-from repro.net.tcp import SocketEndpoint
+from repro.net.session import RetryPolicy, SessionConfig
 from repro.protocols.parties import (
     PublicParams,
     ReceiverMachine,
@@ -41,6 +39,7 @@ from repro.protocols.parties import (
 )
 from repro.protocols.spec import PROTOCOLS
 
+from ..net.shells import endpoint, run_core
 from . import make_golden_fixture as golden
 
 FIXTURE = json.loads(
@@ -126,46 +125,27 @@ def _session_config():
     )
 
 
-class _RecordingTransport:
-    """Wraps a framed transport; logs every message in arrival order."""
-
-    def __init__(self, transport, log):
-        self._transport = transport
-        self.log = log
-
-    def send(self, message):
-        self.log.append(("sent", message))
-        self._transport.send(message)
-
-    def recv(self):
-        message = self._transport.recv()
-        self.log.append(("received", message))
-        return message
-
-    def settimeout(self, timeout):
-        self._transport.settimeout(timeout)
-
-    def close(self):
-        self._transport.close()
-
-
-class _SessionRecordingTransport(_RecordingTransport):
-    """Records the payload bytes of ``msg`` session frames, by seq."""
+class _SessionRecordingTransport:
+    """Wraps a framed endpoint; records the payload bytes of ``msg``
+    session frames, by seq."""
 
     def __init__(self, transport, frames):
-        super().__init__(transport, [])
+        self._transport = transport
         self.frames = frames
 
-    def send(self, frame):
+    async def send(self, frame):
         if isinstance(frame, tuple) and frame and frame[0] == "msg":
             self.frames.setdefault(("sent", frame[1]), frame[2])
-        self._transport.send(frame)
+        await self._transport.send(frame)
 
-    def recv(self):
-        frame = self._transport.recv()
+    async def recv_within(self, timeout):
+        frame = await self._transport.recv_within(timeout)
         if isinstance(frame, tuple) and frame and frame[0] == "msg":
             self.frames.setdefault(("received", frame[1]), frame[2])
         return frame
+
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
 
 
 def _assert_wires(name, digests):
@@ -221,7 +201,7 @@ def test_in_memory_matches_golden(name, params, engines):
 
 
 # ----------------------------------------------------------------------
-# Sessions: two cores under the blocking shell, msg frames captured on
+# Sessions: two cores under the asyncio shell, msg frames captured on
 # R's side. Two inputs of one run: a resumable config over a socketpair,
 # and the facade's ``session=None`` config (one connection, frames let
 # go of once acknowledged) over loopback TCP. The cores are built here
@@ -230,21 +210,20 @@ def test_in_memory_matches_golden(name, params, engines):
 # than the fixture's in-memory capture.
 # ----------------------------------------------------------------------
 def _socketpair():
-    raw_s, raw_r = socket.socketpair()
-    raw_s.settimeout(10.0)
-    raw_r.settimeout(10.0)
-    return SocketEndpoint(sock=raw_s), SocketEndpoint(sock=raw_r)
+    return socket.socketpair()
 
 
 def _loopback():
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(10.0)
     try:
-        dialed = tcp._dial("127.0.0.1", listener.getsockname()[1], 10.0)
+        dialed = socket.create_connection(
+            ("127.0.0.1", listener.getsockname()[1]), timeout=10.0
+        )
         accepted, _addr = listener.accept()
     finally:
         listener.close()
-    return SocketEndpoint(sock=accepted), dialed
+    return accepted, dialed
 
 
 SESSION_RUNS = {
@@ -273,17 +252,17 @@ def _run_sessions(name, params, make_sender, make_receiver, run, chunk_size=None
     connections = iter([s_link])
 
     def serve_thread():
-        server_box["state"] = run_blocking(
-            sender_session.steps(), open_link=connections.__next__
+        server_box["state"] = run_core(
+            sender_session.steps(), connections.__next__
         )
+
+    async def recorded():
+        return _SessionRecordingTransport(await endpoint(r_link), frames)
 
     thread = threading.Thread(target=serve_thread)
     thread.start()
     frames: dict = {}
-    answer = run_blocking(
-        receiver_session.steps(),
-        open_link=lambda: _SessionRecordingTransport(r_link, frames),
-    )
+    answer = run_core(receiver_session.steps(), recorded)
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert sender_session.stats.reconnects == 0

@@ -487,7 +487,11 @@ mutations = st.lists(
 
 
 def _mutate(reply, ops):
-    parts = [list(part) for part in reply.to_parts()]
+    # A composite part (SumReply's ``(Z_R, modulus)``) is mutated in its
+    # list and keeps its other fields: made a list whole, it would be a
+    # shape R refuses whatever the ops.
+    whole = reply.to_parts()
+    parts = [list(part[0] if isinstance(part, tuple) else part) for part in whole]
     for name, at, other, leaf in ops:
         part = parts[at % len(parts)]
         pairs = bool(part) and isinstance(part[0], tuple)
@@ -506,7 +510,10 @@ def _mutate(reply, ops):
             part[i] = (part[i][0], *part[j][1:])
         elif name == "bad-leaf":
             part[i] = (part[i][0], leaf, *part[i][2:]) if pairs else leaf
-    return type(reply).from_parts(tuple(parts))
+    return type(reply).from_parts(tuple(
+        (part, *was[1:]) if isinstance(was, tuple) else part
+        for part, was in zip(parts, whole)
+    ))
 
 
 def _held(catalog, root):
@@ -591,22 +598,15 @@ S_CHURN = {
 }
 
 
-@settings(max_examples=500, deadline=None)
-@given(
-    name=st.sampled_from([
-        "intersection", "intersection-size", "equijoin", "equijoin-size",
-        "equijoin-sum",
-    ]),
-    kind=st.sampled_from(["full", "delta"]), ops=mutations,
-)
-def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing(name, kind, ops):
+def _a_wrong_reply(name, kind, ops):
     """S's ``m2`` - on a reopen over the warm cache, or a delta patch
-    on the committed link - mutated well-framed over a session: R ends
+    on the committed link - mutated by ``ops`` over a session: R ends
     on the plaintext answer or a ProtocolViolation, and a refused
     reply leaves R's committed party and both cache files as they
     were. A reply that rewrites S's own table is S answering for
     another one: R ends on an answer some table of S's gives, or a
-    ProtocolViolation - the one outcome of a reply no table gives."""
+    ProtocolViolation - the one outcome of a reply no table gives.
+    Returns ``"refused"`` or ``"answered"``."""
     spec = get_spec(name)
     v_r, v_s = _inputs(name)
     with tempfile.TemporaryDirectory() as tmp:
@@ -651,7 +651,6 @@ def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing
             )
         r_party = Party("R", receiver.steps, dials=True)
         LockStep(accept_timeout_s=5.0).run(r_party, Party("S", sender.steps, dials=False))
-        event(f"{name} {kind}: {'refused' if r_party.error else 'answered'}")
         if r_party.error is None:
             assert "none" not in own, "R answered a reply no table gives"
         if r_party.error is None and "another" in own:
@@ -661,3 +660,46 @@ def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing
         else:
             assert isinstance(r_party.error, ProtocolViolation), r_party.error
             assert _held(cat_r, root) == before
+        return "refused" if r_party.error else "answered"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    name=st.sampled_from([
+        "intersection", "intersection-size", "equijoin", "equijoin-size",
+        "equijoin-sum",
+    ]),
+    kind=st.sampled_from(["full", "delta"]), ops=mutations,
+)
+def test_a_well_framed_wrong_reply_answers_right_or_is_refused_and_moves_nothing(name, kind, ops):
+    """Any mutation of S's reply: see :func:`_a_wrong_reply`."""
+    event(f"{name} {kind}: {_a_wrong_reply(name, kind, ops)}")
+
+
+#: A scripted malicious S: one misbehaviour per row, as ``_mutate``
+#: ops, and what R must make of it (``None``: either outcome, held to
+#: :func:`_a_wrong_reply`'s rules). Part 0 and part 1 of every reply in
+#: the equijoin family are lists of group elements or of tuples of them.
+SCRIPT = {
+    "reordered": ([("shuffle", 0, 3, None), ("shuffle", 1, 5, None)], "answered"),
+    "zero-leaf": ([("bad-leaf", 0, 0, 0)], "refused"),
+    "p-leaf": ([("bad-leaf", 0, 1, PARAMS.p)], "refused"),
+    "str-leaf": ([("bad-leaf", 1, 0, "x")], "refused"),
+    "repeated": ([("repeat", 0, 1, None)], None),
+    "dropped": ([("drop-pair", 1, 0, None)], None),
+    "foreign": ([("foreign-pair", 1, 1, None)], None),
+    "repeated-double": ([("repeat-double", 1, 0, None)], None),
+}
+
+
+@pytest.mark.parametrize("row", sorted(SCRIPT))
+@pytest.mark.parametrize("kind", ["full", "delta"])
+@pytest.mark.parametrize("name", ["equijoin", "equijoin-size", "equijoin-sum"])
+def test_a_scripted_malicious_s_is_answered_right_or_refused(name, kind, row):
+    """The equijoin family, ``full`` and ``+delta``, against a scripted
+    malicious S over ``LockStep``: the oracle answer (or one some table
+    of S's gives) or a ProtocolViolation that moves no committed state
+    - never an untyped exception."""
+    ops, outcome = SCRIPT[row]
+    got = _a_wrong_reply(name, kind, ops)
+    assert outcome in (None, got)

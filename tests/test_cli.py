@@ -379,6 +379,70 @@ class TestOneShotServeOutput:
             assert set(phase) == {"wall_s", "modexp", "calls"}
 
 
+class TestOneShotConnectOutput:
+    """What a seeded one-shot ``connect`` prints, whichever shell runs
+    party R: its stdout lines, the keys of its session stats and of its
+    ``--metrics`` report (the twin of :class:`TestOneShotServeOutput`)."""
+
+    @pytest.mark.parametrize("resumable", [False, True])
+    def test_stdout_stats_and_metrics_keys(self, value_files, resumable):
+        import ast
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        r, s = value_files
+        flag = ["--resumable"] if resumable else []
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        repro = [sys.executable, "-m", "repro", "--bits", "128"]
+        server = subprocess.Popen(
+            [*repro, "--seed", "1", "serve", *flag, "--sender", s,
+             "--port", "0", "--timeout", "10"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            port = int(server.stdout.readline().rsplit(":", 1)[1].split()[0])
+            client = subprocess.run(
+                [*repro, "--seed", "2", "connect", *flag, "--receiver", r,
+                 "--port", str(port), "--timeout", "10", "--metrics"],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=10)
+        assert client.returncode == 0 and server.returncode == 0
+        assert client.stdout.splitlines() == ["bob", "carol"]
+        lines = client.stderr.splitlines()
+        assert lines[0] == "# |intersection|=2"
+        stats = [
+            ast.literal_eval(line[len("# session stats: "):])
+            for line in lines if line.startswith("# session stats: ")
+        ]
+        reports = [json.loads(line) for line in lines if line.startswith("{")]
+        assert len(lines) == 1 + len(stats) + len(reports)
+        assert [set(entry) for entry in stats] == (
+            [SESSION_STATS_KEYS] if resumable else []
+        )
+        (report,) = reports
+        assert set(report) == {
+            "engine", "total_wall_s", "total_modexp", "unattributed_modexp",
+            "phases",
+        }
+        assert set(report["engine"]) == {"engine", "workers", "kernel"}
+        assert set(report["phases"]) == {
+            "r.setup", "r.round1", "r.wait_m2", "r.finish",
+        }
+        for phase in report["phases"].values():
+            assert set(phase) == {"wall_s", "modexp", "calls"}
+
+
 class TestFailureExitCodes:
     """Operational failures exit with a code and one stderr line."""
 
