@@ -443,6 +443,78 @@ class TestOneShotConnectOutput:
             assert set(phase) == {"wall_s", "modexp", "calls"}
 
 
+#: Each in-process command's input files and its seeded output,
+#: ``(stdout, stderr)`` by seed. The byte counts move with the party
+#: keys: seed 18 gives intersection and intersection-size (and seed 13
+#: equijoin-sum) one byte less under other per-party rng derivations.
+IN_PROCESS_OUTPUT = {
+    "intersection": (
+        ("alice\nbob\ncarol\n\n", "bob\ncarol\ndave\n"),
+        {
+            13: ("bob\ncarol\n",
+                 "# |intersection|=2 |V_R|=3 |V_S|=3 bytes=282\n"),
+            18: ("bob\ncarol\n",
+                 "# |intersection|=2 |V_R|=3 |V_S|=3 bytes=281\n"),
+        },
+    ),
+    "intersection-size": (
+        ("alice\nbob\ncarol\n\n", "bob\ncarol\ndave\n"),
+        {
+            13: ("2\n", "# |V_R|=3 |V_S|=3 bytes=204\n"),
+            18: ("2\n", "# |V_R|=3 |V_S|=3 bytes=203\n"),
+        },
+    ),
+    "equijoin-size": (
+        ("a\na\nb\n", "a\nb\nb\nb\n"),
+        {
+            seed: ("5\n", "# S's duplicate distribution seen by R: {1: 1, 3: 1}\n")
+            for seed in (13, 18)
+        },
+    ),
+    "equijoin-sum": (
+        ("a\nb\nc\n", "b\t10\nc,32\nz,999\n"),
+        {
+            seed: (
+                "sum over intersection: 42\n"
+                "matches: 2  |V_R|=3  |V_S|=3\n"
+                "wire bytes: 574\n",
+                "",
+            )
+            for seed in (13, 18)
+        },
+    ),
+}
+
+
+class TestInProcessOutput:
+    """What a seeded in-process protocol command prints: all of stdout
+    and every stderr line, wire byte counts included - so the way a
+    ``--seed`` becomes the two parties' keys stays what it was."""
+
+    @pytest.mark.parametrize("seed", [13, 18])
+    @pytest.mark.parametrize("command", sorted(IN_PROCESS_OUTPUT))
+    def test_stdout_and_stderr(self, tmp_path, command, seed):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        (r_text, s_text), outputs = IN_PROCESS_OUTPUT[command]
+        r, s = tmp_path / "r.txt", tmp_path / "s.txt"
+        r.write_text(r_text)
+        s.write_text(s_text)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "--bits", "128", "--seed",
+             str(seed), command, "--receiver", str(r), "--sender", str(s)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0
+        assert (done.stdout, done.stderr) == outputs[seed]
+
+
 class TestFailureExitCodes:
     """Operational failures exit with a code and one stderr line."""
 
