@@ -14,14 +14,16 @@ at PIR for the selection operation. This demo runs both extensions:
 Run:  python examples/aggregates_and_selection.py
 """
 
+import random
+
 from repro.db.query import EquijoinSumQuery, SelectionQuery
-from repro.protocols.aggregate import run_equijoin_sum
-from repro.protocols.base import ProtocolSuite
+from repro.protocols.parties import PublicParams
 from repro.protocols.selection import run_selection
+from repro.protocols.spec import PROTOCOLS, run_pair
 
 
 def main() -> None:
-    suite = ProtocolSuite.default(bits=512, seed=77)
+    params = PublicParams.for_bits(512)
 
     # ------------------------------------------------------------------
     # Equijoin-sum: two banks computing combined exposure to shared
@@ -31,14 +33,21 @@ def main() -> None:
     bank_s_exposures = {"globex": 1_200_000, "initech": 350_000,
                         "wayne": 9_000_000, "stark": 50_000}
 
-    result = run_equijoin_sum(bank_r_clients, bank_s_exposures, suite)
+    # Both parties in one process, each on its own randomness; R's
+    # machine holds the answer and the match count it learned.
+    spec = PROTOCOLS["equijoin-sum"]
+    receiver, _, wires = run_pair(
+        spec, bank_r_clients, bank_s_exposures, params,
+        random.Random("77/R"), random.Random("77/S"),
+    )
+    total = receiver.finish()
     print("Equijoin-sum (aggregate over the intersection)")
     print(f"  {EquijoinSumQuery().profile.describe()}")
-    print(f"  R's answer: combined exposure = ${result.total:,}")
-    print(f"  matches found (count only): {result.match_count}")
-    print(f"  wire traffic: {result.run.total_bytes} bytes")
+    print(f"  R's answer: combined exposure = ${total:,}")
+    print(f"  matches found (count only): {receiver.state.match_count}")
+    print(f"  wire traffic: {spec.transcript(wires).total_bytes} bytes")
     expected = sum(v for k, v in bank_s_exposures.items() if k in bank_r_clients)
-    assert result.total == expected
+    assert total == expected
     print(f"  (matches plaintext: ${expected:,})\n")
 
     # ------------------------------------------------------------------
@@ -46,7 +55,9 @@ def main() -> None:
     # records; S cannot tell which record was taken.
     # ------------------------------------------------------------------
     records = [f"dossier for case {i:03d}".encode() for i in range(6)]
-    selection = run_selection(2, records, suite)
+    selection = run_selection(
+        2, records, params, (random.Random("sel/R"), random.Random("sel/S"))
+    )
     print("Private selection (symmetric-PIR-style)")
     print(f"  {SelectionQuery().profile.describe()}")
     print(f"  R retrieved: {selection.record.decode()!r}")

@@ -10,13 +10,15 @@ protocol of Section 3.3 resists the identical attack.
 Run:  python examples/broken_protocol_attack.py
 """
 
-from repro.protocols.base import ProtocolSuite
-from repro.protocols.intersection import run_intersection
+import repro
 from repro.protocols.naive_hash import dictionary_attack, run_naive_intersection
+from repro.protocols.parties import PublicParams
 
 
 def main() -> None:
-    suite = ProtocolSuite.default(bits=512, seed=13)
+    # Both protocols hash with the h these public parameters name.
+    params = PublicParams.for_bits(512)
+    _, hash_, _ = params.build()
 
     # A small value domain: 4-digit patient codes.
     domain = [f"patient-{i:04d}" for i in range(2000)]
@@ -30,9 +32,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     # The naive protocol: correct answer, catastrophic leak.
     # ------------------------------------------------------------------
-    naive = run_naive_intersection(v_r, v_s, suite)
+    naive = run_naive_intersection(v_r, v_s, params)
     print(f"[naive] R computed the intersection: {len(naive.intersection)} values. But...")
-    recovered = dictionary_attack(naive.observed_hashes, domain, suite.hash)
+    recovered = dictionary_attack(naive.observed_hashes, domain, hash_)
     extra = recovered - naive.intersection
     print(f"[naive] dictionary attack recovered {len(recovered)}/{len(v_s)} "
           f"of S's set - {len(extra)} values R was never entitled to!\n")
@@ -41,11 +43,11 @@ def main() -> None:
     # ------------------------------------------------------------------
     # The Section 3.3 protocol: same answer, attack finds nothing.
     # ------------------------------------------------------------------
-    secure = run_intersection(v_r, v_s, suite)
-    assert secure.intersection == naive.intersection
-    observed = set(secure.run.r_view.flat_integers())
-    recovered = dictionary_attack(observed, domain, suite.hash)
-    print(f"[S3.3]  R computed the same intersection: {len(secure.intersection)} values.")
+    secure = repro.run("intersection", v_r, v_s, params=params, seed=13)
+    assert secure.answer == naive.intersection
+    observed = set(secure.transcript.r_view.flat_integers())
+    recovered = dictionary_attack(observed, domain, hash_)
+    print(f"[S3.3]  R computed the same intersection: {len(secure.answer)} values.")
     print(f"[S3.3]  the same attack against R's full view recovered "
           f"{len(recovered)} values - every codeword is f_eS(h(v)) under "
           f"S's secret key, useless without e_S.")

@@ -15,7 +15,7 @@ import random
 from repro.analysis.estimates import document_sharing_estimate
 from repro.apps.document_sharing import run_document_sharing
 from repro.apps.tfidf import significant_words
-from repro.protocols.base import ProtocolSuite
+from repro.protocols.parties import PublicParams
 from repro.workloads.generator import document_corpus
 
 
@@ -42,8 +42,10 @@ def main() -> None:
     print(f"R: {len(docs_r)} documents, S: {len(docs_s)} documents "
           f"(top-40 significant words each)\n")
 
-    suite = ProtocolSuite.default(bits=512, seed=7)
-    result = run_document_sharing(docs_r, docs_s, threshold=0.03, suite=suite)
+    result = run_document_sharing(
+        docs_r, docs_s, threshold=0.03, params=PublicParams.for_bits(512),
+        rngs=(random.Random("7/R"), random.Random("7/S")),
+    )
 
     print(f"Ran {result.protocol_runs} intersection-size protocols "
           f"({result.total_encryptions} commutative encryptions, "

@@ -12,16 +12,14 @@ Run:  python examples/leakage_analysis.py
 
 import random
 
-from repro.analysis.leakage import leakage_profile
+import repro
+from repro.analysis.leakage import duplicate_distribution, leakage_profile
 from repro.db.multiset import ValueMultiset
-from repro.protocols.base import ProtocolSuite
-from repro.protocols.equijoin_size import run_equijoin_size
 from repro.workloads.generator import multiset_pair
 
 
 def main() -> None:
     rng = random.Random(3)
-    suite = ProtocolSuite.default(bits=512, seed=3)
     n, overlap = 16, 7
 
     print("Equijoin-size leakage across duplicate distributions")
@@ -44,13 +42,14 @@ def main() -> None:
     scenarios["all-distinct duplicate counts"] = (ms_r, ms_s)
 
     for name, (ms_r, ms_s) in scenarios.items():
-        result = run_equijoin_size(ms_r, ms_s, suite)
+        result = repro.run("equijoin-size", ms_r, ms_s, bits=512, seed=3)
         profile = leakage_profile(ms_r, ms_s)
         fraction = profile.identified_fraction(ms_r.distinct_size)
         print(f"{name}:")
-        print(f"  join size computed by R: {result.join_size} "
+        print(f"  join size computed by R: {result.answer} "
               f"(truth: {ms_r.join_size(ms_s)})")
-        print(f"  R saw S's duplicate distribution: {result.r_learns_s_duplicates}")
+        seen = duplicate_distribution(result.transcript.r_view, "4a:Y_S")
+        print(f"  R saw S's duplicate distribution: {seen}")
         print(f"  overlap matrix |V_R(d) ∩ V_S(d')|: {profile.matrix}")
         print(f"  -> R pinned down membership of {fraction:.0%} of its values"
               f" ({sorted(profile.certain_members)[:4]}{'...' if len(profile.certain_members) > 4 else ''} certain members)\n")

@@ -20,7 +20,7 @@ import random
 
 from repro.analysis.estimates import medical_research_estimate
 from repro.apps.medical import plaintext_contingency, run_medical_research
-from repro.protocols.base import ProtocolSuite
+from repro.protocols.parties import PublicParams
 from repro.workloads.generator import medical_workload
 
 
@@ -37,8 +37,10 @@ def main() -> None:
     print(f"T_R: {len(workload.t_r)} DNA records at enterprise R")
     print(f"T_S: {len(workload.t_s)} medical histories at enterprise S\n")
 
-    suite = ProtocolSuite.default(bits=512, seed=42)
-    result = run_medical_research(workload.t_r, workload.t_s, suite)
+    result = run_medical_research(
+        workload.t_r, workload.t_s, PublicParams.for_bits(512),
+        (random.Random("42/R"), random.Random("42/S")),
+    )
     table = result.table
 
     print("Researcher T's contingency table (drug takers only):")

@@ -9,7 +9,8 @@ Run:  python examples/quickstart.py
 """
 
 import repro
-from repro import ProtocolSuite, Table, run_equijoin_size, run_intersection, run_intersection_size
+from repro import PublicParams, Table
+from repro.analysis.leakage import duplicate_distribution
 from repro.db.query import (
     EquijoinQuery,
     EquijoinSizeQuery,
@@ -36,31 +37,35 @@ def main() -> None:
     print(f"  R learned |V_S| = {quick.size_v_s}; "
           f"S learned |V_R| = {quick.size_v_r}\n")
 
-    # Agreed public parameters: a 512-bit safe prime group, the hash
-    # into it, and the commutative power cipher. Each party's secret
-    # keys are drawn from its own randomness inside the suite. The
-    # classic per-protocol helpers return result objects with full
-    # transcripts and byte accounting.
-    suite = ProtocolSuite.default(bits=512, seed=2003)
+    # Agreed public parameters: a 512-bit safe prime group and the hash
+    # into it. Each party draws its secret keys from its own randomness
+    # (derived from the seed here, the OS CSPRNG without one). Every
+    # result carries the run's transcript: both parties' views and the
+    # bytes on the wire.
+    params = PublicParams.for_bits(512)
 
     # ------------------------------------------------------------------
     # 1. Intersection (Section 3): R learns which values are shared.
     # ------------------------------------------------------------------
-    result = run_intersection(customers_r, customers_s, suite)
+    result = repro.run(
+        "intersection", customers_r, customers_s, params=params, seed=2003
+    )
     print("Intersection protocol")
     print(f"  {IntersectionQuery().profile.describe()}")
-    print(f"  R's answer: {sorted(result.intersection)}")
+    print(f"  R's answer: {sorted(result.answer)}")
     print(f"  R also learned |V_S| = {result.size_v_s}; "
           f"S learned |V_R| = {result.size_v_r}")
-    print(f"  wire traffic: {result.run.total_bytes} bytes\n")
+    print(f"  wire traffic: {result.transcript.total_bytes} bytes\n")
 
     # ------------------------------------------------------------------
     # 2. Intersection size (Section 5.1): R learns only the count.
     # ------------------------------------------------------------------
-    result = run_intersection_size(customers_r, customers_s, suite)
+    result = repro.run(
+        "intersection-size", customers_r, customers_s, params=params, seed=2003
+    )
     print("Intersection-size protocol")
     print(f"  {IntersectionSizeQuery().profile.describe()}")
-    print(f"  R's answer: |V_S ∩ V_R| = {result.size}\n")
+    print(f"  R's answer: |V_S ∩ V_R| = {result.answer}\n")
 
     # ------------------------------------------------------------------
     # 3. Equijoin (Section 4): R gets S's records for matching keys.
@@ -70,7 +75,7 @@ def main() -> None:
         ("email", "ltv"),
         [("bob@y.org", 120), ("dave@w.io", 45), ("erin@v.com", 990)],
     )
-    joined, join_result = join_tables(t_r, t_s, "email", suite=suite)
+    joined, _ = join_tables(t_r, t_s, "email", params=params)
     print("Equijoin protocol")
     print(f"  {EquijoinQuery().profile.describe()}")
     print(f"  joined table columns: {joined.columns}")
@@ -84,11 +89,14 @@ def main() -> None:
     # ------------------------------------------------------------------
     purchases_r = ["bob@y.org"] * 3 + ["alice@x.com"] * 2
     purchases_s = ["bob@y.org"] * 2 + ["erin@v.com"]
-    result = run_equijoin_size(purchases_r, purchases_s, suite)
+    result = repro.run(
+        "equijoin-size", purchases_r, purchases_s, params=params, seed=2003
+    )
+    leak = duplicate_distribution(result.transcript.r_view, "4a:Y_S")
     print("Equijoin-size protocol")
     print(f"  {EquijoinSizeQuery().profile.describe()}")
-    print(f"  R's answer: |T_S ⋈ T_R| = {result.join_size}")
-    print(f"  leak: R saw S's duplicate distribution {result.r_learns_s_duplicates}")
+    print(f"  R's answer: |T_S ⋈ T_R| = {result.answer}")
+    print(f"  leak: R saw S's duplicate distribution {leak}")
 
 
 if __name__ == "__main__":

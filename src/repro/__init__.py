@@ -27,8 +27,9 @@ Networked runs use the same three-verb facade - ``repro.serve`` hosts
 party S on a TCP port (``port=0`` picks a free one and reports it),
 ``repro.connect`` runs party R against it, and both stream
 million-item rounds in bounded chunks when given a ``chunk_size``.
-The classic per-protocol helpers (``run_intersection`` and friends)
-remain for result objects carrying full transcripts.
+``repro.run`` is the one in-process driver: its result carries the
+recorded ``transcript`` (both parties' views and the wire bytes) for
+the simulators, the disclosure audit and the Section 6 accounting.
 
 The library logs under ``repro`` (``repro.net.session``, ``.server``,
 ``.shard``, ``.journal``, ``repro.catalog``, ``repro.cli``) as
@@ -52,19 +53,7 @@ from .api import (
     serve,
 )
 from .db import Table, ValueMultiset
-from .protocols import (
-    EquijoinResult,
-    EquijoinSizeResult,
-    IntersectionResult,
-    IntersectionSizeResult,
-    ProtocolSuite,
-    ProtocolViolation,
-    join_tables,
-    run_equijoin,
-    run_equijoin_size,
-    run_intersection,
-    run_intersection_size,
-)
+from .protocols import ProtocolViolation, PublicParams, join_tables
 
 __version__ = "1.0.0"
 
@@ -82,17 +71,9 @@ __all__ = [
     "Peer",
     "QueryResult",
     "SessionOptions",
-    "ProtocolSuite",
+    "PublicParams",
     "ProtocolViolation",
-    "run_intersection",
-    "run_intersection_size",
-    "run_equijoin",
-    "run_equijoin_size",
     "join_tables",
-    "IntersectionResult",
-    "IntersectionSizeResult",
-    "EquijoinResult",
-    "EquijoinSizeResult",
     "Table",
     "ValueMultiset",
     "__version__",

@@ -17,7 +17,14 @@ from .estimates import (
     document_sharing_estimate,
     medical_research_estimate,
 )
-from .leakage import LeakageProfile, leakage_profile, overlap_matrix
+from .leakage import (
+    EquijoinSizeLeak,
+    LeakageProfile,
+    duplicate_distribution,
+    equijoin_size_leak,
+    leakage_profile,
+    overlap_matrix,
+)
 
 __all__ = [
     "LinkModel",
@@ -34,6 +41,9 @@ __all__ = [
     "LeakageProfile",
     "leakage_profile",
     "overlap_matrix",
+    "EquijoinSizeLeak",
+    "equijoin_size_leak",
+    "duplicate_distribution",
     "OperationCounter",
     "CountingSuite",
     "counting_suite",

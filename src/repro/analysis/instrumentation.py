@@ -17,6 +17,7 @@ the ``on_modexp`` callback of
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 from contextlib import contextmanager
@@ -28,7 +29,8 @@ from ..crypto.engine import CryptoEngine, MeteredEngine, SerialEngine
 from ..crypto.ext_cipher import BlockExtCipher
 from ..crypto.groups import QRGroup
 from ..crypto.hashing import DomainHash, TryIncrementHash, Value
-from ..protocols.base import ProtocolSuite, _suite_rngs
+from ..crypto.numtheory import _party_rngs
+from ..protocols.parties import CryptoContext, PublicParams
 
 __all__ = [
     "OperationCounter",
@@ -89,9 +91,16 @@ class _CountingExtCipher(BlockExtCipher):
 
 @dataclass
 class CountingSuite:
-    """A protocol suite plus the counter wired into its primitives."""
+    """Counting crypto for one in-memory run, and the counter it feeds.
 
-    suite: ProtocolSuite
+    Hand ``crypto`` to both machines of
+    :func:`~repro.protocols.spec.run_pair` (over ``params``, on the
+    two ``rngs``) and read ``counter`` afterwards.
+    """
+
+    params: PublicParams
+    crypto: CryptoContext
+    rngs: tuple[random.Random, random.Random]
     counter: OperationCounter
 
 
@@ -100,7 +109,9 @@ def counting_suite(
     seed: int | None = 0,
     engine: CryptoEngine | None = None,
 ) -> CountingSuite:
-    """Build a suite whose cipher/hash/ext-cipher count their calls.
+    """Build a crypto context whose cipher/hash/ext-cipher count their
+    calls, with R's and S's rngs for ``seed`` (the rule of
+    :func:`repro.run`).
 
     Exponentiations are counted where :class:`MetricsRecorder` counts
     them - by a :class:`~repro.crypto.engine.MeteredEngine` under a
@@ -116,18 +127,20 @@ def counting_suite(
     def count(n: int) -> None:
         counter.encryptions += n
 
-    rng_r, rng_s = _suite_rngs(seed)
-    suite = ProtocolSuite(
+    crypto = CryptoContext(
         group=group,
         hash=_CountingHash(TryIncrementHash(group), counter),
         cipher=PowerCipher(
             group, engine=MeteredEngine(engine or SerialEngine(), count)
         ),
         ext_cipher=_CountingExtCipher(group, counter),
-        rng_r=rng_r,
-        rng_s=rng_s,
     )
-    return CountingSuite(suite=suite, counter=counter)
+    return CountingSuite(
+        params=PublicParams(p=group.p),
+        crypto=crypto,
+        rngs=_party_rngs(seed),
+        counter=counter,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -15,19 +15,29 @@ counts equal R learns only ``|V_R ∩ V_S|``; with all counts distinct
 every class is a singleton and R recovers ``V_R ∩ V_S`` exactly.
 
 :func:`leakage_profile` computes the matrix and the per-value
-consequences on plaintext multisets (ground truth the protocol result
-is validated against), plus a scalar "identified fraction" used by the
-leakage ablation bench.
+consequences on plaintext multisets (ground truth the protocol run is
+validated against), plus a scalar "identified fraction" used by the
+leakage ablation bench. :func:`equijoin_size_leak` reads the same
+quantities off one run of the protocol.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Any, Hashable, NamedTuple
 
 from ..db.multiset import ValueMultiset
+from ..net.transcript import View
 
-__all__ = ["LeakageProfile", "leakage_profile", "overlap_matrix"]
+__all__ = [
+    "EquijoinSizeLeak",
+    "LeakageProfile",
+    "duplicate_distribution",
+    "equijoin_size_leak",
+    "leakage_profile",
+    "overlap_matrix",
+]
 
 
 def overlap_matrix(
@@ -45,6 +55,61 @@ def overlap_matrix(
             if overlap:
                 matrix[(d_r, d_s)] = overlap
     return matrix
+
+
+def duplicate_distribution(view: View, step: str) -> dict[int, int]:
+    """``d -> number of distinct ciphertexts seen d times`` in the
+    multiset a party received as ``step`` - the other side's duplicate
+    distribution, since encryption keeps equal values equal."""
+    histogram = Counter(Counter(next(view.payloads(step))).values())
+    return dict(sorted(histogram.items()))
+
+
+class EquijoinSizeLeak(NamedTuple):
+    """What one equijoin-size run disclosed beyond ``|T_S ⋈ T_R|``.
+
+    Attributes:
+        r_learns_s_duplicates: S's duplicate distribution ``d ->
+            |V_S(d)|``, as R observes it in the multiset ``Y_S``.
+        s_learns_r_duplicates: R's duplicate distribution, observed by
+            S in ``Y_R``.
+        partition_overlap: ``(d_R, d_S) -> overlap count`` - what R
+            deduces by matching duplicate classes (Section 5.2).
+    """
+
+    r_learns_s_duplicates: dict[int, int]
+    s_learns_r_duplicates: dict[int, int]
+    partition_overlap: dict[tuple[int, int], int]
+
+
+def equijoin_size_leak(receiver: Any, sender: Any, transcript: Any) -> EquijoinSizeLeak:
+    """Section 5.2's leak, read off one equijoin-size run: its two
+    party machines and its recorded ``transcript``.
+
+    R knows ``d_R`` for each of its values and sees ``d_S`` per matched
+    codeword, so grouping the matched codewords by their ``(d_R, d_S)``
+    classes gives it ``|V_R(d) ∩ V_S(d')|`` for all ``d, d'``. R cannot
+    link a codeword to its value itself (it lacks ``e_S``); this uses
+    S's key to mirror what R infers from multiplicities alone, which
+    the tests check against :func:`overlap_matrix`. A diagnostic, not a
+    protocol step: one ``cipher.encrypt`` at a time, outside the
+    engine, which keeps it out of every modexp count.
+    """
+    r_state, s_state = receiver.state, sender.state
+    value_of = {
+        s_state.cipher.encrypt(s_state._key, y): v
+        for v, y in r_state._y_by_value.items()
+    }
+    overlap: Counter = Counter(
+        (r_state._counts[value_of[codeword]], s_count)
+        for codeword, s_count in r_state._z_s.items()
+        if codeword in r_state._z_r
+    )
+    return EquijoinSizeLeak(
+        r_learns_s_duplicates=duplicate_distribution(transcript.r_view, "4a:Y_S"),
+        s_learns_r_duplicates=duplicate_distribution(transcript.s_view, "3:Y_R"),
+        partition_overlap=dict(overlap),
+    )
 
 
 @dataclass

@@ -32,8 +32,8 @@ queries - the repeated-query protocol):
   mutations the next query's delta rounds will carry.
 
 The one-shot verbs have no series of queries to keep state for, so
-they sit directly on the drivers: :func:`run` is two party machines and
-``spec.exchange``, :func:`serve` / :func:`connect` call
+they sit directly on the drivers: :func:`run` is ``spec.run_pair`` (two
+party machines, exchanged), :func:`serve` / :func:`connect` call
 :mod:`repro.net.tcp`'s session pair. A networked :class:`Peer` runs
 one such session per query, frame for frame (the hello names the
 query). Every networked run is therefore checksummed and acknowledged;
@@ -71,14 +71,15 @@ import math
 import random
 import socket
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Any, Callable, Hashable, Mapping
 
 from .crypto.engine import MeteredEngine, available_cpus, shared_engine
-from .crypto.numtheory import _key_rng
+from .crypto.numtheory import _key_rng, _party_rngs
 from .protocols.delta import DeltaExchange
 from .protocols.parties import PublicParams, ReceiverMachine, SenderMachine
-from .protocols.spec import PROTOCOLS, ProtocolSpec, get_spec
+from .protocols.spec import PROTOCOLS, ProtocolSpec, get_spec, run_pair
 
 __all__ = [
     "RunResult",
@@ -105,11 +106,21 @@ class RunResult:
             computes).
         size_v_r: ``|V_R|`` - all party S learns from the run.
         size_v_s: ``|V_S|`` - the set-size party R observes.
+        transcript: the run recorded part by part under the paper's
+            step labels (a :class:`~repro.net.runner.ProtocolRun`:
+            each party's view, and ``total_bytes`` on the wire), built
+            from the run's wires when first read.
     """
 
     answer: Any
     size_v_r: int
     size_v_s: int
+    _record: Callable[[], Any] | None = field(repr=False, compare=False, default=None)
+
+    @cached_property
+    def transcript(self) -> Any:
+        """The recorded run, built from the kept wires on first read."""
+        return self._record()
 
 
 @dataclass(frozen=True)
@@ -264,26 +275,6 @@ def _metered(engine: Any, recorder: Any) -> Any:
         engine = MeteredEngine(engine, recorder.count_modexp)
     recorder.attach_engine(engine)
     return engine
-
-
-def _party_rngs(
-    seed: Any, rng: random.Random | None
-) -> tuple[random.Random, random.Random]:
-    """Derive independent per-party rngs from one master seed/rng.
-
-    Handing both machines the *same* rng would entangle their key
-    draws through call order; deriving one child rng per party from a
-    single master keeps ``seed=`` runs reproducible without that
-    coupling. With neither a seed nor a seedable ``rng`` both parties
-    draw from the operating system's CSPRNG.
-    """
-    master = _key_rng(rng, seed)
-    if isinstance(master, random.SystemRandom):
-        # Nothing to reproduce, and 64 bits of it would be a weak seed.
-        return _key_rng(), _key_rng()
-    rng_r = random.Random(master.getrandbits(64))
-    rng_s = random.Random(master.getrandbits(64))
-    return rng_r, rng_s
 
 
 def _delta_spec(spec: ProtocolSpec) -> ProtocolSpec | None:
@@ -992,9 +983,9 @@ def run(
 ) -> RunResult:
     """Run both parties of any registered protocol in-process.
 
-    Two party machines, ``spec.exchange``, ``finish`` - the wire
-    payloads (and rng draw order) are identical to what this function
-    always produced. Delta specs (``"<name>+delta"``) run the same way
+    The two party machines of :func:`~repro.protocols.spec.run_pair`,
+    then R's ``finish``; the result keeps the wires for its
+    ``transcript``. Delta specs (``"<name>+delta"``) run the same way
     on :class:`~repro.protocols.delta.DeltaExchange` inputs (the caller
     owns the base state).
 
@@ -1006,9 +997,10 @@ def run(
             ``v -> amount`` map).
         bits: safe-prime modulus size when ``params`` is not given.
         params: explicit public parameters (overrides ``bits``).
-        seed: master seed for reproducible runs; each party gets an
-            independently derived rng.
-        rng: explicit master rng (overrides ``seed``).
+        seed: seed for reproducible runs; R draws from the stream
+            ``"<seed>/R"``, S from ``"<seed>/S"``.
+        rng: explicit master rng (overrides ``seed``); each party gets
+            an rng seeded from it.
         engine: batch-crypto execution strategy
             (:mod:`repro.crypto.engine`); by default the process-wide
             thread engine over this process's CPUs, as for every entry
@@ -1021,20 +1013,16 @@ def run(
     spec = get_spec(protocol)
     if params is None:
         params = PublicParams.for_bits(bits)
-    rng_r, rng_s = _party_rngs(seed, rng)
-    engine = _metered(engine, recorder)
-    receiver = ReceiverMachine(
-        spec, receiver_data, params, rng_r, engine=engine, recorder=recorder
+    receiver, sender, wires = run_pair(
+        spec, receiver_data, sender_data, params, *_party_rngs(seed, rng),
+        engine=_metered(engine, recorder), recorder=recorder,
+        chunk_size=chunk_size,
     )
-    sender = SenderMachine(
-        spec, sender_data, params, rng_s, engine=engine, recorder=recorder
-    )
-    spec.exchange(receiver, sender, chunk_size)
-    answer = receiver.finish()
     return RunResult(
-        answer=answer,
+        answer=receiver.finish(),
         size_v_r=getattr(sender.state, "size_v_r", None),
         size_v_s=getattr(receiver.state, "size_v_s", None),
+        _record=partial(spec.transcript, wires, chunk_size),
     )
 
 

@@ -16,12 +16,14 @@ explicitly.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..analysis.costmodel import ProtocolCostModel
-from ..protocols.base import ProtocolSuite
-from ..protocols.intersection_size import run_intersection_size
+from ..crypto.numtheory import _party_rngs
+from ..protocols.parties import PublicParams
+from ..protocols.spec import PROTOCOLS, run_pair
 
 __all__ = [
     "dice_similarity",
@@ -69,7 +71,9 @@ def run_document_sharing(
     docs_r: Sequence[frozenset[str]],
     docs_s: Sequence[frozenset[str]],
     threshold: float,
-    suite: ProtocolSuite | None = None,
+    *,
+    params: PublicParams,
+    rngs: tuple[random.Random, random.Random] | None = None,
     similarity: SimilarityFn = dice_similarity,
 ) -> DocumentSharingResult:
     """Find all similar document pairs via per-pair intersection sizes.
@@ -79,10 +83,13 @@ def run_document_sharing(
             :mod:`repro.apps.tfidf`).
         docs_s: S's documents.
         threshold: τ - pairs with similarity strictly above it match.
-        suite: protocol parameters shared by all pair runs.
+        params: public parameters shared by all pair runs.
+        rngs: R's and S's randomness, drawn on by each pair run in
+            turn (fresh keys per pair; the OS CSPRNG when omitted).
         similarity: ``f(|d_R ∩ d_S|, |d_R|, |d_S|)``.
     """
-    suite = suite or ProtocolSuite.default()
+    spec = PROTOCOLS["intersection-size"]
+    rngs = rngs or _party_rngs()
     matches: list[DocumentMatch] = []
     overlaps: dict[tuple[int, int], int] = {}
     total_bytes = 0
@@ -91,19 +98,19 @@ def run_document_sharing(
 
     for i, d_r in enumerate(docs_r):
         for j, d_s in enumerate(docs_s):
-            result = run_intersection_size(list(d_r), list(d_s), suite)
-            overlaps[(i, j)] = result.size
-            total_bytes += result.run.total_bytes
+            receiver, _, wires = run_pair(spec, list(d_r), list(d_s), params, *rngs)
+            common = overlaps[(i, j)] = receiver.finish()
+            total_bytes += spec.transcript(wires).total_bytes
             total_encryptions += cost_model.intersection_ops(
                 len(d_s), len(d_r)
             ).encryptions
-            score = similarity(result.size, len(d_r), len(d_s))
+            score = similarity(common, len(d_r), len(d_s))
             if score > threshold:
                 matches.append(
                     DocumentMatch(
                         r_index=i,
                         s_index=j,
-                        common_words=result.size,
+                        common_words=common,
                         similarity=score,
                     )
                 )

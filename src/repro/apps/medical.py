@@ -24,13 +24,16 @@ R and S, so neither data holder learns even the counts.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
+from ..crypto.numtheory import _party_rngs
 from ..db.engine import equijoin, group_by_count
 from ..db.table import Table
 from ..net.runner import ThreePartyRun
-from ..protocols.base import ProtocolSuite, sorted_ciphertexts
+from ..protocols.base import checked_hashes, sorted_ciphertexts
+from ..protocols.parties import CryptoContext, PublicParams
 
 __all__ = [
     "ContingencyTable",
@@ -71,7 +74,8 @@ class ContingencyTable:
 def intersection_size_to_third_party(
     v_r: Sequence[Hashable],
     v_s: Sequence[Hashable],
-    suite: ProtocolSuite,
+    crypto: CryptoContext,
+    rngs: tuple[random.Random, random.Random],
     run: ThreePartyRun,
     label: str,
 ) -> int:
@@ -79,20 +83,22 @@ def intersection_size_to_third_party(
 
     Steps 1-4(b) are as in Section 5.1, except the final sets
     ``Z_S = f_eR(f_eS(h(V_S)))`` and ``Z_R = f_eS(f_eR(h(V_R)))`` are
-    shipped to the researcher, who computes ``|Z_S ∩ Z_R|``.
+    shipped to the researcher, who computes ``|Z_S ∩ Z_R|``. R and S
+    compute with ``crypto`` and draw their keys from ``rngs``.
     """
     r_values = sorted(set(v_r), key=repr)
     s_values = sorted(set(v_s), key=repr)
 
     # Step 1 - hash and key generation.
-    x_r = suite.hash_side("R", r_values)
-    x_s = suite.hash_side("S", s_values)
-    e_r = suite.cipher.sample_key(suite.rng_r)
-    e_s = suite.cipher.sample_key(suite.rng_s)
+    cipher = crypto.cipher
+    x_r = checked_hashes(crypto.hash, "R", r_values)
+    x_s = checked_hashes(crypto.hash, "S", s_values)
+    e_r = cipher.sample_key(rngs[0])
+    e_s = cipher.sample_key(rngs[1])
 
     # Step 2 - single encryptions.
-    y_r = suite.cipher.encrypt_many(e_r, x_r)
-    y_s = suite.cipher.encrypt_many(e_s, x_s)
+    y_r = cipher.encrypt_many(e_r, x_r)
+    y_s = cipher.encrypt_many(e_s, x_s)
 
     # Steps 3/4(a) - exchange of singly encrypted sets between R and S.
     y_r_at_s = run.to_s(f"{label}:3:Y_R", sorted_ciphertexts(y_r))
@@ -101,10 +107,10 @@ def intersection_size_to_third_party(
     # Modified step 4(b) - double encryptions go to T, reordered
     # (Z_R from S, then Z_S from R).
     z_r_at_t = run.to_t(
-        f"{label}:Z_R", sorted_ciphertexts(suite.cipher.encrypt_many(e_s, y_r_at_s))
+        f"{label}:Z_R", sorted_ciphertexts(cipher.encrypt_many(e_s, y_r_at_s))
     )
     z_s_at_t = run.to_t(
-        f"{label}:Z_S", sorted_ciphertexts(suite.cipher.encrypt_many(e_r, y_s_at_r))
+        f"{label}:Z_S", sorted_ciphertexts(cipher.encrypt_many(e_r, y_s_at_r))
     )
 
     # T computes the intersection size.
@@ -122,7 +128,8 @@ class MedicalResult:
 def run_medical_research(
     t_r: Table,
     t_s: Table,
-    suite: ProtocolSuite | None = None,
+    params: PublicParams,
+    rngs: tuple[random.Random, random.Random] | None = None,
     id_column: str = "person_id",
     pattern_column: str = "pattern",
     drug_column: str = "drug",
@@ -134,9 +141,12 @@ def run_medical_research(
         t_r: the DNA enterprise's table (person_id, pattern: bool).
         t_s: the medical-history enterprise's table
             (person_id, drug: bool, reaction: bool).
-        suite: protocol parameters shared by the four runs.
+        params: public parameters shared by the four runs.
+        rngs: R's and S's randomness, drawn on by each run in turn
+            (the operating system's CSPRNG when omitted).
     """
-    suite = suite or ProtocolSuite.default()
+    crypto = CryptoContext.from_params(params)
+    rngs = rngs or _party_rngs()
     run = ThreePartyRun(protocol="medical_research")
 
     # Local set computations (Figure 2's preamble; the set differences
@@ -151,16 +161,16 @@ def run_medical_research(
 
     table = ContingencyTable(
         pattern_reaction=intersection_size_to_third_party(
-            v_r_pattern, v_s_reaction, suite, run, "q1"
+            v_r_pattern, v_s_reaction, crypto, rngs, run, "q1"
         ),
         pattern_no_reaction=intersection_size_to_third_party(
-            v_r_pattern, v_s - v_s_reaction, suite, run, "q2"
+            v_r_pattern, v_s - v_s_reaction, crypto, rngs, run, "q2"
         ),
         no_pattern_reaction=intersection_size_to_third_party(
-            v_r - v_r_pattern, v_s_reaction, suite, run, "q3"
+            v_r - v_r_pattern, v_s_reaction, crypto, rngs, run, "q3"
         ),
         no_pattern_no_reaction=intersection_size_to_third_party(
-            v_r - v_r_pattern, v_s - v_s_reaction, suite, run, "q4"
+            v_r - v_r_pattern, v_s - v_s_reaction, crypto, rngs, run, "q4"
         ),
     )
     return MedicalResult(table=table, run=run)

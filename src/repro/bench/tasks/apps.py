@@ -17,7 +17,8 @@ from ...analysis.estimates import (
 from ...apps.document_sharing import run_document_sharing
 from ...apps.medical import plaintext_contingency, run_medical_research
 from ...apps.tfidf import significant_words
-from ...protocols.base import ProtocolSuite
+from ...crypto.numtheory import _party_rngs
+from ...protocols.parties import PublicParams
 from ...workloads.generator import document_corpus, medical_workload
 from ..registry import register
 
@@ -64,10 +65,10 @@ def document_sharing(ctx) -> list[dict]:
         ctx.param("words_per_doc"), ctx.param("k"),
         ctx.param("n_r"), ctx.param("n_s"),
     )
-    suite = ProtocolSuite.default(bits=ctx.param("bits"), seed=2)
     started = time.perf_counter()
     result = run_document_sharing(
-        docs_r, docs_s, threshold=0.05, suite=suite
+        docs_r, docs_s, threshold=0.05,
+        params=PublicParams.for_bits(ctx.param("bits")), rngs=_party_rngs(2),
     )
     elapsed = time.perf_counter() - started
     formula = sum(
@@ -110,9 +111,10 @@ def medical(ctx) -> list[dict]:
 
     people = ctx.param("people")
     wl = medical_workload(people, random.Random(4))
-    suite = ProtocolSuite.default(bits=ctx.param("bits"), seed=4)
     started = time.perf_counter()
-    result = run_medical_research(wl.t_r, wl.t_s, suite)
+    result = run_medical_research(
+        wl.t_r, wl.t_s, PublicParams.for_bits(ctx.param("bits")), _party_rngs(4)
+    )
     elapsed = time.perf_counter() - started
     truth = plaintext_contingency(wl.t_r, wl.t_s)
     assert result.table.as_dict() == truth.as_dict()

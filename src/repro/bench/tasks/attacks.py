@@ -7,19 +7,22 @@ reordering can be switched off.
 
 from __future__ import annotations
 
+from ...api import run
+from ...crypto.numtheory import _party_rngs
 from ...net.runner import ProtocolRun
 from ...protocols.audit import audit_view
-from ...protocols.base import ProtocolSuite, sorted_ciphertexts
-from ...protocols.intersection import run_intersection
+from ...protocols.base import checked_hashes, sorted_ciphertexts
 from ...protocols.naive_hash import dictionary_attack, run_naive_intersection
+from ...protocols.parties import PublicParams
 from ...workloads.generator import overlapping_sets
 from ..registry import register
 
 __all__ = []
 
 
-def intersection_size_run(v_r, v_s, suite, reorder_z_r: bool):
-    """The S5.1 size protocol with the step-4(b) reordering switchable.
+def intersection_size_run(v_r, v_s, params, rngs, reorder_z_r: bool):
+    """The S5.1 size protocol with the step-4(b) reordering switchable,
+    over ``params``, R and S drawing their keys from ``rngs``.
 
     Returns ``(size, recovered, run)``: the computed intersection size,
     the set R recovers via the positional attack, and the transcript.
@@ -29,25 +32,26 @@ def intersection_size_run(v_r, v_s, suite, reorder_z_r: bool):
     run = ProtocolRun(protocol="intersection_size_ablation")
     r_values = sorted(set(v_r), key=repr)
     s_values = sorted(set(v_s), key=repr)
-    x_r = suite.hash_side("R", r_values)
-    x_s = suite.hash_side("S", s_values)
-    e_r = suite.cipher.sample_key(suite.rng_r)
-    e_s = suite.cipher.sample_key(suite.rng_s)
+    _, hash_, cipher = params.build()
+    x_r = checked_hashes(hash_, "R", r_values)
+    x_s = checked_hashes(hash_, "S", s_values)
+    e_r = cipher.sample_key(rngs[0])
+    e_s = cipher.sample_key(rngs[1])
 
     # R ships Y_R *unsorted* (paired with its own value order, which a
     # semi-honest R legitimately remembers).
-    y_r = suite.cipher.encrypt_many(e_r, x_r)
+    y_r = cipher.encrypt_many(e_r, x_r)
     y_r_received = run.to_s("3:Y_R", y_r)
 
     y_s_received = run.to_r(
-        "4a:Y_S", sorted_ciphertexts(suite.cipher.encrypt_many(e_s, x_s))
+        "4a:Y_S", sorted_ciphertexts(cipher.encrypt_many(e_s, x_s))
     )
-    z_r = suite.cipher.encrypt_many(e_s, y_r_received)
+    z_r = cipher.encrypt_many(e_s, y_r_received)
     if reorder_z_r:
         z_r = sorted_ciphertexts(z_r)
     z_r_received = run.to_r("4b:Z_R", z_r)
 
-    z_s = set(suite.cipher.encrypt_many(e_r, y_s_received))
+    z_s = set(cipher.encrypt_many(e_r, y_s_received))
     size = len(z_s & set(z_r_received))
 
     # R's positional attack: if Z_R came back in Y_R order, position i
@@ -67,22 +71,22 @@ def intersection_size_run(v_r, v_s, suite, reorder_z_r: bool):
 )
 def naive_dictionary(ctx) -> list[dict]:
     """Run the attack against both protocols over the same domain."""
-    bits = ctx.param("bits")
-    suite = ProtocolSuite.default(bits=bits, seed=31)
+    params = PublicParams.for_bits(ctx.param("bits"))
+    _, hash_, _ = params.build()
     domain = [f"ssn-{i:05d}" for i in range(ctx.param("domain"))]
     v_s = domain[100:100 + ctx.param("n_s")]
     v_r = domain[: ctx.param("n_r")]
 
-    naive = run_naive_intersection(v_r, v_s, suite)
+    naive = run_naive_intersection(v_r, v_s, params)
     recovered_naive, naive_s = ctx.timeit(
-        lambda: dictionary_attack(naive.observed_hashes, domain, suite.hash)
+        lambda: dictionary_attack(naive.observed_hashes, domain, hash_)
     )
     assert recovered_naive == set(v_s)
 
-    secure = run_intersection(v_r, v_s, suite)
-    observed = set(secure.run.r_view.flat_integers())
+    secure = run("intersection", v_r, v_s, params=params, seed=31)
+    observed = set(secure.transcript.r_view.flat_integers())
     recovered_secure, secure_s = ctx.timeit(
-        lambda: dictionary_attack(observed, domain, suite.hash)
+        lambda: dictionary_attack(observed, domain, hash_)
     )
     assert recovered_secure == set()
 
@@ -115,21 +119,21 @@ def naive_dictionary(ctx) -> list[dict]:
 )
 def sorting_ablation(ctx) -> list[dict]:
     """Run the size protocol with and without the 4(b) reorder."""
-    bits = ctx.param("bits")
+    params = PublicParams.for_bits(ctx.param("bits"))
     v_r, v_s, expected = overlapping_sets(
         ctx.param("n_r"), ctx.param("n_s"), ctx.param("overlap"), ctx.rng
     )
     records = []
     for reorder in (True, False):
-        suite = ProtocolSuite.default(bits=bits, seed=8)
-        size, recovered, run = intersection_size_run(
-            v_r, v_s, suite, reorder_z_r=reorder
+        size, recovered, transcript = intersection_size_run(
+            v_r, v_s, params, _party_rngs(8), reorder_z_r=reorder
         )
         assert size == len(expected)
         if not reorder:
             assert recovered == expected
+            group, hash_, _ = params.build()
             report = audit_view(
-                run.r_view, suite.group, suite.hash,
+                transcript.r_view, group, hash_,
                 counterpart_values=list(v_s),
             )
             failed = {c.name for c in report.failures()}

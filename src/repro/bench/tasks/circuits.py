@@ -12,9 +12,8 @@ import time
 from ...circuits.builders import brute_force_intersection_circuit
 from ...circuits.costmodel import CircuitCostModel
 from ...circuits.garble import garble, yao_intersection
+from ...api import run
 from ...crypto.groups import QRGroup
-from ...protocols.base import ProtocolSuite
-from ...protocols.intersection import run_intersection
 from ..registry import register
 
 __all__ = []
@@ -49,19 +48,19 @@ def yao_empirical(ctx) -> list[dict]:
         yao = yao_intersection(v_s, v_r, width=width, group=group, rng=rng)
         yao_s = time.perf_counter() - started
 
-        suite = ProtocolSuite.default(bits=ctx.param("bits"), seed=n)
         started = time.perf_counter()
-        ours = run_intersection(v_r, v_s, suite)
+        ours = run("intersection", v_r, v_s, bits=ctx.param("bits"), seed=n)
+        ours_bytes = ours.transcript.total_bytes
         ours_s = time.perf_counter() - started
 
-        assert yao.intersection == ours.intersection == (set(v_s) & set(v_r))
-        gap = yao.total_bytes / ours.run.total_bytes
+        assert yao.intersection == ours.answer == (set(v_s) & set(v_r))
+        gap = yao.total_bytes / ours_bytes
         gaps.append(gap)
         records.append({
             "id": f"n{n}",
             "n": n,
             "yao_bytes": yao.total_bytes,
-            "ours_bytes": ours.run.total_bytes,
+            "ours_bytes": ours_bytes,
             "comm_gap_x": round(gap, 1),
             "metrics": {
                 "yao_s": round(yao_s, 6),

@@ -13,13 +13,11 @@ import math
 from ...analysis.calibration import calibrate
 from ...analysis.costmodel import CostConstants, ProtocolCostModel
 from ...analysis.instrumentation import counting_suite
+from ...api import run
 from ...circuits.costmodel import CircuitCostModel
 from ...crypto.ot import NaorPinkasCostModel, run_ot
 from ...crypto.groups import QRGroup
-from ...protocols.base import ProtocolSuite
-from ...protocols.equijoin import run_equijoin
-from ...protocols.intersection import run_intersection
-from ...protocols.intersection_size import run_intersection_size
+from ...protocols.spec import run_pair
 from ..registry import register
 
 __all__ = []
@@ -181,30 +179,20 @@ def section6_communication(ctx) -> list[dict]:
     """Count codewords on real transcripts against the bit formulas."""
     bits = ctx.param("bits")
 
-    def codewords(result) -> int:
+    def codewords(protocol, v_r, s_data, seed) -> int:
+        result = run(protocol, v_r, s_data, bits=bits, seed=seed)
         return sum(
             len(view.flat_integers())
-            for view in (result.run.r_view, result.run.s_view)
+            for view in (result.transcript.r_view, result.transcript.s_view)
         )
 
     records = []
     for n_r, n_s in ctx.param("pairs"):
-        suite = ProtocolSuite.default(bits=bits, seed=n_r)
-        size_run = run_intersection_size(
-            [f"r{i}" for i in range(n_r)], [f"s{i}" for i in range(n_s)], suite
-        )
-        assert codewords(size_run) == n_s + 2 * n_r
-        suite = ProtocolSuite.default(bits=bits, seed=n_r + 1)
-        inter = run_intersection(
-            [f"r{i}" for i in range(n_r)], [f"s{i}" for i in range(n_s)], suite
-        )
-        assert codewords(inter) == n_s + 3 * n_r
-        suite = ProtocolSuite.default(bits=bits, seed=n_r + 2)
-        join = run_equijoin(
-            [f"r{i}" for i in range(n_r)],
-            {f"s{i}": b"payload" for i in range(n_s)}, suite,
-        )
-        assert codewords(join) == n_r + 3 * n_r + n_s + n_s
+        v_r, v_s = [f"r{i}" for i in range(n_r)], [f"s{i}" for i in range(n_s)]
+        assert codewords("intersection-size", v_r, v_s, n_r) == n_s + 2 * n_r
+        assert codewords("intersection", v_r, v_s, n_r + 1) == n_s + 3 * n_r
+        ext = {v: b"payload" for v in v_s}
+        assert codewords("equijoin", v_r, ext, n_r + 2) == 4 * n_r + 2 * n_s
         records.append({
             "id": f"r{n_r}-s{n_s}",
             "n_r": n_r,
@@ -242,18 +230,19 @@ def section6_computation(ctx) -> list[dict]:
     records = []
     for n_r, n_s in ctx.param("pairs"):
         cs = counting_suite(bits=64)
-        run_intersection(
-            [f"r{i}" for i in range(n_r)], [f"s{i}" for i in range(n_s)],
-            cs.suite,
+        run_pair(
+            "intersection", [f"r{i}" for i in range(n_r)],
+            [f"s{i}" for i in range(n_s)], cs.params, *cs.rngs, crypto=cs.crypto,
         )
         predicted = model.intersection_ops(n_s, n_r)
         assert cs.counter.encryptions == predicted.encryptions
         inter_ops = cs.counter.encryptions
 
         cs = counting_suite(bits=64)
-        run_equijoin(
-            [f"s{i}" for i in range(n_r)],
-            {f"s{i}": b"row" for i in range(n_s)}, cs.suite,
+        run_pair(
+            "equijoin", [f"s{i}" for i in range(n_r)],
+            {f"s{i}": b"row" for i in range(n_s)}, cs.params, *cs.rngs,
+            crypto=cs.crypto,
         )
         predicted_join = model.join_ops(n_s, n_r, min(n_r, n_s))
         assert cs.counter.encryptions == predicted_join.encryptions

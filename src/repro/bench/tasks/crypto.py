@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 
 from ...analysis.calibration import calibrate
+from ...api import run
 from ...crypto.groups import QRGroup
 from ...crypto.hashing import (
     SquareHash,
@@ -12,8 +13,6 @@ from ...crypto.hashing import (
     find_collisions,
     log10_collision_probability,
 )
-from ...protocols.base import ProtocolSuite
-from ...protocols.intersection_size import run_intersection_size
 from ..registry import register
 
 __all__ = []  # tasks register by side effect; nothing to re-export
@@ -115,18 +114,17 @@ def keysize_ablation(ctx) -> list[dict]:
     records = []
     for bits in ctx.param("sizes"):
         ce = calibrate(bits=bits, samples=ctx.param("samples")).constants.ce_seconds
-        suite = ProtocolSuite.default(bits=bits, seed=bits)
         v_r = [f"r{i}" for i in range(n)]
         v_s = [f"s{i}" for i in range(n // 2)] + v_r[: n - n // 2]
         started = time.perf_counter()
-        result = run_intersection_size(v_r, v_s, suite)
+        result = run("intersection-size", v_r, v_s, bits=bits, seed=bits)
         elapsed = time.perf_counter() - started
-        assert result.size == n - n // 2
+        assert result.answer == n - n // 2
         records.append({
             "id": f"k{bits}",
             "bits": bits,
             "n": n,
-            "wire_bytes": result.run.total_bytes,
+            "wire_bytes": result.transcript.total_bytes,
             "metrics": {
                 "ce_s": round(ce, 6),
                 "run_s": round(elapsed, 6),

@@ -7,10 +7,11 @@ equals the plaintext analysis.
 
 from __future__ import annotations
 
-from ...analysis.leakage import leakage_profile
+from ...analysis.leakage import equijoin_size_leak, leakage_profile
+from ...crypto.numtheory import _party_rngs
 from ...db.multiset import ValueMultiset
-from ...protocols.base import ProtocolSuite
-from ...protocols.equijoin_size import run_equijoin_size
+from ...protocols.parties import PublicParams
+from ...protocols.spec import PROTOCOLS, run_pair
 from ...workloads.generator import multiset_pair
 from ..registry import register
 
@@ -81,10 +82,14 @@ def duplicate_distributions(ctx) -> list[dict]:
     ms_r, ms_s = multiset_pair(
         live_n, live_n, ctx.param("live_overlap"), ctx.rng
     )
-    suite = ProtocolSuite.default(bits=ctx.param("bits"), seed=6)
-    result = run_equijoin_size(ms_r, ms_s, suite)
+    receiver, sender, wires = run_pair(
+        "equijoin-size", ms_r, ms_s, PublicParams.for_bits(ctx.param("bits")),
+        *_party_rngs(6),
+    )
+    transcript = PROTOCOLS["equijoin-size"].transcript(wires)
+    leak = equijoin_size_leak(receiver, sender, transcript)
     profile = leakage_profile(ms_r, ms_s)
-    assert result.partition_overlap == profile.matrix
+    assert leak.partition_overlap == profile.matrix
     records.append({
         "id": "live-protocol",
         "n": live_n,

@@ -9,30 +9,23 @@ from __future__ import annotations
 import random
 import time
 
-from ...protocols.aggregate import run_equijoin_sum
-from ...protocols.base import ProtocolSuite
-from ...protocols.equijoin import run_equijoin
-from ...protocols.equijoin_size import run_equijoin_size
-from ...protocols.intersection import run_intersection
-from ...protocols.intersection_size import run_intersection_size
+from ...api import run
+from ...crypto.numtheory import _party_rngs
+from ...protocols.parties import PublicParams
 from ...protocols.selection import run_selection as _run_selection_protocol
+from ...protocols.spec import PROTOCOLS, run_pair
 from ...workloads.generator import multiset_pair, overlapping_sets
 from ..registry import register
 
 __all__ = []
 
-#: Name -> driver over ``(v_r, v_s, suite)`` for the four core protocols.
-PROTOCOL_DRIVERS = {
-    "intersection": lambda v_r, v_s, suite: run_intersection(v_r, v_s, suite),
-    "intersection_size": lambda v_r, v_s, suite: run_intersection_size(
-        v_r, v_s, suite
-    ),
-    "equijoin": lambda v_r, v_s, suite: run_equijoin(
-        v_r, {v: b"record" for v in v_s}, suite
-    ),
-    "equijoin_size": lambda v_r, v_s, suite: run_equijoin_size(
-        v_r, v_s, suite
-    ),
+#: Record name -> (registered protocol, S's input from its values)
+#: for the four core protocols.
+PROTOCOL_INPUTS = {
+    "intersection": ("intersection", list),
+    "intersection_size": ("intersection-size", list),
+    "equijoin": ("equijoin", lambda v_s: {v: b"record" for v in v_s}),
+    "equijoin_size": ("equijoin-size", list),
 }
 
 
@@ -47,24 +40,23 @@ def scaling(ctx) -> list[dict]:
     """Run every protocol at each n; one record per (protocol, n)."""
     bits = ctx.param("bits")
     records = []
-    for name, protocol in sorted(PROTOCOL_DRIVERS.items()):
+    for name, (protocol, s_input) in sorted(PROTOCOL_INPUTS.items()):
         for n in ctx.param("sizes"):
             v_r, v_s, expected = overlapping_sets(
                 n, n, n // 2, random.Random(n)
             )
-            suite = ProtocolSuite.default(bits=bits, seed=n)
             started = time.perf_counter()
-            result = protocol(v_r, v_s, suite)
+            result = run(protocol, v_r, s_input(v_s), bits=bits, seed=n)
             elapsed = time.perf_counter() - started
             if name == "intersection":
-                assert result.intersection == expected
+                assert result.answer == expected
             elif name == "intersection_size":
-                assert result.size == len(expected)
+                assert result.answer == len(expected)
             records.append({
                 "id": f"{name}-n{n}",
                 "protocol": name,
                 "n": n,
-                "wire_bytes": result.run.total_bytes,
+                "wire_bytes": result.transcript.total_bytes,
                 "metrics": {"elapsed_s": round(elapsed, 6)},
             })
     return records
@@ -83,18 +75,17 @@ def multiset_join(ctx) -> list[dict]:
     records = []
     for n in ctx.param("sizes"):
         ms_r, ms_s = multiset_pair(n, n, n // 2, ctx.rng)
-        suite = ProtocolSuite.default(bits=bits, seed=n)
         started = time.perf_counter()
-        result = run_equijoin_size(ms_r, ms_s, suite)
+        result = run("equijoin-size", ms_r, ms_s, bits=bits, seed=n)
         elapsed = time.perf_counter() - started
-        assert result.join_size == ms_r.join_size(ms_s)
+        assert result.answer == ms_r.join_size(ms_s)
         records.append({
             "id": f"n{n}",
             "n": n,
             "occurrences_r": len(ms_r),
             "occurrences_s": len(ms_s),
-            "join_size": result.join_size,
-            "wire_bytes": result.run.total_bytes,
+            "join_size": result.answer,
+            "wire_bytes": result.transcript.total_bytes,
             "metrics": {"elapsed_s": round(elapsed, 6)},
         })
     return records
@@ -114,26 +105,29 @@ def extensions(ctx) -> list[dict]:
     v_r, v_s, expected = overlapping_sets(n, n, n // 2, ctx.rng)
     values_s = {v: ctx.rng.randrange(10**6) for v in v_s}
 
-    suite = ProtocolSuite.default(bits=bits, seed=21)
+    params = PublicParams.for_bits(bits)
     started = time.perf_counter()
-    size_result = run_intersection_size(v_r, v_s, suite)
+    size_result = run("intersection-size", v_r, v_s, params=params, seed=21)
     size_s = time.perf_counter() - started
+    size_bytes = size_result.transcript.total_bytes
 
-    suite = ProtocolSuite.default(bits=bits, seed=21)
     started = time.perf_counter()
-    sum_result = run_equijoin_sum(v_r, values_s, suite, paillier_bits=256)
+    receiver, _, wires = run_pair(
+        "equijoin-sum", v_r, values_s, params, *_party_rngs(21),
+        paillier_bits=256,
+    )
+    total = receiver.finish()
     sum_s = time.perf_counter() - started
-    assert sum_result.total == sum(values_s[v] for v in expected)
-    assert sum_result.match_count == size_result.size == len(expected)
+    sum_bytes = PROTOCOLS["equijoin-sum"].transcript(wires).total_bytes
+    assert total == sum(values_s[v] for v in expected)
+    assert receiver.state.match_count == size_result.answer == len(expected)
 
     records = [{
         "id": "equijoin-sum",
         "n": n,
-        "size_bytes": size_result.run.total_bytes,
-        "sum_bytes": sum_result.run.total_bytes,
-        "byte_overhead_x": round(
-            sum_result.run.total_bytes / size_result.run.total_bytes, 2
-        ),
+        "size_bytes": size_bytes,
+        "sum_bytes": sum_bytes,
+        "byte_overhead_x": round(sum_bytes / size_bytes, 2),
         "metrics": {
             "elapsed_s": round(sum_s, 6),
             "size_elapsed_s": round(size_s, 6),
@@ -142,10 +136,11 @@ def extensions(ctx) -> list[dict]:
 
     previous = None
     for sel_n in ctx.param("selection_sizes"):
-        suite = ProtocolSuite.default(bits=bits, seed=sel_n)
         rows = [f"row-{i:04d}".encode() * 2 for i in range(sel_n)]
         started = time.perf_counter()
-        result = _run_selection_protocol(sel_n // 2, rows, suite)
+        result = _run_selection_protocol(
+            sel_n // 2, rows, params, _party_rngs(sel_n)
+        )
         elapsed = time.perf_counter() - started
         assert result.record == rows[sel_n // 2]
         per_record = result.run.total_bytes / sel_n

@@ -58,13 +58,11 @@ from .analysis.estimates import (
     document_sharing_estimate,
     medical_research_estimate,
 )
+from .analysis.leakage import duplicate_distribution
 from .circuits.costmodel import CircuitCostModel
-from .protocols.aggregate import run_equijoin_sum
-from .protocols.base import ProtocolSuite
-from .protocols.equijoin_size import run_equijoin_size
-from .protocols.intersection import run_intersection
-from .protocols.intersection_size import run_intersection_size
-from .protocols.spec import PROTOCOLS, get_spec
+from .crypto.numtheory import _party_rngs
+from .protocols.parties import PublicParams
+from .protocols.spec import PROTOCOLS, get_spec, run_pair
 
 __all__ = [
     "main",
@@ -383,43 +381,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
-    suite = ProtocolSuite.default(bits=args.bits, seed=args.seed)
-    v_r = _read_values(args.receiver)
+    spec = get_spec(args.command)
+    receiver, sender, wires = run_pair(
+        spec,
+        _read_values(args.receiver),
+        # equijoin-size reads multisets: duplicates in the files count.
+        _SENDER_READERS[spec.sender_input](args.sender),
+        PublicParams.for_bits(args.bits),
+        *_party_rngs(args.seed),
+    )
+    answer = receiver.finish()
+    run = spec.transcript(wires)
+    n_r, n_s = sender.state.size_v_r, receiver.state.size_v_s
+    sizes = f"|V_R|={n_r} |V_S|={n_s}"
 
-    if args.command == "equijoin-sum":
-        values_s = _read_value_amounts(args.sender)
-        result = run_equijoin_sum(v_r, values_s, suite)
-        print(f"sum over intersection: {result.total}")
-        print(f"matches: {result.match_count}  |V_R|={result.size_v_r}  "
-              f"|V_S|={result.size_v_s}")
-        print(f"wire bytes: {result.run.total_bytes}")
-        return 0
-
-    v_s = _read_values(args.sender)
-    if args.command == "intersection":
-        result = run_intersection(v_r, v_s, suite)
-        for value in sorted(result.intersection, key=repr):
+    if spec.name == "equijoin-sum":
+        print(f"sum over intersection: {answer}")
+        print(f"matches: {receiver.state.match_count}  |V_R|={n_r}  |V_S|={n_s}")
+        print(f"wire bytes: {run.total_bytes}")
+    elif spec.name == "intersection":
+        for value in sorted(answer, key=repr):
             print(value)
         print(
-            f"# |intersection|={len(result.intersection)} "
-            f"|V_R|={result.size_v_r} |V_S|={result.size_v_s} "
-            f"bytes={result.run.total_bytes}",
+            f"# |intersection|={len(answer)} {sizes} bytes={run.total_bytes}",
             file=sys.stderr,
         )
-    elif args.command == "intersection-size":
-        result = run_intersection_size(v_r, v_s, suite)
-        print(result.size)
-        print(
-            f"# |V_R|={result.size_v_r} |V_S|={result.size_v_s} "
-            f"bytes={result.run.total_bytes}",
-            file=sys.stderr,
-        )
-    else:  # equijoin-size (multisets: duplicates in the files count)
-        result = run_equijoin_size(v_r, v_s, suite)
-        print(result.join_size)
+    elif spec.name == "intersection-size":
+        print(answer)
+        print(f"# {sizes} bytes={run.total_bytes}", file=sys.stderr)
+    else:  # equijoin-size
+        print(answer)
         print(
             "# S's duplicate distribution seen by R: "
-            f"{result.r_learns_s_duplicates}",
+            f"{duplicate_distribution(run.r_view, '4a:Y_S')}",
             file=sys.stderr,
         )
     return 0
@@ -510,7 +504,6 @@ def _print_answer(protocol: str, answer) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from . import api
-    from .protocols.parties import PublicParams
 
     data = _SENDER_READERS[get_spec(args.protocol).sender_input](args.sender)
     params = PublicParams.for_bits(args.bits)
@@ -725,7 +718,7 @@ def _stage(catalog, inserts, deletes, shape: str | None) -> None:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     """The ``catalog`` subcommands: stateful repeated-query runs."""
-    from .api import _party_rngs, open_catalog
+    from .api import open_catalog
 
     spec = get_spec(args.protocol)
     shape = spec.sender_input
@@ -734,7 +727,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     mutating = bool(inserts or deletes)
 
     if args.catalog_command == "query":
-        rng_r, rng_s = _party_rngs(args.seed, None)
+        rng_r, rng_s = _party_rngs(args.seed)
         base = Path(args.cache_dir) if args.cache_dir else None
         cat_r = open_catalog(
             _read_values(args.receiver), bits=args.bits, rng=rng_r,

@@ -72,6 +72,27 @@ def _key_rng(rng: random.Random | None = None, seed: Any = None) -> random.Rando
     return secrets.SystemRandom()
 
 
+def _party_rngs(
+    seed: Any = None, rng: random.Random | None = None
+) -> tuple[random.Random, random.Random]:
+    """R's and S's randomness for a run of both parties in one process.
+
+    Handing both machines the *same* rng would entangle their key
+    draws through call order, so each party gets its own: a ``seed``
+    names the two streams ``"<seed>/R"`` and ``"<seed>/S"``, an
+    explicit master ``rng`` seeds one child per party from 64 of its
+    bits, and with neither (or a ``SystemRandom`` master) both parties
+    draw from the operating system's CSPRNG.
+    """
+    if rng is None and seed is not None:
+        return random.Random(f"{seed}/R"), random.Random(f"{seed}/S")
+    master = _key_rng(rng)
+    if isinstance(master, random.SystemRandom):
+        # Nothing to reproduce, and 64 bits of it would be a weak seed.
+        return _key_rng(), _key_rng()
+    return random.Random(master.getrandbits(64)), random.Random(master.getrandbits(64))
+
+
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     """One Miller-Rabin round; True means 'n may be prime'."""
     x = pow(a, d, n)

@@ -3,8 +3,8 @@
 The paper's conclusions ask: "Can we formalize models of minimal
 disclosure and discover corresponding protocols for other database
 operations such as aggregations?" The equijoin-sum protocol
-(:mod:`repro.protocols.aggregate`) is this library's answer, and it
-needs an additively homomorphic cipher; Paillier (1999) is the
+(``"equijoin-sum"`` in :mod:`repro.protocols.spec`) is this library's
+answer, and it needs an additively homomorphic cipher; Paillier (1999) is the
 classical choice and is implemented here from scratch.
 
 Construction (simplified variant with ``g = n + 1``):

@@ -133,7 +133,7 @@ class EquijoinSizeQuery(_QueryBase):
 class EquijoinSumQuery(_QueryBase):
     """``SUM(val_S(v)) over v ∈ V_S ∩ V_R`` - the aggregate extension
     answering the paper's future-work question (see
-    :mod:`repro.protocols.aggregate`)."""
+    :class:`repro.protocols.parties.EquijoinSumReceiver`)."""
 
     @property
     def profile(self) -> DisclosureProfile:

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..protocols.parties import PublicParams, ReceiverMachine, SenderMachine
-from ..protocols.spec import get_spec
+from ..protocols.parties import PublicParams
+from ..protocols.spec import get_spec, run_pair
 from . import serialization
 from .crashpoints import (
     CRASH_POINTS,
@@ -420,9 +420,8 @@ def run_schedule(
 
     # Clean reference run: the expected answer plus the byte-exact
     # wires every completed journal must reproduce.
-    ref_receiver = ReceiverMachine(spec, v_r, params, random.Random(r_seed))
-    wires = spec.exchange(
-        ref_receiver, SenderMachine(spec, v_s, params, random.Random(s_seed))
+    ref_receiver, _, wires = run_pair(
+        spec, v_r, v_s, params, random.Random(r_seed), random.Random(s_seed)
     )
     expected = ref_receiver.finish()
 
@@ -757,14 +756,9 @@ def run_worker_crash_schedule(
     # The answer bytes every herd session must reproduce exactly.
     reference: list[bytes] = []
     for i in range(schedule.sessions):
-        ref_r = ReceiverMachine(
-            spec, _herd_data(i), params, random.Random(f"ref-r-{i}")
-        )
-        spec.exchange(
-            ref_r,
-            SenderMachine(
-                spec, _HERD_SENDER, params, random.Random(f"ref-s-{i}")
-            ),
+        ref_r, _, _ = run_pair(
+            spec, _herd_data(i), _HERD_SENDER, params,
+            random.Random(f"ref-r-{i}"), random.Random(f"ref-s-{i}"),
         )
         reference.append(
             serialization.encode(sorted(ref_r.finish(), key=repr))

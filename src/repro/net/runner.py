@@ -7,9 +7,9 @@ receiving party's :class:`~repro.net.transcript.View`, so a party only
 ever holds what crossed the wire (no shared mutable state).  The
 hand-written protocols (naive hash, selection, the medical application)
 call them as they go; the five registered ones run through
-:meth:`~repro.protocols.spec.ProtocolSpec.exchange` - the only
-in-process round loop - and ``spec.run_recorded`` records the wires it
-returns, part by part.
+:func:`~repro.protocols.spec.run_pair` - the only in-process round
+loop - and :meth:`~repro.protocols.spec.ProtocolSpec.transcript`
+records the wires it returns, part by part.
 """
 
 from __future__ import annotations

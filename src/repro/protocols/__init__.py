@@ -1,23 +1,15 @@
 """The paper's protocols: intersection (S3), equijoin (S4),
 intersection size (S5.1), equijoin size (S5.2), the broken naive-hash
-baseline (S3.1), executable proof simulators and the disclosure audit."""
+baseline (S3.1), executable proof simulators and the disclosure audit.
 
-from .aggregate import EquijoinSumResult, run_equijoin_sum
+Each of the five two-party protocols is one registered spec
+(:data:`~repro.protocols.spec.PROTOCOLS`); :func:`repro.run` runs one
+in process, through :func:`~repro.protocols.spec.run_pair`."""
+
 from .audit import AuditCheck, AuditReport, audit_view
-from .base import (
-    DEFAULT_BITS,
-    EquijoinResult,
-    EquijoinSizeResult,
-    HashCollisionError,
-    IntersectionResult,
-    IntersectionSizeResult,
-    ProtocolSuite,
-)
-from .equijoin import join_tables, run_equijoin
+from .base import HashCollisionError
+from .equijoin import join_size_tables, join_tables
 from .messages import ProtocolViolation
-from .equijoin_size import join_size_tables, run_equijoin_size
-from .intersection import run_intersection
-from .intersection_size import run_intersection_size
 from .parties import (
     IntersectionReceiver,
     IntersectionSender,
@@ -39,22 +31,10 @@ from .simulators import (
 )
 
 __all__ = [
-    "ProtocolSuite",
-    "DEFAULT_BITS",
     "HashCollisionError",
     "ProtocolViolation",
-    "run_intersection",
-    "IntersectionResult",
-    "run_intersection_size",
-    "IntersectionSizeResult",
-    "run_equijoin",
     "join_tables",
-    "EquijoinResult",
-    "run_equijoin_size",
     "join_size_tables",
-    "EquijoinSizeResult",
-    "run_equijoin_sum",
-    "EquijoinSumResult",
     "run_selection",
     "SelectionResult",
     "PublicParams",

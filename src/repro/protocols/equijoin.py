@@ -10,54 +10,30 @@ derive the per-value ext-encryption key ``κ(v) = f_{e'_S}(h(v))``.
 R recovers ``κ(v)`` only for its own values by stripping its own
 encryption: ``f_eR^{-1}(f_{e'_S}(f_eR(h(v)))) = f_{e'_S}(h(v))``.
 
-The module offers two levels:
-
-* :func:`run_equijoin` - the raw protocol on value sets plus an
-  ``ext`` byte-payload map (exactly the paper's objects);
-* :func:`join_tables` - a convenience wrapper joining two
-  :class:`~repro.db.table.Table` relations, serializing S's record
-  groups into ``ext(v)`` and materializing the joined table at R.
+The steps live in :class:`~repro.protocols.parties.EquijoinReceiver` /
+``EquijoinSender`` and run as the registered ``"equijoin"`` spec
+(:func:`repro.run` on value sets plus an ``ext`` byte-payload map -
+exactly the paper's objects). Step 8 (computing ``T_S ⋈ T_R`` from
+ext) is the caller's job; :func:`join_tables` does it for two
+:class:`~repro.db.table.Table` relations, serializing S's record groups
+into ``ext(v)`` and materializing the joined table at R.
+:func:`join_size_tables` is its Section 5.2 counterpart: the join's
+size alone, from the two tables' attribute multisets.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+import random
+from typing import Any, Hashable, Sequence
 
+from ..crypto.numtheory import _party_rngs
+from ..db.multiset import ValueMultiset
 from ..db.table import Table
 from ..net import serialization
-from .base import EquijoinResult, ProtocolSuite
-from .spec import run_recorded
+from .parties import PublicParams
+from .spec import run_pair
 
-__all__ = ["run_equijoin", "join_tables"]
-
-
-def run_equijoin(
-    v_r: Sequence[Hashable],
-    ext_s: Mapping[Hashable, bytes],
-    suite: ProtocolSuite | None = None,
-) -> EquijoinResult:
-    """Execute the Section 4.3 protocol.
-
-    The steps live in :class:`~repro.protocols.parties.EquijoinReceiver`
-    / ``EquijoinSender``; this driver runs the registered
-    ``"equijoin"`` spec in process and records it. Step 8 (computing
-    ``T_S ⋈ T_R`` from ext) is the caller's job; see
-    :func:`join_tables` for the table-level wrapper.
-
-    Args:
-        v_r: R's value set.
-        ext_s: S's side as a map ``v -> ext(v)`` (the values are
-            ``V_S``, the payloads the joined extra information).
-        suite: agreed parameters; fresh 1024-bit default when omitted.
-    """
-    matches, r_state, s_state, run = run_recorded("equijoin", v_r, ext_s, suite)
-    return EquijoinResult(
-        intersection=set(matches),
-        matches=matches,
-        size_v_s=r_state.size_v_s,
-        size_v_r=s_state.size_v_r,
-        run=run,
-    )
+__all__ = ["join_tables", "join_size_tables"]
 
 
 def serialize_rows(rows: Sequence[tuple]) -> bytes:
@@ -75,21 +51,27 @@ def join_tables(
     t_s: Table,
     r_attr: str,
     s_attr: str | None = None,
-    suite: ProtocolSuite | None = None,
-) -> tuple[Table, EquijoinResult]:
+    *,
+    params: PublicParams,
+    rngs: tuple[random.Random, random.Random] | None = None,
+) -> tuple[Table, dict[Hashable, bytes]]:
     """Privately compute ``T_S ⋈ T_R`` and materialize it at R.
 
     R contributes the distinct values of ``T_R.r_attr``; S contributes
     ``ext(v)`` = its records grouped by ``T_S.s_attr``. The returned
     table has R's columns followed by S's (renamed on collision),
     mirroring the plaintext :func:`repro.db.engine.equijoin` so results
-    can be compared directly.
+    can be compared directly. Returned beside it: R's answer, ``v ->
+    ext(v)`` for each ``v`` in the intersection. ``rngs`` is R's and
+    S's randomness (the operating system's CSPRNG when omitted).
     """
     s_attr = s_attr or r_attr
     ext = {
         v: serialize_rows(rows) for v, rows in t_s.group_rows_by(s_attr).items()
     }
-    result = run_equijoin(list(t_r.distinct_values(r_attr)), ext, suite)
+    matches = _answer(
+        "equijoin", list(t_r.distinct_values(r_attr)), ext, params, rngs
+    )
 
     taken = set(t_r.columns)
     s_out_cols = tuple(c if c not in taken else f"s_{c}" for c in t_s.columns)
@@ -98,10 +80,50 @@ def join_tables(
     r_idx = t_r.column_index(r_attr)
     out_rows = []
     for r_row in t_r.rows:
-        payload = result.matches.get(r_row[r_idx])
+        payload = matches.get(r_row[r_idx])
         if payload is None:
             continue
         for s_row in deserialize_rows(payload):
             out_rows.append(r_row + s_row)
     joined = Table(out_columns, out_rows, name="private_join")
-    return joined, result
+    return joined, matches
+
+
+def join_size_tables(
+    t_r: Table,
+    t_s: Table,
+    r_attr: str,
+    s_attr: str | None = None,
+    *,
+    params: PublicParams,
+    rngs: tuple[random.Random, random.Random] | None = None,
+) -> int:
+    """``|T_S ⋈ T_R|`` on named attributes, by the Section 5.2 protocol.
+
+    Runs the registered ``"equijoin-size"`` spec on each table's
+    attribute multiset (duplicates preserved - they are the whole point
+    of that protocol; what they leak is
+    :func:`repro.analysis.leakage.equijoin_size_leak`).
+    """
+    s_attr = s_attr or r_attr
+    return _answer(
+        "equijoin-size",
+        ValueMultiset.from_table(t_r, r_attr),
+        ValueMultiset.from_table(t_s, s_attr),
+        params,
+        rngs,
+    )
+
+
+def _answer(
+    protocol: str,
+    r_data: Any,
+    s_data: Any,
+    params: PublicParams,
+    rngs: tuple[random.Random, random.Random] | None,
+) -> Any:
+    """R's answer of one in-process run of ``protocol``."""
+    receiver, _, _ = run_pair(
+        protocol, r_data, s_data, params, *(rngs or _party_rngs())
+    )
+    return receiver.finish()

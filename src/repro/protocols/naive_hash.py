@@ -18,7 +18,7 @@ from typing import Hashable, Iterable, Sequence
 
 from ..crypto.hashing import DomainHash
 from ..net.runner import ProtocolRun
-from .base import ProtocolSuite
+from .parties import PublicParams
 
 __all__ = ["NaiveIntersectionResult", "run_naive_intersection", "dictionary_attack"]
 
@@ -35,21 +35,24 @@ class NaiveIntersectionResult:
 def run_naive_intersection(
     v_r: Sequence[Hashable],
     v_s: Sequence[Hashable],
-    suite: ProtocolSuite | None = None,
+    params: PublicParams,
 ) -> NaiveIntersectionResult:
-    """Execute the Section 3.1 protocol (insecure; for study only)."""
-    suite = suite or ProtocolSuite.default()
+    """Execute the Section 3.1 protocol (insecure; for study only).
+
+    Both parties hash with the ``h`` that ``params`` names; no key is
+    involved, which is the flaw."""
+    _, hash_, _ = params.build()
     run = ProtocolRun(protocol="naive_hash_intersection")
 
     # Step 1 - both parties hash their sets.
-    x_s = {suite.hash.hash_value(v) for v in set(v_s)}
+    x_s = {hash_.hash_value(v) for v in set(v_s)}
 
     # Step 2 - S sends its hashed set to R.
     x_s_received = run.to_r("2:X_S", sorted(x_s))
 
     # Step 3 - R keeps every v whose hash appears in X_S.
     observed = set(x_s_received)
-    answer = {v for v in set(v_r) if suite.hash.hash_value(v) in observed}
+    answer = {v for v in set(v_r) if hash_.hash_value(v) in observed}
     return NaiveIntersectionResult(
         intersection=answer, observed_hashes=observed, run=run
     )

@@ -1,8 +1,8 @@
 """Separable party state machines and the generic spec interpreters.
 
-The driver functions in :mod:`repro.protocols.intersection` etc. are
-convenient for simulation and analysis, but they hold both parties'
-secrets in one stack frame. A downstream deployment needs each party
+Running both parties in one process (:func:`repro.run`) is convenient
+for simulation and analysis, but it holds both parties' secrets in one
+process. A downstream deployment needs each party
 as its *own* object that sees only its inputs, its randomness and the
 messages addressed to it - so it can sit behind any transport
 (the in-process exchange, the TCP transport in :mod:`repro.net.tcp`,
@@ -33,7 +33,7 @@ Parameters travel as :class:`PublicParams` - everything public both
 sides must agree on (the modulus and the hash construction).  Private
 per-party machinery (group, hash, cipher and optional ext cipher
 instances) can instead be injected as a :class:`CryptoContext`, which
-is how the in-memory drivers share one counting suite across both
+is how an in-memory run shares one counting context across both
 parties.
 
 On top of the concrete parties sit :class:`SenderMachine` and
@@ -144,9 +144,9 @@ class CryptoContext:
     """Concrete crypto machinery one party computes with.
 
     Normally derived from :class:`PublicParams` (each party builds its
-    own instances), but injectable so the in-memory drivers can route
-    both parties through one shared suite - e.g. the counting suite
-    used by :mod:`repro.analysis.instrumentation`.
+    own instances), but injectable (``crypto=``) so an in-memory run can
+    route both parties through shared, instrumented instances - e.g.
+    :func:`repro.analysis.instrumentation.counting_suite`.
     """
 
     group: QRGroup
@@ -161,16 +161,6 @@ class CryptoContext:
         """Instantiate fresh machinery from the shared public params."""
         group, hash_, cipher = params.build(engine=engine)
         return cls(group=group, hash=hash_, cipher=cipher)
-
-    @classmethod
-    def from_suite(cls, suite: Any) -> "CryptoContext":
-        """Adopt a :class:`~repro.protocols.base.ProtocolSuite`'s instances."""
-        return cls(
-            group=suite.group,
-            hash=suite.hash,
-            cipher=suite.cipher,
-            ext_cipher=suite.ext_cipher,
-        )
 
     def ext(self) -> ExtCipher:
         """The ext-payload cipher (a default block cipher if not injected)."""

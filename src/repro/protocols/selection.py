@@ -25,12 +25,15 @@ Guarantees (semi-honest, like the rest of the library):
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..crypto.groups import QRGroup
+from ..crypto.numtheory import _party_rngs
 from ..crypto.ot_n import OneOfNReceiver, OneOfNSender
 from ..net.runner import ProtocolRun
-from .base import ProtocolSuite
+from .parties import PublicParams
 
 __all__ = ["SelectionResult", "run_selection"]
 
@@ -50,13 +53,15 @@ class SelectionResult:
 def run_selection(
     index: int,
     records: Sequence[bytes],
-    suite: ProtocolSuite | None = None,
+    params: PublicParams,
+    rngs: tuple[random.Random, random.Random] | None = None,
 ) -> SelectionResult:
     """R retrieves ``records[index]`` from S without revealing ``index``.
 
     Records are padded to the maximum length before encryption so their
     sizes do not distinguish them; the 2-byte length prefix restores the
-    original payload.
+    original payload. The OT runs in the group ``params`` names, on R's
+    and S's ``rngs`` (the operating system's CSPRNG when omitted).
     """
     if not records:
         raise ValueError("selection over an empty record set")
@@ -71,14 +76,15 @@ def run_selection(
             "limit of the 2-byte length prefix"
         )
 
-    suite = suite or ProtocolSuite.default()
+    group = QRGroup(params.p)
+    rng_r, rng_s = rngs or _party_rngs()
     run = ProtocolRun(protocol="selection")
     padded = [
         len(r).to_bytes(2, "big") + bytes(r).ljust(width, b"\0") for r in records
     ]
 
-    sender = OneOfNSender(suite.group, padded, suite.rng_s)
-    receiver = OneOfNReceiver(suite.group, len(records), index, suite.rng_r)
+    sender = OneOfNSender(group, padded, rng_s)
+    receiver = OneOfNReceiver(group, len(records), index, rng_r)
 
     # S -> R: the public OT points (one per index bit).
     c_points = run.to_r("1:C", sender.c_points)

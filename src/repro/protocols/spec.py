@@ -11,9 +11,9 @@ over the concrete party states in :mod:`repro.protocols.parties`.
 A single pair of interpreters
 (:class:`~repro.protocols.parties.SenderMachine` /
 :class:`~repro.protocols.parties.ReceiverMachine`) executes any spec,
-and every transport - :meth:`ProtocolSpec.exchange` for two parties in
-one process, plain TCP, resumable sessions, the CLI - dispatches
-through the :data:`PROTOCOLS` registry.
+and every transport - :func:`run_pair` (:meth:`ProtocolSpec.exchange`)
+for two parties in one process, plain TCP, resumable sessions, the
+CLI - dispatches through the :data:`PROTOCOLS` registry.
 Adding a protocol to the stack is now a registry entry, not five
 layers of bespoke plumbing; ``equijoin-sum`` is registered here purely
 that way and is reachable over TCP with no transport code of its own.
@@ -27,12 +27,13 @@ simulator audit.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 from ..net.runner import ProtocolRun
 from . import delta
-from .base import ProtocolSuite, sorted_ciphertexts
+from .base import sorted_ciphertexts
 from .messages import (
     BlindedSum,
     CipherList,
@@ -49,7 +50,6 @@ from .messages import (
     SumReply,
 )
 from .parties import (
-    CryptoContext,
     EquijoinReceiver,
     EquijoinSender,
     EquijoinSizeReceiver,
@@ -71,6 +71,7 @@ __all__ = [
     "PROTOCOLS",
     "register",
     "get_spec",
+    "run_pair",
 ]
 
 
@@ -189,6 +190,25 @@ class ProtocolSpec:
             wires.append((rnd.source, wire))
         return wires
 
+    def transcript(
+        self, wires: list[tuple[str, Any]], chunk_size: int | None = None
+    ) -> ProtocolRun:
+        """The run :meth:`exchange` returned ``wires`` for, recorded
+        *part by part* under the paper's step labels: each party's
+        :class:`~repro.net.transcript.View` (what the simulators and
+        the disclosure audit read) and the wire bytes. ``chunk_size``
+        is the one the exchange streamed at."""
+        run = ProtocolRun(protocol=self.name.replace("-", "_"))
+        for rnd, (source, wire) in zip(self.rounds, wires):
+            if chunk_size is not None and rnd.chunkable:
+                message = rnd.message.from_wire_chunks(wire)
+            else:
+                message = rnd.message.from_wire(wire)
+            record = run.to_s if source == "R" else run.to_r
+            for label, part in zip(rnd.parts, message.to_parts()):
+                record(label, part)
+        return run
+
 
 #: Registered protocol specs, keyed by CLI/registry name.
 PROTOCOLS: dict[str, ProtocolSpec] = {}
@@ -218,44 +238,34 @@ def get_spec(protocol: str | ProtocolSpec) -> ProtocolSpec:
         ) from None
 
 
-def run_recorded(
-    name: str,
+def run_pair(
+    protocol: str | ProtocolSpec,
     r_data: Any,
     s_data: Any,
-    suite: ProtocolSuite | None = None,
+    params: PublicParams,
+    rng_r: random.Random,
+    rng_s: random.Random,
+    *,
+    chunk_size: int | None = None,
     **options: Any,
-) -> tuple[Any, Any, Any, ProtocolRun]:
-    """One full run of protocol ``name`` between two machines sharing
-    ``suite`` (a fresh 1024-bit default when omitted), recorded; both
-    parties are built with ``options`` (equijoin-sum's
-    ``paillier_bits``, which S draws its modulus at and R checks it
-    against).
+) -> tuple[ReceiverMachine, SenderMachine, list[tuple[str, Any]]]:
+    """Both parties of ``protocol`` in one process: the one place two
+    party machines are built and exchanged.
 
-    The rounds go through :meth:`ProtocolSpec.exchange`; every wire it
-    returns is then recorded *part by part* in a
-    :class:`~repro.net.runner.ProtocolRun` under the paper's step
-    labels, which is what the ``run_<name>`` result drivers hand the
-    security audit (the ``View`` s) and the cost-model tasks (the byte
-    counts).  Returns ``(answer, receiver state, sender state, run)``.
+    R draws from ``rng_r`` and S from ``rng_s``; both machines are
+    built with ``options`` - ``engine``, ``recorder``, ``crypto`` and
+    equijoin-sum's ``paillier_bits``, which S draws its modulus at and
+    R checks it against. R finishes the run; returns ``(receiver,
+    sender, wires)``, the wires as :meth:`ProtocolSpec.exchange`
+    returns them. R's answer is ``receiver.finish()`` (kept from the
+    run), the recorded run ``spec.transcript(wires, chunk_size)``.
     """
-    spec = PROTOCOLS[name]
-    suite = suite or ProtocolSuite.default()
-    run = ProtocolRun(protocol=name.replace("-", "_"))
-    crypto = CryptoContext.from_suite(suite)
-    params = PublicParams(p=suite.group.p)
-    receiver = ReceiverMachine(
-        spec, r_data, params, suite.rng_r, crypto=crypto, **options
-    )
-    sender = SenderMachine(
-        spec, s_data, params, suite.rng_s, crypto=crypto, **options
-    )
-    wires = spec.exchange(receiver, sender)
-    answer = receiver.finish()
-    for rnd, (source, wire) in zip(spec.rounds, wires):
-        record = run.to_s if source == "R" else run.to_r
-        for label, part in zip(rnd.parts, rnd.message.from_wire(wire).to_parts()):
-            record(label, part)
-    return answer, receiver.state, sender.state, run
+    spec = get_spec(protocol)
+    receiver = ReceiverMachine(spec, r_data, params, rng_r, **options)
+    sender = SenderMachine(spec, s_data, params, rng_s, **options)
+    wires = spec.exchange(receiver, sender, chunk_size)
+    receiver.finish()
+    return receiver, sender, wires
 
 
 def _receiver_round1(state: Any, inbox: Mapping[str, Message]) -> Message:

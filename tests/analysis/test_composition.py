@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.analysis.composition import CompositionAnalyzer
 from repro.apps.restriction import QueryAuditor, QueryRefused
-from repro.protocols.base import ProtocolSuite
-from repro.protocols.intersection_size import run_intersection_size
 
 
 class TestIntersectionObservations:
@@ -76,15 +75,14 @@ class TestSizeConstraintInference:
 class TestLiveProtocolComposition:
     def test_tracker_against_real_protocol_runs(self):
         """Mount the tracker with actual intersection-size executions."""
-        suite = ProtocolSuite.default(bits=128, seed=17)
         v_s = ["s1", "s2", "s3", "shared"]
         probe = ["shared", "x1", "x2"]
         analyzer = CompositionAnalyzer()
 
-        full = run_intersection_size(probe, v_s, suite)
-        analyzer.observe_intersection_size(probe, full.size)
-        reduced = run_intersection_size(["x1", "x2"], v_s, suite)
-        analyzer.observe_intersection_size(["x1", "x2"], reduced.size)
+        full = repro.run("intersection-size", probe, v_s, bits=128, seed=17)
+        analyzer.observe_intersection_size(probe, full.answer)
+        reduced = repro.run("intersection-size", ["x1", "x2"], v_s, bits=128, seed=17)
+        analyzer.observe_intersection_size(["x1", "x2"], reduced.answer)
 
         # Sizes were 1 and 0: composition pins 'shared' as a member.
         assert analyzer.knowledge.status("shared") is True

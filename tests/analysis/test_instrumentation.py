@@ -15,12 +15,8 @@ import repro
 from repro.analysis.costmodel import ProtocolCostModel
 from repro.analysis.instrumentation import MetricsRecorder, counting_suite
 from repro.crypto.engine import create_engine
-from repro.protocols.aggregate import run_equijoin_sum
-from repro.protocols.equijoin import run_equijoin
-from repro.protocols.equijoin_size import run_equijoin_size
-from repro.protocols.intersection import run_intersection
-from repro.protocols.intersection_size import run_intersection_size
 from repro.protocols.parties import IntersectionReceiver, IntersectionSender, PublicParams
+from repro.protocols.spec import run_pair
 
 from ..protocols import make_golden_fixture as golden
 
@@ -30,12 +26,18 @@ def model():
     return ProtocolCostModel()
 
 
+def run_counted(protocol, r_data, s_data, cs):
+    """One in-memory run on the counting context ``cs`` counts into."""
+    run_pair(protocol, r_data, s_data, cs.params, *cs.rngs, crypto=cs.crypto)
+
+
 class TestIntersectionOpCounts:
     @pytest.mark.parametrize("n_r, n_s", [(5, 8), (1, 1), (10, 3), (0, 4)])
     def test_encryptions_match_model(self, model, n_r, n_s):
         cs = counting_suite(bits=64)
-        run_intersection(
-            [f"r{i}" for i in range(n_r)], [f"s{i}" for i in range(n_s)], cs.suite
+        run_counted(
+            "intersection", [f"r{i}" for i in range(n_r)],
+            [f"s{i}" for i in range(n_s)], cs,
         )
         predicted = model.intersection_ops(n_s, n_r)
         assert cs.counter.encryptions == predicted.encryptions  # 2(nS+nR)
@@ -43,8 +45,9 @@ class TestIntersectionOpCounts:
 
     def test_intersection_size_same_counts(self, model):
         cs = counting_suite(bits=64)
-        run_intersection_size(
-            [f"r{i}" for i in range(7)], [f"s{i}" for i in range(9)], cs.suite
+        run_counted(
+            "intersection-size", [f"r{i}" for i in range(7)],
+            [f"s{i}" for i in range(9)], cs,
         )
         predicted = model.intersection_ops(9, 7)
         assert cs.counter.encryptions == predicted.encryptions
@@ -58,31 +61,31 @@ class TestJoinOpCounts:
         shared = [f"c{i}" for i in range(common)]
         v_r = shared + [f"r{i}" for i in range(n_r - common)]
         ext = {v: b"x" for v in shared + [f"s{i}" for i in range(n_s - common)]}
-        run_equijoin(v_r, ext, cs.suite)
+        run_counted("equijoin", v_r, ext, cs)
         predicted = model.join_ops(n_s, n_r, common)
         assert cs.counter.encryptions == predicted.encryptions  # 2nS + 5nR
         assert cs.counter.hashes == predicted.hashes
         assert cs.counter.k_encryptions == predicted.k_encryptions  # nS + n∩
 
 
-#: protocol -> (its result driver, the count on the golden inputs).
+#: protocol -> the count on the golden inputs.
 COUNTED = {
-    "intersection": (run_intersection, 160),
-    "intersection-size": (run_intersection_size, 160),
-    "equijoin": (run_equijoin, 280),
-    "equijoin-size": (run_equijoin_size, 168),
-    "equijoin-sum": (run_equijoin_sum, 160),
+    "intersection": 160,
+    "intersection-size": 160,
+    "equijoin": 280,
+    "equijoin-size": 168,
+    "equijoin-sum": 160,
 }
 
 
 @pytest.mark.parametrize("name", sorted(COUNTED))
 def test_the_two_counters_and_the_model_agree(name, model):
-    """``counting_suite`` through the result driver, the recorder
-    through ``repro.run`` and the Section 6 formula read one number."""
-    driver, pinned = COUNTED[name]
+    """``counting_suite`` through ``run_pair``, the recorder through
+    ``repro.run`` and the Section 6 formula read one number."""
+    pinned = COUNTED[name]
     r_data, s_data = golden._chunk_inputs(name)
     cs = counting_suite(bits=64)
-    driver(r_data, s_data, cs.suite)
+    run_counted(name, r_data, s_data, cs)
     recorder = MetricsRecorder()
     repro.run(name, r_data, s_data, bits=64, seed=0, recorder=recorder)
     n_s, n_r = len(set(s_data)), len(set(r_data))
@@ -102,7 +105,7 @@ def test_the_two_counters_and_the_model_agree(name, model):
 class TestCounterMechanics:
     def test_reset(self):
         cs = counting_suite(bits=64)
-        run_intersection(["a"], ["a"], cs.suite)
+        run_counted("intersection", ["a"], ["a"], cs)
         assert cs.counter.encryptions > 0
         cs.counter.reset()
         assert cs.counter.encryptions == 0
@@ -112,8 +115,8 @@ class TestCounterMechanics:
         """A value in both sets is hashed by both parties - the model's
         C_h (n_S + n_R) term counts calls, not distinct values."""
         cs = counting_suite(bits=64)
-        cs.suite.hash.hash_value("v")
-        cs.suite.hash.hash_value("v")
+        cs.crypto.hash.hash_value("v")
+        cs.crypto.hash.hash_value("v")
         assert cs.counter.hashes == 2
 
 

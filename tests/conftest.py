@@ -1,4 +1,4 @@
-"""Shared fixtures: small, fast groups and deterministic suites.
+"""Shared fixtures: small, fast groups and deterministic runs.
 
 Tests run over 64/128-bit embedded safe primes - far below
 cryptographic strength but identical code paths; the benchmark harness
@@ -7,15 +7,17 @@ exercises the realistic 512-2048 bit sizes.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
 
+import repro
 from repro.crypto import engine as engine_module, kernel
 from repro.crypto.commutative import PowerCipher
 from repro.crypto.groups import QRGroup
 from repro.crypto.hashing import TryIncrementHash
-from repro.protocols.base import ProtocolSuite
+from repro.protocols.parties import PublicParams
 
 
 @pytest.fixture(scope="session")
@@ -48,16 +50,15 @@ def hash128(group128) -> TryIncrementHash:
     return TryIncrementHash(group128)
 
 
-@pytest.fixture()
-def suite() -> ProtocolSuite:
-    """A deterministic 128-bit suite, fresh per test."""
-    return ProtocolSuite.default(bits=128, seed=42)
+@pytest.fixture(scope="session")
+def params128() -> PublicParams:
+    return PublicParams.for_bits(128)
 
 
 @pytest.fixture()
-def suite64() -> ProtocolSuite:
-    """Smallest/fastest suite for property-based protocol tests."""
-    return ProtocolSuite.default(bits=64, seed=42)
+def run128():
+    """``repro.run`` over the 128-bit group, R and S keyed by seed 42."""
+    return functools.partial(repro.run, bits=128, seed=42)
 
 
 @pytest.fixture(autouse=True)

@@ -27,19 +27,9 @@ def test_examples_present():
 def test_example_runs(script, capsys, monkeypatch):
     """Run the example as __main__; any uncaught exception fails."""
     # Examples default to 512-bit groups; shrink for test speed by
-    # intercepting ProtocolSuite.default and PublicParams.for_bits.
-    from repro.protocols import base as base_mod
+    # intercepting PublicParams.for_bits.
     from repro.protocols import parties as parties_mod
 
-    original_default = base_mod.ProtocolSuite.default.__func__
-    monkeypatch.setattr(
-        base_mod.ProtocolSuite,
-        "default",
-        classmethod(
-            lambda cls, bits=1024, seed=None, hash_cls=base_mod.TryIncrementHash:
-            original_default(cls, min(bits, 128), seed, hash_cls)
-        ),
-    )
     original_for_bits = parties_mod.PublicParams.for_bits.__func__
     monkeypatch.setattr(
         parties_mod.PublicParams,

@@ -12,10 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.base import ProtocolSuite
-from repro.protocols.equijoin import run_equijoin
-from repro.protocols.intersection import run_intersection
-from repro.protocols.intersection_size import run_intersection_size
+import repro
 
 WEIRD_VALUES = [
     "",                         # empty string
@@ -36,62 +33,61 @@ WEIRD_VALUES = [
 
 
 class TestWeirdValues:
-    def test_intersection_with_weird_values(self, suite):
+    def test_intersection_with_weird_values(self, run128):
         v_r = WEIRD_VALUES[::2] + ["common-1", "common-2"]
         v_s = WEIRD_VALUES[1::2] + ["common-1", "common-2"]
-        result = run_intersection(v_r, v_s, suite)
-        assert result.intersection == {"common-1", "common-2"}
+        result = run128("intersection", v_r, v_s)
+        assert result.answer == {"common-1", "common-2"}
 
-    def test_all_weird_values_shared(self, suite):
-        result = run_intersection(WEIRD_VALUES, WEIRD_VALUES, suite)
-        assert result.intersection == set(WEIRD_VALUES)
+    def test_all_weird_values_shared(self, run128):
+        result = run128("intersection", WEIRD_VALUES, WEIRD_VALUES)
+        assert result.answer == set(WEIRD_VALUES)
 
-    def test_bool_int_distinguished_unlike_python_sets(self, suite):
+    def test_bool_int_distinguished_unlike_python_sets(self, run128):
         """Deliberate deviation from Python set semantics: the value
         encoding type-tags bool separately from int, so False does NOT
         match 0 across parties (matching on type-punned values would be
         a correctness hazard in a cross-organization protocol)."""
         v_r = [0, 1, "0", "1", b"0", b"1"]
         v_s = [False, True]
-        result = run_intersection(v_r, v_s, suite)
-        assert result.intersection == set()
-        result = run_intersection([False, True, 2], [True, 2], suite)
-        assert result.intersection == {True, 2}
+        result = run128("intersection", v_r, v_s)
+        assert result.answer == set()
+        result = run128("intersection", [False, True, 2], [True, 2])
+        assert result.answer == {True, 2}
 
-    def test_textually_colliding_types_distinct(self, suite):
+    def test_textually_colliding_types_distinct(self, run128):
         """'1', b'1' and 1 are different values and must not match."""
-        result = run_intersection(["1"], [1], suite)
-        assert result.intersection == set()
-        result = run_intersection([b"1"], ["1"], suite)
-        assert result.intersection == set()
+        result = run128("intersection", ["1"], [1])
+        assert result.answer == set()
+        result = run128("intersection", [b"1"], ["1"])
+        assert result.answer == set()
 
-    def test_equijoin_weird_payloads(self, suite):
+    def test_equijoin_weird_payloads(self, run128):
         ext = {
             "k1": b"\x00" * 100,
             "k2": bytes(range(256)) * 2,
             "k3": b"",
         }
-        result = run_equijoin(["k1", "k2", "k3"], ext, suite)
-        assert result.matches == ext
+        result = run128("equijoin", ["k1", "k2", "k3"], ext)
+        assert result.answer == ext
 
     def test_huge_sets_of_tiny_values(self):
         """A few hundred single-character-ish values at 64-bit: the
         smallest group still separates them (hash has 63 bits)."""
-        suite = ProtocolSuite.default(bits=64, seed=1)
         v_r = [f"{i}" for i in range(300)]
         v_s = [f"{i}" for i in range(150, 450)]
-        result = run_intersection_size(v_r, v_s, suite)
-        assert result.size == 150
+        result = repro.run("intersection-size", v_r, v_s, bits=64, seed=1)
+        assert result.answer == 150
 
 
 class TestUnhashableValuesRejected:
-    def test_list_value_raises(self, suite):
+    def test_list_value_raises(self, run128):
         with pytest.raises(TypeError):
-            run_intersection([["not", "hashable-by-design"]], ["x"], suite)
+            run128("intersection", [["not", "hashable-by-design"]], ["x"])
 
-    def test_float_value_raises(self, suite):
+    def test_float_value_raises(self, run128):
         with pytest.raises(TypeError):
-            run_intersection([3.14], ["x"], suite)
+            run128("intersection", [3.14], ["x"])
 
 
 class TestPropertyMixedTypes:
@@ -107,6 +103,5 @@ class TestPropertyMixedTypes:
     @given(st.sets(mixed, max_size=10), st.sets(mixed, max_size=10))
     @settings(max_examples=20, deadline=None)
     def test_mixed_type_sets(self, v_r, v_s):
-        suite = ProtocolSuite.default(bits=64, seed=9)
-        result = run_intersection(list(v_r), list(v_s), suite)
-        assert result.intersection == (v_r & v_s)
+        result = repro.run("intersection", list(v_r), list(v_s), bits=64, seed=9)
+        assert result.answer == (v_r & v_s)

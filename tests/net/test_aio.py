@@ -131,11 +131,14 @@ class TestAsyncFrameEndpoint:
 
         async def scenario():
             async def handle(reader, writer):
-                writer.write(struct.pack(">I", len(payload)))
-                await writer.drain()
-                await release.wait()
-                writer.write(payload)
-                await writer.drain()
+                try:
+                    writer.write(struct.pack(">I", len(payload)))
+                    await writer.drain()
+                    await release.wait()
+                    writer.write(payload)
+                    await writer.drain()
+                finally:
+                    writer.close()
 
             server, port = await _echo_server(handle)
             ep = await _dial(port)

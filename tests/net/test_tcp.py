@@ -469,18 +469,13 @@ class TestDistributedEquijoinSize:
         assert size_v_r == 4
 
     def test_agrees_with_driver(self, chunk_size):
-        from repro.protocols.base import ProtocolSuite
-        from repro.protocols.equijoin_size import run_equijoin_size
-
         v_r = ["x", "x", "y", "z"]
         v_s = ["x", "y", "y", "w"]
-        driver = run_equijoin_size(
-            v_r, v_s, ProtocolSuite.default(bits=128, seed=5)
-        )
+        driver = repro.run("equijoin-size", v_r, v_s, bits=128, seed=5)
         size, _ = _run_over_tcp(
             "equijoin-size", v_r=v_r, v_s=v_s, chunk_size=chunk_size
         )
-        assert size == driver.join_size
+        assert size == driver.answer
 
 
 class TestDistributedEquijoinSum:

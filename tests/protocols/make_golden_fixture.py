@@ -1,8 +1,9 @@
 """Regenerate the golden-transcript fixture for the spec refactor tests.
 
-Runs the in-memory protocol drivers (and, as a cross-check, the
-separable party state machines) on fixed inputs with seeded randomness
-and records a SHA-256 digest of the serialization of every wire
+Runs every protocol in memory through ``repro.protocols.spec.run_pair``
+(and, as a cross-check, the separable party state machines) on fixed
+inputs with seeded randomness - R on ``Random("R")``, S on
+``Random("S")`` - and records a SHA-256 digest of the serialization of every wire
 payload: each recorded view part, each assembled round message, and
 the answer. ``tests/protocols/test_golden_transcripts.py`` asserts
 that spec-driven runs - in-memory, plain TCP and resumable, serial and
@@ -28,17 +29,10 @@ import json
 import random
 from pathlib import Path
 
-from repro.crypto.commutative import PowerCipher
-from repro.crypto.ext_cipher import BlockExtCipher
-from repro.crypto.groups import QRGroup
-from repro.crypto.hashing import TryIncrementHash
+from repro.analysis.leakage import equijoin_size_leak
 from repro.net.serialization import encode
-from repro.protocols.aggregate import run_equijoin_sum
-from repro.protocols.base import ProtocolSuite
-from repro.protocols.equijoin import run_equijoin
-from repro.protocols.equijoin_size import run_equijoin_size
-from repro.protocols.intersection import run_intersection
-from repro.protocols.intersection_size import run_intersection_size
+from repro.protocols.parties import PublicParams
+from repro.protocols.spec import PROTOCOLS, run_pair
 
 FIXTURE_PATH = Path(__file__).with_name("golden_transcripts.json")
 
@@ -73,37 +67,9 @@ def fixture_amounts() -> dict[str, int]:
     return {v: (i * 7) % 23 for i, v in enumerate(v_s)}
 
 
-def fixture_suite() -> ProtocolSuite:
-    """The seeded suite every capture run uses (rng_r="R", rng_s="S")."""
-    group = QRGroup.for_bits(BITS)
-    return ProtocolSuite(
-        group=group,
-        hash=TryIncrementHash(group),
-        cipher=PowerCipher(group),
-        ext_cipher=BlockExtCipher(group),
-        rng_r=random.Random("R"),
-        rng_s=random.Random("S"),
-    )
-
-
 def digest(payload) -> str:
     """SHA-256 of the canonical wire encoding of ``payload``."""
     return hashlib.sha256(encode(payload)).hexdigest()
-
-
-def canonical_answer(protocol: str, result) -> object:
-    """The protocol answer as a deterministic, encodable object."""
-    if protocol == "intersection":
-        return sorted(result.intersection, key=repr)
-    if protocol == "equijoin":
-        return [(v, result.matches[v]) for v in sorted(result.matches, key=repr)]
-    if protocol == "intersection-size":
-        return result.size
-    if protocol == "equijoin-size":
-        return result.join_size
-    if protocol == "equijoin-sum":
-        return [result.total, result.match_count]
-    raise ValueError(protocol)
 
 
 def _view_payloads(run) -> dict[str, object]:
@@ -135,39 +101,41 @@ def _round_wires(protocol: str, payloads: dict[str, object]) -> list[object]:
     return wires
 
 
-def capture(protocol: str) -> dict[str, object]:
-    """One protocol's golden record from the in-memory driver."""
-    v_r, v_s = fixture_values()
-    if protocol == "intersection":
-        result = run_intersection(v_r, v_s, fixture_suite())
-    elif protocol == "intersection-size":
-        result = run_intersection_size(v_r, v_s, fixture_suite())
-    elif protocol == "equijoin":
-        result = run_equijoin(v_r, fixture_ext(), fixture_suite())
-    elif protocol == "equijoin-size":
-        ms_r, ms_s = fixture_multisets()
-        result = run_equijoin_size(ms_r, ms_s, fixture_suite())
-    elif protocol == "equijoin-sum":
-        result = run_equijoin_sum(v_r, fixture_amounts(), fixture_suite())
-    else:
-        raise ValueError(protocol)
+def fixture_run(protocol: str, rng_r=None, rng_s=None, chunk_size=None):
+    """One full in-memory run on the fixture inputs, R on ``rng_r`` and
+    S on ``rng_s`` (``Random("R")`` and ``Random("S")`` by default);
+    returns ``(receiver, sender, wires)`` as
+    :func:`~repro.protocols.spec.run_pair` does."""
+    r_data, s_data = _chunk_inputs(protocol)
+    return run_pair(
+        protocol, r_data, s_data, PublicParams.for_bits(BITS),
+        rng_r or random.Random("R"), rng_s or random.Random("S"),
+        chunk_size=chunk_size,
+    )
 
-    payloads = _view_payloads(result.run)
+
+def capture(protocol: str) -> dict[str, object]:
+    """One protocol's golden record from the in-memory run."""
+    spec = PROTOCOLS[protocol]
+    receiver, sender, wires = fixture_run(protocol)
+    run = spec.transcript(wires)
+    payloads = _view_payloads(run)
     record: dict[str, object] = {
         "parts": {label: digest(payload) for label, payload in payloads.items()},
         "wires": {
             f"m{i + 1}": digest(wire)
             for i, wire in enumerate(_round_wires(protocol, payloads))
         },
-        "answer": digest(canonical_answer(protocol, result)),
-        "size_v_r": result.size_v_r,
-        "size_v_s": result.size_v_s,
+        "answer": digest(delta_answer(spec, receiver.finish(), receiver.state)),
+        "size_v_r": sender.state.size_v_r,
+        "size_v_s": receiver.state.size_v_s,
     }
     if protocol == "equijoin-size":
+        leak = equijoin_size_leak(receiver, sender, run)
         record["diagnostics"] = {
-            "r_learns_s_duplicates": repr(result.r_learns_s_duplicates),
-            "s_learns_r_duplicates": repr(result.s_learns_r_duplicates),
-            "partition_overlap": repr(sorted(result.partition_overlap.items())),
+            "r_learns_s_duplicates": repr(leak.r_learns_s_duplicates),
+            "s_learns_r_duplicates": repr(leak.s_learns_r_duplicates),
+            "partition_overlap": repr(sorted(leak.partition_overlap.items())),
         }
     return record
 
@@ -195,20 +163,10 @@ def capture_chunked(protocol: str) -> dict[str, str]:
     the stream leaves them untouched.
     """
     from repro.net.serialization import chunk_end_frame, chunk_frame
-    from repro.protocols.parties import (
-        PublicParams,
-        ReceiverMachine,
-        SenderMachine,
-    )
-    from repro.protocols.spec import PROTOCOLS
 
     spec = PROTOCOLS[protocol]
-    params = PublicParams.for_bits(BITS)
-    r_data, s_data = _chunk_inputs(protocol)
-    receiver = ReceiverMachine(spec, r_data, params, random.Random("R"))
-    sender = SenderMachine(spec, s_data, params, random.Random("S"))
     digests: dict[str, str] = {}
-    wires = spec.exchange(receiver, sender, CHUNK_SIZE)
+    _, _, wires = fixture_run(protocol, chunk_size=CHUNK_SIZE)
     for i, (rnd, (_, wire)) in enumerate(zip(spec.rounds, wires), start=1):
         frames = [wire]
         if rnd.chunkable:  # came back as the round's chunk payloads
@@ -218,7 +176,6 @@ def capture_chunked(protocol: str) -> dict[str, str]:
         for frame in frames:
             stream.update(encode(frame))
         digests[f"m{i}"] = stream.hexdigest()
-    receiver.finish()
     return digests
 
 
@@ -305,17 +262,22 @@ def fixture_churn(protocol: str) -> tuple[tuple, tuple, tuple, tuple]:
 def drive(spec, receiver, sender) -> dict[str, object]:
     """Exchange ``spec``'s rounds between two in-process machines and
     digest every part, every assembled round and the answer."""
-    record: dict[str, object] = {"parts": {}, "wires": {}}
-    wires = spec.exchange(receiver, sender)
+    return record(spec, receiver, sender, spec.exchange(receiver, sender))
+
+
+def record(spec, receiver, sender, wires) -> dict[str, object]:
+    """Digest every part, every assembled round and R's answer of the
+    run that exchanged ``wires`` between ``receiver`` and ``sender``."""
+    out: dict[str, object] = {"parts": {}, "wires": {}}
     for i, (rnd, (_, wire)) in enumerate(zip(spec.rounds, wires), start=1):
         parts = rnd.message.from_wire(wire).to_parts()
-        record["parts"].update(zip(rnd.parts, map(digest, parts)))
-        record["wires"][f"m{i}"] = digest(wire)
+        out["parts"].update(zip(rnd.parts, map(digest, parts)))
+        out["wires"][f"m{i}"] = digest(wire)
     answer = receiver.finish()
-    record["answer"] = digest(delta_answer(spec, answer, receiver.state))
-    record["size_v_r"] = sender.state.size_v_r
-    record["size_v_s"] = receiver.state.size_v_s
-    return record
+    out["answer"] = digest(delta_answer(spec, answer, receiver.state))
+    out["size_v_r"] = sender.state.size_v_r
+    out["size_v_s"] = receiver.state.size_v_s
+    return out
 
 
 def delta_answer(spec, answer, receiver_state) -> object:
@@ -345,9 +307,11 @@ def delta_exchanges(protocol: str, r_state, s_state) -> dict[str, tuple]:
 
 
 def full_run_states(protocol: str, params, rng_r, rng_s, engines=(None, None)):
-    """Complete one full run on the fixture inputs; both party states."""
+    """Complete one full run on the fixture inputs; both party states.
+
+    Builds the two machines itself: each party gets its own engine,
+    where :func:`~repro.protocols.spec.run_pair` hands both the same."""
     from repro.protocols.parties import ReceiverMachine, SenderMachine
-    from repro.protocols.spec import PROTOCOLS
 
     spec = PROTOCOLS[protocol]
     r_data, s_data = _chunk_inputs(protocol)
@@ -360,29 +324,23 @@ def full_run_states(protocol: str, params, rng_r, rng_s, engines=(None, None)):
 def capture_delta(protocol: str) -> dict[str, object]:
     """One ``"<protocol>+delta"`` golden record: the churn exchange and
     the empty one, each committed before the next runs."""
-    from repro.protocols.parties import (
-        PublicParams,
-        ReceiverMachine,
-        SenderMachine,
-    )
-    from repro.protocols.spec import PROTOCOLS
-
     dspec = PROTOCOLS[protocol + "+delta"]
     params = PublicParams.for_bits(BITS)
     # The delta parties draw from the same rngs as the full run did,
     # which is what the Catalog layer does (one rng per catalog).
     rng_r, rng_s = random.Random("R"), random.Random("S")
-    r_state, s_state = full_run_states(protocol, params, rng_r, rng_s)
-    record = {}
+    receiver, sender, _ = fixture_run(protocol, rng_r, rng_s)
+    records = {}
     for label, (r_exchange, s_exchange) in delta_exchanges(
-        protocol, r_state, s_state
+        protocol, receiver.state, sender.state
     ).items():
-        receiver = ReceiverMachine(dspec, r_exchange, params, rng_r)
-        sender = SenderMachine(dspec, s_exchange, params, rng_s)
-        record[label] = drive(dspec, receiver, sender)
-        receiver.state.commit()
-        sender.state.commit()
-    return record
+        staged_r, staged_s, wires = run_pair(
+            dspec, r_exchange, s_exchange, params, rng_r, rng_s
+        )
+        records[label] = record(dspec, staged_r, staged_s, wires)
+        staged_r.state.commit()
+        staged_s.state.commit()
+    return records
 
 
 def main() -> None:

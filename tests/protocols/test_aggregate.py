@@ -6,8 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.aggregate import run_equijoin_sum
-from repro.protocols.base import ProtocolSuite
+from repro.crypto.numtheory import _party_rngs
+from repro.protocols.parties import PublicParams
+from repro.protocols.spec import PROTOCOLS, run_pair
+
+SPEC = PROTOCOLS["equijoin-sum"]
+
+
+def run_sum(v_r, values_s, bits=128, seed=42):
+    """One run over a 128-bit Paillier modulus: R's and S's machines
+    (R's answer, match count and ``|V_S|``; S's ``|V_R|``) and the
+    recorded transcript."""
+    receiver, sender, wires = run_pair(
+        SPEC, v_r, values_s, PublicParams.for_bits(bits), *_party_rngs(seed),
+        paillier_bits=128,
+    )
+    return receiver, sender, SPEC.transcript(wires)
 
 
 class TestCorrectness:
@@ -22,27 +36,23 @@ class TestCorrectness:
             (["x", "y"], {"x": 0, "y": 0}, 0, 2),  # zero values still match
         ],
     )
-    def test_examples(self, suite, v_r, values_s, expected_sum, expected_matches):
-        result = run_equijoin_sum(v_r, values_s, suite, paillier_bits=128)
-        assert result.total == expected_sum
-        assert result.match_count == expected_matches
+    def test_examples(self, v_r, values_s, expected_sum, expected_matches):
+        receiver, _, _ = run_sum(v_r, values_s)
+        assert receiver.finish() == expected_sum
+        assert receiver.state.match_count == expected_matches
 
-    def test_sizes_learned(self, suite):
-        result = run_equijoin_sum(
-            ["a", "b"], {"b": 1, "c": 2, "d": 3}, suite, paillier_bits=128
-        )
-        assert result.size_v_s == 3
-        assert result.size_v_r == 2
+    def test_sizes_learned(self):
+        receiver, sender, _ = run_sum(["a", "b"], {"b": 1, "c": 2, "d": 3})
+        assert receiver.state.size_v_s == 3
+        assert sender.state.size_v_r == 2
 
-    def test_large_values(self, suite):
-        result = run_equijoin_sum(
-            ["k"], {"k": 10**12}, suite, paillier_bits=128
-        )
-        assert result.total == 10**12
+    def test_large_values(self):
+        receiver, _, _ = run_sum(["k"], {"k": 10**12})
+        assert receiver.finish() == 10**12
 
-    def test_negative_values_rejected(self, suite):
+    def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
-            run_equijoin_sum(["a"], {"a": -1}, suite, paillier_bits=128)
+            run_sum(["a"], {"a": -1})
 
     @given(
         st.sets(st.integers(min_value=0, max_value=25), max_size=8),
@@ -54,43 +64,36 @@ class TestCorrectness:
     )
     @settings(max_examples=15, deadline=None)
     def test_matches_plaintext_property(self, v_r, values_s):
-        suite = ProtocolSuite.default(bits=64, seed=5)
-        result = run_equijoin_sum(list(v_r), values_s, suite, paillier_bits=128)
+        receiver, _, _ = run_sum(list(v_r), values_s, bits=64, seed=5)
         expected = sum(values_s[v] for v in v_r if v in values_s)
-        assert result.total == expected
-        assert result.match_count == len(v_r & set(values_s))
+        assert receiver.finish() == expected
+        assert receiver.state.match_count == len(v_r & set(values_s))
 
 
 class TestDisclosureShape:
-    def test_wire_steps(self, suite):
-        result = run_equijoin_sum(
-            ["a", "b"], {"b": 4, "q": 9}, suite, paillier_bits=128
-        )
-        r_steps = [m.step for m in result.run.r_view.received]
-        s_steps = [m.step for m in result.run.s_view.received]
+    def test_wire_steps(self):
+        _, _, run = run_sum(["a", "b"], {"b": 4, "q": 9})
+        r_steps = [m.step for m in run.r_view.received]
+        s_steps = [m.step for m in run.s_view.received]
         assert r_steps == ["2:Z_R+pk", "3:pairs", "5:blinded_sum"]
         assert s_steps == ["1:Y_R", "4:blinded"]
 
-    def test_z_r_unpaired_and_sorted(self, suite):
-        result = run_equijoin_sum(
-            ["a", "b", "c"], {"b": 4}, suite, paillier_bits=128
-        )
-        z_r, _n = next(result.run.r_view.payloads("2:Z_R+pk"))
+    def test_z_r_unpaired_and_sorted(self):
+        _, _, run = run_sum(["a", "b", "c"], {"b": 4})
+        z_r, _n = next(run.r_view.payloads("2:Z_R+pk"))
         assert z_r == sorted(z_r)
         assert all(isinstance(x, int) for x in z_r)
 
-    def test_s_sees_blinded_sum_not_true_sum(self, suite):
+    def test_s_sees_blinded_sum_not_true_sum(self):
         """The single ciphertext S decrypts carries sum + uniform mask;
         the true sum must not be recoverable from S's view alone (we
         check it is not literally present)."""
         values = {"b": 1111, "c": 2222}
-        result = run_equijoin_sum(
-            ["b", "c"], values, suite, paillier_bits=128
-        )
-        assert result.total == 3333
+        receiver, _, run = run_sum(["b", "c"], values)
+        assert receiver.finish() == 3333
         # S's view holds Y_R (group elements) and one Paillier
         # ciphertext; neither equals the plaintext sum.
-        s_ints = set(result.run.s_view.flat_integers())
+        s_ints = set(run.s_view.flat_integers())
         assert 3333 not in s_ints
 
     def test_blinded_sum_varies_across_runs(self):
@@ -98,17 +101,16 @@ class TestDisclosureShape:
         identical inputs."""
         revealed = set()
         for seed in (1, 2, 3):
-            suite = ProtocolSuite.default(bits=128, seed=seed)
-            result = run_equijoin_sum(["a"], {"a": 5}, suite, paillier_bits=128)
-            revealed.add(next(result.run.r_view.payloads("5:blinded_sum")))
-            assert result.total == 5
+            receiver, _, run = run_sum(["a"], {"a": 5}, seed=seed)
+            revealed.add(next(run.r_view.payloads("5:blinded_sum")))
+            assert receiver.finish() == 5
         assert len(revealed) == 3
 
-    def test_individual_values_not_in_r_view(self, suite):
+    def test_individual_values_not_in_r_view(self):
         """R's view carries only Paillier ciphertexts of S's values -
         the plaintext amounts never appear."""
         values = {"b": 123456789, "q": 987654321}
-        result = run_equijoin_sum(["b"], values, suite, paillier_bits=128)
-        r_ints = set(result.run.r_view.flat_integers())
+        _, _, run = run_sum(["b"], values)
+        r_ints = set(run.r_view.flat_integers())
         assert 123456789 not in r_ints
         assert 987654321 not in r_ints

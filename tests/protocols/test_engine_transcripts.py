@@ -1,6 +1,7 @@
 """Engine choice must never change the wire: serial and threaded runs
 of every protocol produce byte-identical transcripts and equal answers -
-also when the thread engine is the one ``repro.run`` picks by default.
+also when the thread engine is the one ``repro.run`` picks by default
+(``api._metered``, handed to ``run_pair`` as ``repro.run`` hands it).
 Without GMP (``test_builtin_kernel_transcripts.py``) the thread engine
 keeps every batch serial, and these tests say so."""
 
@@ -12,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-import repro
 from repro import api
 from repro.analysis.instrumentation import MetricsRecorder
 from repro.crypto import kernel
@@ -34,7 +34,7 @@ from repro.protocols.parties import (
     IntersectionSizeSender,
     PublicParams,
 )
-from repro.protocols.spec import PROTOCOLS as SPECS, ProtocolSpec
+from repro.protocols.spec import PROTOCOLS as SPECS, run_pair
 
 from . import make_golden_fixture as golden
 
@@ -112,24 +112,6 @@ def test_answers_correct_under_pool(params, always_pays):
 # ----------------------------------------------------------------------
 # The default engine of ``repro.run`` against the golden fixture
 # ----------------------------------------------------------------------
-@pytest.fixture
-def through_run(monkeypatch):
-    """``repro.run`` on the golden fixture's party rngs (handed over as
-    ``rng=(rng_r, rng_s)``), its machines and wires captured: one
-    ``(receiver, sender, wires)`` per run."""
-    monkeypatch.setattr(api, "_party_rngs", lambda seed, rng: rng)
-    seen = []
-    exchange = ProtocolSpec.exchange
-
-    def recording(self, receiver, sender, chunk_size=None):
-        wires = exchange(self, receiver, sender, chunk_size)
-        seen.append((receiver, sender, wires))
-        return wires
-
-    monkeypatch.setattr(ProtocolSpec, "exchange", recording)
-    return seen
-
-
 def _golden_rngs():
     return random.Random("R"), random.Random("S")
 
@@ -162,20 +144,21 @@ PAPER_MODEXPS = {
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE["protocols"]))
-def test_default_engine_matches_golden(name, two_cpus, always_pays, through_run):
+def test_default_engine_matches_golden(name, two_cpus, always_pays):
     params = PublicParams.for_bits(FIXTURE["bits"])
     r_data, s_data = golden._chunk_inputs(name)
     runs = {}
-    for label, extra in (("default", {}), ("serial", {"engine": SerialEngine()})):
+    for label, engine in (("default", None), ("serial", SerialEngine())):
         recorder = MetricsRecorder()
-        result = repro.run(
-            name, r_data, s_data, params=params, rng=_golden_rngs(),
-            recorder=recorder, **extra,
+        receiver, _, wires = run_pair(
+            name, r_data, s_data, params, *_golden_rngs(),
+            engine=api._metered(engine, recorder), recorder=recorder,
         )
-        receiver, _, wires = through_run[-1]
         runs[label] = (
             _wire_digests(wires),
-            golden.digest(golden.delta_answer(SPECS[name], result.answer, receiver.state)),
+            golden.digest(
+                golden.delta_answer(SPECS[name], receiver.finish(), receiver.state)
+            ),
             recorder.report()["total_modexp"],
         )
         if label == "default":
@@ -188,26 +171,27 @@ def test_default_engine_matches_golden(name, two_cpus, always_pays, through_run)
 
 
 @pytest.mark.parametrize("dname", sorted(FIXTURE["deltas"]))
-def test_default_engine_matches_golden_deltas(
-    dname, two_cpus, always_pays, through_run
-):
+def test_default_engine_matches_golden_deltas(dname, two_cpus, always_pays):
     dspec = SPECS[dname]
     params = PublicParams.for_bits(FIXTURE["bits"])
     rngs = _golden_rngs()  # the deltas go on drawing where the full run stopped
-    repro.run(dspec.delta_of, *golden._chunk_inputs(dspec.delta_of),
-              params=params, rng=rngs)
-    receiver, sender, _ = through_run[-1]
+    engine = api._metered(None, None)
+    receiver, sender, _ = run_pair(
+        dspec.delta_of, *golden._chunk_inputs(dspec.delta_of), params, *rngs,
+        engine=engine,
+    )
     exchanges = golden.delta_exchanges(dspec.delta_of, receiver.state, sender.state)
     for label, (r_exchange, s_exchange) in exchanges.items():
         before = _pooled_batches()
-        result = repro.run(dname, r_exchange, s_exchange, params=params, rng=rngs)
-        staged_r, staged_s, wires = through_run[-1]
+        staged_r, staged_s, wires = run_pair(
+            dname, r_exchange, s_exchange, params, *rngs, engine=engine
+        )
         record = FIXTURE["deltas"][dname][label]
         assert _wire_digests(wires) == record["wires"], (dname, label)
         assert golden.digest(
-            golden.delta_answer(dspec, result.answer, staged_r.state)
+            golden.delta_answer(dspec, staged_r.finish(), staged_r.state)
         ) == record["answer"]
-        assert (result.size_v_r, result.size_v_s) == (
+        assert (staged_s.state.size_v_r, staged_r.state.size_v_s) == (
             record["size_v_r"], record["size_v_s"]
         )
         if label == "churn":

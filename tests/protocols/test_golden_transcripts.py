@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.crypto import engine as engine_module, kernel
 from repro.crypto.engine import ThreadPoolEngine
 from repro.net.serialization import (
@@ -159,16 +160,34 @@ def _assert_answer(name, answer, match_count=None):
 
 
 # ----------------------------------------------------------------------
-# The result drivers: recorded views, part by part, and diagnostics
+# The recorded run: views, part by part, and diagnostics
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
 def test_result_drivers_match_golden(name):
-    """``run_<name>`` records what it always recorded: every ``View``
-    part, assembled round, answer and learned size - and equijoin-size's
-    leakage diagnostics - equal the committed record."""
+    """A ``run_pair`` run records what the drivers always recorded:
+    every ``View`` part, assembled round, answer and learned size - and
+    equijoin-size's leakage diagnostics - equal the committed record."""
     record = dict(FIXTURE["protocols"][name])
     del record["chunked_wires"]
     assert golden.capture(name) == record
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_a_run_records_its_transcript_on_first_read(name, params):
+    """``repro.run`` keeps the wires and records them only when its
+    ``transcript`` is read; a streamed run's chunked rounds reassemble
+    to the very parts a whole-round run records."""
+    streamed = repro.run(
+        name, *_inputs(name), params=params, seed=1, chunk_size=CHUNK_SIZE
+    )
+    assert "transcript" not in vars(streamed)
+    whole = repro.run(name, *_inputs(name), params=params, seed=1).transcript
+    assert streamed.transcript is streamed.transcript
+    assert streamed.transcript.total_bytes == whole.total_bytes
+    for view in ("r_view", "s_view"):
+        assert getattr(streamed.transcript, view).received == getattr(
+            whole, view
+        ).received
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ Each test states an invariance the protocols must satisfy (the
 plaintext semantics satisfy it, so the private computation must too)
 and checks it on live runs. These catch bugs that example-based tests
 miss - e.g. order dependence, value-encoding confusion, or state
-leaking between runs of a shared suite.
+leaking between runs that share their parameters.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocols.base import ProtocolSuite
-from repro.protocols.equijoin_size import run_equijoin_size
-from repro.protocols.intersection import run_intersection
-from repro.protocols.intersection_size import run_intersection_size
+import repro
+from repro.crypto.numtheory import _party_rngs
 from repro.protocols.parties import PublicParams
-from repro.protocols.spec import PROTOCOLS
+from repro.protocols.spec import PROTOCOLS, run_pair
 
 value_sets = st.sets(st.integers(min_value=0, max_value=30), max_size=10)
 
@@ -34,21 +32,19 @@ class TestPermutationInvariance:
         b_r, b_s = list(v_r), list(v_s)
         rng.shuffle(b_r)
         rng.shuffle(b_s)
-        result_a = run_intersection(a_r, a_s, ProtocolSuite.default(bits=64, seed=1))
-        result_b = run_intersection(b_r, b_s, ProtocolSuite.default(bits=64, seed=2))
-        assert result_a.intersection == result_b.intersection
+        result_a = repro.run("intersection", a_r, a_s, bits=64, seed=1)
+        result_b = repro.run("intersection", b_r, b_s, bits=64, seed=2)
+        assert result_a.answer == result_b.answer
 
     def test_multiset_order_irrelevant_for_join_size(self):
         values_r = ["a", "b", "a", "c", "b", "a"]
         values_s = ["b", "a", "b"]
-        forward = run_equijoin_size(
-            values_r, values_s, ProtocolSuite.default(bits=64, seed=3)
+        forward = repro.run("equijoin-size", values_r, values_s, bits=64, seed=3)
+        backward = repro.run(
+            "equijoin-size", list(reversed(values_r)), list(reversed(values_s)),
+            bits=64, seed=4,
         )
-        backward = run_equijoin_size(
-            list(reversed(values_r)), list(reversed(values_s)),
-            ProtocolSuite.default(bits=64, seed=4),
-        )
-        assert forward.join_size == backward.join_size
+        assert forward.answer == backward.answer
 
 
 class TestRelabelingInvariance:
@@ -58,21 +54,20 @@ class TestRelabelingInvariance:
         """Applying an injective rename to both inputs must preserve
         the intersection size (the protocol sees only hashes)."""
         rename = lambda v: f"renamed::{v * 7 + 1}"
-        original = run_intersection_size(
-            list(v_r), list(v_s), ProtocolSuite.default(bits=64, seed=5)
-        )
-        renamed = run_intersection_size(
+        original = repro.run("intersection-size", list(v_r), list(v_s), bits=64, seed=5)
+        renamed = repro.run(
+            "intersection-size",
             [rename(v) for v in v_r],
             [rename(v) for v in v_s],
-            ProtocolSuite.default(bits=64, seed=6),
+            bits=64, seed=6,
         )
-        assert original.size == renamed.size
+        assert original.answer == renamed.answer
 
     def test_swap_of_parties_transposes_sizes(self):
         v_r, v_s = ["a", "b", "c"], ["b", "x"]
-        forward = run_intersection(v_r, v_s, ProtocolSuite.default(bits=64, seed=7))
-        swapped = run_intersection(v_s, v_r, ProtocolSuite.default(bits=64, seed=8))
-        assert forward.intersection == swapped.intersection
+        forward = repro.run("intersection", v_r, v_s, bits=64, seed=7)
+        swapped = repro.run("intersection", v_s, v_r, bits=64, seed=8)
+        assert forward.answer == swapped.answer
         assert forward.size_v_s == swapped.size_v_r
         assert forward.size_v_r == swapped.size_v_s
 
@@ -81,62 +76,67 @@ class TestMonotonicity:
     @given(value_sets, value_sets, st.integers(min_value=0, max_value=30))
     @settings(max_examples=15, deadline=None)
     def test_adding_shared_value_grows_intersection(self, v_r, v_s, extra):
-        base = run_intersection(
-            list(v_r), list(v_s), ProtocolSuite.default(bits=64, seed=9)
+        base = repro.run(
+            "intersection", list(v_r), list(v_s), bits=64, seed=9
         )
-        grown = run_intersection(
-            list(v_r | {extra}), list(v_s | {extra}),
-            ProtocolSuite.default(bits=64, seed=10),
+        grown = repro.run(
+            "intersection", list(v_r | {extra}), list(v_s | {extra}),
+            bits=64, seed=10,
         )
-        assert grown.intersection == base.intersection | {extra}
+        assert grown.answer == base.answer | {extra}
 
     def test_superset_of_s_never_shrinks_answer(self):
         v_r = ["a", "b", "c"]
-        small = run_intersection(v_r, ["b"], ProtocolSuite.default(bits=64, seed=11))
-        large = run_intersection(
-            v_r, ["b", "c", "z"], ProtocolSuite.default(bits=64, seed=12)
+        small = repro.run("intersection", v_r, ["b"], bits=64, seed=11)
+        large = repro.run(
+            "intersection", v_r, ["b", "c", "z"], bits=64, seed=12
         )
-        assert small.intersection <= large.intersection
+        assert small.answer <= large.answer
+
+
+def _answer(protocol, v_r, v_s, params, rngs):
+    """R's answer of one run on the shared ``params`` and ``rngs``."""
+    receiver, _, _ = run_pair(protocol, v_r, v_s, params, *rngs)
+    return receiver.finish()
 
 
 class TestSuiteReuse:
     def test_sequential_runs_on_one_suite_stay_correct(self):
-        """A shared suite (fresh keys per run, shared hash/group) must
-        not leak state between runs."""
-        suite = ProtocolSuite.default(bits=64, seed=13)
+        """Runs sharing params and one pair of party rngs (fresh keys
+        per run, shared hash/group) must not leak state between runs."""
+        params, rngs = PublicParams.for_bits(64), _party_rngs(13)
         for i in range(5):
             v_r = [f"v{i}-{j}" for j in range(4)] + ["common"]
             v_s = ["common", f"s{i}"]
-            result = run_intersection(v_r, v_s, suite)
-            assert result.intersection == {"common"}
+            assert _answer("intersection", v_r, v_s, params, rngs) == {"common"}
 
     def test_interleaved_protocol_types_on_one_suite(self):
-        suite = ProtocolSuite.default(bits=64, seed=14)
-        assert run_intersection(["a", "b"], ["b"], suite).intersection == {"b"}
-        assert run_intersection_size(["a", "b"], ["b"], suite).size == 1
-        assert run_equijoin_size(["a", "a"], ["a"], suite).join_size == 2
-        assert run_intersection(["a", "b"], ["b"], suite).intersection == {"b"}
+        params, rngs = PublicParams.for_bits(64), _party_rngs(14)
+        assert _answer("intersection", ["a", "b"], ["b"], params, rngs) == {"b"}
+        assert _answer("intersection-size", ["a", "b"], ["b"], params, rngs) == 1
+        assert _answer("equijoin-size", ["a", "a"], ["a"], params, rngs) == 2
+        assert _answer("intersection", ["a", "b"], ["b"], params, rngs) == {"b"}
 
 
 class TestCrossProtocolAgreement:
     @given(value_sets, value_sets)
     @settings(max_examples=10, deadline=None)
     def test_intersection_and_size_agree(self, v_r, v_s):
-        inter = run_intersection(
-            list(v_r), list(v_s), ProtocolSuite.default(bits=64, seed=15)
+        inter = repro.run(
+            "intersection", list(v_r), list(v_s), bits=64, seed=15
         )
-        size = run_intersection_size(
-            list(v_r), list(v_s), ProtocolSuite.default(bits=64, seed=16)
+        size = repro.run(
+            "intersection-size", list(v_r), list(v_s), bits=64, seed=16
         )
-        assert len(inter.intersection) == size.size
+        assert len(inter.answer) == size.answer
 
     @given(value_sets, value_sets)
     @settings(max_examples=10, deadline=None)
     def test_join_size_on_sets_equals_intersection_size(self, v_r, v_s):
-        join = run_equijoin_size(
-            list(v_r), list(v_s), ProtocolSuite.default(bits=64, seed=17)
+        join = repro.run(
+            "equijoin-size", list(v_r), list(v_s), bits=64, seed=17
         )
-        assert join.join_size == len(v_r & v_s)
+        assert join.answer == len(v_r & v_s)
 
 
 def _held(party):

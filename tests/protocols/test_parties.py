@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.protocols.parties import (
     IntersectionReceiver,
     IntersectionSender,
@@ -24,7 +25,7 @@ def params():
     return PublicParams.for_bits(128)
 
 
-def _run_intersection(v_r, v_s, params, seed=0):
+def _intersection_of(v_r, v_s, params, seed=0):
     receiver = IntersectionReceiver(v_r, params, random.Random(f"{seed}r"))
     sender = IntersectionSender(v_s, params, random.Random(f"{seed}s"))
     return receiver.finish(sender.round1(receiver.round1()))
@@ -46,19 +47,19 @@ class TestPublicParams:
 
     def test_square_hash_variant(self):
         params = PublicParams(p=PublicParams.for_bits(128).p, hash_name="square")
-        assert _run_intersection(["a", "b"], ["b", "c"], params) == {"b"}
+        assert _intersection_of(["a", "b"], ["b", "c"], params) == {"b"}
 
 
 class TestIntersectionParties:
     def test_basic(self, params):
-        assert _run_intersection(["a", "b", "c"], ["b", "c", "d"], params) == {
+        assert _intersection_of(["a", "b", "c"], ["b", "c", "d"], params) == {
             "b",
             "c",
         }
 
     def test_empty_sides(self, params):
-        assert _run_intersection([], ["a"], params) == set()
-        assert _run_intersection(["a"], [], params) == set()
+        assert _intersection_of([], ["a"], params) == set()
+        assert _intersection_of(["a"], [], params) == set()
 
     def test_sizes_recorded(self, params):
         receiver = IntersectionReceiver(["a", "b"], params, random.Random(1))
@@ -80,15 +81,12 @@ class TestIntersectionParties:
     @settings(max_examples=15, deadline=None)
     def test_matches_set_semantics(self, v_r, v_s, seed):
         params = PublicParams.for_bits(64)
-        assert _run_intersection(list(v_r), list(v_s), params, seed) == (v_r & v_s)
+        assert _intersection_of(list(v_r), list(v_s), params, seed) == (v_r & v_s)
 
     def test_agrees_with_driver_function(self, params):
-        from repro.protocols.base import ProtocolSuite
-        from repro.protocols.intersection import run_intersection
-
         v_r, v_s = ["x", "y", "z"], ["y", "q"]
-        driver = run_intersection(v_r, v_s, ProtocolSuite.default(bits=128, seed=5))
-        assert _run_intersection(v_r, v_s, params) == driver.intersection
+        driver = repro.run("intersection", v_r, v_s, bits=128, seed=5)
+        assert _intersection_of(v_r, v_s, params) == driver.answer
 
 
 class TestIntersectionSizeParties:
@@ -157,13 +155,10 @@ class TestEquijoinParties:
         assert receiver.size_v_s == 3
 
     def test_agrees_with_driver(self, params):
-        from repro.protocols.base import ProtocolSuite
-        from repro.protocols.equijoin import run_equijoin
-
         v_r = ["x", "y", "z"]
         ext = {"y": b"payload-y", "w": b"payload-w"}
-        driver = run_equijoin(v_r, ext, ProtocolSuite.default(bits=128, seed=3))
-        assert self._run(v_r, ext, params) == driver.matches
+        driver = repro.run("equijoin", v_r, ext, bits=128, seed=3)
+        assert self._run(v_r, ext, params) == driver.answer
 
     @given(
         st.sets(st.integers(min_value=0, max_value=25), max_size=8),
@@ -216,18 +211,14 @@ class TestEquijoinSizeParties:
 
     def test_agrees_with_multiset_and_driver(self, params):
         from repro.db.multiset import ValueMultiset
-        from repro.protocols.base import ProtocolSuite
-        from repro.protocols.equijoin_size import run_equijoin_size
 
         v_r = ["x", "x", "y", "z", "z", "z"]
         v_s = ["x", "y", "y", "z", "w"]
         expected = ValueMultiset.from_values(v_r).join_size(
             ValueMultiset.from_values(v_s)
         )
-        driver = run_equijoin_size(
-            v_r, v_s, ProtocolSuite.default(bits=128, seed=7)
-        )
-        assert self._run(v_r, v_s, params) == expected == driver.join_size
+        driver = repro.run("equijoin-size", v_r, v_s, bits=128, seed=7)
+        assert self._run(v_r, v_s, params) == expected == driver.answer
 
     def test_accepts_prebuilt_multiset(self, params):
         from repro.db.multiset import ValueMultiset

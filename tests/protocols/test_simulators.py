@@ -13,9 +13,7 @@ import random
 
 import pytest
 
-from repro.protocols.equijoin import run_equijoin
-from repro.protocols.intersection import run_intersection
-from repro.protocols.intersection_size import run_intersection_size
+from repro.crypto.ext_cipher import BlockExtCipher
 from repro.protocols.simulators import (
     simulate_r_view_equijoin,
     simulate_r_view_intersection,
@@ -29,122 +27,139 @@ def sim_rng():
     return random.Random(777)
 
 
-class TestSimulatorS:
-    def test_signature_matches_real(self, suite, sim_rng):
-        result = run_intersection(["a", "b", "c"], ["b", "x"], suite)
-        simulated = simulate_s_view_intersection(suite.group, 3, sim_rng)
-        assert simulated.signature() == result.run.s_view.signature()
+@pytest.fixture()
+def ext128(group128):
+    return BlockExtCipher(group128)
 
-    def test_elements_in_group_and_sorted(self, suite, sim_rng):
-        view = simulate_s_view_intersection(suite.group, 10, sim_rng)
+
+class TestSimulatorS:
+    def test_signature_matches_real(self, run128, group128, sim_rng):
+        result = run128("intersection", ["a", "b", "c"], ["b", "x"])
+        simulated = simulate_s_view_intersection(group128, 3, sim_rng)
+        assert simulated.signature() == result.transcript.s_view.signature()
+
+    def test_elements_in_group_and_sorted(self, group128, sim_rng):
+        view = simulate_s_view_intersection(group128, 10, sim_rng)
         y_r = next(view.payloads("3:Y_R"))
         assert y_r == sorted(y_r)
-        assert all(x in suite.group for x in y_r)
+        assert all(x in group128 for x in y_r)
 
-    def test_serves_size_protocol_too(self, suite, sim_rng):
-        result = run_intersection_size(["a", "b"], ["c"], suite)
+    def test_serves_size_protocol_too(self, run128, group128, sim_rng):
+        result = run128("intersection-size", ["a", "b"], ["c"])
         simulated = simulate_s_view_intersection(
-            suite.group, 2, sim_rng, protocol="intersection_size"
+            group128, 2, sim_rng, protocol="intersection_size"
         )
-        assert simulated.signature() == result.run.s_view.signature()
+        assert simulated.signature() == result.transcript.s_view.signature()
 
 
 class TestSimulatorRIntersection:
-    def test_signature_matches_real(self, suite, sim_rng):
+    def test_signature_matches_real(
+        self, run128, group128, hash128, cipher128, sim_rng
+    ):
         v_r, v_s = ["a", "b", "c"], ["b", "c", "d", "e"]
-        result = run_intersection(v_r, v_s, suite)
-        e_r = suite.cipher.sample_key(sim_rng)
+        result = run128("intersection", v_r, v_s)
+        e_r = cipher128.sample_key(sim_rng)
         simulated = simulate_r_view_intersection(
-            group=suite.group,
-            hash_fn=suite.hash,
+            group=group128,
+            hash_fn=hash128,
             e_r=e_r,
             v_r=v_r,
-            intersection=result.intersection,
+            intersection=result.answer,
             size_v_s=result.size_v_s,
             rng=sim_rng,
         )
-        assert simulated.signature() == result.run.r_view.signature()
+        assert simulated.signature() == result.transcript.r_view.signature()
 
-    def test_empty_intersection_shape(self, suite, sim_rng):
+    def test_empty_intersection_shape(
+        self, run128, group128, hash128, cipher128, sim_rng
+    ):
         v_r, v_s = ["a"], ["x", "y"]
-        result = run_intersection(v_r, v_s, suite)
+        result = run128("intersection", v_r, v_s)
         simulated = simulate_r_view_intersection(
-            suite.group, suite.hash, suite.cipher.sample_key(sim_rng),
+            group128, hash128, cipher128.sample_key(sim_rng),
             v_r, set(), 2, sim_rng,
         )
-        assert simulated.signature() == result.run.r_view.signature()
+        assert simulated.signature() == result.transcript.r_view.signature()
 
-    def test_simulator_uses_only_allowed_inputs(self, suite, sim_rng):
+    def test_simulator_uses_only_allowed_inputs(
+        self, run128, group128, hash128, cipher128, sim_rng
+    ):
         """The filler elements are random: values in V_S - V_R never
         appear hashed in the simulated view."""
         v_r, v_s = ["a"], ["a", "secret1", "secret2"]
-        result = run_intersection(v_r, v_s, suite)
+        result = run128("intersection", v_r, v_s)
         simulated = simulate_r_view_intersection(
-            suite.group, suite.hash, suite.cipher.sample_key(sim_rng),
-            v_r, result.intersection, 3, sim_rng,
+            group128, hash128, cipher128.sample_key(sim_rng),
+            v_r, result.answer, 3, sim_rng,
         )
         integers = set(simulated.flat_integers())
-        assert suite.hash.hash_value("secret1") not in integers
-        assert suite.hash.hash_value("secret2") not in integers
+        assert hash128.hash_value("secret1") not in integers
+        assert hash128.hash_value("secret2") not in integers
 
 
 class TestSimulatorRJoin:
-    def test_signature_matches_real(self, suite, sim_rng):
+    def test_signature_matches_real(
+        self, run128, group128, hash128, cipher128, ext128, sim_rng
+    ):
         # Fixed-size payloads: the paper's C_ext is a fixed ciphertext
         # domain, so simulator fillers match real ciphertext shapes.
         ext = {v: v.encode() * 2 for v in ("aa", "bb", "cc", "dd")}
         v_r = ["aa", "bb", "zz"]
-        result = run_equijoin(v_r, ext, suite)
+        result = run128("equijoin", v_r, ext)
         simulated = simulate_r_view_equijoin(
-            group=suite.group,
-            hash_fn=suite.hash,
-            e_r=suite.cipher.sample_key(sim_rng),
+            group=group128,
+            hash_fn=hash128,
+            e_r=cipher128.sample_key(sim_rng),
             v_r=v_r,
-            matches=result.matches,
+            matches=result.answer,
             size_v_s=result.size_v_s,
             rng=sim_rng,
-            ext_cipher=suite.ext_cipher,
+            ext_cipher=ext128,
         )
-        assert simulated.signature() == result.run.r_view.signature()
+        assert simulated.signature() == result.transcript.r_view.signature()
 
-    def test_no_ext_leak_in_simulation(self, suite, sim_rng):
+    def test_no_ext_leak_in_simulation(
+        self, run128, group128, hash128, cipher128, ext128, sim_rng
+    ):
         ext = {"aa": b"known!", "qq": b"sealed"}
-        result = run_equijoin(["aa"], ext, suite)
+        result = run128("equijoin", ["aa"], ext)
         simulated = simulate_r_view_equijoin(
-            suite.group, suite.hash, suite.cipher.sample_key(sim_rng),
-            ["aa"], result.matches, 2, sim_rng, suite.ext_cipher,
+            group128, hash128, cipher128.sample_key(sim_rng),
+            ["aa"], result.answer, 2, sim_rng, ext128,
         )
         blob = repr([m.payload for m in simulated.received]).encode()
         assert b"sealed" not in blob
 
 
 class TestSimulatorRIntersectionSize:
-    def test_signature_matches_real(self, suite, sim_rng):
+    def test_signature_matches_real(self, run128, group128, cipher128, sim_rng):
         v_r, v_s = ["a", "b", "c", "d"], ["c", "d", "e"]
-        result = run_intersection_size(v_r, v_s, suite)
+        result = run128("intersection-size", v_r, v_s)
         simulated = simulate_r_view_intersection_size(
-            group=suite.group,
+            group=group128,
             size_v_s=result.size_v_s,
             size_v_r=result.size_v_r,
-            intersection_size=result.size,
-            e_r=suite.cipher.sample_key(sim_rng),
+            intersection_size=result.answer,
+            e_r=cipher128.sample_key(sim_rng),
             rng=sim_rng,
         )
-        assert simulated.signature() == result.run.r_view.signature()
+        assert simulated.signature() == result.transcript.r_view.signature()
 
-    def test_simulated_intersection_size_is_consistent(self, suite, sim_rng):
+    def test_simulated_intersection_size_is_consistent(
+        self, group128, cipher128, sim_rng
+    ):
         """Simulated Z_R and the encryption of simulated Y_S under e_R
         overlap in exactly `intersection_size` elements - the simulator
         reproduces the answer R computes, not just the shape."""
         from repro.crypto.commutative import PowerCipher
 
-        e_r = suite.cipher.sample_key(sim_rng)
+        e_r = cipher128.sample_key(sim_rng)
         view = simulate_r_view_intersection_size(
-            suite.group, size_v_s=6, size_v_r=5, intersection_size=3,
+            group128, size_v_s=6, size_v_r=5, intersection_size=3,
             e_r=e_r, rng=sim_rng,
         )
         y_s = next(view.payloads("4a:Y_S"))
         z_r = next(view.payloads("4b:Z_R"))
-        cipher = PowerCipher(suite.group)
+        cipher = PowerCipher(group128)
         z_s = {cipher.encrypt(e_r, y) for y in y_s}
         assert len(z_s & set(z_r)) == 3

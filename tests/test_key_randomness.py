@@ -15,7 +15,6 @@ from repro.crypto.numtheory import _key_rng
 from repro.net.journal import open_session
 from repro.net.server import ProtocolOffer, ProtocolServer
 from repro.net.shard import ShardedProtocolServer
-from repro.protocols.base import ProtocolSuite
 from repro.protocols.parties import PublicParams
 from repro.protocols.spec import PROTOCOLS
 
@@ -38,10 +37,10 @@ def test_unseeded_entry_points_hold_a_system_random(monkeypatch):
     assert _is_csprng(repro.open_catalog(V_R, bits=64).rng)
     assert all(map(_is_csprng, _party_rngs(None, None)))
     assert all(map(_is_csprng, _party_rngs(None, random.SystemRandom())))
-    for suite in (ProtocolSuite.default(bits=64, seed=None),
-                  counting_suite(bits=64, seed=None).suite):
-        assert _is_csprng(suite.rng_r) and _is_csprng(suite.rng_s)
-        assert suite.rng_r is not suite.rng_s
+    for rng_r, rng_s in (_party_rngs(None, None),
+                         counting_suite(bits=64, seed=None).rngs):
+        assert _is_csprng(rng_r) and _is_csprng(rng_s)
+        assert rng_r is not rng_s
     core, _ = open_session(
         "sender", "intersection", lambda: None,
         params=PublicParams.for_bits(64),

@@ -76,11 +76,7 @@ class TestTopLevelExports:
     @pytest.mark.parametrize(
         "name",
         [
-            "ProtocolSuite",
-            "run_intersection",
-            "run_intersection_size",
-            "run_equijoin",
-            "run_equijoin_size",
+            "PublicParams",
             "join_tables",
             "Table",
             "ValueMultiset",
@@ -134,6 +130,29 @@ class TestFacadeSurface:
                     "serve_resumable_sender", "connect_resumable_receiver",
                 )
             ), f"per-protocol shim {name} resurfaced in repro.net.__all__"
+
+    def test_removed_in_process_drivers_stay_removed(self):
+        """``repro.run`` over ``protocols.spec.run_pair`` is the one
+        in-process driver: no per-protocol ``run_<name>`` wrapper or
+        ``<Name>Result`` class for any registered protocol, no parameter
+        suite, and no module that held nothing else."""
+        from repro.protocols.spec import PROTOCOLS
+
+        full = [spec.name for spec in PROTOCOLS.values() if spec.delta_of is None]
+        removed = {"ProtocolSuite", "DEFAULT_BITS", "_suite_rngs", "run_recorded"}
+        for name in full:
+            removed.add("run_" + name.replace("-", "_"))
+            removed.add(name.title().replace("-", "") + "Result")
+        assert {"run_equijoin_sum", "IntersectionSizeResult"} <= removed
+        for module_name in ("repro", "repro.protocols", "repro.protocols.base"):
+            module = importlib.import_module(module_name)
+            names = set(vars(module)) | set(getattr(module, "__all__", ()))
+            assert not removed & names, f"{module_name}: {sorted(removed & names)}"
+        parties = importlib.import_module("repro.protocols.parties")
+        assert not hasattr(parties.CryptoContext, "from_suite")
+        for gone in ("intersection", "intersection_size", "equijoin_size",
+                     "aggregate"):
+            assert importlib.util.find_spec(f"repro.protocols.{gone}") is None
 
     def _generated_reference(self) -> str:
         spec = importlib.util.spec_from_file_location(
